@@ -111,7 +111,7 @@ var Registry = []struct {
 	{"placement", "Multi-backend placement: homogeneous vs split fleets", Placement},
 	{"snapshot", "Snapshot forest: marginal memory per tenant clone", SnapshotForest},
 	{"rebalance", "Live rebalancing: drifting tenant, sticky vs migrating placement", Rebalance},
-	{"cluster", "Cluster autoscaling frontier: SLO vs cost, scaling and speedup rows", Cluster},
+	{"cluster", "Cluster autoscaling frontier: SLO vs cost, scaling and batch rows", Cluster},
 }
 
 // Lookup finds a runner by experiment ID.

@@ -112,24 +112,25 @@ type AdmissionStats struct {
 }
 
 // imageState is one image's queues and telemetry inside the admission
-// layer. It is guarded by the owning scheduler's dispatch lock (the
-// dispatcher mutex in real mode, the virtual-dispatch mutex in virtual
-// mode); the two modes are mutually exclusive per scheduler.
+// layer, guarded by the owning scheduler's core lock. The pass, weight
+// and counters are shared; each core owns one half of the rest — the
+// real core the enqueue side (real.go), the virtual core the span
+// history (virtual.go).
 type imageState struct {
 	name   string
 	weight int
+	pass   uint64 // stride-scheduling virtual start tag
 
-	queue    []*Ticket // waiting tickets, FIFO within the image (real mode)
-	pass     uint64    // stride-scheduling virtual start tag
-	inFlight int       // dispatched, not yet completed (real mode)
+	queue    []*Ticket // real core: waiting tickets, FIFO within the image
+	inFlight int       // real core: dispatched, not yet completed
 
 	// inFlightBy counts dispatched-but-not-completed tickets per backend
-	// index (real mode, MaxPerBackend only; nil otherwise — virtual mode
-	// models the quota in time instead, see quotaStartLocked).
+	// index (real core, MaxPerBackend only; nil otherwise — the virtual
+	// core models the quota in time instead, see quotaStart).
 	inFlightBy []int
 
-	spans      []admitSpan // virtual mode: admission spans of dispatched tickets (hard cap only)
-	maxArrival uint64      // virtual mode: high-water arrival, the prune horizon
+	spans      []admitSpan // virtual core: admission spans of dispatched tickets (hard cap only)
+	maxArrival uint64      // virtual core: high-water arrival, the prune horizon
 
 	submitted, completed, rejected uint64
 	svcEWMA                        uint64
@@ -141,6 +142,7 @@ type admission struct {
 	pol    Admission
 	images map[string]*imageState
 	vtime  uint64 // pass of the most recently dispatched image (global virtual time)
+	queued int    // real core: tickets waiting across all image queues
 }
 
 func newAdmission(pol Admission) *admission {
@@ -177,88 +179,10 @@ func (a *admission) activate(st *imageState) {
 	}
 }
 
-// tryEnqueue admits t into its image queue, or rejects it under a hard
-// cap with RejectOverflow. Caller holds the dispatch lock.
-func (a *admission) tryEnqueue(t *Ticket) error {
-	st := a.state(t.Image)
-	st.submitted++
-	if a.pol.MaxInFlight > 0 && a.pol.RejectOverflow &&
-		len(st.queue)+st.inFlight >= a.pol.MaxInFlight {
-		st.rejected++
-		return ErrAdmission
-	}
-	if a.pol.MaxQueued > 0 && len(st.queue) >= a.pol.MaxQueued {
-		st.rejected++
-		return ErrAdmission
-	}
-	if len(st.queue) == 0 {
-		a.activate(st)
-	}
-	st.queue = append(st.queue, t)
-	return nil
-}
-
-// pick removes and returns the next ticket by weighted fair pick across
-// the per-image queues: the eligible image with the lowest pass (ties
-// break on the image name, keeping the pick deterministic). Deferred
-// images — at their hard cap — are not eligible, and neither are images
-// the caller's eligible filter refuses (the placement layer's
-// platform-affinity gate: a worker passes a filter accepting only
-// tickets its backend may serve; nil accepts everything). Returns nil
-// when no eligible ticket exists. Caller holds the dispatch lock.
-func (a *admission) pick(eligible func(*Ticket) bool) *Ticket {
-	var best *imageState
-	for _, st := range a.images {
-		if len(st.queue) == 0 {
-			continue
-		}
-		if a.pol.MaxInFlight > 0 && !a.pol.RejectOverflow && st.inFlight >= a.pol.MaxInFlight {
-			continue // deferred: wait for a completion slot
-		}
-		if eligible != nil && !eligible(st.queue[0]) {
-			continue // pinned to a backend this worker does not serve
-		}
-		if best == nil || st.pass < best.pass || (st.pass == best.pass && st.name < best.name) {
-			best = st
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	t := best.queue[0]
-	best.queue[0] = nil
-	best.queue = best.queue[1:]
-	best.inFlight++
-	if best.pass > a.vtime {
-		a.vtime = best.pass
-	}
-	best.pass += a.stride(best)
-	return t
-}
-
-// claimBackend charges one in-flight slot of backend beIdx against the
-// image's per-backend quota (real mode; lazily sized to the fleet's
-// backend count). Caller holds the dispatch lock.
-func (st *imageState) claimBackend(beIdx, nBackends int) {
-	if st.inFlightBy == nil {
-		st.inFlightBy = make([]int, nBackends)
-	}
-	st.inFlightBy[beIdx]++
-}
-
-// inFlightOn reports the image's dispatched-but-not-completed count on
-// one backend (real mode). Caller holds the dispatch lock.
-func (st *imageState) inFlightOn(beIdx int) int {
-	if beIdx >= len(st.inFlightBy) {
-		return 0
-	}
-	return st.inFlightBy[beIdx]
-}
-
 // complete folds a finished ticket's telemetry back into its image:
 // in-flight release (global and per-backend), service-time EWMA (the
-// stride numerator), and queue-delay accounting. Caller holds the
-// dispatch lock.
+// stride numerator), and queue-delay accounting. Caller holds the core
+// lock.
 func (a *admission) complete(t *Ticket) {
 	st := a.state(t.Image)
 	if st.inFlight > 0 {
@@ -273,93 +197,15 @@ func (a *admission) complete(t *Ticket) {
 }
 
 // noteRejected records a rejection that happened outside tryEnqueue
-// (e.g. a submit after Close). Caller holds the dispatch lock.
+// (e.g. a submit after Close). Caller holds the core lock.
 func (a *admission) noteRejected(image string) {
 	st := a.state(image)
 	st.submitted++
 	st.rejected++
 }
 
-// admitSpan is one dispatched ticket's claim on its image's in-flight
-// quota in virtual time: the slot is held from the ticket's arrival
-// (admission) until its completion. Recording the admission edge, not
-// just the completion, keeps out-of-order arrivals honest — a ticket
-// arriving at t must not be counted against a sibling that was not
-// even admitted yet at t.
-type admitSpan struct {
-	at, done uint64
-}
-
-// pruneDone drops admission spans completed at or before upTo, once the
-// history has grown enough to be worth compacting. Safe when no later
-// admission query can reference times at or below upTo; callers pass
-// the earliest arrival still outstanding, so a submission arriving out
-// of order behind it observes a slightly relaxed cap (documented on
-// admitAtVirtual). Caller holds the dispatch lock.
-func (st *imageState) pruneDone(upTo uint64) {
-	if len(st.spans) < 256 {
-		return
-	}
-	kept := st.spans[:0]
-	for _, sp := range st.spans {
-		if sp.done > upTo {
-			kept = append(kept, sp)
-		}
-	}
-	st.spans = kept
-}
-
-// inFlightAt reports how many of the image's dispatched tickets hold an
-// admission slot at virtual time t (virtual mode): admitted at or
-// before t and not yet completed. Caller holds the dispatch lock.
-func (st *imageState) inFlightAt(t uint64) int {
-	n := 0
-	for _, sp := range st.spans {
-		if sp.at <= t && sp.done > t {
-			n++
-		}
-	}
-	return n
-}
-
-// admitAtVirtual decides admission for a virtual-mode ticket arriving at
-// the given time: (ok=false) rejects under RejectOverflow; otherwise it
-// returns the earliest virtual time the image has a free slot — the
-// arrival itself when under the cap, or the k-th completion that brings
-// the in-flight count below the cap (deferred queueing as a later
-// effective start). Completion history below the highest arrival seen
-// is pruned, so a submission arriving out of order far behind the trace
-// front may observe a relaxed cap. Caller holds the dispatch lock.
-func (a *admission) admitAtVirtual(st *imageState, arrival uint64) (notBefore uint64, ok bool) {
-	if a.pol.MaxInFlight <= 0 {
-		return arrival, true
-	}
-	if arrival >= st.maxArrival {
-		st.maxArrival = arrival
-		st.pruneDone(arrival)
-	}
-	busy := st.inFlightAt(arrival)
-	if busy < a.pol.MaxInFlight {
-		return arrival, true
-	}
-	if a.pol.RejectOverflow {
-		return 0, false
-	}
-	// Deferred: the slot frees at the (busy-cap+1)-th completion among
-	// the spans occupying the quota at the arrival.
-	k := busy - a.pol.MaxInFlight + 1
-	later := make([]uint64, 0, busy)
-	for _, sp := range st.spans {
-		if sp.at <= arrival && sp.done > arrival {
-			later = append(later, sp.done)
-		}
-	}
-	sort.Slice(later, func(i, j int) bool { return later[i] < later[j] })
-	return later[k-1], true
-}
-
-// statsLocked snapshots one image. Caller holds the dispatch lock.
-func (a *admission) statsLocked(image string, totalQueued int) (AdmissionStats, bool) {
+// statsLocked snapshots one image. Caller holds the core lock.
+func (a *admission) statsLocked(image string) (AdmissionStats, bool) {
 	st := a.images[image]
 	if st == nil {
 		return AdmissionStats{}, false
@@ -374,14 +220,14 @@ func (a *admission) statsLocked(image string, totalQueued int) (AdmissionStats, 
 		QueueCycleSum: st.queueSum,
 		Weight:        st.weight,
 	}
-	if totalQueued > 0 {
-		out.QueueShare = float64(len(st.queue)) / float64(totalQueued)
+	if a.queued > 0 {
+		out.QueueShare = float64(out.Queued) / float64(a.queued)
 	}
 	return out, true
 }
 
 // imagesLocked lists tracked image identities, sorted. Caller holds the
-// dispatch lock.
+// core lock.
 func (a *admission) imagesLocked() []string {
 	out := make([]string, 0, len(a.images))
 	for name := range a.images {

@@ -48,6 +48,9 @@ func TestSubmitBatchRunsVirtines(t *testing.T) {
 			t.Fatalf("ticket %d: image = %q", i, tk.Image)
 		}
 	}
+	// The hook runs after the last ticket's waiters are released; Close
+	// returns only once the worker that ran it has exited.
+	s.Close()
 	if batchCalls.Load() != 1 || batchTickets.Load() != n {
 		t.Fatalf("batch hook: %d calls over %d tickets, want 1 over %d",
 			batchCalls.Load(), batchTickets.Load(), n)

@@ -49,9 +49,8 @@ func BenchmarkVirtualDispatch(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					s := NewVirtual(wasp.New(), 16,
-						WithAdmission(Admission{Weights: map[string]int{"api": 3, "web": 2, "spike": 2, "batch": 1}}),
-						WithLinearDispatch(mode.linear))
+					s := virtualOn(mode.linear)(wasp.New(), 16,
+						WithAdmission(Admission{Weights: map[string]int{"api": 3, "web": 2, "spike": 2, "batch": 1}}))
 					s.SubmitBatchAt(reqs)
 					if s.Makespan() == 0 {
 						b.Fatal("empty makespan")

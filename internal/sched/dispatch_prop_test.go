@@ -13,8 +13,8 @@ import (
 // Differential property suite for the O(log n) dispatch core: random
 // trace corpora — mixed images, colliding arrivals, hard caps in both
 // flavors, per-backend quotas, placers, mid-run autoscaling — run
-// through the heap core and the linear reference (WithLinearDispatch),
-// asserting bit-identical per-ticket outcomes, makespans, rejection
+// through the heap core and the linear reference (linearCore, the
+// test-only core in linear_core_test.go), asserting bit-identical per-ticket outcomes, makespans, rejection
 // sets, and admission telemetry. The heap structures are pure
 // bookkeeping; any divergence here is a correctness bug, not a tuning
 // difference.
@@ -52,9 +52,9 @@ func drawCorpus(seed int64) corpusConfig {
 		placer:  rng.Intn(3),
 	}
 	cfg.adm = Admission{
-		MaxInFlight:    rng.Intn(4),              // 0 disables
+		MaxInFlight:    rng.Intn(4), // 0 disables
 		RejectOverflow: rng.Intn(2) == 0,
-		MaxPerBackend:  rng.Intn(3),              // 0 disables
+		MaxPerBackend:  rng.Intn(3), // 0 disables
 		Weights:        map[string]int{"img-a": 1 + rng.Intn(4), "img-b": 1 + rng.Intn(4)},
 	}
 	// Arrivals from a small lattice so clock/arrival ties are common —
@@ -78,12 +78,21 @@ func drawCorpus(seed int64) corpusConfig {
 	return cfg
 }
 
+// virtualOn selects the virtual-mode constructor: the production heap
+// core or the linear reference.
+func virtualOn(linear bool) func(*wasp.Wasp, int, ...Option) *Scheduler {
+	if linear {
+		return newLinear
+	}
+	return NewVirtual
+}
+
 // runCorpus executes one scenario on a fresh runtime with the selected
 // dispatch core and projects every outcome.
 func runCorpus(t *testing.T, cfg corpusConfig, linear bool) ([]dispatchKey, uint64, map[string]AdmissionStats) {
 	t.Helper()
 	var wopts []wasp.Option
-	sopts := []Option{WithAdmission(cfg.adm), WithLinearDispatch(linear)}
+	sopts := []Option{WithAdmission(cfg.adm)}
 	if cfg.twoBE {
 		wopts = append(wopts, wasp.WithPlatforms(vmm.KVM{}, vmm.HyperV{}))
 		sopts = append(sopts, WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}))
@@ -94,7 +103,7 @@ func runCorpus(t *testing.T, cfg corpusConfig, linear bool) ([]dispatchKey, uint
 	case 2:
 		sopts = append(sopts, WithPlacer(placement.CostModel{}))
 	}
-	s := NewVirtual(wasp.New(wopts...), cfg.workers, sopts...)
+	s := virtualOn(linear)(wasp.New(wopts...), cfg.workers, sopts...)
 	defer s.Close()
 	var tickets []*Ticket
 	tickets = append(tickets, s.SubmitBatchAt(cfg.batch)...)
@@ -164,7 +173,8 @@ func TestHeapDispatchTieBreaks(t *testing.T) {
 	}{{"heap", false}, {"linear", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			// Equal clocks: idle workers all at clock 0 fill in id order.
-			s := NewVirtual(wasp.New(), 3, WithLinearDispatch(mode.linear))
+			newSched := virtualOn(mode.linear)
+			s := newSched(wasp.New(), 3)
 			var got []int
 			for i := 0; i < 3; i++ {
 				tk := s.SubmitFnAt(0, costTask(1000))
@@ -179,7 +189,7 @@ func TestHeapDispatchTieBreaks(t *testing.T) {
 			// Equal passes: two never-run images tie at pass 0; the
 			// weighted pick must break toward the lexicographically
 			// smaller name even when the larger one was submitted first.
-			s = NewVirtual(wasp.New(), 1, WithAdmission(Admission{}), WithLinearDispatch(mode.linear))
+			s = newSched(wasp.New(), 1, WithAdmission(Admission{}))
 			tks := s.SubmitBatchAt([]Request{
 				{Arrival: 0, Image: "zeta", Fn: costTask(1000)},
 				{Arrival: 0, Image: "alpha", Fn: costTask(1000)},
@@ -194,7 +204,7 @@ func TestHeapDispatchTieBreaks(t *testing.T) {
 			// Equal arrivals within one image: submission order (the
 			// per-image backlog is a min-heap of submission indices, not
 			// an arrival FIFO).
-			s = NewVirtual(wasp.New(), 1, WithAdmission(Admission{}), WithLinearDispatch(mode.linear))
+			s = newSched(wasp.New(), 1, WithAdmission(Admission{}))
 			tks = s.SubmitBatchAt([]Request{
 				{Arrival: 0, Image: "img", Fn: costTask(1000)},
 				{Arrival: 0, Image: "img", Fn: costTask(2000)},
@@ -253,4 +263,17 @@ func TestSetVirtualWorkersDeterministic(t *testing.T) {
 			t.Fatalf("rescale schedule diverged at %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
+}
+
+// TestSetVirtualWorkersRealModePanics pins the real core's refusal:
+// real-mode fleets are goroutines, not clocks.
+func TestSetVirtualWorkersRealModePanics(t *testing.T) {
+	s := New(wasp.New(), 1)
+	defer s.Close()
+	defer func() {
+		if r := recover(); r != "sched: SetVirtualWorkers is a virtual-mode primitive" {
+			t.Fatalf("SetVirtualWorkers on a real-mode scheduler: recovered %v", r)
+		}
+	}()
+	s.SetVirtualWorkers(2, 0)
 }

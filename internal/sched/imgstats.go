@@ -24,7 +24,7 @@ type imgStat struct {
 
 // imgStats is the LRU-bounded per-image EWMA store the placement layer
 // consults (ImageInfo.SvcEWMA / EntriesEWMA). Guarded by the owning
-// scheduler's dispatch lock.
+// scheduler's core lock.
 type imgStats struct {
 	limit int
 	m     map[string]*list.Element

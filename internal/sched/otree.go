@@ -4,8 +4,7 @@ package sched
 // the virtual dispatcher's ready structure. One tree per backend holds
 // that backend's active workers, so the earliest-free candidate is the
 // leftmost node and "how many workers are busy at time T" is a rank
-// query — both O(log n), replacing the linear clock scans that made
-// dispatch quadratic at fleet scale.
+// query — both O(log n).
 //
 // Determinism rules (see internal/sched/README.md): the key comparison
 // is total — (clock, id) never ties across distinct workers — and node

@@ -3,22 +3,21 @@
 //
 // The paper anticipates virtines behaving "like asynchronous functions
 // or futures" (§2), and the Wasp runtime (§5) is built to serve many
-// concurrent invocations. Before this layer existed, every client
-// reinvented dispatch — core.Future spawned raw goroutines, the
-// serverless platform hand-rolled an earliest-free-worker array, httpd
-// served strictly sequentially. sched centralizes that: a bounded
-// worker pool in which each worker owns a virtual clock (modelling one
-// core's TSC, exactly like the paper's per-core rdtsc methodology),
-// a ticket/future API, queue-depth accounting, and completion hooks.
+// concurrent invocations. sched is where core.Future, the serverless
+// platform and httpd all dispatch: a bounded worker pool in which each
+// worker owns a virtual clock (modelling one core's TSC, exactly like
+// the paper's per-core rdtsc methodology), a ticket/future API,
+// queue-depth accounting, and completion hooks.
 //
-// Two execution modes share the same API and semantics:
+// Two dispatch cores sit behind the same API and semantics (the core
+// interface below):
 //
-//   - Real mode (New): N worker goroutines drain a bounded queue.
-//     Virtines on different workers execute concurrently on the host —
-//     this is the mode the throughput benchmarks exercise, and it is
-//     what makes the sharded shell pools in internal/wasp matter.
-//   - Virtual mode (NewVirtual): deterministic event-driven dispatch in
-//     the submitting goroutine. Tickets are assigned to the
+//   - Real mode (New, real.go): N worker goroutines drain a bounded
+//     queue. Virtines on different workers execute concurrently on the
+//     host — this is the mode the throughput benchmarks exercise, and it
+//     is what makes the sharded shell pools in internal/wasp matter.
+//   - Virtual mode (NewVirtual, virtual.go): deterministic event-driven
+//     dispatch in the submitting goroutine. Tickets are assigned to the
 //     earliest-free worker in virtual time; queueing delay comes from
 //     the worker clocks, i.e. from real queue state. The serverless
 //     Fig 15 simulation uses this mode so results stay reproducible.
@@ -64,7 +63,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -276,10 +274,11 @@ type worker struct {
 	beIdx int    // index into the scheduler's backend states
 
 	// lastImage/lastStart/lastDone describe the worker's most recent run
-	// in virtual mode (guarded by mu): workers serialize, so the triple
-	// is exactly "what is this worker running at time T" for any T the
-	// event-driven dispatcher asks about — the basis of the per-backend
-	// admission quota's virtual-time model. Unused in real mode.
+	// in virtual mode (owned by the virtual core, under its lock):
+	// workers serialize, so the triple is exactly "what is this worker
+	// running at time T" for any T the event-driven dispatcher asks about
+	// — the basis of the per-backend admission quota's virtual-time
+	// model. Unused in real mode.
 	lastImage string
 	lastStart uint64
 	lastDone  uint64
@@ -287,7 +286,7 @@ type worker struct {
 
 // backendState aggregates the fleet's workers per hypervisor backend.
 // completed is atomic (safe diagnostic reads); svcEWMA is guarded by
-// the dispatch lock and maintained only while a placer is attached.
+// the core lock and maintained only while a placer is attached.
 type backendState struct {
 	platform  vmm.Platform
 	workers   int
@@ -295,10 +294,27 @@ type backendState struct {
 	svcEWMA   uint64
 }
 
-// Scheduler is a bounded worker-pool executor over a Wasp runtime.
+// core is one dispatch implementation behind the shared front end.
+// The cores share tickets, options, fleet construction, placement
+// weights, ticket execution and telemetry, but nothing in dispatch. The
+// embedded Locker is the core's dispatch lock: it guards adm, imgStats
+// and backendState.svcEWMA, and is what the telemetry readers take.
+type core interface {
+	sync.Locker
+	// submit dispatches a prepared ticket slice and returns the tickets
+	// that will never run, each with its error set.
+	submit(ts []*Ticket) (rejected []*Ticket)
+	// resize sets the active worker-pool width at a virtual time.
+	resize(n int, at uint64) int
+	// close stops the core once the scheduler has stopped accepting work.
+	close()
+}
+
+// Scheduler is a bounded worker-pool executor over a Wasp runtime: the
+// shared front end over one dispatch core.
 type Scheduler struct {
-	w       *wasp.Wasp
-	virtual bool
+	w    *wasp.Wasp
+	core core
 
 	// cleaners are the runtime's Wasp+CA background cleaners (one per
 	// backend), when async cleaning is on: real-mode workers drain them
@@ -310,53 +326,18 @@ type Scheduler struct {
 	// Multi-backend placement state: worker platform pins, per-backend
 	// aggregates, and the attached policy. imgStats is the LRU-bounded
 	// per-image service/entry EWMA store the policies consult (guarded by
-	// the dispatch lock of the scheduler's mode, maintained only while
-	// placer != nil). busyBy counts real-mode workers mid-ticket per
-	// backend (guarded by dmu, maintained only while placer != nil) — the
-	// weight-aware pop consults it to decide when a non-preferred backend
-	// may take over a steered ticket.
+	// the core lock, maintained only while placer != nil).
 	platforms []vmm.Platform
 	bstates   []*backendState
 	placer    placement.Placer
 	imgStats  *imgStats
-	busyBy    []int
-
-	// Real-mode dispatch queue: a condition-variable deque instead of a
-	// channel, so a burst enqueues under one lock acquisition with one
-	// wake, and the admission layer can pick across per-image queues
-	// instead of strict FIFO. qcap bounds the backlog (Submit blocks
-	// when full — backpressure instead of unbounded growth).
-	dmu      sync.Mutex
-	notEmpty *sync.Cond
-	notFull  *sync.Cond
-	qcap     int
-	qclosed  bool
-	fifo     []*Ticket // plain FIFO lane, used when adm == nil
-	fifoHead int
-	queuedN  int
 
 	// adm is the per-image admission-control state, nil without
-	// WithAdmission. Real mode guards it with dmu, virtual mode with mu.
+	// WithAdmission; guarded by the core lock.
 	adm *admission
 
-	// O(log n) virtual dispatch state (guarded by mu; nil in real mode
-	// or under WithLinearDispatch): one order-statistic treap of active
-	// workers per backend, and the per-(backend, image) completion
-	// records behind the admission quota's O(quota) start query.
-	// linear selects the reference linear-scan dispatcher instead —
-	// the differential seam the heap property suite runs against.
-	linear    bool
-	vtrees    []*otree
-	quotaRecs []map[string][]quotaRec
+	qcap int // WithQueueCap, consumed by the real core
 
-	// nActive is the active worker-pool width: workers[:nActive] take
-	// work, the rest are parked by SetVirtualWorkers (virtual-mode
-	// autoscaling). Always len(workers) in real mode.
-	nActive int
-
-	wg sync.WaitGroup
-
-	mu      sync.Mutex   // virtual-mode dispatch
 	closeMu sync.RWMutex // guards closed; submits hold the read side
 	closed  bool
 	workers []*worker
@@ -447,112 +428,78 @@ func WithTracer(tr *obs.Tracer) Option {
 	return func(s *Scheduler) { s.tracer = tr }
 }
 
-// WithLinearDispatch selects the reference linear-scan virtual
-// dispatcher instead of the O(log n) tree/heap core. The two produce
-// bit-identical schedules — that equivalence is the heap core's
-// correctness contract, enforced by the property suite in
-// dispatch_prop_test.go — so the only reason to turn this on is to be
-// the baseline in that differential test or a scaling measurement.
-// Virtual mode only; real mode ignores it.
-func WithLinearDispatch(on bool) Option {
-	return func(s *Scheduler) { s.linear = on }
-}
-
 // New builds a real-mode scheduler: n worker goroutines, each with its
 // own virtual clock, draining a bounded queue.
 func New(w *wasp.Wasp, n int, opts ...Option) *Scheduler {
-	s := newScheduler(w, n, false, opts...)
-	if s.qcap == 0 {
-		s.qcap = 4 * n
-	}
-	for _, wk := range s.workers {
-		s.wg.Add(1)
-		go s.workerLoop(wk)
-	}
-	return s
+	return newScheduler(w, n, newRealCore, opts...)
 }
 
 // NewVirtual builds a virtual-mode scheduler: deterministic
 // earliest-free-worker dispatch over per-worker virtual clocks, run
 // synchronously in the submitting goroutine.
 func NewVirtual(w *wasp.Wasp, n int, opts ...Option) *Scheduler {
-	return newScheduler(w, n, true, opts...)
+	return newScheduler(w, n, newVirtualCore, opts...)
 }
 
-func newScheduler(w *wasp.Wasp, n int, virtual bool, opts ...Option) *Scheduler {
+// newScheduler builds the shared front end — options, fleet, backends —
+// and hands it to mkCore for its dispatch core.
+func newScheduler(w *wasp.Wasp, n int, mkCore func(*Scheduler) core, opts ...Option) *Scheduler {
 	if n < 1 {
 		n = 1
 	}
-	s := &Scheduler{w: w, virtual: virtual}
-	s.notEmpty = sync.NewCond(&s.dmu)
-	s.notFull = sync.NewCond(&s.dmu)
-	s.workers = make([]*worker, n)
-	for i := range s.workers {
-		s.workers[i] = &worker{id: i, clk: cycles.NewClock()}
-	}
+	s := &Scheduler{w: w, cleaners: w.Cleaners()}
 	for _, o := range opts {
 		o(s)
 	}
 	if len(s.platforms) == 0 {
 		s.platforms = w.Platforms()[:1]
 	}
-	// Pin workers round-robin across the requested platforms and build
-	// the per-backend aggregates in first-appearance order (stable, so
-	// virtual-mode runs are reproducible).
-	beIdx := make(map[string]int)
-	for i, wk := range s.workers {
-		p := s.platforms[i%len(s.platforms)]
-		name := p.Name()
-		if !w.HasPlatform(name) {
-			panic(fmt.Sprintf("sched: worker platform %q is not a backend of this Wasp (use wasp.WithPlatforms)", name))
-		}
-		idx, ok := beIdx[name]
-		if !ok {
-			idx = len(s.bstates)
-			beIdx[name] = idx
-			s.bstates = append(s.bstates, &backendState{platform: p})
-		}
-		s.bstates[idx].workers++
-		wk.pname = name
-		wk.beIdx = idx
-	}
-	s.nActive = len(s.workers)
-	if virtual && !s.linear {
-		s.vtrees = make([]*otree, len(s.bstates))
-		for i := range s.vtrees {
-			s.vtrees[i] = &otree{}
-		}
-		for _, wk := range s.workers {
-			s.vtrees[wk.beIdx].insert(wk)
-		}
-		if s.adm != nil && s.adm.pol.MaxPerBackend > 0 {
-			s.quotaRecs = make([]map[string][]quotaRec, len(s.bstates))
-		}
+	for len(s.workers) < n {
+		s.bstates[s.addWorker().beIdx].workers++
 	}
 	if s.placer != nil {
 		s.imgStats = newImgStats(0)
-		s.busyBy = make([]int, len(s.bstates))
 	}
-	if cs := w.Cleaners(); len(cs) > 0 {
-		s.cleaners = cs
-		if virtual {
-			// Model each backend's cleaner as a dedicated virtual core:
-			// this scheduler drains them deterministically after each
-			// ticket (DrainAt) instead of the wall-clock background
-			// goroutines.
-			for _, c := range cs {
-				c.SetDriven(true)
-			}
+	s.core = mkCore(s)
+	return s
+}
+
+// addWorker grows the fleet by one worker with a fresh clock, pinned
+// round-robin across the requested platforms. Backend aggregates are
+// registered in first-appearance order (stable, so virtual-mode runs
+// are reproducible); a platform the scheduler's Wasp lacks panics — a
+// misconfigured fleet would fail every ticket. The caller counts the
+// worker into its backend when it becomes active.
+func (s *Scheduler) addWorker() *worker {
+	p := s.platforms[len(s.workers)%len(s.platforms)]
+	wk := &worker{id: len(s.workers), clk: cycles.NewClock(), pname: p.Name(), beIdx: -1}
+	for i, bs := range s.bstates {
+		if bs.platform.Name() == wk.pname {
+			wk.beIdx = i
 		}
 	}
-	return s
+	if wk.beIdx < 0 {
+		if !s.w.HasPlatform(wk.pname) {
+			panic(fmt.Sprintf("sched: worker platform %q is not a backend of this Wasp (use wasp.WithPlatforms)", wk.pname))
+		}
+		wk.beIdx = len(s.bstates)
+		s.bstates = append(s.bstates, &backendState{platform: p})
+	}
+	s.workers = append(s.workers, wk)
+	return wk
 }
 
 // NumWorkers reports the active worker-pool width. This is the fleet
 // size except while virtual-mode autoscaling has parked a suffix of the
 // fleet (SetVirtualWorkers); parked workers keep their clocks and run
 // counts but take no work.
-func (s *Scheduler) NumWorkers() int { return s.nActive }
+func (s *Scheduler) NumWorkers() int {
+	n := 0
+	for _, bs := range s.bstates {
+		n += bs.workers
+	}
+	return n
+}
 
 // Wasp exposes the underlying runtime.
 func (s *Scheduler) Wasp() *wasp.Wasp { return s.w }
@@ -560,33 +507,25 @@ func (s *Scheduler) Wasp() *wasp.Wasp { return s.w }
 // Submit schedules one virtine execution — the asynchronous analogue of
 // wasp.Run. The returned Ticket is the future for its result.
 func (s *Scheduler) Submit(img *guest.Image, cfg wasp.RunConfig) *Ticket {
-	t := s.newTicket(0, false, img, cfg, nil)
-	s.submitTickets([]*Ticket{t})
-	return t
+	return s.submitOne(0, false, img, cfg, nil)
 }
 
 // SubmitAt schedules a virtine execution arriving at the given virtual
 // time. The assigned worker's clock first advances to the arrival time,
 // so queueing delay is measured against it.
 func (s *Scheduler) SubmitAt(arrival uint64, img *guest.Image, cfg wasp.RunConfig) *Ticket {
-	t := s.newTicket(arrival, true, img, cfg, nil)
-	s.submitTickets([]*Ticket{t})
-	return t
+	return s.submitOne(arrival, true, img, cfg, nil)
 }
 
 // SubmitFn schedules an arbitrary task on the worker pool.
 func (s *Scheduler) SubmitFn(fn Task) *Ticket {
-	t := s.newTicket(0, false, nil, wasp.RunConfig{}, fn)
-	s.submitTickets([]*Ticket{t})
-	return t
+	return s.submitOne(0, false, nil, wasp.RunConfig{}, fn)
 }
 
 // SubmitFnAt schedules an arbitrary task arriving at the given virtual
 // time.
 func (s *Scheduler) SubmitFnAt(arrival uint64, fn Task) *Ticket {
-	t := s.newTicket(arrival, true, nil, wasp.RunConfig{}, fn)
-	s.submitTickets([]*Ticket{t})
-	return t
+	return s.submitOne(arrival, true, nil, wasp.RunConfig{}, fn)
 }
 
 // SubmitBatch schedules a burst of requests in one shot: one ticket
@@ -639,9 +578,10 @@ func (s *Scheduler) submitBatch(reqs []Request, hasArrival bool) []*Ticket {
 	return tickets
 }
 
-func (s *Scheduler) newTicket(arrival uint64, hasArrival bool, img *guest.Image, cfg wasp.RunConfig, fn Task) *Ticket {
+func (s *Scheduler) submitOne(arrival uint64, hasArrival bool, img *guest.Image, cfg wasp.RunConfig, fn Task) *Ticket {
 	t := &Ticket{Arrival: arrival, hasArrival: hasArrival, done: make(chan struct{})}
 	s.initTicket(t, img, cfg, fn, "")
+	s.submitTickets([]*Ticket{t})
 	return t
 }
 
@@ -666,12 +606,12 @@ func (s *Scheduler) initTicket(t *Ticket, img *guest.Image, cfg wasp.RunConfig, 
 }
 
 // placeWeightsLocked computes the ticket's placement weights, one per
-// fleet backend (nil = unrestricted: no placer attached). withLoad
-// additionally counts the workers busy at virtual time `at` into each
-// backend's Busy — meaningful only in virtual mode, where worker clocks
-// are coherent under the dispatch lock. Caller holds the mode's
-// dispatch lock.
-func (s *Scheduler) placeWeightsLocked(t *Ticket, at uint64, withLoad bool) []float64 {
+// fleet backend (nil = unrestricted: no placer attached). busy, when
+// non-nil, is the per-backend count of workers busy at the decision
+// time and fills each backend's Busy — meaningful only in virtual mode,
+// where worker clocks are coherent under the core lock. Caller holds
+// the core lock.
+func (s *Scheduler) placeWeightsLocked(t *Ticket, busy []int) []float64 {
 	if s.placer == nil {
 		return nil
 	}
@@ -683,18 +623,8 @@ func (s *Scheduler) placeWeightsLocked(t *Ticket, at uint64, withLoad bool) []fl
 			SvcEWMA:   bs.svcEWMA,
 			Completed: bs.completed.Load(),
 		}
-	}
-	if withLoad {
-		if s.vtrees != nil {
-			for i, tr := range s.vtrees {
-				infos[i].Busy = tr.size() - tr.countLE(at)
-			}
-		} else {
-			for _, wk := range s.workers[:s.nActive] {
-				if wk.clk.Now() > at {
-					infos[wk.beIdx].Busy++
-				}
-			}
+		if busy != nil {
+			infos[i].Busy = busy[i]
 		}
 	}
 	svc, entries := s.imgStats.get(t.Image)
@@ -727,8 +657,8 @@ func eligibleOn(ws []float64, beIdx int) bool {
 }
 
 // noteServiceLocked folds a completed ticket's service time into the
-// placement EWMAs (per backend and per image). Caller holds the mode's
-// dispatch lock; called only while a placer is attached.
+// placement EWMAs (per backend and per image). Caller holds the core
+// lock; called only while a placer is attached.
 func (s *Scheduler) noteServiceLocked(t *Ticket, wk *worker) {
 	bs := s.bstates[wk.beIdx]
 	bs.svcEWMA = stats.EWMA(bs.svcEWMA, t.ServiceCycles())
@@ -741,42 +671,39 @@ func (s *Scheduler) noteServiceLocked(t *Ticket, wk *worker) {
 	}
 }
 
-// prefBackendLocked picks the backend real-mode dispatch should steer a
-// ticket toward: the highest-weight eligible backend, but only when its
-// bias advantage over the runner-up is material against the image's own
-// smoothed service time (a quarter of it) — near-ties race freely, so
-// load-balancing policies keep their work-conserving behavior and only
-// decisive cost gaps serialize dispatch onto one backend. Returns -1 for
-// "no steering". Caller holds dmu; placer is attached.
-func (s *Scheduler) prefBackendLocked(t *Ticket) int {
-	if t.elig == nil || len(s.bstates) < 2 {
-		return -1
+// quotaFor is the per-backend in-flight quota that applies to t (0 =
+// none: no MaxPerBackend policy, or an untagged ticket).
+func (s *Scheduler) quotaFor(t *Ticket) int {
+	if s.adm == nil || t.Image == "" {
+		return 0
 	}
-	best, second := -1, -1
-	for i, w := range t.elig {
-		if w <= 0 {
-			continue
-		}
-		switch {
-		case best < 0 || w > t.elig[best]:
-			second, best = best, i
-		case second < 0 || w > t.elig[second]:
-			second = i
-		}
+	return s.adm.pol.MaxPerBackend
+}
+
+// vetLocked is the submission gate every core applies per ticket: one
+// with no work, or whose image no backend may serve, is rejected here
+// rather than parked forever. It returns the placement weights it
+// computed (busy as in placeWeightsLocked). Caller holds the core lock.
+func (s *Scheduler) vetLocked(t *Ticket, busy []int) (weights []float64, ok bool) {
+	if t.run == nil && t.img == nil {
+		s.rejectLocked(t, errNilTask)
+		return nil, false
 	}
-	if best < 0 || second < 0 {
-		return -1 // zero or one eligible backend: eligibility already decides
+	weights = s.placeWeightsLocked(t, busy)
+	if !anyEligible(weights) {
+		s.rejectLocked(t, ErrPlacement)
+		return nil, false
 	}
-	gap := placement.Bias(t.elig[second]) - placement.Bias(t.elig[best])
-	svc, _ := s.imgStats.get(t.Image)
-	minGap := svc / 4
-	if minGap < 1 {
-		minGap = 1
+	return weights, true
+}
+
+// rejectLocked fails t with err and books the rejection against its
+// image's admission telemetry. Caller holds the core lock.
+func (s *Scheduler) rejectLocked(t *Ticket, err error) {
+	t.err = err
+	if s.adm != nil {
+		s.adm.noteRejected(t.Image)
 	}
-	if gap < minGap {
-		return -1
-	}
-	return best
 }
 
 // submitTickets routes a prepared ticket slice into the scheduler. It
@@ -801,281 +728,29 @@ func (s *Scheduler) submitTickets(ts []*Ticket) {
 	}
 	var rejected []*Ticket
 	if s.closed {
-		rejected = s.rejectAll(ts, ErrClosed)
-	} else if s.virtual {
-		rejected = s.dispatchVirtual(ts)
-	} else {
-		rejected = s.putTickets(ts)
-	}
-	for _, t := range rejected {
-		s.finalizeRejected(t)
-	}
-}
-
-// rejectAll marks every ticket rejected with err and records the
-// per-image rejection telemetry.
-func (s *Scheduler) rejectAll(ts []*Ticket, err error) []*Ticket {
-	if s.adm != nil {
-		if s.virtual {
-			s.mu.Lock()
-		} else {
-			s.dmu.Lock()
-		}
+		s.core.Lock()
 		for _, t := range ts {
-			s.adm.noteRejected(t.Image)
+			s.rejectLocked(t, ErrClosed)
 		}
-		if s.virtual {
-			s.mu.Unlock()
-		} else {
-			s.dmu.Unlock()
-		}
+		s.core.Unlock()
+		rejected = ts
+	} else {
+		rejected = s.core.submit(ts)
 	}
-	for _, t := range ts {
-		t.err = err
-	}
-	return ts
-}
-
-// finalizeRejected retires a ticket that will never run: its error is
-// already set, so account it and unblock waiters. Runs with no
-// dispatch lock held in either mode (submitTickets calls it after
-// putTickets/dispatchVirtual have released theirs) — it must touch
-// only the ticket itself and atomic counters.
-func (s *Scheduler) finalizeRejected(t *Ticket) {
-	s.rejected.Add(1)
-	close(t.done)
-	t.finishBatch()
-}
-
-// putTickets enqueues a burst on the real-mode dispatch queue under one
-// lock acquisition, waking the workers once. It returns the tickets the
-// queue did not accept (scheduler closed mid-wait, admission hard-cap
-// rejection, or a nil task), each with its error set.
-func (s *Scheduler) putTickets(ts []*Ticket) (rejected []*Ticket) {
-	accepted := 0
-	s.dmu.Lock()
-	for _, t := range ts {
-		if t.run == nil && t.img == nil {
-			t.err = errNilTask
-			if s.adm != nil {
-				s.adm.noteRejected(t.Image)
-			}
-			rejected = append(rejected, t)
-			continue
-		}
-		// Placement eligibility is fixed at enqueue in real mode: the
-		// weights gate which workers may pop the ticket. An image no
-		// backend may serve is rejected here rather than parked forever.
-		t.elig = s.placeWeightsLocked(t, 0, false)
-		if !anyEligible(t.elig) {
-			t.err = ErrPlacement
-			if s.adm != nil {
-				s.adm.noteRejected(t.Image)
-			}
-			rejected = append(rejected, t)
-			continue
-		}
-		if s.placer != nil {
-			t.prefBE = s.prefBackendLocked(t)
-			if tr := s.tracer; tr.Enabled() && t.prefBE >= 0 {
-				tr.Instant(obs.ControlLane, obs.KindPlace, t.Image,
-					t.Arrival, t.seq, uint64(t.prefBE), 1)
-			}
-		}
-		for !s.qclosed && s.queuedN >= s.qcap {
-			// A burst larger than the queue's free space must wake the
-			// workers before sleeping: the usual single wake happens only
-			// after the whole burst is enqueued, and waiting for space
-			// that only workers can free without it is a deadlock.
-			s.notEmpty.Broadcast()
-			s.notFull.Wait()
-		}
-		if s.qclosed {
-			t.err = ErrClosed
-			if s.adm != nil {
-				s.adm.noteRejected(t.Image)
-			}
-			rejected = append(rejected, t)
-			continue
-		}
-		if s.adm != nil {
-			if err := s.adm.tryEnqueue(t); err != nil {
-				t.err = err
-				rejected = append(rejected, t)
-				continue
-			}
-		} else {
-			s.fifo = append(s.fifo, t)
-		}
-		t.DepthAtSubmit = s.queuedN // tickets already waiting ahead of this one
-		s.queuedN++
-		s.depth.Store(int64(s.queuedN))
-		if d := int64(s.queuedN); d > s.peakDepth.Load() {
-			s.peakDepth.Store(d)
-		}
-		accepted++
-	}
-	// One wake for the burst — but a single submission wakes a single
-	// worker: pick eligibility is global, so broadcasting one ticket to
-	// N idle workers is a thundering herd on the hot dispatch path.
-	// With a placer on a mixed fleet that reasoning breaks — a Signal
-	// could land on a worker whose backend may not serve the ticket,
-	// which would then park again and strand the ticket — so
-	// platform-constrained dispatch always broadcasts.
-	switch {
-	case accepted == 1 && (s.placer == nil || len(s.bstates) == 1):
-		s.notEmpty.Signal()
-	case accepted >= 1:
-		s.notEmpty.Broadcast()
-	}
-	s.dmu.Unlock()
-	return rejected
-}
-
-type popResult int
-
-const (
-	popGot popResult = iota
-	popEmpty
-	popDone
-)
-
-// popTicket takes the next ticket the given worker's backend may serve:
-// the first eligible FIFO entry, or the admission layer's weighted pick
-// across per-image queues restricted to eligible images. With block it
-// waits until a ticket is eligible or the queue is closed and drained;
-// deferred tickets (image at its hard cap), tickets pinned to other
-// platforms, and tickets steered to a preferred backend that still has
-// an idle worker keep the worker waiting until its own work appears.
-func (s *Scheduler) popTicket(wk *worker, block bool) (*Ticket, popResult) {
-	eligible := func(t *Ticket) bool {
-		if !eligibleOn(t.elig, wk.beIdx) {
-			return false
-		}
-		// Weight-aware steering: a decisively preferred backend gets
-		// first claim while it has an idle worker; takeover by another
-		// eligible backend is allowed only once the preferred one is
-		// saturated (work conservation over strict preference).
-		if t.prefBE >= 0 && t.prefBE != wk.beIdx &&
-			s.busyBy[t.prefBE] < s.bstates[t.prefBE].workers {
-			return false
-		}
-		// Per-backend admission quota: the image may already hold its
-		// full allotment of this worker's backend.
-		if s.adm != nil && s.adm.pol.MaxPerBackend > 0 && t.Image != "" {
-			if st := s.adm.images[t.Image]; st != nil &&
-				st.inFlightOn(wk.beIdx) >= s.adm.pol.MaxPerBackend {
-				return false
-			}
-		}
-		return true
-	}
-	s.dmu.Lock()
-	defer s.dmu.Unlock()
-	for {
-		var t *Ticket
-		if s.adm != nil {
-			t = s.adm.pick(eligible)
-		} else {
-			// Skip holes earlier platform-affine pops left behind.
-			for s.fifoHead < len(s.fifo) && s.fifo[s.fifoHead] == nil {
-				s.fifoHead++
-			}
-			for i := s.fifoHead; i < len(s.fifo); i++ {
-				c := s.fifo[i]
-				if c == nil || !eligible(c) {
-					continue
-				}
-				t = c
-				s.fifo[i] = nil
-				if i == s.fifoHead {
-					s.fifoHead++
-				}
-				break
-			}
-			if s.fifoHead == len(s.fifo) {
-				s.fifo = s.fifo[:0]
-				s.fifoHead = 0
-			} else if s.fifoHead > 1024 && 2*s.fifoHead > len(s.fifo) {
-				// Compact the drained prefix so a long-lived queue does
-				// not pin its high-water backing array. Interior holes
-				// survive the copy and are skipped by the scan above.
-				s.fifo = append(s.fifo[:0], s.fifo[s.fifoHead:]...)
-				s.fifoHead = 0
-			}
-		}
-		if t != nil {
-			s.queuedN--
-			s.depth.Store(int64(s.queuedN))
-			if s.placer != nil {
-				s.busyBy[wk.beIdx]++
-				if s.queuedN > 0 && len(s.bstates) > 1 &&
-					s.busyBy[wk.beIdx] >= s.bstates[wk.beIdx].workers {
-					// This backend just saturated: tickets steered to it
-					// become takeable by the other backends' idle workers,
-					// which may be parked — wake them to re-evaluate.
-					s.notEmpty.Broadcast()
-				}
-			}
-			if s.adm != nil && s.adm.pol.MaxPerBackend > 0 && t.Image != "" {
-				s.adm.state(t.Image).claimBackend(wk.beIdx, len(s.bstates))
-			}
-			s.notFull.Signal()
-			if s.qclosed && s.queuedN == 0 {
-				// Draining just finished: wake workers parked on a backlog
-				// their backend could not serve, or they would sleep
-				// through popDone forever and Close would hang on them.
-				s.notEmpty.Broadcast()
-			}
-			return t, popGot
-		}
-		if s.qclosed && s.queuedN == 0 {
-			return nil, popDone
-		}
-		if !block {
-			return nil, popEmpty
-		}
-		s.notEmpty.Wait()
+	// Rejected tickets never run and their error is already set: account
+	// them and unblock waiters. No core lock is held here (core.submit
+	// released its own), so touch only the ticket and atomic counters.
+	for _, t := range rejected {
+		s.rejected.Add(1)
+		close(t.done)
+		t.finishBatch()
 	}
 }
 
-// workerLoop drains tickets with priority; when the queue is
-// momentarily empty it scrubs one dirty shell from the runtime's
-// cleaner (the Wasp+CA low-priority lane) before blocking for the next
-// ticket. Cleaning runs on the worker's host thread but is never
-// charged to its virtual clock — idle capacity absorbs it, exactly like
-// the paper's background cleaning thread.
-func (s *Scheduler) workerLoop(wk *worker) {
-	defer s.wg.Done()
-	for {
-		t, st := s.popTicket(wk, false)
-		if st == popEmpty {
-			if s.drainOneCleaner() {
-				continue
-			}
-			t, st = s.popTicket(wk, true)
-		}
-		if st == popDone {
-			return
-		}
-		s.exec(wk, t)
-	}
-}
-
-// drainOneCleaner scrubs one dirty shell from any backend's cleaner
-// (the Wasp+CA low-priority idle lane).
-func (s *Scheduler) drainOneCleaner() bool {
-	for _, c := range s.cleaners {
-		if c.DrainOne() {
-			s.cleanerDrains.Add(1)
-			return true
-		}
-	}
-	return false
-}
-
-// exec runs one ticket on a worker, stamping its virtual-time bounds.
-func (s *Scheduler) exec(wk *worker, t *Ticket) {
+// serve runs one ticket on a worker, stamping its virtual-time bounds
+// and booking the completion in the shared counters. The serving core
+// folds the result into its own dispatch state, then calls retire.
+func (s *Scheduler) serve(wk *worker, t *Ticket) {
 	wk.clk.AdvanceTo(t.Arrival)
 	if t.notBefore > t.Arrival {
 		// Admission deferred the start past the arrival (virtual mode).
@@ -1096,12 +771,6 @@ func (s *Scheduler) exec(wk *worker, t *Ticket) {
 		t.res, t.err = t.run(wk.clk)
 	}
 	t.Done = wk.clk.Now()
-	if s.virtual {
-		// Record the run for the virtual-time per-backend quota model
-		// (exact per worker: workers serialize, and virtual dispatch is
-		// synchronous under mu).
-		wk.lastImage, wk.lastStart, wk.lastDone = t.Image, t.Start, t.Done
-	}
 	wk.runs.Add(1)
 	s.completed.Add(1)
 	s.bstates[wk.beIdx].completed.Add(1)
@@ -1111,19 +780,11 @@ func (s *Scheduler) exec(wk *worker, t *Ticket) {
 		// size class (prewarm under bursts, shrink when idle).
 		s.w.ObserveLoadOn(wk.pname, t.Image, t.memBytes, t.DepthAtSubmit, t.Done-t.Start)
 	}
-	if s.placer != nil {
-		if s.virtual {
-			s.noteServiceLocked(t, wk) // virtual dispatch already holds mu
-		} else {
-			s.dmu.Lock()
-			s.noteServiceLocked(t, wk)
-			s.busyBy[wk.beIdx]--
-			s.dmu.Unlock()
-		}
-	}
-	if s.adm != nil {
-		s.noteDone(t)
-	}
+}
+
+// retire publishes a served ticket: its trace span, the completion
+// hook, and the waiters.
+func (s *Scheduler) retire(wk *worker, t *Ticket) {
 	if tr := s.tracer; tr.Enabled() {
 		// One span per serviced ticket: the worker lane carries the
 		// service window, arg0 carries the arrival so the exporter can
@@ -1140,692 +801,6 @@ func (s *Scheduler) exec(wk *worker, t *Ticket) {
 	}
 	close(t.done)
 	t.finishBatch()
-}
-
-// noteDone folds a completed ticket back into the admission state:
-// in-flight release, per-image telemetry, and (virtual mode) the
-// completion-time history the hard-cap model reads.
-func (s *Scheduler) noteDone(t *Ticket) {
-	if s.virtual {
-		// The virtual dispatch path already holds mu. Completion-time
-		// history exists only to serve hard-cap in-flight queries; with
-		// no cap it would just grow without bound.
-		s.adm.complete(t)
-		if s.adm.pol.MaxInFlight > 0 {
-			st := s.adm.state(t.Image)
-			st.spans = append(st.spans, admitSpan{at: t.Arrival, done: t.Done})
-		}
-		return
-	}
-	s.dmu.Lock()
-	s.adm.complete(t)
-	if (s.adm.pol.MaxInFlight > 0 && !s.adm.pol.RejectOverflow) ||
-		s.adm.pol.MaxPerBackend > 0 {
-		// A deferred image may have a free slot now — under the global
-		// cap, or on the completing ticket's backend under the
-		// per-backend quota. Only these caps can park a worker waiting
-		// on a completion; broadcasting for other policies would just
-		// wake every idle worker per ticket for nothing.
-		s.notEmpty.Broadcast()
-	}
-	s.dmu.Unlock()
-}
-
-// dispatchVirtual services a submission synchronously in virtual time.
-// Single tickets (and admission-free batches) dispatch in submission
-// order — batching never changes the schedule. Batches under an
-// Admission policy run the event-driven weighted dispatch instead.
-// Returns the tickets admission rejected.
-func (s *Scheduler) dispatchVirtual(ts []*Ticket) []*Ticket {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.adm != nil && len(ts) > 1 {
-		return s.dispatchVirtualWeighted(ts)
-	}
-	var rejected []*Ticket
-	for _, t := range ts {
-		if !s.dispatchVirtualOne(t) {
-			rejected = append(rejected, t)
-		}
-	}
-	return rejected
-}
-
-// dispatchVirtualOne dispatches one ticket at its arrival time,
-// applying the admission hard cap (rejection, or deferral as a later
-// effective start). Reports whether the ticket was admitted. Caller
-// holds mu.
-func (s *Scheduler) dispatchVirtualOne(t *Ticket) bool {
-	if t.run == nil && t.img == nil {
-		t.err = errNilTask
-		if s.adm != nil {
-			s.adm.noteRejected(t.Image)
-		}
-		return false
-	}
-	// One placer evaluation serves both the eligibility gate and the
-	// placement decision: dispatch is synchronous, so the decision-time
-	// state placeVirtual needs is exactly the state here.
-	t.elig = s.placeWeightsLocked(t, t.Arrival, true)
-	if !anyEligible(t.elig) {
-		t.err = ErrPlacement
-		if s.adm != nil {
-			s.adm.noteRejected(t.Image)
-		}
-		return false
-	}
-	if s.adm != nil {
-		st := s.adm.state(t.Image)
-		st.submitted++
-		nb, ok := s.adm.admitAtVirtual(st, t.Arrival)
-		if !ok {
-			st.rejected++
-			t.err = ErrAdmission
-			return false
-		}
-		t.notBefore = nb
-		s.adm.activate(st)
-		if st.pass > s.adm.vtime {
-			s.adm.vtime = st.pass
-		}
-		st.pass += s.adm.stride(st)
-	}
-	s.placeVirtual(t)
-	return true
-}
-
-// earliestFree returns the active worker with the lowest clock, ties
-// toward the lowest index — the classic deterministic selection rule.
-// O(log n) off the per-backend trees; the linear reference scans.
-func (s *Scheduler) earliestFree() *worker {
-	if s.vtrees != nil {
-		var best *worker
-		for _, tr := range s.vtrees {
-			wk := tr.min()
-			if wk == nil {
-				continue
-			}
-			if best == nil || okeyLess(wk.clk.Now(), wk.id, best.clk.Now(), best.id) {
-				best = wk
-			}
-		}
-		return best
-	}
-	best := s.workers[0]
-	for _, wk := range s.workers[:s.nActive] {
-		if wk.clk.Now() < best.clk.Now() {
-			best = wk
-		}
-	}
-	return best
-}
-
-// minClockLocked is the earliest-free worker's clock — the event-driven
-// batch dispatcher's time base. Caller holds mu.
-func (s *Scheduler) minClockLocked() uint64 {
-	return s.earliestFree().clk.Now()
-}
-
-// placeVirtual assigns the ticket to a worker in virtual time and
-// services it synchronously — the event-driven core. Without a placer
-// it is the classic earliest-free-worker rule; with one, the choice is
-// restricted to workers on eligible backends and each candidate's
-// earliest start is penalized by the backend's placement bias
-// (placement.Bias of its weight) — deterministic cost-aware list
-// scheduling. Ties break toward the earlier worker clock, then the
-// lowest worker index, keeping runs reproducible. Caller holds mu.
-func (s *Scheduler) placeVirtual(t *Ticket) {
-	busy := 0
-	if s.vtrees != nil {
-		for _, tr := range s.vtrees {
-			busy += tr.size() - tr.countLE(t.Arrival)
-		}
-	} else {
-		for _, wk := range s.workers[:s.nActive] {
-			if wk.clk.Now() > t.Arrival {
-				busy++
-			}
-		}
-	}
-	quota := 0
-	if s.adm != nil && s.adm.pol.MaxPerBackend > 0 && t.Image != "" {
-		quota = s.adm.pol.MaxPerBackend
-	}
-	var best *worker
-	if s.placer == nil && quota == 0 {
-		best = s.earliestFree()
-	} else {
-		// Decision-time weights: load-sensitive policies see the busy
-		// counts and EWMAs as of the ticket's arrival. The single-ticket
-		// dispatch path computed them moments ago under this same lock
-		// hold (t.elig); the event-driven batch path reaches here at a
-		// later decision time and computes fresh.
-		weights := t.elig
-		if weights == nil && s.placer != nil {
-			weights = s.placeWeightsLocked(t, t.Arrival, true)
-		}
-		eff := t.Arrival
-		if t.notBefore > eff {
-			eff = t.notBefore
-		}
-		var bestStart uint64
-		if s.vtrees != nil {
-			best, bestStart = s.pickWorkerTree(t, weights, eff, quota)
-		} else {
-			best, bestStart = s.pickWorkerLinear(t, weights, eff, quota)
-		}
-		if best == nil {
-			// Eligibility was checked at dispatch entry; a placer that
-			// flips to all-ineligible mid-flight still must not lose the
-			// ticket — fall back to earliest-free.
-			best = s.earliestFree()
-		} else if quota > 0 && bestStart > t.notBefore {
-			// The per-backend quota delays service past the arrival (and
-			// any admission deferral): model the wait as a later effective
-			// start, exactly like the global hard cap does.
-			t.notBefore = bestStart
-		}
-	}
-	t.DepthAtSubmit = busy
-	if d := int64(busy); d > s.peakDepth.Load() {
-		s.peakDepth.Store(d)
-	}
-	if tr := s.tracer; tr.Enabled() && s.placer != nil {
-		tr.Instant(obs.ControlLane, obs.KindPlace, t.Image,
-			t.Arrival, t.seq, uint64(best.beIdx), uint64(busy))
-	}
-	s.execVirtual(best, t)
-	for _, c := range s.cleaners {
-		// The dedicated virtual cleaner cores pick up the shells this
-		// ticket released, no earlier than the ticket's completion.
-		s.cleanerDrains.Add(uint64(c.DrainAt(t.Done)))
-	}
-}
-
-// execVirtual runs exec with the tree and quota-record bookkeeping a
-// clock change requires: the worker leaves its tree under the old key
-// and returns under the new one, and its previous run's quota record is
-// replaced by the new run's. Caller holds mu.
-func (s *Scheduler) execVirtual(wk *worker, t *Ticket) {
-	if s.vtrees == nil {
-		s.exec(wk, t)
-		return
-	}
-	tr := s.vtrees[wk.beIdx]
-	tr.remove(wk)
-	if s.quotaRecs != nil && wk.lastImage != "" {
-		s.quotaRecRemove(wk.beIdx, wk.lastImage, wk.lastDone, wk.id)
-	}
-	s.exec(wk, t)
-	tr.insert(wk)
-	if s.quotaRecs != nil && wk.lastImage != "" {
-		s.quotaRecAdd(wk.beIdx, wk.lastImage, wk.lastStart, wk.lastDone, wk.id)
-	}
-}
-
-// pickWorkerLinear is the reference candidate scan: every active worker
-// on an eligible backend, scored by quota-adjusted earliest start plus
-// placement bias; ties toward the earlier clock, then the lower id
-// (iteration order).
-func (s *Scheduler) pickWorkerLinear(t *Ticket, weights []float64, eff uint64, quota int) (*worker, uint64) {
-	var best *worker
-	var bestScore, bestStart uint64
-	for _, wk := range s.workers[:s.nActive] {
-		if !eligibleOn(weights, wk.beIdx) {
-			continue
-		}
-		start := wk.clk.Now()
-		if start < eff {
-			start = eff
-		}
-		if quota > 0 {
-			start = s.quotaStartLocked(t.Image, wk, start, quota)
-		}
-		score := start
-		if weights != nil {
-			score += placement.Bias(weights[wk.beIdx])
-		}
-		if best == nil || score < bestScore ||
-			(score == bestScore && wk.clk.Now() < best.clk.Now()) {
-			best, bestScore, bestStart = wk, score, start
-		}
-	}
-	return best, bestStart
-}
-
-// pickWorkerTree selects the same worker as pickWorkerLinear from the
-// per-backend trees' minima alone. Within one backend the score —
-// max(clock, eff) lifted by the quota and biased by the backend weight
-// — is nondecreasing in the worker clock (the quota lift is a
-// backend-level threshold: any start below the quota-th outstanding
-// completion maps to that same completion), and score ties resolve
-// toward the earlier (clock, id), which is the tree's own key order. So
-// each backend's best candidate is exactly its tree minimum, and the
-// fleet winner is the min of one candidate per eligible backend by
-// (score, clock, id) — the linear scan's iteration-order tie-break made
-// explicit.
-func (s *Scheduler) pickWorkerTree(t *Ticket, weights []float64, eff uint64, quota int) (*worker, uint64) {
-	var best *worker
-	var bestScore, bestStart uint64
-	for be, tr := range s.vtrees {
-		if !eligibleOn(weights, be) {
-			continue
-		}
-		wk := tr.min()
-		if wk == nil {
-			continue
-		}
-		start := wk.clk.Now()
-		if start < eff {
-			start = eff
-		}
-		if quota > 0 {
-			start = s.quotaStartRecs(t.Image, be, start, quota)
-		}
-		score := start
-		if weights != nil {
-			score += placement.Bias(weights[be])
-		}
-		if best == nil || score < bestScore ||
-			(score == bestScore && okeyLess(wk.clk.Now(), wk.id, best.clk.Now(), best.id)) {
-			best, bestScore, bestStart = wk, score, start
-		}
-	}
-	return best, bestStart
-}
-
-// quotaStartLocked returns the earliest virtual time >= start at which
-// the per-backend admission quota admits one more run of image img on
-// wk's backend: enough of the same-image runs in flight on the
-// backend's other workers at `start` must complete first. Each worker's
-// last-run record is exact for "what is this worker running at T" —
-// workers serialize — but says nothing about dispatches not yet
-// decided, so for out-of-order arrivals the quota is a best-effort
-// lower bound rather than a global invariant (the same relaxation the
-// global cap's pruned span history accepts). Caller holds mu.
-func (s *Scheduler) quotaStartLocked(img string, wk *worker, start uint64, quota int) uint64 {
-	var dones []uint64
-	for _, w2 := range s.workers[:s.nActive] {
-		if w2 == wk || w2.beIdx != wk.beIdx || w2.lastImage != img {
-			continue
-		}
-		if w2.lastStart <= start && start < w2.lastDone {
-			dones = append(dones, w2.lastDone)
-		}
-	}
-	if len(dones) < quota {
-		return start
-	}
-	sort.Slice(dones, func(i, j int) bool { return dones[i] < dones[j] })
-	// The slot frees at the completion that brings the backend's
-	// same-image in-flight count below the quota.
-	return dones[len(dones)-quota]
-}
-
-// dispatchVirtualWeighted dispatches a whole batch event-driven: at
-// each step the decision time T is the earliest-free worker clock (at
-// least the earliest undispatched arrival), the backlog is every
-// undispatched ticket arrived by T, and the next ticket is chosen by
-// the admission layer's weighted fair pick across the backlog's images
-// — exactly what the real-mode per-image queues do, made deterministic.
-// Hard caps apply at T: RejectOverflow rejects a backlogged ticket
-// whose image is saturated at its arrival; deferred images leave their
-// tickets in the backlog until a completion frees a slot. The heap core
-// runs each step in O(log n); the linear reference re-scans pending per
-// step. Caller holds mu. Returns the rejected tickets.
-func (s *Scheduler) dispatchVirtualWeighted(ts []*Ticket) (rejected []*Ticket) {
-	batch, rejected := s.admitBatchLocked(ts)
-	if s.linear {
-		return append(rejected, s.dispatchWeightedLinear(batch)...)
-	}
-	return append(rejected, s.dispatchWeightedHeap(batch)...)
-}
-
-// admitBatchLocked validates a weighted batch in submission order:
-// nil tasks and placement-ineligible tickets are rejected up front
-// (the placer sees each ticket once here, at its arrival, in
-// submission order — stateful policies depend on that), the rest are
-// counted submitted. Caller holds mu.
-func (s *Scheduler) admitBatchLocked(ts []*Ticket) (batch, rejected []*Ticket) {
-	a := s.adm
-	batch = make([]*Ticket, 0, len(ts))
-	for _, t := range ts {
-		if t.run == nil && t.img == nil {
-			t.err = errNilTask
-			a.noteRejected(t.Image)
-			rejected = append(rejected, t)
-			continue
-		}
-		if !anyEligible(s.placeWeightsLocked(t, t.Arrival, false)) {
-			t.err = ErrPlacement
-			a.noteRejected(t.Image)
-			rejected = append(rejected, t)
-			continue
-		}
-		a.state(t.Image).submitted++
-		batch = append(batch, t)
-	}
-	return batch, rejected
-}
-
-// dispatchWeightedHeap is the O(log n) event core. Per decision step:
-// the time base T comes from the per-backend worker trees, the
-// earliest outstanding arrival from a lazy arrival heap, the backlog
-// lives in per-image min-heaps of submission indices (the
-// "first-submitted per image" rule survives out-of-order arrivals),
-// and the weighted fair pick pops the minimum (pass, name) from a
-// pass-ordered image heap. Start-time-fair activation happens on pop:
-// an uncapped image surfacing with a stale pass is raised to the
-// global virtual time and reinserted, so by the time a winner emerges
-// every contender has been normalized — exactly the linear loop's
-// activate-everyone-then-scan. Capped images are set aside without
-// activation and reinserted after the step, and RejectOverflow purges
-// run at window entry plus after each dispatch of the same image (the
-// only moments an image's span set changes). Caller holds mu.
-func (s *Scheduler) dispatchWeightedHeap(batch []*Ticket) (rejected []*Ticket) {
-	a := s.adm
-	// Arrival-ordered event queue over the batch: stable sort, so equal
-	// arrivals enter the window in submission order.
-	order := make([]int, len(batch))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return batch[order[i]].Arrival < batch[order[j]].Arrival
-	})
-	rejectCap := a.pol.MaxInFlight > 0 && a.pol.RejectOverflow
-	deferCap := a.pol.MaxInFlight > 0 && !a.pol.RejectOverflow
-	var (
-		qpos    int
-		winN    int
-		gone    = make([]bool, len(batch))
-		arr     arrHeap
-		iheap   imgHeap
-		windows = make(map[string]*imgWindow, 8)
-	)
-	var timeFloor uint64
-	for winN > 0 || qpos < len(order) {
-		T := s.minClockLocked()
-		if T < timeFloor {
-			T = timeFloor
-		}
-		// minArr: the earliest outstanding arrival. Window tickets all
-		// arrived at or before an earlier T, so when the window is
-		// nonempty its lazy-heap minimum is the global minimum; otherwise
-		// the event queue's head is.
-		var minArr uint64
-		if winN > 0 {
-			minArr = arr.min(gone)
-		} else {
-			minArr = batch[order[qpos]].Arrival
-		}
-		if minArr > T {
-			T = minArr
-		}
-
-		// Ingest every arrival at or before T. Hard-cap rejection happens
-		// here, when a ticket enters the decision window: its image
-		// saturated at its arrival time.
-		for qpos < len(order) && batch[order[qpos]].Arrival <= T {
-			idx := order[qpos]
-			qpos++
-			t := batch[idx]
-			st := a.state(t.Image)
-			if rejectCap && st.inFlightAt(t.Arrival) >= a.pol.MaxInFlight {
-				st.rejected++
-				t.err = ErrAdmission
-				rejected = append(rejected, t)
-				gone[idx] = true
-				continue
-			}
-			iw := windows[t.Image]
-			if iw == nil {
-				iw = &imgWindow{st: st}
-				windows[t.Image] = iw
-			}
-			iw.push(idx)
-			if !iw.inHeap {
-				iheap.push(iw)
-			}
-			arr.push(arrEntry{arrival: t.Arrival, idx: idx})
-			winN++
-		}
-		if winN == 0 {
-			continue // every entrant was rejected; recompute T off the queue
-		}
-
-		// Weighted pick: pop-min (pass, name). The deferral-cap check is
-		// memoized per image for this step — inFlightAt scans the image's
-		// completion history.
-		var capped map[*imageState]bool
-		atCap := func(st *imageState) bool {
-			if !deferCap {
-				return false
-			}
-			if capped == nil {
-				capped = make(map[*imageState]bool)
-			}
-			c, ok := capped[st]
-			if !ok {
-				c = st.inFlightAt(T) >= a.pol.MaxInFlight
-				capped[st] = c
-			}
-			return c
-		}
-		var win *imgWindow
-		var deferredL []*imgWindow
-		for len(iheap) > 0 {
-			iw := iheap.pop()
-			if atCap(iw.st) {
-				// Deferred without activation, exactly like the linear
-				// loop: a capped image banks no pass normalization.
-				deferredL = append(deferredL, iw)
-				continue
-			}
-			if iw.st.pass < a.vtime {
-				a.activate(iw.st)
-				iheap.push(iw)
-				continue
-			}
-			win = iw
-			break
-		}
-		if win == nil {
-			// Every backlogged image is deferred: advance time to the
-			// next event and retry. That event is the earliest capping
-			// completion beyond T — or the next queued arrival, which
-			// must also bound the jump: an uncapped image's ticket must
-			// never be held past its arrival just because another
-			// image's backlog is waiting out its quota.
-			nextT := ^uint64(0)
-			if qpos < len(order) {
-				nextT = batch[order[qpos]].Arrival
-			}
-			for _, iw := range deferredL {
-				for _, sp := range iw.st.spans {
-					if sp.done > T && sp.done < nextT {
-						nextT = sp.done
-					}
-				}
-				iheap.push(iw)
-			}
-			if nextT == ^uint64(0) {
-				nextT = T + 1 // defensive: cannot recur, caps imply in-flight work
-			}
-			timeFloor = nextT
-			continue
-		}
-		for _, iw := range deferredL {
-			iheap.push(iw)
-		}
-		if win.st.pass > a.vtime {
-			a.vtime = win.st.pass
-		}
-		win.st.pass += a.stride(win.st)
-		bestIdx := win.popMin()
-		best := batch[bestIdx]
-		gone[bestIdx] = true
-		winN--
-		best.notBefore = T
-		// Every outstanding arrival is >= minArr, so completion history
-		// at or below it can never be queried again — compact it before
-		// the history of a long trace grows quadratic.
-		win.st.pruneDone(minArr)
-		s.placeVirtual(best)
-		// The dispatch appended a span to the winner's image — the only
-		// event that can newly saturate it — so re-purge its backlog.
-		if rejectCap && len(win.fifo) > 0 {
-			kept := win.fifo[:0]
-			for _, j := range win.fifo {
-				t2 := batch[j]
-				if win.st.inFlightAt(t2.Arrival) >= a.pol.MaxInFlight {
-					win.st.rejected++
-					t2.err = ErrAdmission
-					rejected = append(rejected, t2)
-					gone[j] = true
-					winN--
-					continue
-				}
-				kept = append(kept, j)
-			}
-			win.fifo = kept
-			win.heapify()
-		}
-		if len(win.fifo) > 0 {
-			iheap.push(win)
-		}
-	}
-	return rejected
-}
-
-// dispatchWeightedLinear is the reference implementation the heap core
-// must match bit for bit (WithLinearDispatch): per decision step it
-// re-scans the whole pending slice for the earliest arrival, the
-// rejection purge, and the weighted pick — O(n²) in batch size, kept
-// verbatim as the differential baseline for the property suite and the
-// cluster bench's speedup row. Caller holds mu.
-func (s *Scheduler) dispatchWeightedLinear(pending []*Ticket) (rejected []*Ticket) {
-	a := s.adm
-	var timeFloor uint64
-	for len(pending) > 0 {
-		// Decision time: earliest-free worker, floored by deferral waits
-		// and by the earliest pending arrival.
-		T := s.minClockLocked()
-		if T < timeFloor {
-			T = timeFloor
-		}
-		minArr := ^uint64(0)
-		for _, t := range pending {
-			if t.Arrival < minArr {
-				minArr = t.Arrival
-			}
-		}
-		if minArr > T {
-			T = minArr
-		}
-
-		// Hard-cap rejection happens when a ticket enters the decision
-		// window: its image saturated at its arrival time.
-		if a.pol.MaxInFlight > 0 && a.pol.RejectOverflow {
-			kept := pending[:0]
-			dropped := false
-			for _, t := range pending {
-				if t.Arrival <= T && a.state(t.Image).inFlightAt(t.Arrival) >= a.pol.MaxInFlight {
-					a.state(t.Image).rejected++
-					t.err = ErrAdmission
-					rejected = append(rejected, t)
-					dropped = true
-					continue
-				}
-				kept = append(kept, t)
-			}
-			pending = kept
-			if dropped {
-				continue
-			}
-		}
-
-		// Weighted pick: per image, the earliest-submitted backlogged
-		// ticket; across images, the lowest pass among those not at a
-		// deferral cap at T. The cap check is memoized per image for
-		// this iteration — inFlightAt scans the image's completion
-		// history, and a burst can have thousands of backlogged tickets
-		// sharing one image.
-		var best *Ticket
-		var bestSt *imageState
-		bestIdx := -1
-		var deferred map[*imageState]bool
-		atCap := func(st *imageState) bool {
-			if a.pol.MaxInFlight <= 0 || a.pol.RejectOverflow {
-				return false
-			}
-			if deferred == nil {
-				deferred = make(map[*imageState]bool)
-			}
-			capped, ok := deferred[st]
-			if !ok {
-				capped = st.inFlightAt(T) >= a.pol.MaxInFlight
-				deferred[st] = capped
-			}
-			return capped
-		}
-		for i, t := range pending {
-			if t.Arrival > T {
-				continue
-			}
-			st := a.state(t.Image)
-			if atCap(st) {
-				continue
-			}
-			a.activate(st)
-			// First-submitted ticket per image (same-image entries later
-			// in pending compare equal and are skipped), lowest (pass,
-			// name) across images.
-			if bestSt == nil || st.pass < bestSt.pass ||
-				(st.pass == bestSt.pass && st != bestSt && st.name < bestSt.name) {
-				best, bestSt, bestIdx = t, st, i
-			}
-		}
-		if best == nil {
-			// Every backlogged image is deferred: advance time to the
-			// next event and retry. That event is the earliest capping
-			// completion beyond T — or the next pending arrival, which
-			// must also bound the jump: an uncapped image's ticket must
-			// never be held past its arrival just because another
-			// image's backlog is waiting out its quota.
-			nextT := ^uint64(0)
-			for _, t := range pending {
-				if t.Arrival > T {
-					if t.Arrival < nextT {
-						nextT = t.Arrival
-					}
-					continue
-				}
-				for _, sp := range a.state(t.Image).spans {
-					if sp.done > T && sp.done < nextT {
-						nextT = sp.done
-					}
-				}
-			}
-			if nextT == ^uint64(0) {
-				nextT = T + 1 // defensive: cannot recur, caps imply in-flight work
-			}
-			timeFloor = nextT
-			continue
-		}
-		if bestSt.pass > a.vtime {
-			a.vtime = bestSt.pass
-		}
-		bestSt.pass += a.stride(bestSt)
-		best.notBefore = T
-		pending = append(pending[:bestIdx], pending[bestIdx+1:]...)
-		// Every remaining pending arrival is >= minArr, so completion
-		// history at or below it can never be queried again — compact
-		// it before the history of a long trace grows quadratic.
-		bestSt.pruneDone(minArr)
-		s.placeVirtual(best)
-	}
-	return rejected
 }
 
 // QueueDepth reports the number of tickets currently waiting (real
@@ -1854,14 +829,9 @@ func (s *Scheduler) AdmissionStats(image string) (AdmissionStats, bool) {
 	if s.adm == nil {
 		return AdmissionStats{}, false
 	}
-	if s.virtual {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.adm.statsLocked(image, 0)
-	}
-	s.dmu.Lock()
-	defer s.dmu.Unlock()
-	return s.adm.statsLocked(image, s.queuedN)
+	s.core.Lock()
+	defer s.core.Unlock()
+	return s.adm.statsLocked(image)
 }
 
 // AdmissionImages lists the image identities the admission layer has
@@ -1870,13 +840,8 @@ func (s *Scheduler) AdmissionImages() []string {
 	if s.adm == nil {
 		return nil
 	}
-	if s.virtual {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.adm.imagesLocked()
-	}
-	s.dmu.Lock()
-	defer s.dmu.Unlock()
+	s.core.Lock()
+	defer s.core.Unlock()
 	return s.adm.imagesLocked()
 }
 
@@ -1885,25 +850,11 @@ func (s *Scheduler) AdmissionImages() []string {
 // ticket that fails with ErrClosed.
 func (s *Scheduler) Close() {
 	s.closeMu.Lock()
-	if s.closed {
-		s.closeMu.Unlock()
-		return
-	}
+	first := !s.closed
 	s.closed = true
 	s.closeMu.Unlock()
-	if !s.virtual {
-		s.dmu.Lock()
-		s.qclosed = true
-		s.notEmpty.Broadcast()
-		s.notFull.Broadcast()
-		s.dmu.Unlock()
-		s.wg.Wait()
-	} else {
-		// Hand drain ownership back to the runtime: any leftover dirty
-		// shells go to the background cleaners.
-		for _, c := range s.cleaners {
-			c.SetDriven(false)
-		}
+	if first {
+		s.core.close()
 	}
 }
 
@@ -1920,77 +871,10 @@ func (s *Scheduler) Close() {
 // real-mode fleets are goroutines, not clocks — and panics otherwise.
 // Call between submissions, like every other virtual-mode read.
 func (s *Scheduler) SetVirtualWorkers(n int, at uint64) int {
-	if !s.virtual {
-		panic("sched: SetVirtualWorkers is a virtual-mode primitive")
-	}
 	if n < 1 {
 		n = 1
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if tr := s.tracer; tr.Enabled() && n != s.nActive {
-		tr.Instant(obs.ControlLane, obs.KindAutoscale, "fleet-resize",
-			at, 0, uint64(s.nActive), uint64(n))
-	}
-	for s.nActive > n {
-		wk := s.workers[s.nActive-1]
-		if s.vtrees != nil {
-			s.vtrees[wk.beIdx].remove(wk)
-			if s.quotaRecs != nil && wk.lastImage != "" {
-				s.quotaRecRemove(wk.beIdx, wk.lastImage, wk.lastDone, wk.id)
-			}
-		}
-		s.bstates[wk.beIdx].workers--
-		s.nActive--
-	}
-	for len(s.workers) < n {
-		i := len(s.workers)
-		p := s.platforms[i%len(s.platforms)]
-		wk := &worker{id: i, clk: cycles.NewClock(), pname: p.Name()}
-		wk.beIdx = s.ensureBackendLocked(p)
-		s.workers = append(s.workers, wk)
-	}
-	for s.nActive < n {
-		wk := s.workers[s.nActive]
-		wk.clk.AdvanceTo(at)
-		if s.vtrees != nil {
-			s.vtrees[wk.beIdx].insert(wk)
-			if s.quotaRecs != nil && wk.lastImage != "" {
-				// A reactivated worker's last run re-enters the quota
-				// model, mirroring the linear reference's active scan.
-				s.quotaRecAdd(wk.beIdx, wk.lastImage, wk.lastStart, wk.lastDone, wk.id)
-			}
-		}
-		s.bstates[wk.beIdx].workers++
-		s.nActive++
-	}
-	return s.nActive
-}
-
-// ensureBackendLocked returns the backend-state index for platform p,
-// registering it if the initial fleet was too small to have pinned a
-// worker there yet. Caller holds mu.
-func (s *Scheduler) ensureBackendLocked(p vmm.Platform) int {
-	name := p.Name()
-	for i, bs := range s.bstates {
-		if bs.platform.Name() == name {
-			return i
-		}
-	}
-	if !s.w.HasPlatform(name) {
-		panic(fmt.Sprintf("sched: worker platform %q is not a backend of this Wasp (use wasp.WithPlatforms)", name))
-	}
-	s.bstates = append(s.bstates, &backendState{platform: p})
-	if s.vtrees != nil {
-		s.vtrees = append(s.vtrees, &otree{})
-	}
-	if s.quotaRecs != nil {
-		s.quotaRecs = append(s.quotaRecs, nil)
-	}
-	if s.busyBy != nil {
-		s.busyBy = append(s.busyBy, 0)
-	}
-	return len(s.bstates) - 1
+	return s.core.resize(n, at)
 }
 
 // Makespan reports the maximum worker-clock value — the virtual time at
@@ -2081,10 +965,6 @@ func (s *Scheduler) CleanerCycles() uint64 {
 // backend's worker count and completed-ticket total so a mixed fleet
 // shows where work landed.
 func (s *Scheduler) String() string {
-	mode := "real"
-	if s.virtual {
-		mode = "virtual"
-	}
 	backends := ""
 	for i, bs := range s.bstates {
 		if i > 0 {
@@ -2092,6 +972,6 @@ func (s *Scheduler) String() string {
 		}
 		backends += fmt.Sprintf("%s:%dw/%d", bs.platform.Name(), bs.workers, bs.completed.Load())
 	}
-	return fmt.Sprintf("sched{%s, workers=%d, backends=[%s], submitted=%d, completed=%d, rejected=%d, depth=%d}",
-		mode, len(s.workers), backends, s.Submitted(), s.Completed(), s.Rejected(), s.QueueDepth())
+	return fmt.Sprintf("sched{%v, workers=%d, backends=[%s], submitted=%d, completed=%d, rejected=%d, depth=%d}",
+		s.core, len(s.workers), backends, s.Submitted(), s.Completed(), s.Rejected(), s.QueueDepth())
 }

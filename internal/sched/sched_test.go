@@ -367,6 +367,13 @@ func TestQueueCyclesNoUnderflowAfterClose(t *testing.T) {
 // scheduler workers can scrub, and they must empty the dirty queue
 // between tickets.
 func TestIdleWorkersDrainCleaner(t *testing.T) {
+	const n = 8
+	// Each ticket releases at most one dirty shell, so n buffered slots
+	// mean the idle-lane hook never blocks a worker.
+	drained := make(chan struct{}, n)
+	idleDrained = func() { drained <- struct{}{} }
+	defer func() { idleDrained = nil }()
+
 	w := wasp.New(wasp.WithAsyncClean(true))
 	w.Cleaner().SetDriven(true) // no background goroutine: idle lane only
 	defer w.Cleaner().SetDriven(false)
@@ -374,7 +381,6 @@ func TestIdleWorkersDrainCleaner(t *testing.T) {
 	defer s.Close()
 	img := guest.MustFromAsm("idle-clean", guest.WrapLongMode(doublerAsm))
 
-	const n = 8
 	tickets := make([]*Ticket, n)
 	for i := range tickets {
 		tickets[i] = s.Submit(img, wasp.RunConfig{Args: le64(uint64(i)), RetBytes: 8})
@@ -382,14 +388,15 @@ func TestIdleWorkersDrainCleaner(t *testing.T) {
 	if err := WaitAll(tickets...); err != nil {
 		t.Fatal(err)
 	}
-	// The worker that served the last ticket drains the queue before
-	// blocking for more work; give it a moment.
-	deadline := time.Now().Add(5 * time.Second)
+	// The worker that released the last dirty shell passes through the
+	// idle lane before it blocks for more work: wait on its drain
+	// events until the queue is empty.
 	for w.Cleaner().Pending() > 0 {
-		if time.Now().After(deadline) {
+		select {
+		case <-drained:
+		case <-time.After(5 * time.Second):
 			t.Fatalf("idle workers never drained the cleaner: %d pending", w.Cleaner().Pending())
 		}
-		time.Sleep(time.Millisecond)
 	}
 	if s.CleanerDrains() == 0 {
 		t.Fatal("no shell was scrubbed on the idle-worker lane")

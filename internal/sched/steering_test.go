@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/cycles"
 	"repro/internal/guest"
@@ -178,7 +177,12 @@ func TestRealModePerBackendQuotaBoundsConcurrency(t *testing.T) {
 		WithAdmission(Admission{MaxPerBackend: 1}))
 	defer s.Close()
 
+	// Each run announces itself and then holds its slot until released,
+	// so the test steps the fleet through six rounds of exactly two
+	// concurrent runs — the most the quota allows. A third run admitted
+	// in any round shows up in peak before it blocks on started.
 	var inflight, peak atomic.Int64
+	started, release := make(chan struct{}), make(chan struct{})
 	fn := func(clk *cycles.Clock) (*wasp.Result, error) {
 		n := inflight.Add(1)
 		for {
@@ -187,7 +191,8 @@ func TestRealModePerBackendQuotaBoundsConcurrency(t *testing.T) {
 				break
 			}
 		}
-		time.Sleep(3 * time.Millisecond)
+		started <- struct{}{}
+		<-release
 		inflight.Add(-1)
 		return &wasp.Result{}, nil
 	}
@@ -196,6 +201,12 @@ func TestRealModePerBackendQuotaBoundsConcurrency(t *testing.T) {
 		reqs[i] = Request{Fn: fn, Image: "quota-img"}
 	}
 	tickets := s.SubmitBatch(reqs)
+	for round := 0; round < len(reqs)/2; round++ {
+		<-started
+		<-started
+		release <- struct{}{}
+		release <- struct{}{}
+	}
 	if err := WaitAll(tickets...); err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ type ImageStat struct {
 	EntriesEWMA uint64
 }
 
-// ImageTelemetry reads one image's placement EWMAs under the mode's
-// dispatch lock, so concurrent readers can never observe a torn
+// ImageTelemetry reads one image's placement EWMAs under the core
+// lock, so concurrent readers can never observe a torn
 // svc/entries pair mid-update (note writes the two fields back to
 // back; an unlocked reader could see one new and one old). The second
 // return is false when no placer is attached or the image has never
@@ -24,13 +24,8 @@ func (s *Scheduler) ImageTelemetry(image string) (ImageStat, bool) {
 	if s.imgStats == nil {
 		return ImageStat{}, false
 	}
-	if s.virtual {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	} else {
-		s.dmu.Lock()
-		defer s.dmu.Unlock()
-	}
+	s.core.Lock()
+	defer s.core.Unlock()
 	if _, ok := s.imgStats.m[image]; !ok {
 		return ImageStat{}, false
 	}
@@ -39,18 +34,13 @@ func (s *Scheduler) ImageTelemetry(image string) (ImageStat, bool) {
 }
 
 // TrackedImages reports how many images the placement telemetry store
-// currently holds (bounded by the LRU cap), under the dispatch lock.
+// currently holds (bounded by the LRU cap), under the core lock.
 func (s *Scheduler) TrackedImages() int {
 	if s.imgStats == nil {
 		return 0
 	}
-	if s.virtual {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	} else {
-		s.dmu.Lock()
-		defer s.dmu.Unlock()
-	}
+	s.core.Lock()
+	defer s.core.Unlock()
 	return s.imgStats.size()
 }
 

@@ -2,41 +2,22 @@ package sched
 
 import "sort"
 
-// This file holds the O(log n) side structures of the event-driven
-// weighted batch dispatcher (dispatchVirtualWeightedHeap) and the
-// incremental per-(backend, image) completion records behind the
-// admission quota. Every structure obeys the determinism rules in
+// This file holds the O(log n) side structures of the virtual core's
+// event-driven weighted batch dispatcher (virtualCore.dispatchWeighted)
+// and the incremental per-(backend, image) completion records behind
+// the admission quota. Every structure obeys the determinism rules in
 // internal/sched/README.md: total orders with explicit tie-breaks
-// ((arrival, submission index), (pass, name), (done, worker id)) and no
+// (submission index, (pass, name), (done, worker id)) and no
 // map iteration in decision order.
 
-// arrEntry is one windowed-but-undispatched ticket, addressed by its
-// index in the validated batch slice.
-type arrEntry struct {
-	arrival uint64
-	idx     int
-}
-
-// arrHeap is a min-heap over (arrival, idx) with lazy deletion: the
-// dispatcher marks tickets gone (dispatched or rejected) in a side
-// array and stale tops are discarded at the next peek. It answers "the
-// earliest arrival still outstanding" — the minArr scan of the old
-// quadratic loop — in O(log n) amortized.
-type arrHeap []arrEntry
-
-func arrLess(a, b arrEntry) bool {
-	if a.arrival != b.arrival {
-		return a.arrival < b.arrival
-	}
-	return a.idx < b.idx
-}
-
-func (h *arrHeap) push(e arrEntry) {
-	*h = append(*h, e)
-	s := *h
+// heapPush, heapDown and heapPop are the binary min-heap primitives the
+// dispatcher's heaps share; less must be a total order.
+func heapPush[T any](h *[]T, x T, less func(a, b T) bool) {
+	s := append(*h, x)
+	*h = s
 	for i := len(s) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !arrLess(s[i], s[p]) {
+		if !less(s[i], s[p]) {
 			break
 		}
 		s[i], s[p] = s[p], s[i]
@@ -44,15 +25,13 @@ func (h *arrHeap) push(e arrEntry) {
 	}
 }
 
-func (h *arrHeap) siftDown(i int) {
-	s := *h
+func heapDown[T any](s []T, i int, less func(a, b T) bool) {
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(s) && arrLess(s[l], s[small]) {
+		l, r, small := 2*i+1, 2*i+2, i
+		if l < len(s) && less(s[l], s[small]) {
 			small = l
 		}
-		if r < len(s) && arrLess(s[r], s[small]) {
+		if r < len(s) && less(s[r], s[small]) {
 			small = r
 		}
 		if small == i {
@@ -63,19 +42,15 @@ func (h *arrHeap) siftDown(i int) {
 	}
 }
 
-// min returns the earliest live entry's arrival, discarding stale tops.
-// The caller guarantees at least one live entry (winN > 0).
-func (h *arrHeap) min(gone []bool) uint64 {
+func heapPop[T any](h *[]T, less func(a, b T) bool) T {
 	s := *h
-	for len(s) > 0 && gone[s[0].idx] {
-		n := len(s) - 1
-		s[0] = s[n]
-		s = s[:n]
-		*h = s
-		h.siftDown(0)
-		s = *h
-	}
-	return s[0].arrival
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	var zero T
+	s[n] = zero
+	*h = s[:n]
+	heapDown(s[:n], 0, less)
+	return top
 }
 
 // imgWindow is one image's backlog inside the decision window: a
@@ -88,60 +63,24 @@ type imgWindow struct {
 	inHeap bool  // member of the pass-ordered image heap
 }
 
-func (iw *imgWindow) push(idx int) {
-	iw.fifo = append(iw.fifo, idx)
-	s := iw.fifo
-	for i := len(s) - 1; i > 0; {
-		p := (i - 1) / 2
-		if s[i] >= s[p] {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
+func intLess(a, b int) bool { return a < b }
+
+func (iw *imgWindow) push(idx int) { heapPush(&iw.fifo, idx, intLess) }
 
 // popMin removes and returns the lowest batch index.
-func (iw *imgWindow) popMin() int {
-	s := iw.fifo
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	iw.fifo = s[:n]
-	iw.reheap(0)
-	return top
-}
-
-func (iw *imgWindow) reheap(i int) {
-	s := iw.fifo
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(s) && s[l] < s[small] {
-			small = l
-		}
-		if r < len(s) && s[r] < s[small] {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
-	}
-}
+func (iw *imgWindow) popMin() int { return heapPop(&iw.fifo, intLess) }
 
 // heapify restores the min-heap property after an in-place filter.
 func (iw *imgWindow) heapify() {
 	for i := len(iw.fifo)/2 - 1; i >= 0; i-- {
-		iw.reheap(i)
+		heapDown(iw.fifo, i, intLess)
 	}
 }
 
 // imgHeap is the pass-ordered image heap: the weighted fair pick pops
-// the minimum (pass, name), exactly the old linear scan's winner. An
-// image is in the heap iff its window backlog is nonempty; pop/push
-// maintain the membership flag.
+// the minimum (pass, name), the winner of a scan over every backlogged
+// image. An image is in the heap iff its window backlog is nonempty;
+// pop/push maintain the membership flag.
 type imgHeap []*imgWindow
 
 func imgLess(a, b *imgWindow) bool {
@@ -153,41 +92,11 @@ func imgLess(a, b *imgWindow) bool {
 
 func (h *imgHeap) push(iw *imgWindow) {
 	iw.inHeap = true
-	*h = append(*h, iw)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !imgLess(s[i], s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
+	heapPush((*[]*imgWindow)(h), iw, imgLess)
 }
 
 func (h *imgHeap) pop() *imgWindow {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = nil
-	*h = s[:n]
-	s = *h
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(s) && imgLess(s[l], s[small]) {
-			small = l
-		}
-		if r < len(s) && imgLess(s[r], s[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
-	}
+	top := heapPop((*[]*imgWindow)(h), imgLess)
 	top.inHeap = false
 	return top
 }
@@ -196,18 +105,18 @@ func (h *imgHeap) pop() *imgWindow {
 // — the record set behind the virtual per-backend quota. The slice per
 // (backend, image) is kept sorted by (done, worker id), so the quota
 // query walks at most the in-flight suffix and maintenance is a binary
-// search, replacing quotaStartLocked's scan-all-workers + sort.Slice.
+// search.
 type quotaRec struct {
 	start, done uint64
 	wid         int
 }
 
 // quotaRecAdd records worker wid's latest run of img on backend be.
-func (s *Scheduler) quotaRecAdd(be int, img string, start, done uint64, wid int) {
-	m := s.quotaRecs[be]
+func (c *virtualCore) quotaRecAdd(be int, img string, start, done uint64, wid int) {
+	m := c.quotaRecs[be]
 	if m == nil {
 		m = make(map[string][]quotaRec)
-		s.quotaRecs[be] = m
+		c.quotaRecs[be] = m
 	}
 	recs := m[img]
 	i := sort.Search(len(recs), func(i int) bool {
@@ -224,8 +133,8 @@ func (s *Scheduler) quotaRecAdd(be int, img string, start, done uint64, wid int)
 
 // quotaRecRemove drops worker wid's previous record (located by its old
 // (done, wid) key) before the worker's clock moves.
-func (s *Scheduler) quotaRecRemove(be int, img string, done uint64, wid int) {
-	m := s.quotaRecs[be]
+func (c *virtualCore) quotaRecRemove(be int, img string, done uint64, wid int) {
+	m := c.quotaRecs[be]
 	if m == nil {
 		return
 	}
@@ -241,17 +150,22 @@ func (s *Scheduler) quotaRecRemove(be int, img string, done uint64, wid int) {
 	}
 }
 
-// quotaStartRecs is quotaStartLocked on the incremental records: the
-// earliest virtual time >= start at which backend be's same-image
-// in-flight count at `start` drops below the quota. Walking the
-// done-sorted suffix from the largest completion, the quota-th
-// qualifying record (started by `start`, completing after it) is
-// exactly the old sorted-slice answer dones[len-quota]; fewer than
-// quota qualifying records means the start stands. The candidate
+// quotaStart returns the earliest virtual time >= start at which the
+// per-backend admission quota admits one more run of img on backend be:
+// enough of the same-image runs in flight there at `start` must
+// complete first. Each worker's last-run record is exact for "what is
+// this worker running at T" — workers serialize — but says nothing
+// about dispatches not yet decided, so for out-of-order arrivals the
+// quota is a best-effort lower bound rather than a global invariant
+// (the same relaxation the global cap's pruned span history accepts).
+// Walking the done-sorted records from the largest completion, the
+// quota-th qualifying one (started by `start`, completing after it) is
+// the completion that brings the in-flight count below the quota; fewer
+// than quota qualifying records means the start stands. The candidate
 // worker's own record never qualifies — its done equals its clock,
 // which is <= start — so no self-exclusion is needed.
-func (s *Scheduler) quotaStartRecs(img string, be int, start uint64, quota int) uint64 {
-	m := s.quotaRecs[be]
+func (c *virtualCore) quotaStart(img string, be int, start uint64, quota int) uint64 {
+	m := c.quotaRecs[be]
 	if m == nil {
 		return start
 	}

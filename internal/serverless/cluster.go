@@ -26,7 +26,6 @@ type ClusterConfig struct {
 	Epoch          uint64 // control interval in cycles (default: 250 ms)
 	SLO            uint64 // end-to-end latency SLO in cycles (default: 50 ms)
 	ColdStart      uint64 // boot penalty for growth beyond the prewarmed standby (default: 25 ms)
-	Linear         bool   // run the linear reference dispatch core (speedup baselines)
 	Trace          []sched.Request
 	// Tracer, when non-nil, records the run's full flight: per-ticket
 	// service spans on worker lanes, epoch boundaries, every autoscale
@@ -94,9 +93,6 @@ func RunCluster(w *wasp.Wasp, pol sched.AutoPolicy, cfg ClusterConfig) (*Cluster
 		sched.WithAdmission(sched.Admission{
 			Weights: map[string]int{"api": 3, "web": 2, "spike": 2, "batch": 1},
 		}),
-	}
-	if cfg.Linear {
-		opts = append(opts, sched.WithLinearDispatch(true))
 	}
 	tr := cfg.Tracer
 	if tr != nil {

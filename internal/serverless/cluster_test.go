@@ -35,27 +35,26 @@ func TestClusterRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestClusterLinearMatchesHeap runs the same cluster simulation on the
-// heap core and the linear reference: virtual time end to end, so the
-// reports must agree bit for bit.
+// TestClusterLinearMatchesHeap pins the seed-7 cluster simulation to
+// the report both dispatch cores produced at the commit that moved the
+// linear reference into internal/sched's tests: virtual time end to
+// end, so the report must agree bit for bit. (The live heap-vs-linear
+// differential is sched's TestHeapDispatchMatchesLinearReference.)
 func TestClusterLinearMatchesHeap(t *testing.T) {
 	const F = uint64(cycles.Frequency)
-	run := func(linear bool) *ClusterReport {
-		cfg := ClusterConfig{
-			Seed:           7,
-			InitialWorkers: 3,
-			Linear:         linear,
-			Trace:          ClusterMix(7, 0.2, F),
-		}
-		rep, err := RunCluster(wasp.New(), sched.QueueScale{TargetP99: F / 20, Min: 2, Max: 64}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	cfg := ClusterConfig{Seed: 7, InitialWorkers: 3, Trace: ClusterMix(7, 0.2, F)}
+	got, err := RunCluster(wasp.New(), sched.QueueScale{TargetP99: F / 20, Min: 2, Max: 64}, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	lin, hp := run(true), run(false)
-	if !reflect.DeepEqual(lin, hp) {
-		t.Fatalf("linear and heap cluster reports diverged:\n linear: %+v\n heap:   %+v", lin, hp)
+	want := &ClusterReport{
+		Policy: "queue-p99", InitialWorkers: 3, PeakWorkers: 3, FinalWorkers: 3,
+		Epochs: 4, Tickets: 131, SLOAttained: 1,
+		P50Latency: 0x1260a0d, P99Latency: 0x25eb142, Makespan: 0xa10705a6,
+		CostWorkerSec: 3.75,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("cluster report drifted from the frozen verdict:\n got:  %+v\n want: %+v", got, want)
 	}
 }
 

@@ -188,7 +188,7 @@ func ClusterMix(seed uint64, scale float64, horizon uint64) []sched.Request {
 
 // UniformTrace generates exactly n tickets at a fixed arrival cadence
 // with one service draw each — the dense, regular load the scaling and
-// speedup rows use, where the variable under test is the dispatch core,
+// batch rows use, where the variable under test is the dispatch core,
 // not the workload shape.
 func UniformTrace(seed uint64, image string, n int, gap uint64, svc ServiceProfile) []sched.Request {
 	rng := NewTraceRNG(seed)

@@ -41,6 +41,18 @@ func TestCOWResetIsolation(t *testing.T) {
 		if got := fromLE64(res.Ret); got != 1 {
 			t.Fatalf("run %d: counter = %d; COW reset leaked state", i, got)
 		}
+		// A parked COW shell is never cleaned, so its entry/exit counters
+		// keep counting; the result must still report this run's own: the
+		// cold run enters twice (boot→snapshot, snapshot→exit), every
+		// reset run once.
+		want := uint64(1)
+		if i == 0 {
+			want = 2
+		}
+		if res.Entries != want || res.IOExits != want {
+			t.Fatalf("run %d: Entries=%d IOExits=%d, want %d each (cumulative shell counters leaked)",
+				i, res.Entries, res.IOExits, want)
+		}
 	}
 }
 

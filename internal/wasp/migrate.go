@@ -126,25 +126,13 @@ func (w *Wasp) exportRetainedSnapshot(be *backend, name string, snap *snapshot, 
 	}
 
 	wire := snapshotWire{
-		Geometry:   snap.memLen(),
+		Geometry:   snap.layer.MemLen(),
 		Captured:   snap.captured,
 		State:      snap.state,
 		Booted:     snap.booted,
 		ContentKey: snap.contentKey,
 	}
-	switch {
-	case snap.layer == nil:
-		// Legacy deep-copy snapshot: ship its non-zero pages.
-		for lo := 0; lo < len(snap.mem); lo += vmm.PageSize {
-			hi := lo + vmm.PageSize
-			if hi > len(snap.mem) {
-				hi = len(snap.mem)
-			}
-			if !allZero(snap.mem[lo:hi]) {
-				wire.Pages = append(wire.Pages, wirePage{Idx: lo / vmm.PageSize, Data: fullPage(snap.mem[lo:hi])})
-			}
-		}
-	case deltaOnly && snap.layer.Parent() != nil && snap.contentKey != "":
+	if deltaOnly && snap.layer.Parent() != nil && snap.contentKey != "" {
 		wire.Delta = true
 		wire.BaseDigest = snap.layer.Parent().Digest()
 		for _, e := range snap.layer.OwnTable() {
@@ -154,7 +142,7 @@ func (w *Wasp) exportRetainedSnapshot(be *backend, name string, snap *snapshot, 
 			}
 			wire.Pages = append(wire.Pages, wirePage{Idx: e.Idx, Data: data})
 		}
-	default:
+	} else {
 		for _, e := range snap.layer.ResolvedTable() {
 			wire.Pages = append(wire.Pages, wirePage{Idx: e.Idx, Data: copyPage(be.forest.Data(e.Key))})
 		}
@@ -199,21 +187,6 @@ func (w *Wasp) importSnapshot(be *backend, name string, data []byte) error {
 		state:      wire.State,
 		booted:     wire.Booted,
 	}
-	if w.legacySnaps {
-		// Legacy registries hold deep copies: materialize the blob. A
-		// delta blob cannot materialize without its base.
-		if wire.Delta {
-			return fmt.Errorf("wasp: snapshot for %q is a delta over base %s; legacy deep-copy registries cannot graft it", name, wire.ContentKey)
-		}
-		mem := make([]byte, wire.Geometry)
-		for _, p := range wire.Pages {
-			copy(mem[p.Idx*vmm.PageSize:], p.Data)
-		}
-		snap.mem = mem
-		be.snapshots.put(name, snap)
-		return nil
-	}
-
 	var parent *vmm.Layer
 	if wire.Delta {
 		parent = be.bases.get(wire.ContentKey)
@@ -332,7 +305,7 @@ func (w *Wasp) MigrateSnapshot(name, fromPlatform, toPlatform string) (shipped i
 	defer snap.release()
 	// Ship the delta iff the snapshot has a base and the target holds a
 	// matching copy of it.
-	if snap.contentKey != "" && snap.layer != nil && snap.layer.Parent() != nil {
+	if snap.contentKey != "" && snap.layer.Parent() != nil {
 		if local := dst.bases.get(snap.contentKey); local != nil &&
 			local.MemLen() == snap.layer.MemLen() && local.Digest() == snap.layer.Parent().Digest() {
 			deltaOnly = true
@@ -363,22 +336,6 @@ func (w *Wasp) MigrateSnapshot(name, fromPlatform, toPlatform string) (shipped i
 // a concurrent DropSnapshot/re-capture exactly inside the window the retain
 // protocol must cover. Always nil outside tests.
 var migrateExportGate func()
-
-func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// fullPage zero-pads a tail page to PageSize; full pages are copied.
-func fullPage(b []byte) []byte {
-	out := make([]byte, vmm.PageSize)
-	copy(out, b)
-	return out
-}
 
 // copyPage copies a store page for the wire (store backing must never
 // leak into a mutable buffer).

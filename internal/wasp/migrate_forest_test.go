@@ -343,27 +343,3 @@ func TestMigrateSnapshotShipsDeltaWhenTargetHoldsBase(t *testing.T) {
 		t.Fatal("baseless snapshot claimed a delta migration")
 	}
 }
-
-// TestLegacyImportRejectsDelta: legacy deep-copy registries cannot
-// graft; a delta blob must fail loudly, not materialize half an image.
-func TestLegacyImportRejectsDelta(t *testing.T) {
-	a := New()
-	base := tenantImg("leg-base")
-	cfg := RunConfig{Snapshot: true, RetBytes: 8, Args: le64(1)}
-	if _, err := a.Run(base, cfg, cycles.NewClock()); err != nil {
-		t.Fatal(err)
-	}
-	tenant := base.WithName("leg-tenant")
-	if _, err := a.Run(tenant, cfg, cycles.NewClock()); err != nil {
-		t.Fatal(err)
-	}
-	delta, err := a.ExportSnapshotDelta(tenant.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := New(WithLegacySnapshots(true))
-	if err := b.ImportSnapshot(tenant.Name, delta); err == nil ||
-		!strings.Contains(err.Error(), "legacy") {
-		t.Fatalf("legacy delta import: err = %v", err)
-	}
-}

@@ -137,37 +137,32 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	if ctx == nil {
 		ctx = w.acquire(be, memBytes, clk)
 	}
-	if tr := w.tracer; tr.Enabled() {
-		// Tier transitions (trace compiles, deopts) batch into the CPU's
-		// bounded log during the run — the dirty-span pattern — and drain
-		// into the tracer at run end, so the guest hot loop never pays an
-		// emit. TierTrace is reset before release: contexts are pooled.
-		ctx.CPU.TierTrace = true
-		defer func() {
-			for _, te := range ctx.CPU.TierLog {
-				name := "jit-compile"
-				if te.Deopt {
-					name = "jit-deopt"
-				}
-				tr.Instant(obs.ControlLane, obs.KindTier, name, te.Cycle, 0, te.PC, 0)
-			}
-			ctx.CPU.TierLog = ctx.CPU.TierLog[:0]
-			ctx.CPU.TierTrace = false
-		}()
-	}
+	// Tier transitions (trace compiles, deopts) batch into the CPU's
+	// bounded log during the run — the dirty-span pattern — and drain
+	// into the tracer at run end (drainTierLog), so the guest hot loop
+	// never pays an emit.
+	ctx.CPU.TierTrace = w.tracer.Enabled()
 	ctx.CPU.Legacy = w.legacyInterp
 	ctx.CPU.NoJIT = w.noJIT
 	if w.pairProf != nil {
 		ctx.CPU.PairProf = make(map[uint16]uint64)
 	}
-	parked := false
+	// One way out for the shell, error returns included: drain the tier
+	// log while this run still owns the context, then park it for the
+	// image's next COW reset on this backend or — no reset point, or one
+	// already parked — recycle it through the pool.
+	parkCOW := false
 	defer func() {
-		if !parked {
+		w.drainTierLog(ctx)
+		if !parkCOW || !be.cowShells.park(img.Name, ctx) {
 			w.release(ctx)
 		}
 	}()
 
 	ctx.FirstEntry = 0
+	// Shells are pooled and COW shells are never cleaned, so the
+	// context's counters are cumulative: results report this run's delta.
+	entries0, ioExits0 := ctx.Entries, ctx.ExitsIO
 	retired0 := ctx.CPU.Retired
 	stats0 := ctx.CPU.Stats
 	res := &Result{}
@@ -188,14 +183,13 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 			// COW reset (§7.2): the context already holds the snapshot
 			// image; copy back only the pages dirtied since the
 			// snapshot point — faulting each page in from the nearest
-			// layer of the snapshot forest that owns it (or the private
-			// deep copy under WithLegacySnapshots). Each restored
+			// layer of the snapshot forest that owns it. Each restored
 			// page's decoded code must be invalidated here: the
 			// write-time invalidation only covered entries that existed
 			// when the guest dirtied the page, not decodes re-created
 			// afterwards from the modified bytes.
 			pages := ctx.DirtyPages()
-			snapLen := snap.memLen()
+			snapLen := snap.layer.MemLen()
 			for _, p := range pages {
 				lo := p * vmm.PageSize
 				hi := lo + vmm.PageSize
@@ -218,15 +212,10 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 		} else {
 			// Fast path (Fig 7): restore the snapshot — one memcpy of
 			// the captured footprint — and resume at the snapshot
-			// point. Forest-backed snapshots materialize through the
-			// layer chain; the charged cost is identical (the restored
-			// byte count is the same), so virtual cycles do not depend
-			// on the snapshot representation.
-			if snap.layer != nil {
-				snap.layer.MaterializeInto(ctx.Mem)
-			} else {
-				copy(ctx.Mem, snap.mem)
-			}
+			// point. The snapshot materializes through its layer chain;
+			// the charge is for the restored byte count, so virtual
+			// cycles do not depend on how the forest shares pages.
+			snap.layer.MaterializeInto(ctx.Mem)
 			clk.Advance(cycles.MemcpyCost(snap.captured))
 			ctx.ClearDirty()
 			if tr := w.tracer; tr.Enabled() {
@@ -322,8 +311,8 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 			res.Marks[i].Cycle -= ctx.FirstEntry
 		}
 	}
-	res.Entries = ctx.Entries
-	res.IOExits = ctx.ExitsIO
+	res.Entries = ctx.Entries - entries0
+	res.IOExits = ctx.ExitsIO - ioExits0
 	res.Retired = ctx.CPU.Retired - retired0
 	res.BootEvents = ctx.CPU.Events
 	res.GuestEntry = ctx.FirstEntry
@@ -363,15 +352,27 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	if !w.legacyInterp && ctx.CPU.CodeNew() {
 		w.codes.merge(img.ContentKey(), ctx.CPU.ShareCode())
 	}
-	if cowEligible && be.snapshots.has(img.Name) {
-		// Park the context for the image's next COW reset on this
-		// backend; if one is already parked, recycle through the pool.
-		parked = true
-		if !be.cowShells.park(img.Name, ctx) {
-			w.release(ctx)
-		}
-	}
+	parkCOW = cowEligible && be.snapshots.has(img.Name)
 	return res, nil
+}
+
+// drainTierLog moves the run's batched tier transitions into the tracer
+// and resets the CPU's log and flag. Contexts are pooled, so it must run
+// before the shell reaches release or the COW registry — from there the
+// cleaner or the next run owns it.
+func (w *Wasp) drainTierLog(ctx *vmm.Context) {
+	if !ctx.CPU.TierTrace {
+		return
+	}
+	for _, te := range ctx.CPU.TierLog {
+		name := "jit-compile"
+		if te.Deopt {
+			name = "jit-deopt"
+		}
+		w.tracer.Instant(obs.ControlLane, obs.KindTier, name, te.Cycle, 0, te.PC, 0)
+	}
+	ctx.CPU.TierLog = ctx.CPU.TierLog[:0]
+	ctx.CPU.TierTrace = false
 }
 
 // runGuest drives the vCPU until halt or guest exit(), interposing on
@@ -446,14 +447,14 @@ func (w *Wasp) serviceHypercall(be *backend, ctx *vmm.Context, img *guest.Image,
 // region — what the paper's memcpy-based reset copies (§6.2); the
 // charged cost scales with image size regardless of representation.
 //
-// Forest mode (the default) captures into the backend's
-// content-addressed snapshot forest: the captured windows are hashed
-// page-by-page into the shared store, deduplicated against every page
-// already stored, and — when the backend already holds a base layer for
-// this image *content* — recorded as a thin delta owning only the pages
-// that differ from the base. The first capture of a content becomes its
-// shared base layer, so tenant clones made with guest.Image.WithName
-// cost their delta, not the image.
+// The capture goes into the backend's content-addressed snapshot
+// forest: the captured windows are hashed page-by-page into the shared
+// store, deduplicated against every page already stored, and — when the
+// backend already holds a base layer for this image *content* —
+// recorded as a thin delta owning only the pages that differ from the
+// base. The first capture of a content becomes its shared base layer,
+// so tenant clones made with guest.Image.WithName cost their delta, not
+// the image.
 func (w *Wasp) capture(be *backend, ctx *vmm.Context, img *guest.Image, native any, booted bool, clk *cycles.Clock) {
 	foot := img.Footprint() + img.ExtraHeap
 	if foot > len(ctx.Mem) {
@@ -464,32 +465,23 @@ func (w *Wasp) capture(be *backend, ctx *vmm.Context, img *guest.Image, native a
 		stackStart = foot
 	}
 	captured := foot + (len(ctx.Mem) - stackStart)
+	windows := []vmm.Window{{Lo: 0, Hi: foot}, {Lo: stackStart, Hi: len(ctx.Mem)}}
+	base := be.bases.get(img.ContentKey())
+	if base != nil && base.MemLen() != len(ctx.Mem) {
+		// Same content at a different geometry (e.g. a WithPad
+		// variant): capture standalone rather than misgraft.
+		base = nil
+	}
 	snap := &snapshot{
+		layer:      vmm.CaptureLayer(be.forest, base, ctx.Mem, windows),
 		contentKey: img.ContentKey(),
 		captured:   captured,
 		state:      ctx.CPU.Save(),
 		native:     native,
 		booted:     booted,
 	}
-	if w.legacySnaps {
-		// Legacy deep copy: [0, foot) and the stack in one private
-		// buffer sized like the full guest so restore is a straight copy.
-		mem := make([]byte, len(ctx.Mem))
-		copy(mem[:foot], ctx.Mem[:foot])
-		copy(mem[stackStart:], ctx.Mem[stackStart:])
-		snap.mem = mem
-	} else {
-		windows := []vmm.Window{{Lo: 0, Hi: foot}, {Lo: stackStart, Hi: len(ctx.Mem)}}
-		base := be.bases.get(img.ContentKey())
-		if base != nil && base.MemLen() != len(ctx.Mem) {
-			// Same content at a different geometry (e.g. a WithPad
-			// variant): capture standalone rather than misgraft.
-			base = nil
-		}
-		snap.layer = vmm.CaptureLayer(be.forest, base, ctx.Mem, windows)
-		if base == nil {
-			be.bases.register(img.ContentKey(), snap.layer)
-		}
+	if base == nil {
+		be.bases.register(img.ContentKey(), snap.layer)
 	}
 	clk.Advance(cycles.MemcpyCost(captured))
 	ctx.ClearDirty()

@@ -67,7 +67,6 @@ type Wasp struct {
 	snapEnable   bool
 	cow          bool
 	legacyInterp bool
-	legacySnaps  bool
 	noJIT        bool
 	platforms    []vmm.Platform
 	policy       PoolPolicy
@@ -112,16 +111,12 @@ type shell struct {
 	dirty bool
 }
 
-// snapshot is one image's reset point. Forest-backed snapshots (the
-// default) hold a content-addressed layer whose pages live in the
-// backend's shared store; tenant clones of one binary are thin deltas
-// over a shared base layer. Legacy snapshots (WithLegacySnapshots, the
-// differential-test reference) hold the old private deep copy in mem.
-// Exactly one of layer / mem is set.
+// snapshot is one image's reset point: a content-addressed layer whose
+// pages live in the backend's shared store, so tenant clones of one
+// binary are thin deltas over a shared base layer.
 type snapshot struct {
-	layer      *vmm.Layer // forest mode: page table into the shared store
-	contentKey string     // image content key ("" only for hand-built test state)
-	mem        []byte     // legacy mode: private guest-memory deep copy
+	layer      *vmm.Layer // page table into the shared store
+	contentKey string     // image content key
 	captured   int        // bytes actually captured (restore cost basis)
 	state      cpu.State
 	native     any // opaque workload state for native images (§6.5 engine reuse)
@@ -129,7 +124,7 @@ type snapshot struct {
 }
 
 // retain pins the snapshot's layer for the duration of a restore or
-// export; release undoes it. No-ops for legacy deep-copy snapshots.
+// export; release undoes it. Both tolerate a nil snapshot.
 func (s *snapshot) retain() {
 	if s != nil {
 		s.layer.Retain()
@@ -142,31 +137,16 @@ func (s *snapshot) release() {
 	}
 }
 
-// memLen is the guest-memory geometry the snapshot restores over.
-func (s *snapshot) memLen() int {
-	if s.layer != nil {
-		return s.layer.MemLen()
-	}
-	return len(s.mem)
-}
-
 // restorePage copies the snapshot's content for page p into dst (the
-// COW fault-in path). Forest snapshots resolve through the layer chain
-// — the nearest layer that owns the page supplies it, pages owned
-// nowhere are zero; legacy snapshots copy from the private deep copy.
+// COW fault-in path), resolving through the layer chain: the nearest
+// layer that owns the page supplies it, pages owned nowhere are zero.
 // dst must lie within page p.
 func (s *snapshot) restorePage(p int, dst []byte) {
-	if s.layer != nil {
-		if data := s.layer.PageData(p); data != nil {
-			copy(dst, data)
-		} else {
-			for i := range dst {
-				dst[i] = 0
-			}
-		}
-		return
+	if data := s.layer.PageData(p); data != nil {
+		copy(dst, data)
+	} else {
+		clear(dst)
 	}
-	copy(dst, s.mem[p*vmm.PageSize:])
 }
 
 // Option configures a Wasp instance.
@@ -242,16 +222,6 @@ func WithPairProfile(on bool) Option {
 		}
 	}
 }
-
-// WithLegacySnapshots selects the original deep-copy snapshot
-// representation — one private full-memory buffer per snapshot —
-// instead of the content-addressed forest. Restore results and virtual
-// cycles are bit-identical either way (the forest property tests
-// enforce it); only host memory held by the snapshot registries
-// differs. This is a differential-testing reference, not a production
-// mode: layer-aware migration (delta export/graft import) degrades to
-// self-contained blobs under it.
-func WithLegacySnapshots(on bool) Option { return func(w *Wasp) { w.legacySnaps = on } }
 
 // WithTracer attaches a flight recorder (internal/obs): the runtime
 // emits shell-provisioning (pool hit / cleaner reclaim / cold create /
