@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/aes"
@@ -45,7 +46,7 @@ func keyOf(r *wasp.Result) resultKey {
 		Cycles: r.Cycles, ExitCode: r.ExitCode,
 		Ret: string(r.Ret), DataOut: string(r.DataOut),
 		NetOut: string(r.NetOut), Stdout: string(r.Stdout),
-		Marks: append([]hypercall.Mark(nil), r.Marks...),
+		Marks:   append([]hypercall.Mark(nil), r.Marks...),
 		Entries: r.Entries, IOExits: r.IOExits, Retired: r.Retired,
 		GuestEntry: r.GuestEntry, SnapUsed: r.SnapshotUsed, COWPages: r.COWPages,
 	}
@@ -53,13 +54,36 @@ func keyOf(r *wasp.Result) resultKey {
 	return k
 }
 
+// vecOf renders what the frozen oracle pins of one run: virtual cycles,
+// instructions retired and the guest's milestone marks.
+func vecOf(r *wasp.Result) string {
+	v := fmt.Sprintf("%d/%d", r.Cycles, r.Retired)
+	for _, m := range r.Marks {
+		v += fmt.Sprintf("/%d@%d", m.ID, m.Cycle)
+	}
+	return v
+}
+
+// pin compares one differential's per-run vectors against the constants
+// in frozen_test.go. The two engines agreeing with each other is not
+// enough: a drift in the cycle model that moves Step and the traces
+// together must fail too.
+func pin(t *testing.T, name string, runs []string) {
+	t.Helper()
+	if got := strings.Join(runs, " "); got != frozen[name] {
+		t.Errorf("%s drifted from the frozen oracle:\n got  %q: %q,\n want %q", name, name, got, frozen[name])
+	}
+}
+
 // diffRun drives the same image+config sequence through a cached and a
-// legacy Wasp and demands identical results run by run.
+// legacy Wasp and demands identical results run by run, and the frozen
+// vectors of both.
 func diffRun(t *testing.T, name string, opts []wasp.Option, img *guest.Image,
 	mkCfg func(i int) wasp.RunConfig, runs int) {
 	t.Helper()
 	fast := wasp.New(opts...)
 	slow := wasp.New(append(append([]wasp.Option(nil), opts...), wasp.WithLegacyInterp(true))...)
+	var vecs []string
 	for i := 0; i < runs; i++ {
 		fclk, sclk := cycles.NewClock(), cycles.NewClock()
 		fres, ferr := fast.Run(img, mkCfg(i), fclk)
@@ -81,7 +105,9 @@ func diffRun(t *testing.T, name string, opts []wasp.Option, img *guest.Image,
 		if !reflect.DeepEqual(fk, sk) {
 			t.Fatalf("%s run %d: result divergence:\n cached: %+v\n legacy: %+v", name, i, fk, sk)
 		}
+		vecs = append(vecs, vecOf(fres))
 	}
+	pin(t, name, vecs)
 }
 
 // corpusProgram generates one random-but-halting program in the style of
@@ -203,6 +229,7 @@ func TestDifferentialJS(t *testing.T) {
 		slowW := wasp.New(wasp.WithLegacyInterp(true))
 		fv := js.NewVirtineJS(fastW, variant.Snapshot, variant.NoTeardown)
 		sv := js.NewVirtineJS(slowW, variant.Snapshot, variant.NoTeardown)
+		var vecs []string
 		for i := 0; i < 3; i++ {
 			fclk, sclk := cycles.NewClock(), cycles.NewClock()
 			fout, ferr := fv.Encode(data, fclk)
@@ -217,7 +244,9 @@ func TestDifferentialJS(t *testing.T) {
 				t.Fatalf("js %s run %d: clock divergence: cached %d, legacy %d",
 					variant.Name, i, fclk.Now(), sclk.Now())
 			}
+			vecs = append(vecs, fmt.Sprint(fclk.Now()))
 		}
+		pin(t, "js-"+variant.Name, vecs)
 	}
 }
 
@@ -238,6 +267,7 @@ func TestDifferentialAES(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var vecs []string
 	for i := 0; i < 3; i++ {
 		fclk, sclk := cycles.NewClock(), cycles.NewClock()
 		fout, ferr := fc.Encrypt(src, fclk)
@@ -251,7 +281,9 @@ func TestDifferentialAES(t *testing.T) {
 		if fclk.Now() != sclk.Now() {
 			t.Fatalf("aes run %d: clock divergence: cached %d, legacy %d", i, fclk.Now(), sclk.Now())
 		}
+		vecs = append(vecs, fmt.Sprint(fclk.Now()))
 	}
+	pin(t, "aes", vecs)
 }
 
 func TestDifferentialBootStub(t *testing.T) {

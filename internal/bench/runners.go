@@ -821,100 +821,14 @@ func WaspCA(trials int) (*Table, error) {
 	return t, nil
 }
 
-// aesKernelAsm is the AES-shaped interpreter corpus: byte-table loads,
-// xor/shift/mask rounds and byte stores in a tight loop — the
-// instruction mix of the paper's openssl workload rendered in VX
-// assembly for opcode-pair profiling.
-func aesKernelAsm() string {
-	return `
-	movi rcx, 256
-	movi rdi, 0x5000
-	movi rsi, 0x5800
-vx_seed:
-	store [rdi], rcx
-	add rdi, 8
-	dec rcx
-	jnz vx_seed
-	movi rcx, 256
-	movi rdi, 0x5000
-vx_round:
-	loadb rax, [rdi]
-	loadb rbx, [rdi+1]
-	xor rax, rbx
-	shl rax, 3
-	xor rax, rbx
-	shr rax, 1
-	and rax, 255
-	storeb [rsi], rax
-	add rdi, 2
-	add rsi, 1
-	dec rcx
-	jnz vx_round
-	movi rdi, 0
-	out 0x00, rdi
-	hlt
-`
-}
-
-// jsKernelAsm is the JS-shaped corpus: a bytecode-style dispatch loop —
-// load opcode byte, compare-and-branch chain, small handler bodies with
-// call/ret and stack traffic.
-func jsKernelAsm() string {
-	return `
-	movi rcx, 192
-	movi rdi, 0x5000
-vx_fill:
-	mov rax, rcx
-	and rax, 3
-	storeb [rdi], rax
-	add rdi, 1
-	dec rcx
-	jnz vx_fill
-	movi rcx, 192
-	movi rdi, 0x5000
-vx_dispatch:
-	loadb rax, [rdi]
-	cmp rax, 1
-	jz vx_op1
-	cmp rax, 2
-	jz vx_op2
-	add rsi, 1
-	jmp vx_next
-vx_op1:
-	call vx_push_add
-	jmp vx_next
-vx_op2:
-	push rsi
-	mov rbx, rsi
-	pop rsi
-	add rsi, rbx
-vx_next:
-	add rdi, 1
-	dec rcx
-	jnz vx_dispatch
-	movi rdi, 0
-	out 0x00, rdi
-	hlt
-vx_push_add:
-	push rbx
-	movi rbx, 7
-	add rsi, rbx
-	pop rbx
-	ret
-`
-}
-
 // InterpSpeed measures the host-side cost of the guest interpreter:
 // instructions retired per second of wall clock (MIPS) and nanoseconds
-// per guest instruction, for the three engines — the trace-compiling
-// default, the predecoded/fused tier alone (NoJIT), and the legacy
-// decode-every-instruction path. Virtual-cycle results are bit-identical
-// across all three (the differential determinism tests enforce it);
-// this table is purely about how fast the host can push guest work —
-// the cost that gates how much traffic the scheduler and pool layers
-// can drive through one machine. It also emits the dynamic opcode-pair
-// histogram (top pairs per corpus, measured under the profiling legacy
-// engine) that justifies the predecoder's superinstruction set.
+// per guest instruction, for the trace-compiling default and the
+// Step-per-instruction reference. Virtual-cycle results are bit-identical
+// across the two (the differential determinism tests enforce it); this
+// table is purely about how fast the host can push guest work — the cost
+// that gates how much traffic the scheduler and pool layers can drive
+// through one machine.
 func InterpSpeed(trials int) (*Table, error) {
 	trials = clampTrials(trials, 3, 50)
 	img := guest.MustFromAsm("interp-fib", guest.WrapLongMode(fibAsm(21)))
@@ -939,13 +853,12 @@ func InterpSpeed(trials int) (*Table, error) {
 		}
 		return retired, time.Since(start), nil
 	}
-	var nsPer [3]float64
+	var nsPer [2]float64
 	for i, eng := range []struct {
 		name string
 		opts []wasp.Option
 	}{
 		{"jit", nil},
-		{"fused", []wasp.Option{wasp.WithNoJIT(true)}},
 		{"legacy", []wasp.Option{wasp.WithLegacyInterp(true)}},
 	} {
 		retired, wall, err := measureEngine(eng.opts...)
@@ -959,41 +872,7 @@ func InterpSpeed(trials int) (*Table, error) {
 			f2(float64(wall.Microseconds())/1e3/float64(trials)),
 			f1(1e3/ns), f2(ns))
 	}
-	t.Note("jit: compiled closure traces over the predecoded cache (%.1fx vs legacy)", nsPer[2]/nsPer[0])
-	t.Note("fused: predecoded entries + superinstructions, trace tier off (%.1fx vs legacy)", nsPer[2]/nsPer[1])
+	t.Note("jit: compiled closure traces, cpu.Step for specials and first visits (%.1fx vs legacy)", nsPer[1]/nsPer[0])
 	t.Note("virtual cycles are bit-identical across engines; only host wall-clock differs")
-
-	// Opcode-pair histogram per corpus: profiled under the legacy
-	// engine so the counts describe the natural instruction stream,
-	// before superinstruction fusion rewrites it.
-	for _, c := range []struct {
-		name, src string
-	}{
-		{"fib", fibAsm(15)},
-		{"aes", aesKernelAsm()},
-		{"js", jsKernelAsm()},
-	} {
-		w := wasp.New(wasp.WithPairProfile(true))
-		pimg := guest.MustFromAsm("pairs-"+c.name, guest.WrapLongMode(c.src))
-		if _, err := w.Run(pimg, wasp.RunConfig{}, cycles.NewClock()); err != nil {
-			return nil, err
-		}
-		pairs := w.HotPairs(20)
-		var total uint64
-		for _, p := range pairs {
-			total += p.Count
-		}
-		for lo := 0; lo < len(pairs); lo += 10 {
-			hi := lo + 10
-			if hi > len(pairs) {
-				hi = len(pairs)
-			}
-			line := ""
-			for _, p := range pairs[lo:hi] {
-				line += fmt.Sprintf(" %v+%v:%d", p.First, p.Second, p.Count)
-			}
-			t.Note("%s pairs[%d:%d]:%s", c.name, lo, hi, line)
-		}
-	}
 	return t, nil
 }

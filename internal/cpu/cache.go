@@ -1,11 +1,11 @@
 package cpu
 
-// Decoded-instruction cache. The legacy interpreter re-parses raw bytes
-// with isa.Decode on every retired instruction; at guest scale that decode
-// is the dominant host cost (roughly half the wall-clock of a fib run).
-// This file predecodes guest code into per-physical-page arrays of compact
-// decoded entries: each instruction is decoded once per page generation,
-// not once per execution.
+// Code-page cache. Each guest-physical page that has executed code owns a
+// codePage: a map of the instruction starts the dispatcher has reached
+// (ents — which offsets are worth a trace, which always go to Step) and
+// the traces compiled from the page's bytes (blocks, jit.go). The state is
+// derived from guest memory once per page generation and shared across
+// every CPU running the same bytes.
 //
 // Correctness hinges on invalidation. Every write into guest-physical
 // memory funnels through one of:
@@ -47,114 +47,29 @@ import (
 // restated here.
 const codePageSize = 4096
 
-// centry is one predecoded instruction, compact enough that a full page
-// of entries stays cache-friendly (16 bytes per offset).
+// centry marks one instruction start the dispatcher has reached. Neither
+// engine executes from it — Step decodes the raw bytes and traces are
+// compiled from memory — so it records only what dispatch decides on: a
+// non-zero length in the current mode means "seen before, worth a trace",
+// special routes to Step for good, and op carries the Mode32 pre-latch
+// STORE check.
 type centry struct {
-	op   isa.Op
-	dst  isa.Reg
-	src  isa.Reg
-	sub  byte
-	mode isa.Mode
-	n    uint8 // encoded length; 0 marks an empty slot
-	cost uint8 // precomputed base cycle cost (InstrBase + mul/div extra)
-	flag uint8 // fSpecial: execute via the legacy Step path
-	imm  uint64
+	op      isa.Op
+	mode    isa.Mode
+	n       uint8 // encoded length; 0 marks an empty slot
+	special bool  // never compiled: always executes via Step
 }
 
-const (
-	fSpecial = 1
-	fFused   = 2
-)
-
-// specialOp marks opcodes the fast loop delegates to the legacy Step
-// path: everything that can switch modes, flush the TLB, record a boot
-// event, or exit to the VMM. They are rare, and delegating keeps exactly
-// one implementation of the tricky architectural transitions.
+// specialOp marks opcodes that always execute via Step: everything that
+// can switch modes, flush the TLB, record a boot event, or exit to the
+// VMM. They are rare, and delegating keeps exactly one implementation of
+// the tricky architectural transitions.
 var specialOp = [isa.NumOps]bool{
 	isa.HLT: true, isa.OUT: true, isa.IN: true, isa.LGDT: true,
 	isa.MOVCR: true, isa.RDCR: true, isa.LJMP: true,
 }
 
-// Superinstruction opcodes, in the isa.Op space above isa.NumOps. The
-// decode pass fuses the hottest adjacent pairs the fib/AES/JS corpora
-// execute (see the opcode-pair histogram in `virtine-bench -exp interp`)
-// into a single cache entry: one dispatch retires both instructions with
-// their combined cycle cost. Only pairs whose first instruction cannot
-// observe the clock mid-pair are fused, and STORE never is (it carries
-// the Mode32 ident-map latch).
-const (
-	fopCmpJcc   isa.Op = isa.NumOps + iota // cmp a, b ; jcc t
-	fopCmpiJcc                             // cmpi a, imm ; jcc t  (imm32|t32 packed)
-	fopDecJnz                              // dec a ; jnz t
-	fopIncJnz                              // inc a ; jnz t
-	fopPushCall                            // push a ; call t
-	fopSubiCall                            // subi a, imm ; call t (packed)
-	fopPushSubi                            // push a ; subi b, imm
-	fopPopPush                             // pop a ; push b
-	fopAddRet                              // add a, b ; ret
-	fopMoviCall                            // movi a, imm ; call t (packed)
-)
-
 func isJcc(op isa.Op) bool { return op >= isa.JZ && op <= isa.JAE }
-
-// packable32 reports whether a decode-time immediate survives the round
-// trip through 32 bits (it was sign-extended to 64 at decode).
-func packable32(v uint64) bool { return uint64(int64(int32(uint32(v)))) == v }
-
-// packTarget32 reports whether a branch/call target can live in 32 bits.
-// In 16/32-bit modes the executing mask re-truncates, so the low half is
-// always enough; in long mode the target must genuinely fit.
-func packTarget32(v uint64, m isa.Mode) bool { return m != isa.Mode64 || v>>32 == 0 }
-
-// fusePair builds the superinstruction entry replacing a when b directly
-// follows it, or reports that the pair does not fuse. Specials (and
-// already-fused entries) never participate; pairs with packed immediates
-// fuse only when both values fit their 32-bit halves.
-func fusePair(a, b centry) (centry, bool) {
-	if a.flag != 0 || b.flag != 0 {
-		return centry{}, false
-	}
-	f := centry{
-		mode: a.mode, n: a.n + b.n, cost: a.cost + b.cost, flag: fFused,
-	}
-	switch {
-	case a.op == isa.CMP && isJcc(b.op):
-		f.op, f.dst, f.src, f.sub, f.imm = fopCmpJcc, a.dst, a.src, byte(b.op), b.imm
-	case a.op == isa.CMPI && isJcc(b.op):
-		if !packable32(a.imm) || !packTarget32(b.imm, a.mode) {
-			return centry{}, false
-		}
-		f.op, f.dst, f.sub = fopCmpiJcc, a.dst, byte(b.op)
-		f.imm = uint64(uint32(a.imm)) | uint64(uint32(b.imm))<<32
-	case a.op == isa.DEC && b.op == isa.JNZ:
-		f.op, f.dst, f.imm = fopDecJnz, a.dst, b.imm
-	case a.op == isa.INC && b.op == isa.JNZ:
-		f.op, f.dst, f.imm = fopIncJnz, a.dst, b.imm
-	case a.op == isa.PUSH && b.op == isa.CALL:
-		f.op, f.dst, f.sub, f.imm = fopPushCall, a.dst, a.n, b.imm
-	case a.op == isa.SUBI && b.op == isa.CALL:
-		if !packable32(a.imm) || !packTarget32(b.imm, a.mode) {
-			return centry{}, false
-		}
-		f.op, f.dst, f.sub = fopSubiCall, a.dst, a.n
-		f.imm = uint64(uint32(a.imm)) | uint64(uint32(b.imm))<<32
-	case a.op == isa.PUSH && b.op == isa.SUBI:
-		f.op, f.dst, f.src, f.imm = fopPushSubi, a.dst, b.dst, b.imm
-	case a.op == isa.POP && b.op == isa.PUSH:
-		f.op, f.dst, f.src, f.sub = fopPopPush, a.dst, b.dst, a.n
-	case a.op == isa.ADD && b.op == isa.RET:
-		f.op, f.dst, f.src, f.sub = fopAddRet, a.dst, a.src, a.n
-	case a.op == isa.MOVI && b.op == isa.CALL:
-		if !packable32(a.imm) || !packTarget32(b.imm, a.mode) {
-			return centry{}, false
-		}
-		f.op, f.dst, f.sub = fopMoviCall, a.dst, a.n
-		f.imm = uint64(uint32(a.imm)) | uint64(uint32(b.imm))<<32
-	default:
-		return centry{}, false
-	}
-	return f, true
-}
 
 // baseCost returns the fixed cycle cost charged before/while executing op
 // that does not depend on run-time state (InstrBase, plus the multi-cycle
@@ -169,17 +84,6 @@ func baseCost(op isa.Op) uint8 {
 		c += cycles.InstrDiv
 	}
 	return c
-}
-
-func centryFrom(in isa.Inst, m isa.Mode) centry {
-	e := centry{
-		op: in.Op, dst: in.Dst, src: in.Src, sub: in.Sub,
-		mode: m, n: uint8(in.Len), cost: baseCost(in.Op), imm: in.Imm,
-	}
-	if specialOp[in.Op] {
-		e.flag = fSpecial
-	}
-	return e
 }
 
 // codePage holds the decoded entries for one 4 KiB physical page, indexed
@@ -297,72 +201,38 @@ func (c *CPU) invalidateCodeOne(addr uint64, n int) {
 	}
 }
 
-// predecode decodes forward from physical address phys, filling the
-// page's entries until the page ends, an already-decoded entry is
-// reached, or the bytes stop decoding — one decode pass per page, not one
-// per retired instruction. It returns the entry for phys. A decode error
-// at phys itself is returned (later errors just stop the fill — those
-// offsets may be data that is never executed). An instruction spanning
-// the page boundary is returned but not cached: invalidation of the
-// second page could not find it.
-func (c *CPU) predecode(phys uint64) (centry, error) {
+// predecode marks instruction starts forward from physical address phys
+// until the page ends, an already-marked entry is reached, or the bytes
+// stop decoding (those offsets may be data that is never executed) — one
+// pass per page, not one per first visit. An instruction spanning the page
+// boundary is never marked: invalidation of the second page could not
+// find it, so it executes via Step every time.
+func (c *CPU) predecode(phys uint64) {
 	if phys >= uint64(len(c.Mem)) {
-		// Fetch beyond physical memory: produce the decoder's error, as
-		// the legacy path does (no page exists to cache into).
-		_, err := isa.Decode(c.Mem, phys, c.Mode)
-		return centry{}, err
+		return // Step reports the fetch beyond physical memory
 	}
 	c.ensureCode()
 	mode := c.Mode
 	page := phys / codePageSize
 	pageEnd := (page + 1) * codePageSize
 	var pg *codePage // materialized just before the first entry write, so
-	// an uncacheable (page-spanning) instruction clones no shared page
-	// and leaves the new-pages flag alone
-	var ret centry
-	var prevSlot *centry // previous slot in this pass, for pair fusion
-	var prevOrig centry  // its original (unfused) entry
-	first := true
+	// an unmarkable head clones no shared page and leaves the new-pages
+	// flag alone
 	for p := phys; p < pageEnd; {
 		in, err := isa.Decode(c.Mem, p, mode)
-		if err != nil {
-			if first {
-				return centry{}, err
-			}
-			break
-		}
-		e := centryFrom(in, mode)
-		if p+uint64(in.Len) > pageEnd {
-			if first {
-				return e, nil // executable, not cacheable
-			}
+		if err != nil || p+uint64(in.Len) > pageEnd {
 			break
 		}
 		if pg == nil {
 			pg = c.codePageFor(page)
 		}
 		slot := &pg.ents[p-page*codePageSize]
-		if !first && slot.n != 0 && slot.mode == mode {
-			break // rejoined an already-decoded run
+		if p != phys && slot.n != 0 && slot.mode == mode {
+			break // rejoined an already-marked run
 		}
-		*slot = e
-		// Superinstruction pass: rewrite the previous entry into a fused
-		// pair head. The current entry keeps its own slot, so jumps into
-		// the pair's second half still hit a plain decode.
-		if prevSlot != nil {
-			if f, ok := fusePair(prevOrig, e); ok {
-				*prevSlot = f
-				c.Stats.Fused++
-			}
-		}
-		prevSlot, prevOrig = slot, e
-		if first {
-			ret = e
-			first = false
-		}
+		*slot = centry{op: in.Op, mode: mode, n: uint8(in.Len), special: specialOp[in.Op]}
 		p += uint64(in.Len)
 	}
-	return ret, nil
 }
 
 // CodeCache is an immutable set of predecoded pages detached from a CPU,

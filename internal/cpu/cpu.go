@@ -161,16 +161,10 @@ type CPU struct {
 	// access pays a full page walk).
 	NoTLB bool
 
-	// Legacy selects the original decode-every-instruction interpreter
-	// for Run. The differential determinism tests compare it against the
-	// default cached block-execution engine; virtual-cycle results must
-	// be bit-identical.
+	// Legacy makes Run execute every instruction through Step. The
+	// differential determinism tests use it as the reference for the
+	// default trace engine; virtual-cycle results must be bit-identical.
 	Legacy bool
-
-	// NoJIT disables the compiled-closure block tier (jit.go): the
-	// engine still executes fused predecoded entries one dispatch at a
-	// time. Ablation/bench knob; virtual cycles are identical either way.
-	NoJIT bool
 
 	// OnStore, when set, observes every guest store (physical address,
 	// length) — the VMM's dirty-page tracker for copy-on-write resets.
@@ -179,7 +173,7 @@ type CPU struct {
 	// legacy engine reports every store immediately.
 	OnStore func(paddr uint64, n int)
 
-	// Stats counts decode-cache fusion and compiled-block activity.
+	// Stats counts compiled-trace activity.
 	// Reset zeroes it alongside Retired; Wasp harvests per-run deltas.
 	Stats JITStats
 
@@ -191,13 +185,6 @@ type CPU struct {
 	// its tracer at run end and clears both fields before pooling.
 	TierTrace bool
 	TierLog   []TierEvent
-
-	// PairProf, when non-nil, accumulates retired opcode-pair
-	// frequencies keyed prev<<8|cur. It is wired into the legacy Step
-	// engine only: profiling observes the natural instruction stream,
-	// before any superinstruction fusion.
-	PairProf map[uint16]uint64
-	prevOp   uint16 // last retired opcode + 1; 0 = none yet
 
 	tlb        map[uint64]uint64 // 2MB page: vaddr>>21 → physical base
 	gdtLoads   int
@@ -253,11 +240,11 @@ type CPU struct {
 	// (re-established on page cross, mode switch, CR3 write, or TLB
 	// flush), and the one-entry data TLB short-circuits the map lookup
 	// for the common same-page data access.
-	fetchOK              bool
+	fetchOK               bool
 	fetchVBase, fetchVEnd uint64
-	fetchPBase           uint64
-	dtlbOK               bool
-	dtlbPage, dtlbBase   uint64
+	fetchPBase            uint64
+	dtlbOK                bool
+	dtlbPage, dtlbBase    uint64
 }
 
 // New returns a powered-on CPU in real mode, with IP at entry, owning mem,
@@ -283,8 +270,6 @@ func (c *CPU) Reset(entry uint64) {
 		Clock:     c.Clock,
 		OnStore:   c.OnStore,
 		Legacy:    c.Legacy,
-		NoJIT:     c.NoJIT,
-		PairProf:  c.PairProf,
 		TierTrace: c.TierTrace,
 		TierLog:   c.TierLog,
 		IP:        entry,
@@ -329,11 +314,9 @@ func (c *CPU) Restore(s State) {
 	c.FlushTLB()
 }
 
-// JITStats counts decode-cache and compiled-block activity. Fused is the
-// number of superinstruction entries created at predecode; BlocksCompiled,
-// BlockHits and BlockDeopts track the compiled-closure tier.
+// JITStats counts compiled-trace activity: traces compiled, entered and
+// deoptimized.
 type JITStats struct {
-	Fused          uint64
 	BlocksCompiled uint64
 	BlockHits      uint64
 	BlockDeopts    uint64
@@ -344,15 +327,6 @@ type JITStats struct {
 type dirtySpan struct {
 	addr uint64
 	n    int
-}
-
-// profPair records one retired instruction into the opcode-pair
-// histogram. Callers guard on PairProf != nil.
-func (c *CPU) profPair(op isa.Op) {
-	if c.prevOp != 0 {
-		c.PairProf[uint16(c.prevOp-1)<<8|uint16(op)]++
-	}
-	c.prevOp = uint16(op) + 1
 }
 
 func (c *CPU) fault(format string, args ...any) *Exit {

@@ -94,9 +94,6 @@ func (c *CPU) Step() *Exit {
 
 	case isa.HLT:
 		c.Halted = true
-		if c.PairProf != nil {
-			c.profPair(in.Op)
-		}
 		c.Retired++
 		c.IP = next
 		return &Exit{Reason: ExitHalt}
@@ -314,16 +311,10 @@ func (c *CPU) Step() *Exit {
 		c.set(in.Dst, v)
 
 	case isa.OUT:
-		if c.PairProf != nil {
-			c.profPair(in.Op)
-		}
 		c.Retired++
 		c.IP = next
 		return &Exit{Reason: ExitIO, Port: uint8(in.Imm), Reg: in.Dst}
 	case isa.IN:
-		if c.PairProf != nil {
-			c.profPair(in.Op)
-		}
 		c.Retired++
 		c.IP = next
 		return &Exit{Reason: ExitIO, Port: uint8(in.Imm), Reg: in.Dst, In: true}
@@ -434,9 +425,6 @@ func (c *CPU) Step() *Exit {
 		return c.fault("unimplemented opcode %v", in.Op)
 	}
 
-	if c.PairProf != nil {
-		c.profPair(in.Op)
-	}
 	c.Retired++
 	c.IP = next
 	return nil
@@ -445,16 +433,13 @@ func (c *CPU) Step() *Exit {
 // Run executes until a VM exit or until maxSteps instructions have
 // retired; exceeding the budget is a fault (runaway guest).
 //
-// The default engine executes straight-line blocks against the decoded-
-// instruction cache (cache.go): the fetch translation is established once
-// per code page and reused across sequential instructions, each
-// instruction's decode is a cache hit after the first visit to its page,
-// and the fixed per-instruction cycle costs are accumulated locally and
-// flushed to the clock only at observation points (boot-event marks, VM
-// exits, faults, delegated special instructions), so the virtual-cycle
-// results are bit-identical to the legacy per-step path — enforced by the
-// differential determinism tests. Setting Legacy selects the original
-// Step-per-instruction interpreter.
+// There are two engines over one cycle model. The default dispatches
+// compiled traces (jit.go) wherever one applies and Step for everything
+// else: specials, first visits, and the tail of an instruction budget. A
+// trace batches its fixed per-instruction costs and puts them on the clock
+// only at observation points (VM exits, faults, before any Step), so the
+// virtual-cycle results are bit-identical to running Step alone — which is
+// what Legacy selects, as the differential determinism tests' reference.
 func (c *CPU) Run(maxSteps uint64) *Exit {
 	if c.Legacy {
 		for i := uint64(0); i < maxSteps; i++ {
@@ -471,8 +456,8 @@ func (c *CPU) Run(maxSteps uint64) *Exit {
 // sequential fetches skip Translate entirely. The window is a pure host-
 // side cache of translations the architectural path just performed (and,
 // in long mode, of a mapping the tlb map now holds), so it is cycle-
-// neutral; it is invalidated by FlushTLB and after every delegated
-// special instruction (mode switches, CR3 writes).
+// neutral; it is invalidated by FlushTLB and after every Step the
+// dispatcher takes (mode switches, CR3 writes).
 func (c *CPU) setFetchWindow(ip, phys uint64) {
 	switch c.Mode {
 	case isa.Mode16:
@@ -495,15 +480,10 @@ func (c *CPU) setFetchWindow(ip, phys uint64) {
 	}
 }
 
-// runCached is the block-execution engine. Rare instructions — everything
-// that can switch modes, flush translations, record a boot milestone, or
-// exit — are delegated to the legacy Step path after flushing the pending
-// cycle batch, so the tricky architectural transitions exist exactly once.
-//
-// While this engine runs, guest stores are batched into the dirty-span log
-// (noteStore) instead of firing the OnStore hook per store; the log is
-// flushed on every return path, before any caller can observe the dirty
-// bitmap.
+// runCached is the default engine. While it runs, guest stores are batched
+// into the dirty-span log (noteStore) instead of firing the OnStore hook
+// per store; the log is flushed on every return path, before any caller
+// can observe the dirty bitmap.
 func (c *CPU) runCached(maxSteps uint64) *Exit {
 	if c.OnStore != nil {
 		c.batchDirty = true
@@ -515,386 +495,95 @@ func (c *CPU) runCached(maxSteps uint64) *Exit {
 	return c.runCachedInner(maxSteps)
 }
 
+// runCachedInner dispatches each instruction to one of the two engines: a
+// compiled trace when one is headed here and the remaining budget covers
+// it, otherwise Step — so the tricky architectural transitions, and the
+// budget fault, exist exactly once.
 func (c *CPU) runCachedInner(maxSteps uint64) *Exit {
 	var pending uint64 // batched fixed costs not yet on the clock
-	flush := func() {
-		if pending != 0 {
-			c.Clock.Advance(pending)
-			pending = 0
-		}
-	}
-	// Mode-derived operand width and mask, refreshed only when the mode
-	// changes (which only delegated special instructions can do).
-	curMode := isa.Mode(0xFF)
-	var w, mask uint64
 	for steps := uint64(0); steps < maxSteps; {
 		if c.Halted {
-			flush()
+			c.Clock.Advance(pending)
 			return &Exit{Reason: ExitHalt}
 		}
-		if c.NoTLB && c.Mode == isa.Mode64 {
-			// TLB-off ablation: every fetch must charge a full walk, and
-			// a pre-translate before delegation would double-charge
-			// special instructions. Per-step execution is the ablation's
-			// measured configuration; run it exactly.
-			flush()
-			if ex := c.Step(); ex != nil {
-				return ex
-			}
-			steps++
-			continue
+		blk, page, pg, ex := c.traceAt(c.IP)
+		if ex != nil {
+			c.Clock.Advance(pending)
+			return ex
 		}
-		if c.pendFirst {
-			// First instruction after entering long mode: Step charges
-			// FirstInstr64 and records the milestone at the exact legacy
-			// clock position.
-			flush()
-			if ex := c.Step(); ex != nil {
-				return ex
-			}
-			c.fetchOK = false
-			steps++
-			continue
-		}
-		ip := c.IP
-		var phys uint64
-		if c.fetchOK && ip >= c.fetchVBase && ip < c.fetchVEnd {
-			phys = c.fetchPBase + (ip - c.fetchVBase)
-		} else {
-			p, err := c.Translate(ip, false)
-			if err != nil {
-				flush()
-				return c.fault("instruction fetch at %#x: %v", c.IP, err)
-			}
-			phys = p
-			c.setFetchWindow(ip, p)
-		}
-
-		var e centry
-		page := phys / codePageSize
-		pg := c.codeAt(page)
-		if pg != nil {
-			e = pg.ents[phys-page*codePageSize]
-		}
-		if e.n == 0 || e.mode != c.Mode {
-			// First execution at this offset: predecode and run the
-			// returned entry through the single-dispatch path below. A
-			// compiled block is only built on a later, cached hit, so
-			// code executed once (boot stubs, error paths) never pays
-			// compilation.
-			var derr error
-			e, derr = c.predecode(phys)
-			if derr != nil {
-				flush()
-				return &Exit{Reason: ExitFault, Err: derr}
-			}
-			pg = nil
-		}
-
-		if e.flag&fSpecial != 0 ||
-			(e.op == isa.STORE && !c.sawStore32 && c.Mode == isa.Mode32) {
-			// Delegate: Step re-translates (a cycle-free hit — the map
-			// was populated when the window was established) and
-			// re-decodes, then performs the full architectural sequence.
-			flush()
-			ex := c.Step()
-			c.fetchOK = false
+		if blk != nil && uint64(blk.nret) <= maxSteps-steps {
+			// execChain runs the trace and keeps chaining into cached
+			// successors; it returns only when the dispatch loop must
+			// re-examine state from scratch.
+			nr, ex := c.execChain(blk, c.IP, page, pg, &pending, maxSteps-steps)
+			steps += nr
 			if ex != nil {
+				c.Clock.Advance(pending)
 				return ex
 			}
-			steps++
 			continue
 		}
-
-		if pg != nil && !c.NoJIT {
-			if blk := c.blockAt(pg, page, uint32(phys-page*codePageSize), ip); blk != nil &&
-				uint64(blk.nret) <= maxSteps-steps {
-				// execChain runs the trace and keeps chaining into
-				// cached successors; it returns only when the dispatch
-				// loop must re-examine state from scratch.
-				nr, ex := c.execChain(blk, ip, page, pg, &pending, maxSteps-steps)
-				steps += nr
-				if ex != nil {
-					flush()
-					return ex
-				}
-				continue
-			}
+		// No trace applies, or the budget does not cover it: Step
+		// re-translates (a cycle-free hit — traceAt populated the map)
+		// and re-decodes, then performs the full architectural sequence.
+		// It may have switched modes or flushed translations, so the
+		// fetch window is dropped.
+		c.Clock.Advance(pending)
+		pending = 0
+		ex = c.Step()
+		c.fetchOK = false
+		if ex != nil {
+			return ex
 		}
-
-		if e.flag&fFused != 0 {
-			if maxSteps-steps < 2 {
-				// Not enough budget for both halves: the legacy path
-				// decodes the raw bytes and executes just the first
-				// instruction of the pair, keeping the budget fault on
-				// exactly the same instruction as the legacy engine.
-				flush()
-				ex := c.Step()
-				c.fetchOK = false
-				if ex != nil {
-					return ex
-				}
-				steps++
-				continue
-			}
-			if c.Mode != curMode {
-				curMode = c.Mode
-				w = uint64(curMode.Width())
-				mask = widthMask(curMode)
-			}
-			if ex := c.execFused(e, ip, w, mask, &pending); ex != nil {
-				flush()
-				return ex
-			}
-			steps += 2
-			continue
-		}
-
-		pending += uint64(e.cost)
-		next := ip + uint64(e.n)
-		if c.Mode != curMode {
-			curMode = c.Mode
-			w = uint64(curMode.Width())
-			mask = widthMask(curMode)
-		}
-		addrImm := e.imm & mask
-
-		switch e.op {
-		case isa.NOP, isa.CLI, isa.STI:
-
-		case isa.MOVI:
-			c.set(e.dst, e.imm)
-		case isa.MOV:
-			c.set(e.dst, c.get(e.src))
-
-		case isa.LOAD:
-			v, err := c.loadWord((c.get(e.src)+e.imm)&mask, c.Mode)
-			if err != nil {
-				flush()
-				return c.fault("%v", err)
-			}
-			c.set(e.dst, v)
-		case isa.STORE:
-			if err := c.storeWord((c.get(e.dst)+e.imm)&mask, c.get(e.src), c.Mode); err != nil {
-				flush()
-				return c.fault("%v", err)
-			}
-		case isa.LOADB:
-			p, err := c.Translate((c.get(e.src)+e.imm)&mask, false)
-			if err != nil {
-				flush()
-				return c.fault("%v", err)
-			}
-			if p >= uint64(len(c.Mem)) {
-				flush()
-				return c.fault("byte load beyond memory at %#x", p)
-			}
-			c.Clock.Advance(cycles.MemAccess)
-			c.set(e.dst, uint64(c.Mem[p]))
-		case isa.STOREB:
-			p, err := c.Translate((c.get(e.dst)+e.imm)&mask, true)
-			if err != nil {
-				flush()
-				return c.fault("%v", err)
-			}
-			if p >= uint64(len(c.Mem)) {
-				flush()
-				return c.fault("byte store beyond memory at %#x", p)
-			}
-			c.Clock.Advance(cycles.MemStore)
-			c.Mem[p] = byte(c.get(e.src))
-			c.invalidateCodeOne(p, 1)
-			c.noteStore(p, 1)
-
-		case isa.ADD:
-			a, b := c.get(e.dst), c.get(e.src)
-			r := a + b
-			c.setArith(r, a, b, false)
-			c.set(e.dst, r)
-		case isa.ADDI:
-			a := c.get(e.dst)
-			r := a + e.imm
-			c.setArith(r, a, e.imm, false)
-			c.set(e.dst, r)
-		case isa.SUB:
-			a, b := c.get(e.dst), c.get(e.src)
-			r := a - b
-			c.setArith(r, a, b, true)
-			c.set(e.dst, r)
-		case isa.SUBI:
-			a := c.get(e.dst)
-			r := a - e.imm
-			c.setArith(r, a, e.imm, true)
-			c.set(e.dst, r)
-		case isa.MUL:
-			r := c.get(e.dst) * c.get(e.src)
-			c.setLogic(r)
-			c.set(e.dst, r)
-		case isa.DIV, isa.MOD:
-			a := signedAt(c.get(e.dst), c.Mode)
-			b := signedAt(c.get(e.src), c.Mode)
-			if b == 0 {
-				flush()
-				return c.fault("divide by zero at %#x", c.IP)
-			}
-			var r int64
-			if e.op == isa.DIV {
-				r = a / b
-			} else {
-				r = a % b
-			}
-			c.setLogic(uint64(r))
-			c.set(e.dst, uint64(r))
-		case isa.AND:
-			r := c.get(e.dst) & c.get(e.src)
-			c.setLogic(r)
-			c.set(e.dst, r)
-		case isa.ANDI:
-			r := c.get(e.dst) & e.imm
-			c.setLogic(r)
-			c.set(e.dst, r)
-		case isa.OR:
-			r := c.get(e.dst) | c.get(e.src)
-			c.setLogic(r)
-			c.set(e.dst, r)
-		case isa.ORI:
-			r := c.get(e.dst) | e.imm
-			c.setLogic(r)
-			c.set(e.dst, r)
-		case isa.XOR:
-			r := c.get(e.dst) ^ c.get(e.src)
-			c.setLogic(r)
-			c.set(e.dst, r)
-		case isa.SHLV:
-			r := c.get(e.dst) << (c.get(e.src) & 63)
-			c.setLogic(r)
-			c.set(e.dst, r)
-		case isa.SHRV:
-			r := c.get(e.dst) >> (c.get(e.src) & 63)
-			c.setLogic(r)
-			c.set(e.dst, r)
-		case isa.SARV:
-			r := uint64(signedAt(c.get(e.dst), c.Mode) >> (c.get(e.src) & 63))
-			c.setLogic(r)
-			c.set(e.dst, r)
-		case isa.SHL:
-			r := c.get(e.dst) << (e.imm & 63)
-			c.setLogic(r)
-			c.set(e.dst, r)
-		case isa.SHR:
-			r := c.get(e.dst) >> (e.imm & 63)
-			c.setLogic(r)
-			c.set(e.dst, r)
-		case isa.SAR:
-			r := uint64(signedAt(c.get(e.dst), c.Mode) >> (e.imm & 63))
-			c.setLogic(r)
-			c.set(e.dst, r)
-		case isa.NEG:
-			a := c.get(e.dst)
-			r := -a
-			c.setArith(r, 0, a, true)
-			c.set(e.dst, r)
-		case isa.NOT:
-			c.set(e.dst, ^c.get(e.dst))
-		case isa.INC:
-			a := c.get(e.dst)
-			r := a + 1
-			c.setArith(r, a, 1, false)
-			c.set(e.dst, r)
-		case isa.DEC:
-			a := c.get(e.dst)
-			r := a - 1
-			c.setArith(r, a, 1, true)
-			c.set(e.dst, r)
-
-		case isa.CMP:
-			a, b := c.get(e.dst), c.get(e.src)
-			c.setArith(a-b, a, b, true)
-		case isa.CMPI:
-			a := c.get(e.dst)
-			c.setArith(a-e.imm, a, e.imm, true)
-
-		case isa.JMP:
-			next = addrImm
-		case isa.JZ:
-			if c.Flags.ZF {
-				next = addrImm
-			}
-		case isa.JNZ:
-			if !c.Flags.ZF {
-				next = addrImm
-			}
-		case isa.JL:
-			if c.Flags.SF != c.Flags.OF {
-				next = addrImm
-			}
-		case isa.JG:
-			if !c.Flags.ZF && c.Flags.SF == c.Flags.OF {
-				next = addrImm
-			}
-		case isa.JLE:
-			if c.Flags.ZF || c.Flags.SF != c.Flags.OF {
-				next = addrImm
-			}
-		case isa.JGE:
-			if c.Flags.SF == c.Flags.OF {
-				next = addrImm
-			}
-		case isa.JB:
-			if c.Flags.CF {
-				next = addrImm
-			}
-		case isa.JAE:
-			if !c.Flags.CF {
-				next = addrImm
-			}
-
-		case isa.CALL:
-			c.Regs[isa.RSP] -= w
-			if err := c.storeWord(c.Regs[isa.RSP], next, c.Mode); err != nil {
-				flush()
-				return c.fault("call push: %v", err)
-			}
-			next = addrImm
-		case isa.RET:
-			v, err := c.loadWord(c.Regs[isa.RSP], c.Mode)
-			if err != nil {
-				flush()
-				return c.fault("ret pop: %v", err)
-			}
-			c.Regs[isa.RSP] += w
-			next = v & widthMask(c.Mode)
-		case isa.PUSH:
-			c.Regs[isa.RSP] -= w
-			if err := c.storeWord(c.Regs[isa.RSP], c.get(e.dst), c.Mode); err != nil {
-				flush()
-				return c.fault("push: %v", err)
-			}
-		case isa.POP:
-			v, err := c.loadWord(c.Regs[isa.RSP], c.Mode)
-			if err != nil {
-				flush()
-				return c.fault("pop: %v", err)
-			}
-			c.Regs[isa.RSP] += w
-			c.set(e.dst, v)
-
-		default:
-			flush()
-			return c.fault("unimplemented opcode %v", e.op)
-		}
-
-		c.Retired++
-		c.IP = next
 		steps++
 	}
-	flush()
+	c.Clock.Advance(pending)
 	return c.fault("instruction budget (%d) exhausted at ip=%#x", maxSteps, c.IP)
 }
 
-// sext32 re-extends a packed 32-bit immediate to the decoder's 64-bit
-// sign-extended form.
-func sext32(v uint32) uint64 { return uint64(int64(int32(v))) }
+// traceAt returns the compiled trace headed at guest-virtual ip with the
+// physical page it lives on, or a nil trace when Step must execute the
+// instruction there: a special, the first visit to an offset (predecode
+// marks it seen, so code that runs once never pays compilation), a head
+// no trace can start at, or a trace anchored at a different virtual
+// address. A failed fetch translation is returned as the fault exit — it
+// charged its walk, so Step must not repeat it.
+func (c *CPU) traceAt(ip uint64) (*cblock, uint64, *codePage, *Exit) {
+	if c.pendFirst || (c.NoTLB && c.Mode == isa.Mode64) {
+		// Step charges FirstInstr64 at the exact legacy clock position;
+		// under the TLB-off ablation every fetch must pay its own walk,
+		// which is per-step execution exactly.
+		return nil, 0, nil, nil
+	}
+	var phys uint64
+	if c.fetchOK && ip >= c.fetchVBase && ip < c.fetchVEnd {
+		phys = c.fetchPBase + (ip - c.fetchVBase)
+	} else {
+		p, err := c.Translate(ip, false)
+		if err != nil {
+			return nil, 0, nil, c.fault("instruction fetch at %#x: %v", ip, err)
+		}
+		phys = p
+		c.setFetchWindow(ip, p)
+	}
+	page := phys / codePageSize
+	off := uint32(phys - page*codePageSize)
+	pg := c.codeAt(page)
+	var e centry
+	if pg != nil {
+		e = pg.ents[off]
+	}
+	if e.n == 0 || e.mode != c.Mode {
+		c.predecode(phys)
+		return nil, 0, nil, nil
+	}
+	if e.special || (e.op == isa.STORE && !c.sawStore32 && c.Mode == isa.Mode32) {
+		// The pre-latch Mode32 STORE records EvIdentMapStart in Step; a
+		// trace deopts on it, so compiling here would re-enter forever.
+		return nil, 0, nil, nil
+	}
+	return c.blockAt(pg, page, off, ip), page, pg, nil
+}
 
 // jccTaken evaluates a conditional branch against the flags.
 func jccTaken(op isa.Op, f *Flags) bool {
@@ -917,156 +606,6 @@ func jccTaken(op isa.Op, f *Flags) bool {
 		return !f.CF
 	}
 	return false
-}
-
-// execFused executes one fused superinstruction pair with the legacy
-// engine's exact observable semantics: each half charges, retires and
-// advances IP separately, so a fault in either half leaves the clock,
-// Retired and IP precisely where the per-instruction path would. On
-// success both instructions are retired and IP points at the pair's
-// successor (or branch/call target).
-func (c *CPU) execFused(e centry, ip, w, mask uint64, pending *uint64) *Exit {
-	next := ip + uint64(e.n)
-	switch e.op {
-	case fopCmpJcc:
-		*pending += uint64(e.cost)
-		a, b := c.Regs[e.dst]&mask, c.Regs[e.src]&mask
-		c.setArith(a-b, a, b, true)
-		t := next
-		if jccTaken(isa.Op(e.sub), &c.Flags) {
-			t = e.imm & mask
-		}
-		c.Retired += 2
-		c.IP = t
-	case fopCmpiJcc:
-		*pending += uint64(e.cost)
-		imm := sext32(uint32(e.imm))
-		a := c.Regs[e.dst] & mask
-		c.setArith(a-imm, a, imm, true)
-		t := next
-		if jccTaken(isa.Op(e.sub), &c.Flags) {
-			t = uint64(uint32(e.imm>>32)) & mask
-		}
-		c.Retired += 2
-		c.IP = t
-	case fopDecJnz:
-		*pending += uint64(e.cost)
-		a := c.Regs[e.dst] & mask
-		r := a - 1
-		c.setArith(r, a, 1, true)
-		c.Regs[e.dst] = r & mask
-		t := next
-		if !c.Flags.ZF {
-			t = e.imm & mask
-		}
-		c.Retired += 2
-		c.IP = t
-	case fopIncJnz:
-		*pending += uint64(e.cost)
-		a := c.Regs[e.dst] & mask
-		r := a + 1
-		c.setArith(r, a, 1, false)
-		c.Regs[e.dst] = r & mask
-		t := next
-		if !c.Flags.ZF {
-			t = e.imm & mask
-		}
-		c.Retired += 2
-		c.IP = t
-	case fopPushCall:
-		*pending += cycles.InstrBase
-		c.Regs[isa.RSP] -= w
-		if err := c.storeWord(c.Regs[isa.RSP], c.Regs[e.dst]&mask, c.Mode); err != nil {
-			return c.fault("push: %v", err)
-		}
-		c.Retired++
-		c.IP = ip + uint64(e.sub)
-		*pending += cycles.InstrBase
-		c.Regs[isa.RSP] -= w
-		if err := c.storeWord(c.Regs[isa.RSP], next, c.Mode); err != nil {
-			return c.fault("call push: %v", err)
-		}
-		c.Retired++
-		c.IP = e.imm & mask
-	case fopSubiCall:
-		*pending += cycles.InstrBase
-		imm := sext32(uint32(e.imm))
-		a := c.Regs[e.dst] & mask
-		r := a - imm
-		c.setArith(r, a, imm, true)
-		c.Regs[e.dst] = r & mask
-		c.Retired++
-		c.IP = ip + uint64(e.sub)
-		*pending += cycles.InstrBase
-		c.Regs[isa.RSP] -= w
-		if err := c.storeWord(c.Regs[isa.RSP], next, c.Mode); err != nil {
-			return c.fault("call push: %v", err)
-		}
-		c.Retired++
-		c.IP = uint64(uint32(e.imm>>32)) & mask
-	case fopMoviCall:
-		*pending += cycles.InstrBase
-		c.Regs[e.dst] = sext32(uint32(e.imm)) & mask
-		c.Retired++
-		c.IP = ip + uint64(e.sub)
-		*pending += cycles.InstrBase
-		c.Regs[isa.RSP] -= w
-		if err := c.storeWord(c.Regs[isa.RSP], next, c.Mode); err != nil {
-			return c.fault("call push: %v", err)
-		}
-		c.Retired++
-		c.IP = uint64(uint32(e.imm>>32)) & mask
-	case fopPushSubi:
-		*pending += cycles.InstrBase
-		c.Regs[isa.RSP] -= w
-		if err := c.storeWord(c.Regs[isa.RSP], c.Regs[e.dst]&mask, c.Mode); err != nil {
-			return c.fault("push: %v", err)
-		}
-		c.Retired++
-		*pending += cycles.InstrBase
-		a := c.Regs[e.src] & mask
-		r := a - e.imm
-		c.setArith(r, a, e.imm, true)
-		c.Regs[e.src] = r & mask
-		c.Retired++
-		c.IP = next
-	case fopPopPush:
-		*pending += cycles.InstrBase
-		v, err := c.loadWord(c.Regs[isa.RSP], c.Mode)
-		if err != nil {
-			return c.fault("pop: %v", err)
-		}
-		c.Regs[isa.RSP] += w
-		c.Regs[e.dst] = v & mask
-		c.Retired++
-		c.IP = ip + uint64(e.sub)
-		*pending += cycles.InstrBase
-		c.Regs[isa.RSP] -= w
-		if err := c.storeWord(c.Regs[isa.RSP], c.Regs[e.src]&mask, c.Mode); err != nil {
-			return c.fault("push: %v", err)
-		}
-		c.Retired++
-		c.IP = next
-	case fopAddRet:
-		*pending += cycles.InstrBase
-		a, b := c.Regs[e.dst]&mask, c.Regs[e.src]&mask
-		r := a + b
-		c.setArith(r, a, b, false)
-		c.Regs[e.dst] = r & mask
-		c.Retired++
-		c.IP = ip + uint64(e.sub)
-		*pending += cycles.InstrBase
-		v, err := c.loadWord(c.Regs[isa.RSP], c.Mode)
-		if err != nil {
-			return c.fault("ret pop: %v", err)
-		}
-		c.Regs[isa.RSP] += w
-		c.Retired++
-		c.IP = v & mask
-	default:
-		return c.fault("unimplemented fused opcode %d", e.op)
-	}
-	return nil
 }
 
 // codeAt returns the decoded page at index page, or nil.

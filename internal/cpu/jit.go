@@ -21,12 +21,12 @@ package cpu
 //     compiled inline and a taken branch leaves the trace with the
 //     target in IP — both directions architecturally exact.
 //
-// Tiering. The dispatch loop in exec.go picks the cheapest valid engine
-// per instruction: (1) legacy Step for specials and architectural
-// transitions, (2) single fused/predecoded entries for code executing
-// for the first time, (3) a compiled trace once an offset is dispatched
-// again from an already-cached entry — so code that runs once (boot
-// stubs, error paths) never pays compilation.
+// Dispatch. The loop in exec.go runs a compiled trace wherever one is
+// headed at the current IP and Step everywhere else: specials and
+// architectural transitions always, and any offset reached for the first
+// time — a trace is compiled only when an offset is dispatched again from
+// an already-marked entry, so code that runs once (boot stubs, error
+// paths) never pays compilation.
 //
 // Sharing. Traces hang off the codePage that owns their bytes,
 // published copy-on-write under the page's mutex and read with one
@@ -37,7 +37,7 @@ package cpu
 // visible to the others. A per-CPU direct-mapped cache (bcache) fronts
 // the map lookup, and a trace records the virtual address it was
 // anchored at so a page mapped at a different virtual address falls
-// back to the single-entry tier instead of following stale targets.
+// back to Step instead of following stale targets.
 //
 // Deoptimization contract. A trace's validity is anchored to its page
 // pointer: any write into the page (guest store, host write, reset)
@@ -50,15 +50,14 @@ package cpu
 //     the legacy fault state;
 //   - deopt (errDeopt): the step did not execute at all (Mode32 STORE
 //     before the ident-map latch); its own cost is rolled back too and
-//     the dispatch loop re-executes it via the delegation path;
+//     the dispatch loop re-executes it via Step;
 //   - self-modification: a store step that invalidated the trace's own
 //     page stops the trace after the completed store; the dispatch loop
 //     re-decodes the rewritten bytes (detected by the page-pointer
 //     check);
 //   - budget: a trace is only entered when the remaining instruction
-//     budget covers it; otherwise the single-entry tier runs, keeping
-//     the budget-exhaustion fault on the same instruction as the legacy
-//     engine.
+//     budget covers it; otherwise Step runs, keeping the
+//     budget-exhaustion fault on the same instruction as a Step-only run.
 //
 // Traces never leave their 4 KiB physical page (invalidation is
 // page-granular), never contain specials (mode switches, I/O), and end
@@ -284,7 +283,7 @@ func (c *CPU) blockStop(blk *cblock, i int, entryIP uint64, pending *uint64, ex 
 	done := uint64(blk.cumRet[i]) - uint64(blk.ret[i])
 	if ex == errDeopt {
 		// The step did not execute: roll back its cost too and let the
-		// dispatch loop re-execute it via delegation.
+		// dispatch loop re-execute it via Step.
 		*pending -= uint64(blk.total) - uint64(blk.cum[i]) + uint64(blk.cost[i])
 		c.Retired += done
 		c.IP = entryIP + uint64(int64(blk.off[i]))
@@ -398,7 +397,7 @@ func (c *CPU) compileBlock(ip, phys uint64) *cblock {
 	pBase := phys &^ (codePageSize - 1)
 	blk := &cblock{anchor: ip}
 	var retStack []int32 // return sites of followed CALLs, innermost last
-	add := func(fn step, rel, next int32, n int32, cost, ret uint8) {
+	add := func(fn step, rel, next int32, cost, ret uint8) {
 		blk.ops = append(blk.ops, fn)
 		blk.off = append(blk.off, rel)
 		blk.offEnd = append(blk.offEnd, next)
@@ -408,7 +407,6 @@ func (c *CPU) compileBlock(ip, phys uint64) *cblock {
 		blk.ret = append(blk.ret, ret)
 		blk.nret += uint32(ret)
 		blk.cumRet = append(blk.cumRet, blk.nret)
-		_ = n
 	}
 	// follow resolves a direct branch target to a trace-relative offset,
 	// or reports that the trace cannot continue there: the target's
@@ -657,10 +655,10 @@ compile:
 					}
 				}
 				if bk {
-					add(fn, rel, r2, pair, pcost, 2)
+					add(fn, rel, r2, pcost, 2)
 					rel = r2
 				} else {
-					add(fn, rel, rel+pair, pair, pcost, 2)
+					add(fn, rel, rel+pair, pcost, 2)
 					rel += pair
 				}
 				continue
@@ -673,7 +671,7 @@ compile:
 		// of these pairs can fault; the closure then records which half
 		// completed in the lateFault fields so blockStop can attribute
 		// retirement, batched cost and the faulting IP exactly as the
-		// unfused (and legacy) engines would.
+		// Step-only engine would.
 		if mode == isa.Mode64 &&
 			(in.Op == isa.PUSH || in.Op == isa.POP || in.Op == isa.MOV || in.Op == isa.SUBI) {
 			if jn, jerr := isa.Decode(c.Mem, uint64(pp)+uint64(n), mode); jerr == nil &&
@@ -715,7 +713,7 @@ compile:
 						}
 						return nil
 					}
-					add(fn, rel, rel+pair, pair, pcost, 2)
+					add(fn, rel, rel+pair, pcost, 2)
 					rel += pair
 					continue
 				case in.Op == isa.POP && (jn.Op == isa.ADD || jn.Op == isa.SUB):
@@ -746,7 +744,7 @@ compile:
 						c.Regs[d2] = r
 						return nil
 					}
-					add(fn, rel, rel+pair, pair, pcost, 2)
+					add(fn, rel, rel+pair, pcost, 2)
 					rel += pair
 					continue
 				case in.Op == isa.POP && jn.Op == isa.PUSH &&
@@ -783,7 +781,7 @@ compile:
 						}
 						return nil
 					}
-					add(fn, rel, rel+pair, pair, pcost, 2)
+					add(fn, rel, rel+pair, pcost, 2)
 					rel += pair
 					continue
 				case in.Op == isa.SUBI && jn.Op == isa.CALL:
@@ -816,7 +814,7 @@ compile:
 							}
 							return nil
 						}
-						add(fn, rel, r2, pair, pcost, 2)
+						add(fn, rel, r2, pcost, 2)
 						retStack = append(retStack, retRel)
 						rel = r2
 						continue
@@ -847,7 +845,7 @@ compile:
 						}
 						return nil
 					}
-					add(fn, rel, retRel, pair, pcost, 2)
+					add(fn, rel, retRel, pcost, 2)
 					rel = retRel
 					continue
 				}
@@ -898,8 +896,7 @@ compile:
 			md := mode
 			if mode == isa.Mode32 {
 				// The ident-map latch may be unset on a CPU that adopted
-				// this trace: deopt to the delegation path, which records
-				// the milestone exactly as the legacy engine does.
+				// this trace: deopt to Step, which records the milestone.
 				fn = func(c *CPU) *Exit {
 					if !c.sawStore32 {
 						return errDeopt
@@ -1198,14 +1195,14 @@ compile:
 
 		case isa.JMP:
 			if r2, ok := follow(addrImm); ok {
-				add(stepNop, rel, r2, n, cost, 1)
+				add(stepNop, rel, r2, cost, 1)
 				rel = r2
 				continue
 			}
 			t := addrImm
 			fn = func(c *CPU) *Exit { c.IP = t; return nil }
 			blk.term = true
-			add(fn, rel, rel+n, n, cost, 1)
+			add(fn, rel, rel+n, cost, 1)
 			break compile
 		case isa.JZ, isa.JNZ, isa.JL, isa.JG, isa.JLE, isa.JGE, isa.JB, isa.JAE:
 			// Conditional branches never terminate a trace: one arm is
@@ -1223,7 +1220,7 @@ compile:
 					}
 					return nil
 				}
-				add(fn, rel, r2, n, cost, 1)
+				add(fn, rel, r2, cost, 1)
 				rel = r2
 				continue
 			}
@@ -1234,7 +1231,7 @@ compile:
 				}
 				return nil
 			}
-			add(fn, rel, rel+n, n, cost, 1)
+			add(fn, rel, rel+n, cost, 1)
 			rel += n
 			continue
 		case isa.CALL:
@@ -1275,7 +1272,7 @@ compile:
 						return nil
 					}
 				}
-				add(fn, rel, r2, n, cost, 1)
+				add(fn, rel, r2, cost, 1)
 				retStack = append(retStack, retRel)
 				rel = r2
 				continue
@@ -1314,7 +1311,7 @@ compile:
 				}
 			}
 			blk.term = true
-			add(fn, rel, retRel, n, cost, 1)
+			add(fn, rel, retRel, cost, 1)
 			break compile
 		case isa.RET:
 			if k := len(retStack); k > 0 {
@@ -1357,7 +1354,7 @@ compile:
 						return nil
 					}
 				}
-				add(fn, rel, retRel, n, cost, 1)
+				add(fn, rel, retRel, cost, 1)
 				rel = retRel
 				continue
 			}
@@ -1388,7 +1385,7 @@ compile:
 				}
 			}
 			blk.term = true
-			add(fn, rel, rel+n, n, cost, 1)
+			add(fn, rel, rel+n, cost, 1)
 			break compile
 		case isa.PUSH:
 			if mode == isa.Mode64 {
@@ -1455,7 +1452,7 @@ compile:
 			// with the legacy message.
 			break compile
 		}
-		add(fn, rel, rel+n, n, cost, 1)
+		add(fn, rel, rel+n, cost, 1)
 		rel += n
 	}
 	if len(blk.ops) == 0 {

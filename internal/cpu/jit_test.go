@@ -34,68 +34,10 @@ vx_fib_rec:
 	ret
 `
 
-// execSrc assembles src into a fresh long-mode CPU and runs it to the
-// first exit under the selected engine.
-func execSrc(t testing.TB, src string, legacy, noJIT bool) (*CPU, *Exit, uint64) {
-	t.Helper()
-	p, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := make([]byte, 1<<20)
-	copy(mem[p.Origin:], p.Code)
-	clk := cycles.NewClock()
-	c := New(mem, clk, p.Entry)
-	c.Legacy, c.NoJIT = legacy, noJIT
-	c.SetupLongMode()
-	ex := c.Run(100_000_000)
-	return c, ex, clk.Now()
-}
-
-// The three engines — legacy decode-every-instruction, predecoded
-// (NoJIT) and trace-compiled — must agree bit-for-bit on registers,
-// flags, retirement count and virtual cycles.
-func TestTraceEngineFibParity(t *testing.T) {
-	jit, exJ, cyJ := execSrc(t, fibSrc, false, false)
-	fused, exF, cyF := execSrc(t, fibSrc, false, true)
-	legacy, exL, cyL := execSrc(t, fibSrc, true, false)
-	for _, ex := range []*Exit{exJ, exF, exL} {
-		if ex.Reason != ExitHalt {
-			t.Fatalf("exit %+v", ex)
-		}
-	}
-	if jit.Regs[isa.RAX] != 610 {
-		t.Fatalf("fib(15) = %d, want 610", jit.Regs[isa.RAX])
-	}
-	if cyJ != cyL || cyF != cyL {
-		t.Fatalf("cycles diverge: jit %d, fused %d, legacy %d", cyJ, cyF, cyL)
-	}
-	if jit.Regs != legacy.Regs || fused.Regs != legacy.Regs {
-		t.Fatalf("registers diverge across engines")
-	}
-	if jit.Retired != legacy.Retired || fused.Retired != legacy.Retired {
-		t.Fatalf("retired diverge: jit %d, fused %d, legacy %d",
-			jit.Retired, fused.Retired, legacy.Retired)
-	}
-	if jit.Flags != legacy.Flags {
-		t.Fatalf("flags diverge: jit %+v, legacy %+v", jit.Flags, legacy.Flags)
-	}
-	if jit.Stats.BlocksCompiled == 0 || jit.Stats.BlockHits == 0 {
-		t.Fatalf("trace tier never engaged: %+v", jit.Stats)
-	}
-	if fused.Stats.BlocksCompiled != 0 {
-		t.Fatalf("NoJIT compiled traces: %+v", fused.Stats)
-	}
-}
-
-// A guest store into its own compiled trace must deoptimize: the store
-// completes, the trace stops, and the rewritten bytes execute — with
-// virtual cycles identical to the legacy engine.
-func TestTraceSMCDeoptParity(t *testing.T) {
-	// Five iterations: the first predecodes, the second compiles the
-	// loop trace, and the patch store then lands inside the running
-	// trace's own page.
-	src := `
+// smcSrc patches an immediate inside its own loop. Five iterations: the
+// first is Step's, the second compiles the loop trace, and the patch store
+// then lands inside the running trace's own page.
+const smcSrc = `
 .bits 64
 _start:
 	movi rcx, 5
@@ -110,8 +52,71 @@ patch:
 	jnz loop
 	hlt
 `
-	jit, exJ, cyJ := execSrc(t, src, false, false)
-	legacy, exL, cyL := execSrc(t, src, true, false)
+
+// execSrc assembles src into a fresh long-mode CPU and runs it to the
+// first exit under the selected engine.
+func execSrc(t testing.TB, src string, legacy bool) (*CPU, *Exit, uint64) {
+	t.Helper()
+	return execBudget(t, src, legacy, 100_000_000)
+}
+
+// execBudget is execSrc with an explicit instruction budget.
+func execBudget(t testing.TB, src string, legacy bool, budget uint64) (*CPU, *Exit, uint64) {
+	t.Helper()
+	p, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := make([]byte, 1<<20)
+	copy(mem[p.Origin:], p.Code)
+	clk := cycles.NewClock()
+	c := New(mem, clk, p.Entry)
+	c.Legacy = legacy
+	c.SetupLongMode()
+	ex := c.Run(budget)
+	return c, ex, clk.Now()
+}
+
+// The two engines — Step per instruction (Legacy) and compiled traces —
+// must agree bit-for-bit on registers, flags, retirement count and
+// virtual cycles.
+func TestTraceEngineFibParity(t *testing.T) {
+	jit, exJ, cyJ := execSrc(t, fibSrc, false)
+	legacy, exL, cyL := execSrc(t, fibSrc, true)
+	for _, ex := range []*Exit{exJ, exL} {
+		if ex.Reason != ExitHalt {
+			t.Fatalf("exit %+v", ex)
+		}
+	}
+	if jit.Regs[isa.RAX] != 610 {
+		t.Fatalf("fib(15) = %d, want 610", jit.Regs[isa.RAX])
+	}
+	if cyJ != cyL {
+		t.Fatalf("cycles diverge: jit %d, legacy %d", cyJ, cyL)
+	}
+	if jit.Regs != legacy.Regs {
+		t.Fatalf("registers diverge across engines")
+	}
+	if jit.Retired != legacy.Retired {
+		t.Fatalf("retired diverge: jit %d, legacy %d", jit.Retired, legacy.Retired)
+	}
+	if jit.Flags != legacy.Flags {
+		t.Fatalf("flags diverge: jit %+v, legacy %+v", jit.Flags, legacy.Flags)
+	}
+	if jit.Stats.BlocksCompiled == 0 || jit.Stats.BlockHits == 0 {
+		t.Fatalf("trace tier never engaged: %+v", jit.Stats)
+	}
+	if legacy.Stats != (JITStats{}) {
+		t.Fatalf("Legacy touched the trace tier: %+v", legacy.Stats)
+	}
+}
+
+// A guest store into its own compiled trace must deoptimize: the store
+// completes, the trace stops, and the rewritten bytes execute — with
+// virtual cycles identical to the legacy engine.
+func TestTraceSMCDeoptParity(t *testing.T) {
+	jit, exJ, cyJ := execSrc(t, smcSrc, false)
+	legacy, exL, cyL := execSrc(t, smcSrc, true)
 	if exJ.Reason != ExitHalt || exL.Reason != ExitHalt {
 		t.Fatalf("exits: jit %+v legacy %+v", exJ, exL)
 	}
@@ -201,6 +206,41 @@ patch:
 	// 4 iterations: 5 before the patch lands, 9 after → 5+9+9+9.
 	if want := uint64(5 + 9 + 9 + 9); jit.Regs[isa.RSI] != want {
 		t.Fatalf("rsi = %d, want %d (host patch not observed)", jit.Regs[isa.RSI], want)
+	}
+}
+
+// The trace gate (a trace is entered only when the remaining budget covers
+// every instruction it can retire) is the engine's only budget mechanism.
+// For every budget the two engines must stop on the same instruction in
+// the same state: same exit, IP, Retired, registers, flags and clock.
+func TestBudgetSweepParity(t *testing.T) {
+	for _, corpus := range []struct {
+		name, src string
+		budgets   uint64
+	}{
+		{"fib", fibSrc, 400}, // well past the first compiled traces
+		{"smc", smcSrc, 40},  // the whole program: it halts at 37
+	} {
+		traced := false
+		for b := uint64(1); b <= corpus.budgets; b++ {
+			jit, exJ, cyJ := execBudget(t, corpus.src, false, b)
+			legacy, exL, cyL := execBudget(t, corpus.src, true, b)
+			if exJ.Reason != exL.Reason || (exJ.Err == nil) != (exL.Err == nil) ||
+				(exJ.Err != nil && exJ.Err.Error() != exL.Err.Error()) {
+				t.Fatalf("%s budget %d: exits diverge: jit %+v, legacy %+v", corpus.name, b, exJ, exL)
+			}
+			if jit.IP != legacy.IP || jit.Retired != legacy.Retired || cyJ != cyL {
+				t.Fatalf("%s budget %d: jit ip=%#x retired=%d cycles=%d, legacy ip=%#x retired=%d cycles=%d",
+					corpus.name, b, jit.IP, jit.Retired, cyJ, legacy.IP, legacy.Retired, cyL)
+			}
+			if jit.Regs != legacy.Regs || jit.Flags != legacy.Flags {
+				t.Fatalf("%s budget %d: registers or flags diverge", corpus.name, b)
+			}
+			traced = traced || jit.Stats.BlocksCompiled > 0
+		}
+		if !traced {
+			t.Fatalf("%s: no budget compiled a trace; the sweep never exercised the gate", corpus.name)
+		}
 	}
 }
 

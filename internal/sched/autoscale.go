@@ -15,14 +15,14 @@ import "fmt"
 // AutoSignal is the telemetry snapshot a policy reads at each epoch
 // boundary. All times are virtual cycles.
 type AutoSignal struct {
-	At        uint64  // decision time: the epoch's end
-	Epoch     uint64  // epoch length
-	Workers   int     // active fleet width during the epoch
-	Arrivals  int     // tickets that arrived in the epoch
-	Backlog   int     // of those, still queued or running at the end
-	SvcEWMA   uint64  // smoothed per-ticket service cycles
-	QueueP99  uint64  // p99 queueing delay among the epoch's arrivals
-	Util      float64 // served cycles / (workers × epoch), may exceed 1 under backlog
+	At       uint64  // decision time: the epoch's end
+	Epoch    uint64  // epoch length
+	Workers  int     // active fleet width during the epoch
+	Arrivals int     // tickets that arrived in the epoch
+	Backlog  int     // of those, still queued or running at the end
+	SvcEWMA  uint64  // smoothed per-ticket service cycles
+	QueueP99 uint64  // p99 queueing delay among the epoch's arrivals
+	Util     float64 // served cycles / (workers × epoch), may exceed 1 under backlog
 }
 
 // AutoDecision is a policy's output for the next epoch. Workers is the

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cycles"
 	"repro/internal/guest"
+	"repro/internal/vmm"
 )
 
 // cowImage mutates memory after its snapshot so a COW reset has real work
@@ -179,5 +180,87 @@ func TestCOWWithArguments(t *testing.T) {
 	}
 	if got := call(3); got != 6 {
 		t.Fatalf("third: %d", got)
+	}
+}
+
+// A parked COW shell is resident against one snapshot. When an import or
+// a migration replaces the name's snapshot, the shell's dirty-page delta
+// says nothing about the new one: the next run must not COW-reset it, or
+// the old snapshot's memory shows through every page the new run leaves
+// clean.
+func TestImportOverParkedCOWShell(t *testing.T) {
+	// The image copies its argument word to 0x6000 before snapshot() and
+	// returns [0x6000] after it, so a restored run reports the argument
+	// of whichever run captured the snapshot it resumed from.
+	img := guest.MustFromAsm("cow-import", guest.WrapLongMode(`
+	movi rbx, 0x0
+	load rax, [rbx]
+	movi rbx, 0x6000
+	store [rbx], rax
+	out 0x08, rdi        ; snapshot()
+	movi rbx, 0x6000
+	load rax, [rbx]
+	movi rbx, 0x4000
+	store [rbx], rax
+	movi rdi, 0
+	out 0x00, rdi
+	hlt
+`))
+	for _, cow := range []bool{false, true} {
+		run := func(w *Wasp, platform string, arg uint64) uint64 {
+			t.Helper()
+			cfg := RunConfig{Snapshot: true, RetBytes: 8, Args: le64(arg)}
+			res, err := w.RunOn(platform, img, cfg, cycles.NewClock())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fromLE64(res.Ret)
+		}
+		w2 := New()
+		run(w2, "", 200)
+		blob, err := w2.ExportSnapshot(img.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		w1 := New(WithCOW(cow), WithPlatforms(vmm.KVM{}, vmm.HyperV{}))
+		// Two runs: the second leaves a shell parked against the
+		// arg-100 snapshot on every backend it ran on.
+		for i := 0; i < 2; i++ {
+			if got := run(w1, "", 100); got != 100 {
+				t.Fatalf("cow=%v: kvm run %d = %d, want 100", cow, i, got)
+			}
+		}
+		if _, _, err := w1.MigrateSnapshot(img.Name, "kvm", "hyper-v"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if got := run(w1, "hyper-v", 1); got != 100 {
+				t.Fatalf("cow=%v: hyper-v run %d = %d, want 100", cow, i, got)
+			}
+		}
+
+		if err := w1.ImportSnapshot(img.Name, blob); err != nil {
+			t.Fatal(err)
+		}
+		if got := run(w1, "", 2); got != 200 {
+			t.Fatalf("cow=%v: after ImportSnapshot kvm = %d, want 200 (reset against the replaced snapshot)", cow, got)
+		}
+		// kvm → hyper-v replaces the snapshot under hyper-v's parked
+		// shell; hyper-v → kvm replaces it under kvm's again.
+		if _, _, err := w1.MigrateSnapshot(img.Name, "kvm", "hyper-v"); err != nil {
+			t.Fatal(err)
+		}
+		if got := run(w1, "hyper-v", 3); got != 200 {
+			t.Fatalf("cow=%v: after MigrateSnapshot hyper-v = %d, want 200", cow, got)
+		}
+		if _, _, err := w1.MigrateSnapshot(img.Name, "hyper-v", "kvm"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if got := run(w1, "", 4); got != 200 {
+				t.Fatalf("cow=%v: after round trip kvm run %d = %d, want 200", cow, i, got)
+			}
+		}
 	}
 }

@@ -426,7 +426,16 @@ type cowRegistry struct {
 
 type cowShard struct {
 	mu    sync.Mutex
-	byImg map[string]*vmm.Context
+	byImg map[string]cowShell
+}
+
+// cowShell is a parked context and the snapshot its memory is a dirty-
+// page delta over. The pointer is an identity, never dereferenced: a COW
+// reset is sound only against that very snapshot, so a shell whose name
+// has since been re-captured, imported over or migrated is stale.
+type cowShell struct {
+	ctx *vmm.Context
+	on  *snapshot
 }
 
 func (r *cowRegistry) shardFor(name string) *cowShard {
@@ -439,22 +448,22 @@ func (r *cowRegistry) shardFor(name string) *cowShard {
 	return &r.shards[h>>(64-3)] // top 3 bits: cowShardCount == 8
 }
 
-// take claims the image-bound context, if one is parked.
-func (r *cowRegistry) take(name string) *vmm.Context {
+// take claims the image-bound context, if one is parked, with the
+// snapshot it is resident against.
+func (r *cowRegistry) take(name string) (*vmm.Context, *snapshot) {
 	sh := r.shardFor(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ctx := sh.byImg[name]
-	if ctx != nil {
-		delete(sh.byImg, name)
-	}
-	return ctx
+	cs := sh.byImg[name]
+	delete(sh.byImg, name)
+	return cs.ctx, cs.on
 }
 
-// park binds a context to its image for the next COW reset. It reports
-// whether the context was parked; false means a shell is already bound
-// to the image and the caller should recycle ctx through the pool.
-func (r *cowRegistry) park(name string, ctx *vmm.Context) bool {
+// park binds a context to its image for the next COW reset against on.
+// It reports whether the context was parked; false means a shell is
+// already bound to the image and the caller should recycle ctx through
+// the pool.
+func (r *cowRegistry) park(name string, ctx *vmm.Context, on *snapshot) bool {
 	sh := r.shardFor(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -462,8 +471,8 @@ func (r *cowRegistry) park(name string, ctx *vmm.Context) bool {
 		return false
 	}
 	if sh.byImg == nil {
-		sh.byImg = make(map[string]*vmm.Context)
+		sh.byImg = make(map[string]cowShell)
 	}
-	sh.byImg[name] = ctx
+	sh.byImg[name] = cowShell{ctx, on}
 	return true
 }

@@ -63,8 +63,8 @@ type Result struct {
 	BootEvents [cpu.NumEvents]uint64
 	// GuestEntry is the clock value at the first guest entry.
 	GuestEntry uint64
-	// JIT is this run's compiled-tier activity delta (fused entries
-	// created, traces compiled/entered/deoptimized).
+	// JIT is this run's compiled-tier activity delta (traces
+	// compiled/entered/deoptimized).
 	JIT cpu.JITStats
 	// SnapshotUsed reports whether this run restored from a snapshot.
 	SnapshotUsed bool
@@ -75,6 +75,12 @@ type Result struct {
 	// retBuf backs Ret for the common small-RetBytes case so the
 	// copy-out does not allocate separately from the Result itself.
 	retBuf [64]byte
+
+	// residentOn is the snapshot the run's shell is a dirty-page delta
+	// over — the one restored, or the last one captured. RunOn's epilogue
+	// hands it to the COW registry and clears it before the caller sees
+	// the Result.
+	residentOn *snapshot
 }
 
 const defaultMaxSteps = 200_000_000
@@ -115,14 +121,28 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	start := clk.Now()
 	memBytes := img.MemBytes()
 
+	res := &Result{}
+	var snap *snapshot
+	if cfg.Snapshot && w.snapEnable {
+		// get retains the snapshot's layer for the life of this run, so
+		// a concurrent re-capture of the same image can never release
+		// store pages this restore still reads from.
+		snap = be.snapshots.get(img.Name)
+		defer snap.release()
+	}
+	res.residentOn = snap
+
 	// COW resets apply to interpreted guests with snapshotting on. COW
 	// shells are image- AND backend-bound: a context parked after a KVM
-	// run only ever serves the image's next KVM run.
+	// run only ever serves the image's next KVM run — and only while the
+	// snapshot it is resident against is still the image's snapshot. A
+	// stale shell (the name was re-captured, imported over or migrated
+	// since) is recycled and the run starts from a clean one.
 	cowEligible := w.cow && cfg.Snapshot && w.snapEnable && img.Native == nil
 	var ctx *vmm.Context
 	resident := false
 	if cowEligible {
-		if c := be.cowShells.take(img.Name); c != nil {
+		if c, on := be.cowShells.take(img.Name); c != nil && on == snap {
 			ctx = c
 			resident = true
 			clk.Advance(cycles.PoolAcquire)
@@ -132,6 +152,8 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 				tr.Instant(obs.ControlLane, obs.KindShell, "shell-cow",
 					clk.Now(), 0, uint64(memBytes), 0)
 			}
+		} else if c != nil {
+			w.release(c)
 		}
 	}
 	if ctx == nil {
@@ -143,10 +165,6 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	// never pays an emit.
 	ctx.CPU.TierTrace = w.tracer.Enabled()
 	ctx.CPU.Legacy = w.legacyInterp
-	ctx.CPU.NoJIT = w.noJIT
-	if w.pairProf != nil {
-		ctx.CPU.PairProf = make(map[uint16]uint64)
-	}
 	// One way out for the shell, error returns included: drain the tier
 	// log while this run still owns the context, then park it for the
 	// image's next COW reset on this backend or — no reset point, or one
@@ -154,7 +172,9 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	parkCOW := false
 	defer func() {
 		w.drainTierLog(ctx)
-		if !parkCOW || !be.cowShells.park(img.Name, ctx) {
+		on := res.residentOn
+		res.residentOn = nil
+		if !parkCOW || on == nil || !be.cowShells.park(img.Name, ctx, on) {
 			w.release(ctx)
 		}
 	}()
@@ -165,18 +185,6 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	entries0, ioExits0 := ctx.Entries, ctx.ExitsIO
 	retired0 := ctx.CPU.Retired
 	stats0 := ctx.CPU.Stats
-	res := &Result{}
-	var snap *snapshot
-	if cfg.Snapshot && w.snapEnable {
-		// get retains the snapshot's layer for the life of this run, so
-		// a concurrent re-capture of the same image can never release
-		// store pages this restore still reads from.
-		snap = be.snapshots.get(img.Name)
-		defer snap.release()
-	}
-	if snap == nil {
-		resident = false // nothing to reset against
-	}
 
 	if snap != nil {
 		if resident {
@@ -321,12 +329,10 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	// counters are cumulative across tenants — report this run's delta
 	// and fold it into the Wasp-lifetime aggregate.
 	res.JIT = cpu.JITStats{
-		Fused:          ctx.CPU.Stats.Fused - stats0.Fused,
 		BlocksCompiled: ctx.CPU.Stats.BlocksCompiled - stats0.BlocksCompiled,
 		BlockHits:      ctx.CPU.Stats.BlockHits - stats0.BlockHits,
 		BlockDeopts:    ctx.CPU.Stats.BlockDeopts - stats0.BlockDeopts,
 	}
-	w.jitFused.Add(res.JIT.Fused)
 	w.jitCompiled.Add(res.JIT.BlocksCompiled)
 	w.jitHits.Add(res.JIT.BlockHits)
 	w.jitDeopts.Add(res.JIT.BlockDeopts)
@@ -337,14 +343,6 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 		tr.Span(obs.ControlLane, obs.KindGuest, img.Name,
 			start, clk.Now(), 0, res.JIT.BlocksCompiled, res.JIT.BlockDeopts)
 	}
-	if w.pairProf != nil && ctx.CPU.PairProf != nil {
-		w.pairMu.Lock()
-		for k, n := range ctx.CPU.PairProf {
-			w.pairProf[k] += n
-		}
-		w.pairMu.Unlock()
-		ctx.CPU.PairProf = nil // the context returns to a shared pool
-	}
 	// Harvest newly decoded pages into the per-image registry so the
 	// next run — on any shell — starts predecoded. On the warm path
 	// every page was adopted and nothing new was decoded, so the
@@ -352,7 +350,7 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	if !w.legacyInterp && ctx.CPU.CodeNew() {
 		w.codes.merge(img.ContentKey(), ctx.CPU.ShareCode())
 	}
-	parkCOW = cowEligible && be.snapshots.has(img.Name)
+	parkCOW = cowEligible
 	return res, nil
 }
 
@@ -424,7 +422,7 @@ func (w *Wasp) serviceHypercall(be *backend, ctx *vmm.Context, img *guest.Image,
 		// footprint plus the stack, and the architectural state. The
 		// copy is charged — the paper's Fig 11 snapshot bars include
 		// the initial capture overhead.
-		w.capture(be, ctx, img, nil, false, clk)
+		res.residentOn = w.capture(be, ctx, img, nil, false, clk)
 	}
 
 	ret, herr := cfg.Handler.Handle(call, gm)
@@ -455,7 +453,7 @@ func (w *Wasp) serviceHypercall(be *backend, ctx *vmm.Context, img *guest.Image,
 // base. The first capture of a content becomes its shared base layer,
 // so tenant clones made with guest.Image.WithName cost their delta, not
 // the image.
-func (w *Wasp) capture(be *backend, ctx *vmm.Context, img *guest.Image, native any, booted bool, clk *cycles.Clock) {
+func (w *Wasp) capture(be *backend, ctx *vmm.Context, img *guest.Image, native any, booted bool, clk *cycles.Clock) *snapshot {
 	foot := img.Footprint() + img.ExtraHeap
 	if foot > len(ctx.Mem) {
 		foot = len(ctx.Mem)
@@ -490,4 +488,5 @@ func (w *Wasp) capture(be *backend, ctx *vmm.Context, img *guest.Image, native a
 		tr.Instant(obs.ControlLane, obs.KindSnapshot, "snap-capture",
 			clk.Now(), 0, uint64(captured), 0)
 	}
+	return snap
 }

@@ -25,7 +25,6 @@ func (w *Wasp) RegisterMetrics(r *obs.Registry) {
 		cs := w.CodeCacheStats()
 		emit("wasp_code_entries", float64(cs.Entries))
 		emit("wasp_code_merges", float64(cs.Merges))
-		emit("wasp_jit_fused", float64(cs.Fused))
 		emit("wasp_jit_blocks_compiled", float64(cs.BlocksCompiled))
 		emit("wasp_jit_block_hits", float64(cs.BlockHits))
 		emit("wasp_jit_block_deopts", float64(cs.BlockDeopts))

@@ -40,13 +40,11 @@ package wasp
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/cpu"
 	"repro/internal/cycles"
-	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/vmm"
 )
@@ -67,7 +65,6 @@ type Wasp struct {
 	snapEnable   bool
 	cow          bool
 	legacyInterp bool
-	noJIT        bool
 	platforms    []vmm.Platform
 	policy       PoolPolicy
 
@@ -75,15 +72,9 @@ type Wasp struct {
 
 	// Lifetime compiled-tier activity, aggregated from per-run deltas
 	// (contexts are pooled, so per-CPU counters alone mean nothing).
-	jitFused    atomic.Uint64
 	jitCompiled atomic.Uint64
 	jitHits     atomic.Uint64
 	jitDeopts   atomic.Uint64
-
-	// pairProf accumulates opcode-pair counts across runs when
-	// WithPairProfile is on (guarded by pairMu; runs may be concurrent).
-	pairMu   sync.Mutex
-	pairProf map[uint16]uint64
 
 	// tracer is the attached flight recorder (internal/obs); nil or
 	// disabled, every instrumentation site costs one atomic load. Set
@@ -195,33 +186,12 @@ func WithPlatforms(ps ...vmm.Platform) Option {
 	}
 }
 
-// WithLegacyInterp selects the original decode-every-instruction guest
-// interpreter instead of the predecoded block-execution engine, and
-// disables the per-image decoded-code registry. Virtual-cycle results are
-// bit-identical either way (the differential determinism tests enforce
-// it); only host wall-clock differs.
+// WithLegacyInterp runs every guest instruction through cpu.Step instead
+// of compiled traces, and disables the per-image decoded-code registry.
+// It is the reference the differential determinism tests compare the
+// trace engine against: virtual-cycle results are bit-identical either
+// way; only host wall-clock differs.
 func WithLegacyInterp(on bool) Option { return func(w *Wasp) { w.legacyInterp = on } }
-
-// WithNoJIT disables the compiled-trace tier of the cached engine: guest
-// code still runs from predecoded (and fused) entries, one dispatch per
-// entry, but no closure chains are compiled. This is the middle row of
-// the interp benchmark's engine ablation; virtual cycles are identical
-// in all three engines.
-func WithNoJIT(on bool) Option { return func(w *Wasp) { w.noJIT = on } }
-
-// WithPairProfile records the dynamic opcode-pair frequency of every
-// guest instruction retired under this Wasp. Profiling forces the
-// legacy engine — the histogram must observe the natural instruction
-// stream, before superinstruction fusion rewrites it — so it is a
-// measurement mode, not a production one. Harvest with HotPairs.
-func WithPairProfile(on bool) Option {
-	return func(w *Wasp) {
-		if on {
-			w.legacyInterp = true
-			w.pairProf = make(map[uint16]uint64)
-		}
-	}
-}
 
 // WithTracer attaches a flight recorder (internal/obs): the runtime
 // emits shell-provisioning (pool hit / cleaner reclaim / cold create /
@@ -578,14 +548,15 @@ func (w *Wasp) HasSnapshotOn(platform, name string) bool {
 }
 
 // DropSnapshot removes a stored snapshot from every backend (tests and
-// ablations). Any COW shell parked against the image is discarded too:
-// its memory is a delta over the dropped snapshot, so rebooting it
-// without that reset point would leak post-snapshot state into the
-// image's next cold run.
+// ablations). Any COW shell parked against the image goes back through
+// the pool's cleaning path: its memory is a delta over the dropped
+// snapshot.
 func (w *Wasp) DropSnapshot(name string) {
 	for _, be := range w.backends {
 		be.snapshots.drop(name)
-		be.cowShells.take(name)
+		if ctx, _ := be.cowShells.take(name); ctx != nil {
+			w.release(ctx)
+		}
 	}
 }
 
@@ -598,10 +569,11 @@ type CodeStats struct {
 	// against warm content leaves both unchanged.
 	Entries int
 	Merges  uint64
-	// Fused counts superinstruction entries created at predecode;
 	// BlocksCompiled, BlockHits and BlockDeopts track the compiled
 	// closure-trace tier, aggregated across all runs (and all pooled
-	// contexts) of this Wasp.
+	// contexts) of this Wasp. Fused always reads 0: the superinstruction
+	// tier it counted is gone, and the field stays only because the
+	// benchmark harness still publishes it as cpu.fused_entries.
 	Fused          uint64
 	BlocksCompiled uint64
 	BlockHits      uint64
@@ -614,40 +586,10 @@ func (w *Wasp) CodeCacheStats() CodeStats {
 	return CodeStats{
 		Entries:        entries,
 		Merges:         merges,
-		Fused:          w.jitFused.Load(),
 		BlocksCompiled: w.jitCompiled.Load(),
 		BlockHits:      w.jitHits.Load(),
 		BlockDeopts:    w.jitDeopts.Load(),
 	}
-}
-
-// PairCount is one entry of the opcode-pair histogram: Count retirements
-// of First immediately followed by Second.
-type PairCount struct {
-	First, Second isa.Op
-	Count         uint64
-}
-
-// HotPairs returns the k most frequent dynamic opcode pairs observed
-// under WithPairProfile, most frequent first.
-func (w *Wasp) HotPairs(k int) []PairCount {
-	w.pairMu.Lock()
-	out := make([]PairCount, 0, len(w.pairProf))
-	for key, n := range w.pairProf {
-		out = append(out, PairCount{First: isa.Op(key >> 8), Second: isa.Op(key & 0xFF), Count: n})
-	}
-	w.pairMu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return uint16(out[i].First)<<8|uint16(out[i].Second) <
-			uint16(out[j].First)<<8|uint16(out[j].Second)
-	})
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
 }
 
 // guestMem is the bounds-checked GuestMem window handlers receive. Bulk
