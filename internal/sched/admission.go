@@ -122,6 +122,7 @@ type imageState struct {
 	pass   uint64 // stride-scheduling virtual start tag
 
 	queue    []*Ticket // real core: waiting tickets, FIFO within the image
+	activeAt int       // real core: index in admission.active while queue is non-empty
 	inFlight int       // real core: dispatched, not yet completed
 
 	// inFlightBy counts dispatched-but-not-completed tickets per backend
@@ -143,6 +144,10 @@ type admission struct {
 	images map[string]*imageState
 	vtime  uint64 // pass of the most recently dispatched image (global virtual time)
 	queued int    // real core: tickets waiting across all image queues
+
+	// active lists the images with a non-empty queue (real core), so the
+	// fair pick walks the backlog instead of every image ever seen.
+	active []*imageState
 }
 
 func newAdmission(pol Admission) *admission {
@@ -179,17 +184,17 @@ func (a *admission) activate(st *imageState) {
 	}
 }
 
-// complete folds a finished ticket's telemetry back into its image:
-// in-flight release (global and per-backend), service-time EWMA (the
-// stride numerator), and queue-delay accounting. Caller holds the core
-// lock.
-func (a *admission) complete(t *Ticket) {
+// complete folds a ticket finished on backend beIdx back into its
+// image: in-flight release (global and per-backend), service-time EWMA
+// (the stride numerator), and queue-delay accounting. Caller holds the
+// core lock.
+func (a *admission) complete(t *Ticket, beIdx int) {
 	st := a.state(t.Image)
 	if st.inFlight > 0 {
 		st.inFlight--
 	}
-	if t.servedBE < len(st.inFlightBy) && st.inFlightBy[t.servedBE] > 0 {
-		st.inFlightBy[t.servedBE]--
+	if beIdx < len(st.inFlightBy) && st.inFlightBy[beIdx] > 0 {
+		st.inFlightBy[beIdx]--
 	}
 	st.completed++
 	st.svcEWMA = stats.EWMA(st.svcEWMA, t.ServiceCycles())

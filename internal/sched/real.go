@@ -7,12 +7,16 @@ import (
 	"repro/internal/placement"
 )
 
-// realCore is the real-mode dispatch core: N worker goroutines draining
-// a bounded queue — a cond-var deque rather than a channel, so a burst
+// realCore is the real-mode dispatch core: N worker lanes draining a
+// bounded queue — a cond-var deque rather than a channel, so a burst
 // enqueues under one lock acquisition with one wake, and the admission
-// layer can pick across per-image queues instead of strict FIFO. The
-// enqueue-side half of the admission state (imageState.queue, inFlight,
-// inFlightBy; tryEnqueue, pick) lives in this file, guarded by dmu.
+// layer can pick across per-image queues instead of strict FIFO. Each
+// lane has a resident goroutine (workerLoop), but any goroutine may
+// drive it: Ticket.Wait borrows an idle lane and serves the queue on
+// the caller's goroutine instead of waking the resident and sleeping
+// (help). The enqueue-side half of the admission state
+// (imageState.queue, inFlight, inFlightBy; tryEnqueue, pick) lives in
+// this file, guarded by dmu.
 type realCore struct {
 	s *Scheduler
 
@@ -24,6 +28,11 @@ type realCore struct {
 	fifo     []*Ticket // plain FIFO lane, used when adm == nil
 	fifoHead int
 	queuedN  int
+
+	// idle lists the lanes whose resident is parked in park: the lanes a
+	// waiter may borrow (help). A borrowed lane is off the list and
+	// marked lent until it comes back.
+	idle []*worker
 
 	// busyBy counts workers mid-ticket per backend (maintained only
 	// while a placer is attached): the weight-aware pop consults it to
@@ -115,6 +124,7 @@ func (c *realCore) submit(ts []*Ticket) (rejected []*Ticket) {
 		} else {
 			c.fifo = append(c.fifo, t)
 		}
+		t.lender, t.queued = c, true
 		t.DepthAtSubmit = c.queuedN // tickets already waiting ahead of this one
 		c.queuedN++
 		s.depth.Store(int64(c.queuedN))
@@ -178,17 +188,20 @@ func (c *realCore) prefBackendLocked(t *Ticket) int {
 	return best
 }
 
-// popTicket takes the next ticket the given worker's backend may serve:
-// the first eligible FIFO entry, or the admission layer's weighted pick
-// across per-image queues restricted to eligible images. With block it
-// waits until a ticket is eligible or the queue is closed and drained;
-// deferred tickets (image at its hard cap), tickets pinned to other
+// pickLocked pops the next ticket lane wk's backend may serve: the
+// first eligible FIFO entry, or the admission layer's weighted pick
+// across per-image queues restricted to eligible images. It is the one
+// pick every driver of a lane shares — the resident worker and a waiter
+// the lane is lent to — so dispatch order never depends on who drives.
+// Deferred tickets (image at its hard cap), tickets pinned to other
 // platforms, and tickets steered to a preferred backend that still has
-// an idle worker keep the worker waiting until its own work appears.
-// done reports the queue closed and drained; (nil, false) means nothing
-// was eligible and block was off.
-func (c *realCore) popTicket(wk *worker, block bool) (t *Ticket, done bool) {
+// an idle worker are left queued; nil means nothing was eligible.
+// Caller holds dmu.
+func (c *realCore) pickLocked(wk *worker) (t *Ticket) {
 	s := c.s
+	if c.queuedN == 0 {
+		return nil
+	}
 	eligible := func(t *Ticket) bool {
 		if !eligibleOn(t.elig, wk.beIdx) {
 			return false
@@ -210,108 +223,219 @@ func (c *realCore) popTicket(wk *worker, block bool) (t *Ticket, done bool) {
 		}
 		return true
 	}
-	c.dmu.Lock()
-	defer c.dmu.Unlock()
-	for {
-		if s.adm != nil {
-			t = s.adm.pick(eligible)
-		} else {
-			// Skip holes earlier platform-affine pops left behind.
-			for c.fifoHead < len(c.fifo) && c.fifo[c.fifoHead] == nil {
+	if s.adm != nil {
+		t = s.adm.pick(eligible)
+	} else {
+		// Skip holes earlier platform-affine pops left behind.
+		for c.fifoHead < len(c.fifo) && c.fifo[c.fifoHead] == nil {
+			c.fifoHead++
+		}
+		for i := c.fifoHead; i < len(c.fifo); i++ {
+			cand := c.fifo[i]
+			if cand == nil || !eligible(cand) {
+				continue
+			}
+			t = cand
+			c.fifo[i] = nil
+			if i == c.fifoHead {
 				c.fifoHead++
 			}
-			for i := c.fifoHead; i < len(c.fifo); i++ {
-				cand := c.fifo[i]
-				if cand == nil || !eligible(cand) {
-					continue
-				}
-				t = cand
-				c.fifo[i] = nil
-				if i == c.fifoHead {
-					c.fifoHead++
-				}
-				break
-			}
-			if c.fifoHead == len(c.fifo) {
-				c.fifo = c.fifo[:0]
-				c.fifoHead = 0
-			} else if c.fifoHead > 1024 && 2*c.fifoHead > len(c.fifo) {
-				// Compact the drained prefix so a long-lived queue does
-				// not pin its high-water backing array. Interior holes
-				// survive the copy and are skipped by the scan above.
-				c.fifo = append(c.fifo[:0], c.fifo[c.fifoHead:]...)
-				c.fifoHead = 0
-			}
+			break
 		}
-		if t != nil {
-			c.queuedN--
-			s.depth.Store(int64(c.queuedN))
-			if s.placer != nil {
-				c.busyBy[wk.beIdx]++
-				if c.queuedN > 0 && len(s.bstates) > 1 &&
-					c.busyBy[wk.beIdx] >= s.bstates[wk.beIdx].workers {
-					// This backend just saturated: tickets steered to it
-					// become takeable by the other backends' idle workers,
-					// which may be parked — wake them to re-evaluate.
-					c.notEmpty.Broadcast()
-				}
-			}
-			if s.quotaFor(t) > 0 {
-				s.adm.state(t.Image).claimBackend(wk.beIdx, len(s.bstates))
-			}
-			c.notFull.Signal()
-			if c.qclosed && c.queuedN == 0 {
-				// Draining just finished: wake workers parked on a backlog
-				// their backend could not serve, or they would sleep
-				// through popDone forever and Close would hang on them.
-				c.notEmpty.Broadcast()
-			}
-			return t, false
+		if c.fifoHead == len(c.fifo) {
+			c.fifo = c.fifo[:0]
+			c.fifoHead = 0
+		} else if c.fifoHead > 1024 && 2*c.fifoHead > len(c.fifo) {
+			// Compact the drained prefix so a long-lived queue does
+			// not pin its high-water backing array. Interior holes
+			// survive the copy and are skipped by the scan above.
+			c.fifo = append(c.fifo[:0], c.fifo[c.fifoHead:]...)
+			c.fifoHead = 0
 		}
-		if done = c.qclosed && c.queuedN == 0; done || !block {
-			return nil, done
-		}
-		c.notEmpty.Wait()
 	}
+	if t == nil {
+		return nil
+	}
+	t.queued = false
+	c.queuedN--
+	s.depth.Store(int64(c.queuedN))
+	if s.placer != nil {
+		c.busyBy[wk.beIdx]++
+		if c.queuedN > 0 && len(s.bstates) > 1 &&
+			c.busyBy[wk.beIdx] >= s.bstates[wk.beIdx].workers {
+			// This backend just saturated: tickets steered to it
+			// become takeable by the other backends' idle workers,
+			// which may be parked — wake them to re-evaluate.
+			c.notEmpty.Broadcast()
+		}
+	}
+	if s.quotaFor(t) > 0 {
+		s.adm.state(t.Image).claimBackend(wk.beIdx, len(s.bstates))
+	}
+	c.notFull.Signal()
+	if c.qclosed && c.queuedN == 0 {
+		// Draining just finished: wake workers parked on a backlog
+		// their backend could not serve, or they would sleep through
+		// the closed-and-drained exit forever and Close would hang on
+		// them.
+		c.notEmpty.Broadcast()
+	}
+	return t
 }
 
-// idleDrained, when non-nil, runs after a worker scrubs a shell on the
-// idle lane — a test seam (the migrateExportGate pattern) that lets
+// idleDrained, when non-nil, runs after a lane scrubs a shell on the
+// idle path — a test seam (the migrateExportGate pattern) that lets
 // tests wait on the drain event instead of polling the cleaner. Always
 // nil outside tests.
 var idleDrained func()
 
-// workerLoop drains tickets with priority; when the queue is
-// momentarily empty it scrubs one dirty shell from the runtime's
-// cleaner (the Wasp+CA low-priority lane) before blocking for the next
-// ticket. Cleaning runs on the worker's host thread but is never
-// charged to its virtual clock — idle capacity absorbs it, exactly like
-// the paper's background cleaning thread.
+// workerLoop is lane wk's resident driver, one locked pass per duty
+// cycle: the next ticket, else one dirty shell from the runtime's
+// cleaner (the Wasp+CA low-priority lane), else park. Cleaning runs on
+// the driver's host thread but is never charged to the lane's virtual
+// clock — idle capacity absorbs it, exactly like the paper's background
+// cleaning thread.
 func (c *realCore) workerLoop(wk *worker) {
 	defer c.wg.Done()
+	c.dmu.Lock()
+	defer c.dmu.Unlock()
 	for {
-		t, done := c.popTicket(wk, false)
-		if t == nil && !done {
-			if c.drainOneCleaner() {
-				if idleDrained != nil {
-					idleDrained()
-				}
-				continue
-			}
-			t, done = c.popTicket(wk, true)
-		}
-		if done {
+		if t := c.pickLocked(wk); t != nil {
+			c.execUnlocked(wk, t)
+		} else if c.qclosed && c.queuedN == 0 {
 			return
+		} else if !c.scrubLocked() {
+			c.park(wk)
 		}
-		c.exec(wk, t)
 	}
 }
 
-// drainOneCleaner scrubs one dirty shell from any backend's cleaner.
-func (c *realCore) drainOneCleaner() bool {
+// park puts lane wk on the idle list, where a waiter may borrow it
+// (help), and blocks its resident until it is woken with the lane in
+// hand. Caller holds dmu.
+func (c *realCore) park(wk *worker) {
+	c.idle = append(c.idle, wk)
+	for c.notEmpty.Wait(); wk.lent; c.notEmpty.Wait() {
+		// The lane is out with a waiter, so if this was a submission's
+		// single wake it landed on a resident that cannot act on it:
+		// pass it on to one that can. The borrower wakes this resident
+		// when the lane comes back with work left (driveLent).
+		if c.queuedN > 0 && len(c.idle) > 0 {
+			c.notEmpty.Signal()
+		}
+	}
+	c.unidleLocked(wk)
+}
+
+// unidleLocked takes lane wk off the idle list.
+func (c *realCore) unidleLocked(wk *worker) {
+	last := len(c.idle) - 1
+	for i, x := range c.idle {
+		if x == wk {
+			c.idle[i], c.idle[last] = c.idle[last], nil
+			c.idle = c.idle[:last]
+			return
+		}
+	}
+}
+
+// help lends idle lanes to the goroutine waiting on t for as long as t
+// is still queued: the caller pops whatever pickLocked hands the lane —
+// its own ticket or, when the fair pick says so, another caller's — and
+// serves it on its own goroutine, saving the wake of a parked resident
+// and the wake back on done. A lane has one driver at a time and only
+// lanes carry tickets, so at most NumWorkers tickets are ever in
+// service. Returns once t has been popped (by anyone) or no idle lane
+// may serve what is queued; Wait then blocks on done as before.
+func (c *realCore) help(t *Ticket) {
+	c.dmu.Lock()
+	defer c.dmu.Unlock()
+	for t.queued {
+		var wk *worker
+		var next *Ticket
+		for _, cand := range c.idle {
+			if next = c.pickLocked(cand); next != nil {
+				wk = cand
+				break
+			}
+		}
+		if wk == nil {
+			return
+		}
+		c.driveLent(wk, next, t)
+	}
+}
+
+// driveLent runs the resident's duty cycle on idle lane wk from the
+// calling goroutine: ticket next, then whatever pickLocked yields while
+// the caller's own ticket is still queued, then — the queue empty — one
+// scrub, where the resident would have scrubbed (the pool's shrink rule
+// only sees parked shells, so a lane that skipped its scrub would leave
+// them to inline reclaims). While the lane is out its resident neither
+// picks nor exits, so Close waits for it; it goes back in a defer, so a
+// task that panics into the waiter's recover does not strand it. Caller
+// holds dmu.
+func (c *realCore) driveLent(wk *worker, next, own *Ticket) {
+	c.unidleLocked(wk)
+	wk.lent = true
+	defer func() {
+		wk.lent = false
+		c.idle = append(c.idle, wk)
+		if c.queuedN > 0 || c.qclosed || c.cleanerBacklog() {
+			// What the borrower leaves undone is the resident's again
+			// (other idle residents wake too, and park if the pick has
+			// nothing for them).
+			c.notEmpty.Broadcast()
+		}
+	}()
+	for ; next != nil; next = c.pickLocked(wk) {
+		c.execUnlocked(wk, next)
+		c.s.helped.Add(1)
+		if !own.queued {
+			break
+		}
+	}
+	if c.queuedN == 0 {
+		c.scrubLocked()
+	}
+}
+
+// execUnlocked serves t on lane wk with dmu released, retaking it on
+// the way out even when the task panics. Caller holds dmu and drives wk.
+func (c *realCore) execUnlocked(wk *worker, t *Ticket) {
+	c.dmu.Unlock()
+	defer c.dmu.Lock()
+	c.exec(wk, t)
+}
+
+// scrubLocked scrubs one dirty shell from any backend's cleaner and
+// reports whether it released dmu to try (the zeroing runs unlocked, so
+// the caller must look at the queue again). The backlog check itself
+// runs under dmu: a driver that finds none may park on this pass.
+// Caller holds dmu.
+func (c *realCore) scrubLocked() bool {
+	if !c.cleanerBacklog() {
+		return false
+	}
+	c.dmu.Unlock()
+	defer c.dmu.Lock()
 	for _, cl := range c.s.cleaners {
 		if cl.DrainOne() {
 			c.s.cleanerDrains.Add(1)
+			if idleDrained != nil {
+				idleDrained()
+			}
+			break
+		}
+	}
+	return true
+}
+
+// cleanerBacklog reports whether any backend's cleaner holds a dirty
+// shell.
+func (c *realCore) cleanerBacklog() bool {
+	for _, cl := range c.s.cleaners {
+		if cl.Pending() > 0 {
 			return true
 		}
 	}
@@ -331,7 +455,7 @@ func (c *realCore) exec(wk *worker, t *Ticket) {
 			c.busyBy[wk.beIdx]--
 		}
 		if s.adm != nil {
-			s.adm.complete(t)
+			s.adm.complete(t, wk.beIdx)
 			if (s.adm.pol.MaxInFlight > 0 && !s.adm.pol.RejectOverflow) ||
 				s.adm.pol.MaxPerBackend > 0 {
 				// A deferred image may have a free slot now — under the
@@ -363,6 +487,8 @@ func (a *admission) tryEnqueue(t *Ticket) error {
 	}
 	if len(st.queue) == 0 {
 		a.activate(st)
+		st.activeAt = len(a.active)
+		a.active = append(a.active, st)
 	}
 	st.queue = append(st.queue, t)
 	a.queued++
@@ -371,34 +497,57 @@ func (a *admission) tryEnqueue(t *Ticket) error {
 
 // pick removes and returns the next ticket by weighted fair pick across
 // the per-image queues: the eligible image with the lowest pass (ties
-// break on the image name, keeping the pick deterministic). Deferred
-// images — at their hard cap — are not eligible, and neither are images
-// the caller's eligible filter refuses (the placement layer's
-// platform-affinity gate: a worker passes a filter accepting only
-// tickets its backend may serve). Returns nil when no eligible ticket
-// exists. Caller holds dmu.
+// break on the image name, keeping the pick deterministic whatever the
+// order of the active list). Deferred images — at their hard cap — are
+// not eligible, and neither are images the caller's eligible filter
+// refuses (the placement layer's platform-affinity gate: a worker
+// passes a filter accepting only tickets its backend may serve). Only
+// images with a waiting ticket are looked at, so the cost follows the
+// backlog, not the tenants ever seen. Returns nil when no eligible
+// ticket exists. Caller holds dmu.
 func (a *admission) pick(eligible func(*Ticket) bool) *Ticket {
 	var best *imageState
-	for _, st := range a.images {
-		if len(st.queue) == 0 {
-			continue
-		}
-		if a.pol.MaxInFlight > 0 && !a.pol.RejectOverflow && st.inFlight >= a.pol.MaxInFlight {
-			continue // deferred: wait for a completion slot
-		}
-		if !eligible(st.queue[0]) {
-			continue // pinned to a backend this worker does not serve
-		}
-		if best == nil || st.pass < best.pass || (st.pass == best.pass && st.name < best.name) {
+	for _, st := range a.active {
+		if a.pickable(st, eligible) && (best == nil || st.before(best)) {
 			best = st
 		}
 	}
+	return a.take(best)
+}
+
+// pickable reports whether st's head ticket may be dispatched now.
+func (a *admission) pickable(st *imageState, eligible func(*Ticket) bool) bool {
+	if len(st.queue) == 0 {
+		return false
+	}
+	if a.pol.MaxInFlight > 0 && !a.pol.RejectOverflow && st.inFlight >= a.pol.MaxInFlight {
+		return false // deferred: wait for a completion slot
+	}
+	return eligible(st.queue[0]) // else pinned to a backend this worker does not serve
+}
+
+// before is the fair pick's total order: (pass, name).
+func (st *imageState) before(o *imageState) bool {
+	return st.pass < o.pass || (st.pass == o.pass && st.name < o.name)
+}
+
+// take dispatches the head ticket of the picked image (nil: none),
+// advancing its pass and dropping it from the active list once its
+// queue is empty.
+func (a *admission) take(best *imageState) *Ticket {
 	if best == nil {
 		return nil
 	}
 	t := best.queue[0]
 	best.queue[0] = nil
 	best.queue = best.queue[1:]
+	if len(best.queue) == 0 {
+		last := a.active[len(a.active)-1]
+		a.active[best.activeAt] = last
+		last.activeAt = best.activeAt
+		a.active[len(a.active)-1] = nil
+		a.active = a.active[:len(a.active)-1]
+	}
 	a.queued--
 	best.inFlight++
 	if best.pass > a.vtime {

@@ -12,10 +12,13 @@
 // Two dispatch cores sit behind the same API and semantics (the core
 // interface below):
 //
-//   - Real mode (New, real.go): N worker goroutines drain a bounded
-//     queue. Virtines on different workers execute concurrently on the
-//     host — this is the mode the throughput benchmarks exercise, and it
-//     is what makes the sharded shell pools in internal/wasp matter.
+//   - Real mode (New, real.go): N worker lanes drain a bounded queue,
+//     each driven by its resident goroutine or by a caller blocked in
+//     Ticket.Wait, which borrows an idle lane instead of paying two
+//     thread wake-ups. Virtines on different workers execute
+//     concurrently on the host — this is the mode the throughput
+//     benchmarks exercise, and it is what makes the sharded shell pools
+//     in internal/wasp matter.
 //   - Virtual mode (NewVirtual, virtual.go): deterministic event-driven
 //     dispatch in the submitting goroutine. Tickets are assigned to the
 //     earliest-free worker in virtual time; queueing delay comes from
@@ -106,6 +109,9 @@ type Ticket struct {
 	// a wait measured against an arrival the caller never declared would
 	// be fiction.
 	hasArrival bool
+	// queued is set while the ticket sits in a real core's queue (the
+	// core's flag, under its lock).
+	queued bool
 
 	// Arrival is the virtual time the request entered the system: the
 	// caller-declared arrival, or the assigned worker's clock at dequeue
@@ -164,10 +170,10 @@ type Ticket struct {
 	// -1 means no steering — eligible workers race freely.
 	prefBE int
 
-	// servedBE is the backend index of the worker that served the
-	// ticket, stamped by exec; the per-backend admission quota releases
-	// against it on completion.
-	servedBE int
+	// lender is the real core whose queue holds (or held) the ticket; nil
+	// for virtual-mode and never-enqueued tickets. Wait helps it serve
+	// the queue while queued is set.
+	lender *realCore
 
 	// batch links tickets submitted in one SubmitBatch burst for the
 	// batch completion hook; nil for single submissions.
@@ -211,7 +217,14 @@ func (t *Ticket) finishBatch() {
 
 // Wait blocks until the ticket's work has completed and returns its
 // result. Wait may be called any number of times, from any goroutine.
+// On a real-mode ticket that is still queued, the caller first drives
+// an idle worker lane itself (realCore.help): it may run this ticket's
+// task, hypercall handler and completion hook — or, when the fair pick
+// says so, another caller's — on its own goroutine.
 func (t *Ticket) Wait() (*wasp.Result, error) {
+	if t.lender != nil {
+		t.lender.help(t)
+	}
 	<-t.done
 	return t.res, t.err
 }
@@ -282,6 +295,10 @@ type worker struct {
 	lastImage string
 	lastStart uint64
 	lastDone  uint64
+
+	// lent marks a lane a waiter borrowed from the real core's idle list
+	// (under dmu): its resident neither picks nor exits until it is back.
+	lent bool
 }
 
 // backendState aggregates the fleet's workers per hypervisor backend.
@@ -323,6 +340,10 @@ type Scheduler struct {
 	cleaners      []*wasp.Cleaner
 	cleanerDrains atomic.Uint64
 
+	// helped counts real-mode tickets served on a lane lent to a waiter
+	// (Ticket.Wait) instead of by the lane's resident goroutine.
+	helped atomic.Uint64
+
 	// Multi-backend placement state: worker platform pins, per-backend
 	// aggregates, and the attached policy. imgStats is the LRU-bounded
 	// per-image service/entry EWMA store the policies consult (guarded by
@@ -338,9 +359,10 @@ type Scheduler struct {
 
 	qcap int // WithQueueCap, consumed by the real core
 
-	closeMu sync.RWMutex // guards closed; submits hold the read side
-	closed  bool
-	workers []*worker
+	closeMu   sync.RWMutex // guards closed; submits hold the read side
+	closed    bool
+	closeOnce sync.Once
+	workers   []*worker
 
 	depth      atomic.Int64
 	peakDepth  atomic.Int64
@@ -372,9 +394,11 @@ func WithQueueCap(n int) Option {
 // WithOnComplete installs a completion hook, invoked once per ticket
 // that finishes service, after its timing fields are final and before
 // Wait unblocks (rejected tickets never run, so the hook does not fire
-// for them). In real mode the hook runs on worker goroutines and must
-// be safe for concurrent use; in virtual mode it runs in the submitting
-// goroutine and must not call back into the scheduler.
+// for them). In real mode the hook runs on whichever goroutine drove
+// the ticket's lane — a worker goroutine or a caller inside Ticket.Wait,
+// not necessarily this ticket's — and must be safe for concurrent use;
+// in virtual mode it runs in the submitting goroutine and must not call
+// back into the scheduler.
 func WithOnComplete(fn func(*Ticket)) Option {
 	return func(s *Scheduler) { s.onComplete = fn }
 }
@@ -762,7 +786,6 @@ func (s *Scheduler) serve(wk *worker, t *Ticket) {
 	}
 	t.Worker = wk.id
 	t.Platform = wk.pname
-	t.servedBE = wk.beIdx
 	if t.img != nil {
 		// Image tickets execute on the serving worker's pinned backend:
 		// its platform's Fig 5 costs, its shell pools, its snapshots.
@@ -850,12 +873,11 @@ func (s *Scheduler) AdmissionImages() []string {
 // ticket that fails with ErrClosed.
 func (s *Scheduler) Close() {
 	s.closeMu.Lock()
-	first := !s.closed
 	s.closed = true
 	s.closeMu.Unlock()
-	if first {
-		s.core.close()
-	}
+	// Once, so that a Close racing the first one also returns only after
+	// the core has drained.
+	s.closeOnce.Do(s.core.close)
 }
 
 // SetVirtualWorkers resizes the active virtual fleet to n workers at
@@ -946,6 +968,11 @@ func (s *Scheduler) BackendLoads() []BackendLoad {
 // CleanerDrains reports dirty shells this scheduler scrubbed: on the
 // real-mode idle-worker lane, or on the virtual cleaner core.
 func (s *Scheduler) CleanerDrains() uint64 { return s.cleanerDrains.Load() }
+
+// HelpedRuns reports how many tickets ran inline on a goroutine blocked
+// in Ticket.Wait, on a worker lane it borrowed, rather than being handed
+// off to the lane's resident goroutine (real mode; 0 in virtual mode).
+func (s *Scheduler) HelpedRuns() uint64 { return s.helped.Load() }
 
 // CleanerCycles reports the virtual cleaner cores' clock — the virtual
 // time the busiest backend's cleaner last went idle, i.e. the total

@@ -62,6 +62,7 @@ func (s *Scheduler) RegisterMetrics(r *obs.Registry) {
 		emit("sched_queue_depth_peak", float64(s.PeakQueueDepth()))
 		emit("sched_workers_active", float64(s.NumWorkers()))
 		emit("sched_cleaner_drains", float64(s.CleanerDrains()))
+		emit("sched_helped_total", float64(s.HelpedRuns()))
 		for _, bl := range s.BackendLoads() {
 			emit(fmt.Sprintf("sched_backend_completed{platform=%s}", bl.Platform), float64(bl.Completed))
 			emit(fmt.Sprintf("sched_backend_workers{platform=%s}", bl.Platform), float64(bl.Workers))

@@ -223,7 +223,7 @@ func (s *Scheduler) execVirtualLocked(wk *worker, t *Ticket, busy int) {
 		s.noteServiceLocked(t, wk)
 	}
 	if s.adm != nil {
-		s.adm.complete(t)
+		s.adm.complete(t, wk.beIdx)
 		if s.adm.pol.MaxInFlight > 0 {
 			st := s.adm.state(t.Image)
 			st.spans = append(st.spans, admitSpan{at: t.Arrival, done: t.Done})
