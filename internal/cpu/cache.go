@@ -8,21 +8,20 @@ package cpu
 // every CPU running the same bytes.
 //
 // Correctness hinges on invalidation. Every write into guest-physical
-// memory funnels through one of:
+// memory runs the store barrier (barrier.go), which drops the decode
+// state of each page it touches:
 //
-//   - the CPU's own store paths (storeWord, STOREB, WriteMem), which call
-//     invalidateCode directly, so self-modifying code re-decodes the
-//     bytes it just wrote even on a bare CPU with no VMM attached;
+//   - the CPU's own store paths (storeWord, STOREB, WriteMem, the trace
+//     closures), so self-modifying code re-decodes the bytes it just
+//     wrote even on a bare CPU with no VMM attached;
 //   - vmm.Context.HostWrite — the funnel image loads, argument
-//     marshalling, and hypercall handler writes report to — which calls
-//     InvalidateCode before the dirty-page bookkeeping, so host writes
-//     flush exactly the touched code pages;
+//     marshalling, hypercall handler writes and COW copy-back report to;
 //   - vmm.Context.Clean / CPU.Reset, which drop the whole cache (the
 //     shell is zeroed; nothing cached can remain valid).
 //
 // Invalidation is page-granular and cheap: dropping a page is a single
-// pointer store, and the no-code-cached-here check data stores pay is one
-// nil test.
+// pointer store, and a store to a page without decode state learns that
+// from the same state byte that tells it the page is already dirty.
 //
 // Pages can outlive one CPU. ShareCode freezes the current pages
 // (marking them immutable and recording the exact bytes they were decoded
@@ -42,9 +41,8 @@ import (
 	"repro/internal/isa"
 )
 
-// codePageSize is the invalidation granularity. It matches vmm.PageSize
-// (the dirty-page granularity); vmm imports cpu, so the constant is
-// restated here.
+// codePageSize is the invalidation and dirty-tracking granularity. It
+// matches vmm.PageSize; vmm imports cpu, so the constant is restated here.
 const codePageSize = 4096
 
 // centry marks one instruction start the dispatcher has reached. Neither
@@ -140,8 +138,10 @@ func (c *CPU) ensureCode() {
 // codePageFor returns a writable page for the given page index,
 // allocating or cloning (copy-on-write for shared pages) as needed.
 // Either way the CPU now holds decode state its last ShareCode did not
-// publish, so the new-pages flag is raised.
+// publish, so the new-pages flag is raised — and state the store barrier
+// must drop on the next write, so the page's decode bit is set.
 func (c *CPU) codePageFor(page uint64) *codePage {
+	c.pstate[page] |= pageCode
 	pg := c.code[page]
 	if pg == nil {
 		pg = &codePage{}
@@ -165,41 +165,6 @@ func (c *CPU) codePageFor(page uint64) *codePage {
 // freeze/merge entirely on the warm path, where every page was adopted
 // from the registry and nothing new was decoded.
 func (c *CPU) CodeNew() bool { return c.codeNew }
-
-// InvalidateCode drops cached decodes overlapping [addr, addr+n) of
-// guest-physical memory. It is called by the CPU's own store paths and by
-// the VMM's dirty-page tracker (host writes into guest memory). Dropping
-// is a pointer store; shared pages are simply unreferenced, never mutated.
-func (c *CPU) InvalidateCode(addr uint64, n int) {
-	if n <= 0 || len(c.code) == 0 || addr >= uint64(len(c.Mem)) {
-		return
-	}
-	first := addr / codePageSize
-	last := (addr + uint64(n) - 1) / codePageSize
-	for p := first; p <= last && p < uint64(len(c.code)); p++ {
-		if c.code[p] != nil {
-			c.code[p] = nil
-			c.codeClobbered = true
-		}
-	}
-}
-
-// invalidateCodeOne is the single-page fast path for mode-width stores,
-// which never cross a page boundary check worth a loop.
-func (c *CPU) invalidateCodeOne(addr uint64, n int) {
-	if len(c.code) == 0 {
-		return
-	}
-	first := addr / codePageSize
-	if first < uint64(len(c.code)) && c.code[first] != nil {
-		c.code[first] = nil
-		c.codeClobbered = true
-	}
-	if last := (addr + uint64(n) - 1) / codePageSize; last != first && last < uint64(len(c.code)) && c.code[last] != nil {
-		c.code[last] = nil
-		c.codeClobbered = true
-	}
-}
 
 // predecode marks instruction starts forward from physical address phys
 // until the page ends, an already-marked entry is reached, or the bytes
@@ -372,6 +337,7 @@ func (c *CPU) AdoptCode(cc CodeCache) {
 			continue
 		}
 		c.code[i] = pg
+		c.pstate[i] |= pageCode
 	}
 }
 

@@ -166,13 +166,6 @@ type CPU struct {
 	// default trace engine; virtual-cycle results must be bit-identical.
 	Legacy bool
 
-	// OnStore, when set, observes every guest store (physical address,
-	// length) — the VMM's dirty-page tracker for copy-on-write resets.
-	// The cached engine batches stores into a span log and reports them
-	// at observation points (run exit, fault, delegated special); the
-	// legacy engine reports every store immediately.
-	OnStore func(paddr uint64, n int)
-
 	// Stats counts compiled-trace activity.
 	// Reset zeroes it alongside Retired; Wasp harvests per-run deltas.
 	Stats JITStats
@@ -180,9 +173,9 @@ type CPU struct {
 	// TierTrace enables the tier-transition log: when set, each trace
 	// compile and deopt appends a TierEvent to TierLog (bounded at
 	// tierLogCap; overflow is dropped silently — the counters in Stats
-	// stay exact). Batched like the dirty-span log so the guest hot loop
-	// never calls out: the embedder (Wasp's RunOn) drains TierLog into
-	// its tracer at run end and clears both fields before pooling.
+	// stay exact). The guest hot loop never calls out: the embedder
+	// (Wasp's RunOn) drains TierLog into its tracer at run end and clears
+	// both fields before pooling.
 	TierTrace bool
 	TierLog   []TierEvent
 
@@ -196,11 +189,16 @@ type CPU struct {
 	code    []*codePage
 	codeNew bool
 
-	// codeClobbered is set whenever an invalidation actually unhooks a
-	// decoded page. The trace executor's per-store self-modification
-	// check tests this hint first: stores to data pages (which have no
-	// decode state) never set it, so the precise page-identity check
-	// runs only when some decoded page really was hit.
+	// pstate is the per-page store-barrier state (barrier.go), one byte
+	// per 4 KiB page of Mem: dirty since the last ClearDirty, and holding
+	// decode state. It survives Reset (minus the decode bits).
+	pstate []uint8
+
+	// codeClobbered is set whenever the store barrier actually unhooks a
+	// decoded page. A store closure whose store took the barrier's slow
+	// path tests this hint: stores to data pages (which have no decode
+	// state) never set it, so the precise page-identity check runs only
+	// when some decoded page really was hit.
 	codeClobbered bool
 
 	// lateFault attribution: a fused pair closure (jit.go) that faults
@@ -214,14 +212,6 @@ type CPU struct {
 	lateRet  uint8
 	lateMid  int32
 
-	// Dirty-span log: guest stores inside the cached engine are
-	// coalesced here and reported to OnStore only at observation points,
-	// mirroring the pending cycle batch. batchDirty is true only while
-	// the cached engine runs.
-	spans      [64]dirtySpan
-	nspans     int
-	batchDirty bool
-
 	// blockEntry is the virtual IP of the compiled trace currently
 	// executing; CALL/RET closures rebuild absolute return addresses
 	// from it plus a compile-time relative offset.
@@ -230,8 +220,11 @@ type CPU struct {
 	// Direct-mapped front cache for compiled-block lookup (jit.go): one
 	// probe instead of an atomic load plus map lookup per block entry.
 	// Entries self-invalidate: a hit requires the recorded page to still
-	// be installed at the recorded index.
-	bcache [bcacheSize]bcent
+	// be installed at the recorded index — which is also why the table
+	// may outlive Reset: a page pointer is only ever installed over the
+	// bytes it was decoded from (AdoptCode compares them), so a slot left
+	// by an earlier tenant either misses or names a trace of these bytes.
+	bcache *[bcacheSize]bcent
 
 	// Hot-path translation caches in front of the tlb map. Both are
 	// strict subsets of state the architectural paths already hold, so
@@ -251,11 +244,13 @@ type CPU struct {
 // advancing clk.
 func New(mem []byte, clk *cycles.Clock, entry uint64) *CPU {
 	c := &CPU{
-		Mem:   mem,
-		Clock: clk,
-		IP:    entry,
-		Mode:  isa.Mode16,
-		tlb:   make(map[uint64]uint64),
+		Mem:    mem,
+		Clock:  clk,
+		IP:     entry,
+		Mode:   isa.Mode16,
+		tlb:    make(map[uint64]uint64),
+		pstate: make([]uint8, (len(mem)+codePageSize-1)/codePageSize),
+		bcache: new([bcacheSize]bcent),
 	}
 	c.Regs[isa.RSP] = uint64(len(mem)) // stack grows down from the top
 	return c
@@ -263,12 +258,19 @@ func New(mem []byte, clk *cycles.Clock, entry uint64) *CPU {
 
 // Reset returns the CPU to power-on state at entry without touching
 // memory. Used when replaying a snapshot, whose register file is restored
-// separately.
+// separately. All decode state is dropped, so every page's decode bit
+// goes with it; the dirty bits belong to the VMM's restore point and stay.
 func (c *CPU) Reset(entry uint64) {
+	if c.code != nil {
+		for i := range c.pstate {
+			c.pstate[i] &= pageDirty
+		}
+	}
 	*c = CPU{
 		Mem:       c.Mem,
 		Clock:     c.Clock,
-		OnStore:   c.OnStore,
+		pstate:    c.pstate,
+		bcache:    c.bcache,
 		Legacy:    c.Legacy,
 		TierTrace: c.TierTrace,
 		TierLog:   c.TierLog,
@@ -320,13 +322,6 @@ type JITStats struct {
 	BlocksCompiled uint64
 	BlockHits      uint64
 	BlockDeopts    uint64
-}
-
-// dirtySpan is one coalesced run of stored guest-physical bytes awaiting
-// the OnStore hook.
-type dirtySpan struct {
-	addr uint64
-	n    int
 }
 
 func (c *CPU) fault(format string, args ...any) *Exit {

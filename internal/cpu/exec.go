@@ -137,8 +137,7 @@ func (c *CPU) Step() *Exit {
 		}
 		c.Clock.Advance(cycles.MemStore)
 		c.Mem[p] = byte(c.get(in.Src))
-		c.invalidateCodeOne(p, 1)
-		c.noteStore(p, 1)
+		c.StoreBarrier(p, 1)
 
 	case isa.ADD:
 		a, b := c.get(in.Dst), c.get(in.Src)
@@ -480,26 +479,11 @@ func (c *CPU) setFetchWindow(ip, phys uint64) {
 	}
 }
 
-// runCached is the default engine. While it runs, guest stores are batched
-// into the dirty-span log (noteStore) instead of firing the OnStore hook
-// per store; the log is flushed on every return path, before any caller
-// can observe the dirty bitmap.
+// runCached is the default engine: it dispatches each instruction to one
+// of the two engines — a compiled trace when one is headed here and the
+// remaining budget covers it, otherwise Step — so the tricky architectural
+// transitions, and the budget fault, exist exactly once.
 func (c *CPU) runCached(maxSteps uint64) *Exit {
-	if c.OnStore != nil {
-		c.batchDirty = true
-		defer func() {
-			c.batchDirty = false
-			c.flushDirty()
-		}()
-	}
-	return c.runCachedInner(maxSteps)
-}
-
-// runCachedInner dispatches each instruction to one of the two engines: a
-// compiled trace when one is headed here and the remaining budget covers
-// it, otherwise Step — so the tricky architectural transitions, and the
-// budget fault, exist exactly once.
-func (c *CPU) runCachedInner(maxSteps uint64) *Exit {
 	var pending uint64 // batched fixed costs not yet on the clock
 	for steps := uint64(0); steps < maxSteps; {
 		if c.Halted {

@@ -149,51 +149,6 @@ func TestEventDeltaEdgeCases(t *testing.T) {
 	}
 }
 
-func TestOnStoreHookObservesGuestWrites(t *testing.T) {
-	p, err := asm.Assemble(`
-.bits 64
-	movi rbx, 0x6000
-	movi rax, 1
-	store [rbx], rax
-	storeb [rbx+8], rax
-	push rax
-	hlt
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := make([]byte, 1<<20)
-	copy(mem[p.Origin:], p.Code)
-	c := New(mem, cycles.NewClock(), p.Entry)
-	c.SetupLongMode()
-	// The cached engine batches stores into coalesced spans, so the hook
-	// contract is byte coverage, not one callback per store: the adjacent
-	// store+storeb arrive as a single span.
-	dirty := map[uint64]bool{}
-	c.OnStore = func(paddr uint64, n int) {
-		for i := uint64(0); i < uint64(n); i++ {
-			dirty[paddr+i] = true
-		}
-	}
-	if ex := c.Run(100); ex.Reason != ExitHalt {
-		t.Fatalf("exit %+v", ex)
-	}
-	for a := uint64(0x6000); a <= 0x6008; a++ {
-		if !dirty[a] {
-			t.Fatalf("store/storeb byte %#x not observed", a)
-		}
-	}
-	sp := uint64(len(mem)) - 8 // push writes the word below the reset stack top
-	for i := uint64(0); i < 8; i++ {
-		if !dirty[sp+i] {
-			t.Fatalf("push byte %#x not observed", sp+i)
-		}
-	}
-	if len(dirty) != 9+8 {
-		t.Fatalf("observed %d dirty bytes, want 17", len(dirty))
-	}
-}
-
 func TestNoTLBChargesEveryAccess(t *testing.T) {
 	prog := strings.Replace(bootToLongMode, `	movi rax, 0x2A
 	hlt`, `	movi rcx, 100

@@ -258,7 +258,9 @@ func (c *CPU) execChain(blk *cblock, entryIP, page uint64, pg *codePage, pending
 				return steps, nil
 			}
 			page = phys / codePageSize
-			if pg = c.codeAt(page); pg != slot.pg {
+			// A never-filled slot is all zeroes and would match a real-
+			// mode jump to address 0 on an undecoded page: no page, no hit.
+			if pg = c.codeAt(page); pg == nil || pg != slot.pg {
 				return steps, nil
 			}
 			blk = slot.blk
@@ -311,13 +313,14 @@ func (c *CPU) blockStop(blk *cblock, i int, entryIP uint64, pending *uint64, ex 
 }
 
 // fastLoad64/fastStore64 are the long-mode word-access fast paths — a
-// data-TLB hit, in bounds. Both are small enough that the compiler
-// inlines them into each compiled closure, so the common case pays no
-// call at all; on a miss the caller falls back to loadWord/storeWord,
-// which recompute the (uncharged) TLB probe and produce identical cycle
-// charges and fault messages. fastStore64 returns the physical address
-// so the caller can report the store to the dirty tracker — the one
-// piece too large to inline.
+// data-TLB hit, in bounds and, for a store, onto armed pages (barrier.go)
+// — and fastLoadFlat/fastStore32/fastStore16 their flat-mode counterparts,
+// where translating an address already masked to the mode's width is the
+// identity once protected mode has its GDT. All are small enough that the
+// compiler inlines them into each compiled closure, so the common case
+// pays no call at all; on a miss the caller falls back to loadWord or
+// storeSlow, which recompute the (uncharged) translation and produce
+// identical cycle charges and fault messages.
 func (c *CPU) fastLoad64(va uint64) (uint64, bool) {
 	if c.dtlbOK && c.dtlbPage == va>>21 {
 		if p := c.dtlbBase | (va & 0x1F_FFFF); p+8 <= uint64(len(c.Mem)) {
@@ -328,14 +331,65 @@ func (c *CPU) fastLoad64(va uint64) (uint64, bool) {
 	return 0, false
 }
 
-func (c *CPU) fastStore64(va, v uint64) (uint64, bool) {
+func (c *CPU) fastStore64(va, v uint64) bool {
 	if c.dtlbOK && c.dtlbPage == va>>21 {
-		if p := c.dtlbBase | (va & 0x1F_FFFF); p+8 <= uint64(len(c.Mem)) {
+		if p := c.dtlbBase | (va & 0x1F_FFFF); p+8 <= uint64(len(c.Mem)) && c.armed(p, 8) {
 			binary.LittleEndian.PutUint64(c.Mem[p:p+8], v)
-			return p, true
+			c.Clock.Advance(cycles.MemStore)
+			return true
 		}
 	}
-	return 0, false
+	return false
+}
+
+func (c *CPU) fastLoadFlat(p uint64, md isa.Mode) (uint64, bool) {
+	w := uint64(md.Width())
+	if (md == isa.Mode32 && c.GDTLimit == 0) || p+w > uint64(len(c.Mem)) {
+		return 0, false
+	}
+	c.Clock.Advance(cycles.MemAccess)
+	return isa.Word(c.Mem[p:p+w], md), true
+}
+
+func (c *CPU) fastStore32(p uint64, v uint32) bool {
+	if c.GDTLimit != 0 && p+4 <= uint64(len(c.Mem)) && c.armed(p, 4) {
+		binary.LittleEndian.PutUint32(c.Mem[p:p+4], v)
+		c.Clock.Advance(cycles.MemStore)
+		return true
+	}
+	return false
+}
+
+func (c *CPU) fastStore16(p uint64, v uint16) bool {
+	if p+2 <= uint64(len(c.Mem)) && c.armed(p, 2) {
+		binary.LittleEndian.PutUint16(c.Mem[p:p+2], v)
+		c.Clock.Advance(cycles.MemStore)
+		return true
+	}
+	return false
+}
+
+// fastAddr is Translate's uncharged, fault-free case for a closure
+// compiled in mode md (the CPU's mode whenever the closure runs) and an
+// address already masked to that mode's width.
+func (c *CPU) fastAddr(va uint64, md isa.Mode) (uint64, bool) {
+	if md == isa.Mode64 {
+		return c.dtlbBase | (va & 0x1F_FFFF), c.dtlbOK && c.dtlbPage == va>>21
+	}
+	return va, md == isa.Mode16 || c.GDTLimit != 0
+}
+
+// storeSlow is every store closure's miss path: the full storeWord, with
+// its translation charges and fault messages, then the self-modification
+// hint — only the barrier's slow path can have unhooked a decoded page.
+func (c *CPU) storeSlow(va, v uint64, md isa.Mode, what string) *Exit {
+	if err := c.storeWord(va, v, md); err != nil {
+		return c.fault("%s%v", what, err)
+	}
+	if c.codeClobbered {
+		return errSMC
+	}
+	return nil
 }
 
 // setArithW/setLogicW are setArith/setLogic with the mode's mask and sign
@@ -689,15 +743,12 @@ compile:
 					fn = func(c *CPU) *Exit {
 						sp := c.Regs[isa.RSP] - 8
 						c.Regs[isa.RSP] = sp
-						if p, ok := c.fastStore64(sp, c.Regs[r1]); ok {
-							c.invalidateCodeOne(p, 8)
-							if c.OnStore != nil {
-								c.noteStore(p, 8)
+						var smc *Exit
+						if !c.fastStore64(sp, c.Regs[r1]) {
+							if smc = c.storeSlow(sp, c.Regs[r1], isa.Mode64, "push: "); smc != nil && smc != errSMC {
+								c.lateSet, c.lateRoll = true, roll
+								return smc
 							}
-							c.Clock.Advance(cycles.MemStore)
-						} else if err := c.storeWord(sp, c.Regs[r1], isa.Mode64); err != nil {
-							c.lateSet, c.lateRoll = true, roll
-							return c.fault("push: %v", err)
 						}
 						a := c.Regs[d2]
 						var r uint64
@@ -708,10 +759,7 @@ compile:
 						}
 						c.setArith64(r, a, i2, sub)
 						c.Regs[d2] = r
-						if c.codeClobbered {
-							return errSMC
-						}
-						return nil
+						return smc
 					}
 					add(fn, rel, rel+pair, pcost, 2)
 					rel += pair
@@ -765,21 +813,14 @@ compile:
 							}
 						}
 						c.Regs[r1] = v
-						pv := c.Regs[r2]
-						if p, ok2 := c.fastStore64(sp, pv); ok2 {
-							c.invalidateCodeOne(p, 8)
-							if c.OnStore != nil {
-								c.noteStore(p, 8)
-							}
-							c.Clock.Advance(cycles.MemStore)
-						} else if err := c.storeWord(sp, pv, isa.Mode64); err != nil {
+						if c.fastStore64(sp, c.Regs[r2]) {
+							return nil
+						}
+						ex := c.storeSlow(sp, c.Regs[r2], isa.Mode64, "push: ")
+						if ex != nil && ex != errSMC {
 							c.lateSet, c.lateRet, c.lateMid = true, 1, relMid
-							return c.fault("push: %v", err)
 						}
-						if c.codeClobbered {
-							return errSMC
-						}
-						return nil
+						return ex
 					}
 					add(fn, rel, rel+pair, pcost, 2)
 					rel += pair
@@ -799,20 +840,14 @@ compile:
 							c.Regs[d1] = r
 							sp := c.Regs[isa.RSP] - 8
 							c.Regs[isa.RSP] = sp
-							if p, ok := c.fastStore64(sp, c.blockEntry+exp); ok {
-								c.invalidateCodeOne(p, 8)
-								if c.OnStore != nil {
-									c.noteStore(p, 8)
-								}
-								c.Clock.Advance(cycles.MemStore)
-							} else if err := c.storeWord(sp, c.blockEntry+exp, isa.Mode64); err != nil {
+							if c.fastStore64(sp, c.blockEntry+exp) {
+								return nil
+							}
+							ex := c.storeSlow(sp, c.blockEntry+exp, isa.Mode64, "call push: ")
+							if ex != nil && ex != errSMC {
 								c.lateSet, c.lateRet, c.lateMid = true, 1, relMid
-								return c.fault("call push: %v", err)
 							}
-							if c.codeClobbered {
-								return errSMC
-							}
-							return nil
+							return ex
 						}
 						add(fn, rel, r2, pcost, 2)
 						retStack = append(retStack, retRel)
@@ -885,64 +920,61 @@ compile:
 			}
 			md := mode
 			fn = func(c *CPU) *Exit {
-				v, err := c.loadWord((c.Regs[src]&mask+imm)&mask, md)
-				if err != nil {
-					return c.fault("%v", err)
+				va := (c.Regs[src]&mask + imm) & mask
+				v, ok := c.fastLoadFlat(va, md)
+				if !ok {
+					var err error
+					if v, err = c.loadWord(va, md); err != nil {
+						return c.fault("%v", err)
+					}
 				}
 				c.Regs[dst] = v & mask
 				return nil
 			}
 		case isa.STORE:
-			md := mode
-			if mode == isa.Mode32 {
-				// The ident-map latch may be unset on a CPU that adopted
-				// this trace: deopt to Step, which records the milestone.
+			if mode == isa.Mode64 {
 				fn = func(c *CPU) *Exit {
+					va := c.Regs[dst] + imm
+					if c.fastStore64(va, c.Regs[src]) {
+						return nil
+					}
+					return c.storeSlow(va, c.Regs[src], isa.Mode64, "")
+				}
+				break
+			}
+			if mode == isa.Mode32 {
+				fn = func(c *CPU) *Exit {
+					// The ident-map latch may be unset on a CPU that
+					// adopted this trace: deopt to Step, which records
+					// the milestone.
 					if !c.sawStore32 {
 						return errDeopt
 					}
-					if err := c.storeWord((c.Regs[dst]&mask+imm)&mask, c.Regs[src]&mask, md); err != nil {
-						return c.fault("%v", err)
+					va := (c.Regs[dst] + imm) & mask
+					if c.fastStore32(va, uint32(c.Regs[src])) {
+						return nil
 					}
-					if c.codeClobbered {
-						return errSMC
-					}
+					return c.storeSlow(va, c.Regs[src]&mask, isa.Mode32, "")
+				}
+				break
+			}
+			fn = func(c *CPU) *Exit {
+				va := (c.Regs[dst] + imm) & mask
+				if c.fastStore16(va, uint16(c.Regs[src])) {
 					return nil
 				}
-			} else if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit {
-					va := c.Regs[dst] + imm
-					if p, ok := c.fastStore64(va, c.Regs[src]); ok {
-						c.invalidateCodeOne(p, 8)
-						if c.OnStore != nil {
-							c.noteStore(p, 8)
-						}
-						c.Clock.Advance(cycles.MemStore)
-					} else if err := c.storeWord(va, c.Regs[src], isa.Mode64); err != nil {
-						return c.fault("%v", err)
-					}
-					if c.codeClobbered {
-						return errSMC
-					}
-					return nil
-				}
-			} else {
-				fn = func(c *CPU) *Exit {
-					if err := c.storeWord((c.Regs[dst]&mask+imm)&mask, c.Regs[src]&mask, md); err != nil {
-						return c.fault("%v", err)
-					}
-					if c.codeClobbered {
-						return errSMC
-					}
-					return nil
-				}
+				return c.storeSlow(va, c.Regs[src]&mask, isa.Mode16, "")
 			}
 		case isa.LOADB:
 			md := mode
 			fn = func(c *CPU) *Exit {
-				p, err := c.Translate((c.Regs[src]&mask+imm)&mask, false)
-				if err != nil {
-					return c.fault("%v", err)
+				va := (c.Regs[src]&mask + imm) & mask
+				p, ok := c.fastAddr(va, md)
+				if !ok {
+					var err error
+					if p, err = c.Translate(va, false); err != nil {
+						return c.fault("%v", err)
+					}
 				}
 				if p >= uint64(len(c.Mem)) {
 					return c.fault("byte load beyond memory at %#x", p)
@@ -951,22 +983,27 @@ compile:
 				c.Regs[dst] = uint64(c.Mem[p])
 				return nil
 			}
-			_ = md
 		case isa.STOREB:
+			md := mode
 			fn = func(c *CPU) *Exit {
-				p, err := c.Translate((c.Regs[dst]&mask+imm)&mask, true)
-				if err != nil {
-					return c.fault("%v", err)
+				va := (c.Regs[dst]&mask + imm) & mask
+				p, ok := c.fastAddr(va, md)
+				if !ok {
+					var err error
+					if p, err = c.Translate(va, true); err != nil {
+						return c.fault("%v", err)
+					}
 				}
 				if p >= uint64(len(c.Mem)) {
 					return c.fault("byte store beyond memory at %#x", p)
 				}
 				c.Clock.Advance(cycles.MemStore)
 				c.Mem[p] = byte(c.Regs[src] & mask)
-				c.invalidateCodeOne(p, 1)
-				c.noteStore(p, 1)
-				if c.codeClobbered {
-					return errSMC
+				if !c.armed(p, 1) {
+					c.StoreBarrier(p, 1)
+					if c.codeClobbered {
+						return errSMC
+					}
 				}
 				return nil
 			}
@@ -1245,31 +1282,16 @@ compile:
 					fn = func(c *CPU) *Exit {
 						sp := c.Regs[isa.RSP] - 8
 						c.Regs[isa.RSP] = sp
-						if p, ok := c.fastStore64(sp, c.blockEntry+exp); ok {
-							c.invalidateCodeOne(p, 8)
-							if c.OnStore != nil {
-								c.noteStore(p, 8)
-							}
-							c.Clock.Advance(cycles.MemStore)
-						} else if err := c.storeWord(sp, c.blockEntry+exp, isa.Mode64); err != nil {
-							return c.fault("call push: %v", err)
+						if c.fastStore64(sp, c.blockEntry+exp) {
+							return nil
 						}
-						if c.codeClobbered {
-							return errSMC
-						}
-						return nil
+						return c.storeSlow(sp, c.blockEntry+exp, isa.Mode64, "call push: ")
 					}
 				} else {
 					md := mode
 					fn = func(c *CPU) *Exit {
 						c.Regs[isa.RSP] -= w
-						if err := c.storeWord(c.Regs[isa.RSP], c.blockEntry+exp, md); err != nil {
-							return c.fault("call push: %v", err)
-						}
-						if c.codeClobbered {
-							return errSMC
-						}
-						return nil
+						return c.storeSlow(c.Regs[isa.RSP], c.blockEntry+exp, md, "call push: ")
 					}
 				}
 				add(fn, rel, r2, cost, 1)
@@ -1281,33 +1303,24 @@ compile:
 				fn = func(c *CPU) *Exit {
 					sp := c.Regs[isa.RSP] - 8
 					c.Regs[isa.RSP] = sp
-					if p, ok := c.fastStore64(sp, c.blockEntry+exp); ok {
-						c.invalidateCodeOne(p, 8)
-						if c.OnStore != nil {
-							c.noteStore(p, 8)
-						}
-						c.Clock.Advance(cycles.MemStore)
-					} else if err := c.storeWord(sp, c.blockEntry+exp, isa.Mode64); err != nil {
-						return c.fault("call push: %v", err)
+					var ex *Exit
+					if !c.fastStore64(sp, c.blockEntry+exp) {
+						ex = c.storeSlow(sp, c.blockEntry+exp, isa.Mode64, "call push: ")
 					}
-					c.IP = t
-					if c.codeClobbered {
-						return errSMC
+					if ex == nil || ex == errSMC {
+						c.IP = t
 					}
-					return nil
+					return ex
 				}
 			} else {
 				md := mode
 				fn = func(c *CPU) *Exit {
 					c.Regs[isa.RSP] -= w
-					if err := c.storeWord(c.Regs[isa.RSP], c.blockEntry+exp, md); err != nil {
-						return c.fault("call push: %v", err)
+					ex := c.storeSlow(c.Regs[isa.RSP], c.blockEntry+exp, md, "call push: ")
+					if ex == nil || ex == errSMC {
+						c.IP = t
 					}
-					c.IP = t
-					if c.codeClobbered {
-						return errSMC
-					}
-					return nil
+					return ex
 				}
 			}
 			blk.term = true
@@ -1392,31 +1405,16 @@ compile:
 				fn = func(c *CPU) *Exit {
 					sp := c.Regs[isa.RSP] - 8
 					c.Regs[isa.RSP] = sp
-					if p, ok := c.fastStore64(sp, c.Regs[dst]); ok {
-						c.invalidateCodeOne(p, 8)
-						if c.OnStore != nil {
-							c.noteStore(p, 8)
-						}
-						c.Clock.Advance(cycles.MemStore)
-					} else if err := c.storeWord(sp, c.Regs[dst], isa.Mode64); err != nil {
-						return c.fault("push: %v", err)
+					if c.fastStore64(sp, c.Regs[dst]) {
+						return nil
 					}
-					if c.codeClobbered {
-						return errSMC
-					}
-					return nil
+					return c.storeSlow(sp, c.Regs[dst], isa.Mode64, "push: ")
 				}
 			} else {
 				md := mode
 				fn = func(c *CPU) *Exit {
 					c.Regs[isa.RSP] -= w
-					if err := c.storeWord(c.Regs[isa.RSP], c.Regs[dst]&mask, md); err != nil {
-						return c.fault("push: %v", err)
-					}
-					if c.codeClobbered {
-						return errSMC
-					}
-					return nil
+					return c.storeSlow(c.Regs[isa.RSP], c.Regs[dst]&mask, md, "push: ")
 				}
 			}
 		case isa.POP:

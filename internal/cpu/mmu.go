@@ -141,8 +141,7 @@ func (c *CPU) WriteMem(vaddr uint64, b []byte) error {
 			return fmt.Errorf("write beyond memory at %#x", p)
 		}
 		c.Mem[p] = b[i]
-		c.invalidateCodeOne(p, 1)
-		c.noteStore(p, 1)
+		c.StoreBarrier(p, 1)
 	}
 	c.Clock.Advance(cycles.MemStore * uint64(1+(len(b)-1)/8))
 	return nil
@@ -173,54 +172,9 @@ func (c *CPU) storeWord(vaddr uint64, v uint64, mode isa.Mode) error {
 		return fmt.Errorf("store beyond memory at %#x", p)
 	}
 	isa.PutWord(c.Mem[p:p+uint64(w)], mode, v)
-	c.invalidateCodeOne(p, w)
-	c.noteStore(p, w)
+	c.StoreBarrier(p, w)
 	c.Clock.Advance(cycles.MemStore)
 	return nil
-}
-
-// noteStore reports a guest store to the dirty-page tracker. Inside the
-// cached engine (batchDirty) stores are coalesced into the span log and
-// flushed at the same observation points as the pending cycle batch;
-// everywhere else the hook fires immediately, as it always did. Code-cache
-// invalidation never batches — it is fetch correctness, not bookkeeping.
-func (c *CPU) noteStore(p uint64, n int) {
-	if c.OnStore == nil {
-		return
-	}
-	if !c.batchDirty {
-		c.OnStore(p, n)
-		return
-	}
-	if c.nspans > 0 {
-		// Coalesce with the last span when overlapping or adjacent in
-		// either direction (stack pushes walk downward).
-		s := &c.spans[c.nspans-1]
-		if p+uint64(n) >= s.addr && p <= s.addr+uint64(s.n) {
-			lo, hi := s.addr, s.addr+uint64(s.n)
-			if p < lo {
-				lo = p
-			}
-			if end := p + uint64(n); end > hi {
-				hi = end
-			}
-			s.addr, s.n = lo, int(hi-lo)
-			return
-		}
-	}
-	if c.nspans == len(c.spans) {
-		c.flushDirty()
-	}
-	c.spans[c.nspans] = dirtySpan{addr: p, n: n}
-	c.nspans++
-}
-
-// flushDirty reports all batched spans to OnStore and empties the log.
-func (c *CPU) flushDirty() {
-	for i := 0; i < c.nspans; i++ {
-		c.OnStore(c.spans[i].addr, c.spans[i].n)
-	}
-	c.nspans = 0
 }
 
 // FlushTLB drops all cached translations (CR3 writes, mode changes),

@@ -1,88 +1,29 @@
 package vmm
 
-import "math/bits"
-
 // Dirty-page tracking supports the copy-on-write virtine reset that §7.2
 // anticipates ("We expect this cost to drop when using copy-on-write
 // mechanisms to reset a virtine, as in SEUSS"): instead of memcpy-ing the
 // whole snapshot on every restore, the VMM tracks which guest pages were
 // written since the last restore point and copies only those back.
 //
-// The bitmap is maintained by the vCPU (guest stores) and by Wasp (host
-// writes into guest memory: image loads, argument marshalling, hypercall
-// handler writes). One bit per 4 KiB page.
+// The state is the vCPU's per-page store-barrier byte (internal/cpu
+// barrier.go), the software stand-in for write-protect dirty logging: the
+// first write to a page since ClearDirty takes the barrier and sets the
+// page's dirty bit, later ones find it set and pay nothing. Guest stores
+// and host writes (image loads, argument marshalling, hypercall handler
+// writes, COW copy-back — everything that goes through HostWrite) run the
+// same barrier on the same bytes, so this file only names the VMM's view
+// of it.
 
-// initDirty sizes the bitmap for the context's memory.
-func (c *Context) initDirty() {
-	pages := (len(c.Mem) + PageSize - 1) / PageSize
-	c.dirty = make([]uint64, (pages+63)/64)
-}
+// HostWrite records a host-side write into guest memory: the touched
+// pages lose their decoded code and become dirty.
+func (c *Context) HostWrite(addr uint64, n int) { c.CPU.StoreBarrier(addr, n) }
 
-// HostWrite records a host-side write into guest memory (image loads,
-// argument marshalling, hypercall handler writes): it flushes the vCPU's
-// decoded-code cache for exactly the touched pages, then marks the pages
-// dirty. Guest stores do not come through here — the CPU's own store
-// paths invalidate before the OnStore hook fires, so they pay the bitmap
-// update (MarkDirty) only.
-func (c *Context) HostWrite(addr uint64, n int) {
-	if n <= 0 {
-		return
-	}
-	c.CPU.InvalidateCode(addr, n)
-	c.MarkDirty(addr, n)
-}
+// ClearDirty starts a new restore point: no page is dirty.
+func (c *Context) ClearDirty() { c.CPU.ClearDirty() }
 
-// MarkDirty records that [addr, addr+n) was written. Code-cache
-// invalidation is the writer's responsibility (the CPU's store paths do
-// it themselves; host writers use HostWrite).
-func (c *Context) MarkDirty(addr uint64, n int) {
-	if n <= 0 || c.dirty == nil {
-		return
-	}
-	first := addr / PageSize
-	last := (addr + uint64(n) - 1) / PageSize
-	for p := first; p <= last; p++ {
-		w := p / 64
-		if int(w) >= len(c.dirty) {
-			break
-		}
-		if c.dirty[w] == ^uint64(0) {
-			// Fully-dirty word: skip straight to the next word.
-			p = (w+1)*64 - 1
-			continue
-		}
-		c.dirty[w] |= 1 << (p % 64)
-	}
-}
-
-// ClearDirty resets the bitmap (a new restore point).
-func (c *Context) ClearDirty() {
-	for i := range c.dirty {
-		c.dirty[i] = 0
-	}
-}
-
-// DirtyPages returns the indices of dirty pages, ascending. The output is
-// presized from a popcount pass so the append loop never reallocates.
-func (c *Context) DirtyPages() []int {
-	n := c.DirtyCount()
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, 0, n)
-	for w, word := range c.dirty {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, w*64+bits.TrailingZeros64(word))
-		}
-	}
-	return out
-}
+// DirtyPages returns the indices of dirty pages, ascending.
+func (c *Context) DirtyPages() []int { return c.CPU.DirtyPages() }
 
 // DirtyCount returns the number of dirty pages.
-func (c *Context) DirtyCount() int {
-	n := 0
-	for _, word := range c.dirty {
-		n += bits.OnesCount64(word)
-	}
-	return n
-}
+func (c *Context) DirtyCount() int { return c.CPU.DirtyCount() }

@@ -40,7 +40,6 @@ type Context struct {
 
 	created  bool
 	platform Platform
-	dirty    []uint64 // one bit per 4 KiB page written since last restore point
 }
 
 // Create allocates a new virtual context on the default platform with
@@ -58,16 +57,13 @@ func CreateOn(p Platform, memBytes int, clk *cycles.Clock) *Context {
 	pages := (memBytes + PageSize - 1) / PageSize
 	clk.Advance(uint64(pages) * cycles.EPTBuildPerPage)
 	mem := make([]byte, memBytes)
-	c := &Context{
+	return &Context{
 		Mem:      mem,
 		CPU:      cpu.New(mem, clk, 0),
 		Clock:    clk,
 		created:  true,
 		platform: p,
 	}
-	c.initDirty()
-	c.CPU.OnStore = c.MarkDirty
-	return c
 }
 
 // Platform reports the backend this context runs on.
@@ -101,14 +97,15 @@ func (c *Context) CleanSilent() {
 // vCPU at entry in the given start mode, charging the image copy at
 // memcpy bandwidth — this is the image-size cost of Fig 12.
 func (c *Context) Load(image []byte, origin, entry uint64, mode isa.Mode) error {
-	if int(origin)+len(image) > len(c.Mem) {
+	// Compared without adding: origin is guest-controlled (.org) and the
+	// sum wraps for a large one.
+	if origin > uint64(len(c.Mem)) || uint64(len(image)) > uint64(len(c.Mem))-origin {
 		return fmt.Errorf("vmm: image (%d bytes at %#x) exceeds guest memory (%d)", len(image), origin, len(c.Mem))
 	}
 	copy(c.Mem[origin:], image)
 	c.HostWrite(origin, len(image))
 	c.Clock.Advance(cycles.MemcpyCost(len(image)))
 	c.CPU.Reset(entry)
-	c.CPU.OnStore = c.MarkDirty
 	switch mode {
 	case isa.Mode32:
 		c.CPU.SetupProtected()

@@ -1,6 +1,7 @@
 package vmm
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cpu"
@@ -53,10 +54,28 @@ func TestRunChargesEntryAndExit(t *testing.T) {
 }
 
 func TestLoadRejectsOversizedImage(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		size   int
+		origin uint64
+	}{
+		{"image larger than memory", 128 << 10, 0x8000},
+		{"image ends past memory", 4 << 10, 62 << 10},
+		{"origin past memory", 1, 64<<10 + 1},
+		// origin+len wraps to 0: must be the error, not a host panic.
+		{"origin wraps", 2, 1<<64 - 2},
+		{"origin wraps to in-range", 16, 1<<64 - 8},
+	} {
+		ctx := Create(64<<10, cycles.NewClock())
+		err := ctx.Load(make([]byte, tc.size), tc.origin, 0x8000, isa.Mode16)
+		if err == nil || !strings.Contains(err.Error(), "exceeds guest memory") {
+			t.Fatalf("%s: err = %v, want \"exceeds guest memory\"", tc.name, err)
+		}
+	}
+	// The boundary itself is in range.
 	ctx := Create(64<<10, cycles.NewClock())
-	big := make([]byte, 128<<10)
-	if err := ctx.Load(big, 0x8000, 0x8000, isa.Mode16); err == nil {
-		t.Fatal("oversized image accepted")
+	if err := ctx.Load(make([]byte, 4<<10), 60<<10, 60<<10, isa.Mode16); err != nil {
+		t.Fatalf("image ending exactly at the top of memory rejected: %v", err)
 	}
 }
 

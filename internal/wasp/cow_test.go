@@ -1,6 +1,7 @@
 package wasp
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cycles"
@@ -81,6 +82,37 @@ func TestCOWCopiesOnlyDirtyPages(t *testing.T) {
 	// args); far fewer than the ~12 pages of the captured footprint.
 	if res.COWPages > 8 {
 		t.Fatalf("COW copied %d pages; dirty tracking too coarse", res.COWPages)
+	}
+	// Every reset is a new restore point, so every run of the tenant
+	// dirties — and reports — the same pages again: a page left armed
+	// across ClearDirty would drop out of the second reset's set, and the
+	// run after that would see its stale contents. The Step-only engine
+	// must count the same pages.
+	parked := func(w *Wasp) []int {
+		sh := w.backends[0].cowShells.shardFor(img.Name)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.byImg[img.Name].ctx.DirtyPages()
+	}
+	dirty := parked(w)
+	if len(dirty) != res.COWPages {
+		t.Fatalf("parked shell holds %d dirty pages, the reset before it copied %d", len(dirty), res.COWPages)
+	}
+	legacy := New(WithCOW(true), WithLegacyInterp(true))
+	for _, rt := range []*Wasp{w, w, w, legacy, legacy, legacy} {
+		r, err := rt.Run(img, cfg, cycles.NewClock())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.SnapshotUsed && r.COWPages != res.COWPages {
+			t.Fatalf("COW reset copied %d pages, the tenant's first reset %d", r.COWPages, res.COWPages)
+		}
+		if got := parked(rt); !reflect.DeepEqual(got, dirty) {
+			t.Fatalf("dirty set %v, the tenant's first run left %v", got, dirty)
+		}
+		if fromLE64(r.Ret) != 1 {
+			t.Fatalf("counter = %d; COW reset leaked state", fromLE64(r.Ret))
+		}
 	}
 }
 

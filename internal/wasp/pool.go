@@ -114,6 +114,10 @@ type poolShard struct {
 type classSizing struct {
 	svcEWMA uint64 // smoothed service time across all of the class's runs
 	tick    uint64 // observation counter, the staleness timebase
+	// staleAt is a lower bound on the first tick at which any image of
+	// the class can be stale: observe walks byImage for a victim only from
+	// then on, and every walk re-derives it from the oldest lastSeen.
+	staleAt uint64
 	byImage map[string]*imageSizing
 }
 
@@ -266,15 +270,23 @@ func (p *shellPools) observe(image string, memBytes, depth int, svc uint64) (wan
 	// image has been unobserved for staleFactor×ShrinkAfter class
 	// completions, its claim drains one unit per observation until it is
 	// gone, releasing surplus shells to the host along the way.
-	if p.policy.ShrinkAfter > 0 {
+	if p.policy.ShrinkAfter > 0 && st.tick >= st.staleAt {
 		staleAfter := uint64(staleFactor * p.policy.ShrinkAfter)
 		// At most one stale decay per observation; the victim is chosen
 		// deterministically (stalest first, name tiebreak), never by map
 		// iteration order — pool state must stay reproducible or
-		// virtual-mode runs would diverge on warm-shell hits.
+		// virtual-mode runs would diverge on warm-shell hits. The walk is
+		// O(images) under the shard lock, so it runs only once some image
+		// can have gone stale: no lastSeen ever moves backwards and a new
+		// image starts at the current tick, so before the oldest lastSeen
+		// found here plus staleAfter there is no victim to find.
 		var victim *imageSizing
 		var victimName string
+		oldest := st.tick
 		for name, other := range st.byImage {
+			if other.lastSeen < oldest {
+				oldest = other.lastSeen
+			}
 			if other == ist || st.tick-other.lastSeen < staleAfter {
 				continue
 			}
@@ -283,6 +295,7 @@ func (p *shellPools) observe(image string, memBytes, depth int, svc uint64) (wan
 				victim, victimName = other, name
 			}
 		}
+		st.staleAt = oldest + staleAfter
 		if victim != nil {
 			if victim.target > 0 {
 				victim.target--

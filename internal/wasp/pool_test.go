@@ -2,6 +2,7 @@ package wasp
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -197,5 +198,60 @@ func TestPoolVanishedTenantReaped(t *testing.T) {
 	}
 	if st := w.PoolStatsFor(mem); st.Target != 0 || st.Cached != 1 {
 		t.Fatalf("class stats = %+v, want 0 target / 1 cached (floor)", st)
+	}
+}
+
+// TestPoolStaleWalkGuardMatchesFullScan: observe looks for a stale victim
+// only from the tick at which one can exist. Beside it runs the old rule
+// — the full walk on every completion, forced by zeroing the guard — over
+// one seeded observation sequence; every pool decision (growth request,
+// shells cached, each image's claim, idle streak and last-seen tick) must
+// be identical after every step, or virtual-mode runs would diverge.
+func TestPoolStaleWalkGuardMatchesFullScan(t *testing.T) {
+	const mem = 64 << 10
+	policy := PoolPolicy{MaxPerClass: 24, GrowDepth: 3, GrowBatch: 4, ShrinkAfter: 4}
+	guarded, full := &shellPools{policy: policy}, &shellPools{policy: policy}
+	rng := rand.New(rand.NewSource(11))
+	zipf := rand.NewZipf(rng, 1.2, 4, 95)
+	skipped := 0
+	for step := 0; step < 30000; step++ {
+		image := fmt.Sprintf("tenant-%d", zipf.Uint64())
+		if step > 20000 {
+			image = fmt.Sprintf("tenant-%d", rng.Intn(3)) // the tail vanishes
+		}
+		depth := []int{0, 0, 0, 0, 1, 2, 5, 9}[rng.Intn(8)]
+		svc := uint64(500 + rng.Intn(2000))
+
+		if st := full.shardFor(mem).sizing[mem]; st != nil {
+			st.staleAt = 0
+		}
+		if st := guarded.shardFor(mem).sizing[mem]; st != nil && st.tick+1 < st.staleAt {
+			skipped++
+		}
+		wantG := guarded.observe(image, mem, depth, svc)
+		wantF := full.observe(image, mem, depth, svc)
+		if wantG != wantF {
+			t.Fatalf("step %d: growth request %d, full scan %d", step, wantG, wantF)
+		}
+		for _, p := range []*shellPools{guarded, full} {
+			for p.size(mem) < wantG {
+				p.put(mem, &shell{}) // the prewarm the caller would do
+			}
+		}
+		if guarded.size(mem) != full.size(mem) {
+			t.Fatalf("step %d: %d shells cached, full scan %d", step, guarded.size(mem), full.size(mem))
+		}
+		g, f := guarded.shardFor(mem).sizing[mem], full.shardFor(mem).sizing[mem]
+		if g.tick != f.tick || len(g.byImage) != len(f.byImage) {
+			t.Fatalf("step %d: tick %d/%d, images %d/%d", step, g.tick, f.tick, len(g.byImage), len(f.byImage))
+		}
+		for name, gi := range g.byImage {
+			if fi := f.byImage[name]; fi == nil || *gi != *fi {
+				t.Fatalf("step %d: image %s: %+v, full scan %+v", step, name, gi, fi)
+			}
+		}
+	}
+	if skipped < 5000 {
+		t.Fatalf("the guard skipped only %d of 30000 walks; the sequence does not exercise it", skipped)
 	}
 }

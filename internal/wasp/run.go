@@ -160,9 +160,8 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 		ctx = w.acquire(be, memBytes, clk)
 	}
 	// Tier transitions (trace compiles, deopts) batch into the CPU's
-	// bounded log during the run — the dirty-span pattern — and drain
-	// into the tracer at run end (drainTierLog), so the guest hot loop
-	// never pays an emit.
+	// bounded log during the run and drain into the tracer at run end
+	// (drainTierLog), so the guest hot loop never pays an emit.
 	ctx.CPU.TierTrace = w.tracer.Enabled()
 	ctx.CPU.Legacy = w.legacyInterp
 	// One way out for the shell, error returns included: drain the tier
@@ -191,11 +190,10 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 			// COW reset (§7.2): the context already holds the snapshot
 			// image; copy back only the pages dirtied since the
 			// snapshot point — faulting each page in from the nearest
-			// layer of the snapshot forest that owns it. Each restored
-			// page's decoded code must be invalidated here: the
-			// write-time invalidation only covered entries that existed
-			// when the guest dirtied the page, not decodes re-created
-			// afterwards from the modified bytes.
+			// layer of the snapshot forest that owns it. The copy-back is
+			// a host write like any other: the barrier drops whatever the
+			// page decoded from the modified bytes after the guest first
+			// dirtied it, and ClearDirty then starts the new restore point.
 			pages := ctx.DirtyPages()
 			snapLen := snap.layer.MemLen()
 			for _, p := range pages {
@@ -206,7 +204,7 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 				}
 				if lo < snapLen {
 					snap.restorePage(p, ctx.Mem[lo:hi])
-					ctx.CPU.InvalidateCode(uint64(lo), hi-lo)
+					ctx.HostWrite(uint64(lo), hi-lo)
 				}
 			}
 			clk.Advance(cycles.MemcpyCost(len(pages) * vmm.PageSize))
