@@ -72,13 +72,10 @@ func subWord(w uint32) uint32 {
 		uint32(sbox[w>>8&0xFF])<<8 | uint32(sbox[w&0xFF])
 }
 
-// xtime multiplies by x in GF(2^8).
-func xtime(b byte) byte {
-	if b&0x80 != 0 {
-		return b<<1 ^ 0x1b
-	}
-	return b << 1
-}
+// xtime multiplies by x in GF(2^8). The reduction is a mask, not a branch:
+// the top bit of cipher state is a coin flip, and mixColumns does this
+// sixteen times a round.
+func xtime(b byte) byte { return b<<1 ^ 0x1b&-(b>>7) }
 
 // gmul multiplies in GF(2^8).
 func gmul(a, b byte) byte {

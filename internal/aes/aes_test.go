@@ -172,3 +172,20 @@ func TestSpeedShape(t *testing.T) {
 		t.Fatalf("16KB slowdown = %.1fx, want ≈17x (8-35x band)", s)
 	}
 }
+
+// BenchmarkEncryptCBC16K times the host cost of guest_compute's AES
+// request (16 KB CBC). The cipher's virtual cost is the modelled AES-NI
+// rate (ComputeCost), so this is pure emulation overhead.
+func BenchmarkEncryptCBC16K(b *testing.B) {
+	c, err := New(make([]byte, 16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, dst, iv := make([]byte, 16<<10), make([]byte, 16<<10), make([]byte, 16)
+	b.SetBytes(int64(len(src)))
+	for b.Loop() {
+		if err := c.EncryptCBC(dst, src, iv); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -317,11 +317,13 @@ func (c *CPU) Restore(s State) {
 }
 
 // JITStats counts compiled-trace activity: traces compiled, entered and
-// deoptimized.
+// deoptimized, and the instructions the counted-loop kernel (loop.go)
+// retired without entering a closure.
 type JITStats struct {
 	BlocksCompiled uint64
 	BlockHits      uint64
 	BlockDeopts    uint64
+	LoopRetired    uint64
 }
 
 func (c *CPU) fault(format string, args ...any) *Exit {

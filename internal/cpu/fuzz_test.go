@@ -13,7 +13,10 @@ import (
 // fuzzSeedBody generates one random-but-halting program body in the style
 // of differential_test.go's corpus: ALU work, guarded divides, balanced
 // stack traffic, word and byte memory traffic around a page boundary, a
-// patch of its own code, and one bounded loop the trace engine compiles.
+// patch of its own code, an affine store loop the counted-loop kernel
+// takes (random stride and counter, its base near a page boundary or the
+// end of memory), and one bounded self-patching loop the trace engine
+// compiles.
 func fuzzSeedBody(rng *rand.Rand) string {
 	regs := []string{"rax", "rbx", "rdx", "rsi", "rdi", "r8", "r9"}
 	reg := func() string { return regs[rng.Intn(len(regs))] }
@@ -45,6 +48,20 @@ func fuzzSeedBody(rng *rand.Rand) string {
 			body += fmt.Sprintf("\tloadb %s, [rbp+%d]\n", reg(), rng.Intn(512))
 		}
 	}
+	base := 0x5FC0 + rng.Intn(64) // climbs across a page boundary
+	if rng.Intn(4) == 0 {
+		base = 0x3FF00 + rng.Intn(128) // walks off the fuzz target's 256 KiB (0xFF00 in real mode: wraps)
+	}
+	strides := []int{0, 2, 4, 8, 12, 4096, -8}
+	body += fmt.Sprintf(`	movi rdi, %d
+	movi rcx, %d
+vx_seed_fill:
+	store [rdi+%d], rcx
+	store [rdi], rax
+	add rdi, %d
+	dec rcx
+	jnz vx_seed_fill
+`, base, 3+rng.Intn(200), rng.Intn(16), strides[rng.Intn(len(strides))])
 	return body + fmt.Sprintf(`	movi rcx, %d
 vx_seed_loop:
 vx_seed_patch:
@@ -66,7 +83,7 @@ vx_seed_patch:
 // dirty-page set — after every exit, and neither may panic.
 func FuzzEngineDifferential(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		body := fuzzSeedBody(rng)
 		for _, src := range []string{
 			".bits 16\n.org 0x8000\n_start:\n" + body,

@@ -109,17 +109,18 @@ type bcent struct {
 // retire counts, all cumulative-summed.
 type cblock struct {
 	ops    []step
-	off    []int32  // offset of the step's instruction
-	offEnd []int32  // offset of its successor in trace order
-	cost   []uint8  // fixed cost (base + mul/div extra; both halves if fused)
-	cum    []uint32 // cumulative cost through this step
-	ret    []uint8  // instructions this step retires (1, or 2 for fused)
-	cumRet []uint32 // cumulative retires through this step
-	anchor uint64   // virtual IP the trace was compiled at
-	end    int32    // successor offset when the trace falls off its end
-	term   bool     // last step always sets IP itself
-	total  uint32   // sum of cost
-	nret   uint32   // sum of ret
+	off    []int32     // offset of the step's instruction
+	offEnd []int32     // offset of its successor in trace order
+	cost   []uint8     // fixed cost (base + mul/div extra; both halves if fused)
+	cum    []uint32    // cumulative cost through this step
+	ret    []uint8     // instructions this step retires (1, or 2 for fused)
+	cumRet []uint32    // cumulative retires through this step
+	anchor uint64      // virtual IP the trace was compiled at
+	end    int32       // successor offset when the trace falls off its end
+	term   bool        // last step always sets IP itself
+	total  uint32      // sum of cost
+	nret   uint32      // sum of ret
+	loop   *loopKernel // the head is a counted store loop (loop.go), or nil
 }
 
 // blockAt returns the compiled trace headed at phys (compiling and
@@ -174,6 +175,9 @@ func (c *CPU) blockAt(pg *codePage, page uint64, off uint32, ip uint64) *cblock 
 func (c *CPU) execChain(blk *cblock, entryIP, page uint64, pg *codePage, pending *uint64, budget uint64) (uint64, *Exit) {
 	steps := uint64(0)
 	for {
+		if blk.loop != nil {
+			steps += c.runLoop(blk.loop, budget-steps-uint64(blk.nret), pending)
+		}
 		c.blockEntry = entryIP
 		*pending += uint64(blk.total)
 		ops := blk.ops
@@ -1460,5 +1464,6 @@ compile:
 	// loop stopped without a terminator (step cap, decode stop, page
 	// boundary, special): that is where a completed trace resumes.
 	blk.end = rel
+	blk.loop = compileLoop(c.Mem, ip, phys, mode)
 	return blk
 }

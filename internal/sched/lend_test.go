@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cycles"
 	"repro/internal/obs"
@@ -146,52 +147,130 @@ func TestLendCloseWaitsForBorrowedLane(t *testing.T) {
 	t.Fatalf("no waiter ever ran its ticket inline in %d attempts", lendAttempts)
 }
 
-// TestLendRecoveredPanicReturnsLane: a task that panics on a borrowed
-// lane unwinds into the waiter; if the waiter recovers, the lane must be
-// back in service — afterwards all NumWorkers lanes hold a ticket at
-// once.
-func TestLendRecoveredPanicReturnsLane(t *testing.T) {
-	const workers = 2
-	s := New(wasp.New(), workers)
-	defer s.Close()
-	awaitParked(s)
-	bomb := func(clk *cycles.Clock) (*wasp.Result, error) {
-		if lentNow(s, clk) {
-			panic("boom")
-		}
-		return nil, nil // on a resident the panic would kill the test binary
-	}
-	recovered := false
-	for attempt := 0; attempt < lendAttempts && !recovered; attempt++ {
-		tk := s.SubmitFn(bomb)
-		func() {
-			defer func() { recovered = recover() != nil }()
-			tk.Wait()
-		}()
-	}
-	if !recovered {
-		t.Fatalf("no waiter ever ran its ticket inline in %d attempts", lendAttempts)
-	}
-
+// holdEveryLane fails unless all of s's lanes can hold a ticket at once:
+// none was stranded. Each ticket is its own image, so a per-image cap
+// does not serialize them.
+func holdEveryLane(t *testing.T, s *Scheduler) {
+	t.Helper()
 	started := make(chan struct{})
 	release := make(chan struct{})
-	var held []*Ticket
-	for i := 0; i < workers; i++ {
-		held = append(held, s.SubmitFn(func(*cycles.Clock) (*wasp.Result, error) {
+	var reqs []Request
+	for i := range s.workers {
+		reqs = append(reqs, Request{Image: fmt.Sprint("hold", i), Fn: func(*cycles.Clock) (*wasp.Result, error) {
 			started <- struct{}{}
 			<-release
 			return nil, nil
-		}))
+		}})
 	}
-	for i := 0; i < workers; i++ {
-		<-started // all lanes occupied at once: none was stranded
+	held := s.SubmitBatch(reqs)
+	for range s.workers {
+		<-started
 	}
 	close(release)
 	if err := WaitAll(held...); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLendRecoveredPanicReturnsLane: a task that panics on a borrowed
+// lane fails its own ticket — the waiter driving the lane gets the error,
+// not the panic — and the lane is back in service: afterwards all
+// NumWorkers lanes hold a ticket at once.
+func TestLendRecoveredPanicReturnsLane(t *testing.T) {
+	s := New(wasp.New(), 2)
+	defer s.Close()
+	awaitParked(s)
+	lent := false
+	for attempt := 0; attempt < lendAttempts && !lent; attempt++ {
+		_, err := s.SubmitFn(func(clk *cycles.Clock) (*wasp.Result, error) {
+			lent = lentNow(s, clk)
+			panic("boom")
+		}).Wait()
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "boom" || len(pe.Stack) == 0 {
+			t.Fatalf("Wait returned %v, want a PanicError carrying \"boom\" and a stack", err)
+		}
+	}
+	if !lent {
+		t.Fatalf("no waiter ever ran its ticket inline in %d attempts", lendAttempts)
+	}
+	holdEveryLane(t, s)
 	s.Close()
 	lanesAtRest(t, s)
+}
+
+// TestPanickingTaskFailsItsTicket: on a resident, on a lent lane and on
+// the virtual core, a task that panics completes its ticket with a
+// PanicError and the accounting after serve runs — under MaxInFlight: 1
+// the image's next ticket is admitted (the slot was released), every lane
+// still serves, and Submitted == Completed + Rejected.
+func TestPanickingTaskFailsItsTicket(t *testing.T) {
+	capped := WithAdmission(Admission{MaxInFlight: 1})
+	submit := func(s *Scheduler, fn Task) *Ticket {
+		return s.SubmitBatch([]Request{{Image: "tenant", Fn: fn}})[0]
+	}
+	// done waits without Wait, so only a resident can have run the ticket.
+	done := func(t *testing.T, tk *Ticket) error {
+		t.Helper()
+		select {
+		case <-tk.done:
+			return tk.err
+		case <-time.After(30 * time.Second):
+			t.Fatal("ticket never completed")
+			return nil
+		}
+	}
+	check := func(t *testing.T, s *Scheduler, err error) {
+		t.Helper()
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "boom" {
+			t.Fatalf("ticket error %v, want a PanicError carrying \"boom\"", err)
+		}
+		ran := false
+		if err := done(t, submit(s, func(*cycles.Clock) (*wasp.Result, error) { ran = true; return nil, nil })); err != nil || !ran {
+			t.Fatalf("the image's next ticket: ran=%v err=%v (quota slot leaked?)", ran, err)
+		}
+		if tel, _ := s.AdmissionStats("tenant"); tel.InFlight != 0 {
+			t.Fatalf("in-flight count %d after both tickets completed", tel.InFlight)
+		}
+		if _, real := s.core.(*realCore); real {
+			holdEveryLane(t, s)
+		}
+		s.Close()
+		if s.Submitted() != s.Completed()+s.Rejected() {
+			t.Fatalf("Submitted %d != Completed %d + Rejected %d", s.Submitted(), s.Completed(), s.Rejected())
+		}
+	}
+	bomb := func(*cycles.Clock) (*wasp.Result, error) { panic("boom") }
+
+	t.Run("resident", func(t *testing.T) {
+		s := New(wasp.New(), 2, capped)
+		defer s.Close()
+		check(t, s, done(t, submit(s, bomb)))
+	})
+	t.Run("lent", func(t *testing.T) {
+		for attempt := 0; attempt < lendAttempts; attempt++ {
+			s := New(wasp.New(), 2, capped)
+			awaitParked(s)
+			lent := false
+			_, err := submit(s, func(clk *cycles.Clock) (*wasp.Result, error) {
+				lent = lentNow(s, clk)
+				panic("boom")
+			}).Wait()
+			check(t, s, err)
+			lanesAtRest(t, s)
+			if lent {
+				return
+			}
+		}
+		t.Fatalf("no waiter ever ran its ticket inline in %d attempts", lendAttempts)
+	})
+	t.Run("virtual", func(t *testing.T) {
+		s := NewVirtual(wasp.New(), 2, capped)
+		defer s.Close()
+		_, err := submit(s, bomb).Wait()
+		check(t, s, err)
+	})
 }
 
 // helpOrderRun queues one gate ticket and 64 weighted tickets (images

@@ -372,9 +372,11 @@ func (c *realCore) help(t *Ticket) {
 // scrub, where the resident would have scrubbed (the pool's shrink rule
 // only sees parked shells, so a lane that skipped its scrub would leave
 // them to inline reclaims). While the lane is out its resident neither
-// picks nor exits, so Close waits for it; it goes back in a defer, so a
-// task that panics into the waiter's recover does not strand it. Caller
-// holds dmu.
+// picks nor exits, so Close waits for it. (It goes back in a defer, and
+// execUnlocked retakes dmu in one: serve turns a task's panic into the
+// ticket's error, so nothing should unwind through here, but a lane lost
+// to a bug in the dispatch path itself would hang Close.) Caller holds
+// dmu.
 func (c *realCore) driveLent(wk *worker, next, own *Ticket) {
 	c.unidleLocked(wk)
 	wk.lent = true
@@ -401,7 +403,7 @@ func (c *realCore) driveLent(wk *worker, next, own *Ticket) {
 }
 
 // execUnlocked serves t on lane wk with dmu released, retaking it on
-// the way out even when the task panics. Caller holds dmu and drives wk.
+// the way out. Caller holds dmu and drives wk.
 func (c *realCore) execUnlocked(wk *worker, t *Ticket) {
 	c.dmu.Unlock()
 	defer c.dmu.Lock()

@@ -66,6 +66,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -786,13 +787,7 @@ func (s *Scheduler) serve(wk *worker, t *Ticket) {
 	}
 	t.Worker = wk.id
 	t.Platform = wk.pname
-	if t.img != nil {
-		// Image tickets execute on the serving worker's pinned backend:
-		// its platform's Fig 5 costs, its shell pools, its snapshots.
-		t.res, t.err = s.w.RunOn(wk.pname, t.img, t.cfg, wk.clk)
-	} else {
-		t.res, t.err = t.run(wk.clk)
-	}
+	t.res, t.err = s.runTask(wk, t)
 	t.Done = wk.clk.Now()
 	wk.runs.Add(1)
 	s.completed.Add(1)
@@ -803,6 +798,36 @@ func (s *Scheduler) serve(wk *worker, t *Ticket) {
 		// size class (prewarm under bursts, shrink when idle).
 		s.w.ObserveLoadOn(wk.pname, t.Image, t.memBytes, t.DepthAtSubmit, t.Done-t.Start)
 	}
+}
+
+// PanicError is the error of a ticket whose task panicked: the panic
+// value and the stack it was raised on.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("sched: task panicked: %v", e.Value) }
+
+// runTask does the ticket's work. A panic in it — a host-side task
+// function, or a bug below RunOn — fails the ticket instead of unwinding
+// through the dispatch core: everything after serve (the steering busy
+// count, the admission in-flight release, retire) must run for the
+// waiter to return, the image's quota slot to free up and Submitted ==
+// Completed + Rejected to hold, and on a lent lane the stack above
+// belongs to some other caller's Wait.
+func (s *Scheduler) runTask(wk *worker, t *Ticket) (res *wasp.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, &PanicError{Value: p, Stack: debug.Stack()}
+		}
+	}()
+	if t.img != nil {
+		// Image tickets execute on the serving worker's pinned backend:
+		// its platform's Fig 5 costs, its shell pools, its snapshots.
+		return s.w.RunOn(wk.pname, t.img, t.cfg, wk.clk)
+	}
+	return t.run(wk.clk)
 }
 
 // retire publishes a served ticket: its trace span, the completion

@@ -330,10 +330,12 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 		BlocksCompiled: ctx.CPU.Stats.BlocksCompiled - stats0.BlocksCompiled,
 		BlockHits:      ctx.CPU.Stats.BlockHits - stats0.BlockHits,
 		BlockDeopts:    ctx.CPU.Stats.BlockDeopts - stats0.BlockDeopts,
+		LoopRetired:    ctx.CPU.Stats.LoopRetired - stats0.LoopRetired,
 	}
 	w.jitCompiled.Add(res.JIT.BlocksCompiled)
 	w.jitHits.Add(res.JIT.BlockHits)
 	w.jitDeopts.Add(res.JIT.BlockDeopts)
+	w.jitLoop.Add(res.JIT.LoopRetired)
 	if tr := w.tracer; tr.Enabled() {
 		// One summary span per guest run: the interp/JIT tier activity
 		// (arg0 = traces compiled, arg1 = deopts) over the run's whole

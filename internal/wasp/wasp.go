@@ -75,6 +75,7 @@ type Wasp struct {
 	jitCompiled atomic.Uint64
 	jitHits     atomic.Uint64
 	jitDeopts   atomic.Uint64
+	jitLoop     atomic.Uint64
 
 	// tracer is the attached flight recorder (internal/obs); nil or
 	// disabled, every instrumentation site costs one atomic load. Set
@@ -571,13 +572,17 @@ type CodeStats struct {
 	Merges  uint64
 	// BlocksCompiled, BlockHits and BlockDeopts track the compiled
 	// closure-trace tier, aggregated across all runs (and all pooled
-	// contexts) of this Wasp. Fused always reads 0: the superinstruction
+	// contexts) of this Wasp; LoopRetired is the instructions the
+	// counted-loop kernel retired without entering a closure (against
+	// the runs' Retired: how much of the guest never saw one). Fused
+	// always reads 0: the superinstruction
 	// tier it counted is gone, and the field stays only because the
 	// benchmark harness still publishes it as cpu.fused_entries.
 	Fused          uint64
 	BlocksCompiled uint64
 	BlockHits      uint64
 	BlockDeopts    uint64
+	LoopRetired    uint64
 }
 
 // CodeCacheStats snapshots the registry and compiled-tier counters.
@@ -589,6 +594,7 @@ func (w *Wasp) CodeCacheStats() CodeStats {
 		BlocksCompiled: w.jitCompiled.Load(),
 		BlockHits:      w.jitHits.Load(),
 		BlockDeopts:    w.jitDeopts.Load(),
+		LoopRetired:    w.jitLoop.Load(),
 	}
 }
 
