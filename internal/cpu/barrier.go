@@ -23,8 +23,8 @@ package cpu
 // changing the byte: codePageFor and AdoptCode set pageCode when they
 // install decode state ("a decode can be newer than the dirty bit"),
 // ClearDirty clears pageDirty at a new restore point (snapshot capture,
-// full restore, COW copy-back), and Reset clears every pageCode with the
-// decode state it drops.
+// vmm.Context.Rebase), and Reset clears every pageCode with the decode
+// state it drops.
 const (
 	pageDirty uint8 = 1 << iota
 	pageCode
@@ -42,7 +42,7 @@ func (c *CPU) armed(p, n uint64) bool {
 // and becomes dirty. It is the only writer of the dirty bit. Guest stores
 // call it from storeWord, STOREB and WriteMem, or skip it from a trace
 // closure that found the pages armed; host writes — image loads, argument
-// marshalling, hypercall handlers, COW copy-back — reach it through
+// marshalling, hypercall handlers, snapshot rewrites — reach it through
 // vmm.Context.HostWrite.
 func (c *CPU) StoreBarrier(addr uint64, n int) {
 	if n <= 0 || addr >= uint64(len(c.Mem)) {
@@ -68,6 +68,9 @@ func (c *CPU) ClearDirty() {
 		c.pstate[i] &= pageCode
 	}
 }
+
+// PageDirty reports whether page p was written since the last ClearDirty.
+func (c *CPU) PageDirty(p int) bool { return c.pstate[p]&pageDirty != 0 }
 
 // DirtyCount returns the number of pages written since the last
 // ClearDirty.

@@ -15,9 +15,10 @@ package cpu
 //     closures), so self-modifying code re-decodes the bytes it just
 //     wrote even on a bare CPU with no VMM attached;
 //   - vmm.Context.HostWrite — the funnel image loads, argument
-//     marshalling, hypercall handler writes and COW copy-back report to;
-//   - vmm.Context.Clean / CPU.Reset, which drop the whole cache (the
-//     shell is zeroed; nothing cached can remain valid).
+//     marshalling, hypercall handler writes and vmm.Context.Rebase's
+//     page rewrites report to;
+//   - CPU.Reset (vmm.Context.Reset and Clean), which drops the whole
+//     cache when a shell changes hands.
 //
 // Invalidation is page-granular and cheap: dropping a page is a single
 // pointer store, and a store to a page without decode state learns that

@@ -61,7 +61,7 @@ loop:
 // must report exactly the dirty pages Legacy's per-store barrier reports,
 // at exactly the same virtual-cycle cost, at every point the VMM can look:
 // the runs are cut into instruction-budget slices and compared after each,
-// and a new restore point (ClearDirty) is taken partway through.
+// and a new restore point (CPU.ClearDirty) is taken partway through.
 func TestPageStateMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 6; trial++ {
@@ -77,7 +77,7 @@ func TestPageStateMatchesLegacy(t *testing.T) {
 			}
 			ctx.CPU.Legacy = legacy
 			// Isolate guest stores: drop the image-load dirt.
-			ctx.ClearDirty()
+			ctx.CPU.ClearDirty()
 			return ctx
 		}
 		fast, slow := boot(false), boot(true)
@@ -106,8 +106,8 @@ func TestPageStateMatchesLegacy(t *testing.T) {
 				t.Fatalf("trial %d slice %d: exit %+v", trial, n, exF)
 			}
 			if n == 2 {
-				fast.ClearDirty()
-				slow.ClearDirty()
+				fast.CPU.ClearDirty()
+				slow.CPU.ClearDirty()
 			}
 		}
 		if fast.CPU.Stats.BlockHits == 0 {
@@ -133,7 +133,7 @@ func TestHostWriteSharesGuestPageState(t *testing.T) {
 	if err := ctx.Load(p.Code, p.Origin, p.Entry, isa.Mode64); err != nil {
 		t.Fatal(err)
 	}
-	ctx.ClearDirty()
+	ctx.CPU.ClearDirty()
 	if ex := ctx.Run(100); ex.Reason != cpu.ExitHalt {
 		t.Fatalf("exit %+v", ex)
 	}
@@ -141,7 +141,7 @@ func TestHostWriteSharesGuestPageState(t *testing.T) {
 	if want := []int{6, 7}; !reflect.DeepEqual(guest, want) {
 		t.Fatalf("guest store marked %v, want %v", guest, want)
 	}
-	ctx.ClearDirty()
+	ctx.CPU.ClearDirty()
 	if n := ctx.DirtyCount(); n != 0 {
 		t.Fatalf("%d pages dirty after ClearDirty", n)
 	}

@@ -21,10 +21,12 @@ import (
 // Invariants:
 //
 //   - Store pages are immutable. Every writer copies page content into
-//     the store on Insert; every reader (restore, COW fault-in, export)
-//     copies content out. Nothing — not the cleaner's scrubbing, not a
-//     guest, not a host handler — ever holds a writable alias of a store
-//     page. Verify re-hashes the store to prove it.
+//     the store on Insert; every reader (Context.Rebase, export) copies
+//     content out. Nothing — not the cleaner's scrubbing, not a guest,
+//     not a host handler — ever holds a writable alias of a store page.
+//     Verify re-hashes the store to prove it. A page's backing array is
+//     never reused for other content, so two equal pointers mean equal
+//     content (the shell-content record in content.go relies on it).
 //   - Pages are refcounted: one reference per owning layer entry.
 //     Release of the last layer that owns a page frees it.
 //   - Layers are immutable after construction and refcounted: one
@@ -232,6 +234,10 @@ type Layer struct {
 	store  *PageStore
 	parent *Layer
 	pages  map[int]PageKey
+	// table is the chain resolved once at construction: per page, the
+	// store page it resolves to, nil for zero. The layer's references
+	// (its own pages, its retained parent) keep every entry stored.
+	table  []*[PageSize]byte
 	memLen int
 	digest [32]byte // over the resolved page table; see computeDigest
 	refs   atomic.Int32
@@ -274,7 +280,7 @@ func CaptureLayer(store *PageStore, parent *Layer, mem []byte, windows []Window)
 		}
 		l.pages[p] = l.store.Insert(view)
 	}
-	l.digest = l.computeDigest()
+	l.resolveTable()
 	return l
 }
 
@@ -289,18 +295,7 @@ func capturedView(mem []byte, p int, windows []Window, scratch *[PageSize]byte) 
 	if hi > len(mem) {
 		hi = len(mem)
 	}
-	covered := 0 // 0 none, 1 partial, 2 full
-	for _, w := range windows {
-		if w.Hi <= lo || w.Lo >= hi {
-			continue
-		}
-		if w.Lo <= lo && w.Hi >= hi {
-			covered = 2
-			break
-		}
-		covered = 1
-	}
-	switch covered {
+	switch covered(windows, lo, hi) {
 	case 0:
 		return nil
 	case 2:
@@ -334,6 +329,21 @@ func capturedView(mem []byte, p int, windows []Window, scratch *[PageSize]byte) 
 	return scratch[:]
 }
 
+// covered reports how the windows cover [lo, hi): 0 not at all, 2
+// wholly within one window, 1 otherwise.
+func covered(windows []Window, lo, hi int) int {
+	n := 0
+	for _, w := range windows {
+		if w.Lo <= lo && w.Hi >= hi {
+			return 2
+		}
+		if w.Hi > lo && w.Lo < hi {
+			n = 1
+		}
+	}
+	return n
+}
+
 // NewLayer builds a layer from an explicit page table — the import path.
 // The caller must already hold one store reference per non-zero entry
 // (Insert provides it); NewLayer takes ownership of those references,
@@ -347,8 +357,24 @@ func NewLayer(store *PageStore, parent *Layer, memLen int, pages map[int]PageKey
 	if parent != nil {
 		parent.Retain()
 	}
-	l.digest = l.computeDigest()
+	l.resolveTable()
 	return l
+}
+
+// resolveTable finishes construction: the parent's resolved table with
+// this layer's own entries on top, and the digest over the result.
+func (l *Layer) resolveTable() {
+	l.table = make([]*[PageSize]byte, (l.memLen+PageSize-1)/PageSize)
+	if l.parent != nil {
+		copy(l.table, l.parent.table)
+	}
+	for p, key := range l.pages {
+		l.table[p] = nil // ZeroKey overrides the parent
+		if data := l.store.Data(key); data != nil {
+			l.table[p] = (*[PageSize]byte)(data)
+		}
+	}
+	l.digest = l.computeDigest()
 }
 
 // resolve walks the chain from l upward and returns the key of the
@@ -367,35 +393,10 @@ func (l *Layer) resolve(p int) PageKey {
 // chain, or nil when the page is zero. The returned slice is immutable
 // store backing: copy from it, never write through it.
 func (l *Layer) PageData(p int) []byte {
-	return l.store.Data(l.resolve(p))
-}
-
-// MaterializeInto reconstructs the layered snapshot into dst, writing
-// exactly min(len(dst), MemLen) bytes — the same window a deep-copy
-// restore's copy(dst, snapmem) would write — and zero-filling pages the
-// chain does not own.
-func (l *Layer) MaterializeInto(dst []byte) {
-	n := l.memLen
-	if n > len(dst) {
-		n = len(dst)
+	if pg := l.table[p]; pg != nil {
+		return pg[:]
 	}
-	for lo := 0; lo < n; lo += PageSize {
-		hi := lo + PageSize
-		if hi > n {
-			hi = n
-		}
-		if data := l.PageData(lo / PageSize); data != nil {
-			copy(dst[lo:hi], data)
-		} else {
-			clearRange(dst[lo:hi])
-		}
-	}
-}
-
-func clearRange(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
+	return nil
 }
 
 // MemLen is the guest-memory geometry the layer snapshots.

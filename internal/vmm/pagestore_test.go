@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/cycles"
 )
 
 // deepCapture is the legacy reference: the deep-copy capture the forest
@@ -14,6 +16,17 @@ func deepCapture(mem []byte, windows []Window) []byte {
 	out := make([]byte, len(mem))
 	for _, w := range windows {
 		copy(out[w.Lo:w.Hi], mem[w.Lo:w.Hi])
+	}
+	return out
+}
+
+// materialize is the from-zero reconstruction of a layer, resolved
+// page by page through the chain's own tables rather than the layer's
+// precomputed one: what a restore onto zeroed memory must produce.
+func materialize(l *Layer) []byte {
+	out := make([]byte, l.MemLen())
+	for lo := 0; lo < len(out); lo += PageSize {
+		copy(out[lo:], l.store.Data(l.resolve(lo/PageSize)))
 	}
 	return out
 }
@@ -44,8 +57,10 @@ func randMem(rng *rand.Rand, n int) []byte {
 // TestLayerCaptureMaterializeMatchesDeepCopy is the forest≡deep-copy
 // property at the vmm layer: over random memory corpora, random capture
 // windows and random parent chains, materializing a captured layer must
-// reproduce the deep-copy capture bit for bit, and per-page fault-ins
-// (the COW path) must agree with the deep copy on every page.
+// reproduce the deep-copy capture bit for bit, per-page reads through
+// the resolved table must agree with the deep copy on every page, and a
+// context rebased from layer to layer, with random host writes between,
+// must hold the deep copy after every Rebase.
 func TestLayerCaptureMaterializeMatchesDeepCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	store := NewPageStore()
@@ -60,6 +75,7 @@ func TestLayerCaptureMaterializeMatchesDeepCopy(t *testing.T) {
 		var layers []*Layer
 		depth := 1 + rng.Intn(3)
 		mem := randMem(rng, memLen)
+		ctx := Create(memLen, cycles.NewClock())
 		for d := 0; d < depth; d++ {
 			foot := PageSize + rng.Intn(memLen-PageSize)
 			stack := memLen - rng.Intn(memLen-foot)
@@ -68,10 +84,21 @@ func TestLayerCaptureMaterializeMatchesDeepCopy(t *testing.T) {
 			l := CaptureLayer(store, parent, mem, windows)
 			layers = append(layers, l)
 
-			got := make([]byte, memLen)
-			l.MaterializeInto(got)
-			if !bytes.Equal(got, want) {
+			if !bytes.Equal(materialize(l), want) {
 				t.Fatalf("trial %d depth %d: materialized layer diverges from deep copy", trial, d)
+			}
+			for i := 0; i < rng.Intn(4); i++ {
+				at := rng.Intn(memLen)
+				n := min(1+rng.Intn(2*PageSize), memLen-at)
+				rng.Read(ctx.Mem[at : at+n])
+				ctx.HostWrite(uint64(at), n)
+			}
+			ctx.Rebase(l)
+			if !bytes.Equal(ctx.Mem, want) {
+				t.Fatalf("trial %d depth %d: rebased context diverges from deep copy", trial, d)
+			}
+			if err := ctx.CheckContent(); err != nil {
+				t.Fatalf("trial %d depth %d: %v", trial, d, err)
 			}
 			// COW-style per-page fault-in over a random dirty set.
 			cow := make([]byte, memLen)
@@ -86,11 +113,8 @@ func TestLayerCaptureMaterializeMatchesDeepCopy(t *testing.T) {
 				if hi > memLen {
 					hi = memLen
 				}
-				if data := l.PageData(p); data != nil {
-					copy(cow[lo:hi], data)
-				} else {
-					clearRange(cow[lo:hi])
-				}
+				clear(cow[lo:hi])
+				copy(cow[lo:hi], l.PageData(p))
 				copy(ref[lo:hi], want[lo:hi])
 			}
 			if !bytes.Equal(cow, ref) {
@@ -105,7 +129,7 @@ func TestLayerCaptureMaterializeMatchesDeepCopy(t *testing.T) {
 				case 0:
 					rng.Read(mem[p*PageSize : min(p*PageSize+PageSize, memLen)])
 				case 1:
-					clearRange(mem[p*PageSize : min(p*PageSize+PageSize, memLen)])
+					clear(mem[p*PageSize : min(p*PageSize+PageSize, memLen)])
 				}
 			}
 		}
@@ -154,16 +178,14 @@ func TestLayerDeltaDedup(t *testing.T) {
 
 	// Zero-override: zeroing a non-zero base page must materialize as
 	// zero, not fall through to the base.
-	clearRange(mem[3*PageSize : 4*PageSize])
+	clear(mem[3*PageSize : 4*PageSize])
 	basePage5 := append([]byte(nil), mem[5*PageSize:6*PageSize]...)
 	if allZeroBytes(basePage5) {
 		t.Fatal("test setup: page 5 should be non-zero")
 	}
-	clearRange(mem[5*PageSize : 6*PageSize])
+	clear(mem[5*PageSize : 6*PageSize])
 	zo := CaptureLayer(store, base, mem, windows)
-	got := make([]byte, memLen)
-	zo.MaterializeInto(got)
-	if !allZeroBytes(got[5*PageSize : 6*PageSize]) {
+	if !allZeroBytes(materialize(zo)[5*PageSize : 6*PageSize]) {
 		t.Fatal("zero-override page fell through to the base")
 	}
 
@@ -289,7 +311,7 @@ func TestCapturedViewWindows(t *testing.T) {
 		t.Fatal("uncovered page should be zero")
 	}
 	// Zero content under full coverage: nil.
-	clearRange(mem[:PageSize])
+	clear(mem[:PageSize])
 	if v = capturedView(mem, 0, []Window{{0, PageSize}}, &scratch); v != nil {
 		t.Fatal("zero page should collapse to nil view")
 	}

@@ -40,6 +40,7 @@ type Context struct {
 
 	created  bool
 	platform Platform
+	holds    []*[PageSize]byte // the shell-content record (content.go)
 }
 
 // Create allocates a new virtual context on the default platform with
@@ -63,6 +64,7 @@ func CreateOn(p Platform, memBytes int, clk *cycles.Clock) *Context {
 		Clock:    clk,
 		created:  true,
 		platform: p,
+		holds:    make([]*[PageSize]byte, pages),
 	}
 }
 
@@ -74,21 +76,21 @@ func (c *Context) Platform() Platform { return c.platform }
 // charges the zeroing at memcpy bandwidth; callers that clean
 // asynchronously account for this off the critical path.
 func (c *Context) Clean() {
-	for i := range c.Mem {
-		c.Mem[i] = 0
-	}
 	c.Clock.Advance(cycles.ZeroCost(len(c.Mem)))
-	c.CPU.Reset(0)
-	c.Entries, c.ExitsIO, c.ExitsHLT, c.FirstEntry = 0, 0, 0, 0
+	c.CleanSilent()
 }
 
 // CleanSilent zeroes memory and resets the vCPU without charging the
 // caller's clock — the accounting a background cleaner thread gets
 // (Wasp+CA in Fig 8): the work happens, but not on the critical path.
-func (c *Context) CleanSilent() {
-	for i := range c.Mem {
-		c.Mem[i] = 0
-	}
+func (c *Context) CleanSilent() (written, kept int) {
+	c.Reset()
+	return c.Rebase(nil)
+}
+
+// Reset returns the vCPU to power-on state and zeroes the run counters,
+// leaving memory to the Rebase that populates the shell next.
+func (c *Context) Reset() {
 	c.CPU.Reset(0)
 	c.Entries, c.ExitsIO, c.ExitsHLT, c.FirstEntry = 0, 0, 0, 0
 }
@@ -111,6 +113,7 @@ func (c *Context) Load(image []byte, origin, entry uint64, mode isa.Mode) error 
 		c.CPU.SetupProtected()
 	case isa.Mode64:
 		c.CPU.SetupLongMode()
+		c.HostWrite(cpu.DefaultTableBase, 3*PageSize) // the identity-map tables
 	}
 	return nil
 }

@@ -83,6 +83,7 @@ func TestCleanZeroesAndCharges(t *testing.T) {
 	clk := cycles.NewClock()
 	ctx := Create(64<<10, clk)
 	ctx.Mem[100] = 0xAB
+	ctx.HostWrite(100, 1)
 	before := clk.Now()
 	ctx.Clean()
 	if ctx.Mem[100] != 0 {
@@ -100,6 +101,7 @@ func TestCleanSilentIsFree(t *testing.T) {
 	clk := cycles.NewClock()
 	ctx := Create(64<<10, clk)
 	ctx.Mem[5] = 1
+	ctx.HostWrite(5, 1)
 	before := clk.Now()
 	ctx.CleanSilent()
 	if ctx.Mem[5] != 0 {
@@ -161,5 +163,28 @@ func TestContextIsolation(t *testing.T) {
 	a.Mem[0] = 0xAA
 	if b.Mem[0] != 0 {
 		t.Fatal("contexts share memory")
+	}
+}
+
+// TestRebaseUndoesLoad: everything Load writes — the image and, for a
+// long-mode start, the identity-map tables SetupLongMode builds — is
+// recorded, so zeroing the shell afterwards rewrites all of it and a
+// later guest finds nothing of this one.
+func TestRebaseUndoesLoad(t *testing.T) {
+	ctx := Create(64<<10, cycles.NewClock())
+	if err := ctx.Load(haltCode, 0x8000, 0x8000, isa.Mode64); err != nil {
+		t.Fatal(err)
+	}
+	written, kept := ctx.Rebase(nil)
+	for i, b := range ctx.Mem {
+		if b != 0 {
+			t.Fatalf("byte %#x is %#x after rebasing onto zero", i, b)
+		}
+	}
+	if written != 4 || kept != 12 {
+		t.Fatalf("Rebase wrote %d pages and kept %d, want the image page and the three table pages rewritten", written, kept)
+	}
+	if err := ctx.CheckContent(); err != nil {
+		t.Fatal(err)
 	}
 }

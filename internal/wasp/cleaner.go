@@ -34,6 +34,7 @@ type Cleaner struct {
 	// runtimes each backend has its own cleaner, so a dirty shell is
 	// always scrubbed back into the pool of the platform it ran on.
 	pools *shellPools
+	pages *shellPages // the backend's Rebase tally
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -68,8 +69,8 @@ type dirtyShell struct {
 	s        *shell
 }
 
-func newCleaner(pools *shellPools) *Cleaner {
-	c := &Cleaner{pools: pools, queued: make(map[int]int), inflight: make(map[int]int), vclk: cycles.NewClock()}
+func newCleaner(pools *shellPools, pages *shellPages) *Cleaner {
+	c := &Cleaner{pools: pools, pages: pages, queued: make(map[int]int), inflight: make(map[int]int), vclk: cycles.NewClock()}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
@@ -146,7 +147,7 @@ func (c *Cleaner) pop(i int) dirtyShell {
 // the virtual cleaner core's completion time (0 on host lanes, whose
 // scrubs occupy no virtual timeline).
 func (c *Cleaner) scrub(d dirtyShell, toCaller bool, at uint64) *shell {
-	d.s.ctx.CleanSilent()
+	c.pages.add(d.s.ctx.CleanSilent())
 	d.s.dirty = false
 	c.cleaned.Add(1)
 	if tr := c.tr; tr.Enabled() {

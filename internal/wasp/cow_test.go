@@ -1,6 +1,7 @@
 package wasp
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -292,6 +293,79 @@ func TestImportOverParkedCOWShell(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			if got := run(w1, "", 4); got != 200 {
 				t.Fatalf("cow=%v: after round trip kvm run %d = %d, want 200", cow, i, got)
+			}
+		}
+	}
+}
+
+// TestCOWResetMatchesFullRestore: bytes a guest writes before its
+// snapshot call but outside the capture windows are not part of the
+// snapshot. A full restore zeroes them; a COW reset copies back only the
+// pages dirtied since the snapshot point, so it must know those pages
+// differ from the snapshot too. The guest stores at 0xC000 (between the
+// footprint and the stack reserve) and just past its image end (the
+// page the footprint window ends in), snapshots, and returns both words:
+// every restored run must return zeros and leave the shell's memory
+// byte-identical under either runtime.
+func TestCOWResetMatchesFullRestore(t *testing.T) {
+	img := guest.MustFromAsm("cow-windows", guest.WrapLongMode(`
+	movi rbx, 0xC000
+	movi rax, 7
+	store [rbx], rax
+	movi rbx, __image_end
+	movi rax, 9
+	store [rbx+64], rax
+	out 0x08, rdi        ; snapshot()
+	movi rcx, 0x4000
+	movi rbx, 0xC000
+	load rax, [rbx]
+	store [rcx], rax
+	movi rbx, __image_end
+	load rax, [rbx+64]
+	store [rcx+8], rax
+	movi rdi, 0
+	out 0x00, rdi
+	hlt
+`))
+	if edge := img.Footprint(); edge%vmm.PageSize+64+8 > vmm.PageSize || 0xC000 < edge || 0xC000 >= img.MemBytes()-guest.StackReserve {
+		t.Fatalf("footprint edge %#x: the probes must share its page and stay clear of the windows", edge)
+	}
+	// shellMem copies the memory of the one shell a sequential runtime
+	// holds at rest: parked for the image's COW reset, or pooled.
+	shellMem := func(w *Wasp) []byte {
+		be := w.backends[0]
+		if ctx, on := be.cowShells.take(img.Name); ctx != nil {
+			defer be.cowShells.park(img.Name, ctx, on)
+			return append([]byte(nil), ctx.Mem...)
+		}
+		s := be.pools.take(img.MemBytes())
+		defer be.pools.put(img.MemBytes(), s)
+		return append([]byte(nil), s.ctx.Mem...)
+	}
+	full, cow := New(), New(WithCOW(true))
+	cfg := RunConfig{Snapshot: true, RetBytes: 16}
+	for run := 0; run < 4; run++ {
+		var mems [2][]byte
+		for i, w := range []*Wasp{full, cow} {
+			res, err := w.Run(img, cfg, cycles.NewClock())
+			if err != nil {
+				t.Fatal(err)
+			}
+			heap, edge := fromLE64(res.Ret[:8]), fromLE64(res.Ret[8:])
+			if run == 0 && (heap != 7 || edge != 9) {
+				t.Fatalf("cold run returned %d/%d, want the 7/9 it stored", heap, edge)
+			}
+			if run > 0 && (heap != 0 || edge != 0 || !res.SnapshotUsed || (i == 1) != (res.COWPages > 0)) {
+				t.Fatalf("cow=%v run %d returned %d/%d (restored %v, COW pages %d): want 0/0 from the snapshot",
+					i == 1, run, heap, edge, res.SnapshotUsed, res.COWPages)
+			}
+			mems[i] = shellMem(w)
+		}
+		if !bytes.Equal(mems[0], mems[1]) {
+			for a := range mems[0] {
+				if mems[0][a] != mems[1][a] {
+					t.Fatalf("run %d: shell memory differs at %#x: %#x after a full restore, %#x after a COW reset", run, a, mems[0][a], mems[1][a])
+				}
 			}
 		}
 	}

@@ -47,6 +47,16 @@ func randSnapshotProgram(rng *rand.Rand) string {
 	return guest.WrapLongMode(b.String())
 }
 
+// materialize reconstructs a snapshot layer on zeroed memory from its
+// chain-resolved key table: what every populate of the layer must leave.
+func materialize(store *vmm.PageStore, l *vmm.Layer) []byte {
+	out := make([]byte, l.MemLen())
+	for _, e := range l.ResolvedTable() {
+		copy(out[e.Idx*vmm.PageSize:], store.Data(e.Key))
+	}
+	return out
+}
+
 // deepCopySnapshot builds the reference the forest must match — what
 // the original deep-copy snapshot representation held: the image booted
 // on a bare context up to its snapshot hypercall, then the two capture
@@ -115,8 +125,7 @@ func TestForestRestoreMatchesLegacyRestore(t *testing.T) {
 		if snap == nil {
 			t.Fatalf("trial %d: no snapshot captured", trial)
 		}
-		forest := make([]byte, snap.layer.MemLen())
-		snap.layer.MaterializeInto(forest)
+		forest := materialize(w.backends[0].forest, snap.layer)
 		snap.release()
 		legacy, state := deepCopySnapshot(t, img, cfg.Args)
 		if !bytes.Equal(forest, legacy) {
@@ -220,7 +229,9 @@ func TestForestPadVariantCapturesStandalone(t *testing.T) {
 // TestForestConcurrentTenants is the -race gate for the shared forest:
 // many goroutines fork tenants of two base images against one backend —
 // concurrent first captures (racing to register the base), warm
-// restores, re-captures via DropSnapshot, and stats/verify readers.
+// restores, re-captures via DropSnapshot, and stats/verify readers —
+// with every resting shell checked against its content record after
+// every run.
 func TestForestConcurrentTenants(t *testing.T) {
 	w := New(WithCOW(true), WithAsyncClean(true))
 	imgA := cowImg("race-a")
@@ -258,6 +269,9 @@ func TestForestConcurrentTenants(t *testing.T) {
 					if err == nil && fromLE64(res.Ret) != arg+7 {
 						err = fmt.Errorf("tenant %d: ret %d", arg, fromLE64(res.Ret))
 					}
+				}
+				if err == nil {
+					err = checkShells(w)
 				}
 				if err != nil {
 					t.Error(err)

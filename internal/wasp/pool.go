@@ -1,6 +1,7 @@
 package wasp
 
 import (
+	"container/list"
 	"sync"
 
 	"repro/internal/stats"
@@ -114,11 +115,12 @@ type poolShard struct {
 type classSizing struct {
 	svcEWMA uint64 // smoothed service time across all of the class's runs
 	tick    uint64 // observation counter, the staleness timebase
-	// staleAt is a lower bound on the first tick at which any image of
-	// the class can be stale: observe walks byImage for a victim only from
-	// then on, and every walk re-derives it from the oldest lastSeen.
-	staleAt uint64
+	target  int    // sum of the per-image targets
 	byImage map[string]*imageSizing
+	// lru orders byImage by lastSeen, stalest first: every observation
+	// moves its image to the back. Ticks are unique, so the front is the
+	// one image the reaper may pick.
+	lru list.List
 }
 
 // imageSizing is one image's claim on its size class's warm pool.
@@ -127,6 +129,8 @@ type imageSizing struct {
 	idle     int    // consecutive uncontended completions
 	svcEWMA  uint64 // smoothed service time of this image's runs
 	lastSeen uint64 // class tick of this image's latest observation
+	name     string
+	elem     *list.Element // in the class's lru
 }
 
 // staleFactor scales ShrinkAfter into the vanished-tenant threshold: an
@@ -136,27 +140,27 @@ type imageSizing struct {
 // through its own idle streak first.
 const staleFactor = 8
 
-// classTarget sums the per-image warm targets, clamped to the class
+// classTarget is the summed per-image warm target, clamped to the class
 // capacity. Called with the shard lock held.
-func (st *classSizing) classTarget(max int) int {
-	n := 0
-	for _, ist := range st.byImage {
-		n += ist.target
+func (st *classSizing) classTarget(max int) int { return min(st.target, max) }
+
+// decay lowers one image's claim by a shell, if it has one.
+func (st *classSizing) decay(ist *imageSizing) {
+	if ist.target > 0 {
+		ist.target--
+		st.target--
 	}
-	if n > max {
-		n = max
-	}
-	return n
 }
 
 func (st *classSizing) image(name string) *imageSizing {
 	ist := st.byImage[name]
 	if ist == nil {
-		ist = &imageSizing{}
+		ist = &imageSizing{name: name}
 		if st.byImage == nil {
 			st.byImage = make(map[string]*imageSizing)
 		}
 		st.byImage[name] = ist
+		ist.elem = st.lru.PushBack(ist)
 	}
 	return ist
 }
@@ -225,8 +229,8 @@ func (p *shellPools) observe(image string, memBytes, depth int, svc uint64) (wan
 	st.tick++
 	ist := st.image(image)
 	ist.lastSeen = st.tick
+	st.lru.MoveToBack(ist.elem)
 	ist.svcEWMA = stats.EWMA(ist.svcEWMA, svc)
-	cached := len(sh.bySize[memBytes])
 	switch {
 	case depth >= p.policy.GrowDepth:
 		ist.idle = 0
@@ -235,8 +239,10 @@ func (p *shellPools) observe(image string, memBytes, depth int, svc uint64) (wan
 			want = p.policy.MaxPerClass
 		}
 		if want > ist.target {
+			st.target += want - ist.target
 			ist.target = want
 		}
+		cached := len(sh.bySize[memBytes])
 		if target := st.classTarget(p.policy.MaxPerClass); target > cached {
 			wantCached = cached + p.policy.GrowBatch
 			if wantCached > target {
@@ -247,75 +253,43 @@ func (p *shellPools) observe(image string, memBytes, depth int, svc uint64) (wan
 		ist.idle++
 		if ist.idle >= p.policy.ShrinkAfter {
 			ist.idle = 0
-			if ist.target > 0 {
-				ist.target--
-			}
-			floor := st.classTarget(p.policy.MaxPerClass)
-			if floor < 1 {
-				floor = 1 // keep the last warm shell
-			}
-			if cached > floor {
-				// Drop one surplus shell; the host reclaims it.
-				pool := sh.bySize[memBytes]
-				pool[cached-1] = nil
-				sh.bySize[memBytes] = pool[:cached-1]
-			}
+			st.decay(ist)
+			p.dropSurplus(sh, memBytes, st)
 		}
 	default:
 		ist.idle = 0
 	}
 	// Reap vanished tenants: an image that stopped submitting entirely
 	// never observes its own idle streak, so without this its warm claim
-	// (and the shells behind it) would stay pinned forever. Once an
-	// image has been unobserved for staleFactor×ShrinkAfter class
+	// (and the shells behind it) would stay pinned forever. Once the
+	// stalest image has been unobserved for staleFactor×ShrinkAfter class
 	// completions, its claim drains one unit per observation until it is
-	// gone, releasing surplus shells to the host along the way.
-	if p.policy.ShrinkAfter > 0 && st.tick >= st.staleAt {
-		staleAfter := uint64(staleFactor * p.policy.ShrinkAfter)
-		// At most one stale decay per observation; the victim is chosen
-		// deterministically (stalest first, name tiebreak), never by map
-		// iteration order — pool state must stay reproducible or
-		// virtual-mode runs would diverge on warm-shell hits. The walk is
-		// O(images) under the shard lock, so it runs only once some image
-		// can have gone stale: no lastSeen ever moves backwards and a new
-		// image starts at the current tick, so before the oldest lastSeen
-		// found here plus staleAfter there is no victim to find.
-		var victim *imageSizing
-		var victimName string
-		oldest := st.tick
-		for name, other := range st.byImage {
-			if other.lastSeen < oldest {
-				oldest = other.lastSeen
-			}
-			if other == ist || st.tick-other.lastSeen < staleAfter {
-				continue
-			}
-			if victim == nil || other.lastSeen < victim.lastSeen ||
-				(other.lastSeen == victim.lastSeen && name < victimName) {
-				victim, victimName = other, name
-			}
-		}
-		st.staleAt = oldest + staleAfter
-		if victim != nil {
-			if victim.target > 0 {
-				victim.target--
-			}
+	// gone, releasing surplus shells to the host along the way. The victim
+	// is the lru's front, never a map-iteration pick: pool state must stay
+	// reproducible or virtual-mode runs would diverge on warm-shell hits.
+	if p.policy.ShrinkAfter > 0 {
+		victim := st.lru.Front().Value.(*imageSizing)
+		if st.tick-victim.lastSeen >= uint64(staleFactor*p.policy.ShrinkAfter) {
+			st.decay(victim)
 			if victim.target == 0 {
-				delete(st.byImage, victimName)
+				st.lru.Remove(victim.elem)
+				delete(st.byImage, victim.name)
 			}
-			cached = len(sh.bySize[memBytes])
-			floor := st.classTarget(p.policy.MaxPerClass)
-			if floor < 1 {
-				floor = 1
-			}
-			if cached > floor {
-				pool := sh.bySize[memBytes]
-				pool[cached-1] = nil
-				sh.bySize[memBytes] = pool[:cached-1]
-			}
+			p.dropSurplus(sh, memBytes, st)
 		}
 	}
 	return wantCached
+}
+
+// dropSurplus releases one cached shell to the host if the class holds
+// more than its warm target, keeping at least one. Called with the shard
+// lock held.
+func (p *shellPools) dropSurplus(sh *poolShard, memBytes int, st *classSizing) {
+	pool := sh.bySize[memBytes]
+	if n := len(pool); n > max(st.classTarget(p.policy.MaxPerClass), 1) {
+		pool[n-1] = nil
+		sh.bySize[memBytes] = pool[:n-1]
+	}
 }
 
 // stats snapshots one size class's pool state.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cycles"
 	"repro/internal/guest"
+	"repro/internal/stats"
 )
 
 // TestGuestMemOverflowBounds is the regression test for the wrapping
@@ -43,7 +44,8 @@ func TestGuestMemOverflowBounds(t *testing.T) {
 // TestConcurrentRunStress hammers Run from many goroutines across three
 // images with pooling and snapshotting enabled — the scenario the
 // sharded pools exist for. Run under -race this doubles as the data-race
-// check on the pool, snapshot, and COW registries.
+// check on the pool, snapshot, and COW registries. After every run each
+// resting shell must match its content record (checkShells).
 func TestConcurrentRunStress(t *testing.T) {
 	const (
 		goroutines = 16
@@ -86,6 +88,10 @@ func TestConcurrentRunStress(t *testing.T) {
 				// Resume-at-snapshot semantics must hold under contention.
 				if pre, post := fromLE64(res.Ret[:8]), fromLE64(res.Ret[8:]); pre != 1 || post != 1 {
 					errs <- fmt.Errorf("%s run %d: counters %d/%d, want 1/1", img.Name, i, pre, post)
+					return
+				}
+				if err := checkShells(w); err != nil {
+					errs <- fmt.Errorf("%s run %d: %w", img.Name, i, err)
 					return
 				}
 			}
@@ -201,57 +207,159 @@ func TestPoolVanishedTenantReaped(t *testing.T) {
 	}
 }
 
-// TestPoolStaleWalkGuardMatchesFullScan: observe looks for a stale victim
-// only from the tick at which one can exist. Beside it runs the old rule
-// — the full walk on every completion, forced by zeroing the guard — over
-// one seeded observation sequence; every pool decision (growth request,
-// shells cached, each image's claim, idle streak and last-seen tick) must
-// be identical after every step, or virtual-mode runs would diverge.
-func TestPoolStaleWalkGuardMatchesFullScan(t *testing.T) {
-	const mem = 64 << 10
-	policy := PoolPolicy{MaxPerClass: 24, GrowDepth: 3, GrowBatch: 4, ShrinkAfter: 4}
-	guarded, full := &shellPools{policy: policy}, &shellPools{policy: policy}
-	rng := rand.New(rand.NewSource(11))
-	zipf := rand.NewZipf(rng, 1.2, 4, 95)
-	skipped := 0
-	for step := 0; step < 30000; step++ {
-		image := fmt.Sprintf("tenant-%d", zipf.Uint64())
-		if step > 20000 {
-			image = fmt.Sprintf("tenant-%d", rng.Intn(3)) // the tail vanishes
-		}
-		depth := []int{0, 0, 0, 0, 1, 2, 5, 9}[rng.Intn(8)]
-		svc := uint64(500 + rng.Intn(2000))
+// refSizing is one size class's sizing state as observe kept it before
+// the lru and the running target sum: per-image claims in a map, walked
+// in full for a stale victim on every completion and summed for the
+// class target, over a pool that is just a count of cached shells.
+type refSizing struct {
+	svcEWMA uint64
+	tick    uint64
+	cached  int
+	byImage map[string]*refImage
+}
 
-		if st := full.shardFor(mem).sizing[mem]; st != nil {
-			st.staleAt = 0
+type refImage struct {
+	target, idle      int
+	svcEWMA, lastSeen uint64
+}
+
+func (r *refSizing) classTarget(max int) int {
+	n := 0
+	for _, ri := range r.byImage {
+		n += ri.target
+	}
+	return min(n, max)
+}
+
+// observe is the old shellPools.observe. It fails the test if the walk
+// ever needs its name tiebreak: lastSeen ticks are unique, which is what
+// lets the lru's front stand in for the walk.
+func (r *refSizing) observe(t *testing.T, p PoolPolicy, image string, depth int, svc uint64) (wantCached int) {
+	r.svcEWMA = stats.EWMA(r.svcEWMA, svc)
+	r.tick++
+	ist := r.byImage[image]
+	if ist == nil {
+		ist = &refImage{}
+		r.byImage[image] = ist
+	}
+	ist.lastSeen = r.tick
+	ist.svcEWMA = stats.EWMA(ist.svcEWMA, svc)
+	switch {
+	case depth >= p.GrowDepth:
+		ist.idle = 0
+		ist.target = max(ist.target, min(depth, p.MaxPerClass))
+		if target := r.classTarget(p.MaxPerClass); target > r.cached {
+			wantCached = min(r.cached+p.GrowBatch, target)
 		}
-		if st := guarded.shardFor(mem).sizing[mem]; st != nil && st.tick+1 < st.staleAt {
-			skipped++
-		}
-		wantG := guarded.observe(image, mem, depth, svc)
-		wantF := full.observe(image, mem, depth, svc)
-		if wantG != wantF {
-			t.Fatalf("step %d: growth request %d, full scan %d", step, wantG, wantF)
-		}
-		for _, p := range []*shellPools{guarded, full} {
-			for p.size(mem) < wantG {
-				p.put(mem, &shell{}) // the prewarm the caller would do
+	case depth == 0:
+		ist.idle++
+		if ist.idle >= p.ShrinkAfter {
+			ist.idle = 0
+			if ist.target > 0 {
+				ist.target--
+			}
+			if r.cached > max(r.classTarget(p.MaxPerClass), 1) {
+				r.cached--
 			}
 		}
-		if guarded.size(mem) != full.size(mem) {
-			t.Fatalf("step %d: %d shells cached, full scan %d", step, guarded.size(mem), full.size(mem))
+	default:
+		ist.idle = 0
+	}
+	staleAfter := uint64(staleFactor * p.ShrinkAfter)
+	var victim *refImage
+	var victimName string
+	for name, other := range r.byImage {
+		if other == ist || r.tick-other.lastSeen < staleAfter {
+			continue
 		}
-		g, f := guarded.shardFor(mem).sizing[mem], full.shardFor(mem).sizing[mem]
-		if g.tick != f.tick || len(g.byImage) != len(f.byImage) {
-			t.Fatalf("step %d: tick %d/%d, images %d/%d", step, g.tick, f.tick, len(g.byImage), len(f.byImage))
+		if victim != nil && other.lastSeen == victim.lastSeen {
+			t.Fatalf("tick %d: %s and %s were both last seen at %d", r.tick, name, victimName, other.lastSeen)
 		}
-		for name, gi := range g.byImage {
-			if fi := f.byImage[name]; fi == nil || *gi != *fi {
-				t.Fatalf("step %d: image %s: %+v, full scan %+v", step, name, gi, fi)
-			}
+		if victim == nil || other.lastSeen < victim.lastSeen {
+			victim, victimName = other, name
 		}
 	}
-	if skipped < 5000 {
-		t.Fatalf("the guard skipped only %d of 30000 walks; the sequence does not exercise it", skipped)
+	if victim != nil {
+		if victim.target > 0 {
+			victim.target--
+		}
+		if victim.target == 0 {
+			delete(r.byImage, victimName)
+		}
+		if r.cached > max(r.classTarget(p.MaxPerClass), 1) {
+			r.cached--
+		}
+	}
+	return wantCached
+}
+
+// TestPoolLRUReaperMatchesFullScan: observe takes the stale victim from
+// the front of the class's lru and keeps the class target as a running
+// sum. Beside it runs the old rule — the full walk and the map sum on
+// every completion — over two seeded observation sequences (a small
+// class whose tail vanishes, and 256 Zipf(1.1) tenants); every pool
+// decision (growth request, shells cached, each image's claim, idle
+// streak, smoothed service time and last-seen tick) must be identical
+// after every step, or virtual-mode runs would diverge on warm-shell hits.
+func TestPoolLRUReaperMatchesFullScan(t *testing.T) {
+	const mem = 64 << 10
+	for _, tc := range []struct {
+		name      string
+		policy    PoolPolicy
+		seed      int64
+		s         float64
+		tenants   uint64
+		steps     int
+		vanishing int // from this step on only three tenants submit
+	}{
+		{"vanishing-tail", PoolPolicy{MaxPerClass: 24, GrowDepth: 3, GrowBatch: 4, ShrinkAfter: 4}, 11, 1.2, 96, 30000, 20000},
+		{"zipf-256", DefaultPoolPolicy, 5, 1.1, 256, 60000, 50000},
+	} {
+		pools := &shellPools{policy: tc.policy}
+		ref := &refSizing{byImage: map[string]*refImage{}}
+		rng := rand.New(rand.NewSource(tc.seed))
+		zipf := rand.NewZipf(rng, tc.s, 4, tc.tenants-1)
+		reaped := 0
+		for step := 0; step < tc.steps; step++ {
+			image := fmt.Sprintf("tenant-%d", zipf.Uint64())
+			if step >= tc.vanishing {
+				image = fmt.Sprintf("tenant-%d", rng.Intn(3))
+			}
+			depth := []int{0, 0, 0, 0, 1, 2, 5, 9}[rng.Intn(8)]
+			svc := uint64(500 + rng.Intn(2000))
+
+			images := len(ref.byImage)
+			got, want := pools.observe(image, mem, depth, svc), ref.observe(t, tc.policy, image, depth, svc)
+			if len(ref.byImage) < images {
+				reaped++
+			}
+			if got != want {
+				t.Fatalf("%s step %d: growth request %d, full scan %d", tc.name, step, got, want)
+			}
+			for pools.size(mem) < got {
+				pools.put(mem, &shell{}) // the prewarm the caller would do
+			}
+			ref.cached = max(ref.cached, want)
+			if pools.size(mem) != ref.cached {
+				t.Fatalf("%s step %d: %d shells cached, full scan %d", tc.name, step, pools.size(mem), ref.cached)
+			}
+			st := pools.shardFor(mem).sizing[mem]
+			if st.tick != ref.tick || st.svcEWMA != ref.svcEWMA || len(st.byImage) != len(ref.byImage) || st.lru.Len() != len(st.byImage) {
+				t.Fatalf("%s step %d: tick %d/%d, images %d/%d (lru %d)", tc.name, step, st.tick, ref.tick, len(st.byImage), len(ref.byImage), st.lru.Len())
+			}
+			if st.classTarget(tc.policy.MaxPerClass) != ref.classTarget(tc.policy.MaxPerClass) {
+				t.Fatalf("%s step %d: class target %d, full scan %d", tc.name, step, st.classTarget(tc.policy.MaxPerClass), ref.classTarget(tc.policy.MaxPerClass))
+			}
+			for name, ri := range ref.byImage {
+				gi := st.byImage[name]
+				if gi == nil || gi.target != ri.target || gi.idle != ri.idle || gi.svcEWMA != ri.svcEWMA || gi.lastSeen != ri.lastSeen {
+					t.Fatalf("%s step %d: image %s: %+v, full scan %+v", tc.name, step, name, gi, ri)
+				}
+			}
+		}
+		t.Logf("%s: %d images reaped", tc.name, reaped)
+		if reaped < 50 {
+			t.Fatalf("%s: the reaper retired only %d images; the sequence does not exercise it", tc.name, reaped)
+		}
 	}
 }

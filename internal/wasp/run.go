@@ -68,8 +68,8 @@ type Result struct {
 	JIT cpu.JITStats
 	// SnapshotUsed reports whether this run restored from a snapshot.
 	SnapshotUsed bool
-	// COWPages is the number of pages a copy-on-write reset copied
-	// back (0 when the full snapshot was copied).
+	// COWPages is the number of dirty pages a copy-on-write reset copied
+	// back and was charged for (0 when the full snapshot was restored).
 	COWPages int
 
 	// retBuf backs Ret for the common small-RetBytes case so the
@@ -186,53 +186,32 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	stats0 := ctx.CPU.Stats
 
 	if snap != nil {
+		// Restore (Fig 7) and COW reset (§7.2) are one operation: Rebase
+		// rewrites only the pages that differ from the snapshot — dirty,
+		// unknown, or holding another layer's page — and starts the new
+		// restore point. The charges stay the paper's: a restore copies
+		// the captured footprint; a COW reset copies back the pages
+		// dirtied since the snapshot point. Neither depends on how the
+		// forest shares pages or on what the shell held before.
+		dirty := ctx.DirtyCount()
+		written := be.pages.add(ctx.Rebase(snap.layer))
+		name, arg := "snap-restore", uint64(snap.captured)
 		if resident {
-			// COW reset (§7.2): the context already holds the snapshot
-			// image; copy back only the pages dirtied since the
-			// snapshot point — faulting each page in from the nearest
-			// layer of the snapshot forest that owns it. The copy-back is
-			// a host write like any other: the barrier drops whatever the
-			// page decoded from the modified bytes after the guest first
-			// dirtied it, and ClearDirty then starts the new restore point.
-			pages := ctx.DirtyPages()
-			snapLen := snap.layer.MemLen()
-			for _, p := range pages {
-				lo := p * vmm.PageSize
-				hi := lo + vmm.PageSize
-				if hi > snapLen {
-					hi = snapLen
-				}
-				if lo < snapLen {
-					snap.restorePage(p, ctx.Mem[lo:hi])
-					ctx.HostWrite(uint64(lo), hi-lo)
-				}
-			}
-			clk.Advance(cycles.MemcpyCost(len(pages) * vmm.PageSize))
-			clk.Advance(uint64(len(pages)) * cycles.COWResetPerPage)
-			ctx.ClearDirty()
-			res.COWPages = len(pages)
-			if tr := w.tracer; tr.Enabled() {
-				tr.Instant(obs.ControlLane, obs.KindSnapshot, "snap-cow-reset",
-					clk.Now(), 0, uint64(len(pages)), 0)
-			}
+			clk.Advance(cycles.MemcpyCost(dirty * vmm.PageSize))
+			clk.Advance(uint64(dirty) * cycles.COWResetPerPage)
+			res.COWPages = dirty
+			name, arg = "snap-cow-reset", uint64(dirty)
 		} else {
-			// Fast path (Fig 7): restore the snapshot — one memcpy of
-			// the captured footprint — and resume at the snapshot
-			// point. The snapshot materializes through its layer chain;
-			// the charge is for the restored byte count, so virtual
-			// cycles do not depend on how the forest shares pages.
-			snap.layer.MaterializeInto(ctx.Mem)
 			clk.Advance(cycles.MemcpyCost(snap.captured))
-			ctx.ClearDirty()
-			if tr := w.tracer; tr.Enabled() {
-				tr.Instant(obs.ControlLane, obs.KindSnapshot, "snap-restore",
-					clk.Now(), 0, uint64(snap.captured), 0)
-			}
+		}
+		if tr := w.tracer; tr.Enabled() {
+			tr.Instant(obs.ControlLane, obs.KindSnapshot, name, clk.Now(), 0, arg, uint64(written))
 		}
 		ctx.CPU.Restore(snap.state)
 		clk.Advance(cycles.GuestLoadSetup)
 		res.SnapshotUsed = true
 	} else {
+		be.pages.add(ctx.Rebase(nil)) // boot on zeroed memory
 		if err := ctx.Load(img.Code, img.Origin, img.Entry, img.Mode); err != nil {
 			return nil, err
 		}
@@ -282,6 +261,10 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 		if snap != nil {
 			nctx.restored = snap.native
 		}
+		// The workload writes through its Mem slice, behind the store
+		// barrier and possibly after a TakeSnapshot, so however it
+		// returns, the shell's content is unknown from then on.
+		defer ctx.Forget()
 		clk.Advance(be.platform.EntryCost())
 		if ctx.FirstEntry == 0 {
 			ctx.FirstEntry = clk.Now()
@@ -471,7 +454,7 @@ func (w *Wasp) capture(be *backend, ctx *vmm.Context, img *guest.Image, native a
 		base = nil
 	}
 	snap := &snapshot{
-		layer:      vmm.CaptureLayer(be.forest, base, ctx.Mem, windows),
+		layer:      ctx.Capture(be.forest, base, windows),
 		contentKey: img.ContentKey(),
 		captured:   captured,
 		state:      ctx.CPU.Save(),
@@ -482,7 +465,6 @@ func (w *Wasp) capture(be *backend, ctx *vmm.Context, img *guest.Image, native a
 		be.bases.register(img.ContentKey(), snap.layer)
 	}
 	clk.Advance(cycles.MemcpyCost(captured))
-	ctx.ClearDirty()
 	be.snapshots.put(img.Name, snap)
 	if tr := w.tracer; tr.Enabled() {
 		tr.Instant(obs.ControlLane, obs.KindSnapshot, "snap-capture",

@@ -10,7 +10,8 @@ import (
 // registry as pull-model collectors, sampled only at Snapshot time:
 // the shared code-cache and compiled-tier counters (CodeCacheStats),
 // the per-platform snapshot-forest state (ForestStats), warm-pool
-// occupancy, and the async cleaner's lifetime counters.
+// occupancy, the pages populating and scrubbing shells rewrote, and the
+// async cleaner's lifetime counters.
 //
 // The individual accessors — CodeCacheStats, ForestStats, PoolStatsFor,
 // PoolImageStats, Cleaner's counters — remain supported for callers
@@ -31,8 +32,8 @@ func (w *Wasp) RegisterMetrics(r *obs.Registry) {
 		emit("wasp_jit_loop_retired", float64(cs.LoopRetired))
 		emit("wasp_pool_total", float64(w.PoolTotal()))
 		emit("wasp_pool_dropped", float64(w.PoolDropped()))
-		for _, p := range w.Platforms() {
-			name := p.Name()
+		for _, be := range w.backends {
+			name := be.platform.Name()
 			fs := w.ForestStatsOn(name)
 			emit(fmt.Sprintf("wasp_forest_store_pages{platform=%s}", name), float64(fs.StorePages))
 			emit(fmt.Sprintf("wasp_forest_store_bytes{platform=%s}", name), float64(fs.StoreBytes))
@@ -41,6 +42,8 @@ func (w *Wasp) RegisterMetrics(r *obs.Registry) {
 			emit(fmt.Sprintf("wasp_forest_snapshots{platform=%s}", name), float64(fs.Snapshots))
 			emit(fmt.Sprintf("wasp_forest_delta_snapshots{platform=%s}", name), float64(fs.DeltaSnapshots))
 			emit(fmt.Sprintf("wasp_pool_shells{platform=%s}", name), float64(w.PoolTotalOn(name)))
+			emit(fmt.Sprintf("wasp_shell_pages_written{platform=%s}", name), float64(be.pages.written.Load()))
+			emit(fmt.Sprintf("wasp_shell_pages_kept{platform=%s}", name), float64(be.pages.kept.Load()))
 			if c := w.CleanerOn(name); c != nil {
 				emit(fmt.Sprintf("wasp_clean_enqueued{platform=%s}", name), float64(c.Enqueued()))
 				emit(fmt.Sprintf("wasp_clean_cleaned{platform=%s}", name), float64(c.Cleaned()))

@@ -152,3 +152,48 @@ func keys(m map[string]bool) []string {
 	}
 	return out
 }
+
+// TestRestoreCountsPagesWritten: the snap-restore and snap-cow-reset
+// instants carry, as their second argument, the pages Rebase rewrote,
+// and the registry's wasp_shell_pages_written/_kept add up every Rebase
+// of the backend's shells — here the cold boot's (a fresh shell: all
+// kept) and each restore's.
+func TestRestoreCountsPagesWritten(t *testing.T) {
+	for _, cow := range []bool{false, true} {
+		tr := obs.NewTracer(obs.Deterministic(true))
+		tr.SetEnabled(true)
+		w := New(WithTracer(tr), WithCOW(cow))
+		reg := obs.NewRegistry()
+		w.RegisterMetrics(reg)
+		img := traceImg("trace-pages")
+		const runs = 4
+		for i := 0; i < runs; i++ {
+			if _, err := w.Run(img, RunConfig{Snapshot: true}, cycles.NewClock()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := map[bool]string{false: "snap-restore", true: "snap-cow-reset"}[cow]
+		pages := uint64(img.MemBytes() / vmm.PageSize)
+		var restores, written uint64
+		for _, le := range tr.Events() {
+			for _, e := range le.Events {
+				if tr.NameOf(e.Name) == want {
+					restores++
+					written += e.Arg1
+					if e.Arg1 == 0 || e.Arg1 > pages {
+						t.Errorf("cow=%v: %s wrote %d of %d pages", cow, want, e.Arg1, pages)
+					}
+				}
+			}
+		}
+		got := map[string]float64{}
+		for _, m := range reg.Snapshot() {
+			got[m.Name] = m.Value
+		}
+		if restores != runs-1 || got["wasp_shell_pages_written{platform=kvm}"] != float64(written) ||
+			got["wasp_shell_pages_kept{platform=kvm}"] != float64(runs*pages-written) {
+			t.Fatalf("cow=%v: %d %s instants writing %d pages; registry written %v, kept %v (want %d)", cow, restores, want, written,
+				got["wasp_shell_pages_written{platform=kvm}"], got["wasp_shell_pages_kept{platform=kvm}"], runs*pages-written)
+		}
+	}
+}

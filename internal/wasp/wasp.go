@@ -96,6 +96,17 @@ type backend struct {
 	cleaner   *Cleaner       // non-nil iff pooling && asyncClean
 	forest    *vmm.PageStore // content-addressed page store behind all snapshots
 	bases     baseRegistry   // image content key -> shared base layer
+	pages     shellPages     // what populating and scrubbing shells rewrote
+}
+
+// shellPages tallies vmm.Context.Rebase over one backend's shells: pages
+// rewritten, and pages found already holding their target.
+type shellPages struct{ written, kept atomic.Uint64 }
+
+func (s *shellPages) add(written, kept int) int {
+	s.written.Add(uint64(written))
+	s.kept.Add(uint64(kept))
+	return written
 }
 
 type shell struct {
@@ -126,18 +137,6 @@ func (s *snapshot) retain() {
 func (s *snapshot) release() {
 	if s != nil {
 		s.layer.Release()
-	}
-}
-
-// restorePage copies the snapshot's content for page p into dst (the
-// COW fault-in path), resolving through the layer chain: the nearest
-// layer that owns the page supplies it, pages owned nowhere are zero.
-// dst must lie within page p.
-func (s *snapshot) restorePage(p int, dst []byte) {
-	if data := s.layer.PageData(p); data != nil {
-		copy(dst, data)
-	} else {
-		clear(dst)
 	}
 }
 
@@ -228,7 +227,7 @@ func New(opts ...Option) *Wasp {
 		be := &backend{platform: p, forest: vmm.NewPageStore()}
 		be.pools.policy = w.policy
 		if w.pooling && w.asyncClean {
-			be.cleaner = newCleaner(&be.pools)
+			be.cleaner = newCleaner(&be.pools, &be.pages)
 			be.cleaner.tr = w.tracer
 		}
 		w.backends = append(w.backends, be)
@@ -324,7 +323,11 @@ func (w *Wasp) acquire(be *backend, memBytes int, clk *cycles.Clock) *vmm.Contex
 			s.ctx.Clock = clk
 			s.ctx.CPU.Clock = clk
 			if s.dirty {
-				s.ctx.Clean()
+				// Wasp+C pays for the zeroing here; the memory work is left
+				// to the Rebase that populates the shell next, which writes
+				// only the pages that differ from what this run needs.
+				clk.Advance(cycles.ZeroCost(memBytes))
+				s.ctx.Reset()
 				s.dirty = false
 			}
 			return s.ctx
