@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -24,9 +23,10 @@ import (
 //     the store on Insert; every reader (Context.Rebase, export) copies
 //     content out. Nothing — not the cleaner's scrubbing, not a guest,
 //     not a host handler — ever holds a writable alias of a store page.
-//     Verify re-hashes the store to prove it. A page's backing array is
-//     never reused for other content, so two equal pointers mean equal
-//     content (the shell-content record in content.go relies on it).
+//     Verify re-hashes the store to prove it. A Page is never reused for
+//     other content, so two equal pointers mean equal content (the
+//     shell-content record in content.go relies on it), and a Page the
+//     store has freed can be stored again as itself.
 //   - Pages are refcounted: one reference per owning layer entry.
 //     Release of the last layer that owns a page frees it.
 //   - Layers are immutable after construction and refcounted: one
@@ -40,15 +40,13 @@ import (
 type PageKey [32]byte
 
 // ZeroKey is the key of the all-zero page. Zero pages are never stored:
-// a layer either omits a zero page entirely (base layers, or when the
-// parent chain already resolves it to zero) or records ZeroKey to
-// override a non-zero parent page.
+// a nil *Page stands for them.
 var ZeroKey = sha256.Sum256(make([]byte, PageSize))
 
 var zeroPage [PageSize]byte
 
 // pageShardCount shards the store's key space so concurrent captures,
-// releases and fault-ins on different pages rarely contend. Power of two.
+// releases and imports on different pages rarely contend. Power of two.
 const pageShardCount = 16
 
 // PageStore is an immutable, refcounted, content-hash-keyed store of
@@ -57,18 +55,40 @@ const pageShardCount = 16
 type PageStore struct {
 	shards [pageShardCount]pageShard
 
-	dedupHits atomic.Uint64 // Inserts resolved to an already-stored page
+	dedupHits atomic.Uint64 // insertions resolved to an already-stored page
 	inserted  atomic.Uint64 // lifetime distinct-page insertions
 }
 
 type pageShard struct {
 	mu    sync.Mutex
-	pages map[PageKey]*storedPage
+	pages map[PageKey]*Page
 }
 
-type storedPage struct {
-	data []byte // exactly PageSize, immutable
-	refs int    // owning layer entries; guarded by the shard mutex
+// Page is one stored page: its content and the content key, both
+// immutable. Layer tables and shell-content records point at Pages, so
+// an entry is 8 bytes, equal pointers are equal content, and a key is
+// one load away. A nil *Page is the zero page.
+type Page struct {
+	data *[PageSize]byte
+	key  PageKey
+	refs int // owning layer entries; guarded by the shard mutex
+}
+
+// Key returns the page's content key, ZeroKey for the zero page.
+func (p *Page) Key() PageKey {
+	if p == nil {
+		return ZeroKey
+	}
+	return p.key
+}
+
+// Data returns the page's content, nil for the zero page. The slice is
+// the store's immutable backing: copy from it, never write through it.
+func (p *Page) Data() []byte {
+	if p == nil {
+		return nil
+	}
+	return p.data[:]
 }
 
 // NewPageStore returns an empty shared page store.
@@ -92,78 +112,57 @@ func HashPage(data []byte) PageKey {
 	return sha256.Sum256(buf[:])
 }
 
-// Insert stores one page of content and returns its key, holding one
+// Insert stores one page of content and returns it, holding one
 // reference for the caller. Content equal to an already-stored page
-// increments that page's refcount instead of storing again (this is the
-// dedup path). All-zero content returns ZeroKey and stores nothing.
-// The content is copied; the caller keeps ownership of data.
-func (s *PageStore) Insert(data []byte) PageKey {
+// references that page instead of storing again (the dedup path).
+// All-zero content returns nil and stores nothing. The content is
+// copied; the caller keeps ownership of data.
+func (s *PageStore) Insert(data []byte) *Page {
 	if isZeroPage(data) {
-		return ZeroKey
+		return nil
 	}
-	key := HashPage(data)
+	return s.insert(HashPage(data), data, nil)
+}
+
+// insert takes one reference on the stored page with key, data's hash:
+// the page already stored (a dedup hit), else freed — a page the store
+// has released since its caller read it, stored again as itself — else a
+// new page copied from data.
+func (s *PageStore) insert(key PageKey, data []byte, freed *Page) *Page {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if p := sh.pages[key]; p != nil {
 		p.refs++
 		s.dedupHits.Add(1)
-		return key
+		return p
 	}
-	page := make([]byte, PageSize)
-	copy(page, data)
+	p := freed
+	if p == nil {
+		p = &Page{data: new([PageSize]byte), key: key}
+		copy(p.data[:], data)
+	}
+	p.refs = 1
 	if sh.pages == nil {
-		sh.pages = make(map[PageKey]*storedPage)
+		sh.pages = make(map[PageKey]*Page)
 	}
-	sh.pages[key] = &storedPage{data: page, refs: 1}
+	sh.pages[key] = p
 	s.inserted.Add(1)
-	return key
-}
-
-// Ref adds one reference to an already-stored page. ZeroKey is a no-op.
-func (s *PageStore) Ref(key PageKey) {
-	if key == ZeroKey {
-		return
-	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	if p := sh.pages[key]; p != nil {
-		p.refs++
-	}
-	sh.mu.Unlock()
+	return p
 }
 
 // Unref drops one reference; the page is freed when the last owner
-// releases it. ZeroKey is a no-op.
-func (s *PageStore) Unref(key PageKey) {
-	if key == ZeroKey {
+// releases it. nil is a no-op.
+func (s *PageStore) Unref(p *Page) {
+	if p == nil {
 		return
 	}
-	sh := s.shardFor(key)
+	sh := s.shardFor(p.key)
 	sh.mu.Lock()
-	if p := sh.pages[key]; p != nil {
-		p.refs--
-		if p.refs <= 0 {
-			delete(sh.pages, key)
-		}
+	if p.refs--; p.refs == 0 {
+		delete(sh.pages, p.key)
 	}
 	sh.mu.Unlock()
-}
-
-// Data returns the stored page for key, or nil for ZeroKey or an unknown
-// key. The returned slice is the store's immutable backing: callers must
-// only copy from it, never write through it.
-func (s *PageStore) Data(key PageKey) []byte {
-	if key == ZeroKey {
-		return nil
-	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if p := sh.pages[key]; p != nil {
-		return p.data
-	}
-	return nil
 }
 
 // Pages reports the number of distinct pages currently stored.
@@ -183,7 +182,7 @@ func (s *PageStore) Bytes() int64 {
 	return int64(s.Pages()) * PageSize
 }
 
-// DedupHits reports Inserts that were satisfied by an existing page.
+// DedupHits reports insertions that were satisfied by an existing page.
 func (s *PageStore) DedupHits() uint64 { return s.dedupHits.Load() }
 
 // Inserted reports lifetime distinct-page insertions.
@@ -197,7 +196,7 @@ func (s *PageStore) Verify() error {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for key, p := range sh.pages {
-			if HashPage(p.data) != key {
+			if HashPage(p.data[:]) != key || p.key != key {
 				sh.mu.Unlock()
 				return fmt.Errorf("vmm: page store corruption: page %x was mutated in place", key[:8])
 			}
@@ -224,106 +223,57 @@ func isZeroPage(data []byte) bool {
 // snapshot, exactly as the deep-copy capture zero-filled them.
 type Window struct{ Lo, Hi int }
 
-// Layer is one node of the snapshot forest: a page table of content
-// keys over a fixed guest-memory geometry, layered over an optional
-// parent. A layer owns only the pages that differ from its parent
-// chain; lookups fault through to the nearest ancestor that owns the
-// page, and pages owned nowhere are zero. Layers are immutable after
-// construction.
+// Layer is one node of the snapshot forest: a page table over a fixed
+// guest-memory geometry, layered over an optional parent. A layer owns
+// only the pages that differ from its parent chain; pages owned nowhere
+// are zero. Layers are immutable after construction.
 type Layer struct {
 	store  *PageStore
 	parent *Layer
-	pages  map[int]PageKey
+	own    []LayerPage // ascending by index; a nil Page zeroes a parent page
 	// table is the chain resolved once at construction: per page, the
 	// store page it resolves to, nil for zero. The layer's references
 	// (its own pages, its retained parent) keep every entry stored.
-	table  []*[PageSize]byte
+	table  []*Page
 	memLen int
 	digest [32]byte // over the resolved page table; see computeDigest
 	refs   atomic.Int32
 }
 
-// LayerPage is one (page index, content key) entry of a layer table.
+// LayerPage is one (page index, store page) entry of a layer table; a
+// nil Page is the zero page.
 type LayerPage struct {
-	Idx int
-	Key PageKey
-}
-
-// CaptureLayer snapshots mem's captured windows as a new layer over
-// parent (nil for a base layer), holding one reference for the caller
-// and one on parent. Only pages whose captured content differs from the
-// parent chain's resolution are stored: a tenant clone captured over its
-// image's base layer owns just its delta. parent, when non-nil, must
-// share mem's geometry.
-func CaptureLayer(store *PageStore, parent *Layer, mem []byte, windows []Window) *Layer {
-	if parent != nil && parent.memLen != len(mem) {
-		panic(fmt.Sprintf("vmm: capture geometry %d over base geometry %d", len(mem), parent.memLen))
-	}
-	l := &Layer{store: store, parent: parent, pages: make(map[int]PageKey), memLen: len(mem)}
-	l.refs.Store(1)
-	if parent != nil {
-		parent.Retain()
-	}
-	npages := (len(mem) + PageSize - 1) / PageSize
-	var scratch [PageSize]byte
-	for p := 0; p < npages; p++ {
-		view := capturedView(mem, p, windows, &scratch)
-		if view == nil { // captured content is all zero
-			if parent.resolve(p) != ZeroKey {
-				l.pages[p] = ZeroKey // override a non-zero base page
-			}
-			continue
-		}
-		key := HashPage(view)
-		if parent.resolve(p) == key {
-			continue // identical to the base: the delta does not own it
-		}
-		l.pages[p] = l.store.Insert(view)
-	}
-	l.resolveTable()
-	return l
+	Idx  int
+	Page *Page
 }
 
 // capturedView returns page p of mem as the capture windows see it: the
-// page's bytes where a window covers them, zero elsewhere. It returns
-// nil when the captured view is all zero, a direct subslice of mem when
-// one window covers the whole page, and a composed copy in scratch
-// otherwise.
+// page's bytes where a window covers them, zero elsewhere, always
+// PageSize long. It returns nil when the captured view is all zero, a
+// direct subslice of mem when one window covers the whole (full-size)
+// page, and a composed copy in scratch otherwise.
 func capturedView(mem []byte, p int, windows []Window, scratch *[PageSize]byte) []byte {
 	lo := p * PageSize
-	hi := lo + PageSize
-	if hi > len(mem) {
-		hi = len(mem)
-	}
-	switch covered(windows, lo, hi) {
-	case 0:
+	hi := min(lo+PageSize, len(mem))
+	cov := covered(windows, lo, hi)
+	if cov == 0 {
 		return nil
-	case 2:
+	}
+	if cov == 2 && hi-lo == PageSize {
 		if isZeroPage(mem[lo:hi]) {
 			return nil
 		}
 		return mem[lo:hi]
 	}
-	// Partial coverage: compose captured bytes over zeros.
-	for i := range scratch {
-		scratch[i] = 0
-	}
-	nonzero := false
+	// Partial coverage or a short tail page: compose captured bytes over
+	// zeros.
+	clear(scratch[:])
 	for _, w := range windows {
-		wlo, whi := w.Lo, w.Hi
-		if wlo < lo {
-			wlo = lo
+		if wlo, whi := max(w.Lo, lo), min(w.Hi, hi); wlo < whi {
+			copy(scratch[wlo-lo:whi-lo], mem[wlo:whi])
 		}
-		if whi > hi {
-			whi = hi
-		}
-		if wlo >= whi {
-			continue
-		}
-		copy(scratch[wlo-lo:whi-lo], mem[wlo:whi])
-		nonzero = true
 	}
-	if !nonzero || isZeroPage(scratch[:]) {
+	if isZeroPage(scratch[:]) {
 		return nil
 	}
 	return scratch[:]
@@ -344,59 +294,24 @@ func covered(windows []Window, lo, hi int) int {
 	return n
 }
 
-// NewLayer builds a layer from an explicit page table — the import path.
-// The caller must already hold one store reference per non-zero entry
-// (Insert provides it); NewLayer takes ownership of those references,
-// holds one layer reference for the caller, and retains parent.
-func NewLayer(store *PageStore, parent *Layer, memLen int, pages map[int]PageKey) *Layer {
-	l := &Layer{store: store, parent: parent, pages: pages, memLen: memLen}
-	if l.pages == nil {
-		l.pages = make(map[int]PageKey)
-	}
+// NewLayer builds a layer from its own entries, ascending by index — the
+// import and capture path. The caller must already hold one store
+// reference per non-nil entry (Insert provides it); NewLayer takes
+// ownership of those references, holds one layer reference for the
+// caller, and retains parent.
+func NewLayer(store *PageStore, parent *Layer, memLen int, own []LayerPage) *Layer {
+	l := &Layer{store: store, parent: parent, own: own, memLen: memLen}
 	l.refs.Store(1)
+	l.table = make([]*Page, (memLen+PageSize-1)/PageSize)
 	if parent != nil {
 		parent.Retain()
+		copy(l.table, parent.table)
 	}
-	l.resolveTable()
-	return l
-}
-
-// resolveTable finishes construction: the parent's resolved table with
-// this layer's own entries on top, and the digest over the result.
-func (l *Layer) resolveTable() {
-	l.table = make([]*[PageSize]byte, (l.memLen+PageSize-1)/PageSize)
-	if l.parent != nil {
-		copy(l.table, l.parent.table)
-	}
-	for p, key := range l.pages {
-		l.table[p] = nil // ZeroKey overrides the parent
-		if data := l.store.Data(key); data != nil {
-			l.table[p] = (*[PageSize]byte)(data)
-		}
+	for _, e := range own {
+		l.table[e.Idx] = e.Page
 	}
 	l.digest = l.computeDigest()
-}
-
-// resolve walks the chain from l upward and returns the key of the
-// nearest owner of page p, or ZeroKey when no layer owns it. Safe on a
-// nil layer.
-func (l *Layer) resolve(p int) PageKey {
-	for n := l; n != nil; n = n.parent {
-		if key, ok := n.pages[p]; ok {
-			return key
-		}
-	}
-	return ZeroKey
-}
-
-// PageData returns page p's content as resolved through the layer
-// chain, or nil when the page is zero. The returned slice is immutable
-// store backing: copy from it, never write through it.
-func (l *Layer) PageData(p int) []byte {
-	if pg := l.table[p]; pg != nil {
-		return pg[:]
-	}
-	return nil
+	return l
 }
 
 // MemLen is the guest-memory geometry the layer snapshots.
@@ -407,27 +322,19 @@ func (l *Layer) Parent() *Layer { return l.parent }
 
 // OwnedPages reports how many page entries this layer itself holds —
 // the delta size in pages (zero-override entries included).
-func (l *Layer) OwnedPages() int { return len(l.pages) }
+func (l *Layer) OwnedPages() int { return len(l.own) }
 
 // OwnTable returns this layer's own page entries, sorted by index —
-// what a delta export ships.
-func (l *Layer) OwnTable() []LayerPage {
-	out := make([]LayerPage, 0, len(l.pages))
-	for p, key := range l.pages {
-		out = append(out, LayerPage{Idx: p, Key: key})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Idx < out[j].Idx })
-	return out
-}
+// what a delta export ships. Callers must not modify it.
+func (l *Layer) OwnTable() []LayerPage { return l.own }
 
 // ResolvedTable returns the chain-resolved page table, sorted by index,
 // with zero pages omitted — what a self-contained export ships.
 func (l *Layer) ResolvedTable() []LayerPage {
-	npages := (l.memLen + PageSize - 1) / PageSize
 	var out []LayerPage
-	for p := 0; p < npages; p++ {
-		if key := l.resolve(p); key != ZeroKey {
-			out = append(out, LayerPage{Idx: p, Key: key})
+	for p, pg := range l.table {
+		if pg != nil {
+			out = append(out, LayerPage{Idx: p, Page: pg})
 		}
 	}
 	return out
@@ -439,17 +346,19 @@ func (l *Layer) ResolvedTable() []LayerPage {
 func (l *Layer) Digest() [32]byte { return l.digest }
 
 // computeDigest hashes the geometry and the resolved non-zero page
-// table. Zero-override entries resolve to ZeroKey and are skipped, so a
+// table. Zero-override entries resolve to zero and are skipped, so a
 // delta that zeroes a page and a base that never had it digest alike.
 func (l *Layer) computeDigest() [32]byte {
 	h := sha256.New()
 	var buf [8]byte
 	putU64(buf[:], uint64(l.memLen))
 	h.Write(buf[:])
-	for _, e := range l.ResolvedTable() {
-		putU64(buf[:], uint64(e.Idx))
-		h.Write(buf[:])
-		h.Write(e.Key[:])
+	for p, pg := range l.table {
+		if pg != nil {
+			putU64(buf[:], uint64(p))
+			h.Write(buf[:])
+			h.Write(pg.key[:])
+		}
 	}
 	var out [32]byte
 	h.Sum(out[:0])
@@ -482,8 +391,8 @@ func (l *Layer) Release() {
 	if l.refs.Add(-1) > 0 {
 		return
 	}
-	for _, key := range l.pages {
-		l.store.Unref(key)
+	for _, e := range l.own {
+		l.store.Unref(e.Page)
 	}
 	l.parent.Release()
 }

@@ -21,14 +21,41 @@ func deepCapture(mem []byte, windows []Window) []byte {
 }
 
 // materialize is the from-zero reconstruction of a layer, resolved
-// page by page through the chain's own tables rather than the layer's
-// precomputed one: what a restore onto zeroed memory must produce.
+// page by page through the chain's own entries rather than the layer's
+// precomputed table: what a restore onto zeroed memory must produce.
 func materialize(l *Layer) []byte {
 	out := make([]byte, l.MemLen())
 	for lo := 0; lo < len(out); lo += PageSize {
-		copy(out[lo:], l.store.Data(l.resolve(lo/PageSize)))
+		copy(out[lo:], resolveOwn(l, lo/PageSize).Data())
 	}
 	return out
+}
+
+// resolveOwn walks the chain from l upward to the nearest layer owning
+// page p; nil (zero) when none does.
+func resolveOwn(l *Layer, p int) *Page {
+	for n := l; n != nil; n = n.parent {
+		for _, e := range n.own {
+			if e.Idx == p {
+				return e.Page
+			}
+		}
+	}
+	return nil
+}
+
+// captureMem captures mem through a context whose record knows nothing,
+// so every page is decided on its bytes.
+func captureMem(t *testing.T, store *PageStore, parent *Layer, mem []byte, windows []Window) *Layer {
+	t.Helper()
+	ctx := Create(len(mem), cycles.NewClock())
+	copy(ctx.Mem, mem)
+	ctx.Forget()
+	l, _, _, err := ctx.Capture(store, parent, windows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 func randMem(rng *rand.Rand, n int) []byte {
@@ -81,7 +108,7 @@ func TestLayerCaptureMaterializeMatchesDeepCopy(t *testing.T) {
 			stack := memLen - rng.Intn(memLen-foot)
 			windows := []Window{{0, foot}, {stack, memLen}}
 			want := deepCapture(mem, windows)
-			l := CaptureLayer(store, parent, mem, windows)
+			l := captureMem(t, store, parent, mem, windows)
 			layers = append(layers, l)
 
 			if !bytes.Equal(materialize(l), want) {
@@ -114,7 +141,7 @@ func TestLayerCaptureMaterializeMatchesDeepCopy(t *testing.T) {
 					hi = memLen
 				}
 				clear(cow[lo:hi])
-				copy(cow[lo:hi], l.PageData(p))
+				copy(cow[lo:hi], l.table[p].Data())
 				copy(ref[lo:hi], want[lo:hi])
 			}
 			if !bytes.Equal(cow, ref) {
@@ -154,8 +181,8 @@ func TestLayerDeltaDedup(t *testing.T) {
 	mem := randMem(rng, memLen)
 	windows := []Window{{0, memLen}}
 
-	base := CaptureLayer(store, nil, mem, windows)
-	clone := CaptureLayer(store, base, mem, windows)
+	base := captureMem(t, store, nil, mem, windows)
+	clone := captureMem(t, store, base, mem, windows)
 	if clone.OwnedPages() != 0 {
 		t.Fatalf("identical clone owns %d pages, want 0", clone.OwnedPages())
 	}
@@ -165,7 +192,7 @@ func TestLayerDeltaDedup(t *testing.T) {
 
 	before := store.Pages()
 	mem[3*PageSize] ^= 0xFF
-	delta := CaptureLayer(store, base, mem, windows)
+	delta := captureMem(t, store, base, mem, windows)
 	if delta.OwnedPages() != 1 {
 		t.Fatalf("one-page change owns %d pages, want 1", delta.OwnedPages())
 	}
@@ -184,7 +211,7 @@ func TestLayerDeltaDedup(t *testing.T) {
 		t.Fatal("test setup: page 5 should be non-zero")
 	}
 	clear(mem[5*PageSize : 6*PageSize])
-	zo := CaptureLayer(store, base, mem, windows)
+	zo := captureMem(t, store, base, mem, windows)
 	if !allZeroBytes(materialize(zo)[5*PageSize : 6*PageSize]) {
 		t.Fatal("zero-override page fell through to the base")
 	}
@@ -216,8 +243,8 @@ func TestPageStoreSharedAcrossImages(t *testing.T) {
 	}
 	k1 := store.Insert(page)
 	k2 := store.Insert(page)
-	if k1 != k2 {
-		t.Fatal("equal content produced different keys")
+	if k1 != k2 || k1.Key() != HashPage(page) {
+		t.Fatal("equal content produced different pages")
 	}
 	if store.Pages() != 1 {
 		t.Fatalf("store holds %d pages, want 1", store.Pages())
@@ -247,15 +274,15 @@ func TestPageStoreConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			page := make([]byte, PageSize)
-			var mine []PageKey
+			var mine []*Page
 			for i := 0; i < 400; i++ {
 				// Small content space so goroutines collide on pages.
 				for j := range page {
 					page[j] = byte(rng.Intn(4))
 				}
-				key := store.Insert(page)
-				mine = append(mine, key)
-				if data := store.Data(key); data != nil && !bytes.Equal(data, page) {
+				pg := store.Insert(page)
+				mine = append(mine, pg)
+				if data := pg.Data(); data != nil && !bytes.Equal(data, page) {
 					t.Errorf("goroutine %d: read wrong content", g)
 					return
 				}

@@ -40,7 +40,7 @@ type Context struct {
 
 	created  bool
 	platform Platform
-	holds    []*[PageSize]byte // the shell-content record (content.go)
+	holds    []*Page // the shell-content record (content.go)
 }
 
 // Create allocates a new virtual context on the default platform with
@@ -64,7 +64,7 @@ func CreateOn(p Platform, memBytes int, clk *cycles.Clock) *Context {
 		Clock:    clk,
 		created:  true,
 		platform: p,
-		holds:    make([]*[PageSize]byte, pages),
+		holds:    make([]*Page, pages),
 	}
 }
 

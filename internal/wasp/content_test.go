@@ -196,7 +196,8 @@ var rebaseHistoryCycles = [2]uint64{0x22a136ff153d93b8, 0xc8fd28bc20a569bf}
 // a from-zero materialization of the snapshot it restored (or, for a
 // boot, what a fresh shell holds at the same point), every resting shell
 // must match its content record, and the virtual cycles must be the
-// eager path's.
+// eager path's. Every capture must find its shell matching its record
+// and produce the layer refCapture builds from the memory it read.
 func TestRebaseMatchesMaterialize(t *testing.T) {
 	probe := guest.MustFromAsm("rebase-probe", guest.WrapLongMode(probeAsm))
 	var np nativeProbe
@@ -303,7 +304,16 @@ func TestRebaseMatchesMaterialize(t *testing.T) {
 			defer c.SetDriven(false)
 		}
 		be := w.backends[0]
-		h, runs, restores, resets := uint64(14695981039346656037), 0, 0, 0
+		var seen []byte // guest memory at this run's capture, if it captured
+		var gateErr error
+		captureGate = func(ctx *vmm.Context) {
+			if err := ctx.CheckContent(); err != nil && gateErr == nil {
+				gateErr = err
+			}
+			seen = append(seen[:0], ctx.Mem...)
+		}
+		defer func() { captureGate = nil }()
+		h, runs, restores, resets, captures := uint64(14695981039346656037), 0, 0, 0, 0
 		for step, op := range ops {
 			img := tenants[op.tenant]
 			switch op.kind {
@@ -330,12 +340,26 @@ func TestRebaseMatchesMaterialize(t *testing.T) {
 				continue
 			}
 			snap := be.snapshots.get(img.Name)
+			seen = seen[:0]
 			res, err := w.Run(img, config(op, op.kind == "run"), cycles.NewClock())
 			if err != nil {
 				snap.release()
 				t.Fatalf("runtime %d step %d (%s): %v", i, step, img.Name, err)
 			}
 			runs++
+			if gateErr != nil {
+				t.Fatalf("runtime %d step %d (%s): before its capture: %v", i, step, img.Name, gateErr)
+			}
+			if len(seen) > 0 {
+				captures++
+				after := be.snapshots.get(img.Name)
+				windows, _ := captureWindows(img, memLen)
+				err := matchesRefCapture(after.layer, seen, windows)
+				after.release()
+				if err != nil {
+					t.Fatalf("runtime %d step %d (%s): %v", i, step, img.Name, err)
+				}
+			}
 			for b := 0; b < 8; b++ {
 				h = (h ^ (res.Cycles >> (8 * b) & 0xFF)) * 1099511628211
 			}
@@ -349,7 +373,7 @@ func TestRebaseMatchesMaterialize(t *testing.T) {
 				if res.COWPages > 0 {
 					resets++
 				}
-				mem := materialize(be.forest, snap.layer)
+				mem := materialize(snap.layer)
 				copy(mem, op.args)
 				want = checksum(mem)
 			} else {
@@ -371,10 +395,10 @@ func TestRebaseMatchesMaterialize(t *testing.T) {
 				t.Fatalf("runtime %d step %d: %v", i, step, err)
 			}
 		}
-		if restores < 100 || resets < 20 || runs-restores < 30 {
-			t.Fatalf("runtime %d: %d runs, %d restores, %d of them COW resets: the history does not exercise every path", i, runs, restores, resets)
+		if restores < 100 || resets < 20 || runs-restores < 30 || captures < 20 {
+			t.Fatalf("runtime %d: %d runs, %d restores, %d of them COW resets, %d captures: the history does not exercise every path", i, runs, restores, resets, captures)
 		}
-		t.Logf("runtime %d: %d runs, %d restores, %d COW resets", i, runs, restores, resets)
+		t.Logf("runtime %d: %d runs, %d restores, %d COW resets, %d captures", i, runs, restores, resets, captures)
 		if h != rebaseHistoryCycles[i] {
 			t.Errorf("runtime %d: virtual cycles over the history hash to %#x, the eager path's to %#x", i, h, rebaseHistoryCycles[i])
 		}

@@ -48,11 +48,11 @@ func randSnapshotProgram(rng *rand.Rand) string {
 }
 
 // materialize reconstructs a snapshot layer on zeroed memory from its
-// chain-resolved key table: what every populate of the layer must leave.
-func materialize(store *vmm.PageStore, l *vmm.Layer) []byte {
+// chain-resolved page table: what every populate of the layer must leave.
+func materialize(l *vmm.Layer) []byte {
 	out := make([]byte, l.MemLen())
 	for _, e := range l.ResolvedTable() {
-		copy(out[e.Idx*vmm.PageSize:], store.Data(e.Key))
+		copy(out[e.Idx*vmm.PageSize:], e.Page.Data())
 	}
 	return out
 }
@@ -125,7 +125,7 @@ func TestForestRestoreMatchesLegacyRestore(t *testing.T) {
 		if snap == nil {
 			t.Fatalf("trial %d: no snapshot captured", trial)
 		}
-		forest := materialize(w.backends[0].forest, snap.layer)
+		forest := materialize(snap.layer)
 		snap.release()
 		legacy, state := deepCopySnapshot(t, img, cfg.Args)
 		if !bytes.Equal(forest, legacy) {
@@ -231,9 +231,10 @@ func TestForestPadVariantCapturesStandalone(t *testing.T) {
 // concurrent first captures (racing to register the base), warm
 // restores, re-captures via DropSnapshot, and stats/verify readers —
 // with every resting shell checked against its content record after
-// every run.
+// every run, and every capturing shell before its capture.
 func TestForestConcurrentTenants(t *testing.T) {
 	w := New(WithCOW(true), WithAsyncClean(true))
+	captured := checkBeforeCapture(t)
 	imgA := cowImg("race-a")
 	imgB := guest.MustFromAsm("race-b", guest.WrapLongMode(`
 	out 0x08, rdi
@@ -272,6 +273,9 @@ func TestForestConcurrentTenants(t *testing.T) {
 				}
 				if err == nil {
 					err = checkShells(w)
+				}
+				if err == nil {
+					err = captured()
 				}
 				if err != nil {
 					t.Error(err)

@@ -1,11 +1,11 @@
 package wasp
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/cpu"
+	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/vmm"
 )
@@ -29,15 +29,42 @@ import (
 //
 // The blob carries an explicit magic and format-version byte, so a
 // future format revision is a clean "version N not supported" error
-// instead of a silent gob misparse. Native-workload snapshots carry
+// instead of a silent misparse. Native-workload snapshots carry
 // host-side Go state and are not portable.
-
-// Wire format: 4 magic bytes, 1 version byte, then a gob-encoded
-// snapshotWire. Version 1 was the unversioned bare-gob format of the
-// pre-forest runtime and is no longer accepted.
+//
+// Wire format, version 3: fixed-width little-endian fields, then the
+// pages in ascending index order. Lengths are explicit and checked
+// against the bytes left before anything is read or allocated; payloads
+// alias the blob until the importer's Insert copies (and re-hashes)
+// them. Version 1 (bare gob) and version 2 (gob behind this header) are
+// rejected like any other unknown version.
+//
+//	bytes  field
+//	4      magic "VSNP"
+//	1      version, 3
+//	1      flags: 1 delta, 2 booted
+//	8      geometry, int64
+//	8      captured bytes, int64
+//	32     base digest (zero unless delta)
+//	4      content-key length k, uint32
+//	k      content key
+//	128    registers, 16 × uint64
+//	8      IP
+//	1      CPU flags: 1 ZF, 2 SF, 4 CF, 8 OF
+//	40     CR0, CR3, CR4, EFER, GDT base
+//	2      GDT limit
+//	1      mode
+//	8      GDT loads, int64
+//	4      page count n, uint32
+//	n ×    index int64, payload length uint32 (0: zero-override), payload
 const (
 	snapshotMagic   = "VSNP"
-	snapshotVersion = 2
+	snapshotVersion = 3
+
+	wireDelta  = 1 // flag bits
+	wireBooted = 2
+	// wireFixed is the size of a blob's fixed-width fields.
+	wireFixed = 4 + 1 + 1 + 8 + 8 + 32 + 4 + isa.NumRegs*8 + 8 + 1 + 40 + 2 + 1 + 8 + 4
 
 	// maxWireGeometry bounds the guest-memory geometry a blob may claim
 	// (1 GiB), so a hostile length cannot make the importer allocate
@@ -55,7 +82,7 @@ type wirePage struct {
 	Data []byte
 }
 
-// snapshotWire is the gob payload of a version-2 blob.
+// snapshotWire is a decoded blob.
 type snapshotWire struct {
 	// Geometry is the full guest-memory length the snapshot restores
 	// over; Captured is the byte count the restore cost is charged for.
@@ -110,7 +137,7 @@ func (w *Wasp) exportSnapshot(be *backend, name string, deltaOnly bool) ([]byte,
 		return nil, fmt.Errorf("wasp: no snapshot for image %q", name)
 	}
 	defer snap.release()
-	return w.exportRetainedSnapshot(be, name, snap, deltaOnly)
+	return exportRetainedSnapshot(name, snap, deltaOnly)
 }
 
 // exportRetainedSnapshot serializes a snapshot the caller already holds
@@ -120,7 +147,7 @@ func (w *Wasp) exportSnapshot(be *backend, name string, deltaOnly bool) ([]byte,
 // retained handle down here rather than let the export re-fetch by name:
 // a re-fetch reopens the window in which a concurrent DropSnapshot +
 // re-capture swaps the snapshot between the decision and the export.
-func (w *Wasp) exportRetainedSnapshot(be *backend, name string, snap *snapshot, deltaOnly bool) ([]byte, error) {
+func exportRetainedSnapshot(name string, snap *snapshot, deltaOnly bool) ([]byte, error) {
 	if snap.native != nil {
 		return nil, fmt.Errorf("wasp: snapshot for %q carries native host state and is not portable", name)
 	}
@@ -132,29 +159,62 @@ func (w *Wasp) exportRetainedSnapshot(be *backend, name string, snap *snapshot, 
 		Booted:     snap.booted,
 		ContentKey: snap.contentKey,
 	}
+	var table []vmm.LayerPage
 	if deltaOnly && snap.layer.Parent() != nil && snap.contentKey != "" {
 		wire.Delta = true
 		wire.BaseDigest = snap.layer.Parent().Digest()
-		for _, e := range snap.layer.OwnTable() {
-			var data []byte
-			if e.Key != vmm.ZeroKey {
-				data = copyPage(be.forest.Data(e.Key))
-			}
-			wire.Pages = append(wire.Pages, wirePage{Idx: e.Idx, Data: data})
-		}
+		table = snap.layer.OwnTable()
 	} else {
-		for _, e := range snap.layer.ResolvedTable() {
-			wire.Pages = append(wire.Pages, wirePage{Idx: e.Idx, Data: copyPage(be.forest.Data(e.Key))})
-		}
+		table = snap.layer.ResolvedTable()
 	}
+	wire.Pages = make([]wirePage, len(table))
+	for i, e := range table {
+		// Payloads alias store pages; encode only reads them.
+		wire.Pages[i] = wirePage{Idx: e.Idx, Data: e.Page.Data()}
+	}
+	return wire.encode(), nil
+}
 
-	var buf bytes.Buffer
-	buf.WriteString(snapshotMagic)
-	buf.WriteByte(snapshotVersion)
-	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
-		return nil, fmt.Errorf("wasp: encoding snapshot: %w", err)
+// encode lays wire out as a version-3 blob.
+func (wire *snapshotWire) encode() []byte {
+	n := wireFixed + len(wire.ContentKey)
+	for _, p := range wire.Pages {
+		n += 12 + len(p.Data)
 	}
-	return buf.Bytes(), nil
+	le := binary.LittleEndian
+	st := &wire.State
+	b := append(make([]byte, 0, n), snapshotMagic...)
+	b = append(b, snapshotVersion, bit(wire.Delta, wireDelta)|bit(wire.Booted, wireBooted))
+	b = le.AppendUint64(b, uint64(wire.Geometry))
+	b = le.AppendUint64(b, uint64(wire.Captured))
+	b = append(b, wire.BaseDigest[:]...)
+	b = le.AppendUint32(b, uint32(len(wire.ContentKey)))
+	b = append(b, wire.ContentKey...)
+	for _, v := range st.Regs {
+		b = le.AppendUint64(b, v)
+	}
+	b = le.AppendUint64(b, st.IP)
+	b = append(b, bit(st.Flags.ZF, 1)|bit(st.Flags.SF, 2)|bit(st.Flags.CF, 4)|bit(st.Flags.OF, 8))
+	for _, v := range [...]uint64{st.CR0, st.CR3, st.CR4, st.EFER, st.GDTBase} {
+		b = le.AppendUint64(b, v)
+	}
+	b = le.AppendUint16(b, st.GDTLimit)
+	b = append(b, byte(st.Mode))
+	b = le.AppendUint64(b, uint64(st.GDTLoads))
+	b = le.AppendUint32(b, uint32(len(wire.Pages)))
+	for _, p := range wire.Pages {
+		b = le.AppendUint64(b, uint64(p.Idx))
+		b = le.AppendUint32(b, uint32(len(p.Data)))
+		b = append(b, p.Data...)
+	}
+	return b
+}
+
+func bit(on bool, b byte) byte {
+	if on {
+		return b
+	}
+	return 0
 }
 
 // ImportSnapshot installs a serialized snapshot under the given image
@@ -200,17 +260,13 @@ func (w *Wasp) importSnapshot(be *backend, name string, data []byte) error {
 
 	// Build the layer, re-hashing every shipped page into the store —
 	// the importer never trusts a key it did not compute, so a hostile
-	// blob cannot poison the shared store.
-	pages := make(map[int]vmm.PageKey, len(wire.Pages))
-	for _, p := range wire.Pages {
-		if p.Data == nil {
-			// Explicit zero-override (delta-only; validated above).
-			pages[p.Idx] = vmm.ZeroKey
-			continue
-		}
-		pages[p.Idx] = be.forest.Insert(p.Data)
+	// blob cannot poison the shared store. A nil payload is an explicit
+	// zero-override (delta-only; validated above).
+	own := make([]vmm.LayerPage, len(wire.Pages))
+	for i, p := range wire.Pages {
+		own[i] = vmm.LayerPage{Idx: p.Idx, Page: be.forest.Insert(p.Data)}
 	}
-	snap.layer = vmm.NewLayer(be.forest, parent, wire.Geometry, pages)
+	snap.layer = vmm.NewLayer(be.forest, parent, wire.Geometry, own)
 	// A self-contained import becomes the receiver's base layer for the
 	// content when it has none, so later tenant deltas can graft.
 	if !wire.Delta && wire.ContentKey != "" {
@@ -221,7 +277,7 @@ func (w *Wasp) importSnapshot(be *backend, name string, data []byte) error {
 }
 
 // decodeSnapshotWire parses and validates a snapshot blob: magic,
-// version, geometry and length sanity, page bounds, duplicate and
+// version, lengths, flags, geometry sanity, page bounds and order, and
 // short/long page payloads. Validation happens before anything touches
 // a registry or store, so a hostile blob can be rejected without side
 // effects.
@@ -236,9 +292,69 @@ func decodeSnapshotWire(name string, data []byte) (*snapshotWire, error) {
 	if v := data[len(snapshotMagic)]; v != snapshotVersion {
 		return nil, fmt.Errorf("wasp: snapshot blob for %q is format version %d; this runtime supports version %d", name, v, snapshotVersion)
 	}
+	// next takes the blob's next n bytes. A read past the end latches err
+	// and yields nothing, so the parse runs through and checks err once,
+	// and no length is used before it is checked against the bytes left.
+	rest := data[headerLen:]
+	var err error
+	next := func(n int) []byte {
+		if err == nil && n > len(rest) {
+			err = fmt.Errorf("truncated: %d bytes wanted, %d left", n, len(rest))
+		}
+		if err != nil {
+			return nil
+		}
+		b := rest[:n:n]
+		rest = rest[n:]
+		return b
+	}
+	word := func(n int) (v uint64) { // n-byte little-endian
+		b := next(n)
+		for i := len(b) - 1; i >= 0; i-- {
+			v = v<<8 | uint64(b[i])
+		}
+		return v
+	}
 	var wire snapshotWire
-	if err := gob.NewDecoder(bytes.NewReader(data[headerLen:])).Decode(&wire); err != nil {
+	st := &wire.State
+	flags := word(1)
+	wire.Delta, wire.Booted = flags&wireDelta != 0, flags&wireBooted != 0
+	wire.Geometry = int(int64(word(8)))
+	wire.Captured = int(int64(word(8)))
+	copy(wire.BaseDigest[:], next(32))
+	wire.ContentKey = string(next(int(word(4))))
+	for i := range st.Regs {
+		st.Regs[i] = word(8)
+	}
+	st.IP = word(8)
+	cpuFlags := word(1)
+	st.Flags = cpu.Flags{ZF: cpuFlags&1 != 0, SF: cpuFlags&2 != 0, CF: cpuFlags&4 != 0, OF: cpuFlags&8 != 0}
+	for _, v := range []*uint64{&st.CR0, &st.CR3, &st.CR4, &st.EFER, &st.GDTBase} {
+		*v = word(8)
+	}
+	st.GDTLimit = uint16(word(2))
+	st.Mode = isa.Mode(word(1))
+	st.GDTLoads = int(int64(word(8)))
+	if n := int(word(4)); err == nil && n > len(rest)/12 {
+		err = fmt.Errorf("%d pages cannot fit in %d bytes", n, len(rest))
+	} else if err == nil {
+		wire.Pages = make([]wirePage, n)
+	}
+	for i := range wire.Pages {
+		p := &wire.Pages[i]
+		p.Idx = int(int64(word(8)))
+		if n := int(word(4)); n > 0 {
+			p.Data = next(n)
+		}
+	}
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("%d trailing bytes", len(rest))
+	}
+	if err != nil {
 		return nil, fmt.Errorf("wasp: decoding snapshot for %q: %w", name, err)
+	}
+	if flags&^(wireDelta|wireBooted) != 0 || cpuFlags > 15 || st.Mode > isa.Mode64 {
+		return nil, fmt.Errorf("wasp: snapshot for %q carries unknown flags %#x, CPU flags %#x or CPU mode %d", name, flags, cpuFlags, st.Mode)
 	}
 	if wire.Geometry <= 0 || wire.Geometry > maxWireGeometry {
 		return nil, fmt.Errorf("wasp: snapshot for %q claims hostile geometry %d", name, wire.Geometry)
@@ -250,15 +366,15 @@ func decodeSnapshotWire(name string, data []byte) (*snapshotWire, error) {
 	if len(wire.Pages) > npages {
 		return nil, fmt.Errorf("wasp: snapshot for %q ships %d pages into a %d-page geometry", name, len(wire.Pages), npages)
 	}
-	seen := make(map[int]bool, len(wire.Pages))
+	prev := -1
 	for _, p := range wire.Pages {
 		if p.Idx < 0 || p.Idx >= npages {
 			return nil, fmt.Errorf("wasp: snapshot for %q: page index %d outside %d-page geometry", name, p.Idx, npages)
 		}
-		if seen[p.Idx] {
-			return nil, fmt.Errorf("wasp: snapshot for %q: duplicate page %d", name, p.Idx)
+		if p.Idx <= prev {
+			return nil, fmt.Errorf("wasp: snapshot for %q: page %d duplicates or precedes page %d", name, p.Idx, prev)
 		}
-		seen[p.Idx] = true
+		prev = p.Idx
 		if p.Data != nil && len(p.Data) != vmm.PageSize {
 			return nil, fmt.Errorf("wasp: snapshot for %q: page %d carries %d bytes, want %d", name, p.Idx, len(p.Data), vmm.PageSize)
 		}
@@ -314,7 +430,7 @@ func (w *Wasp) MigrateSnapshot(name, fromPlatform, toPlatform string) (shipped i
 	if gate := migrateExportGate; gate != nil {
 		gate()
 	}
-	blob, err := w.exportRetainedSnapshot(src, name, snap, deltaOnly)
+	blob, err := exportRetainedSnapshot(name, snap, deltaOnly)
 	if err != nil {
 		return 0, false, err
 	}
@@ -336,9 +452,3 @@ func (w *Wasp) MigrateSnapshot(name, fromPlatform, toPlatform string) (shipped i
 // a concurrent DropSnapshot/re-capture exactly inside the window the retain
 // protocol must cover. Always nil outside tests.
 var migrateExportGate func()
-
-// copyPage copies a store page for the wire (store backing must never
-// leak into a mutable buffer).
-func copyPage(b []byte) []byte {
-	return append([]byte(nil), b...)
-}

@@ -2,7 +2,6 @@ package wasp
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"testing"
@@ -44,19 +43,6 @@ func validSnapshotBlob(t *testing.T) []byte {
 	return blob
 }
 
-// encodeWire re-serializes a (possibly corrupted) wire struct under the
-// current magic/version header.
-func encodeWire(t *testing.T, wire snapshotWire) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString(snapshotMagic)
-	buf.WriteByte(snapshotVersion)
-	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestExportBlobCarriesMagicAndVersion pins the wire header: 4 magic
 // bytes then the explicit format-version byte.
 func TestExportBlobCarriesMagicAndVersion(t *testing.T) {
@@ -83,18 +69,20 @@ func TestImportRejectsHostileBlobs(t *testing.T) {
 		c := *wire
 		c.Pages = append([]wirePage(nil), wire.Pages...)
 		fn(&c)
-		return encodeWire(t, c)
+		return c.encode()
 	}
-
-	futureVersion := append([]byte(nil), blob...)
-	futureVersion[4] = snapshotVersion + 1
-	badMagic := append([]byte(nil), blob...)
-	copy(badMagic, "NOPE")
-	// Cut a chunk out of the gob stream: interior lengths no longer
-	// match, which the decoder reports. (Single flipped payload bytes can
+	// patch overwrites the valid blob's bytes at off.
+	patch := func(off int, bs ...byte) []byte {
+		c := append([]byte(nil), blob...)
+		copy(c[off:], bs)
+		return c
+	}
+	// Cut 32 bytes out of the last page's payload: its length prefix now
+	// runs past the end of the blob. (Single flipped payload bytes can
 	// decode into a different-but-valid snapshot — that shapeless space
 	// belongs to FuzzImportSnapshot's no-panic/coherence property.)
-	corruptGob := append(append([]byte(nil), blob[:64]...), blob[96:]...)
+	cutPayload := append(append([]byte(nil), blob[:len(blob)-64]...), blob[len(blob)-32:]...)
+	pageCount := wireFixed + len(wire.ContentKey) - 4 // offset of the page count
 
 	cases := []struct {
 		name string
@@ -103,10 +91,15 @@ func TestImportRejectsHostileBlobs(t *testing.T) {
 	}{
 		{"empty", nil, "truncated"},
 		{"header only", blob[:5], "decoding"},
-		{"truncated mid-gob", blob[:len(blob)/2], "decoding"},
-		{"bad magic", badMagic, "bad magic"},
-		{"future version", futureVersion, fmt.Sprintf("version %d", snapshotVersion+1)},
-		{"corrupted gob", corruptGob, ""},
+		{"truncated mid-payload", blob[:len(blob)/2], "decoding"},
+		{"bad magic", patch(0, []byte("NOPE")...), "bad magic"},
+		{"future version", patch(4, snapshotVersion+1), fmt.Sprintf("version %d", snapshotVersion+1)},
+		{"gob wire version 2", patch(4, 2), "version 2"},
+		{"page payload cut short", cutPayload, "truncated"},
+		{"page count beyond blob", patch(pageCount, 0xff, 0xff, 0xff, 0x0f), "cannot fit"},
+		{"trailing bytes", append(patch(0), 0), "trailing"},
+		{"unknown flag", patch(5, blob[5]|0x80), "unknown flags"},
+		{"unknown CPU mode", mutate(func(w *snapshotWire) { w.State.Mode = 9 }), "CPU mode 9"},
 		{"zero geometry", mutate(func(w *snapshotWire) { w.Geometry = 0 }), "hostile geometry"},
 		{"negative geometry", mutate(func(w *snapshotWire) { w.Geometry = -4096 }), "hostile geometry"},
 		{"huge geometry", mutate(func(w *snapshotWire) { w.Geometry = maxWireGeometry + 1 }), "hostile geometry"},
@@ -116,6 +109,7 @@ func TestImportRejectsHostileBlobs(t *testing.T) {
 		{"page index negative", mutate(func(w *snapshotWire) { w.Pages[0].Idx = -1 }), "outside"},
 		{"page index out of range", mutate(func(w *snapshotWire) { w.Pages[0].Idx = 1 << 20 }), "outside"},
 		{"duplicate page", mutate(func(w *snapshotWire) { w.Pages[1].Idx = w.Pages[0].Idx }), "duplicate"},
+		{"pages out of order", mutate(func(w *snapshotWire) { w.Pages[0], w.Pages[1] = w.Pages[1], w.Pages[0] }), "precedes"},
 		{"short page", mutate(func(w *snapshotWire) { w.Pages[0].Data = w.Pages[0].Data[:100] }), "100 bytes"},
 		{"oversized page", mutate(func(w *snapshotWire) { w.Pages[0].Data = make([]byte, 1<<20) }), "bytes"},
 		{"nil page in full blob", mutate(func(w *snapshotWire) { w.Pages[0].Data = nil }), "zero-override"},
@@ -147,36 +141,97 @@ func TestImportRejectsHostileBlobs(t *testing.T) {
 	}
 }
 
-// FuzzImportSnapshot throws mutated blobs at the importer: it must
-// never panic, and whatever it accepts must leave the forest coherent
-// and export back cleanly.
+// FuzzImportSnapshot throws mutated blobs at an importer whose base
+// layer for the tenant binary has one page drifted from the exporter's.
+// It must never panic; a rejected blob must leave no snapshot and no
+// store pages behind; an accepted one must leave the forest coherent and
+// round-trip: its re-export imports into a receiver like this one as the
+// same snapshot and re-exports to the same bytes. The seeds are a
+// self-contained blob and its cuts, the exporter's tenant delta (which
+// the drifted base rejects), and that delta re-aimed at the drifted
+// base's digest (which it accepts).
 func FuzzImportSnapshot(f *testing.F) {
-	w := New()
+	src := New()
 	img := tenantImg("fuzz-src")
-	if _, err := w.Run(img, RunConfig{Snapshot: true, RetBytes: 8, Args: le64(1)}, cycles.NewClock()); err != nil {
-		f.Fatal(err)
+	tenant := img.WithName("fuzz-tenant")
+	for i, im := range []*guest.Image{img, tenant} {
+		if _, err := src.Run(im, RunConfig{Snapshot: true, RetBytes: 8, Args: le64(uint64(i + 1))}, cycles.NewClock()); err != nil {
+			f.Fatal(err)
+		}
 	}
-	blob, err := w.ExportSnapshot(img.Name)
+	blob, err := src.ExportSnapshot(img.Name)
 	if err != nil {
 		f.Fatal(err)
 	}
+	delta, err := src.ExportSnapshotDelta(tenant.Name)
+	if err != nil {
+		f.Fatal(err)
+	}
+	wire, err := decodeSnapshotWire("seed", blob)
+	if err != nil {
+		f.Fatal(err)
+	}
+	page := &wire.Pages[len(wire.Pages)-1]
+	page.Data = append([]byte(nil), page.Data...)
+	page.Data[0] ^= 1
+	drifted := wire.encode()
+	receiver := func(t testing.TB) *Wasp {
+		w := New()
+		if err := w.ImportSnapshot(img.Name, drifted); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	aimed, err := decodeSnapshotWire("seed", delta)
+	if err != nil {
+		f.Fatal(err)
+	}
+	aimed.BaseDigest = receiver(f).backends[0].bases.get(img.ContentKey()).Digest()
+	if err := receiver(f).ImportSnapshot(tenant.Name, delta); err == nil || !strings.Contains(err.Error(), "does not match") {
+		f.Fatalf("the exporter's delta against the drifted base: err = %v", err)
+	}
+	if err := receiver(f).ImportSnapshot(tenant.Name, aimed.encode()); err != nil {
+		f.Fatalf("the delta aimed at the drifted base: %v", err)
+	}
+
 	f.Add(blob)
 	f.Add(blob[:5])
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte{})
+	f.Add(delta)
+	f.Add(aimed.encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		w := New()
+		w := receiver(t)
+		baseline := w.ForestStats().StorePages
 		if err := w.ImportSnapshot("fuzzed", data); err != nil {
 			if w.HasSnapshot("fuzzed") {
 				t.Fatal("failed import installed a snapshot")
+			}
+			if n := w.ForestStats().StorePages; n != baseline {
+				t.Fatalf("failed import left %d store pages behind", n-baseline)
 			}
 			return
 		}
 		if err := w.VerifyForest(); err != nil {
 			t.Fatalf("accepted blob corrupted the store: %v", err)
 		}
-		if _, err := w.ExportSnapshot("fuzzed"); err != nil {
-			t.Fatalf("accepted blob does not round-trip: %v", err)
+		in, _ := decodeSnapshotWire("fuzzed", data)
+		out, err := w.ExportSnapshotOn("", "fuzzed", in.Delta)
+		if err != nil {
+			t.Fatalf("accepted blob does not export: %v", err)
+		}
+		again := receiver(t)
+		if err := again.ImportSnapshot("fuzzed", out); err != nil {
+			t.Fatalf("re-export of an accepted blob is rejected: %v", err)
+		}
+		a, b := w.backends[0].snapshots.get("fuzzed"), again.backends[0].snapshots.get("fuzzed")
+		defer a.release()
+		defer b.release()
+		if a.layer.Digest() != b.layer.Digest() || a.state != b.state || a.captured != b.captured || a.booted != b.booted {
+			t.Fatal("re-export imports as a different snapshot")
+		}
+		if out2, err := again.ExportSnapshotOn("", "fuzzed", in.Delta); err != nil || !bytes.Equal(out, out2) {
+			t.Fatalf("re-export does not round-trip (err %v)", err)
 		}
 	})
 }

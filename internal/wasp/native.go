@@ -87,9 +87,13 @@ func (n *NativeCtx) Hypercall(nr uint8, args ...uint64) (uint64, error) {
 // TakeSnapshot captures the virtine's memory, vCPU state, and the
 // workload's opaque state so later runs can resume past initialization.
 // The capture cost (a memcpy of the image footprint) is charged.
-func (n *NativeCtx) TakeSnapshot(state any) {
+func (n *NativeCtx) TakeSnapshot(state any) error {
 	if !n.cfg.Snapshot || !n.wasp.snapEnable {
-		return
+		return nil
 	}
-	n.wasp.capture(n.be, n.ctx, n.img, state, true, n.clk)
+	// The workload has written through its Mem slice, behind the store
+	// barrier: the capture must read every page, not trust the record.
+	n.ctx.Forget()
+	_, err := n.wasp.capture(n.be, n.ctx, n.img, state, true, n.clk)
+	return err
 }

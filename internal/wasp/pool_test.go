@@ -45,7 +45,8 @@ func TestGuestMemOverflowBounds(t *testing.T) {
 // images with pooling and snapshotting enabled — the scenario the
 // sharded pools exist for. Run under -race this doubles as the data-race
 // check on the pool, snapshot, and COW registries. After every run each
-// resting shell must match its content record (checkShells).
+// resting shell must match its content record (checkShells), and so must
+// every shell about to capture.
 func TestConcurrentRunStress(t *testing.T) {
 	const (
 		goroutines = 16
@@ -59,6 +60,7 @@ func TestConcurrentRunStress(t *testing.T) {
 			guest.WrapLongMode(snapshotCounterAsm))
 	}
 	cfg := RunConfig{Snapshot: true, RetBytes: 16}
+	captured := checkBeforeCapture(t)
 
 	// Warm each image once so every concurrent run can hit the snapshot
 	// fast path.
@@ -100,6 +102,9 @@ func TestConcurrentRunStress(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := captured(); err != nil {
 		t.Fatal(err)
 	}
 

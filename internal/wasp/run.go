@@ -405,7 +405,11 @@ func (w *Wasp) serviceHypercall(be *backend, ctx *vmm.Context, img *guest.Image,
 		// footprint plus the stack, and the architectural state. The
 		// copy is charged — the paper's Fig 11 snapshot bars include
 		// the initial capture overhead.
-		res.residentOn = w.capture(be, ctx, img, nil, false, clk)
+		snap, err := w.capture(be, ctx, img, nil, false, clk)
+		if err != nil {
+			return false, err
+		}
+		res.residentOn = snap
 	}
 
 	ret, herr := cfg.Handler.Handle(call, gm)
@@ -429,32 +433,33 @@ func (w *Wasp) serviceHypercall(be *backend, ctx *vmm.Context, img *guest.Image,
 // charged cost scales with image size regardless of representation.
 //
 // The capture goes into the backend's content-addressed snapshot
-// forest: the captured windows are hashed page-by-page into the shared
-// store, deduplicated against every page already stored, and — when the
+// forest: deduplicated against every page already stored and — when the
 // backend already holds a base layer for this image *content* —
 // recorded as a thin delta owning only the pages that differ from the
 // base. The first capture of a content becomes its shared base layer,
 // so tenant clones made with guest.Image.WithName cost their delta, not
-// the image.
-func (w *Wasp) capture(be *backend, ctx *vmm.Context, img *guest.Image, native any, booted bool, clk *cycles.Clock) *snapshot {
-	foot := img.Footprint() + img.ExtraHeap
-	if foot > len(ctx.Mem) {
-		foot = len(ctx.Mem)
-	}
-	stackStart := len(ctx.Mem) - guest.StackReserve
-	if stackStart < foot {
-		stackStart = foot
-	}
-	captured := foot + (len(ctx.Mem) - stackStart)
-	windows := []vmm.Window{{Lo: 0, Hi: foot}, {Lo: stackStart, Hi: len(ctx.Mem)}}
+// the image. A page the shell's content record already knows is taken
+// from the record, and one equal to the base's is compared, not hashed
+// (vmm.Context.Capture), so a capture hashes its delta.
+func (w *Wasp) capture(be *backend, ctx *vmm.Context, img *guest.Image, native any, booted bool, clk *cycles.Clock) (*snapshot, error) {
+	windows, captured := captureWindows(img, len(ctx.Mem))
 	base := be.bases.get(img.ContentKey())
 	if base != nil && base.MemLen() != len(ctx.Mem) {
 		// Same content at a different geometry (e.g. a WithPad
 		// variant): capture standalone rather than misgraft.
 		base = nil
 	}
+	if captureGate != nil {
+		captureGate(ctx)
+	}
+	layer, hashed, reused, err := ctx.Capture(be.forest, base, windows)
+	if err != nil {
+		return nil, err
+	}
+	be.pages.hashed.Add(uint64(hashed))
+	be.pages.reused.Add(uint64(reused))
 	snap := &snapshot{
-		layer:      ctx.Capture(be.forest, base, windows),
+		layer:      layer,
 		contentKey: img.ContentKey(),
 		captured:   captured,
 		state:      ctx.CPU.Save(),
@@ -468,7 +473,21 @@ func (w *Wasp) capture(be *backend, ctx *vmm.Context, img *guest.Image, native a
 	be.snapshots.put(img.Name, snap)
 	if tr := w.tracer; tr.Enabled() {
 		tr.Instant(obs.ControlLane, obs.KindSnapshot, "snap-capture",
-			clk.Now(), 0, uint64(captured), 0)
+			clk.Now(), 0, uint64(captured), uint64(hashed))
 	}
-	return snap
+	return snap, nil
 }
+
+// captureWindows returns what a snapshot of img captures from guest
+// memory of memLen bytes — the image footprint plus the stack region —
+// and the byte count the capture is charged for.
+func captureWindows(img *guest.Image, memLen int) ([]vmm.Window, int) {
+	foot := min(img.Footprint()+img.ExtraHeap, memLen)
+	stackStart := max(memLen-guest.StackReserve, foot)
+	return []vmm.Window{{Lo: 0, Hi: foot}, {Lo: stackStart, Hi: memLen}}, foot + memLen - stackStart
+}
+
+// captureGate, when non-nil, runs on a shell just before its capture
+// trusts the shell's content record — a test seam for checking that
+// record at exactly that point. Always nil outside tests.
+var captureGate func(*vmm.Context)

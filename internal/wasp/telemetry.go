@@ -10,7 +10,8 @@ import (
 // registry as pull-model collectors, sampled only at Snapshot time:
 // the shared code-cache and compiled-tier counters (CodeCacheStats),
 // the per-platform snapshot-forest state (ForestStats), warm-pool
-// occupancy, the pages populating and scrubbing shells rewrote, and the
+// occupancy, the pages populating and scrubbing shells rewrote, the
+// pages captures hashed and took from shell content records, and the
 // async cleaner's lifetime counters.
 //
 // The individual accessors — CodeCacheStats, ForestStats, PoolStatsFor,
@@ -44,6 +45,8 @@ func (w *Wasp) RegisterMetrics(r *obs.Registry) {
 			emit(fmt.Sprintf("wasp_pool_shells{platform=%s}", name), float64(w.PoolTotalOn(name)))
 			emit(fmt.Sprintf("wasp_shell_pages_written{platform=%s}", name), float64(be.pages.written.Load()))
 			emit(fmt.Sprintf("wasp_shell_pages_kept{platform=%s}", name), float64(be.pages.kept.Load()))
+			emit(fmt.Sprintf("wasp_capture_pages_hashed{platform=%s}", name), float64(be.pages.hashed.Load()))
+			emit(fmt.Sprintf("wasp_capture_pages_reused{platform=%s}", name), float64(be.pages.reused.Load()))
 			if c := w.CleanerOn(name); c != nil {
 				emit(fmt.Sprintf("wasp_clean_enqueued{platform=%s}", name), float64(c.Enqueued()))
 				emit(fmt.Sprintf("wasp_clean_cleaned{platform=%s}", name), float64(c.Cleaned()))

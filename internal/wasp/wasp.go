@@ -96,12 +96,13 @@ type backend struct {
 	cleaner   *Cleaner       // non-nil iff pooling && asyncClean
 	forest    *vmm.PageStore // content-addressed page store behind all snapshots
 	bases     baseRegistry   // image content key -> shared base layer
-	pages     shellPages     // what populating and scrubbing shells rewrote
+	pages     shellPages     // what populating, scrubbing and capturing shells did
 }
 
-// shellPages tallies vmm.Context.Rebase over one backend's shells: pages
-// rewritten, and pages found already holding their target.
-type shellPages struct{ written, kept atomic.Uint64 }
+// shellPages tallies vmm.Context.Rebase and Capture over one backend's
+// shells: pages rewritten and pages found already holding their target;
+// captured pages hashed and pages taken from the content record.
+type shellPages struct{ written, kept, hashed, reused atomic.Uint64 }
 
 func (s *shellPages) add(written, kept int) int {
 	s.written.Add(uint64(written))
