@@ -23,6 +23,7 @@ package cpu
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/cycles"
 	"repro/internal/isa"
@@ -266,6 +267,7 @@ func (c *CPU) Reset(entry uint64) {
 			c.pstate[i] &= pageDirty
 		}
 	}
+	clear(c.tlb)
 	*c = CPU{
 		Mem:       c.Mem,
 		Clock:     c.Clock,
@@ -276,7 +278,7 @@ func (c *CPU) Reset(entry uint64) {
 		TierLog:   c.TierLog,
 		IP:        entry,
 		Mode:      isa.Mode16,
-		tlb:       make(map[uint64]uint64),
+		tlb:       c.tlb,
 	}
 	c.Regs[isa.RSP] = uint64(len(c.Mem))
 }
@@ -314,6 +316,44 @@ func (c *CPU) Restore(s State) {
 	c.gdtLoads = s.GDTLoads
 	c.Halted = false
 	c.FlushTLB()
+}
+
+// ResumePoint is where a run left the CPU as far as later execution can
+// tell: State plus the TLB (a miss is charged), the pending FirstInstr64
+// charge, the ident-map latch, the retire count and the boot milestones
+// as offsets from a base clock value. Host-side caches are not part of it.
+type ResumePoint struct {
+	State
+	Retired               uint64
+	events                [NumEvents]uint64 // since the base; 0: not reached
+	tlb                   map[uint64]uint64
+	pendFirst, sawStore32 bool
+}
+
+// Checkpoint records the CPU's resume point, milestones relative to base,
+// which must precede every milestone reached.
+func (c *CPU) Checkpoint(base uint64) *ResumePoint {
+	r := &ResumePoint{State: c.Save(), Retired: c.Retired, tlb: maps.Clone(c.tlb), pendFirst: c.pendFirst, sawStore32: c.sawStore32}
+	for e, at := range c.Events {
+		if at != 0 {
+			r.events[e] = at - base
+		}
+	}
+	return r
+}
+
+// Resume puts the CPU at r, milestones relative to base: Restore plus
+// everything Restore leaves out. Decode state is kept, as by Restore.
+func (c *CPU) Resume(r *ResumePoint, base uint64) {
+	c.Restore(r.State)
+	maps.Copy(c.tlb, r.tlb)
+	c.Retired, c.pendFirst, c.sawStore32 = r.Retired, r.pendFirst, r.sawStore32
+	for e, off := range r.events {
+		c.Events[e] = 0
+		if off != 0 {
+			c.Events[e] = base + off
+		}
+	}
 }
 
 // JITStats counts compiled-trace activity: traces compiled, entered and

@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"fmt"
-
 	"repro/internal/cycles"
 	"repro/internal/isa"
 )
@@ -598,9 +596,4 @@ func (c *CPU) codeAt(page uint64) *codePage {
 		return c.code[page]
 	}
 	return nil
-}
-
-// Fault is a convenience for VMM-side code to construct a fault exit.
-func Fault(format string, args ...any) *Exit {
-	return &Exit{Reason: ExitFault, Err: fmt.Errorf(format, args...)}
 }

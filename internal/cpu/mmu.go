@@ -112,24 +112,6 @@ func (c *CPU) readPTE(paddr uint64) (uint64, error) {
 	return v, nil
 }
 
-// ReadMem reads n bytes at guest-virtual vaddr, charging translation plus
-// one access per word.
-func (c *CPU) ReadMem(vaddr uint64, n int) ([]byte, error) {
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		p, err := c.Translate(vaddr+uint64(i), false)
-		if err != nil {
-			return nil, err
-		}
-		if p >= uint64(len(c.Mem)) {
-			return nil, fmt.Errorf("read beyond memory at %#x", p)
-		}
-		out[i] = c.Mem[p]
-	}
-	c.Clock.Advance(cycles.MemAccess * uint64(1+(n-1)/8))
-	return out, nil
-}
-
 // WriteMem writes b at guest-virtual vaddr.
 func (c *CPU) WriteMem(vaddr uint64, b []byte) error {
 	for i := range b {
@@ -181,7 +163,7 @@ func (c *CPU) storeWord(vaddr uint64, v uint64, mode isa.Mode) error {
 // including the fetch window and the one-entry data TLB in front of the
 // map.
 func (c *CPU) FlushTLB() {
-	c.tlb = make(map[uint64]uint64)
+	clear(c.tlb)
 	c.fetchOK = false
 	c.dtlbOK = false
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cycles"
 	"repro/internal/hypercall"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/vcc"
@@ -444,4 +445,40 @@ func TestServeTenantsPlaced(t *testing.T) {
 		t.Fatalf("both backends should hold warm shells after the split run (kvm=%d hv=%d)",
 			w.PoolTotalOn("kvm"), w.PoolTotalOn("hyper-v"))
 	}
+}
+
+// BenchmarkColdBoot serves one request at a time on a Wasp+CA runtime
+// with snapshotting off: http_pooled's request without the scheduler.
+// Every request boots a fresh virtine; after the first, each boot replays
+// the recorded one (replays/op).
+func BenchmarkColdBoot(b *testing.B) {
+	w := wasp.New(wasp.WithAsyncClean(true))
+	s, err := NewFileServer(w, testFiles())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Snapshot = false
+	req := Request("/index.html")
+	replays := func() float64 {
+		reg := obs.NewRegistry()
+		w.RegisterMetrics(reg)
+		for _, m := range reg.Snapshot() {
+			if m.Name == "wasp_boot_replays{platform=kvm}" {
+				return m.Value
+			}
+		}
+		return 0
+	}
+	if _, err := s.Serve(req, cycles.NewClock()); err != nil { // the recording boot
+		b.Fatal(err)
+	}
+	before := replays()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := s.Serve(req, cycles.NewClock())
+		if err != nil || resp.Status != 200 {
+			b.Fatalf("status %v, err %v", resp, err)
+		}
+	}
+	b.ReportMetric((replays()-before)/float64(b.N), "replays/op")
 }

@@ -104,6 +104,19 @@ func (c *Context) Capture(store *PageStore, parent *Layer, windows []Window) (l 
 	return NewLayer(store, parent, len(c.Mem), own), hashed, reused, nil
 }
 
+// Freeze stores the whole of memory as a layer, holding one reference
+// for the caller, and changes nothing else: not the record, not the dirty
+// set, not decode state. Pages equal to ones already stored share them.
+func (c *Context) Freeze(store *PageStore) *Layer {
+	var own []LayerPage
+	for p := range c.holds {
+		if pg := store.Insert(c.page(p)); pg != nil {
+			own = append(own, LayerPage{p, pg})
+		}
+	}
+	return NewLayer(store, nil, len(c.Mem), own)
+}
+
 // Forget marks every page unknown: memory was written behind the store
 // barrier (a native workload's Mem slice).
 func (c *Context) Forget() {

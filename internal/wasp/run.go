@@ -185,40 +185,9 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	retired0 := ctx.CPU.Retired
 	stats0 := ctx.CPU.Stats
 
-	if snap != nil {
-		// Restore (Fig 7) and COW reset (§7.2) are one operation: Rebase
-		// rewrites only the pages that differ from the snapshot — dirty,
-		// unknown, or holding another layer's page — and starts the new
-		// restore point. The charges stay the paper's: a restore copies
-		// the captured footprint; a COW reset copies back the pages
-		// dirtied since the snapshot point. Neither depends on how the
-		// forest shares pages or on what the shell held before.
-		dirty := ctx.DirtyCount()
-		written := be.pages.add(ctx.Rebase(snap.layer))
-		name, arg := "snap-restore", uint64(snap.captured)
-		if resident {
-			clk.Advance(cycles.MemcpyCost(dirty * vmm.PageSize))
-			clk.Advance(uint64(dirty) * cycles.COWResetPerPage)
-			res.COWPages = dirty
-			name, arg = "snap-cow-reset", uint64(dirty)
-		} else {
-			clk.Advance(cycles.MemcpyCost(snap.captured))
-		}
-		if tr := w.tracer; tr.Enabled() {
-			tr.Instant(obs.ControlLane, obs.KindSnapshot, name, clk.Now(), 0, arg, uint64(written))
-		}
-		ctx.CPU.Restore(snap.state)
-		clk.Advance(cycles.GuestLoadSetup)
-		res.SnapshotUsed = true
-	} else {
-		be.pages.add(ctx.Rebase(nil)) // boot on zeroed memory
-		if err := ctx.Load(img.Code, img.Origin, img.Entry, img.Mode); err != nil {
-			return nil, err
-		}
-		// Padding is part of the image payload (Fig 12): it is copied
-		// with the image even though it is all zeros.
-		clk.Advance(cycles.MemcpyCost(img.Pad))
-		clk.Advance(cycles.GuestLoadSetup)
+	boot, err := w.populate(be, ctx, img, &cfg, snap, resident, res, clk)
+	if err != nil {
+		return nil, err
 	}
 
 	// Adopt the image's predecoded code pages (decode once per content,
@@ -248,7 +217,7 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	// entirely; otherwise run the guest (boot stub or full program).
 	restoredNative := snap != nil && snap.booted && img.Native != nil
 	if !restoredNative {
-		if err := w.runGuest(be, ctx, img, &cfg, gm, res, clk); err != nil {
+		if err := w.runGuest(be, ctx, img, &cfg, gm, res, boot, clk); err != nil {
 			return nil, err
 		}
 	}
@@ -356,11 +325,71 @@ func (w *Wasp) drainTierLog(ctx *vmm.Context) {
 	ctx.CPU.TierTrace = false
 }
 
+// populate brings the shell to where the run starts: a snapshot restore
+// or COW reset, or a cold boot replayed (boot.go) or loaded onto zeroed
+// memory. It returns the boot record the first entry replays or makes.
+func (w *Wasp) populate(be *backend, ctx *vmm.Context, img *guest.Image, cfg *RunConfig, snap *snapshot, resident bool, res *Result, clk *cycles.Clock) (*bootRecord, error) {
+	if snap != nil {
+		// Restore (Fig 7) and COW reset (§7.2) are one operation: Rebase
+		// rewrites only the pages that differ from the snapshot — dirty,
+		// unknown, or holding another layer's page — and starts the new
+		// restore point. The charges stay the paper's: a restore copies
+		// the captured footprint; a COW reset copies back the pages
+		// dirtied since the snapshot point. Neither depends on how the
+		// forest shares pages or on what the shell held before.
+		dirty := ctx.DirtyCount()
+		written := be.pages.add(ctx.Rebase(snap.layer))
+		name, arg := "snap-restore", uint64(snap.captured)
+		if resident {
+			clk.Advance(cycles.MemcpyCost(dirty * vmm.PageSize))
+			clk.Advance(uint64(dirty) * cycles.COWResetPerPage)
+			res.COWPages = dirty
+			name, arg = "snap-cow-reset", uint64(dirty)
+		} else {
+			clk.Advance(cycles.MemcpyCost(snap.captured))
+		}
+		if tr := w.tracer; tr.Enabled() {
+			tr.Instant(obs.ControlLane, obs.KindSnapshot, name, clk.Now(), 0, arg, uint64(written))
+		}
+		ctx.CPU.Restore(snap.state)
+		clk.Advance(cycles.GuestLoadSetup)
+		res.SnapshotUsed = true
+		return nil, nil
+	}
+	boot := w.bootFor(be, img, cfg, len(ctx.Mem))
+	if boot != nil && boot.layer != nil {
+		// Memory and dirty set as the recorded boot left them; the first
+		// entry resumes the vCPU. Charged as the image copy it replaces.
+		written := be.pages.add(ctx.Rebase(boot.layer))
+		for _, p := range boot.dirty {
+			ctx.HostWrite(uint64(p)*vmm.PageSize, vmm.PageSize)
+		}
+		clk.Advance(cycles.MemcpyCost(len(img.Code)))
+		be.boots.replays.Add(1)
+		if tr := w.tracer; tr.Enabled() {
+			tr.Instant(obs.ControlLane, obs.KindSnapshot, "boot-replay", clk.Now(), 0, boot.cpu.Retired, uint64(written))
+		}
+	} else {
+		be.pages.add(ctx.Rebase(nil)) // boot on zeroed memory
+		if err := ctx.Load(img.Code, img.Origin, img.Entry, img.Mode); err != nil {
+			return nil, err
+		}
+	}
+	// Padding is part of the image payload (Fig 12): it is copied with
+	// the image even though it is all zeros.
+	clk.Advance(cycles.MemcpyCost(img.Pad))
+	clk.Advance(cycles.GuestLoadSetup)
+	return boot, nil
+}
+
 // runGuest drives the vCPU until halt or guest exit(), interposing on
 // every hypercall.
-func (w *Wasp) runGuest(be *backend, ctx *vmm.Context, img *guest.Image, cfg *RunConfig, gm *guestMem, res *Result, clk *cycles.Clock) error {
-	for {
-		ex := ctx.Run(cfg.MaxSteps)
+func (w *Wasp) runGuest(be *backend, ctx *vmm.Context, img *guest.Image, cfg *RunConfig, gm *guestMem, res *Result, boot *bootRecord, clk *cycles.Clock) error {
+	ex := w.enter(be, ctx, img, cfg, boot, clk)
+	if firstExitGate != nil {
+		firstExitGate(ctx)
+	}
+	for ; ; ex = ctx.Run(cfg.MaxSteps) {
 		switch ex.Reason {
 		case cpu.ExitHalt:
 			return nil

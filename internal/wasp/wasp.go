@@ -97,6 +97,7 @@ type backend struct {
 	forest    *vmm.PageStore // content-addressed page store behind all snapshots
 	bases     baseRegistry   // image content key -> shared base layer
 	pages     shellPages     // what populating, scrubbing and capturing shells did
+	boots     bootMemo       // recorded cold boots (boot.go)
 }
 
 // shellPages tallies vmm.Context.Rebase and Capture over one backend's
@@ -250,9 +251,6 @@ func (w *Wasp) SetTracer(tr *obs.Tracer) {
 		}
 	}
 }
-
-// Tracer reports the attached flight recorder (nil when none).
-func (w *Wasp) Tracer() *obs.Tracer { return w.tracer }
 
 // Platforms lists the runtime's backends; the first is the default.
 func (w *Wasp) Platforms() []vmm.Platform {
@@ -458,9 +456,6 @@ func (w *Wasp) Cleaners() []*Cleaner {
 	}
 	return out
 }
-
-// AsyncClean reports whether the runtime cleans shells asynchronously.
-func (w *Wasp) AsyncClean() bool { return w.backends[0].cleaner != nil }
 
 // Prewarm tops a size class up to n cached clean shells on the default
 // backend; see PrewarmOn.
