@@ -688,9 +688,9 @@ func BenchmarkSubmitBatch(b *testing.B) {
 
 // BenchmarkWaspCARelease isolates the release-path win of true async
 // cleaning (Fig 8): under Wasp+C a reused shell pays its zeroing on the
-// measured path (at the next acquire); under Wasp+CA release hands the
-// dirty shell to the background cleaner and no ZeroCost ever lands on
-// the run clock. vcycles/op must come out lower for wasp+CA.
+// measured path (at the next acquire); under Wasp+CA that cost is the
+// cleaner's and no ZeroCost ever lands on the run clock. vcycles/op must
+// come out lower for wasp+CA.
 func BenchmarkWaspCARelease(b *testing.B) {
 	img := guest.MinimalHalt()
 	for _, mode := range []struct {

@@ -2,10 +2,13 @@ package httpd
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cycles"
+	"repro/internal/guest"
 	"repro/internal/hypercall"
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -459,16 +462,7 @@ func BenchmarkColdBoot(b *testing.B) {
 	}
 	s.Snapshot = false
 	req := Request("/index.html")
-	replays := func() float64 {
-		reg := obs.NewRegistry()
-		w.RegisterMetrics(reg)
-		for _, m := range reg.Snapshot() {
-			if m.Name == "wasp_boot_replays{platform=kvm}" {
-				return m.Value
-			}
-		}
-		return 0
-	}
+	replays := func() float64 { return metric(w, "wasp_boot_replays{platform=kvm}") }
 	if _, err := s.Serve(req, cycles.NewClock()); err != nil { // the recording boot
 		b.Fatal(err)
 	}
@@ -481,4 +475,131 @@ func BenchmarkColdBoot(b *testing.B) {
 		}
 	}
 	b.ReportMetric((replays()-before)/float64(b.N), "replays/op")
+}
+
+// metric reads one of the runtime's registry metrics.
+func metric(w *wasp.Wasp, name string) float64 {
+	reg := obs.NewRegistry()
+	w.RegisterMetrics(reg)
+	for _, m := range reg.Snapshot() {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return 0
+}
+
+// doublerAsm reads the argument word, doubles it into the return slot
+// and exits.
+const doublerAsm = `
+	movi rbx, 0x0
+	load rdi, [rbx]
+	add rdi, rdi
+	movi rbx, 0x4000
+	store [rbx], rdi
+	movi rdi, 0
+	out 0x00, rdi
+	hlt
+`
+
+// TestWaspCAMatchesWaspC replays one seeded virtual-mode sequence of file
+// server requests (snapshots off: every request boots) and doubler
+// virtines on a Wasp+C and a Wasp+CA runtime. The two pool and reuse
+// shells alike and differ only in where a reused shell's zeroing is
+// charged: each Result equals its twin in every field but Cycles once
+// its clock readings are taken from the ticket's start, Cycles differs
+// by exactly ZeroCost of the shell on each acquire of a used one (paid
+// before the guest entry, so the readings shift by as much), and
+// populating a shell rewrites as many pages in both.
+func TestWaspCAMatchesWaspC(t *testing.T) {
+	doubler := guest.MustFromAsm("doubler", guest.WrapLongMode(doublerAsm))
+	paths := []string{"/index.html", "/big.bin", "/missing"}
+	type run struct {
+		res     *wasp.Result
+		start   uint64
+		mem     int
+		http    bool
+		reused  bool // a Wasp+CA acquire found a shell that had run
+		written float64
+	}
+	play := func(opts ...wasp.Option) []run {
+		w := wasp.New(opts...)
+		s, err := NewFileServer(w, testFiles())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Snapshot = false
+		sc := sched.NewVirtual(w, 2)
+		defer sc.Close()
+		rng := rand.New(rand.NewSource(7))
+		var out []run
+		for i := 0; i < 48; i++ {
+			r := run{http: rng.Intn(3) > 0}
+			img, cfg := doubler, wasp.RunConfig{Args: vcc.MarshalArgs(int64(i)), RetBytes: 8}
+			if r.http {
+				img, cfg = s.image, s.runConfig(Request(paths[rng.Intn(len(paths))]))
+			}
+			var cleaned uint64
+			if c := w.Cleaner(); c != nil {
+				cleaned = c.Cleaned()
+			}
+			written := metric(w, "wasp_shell_pages_written{platform=kvm}")
+			// Arrivals 1 ms apart: every ticket finds an idle fleet in
+			// both runtimes, so their pools are sized alike.
+			tk := sc.SubmitAt(uint64(i)*cycles.FromMicros(1000), img, cfg)
+			if r.res, err = tk.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			r.start, r.mem = tk.Start, img.MemBytes()
+			r.written = metric(w, "wasp_shell_pages_written{platform=kvm}") - written
+			if c := w.Cleaner(); c != nil {
+				r.reused = c.Cleaned() > cleaned
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+	// rebased is r's Result with Cycles cleared and its clock readings
+	// taken from the ticket's start plus shift.
+	rebased := func(r run, shift uint64) wasp.Result {
+		res := *r.res
+		res.Cycles = 0
+		res.GuestEntry -= r.start + shift
+		for e, at := range res.BootEvents {
+			if at != 0 {
+				res.BootEvents[e] = at - r.start - shift
+			}
+		}
+		return res
+	}
+	syncRuns, asyncRuns := play(), play(wasp.WithAsyncClean(true))
+	var reused, requests int
+	var pages [2]float64
+	for i, c := range syncRuns {
+		ca := asyncRuns[i]
+		var zero uint64
+		if ca.reused {
+			zero = cycles.ZeroCost(ca.mem)
+			reused++
+		}
+		if c.res.Cycles != ca.res.Cycles+zero {
+			t.Fatalf("run %d: Wasp+C %d cycles, Wasp+CA %d + zeroing %d", i, c.res.Cycles, ca.res.Cycles, zero)
+		}
+		if c.written != ca.written {
+			t.Fatalf("run %d: populate wrote %v pages under Wasp+C, %v under Wasp+CA", i, c.written, ca.written)
+		}
+		if a, b := rebased(c, zero), rebased(ca, 0); !reflect.DeepEqual(a, b) {
+			t.Fatalf("run %d: results differ beyond Cycles:\nWasp+C  %+v\nWasp+CA %+v", i, a, b)
+		}
+		if c.http {
+			requests++
+			pages[0] += c.written
+			pages[1] += ca.written
+		}
+	}
+	if reused == 0 || reused == len(asyncRuns) {
+		t.Fatalf("%d of %d acquires reused a shell: the sequence must mix cold and reused shells", reused, len(asyncRuns))
+	}
+	t.Logf("%d of %d acquires reused a shell; pages written per request: Wasp+C %.1f, Wasp+CA %.1f",
+		reused, len(asyncRuns), pages[0]/float64(requests), pages[1]/float64(requests))
 }

@@ -44,9 +44,9 @@ const (
 	KindSubmit         // a submission burst entered the scheduler (arg0 = tickets)
 	KindTicket         // one ticket's service span on a worker lane
 	KindPlace          // a placement/steering decision (arg0 = backend index)
-	KindShell          // shell provisioning (pool hit, reclaim, cold create, COW take, prewarm)
+	KindShell          // shell provisioning (pool hit, cold create, COW take, prewarm)
 	KindRelease        // a context returned to the pool layer
-	KindClean          // async-cleaner activity (enqueue, scrub)
+	KindClean          // Wasp+CA cleaner ledger (release booked, settlement)
 	KindSnapshot       // snapshot capture / restore / COW reset
 	KindMigrate        // a warm snapshot shipped between backends
 	KindFlip           // a Migrating placer committed a new home (args = interned from/to)

@@ -283,18 +283,8 @@ func (c *realCore) pickLocked(wk *worker) (t *Ticket) {
 	return t
 }
 
-// idleDrained, when non-nil, runs after a lane scrubs a shell on the
-// idle path — a test seam (the migrateExportGate pattern) that lets
-// tests wait on the drain event instead of polling the cleaner. Always
-// nil outside tests.
-var idleDrained func()
-
 // workerLoop is lane wk's resident driver, one locked pass per duty
-// cycle: the next ticket, else one dirty shell from the runtime's
-// cleaner (the Wasp+CA low-priority lane), else park. Cleaning runs on
-// the driver's host thread but is never charged to the lane's virtual
-// clock — idle capacity absorbs it, exactly like the paper's background
-// cleaning thread.
+// cycle: the next ticket, else park.
 func (c *realCore) workerLoop(wk *worker) {
 	defer c.wg.Done()
 	c.dmu.Lock()
@@ -304,7 +294,7 @@ func (c *realCore) workerLoop(wk *worker) {
 			c.execUnlocked(wk, t)
 		} else if c.qclosed && c.queuedN == 0 {
 			return
-		} else if !c.scrubLocked() {
+		} else {
 			c.park(wk)
 		}
 	}
@@ -368,22 +358,19 @@ func (c *realCore) help(t *Ticket) {
 
 // driveLent runs the resident's duty cycle on idle lane wk from the
 // calling goroutine: ticket next, then whatever pickLocked yields while
-// the caller's own ticket is still queued, then — the queue empty — one
-// scrub, where the resident would have scrubbed (the pool's shrink rule
-// only sees parked shells, so a lane that skipped its scrub would leave
-// them to inline reclaims). While the lane is out its resident neither
-// picks nor exits, so Close waits for it. (It goes back in a defer, and
-// execUnlocked retakes dmu in one: serve turns a task's panic into the
-// ticket's error, so nothing should unwind through here, but a lane lost
-// to a bug in the dispatch path itself would hang Close.) Caller holds
-// dmu.
+// the caller's own ticket is still queued. While the lane is out its
+// resident neither picks nor exits, so Close waits for it. (It goes back
+// in a defer, and execUnlocked retakes dmu in one: serve turns a task's
+// panic into the ticket's error, so nothing should unwind through here,
+// but a lane lost to a bug in the dispatch path itself would hang
+// Close.) Caller holds dmu.
 func (c *realCore) driveLent(wk *worker, next, own *Ticket) {
 	c.unidleLocked(wk)
 	wk.lent = true
 	defer func() {
 		wk.lent = false
 		c.idle = append(c.idle, wk)
-		if c.queuedN > 0 || c.qclosed || c.cleanerBacklog() {
+		if c.queuedN > 0 || c.qclosed {
 			// What the borrower leaves undone is the resident's again
 			// (other idle residents wake too, and park if the pick has
 			// nothing for them).
@@ -397,9 +384,6 @@ func (c *realCore) driveLent(wk *worker, next, own *Ticket) {
 			break
 		}
 	}
-	if c.queuedN == 0 {
-		c.scrubLocked()
-	}
 }
 
 // execUnlocked serves t on lane wk with dmu released, retaking it on
@@ -408,40 +392,6 @@ func (c *realCore) execUnlocked(wk *worker, t *Ticket) {
 	c.dmu.Unlock()
 	defer c.dmu.Lock()
 	c.exec(wk, t)
-}
-
-// scrubLocked scrubs one dirty shell from any backend's cleaner and
-// reports whether it released dmu to try (the zeroing runs unlocked, so
-// the caller must look at the queue again). The backlog check itself
-// runs under dmu: a driver that finds none may park on this pass.
-// Caller holds dmu.
-func (c *realCore) scrubLocked() bool {
-	if !c.cleanerBacklog() {
-		return false
-	}
-	c.dmu.Unlock()
-	defer c.dmu.Lock()
-	for _, cl := range c.s.cleaners {
-		if cl.DrainOne() {
-			c.s.cleanerDrains.Add(1)
-			if idleDrained != nil {
-				idleDrained()
-			}
-			break
-		}
-	}
-	return true
-}
-
-// cleanerBacklog reports whether any backend's cleaner holds a dirty
-// shell.
-func (c *realCore) cleanerBacklog() bool {
-	for _, cl := range c.s.cleaners {
-		if cl.Pending() > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // exec serves one popped ticket and folds its completion back into the

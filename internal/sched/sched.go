@@ -51,13 +51,11 @@
 // images at pop time, virtual mode models the wait as a delayed start.
 // Admission decides whether a ticket runs; placement decides where.
 //
-// The scheduler is also the drive shaft of true Wasp+CA (Fig 8): when
-// the runtime cleans shells asynchronously, real-mode workers scrub
-// dirty shells on a low-priority lane whenever the ticket queue is
-// momentarily empty (cleaning rides the pool's idle capacity, never a
-// request clock), and virtual mode drives the runtime's Cleaner as a
-// dedicated virtual core whose clock absorbs every zeroing cost
-// (CleanerCycles). Completed image tickets additionally feed their
+// Under Wasp+CA (Fig 8) virtual mode drives each backend's Cleaner:
+// after every ticket it settles the zeroing the ticket's releases owe on
+// a dedicated virtual cleaner core, whose clock absorbs every such cost
+// (CleanerCycles). Real mode has nothing to drive: the zeroing is
+// charged nowhere and no lane scrubs. Completed image tickets feed their
 // queue-depth and service-time telemetry back into the runtime's
 // per-image pool-sizing policy (wasp.ObserveLoad), so bursts prewarm
 // the warm shell pool and idle periods shrink it.
@@ -334,10 +332,8 @@ type Scheduler struct {
 	w    *wasp.Wasp
 	core core
 
-	// cleaners are the runtime's Wasp+CA background cleaners (one per
-	// backend), when async cleaning is on: real-mode workers drain them
-	// on the idle lane; virtual mode drives each as a dedicated virtual
-	// core.
+	// cleaners are the runtime's Wasp+CA cleaner ledgers (one per
+	// backend); virtual mode drives each as a dedicated virtual core.
 	cleaners      []*wasp.Cleaner
 	cleanerDrains atomic.Uint64
 
@@ -990,8 +986,8 @@ func (s *Scheduler) BackendLoads() []BackendLoad {
 	return out
 }
 
-// CleanerDrains reports dirty shells this scheduler scrubbed: on the
-// real-mode idle-worker lane, or on the virtual cleaner core.
+// CleanerDrains reports the Wasp+CA releases this scheduler settled on
+// the virtual cleaner cores (virtual mode; 0 in real mode).
 func (s *Scheduler) CleanerDrains() uint64 { return s.cleanerDrains.Load() }
 
 // HelpedRuns reports how many tickets ran inline on a goroutine blocked
@@ -1000,9 +996,9 @@ func (s *Scheduler) CleanerDrains() uint64 { return s.cleanerDrains.Load() }
 func (s *Scheduler) HelpedRuns() uint64 { return s.helped.Load() }
 
 // CleanerCycles reports the virtual cleaner cores' clock — the virtual
-// time the busiest backend's cleaner last went idle, i.e. the total
-// zeroing work Wasp+CA moved off the request path (virtual mode; 0 when
-// cleaning is synchronous or real-mode).
+// time the busiest backend's cleaner last went idle, after settling the
+// zeroing Wasp+CA moved off the request path (virtual mode; 0 under
+// Wasp+C or in real mode).
 func (s *Scheduler) CleanerCycles() uint64 {
 	var max uint64
 	for _, c := range s.cleaners {

@@ -44,13 +44,12 @@ func (c *virtualCore) Lock()          { c.mu.Lock() }
 func (c *virtualCore) Unlock()        { c.mu.Unlock() }
 func (c *virtualCore) String() string { return "virtual" }
 
-// close hands drain ownership back to the runtime: any leftover dirty
-// shells go to the background cleaners.
+// close hands the cleaner ledgers back to the runtime.
 func (c *virtualCore) close() { c.s.driveCleaners(false) }
 
 // driveCleaners models each backend's cleaner as a dedicated virtual
-// core: a virtual-time core drains them deterministically after each
-// ticket (execVirtualLocked) instead of the wall-clock goroutines.
+// core that settles the releases it owes after each ticket
+// (execVirtualLocked).
 func (s *Scheduler) driveCleaners(on bool) {
 	for _, cl := range s.cleaners {
 		cl.SetDriven(on)
@@ -206,8 +205,9 @@ func (c *virtualCore) place(t *Ticket, by []int, total int) {
 // basis of the per-backend quota model), the placement EWMAs, the
 // admission telemetry and, under a hard cap, the span history the cap
 // reads (without a cap it would just grow without bound). The
-// dedicated virtual cleaner cores then pick up the shells the ticket
-// released, no earlier than its completion. Caller holds the core lock.
+// dedicated virtual cleaner cores then settle the zeroing of the shells
+// the ticket released, no earlier than its completion. Caller holds the
+// core lock.
 func (s *Scheduler) execVirtualLocked(wk *worker, t *Ticket, busy int) {
 	t.DepthAtSubmit = busy
 	if d := int64(busy); d > s.peakDepth.Load() {

@@ -264,11 +264,10 @@ func RunFig15(w *wasp.Wasp, pattern LoadPattern, seed int64) ([]TracePoint, erro
 	if _, err := vespid.ServiceCycles("b64"); err != nil {
 		return nil, err
 	}
-	// Pin Wasp+CA accounting before the simulation starts: scrub the
-	// warm-up shell on the host lanes, then create the scheduler so it
-	// takes drain ownership. The virtual cleaner core's telemetry then
-	// covers exactly the simulated invocations, reproducibly — not a
-	// race between the background goroutine and the ownership handoff.
+	// Pin Wasp+CA accounting before the simulation starts: settle the
+	// ledger without charge, then create the scheduler so it drives the
+	// ledger. The virtual cleaner core's telemetry then covers exactly the
+	// simulated invocations.
 	if c := w.Cleaner(); c != nil {
 		c.Drain()
 	}

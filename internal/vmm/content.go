@@ -11,8 +11,9 @@ import (
 // dirty (CheckContent), because every writer either dirties the page
 // through the store barrier (guest stores, HostWrite) or marks what it
 // wrote unknown (Forget). So Rebase brings memory to any target writing
-// only the pages that differ, and full restore, COW reset, pre-boot
-// zeroing and the cleaner's scrub are one operation.
+// only the pages that differ, and full restore, COW reset, boot replay
+// and pre-boot zeroing are one operation. A reused shell is never zeroed
+// ahead of it.
 
 // unknown is the record entry of a page whose content is not known. It
 // never equals a target entry, so Rebase always rewrites the page.

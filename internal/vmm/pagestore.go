@@ -21,8 +21,8 @@ import (
 //
 //   - Store pages are immutable. Every writer copies page content into
 //     the store on Insert; every reader (Context.Rebase, export) copies
-//     content out. Nothing — not the cleaner's scrubbing, not a guest,
-//     not a host handler — ever holds a writable alias of a store page.
+//     content out. Nothing — not shell reuse, not a guest, not a host
+//     handler — ever holds a writable alias of a store page.
 //     Verify re-hashes the store to prove it. A Page is never reused for
 //     other content, so two equal pointers mean equal content (the
 //     shell-content record in content.go relies on it), and a Page the

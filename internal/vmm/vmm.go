@@ -71,25 +71,11 @@ func CreateOn(p Platform, memBytes int, clk *cycles.Clock) *Context {
 // Platform reports the backend this context runs on.
 func (c *Context) Platform() Platform { return c.platform }
 
-// Clean zeroes the context's guest memory and resets the vCPU, preventing
-// information leakage before the shell is reused (Fig 6 step E). It
-// charges the zeroing at memcpy bandwidth; callers that clean
-// asynchronously account for this off the critical path.
-func (c *Context) Clean() {
-	c.Clock.Advance(cycles.ZeroCost(len(c.Mem)))
-	c.CleanSilent()
-}
-
-// CleanSilent zeroes memory and resets the vCPU without charging the
-// caller's clock — the accounting a background cleaner thread gets
-// (Wasp+CA in Fig 8): the work happens, but not on the critical path.
-func (c *Context) CleanSilent() (written, kept int) {
-	c.Reset()
-	return c.Rebase(nil)
-}
-
-// Reset returns the vCPU to power-on state and zeroes the run counters,
-// leaving memory to the Rebase that populates the shell next.
+// Reset returns the vCPU to power-on state and zeroes the run counters
+// before a shell is reused (Fig 6 step E), leaving memory to the Rebase
+// that populates it next: no page of the previous run survives that. It
+// charges nothing; the reuser charges the zeroing where its
+// configuration says (Wasp+C or Wasp+CA, Fig 8).
 func (c *Context) Reset() {
 	c.CPU.Reset(0)
 	c.Entries, c.ExitsIO, c.ExitsHLT, c.FirstEntry = 0, 0, 0, 0

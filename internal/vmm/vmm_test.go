@@ -79,36 +79,28 @@ func TestLoadRejectsOversizedImage(t *testing.T) {
 	}
 }
 
-func TestCleanZeroesAndCharges(t *testing.T) {
+// TestCleanSilentIsFree: cleaning a used shell — vCPU and run counters
+// reset, memory rebased to zero — rewrites exactly the dirtied page and
+// charges nothing; the zeroing charge is the reuser's.
+func TestCleanSilentIsFree(t *testing.T) {
 	clk := cycles.NewClock()
 	ctx := Create(64<<10, clk)
 	ctx.Mem[100] = 0xAB
 	ctx.HostWrite(100, 1)
+	ctx.Entries, ctx.ExitsIO, ctx.FirstEntry = 3, 2, 1
 	before := clk.Now()
-	ctx.Clean()
+	ctx.Reset()
+	if written, _ := ctx.Rebase(nil); written != 1 {
+		t.Fatalf("rebase to zero wrote %d pages, want the 1 dirtied", written)
+	}
 	if ctx.Mem[100] != 0 {
 		t.Fatal("memory not zeroed")
 	}
-	if clk.Now()-before != cycles.ZeroCost(64<<10) {
-		t.Fatal("clean cost wrong")
-	}
-	if ctx.Entries != 0 || ctx.FirstEntry != 0 {
-		t.Fatal("counters not reset")
-	}
-}
-
-func TestCleanSilentIsFree(t *testing.T) {
-	clk := cycles.NewClock()
-	ctx := Create(64<<10, clk)
-	ctx.Mem[5] = 1
-	ctx.HostWrite(5, 1)
-	before := clk.Now()
-	ctx.CleanSilent()
-	if ctx.Mem[5] != 0 {
-		t.Fatal("memory not zeroed")
-	}
 	if clk.Now() != before {
-		t.Fatal("silent clean charged the clock")
+		t.Fatal("reset or rebase charged the clock")
+	}
+	if ctx.Entries != 0 || ctx.ExitsIO != 0 || ctx.FirstEntry != 0 {
+		t.Fatal("counters not reset")
 	}
 }
 

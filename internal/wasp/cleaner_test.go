@@ -2,6 +2,7 @@ package wasp
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -25,68 +26,83 @@ const dirtyProbeAsm = `
 	hlt
 `
 
-// TestAsyncReleaseDoesNoZeroingOnCallerPath pins the Wasp+CA contract
-// the seed violated: release must neither zero the shell nor park it
-// clean — the dirty shell goes to the cleaner's queue, and the zeroing
-// observably happens on the cleaner lane (here driven manually so no
-// background goroutine can race the observation).
+// TestAsyncReleaseDoesNoZeroingOnCallerPath pins the Wasp+CA contract:
+// neither release nor acquire charges a request for zeroing. Release
+// pools the shell dirty, unzeroed, and the driven ledger owes its
+// zeroing; the next acquire resets it with no ZeroCost on its clock
+// (Wasp+C's acquire pays exactly that) and, reacquiring before the
+// virtual core settled, forgives the release; DrainAt then charges the
+// core for the release still owed.
 func TestAsyncReleaseDoesNoZeroingOnCallerPath(t *testing.T) {
+	img := guest.MinimalHalt()
+	mem := img.MemBytes()
+	runTwice := func(w *Wasp) (second uint64) {
+		for i := 0; i < 2; i++ {
+			clk := cycles.NewClock()
+			if _, err := w.Run(img, RunConfig{}, clk); err != nil {
+				t.Fatal(err)
+			}
+			second = clk.Now()
+		}
+		return second
+	}
 	w := New(WithAsyncClean(true))
 	c := w.Cleaner()
 	if c == nil {
 		t.Fatal("async runtime has no cleaner")
 	}
-	c.SetDriven(true) // no background drain: only explicit scrubs below
+	c.SetDriven(true)
 	defer c.SetDriven(false)
 
-	img := guest.MinimalHalt()
 	if _, err := w.Run(img, RunConfig{}, cycles.NewClock()); err != nil {
 		t.Fatal(err)
 	}
-	if n := w.PoolTotal(); n != 0 {
-		t.Fatalf("release parked %d shell(s) itself; must defer to the cleaner", n)
+	if n := w.PoolTotal(); n != 1 {
+		t.Fatalf("pool total = %d after release, want the dirty shell pooled", n)
 	}
-	if p := c.Pending(); p != 1 {
-		t.Fatalf("cleaner pending = %d, want 1", p)
+	if p, n := c.Pending(), c.Cleaned(); p != 1 || n != 0 {
+		t.Fatalf("pending/cleaned = %d/%d after one release, want 1/0", p, n)
 	}
-	if n := c.Cleaned(); n != 0 {
-		t.Fatalf("cleaned = %d before any drain; release zeroed on the caller's path", n)
-	}
-	// The queued shell is still dirty: the boot wrote page tables, so
+	// The pooled shell is still dirty: the boot wrote page tables, so
 	// unzeroed guest memory contains nonzero bytes.
-	c.mu.Lock()
-	s := c.queue[0].s
-	c.mu.Unlock()
-	if !s.dirty {
-		t.Fatal("queued shell marked clean")
+	s := w.backends[0].pools.take(mem)
+	if !s.dirty || checksum(s.ctx.Mem) == 0 {
+		t.Fatal("release zeroed the shell or pooled it clean")
 	}
-	dirtyBytes := false
-	for _, b := range s.ctx.Mem {
-		if b != 0 {
-			dirtyBytes = true
-			break
-		}
+	w.backends[0].pools.put(mem, s)
+
+	goroutines := runtime.NumGoroutine()
+	async, sync := runTwice(New(WithAsyncClean(true))), runTwice(New())
+	if n := runtime.NumGoroutine(); n > goroutines { // earlier tests' goroutines may still be exiting
+		t.Fatalf("%d goroutines after undriven Wasp+CA runs, %d before: the runtime started one", n, goroutines)
 	}
-	if !dirtyBytes {
-		t.Fatal("queued shell memory already zeroed; cleaning happened on the release path")
+	if sync-async != cycles.ZeroCost(mem) {
+		t.Fatalf("warm run: Wasp+C %d, Wasp+CA %d cycles; want them ZeroCost(%d) = %d apart",
+			sync, async, mem, cycles.ZeroCost(mem))
 	}
 
-	// Draining the cleaner lane scrubs and parks it.
-	if n := c.Drain(); n != 1 {
-		t.Fatalf("drained %d, want 1", n)
+	clk := cycles.NewClock()
+	if _, err := w.Run(img, RunConfig{}, clk); err != nil {
+		t.Fatal(err)
 	}
-	if n := w.PoolTotal(); n != 1 {
-		t.Fatalf("pool total = %d after drain, want 1", n)
+	if n, r, p := c.Cleaned(), c.InlineReclaims(), c.Pending(); n != 1 || r != 1 || p != 1 {
+		t.Fatalf("cleaned/forgiven/pending = %d/%d/%d after the reacquire, want 1/1/1", n, r, p)
 	}
-	if n := c.Cleaned(); n != 1 {
-		t.Fatalf("cleaned = %d, want 1", n)
+	if n := c.DrainAt(clk.Now()); n != 1 {
+		t.Fatalf("settled %d releases, want 1", n)
+	}
+	if b, v := c.BusyCycles(), c.Cycles(); b != cycles.ZeroCost(mem) || v != clk.Now()+b {
+		t.Fatalf("cleaner core busy %d, idle at %d; want %d, %d", b, v, cycles.ZeroCost(mem), clk.Now()+cycles.ZeroCost(mem))
+	}
+	if p := c.Pending(); p != 0 {
+		t.Fatalf("pending = %d after settling, want 0", p)
 	}
 }
 
 // TestNoDirtyShellAcquiredUnderAsyncClean is the -race stress test for
-// the cleaner: many goroutines hammer Run while shells cycle through
-// the dirty queue, the background drain goroutine, and inline reclaims;
-// no run may ever observe another run's marker.
+// the cleaner: many goroutines hammer Run while dirty shells cycle
+// through the pool, with the ledger driven and settled concurrently; no
+// run may ever observe another run's marker.
 func TestNoDirtyShellAcquiredUnderAsyncClean(t *testing.T) {
 	const (
 		goroutines = 8
@@ -94,8 +110,26 @@ func TestNoDirtyShellAcquiredUnderAsyncClean(t *testing.T) {
 	)
 	w := New(WithAsyncClean(true))
 	img := guest.MustFromAsm("dirty-probe", guest.WrapLongMode(dirtyProbeAsm))
+	c := w.Cleaner()
+	c.SetDriven(true)
+	defer c.SetDriven(false)
 
 	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	settled := make(chan uint64)
+	go func() { // the virtual cleaner core, settling beside the runs
+		var n uint64
+		for at := uint64(0); ; at += 1000 {
+			select {
+			case <-stop:
+				settled <- n + uint64(c.DrainAt(at))
+				return
+			default:
+				n += uint64(c.DrainAt(at))
+				runtime.Gosched()
+			}
+		}
+	}()
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -115,17 +149,26 @@ func TestNoDirtyShellAcquiredUnderAsyncClean(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	drains := <-settled
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	c := w.Cleaner()
 	if c.Cleaned() == 0 {
-		t.Fatal("no shell ever passed through the cleaner")
+		t.Fatal("no released shell was ever reacquired")
 	}
 	if c.Enqueued() != uint64(goroutines*runsEach) {
-		t.Fatalf("enqueued = %d, want %d (every release must go through the cleaner)",
+		t.Fatalf("enqueued = %d, want %d (every release must be booked)",
 			c.Enqueued(), goroutines*runsEach)
+	}
+	// Every release is settled or forgiven, exactly once.
+	if got := drains + c.InlineReclaims(); got != c.Enqueued() || c.VirtualDrains() != drains {
+		t.Fatalf("settled %d + forgiven %d = %d releases (core counted %d), want %d",
+			drains, c.InlineReclaims(), got, c.VirtualDrains(), c.Enqueued())
+	}
+	if c.BusyCycles() != drains*cycles.ZeroCost(img.MemBytes()) {
+		t.Fatalf("core busy %d cycles for %d settled releases", c.BusyCycles(), drains)
 	}
 }
 
@@ -173,9 +216,11 @@ func TestPoolCapacityBound(t *testing.T) {
 	}
 }
 
-// TestAsyncBacklogAndParkBounds pins both async-side bounds
-// deterministically: the dirty backlog caps at twice the class
-// capacity, and draining parks at most MaxPerClass shells.
+// TestAsyncBacklogAndParkBounds pins the Wasp+CA bounds: there is no
+// dirty backlog to cap any more, so release parks at most MaxPerClass
+// shells and drops the surplus at once (Cleaner.Dropped, not
+// PoolDropped), while the driven ledger owes every release it saw and
+// settles them all on the virtual core.
 func TestAsyncBacklogAndParkBounds(t *testing.T) {
 	w := New(WithAsyncClean(true), WithPoolPolicy(PoolPolicy{MaxPerClass: 2}))
 	c := w.Cleaner()
@@ -184,23 +229,56 @@ func TestAsyncBacklogAndParkBounds(t *testing.T) {
 
 	const mem = 64 << 10
 	for i := 0; i < 5; i++ {
-		w.release(vmm.CreateOn(vmm.KVM{}, mem, cycles.NewClock()))
-	}
-	// Backlog cap = 2*MaxPerClass = 4: the fifth shell is dropped.
-	if p := c.Pending(); p != 4 {
-		t.Fatalf("pending = %d, want 4 (backlog cap)", p)
-	}
-	if d := c.Dropped(); d != 1 {
-		t.Fatalf("dropped = %d at enqueue, want 1", d)
-	}
-	if n := c.Drain(); n != 4 {
-		t.Fatalf("drained %d, want 4", n)
+		w.release(vmm.CreateOn(vmm.KVM{}, mem, cycles.NewClock()), nil, nil)
 	}
 	if n := w.PoolTotal(); n != 2 {
-		t.Fatalf("pool total = %d after drain, want 2 (class cap)", n)
+		t.Fatalf("pool total = %d, want 2 (class cap)", n)
 	}
-	if d := c.Dropped(); d != 3 {
-		t.Fatalf("dropped = %d total, want 3 (1 backlog + 2 park overflow)", d)
+	if d, pd := c.Dropped(), w.PoolDropped(); d != 3 || pd != 0 {
+		t.Fatalf("dropped = %d (cleaner) / %d (pool), want 3 / 0", d, pd)
+	}
+	if p := c.Pending(); p != 5 {
+		t.Fatalf("pending = %d, want all 5 releases owed", p)
+	}
+	if n := c.DrainAt(0); n != 5 || c.BusyCycles() != 5*cycles.ZeroCost(mem) {
+		t.Fatalf("settled %d releases for %d cycles, want 5 for %d", n, c.BusyCycles(), 5*cycles.ZeroCost(mem))
+	}
+	if n := c.Drain(); n != 0 {
+		t.Fatalf("drain after settling found %d owed, want 0", n)
+	}
+}
+
+// TestAsyncCleanShrinkSeesReleasedShells is the pool-sizing check the
+// old dirty queue failed: the shrink rule counted pooled shells only, so
+// shells waiting for the cleaner escaped it and came back to the pool
+// after the shrink. With released shells pooled directly, N serial runs
+// over a prewarmed class, then an idle streak, leave exactly the warm
+// floor, with nothing left owed once the core has settled.
+func TestAsyncCleanShrinkSeesReleasedShells(t *testing.T) {
+	const n, shrinkAfter = 6, 2
+	w := New(WithAsyncClean(true), WithPoolPolicy(PoolPolicy{ShrinkAfter: shrinkAfter}))
+	c := w.Cleaner()
+	c.SetDriven(true)
+	defer c.SetDriven(false)
+	img := guest.MinimalHalt()
+	mem := img.MemBytes()
+	if added := w.Prewarm(mem, n); added != n {
+		t.Fatalf("prewarmed %d shells, want %d", added, n)
+	}
+	clk := cycles.NewClock()
+	for i := 0; i < n; i++ {
+		if _, err := w.Run(img, RunConfig{}, clk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*n*shrinkAfter; i++ {
+		w.ObserveLoad(img.Name, mem, 0, 1000)
+	}
+	c.DrainAt(clk.Now())
+	target := w.PoolStatsFor(mem).Target
+	if got, want := w.PoolTotal()+c.Pending(), max(target, 1); got != want {
+		t.Fatalf("pooled %d + owed %d shells after the idle streak, want %d (target %d)",
+			w.PoolTotal(), c.Pending(), want, target)
 	}
 }
 

@@ -303,10 +303,11 @@ func TestForestConcurrentTenants(t *testing.T) {
 	}
 }
 
-// TestForestScrubNeverTouchesSharedPages: parking and scrubbing COW
-// shells (the cleaner path) must never mutate store-owned pages. The
-// base layer's digest is taken after capture and re-checked after heavy
-// scrub traffic; Verify re-hashes every stored page against its key.
+// TestForestScrubNeverTouchesSharedPages: parking, resetting and reusing
+// COW shells (the Wasp+CA release path) must never mutate store-owned
+// pages. The base layer's digest is taken after capture and re-checked
+// after heavy reuse traffic; Verify re-hashes every stored page against
+// its key.
 func TestForestScrubNeverTouchesSharedPages(t *testing.T) {
 	w := New(WithCOW(true), WithAsyncClean(true))
 	img := cowImg("scrub-inv")
@@ -331,7 +332,7 @@ func TestForestScrubNeverTouchesSharedPages(t *testing.T) {
 	snap = w.backends[0].snapshots.get(img.Name)
 	defer snap.release()
 	if snap.layer.Digest() != digest {
-		t.Fatal("base layer digest changed: a scrub wrote through a shared page")
+		t.Fatal("base layer digest changed: shell reuse wrote through a shared page")
 	}
 	if err := w.VerifyForest(); err != nil {
 		t.Fatal(err)

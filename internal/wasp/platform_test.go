@@ -130,8 +130,9 @@ func TestRunOnUnknownPlatform(t *testing.T) {
 	}
 }
 
-// Each backend gets its own Wasp+CA cleaner, and a released shell is
-// scrubbed back into the pool of the platform it ran on.
+// Each backend gets its own Wasp+CA cleaner, and a released shell goes
+// back to the pool of the platform it ran on, booked by that platform's
+// cleaner only.
 func TestPerPlatformCleaners(t *testing.T) {
 	w := New(WithPlatforms(vmm.KVM{}, vmm.HyperV{}), WithAsyncClean(true))
 	if got := len(w.Cleaners()); got != 2 {
@@ -144,12 +145,40 @@ func TestPerPlatformCleaners(t *testing.T) {
 	if _, err := w.RunOn("hyper-v", img, RunConfig{}, cycles.NewClock()); err != nil {
 		t.Fatal(err)
 	}
-	w.CleanerOn("hyper-v").Drain()
 	if got := w.PoolSizeOn("hyper-v", img.MemBytes()); got != 1 {
-		t.Fatalf("hyper-v pool = %d after drain, want its scrubbed shell back", got)
+		t.Fatalf("hyper-v pool = %d after the run, want its shell back", got)
 	}
 	if got := w.PoolSizeOn("kvm", img.MemBytes()); got != 0 {
-		t.Fatalf("kvm pool = %d, want 0 (cleaner crossed platforms)", got)
+		t.Fatalf("kvm pool = %d, want 0 (shell crossed platforms)", got)
+	}
+	if hv, kvm := w.CleanerOn("hyper-v").Enqueued(), w.CleanerOn("kvm").Enqueued(); hv != 1 || kvm != 0 {
+		t.Fatalf("releases booked: hyper-v %d, kvm %d; want 1, 0", hv, kvm)
+	}
+}
+
+// TestCrossBackendShellFailsRun plants a Hyper-V shell in the KVM pool,
+// which release never does: the run that finds it fails with an error
+// instead of a panic, the shell is dropped, and the next run on the
+// backend cold-creates its own.
+func TestCrossBackendShellFailsRun(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		w := New(WithPlatforms(vmm.KVM{}, vmm.HyperV{}), WithAsyncClean(async))
+		img := guest.RealModeHalt()
+		mem := img.MemBytes()
+		w.byPlat["kvm"].pools.put(mem, &shell{ctx: vmm.CreateOn(vmm.HyperV{}, mem, cycles.NewClock()), dirty: true})
+		_, err := w.RunOn("kvm", img, RunConfig{}, cycles.NewClock())
+		if err == nil || !strings.Contains(err.Error(), "hyper-v shell crossed into the kvm pool") {
+			t.Fatalf("async=%v: err = %v, want the crossed-shell error", async, err)
+		}
+		if n := w.PoolTotal(); n != 0 {
+			t.Fatalf("async=%v: %d shells pooled after the failed run, want the foreign one dropped", async, n)
+		}
+		if _, err := w.RunOn("kvm", img, RunConfig{}, cycles.NewClock()); err != nil {
+			t.Fatalf("async=%v: run after the drop: %v", async, err)
+		}
+		if kvm, hv := w.PoolSizeOn("kvm", mem), w.PoolSizeOn("hyper-v", mem); kvm != 1 || hv != 0 {
+			t.Fatalf("async=%v: pools kvm %d, hyper-v %d; want 1, 0", async, kvm, hv)
+		}
 	}
 }
 

@@ -119,8 +119,6 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	cfg.Env.Charge = clk.Advance
 
 	start := clk.Now()
-	memBytes := img.MemBytes()
-
 	res := &Result{}
 	var snap *snapshot
 	if cfg.Snapshot && w.snapEnable {
@@ -132,32 +130,11 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	}
 	res.residentOn = snap
 
-	// COW resets apply to interpreted guests with snapshotting on. COW
-	// shells are image- AND backend-bound: a context parked after a KVM
-	// run only ever serves the image's next KVM run — and only while the
-	// snapshot it is resident against is still the image's snapshot. A
-	// stale shell (the name was re-captured, imported over or migrated
-	// since) is recycled and the run starts from a clean one.
-	cowEligible := w.cow && cfg.Snapshot && w.snapEnable && img.Native == nil
-	var ctx *vmm.Context
-	resident := false
-	if cowEligible {
-		if c, on := be.cowShells.take(img.Name); c != nil && on == snap {
-			ctx = c
-			resident = true
-			clk.Advance(cycles.PoolAcquire)
-			ctx.Clock = clk
-			ctx.CPU.Clock = clk
-			if tr := w.tracer; tr.Enabled() {
-				tr.Instant(obs.ControlLane, obs.KindShell, "shell-cow",
-					clk.Now(), 0, uint64(memBytes), 0)
-			}
-		} else if c != nil {
-			w.release(c)
-		}
-	}
-	if ctx == nil {
-		ctx = w.acquire(be, memBytes, clk)
+	// COW resets apply to interpreted guests with snapshotting on.
+	cow := w.cow && cfg.Snapshot && w.snapEnable && img.Native == nil
+	ctx, resident, err := w.acquire(be, img, snap, cow, clk)
+	if err != nil {
+		return nil, err
 	}
 	// Tier transitions (trace compiles, deopts) batch into the CPU's
 	// bounded log during the run and drain into the tracer at run end
@@ -165,22 +142,22 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	ctx.CPU.TierTrace = w.tracer.Enabled()
 	ctx.CPU.Legacy = w.legacyInterp
 	// One way out for the shell, error returns included: drain the tier
-	// log while this run still owns the context, then park it for the
-	// image's next COW reset on this backend or — no reset point, or one
-	// already parked — recycle it through the pool.
+	// log while this run still owns the context, then release it, parked
+	// for the image's next COW reset if the run completed and left one.
 	parkCOW := false
 	defer func() {
 		w.drainTierLog(ctx)
 		on := res.residentOn
 		res.residentOn = nil
-		if !parkCOW || on == nil || !be.cowShells.park(img.Name, ctx, on) {
-			w.release(ctx)
+		if !parkCOW {
+			on = nil
 		}
+		w.release(ctx, img, on)
 	}()
 
 	ctx.FirstEntry = 0
-	// Shells are pooled and COW shells are never cleaned, so the
-	// context's counters are cumulative: results report this run's delta.
+	// Shells are reused (a COW shell is not even reset), so the context's
+	// counters are cumulative: results report this run's delta.
 	entries0, ioExits0 := ctx.Entries, ctx.ExitsIO
 	retired0 := ctx.CPU.Retired
 	stats0 := ctx.CPU.Stats
@@ -302,14 +279,14 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	if !w.legacyInterp && ctx.CPU.CodeNew() {
 		w.codes.merge(img.ContentKey(), ctx.CPU.ShareCode())
 	}
-	parkCOW = cowEligible
+	parkCOW = cow
 	return res, nil
 }
 
 // drainTierLog moves the run's batched tier transitions into the tracer
 // and resets the CPU's log and flag. Contexts are pooled, so it must run
-// before the shell reaches release or the COW registry — from there the
-// cleaner or the next run owns it.
+// before the shell reaches the pool or the COW registry — from there the
+// next run owns it.
 func (w *Wasp) drainTierLog(ctx *vmm.Context) {
 	if !ctx.CPU.TierTrace {
 		return

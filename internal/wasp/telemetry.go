@@ -10,9 +10,9 @@ import (
 // registry as pull-model collectors, sampled only at Snapshot time:
 // the shared code-cache and compiled-tier counters (CodeCacheStats),
 // the per-platform snapshot-forest state (ForestStats), warm-pool
-// occupancy, the pages populating and scrubbing shells rewrote, the cold
-// boots replayed and recorded, the pages captures hashed and took from
-// shell content records, and the async cleaner's lifetime counters.
+// occupancy, the pages populating shells rewrote, the cold boots
+// replayed and recorded, the pages captures hashed and took from shell
+// content records, and the Wasp+CA cleaner ledger's lifetime counters.
 //
 // The individual accessors — CodeCacheStats, ForestStats, PoolStatsFor,
 // PoolImageStats, Cleaner's counters — remain supported for callers

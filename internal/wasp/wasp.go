@@ -9,14 +9,14 @@
 //
 // Two optimizations from §5.2 are implemented for real:
 //
-//   - Pooling/caching: returned contexts are cleaned (zeroed, preventing
-//     information leakage) and cached as "shells"; acquiring a cached
-//     shell costs pool bookkeeping instead of KVM_CREATE_VM. Cleaning is
-//     charged on the critical path (Wasp+C) or handed to a real
-//     background cleaner (Wasp+CA): release parks the dirty shell on
-//     the Cleaner's queue and the zeroing happens on a background
-//     goroutine, an idle scheduler worker, or a dedicated virtual
-//     cleaner core — never on the caller's path (see cleaner.go).
+//   - Pooling/caching: returned contexts are cached as "shells";
+//     acquiring a cached shell costs pool bookkeeping instead of
+//     KVM_CREATE_VM. A released shell is pooled dirty and cleaned on its
+//     next acquire (vCPU reset, then the populate step's Rebase rewrites
+//     every page that differs from what the run needs, preventing
+//     information leakage). The zeroing cost is charged on the acquiring
+//     request's clock (Wasp+C) or on the Cleaner's dedicated virtual
+//     cleaner core, never on a request path (Wasp+CA; see cleaner.go).
 //     Pools are bounded and self-sizing per size class: PoolPolicy caps
 //     each class, and scheduler queue-depth/service-time telemetry
 //     (ObserveLoad) prewarms shells under bursts and shrinks them when
@@ -28,7 +28,7 @@
 //
 // One Wasp may span several hosted-hypervisor backends (Fig 5: KVM on
 // Linux, Hyper-V/WHP on Windows) via WithPlatforms. Mutable runtime
-// state — shell pools, snapshot and COW registries, the async cleaner —
+// state — shell pools, snapshot and COW registries, the cleaner's ledger —
 // is partitioned per backend: a shell created on KVM is never handed to
 // a Hyper-V run, and each backend's pools prewarm and shrink on their
 // own telemetry. Only the decoded-code registry is shared, because
@@ -45,6 +45,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/cycles"
+	"repro/internal/guest"
 	"repro/internal/obs"
 	"repro/internal/vmm"
 )
@@ -96,7 +97,7 @@ type backend struct {
 	cleaner   *Cleaner       // non-nil iff pooling && asyncClean
 	forest    *vmm.PageStore // content-addressed page store behind all snapshots
 	bases     baseRegistry   // image content key -> shared base layer
-	pages     shellPages     // what populating, scrubbing and capturing shells did
+	pages     shellPages     // what populating and capturing shells did
 	boots     bootMemo       // recorded cold boots (boot.go)
 }
 
@@ -112,8 +113,9 @@ func (s *shellPages) add(written, kept int) int {
 }
 
 type shell struct {
-	ctx   *vmm.Context
-	dirty bool
+	ctx    *vmm.Context
+	dirty  bool
+	owedIn uint64 // the cleaner's settlement period that owes this release; 0: none
 }
 
 // snapshot is one image's reset point: a content-addressed layer whose
@@ -149,13 +151,11 @@ type Option func(*Wasp)
 // in the default configuration.
 func WithPooling(on bool) Option { return func(w *Wasp) { w.pooling = on } }
 
-// WithAsyncClean moves shell cleaning off the critical path onto the
-// background Cleaner (the Wasp+CA configuration of Fig 8): release
-// performs no zeroing at all, and dirty shells are scrubbed by the
-// cleaner's drain goroutine, idle scheduler workers, or the virtual
-// cleaner core. With multiple platforms each backend gets its own
-// cleaner, so a dirty KVM shell is only ever scrubbed back into the KVM
-// pool.
+// WithAsyncClean moves shell cleaning off the critical path (the Wasp+CA
+// configuration of Fig 8): shells are pooled and reset exactly as under
+// Wasp+C, but a reused shell's zeroing cost is charged to the backend's
+// Cleaner, a dedicated virtual cleaner core, instead of the acquiring
+// request. With multiple platforms each backend gets its own cleaner.
 func WithAsyncClean(on bool) Option { return func(w *Wasp) { w.asyncClean = on } }
 
 // WithPoolPolicy bounds and self-sizes the shell pools; zero fields
@@ -196,8 +196,8 @@ func WithPlatforms(ps ...vmm.Platform) Option {
 func WithLegacyInterp(on bool) Option { return func(w *Wasp) { w.legacyInterp = on } }
 
 // WithTracer attaches a flight recorder (internal/obs): the runtime
-// emits shell-provisioning (pool hit / cleaner reclaim / cold create /
-// COW take / prewarm), release, async-clean, snapshot capture/restore,
+// emits shell-provisioning (pool hit / cold create / COW take /
+// prewarm), release, cleaner-ledger, snapshot capture/restore,
 // guest-run and migration events into it. A nil or disabled tracer
 // costs one atomic load per instrumented operation.
 func WithTracer(tr *obs.Tracer) Option { return func(w *Wasp) { w.tracer = tr } }
@@ -229,8 +229,7 @@ func New(opts ...Option) *Wasp {
 		be := &backend{platform: p, forest: vmm.NewPageStore()}
 		be.pools.policy = w.policy
 		if w.pooling && w.asyncClean {
-			be.cleaner = newCleaner(&be.pools, &be.pages)
-			be.cleaner.tr = w.tracer
+			be.cleaner = newCleaner(w.tracer)
 		}
 		w.backends = append(w.backends, be)
 		w.byPlat[p.Name()] = be
@@ -288,90 +287,100 @@ func (w *Wasp) platformNames() []string {
 	return out
 }
 
-// acquire provisions a virtual context of the given memory size on one
-// backend: a cached shell when that backend's pool has one (Fig 6 path
-// D), a cold create on its platform otherwise (path C). Cleaning of a
-// dirty shell is charged here, on the critical path, unless async
-// cleaning is on — pooled shells are always already clean under
-// Wasp+CA, and a pool miss with cleaning still in flight is bridged by
-// the backend's cleaner (reclaim) instead of a cold create.
-func (w *Wasp) acquire(be *backend, memBytes int, clk *cycles.Clock) *vmm.Context {
-	if w.pooling {
-		s := be.pools.take(memBytes)
-		hit := s != nil
-		if s == nil && be.cleaner != nil {
-			s = be.cleaner.reclaim(memBytes)
-		}
-		if s != nil {
-			if tr := w.tracer; tr.Enabled() {
-				src := "shell-pool"
-				if !hit {
-					src = "shell-reclaim"
-				}
-				tr.Instant(obs.ControlLane, obs.KindShell, src,
-					clk.Now(), 0, uint64(memBytes), 0)
-			}
-			// Partition invariant: a pooled shell must belong to the
-			// backend that parked it. Release routes by the context's own
-			// platform, so a violation here means cross-platform state
-			// corruption — fail loudly rather than run on the wrong VMM.
-			if got := s.ctx.Platform().Name(); got != be.platform.Name() {
-				panic(fmt.Sprintf("wasp: %s shell crossed into the %s pool", got, be.platform.Name()))
-			}
+// acquire provisions a run's shell on one backend from the first of
+// three sources that has one: the COW shell parked resident on the run's
+// snapshot (§7.2; only when cow, and resident reports it), the backend's
+// pool (Fig 6 path D), or a cold create on its platform (path C). A
+// pooled shell that ran before is dirty: acquire resets its vCPU and
+// leaves memory to populate's Rebase, which rewrites only the pages that
+// differ from what this run needs. Its zeroing cost lands on the
+// request's clock under Wasp+C and on the cleaner's ledger under Wasp+CA.
+func (w *Wasp) acquire(be *backend, img *guest.Image, snap *snapshot, cow bool, clk *cycles.Clock) (ctx *vmm.Context, resident bool, err error) {
+	memBytes := img.MemBytes()
+	if cow {
+		// COW shells are image- AND backend-bound, and sound only against
+		// the snapshot they are resident on: a stale one (the name was
+		// re-captured, imported over or migrated since) is recycled.
+		c, on := be.cowShells.take(img.Name)
+		if c != nil && on == snap {
 			clk.Advance(cycles.PoolAcquire)
-			s.ctx.Clock = clk
-			s.ctx.CPU.Clock = clk
-			if s.dirty {
-				// Wasp+C pays for the zeroing here; the memory work is left
-				// to the Rebase that populates the shell next, which writes
-				// only the pages that differ from what this run needs.
-				clk.Advance(cycles.ZeroCost(memBytes))
-				s.ctx.Reset()
-				s.dirty = false
-			}
-			return s.ctx
+			c.Clock, c.CPU.Clock = clk, clk
+			w.shellEvent("shell-cow", memBytes, clk)
+			return c, true, nil
+		}
+		if c != nil {
+			w.release(c, nil, nil)
 		}
 	}
-	if tr := w.tracer; tr.Enabled() {
-		tr.Instant(obs.ControlLane, obs.KindShell, "shell-cold",
-			clk.Now(), 0, uint64(memBytes), 0)
+	if s := be.pools.take(memBytes); s != nil { // pools stay empty with pooling off
+		// Partition invariant: release routes by the context's own
+		// platform, so a foreign shell here is corrupted state. It is
+		// dropped and the run fails rather than run on the wrong VMM.
+		if got := s.ctx.Platform().Name(); got != be.platform.Name() {
+			return nil, false, fmt.Errorf("wasp: %s shell crossed into the %s pool", got, be.platform.Name())
+		}
+		w.shellEvent("shell-pool", memBytes, clk)
+		clk.Advance(cycles.PoolAcquire)
+		s.ctx.Clock, s.ctx.CPU.Clock = clk, clk
+		if s.dirty {
+			s.ctx.Reset()
+			if be.cleaner != nil {
+				be.cleaner.reacquired(s, memBytes)
+			} else {
+				clk.Advance(cycles.ZeroCost(memBytes))
+			}
+		}
+		return s.ctx, false, nil
 	}
-	return vmm.CreateOn(be.platform, memBytes, clk)
+	w.shellEvent("shell-cold", memBytes, clk)
+	return vmm.CreateOn(be.platform, memBytes, clk), false, nil
 }
 
-// release returns a context to the pool of the backend it was created
-// on. Under async cleaning (Wasp+CA) no zeroing happens here: the dirty
-// shell goes to that backend's Cleaner queue and is scrubbed off the
-// release path. Otherwise (Wasp+C) the shell is parked dirty and pays
-// for cleaning when next acquired. Either way the size class's capacity
-// bound holds; surplus shells are dropped for the host to reclaim.
-func (w *Wasp) release(ctx *vmm.Context) {
-	if !w.pooling {
-		return // dropped; host kernel reclaims it
+// shellEvent records where a run's shell came from.
+func (w *Wasp) shellEvent(src string, memBytes int, clk *cycles.Clock) {
+	if tr := w.tracer; tr.Enabled() {
+		tr.Instant(obs.ControlLane, obs.KindShell, src, clk.Now(), 0, uint64(memBytes), 0)
 	}
+}
+
+// release gives a shell back to the backend it was created on: parked
+// for img's next COW reset when on (the snapshot its memory is a delta
+// over) is non-nil and no shell is parked for img yet; otherwise pooled
+// dirty, under Wasp+C and Wasp+CA alike, or dropped for the host to
+// reclaim when pooling is off or the size class is at its capacity
+// bound. Under Wasp+CA the backend's cleaner books the release.
+func (w *Wasp) release(ctx *vmm.Context, img *guest.Image, on *snapshot) {
 	be := w.byPlat[ctx.Platform().Name()]
 	if be == nil {
 		return // foreign context (tests building raw vmm state): drop it
 	}
+	if on != nil && be.cowShells.park(img.Name, ctx, on) {
+		return
+	}
+	if !w.pooling {
+		return
+	}
+	var at uint64
+	if ctx.Clock != nil {
+		at = ctx.Clock.Now()
+	}
 	if tr := w.tracer; tr.Enabled() {
-		var v uint64
-		if ctx.Clock != nil {
-			v = ctx.Clock.Now()
-		}
 		async := uint64(0)
 		if be.cleaner != nil {
 			async = 1
 		}
-		tr.Instant(obs.ControlLane, obs.KindRelease, "release",
-			v, 0, uint64(len(ctx.Mem)), async)
+		tr.Instant(obs.ControlLane, obs.KindRelease, "release", at, 0, uint64(len(ctx.Mem)), async)
 	}
 	s := &shell{ctx: ctx, dirty: true}
 	if be.cleaner != nil {
-		be.cleaner.enqueue(len(ctx.Mem), s)
-		return
+		be.cleaner.owe(s, len(ctx.Mem), at)
 	}
 	if !be.pools.put(len(ctx.Mem), s) {
-		w.poolDrops.Add(1)
+		if be.cleaner != nil {
+			be.cleaner.dropped.Add(1)
+		} else {
+			w.poolDrops.Add(1)
+		}
 	}
 }
 
@@ -426,17 +435,16 @@ func (w *Wasp) PoolImageStats(memBytes int, image string) PoolStats {
 	return w.backends[0].pools.imageStats(memBytes, image)
 }
 
-// PoolDropped reports shells dropped at the capacity bound on the
-// synchronous release path (all backends). Async-clean drops are
-// reported by Cleaner.Dropped.
+// PoolDropped reports Wasp+C releases dropped at the capacity bound (all
+// backends). Wasp+CA drops are reported by Cleaner.Dropped.
 func (w *Wasp) PoolDropped() uint64 { return w.poolDrops.Load() }
 
-// Cleaner exposes the default backend's background cleaner, or nil when
-// cleaning is synchronous (Wasp+C) or pooling is off.
+// Cleaner exposes the default backend's cleaner ledger, or nil when
+// cleaning is charged on the request (Wasp+C) or pooling is off.
 func (w *Wasp) Cleaner() *Cleaner { return w.backends[0].cleaner }
 
-// CleanerOn exposes a named backend's cleaner (nil when cleaning is
-// synchronous or the platform is unknown).
+// CleanerOn exposes a named backend's cleaner ledger (nil under Wasp+C
+// or for an unknown platform).
 func (w *Wasp) CleanerOn(platform string) *Cleaner {
 	be, err := w.backendFor(platform)
 	if err != nil {
@@ -445,8 +453,8 @@ func (w *Wasp) CleanerOn(platform string) *Cleaner {
 	return be.cleaner
 }
 
-// Cleaners lists every backend's cleaner, in backend order; empty when
-// cleaning is synchronous. The scheduler drains all of them.
+// Cleaners lists every backend's cleaner ledger, in backend order; empty
+// under Wasp+C. The virtual-mode scheduler settles all of them.
 func (w *Wasp) Cleaners() []*Cleaner {
 	var out []*Cleaner
 	for _, be := range w.backends {
@@ -548,14 +556,13 @@ func (w *Wasp) HasSnapshotOn(platform, name string) bool {
 }
 
 // DropSnapshot removes a stored snapshot from every backend (tests and
-// ablations). Any COW shell parked against the image goes back through
-// the pool's cleaning path: its memory is a delta over the dropped
-// snapshot.
+// ablations). Any COW shell parked against the image goes back to the
+// pool: its memory is a delta over the dropped snapshot.
 func (w *Wasp) DropSnapshot(name string) {
 	for _, be := range w.backends {
 		be.snapshots.drop(name)
 		if ctx, _ := be.cowShells.take(name); ctx != nil {
-			w.release(ctx)
+			w.release(ctx, nil, nil)
 		}
 	}
 }
