@@ -180,67 +180,44 @@ func (c *CPU) execChain(blk *cblock, entryIP, page uint64, pg *codePage, pending
 		}
 		c.blockEntry = entryIP
 		*pending += uint64(blk.total)
-		ops := blk.ops
-		last := len(ops) - 1
-		for i := 0; i < last; i++ {
-			if ex := ops[i](c); ex != nil {
-				if ex == errSide {
-					// Side exit (taken branch, return-speculation
-					// miss): the step completed and set IP itself.
-					done := uint64(blk.cumRet[i])
-					*pending -= uint64(blk.total) - uint64(blk.cum[i])
-					c.Retired += done
-					steps += done
-					goto next
-				}
-				if ex == errSMC {
-					// The store completed and unhooked some decoded
-					// page. Only a hit on the trace's own page matters
-					// here (other pages are re-validated by the
-					// dispatch loop when reached); the hint is
-					// consumed either way.
-					c.codeClobbered = false
-					if c.codeAt(page) == pg {
-						continue
-					}
-					// Self-modification: everything through step i
-					// executed architecturally; stop before the next
-					// step so the modified bytes are re-decoded.
-					done := uint64(blk.cumRet[i])
-					*pending -= uint64(blk.total) - uint64(blk.cum[i])
-					c.Retired += done
-					c.IP = entryIP + uint64(int64(blk.offEnd[i]))
-					c.Stats.BlockDeopts++
-					c.tier(true, entryIP)
-					return steps + done, nil
-				}
-				done, cont, ex2 := c.blockStop(blk, i, entryIP, pending, ex)
-				steps += done
-				if ex2 != nil || !cont {
-					return steps, ex2
-				}
-				goto next
+		i, ex := c.runSteps(blk.ops, 0)
+		for ex == errSMC {
+			// The store completed and unhooked some decoded page; the hint
+			// is consumed either way. After the final step nothing needs
+			// stopping (the probe below re-validates the page), and a hit
+			// on another page is re-validated by the dispatch loop when
+			// reached: carry on.
+			c.codeClobbered = false
+			if i == len(blk.ops)-1 {
+				ex = nil
+			} else if c.codeAt(page) == pg {
+				i, ex = c.runSteps(blk.ops, i+1)
+			} else {
+				// Self-modification: everything through step i executed
+				// architecturally; stop before the next step so the
+				// modified bytes are re-decoded.
+				done := c.retireThrough(blk, i, pending)
+				c.IP = entryIP + uint64(int64(blk.offEnd[i]))
+				c.Stats.BlockDeopts++
+				c.tier(true, entryIP)
+				return steps + done, nil
 			}
 		}
-		// A store in the final step needs no stop: the probe below
-		// re-validates the page before dispatching anything after it.
-		if ex := ops[last](c); ex != nil && ex != errSMC {
-			done, cont, ex2 := c.blockStop(blk, last, entryIP, pending, ex)
-			steps += done
-			if ex2 != nil || !cont {
-				return steps, ex2
-			}
-		} else {
-			if ex == errSMC {
-				c.codeClobbered = false
-			}
+		switch ex {
+		case nil:
 			if !blk.term {
 				c.IP = entryIP + uint64(int64(blk.end))
 			}
 			c.Retired += uint64(blk.nret)
 			steps += uint64(blk.nret)
+		case errSide:
+			// Side exit (taken branch, return-speculation miss): the step
+			// completed and set IP itself.
+			steps += c.retireThrough(blk, i, pending)
+		default:
+			done, fault := c.blockStop(blk, i, entryIP, pending, ex)
+			return steps + done, fault
 		}
-	next:
 		entryIP = c.IP
 		if entryIP == blk.anchor && uint64(blk.nret) <= budget-steps {
 			// Side exit straight back to this trace's own head (a loop
@@ -251,41 +228,56 @@ func (c *CPU) execChain(blk *cblock, entryIP, page uint64, pg *codePage, pending
 			c.Stats.BlockHits++
 			continue
 		}
-		{
-			if !c.fetchOK || entryIP < c.fetchVBase || entryIP >= c.fetchVEnd {
-				return steps, nil
-			}
-			phys := c.fetchPBase + (entryIP - c.fetchVBase)
-			slot := &c.bcache[(phys>>2^phys>>12)&(bcacheSize-1)]
-			if slot.phys != phys || slot.mode != c.Mode || slot.anchor != entryIP ||
-				uint64(slot.nret) > budget-steps {
-				return steps, nil
-			}
-			page = phys / codePageSize
-			// A never-filled slot is all zeroes and would match a real-
-			// mode jump to address 0 on an undecoded page: no page, no hit.
-			if pg = c.codeAt(page); pg == nil || pg != slot.pg {
-				return steps, nil
-			}
-			blk = slot.blk
-			c.Stats.BlockHits++
+		if !c.fetchOK || entryIP < c.fetchVBase || entryIP >= c.fetchVEnd {
+			return steps, nil
 		}
+		phys := c.fetchPBase + (entryIP - c.fetchVBase)
+		slot := &c.bcache[(phys>>2^phys>>12)&(bcacheSize-1)]
+		if slot.phys != phys || slot.mode != c.Mode || slot.anchor != entryIP ||
+			uint64(slot.nret) > budget-steps {
+			return steps, nil
+		}
+		page = phys / codePageSize
+		// A never-filled slot is all zeroes and would match a real-mode
+		// jump to address 0 on an undecoded page: no page, no hit.
+		if pg = c.codeAt(page); pg == nil || pg != slot.pg {
+			return steps, nil
+		}
+		blk = slot.blk
+		c.Stats.BlockHits++
 	}
 }
 
-// blockStop reconstructs exact architectural state when step i of a
-// trace returned non-nil: a side exit, a deopt request, or a fault
-// (including the errDiv0 sentinel, formatted here with the faulting IP).
-func (c *CPU) blockStop(blk *cblock, i int, entryIP uint64, pending *uint64, ex *Exit) (uint64, bool, *Exit) {
-	if ex == errSide {
-		// The step completed — taken branch or return-speculation miss —
-		// and already set IP. (The executor inlines this case for all
-		// but the final step.)
-		done := uint64(blk.cumRet[i])
-		*pending -= uint64(blk.total) - uint64(blk.cum[i])
-		c.Retired += done
-		return done, true, nil
+// retireThrough retires a trace's steps up to and including step i, all
+// of which completed, and rolls back the batched cost of the rest.
+func (c *CPU) retireThrough(blk *cblock, i int, pending *uint64) uint64 {
+	done := uint64(blk.cumRet[i])
+	*pending -= uint64(blk.total) - uint64(blk.cum[i])
+	c.Retired += done
+	return done
+}
+
+// runSteps runs ops from i until a step returns non-nil, and returns that
+// step's index and exit, or len(ops) and nil. It is the whole
+// per-instruction path, kept out of line so that only c, ops and i are live
+// across each closure call — every register is clobbered there, and
+// execChain's dozen live values would be reloaded per instruction.
+//
+//go:noinline
+func (c *CPU) runSteps(ops []step, i int) (int, *Exit) {
+	for ; i < len(ops); i++ {
+		if ex := ops[i](c); ex != nil {
+			return i, ex
+		}
 	}
+	return i, nil
+}
+
+// blockStop reconstructs exact architectural state when step i of a
+// trace stopped it short: a deopt request, or a fault (including the
+// errDiv0 sentinel, formatted here with the faulting IP). It returns the
+// instructions retired and the fault, nil for a deopt.
+func (c *CPU) blockStop(blk *cblock, i int, entryIP uint64, pending *uint64, ex *Exit) (uint64, *Exit) {
 	done := uint64(blk.cumRet[i]) - uint64(blk.ret[i])
 	if ex == errDeopt {
 		// The step did not execute: roll back its cost too and let the
@@ -295,7 +287,7 @@ func (c *CPU) blockStop(blk *cblock, i int, entryIP uint64, pending *uint64, ex 
 		c.IP = entryIP + uint64(int64(blk.off[i]))
 		c.Stats.BlockDeopts++
 		c.tier(true, entryIP)
-		return done, false, nil
+		return done, nil
 	}
 	if ex == errDiv0 {
 		ex = c.fault("divide by zero at %#x", entryIP+uint64(int64(blk.off[i])))
@@ -313,7 +305,7 @@ func (c *CPU) blockStop(blk *cblock, i int, entryIP uint64, pending *uint64, ex 
 	}
 	c.Retired += done
 	c.IP = entryIP + uint64(int64(ipOff))
-	return done, false, ex
+	return done, ex
 }
 
 // fastLoad64/fastStore64 are the long-mode word-access fast paths — a

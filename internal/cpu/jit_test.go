@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -240,6 +242,245 @@ func TestBudgetSweepParity(t *testing.T) {
 		}
 		if !traced {
 			t.Fatalf("%s: no budget compiled a trace; the sweep never exercised the gate", corpus.name)
+		}
+	}
+}
+
+// TestTraceStopsMatchStep pins every way a trace ends, at a middle step and
+// at the final step: completion, a side exit, a store that unhooks the
+// trace's own page or another decoded page, a fault, a fused pair's fault
+// in either half, and a deopt. Each program runs twice on one CPU per
+// engine (the first pass marks the code, the second runs it as traces) and
+// after each pass must match Legacy in exit, registers, flags, IP, Retired,
+// clock, memory and dirty pages. TAIL is where the middle-step variant puts
+// two more instructions; every compiled trace that holds the stopping
+// instruction (vx_stop) must hold it where the variant says.
+func TestTraceStopsMatchStep(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		bits      int // 64 when 0
+		fault     string
+		deopt     [2]bool // the second pass deoptimizes: {middle, final}
+		noMiddle  bool
+		between   func(*CPU)
+	}{
+		{name: "completion", noMiddle: true, src: `
+	movi rax, 1
+vx_stop:
+	movi rbx, 2
+	hlt`},
+		{name: "side exit", src: `
+	movi r15, 0
+vx_stop:
+	cmpi r15, 0
+	jz vx_taken
+TAIL
+	hlt
+vx_taken:
+	movi rsi, 4
+	hlt`},
+		{name: "store into its own page", deopt: [2]bool{true, false}, src: `
+	movi rdi, vx_data
+	movi rax, 7
+vx_stop:
+	store [rdi], rax
+TAIL
+	hlt
+vx_data:
+	.zero 8`},
+		{name: "store into another decoded page", src: `
+	jmp vx_other
+vx_back:
+	movi rdi, vx_other_data
+	movi rax, 7
+vx_stop:
+	store [rdi], rax
+TAIL
+	hlt
+.align 4096
+vx_other:
+	jmp vx_back
+vx_other_data:
+	.zero 8`},
+		{name: "fault", fault: "load beyond memory", src: `
+	movi rdi, 0x200000
+vx_stop:
+	load rax, [rdi]
+TAIL
+	hlt`},
+		{name: "divide by zero", fault: "divide by zero", src: `
+	movi r15, 0
+vx_stop:
+	div rax, r15
+TAIL
+	hlt`},
+		{name: "fused pair, first half faults", fault: "push: store beyond memory", src: `
+	movi rsp, 0x200000
+vx_stop:
+	push rax
+	subi rbx, 1
+TAIL
+	hlt`},
+		{name: "fused pair, second half faults", fault: "call push: store beyond memory", src: `
+	movi rsp, 0x200000
+	movi rax, 9
+vx_stop:
+	subi rax, 1
+	call vx_fn
+	hlt
+vx_fn:
+TAIL
+	hlt`},
+		{name: "deopt", bits: 32, deopt: [2]bool{true, true}, src: `
+	movi rdi, 0x6000
+	movi rax, 5
+vx_stop:
+	store [rdi], rax
+TAIL
+	hlt`,
+			// A reset shell: the ident-map latch is clear again, and the
+			// compiled store must leave it to Step.
+			between: func(c *CPU) { c.sawStore32 = false }},
+	} {
+		for at, final := range []bool{false, true} {
+			if !final && tc.noMiddle {
+				continue
+			}
+			name := fmt.Sprintf("%s, final step %v", tc.name, final)
+			tail := "\tmovi rbx, 2\n\tmovi rdx, 3"
+			if final {
+				tail = ""
+			}
+			bits := tc.bits
+			if bits == 0 {
+				bits = 64
+			}
+			p, err := asm.Assemble(fmt.Sprintf(".bits %d\n.org 0x8000\n_start:\n\tnop\n%s\n",
+				bits, strings.Replace(tc.src, "TAIL", tail, 1)))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			mem := make([]byte, 1<<20)
+			copy(mem[p.Origin:], p.Code)
+			jit, leg := startCPU(mem, p.Entry, p.StartMode, false), startCPU(mem, p.Entry, p.StartMode, true)
+			var deopts uint64
+			for pass := 0; pass < 2; pass++ {
+				if pass == 1 && tc.between != nil {
+					tc.between(jit)
+					tc.between(leg)
+				}
+				jit.IP, jit.Halted, leg.IP, leg.Halted = p.Entry, false, p.Entry, false
+				deopts = jit.Stats.BlockDeopts
+				j, l := finish(jit, 1000), finish(leg, 1000)
+				deopts = jit.Stats.BlockDeopts - deopts
+				if d := diffEngines(j, l); d != "" {
+					t.Fatalf("%s, pass %d: %s", name, pass, d)
+				}
+				if tc.fault != "" && (j.ex.Reason != ExitFault || !strings.Contains(j.ex.Err.Error(), tc.fault)) ||
+					tc.fault == "" && j.ex.Reason != ExitHalt {
+					t.Fatalf("%s, pass %d: exit %+v, want %q", name, pass, j.ex, tc.fault)
+				}
+			}
+			if tc.deopt[at] != (deopts > 0) {
+				t.Errorf("%s: %d deopts on the traced pass", name, deopts)
+			}
+			stop, found := p.Labels["vx_stop"], 0
+			for _, s := range jit.bcache {
+				for k := 0; s.blk != nil && k < len(s.blk.ops); k++ {
+					if s.blk.anchor+uint64(int64(s.blk.off[k])) != stop {
+						continue
+					}
+					found++
+					if last := k == len(s.blk.ops)-1; last != final {
+						t.Errorf("%s: the trace at %#x holds vx_stop at step %d of %d", name, s.blk.anchor, k, len(s.blk.ops))
+					}
+				}
+			}
+			if found == 0 {
+				t.Errorf("%s: no compiled trace holds vx_stop", name)
+			}
+		}
+	}
+}
+
+// BenchmarkTraceOps times trace dispatch on straight-line code: a counted
+// loop over 60 instructions of one kind, so all but the loop's own DEC/JNZ
+// retire one closure each, and a MOVI variant whose iterations leave the
+// trace by two taken forward branches. The closures row is the floor: 60
+// one-line closures called from a bare Go loop.
+func BenchmarkTraceOps(b *testing.B) {
+	regs := []string{"rax", "rdx", "rsi", "rdi", "r8", "r9", "r10", "r11"}
+	movi := func(k int) string { return fmt.Sprintf("movi %s, %d", regs[k%8], k) }
+	for _, op := range []struct {
+		name  string
+		ins   func(k int) string
+		sides bool
+	}{
+		{"MOVI", movi, false},
+		{"ADD", func(k int) string { return fmt.Sprintf("add %s, %s", regs[k%8], regs[(k+3)%8]) }, false},
+		{"LOAD", func(k int) string { return fmt.Sprintf("load %s, [rbx+%d]", regs[k%8], 8*k) }, false},
+		{"STORE", func(k int) string { return fmt.Sprintf("store [rbx+%d], %s", 8*k, regs[k%8]) }, false},
+		{"MOVI-side-exits", movi, true},
+	} {
+		b.Run(op.name, func(b *testing.B) {
+			src := ".bits 64\n.org 0x8000\n\tmovi rbx, 0x10000\n\tmovi r15, 0\n\tmovi rcx, 1000\nvx_loop:\n"
+			for k := 0; k < 60; k++ {
+				if op.sides && k%20 == 19 {
+					// Always taken (r15 is 0), onto the next instruction:
+					// the trace side-exits and the chain re-probes.
+					src += fmt.Sprintf("\tcmpi r15, 0\n\tjz vx_side%d\nvx_side%d:\n", k, k)
+				}
+				src += "\t" + op.ins(k) + "\n"
+			}
+			src += "\tdec rcx\n\tjnz vx_loop\n\thlt\n"
+			p, err := asm.Assemble(src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mem := make([]byte, 1<<20)
+			copy(mem[p.Origin:], p.Code)
+			c := startCPU(mem, p.Entry, p.StartMode, false)
+			run := func() uint64 {
+				r0 := c.Retired
+				c.IP, c.Halted = p.Entry, false
+				if ex := c.Run(1 << 20); ex.Reason != ExitHalt {
+					b.Fatalf("exit %+v", ex)
+				}
+				return c.Retired - r0
+			}
+			run() // first visit: Step marks the code, the data page becomes dirty
+			per := run()
+			if c.Stats.BlocksCompiled == 0 {
+				b.Fatal("no trace compiled")
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(per), "ns/instr")
+		})
+	}
+	b.Run("closures", func(b *testing.B) {
+		ops := make([]step, 60)
+		for k := range ops {
+			r, v := isa.Reg(k%8), uint64(k)
+			ops[k] = func(c *CPU) *Exit { c.Regs[r] = v; return nil }
+		}
+		c := New(make([]byte, 4096), cycles.NewClock(), 0)
+		for i := 0; i < b.N; i++ {
+			callAll(c, ops)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(ops)), "ns/instr")
+	})
+}
+
+// callAll is BenchmarkTraceOps's floor: nothing but the closure calls.
+//
+//go:noinline
+func callAll(c *CPU, ops []step) {
+	for _, op := range ops {
+		if op(c) != nil {
+			panic("closure failed")
 		}
 	}
 }

@@ -2,6 +2,7 @@ package httpd
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -475,6 +476,65 @@ func BenchmarkColdBoot(b *testing.B) {
 		}
 	}
 	b.ReportMetric((replays()-before)/float64(b.N), "replays/op")
+}
+
+// tenantHandlerC is a test copy of the benchmark harness's tenant handler
+// (the tenant_restore and fork_storm workloads). A tenant's first run
+// boots, builds a 1,024-byte tenant document, snapshots, then answers one
+// request from the socket.
+const tenantHandlerC = `
+virtine_config(0xC0) int handle(int tenant) {
+	char doc[1024];
+	for (int i = 0; i < 1024; i++) { doc[i] = 'a' + (tenant + i) % 26; }
+	__hc(8, 0, 0, 0);
+	char req[32];
+	int n = recv(3, req, 31);
+	if (n < 1) { return -1; }
+	req[n] = 0;
+	int num = atoi(req);
+	char *heap = (__image_end() + 4095) & ~4095;
+	for (int i = 0; i < num / 1000000; i++) { heap[i * 4096] = 1; }
+	send(3, doc + num % 1000, (num / 1000) % 1000);
+	return tenant;
+}
+`
+
+// BenchmarkTenantFirstRun times a fresh tenant's first run of that handler
+// on a COW runtime (boot, document loop, capture) and the drop of its
+// snapshot: the guest work that dominates a fork_storm lifecycle. Every op
+// is a new tenant with a new argument, so its boot executes rather than
+// replays; a resident tenant keeps the image's base layer, as the
+// workload's warm-up does.
+func BenchmarkTenantFirstRun(b *testing.B) {
+	v, err := vcc.CompileFunc(tenantHandlerC, "handle")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := wasp.New(wasp.WithCOW(true))
+	run := func(id int, drop bool) uint64 {
+		img := v.Image.WithName(fmt.Sprintf("%s@tenant-%d", v.Image.Name, id))
+		env := hypercall.NewEnv()
+		env.NetIn = []byte("128000") // the first 128 document bytes
+		res, err := w.Run(img, wasp.RunConfig{
+			Policy: v.Policy, Env: env, Args: vcc.MarshalArgs(int64(id)),
+			RetBytes: vcc.RetSize, Snapshot: true,
+		}, cycles.NewClock())
+		if err != nil || vcc.UnmarshalRet(res.Ret) != int64(id) || len(res.NetOut) != 128 ||
+			res.NetOut[0] != byte('a'+id%26) {
+			b.Fatalf("tenant %d: result %+v, err %v", id, res, err)
+		}
+		if drop {
+			w.DropSnapshot(img.Name)
+		}
+		return res.Retired
+	}
+	run(1<<30, false) // the resident tenant
+	var instr uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		instr += run(i, true)
+	}
+	b.ReportMetric(float64(instr)/float64(b.N), "instr/op")
 }
 
 // metric reads one of the runtime's registry metrics.

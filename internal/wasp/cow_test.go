@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/cycles"
 	"repro/internal/guest"
+	"repro/internal/hypercall"
+	"repro/internal/obs"
 	"repro/internal/vmm"
 )
 
@@ -163,6 +165,64 @@ func TestCOWShellNotSharedAcrossImages(t *testing.T) {
 		}
 		if fromLE64(ra.Ret) != 1 || fromLE64(rb.Ret) != 1 {
 			t.Fatalf("iteration %d: cross-image state leak", i)
+		}
+	}
+}
+
+// A panic that unwinds through a run, here its handler's on the first
+// hypercall (just after the snapshot capture), leaves the shell in an
+// unknown state: it must reach neither the pool nor the COW registry. It
+// is dropped and counted, and the image's next run is served correctly.
+func TestPanickingHandlerDropsShell(t *testing.T) {
+	w := New(WithCOW(true))
+	cfg := RunConfig{Snapshot: true, RetBytes: 8}
+	// A neighbour tenant leaves a shell parked, so the registry is not empty.
+	if _, err := w.Run(cowImg("panic-neighbour"), cfg, cycles.NewClock()); err != nil {
+		t.Fatal(err)
+	}
+	parked := func() (n int) {
+		for _, be := range w.backends {
+			for i := range be.cowShells.shards {
+				sh := &be.cowShells.shards[i]
+				sh.mu.Lock()
+				n += len(sh.byImg)
+				sh.mu.Unlock()
+			}
+		}
+		return n
+	}
+	dropped := func() float64 {
+		reg := obs.NewRegistry()
+		w.RegisterMetrics(reg)
+		for _, m := range reg.Snapshot() {
+			if m.Name == "wasp_pool_dropped" {
+				return m.Value
+			}
+		}
+		t.Fatal("no wasp_pool_dropped metric")
+		return 0
+	}
+	pool0, parked0, dropped0 := w.PoolTotal(), parked(), dropped()
+
+	img := cowImg("panic-tenant")
+	bad := cfg
+	bad.Handler = hypercall.HandlerFunc(func(hypercall.Args, hypercall.GuestMem) (uint64, error) { panic("boom") })
+	var p any
+	func() {
+		defer func() { p = recover() }()
+		w.Run(img, bad, cycles.NewClock())
+	}()
+	if p != "boom" {
+		t.Fatalf("recovered %v, want the handler's panic", p)
+	}
+	if w.PoolTotal() != pool0 || parked() != parked0 || dropped() != dropped0+1 {
+		t.Fatalf("after the panic: %d pooled, %d parked, %v dropped; want %d, %d, %v",
+			w.PoolTotal(), parked(), dropped(), pool0, parked0, dropped0+1)
+	}
+	for i := 0; i < 2; i++ { // a restore of the snapshot the panicked run took, then a COW reset
+		res, err := w.Run(img, cfg, cycles.NewClock())
+		if err != nil || fromLE64(res.Ret) != 1 {
+			t.Fatalf("run %d after the panic: %+v, %v", i, res, err)
 		}
 	}
 }

@@ -144,9 +144,16 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	// One way out for the shell, error returns included: drain the tier
 	// log while this run still owns the context, then release it, parked
 	// for the image's next COW reset if the run completed and left one.
+	// A panic unwinding through the run (perhaps mid-Rebase, with a stale
+	// content record) leaves the shell's state unknown: it is dropped, and
+	// the panic goes on.
 	parkCOW := false
 	defer func() {
 		w.drainTierLog(ctx)
+		if p := recover(); p != nil {
+			w.poolDrops.Add(1)
+			panic(p)
+		}
 		on := res.residentOn
 		res.residentOn = nil
 		if !parkCOW {

@@ -69,7 +69,7 @@ type Wasp struct {
 	platforms    []vmm.Platform
 	policy       PoolPolicy
 
-	poolDrops atomic.Uint64 // sync-clean shells dropped at the capacity bound
+	poolDrops atomic.Uint64 // sync-clean shells dropped at the capacity bound, and shells of panicked runs
 
 	// Lifetime compiled-tier activity, aggregated from per-run deltas
 	// (contexts are pooled, so per-CPU counters alone mean nothing).
@@ -435,8 +435,9 @@ func (w *Wasp) PoolImageStats(memBytes int, image string) PoolStats {
 	return w.backends[0].pools.imageStats(memBytes, image)
 }
 
-// PoolDropped reports Wasp+C releases dropped at the capacity bound (all
-// backends). Wasp+CA drops are reported by Cleaner.Dropped.
+// PoolDropped reports Wasp+C releases dropped at the capacity bound, and
+// the shells of runs a panic unwound through (all backends). Wasp+CA
+// drops at the bound are reported by Cleaner.Dropped.
 func (w *Wasp) PoolDropped() uint64 { return w.poolDrops.Load() }
 
 // Cleaner exposes the default backend's cleaner ledger, or nil when
