@@ -64,14 +64,15 @@ func vecOf(r *wasp.Result) string {
 	return v
 }
 
-// pin compares one differential's per-run vectors against the constants
-// in frozen_test.go. The two engines agreeing with each other is not
+// pin compares one vector (a differential's per-run vectors, a figure's
+// row) against its constant in want: frozen or figures. For the
+// differentials, the two engines agreeing with each other is not
 // enough: a drift in the cycle model that moves Step and the traces
 // together must fail too.
-func pin(t *testing.T, name string, runs []string) {
+func pin(t *testing.T, want map[string]string, name string, got []string) {
 	t.Helper()
-	if got := strings.Join(runs, " "); got != frozen[name] {
-		t.Errorf("%s drifted from the frozen oracle:\n got  %q: %q,\n want %q", name, name, got, frozen[name])
+	if g := strings.Join(got, " "); g != want[name] {
+		t.Errorf("%s drifted from its pin:\n got  %q: %q,\n want %q", name, name, g, want[name])
 	}
 }
 
@@ -107,7 +108,7 @@ func diffRun(t *testing.T, name string, opts []wasp.Option, img *guest.Image,
 		}
 		vecs = append(vecs, vecOf(fres))
 	}
-	pin(t, name, vecs)
+	pin(t, frozen, name, vecs)
 }
 
 // corpusProgram generates one random-but-halting program in the style of
@@ -246,7 +247,7 @@ func TestDifferentialJS(t *testing.T) {
 			}
 			vecs = append(vecs, fmt.Sprint(fclk.Now()))
 		}
-		pin(t, "js-"+variant.Name, vecs)
+		pin(t, frozen, "js-"+variant.Name, vecs)
 	}
 }
 
@@ -283,7 +284,7 @@ func TestDifferentialAES(t *testing.T) {
 		}
 		vecs = append(vecs, fmt.Sprint(fclk.Now()))
 	}
-	pin(t, "aes", vecs)
+	pin(t, frozen, "aes", vecs)
 }
 
 func TestDifferentialBootStub(t *testing.T) {

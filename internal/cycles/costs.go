@@ -184,20 +184,6 @@ const (
 	SGXECall = 14_200
 )
 
-// Published boundary-crossing costs for Table 2, in nanoseconds, from the
-// papers cited there. Reported verbatim alongside our measured virtine cost.
-var Table2Published = []struct {
-	System    string
-	LatencyNS float64
-	Mechanism string
-}{
-	{"Wedge", 60_000, "sthread call"},
-	{"LwC", 2_010, "lwSwitch"},
-	{"Enclosures", 900, "Custom syscall interface"},
-	{"SeCage", 500, "VMRUN/VMFUNC"},
-	{"Hodor", 100, "VMRUN/VMFUNC"},
-}
-
 // Container-model costs for the OpenWhisk baseline (Fig 15). SOCK/SEUSS/
 // Catalyzer-class optimized platforms reach <20 ms cold starts; stock
 // OpenWhisk containers are far slower (§7.1).

@@ -10,6 +10,7 @@ package obs_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/cycles"
@@ -63,10 +64,32 @@ func TestVirtualTraceDeterminism(t *testing.T) {
 }
 
 // TestClusterTraceCoverage asserts the recorded flight spans the
-// lifecycle layers the exporter smoke depends on: ticket service spans,
-// shell provisioning underneath, and the autoscaler's decisions.
+// lifecycle layers a trace viewer needs: ticket service spans, shell
+// provisioning underneath, and the autoscaler's decisions — in the
+// recorder and in its Chrome trace_event export.
 func TestClusterTraceCoverage(t *testing.T) {
 	_, tr := runClusterTraced(t)
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Cat string `json:"cat"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("chrome trace is not JSON: %v", err)
+	}
+	cats := map[string]bool{}
+	for _, e := range doc.TraceEvents {
+		cats[e.Cat] = true
+	}
+	for _, want := range []string{"ticket", "shell", "autoscale"} {
+		if !cats[want] {
+			t.Errorf("chrome trace of %d events has no %q category", len(doc.TraceEvents), want)
+		}
+	}
 	got := map[obs.Kind]bool{}
 	for _, k := range tr.Kinds() {
 		got[k] = true

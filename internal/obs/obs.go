@@ -15,8 +15,9 @@
 // hot paths permanently: every emit is guarded by one nil check plus
 // one atomic load, and a nil *Tracer is a valid, always-disabled
 // tracer, so call sites never need their own guards. The overhead
-// benchmarks (BenchmarkTracerOverhead, BENCH_obs.json) hold the
-// disabled tax under 2% on the batch-submission hot path.
+// benchmarks (sched's BenchmarkTracerOverhead, wasp's
+// BenchmarkTracerOverheadRun) hold the disabled tax under 2% on the
+// batch-submission and run hot paths.
 //
 // On top of the rings sit a counters/gauges/histograms metrics registry
 // (metrics.go) unifying the runtime's scattered stats structs behind

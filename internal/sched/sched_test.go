@@ -388,6 +388,48 @@ func TestRealWaspCAReleasesToPool(t *testing.T) {
 	}
 }
 
+// TestWaspCAClaims: a burst of 256 halting virtines on four real
+// workers, once under Wasp+C and once under Wasp+CA, after one warm-up
+// run fills the pool. With cleaning off the critical path the mean
+// per-run service cost drops by about the shell zeroing, the cleaner
+// really books the released shells, and neither pool outgrows its
+// per-class cap.
+func TestWaspCAClaims(t *testing.T) {
+	const trials = 256
+	img := guest.MinimalHalt()
+	mean := map[bool]float64{}
+	for _, async := range []bool{false, true} {
+		w := wasp.New(wasp.WithAsyncClean(async))
+		if _, err := w.Run(img, wasp.RunConfig{}, cycles.NewClock()); err != nil {
+			t.Fatal(err)
+		}
+		s := New(w, 4)
+		tickets := make([]*Ticket, trials)
+		for i := range tickets {
+			tickets[i] = s.Submit(img, wasp.RunConfig{})
+		}
+		err := WaitAll(tickets...)
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tk := range tickets {
+			mean[async] += float64(tk.ServiceCycles())
+		}
+		mean[async] /= trials
+		if pool := w.PoolTotal(); pool > 64 {
+			t.Fatalf("async=%v: pool total %d exceeds the per-class cap", async, pool)
+		}
+		if async && w.Cleaner().Cleaned() == 0 {
+			t.Fatal("no shell was cleaned asynchronously")
+		}
+		t.Logf("async=%v: %.1f vcycles/run, pool %d", async, mean[async], w.PoolTotal())
+	}
+	if mean[true] >= mean[false] {
+		t.Fatalf("Wasp+CA mean (%.1f) not cheaper than Wasp+C (%.1f)", mean[true], mean[false])
+	}
+}
+
 // TestVirtualWaspCADeterminism: with async cleaning modelled as a
 // dedicated virtual core, Wasp+CA virtual-mode schedules stay fully
 // reproducible — makespan, cleaner-core cycles, and drain counts.

@@ -53,12 +53,6 @@ type ClusterReport struct {
 	CostWorkerSec  float64 // provisioned capacity: (active+standby) worker-seconds
 }
 
-func (r *ClusterReport) String() string {
-	ms := func(c uint64) float64 { return float64(c) / float64(cycles.Frequency) * 1e3 }
-	return fmt.Sprintf("cluster{%s w0=%d peak=%d tickets=%d slo=%.3f p99=%.2fms cost=%.1fws}",
-		r.Policy, r.InitialWorkers, r.PeakWorkers, r.Tickets, r.SLOAttained, ms(r.P99Latency), r.CostWorkerSec)
-}
-
 // RunCluster drives one trace through a fresh virtual fleet under one
 // autoscaling policy. Per epoch: submit the interval's arrivals as one
 // weighted batch (the event-driven dispatcher services them in virtual

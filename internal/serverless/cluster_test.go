@@ -1,6 +1,7 @@
 package serverless
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -55,6 +56,51 @@ func TestClusterLinearMatchesHeap(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("cluster report drifted from the frozen verdict:\n got:  %+v\n want: %+v", got, want)
+	}
+}
+
+// TestClusterFrontier regenerates the autoscaling frontier: the
+// standard mix (seed 1, scale 1, two virtual seconds) through three
+// fixed fleets and the two elastic policies. A row is the policy's
+// initial and peak workers, tickets, rejections, SLO attainment, p50
+// and p99 latency and makespan ms, provisioned worker-seconds and scale
+// events. The queue policy must grow past its initial fleet and still
+// undercut the fixed-64 fleet's cost.
+func TestClusterFrontier(t *testing.T) {
+	const F = uint64(cycles.Frequency)
+	mix := ClusterMix(1, 1, 2*F)
+	ms := cycles.Millis
+	var got []string
+	reps := map[string]*ClusterReport{}
+	for _, c := range []struct {
+		w0  int
+		pol sched.AutoPolicy
+	}{
+		{4, sched.FixedScale{N: 4}},
+		{16, sched.FixedScale{N: 16}},
+		{64, sched.FixedScale{N: 64}},
+		{4, sched.QueueScale{TargetP99: F / 20, Min: 2, Max: 256}},
+		{4, &sched.UtilScale{Target: 0.5, Min: 2, Max: 256, Patience: 2}},
+	} {
+		rep, err := RunCluster(wasp.New(), c.pol, ClusterConfig{Seed: 1, InitialWorkers: c.w0, Trace: mix})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[rep.Policy] = rep
+		got = append(got, fmt.Sprintf("%s %d %d %d %d %.2f %.2f %.2f %.1f %.1f %d", rep.Policy,
+			rep.InitialWorkers, rep.PeakWorkers, rep.Tickets, rep.Rejected, rep.SLOAttained,
+			ms(rep.P50Latency), ms(rep.P99Latency), ms(rep.Makespan), rep.CostWorkerSec, rep.ScaleEvents))
+	}
+	pinRows(t, got, []string{
+		"fixed-4 4 4 903 0 0.73 11.99 116.02 1996.4 8.0 0",
+		"fixed-16 16 16 903 0 1.00 2.89 15.07 1996.4 32.0 0",
+		"fixed-64 64 64 903 0 1.00 2.87 15.07 1996.4 128.0 0",
+		"queue-p99 4 7 903 0 0.78 10.38 149.36 1996.4 12.2 6",
+		"util-target 4 256 903 0 1.00 2.88 15.07 1996.4 449.0 1",
+	})
+	if q := reps["queue-p99"]; q.PeakWorkers <= q.InitialWorkers || q.CostWorkerSec >= reps["fixed-64"].CostWorkerSec {
+		t.Errorf("queue-p99 peaked at %d workers from %d at %.1f ws; fixed-64 cost %.1f ws",
+			q.PeakWorkers, q.InitialWorkers, q.CostWorkerSec, reps["fixed-64"].CostWorkerSec)
 	}
 }
 

@@ -2,6 +2,7 @@ package serverless
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -47,11 +48,29 @@ func runRebalance(t *testing.T, hysteresis int) *RebalanceReport {
 
 // The headline acceptance: under the drifting trace, the Migrating
 // placer must flip the tenant to paravirt exactly once (shipping its
-// snapshot as a base-grafted delta) and beat the sticky baseline on
-// BOTH makespan and drift-class p99.
+// snapshot as a 4,374-byte base-grafted delta) and beat the sticky
+// baseline on BOTH makespan and drift-class p99. The pinned rows are
+// workers, makespan ms, drift p50 and p99 ms, steady p50 ms, flips,
+// bytes migrated, delta migrations, drift runs on paravirt, the
+// tenant's final home and the makespan in cycles.
 func TestRebalanceMigratingBeatsSticky(t *testing.T) {
 	sticky := runRebalance(t, -1)
 	mig := runRebalance(t, 3)
+	row := func(name string, r *RebalanceReport) string {
+		var onPV uint64
+		for _, sl := range r.Backends {
+			if sl.Platform == "paravirt" {
+				onPV = sl.DriftRuns
+			}
+		}
+		return fmt.Sprintf("%s %d %.2f %.2f %.2f %.2f %d %d %d %d %s %d", name, r.Workers,
+			cycles.Millis(r.Makespan), r.DriftP50Ms, r.DriftP99Ms, r.SteadyP50Ms,
+			r.Migrations, r.MigratedBytes, r.DeltaMigrations, onPV, r.FinalHome, r.Makespan)
+	}
+	pinRows(t, []string{row("sticky", sticky), row("migrating", mig)}, []string{
+		"sticky 4 3.57 0.28 3.23 0.05 0 0 0 0 kvm 9596174",
+		"migrating 4 1.08 0.09 0.87 0.05 1 4374 1 12 paravirt 2910650",
+	})
 
 	if sticky.Migrations != 0 || sticky.FinalHome != "kvm" {
 		t.Fatalf("sticky baseline migrated (%d flips, home %s); negative hysteresis must pin the first preference",

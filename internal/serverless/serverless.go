@@ -15,7 +15,8 @@
 // platform's virtual scheduler additionally models the background
 // cleaner as a dedicated virtual core: every shell a finished
 // invocation releases is zeroed on that core's clock, off every request
-// path (Vespid.CleanerCycles reports the total moved off-path).
+// path (the runtime's Cleaner().BusyCycles() reports the total moved
+// off-path).
 package serverless
 
 import (
@@ -77,15 +78,6 @@ func (v *Vespid) Register(f *Function) { v.funcs[f.Name] = f }
 func (v *Vespid) Scheduler() *sched.Scheduler {
 	v.schedOnce.Do(func() { v.sched = sched.NewVirtual(v.W, v.Workers) })
 	return v.sched
-}
-
-// CleanerCycles reports the zeroing work the platform's virtual cleaner
-// core absorbed — 0 when the runtime cleans synchronously.
-func (v *Vespid) CleanerCycles() uint64 {
-	if c := v.W.Cleaner(); c != nil {
-		return c.BusyCycles()
-	}
-	return 0
 }
 
 // InvokeAt submits one invocation of the named function arriving at the
@@ -624,10 +616,7 @@ type PlacementReport struct {
 	// ShortP50Ms and LongP50Ms are median arrival→completion latencies
 	// per workload class.
 	ShortP50Ms, LongP50Ms float64
-	// MeanOverhead is the mean per-run cycle cost of the short class —
-	// where the backends' Fig 5 profiles actually show.
-	MeanShortCycles uint64
-	Backends        []BackendSlice
+	Backends              []BackendSlice
 	// Jain is Jain's fairness index over the backends' capacity-
 	// normalized service shares: 1.0 when every backend carries exactly
 	// its proportional load.
@@ -679,7 +668,6 @@ func RunPlacementMix(w *wasp.Wasp, config string, fleet []vmm.Platform, pl place
 		byPlat[bl.Platform] = sl
 	}
 	var shortLat, longLat []float64
-	var shortCycles, shortRuns uint64
 	for _, tk := range tickets {
 		if _, err := tk.Wait(); err != nil {
 			if errors.Is(err, sched.ErrPlacement) || errors.Is(err, sched.ErrAdmission) {
@@ -695,8 +683,6 @@ func RunPlacementMix(w *wasp.Wasp, config string, fleet []vmm.Platform, pl place
 		if tk.Image == shortName {
 			sl.ShortRuns++
 			shortLat = append(shortLat, float64(tk.Done-tk.Arrival))
-			shortCycles += tk.ServiceCycles()
-			shortRuns++
 		} else {
 			longLat = append(longLat, float64(tk.Done-tk.Arrival))
 		}
@@ -704,9 +690,6 @@ func RunPlacementMix(w *wasp.Wasp, config string, fleet []vmm.Platform, pl place
 	rep.Makespan = s.Makespan()
 	rep.ShortP50Ms = cycles.Millis(uint64(stats.Percentile(shortLat, 50)))
 	rep.LongP50Ms = cycles.Millis(uint64(stats.Percentile(longLat, 50)))
-	if shortRuns > 0 {
-		rep.MeanShortCycles = shortCycles / shortRuns
-	}
 
 	var totalSvc uint64
 	for _, sl := range byPlat {

@@ -1,6 +1,8 @@
 package serverless
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cycles"
@@ -128,6 +130,22 @@ func TestFig15Shape(t *testing.T) {
 	}
 }
 
+// pinRows logs a regenerated table and compares it row by row with its
+// pinned rows. Every cell is virtual time, so the rows reproduce
+// exactly on any host.
+func pinRows(t *testing.T, got, want []string) {
+	t.Helper()
+	t.Logf("\n%s", strings.Join(got, "\n"))
+	if len(got) != len(want) {
+		t.Errorf("%d rows, %d pinned", len(got), len(want))
+	}
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Errorf("row %d drifted from its pin:\n got  %q\n want %q", i, got[i], want[i])
+		}
+	}
+}
+
 // TestNoisyNeighborFairness: the admission layer's reason to exist.
 // Under FIFO the hog's bursts starve the cold tenants (low Jain index,
 // seconds of queueing); under equal soft weights every tenant receives
@@ -179,6 +197,82 @@ func TestNoisyNeighborFairness(t *testing.T) {
 	if again.Jain != fair.Jain || again.Makespan != fair.Makespan {
 		t.Fatalf("weighted run not reproducible: (%.4f,%d) vs (%.4f,%d)",
 			again.Jain, again.Makespan, fair.Jain, fair.Makespan)
+	}
+}
+
+// TestAdmissionFairnessClaims pins the admission table: the noisy-
+// neighbor mix under FIFO, equal soft weights and a two-in-flight hard
+// cap, at seed 99 with four workers and a two-second horizon. Both
+// admission configs are fair (Jain ≥ 0.9) with FIFO clearly below,
+// cold-tenant p99 queueing under weights is an order below FIFO's, and
+// the hog keeps its full share (work conserving). A tenant's pinned row
+// is its weight, requests, completions within the horizon, p50 and p99
+// queueing ms and entitlement share; a config's ALL row is requests,
+// completions and Jain's index.
+func TestAdmissionFairnessClaims(t *testing.T) {
+	var got []string
+	reps := map[string]*FairnessReport{}
+	tenant := map[string]TenantFairness{}
+	for _, cfg := range []struct {
+		name string
+		adm  *sched.Admission
+	}{
+		{"fifo", nil},
+		{"weighted", &sched.Admission{}},
+		{"hardcap", &sched.Admission{MaxInFlight: 2}},
+	} {
+		rep, err := RunNoisyNeighbor(wasp.New(), cfg.name, 4, 2, cfg.adm, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[cfg.name] = rep
+		reqs, done := 0, 0
+		for _, tf := range rep.Tenants {
+			reqs += tf.Requests
+			done += tf.DoneByHorizon
+			tenant[cfg.name+"/"+tf.Image] = tf
+			got = append(got, fmt.Sprintf("%s/%s %d %d %d %.2f %.2f %.2f", cfg.name, tf.Image,
+				tf.Weight, tf.Requests, tf.DoneByHorizon, tf.P50QueueMs, tf.P99QueueMs, tf.Share))
+		}
+		got = append(got, fmt.Sprintf("%s/ALL %d %d %.2f", cfg.name, reqs, done, rep.Jain))
+	}
+	pinRows(t, got, []string{
+		"fifo/hog 1 512 156 2237.09 4429.52 1.00",
+		"fifo/svc-a 1 32 8 2424.34 4505.15 0.25",
+		"fifo/svc-b 1 32 8 2425.96 4506.91 0.25",
+		"fifo/svc-c 1 32 8 2428.23 4507.67 0.25",
+		"fifo/svc-d 1 32 8 2429.30 4509.08 0.25",
+		"fifo/ALL 640 188 0.64",
+		"weighted/hog 1 512 150 2300.66 4445.65 1.00",
+		"weighted/svc-a 1 32 32 17.25 42.39 1.00",
+		"weighted/svc-b 1 32 32 19.93 43.37 1.00",
+		"weighted/svc-c 1 32 32 22.23 44.91 1.00",
+		"weighted/svc-d 1 32 32 23.02 45.80 1.00",
+		"weighted/ALL 640 278 1.00",
+		"hardcap/hog 1 512 76 5326.49 10560.60 1.00",
+		"hardcap/svc-a 1 32 32 0.00 0.00 1.00",
+		"hardcap/svc-b 1 32 32 0.00 0.00 1.00",
+		"hardcap/svc-c 1 32 32 3.88 4.00 1.00",
+		"hardcap/svc-d 1 32 32 3.96 4.11 1.00",
+		"hardcap/ALL 640 204 1.00",
+	})
+
+	fifo, fair := reps["fifo"], reps["weighted"]
+	if fair.Jain < 0.9 || reps["hardcap"].Jain < 0.9 {
+		t.Fatalf("weighted Jain = %.3f, hard-cap Jain = %.3f, want >= 0.9", fair.Jain, reps["hardcap"].Jain)
+	}
+	if fifo.Jain > fair.Jain-0.1 {
+		t.Fatalf("FIFO Jain %.3f not clearly below weighted %.3f", fifo.Jain, fair.Jain)
+	}
+	for _, image := range []string{"svc-a", "svc-d"} {
+		f, w := tenant["fifo/"+image], tenant["weighted/"+image]
+		if w.P99QueueMs*10 > f.P99QueueMs {
+			t.Fatalf("%s: weighted p99 %.1f ms not an order below FIFO %.1f ms",
+				image, w.P99QueueMs, f.P99QueueMs)
+		}
+	}
+	if share := tenant["weighted/hog"].Share; share < 0.99 {
+		t.Fatalf("hog share under weights = %.3f, want ~1 (work conserving)", share)
 	}
 }
 

@@ -1,7 +1,6 @@
 package serverless
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -164,10 +163,11 @@ func FlashCrowdTrace(seed uint64, image string, baseRate float64, crowds, burstS
 	return reqs
 }
 
-// ClusterMix composes the standard cluster workload the frontier bench
-// sweeps: a steady Poisson API tier, a diurnal web tier, a heavy-tailed
-// batch tier, and a flash-crowd spike tier, with per-image seed offsets
-// off the caller's seed (seed+1 … seed+4 — part of the seed contract).
+// ClusterMix composes the standard cluster workload (TestClusterFrontier,
+// the cluster_sim workload): a steady Poisson API tier, a diurnal web
+// tier, a heavy-tailed batch tier, and a flash-crowd spike tier, with
+// per-image seed offsets off the caller's seed (seed+1 … seed+4 — part
+// of the seed contract).
 // scale multiplies every tier's arrival rate; horizon is the trace
 // length in cycles. The result is arrival-sorted (stable, so equal
 // arrivals keep tier order).
@@ -187,9 +187,9 @@ func ClusterMix(seed uint64, scale float64, horizon uint64) []sched.Request {
 }
 
 // UniformTrace generates exactly n tickets at a fixed arrival cadence
-// with one service draw each — the dense, regular load the scaling and
-// batch rows use, where the variable under test is the dispatch core,
-// not the workload shape.
+// with one service draw each — the dense, regular load the dispatch
+// tests use, where the variable under test is the dispatch core, not
+// the workload shape.
 func UniformTrace(seed uint64, image string, n int, gap uint64, svc ServiceProfile) []sched.Request {
 	rng := NewTraceRNG(seed)
 	reqs := make([]sched.Request, 0, n)
@@ -197,25 +197,4 @@ func UniformTrace(seed uint64, image string, n int, gap uint64, svc ServiceProfi
 		reqs = append(reqs, fnRequest(image, uint64(i)*gap, svc.Draw(rng)))
 	}
 	return reqs
-}
-
-// TraceImages summarizes a trace: per-image ticket counts, in first
-// appearance order — a cheap fingerprint for tests and tables.
-func TraceImages(reqs []sched.Request) string {
-	counts := map[string]int{}
-	var names []string
-	for _, r := range reqs {
-		if counts[r.Image] == 0 {
-			names = append(names, r.Image)
-		}
-		counts[r.Image]++
-	}
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%s:%d", n, counts[n])
-	}
-	return out
 }

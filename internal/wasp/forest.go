@@ -68,7 +68,7 @@ func (r *baseRegistry) count() int {
 }
 
 // ForestStats reports one backend's snapshot-forest state — the numbers
-// behind the dedup claims of `virtine-bench -exp snapshot`.
+// behind the dedup claims TestForestTenantScaling pins.
 type ForestStats struct {
 	// StorePages / StoreBytes are distinct pages (and their bytes) held
 	// by the backend's shared page store.

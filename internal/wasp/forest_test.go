@@ -195,6 +195,132 @@ func TestForestTenantClonesAreThinDeltas(t *testing.T) {
 	}
 }
 
+// httpdTenantAsm is an httpd-shaped tenant: fill a response buffer in
+// the heap (the server's in-memory document), snapshot, then serve —
+// read the tenant id argument, stamp it into the response, return it.
+const httpdTenantAsm = `
+	movi rcx, 1536
+	movi rdi, 0x5000
+ht_fill:
+	mov rax, rdi
+	and rax, 255
+	storeb [rdi], rax
+	add rdi, 1
+	dec rcx
+	jnz ht_fill
+	out 0x08, rdi        ; snapshot(): warm server, request not yet seen
+	movi rbx, 0x0
+	load rax, [rbx]      ; tenant id = request identity
+	movi rbx, 0x5000
+	load rdx, [rbx]      ; first doc word, carried into the response
+	add rax, rdx
+	movi rbx, 0x4000
+	store [rbx], rax
+	movi rdi, 0
+	out 0x00, rdi
+	hlt
+`
+
+// jsTenantAsm is a JS-shaped tenant: fill a bytecode program into the
+// heap, snapshot, then interpret it with the tenant id seeding the
+// accumulator — a miniature of the Fig 14 JS dispatch loop.
+const jsTenantAsm = `
+	movi rcx, 1024
+	movi rdi, 0x5000
+jt_fill:
+	mov rax, rcx
+	and rax, 3
+	storeb [rdi], rax
+	add rdi, 1
+	dec rcx
+	jnz jt_fill
+	out 0x08, rdi        ; snapshot(): program loaded, not yet run
+	movi rbx, 0x0
+	load rsi, [rbx]      ; accumulator seeded with the tenant id
+	movi rcx, 1024
+	movi rdi, 0x5000
+jt_dispatch:
+	loadb rax, [rdi]
+	cmp rax, 1
+	jz jt_add
+	cmp rax, 2
+	jz jt_dbl
+	jmp jt_next
+jt_add:
+	add rsi, 7
+	jmp jt_next
+jt_dbl:
+	add rsi, rsi
+jt_next:
+	add rdi, 1
+	dec rcx
+	jnz jt_dispatch
+	movi rbx, 0x4000
+	store [rbx], rsi
+	movi rdi, 0
+	out 0x00, rdi
+	hlt
+`
+
+// TestForestTenantScaling forks 10k WithName tenants from each of two
+// 32 KiB bases, httpd-shaped and JS-shaped, each tenant snapshotted with
+// its own argument. Every tenant after the first is a one-page delta
+// that costs one page hash to capture and grows the store by at most
+// one 4 KiB page: tenant 0x2003's argument page equals the boot's PML4
+// page, so 9,999 clones add 9,998 pages. At 1k and at 10k tenants the
+// test pins the store's bytes and its new pages, and requires the
+// forest to hold at least 18x fewer bytes than one deep copy per tenant
+// would, and to verify clean. (At 100k tenants the store would need
+// about 0.4 GB per corpus.)
+func TestForestTenantScaling(t *testing.T) {
+	// Store bytes and the store pages the clones added, by tenant count.
+	pins := map[int][2]int64{1_000: {4_112_384, 999}, 10_000: {40_972_288, 9_998}}
+	for _, c := range [][2]string{{"httpd", httpdTenantAsm}, {"js", jsTenantAsm}} {
+		w := New()
+		be := w.backends[0]
+		base := guest.MustFromAsm("snapfor-"+c[0], guest.WrapLongMode(c[1])).WithPad(32 << 10)
+		// A deep copy held both capture windows: the image footprint and
+		// the stack reserve.
+		deepCopy := min(base.Footprint()+base.ExtraHeap, base.MemBytes()) + guest.StackReserve
+		var store0 int64
+		var hashed0 uint64
+		for i := 0; i < 10_000; i++ {
+			img := base.WithName(fmt.Sprintf("snapfor-%s-%05d", c[0], i))
+			res, err := w.Run(img, RunConfig{Snapshot: true, RetBytes: 8, Args: le64(uint64(i))}, cycles.NewClock())
+			if err != nil || len(res.Ret) != 8 {
+				t.Fatalf("%s tenant %d: %v", c[0], i, err)
+			}
+			if i == 0 {
+				store0, hashed0 = w.ForestStats().StoreBytes, be.pages.hashed.Load()
+			}
+			n := i + 1
+			pin, ok := pins[n]
+			if !ok {
+				continue
+			}
+			st := w.ForestStats()
+			clones, grown, hashed := n-1, st.StoreBytes-store0, be.pages.hashed.Load()-hashed0
+			dedup := float64(deepCopy) * float64(n) / float64(st.StoreBytes)
+			t.Logf("%s x%d: store %d B, %.1f B and %.2f page hashes per clone, dedup %.1fx",
+				c[0], n, st.StoreBytes, float64(grown)/float64(clones), float64(hashed)/float64(clones), dedup)
+			if st.Snapshots != n || st.DeltaSnapshots != clones || st.DeltaPages != clones || hashed != uint64(clones) {
+				t.Errorf("%s x%d: %d snapshots, %d deltas holding %d pages, %d page hashes; want one delta page and one hash per clone",
+					c[0], n, st.Snapshots, st.DeltaSnapshots, st.DeltaPages, hashed)
+			}
+			if st.StoreBytes != pin[0] || grown != pin[1]*vmm.PageSize {
+				t.Errorf("%s x%d: store %d B, pinned %d; clones grew it %d B, pinned %d pages",
+					c[0], n, st.StoreBytes, pin[0], grown, pin[1])
+			}
+			if dedup < 18 {
+				t.Errorf("%s x%d: dedup %.1fx, want >= 18x", c[0], n, dedup)
+			}
+			if err := w.VerifyForest(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestForestPadVariantCapturesStandalone: WithPad keeps the content key
 // but changes guest geometry; grafting its delta onto the differently
 // sized base would corrupt, so it must capture as its own base.

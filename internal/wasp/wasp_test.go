@@ -474,6 +474,41 @@ func TestGuestMemBounds(t *testing.T) {
 	}
 }
 
+// BenchmarkHypercallAllocs measures host-side allocations on the
+// hypercall data path: a guest making 8 write() hypercalls (each a
+// guestMem.ReadGuest of the payload) plus an 8-byte Result.Ret copy-out.
+// The scratch-buffer ReadGuest and the inline Ret buffer keep allocs/op
+// flat in the number of hypercalls; before them, every ReadGuest and
+// every copy-out allocated.
+func BenchmarkHypercallAllocs(b *testing.B) {
+	body := ""
+	for i := 0; i < 8; i++ {
+		body += "\tmovi rdi, 1\n\tmovi rsi, 0x8000\n\tmovi rdx, 64\n\tout 0x01, rax\n"
+	}
+	body += "\tmovi rdi, 0\n\tout 0x00, rdi\n\thlt\n"
+	img := guest.MustFromAsm("hc-allocs", guest.WrapLongMode(body))
+	w := New()
+	cfg := RunConfig{
+		Policy:   hypercall.MaskOf(hypercall.NrWrite),
+		RetBytes: 8,
+	}
+	mk := func() RunConfig {
+		c := cfg
+		c.Env = hypercall.NewEnv()
+		return c
+	}
+	if _, err := w.Run(img, mk(), cycles.NewClock()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Run(img, mk(), cycles.NewClock()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestNoPooling(t *testing.T) {
 	w := New(WithPooling(false))
 	img := guest.MinimalHalt()

@@ -2,13 +2,16 @@
 // fully reproducible — same trace, fleet, and policy give bit-identical
 // per-ticket cycle counts, worker/platform assignments, and makespans —
 // and, like every other subsystem, identical virtual results under the
-// cached and legacy interpreters.
+// cached and legacy interpreters. The split-fleet experiment's rows are
+// pinned.
 package virtines_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/cycles"
 	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/serverless"
@@ -150,6 +153,71 @@ func TestMigratingPlacementDeterministic(t *testing.T) {
 		if a[i] != l[i] {
 			t.Fatalf("ticket %d cached/legacy divergence:\n cached: %+v\n legacy: %+v", i, a[i], l[i])
 		}
+	}
+}
+
+// placementMix pins TestPlacementSplitFleet's rows: workers, makespan
+// ms, short and long p50 ms, runs on kvm and on hyper-v, shorts on kvm,
+// Jain's index over the backends' capacity-normalized shares, and the
+// makespan in cycles.
+var placementMix = map[string]string{
+	"placement/kvm-only":           "2 0.79 0.43 0.36 138 0 120 1.00 2125179",
+	"placement/hyperv-only":        "2 0.81 0.44 0.37 0 138 0 1.00 2191659",
+	"placement/split static":       "4 0.43 0.18 0.22 120 18 120 1.00 1154006",
+	"placement/split least-loaded": "4 0.42 0.21 0.19 60 78 49 1.00 1124731",
+	"placement/split cost-model":   "4 0.42 0.21 0.20 77 61 69 1.00 1125818",
+}
+
+// TestPlacementSplitFleet: 120 short virtines, which feel the Fig 5
+// create/entry/exit gap between backends, and 18 long ones, which
+// amortize it, served by each homogeneous half-fleet and by the split
+// KVM/Hyper-V fleet under each placement policy. One scheduler spanning
+// both backends must beat either half-fleet, and the cost model must
+// keep more shorts on the cheap-create backend than least-loaded does.
+func TestPlacementSplitFleet(t *testing.T) {
+	kvm, hv := vmm.KVM{}, vmm.HyperV{}
+	split := []vmm.Platform{kvm, hv, kvm, hv}
+	tb := &table{id: "placement", header: []string{"config", "workers", "makespan-ms",
+		"short-p50-ms", "long-p50-ms", "kvm-runs", "hv-runs", "shorts-on-kvm", "jain", "makespan"}}
+	makespan := map[string]uint64{}
+	shortsOnKVM := map[string]uint64{}
+	for _, cfg := range []struct {
+		name  string
+		fleet []vmm.Platform
+		pl    placement.Placer
+	}{
+		{"kvm-only", []vmm.Platform{kvm, kvm}, nil},
+		{"hyperv-only", []vmm.Platform{hv, hv}, nil},
+		{"split static", split, placementPolicies()["static"]},
+		{"split least-loaded", split, placement.LeastLoaded{}},
+		{"split cost-model", split, placement.CostModel{}},
+	} {
+		rep, err := serverless.RunPlacementMix(wasp.New(wasp.WithPlatforms(kvm, hv)), cfg.name, cfg.fleet, cfg.pl, 120, 18)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runsOn := map[string]uint64{}
+		for _, sl := range rep.Backends {
+			runsOn[sl.Platform] = sl.Runs
+			if sl.Platform == kvm.Name() {
+				shortsOnKVM[cfg.name] = sl.ShortRuns
+			}
+		}
+		makespan[cfg.name] = rep.Makespan
+		tb.add(cfg.name, fmt.Sprint(rep.Workers), f2(cycles.Millis(rep.Makespan)),
+			f2(rep.ShortP50Ms), f2(rep.LongP50Ms), fmt.Sprint(runsOn[kvm.Name()]),
+			fmt.Sprint(runsOn[hv.Name()]), fmt.Sprint(shortsOnKVM[cfg.name]), f2(rep.Jain),
+			fmt.Sprint(rep.Makespan))
+	}
+	tb.check(t, placementMix)
+
+	if cm := makespan["split cost-model"]; cm >= makespan["kvm-only"] || cm >= makespan["hyperv-only"] {
+		t.Errorf("cost-model makespan %d does not beat the half-fleets (%d, %d)",
+			cm, makespan["kvm-only"], makespan["hyperv-only"])
+	}
+	if shortsOnKVM["split cost-model"] <= shortsOnKVM["split least-loaded"] {
+		t.Errorf("cost-model kept %d shorts on kvm, least-loaded %d",
+			shortsOnKVM["split cost-model"], shortsOnKVM["split least-loaded"])
 	}
 }
 
