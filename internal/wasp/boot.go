@@ -2,8 +2,6 @@ package wasp
 
 import (
 	"bytes"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cpu"
 	"repro/internal/cycles"
@@ -14,18 +12,13 @@ import (
 
 // Boot replay (internal/vmm/README.md): until its first hypercall a cold
 // boot is a function of its image, memory size and arguments, so each
-// backend records the first one per (content, memory size) and replays
-// it, with the executed boot's charges, for byte-equal inputs.
-
-type bootKey struct {
-	content string // guest.Image.ContentKey
-	mem     int
-}
+// backend records one per (content, memory size) in its content registry
+// (forest.go) and replays it, with the executed boot's charges, for
+// byte-equal inputs.
 
 // bootRecord is one cold boot up to its first IO exit, immutable once in
-// its backend's memo; one holding only its key is yet to be made.
+// its backend's content registry; one with no layer is yet to be made.
 type bootRecord struct {
-	key        bootKey
 	img        guest.Image // compared byte for byte: ContentKey is a 64-bit hash
 	args       []byte
 	layer      *vmm.Layer       // memory at the exit, in the backend's forest
@@ -36,28 +29,23 @@ type bootRecord struct {
 	exit       cpu.Exit
 }
 
-// bootMemo is one backend's recordings, kept as long as the code registry.
-type bootMemo struct {
-	byKey             sync.Map // bootKey → *bootRecord, written once per key
-	replays, recorded atomic.Uint64
-}
-
 // bootFor returns the recording a cold boot of img replays — byte-equal
-// inputs, its exit inside cfg's budget — or, when the key has none, a
-// record for the boot to make; else nil.
+// inputs, its exit inside cfg's budget — with its layer retained for the
+// caller; or, when the key has none, a record for the boot to make; else
+// nil.
 func (w *Wasp) bootFor(be *backend, img *guest.Image, cfg *RunConfig, memBytes int) *bootRecord {
 	if w.legacyInterp {
 		return nil
 	}
-	key := bootKey{img.ContentKey(), memBytes}
-	v, ok := be.boots.byKey.Load(key)
-	if !ok {
-		return &bootRecord{key: key}
+	r := be.content.boot(contentKey{img.ContentKey(), memBytes})
+	if r == nil {
+		return &bootRecord{}
 	}
-	if r := v.(*bootRecord); r.img.Origin == img.Origin && r.img.Entry == img.Entry && r.img.Mode == img.Mode &&
+	if r.img.Origin == img.Origin && r.img.Entry == img.Entry && r.img.Mode == img.Mode &&
 		r.cpu.Retired <= cfg.MaxSteps && bytes.Equal(r.args, cfg.Args) && bytes.Equal(r.img.Code, img.Code) {
 		return r
 	}
+	r.layer.Release()
 	return nil
 }
 
@@ -83,11 +71,8 @@ func (w *Wasp) enter(be *backend, ctx *vmm.Context, img *guest.Image, cfg *RunCo
 		boot.layer, boot.dirty = ctx.Freeze(be.forest), ctx.DirtyPages()
 		boot.cpu, boot.firstEntry = ctx.CPU.Checkpoint(start), ctx.FirstEntry-start
 		boot.cost, boot.exit = clk.Now()-start, *ex
-		if _, lost := be.boots.byKey.LoadOrStore(boot.key, boot); lost {
-			boot.layer.Release() // a concurrent boot recorded the key first
-		} else {
-			be.boots.recorded.Add(1)
-		}
+		be.content.setBoot(contentKey{img.ContentKey(), len(ctx.Mem)}, boot)
+		boot.layer.Release() // Freeze's: the registry holds its own, unless a concurrent boot recorded first
 	}
 	return ex
 }

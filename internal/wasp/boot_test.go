@@ -33,8 +33,18 @@ _start:
 
 // recordOf returns the default backend's recording of img's boot.
 func recordOf(w *Wasp, img *guest.Image) *bootRecord {
-	v, _ := w.backends[0].boots.byKey.Load(bootKey{img.ContentKey(), img.MemBytes()})
-	return v.(*bootRecord)
+	return entryOf(w, img).boot
+}
+
+// entryOf returns the default backend's content entry for img, or nil.
+func entryOf(w *Wasp, img *guest.Image) *contentEntry {
+	r := &w.backends[0].content
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if el := r.byKey[contentKey{img.ContentKey(), img.MemBytes()}]; el != nil {
+		return el.Value.(*contentEntry)
+	}
+	return nil
 }
 
 // pairRun runs img with cfg on a trace-engine Wasp and on a Legacy one
@@ -69,7 +79,7 @@ func TestBootReplayReadsArguments(t *testing.T) {
 			t.Fatalf("argument %d returned %d", arg, res.Ret[0])
 		}
 	}
-	if n := fast.backends[0].boots.replays.Load(); n != 1 {
+	if n := fast.backends[0].content.replays.Load(); n != 1 {
 		t.Fatalf("%d replays, want 1 (the recorded argument's repeat)", n)
 	}
 }
@@ -94,8 +104,8 @@ func TestBootReplayNeverCrossesImages(t *testing.T) {
 		t.Fatal("the two images must differ in their code bytes alone")
 	}
 	pairRun(t, fast, slow, a, RunConfig{RetBytes: 8})
-	memo := &fast.backends[0].boots
-	memo.byKey.Store(bootKey{b.ContentKey(), b.MemBytes()}, recordOf(fast, a))
+	memo := &fast.backends[0].content
+	memo.setBoot(contentKey{b.ContentKey(), b.MemBytes()}, recordOf(fast, a))
 	for i := 0; i < 2; i++ {
 		if res := pairRun(t, fast, slow, b, RunConfig{RetBytes: 8}); fromLE64(res.Ret) != 2 {
 			t.Fatalf("image b returned %d", fromLE64(res.Ret))
@@ -112,7 +122,7 @@ func TestBootReplayHonoursBudget(t *testing.T) {
 	fast, slow := New(), New(WithLegacyInterp(true))
 	img := guest.MustFromAsm("budget-boot", guest.WrapLongMode(probeBodyAsm))
 	pairRun(t, fast, slow, img, RunConfig{RetBytes: 8})
-	memo := &fast.backends[0].boots
+	memo := &fast.backends[0].content
 	steps := recordOf(fast, img).cpu.Retired
 	if res := pairRun(t, fast, slow, img, RunConfig{RetBytes: 8, MaxSteps: steps - 1}); res != nil {
 		t.Fatalf("a budget of %d of the boot's %d instructions did not fault", steps-1, steps)
@@ -166,7 +176,7 @@ func TestBootReplayRecordsOnceConcurrently(t *testing.T) {
 			t.Fatalf("boot %d: %d cycles, %d retired, ret %d; boot 0: %d cycles, %d retired", i, res.Cycles, res.Retired, fromLE64(res.Ret), results[0].Cycles, results[0].Retired)
 		}
 	}
-	if n := w.backends[0].boots.recorded.Load(); n != 1 {
+	if n := w.backends[0].content.recorded.Load(); n != 1 {
 		t.Fatalf("%d recordings, want 1", n)
 	}
 	if err := w.VerifyForest(); err != nil {
@@ -189,7 +199,7 @@ func TestBootReplayRecordingLeavesNoTrace(t *testing.T) {
 	recording, plain := New(), New()
 	// A recording of other arguments under the image's key: plain boots
 	// execute and never record.
-	plain.backends[0].boots.byKey.Store(bootKey{img.ContentKey(), img.MemBytes()}, &bootRecord{args: []byte("other"), cpu: &cpu.ResumePoint{}})
+	plain.backends[0].content.setBoot(contentKey{img.ContentKey(), img.MemBytes()}, &bootRecord{args: []byte("other"), cpu: &cpu.ResumePoint{}})
 	type view struct {
 		dirty          string
 		code           int
@@ -218,7 +228,7 @@ func TestBootReplayRecordingLeavesNoTrace(t *testing.T) {
 	if views[0] != views[1] {
 		t.Fatalf("the recording boot's shell at its first exit %+v, a boot recording nothing %+v", views[0], views[1])
 	}
-	if recording.backends[0].boots.recorded.Load() != 1 || plain.backends[0].boots.replays.Load() != 0 {
+	if recording.backends[0].content.recorded.Load() != 1 || plain.backends[0].content.replays.Load() != 0 {
 		t.Fatal("the recording runtime did not record, or the plain one replayed")
 	}
 }

@@ -229,7 +229,7 @@ func TestAsyncBacklogAndParkBounds(t *testing.T) {
 
 	const mem = 64 << 10
 	for i := 0; i < 5; i++ {
-		w.release(vmm.CreateOn(vmm.KVM{}, mem, cycles.NewClock()), nil, nil)
+		w.release(vmm.CreateOn(vmm.KVM{}, mem, cycles.NewClock()), nil)
 	}
 	if n := w.PoolTotal(); n != 2 {
 		t.Fatalf("pool total = %d, want 2 (class cap)", n)

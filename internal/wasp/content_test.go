@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/cycles"
@@ -13,49 +12,117 @@ import (
 	"repro/internal/vmm"
 )
 
-// checkShells runs vmm.Context.CheckContent on every shell the runtime
-// holds at rest — pooled or parked for a COW reset — each under the lock
-// that guards it, so it is safe beside concurrent runs. A shell that
-// passes is one the next Rebase brings exactly to its target: the "no
-// dirty shell is ever acquired" invariant.
-func checkShells(w *Wasp) error {
-	check := func(mu *sync.Mutex, what string, collect func() []*vmm.Context) error {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, ctx := range collect() {
+// checkRuntime checks the runtime's invariants at rest, each under the
+// lock or through the atomic hand-off that guards it, so it is safe
+// beside concurrent runs:
+//   - every pooled shell, and every shell parked for a COW reset, matches
+//     its content record (vmm.Context.CheckContent). A shell that passes
+//     is one the next Rebase brings exactly to its target: the "no dirty
+//     shell is ever acquired" invariant;
+//   - every shell belongs to its backend's platform, and every parked one
+//     sits on a snapshot its backend's registry holds, none of which has
+//     been retired;
+//   - no pool class holds more than MaxPerClass shells;
+//   - no content registry holds more than contentCap entries, and each
+//     lists exactly the entries its map holds;
+//   - the forest verifies.
+func checkRuntime(w *Wasp) error {
+	for _, be := range w.backends {
+		plat := be.platform.Name()
+		check := func(what string, ctx *vmm.Context) error {
+			if got := ctx.Platform().Name(); got != plat {
+				return fmt.Errorf("%s: a %s shell on the %s backend", what, got, plat)
+			}
 			if err := ctx.CheckContent(); err != nil {
 				return fmt.Errorf("%s: %w", what, err)
 			}
+			return nil
 		}
-		return nil
-	}
-	for _, be := range w.backends {
 		for i := range be.pools.shards {
 			sh := &be.pools.shards[i]
-			if err := check(&sh.mu, "pooled shell", func() (out []*vmm.Context) {
-				for _, pool := range sh.bySize {
-					for _, s := range pool {
-						out = append(out, s.ctx)
+			sh.mu.Lock()
+			for size, pool := range sh.bySize {
+				if len(pool) > be.pools.policy.MaxPerClass {
+					sh.mu.Unlock()
+					return fmt.Errorf("%s: %d pooled %d-byte shells, capacity %d", plat, len(pool), size, be.pools.policy.MaxPerClass)
+				}
+				for _, s := range pool {
+					if err := check("pooled shell", s.ctx); err != nil {
+						sh.mu.Unlock()
+						return err
 					}
 				}
-				return out
-			}); err != nil {
-				return err
+			}
+			sh.mu.Unlock()
+		}
+		var held []*snapshot
+		var retiredHeld string
+		be.snapshots.forEach(func(name string, s *snapshot) {
+			// Retiring follows removal, so under the registry's lock no
+			// held snapshot may be retired.
+			if s.cow.Load() == retired {
+				retiredHeld = name
+			}
+			held = append(held, s)
+		})
+		if retiredHeld != "" {
+			return fmt.Errorf("%s: the registry holds retired snapshot %q", plat, retiredHeld)
+		}
+		for _, s := range held {
+			// Take the parked shell to check it; release puts it back, or
+			// pools it if the snapshot left the registry meanwhile.
+			if c := s.unpark(); c != nil {
+				err := check("parked COW shell", c)
+				w.release(c, s)
+				if err != nil {
+					return err
+				}
 			}
 		}
-		for i := range be.cowShells.shards {
-			sh := &be.cowShells.shards[i]
-			if err := check(&sh.mu, "parked COW shell", func() (out []*vmm.Context) {
-				for _, cs := range sh.byImg {
-					out = append(out, cs.ctx)
-				}
-				return out
-			}); err != nil {
-				return err
-			}
+		r := &be.content
+		r.mu.Lock()
+		n, listed := len(r.byKey), r.lru.Len()
+		r.mu.Unlock()
+		if n > contentCap || n != listed {
+			return fmt.Errorf("%s: %d content entries, %d in the LRU list, bound %d", plat, n, listed, contentCap)
 		}
 	}
+	return w.VerifyForest()
+}
+
+// contentEntries reports how many entries a backend's content registry
+// holds.
+func contentEntries(be *backend) int {
+	r := &be.content
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.byKey)
+}
+
+// parkedOn returns the shell parked on the named snapshot of a backend,
+// without taking it (for sequential tests), or nil.
+func parkedOn(be *backend, name string) *vmm.Context {
+	snap := be.snapshots.get(name)
+	if snap == nil {
+		return nil
+	}
+	defer snap.release()
+	if c := snap.cow.Load(); c != retired {
+		return c
+	}
 	return nil
+}
+
+// parkedShells counts the shells parked on every backend's snapshots.
+func parkedShells(w *Wasp) (n int) {
+	for _, be := range w.backends {
+		be.snapshots.forEach(func(_ string, s *snapshot) {
+			if c := s.cow.Load(); c != nil && c != retired {
+				n++
+			}
+		})
+	}
+	return n
 }
 
 // checksum is the probe guest's sum over guest memory, word by word.
@@ -189,9 +256,9 @@ var rebaseHistoryCycles = [2]uint64{0x22a136ff153d93b8, 0x4c2d37ac6ffc213}
 // behind the store barrier, cleaner settlements, and drop plus re-import.
 // After every run, what the guest found right after its populate must be
 // a from-zero materialization of the snapshot it restored (or, for a
-// boot, what a fresh shell holds at the same point), every resting shell
-// must match its content record, and the virtual cycles must be the
-// eager path's. Every capture must find its shell matching its record
+// boot, what a fresh shell holds at the same point), and the virtual
+// cycles must be the eager path's; after every step, every runtime
+// invariant must hold (checkRuntime). Every capture must find its shell matching its record
 // and produce the layer refCapture builds from the memory it read.
 func TestRebaseMatchesMaterialize(t *testing.T) {
 	probe := guest.MustFromAsm("rebase-probe", guest.WrapLongMode(probeAsm))
@@ -311,6 +378,9 @@ func TestRebaseMatchesMaterialize(t *testing.T) {
 		defer func() { captureGate = nil }()
 		h, runs, restores, resets, captures := uint64(14695981039346656037), 0, 0, 0, 0
 		for step, op := range ops {
+			if err := checkRuntime(w); err != nil { // after the step before
+				t.Fatalf("runtime %d step %d: %v", i, step-1, err)
+			}
 			img := tenants[op.tenant]
 			switch op.kind {
 			case "drop":
@@ -399,9 +469,9 @@ func TestRebaseMatchesMaterialize(t *testing.T) {
 				t.Fatalf("runtime %d step %d (%s, restored %v, COW pages %d): the guest found memory summing to %#x, a from-zero populate sums to %#x",
 					i, step, img.Name, res.SnapshotUsed, res.COWPages, got, want)
 			}
-			if err := checkShells(w); err != nil {
-				t.Fatalf("runtime %d step %d: %v", i, step, err)
-			}
+		}
+		if err := checkRuntime(w); err != nil {
+			t.Fatalf("runtime %d: %v", i, err)
 		}
 		if restores < 100 || resets < 20 || runs-restores < 30 || captures < 20 {
 			t.Fatalf("runtime %d: %d runs, %d restores, %d of them COW resets, %d captures: the history does not exercise every path", i, runs, restores, resets, captures)
@@ -409,9 +479,6 @@ func TestRebaseMatchesMaterialize(t *testing.T) {
 		t.Logf("runtime %d: %d runs, %d restores, %d COW resets, %d captures", i, runs, restores, resets, captures)
 		if h != rebaseHistoryCycles[i] {
 			t.Errorf("runtime %d: virtual cycles over the history hash to %#x, the eager path's to %#x", i, h, rebaseHistoryCycles[i])
-		}
-		if err := w.VerifyForest(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

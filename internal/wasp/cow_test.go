@@ -91,12 +91,7 @@ func TestCOWCopiesOnlyDirtyPages(t *testing.T) {
 	// across ClearDirty would drop out of the second reset's set, and the
 	// run after that would see its stale contents. The Step-only engine
 	// must count the same pages.
-	parked := func(w *Wasp) []int {
-		sh := w.backends[0].cowShells.shardFor(img.Name)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.byImg[img.Name].ctx.DirtyPages()
-	}
+	parked := func(w *Wasp) []int { return parkedOn(w.backends[0], img.Name).DirtyPages() }
 	dirty := parked(w)
 	if len(dirty) != res.COWPages {
 		t.Fatalf("parked shell holds %d dirty pages, the reset before it copied %d", len(dirty), res.COWPages)
@@ -171,7 +166,7 @@ func TestCOWShellNotSharedAcrossImages(t *testing.T) {
 
 // A panic that unwinds through a run, here its handler's on the first
 // hypercall (just after the snapshot capture), leaves the shell in an
-// unknown state: it must reach neither the pool nor the COW registry. It
+// unknown state: it must be neither pooled nor parked on a snapshot. It
 // is dropped and counted, and the image's next run is served correctly.
 func TestPanickingHandlerDropsShell(t *testing.T) {
 	w := New(WithCOW(true))
@@ -179,17 +174,6 @@ func TestPanickingHandlerDropsShell(t *testing.T) {
 	// A neighbour tenant leaves a shell parked, so the registry is not empty.
 	if _, err := w.Run(cowImg("panic-neighbour"), cfg, cycles.NewClock()); err != nil {
 		t.Fatal(err)
-	}
-	parked := func() (n int) {
-		for _, be := range w.backends {
-			for i := range be.cowShells.shards {
-				sh := &be.cowShells.shards[i]
-				sh.mu.Lock()
-				n += len(sh.byImg)
-				sh.mu.Unlock()
-			}
-		}
-		return n
 	}
 	dropped := func() float64 {
 		reg := obs.NewRegistry()
@@ -202,7 +186,7 @@ func TestPanickingHandlerDropsShell(t *testing.T) {
 		t.Fatal("no wasp_pool_dropped metric")
 		return 0
 	}
-	pool0, parked0, dropped0 := w.PoolTotal(), parked(), dropped()
+	pool0, parked0, dropped0 := w.PoolTotal(), parkedShells(w), dropped()
 
 	img := cowImg("panic-tenant")
 	bad := cfg
@@ -215,9 +199,9 @@ func TestPanickingHandlerDropsShell(t *testing.T) {
 	if p != "boom" {
 		t.Fatalf("recovered %v, want the handler's panic", p)
 	}
-	if w.PoolTotal() != pool0 || parked() != parked0 || dropped() != dropped0+1 {
+	if w.PoolTotal() != pool0 || parkedShells(w) != parked0 || dropped() != dropped0+1 {
 		t.Fatalf("after the panic: %d pooled, %d parked, %v dropped; want %d, %d, %v",
-			w.PoolTotal(), parked(), dropped(), pool0, parked0, dropped0+1)
+			w.PoolTotal(), parkedShells(w), dropped(), pool0, parked0, dropped0+1)
 	}
 	for i := 0; i < 2; i++ { // a restore of the snapshot the panicked run took, then a COW reset
 		res, err := w.Run(img, cfg, cycles.NewClock())
@@ -394,8 +378,7 @@ func TestCOWResetMatchesFullRestore(t *testing.T) {
 	// holds at rest: parked for the image's COW reset, or pooled.
 	shellMem := func(w *Wasp) []byte {
 		be := w.backends[0]
-		if ctx, on := be.cowShells.take(img.Name); ctx != nil {
-			defer be.cowShells.park(img.Name, ctx, on)
+		if ctx := parkedOn(be, img.Name); ctx != nil {
 			return append([]byte(nil), ctx.Mem...)
 		}
 		s := be.pools.take(img.MemBytes())

@@ -1,70 +1,144 @@
 package wasp
 
 import (
+	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/vmm"
 )
 
 // Forest-backed snapshots. Each backend owns one vmm.PageStore (the
-// per-platform forest — snapshots never cross hypervisor backends, the
-// same isolation invariant the deep-copy registries kept) plus a base
-// registry keying shared base layers by image *content*
-// (guest.Image.ContentKey): every tenant clone made with
-// guest.Image.WithName hashes to the same content key, so the first
-// clone's capture becomes the content's base layer and every later
-// clone's snapshot is a thin delta over it.
+// per-platform forest: snapshots never cross hypervisor backends) and two
+// registries over it: snapshots by image name (pool.go), and content
+// entries by image *content* (guest.Image.ContentKey) and memory size.
+// Tenant clones made with guest.Image.WithName share a content key, so
+// the first clone's capture becomes the content's base layer and every
+// later clone's snapshot is a thin delta over it.
 //
 // Refcount lifecycle (see internal/vmm/README.md for the full picture):
 //
-//   - a snapshot holds one reference on its layer; snapRegistry.put and
-//     drop release the reference of the snapshot they replace or remove;
-//   - the base registry holds one reference on each registered base
-//     layer for the Wasp's lifetime, so dropping every tenant snapshot
-//     never strands a delta's parent;
-//   - every in-flight restore or export retains the layer for the
-//     duration of the copy (snapRegistry.get retains; callers release),
-//     so a concurrent re-capture of the same image name can never free
-//     pages out from under a reader.
+//   - a snapshot holds one reference on its layer until its registry
+//     replaces or removes it;
+//   - the content registry holds one reference on each base layer and
+//     boot recording while their entry is resident, and releases them on
+//     eviction. A delta snapshot keeps its base alive through its own
+//     parent reference (vmm.NewLayer retains the parent);
+//   - every lookup retains what it returns, under its registry's lock,
+//     until the caller is done with it (a restore, replay, export, capture
+//     or graft), so no re-capture or eviction frees pages under a reader.
 
-// baseRegistry maps image content keys to shared base layers, one per
-// backend. Written once per content (first capture), read on every
-// capture and graft-import.
-type baseRegistry struct {
-	mu    sync.RWMutex
-	byKey map[string]*vmm.Layer
+// contentCap bounds each backend's content registry, in entries.
+const contentCap = 64
+
+// contentKey names a content entry: an image's content at one memory
+// size. A base layer or boot recording serves only its own geometry.
+type contentKey struct {
+	content string // guest.Image.ContentKey
+	mem     int
 }
 
-// get returns the base layer for a content key, or nil. The registry's
-// own reference keeps the layer alive for the Wasp's lifetime, so
-// callers inside that lifetime need not retain.
-func (r *baseRegistry) get(key string) *vmm.Layer {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.byKey[key]
+// contentEntry is one content's base layer, which its tenant snapshots
+// are deltas over, and its recorded cold boot (boot.go); either may be nil.
+type contentEntry struct {
+	key  contentKey
+	base *vmm.Layer
+	boot *bootRecord
 }
 
-// register installs layer as the content's base, taking one reference.
-// It reports whether the layer was installed; false means another
-// capture won the race and the existing base stands.
-func (r *baseRegistry) register(key string, layer *vmm.Layer) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, taken := r.byKey[key]; taken {
-		return false
+// contentRegistry is one backend's content entries under one lock, the
+// most recently used at the front of lru. Past contentCap the back entry
+// is evicted and its references released, which never changes a charge:
+// without its recording a boot executes, without its base a capture
+// stands alone, and each is charged the same.
+type contentRegistry struct {
+	mu                         sync.Mutex
+	byKey                      map[contentKey]*list.Element // Value: *contentEntry
+	lru                        list.List
+	evicted, replays, recorded atomic.Uint64
+}
+
+// entry returns key's entry, moved to the front; one made if add (and
+// the eviction it brings), else nil, when key has none. Called with mu held.
+func (r *contentRegistry) entry(key contentKey, add bool) *contentEntry {
+	if el := r.byKey[key]; el != nil {
+		r.lru.MoveToFront(el)
+		return el.Value.(*contentEntry)
+	}
+	if !add {
+		return nil
 	}
 	if r.byKey == nil {
-		r.byKey = make(map[string]*vmm.Layer)
+		r.byKey = make(map[contentKey]*list.Element)
 	}
-	layer.Retain()
-	r.byKey[key] = layer
-	return true
+	e := &contentEntry{key: key}
+	r.byKey[key] = r.lru.PushFront(e)
+	if r.lru.Len() > contentCap {
+		old := r.lru.Remove(r.lru.Back()).(*contentEntry)
+		delete(r.byKey, old.key)
+		old.base.Release()
+		if old.boot != nil {
+			old.boot.layer.Release()
+		}
+		r.evicted.Add(1)
+	}
+	return e
 }
 
-func (r *baseRegistry) count() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.byKey)
+// base returns key's base layer retained for the caller, who must
+// release it, or nil.
+func (r *contentRegistry) base(key contentKey) *vmm.Layer {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e := r.entry(key, false); e != nil {
+		e.base.Retain()
+		return e.base
+	}
+	return nil
+}
+
+// boot returns key's recording with its layer retained for the caller,
+// who must release it, or nil.
+func (r *contentRegistry) boot(key contentKey) *bootRecord {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e := r.entry(key, false); e != nil && e.boot != nil {
+		e.boot.layer.Retain()
+		return e.boot
+	}
+	return nil
+}
+
+// setBase makes layer key's base unless it has one, retaining it.
+func (r *contentRegistry) setBase(key contentKey, layer *vmm.Layer) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e := r.entry(key, true); e.base == nil {
+		layer.Retain()
+		e.base = layer
+	}
+}
+
+// setBoot makes rec key's recording unless it has one, retaining its layer.
+func (r *contentRegistry) setBoot(key contentKey, rec *bootRecord) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e := r.entry(key, true); e.boot == nil {
+		rec.layer.Retain()
+		e.boot = rec
+		r.recorded.Add(1)
+	}
+}
+
+func (r *contentRegistry) bases() (n int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, el := range r.byKey {
+		if el.Value.(*contentEntry).base != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // ForestStats reports one backend's snapshot-forest state — the numbers
@@ -77,7 +151,8 @@ type ForestStats struct {
 	// DedupHits counts page insertions satisfied by an already-stored
 	// page instead of new memory.
 	DedupHits uint64
-	// BaseLayers is the number of content-keyed shared base layers.
+	// BaseLayers is the number of shared base layers the content
+	// registry holds.
 	BaseLayers int
 	// Snapshots is the number of named snapshots in the registry;
 	// DeltaSnapshots of them are thin deltas over a base layer.
@@ -90,7 +165,7 @@ type ForestStats struct {
 
 // ForestStats reports the default backend's snapshot-forest state.
 func (w *Wasp) ForestStats() ForestStats {
-	return w.forestStats(w.backends[0])
+	return w.ForestStatsOn("")
 }
 
 // ForestStatsOn reports a named backend's snapshot-forest state.
@@ -99,15 +174,11 @@ func (w *Wasp) ForestStatsOn(platform string) ForestStats {
 	if err != nil {
 		return ForestStats{}
 	}
-	return w.forestStats(be)
-}
-
-func (w *Wasp) forestStats(be *backend) ForestStats {
 	st := ForestStats{
 		StorePages: be.forest.Pages(),
 		StoreBytes: be.forest.Bytes(),
 		DedupHits:  be.forest.DedupHits(),
-		BaseLayers: be.bases.count(),
+		BaseLayers: be.content.bases(),
 	}
 	be.snapshots.forEach(func(name string, s *snapshot) {
 		st.Snapshots++
@@ -129,20 +200,4 @@ func (w *Wasp) VerifyForest() error {
 		}
 	}
 	return nil
-}
-
-// HasBaseLayer reports whether the default backend holds a shared base
-// layer for an image content key — what a migration source asks before
-// deciding to ship a delta instead of a full snapshot.
-func (w *Wasp) HasBaseLayer(contentKey string) bool {
-	return w.backends[0].bases.get(contentKey) != nil
-}
-
-// HasBaseLayerOn is HasBaseLayer for a named backend.
-func (w *Wasp) HasBaseLayerOn(platform, contentKey string) bool {
-	be, err := w.backendFor(platform)
-	if err != nil {
-		return false
-	}
-	return be.bases.get(contentKey) != nil
 }

@@ -187,7 +187,7 @@ func TestForestTenantClonesAreThinDeltas(t *testing.T) {
 	if avg := float64(st.DeltaPages) / float64(tenants-1); avg > 3 {
 		t.Fatalf("average delta %.1f pages/tenant; clones are not thin", avg)
 	}
-	if !w.HasBaseLayer(base.ContentKey()) {
+	if e := entryOf(w, base); e == nil || e.base == nil {
 		t.Fatal("base layer not registered under the image content key")
 	}
 	if err := w.VerifyForest(); err != nil {
@@ -398,7 +398,7 @@ func TestForestConcurrentTenants(t *testing.T) {
 					}
 				}
 				if err == nil {
-					err = checkShells(w)
+					err = checkRuntime(w)
 				}
 				if err == nil {
 					err = captured()
@@ -466,7 +466,7 @@ func TestForestScrubNeverTouchesSharedPages(t *testing.T) {
 }
 
 // TestForestPerPlatformIsolation: each backend owns a private store and
-// base registry; tenants on one platform must not populate another's.
+// content registry; tenants on one platform must not populate another's.
 func TestForestPerPlatformIsolation(t *testing.T) {
 	w := New(WithPlatforms(vmm.KVM{}, vmm.HyperV{}))
 	p0, p1 := vmm.KVM{}.Name(), vmm.HyperV{}.Name()
@@ -483,7 +483,7 @@ func TestForestPerPlatformIsolation(t *testing.T) {
 	if s1.StorePages != 0 || s1.BaseLayers != 0 {
 		t.Fatalf("platform %s store leaked cross-platform pages: %+v", p1, s1)
 	}
-	if w.HasBaseLayerOn(p1, img.ContentKey()) {
-		t.Fatal("base layer visible on a platform it never ran on")
+	if n := contentEntries(w.byPlat[p1]); n != 0 {
+		t.Fatalf("%d content entries on a platform the image never ran on", n)
 	}
 }

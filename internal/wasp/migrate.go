@@ -109,16 +109,17 @@ type snapshotWire struct {
 // backend, self-contained: base and delta pages are flattened in, so
 // any runtime can import it.
 func (w *Wasp) ExportSnapshot(name string) ([]byte, error) {
-	return w.exportSnapshot(w.backends[0], name, false)
+	return w.ExportSnapshotOn("", name, false)
 }
 
 // ExportSnapshotDelta serializes the named snapshot shipping only the
 // pages it owns beyond its base layer, plus the base's content key and
-// digest. The importer must already hold a matching base layer
-// (HasBaseLayer) or the import fails. A snapshot with no base exports
+// digest. The importer must already hold a matching base layer in its
+// content registry (ForestStats.BaseLayers counts them) or the import
+// fails. A snapshot with no base exports
 // self-contained — the delta IS the whole snapshot.
 func (w *Wasp) ExportSnapshotDelta(name string) ([]byte, error) {
-	return w.exportSnapshot(w.backends[0], name, true)
+	return w.ExportSnapshotOn("", name, true)
 }
 
 // ExportSnapshotOn is ExportSnapshot from a named backend's registry
@@ -128,10 +129,6 @@ func (w *Wasp) ExportSnapshotOn(platform, name string, deltaOnly bool) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	return w.exportSnapshot(be, name, deltaOnly)
-}
-
-func (w *Wasp) exportSnapshot(be *backend, name string, deltaOnly bool) ([]byte, error) {
 	snap := be.snapshots.get(name)
 	if snap == nil {
 		return nil, fmt.Errorf("wasp: no snapshot for image %q", name)
@@ -223,7 +220,7 @@ func bit(on bool, b byte) byte {
 // enabled resumes from the migrated state. A delta blob requires the
 // receiver to already hold the base layer it grafts onto.
 func (w *Wasp) ImportSnapshot(name string, data []byte) error {
-	return w.importSnapshot(w.backends[0], name, data)
+	return w.ImportSnapshotOn("", name, data)
 }
 
 // ImportSnapshotOn is ImportSnapshot into a named backend's registry.
@@ -232,10 +229,6 @@ func (w *Wasp) ImportSnapshotOn(platform, name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return w.importSnapshot(be, name, data)
-}
-
-func (w *Wasp) importSnapshot(be *backend, name string, data []byte) error {
 	wire, err := decodeSnapshotWire(name, data)
 	if err != nil {
 		return err
@@ -247,14 +240,16 @@ func (w *Wasp) importSnapshot(be *backend, name string, data []byte) error {
 		state:      wire.State,
 		booted:     wire.Booted,
 	}
+	key := contentKey{wire.ContentKey, wire.Geometry}
 	var parent *vmm.Layer
 	if wire.Delta {
-		parent = be.bases.get(wire.ContentKey)
+		parent = be.content.base(key)
+		defer parent.Release()
 		if parent == nil {
-			return fmt.Errorf("wasp: snapshot for %q is a delta over base %s, which this runtime does not hold (import or capture the full snapshot first)", name, wire.ContentKey)
+			return fmt.Errorf("wasp: snapshot for %q is a delta over base %s at geometry %d, which this runtime does not hold (import or capture the full snapshot first)", name, wire.ContentKey, wire.Geometry)
 		}
-		if parent.MemLen() != wire.Geometry || parent.Digest() != wire.BaseDigest {
-			return fmt.Errorf("wasp: snapshot for %q: local base layer %s does not match the exporter's (geometry or content drift)", name, wire.ContentKey)
+		if parent.Digest() != wire.BaseDigest {
+			return fmt.Errorf("wasp: snapshot for %q: local base layer %s does not match the exporter's (content drift)", name, wire.ContentKey)
 		}
 	}
 
@@ -270,9 +265,9 @@ func (w *Wasp) importSnapshot(be *backend, name string, data []byte) error {
 	// A self-contained import becomes the receiver's base layer for the
 	// content when it has none, so later tenant deltas can graft.
 	if !wire.Delta && wire.ContentKey != "" {
-		be.bases.register(wire.ContentKey, snap.layer)
+		be.content.setBase(key, snap.layer)
 	}
-	be.snapshots.put(name, snap)
+	w.release(be.snapshots.put(name, snap), nil)
 	return nil
 }
 
@@ -422,10 +417,9 @@ func (w *Wasp) MigrateSnapshot(name, fromPlatform, toPlatform string) (shipped i
 	// Ship the delta iff the snapshot has a base and the target holds a
 	// matching copy of it.
 	if snap.contentKey != "" && snap.layer.Parent() != nil {
-		if local := dst.bases.get(snap.contentKey); local != nil &&
-			local.MemLen() == snap.layer.MemLen() && local.Digest() == snap.layer.Parent().Digest() {
-			deltaOnly = true
-		}
+		local := dst.content.base(contentKey{snap.contentKey, snap.layer.MemLen()})
+		deltaOnly = local != nil && local.Digest() == snap.layer.Parent().Digest()
+		local.Release()
 	}
 	if gate := migrateExportGate; gate != nil {
 		gate()
@@ -434,15 +428,11 @@ func (w *Wasp) MigrateSnapshot(name, fromPlatform, toPlatform string) (shipped i
 	if err != nil {
 		return 0, false, err
 	}
-	if err := w.importSnapshot(dst, name, blob); err != nil {
+	if err := w.ImportSnapshotOn(toPlatform, name, blob); err != nil {
 		return 0, false, err
 	}
 	if tr := w.tracer; tr.Enabled() {
-		var delta uint64
-		if deltaOnly {
-			delta = 1
-		}
-		tr.Instant(obs.ControlLane, obs.KindMigrate, name, 0, 0, uint64(len(blob)), delta)
+		tr.Instant(obs.ControlLane, obs.KindMigrate, name, 0, 0, uint64(len(blob)), uint64(bit(deltaOnly, 1)))
 	}
 	return len(blob), deltaOnly, nil
 }

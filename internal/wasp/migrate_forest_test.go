@@ -186,7 +186,7 @@ func FuzzImportSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	aimed.BaseDigest = receiver(f).backends[0].bases.get(img.ContentKey()).Digest()
+	aimed.BaseDigest = entryOf(receiver(f), img).base.Digest()
 	if err := receiver(f).ImportSnapshot(tenant.Name, delta); err == nil || !strings.Contains(err.Error(), "does not match") {
 		f.Fatalf("the exporter's delta against the drifted base: err = %v", err)
 	}
@@ -275,7 +275,7 @@ func TestDeltaExportShipsOnlyDelta(t *testing.T) {
 	if err := b.ImportSnapshot(base.Name, baseBlob); err != nil {
 		t.Fatal(err)
 	}
-	if !b.HasBaseLayer(base.ContentKey()) {
+	if b.ForestStats().BaseLayers != 1 {
 		t.Fatal("full import did not register a base layer")
 	}
 	if err := b.ImportSnapshot(tenant.Name, delta); err != nil {
@@ -348,7 +348,7 @@ func TestMigrateSnapshotShipsDeltaWhenTargetHoldsBase(t *testing.T) {
 	if _, err := w.RunOn(hyperv, base, cfg(1), cycles.NewClock()); err != nil {
 		t.Fatal(err)
 	}
-	if !w.HasBaseLayerOn(hyperv, base.ContentKey()) {
+	if w.ForestStatsOn(hyperv).BaseLayers != 1 {
 		t.Fatal("target backend has no base layer after running the base image")
 	}
 	tenant := base.WithName("mig-tenant")

@@ -33,9 +33,7 @@ type NativeCtx struct {
 	ctx      *vmm.Context
 	cfg      *RunConfig
 	clk      *cycles.Clock
-	env      *hypercall.Env
 	gm       *guestMem
-	res      *Result
 	restored any
 }
 
@@ -50,7 +48,7 @@ func (n *NativeCtx) Now() uint64 { return n.clk.Now() }
 
 // Env exposes the host environment (for assertions by tests; workloads
 // should use Hypercall).
-func (n *NativeCtx) Env() *hypercall.Env { return n.env }
+func (n *NativeCtx) Env() *hypercall.Env { return n.cfg.Env }
 
 // Restored returns the state stored by TakeSnapshot in the run that
 // captured this image's snapshot, or nil on a cold run.

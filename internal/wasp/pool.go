@@ -14,9 +14,9 @@ import (
 // bookkeeping instead of KVM_CREATE_VM; a single runtime-wide mutex
 // would reintroduce exactly the SEUSS/Catalyzer-class warm-start
 // contention the pool is meant to avoid once many cores drive Run
-// concurrently. The runtime therefore splits its mutable state three
-// ways, so Run calls on different images (or different size classes)
-// never touch the same lock:
+// concurrently. The runtime therefore splits each backend's mutable state
+// three ways, so Run calls on different images (or different size
+// classes) never touch the same lock:
 //
 //   - shellPools: cached shells, sharded by memory size class with one
 //     mutex per shard. The critical section is a slice push/pop;
@@ -26,9 +26,12 @@ import (
 //     telemetry through Wasp.ObserveLoad.
 //   - snapRegistry: image-name → snapshot map under a sync.RWMutex.
 //     Snapshots are written once per image (capture) and read on every
-//     warm run, so the read path takes only a shared lock.
-//   - cowRegistry: image-bound COW shells (§7.2), sharded by image
-//     name with one mutex per shard.
+//     warm run, so the read path takes only a shared lock. Each snapshot
+//     holds the COW shell (§7.2) parked on it in an atomic pointer: a run
+//     takes it from the snapshot it already holds, with no lookup, and a
+//     snapshot that leaves the registry sends it to the pool.
+//   - contentRegistry (forest.go): base layers and boot recordings by
+//     image content, one mutex over one map and one LRU list, bounded.
 
 // PoolPolicy bounds and self-sizes the shell pools. The capacity bound
 // fixes the seed's unbounded-growth bug (a burst of N concurrent runs
@@ -348,9 +351,9 @@ func (p *shellPools) total() int {
 // the shared lock; writes happen once per image at capture time. The
 // registry owns one reference on each forest-backed snapshot's layer:
 // get hands the caller a transient reference of its own (callers must
-// release), and put/drop release the reference of the snapshot they
-// replace or remove — so a re-capture racing an in-flight restore can
-// never free store pages the restore is still copying from.
+// release), and put/drop retire the snapshot they replace or remove — so
+// a re-capture racing an in-flight restore can never free store pages
+// the restore is still copying from.
 type snapRegistry struct {
 	mu    sync.RWMutex
 	byImg map[string]*snapshot
@@ -362,7 +365,9 @@ func (r *snapRegistry) get(name string) *snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := r.byImg[name]
-	s.retain()
+	if s != nil {
+		s.layer.Retain()
+	}
 	return s
 }
 
@@ -373,25 +378,22 @@ func (r *snapRegistry) has(name string) bool {
 	return ok
 }
 
-// put installs a snapshot, taking ownership of the caller's layer
-// reference, and releases the snapshot it replaces, if any.
-func (r *snapRegistry) put(name string, s *snapshot) {
-	r.mu.Lock()
-	if r.byImg == nil {
-		r.byImg = make(map[string]*snapshot)
-	}
-	old := r.byImg[name]
-	r.byImg[name] = s
-	r.mu.Unlock()
-	old.release()
-}
-
-func (r *snapRegistry) drop(name string) {
+// put installs a snapshot under name, taking ownership of the caller's
+// layer reference, or with a nil s drops name's. It retires the snapshot
+// it replaces or drops, if any, and returns the shell that was parked on
+// it for the caller to pool.
+func (r *snapRegistry) put(name string, s *snapshot) *vmm.Context {
 	r.mu.Lock()
 	old := r.byImg[name]
 	delete(r.byImg, name)
+	if s != nil {
+		if r.byImg == nil {
+			r.byImg = make(map[string]*snapshot)
+		}
+		r.byImg[name] = s
+	}
 	r.mu.Unlock()
-	old.release()
+	return old.retire()
 }
 
 // forEach visits every snapshot under the read lock (stats only — the
@@ -402,64 +404,4 @@ func (r *snapRegistry) forEach(fn func(name string, s *snapshot)) {
 	for name, s := range r.byImg {
 		fn(name, s)
 	}
-}
-
-// cowShardCount shards the image-bound COW shells by image name.
-const cowShardCount = 8
-
-type cowRegistry struct {
-	shards [cowShardCount]cowShard
-}
-
-type cowShard struct {
-	mu    sync.Mutex
-	byImg map[string]cowShell
-}
-
-// cowShell is a parked context and the snapshot its memory is a dirty-
-// page delta over. The pointer is an identity, never dereferenced: a COW
-// reset is sound only against that very snapshot, so a shell whose name
-// has since been re-captured, imported over or migrated is stale.
-type cowShell struct {
-	ctx *vmm.Context
-	on  *snapshot
-}
-
-func (r *cowRegistry) shardFor(name string) *cowShard {
-	// FNV-1a over the image name.
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return &r.shards[h>>(64-3)] // top 3 bits: cowShardCount == 8
-}
-
-// take claims the image-bound context, if one is parked, with the
-// snapshot it is resident against.
-func (r *cowRegistry) take(name string) (*vmm.Context, *snapshot) {
-	sh := r.shardFor(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cs := sh.byImg[name]
-	delete(sh.byImg, name)
-	return cs.ctx, cs.on
-}
-
-// park binds a context to its image for the next COW reset against on.
-// It reports whether the context was parked; false means a shell is
-// already bound to the image and the caller should recycle ctx through
-// the pool.
-func (r *cowRegistry) park(name string, ctx *vmm.Context, on *snapshot) bool {
-	sh := r.shardFor(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.byImg[name]; dup {
-		return false
-	}
-	if sh.byImg == nil {
-		sh.byImg = make(map[string]cowShell)
-	}
-	sh.byImg[name] = cowShell{ctx, on}
-	return true
 }

@@ -1,7 +1,9 @@
 package wasp
 
 import (
+	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -41,12 +43,80 @@ func TestGuestMemOverflowBounds(t *testing.T) {
 	}
 }
 
+// FuzzGuestMem drives ReadGuest and WriteGuest over guest memory of up
+// to 64 KiB at arbitrary addresses and lengths. A call never panics and
+// succeeds exactly when [addr, addr+n) lies inside memory, by a bounds
+// oracle computed with a carry instead of the window arithmetic the
+// checks use. A successful read returns that range; a successful write
+// changes only that range and passes exactly it to mark. A success is
+// charged MemcpyCost(n), a failure nothing.
+func FuzzGuestMem(f *testing.F) {
+	f.Add(uint16(4096), ^uint64(0), int64(16), byte(1))  // addr = 2^64-1
+	f.Add(uint16(4096), uint64(4096), int64(0), byte(2)) // addr = len
+	f.Add(uint16(4096), uint64(100), int64(0), byte(3))  // n = 0
+	f.Add(uint16(4096), uint64(8), int64(-1), byte(4))   // n < 0
+	f.Add(uint16(0), uint64(0), int64(1), byte(5))
+	f.Fuzz(func(t *testing.T, size uint16, addr uint64, n int64, fill byte) {
+		mem := make([]byte, size)
+		for i := range mem {
+			mem[i] = byte(i)
+		}
+		orig := bytes.Clone(mem)
+		inside := func(n int64) bool {
+			end, carry := bits.Add64(addr, uint64(n), 0)
+			return n >= 0 && carry == 0 && end <= uint64(len(mem))
+		}
+		var marks [][2]uint64
+		g := guestMem{mem: mem, clk: cycles.NewClock(), mark: func(a uint64, k int) { marks = append(marks, [2]uint64{a, uint64(k)}) }}
+
+		at := g.clk.Now()
+		out, err := g.ReadGuest(addr, int(n))
+		if (err == nil) != inside(n) {
+			t.Fatalf("read [%#x,+%d) of %d bytes: err %v", addr, n, len(mem), err)
+		}
+		if err == nil {
+			if !bytes.Equal(out, mem[addr:addr+uint64(n)]) {
+				t.Fatal("read returned other bytes than the range")
+			}
+			if got, want := g.clk.Now()-at, cycles.MemcpyCost(int(n)); got != want {
+				t.Fatalf("read charged %d, want %d", got, want)
+			}
+		} else if g.clk.Now() != at {
+			t.Fatal("a failed read was charged")
+		}
+
+		wn := int64(uint64(n) % (1 << 17)) // a write's length is a slice's
+		data := bytes.Repeat([]byte{fill}, int(wn))
+		at = g.clk.Now()
+		err = g.WriteGuest(addr, data)
+		if (err == nil) != inside(wn) {
+			t.Fatalf("write [%#x,+%d) of %d bytes: err %v", addr, wn, len(mem), err)
+		}
+		if err != nil {
+			if g.clk.Now() != at || len(marks) != 0 || !bytes.Equal(mem, orig) {
+				t.Fatal("a failed write was charged, marked or written")
+			}
+			return
+		}
+		if g.clk.Now()-at != cycles.MemcpyCost(int(wn)) {
+			t.Fatalf("write charged %d, want %d", g.clk.Now()-at, cycles.MemcpyCost(int(wn)))
+		}
+		if len(marks) != 1 || marks[0] != [2]uint64{addr, uint64(wn)} {
+			t.Fatalf("write of [%#x,+%d) marked %v", addr, wn, marks)
+		}
+		copy(orig[addr:], data)
+		if !bytes.Equal(mem, orig) {
+			t.Fatal("write changed bytes outside its range")
+		}
+	})
+}
+
 // TestConcurrentRunStress hammers Run from many goroutines across three
 // images with pooling and snapshotting enabled — the scenario the
 // sharded pools exist for. Run under -race this doubles as the data-race
-// check on the pool, snapshot, and COW registries. After every run each
-// resting shell must match its content record (checkShells), and so must
-// every shell about to capture.
+// check on the pools and the snapshot and content registries. After every
+// run every runtime invariant must hold (checkRuntime), and every shell
+// about to capture must match its content record.
 func TestConcurrentRunStress(t *testing.T) {
 	const (
 		goroutines = 16
@@ -92,7 +162,7 @@ func TestConcurrentRunStress(t *testing.T) {
 					errs <- fmt.Errorf("%s run %d: counters %d/%d, want 1/1", img.Name, i, pre, post)
 					return
 				}
-				if err := checkShells(w); err != nil {
+				if err := checkRuntime(w); err != nil {
 					errs <- fmt.Errorf("%s run %d: %w", img.Name, i, err)
 					return
 				}

@@ -77,8 +77,8 @@ type Result struct {
 	retBuf [64]byte
 
 	// residentOn is the snapshot the run's shell is a dirty-page delta
-	// over — the one restored, or the last one captured. RunOn's epilogue
-	// hands it to the COW registry and clears it before the caller sees
+	// over — the one restored, or the last one captured. A completed COW
+	// run parks its shell on it; RunOn clears it before the caller sees
 	// the Result.
 	residentOn *snapshot
 }
@@ -103,20 +103,7 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = hypercall.DenyAll{}
-	}
-	if cfg.Env == nil {
-		cfg.Env = hypercall.NewEnv()
-	}
-	if cfg.Handler == nil {
-		cfg.Handler = cfg.Env
-	}
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = defaultMaxSteps
-	}
-	cfg.Env.NowCycles = clk.Now
-	cfg.Env.Charge = clk.Advance
+	cfg.fill(clk)
 
 	start := clk.Now()
 	res := &Result{}
@@ -143,31 +130,25 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	ctx.CPU.Legacy = w.legacyInterp
 	// One way out for the shell, error returns included: drain the tier
 	// log while this run still owns the context, then release it, parked
-	// for the image's next COW reset if the run completed and left one.
-	// A panic unwinding through the run (perhaps mid-Rebase, with a stale
-	// content record) leaves the shell's state unknown: it is dropped, and
-	// the panic goes on.
-	parkCOW := false
+	// on its snapshot for the image's next COW reset if the run completed
+	// and left one. A panic unwinding through the run (perhaps mid-Rebase,
+	// with a stale content record) leaves the shell's state unknown: it is
+	// dropped, and the panic goes on.
+	var park *snapshot // set when the run completes
 	defer func() {
 		w.drainTierLog(ctx)
 		if p := recover(); p != nil {
 			w.poolDrops.Add(1)
 			panic(p)
 		}
-		on := res.residentOn
-		res.residentOn = nil
-		if !parkCOW {
-			on = nil
-		}
-		w.release(ctx, img, on)
+		w.release(ctx, park)
 	}()
 
 	ctx.FirstEntry = 0
 	// Shells are reused (a COW shell is not even reset), so the context's
-	// counters are cumulative: results report this run's delta.
-	entries0, ioExits0 := ctx.Entries, ctx.ExitsIO
-	retired0 := ctx.CPU.Retired
-	stats0 := ctx.CPU.Stats
+	// counters are cumulative: res holds them as the run starts, and
+	// finish turns them into this run's deltas.
+	res.Entries, res.IOExits, res.Retired, res.JIT = ctx.Entries, ctx.ExitsIO, ctx.CPU.Retired, ctx.CPU.Stats
 
 	boot, err := w.populate(be, ctx, img, &cfg, snap, resident, res, clk)
 	if err != nil {
@@ -205,33 +186,71 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 			return nil, err
 		}
 	}
-
 	if img.Native != nil && !cfg.Env.Exited {
-		nctx := &NativeCtx{
-			wasp: w, be: be, img: img, ctx: ctx, cfg: &cfg, clk: clk,
-			env: cfg.Env, gm: gm, res: res,
+		if err := w.runNative(be, ctx, img, &cfg, gm, snap, clk); err != nil {
+			return nil, err
 		}
-		if snap != nil {
-			nctx.restored = snap.native
-		}
-		// The workload writes through its Mem slice, behind the store
-		// barrier and possibly after a TakeSnapshot, so however it
-		// returns, the shell's content is unknown from then on.
-		defer ctx.Forget()
-		clk.Advance(be.platform.EntryCost())
-		if ctx.FirstEntry == 0 {
-			ctx.FirstEntry = clk.Now()
-		}
-		ctx.Entries++
-		if err := img.Native(nctx); err != nil {
-			return nil, fmt.Errorf("wasp: native workload: %w", err)
-		}
-		clk.Advance(be.platform.ExitCost())
 	}
+	if err := w.finish(ctx, img, &cfg, res, start, clk); err != nil {
+		return nil, err
+	}
+	if cow {
+		park = res.residentOn
+	}
+	res.residentOn = nil
+	return res, nil
+}
 
+// fill supplies cfg's defaults and points its environment at clk.
+func (cfg *RunConfig) fill(clk *cycles.Clock) {
+	if cfg.Policy == nil {
+		cfg.Policy = hypercall.DenyAll{}
+	}
+	if cfg.Env == nil {
+		cfg.Env = hypercall.NewEnv()
+	}
+	if cfg.Handler == nil {
+		cfg.Handler = cfg.Env
+	}
+	if cfg.MaxSteps == 0 {
+		cfg.MaxSteps = defaultMaxSteps
+	}
+	cfg.Env.NowCycles = clk.Now
+	cfg.Env.Charge = clk.Advance
+}
+
+// runNative enters a native image's workload (§6.5) with virtine
+// semantics: the platform's entry and exit costs around it, the restored
+// workload state when the run restored a snapshot.
+func (w *Wasp) runNative(be *backend, ctx *vmm.Context, img *guest.Image, cfg *RunConfig, gm *guestMem, snap *snapshot, clk *cycles.Clock) error {
+	nctx := &NativeCtx{wasp: w, be: be, img: img, ctx: ctx, cfg: cfg, clk: clk, gm: gm}
+	if snap != nil {
+		nctx.restored = snap.native
+	}
+	// The workload writes through its Mem slice, behind the store
+	// barrier and possibly after a TakeSnapshot, so however it
+	// returns, the shell's content is unknown from then on.
+	defer ctx.Forget()
+	clk.Advance(be.platform.EntryCost())
+	if ctx.FirstEntry == 0 {
+		ctx.FirstEntry = clk.Now()
+	}
+	ctx.Entries++
+	if err := img.Native(nctx); err != nil {
+		return fmt.Errorf("wasp: native workload: %w", err)
+	}
+	clk.Advance(be.platform.ExitCost())
+	return nil
+}
+
+// finish copies a completed run's outputs into res — the return region,
+// the environment's outputs, milestones rebased on the first guest entry,
+// and the shell counters' deltas since the start res holds — and
+// harvests newly decoded code.
+func (w *Wasp) finish(ctx *vmm.Context, img *guest.Image, cfg *RunConfig, res *Result, start uint64, clk *cycles.Clock) error {
 	if cfg.RetBytes > 0 {
 		if cfg.RetBytes > guest.RetMax {
-			return nil, fmt.Errorf("wasp: return size %d exceeds %d", cfg.RetBytes, guest.RetMax)
+			return fmt.Errorf("wasp: return size %d exceeds %d", cfg.RetBytes, guest.RetMax)
 		}
 		src := ctx.Mem[guest.RetAddr : guest.RetAddr+uint64(cfg.RetBytes)]
 		if cfg.RetBytes <= len(res.retBuf) {
@@ -253,20 +272,21 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 			res.Marks[i].Cycle -= ctx.FirstEntry
 		}
 	}
-	res.Entries = ctx.Entries - entries0
-	res.IOExits = ctx.ExitsIO - ioExits0
-	res.Retired = ctx.CPU.Retired - retired0
+	res.Entries = ctx.Entries - res.Entries
+	res.IOExits = ctx.ExitsIO - res.IOExits
+	res.Retired = ctx.CPU.Retired - res.Retired
 	res.BootEvents = ctx.CPU.Events
 	res.GuestEntry = ctx.FirstEntry
 	res.Cycles = clk.Now() - start
 	// Compiled-tier activity: contexts are pooled, so the per-CPU
 	// counters are cumulative across tenants — report this run's delta
 	// and fold it into the Wasp-lifetime aggregate.
+	st := &ctx.CPU.Stats
 	res.JIT = cpu.JITStats{
-		BlocksCompiled: ctx.CPU.Stats.BlocksCompiled - stats0.BlocksCompiled,
-		BlockHits:      ctx.CPU.Stats.BlockHits - stats0.BlockHits,
-		BlockDeopts:    ctx.CPU.Stats.BlockDeopts - stats0.BlockDeopts,
-		LoopRetired:    ctx.CPU.Stats.LoopRetired - stats0.LoopRetired,
+		BlocksCompiled: st.BlocksCompiled - res.JIT.BlocksCompiled,
+		BlockHits:      st.BlockHits - res.JIT.BlockHits,
+		BlockDeopts:    st.BlockDeopts - res.JIT.BlockDeopts,
+		LoopRetired:    st.LoopRetired - res.JIT.LoopRetired,
 	}
 	w.jitCompiled.Add(res.JIT.BlocksCompiled)
 	w.jitHits.Add(res.JIT.BlockHits)
@@ -286,14 +306,13 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	if !w.legacyInterp && ctx.CPU.CodeNew() {
 		w.codes.merge(img.ContentKey(), ctx.CPU.ShareCode())
 	}
-	parkCOW = cow
-	return res, nil
+	return nil
 }
 
 // drainTierLog moves the run's batched tier transitions into the tracer
 // and resets the CPU's log and flag. Contexts are pooled, so it must run
-// before the shell reaches the pool or the COW registry — from there the
-// next run owns it.
+// before the shell reaches the pool or parks on a snapshot — from there
+// the next run owns it.
 func (w *Wasp) drainTierLog(ctx *vmm.Context) {
 	if !ctx.CPU.TierTrace {
 		return
@@ -312,56 +331,61 @@ func (w *Wasp) drainTierLog(ctx *vmm.Context) {
 // populate brings the shell to where the run starts: a snapshot restore
 // or COW reset, or a cold boot replayed (boot.go) or loaded onto zeroed
 // memory. It returns the boot record the first entry replays or makes.
+//
+// All four are one Rebase onto the snapshot's layer, the recording's, or
+// nil: it rewrites only the pages that differ from the target — dirty,
+// unknown, or holding another layer's page. The charges stay the paper's
+// and each kind's own: a restore copies the captured footprint; a COW
+// reset copies back the pages dirtied since the snapshot point; a replay
+// is charged as the image copy it replaces. None depends on how the
+// forest shares pages or on what the shell held before.
 func (w *Wasp) populate(be *backend, ctx *vmm.Context, img *guest.Image, cfg *RunConfig, snap *snapshot, resident bool, res *Result, clk *cycles.Clock) (*bootRecord, error) {
+	var target *vmm.Layer
+	var boot *bootRecord
 	if snap != nil {
-		// Restore (Fig 7) and COW reset (§7.2) are one operation: Rebase
-		// rewrites only the pages that differ from the snapshot — dirty,
-		// unknown, or holding another layer's page — and starts the new
-		// restore point. The charges stay the paper's: a restore copies
-		// the captured footprint; a COW reset copies back the pages
-		// dirtied since the snapshot point. Neither depends on how the
-		// forest shares pages or on what the shell held before.
-		dirty := ctx.DirtyCount()
-		written := be.pages.add(ctx.Rebase(snap.layer))
-		name, arg := "snap-restore", uint64(snap.captured)
-		if resident {
-			clk.Advance(cycles.MemcpyCost(dirty * vmm.PageSize))
-			clk.Advance(uint64(dirty) * cycles.COWResetPerPage)
-			res.COWPages = dirty
-			name, arg = "snap-cow-reset", uint64(dirty)
-		} else {
-			clk.Advance(cycles.MemcpyCost(snap.captured))
-		}
-		if tr := w.tracer; tr.Enabled() {
-			tr.Instant(obs.ControlLane, obs.KindSnapshot, name, clk.Now(), 0, arg, uint64(written))
-		}
-		ctx.CPU.Restore(snap.state)
-		clk.Advance(cycles.GuestLoadSetup)
-		res.SnapshotUsed = true
-		return nil, nil
+		target = snap.layer
+	} else if boot = w.bootFor(be, img, cfg, len(ctx.Mem)); boot != nil {
+		target = boot.layer // nil for a boot yet to record
+		defer target.Release()
 	}
-	boot := w.bootFor(be, img, cfg, len(ctx.Mem))
-	if boot != nil && boot.layer != nil {
+	dirty := ctx.DirtyCount()
+	written := be.pages.add(ctx.Rebase(target))
+	var event string
+	var arg uint64
+	switch {
+	case snap != nil && resident:
+		clk.Advance(cycles.MemcpyCost(dirty * vmm.PageSize))
+		clk.Advance(uint64(dirty) * cycles.COWResetPerPage)
+		res.COWPages = dirty
+		event, arg = "snap-cow-reset", uint64(dirty)
+	case snap != nil:
+		clk.Advance(cycles.MemcpyCost(snap.captured))
+		event, arg = "snap-restore", uint64(snap.captured)
+	case target != nil:
 		// Memory and dirty set as the recorded boot left them; the first
-		// entry resumes the vCPU. Charged as the image copy it replaces.
-		written := be.pages.add(ctx.Rebase(boot.layer))
+		// entry resumes the vCPU.
 		for _, p := range boot.dirty {
 			ctx.HostWrite(uint64(p)*vmm.PageSize, vmm.PageSize)
 		}
 		clk.Advance(cycles.MemcpyCost(len(img.Code)))
-		be.boots.replays.Add(1)
-		if tr := w.tracer; tr.Enabled() {
-			tr.Instant(obs.ControlLane, obs.KindSnapshot, "boot-replay", clk.Now(), 0, boot.cpu.Retired, uint64(written))
-		}
-	} else {
-		be.pages.add(ctx.Rebase(nil)) // boot on zeroed memory
+		be.content.replays.Add(1)
+		event, arg = "boot-replay", boot.cpu.Retired
+	default: // boot on zeroed memory
 		if err := ctx.Load(img.Code, img.Origin, img.Entry, img.Mode); err != nil {
 			return nil, err
 		}
 	}
-	// Padding is part of the image payload (Fig 12): it is copied with
-	// the image even though it is all zeros.
-	clk.Advance(cycles.MemcpyCost(img.Pad))
+	if tr := w.tracer; tr.Enabled() && event != "" {
+		tr.Instant(obs.ControlLane, obs.KindSnapshot, event, clk.Now(), 0, arg, uint64(written))
+	}
+	if snap != nil {
+		ctx.CPU.Restore(snap.state)
+		res.SnapshotUsed = true
+	} else {
+		// Padding is part of the image payload (Fig 12): it is copied with
+		// the image even though it is all zeros.
+		clk.Advance(cycles.MemcpyCost(img.Pad))
+	}
 	clk.Advance(cycles.GuestLoadSetup)
 	return boot, nil
 }
@@ -380,12 +404,8 @@ func (w *Wasp) runGuest(be *backend, ctx *vmm.Context, img *guest.Image, cfg *Ru
 		case cpu.ExitFault:
 			return fmt.Errorf("wasp: virtine %s faulted: %w", img.Name, ex.Err)
 		case cpu.ExitIO:
-			done, err := w.serviceHypercall(be, ctx, img, cfg, gm, res, ex, clk)
-			if err != nil {
+			if done, err := w.serviceHypercall(be, ctx, img, cfg, gm, res, ex, clk); done || err != nil {
 				return err
-			}
-			if done {
-				return nil
 			}
 		default:
 			return fmt.Errorf("wasp: virtine %s: unexpected exit %v", img.Name, ex.Reason)
@@ -434,10 +454,7 @@ func (w *Wasp) serviceHypercall(be *backend, ctx *vmm.Context, img *guest.Image,
 	} else {
 		regs[isa.RAX] = ret
 	}
-	if cfg.Env.Exited {
-		return true, nil
-	}
-	return false, nil
+	return cfg.Env.Exited, nil
 }
 
 // capture stores a snapshot of the context for img in the backend's
@@ -456,12 +473,11 @@ func (w *Wasp) serviceHypercall(be *backend, ctx *vmm.Context, img *guest.Image,
 // (vmm.Context.Capture), so a capture hashes its delta.
 func (w *Wasp) capture(be *backend, ctx *vmm.Context, img *guest.Image, native any, booted bool, clk *cycles.Clock) (*snapshot, error) {
 	windows, captured := captureWindows(img, len(ctx.Mem))
-	base := be.bases.get(img.ContentKey())
-	if base != nil && base.MemLen() != len(ctx.Mem) {
-		// Same content at a different geometry (e.g. a WithPad
-		// variant): capture standalone rather than misgraft.
-		base = nil
-	}
+	// The key carries the geometry: the same content at another size
+	// (e.g. a WithPad variant) has a base of its own.
+	key := contentKey{img.ContentKey(), len(ctx.Mem)}
+	base := be.content.base(key)
+	defer base.Release()
 	if captureGate != nil {
 		captureGate(ctx)
 	}
@@ -480,10 +496,10 @@ func (w *Wasp) capture(be *backend, ctx *vmm.Context, img *guest.Image, native a
 		booted:     booted,
 	}
 	if base == nil {
-		be.bases.register(img.ContentKey(), snap.layer)
+		be.content.setBase(key, snap.layer)
 	}
 	clk.Advance(cycles.MemcpyCost(captured))
-	be.snapshots.put(img.Name, snap)
+	w.release(be.snapshots.put(img.Name, snap), nil)
 	if tr := w.tracer; tr.Enabled() {
 		tr.Instant(obs.ControlLane, obs.KindSnapshot, "snap-capture",
 			clk.Now(), 0, uint64(captured), uint64(hashed))

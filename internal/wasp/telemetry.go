@@ -11,8 +11,9 @@ import (
 // the shared code-cache and compiled-tier counters (CodeCacheStats),
 // the per-platform snapshot-forest state (ForestStats), warm-pool
 // occupancy, the pages populating shells rewrote, the cold boots
-// replayed and recorded, the pages captures hashed and took from shell
-// content records, and the Wasp+CA cleaner ledger's lifetime counters.
+// replayed and recorded, the content entries evicted past the bound,
+// the pages captures hashed and took from shell content records, and
+// the Wasp+CA cleaner ledger's lifetime counters.
 //
 // The individual accessors — CodeCacheStats, ForestStats, PoolStatsFor,
 // PoolImageStats, Cleaner's counters — remain supported for callers
@@ -45,8 +46,9 @@ func (w *Wasp) RegisterMetrics(r *obs.Registry) {
 			emit(fmt.Sprintf("wasp_pool_shells{platform=%s}", name), float64(w.PoolTotalOn(name)))
 			emit(fmt.Sprintf("wasp_shell_pages_written{platform=%s}", name), float64(be.pages.written.Load()))
 			emit(fmt.Sprintf("wasp_shell_pages_kept{platform=%s}", name), float64(be.pages.kept.Load()))
-			emit(fmt.Sprintf("wasp_boot_replays{platform=%s}", name), float64(be.boots.replays.Load()))
-			emit(fmt.Sprintf("wasp_boot_recorded{platform=%s}", name), float64(be.boots.recorded.Load()))
+			emit(fmt.Sprintf("wasp_boot_replays{platform=%s}", name), float64(be.content.replays.Load()))
+			emit(fmt.Sprintf("wasp_boot_recorded{platform=%s}", name), float64(be.content.recorded.Load()))
+			emit(fmt.Sprintf("wasp_content_evicted{platform=%s}", name), float64(be.content.evicted.Load()))
 			emit(fmt.Sprintf("wasp_capture_pages_hashed{platform=%s}", name), float64(be.pages.hashed.Load()))
 			emit(fmt.Sprintf("wasp_capture_pages_reused{platform=%s}", name), float64(be.pages.reused.Load()))
 			if c := w.CleanerOn(name); c != nil {

@@ -28,14 +28,16 @@
 //
 // One Wasp may span several hosted-hypervisor backends (Fig 5: KVM on
 // Linux, Hyper-V/WHP on Windows) via WithPlatforms. Mutable runtime
-// state — shell pools, snapshot and COW registries, the cleaner's ledger —
-// is partitioned per backend: a shell created on KVM is never handed to
-// a Hyper-V run, and each backend's pools prewarm and shrink on their
-// own telemetry. Only the decoded-code registry is shared, because
-// decoded guest code depends on image content alone, not on the
-// hypervisor underneath. The placement layer (internal/placement) and
-// the scheduler's platform-affine workers decide which backend an
-// invocation lands on; RunOn is the per-backend entry point.
+// state — shell pools, the snapshot registry (whose snapshots hold their
+// parked COW shells), the content registry of base layers and boot
+// recordings, the cleaner's ledger — is partitioned per backend: a shell
+// created on KVM is never handed to a Hyper-V run, and each backend's
+// pools prewarm and shrink on their own telemetry. Only the decoded-code
+// registry is shared, because decoded guest code depends on image
+// content alone, not on the hypervisor underneath. The placement layer
+// (internal/placement) and the scheduler's platform-affine workers
+// decide which backend an invocation lands on; RunOn is the per-backend
+// entry point.
 package wasp
 
 import (
@@ -85,20 +87,19 @@ type Wasp struct {
 }
 
 // backend is one hosted-hypervisor's slice of the runtime: its shell
-// pools, snapshot and COW registries, snapshot forest, and (under
-// Wasp+CA) its own cleaner. Everything keyed by guest-memory content or
-// VM state lives here; a backend's shells and snapshots never serve
-// another platform.
+// pools, its two registries over the snapshot forest — snapshots by image
+// name, each holding the COW shell parked on it, and base layers and
+// boot recordings by content (forest.go) — and (under Wasp+CA) its own
+// cleaner. Everything keyed by guest-memory content or VM state lives
+// here; a backend's shells and snapshots never serve another platform.
 type backend struct {
 	platform  vmm.Platform
 	pools     shellPools
 	snapshots snapRegistry
-	cowShells cowRegistry
+	content   contentRegistry
 	cleaner   *Cleaner       // non-nil iff pooling && asyncClean
 	forest    *vmm.PageStore // content-addressed page store behind all snapshots
-	bases     baseRegistry   // image content key -> shared base layer
 	pages     shellPages     // what populating and capturing shells did
-	boots     bootMemo       // recorded cold boots (boot.go)
 }
 
 // shellPages tallies vmm.Context.Rebase and Capture over one backend's
@@ -128,16 +129,40 @@ type snapshot struct {
 	state      cpu.State
 	native     any // opaque workload state for native images (§6.5 engine reuse)
 	booted     bool
+	// cow is the shell parked for the image's next COW reset (§7.2): its
+	// memory is a dirty-page delta over this snapshot, so it can serve no
+	// other. retired fills it once the snapshot has left its registry.
+	cow atomic.Pointer[vmm.Context]
 }
 
-// retain pins the snapshot's layer for the duration of a restore or
-// export; release undoes it. Both tolerate a nil snapshot.
-func (s *snapshot) retain() {
-	if s != nil {
-		s.layer.Retain()
+// retired marks the parking spot of a snapshot its registry has let go.
+var retired = new(vmm.Context)
+
+// park leaves ctx on s for the next COW reset against s. It fails when a
+// shell is parked already or s has left its registry: the caller pools ctx.
+func (s *snapshot) park(ctx *vmm.Context) bool { return s.cow.CompareAndSwap(nil, ctx) }
+
+// unpark takes the shell parked on s, or nil.
+func (s *snapshot) unpark() *vmm.Context {
+	c := s.cow.Load()
+	if c == nil || c == retired || !s.cow.CompareAndSwap(c, nil) {
+		return nil
 	}
+	return c
 }
 
+// retire is s leaving its registry, which happens once: it drops the
+// registry's layer reference and returns the shell parked on s, if any,
+// for the caller to pool; nothing can park on s after. It tolerates nil.
+func (s *snapshot) retire() *vmm.Context {
+	if s == nil {
+		return nil
+	}
+	s.layer.Release()
+	return s.cow.Swap(retired)
+}
+
+// release undoes snapRegistry.get's retain. It tolerates nil.
 func (s *snapshot) release() {
 	if s != nil {
 		s.layer.Release()
@@ -177,7 +202,7 @@ func WithPlatform(p vmm.Platform) Option {
 // WithPlatforms gives one Wasp several hosted-hypervisor backends. The
 // first platform is the default (Run without a platform lands there);
 // RunOn and the scheduler's platform-affine workers address the others.
-// Shell pools, snapshot and COW registries, prewarming, ObserveLoad
+// Shell pools, snapshot and content registries, prewarming, ObserveLoad
 // sizing, and async cleaning are all partitioned per platform.
 // Duplicate platform names collapse to one backend.
 func WithPlatforms(ps ...vmm.Platform) Option {
@@ -288,28 +313,21 @@ func (w *Wasp) platformNames() []string {
 }
 
 // acquire provisions a run's shell on one backend from the first of
-// three sources that has one: the COW shell parked resident on the run's
-// snapshot (§7.2; only when cow, and resident reports it), the backend's
-// pool (Fig 6 path D), or a cold create on its platform (path C). A
-// pooled shell that ran before is dirty: acquire resets its vCPU and
-// leaves memory to populate's Rebase, which rewrites only the pages that
-// differ from what this run needs. Its zeroing cost lands on the
-// request's clock under Wasp+C and on the cleaner's ledger under Wasp+CA.
+// three sources that has one: the COW shell parked on the run's snapshot
+// (§7.2; only when cow, and resident reports it), the backend's pool
+// (Fig 6 path D), or a cold create on its platform (path C). A pooled
+// shell that ran before is dirty: acquire resets its vCPU and leaves
+// memory to populate's Rebase, which rewrites only the pages that differ
+// from what this run needs. Its zeroing cost lands on the request's
+// clock under Wasp+C and on the cleaner's ledger under Wasp+CA.
 func (w *Wasp) acquire(be *backend, img *guest.Image, snap *snapshot, cow bool, clk *cycles.Clock) (ctx *vmm.Context, resident bool, err error) {
 	memBytes := img.MemBytes()
-	if cow {
-		// COW shells are image- AND backend-bound, and sound only against
-		// the snapshot they are resident on: a stale one (the name was
-		// re-captured, imported over or migrated since) is recycled.
-		c, on := be.cowShells.take(img.Name)
-		if c != nil && on == snap {
+	if cow && snap != nil {
+		if c := snap.unpark(); c != nil {
 			clk.Advance(cycles.PoolAcquire)
 			c.Clock, c.CPU.Clock = clk, clk
 			w.shellEvent("shell-cow", memBytes, clk)
 			return c, true, nil
-		}
-		if c != nil {
-			w.release(c, nil, nil)
 		}
 	}
 	if s := be.pools.take(memBytes); s != nil { // pools stay empty with pooling off
@@ -343,33 +361,26 @@ func (w *Wasp) shellEvent(src string, memBytes int, clk *cycles.Clock) {
 	}
 }
 
-// release gives a shell back to the backend it was created on: parked
-// for img's next COW reset when on (the snapshot its memory is a delta
-// over) is non-nil and no shell is parked for img yet; otherwise pooled
-// dirty, under Wasp+C and Wasp+CA alike, or dropped for the host to
-// reclaim when pooling is off or the size class is at its capacity
-// bound. Under Wasp+CA the backend's cleaner books the release.
-func (w *Wasp) release(ctx *vmm.Context, img *guest.Image, on *snapshot) {
+// release gives a shell back to the backend it was created on: parked on
+// on, the snapshot its memory is a delta over, when on is non-nil and
+// takes it; otherwise pooled dirty, under Wasp+C and Wasp+CA alike, or
+// dropped for the host to reclaim when pooling is off or the size class
+// is at its capacity bound. Under Wasp+CA the backend's cleaner books the
+// release. A nil ctx is a no-op.
+func (w *Wasp) release(ctx *vmm.Context, on *snapshot) {
+	if ctx == nil || on != nil && on.park(ctx) || !w.pooling {
+		return
+	}
 	be := w.byPlat[ctx.Platform().Name()]
 	if be == nil {
 		return // foreign context (tests building raw vmm state): drop it
-	}
-	if on != nil && be.cowShells.park(img.Name, ctx, on) {
-		return
-	}
-	if !w.pooling {
-		return
 	}
 	var at uint64
 	if ctx.Clock != nil {
 		at = ctx.Clock.Now()
 	}
 	if tr := w.tracer; tr.Enabled() {
-		async := uint64(0)
-		if be.cleaner != nil {
-			async = 1
-		}
-		tr.Instant(obs.ControlLane, obs.KindRelease, "release", at, 0, uint64(len(ctx.Mem)), async)
+		tr.Instant(obs.ControlLane, obs.KindRelease, "release", at, 0, uint64(len(ctx.Mem)), uint64(bit(be.cleaner != nil, 1)))
 	}
 	s := &shell{ctx: ctx, dirty: true}
 	if be.cleaner != nil {
@@ -510,7 +521,7 @@ func (w *Wasp) prewarm(be *backend, memBytes, n int) int {
 // ObserveLoad feeds scheduler telemetry for one completed run on the
 // default backend into the pool-sizing policy; see ObserveLoadOn.
 func (w *Wasp) ObserveLoad(image string, memBytes, depth int, svcCycles uint64) {
-	w.observeLoad(w.backends[0], image, memBytes, depth, svcCycles)
+	w.ObserveLoadOn("", image, memBytes, depth, svcCycles)
 }
 
 // ObserveLoadOn feeds scheduler telemetry for one completed run into
@@ -524,14 +535,7 @@ func (w *Wasp) ObserveLoad(image string, memBytes, depth int, svcCycles uint64) 
 // ticket, on the platform whose worker served it.
 func (w *Wasp) ObserveLoadOn(platform, image string, memBytes, depth int, svcCycles uint64) {
 	be, err := w.backendFor(platform)
-	if err != nil {
-		return
-	}
-	w.observeLoad(be, image, memBytes, depth, svcCycles)
-}
-
-func (w *Wasp) observeLoad(be *backend, image string, memBytes, depth int, svcCycles uint64) {
-	if !w.pooling {
+	if err != nil || !w.pooling {
 		return
 	}
 	if wantCached := be.pools.observe(image, memBytes, depth, svcCycles); wantCached > 0 {
@@ -557,14 +561,11 @@ func (w *Wasp) HasSnapshotOn(platform, name string) bool {
 }
 
 // DropSnapshot removes a stored snapshot from every backend (tests and
-// ablations). Any COW shell parked against the image goes back to the
-// pool: its memory is a delta over the dropped snapshot.
+// ablations). The COW shell parked on it goes back to the pool: its
+// memory is a delta over the dropped snapshot.
 func (w *Wasp) DropSnapshot(name string) {
 	for _, be := range w.backends {
-		be.snapshots.drop(name)
-		if ctx, _ := be.cowShells.take(name); ctx != nil {
-			w.release(ctx, nil, nil)
-		}
+		w.release(be.snapshots.put(name, nil), nil)
 	}
 }
 
