@@ -548,7 +548,7 @@ func TestFig14JavaScript(t *testing.T) {
 // shell's zeroing is settled on the virtual cleaner core) and OpenWhisk
 // (containers) with 12 seconds of the burst pattern.
 func TestFig15Serverless(t *testing.T) {
-	w := wasp.New(wasp.WithAsyncClean(true), wasp.WithPoolPolicy(wasp.PoolPolicy{MaxPerClass: 16}))
+	w := wasp.New(wasp.WithAsyncClean(true))
 	trace, err := serverless.RunFig15(w, serverless.DefaultPattern(12), 15)
 	if err != nil {
 		t.Fatal(err)

@@ -163,7 +163,7 @@ func (im *Image) MemBytes() int {
 }
 
 // WithName returns a copy of the image under a new name. Snapshots,
-// COW shells, and the scheduler's per-image admission and pool-sizing
+// COW shells, and the scheduler's per-image admission and service
 // telemetry all key on the name, so a renamed copy is an isolated
 // tenant of the same binary.
 func (im *Image) WithName(name string) *Image {

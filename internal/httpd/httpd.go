@@ -238,8 +238,8 @@ func (s *FileServer) ServeMany(reqs [][]byte, workers int) ([]*Response, error) 
 	sc := sched.New(s.W, workers)
 	defer sc.Close()
 	// Prewarm the handler's size class so the opening burst hits warm
-	// shells instead of paying one cold create per worker; the pool
-	// policy keeps the warm set sized from there.
+	// shells instead of paying one cold create per worker; idle streaks
+	// shrink the warm set from there.
 	need := workers
 	if len(reqs) < need {
 		need = len(reqs)

@@ -47,8 +47,7 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histBuckets is one bucket per power of two: bucket i counts samples v
-// with bits.Len64(v) == i, i.e. 0, 1, 2-3, 4-7, ... — the same log2
-// scheme the pool-sizing EWMAs quantize on.
+// with bits.Len64(v) == i, i.e. 0, 1, 2-3, 4-7, ...
 const histBuckets = 65
 
 // Histogram is a lock-free log2-bucket histogram of uint64 samples.

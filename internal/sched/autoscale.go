@@ -5,10 +5,9 @@ import "fmt"
 // Autoscaling policies for the virtual-mode capacity-planning engine:
 // pure, deterministic functions from epoch telemetry to a desired fleet
 // width and standby (prewarm) target, applied between epochs with
-// SetVirtualWorkers. The signals mirror what the pool-sizing layer
-// already consumes through ObserveLoad — queue depth and smoothed
-// service cost — plus the SLO-facing queueing percentile a capacity
-// planner actually cares about. Policies may keep internal state
+// SetVirtualWorkers. The signals are queue depth and smoothed service
+// cost, plus the SLO-facing queueing percentile a capacity planner
+// actually cares about. Policies may keep internal state
 // (hysteresis streaks); a fresh instance per run keeps runs
 // reproducible.
 

@@ -56,9 +56,8 @@
 // a dedicated virtual cleaner core, whose clock absorbs every such cost
 // (CleanerCycles). Real mode has nothing to drive: the zeroing is
 // charged nowhere and no lane scrubs. Completed image tickets feed their
-// queue-depth and service-time telemetry back into the runtime's
-// per-image pool-sizing policy (wasp.ObserveLoad), so bursts prewarm
-// the warm shell pool and idle periods shrink it.
+// queue depth back into the runtime's shell pools (wasp.ObserveLoadOn),
+// so idle periods shrink them.
 package sched
 
 import (
@@ -130,7 +129,7 @@ type Ticket struct {
 	DepthAtSubmit int
 	// Image is the identity of the guest image this ticket runs (the
 	// image name, or the Request.Image tag for raw tasks; empty for
-	// untagged tasks). Admission control and the per-image pool-sizing
+	// untagged tasks). Admission control and the per-image service
 	// telemetry key on it.
 	Image string
 
@@ -145,8 +144,8 @@ type Ticket struct {
 	seq uint64
 
 	// memBytes is the guest-memory size class of an image submission;
-	// 0 for raw tasks. Completed image tickets feed the pool-sizing
-	// policy with it.
+	// 0 for raw tasks. A completed image ticket reports its depth at
+	// submit to that size class's pool (wasp.ObserveLoadOn).
 	memBytes int
 
 	// img and cfg carry an image submission's work; the worker that pops
@@ -789,10 +788,9 @@ func (s *Scheduler) serve(wk *worker, t *Ticket) {
 	s.completed.Add(1)
 	s.bstates[wk.beIdx].completed.Add(1)
 	if t.memBytes > 0 {
-		// Feed the pool-sizing policy of the backend that served the
-		// ticket: backlog at submit and service time of this image's
-		// size class (prewarm under bursts, shrink when idle).
-		s.w.ObserveLoadOn(wk.pname, t.Image, t.memBytes, t.DepthAtSubmit, t.Done-t.Start)
+		// Feed the backend that served the ticket the backlog it found
+		// at submit: its size class's pool shrinks when idle.
+		s.w.ObserveLoadOn(wk.pname, t.memBytes, t.DepthAtSubmit)
 	}
 }
 

@@ -505,26 +505,38 @@ func TestWorkerLoadsConcurrentRead(t *testing.T) {
 	}
 }
 
-// TestSchedulerFeedsPoolPolicy: queue-depth telemetry from completed
-// tickets must raise the image class's warm target (virtual mode, so
-// the observed depths are deterministic).
+// TestSchedulerFeedsPoolPolicy: every completed image ticket feeds its
+// queue depth at submit to the pool of the backend that served it
+// (virtual mode, so the depths are deterministic). A burst, whose
+// tickets find busy workers, keeps the class's warm set; a run of
+// uncontended tickets as long as the idle streak gives one shell back.
 func TestSchedulerFeedsPoolPolicy(t *testing.T) {
-	w := wasp.New(wasp.WithPoolPolicy(wasp.PoolPolicy{MaxPerClass: 8, GrowDepth: 2, GrowBatch: 8, ShrinkAfter: 1000}))
+	const streak = 64 // wasp's shrinkAfter
+	w := wasp.New()
 	s := NewVirtual(w, 2)
 	defer s.Close()
 	img := guest.MustFromAsm("policy-feed", guest.WrapLongMode(doublerAsm))
-	for i := 0; i < 8; i++ {
-		tk := s.SubmitAt(0, img, wasp.RunConfig{Args: le64(uint64(i)), RetBytes: 8})
+	mem := img.MemBytes()
+	w.Prewarm(mem, 4)
+	run := func(at uint64, i int) {
+		tk := s.SubmitAt(at, img, wasp.RunConfig{Args: le64(uint64(i)), RetBytes: 8})
 		if _, err := tk.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := w.PoolStatsFor(img.MemBytes())
-	if st.Target < 2 {
-		t.Fatalf("warm target = %d after a burst at depth >= 2, want >= 2", st.Target)
+	for i := 0; i < 2*streak; i++ {
+		run(0, i) // all at once: every ticket after the first finds a busy worker
 	}
-	if w.PoolTotal() > 8 {
-		t.Fatalf("pool total %d exceeds class cap", w.PoolTotal())
+	if got := w.PoolSize(mem); got != 4 {
+		t.Fatalf("pool = %d after a burst, want the 4 prewarmed shells kept", got)
+	}
+	at := uint64(1) << 40 // far past the burst, then far apart: no queue
+	for i := 0; i < streak; i++ {
+		run(at, i)
+		at += 1 << 30
+	}
+	if got := w.PoolSize(mem); got != 3 {
+		t.Fatalf("pool = %d after %d uncontended tickets, want 3", got, streak)
 	}
 }
 

@@ -173,8 +173,9 @@ func (s Summary) String() string {
 // EWMA folds one sample into an exponentially weighted moving average
 // with a 1/8 smoothing factor (the TCP RTT estimator's classic alpha);
 // a zero prev seeds the average with the sample. The scheduler's
-// admission strides and the Wasp pool-sizing telemetry share this so
-// their smoothing can never silently diverge.
+// admission strides, per-image service telemetry and per-backend
+// service times share this so their smoothing can never silently
+// diverge.
 func EWMA(prev, sample uint64) uint64 {
 	if prev == 0 {
 		return sample

@@ -175,16 +175,16 @@ func TestNoDirtyShellAcquiredUnderAsyncClean(t *testing.T) {
 // TestPoolCapacityBound is the unbounded-growth regression test: a
 // burst can no longer retain more shells than the per-class cap.
 func TestPoolCapacityBound(t *testing.T) {
-	w := New(WithPoolPolicy(PoolPolicy{MaxPerClass: 4}))
+	w := New()
 	img := guest.MinimalHalt()
 	mem := img.MemBytes()
 
 	// Prewarm clamps at the bound.
-	if added := w.Prewarm(mem, 10); added != 4 {
-		t.Fatalf("prewarm added %d, want 4 (cap)", added)
+	if added := w.Prewarm(mem, maxPerClass+10); added != maxPerClass {
+		t.Fatalf("prewarm added %d, want %d (cap)", added, maxPerClass)
 	}
-	if n := w.PoolTotal(); n != 4 {
-		t.Fatalf("pool total = %d after prewarm, want 4", n)
+	if n := w.PoolTotal(); n != maxPerClass {
+		t.Fatalf("pool total = %d after prewarm, want %d", n, maxPerClass)
 	}
 
 	// A concurrent burst of 12 runs must end at or below the cap.
@@ -211,40 +211,47 @@ func TestPoolCapacityBound(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if n := w.PoolTotal(); n > 4 {
-		t.Fatalf("pool grew to %d shells, cap is 4", n)
+	if n := w.PoolTotal(); n > maxPerClass {
+		t.Fatalf("pool grew to %d shells, cap is %d", n, maxPerClass)
+	}
+	// Shells released into a full class go to the host, counted.
+	for i := 0; i < 3; i++ {
+		w.release(vmm.CreateOn(vmm.KVM{}, mem, cycles.NewClock()), nil)
+	}
+	if n, d := w.PoolTotal(), w.PoolDropped(); n != maxPerClass || d != 3 {
+		t.Fatalf("pool total %d, dropped %d after three releases into a full class, want %d, 3", n, d, maxPerClass)
 	}
 }
 
 // TestAsyncBacklogAndParkBounds pins the Wasp+CA bounds: there is no
-// dirty backlog to cap any more, so release parks at most MaxPerClass
+// dirty backlog to cap any more, so release parks at most maxPerClass
 // shells and drops the surplus at once (Cleaner.Dropped, not
 // PoolDropped), while the driven ledger owes every release it saw and
 // settles them all on the virtual core.
 func TestAsyncBacklogAndParkBounds(t *testing.T) {
-	w := New(WithAsyncClean(true), WithPoolPolicy(PoolPolicy{MaxPerClass: 2}))
+	w := New(WithAsyncClean(true))
 	c := w.Cleaner()
 	c.SetDriven(true)
 	defer c.SetDriven(false)
 
-	const mem = 64 << 10
-	for i := 0; i < 5; i++ {
+	const mem, n = 64 << 10, maxPerClass + 3
+	for i := 0; i < n; i++ {
 		w.release(vmm.CreateOn(vmm.KVM{}, mem, cycles.NewClock()), nil)
 	}
-	if n := w.PoolTotal(); n != 2 {
-		t.Fatalf("pool total = %d, want 2 (class cap)", n)
+	if got := w.PoolTotal(); got != maxPerClass {
+		t.Fatalf("pool total = %d, want %d (class cap)", got, maxPerClass)
 	}
 	if d, pd := c.Dropped(), w.PoolDropped(); d != 3 || pd != 0 {
 		t.Fatalf("dropped = %d (cleaner) / %d (pool), want 3 / 0", d, pd)
 	}
-	if p := c.Pending(); p != 5 {
-		t.Fatalf("pending = %d, want all 5 releases owed", p)
+	if p := c.Pending(); p != n {
+		t.Fatalf("pending = %d, want all %d releases owed", p, n)
 	}
-	if n := c.DrainAt(0); n != 5 || c.BusyCycles() != 5*cycles.ZeroCost(mem) {
-		t.Fatalf("settled %d releases for %d cycles, want 5 for %d", n, c.BusyCycles(), 5*cycles.ZeroCost(mem))
+	if got := c.DrainAt(0); got != n || c.BusyCycles() != n*cycles.ZeroCost(mem) {
+		t.Fatalf("settled %d releases for %d cycles, want %d for %d", got, c.BusyCycles(), n, n*cycles.ZeroCost(mem))
 	}
-	if n := c.Drain(); n != 0 {
-		t.Fatalf("drain after settling found %d owed, want 0", n)
+	if got := c.Drain(); got != 0 {
+		t.Fatalf("drain after settling found %d owed, want 0", got)
 	}
 }
 
@@ -252,11 +259,12 @@ func TestAsyncBacklogAndParkBounds(t *testing.T) {
 // old dirty queue failed: the shrink rule counted pooled shells only, so
 // shells waiting for the cleaner escaped it and came back to the pool
 // after the shrink. With released shells pooled directly, N serial runs
-// over a prewarmed class, then an idle streak, leave exactly the warm
-// floor, with nothing left owed once the core has settled.
+// over a prewarmed class, then an idle streak, leave exactly the one
+// shell the class keeps, with nothing left owed once the core has
+// settled.
 func TestAsyncCleanShrinkSeesReleasedShells(t *testing.T) {
-	const n, shrinkAfter = 6, 2
-	w := New(WithAsyncClean(true), WithPoolPolicy(PoolPolicy{ShrinkAfter: shrinkAfter}))
+	const n = 6
+	w := New(WithAsyncClean(true))
 	c := w.Cleaner()
 	c.SetDriven(true)
 	defer c.SetDriven(false)
@@ -272,54 +280,53 @@ func TestAsyncCleanShrinkSeesReleasedShells(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2*n*shrinkAfter; i++ {
-		w.ObserveLoad(img.Name, mem, 0, 1000)
+		w.ObserveLoadOn("", mem, 0)
 	}
 	c.DrainAt(clk.Now())
-	target := w.PoolStatsFor(mem).Target
-	if got, want := w.PoolTotal()+c.Pending(), max(target, 1); got != want {
-		t.Fatalf("pooled %d + owed %d shells after the idle streak, want %d (target %d)",
-			w.PoolTotal(), c.Pending(), want, target)
+	if got := w.PoolTotal() + c.Pending(); got != 1 {
+		t.Fatalf("pooled %d + owed %d shells after the idle streak, want 1", w.PoolTotal(), c.Pending())
 	}
 }
 
-// TestPoolPolicySelfSizing drives the telemetry-fed sizing directly:
-// bursts raise the warm target and prewarm shells; sustained idle
-// decays the target and releases surplus shells, flooring at one.
+// TestPoolPolicySelfSizing drives the pool's one sizing rule directly:
+// each size class counts its uncontended completions in a row, and every
+// shrinkAfter of them gives one cached shell back to the host, flooring
+// at one. A completion that queued resets the streak, and each class
+// (whichever images run in it) counts its own.
 func TestPoolPolicySelfSizing(t *testing.T) {
-	w := New(WithPoolPolicy(PoolPolicy{MaxPerClass: 8, GrowDepth: 2, GrowBatch: 8, ShrinkAfter: 3}))
-	const mem = 64 << 10
+	w := New()
+	const mem, other = 64 << 10, 128 << 10
+	w.Prewarm(mem, 8)
+	w.Prewarm(other, 8)
 
-	w.ObserveLoad("", mem, 6, 1000)
-	st := w.PoolStatsFor(mem)
-	if st.Target != 6 || st.Cached != 6 {
-		t.Fatalf("after burst of 6: target/cached = %d/%d, want 6/6", st.Target, st.Cached)
+	for i := 0; i < shrinkAfter-1; i++ {
+		w.ObserveLoadOn("", mem, 0)
 	}
-	if st.SvcEWMA == 0 {
-		t.Fatal("service-time telemetry not recorded")
+	w.ObserveLoadOn("", other, 0) // another class's streak
+	if a, b := w.PoolSize(mem), w.PoolSize(other); a != 8 || b != 8 {
+		t.Fatalf("after %d idle completions and one in another class: %d and %d cached, want 8 and 8", shrinkAfter-1, a, b)
 	}
-
-	// A deeper burst clamps at the class cap.
-	w.ObserveLoad("", mem, 100, 1000)
-	st = w.PoolStatsFor(mem)
-	if st.Target != 8 || st.Cached != 8 {
-		t.Fatalf("after deep burst: target/cached = %d/%d, want 8/8 (cap)", st.Target, st.Cached)
+	// One queued completion resets the streak.
+	w.ObserveLoadOn("", mem, 3)
+	w.ObserveLoadOn("", mem, 0)
+	if got := w.PoolSize(mem); got != 8 {
+		t.Fatalf("a streak broken by a queue shrank the class to %d", got)
 	}
-
-	// Three consecutive uncontended completions shrink by one.
-	for i := 0; i < 3; i++ {
-		w.ObserveLoad("", mem, 0, 500)
+	for i := 0; i < shrinkAfter-1; i++ {
+		w.ObserveLoadOn("", mem, 0)
 	}
-	st = w.PoolStatsFor(mem)
-	if st.Target != 7 || st.Cached != 7 {
-		t.Fatalf("after idle streak: target/cached = %d/%d, want 7/7", st.Target, st.Cached)
+	if got := w.PoolSize(mem); got != 7 {
+		t.Fatalf("after a full idle streak: %d cached, want 7", got)
+	}
+	if got := w.PoolSize(other); got != 8 {
+		t.Fatalf("another class's idle streak shrank this one to %d", got)
 	}
 
 	// Sustained idling floors at one warm shell.
-	for i := 0; i < 3*40; i++ {
-		w.ObserveLoad("", mem, 0, 500)
+	for i := 0; i < 20*shrinkAfter; i++ {
+		w.ObserveLoadOn("", mem, 0)
 	}
-	st = w.PoolStatsFor(mem)
-	if st.Target != 0 || st.Cached != 1 {
-		t.Fatalf("after sustained idle: target/cached = %d/%d, want 0/1 (floor)", st.Target, st.Cached)
+	if got := w.PoolSize(mem); got != 1 {
+		t.Fatalf("after sustained idle: %d cached, want 1 (floor)", got)
 	}
 }

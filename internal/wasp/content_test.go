@@ -22,7 +22,7 @@ import (
 //   - every shell belongs to its backend's platform, and every parked one
 //     sits on a snapshot its backend's registry holds, none of which has
 //     been retired;
-//   - no pool class holds more than MaxPerClass shells;
+//   - no pool class holds more than its capacity;
 //   - no content registry holds more than contentCap entries, and each
 //     lists exactly the entries its map holds;
 //   - the forest verifies.
@@ -41,12 +41,12 @@ func checkRuntime(w *Wasp) error {
 		for i := range be.pools.shards {
 			sh := &be.pools.shards[i]
 			sh.mu.Lock()
-			for size, pool := range sh.bySize {
-				if len(pool) > be.pools.policy.MaxPerClass {
+			for size, c := range sh.classes {
+				if len(c.shells) > be.pools.max {
 					sh.mu.Unlock()
-					return fmt.Errorf("%s: %d pooled %d-byte shells, capacity %d", plat, len(pool), size, be.pools.policy.MaxPerClass)
+					return fmt.Errorf("%s: %d pooled %d-byte shells, capacity %d", plat, len(c.shells), size, be.pools.max)
 				}
-				for _, s := range pool {
+				for _, s := range c.shells {
 					if err := check("pooled shell", s.ctx); err != nil {
 						sh.mu.Unlock()
 						return err
@@ -356,12 +356,12 @@ func TestRebaseMatchesMaterialize(t *testing.T) {
 		np.pre, np.post = op.pre, op.post
 		return RunConfig{Policy: hypercall.MaskOf(hypercall.NrRecv), Env: env, Args: op.args, RetBytes: 8, Snapshot: snapshot}
 	}
-	one := PoolPolicy{MaxPerClass: 1}
 	var syncCycles []uint64 // the Wasp+C runtime's, run by run
 	for i, w := range []*Wasp{
-		New(WithCOW(true), WithPoolPolicy(one)),
-		New(WithCOW(true), WithPoolPolicy(one), WithAsyncClean(true)),
+		New(WithCOW(true)),
+		New(WithCOW(true), WithAsyncClean(true)),
 	} {
+		w.backends[0].pools.max = 1 // one pooled shell, as the pin assumes
 		if c := w.Cleaner(); c != nil {
 			c.SetDriven(true)
 			defer c.SetDriven(false)

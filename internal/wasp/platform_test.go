@@ -119,6 +119,13 @@ func TestPrewarmOnIsPerBackend(t *testing.T) {
 	if added := w.PrewarmOn("xen", mem, 3); added != 0 {
 		t.Fatal("prewarming an unknown platform must be a no-op")
 	}
+	w.PrewarmOn("kvm", mem, 3)
+	for i := 0; i < shrinkAfter; i++ {
+		w.ObserveLoadOn("hyper-v", mem, 0)
+	}
+	if hv, kvm := w.PoolSizeOn("hyper-v", mem), w.PoolSizeOn("kvm", mem); hv != 2 || kvm != 3 {
+		t.Fatalf("after a hyper-v idle streak: hyper-v %d, kvm %d shells, want 2, 3", hv, kvm)
+	}
 }
 
 // RunOn with an unknown platform fails fast with a useful error.

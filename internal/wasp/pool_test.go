@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/cycles"
 	"repro/internal/guest"
-	"repro/internal/stats"
 )
 
 // TestGuestMemOverflowBounds is the regression test for the wrapping
@@ -213,228 +211,48 @@ func TestConcurrentRunStress(t *testing.T) {
 	}
 }
 
-// TestPoolPerImageSizing: warm-target claims are tracked per image
-// within a size class, so one tenant going idle shrinks only its own
-// share of the warm set and an active tenant's prewarmed shells
-// survive a neighbor's quiet period.
-func TestPoolPerImageSizing(t *testing.T) {
-	w := New(WithPoolPolicy(PoolPolicy{MaxPerClass: 8, GrowDepth: 2, GrowBatch: 8, ShrinkAfter: 2}))
-	const mem = 64 << 10
-
-	w.ObserveLoad("tenant-a", mem, 4, 1000)
-	w.ObserveLoad("tenant-b", mem, 3, 2000)
-	if st := w.PoolImageStats(mem, "tenant-a"); st.Target != 4 || st.SvcEWMA == 0 {
-		t.Fatalf("tenant-a image stats = %+v, want target 4", st)
-	}
-	if st := w.PoolImageStats(mem, "tenant-b"); st.Target != 3 {
-		t.Fatalf("tenant-b image stats = %+v, want target 3", st)
-	}
-	// The class target is the sum of the per-image claims, and the pool
-	// is prewarmed up to it.
-	if st := w.PoolStatsFor(mem); st.Target != 7 || st.Cached != 7 {
-		t.Fatalf("class stats = %+v, want target/cached 7/7", st)
-	}
-
-	// tenant-b idles: only its claim decays, one surplus shell at a time.
-	for i := 0; i < 2*3; i++ {
-		w.ObserveLoad("tenant-b", mem, 0, 500)
-	}
-	if st := w.PoolImageStats(mem, "tenant-b"); st.Target != 0 {
-		t.Fatalf("idle tenant-b target = %d, want 0", st.Target)
-	}
-	if st := w.PoolImageStats(mem, "tenant-a"); st.Target != 4 {
-		t.Fatalf("tenant-a target = %d after neighbor idle, want 4 (untouched)", st.Target)
-	}
-	if st := w.PoolStatsFor(mem); st.Target != 4 || st.Cached != 4 {
-		t.Fatalf("class stats after shrink = %+v, want 4/4 (tenant-a's warm set kept)", st)
-	}
-
-	// A deeper burst from tenant-a clamps the summed target at the cap.
-	w.ObserveLoad("tenant-a", mem, 100, 1000)
-	if st := w.PoolStatsFor(mem); st.Target != 8 {
-		t.Fatalf("class target = %d after deep burst, want 8 (cap)", st.Target)
-	}
-}
-
-// TestPoolVanishedTenantReaped: a tenant that stops submitting entirely
-// never runs its own idle streak, so the stale reaper must drain its
-// warm claim instead — otherwise its shells stay pinned forever while
-// other tenants keep the class's observation stream alive.
-func TestPoolVanishedTenantReaped(t *testing.T) {
-	w := New(WithPoolPolicy(PoolPolicy{MaxPerClass: 8, GrowDepth: 2, GrowBatch: 8, ShrinkAfter: 2}))
-	const mem = 64 << 10
-
-	w.ObserveLoad("ghost", mem, 4, 1000)
-	if st := w.PoolStatsFor(mem); st.Target != 4 || st.Cached != 4 {
-		t.Fatalf("after burst: %+v, want 4/4", st)
-	}
-	// The ghost vanishes; another tenant keeps completing uncontended.
-	// Past the staleness window (8x ShrinkAfter observations) the
-	// ghost's claim drains and the warm set shrinks back to the floor.
-	for i := 0; i < 40; i++ {
-		w.ObserveLoad("steady", mem, 0, 500)
-	}
-	if st := w.PoolImageStats(mem, "ghost"); st.Target != 0 {
-		t.Fatalf("ghost target = %d after staleness window, want 0", st.Target)
-	}
-	if st := w.PoolStatsFor(mem); st.Target != 0 || st.Cached != 1 {
-		t.Fatalf("class stats = %+v, want 0 target / 1 cached (floor)", st)
-	}
-}
-
-// refSizing is one size class's sizing state as observe kept it before
-// the lru and the running target sum: per-image claims in a map, walked
-// in full for a stale victim on every completion and summed for the
-// class target, over a pool that is just a count of cached shells.
-type refSizing struct {
-	svcEWMA uint64
-	tick    uint64
-	cached  int
-	byImage map[string]*refImage
-}
-
-type refImage struct {
-	target, idle      int
-	svcEWMA, lastSeen uint64
-}
-
-func (r *refSizing) classTarget(max int) int {
-	n := 0
-	for _, ri := range r.byImage {
-		n += ri.target
-	}
-	return min(n, max)
-}
-
-// observe is the old shellPools.observe. It fails the test if the walk
-// ever needs its name tiebreak: lastSeen ticks are unique, which is what
-// lets the lru's front stand in for the walk.
-func (r *refSizing) observe(t *testing.T, p PoolPolicy, image string, depth int, svc uint64) (wantCached int) {
-	r.svcEWMA = stats.EWMA(r.svcEWMA, svc)
-	r.tick++
-	ist := r.byImage[image]
-	if ist == nil {
-		ist = &refImage{}
-		r.byImage[image] = ist
-	}
-	ist.lastSeen = r.tick
-	ist.svcEWMA = stats.EWMA(ist.svcEWMA, svc)
-	switch {
-	case depth >= p.GrowDepth:
-		ist.idle = 0
-		ist.target = max(ist.target, min(depth, p.MaxPerClass))
-		if target := r.classTarget(p.MaxPerClass); target > r.cached {
-			wantCached = min(r.cached+p.GrowBatch, target)
-		}
-	case depth == 0:
-		ist.idle++
-		if ist.idle >= p.ShrinkAfter {
-			ist.idle = 0
-			if ist.target > 0 {
-				ist.target--
-			}
-			if r.cached > max(r.classTarget(p.MaxPerClass), 1) {
-				r.cached--
-			}
-		}
-	default:
-		ist.idle = 0
-	}
-	staleAfter := uint64(staleFactor * p.ShrinkAfter)
-	var victim *refImage
-	var victimName string
-	for name, other := range r.byImage {
-		if other == ist || r.tick-other.lastSeen < staleAfter {
-			continue
-		}
-		if victim != nil && other.lastSeen == victim.lastSeen {
-			t.Fatalf("tick %d: %s and %s were both last seen at %d", r.tick, name, victimName, other.lastSeen)
-		}
-		if victim == nil || other.lastSeen < victim.lastSeen {
-			victim, victimName = other, name
-		}
-	}
-	if victim != nil {
-		if victim.target > 0 {
-			victim.target--
-		}
-		if victim.target == 0 {
-			delete(r.byImage, victimName)
-		}
-		if r.cached > max(r.classTarget(p.MaxPerClass), 1) {
-			r.cached--
-		}
-	}
-	return wantCached
-}
-
-// TestPoolLRUReaperMatchesFullScan: observe takes the stale victim from
-// the front of the class's lru and keeps the class target as a running
-// sum. Beside it runs the old rule — the full walk and the map sum on
-// every completion — over two seeded observation sequences (a small
-// class whose tail vanishes, and 256 Zipf(1.1) tenants); every pool
-// decision (growth request, shells cached, each image's claim, idle
-// streak, smoothed service time and last-seen tick) must be identical
-// after every step, or virtual-mode runs would diverge on warm-shell hits.
-func TestPoolLRUReaperMatchesFullScan(t *testing.T) {
-	const mem = 64 << 10
-	for _, tc := range []struct {
-		name      string
-		policy    PoolPolicy
-		seed      int64
-		s         float64
-		tenants   uint64
-		steps     int
-		vanishing int // from this step on only three tenants submit
-	}{
-		{"vanishing-tail", PoolPolicy{MaxPerClass: 24, GrowDepth: 3, GrowBatch: 4, ShrinkAfter: 4}, 11, 1.2, 96, 30000, 20000},
-		{"zipf-256", DefaultPoolPolicy, 5, 1.1, 256, 60000, 50000},
-	} {
-		pools := &shellPools{policy: tc.policy}
-		ref := &refSizing{byImage: map[string]*refImage{}}
-		rng := rand.New(rand.NewSource(tc.seed))
-		zipf := rand.NewZipf(rng, tc.s, 4, tc.tenants-1)
-		reaped := 0
-		for step := 0; step < tc.steps; step++ {
-			image := fmt.Sprintf("tenant-%d", zipf.Uint64())
-			if step >= tc.vanishing {
-				image = fmt.Sprintf("tenant-%d", rng.Intn(3))
-			}
-			depth := []int{0, 0, 0, 0, 1, 2, 5, 9}[rng.Intn(8)]
-			svc := uint64(500 + rng.Intn(2000))
-
-			images := len(ref.byImage)
-			got, want := pools.observe(image, mem, depth, svc), ref.observe(t, tc.policy, image, depth, svc)
-			if len(ref.byImage) < images {
-				reaped++
-			}
-			if got != want {
-				t.Fatalf("%s step %d: growth request %d, full scan %d", tc.name, step, got, want)
-			}
-			for pools.size(mem) < got {
-				pools.put(mem, &shell{}) // the prewarm the caller would do
-			}
-			ref.cached = max(ref.cached, want)
-			if pools.size(mem) != ref.cached {
-				t.Fatalf("%s step %d: %d shells cached, full scan %d", tc.name, step, pools.size(mem), ref.cached)
-			}
-			st := pools.shardFor(mem).sizing[mem]
-			if st.tick != ref.tick || st.svcEWMA != ref.svcEWMA || len(st.byImage) != len(ref.byImage) || st.lru.Len() != len(st.byImage) {
-				t.Fatalf("%s step %d: tick %d/%d, images %d/%d (lru %d)", tc.name, step, st.tick, ref.tick, len(st.byImage), len(ref.byImage), st.lru.Len())
-			}
-			if st.classTarget(tc.policy.MaxPerClass) != ref.classTarget(tc.policy.MaxPerClass) {
-				t.Fatalf("%s step %d: class target %d, full scan %d", tc.name, step, st.classTarget(tc.policy.MaxPerClass), ref.classTarget(tc.policy.MaxPerClass))
-			}
-			for name, ri := range ref.byImage {
-				gi := st.byImage[name]
-				if gi == nil || gi.target != ri.target || gi.idle != ri.idle || gi.svcEWMA != ri.svcEWMA || gi.lastSeen != ri.lastSeen {
-					t.Fatalf("%s step %d: image %s: %+v, full scan %+v", tc.name, step, name, gi, ri)
+// TestPoolIdleStreakConcurrent: the real-mode scheduler's workers feed
+// their completions' depths concurrently with other runs' acquires and
+// releases. Every observation lands in the class's one streak (none is
+// lost), the shrink never takes the last shell, and every pooled shell
+// stays exact.
+func TestPoolIdleStreakConcurrent(t *testing.T) {
+	const goroutines = 8
+	w := New()
+	img := guest.MinimalHalt()
+	mem := img.MemBytes()
+	w.Prewarm(mem, goroutines)
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < shrinkAfter; i++ {
+				if _, err := w.Run(img, RunConfig{}, cycles.NewClock()); err != nil {
+					errs <- err
+					return
 				}
+				w.ObserveLoadOn("", mem, 0)
 			}
-		}
-		t.Logf("%s: %d images reaped", tc.name, reaped)
-		if reaped < 50 {
-			t.Fatalf("%s: the reaper retired only %d images; the sequence does not exercise it", tc.name, reaped)
-		}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	sh := w.backends[0].pools.shardFor(mem)
+	sh.mu.Lock()
+	idle := sh.classes[mem].idle
+	sh.mu.Unlock()
+	if idle != 0 {
+		t.Fatalf("idle streak %d after %d×%d observations, want 0: an observation was lost", idle, goroutines, shrinkAfter)
+	}
+	if n := w.PoolSize(mem); n < 1 || n > goroutines {
+		t.Fatalf("%d shells pooled, want 1..%d", n, goroutines)
+	}
+	if err := checkRuntime(w); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -15,8 +15,8 @@ import (
 // the pages captures hashed and took from shell content records, and
 // the Wasp+CA cleaner ledger's lifetime counters.
 //
-// The individual accessors — CodeCacheStats, ForestStats, PoolStatsFor,
-// PoolImageStats, Cleaner's counters — remain supported for callers
+// The individual accessors — CodeCacheStats, ForestStats, PoolSize,
+// Cleaner's counters — remain supported for callers
 // that want typed structs; the registry is the aggregation point new
 // tooling should prefer, because it presents every subsystem under one
 // namespace with one consistency point.

@@ -17,10 +17,9 @@
 //     information leakage). The zeroing cost is charged on the acquiring
 //     request's clock (Wasp+C) or on the Cleaner's dedicated virtual
 //     cleaner core, never on a request path (Wasp+CA; see cleaner.go).
-//     Pools are bounded and self-sizing per size class: PoolPolicy caps
-//     each class, and scheduler queue-depth/service-time telemetry
-//     (ObserveLoad) prewarms shells under bursts and shrinks them when
-//     idle (see pool.go).
+//     Each size class caches at most 64 shells and gives one back to the
+//     host after a streak of completions the scheduler saw no queue for
+//     (ObserveLoadOn; see pool.go).
 //   - Snapshotting: a virtine may capture its state after initialization;
 //     subsequent executions of the same image restore the snapshot (one
 //     memcpy) and resume at the snapshot point, skipping boot and runtime
@@ -32,9 +31,9 @@
 // parked COW shells), the content registry of base layers and boot
 // recordings, the cleaner's ledger — is partitioned per backend: a shell
 // created on KVM is never handed to a Hyper-V run, and each backend's
-// pools prewarm and shrink on their own telemetry. Only the decoded-code
-// registry is shared, because decoded guest code depends on image
-// content alone, not on the hypervisor underneath. The placement layer
+// pools shrink on their own telemetry. Only the decoded-code registry
+// is shared, because decoded guest code depends on image content
+// alone, not on the hypervisor underneath. The placement layer
 // (internal/placement) and the scheduler's platform-affine workers
 // decide which backend an invocation lands on; RunOn is the per-backend
 // entry point.
@@ -69,7 +68,6 @@ type Wasp struct {
 	cow          bool
 	legacyInterp bool
 	platforms    []vmm.Platform
-	policy       PoolPolicy
 
 	poolDrops atomic.Uint64 // sync-clean shells dropped at the capacity bound, and shells of panicked runs
 
@@ -183,12 +181,6 @@ func WithPooling(on bool) Option { return func(w *Wasp) { w.pooling = on } }
 // request. With multiple platforms each backend gets its own cleaner.
 func WithAsyncClean(on bool) Option { return func(w *Wasp) { w.asyncClean = on } }
 
-// WithPoolPolicy bounds and self-sizes the shell pools; zero fields
-// take DefaultPoolPolicy values. Without this option the default policy
-// applies — pools are always capacity-bounded. The policy applies to
-// every backend's pools independently.
-func WithPoolPolicy(p PoolPolicy) Option { return func(w *Wasp) { w.policy = p } }
-
 // WithSnapshotting enables the snapshot/restore fast path (§5.2). Images
 // still opt in per run via RunConfig.Snapshot.
 func WithSnapshotting(on bool) Option { return func(w *Wasp) { w.snapEnable = on } }
@@ -202,8 +194,8 @@ func WithPlatform(p vmm.Platform) Option {
 // WithPlatforms gives one Wasp several hosted-hypervisor backends. The
 // first platform is the default (Run without a platform lands there);
 // RunOn and the scheduler's platform-affine workers address the others.
-// Shell pools, snapshot and content registries, prewarming, ObserveLoad
-// sizing, and async cleaning are all partitioned per platform.
+// Shell pools, snapshot and content registries, prewarming, idle
+// shrinking, and async cleaning are all partitioned per platform.
 // Duplicate platform names collapse to one backend.
 func WithPlatforms(ps ...vmm.Platform) Option {
 	return func(w *Wasp) {
@@ -245,14 +237,13 @@ func New(opts ...Option) *Wasp {
 	for _, o := range opts {
 		o(w)
 	}
-	w.policy = w.policy.withDefaults()
 	w.byPlat = make(map[string]*backend, len(w.platforms))
 	for _, p := range w.platforms {
 		if _, dup := w.byPlat[p.Name()]; dup {
 			continue
 		}
 		be := &backend{platform: p, forest: vmm.NewPageStore()}
-		be.pools.policy = w.policy
+		be.pools.max = maxPerClass
 		if w.pooling && w.asyncClean {
 			be.cleaner = newCleaner(w.tracer)
 		}
@@ -431,21 +422,6 @@ func (w *Wasp) PoolTotalOn(platform string) int {
 	return be.pools.total()
 }
 
-// PoolStatsFor snapshots one size class's pool state on the default
-// backend (cached count, summed per-image warm target, smoothed service
-// time).
-func (w *Wasp) PoolStatsFor(memBytes int) PoolStats {
-	return w.backends[0].pools.stats(memBytes)
-}
-
-// PoolImageStats snapshots one image's sizing state within a size
-// class on the default backend: Target and SvcEWMA are the image's own
-// warm-target claim and smoothed service time; Cached is the class's
-// shared warm count.
-func (w *Wasp) PoolImageStats(memBytes int, image string) PoolStats {
-	return w.backends[0].pools.imageStats(memBytes, image)
-}
-
 // PoolDropped reports Wasp+C releases dropped at the capacity bound, and
 // the shells of runs a panic unwound through (all backends). Wasp+CA
 // drops at the bound are reported by Cleaner.Dropped.
@@ -484,8 +460,8 @@ func (w *Wasp) Prewarm(memBytes, n int) int {
 }
 
 // PrewarmOn tops a size class up to n cached clean shells (clamped to
-// the class's capacity) on one backend ahead of demand; classes already
-// at or above n are left alone. Creation cost lands on a private clock:
+// the class's capacity of 64) on one backend ahead of demand; classes
+// already at or above n are left alone. Creation cost lands on a private clock:
 // prewarming is provisioning work off any measured request path. It
 // reports how many shells were added (0 for an unknown platform).
 func (w *Wasp) PrewarmOn(platform string, memBytes, n int) int {
@@ -500,9 +476,7 @@ func (w *Wasp) prewarm(be *backend, memBytes, n int) int {
 	if !w.pooling {
 		return 0
 	}
-	if max := be.pools.policy.MaxPerClass; n > max {
-		n = max
-	}
+	n = min(n, be.pools.max)
 	added := 0
 	for be.pools.size(memBytes) < n {
 		ctx := vmm.CreateOn(be.platform, memBytes, cycles.NewClock())
@@ -518,28 +492,15 @@ func (w *Wasp) prewarm(be *backend, memBytes, n int) int {
 	return added
 }
 
-// ObserveLoad feeds scheduler telemetry for one completed run on the
-// default backend into the pool-sizing policy; see ObserveLoadOn.
-func (w *Wasp) ObserveLoad(image string, memBytes, depth int, svcCycles uint64) {
-	w.ObserveLoadOn("", image, memBytes, depth, svcCycles)
-}
-
-// ObserveLoadOn feeds scheduler telemetry for one completed run into
-// the named backend's pool-sizing policy, attributed to the image that
-// ran: a deep queue at submit raises the image's warm-target claim on
-// its size class and prewarms shells; a sustained idle streak of that
-// image decays only its own claim and releases a surplus cached shell
-// to the host (handled inside observe, under the shard lock), so a
-// multi-tenant class keeps warm shells for tenants that are still
-// active. The unified scheduler calls this once per completed image
-// ticket, on the platform whose worker served it.
-func (w *Wasp) ObserveLoadOn(platform, image string, memBytes, depth int, svcCycles uint64) {
-	be, err := w.backendFor(platform)
-	if err != nil || !w.pooling {
-		return
-	}
-	if wantCached := be.pools.observe(image, memBytes, depth, svcCycles); wantCached > 0 {
-		w.prewarm(be, memBytes, wantCached)
+// ObserveLoadOn feeds one completed run's queue depth at submit into
+// its size class's idle streak on the named backend ("" is the default):
+// a run that queued behind others resets the streak, and a streak of 64
+// uncontended runs gives one cached shell back to the host, keeping the
+// last. The scheduler calls it once per completed image ticket, on the
+// platform whose worker served it.
+func (w *Wasp) ObserveLoadOn(platform string, memBytes, depth int) {
+	if be, err := w.backendFor(platform); err == nil && w.pooling {
+		be.pools.observe(memBytes, depth)
 	}
 }
 
