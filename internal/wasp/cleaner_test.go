@@ -175,9 +175,18 @@ func TestNoDirtyShellAcquiredUnderAsyncClean(t *testing.T) {
 // TestPoolCapacityBound is the unbounded-growth regression test: a
 // burst can no longer retain more shells than the per-class cap.
 func TestPoolCapacityBound(t *testing.T) {
-	w := New()
-	img := guest.MinimalHalt()
+	// Every run of img waits inside its shell until the whole burst is
+	// inside one, so burst shells are out at once.
+	const burst = maxPerClass + 16
+	var inside sync.WaitGroup
+	inside.Add(burst)
+	img := guest.NativeBootStub("capacity-burst", func(any) error {
+		inside.Done()
+		inside.Wait()
+		return nil
+	}, 0)
 	mem := img.MemBytes()
+	w := New()
 
 	// Prewarm clamps at the bound.
 	if added := w.Prewarm(mem, maxPerClass+10); added != maxPerClass {
@@ -187,39 +196,36 @@ func TestPoolCapacityBound(t *testing.T) {
 		t.Fatalf("pool total = %d after prewarm, want %d", n, maxPerClass)
 	}
 
-	// A concurrent burst of 12 runs must end at or below the cap.
-	const goroutines = 12
-	start := make(chan struct{})
+	// The burst takes the maxPerClass warm shells, creates 16 cold, and
+	// releases all of them concurrently into the class: exactly the
+	// surplus goes to the host.
 	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
+	errs := make(chan error, burst)
+	for g := 0; g < burst; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			<-start
-			for i := 0; i < 4; i++ {
-				if _, err := w.Run(img, RunConfig{}, cycles.NewClock()); err != nil {
-					errs <- err
-					return
-				}
+			if _, err := w.Run(img, RunConfig{}, cycles.NewClock()); err != nil {
+				errs <- err
 			}
 		}()
 	}
-	close(start)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if n := w.PoolTotal(); n > maxPerClass {
-		t.Fatalf("pool grew to %d shells, cap is %d", n, maxPerClass)
+	if n, d := w.PoolTotal(), w.PoolDropped(); n != maxPerClass || d != burst-maxPerClass {
+		t.Fatalf("pool total %d, dropped %d after a burst of %d, want %d, %d",
+			n, d, burst, maxPerClass, burst-maxPerClass)
 	}
-	// Shells released into a full class go to the host, counted.
+	// Shells released one at a time into a full class go to the host too.
 	for i := 0; i < 3; i++ {
 		w.release(vmm.CreateOn(vmm.KVM{}, mem, cycles.NewClock()), nil)
 	}
-	if n, d := w.PoolTotal(), w.PoolDropped(); n != maxPerClass || d != 3 {
-		t.Fatalf("pool total %d, dropped %d after three releases into a full class, want %d, 3", n, d, maxPerClass)
+	if n, d := w.PoolTotal(), w.PoolDropped(); n != maxPerClass || d != burst-maxPerClass+3 {
+		t.Fatalf("pool total %d, dropped %d after three more releases into a full class, want %d, %d",
+			n, d, maxPerClass, burst-maxPerClass+3)
 	}
 }
 

@@ -361,7 +361,11 @@ func TestRebaseMatchesMaterialize(t *testing.T) {
 		New(WithCOW(true)),
 		New(WithCOW(true), WithAsyncClean(true)),
 	} {
-		w.backends[0].pools.max = 1 // one pooled shell, as the pin assumes
+		// The pinned hashes are the eager restore path's, charged with one
+		// pooled shell per class. A larger pool changes which shell a run
+		// takes, and so what its populate is charged: at maxPerClass both
+		// hashes move.
+		w.backends[0].pools.max = 1
 		if c := w.Cleaner(); c != nil {
 			c.SetDriven(true)
 			defer c.SetDriven(false)

@@ -47,7 +47,7 @@ const poolShardCount = 16
 // one shard; distinct size classes on different shards proceed fully in
 // parallel, and even classes that collide only contend on a push/pop.
 type shellPools struct {
-	max    int // cached shells per class: maxPerClass (tests lower it)
+	max    int // cached shells per class: maxPerClass, or 1 where TestRebaseMatchesMaterialize pins a history
 	shards [poolShardCount]poolShard
 }
 
