@@ -2,9 +2,23 @@
 // standing in for OpenSSL's EVP aes-128-cbc in the §6.4 experiment: the
 // 128-bit block cipher is the "deeply buried, heavily optimized function
 // in a large codebase" the paper moves into virtine context.
+//
+// Encryption is FIPS-197's 32-bit table formulation (four 256-entry word
+// tables, one lookup per state byte per round); the textbook byte-wise
+// inverse cipher stays as the independent check the tests decrypt with.
+// The virtual cost of a call is still ComputeCost, the modelled AES-NI
+// rate, not anything the host spends. The table lookups are indexed by
+// key and data, so their host timing leaks through the cache, but a guest
+// sees only the virtual clock, which host timing never moves.
 package aes
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
+
+// be loads and stores the cipher's big-endian column words.
+var be = binary.BigEndian
 
 // BlockSize is the AES block size in bytes.
 const BlockSize = 16
@@ -32,12 +46,6 @@ var sbox = [256]byte{
 }
 
 var invSbox [256]byte
-
-func init() {
-	for i, v := range sbox {
-		invSbox[v] = byte(i)
-	}
-}
 
 var rcon = [11]byte{0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36}
 
@@ -72,10 +80,26 @@ func subWord(w uint32) uint32 {
 		uint32(sbox[w>>8&0xFF])<<8 | uint32(sbox[w&0xFF])
 }
 
-// xtime multiplies by x in GF(2^8). The reduction is a mask, not a branch:
-// the top bit of cipher state is a coin flip, and mixColumns does this
-// sixteen times a round.
+// xtime multiplies by x in GF(2^8).
 func xtime(b byte) byte { return b<<1 ^ 0x1b&-(b>>7) }
+
+// te holds the encryption round tables of FIPS-197 §5.2.1's 32-bit
+// formulation: te[0][x] is the MixColumns column (2·S[x], S[x], S[x],
+// 3·S[x]) as a big-endian word, and te[i] is te[0] rotated right by 8·i
+// bits. One round is then 16 lookups and XORs on four column words
+// instead of SubBytes, ShiftRows and MixColumns over bytes.
+var te [4][256]uint32
+
+func init() {
+	for i, v := range sbox {
+		invSbox[v] = byte(i)
+		w := uint32(xtime(v))<<24 | uint32(v)<<16 | uint32(v)<<8 | uint32(xtime(v)^v)
+		for t := range te {
+			te[t][i] = w
+			w = w>>8 | w<<24
+		}
+	}
+}
 
 // gmul multiplies in GF(2^8).
 func gmul(a, b byte) byte {
@@ -100,12 +124,6 @@ func (c *Cipher) addRoundKey(s *[16]byte, round int) {
 	}
 }
 
-func subBytes(s *[16]byte) {
-	for i := range s {
-		s[i] = sbox[s[i]]
-	}
-}
-
 func invSubBytes(s *[16]byte) {
 	for i := range s {
 		s[i] = invSbox[s[i]]
@@ -114,16 +132,6 @@ func invSubBytes(s *[16]byte) {
 
 // State layout: s[4*col + row] (column-major, as FIPS-197).
 
-func shiftRows(s *[16]byte) {
-	var t [16]byte
-	copy(t[:], s[:])
-	for r := 1; r < 4; r++ {
-		for col := 0; col < 4; col++ {
-			s[4*col+r] = t[4*((col+r)%4)+r]
-		}
-	}
-}
-
 func invShiftRows(s *[16]byte) {
 	var t [16]byte
 	copy(t[:], s[:])
@@ -131,16 +139,6 @@ func invShiftRows(s *[16]byte) {
 		for col := 0; col < 4; col++ {
 			s[4*((col+r)%4)+r] = t[4*col+r]
 		}
-	}
-}
-
-func mixColumns(s *[16]byte) {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c] = xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3
-		s[4*c+1] = a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3
-		s[4*c+2] = a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3)
-		s[4*c+3] = (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3)
 	}
 }
 
@@ -154,21 +152,34 @@ func invMixColumns(s *[16]byte) {
 	}
 }
 
-// EncryptBlock encrypts one 16-byte block: dst = AES(src).
-func (c *Cipher) EncryptBlock(dst, src []byte) {
-	var s [16]byte
-	copy(s[:], src[:16])
-	c.addRoundKey(&s, 0)
-	for round := 1; round < 10; round++ {
-		subBytes(&s)
-		shiftRows(&s)
-		mixColumns(&s)
-		c.addRoundKey(&s, round)
+// encrypt runs the cipher on one block held as four big-endian column
+// words: round key 0, nine table rounds, then the last round, SubBytes
+// on the bytes ShiftRows selects and no MixColumns.
+func (c *Cipher) encrypt(s0, s1, s2, s3 uint32) (uint32, uint32, uint32, uint32) {
+	rk := &c.rk
+	s0 ^= rk[0]
+	s1 ^= rk[1]
+	s2 ^= rk[2]
+	s3 ^= rk[3]
+	for k := 4; k < 40; k += 4 {
+		t0 := te[0][s0>>24] ^ te[1][s1>>16&0xff] ^ te[2][s2>>8&0xff] ^ te[3][s3&0xff] ^ rk[k]
+		t1 := te[0][s1>>24] ^ te[1][s2>>16&0xff] ^ te[2][s3>>8&0xff] ^ te[3][s0&0xff] ^ rk[k+1]
+		t2 := te[0][s2>>24] ^ te[1][s3>>16&0xff] ^ te[2][s0>>8&0xff] ^ te[3][s1&0xff] ^ rk[k+2]
+		t3 := te[0][s3>>24] ^ te[1][s0>>16&0xff] ^ te[2][s1>>8&0xff] ^ te[3][s2&0xff] ^ rk[k+3]
+		s0, s1, s2, s3 = t0, t1, t2, t3
 	}
-	subBytes(&s)
-	shiftRows(&s)
-	c.addRoundKey(&s, 10)
-	copy(dst[:16], s[:])
+	const r0, r1, r2, r3 = 0xff000000, 0x00ff0000, 0x0000ff00, 0x000000ff
+	return subWord(s0&r0|s1&r1|s2&r2|s3&r3) ^ rk[40], subWord(s1&r0|s2&r1|s3&r2|s0&r3) ^ rk[41],
+		subWord(s2&r0|s3&r1|s0&r2|s1&r3) ^ rk[42], subWord(s3&r0|s0&r1|s1&r2|s2&r3) ^ rk[43]
+}
+
+// EncryptBlock encrypts one 16-byte block: dst = AES(src). dst may be src.
+func (c *Cipher) EncryptBlock(dst, src []byte) {
+	s0, s1, s2, s3 := c.encrypt(be.Uint32(src[0:4]), be.Uint32(src[4:8]), be.Uint32(src[8:12]), be.Uint32(src[12:16]))
+	be.PutUint32(dst[0:4], s0)
+	be.PutUint32(dst[4:8], s1)
+	be.PutUint32(dst[8:12], s2)
+	be.PutUint32(dst[12:16], s3)
 }
 
 // DecryptBlock decrypts one 16-byte block.
@@ -189,7 +200,8 @@ func (c *Cipher) DecryptBlock(dst, src []byte) {
 }
 
 // EncryptCBC encrypts src (a multiple of 16 bytes) under CBC with iv,
-// writing to dst.
+// writing to dst. Each block is read before it is written, so dst may be
+// src.
 func (c *Cipher) EncryptCBC(dst, src, iv []byte) error {
 	if len(src)%BlockSize != 0 {
 		return fmt.Errorf("aes: CBC input %d not a multiple of %d", len(src), BlockSize)
@@ -197,15 +209,14 @@ func (c *Cipher) EncryptCBC(dst, src, iv []byte) error {
 	if len(dst) < len(src) || len(iv) != BlockSize {
 		return fmt.Errorf("aes: bad CBC buffers")
 	}
-	var chain [16]byte
-	copy(chain[:], iv)
-	var blk [16]byte
+	c0, c1, c2, c3 := be.Uint32(iv[0:4]), be.Uint32(iv[4:8]), be.Uint32(iv[8:12]), be.Uint32(iv[12:16])
 	for off := 0; off < len(src); off += BlockSize {
-		for i := 0; i < BlockSize; i++ {
-			blk[i] = src[off+i] ^ chain[i]
-		}
-		c.EncryptBlock(chain[:], blk[:])
-		copy(dst[off:], chain[:])
+		in, out := src[off:off+BlockSize], dst[off:off+BlockSize]
+		c0, c1, c2, c3 = c.encrypt(c0^be.Uint32(in[0:4]), c1^be.Uint32(in[4:8]), c2^be.Uint32(in[8:12]), c3^be.Uint32(in[12:16]))
+		be.PutUint32(out[0:4], c0)
+		be.PutUint32(out[4:8], c1)
+		be.PutUint32(out[8:12], c2)
+		be.PutUint32(out[12:16], c3)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package js
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -42,6 +43,11 @@ type Engine struct {
 	// charging — nothing observes the clock mid-evaluation — but the
 	// hook is invoked once per Eval instead of once per AST node.
 	pending uint64
+
+	// cat holds the last concatenation result. A "+" whose left operand
+	// is that string appends to it in place: the bytes past its end
+	// belong to no string yet, so no earlier result is rewritten.
+	cat strings.Builder
 }
 
 const maxCallDepth = 2000

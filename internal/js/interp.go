@@ -393,16 +393,17 @@ func (e *Engine) binop(op string, l, r Value, line int) (Value, error) {
 	case "+":
 		// String concatenation charges the appended bytes plus header:
 		// engines grow strings with amortized reallocation (ropes /
-		// doubling buffers), not a full copy per concat.
+		// doubling buffers), not a full copy per concat. The host
+		// appends the same way (concat).
 		if ls, ok := l.(string); ok {
 			rs := ToString(r)
 			e.alloc(len(rs) + 8)
-			return ls + rs, nil
+			return e.concat(ls, rs), nil
 		}
 		if rs, ok := r.(string); ok {
 			ls := ToString(l)
 			e.alloc(len(ls) + 8)
-			return ls + rs, nil
+			return e.concat(ls, rs), nil
 		}
 		return numVal(toNum(l) + toNum(r)), nil
 	case "-":
@@ -448,6 +449,20 @@ func (e *Engine) binop(op string, l, r Value, line int) (Value, error) {
 		}
 	}
 	return nil, jerrf(line, "bad operator %s", op)
+}
+
+// concat returns ls+rs. When ls is the previous result it appends rs to
+// it in the engine's builder, so `out = out + c` in a loop costs the
+// appended bytes, not a copy of out; any other ls starts a new buffer
+// (the old one stays with the strings that share it).
+func (e *Engine) concat(ls, rs string) string {
+	if ls != e.cat.String() {
+		e.cat = strings.Builder{}
+		e.cat.Grow(len(ls) + len(rs))
+		e.cat.WriteString(ls)
+	}
+	e.cat.WriteString(rs)
+	return e.cat.String()
 }
 
 func strCompare(op, a, b string) bool {
@@ -596,9 +611,18 @@ func (e *Engine) evalCall(x *call, env *scope) (Value, error) {
 		}
 		switch base.(type) {
 		case string, *Array:
-			args, err := e.evalArgs(x, env)
-			if err != nil {
-				return nil, err
+			// callMethod keeps no reference to its argument slice, so
+			// the arguments live in this frame. (Passed through
+			// evalArgs, which eval's recursion reaches, they would
+			// escape with every other call's.)
+			var buf [4]Value
+			args := buf[:0]
+			for _, a := range x.Args {
+				v, err := e.eval(a, env)
+				if err != nil {
+					return nil, err
+				}
+				args = append(args, v)
 			}
 			return e.callMethod(boundMethod{recv: base, name: m.Name}, args, x.line())
 		}

@@ -151,6 +151,84 @@ func TestStrings(t *testing.T) {
 	}
 }
 
+// TestConcatNeverRewritesEarlierResults covers the in-place append
+// behind "+": every string a program (or the host) still holds keeps its
+// bytes however the last result is extended afterwards.
+func TestConcatNeverRewritesEarlierResults(t *testing.T) {
+	e := NewEngine(nil)
+	strs := func(src string, want ...string) []string {
+		t.Helper()
+		v, err := e.Eval(src)
+		if err != nil {
+			t.Fatalf("eval %q: %v", src, err)
+		}
+		arr, ok := v.(*Array)
+		if !ok || len(arr.Elems) != len(want) {
+			t.Fatalf("eval %q = %v, want %d strings", src, v, len(want))
+		}
+		got := make([]string, len(want))
+		for i, el := range arr.Elems {
+			got[i] = ToString(el)
+			if got[i] != want[i] {
+				t.Errorf("eval %q: [%d] = %q, want %q", src, i, got[i], want[i])
+			}
+		}
+		return got
+	}
+	var held [][]string // results the host keeps across later Evals
+	var heldWant [][]string
+
+	// One value extended twice, then each extension extended again.
+	want := []string{"ax", "axb", "axc", "axbd", "axcd"}
+	held = append(held, strs(`var s = "a" + "x"; var t = s + "b"; var u = s + "c";
+		var t2 = t + "d"; var u2 = u + "d"; [s, t, u, t2, u2];`, want...))
+	heldWant = append(heldWant, want)
+
+	// A result stored in an array and an object, then extended, and each
+	// stored copy extended in turn.
+	want = []string{"pq", "pq", "pqr", "pqz", "pqy", "pqr!"}
+	held = append(held, strs(`var a = []; var p = "p" + "q"; a.push(p); var o = {k: p};
+		var r = p + "r"; var r0 = r; var z = a[0] + "z"; var y = o.k + "y";
+		r = z + "!"; r = r0 + "!"; [a[0], o.k, r0, z, y, r];`, want...))
+	heldWant = append(heldWant, want)
+
+	// An operand with the last result's content in a different string,
+	// one with its length but not its content, and a non-string left
+	// operand.
+	want = []string{"abc", "abc", "abcx", "abcy", "wxyz!", "1abc", "abcx2"}
+	held = append(held, strs(`var m = "ab" + "c"; var d = "abc"; var dx = d + "x"; var my = m + "y";
+		var k = "wxyz" + "!"; var n1 = 1 + m; var dx2 = dx + 2; [m, d, dx, my, k, n1, dx2];`, want...))
+	heldWant = append(heldWant, want)
+
+	// 1,000 appends, by + and +=, every intermediate result kept.
+	v, err := e.Eval(`var out = ""; var parts = [];
+		for (var i = 0; i < 1000; i++) {
+			if (i % 2 == 0) { out = out + "ab"; } else { out += "ab"; }
+			parts.push(out);
+		}
+		parts;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := v.(*Array).Elems
+	if len(parts) != 1000 {
+		t.Fatalf("%d parts, want 1000", len(parts))
+	}
+	for i, p := range parts {
+		if want := strings.Repeat("ab", i+1); ToString(p) != want {
+			t.Fatalf("parts[%d] = %q..., want %d bytes of \"ab\"", i, ToString(p)[:8], len(want))
+		}
+	}
+
+	for i, got := range held {
+		for j := range got {
+			if got[j] != heldWant[i][j] {
+				t.Errorf("held result %d[%d] became %q, want %q", i, j, got[j], heldWant[i][j])
+			}
+		}
+	}
+}
+
 func TestArraysAndObjects(t *testing.T) {
 	got := num(t, `
 var a = [1, 2, 3];
@@ -345,5 +423,50 @@ func TestFig14Shape(t *testing.T) {
 		snapNT.Cycles < get("virtine+snapshot").Cycles &&
 		snapNT.Cycles < get("virtine NT").Cycles) {
 		t.Fatalf("optimization ordering violated: %+v", pts)
+	}
+}
+
+// newEncodeBench returns guest_compute's JS request: a snapshotted
+// virtine (guest_compute's tears its engine down; the teardown is a
+// charge, not host work) warmed past its snapshot, and a 256-byte input.
+func newEncodeBench(tb testing.TB) (*VirtineJS, []byte) {
+	tb.Helper()
+	v := NewVirtineJS(wasp.New(), true, false)
+	data := make([]byte, 256)
+	for i := range data {
+		data[i] = byte(i * 31)
+	}
+	if _, err := v.Encode(data, cycles.NewClock()); err != nil {
+		tb.Fatal(err)
+	}
+	return v, data
+}
+
+// BenchmarkVirtineJSEncode times the host cost of guest_compute's JS
+// request: restore, get_data, the base64 program, return_data.
+func BenchmarkVirtineJSEncode(b *testing.B) {
+	v, data := newEncodeBench(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := v.Encode(data, cycles.NewClock()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestVirtineJSEncodeAllocs gates BenchmarkVirtineJSEncode's
+// allocations (650 per encode). The bound, 790, is half of the 1,583 an
+// encode made while every concatenation copied its left operand and
+// every method call put its arguments on the heap.
+func TestVirtineJSEncodeAllocs(t *testing.T) {
+	v, data := newEncodeBench(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := v.Encode(data, cycles.NewClock()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per encode", allocs)
+	if allocs > 790 {
+		t.Fatalf("%.0f allocations per encode, want at most 790", allocs)
 	}
 }
