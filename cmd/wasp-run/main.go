@@ -67,7 +67,7 @@ func main() {
 		fatal(fmt.Errorf("unknown platform %q (want kvm or hyper-v)", *platform))
 	}
 	var tracer *obs.Tracer
-	wopts := []wasp.Option{wasp.WithPlatform(plat)}
+	wopts := []wasp.Option{wasp.WithPlatforms(plat)}
 	if *tracePath != "" {
 		tracer = obs.NewTracer()
 		tracer.SetEnabled(true)

@@ -375,7 +375,7 @@ loop:
 
 // BenchmarkStoreLoop times the boot stub's two table-building loops
 // (vx_pdloop and vx_zloop: 3,072 stores over 12 KiB) on a shell that has
-// run them before, which is every boot after a pooled shell's first.
+// run them before: the store closures on the barrier's fast path.
 func BenchmarkStoreLoop(b *testing.B) {
 	const loops = `
 .org 0x8000

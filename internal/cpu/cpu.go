@@ -70,10 +70,11 @@ func (e Event) String() string {
 type ExitReason uint8
 
 const (
-	ExitNone  ExitReason = iota
-	ExitHalt             // HLT retired
-	ExitIO               // OUT/IN port access (hypercall)
-	ExitFault            // architectural fault (bad fetch, page fault, ...)
+	ExitNone    ExitReason = iota
+	ExitHalt               // HLT retired
+	ExitIO                 // OUT/IN port access (hypercall)
+	ExitFault              // architectural fault (bad fetch, page fault, ...)
+	ExitHandoff            // an ljmp landed on Handoff; not a VM exit
 )
 
 func (r ExitReason) String() string {
@@ -86,6 +87,8 @@ func (r ExitReason) String() string {
 		return "io"
 	case ExitFault:
 		return "fault"
+	case ExitHandoff:
+		return "handoff"
 	}
 	return "exit?"
 }
@@ -157,6 +160,12 @@ type CPU struct {
 	Retired uint64
 
 	Halted bool
+
+	// Handoff, when non-zero, stops Run with ExitHandoff as soon as an
+	// ljmp lands on it: the boot stub's hand-off to the workload. An ljmp
+	// is a special, which both engines execute through Step, so the trace
+	// path never checks it. Reset clears it.
+	Handoff uint64
 
 	// NoTLB disables the translation cache (ablation: every long-mode
 	// access pays a full page walk).
@@ -357,13 +366,11 @@ func (c *CPU) Resume(r *ResumePoint, base uint64) {
 }
 
 // JITStats counts compiled-trace activity: traces compiled, entered and
-// deoptimized, and the instructions the counted-loop kernel (loop.go)
-// retired without entering a closure.
+// deoptimized.
 type JITStats struct {
 	BlocksCompiled uint64
 	BlockHits      uint64
 	BlockDeopts    uint64
-	LoopRetired    uint64
 }
 
 func (c *CPU) fault(format string, args ...any) *Exit {

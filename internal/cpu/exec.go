@@ -416,6 +416,11 @@ func (c *CPU) Step() *Exit {
 		}
 		c.Mode = target
 		c.FlushTLB()
+		if addrImm == c.Handoff && addrImm != 0 {
+			c.Retired++
+			c.IP = addrImm
+			return &Exit{Reason: ExitHandoff}
+		}
 		next = addrImm
 
 	default:

@@ -13,10 +13,9 @@ import (
 // fuzzSeedBody generates one random-but-halting program body in the style
 // of differential_test.go's corpus: ALU work, guarded divides, balanced
 // stack traffic, word and byte memory traffic around a page boundary, a
-// patch of its own code, an affine store loop the counted-loop kernel
-// takes (random stride and counter, its base near a page boundary or the
-// end of memory), and one bounded self-patching loop the trace engine
-// compiles.
+// patch of its own code, a counted store loop (random stride and
+// counter, its base near a page boundary or the end of memory), and one
+// bounded self-patching loop the trace engine compiles.
 func fuzzSeedBody(rng *rand.Rand) string {
 	regs := []string{"rax", "rbx", "rdx", "rsi", "rdi", "r8", "r9"}
 	reg := func() string { return regs[rng.Intn(len(regs))] }

@@ -7,6 +7,13 @@ import "strings"
 // kernel: configure protected mode, a GDT, paging, and finally jump to
 // 64-bit code. The stubs are templates: workload assembly is spliced in
 // at the workload marker, already running in the target mode.
+//
+// Hand-off contract: a stub's last instruction is the ljmp to its
+// hand-off label (vx_long64, or vx_prot32 without paging), and nothing
+// before that label touches [ArgAddr, ArgAddr+ArgMax). Wasp relies on it
+// twice: a boot's arguments are copied in at the hand-off, and each
+// backend records one boot per image content up to the hand-off and
+// replays it for every argument.
 
 // workloadMarker is replaced by the caller's assembly.
 const workloadMarker = "@WORKLOAD@"

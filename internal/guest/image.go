@@ -73,18 +73,26 @@ type Image struct {
 	// Native, when non-nil, runs after the image's boot stub halts.
 	Native NativeFunc
 
+	// Handoff is where the image's boot stub hands off to the workload
+	// (its vx_long64 label, or vx_prot32 for a protected-mode stub), 0
+	// for an image without one. Nothing before it reads the arguments,
+	// so Wasp copies them in there and records one boot per content up
+	// to it.
+	Handoff uint64
+
 	// contentKey caches ContentKey for images built by the package
 	// constructors; WithName/WithPad copies inherit it.
 	contentKey string
 }
 
 // ContentKey identifies the image by executable content: a hash over the
-// code bytes, load origin, entry point, and start mode — everything the
-// decoded-code cache depends on, and nothing it does not (Name and Pad
-// are excluded: renamed tenant clones and padded variants of one binary
-// decode identically). The Wasp code registry keys on it, so clones made
-// with WithName share one decode. Safe even under hash collision: code
-// adoption verifies page content against guest memory before install.
+// code bytes, load origin, entry point, start mode and hand-off —
+// everything the decoded-code cache and boot replay depend on, and
+// nothing they do not (Name and Pad are excluded: renamed tenant clones
+// and padded variants of one binary decode identically). The Wasp code
+// registry keys on it, so clones made with WithName share one decode.
+// Safe even under hash collision: code adoption verifies page content
+// against guest memory before install.
 func (im *Image) ContentKey() string {
 	if im.contentKey == "" {
 		return contentKey(im)
@@ -106,6 +114,7 @@ func contentKey(im *Image) string {
 	mix(im.Origin)
 	mix(im.Entry)
 	mix(uint64(im.Mode))
+	mix(im.Handoff)
 	mix(uint64(len(im.Code)))
 	for _, b := range im.Code {
 		h ^= uint64(b)
@@ -129,6 +138,12 @@ func FromAsm(name, src string) (*Image, error) {
 		Origin: p.Origin,
 		Entry:  p.Entry,
 		Mode:   p.StartMode,
+	}
+	for _, label := range []string{"vx_long64", "vx_prot32"} {
+		if at, ok := p.Labels[label]; ok {
+			im.Handoff = at
+			break
+		}
 	}
 	im.contentKey = contentKey(im)
 	return im, nil

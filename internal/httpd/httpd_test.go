@@ -453,8 +453,9 @@ func TestServeTenantsPlaced(t *testing.T) {
 
 // BenchmarkColdBoot serves one request at a time on a Wasp+CA runtime
 // with snapshotting off: http_pooled's request without the scheduler.
-// Every request boots a fresh virtine; after the first, each boot replays
-// the recorded one (replays/op).
+// Every request boots a fresh virtine; after the first, each replays the
+// recorded boot stub up to its hand-off and executes the rest
+// (replays/op).
 func BenchmarkColdBoot(b *testing.B) {
 	w := wasp.New(wasp.WithAsyncClean(true))
 	s, err := NewFileServer(w, testFiles())
@@ -502,9 +503,10 @@ virtine_config(0xC0) int handle(int tenant) {
 // BenchmarkTenantFirstRun times a fresh tenant's first run of that handler
 // on a COW runtime (boot, document loop, capture) and the drop of its
 // snapshot: the guest work that dominates a fork_storm lifecycle. Every op
-// is a new tenant with a new argument, so its boot executes rather than
-// replays; a resident tenant keeps the image's base layer, as the
-// workload's warm-up does.
+// is a new tenant with a new argument; its boot replays the stub's
+// recording, which holds no argument, so replays/op must read 1. A
+// resident tenant makes the recording and keeps the image's base layer,
+// as the workload's warm-up does.
 func BenchmarkTenantFirstRun(b *testing.B) {
 	v, err := vcc.CompileFunc(tenantHandlerC, "handle")
 	if err != nil {
@@ -529,12 +531,20 @@ func BenchmarkTenantFirstRun(b *testing.B) {
 		return res.Retired
 	}
 	run(1<<30, false) // the resident tenant
+	replays := func() float64 { return metric(w, "wasp_boot_replays{platform=kvm}") }
+	before := replays()
 	var instr uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		instr += run(i, true)
 	}
+	b.StopTimer()
+	perOp := (replays() - before) / float64(b.N)
+	if perOp != 1 {
+		b.Fatalf("%v replays per tenant boot, want 1", perOp)
+	}
 	b.ReportMetric(float64(instr)/float64(b.N), "instr/op")
+	b.ReportMetric(perOp, "replays/op")
 }
 
 // metric reads one of the runtime's registry metrics.

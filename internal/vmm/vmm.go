@@ -113,7 +113,17 @@ func (c *Context) Run(maxSteps uint64) *cpu.Exit {
 		c.FirstEntry = c.Clock.Now()
 	}
 	c.Entries++
+	return c.Continue(maxSteps)
+}
+
+// Continue executes an entered guest until the next exit and charges the
+// exit. A stop at the vCPU's hand-off (cpu.ExitHandoff) is no exit: the
+// guest stays entered, nothing is charged, and the caller continues it.
+func (c *Context) Continue(maxSteps uint64) *cpu.Exit {
 	ex := c.CPU.Run(maxSteps)
+	if ex.Reason == cpu.ExitHandoff {
+		return ex
+	}
 	c.Clock.Advance(c.platform.ExitCost())
 	switch ex.Reason {
 	case cpu.ExitIO:

@@ -63,10 +63,12 @@ const probeAsm = `
 	hlt
 `
 
-// Each image boots cold three times — the first boot records, the next
-// two replay — on a trace-engine Wasp and on a Legacy one, which always
-// executes. Run by run, every Result field and the dirty set at the first
-// exit must be equal; the Legacy Wasp must record and replay nothing.
+// Each image boots cold three times, each boot with its own argument —
+// the first records, the next two replay — on a trace-engine Wasp and on
+// a Legacy one, which always executes. Run by run, every Result field and
+// the dirty set at the first exit must be equal; the Legacy Wasp must
+// record and replay nothing, and an image with no boot stub has nothing
+// to record.
 func TestBootReplayMatchesExecution(t *testing.T) {
 	fib, err := vcc.CompileFunc(`
 virtine int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }`, "fib")
@@ -89,20 +91,29 @@ virtine int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }`, "f
 	files := map[string][]byte{"/index.html": []byte("<h1>virtines</h1>")}
 	servers := map[*wasp.Wasp]*httpd.FileServer{}
 	two := []wasp.Option{wasp.WithPlatforms(vmm.KVM{}, vmm.HyperV{})}
-	direct := func(img *guest.Image, cfg wasp.RunConfig) func(*wasp.Wasp, string, int) (*wasp.Result, error) {
-		return func(w *wasp.Wasp, platform string, _ int) (*wasp.Result, error) {
-			return w.RunOn(platform, img, cfg, cycles.NewClock())
+	direct := func(img *guest.Image, cfg func(i int) wasp.RunConfig) func(*wasp.Wasp, string, int) (*wasp.Result, error) {
+		return func(w *wasp.Wasp, platform string, i int) (*wasp.Result, error) {
+			return w.RunOn(platform, img, cfg(i), cycles.NewClock())
 		}
 	}
+	noArgs := func(int) wasp.RunConfig { return wasp.RunConfig{RetBytes: 8} }
 	tenantRun := func(w *wasp.Wasp, platform string, i int) (*wasp.Result, error) {
 		img := tenant.WithName(fmt.Sprintf("tenant-%d", i))
-		return w.RunOn(platform, img, wasp.RunConfig{Snapshot: true, RetBytes: 8, Args: []byte{21}}, cycles.NewClock())
+		return w.RunOn(platform, img, wasp.RunConfig{Snapshot: true, RetBytes: 8, Args: []byte{byte(21 + i)}}, cycles.NewClock())
 	}
+	// The native workload doubles its argument into the return region.
+	native := guest.NativeBootStub("native", func(c any) error {
+		n := c.(*wasp.NativeCtx)
+		n.Charge(100)
+		n.Mem()[0x4000] = 2 * n.Mem()[0]
+		return nil
+	}, 0)
 	for _, tc := range []struct {
 		name      string
 		opts      []wasp.Option
 		platforms []string
 		run       func(w *wasp.Wasp, platform string, i int) (*wasp.Result, error)
+		stubless  bool
 	}{
 		{"httpd", nil, []string{""}, func(w *wasp.Wasp, _ string, _ int) (*wasp.Result, error) {
 			fs := servers[w]
@@ -117,13 +128,17 @@ virtine int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }`, "f
 			sc := sched.NewVirtual(w, 1)
 			defer sc.Close()
 			return fs.Submit(sc, httpd.Request("/index.html")).Wait()
-		}},
-		{"vcc-fib", nil, []string{""}, direct(fib.Image, wasp.RunConfig{
-			Policy: fib.Policy, Args: vcc.MarshalArgs(12), RetBytes: vcc.RetSize})},
-		{"tenant-snapshot", nil, []string{""}, tenantRun},
-		{"tenant-snapshot-cow", []wasp.Option{wasp.WithCOW(true)}, []string{""}, tenantRun},
-		{"protected", two, []string{"kvm", "hyper-v"}, direct(protected, wasp.RunConfig{RetBytes: 8})},
-		{"mode64-start", two, []string{"kvm", "hyper-v"}, direct(long, wasp.RunConfig{RetBytes: 8})},
+		}, false},
+		{"vcc-fib", nil, []string{""}, direct(fib.Image, func(i int) wasp.RunConfig {
+			return wasp.RunConfig{Policy: fib.Policy, Args: vcc.MarshalArgs(int64(12 + i)), RetBytes: vcc.RetSize}
+		}), false},
+		{"tenant-snapshot", nil, []string{""}, tenantRun, false},
+		{"tenant-snapshot-cow", []wasp.Option{wasp.WithCOW(true)}, []string{""}, tenantRun, false},
+		{"native-stub", nil, []string{""}, direct(native, func(i int) wasp.RunConfig {
+			return wasp.RunConfig{Args: []byte{byte(21 + i)}, RetBytes: 8}
+		}), false},
+		{"protected", two, []string{"kvm", "hyper-v"}, direct(protected, noArgs), false},
+		{"mode64-start", two, []string{"kvm", "hyper-v"}, direct(long, noArgs), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var dirty string
@@ -147,12 +162,16 @@ virtine int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }`, "f
 					}
 				}
 			}
+			want := struct{ recorded, replays float64 }{1, 2}
+			if tc.stubless {
+				want.recorded, want.replays = 0, 0
+			}
 			for _, be := range fast.Platforms() {
 				name := be.Name()
 				for _, c := range []struct {
 					w                 *wasp.Wasp
 					recorded, replays float64
-				}{{fast, 1, 2}, {slow, 0, 0}} {
+				}{{fast, want.recorded, want.replays}, {slow, 0, 0}} {
 					if rec, rep := metric(c.w, "wasp_boot_recorded{platform="+name+"}"), metric(c.w, "wasp_boot_replays{platform="+name+"}"); rec != c.recorded || rep != c.replays {
 						t.Fatalf("%s: recorded %v and replayed %v boots, want %v and %v", name, rec, rep, c.recorded, c.replays)
 					}

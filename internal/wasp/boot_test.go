@@ -3,6 +3,7 @@ package wasp
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,12 +14,10 @@ import (
 	"repro/internal/vmm"
 )
 
-// argBootAsm reads its argument in real mode, before its first exit, and
-// doubles it into the return region: a replay of another argument's boot
-// would return that argument's double.
-const argBootAsm = `.bits 16
-.org 0x8000
-_start:
+// argBootAsm reads its argument after the hand-off and doubles it into
+// the return region: a replay that held another boot's argument would
+// return that argument's double.
+const argBootAsm = `
 	movi rbx, 0
 	load rax, [rbx]
 	add rax, rax
@@ -41,10 +40,8 @@ func entryOf(w *Wasp, img *guest.Image) *contentEntry {
 	r := &w.backends[0].content
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if el := r.byKey[contentKey{img.ContentKey(), img.MemBytes()}]; el != nil {
-		return el.Value.(*contentEntry)
-	}
-	return nil
+	e, _ := r.entries.get(contentKey{img.ContentKey(), img.MemBytes()})
+	return e
 }
 
 // pairRun runs img with cfg on a trace-engine Wasp and on a Legacy one
@@ -67,20 +64,55 @@ func pairRun(t *testing.T, fast, slow *Wasp, img *guest.Image, cfg RunConfig) *R
 	return fres
 }
 
-// A boot replays only with its recording's argument bytes: every
-// argument gets its own answer, and only the repeat of the recorded one
-// replays.
+// A recording holds no argument: every boot after the first replays it,
+// and each gets its own argument's answer.
 func TestBootReplayReadsArguments(t *testing.T) {
 	fast, slow := New(), New(WithLegacyInterp(true))
-	img := guest.MustFromAsm("arg-boot", argBootAsm)
+	img := guest.MustFromAsm("arg-boot", guest.WrapLongMode(argBootAsm))
 	for _, arg := range []byte{1, 2, 1, 3} {
 		res := pairRun(t, fast, slow, img, RunConfig{Args: []byte{arg}, RetBytes: 1})
 		if res.Ret[0] != 2*arg {
 			t.Fatalf("argument %d returned %d", arg, res.Ret[0])
 		}
 	}
-	if n := fast.backends[0].content.replays.Load(); n != 1 {
-		t.Fatalf("%d replays, want 1 (the recorded argument's repeat)", n)
+	if n := fast.backends[0].content.replays.Load(); n != 3 {
+		t.Fatalf("%d replays of 4 boots, want 3", n)
+	}
+}
+
+// An image that breaks the hand-off contract — it reads the argument
+// page in real mode, before its own vx_long64 label — reads zeros on
+// every engine, recorded or replayed: the arguments arrive at the
+// hand-off, so no run sees another run's bytes and the recording's page
+// 0 is all zero. After the hand-off each run reads its own argument.
+func TestBootReplayHostileHandoff(t *testing.T) {
+	src := strings.Replace(guest.WrapLongMode(`
+	movi rbx, 0x4000
+	store [rbx], rsi     ; what the real-mode load read
+	movi rbx, 0
+	load rax, [rbx]
+	movi rbx, 0x4008
+	store [rbx], rax     ; the argument, after the hand-off
+	movi rdi, 0
+	out 0x00, rdi
+	hlt
+`), "_start:\n", "_start:\n\tmovi rbx, 0\n\tload rsi, [rbx]\n", 1)
+	img := guest.MustFromAsm("hostile", src)
+	fast, slow := New(), New(WithLegacyInterp(true))
+	for i := range 4 {
+		arg := []byte{byte(0xA0 + i), byte(0xB0 + i)}
+		res := pairRun(t, fast, slow, img, RunConfig{Args: arg, RetBytes: 16})
+		if before, after := fromLE64(res.Ret[:8]), fromLE64(res.Ret[8:]); before != 0 || after != uint64(arg[0])|uint64(arg[1])<<8 {
+			t.Fatalf("run %d: read %#x before the hand-off and %#x after, want 0 and its own %x", i, before, after, arg)
+		}
+	}
+	if n := fast.backends[0].content.replays.Load(); n != 3 {
+		t.Fatalf("%d replays of 4 boots, want 3", n)
+	}
+	for _, lp := range recordOf(fast, img).layer.OwnTable() {
+		if lp.Idx == 0 {
+			t.Fatalf("the recording holds a page 0: %x", lp.Page.Data()[:16])
+		}
 	}
 }
 
@@ -116,23 +148,28 @@ func TestBootReplayNeverCrossesImages(t *testing.T) {
 	}
 }
 
-// A budget that ends before the recorded exit executes the boot, and
-// faults exactly where Legacy does; the recorded budget itself replays.
+// A budget that ends inside the stub's prefix executes the boot; one that
+// ends one instruction past the hand-off replays it. Both fault exactly
+// where Legacy does, with the same message.
 func TestBootReplayHonoursBudget(t *testing.T) {
 	fast, slow := New(), New(WithLegacyInterp(true))
 	img := guest.MustFromAsm("budget-boot", guest.WrapLongMode(probeBodyAsm))
 	pairRun(t, fast, slow, img, RunConfig{RetBytes: 8})
 	memo := &fast.backends[0].content
 	steps := recordOf(fast, img).cpu.Retired
-	if res := pairRun(t, fast, slow, img, RunConfig{RetBytes: 8, MaxSteps: steps - 1}); res != nil {
-		t.Fatalf("a budget of %d of the boot's %d instructions did not fault", steps-1, steps)
-	}
-	if memo.replays.Load() != 0 {
-		t.Fatal("a boot replayed past its budget")
-	}
-	pairRun(t, fast, slow, img, RunConfig{RetBytes: 8, MaxSteps: steps})
-	if memo.replays.Load() != 1 {
-		t.Fatal("the boot did not replay inside its budget")
+	for _, tc := range []struct {
+		budget, replays uint64
+	}{{steps - 1, 0}, {steps + 1, 1}} {
+		cfg := RunConfig{RetBytes: 8, MaxSteps: tc.budget}
+		if res := pairRun(t, fast, slow, img, cfg); res != nil {
+			t.Fatalf("a budget of %d with a %d-instruction prefix did not fault", tc.budget, steps)
+		}
+		if _, err := slow.Run(img, cfg, cycles.NewClock()); err == nil || !strings.Contains(err.Error(), "instruction budget") {
+			t.Fatalf("budget %d: %v", tc.budget, err)
+		}
+		if n := memo.replays.Load(); n != tc.replays {
+			t.Fatalf("budget %d: %d replays, want %d", tc.budget, n, tc.replays)
+		}
 	}
 }
 
@@ -197,9 +234,9 @@ func TestBootReplayRecordingLeavesNoTrace(t *testing.T) {
 	hlt
 `))
 	recording, plain := New(), New()
-	// A recording of other arguments under the image's key: plain boots
+	// A recording of other bytes under the image's key: plain boots
 	// execute and never record.
-	plain.backends[0].content.setBoot(contentKey{img.ContentKey(), img.MemBytes()}, &bootRecord{args: []byte("other"), cpu: &cpu.ResumePoint{}})
+	plain.backends[0].content.setBoot(contentKey{img.ContentKey(), img.MemBytes()}, &bootRecord{cpu: &cpu.ResumePoint{}})
 	type view struct {
 		dirty          string
 		code           int

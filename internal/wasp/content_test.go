@@ -81,7 +81,7 @@ func checkRuntime(w *Wasp) error {
 		}
 		r := &be.content
 		r.mu.Lock()
-		n, listed := len(r.byKey), r.lru.Len()
+		n, listed := len(r.entries.byKey), r.entries.order.Len()
 		r.mu.Unlock()
 		if n > contentCap || n != listed {
 			return fmt.Errorf("%s: %d content entries, %d in the LRU list, bound %d", plat, n, listed, contentCap)
@@ -96,7 +96,7 @@ func contentEntries(be *backend) int {
 	r := &be.content
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.byKey)
+	return len(r.entries.byKey)
 }
 
 // parkedOn returns the shell parked on the named snapshot of a backend,

@@ -28,8 +28,50 @@ import (
 //     until the caller is done with it (a restore, replay, export, capture
 //     or graft), so no re-capture or eviction frees pages under a reader.
 
-// contentCap bounds each backend's content registry, in entries.
+// contentCap bounds each backend's content registry and the shared
+// decoded-code registry, in entries.
 const contentCap = 64
+
+// lru maps keys to at most contentCap values, the least recently used
+// evicted first. Its owner synchronizes it.
+type lru[K comparable, V any] struct {
+	byKey map[K]*list.Element // Value: *lruEntry[K, V]
+	order list.List
+}
+
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
+}
+
+// get returns key's value, made the most recently used.
+func (l *lru[K, V]) get(key K) (v V, ok bool) {
+	if el := l.byKey[key]; el != nil {
+		l.order.MoveToFront(el)
+		return el.Value.(*lruEntry[K, V]).val, true
+	}
+	return v, false
+}
+
+// put makes v key's value, the most recently used, and returns the value
+// evicted past the bound, if any.
+func (l *lru[K, V]) put(key K, v V) (old V, evicted bool) {
+	if el := l.byKey[key]; el != nil {
+		el.Value.(*lruEntry[K, V]).val = v
+		l.order.MoveToFront(el)
+		return old, false
+	}
+	if l.byKey == nil {
+		l.byKey = make(map[K]*list.Element)
+	}
+	l.byKey[key] = l.order.PushFront(&lruEntry[K, V]{key, v})
+	if l.order.Len() <= contentCap {
+		return old, false
+	}
+	e := l.order.Remove(l.order.Back()).(*lruEntry[K, V])
+	delete(l.byKey, e.key)
+	return e.val, true
+}
 
 // contentKey names a content entry: an image's content at one memory
 // size. A base layer or boot recording serves only its own geometry.
@@ -41,41 +83,30 @@ type contentKey struct {
 // contentEntry is one content's base layer, which its tenant snapshots
 // are deltas over, and its recorded cold boot (boot.go); either may be nil.
 type contentEntry struct {
-	key  contentKey
 	base *vmm.Layer
 	boot *bootRecord
 }
 
-// contentRegistry is one backend's content entries under one lock, the
-// most recently used at the front of lru. Past contentCap the back entry
-// is evicted and its references released, which never changes a charge:
-// without its recording a boot executes, without its base a capture
-// stands alone, and each is charged the same.
+// contentRegistry is one backend's content entries under one lock. Past
+// contentCap the least recently used entry is evicted and its references
+// released, which never changes a charge: without its recording a boot
+// executes, without its base a capture stands alone, and each is charged
+// the same.
 type contentRegistry struct {
 	mu                         sync.Mutex
-	byKey                      map[contentKey]*list.Element // Value: *contentEntry
-	lru                        list.List
+	entries                    lru[contentKey, *contentEntry]
 	evicted, replays, recorded atomic.Uint64
 }
 
-// entry returns key's entry, moved to the front; one made if add (and
-// the eviction it brings), else nil, when key has none. Called with mu held.
+// entry returns key's entry, made the most recently used; one made if add
+// (and the eviction it brings), else nil, when key has none. Called with
+// mu held.
 func (r *contentRegistry) entry(key contentKey, add bool) *contentEntry {
-	if el := r.byKey[key]; el != nil {
-		r.lru.MoveToFront(el)
-		return el.Value.(*contentEntry)
+	if e, ok := r.entries.get(key); ok || !add {
+		return e
 	}
-	if !add {
-		return nil
-	}
-	if r.byKey == nil {
-		r.byKey = make(map[contentKey]*list.Element)
-	}
-	e := &contentEntry{key: key}
-	r.byKey[key] = r.lru.PushFront(e)
-	if r.lru.Len() > contentCap {
-		old := r.lru.Remove(r.lru.Back()).(*contentEntry)
-		delete(r.byKey, old.key)
+	e := &contentEntry{}
+	if old, evicted := r.entries.put(key, e); evicted {
 		old.base.Release()
 		if old.boot != nil {
 			old.boot.layer.Release()
@@ -133,8 +164,8 @@ func (r *contentRegistry) setBoot(key contentKey, rec *bootRecord) {
 func (r *contentRegistry) bases() (n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, el := range r.byKey {
-		if el.Value.(*contentEntry).base != nil {
+	for _, el := range r.entries.byKey {
+		if el.Value.(*lruEntry[contentKey, *contentEntry]).val.base != nil {
 			n++
 		}
 	}

@@ -4,10 +4,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/cycles"
 	"repro/internal/guest"
-	"repro/internal/obs"
 )
 
 // jitLoopAsm iterates enough for the cached engine to compile the loop
@@ -115,53 +113,4 @@ func TestCompiledTraceSharingConcurrent(t *testing.T) {
 			t.Errorf("tenant %d never entered a shared trace: %+v", i, results[i].JIT)
 		}
 	}
-}
-
-// The counted-loop kernel's share of a run is answerable from the
-// registry: every boot of the minimal image — the first included, whose
-// loops compile on their second iteration — retires nearly all of the
-// boot stub's two table loops (8,192 instructions) in the kernel, the
-// per-run delta reaches Result.JIT, the lifetime sum CodeStats and the
-// wasp_jit_loop_retired instrument, and the guest's own accounting
-// (Retired, the boot milestones' spacing) does not move between a cold
-// and a warm code cache.
-func TestBootLoopsCountedInJITStats(t *testing.T) {
-	w := New()
-	img := guest.MinimalHalt()
-	var runs [3]*Result
-	var sum uint64
-	for i := range runs {
-		res, err := w.Run(img, RunConfig{}, cycles.NewClock())
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs[i] = res
-		sum += res.JIT.LoopRetired
-	}
-	for i, res := range runs {
-		if got := res.JIT.LoopRetired; got < 8000 || got > 8192 {
-			t.Fatalf("boot %d: kernel retired %d of %d instructions, want at least 8000 of the loops' 8192", i, got, res.Retired)
-		}
-	}
-	cold, warm := runs[0], runs[2]
-	span := func(r *Result) uint64 {
-		return r.BootEvents[cpu.EvFirstInstr64] - r.BootEvents[cpu.EvProtected]
-	}
-	if warm.Retired != cold.Retired || span(warm) != span(cold) || span(warm) == 0 {
-		t.Fatalf("warm boot retired %d over %d cycles, cold %d over %d", warm.Retired, span(warm), cold.Retired, span(cold))
-	}
-	if cs := w.CodeCacheStats(); cs.LoopRetired != sum {
-		t.Fatalf("lifetime LoopRetired = %d, want %d", cs.LoopRetired, sum)
-	}
-	reg := obs.NewRegistry()
-	w.RegisterMetrics(reg)
-	for _, m := range reg.Snapshot() {
-		if m.Name == "wasp_jit_loop_retired" {
-			if m.Value != float64(sum) {
-				t.Fatalf("wasp_jit_loop_retired = %g, want %d", m.Value, sum)
-			}
-			return
-		}
-	}
-	t.Fatal("wasp_jit_loop_retired missing from the registry snapshot")
 }

@@ -195,27 +195,26 @@ func TestParkedShellRace(t *testing.T) {
 	}
 }
 
-// markedImage is a small real-mode image, distinct per n, whose boot
-// stops at a mark hypercall before exit(): every cold boot of it records.
+// markedImage is a small protected-mode image, distinct per n, that marks
+// and exits: every first cold boot of it records its stub.
 func markedImage(n int) *guest.Image {
-	return guest.MustFromAsm(fmt.Sprintf("churn-%05d", n), fmt.Sprintf(`.bits 16
-.org 0x8000
-_start:
+	return guest.MustFromAsm(fmt.Sprintf("churn-%05d", n), guest.WrapProtected(fmt.Sprintf(`
 	movi rax, %d
 	movi rbx, 0x4000
 	store [rbx], rax
 	movi rdi, 1
-	out 0x0B, rdi        ; mark(1): the recorded exit
+	out 0x0B, rdi        ; mark(1)
 	movi rdi, 0
 	out 0x00, rdi
 	hlt
-`, n+1))
+`, n+1)))
 }
 
 // Ten thousand distinct images through one backend keep its content
-// registry at the bound: the store holds the same pages after 10,000
-// images as after 1,000, every entry past the bound is counted evicted,
-// and an evicted image's next run equals its run on a fresh runtime.
+// registry, and the decoded-code registry, at the bound: the store holds
+// the same pages after 10,000 images as after 1,000, every entry past the
+// bound is counted evicted, and an evicted image's next run equals its
+// run on a fresh runtime.
 func TestContentRegistryBounded(t *testing.T) {
 	w := New(WithPooling(false)) // a fresh runtime's runs create their shells too
 	be := w.backends[0]
@@ -239,6 +238,9 @@ func TestContentRegistryBounded(t *testing.T) {
 		if n == 1000 {
 			at1k = w.ForestStats()
 		}
+	}
+	if n := w.CodeCacheStats().Entries; n > contentCap {
+		t.Fatalf("after 10,000 images: %d decoded-code entries, bound %d", n, contentCap)
 	}
 	st := w.ForestStats()
 	if st.StorePages != at1k.StorePages || st.BaseLayers != at1k.BaseLayers {
@@ -275,12 +277,11 @@ func TestContentRegistryBounded(t *testing.T) {
 	}
 }
 
-// contentTenantAsm records its boot at a mark, snapshots, and doubles its
-// argument: its clones replay the boot, then capture as deltas over the
-// content's base.
+// contentTenantAsm marks, snapshots, and doubles its argument: its clones
+// replay the boot stub, then capture as deltas over the content's base.
 const contentTenantAsm = `
 	movi rdi, 1
-	out 0x0B, rdi        ; mark(1): the recorded exit
+	out 0x0B, rdi        ; mark(1)
 	out 0x08, rdi        ; snapshot()
 	movi rbx, 0x0
 	load rax, [rbx]

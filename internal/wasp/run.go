@@ -166,14 +166,21 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 		}
 	}
 
-	// Marshal arguments at guest.ArgAddr (§6.1).
+	// Marshal arguments at guest.ArgAddr (§6.1), charged here. A boot
+	// through a stub gets them at its hand-off (enter), so no recording
+	// of the stub's prefix ever holds them.
+	if len(cfg.Args) > guest.ArgMax {
+		return nil, fmt.Errorf("wasp: argument blob %d exceeds %d", len(cfg.Args), guest.ArgMax)
+	}
 	if len(cfg.Args) > 0 {
-		if len(cfg.Args) > guest.ArgMax {
-			return nil, fmt.Errorf("wasp: argument blob %d exceeds %d", len(cfg.Args), guest.ArgMax)
-		}
-		copy(ctx.Mem[guest.ArgAddr:], cfg.Args)
-		ctx.HostWrite(guest.ArgAddr, len(cfg.Args))
 		clk.Advance(cycles.MemcpyCost(len(cfg.Args)))
+	}
+	var handoff uint64
+	if snap == nil {
+		handoff = img.Handoff
+	}
+	if handoff == 0 {
+		writeArgs(ctx, cfg.Args)
 	}
 
 	gm := &guestMem{mem: ctx.Mem, clk: clk, mark: ctx.HostWrite}
@@ -182,7 +189,7 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	// entirely; otherwise run the guest (boot stub or full program).
 	restoredNative := snap != nil && snap.booted && img.Native != nil
 	if !restoredNative {
-		if err := w.runGuest(be, ctx, img, &cfg, gm, res, boot, clk); err != nil {
+		if err := w.runGuest(be, ctx, img, &cfg, gm, res, boot, handoff, clk); err != nil {
 			return nil, err
 		}
 	}
@@ -286,12 +293,10 @@ func (w *Wasp) finish(ctx *vmm.Context, img *guest.Image, cfg *RunConfig, res *R
 		BlocksCompiled: st.BlocksCompiled - res.JIT.BlocksCompiled,
 		BlockHits:      st.BlockHits - res.JIT.BlockHits,
 		BlockDeopts:    st.BlockDeopts - res.JIT.BlockDeopts,
-		LoopRetired:    st.LoopRetired - res.JIT.LoopRetired,
 	}
 	w.jitCompiled.Add(res.JIT.BlocksCompiled)
 	w.jitHits.Add(res.JIT.BlockHits)
 	w.jitDeopts.Add(res.JIT.BlockDeopts)
-	w.jitLoop.Add(res.JIT.LoopRetired)
 	if tr := w.tracer; tr.Enabled() {
 		// One summary span per guest run: the interp/JIT tier activity
 		// (arg0 = traces compiled, arg1 = deopts) over the run's whole
@@ -392,8 +397,8 @@ func (w *Wasp) populate(be *backend, ctx *vmm.Context, img *guest.Image, cfg *Ru
 
 // runGuest drives the vCPU until halt or guest exit(), interposing on
 // every hypercall.
-func (w *Wasp) runGuest(be *backend, ctx *vmm.Context, img *guest.Image, cfg *RunConfig, gm *guestMem, res *Result, boot *bootRecord, clk *cycles.Clock) error {
-	ex := w.enter(be, ctx, img, cfg, boot, clk)
+func (w *Wasp) runGuest(be *backend, ctx *vmm.Context, img *guest.Image, cfg *RunConfig, gm *guestMem, res *Result, boot *bootRecord, handoff uint64, clk *cycles.Clock) error {
+	ex := w.enter(be, ctx, img, cfg, boot, handoff, clk)
 	if firstExitGate != nil {
 		firstExitGate(ctx)
 	}

@@ -31,7 +31,6 @@ func (w *Wasp) RegisterMetrics(r *obs.Registry) {
 		emit("wasp_jit_blocks_compiled", float64(cs.BlocksCompiled))
 		emit("wasp_jit_block_hits", float64(cs.BlockHits))
 		emit("wasp_jit_block_deopts", float64(cs.BlockDeopts))
-		emit("wasp_jit_loop_retired", float64(cs.LoopRetired))
 		emit("wasp_pool_total", float64(w.PoolTotal()))
 		emit("wasp_pool_dropped", float64(w.PoolDropped()))
 		for _, be := range w.backends {

@@ -76,7 +76,6 @@ type Wasp struct {
 	jitCompiled atomic.Uint64
 	jitHits     atomic.Uint64
 	jitDeopts   atomic.Uint64
-	jitLoop     atomic.Uint64
 
 	// tracer is the attached flight recorder (internal/obs); nil or
 	// disabled, every instrumentation site costs one atomic load. Set
@@ -185,14 +184,9 @@ func WithAsyncClean(on bool) Option { return func(w *Wasp) { w.asyncClean = on }
 // still opt in per run via RunConfig.Snapshot.
 func WithSnapshotting(on bool) Option { return func(w *Wasp) { w.snapEnable = on } }
 
-// WithPlatform selects the hypervisor backend (Fig 5): vmm.KVM{} on
-// Linux, vmm.HyperV{} on Windows. Default is KVM.
-func WithPlatform(p vmm.Platform) Option {
-	return func(w *Wasp) { w.platforms = []vmm.Platform{p} }
-}
-
-// WithPlatforms gives one Wasp several hosted-hypervisor backends. The
-// first platform is the default (Run without a platform lands there);
+// WithPlatforms selects the hosted-hypervisor backends (Fig 5): vmm.KVM{}
+// on Linux, vmm.HyperV{} on Windows; default KVM alone. The first
+// platform is the default (Run without a platform lands there);
 // RunOn and the scheduler's platform-affine workers address the others.
 // Shell pools, snapshot and content registries, prewarming, idle
 // shrinking, and async cleaning are all partitioned per platform.
@@ -541,17 +535,13 @@ type CodeStats struct {
 	Merges  uint64
 	// BlocksCompiled, BlockHits and BlockDeopts track the compiled
 	// closure-trace tier, aggregated across all runs (and all pooled
-	// contexts) of this Wasp; LoopRetired is the instructions the
-	// counted-loop kernel retired without entering a closure (against
-	// the runs' Retired: how much of the guest never saw one). Fused
-	// always reads 0: the superinstruction
+	// contexts) of this Wasp. Fused always reads 0: the superinstruction
 	// tier it counted is gone, and the field stays only because the
 	// benchmark harness still publishes it as cpu.fused_entries.
 	Fused          uint64
 	BlocksCompiled uint64
 	BlockHits      uint64
 	BlockDeopts    uint64
-	LoopRetired    uint64
 }
 
 // CodeCacheStats snapshots the registry and compiled-tier counters.
@@ -563,7 +553,6 @@ func (w *Wasp) CodeCacheStats() CodeStats {
 		BlocksCompiled: w.jitCompiled.Load(),
 		BlockHits:      w.jitHits.Load(),
 		BlockDeopts:    w.jitDeopts.Load(),
-		LoopRetired:    w.jitLoop.Load(),
 	}
 }
 
@@ -619,17 +608,19 @@ func (g *guestMem) WriteGuest(addr uint64, b []byte) error {
 // verifies page content against guest memory before installing, so a
 // registry entry can never supply a stale decode regardless of how the
 // memory was populated (cold load, snapshot restore, COW reset) or of a
-// content-key collision.
+// content-key collision. It is bounded like the content registry: an
+// evicted content's next run decodes afresh, which no charge sees.
 type codeRegistry struct {
-	mu     sync.RWMutex
-	byKey  map[string]cpu.CodeCache
+	mu     sync.Mutex
+	caches lru[string, cpu.CodeCache]
 	merges uint64
 }
 
 func (r *codeRegistry) get(key string) cpu.CodeCache {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.byKey[key]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cc, _ := r.caches.get(key)
+	return cc
 }
 
 // merge folds newly decoded pages into the content's entry, keeping
@@ -641,15 +632,13 @@ func (r *codeRegistry) merge(key string, cc cpu.CodeCache) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.byKey == nil {
-		r.byKey = make(map[string]cpu.CodeCache)
-	}
-	r.byKey[key] = r.byKey[key].Merge(cc)
+	held, _ := r.caches.get(key)
+	r.caches.put(key, held.Merge(cc))
 	r.merges++
 }
 
 func (r *codeRegistry) stats() (entries int, merges uint64) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.byKey), r.merges
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.caches.byKey), r.merges
 }
