@@ -445,9 +445,8 @@ func TestServeTenantsPlaced(t *testing.T) {
 			t.Fatalf("unplaceable tenant request %d got a response: %+v", i, resp)
 		}
 	}
-	if w.PoolTotalOn("kvm") == 0 || w.PoolTotalOn("hyper-v") == 0 {
-		t.Fatalf("both backends should hold warm shells after the split run (kvm=%d hv=%d)",
-			w.PoolTotalOn("kvm"), w.PoolTotalOn("hyper-v"))
+	if kvm, hv := metric(w, "wasp_pool_shells{platform=kvm}"), metric(w, "wasp_pool_shells{platform=hyper-v}"); kvm == 0 || hv == 0 {
+		t.Fatalf("both backends should hold warm shells after the split run (kvm=%v hv=%v)", kvm, hv)
 	}
 }
 
@@ -609,10 +608,8 @@ func TestWaspCAMatchesWaspC(t *testing.T) {
 			if r.http {
 				img, cfg = s.image, s.runConfig(Request(paths[rng.Intn(len(paths))]))
 			}
-			var cleaned uint64
-			if c := w.Cleaner(); c != nil {
-				cleaned = c.Cleaned()
-			}
+			// Wasp+C publishes no cleaner series: metric reads 0 there.
+			cleaned := metric(w, "wasp_clean_cleaned{platform=kvm}")
 			written := metric(w, "wasp_shell_pages_written{platform=kvm}")
 			// Arrivals 1 ms apart: every ticket finds an idle fleet in
 			// both runtimes, so their pools are sized alike.
@@ -622,9 +619,7 @@ func TestWaspCAMatchesWaspC(t *testing.T) {
 			}
 			r.start, r.mem = tk.Start, img.MemBytes()
 			r.written = metric(w, "wasp_shell_pages_written{platform=kvm}") - written
-			if c := w.Cleaner(); c != nil {
-				r.reused = c.Cleaned() > cleaned
-			}
+			r.reused = metric(w, "wasp_clean_cleaned{platform=kvm}") > cleaned
 			out = append(out, r)
 		}
 		return out

@@ -29,8 +29,8 @@ func runClusterTraced(t *testing.T) ([]byte, *obs.Tracer) {
 	tr.SetEnabled(true)
 	mix := serverless.ClusterMix(1, 0.5, F/2)
 	pol := sched.QueueScale{TargetP99: F / 20, Min: 2, Max: 64}
-	if _, err := serverless.RunCluster(wasp.New(), pol, serverless.ClusterConfig{
-		Seed: 1, InitialWorkers: 4, Trace: mix, Tracer: tr,
+	if _, err := serverless.RunCluster(wasp.New(wasp.WithTracer(tr)), pol, serverless.ClusterConfig{
+		Seed: 1, InitialWorkers: 4, Trace: mix,
 	}); err != nil {
 		t.Fatalf("RunCluster: %v", err)
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/cycles"
-	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/vmm"
 	"repro/internal/wasp"
@@ -138,8 +137,8 @@ func TestLendCloseWaitsForBorrowedLane(t *testing.T) {
 		if s.Submitted() != s.Completed()+s.Rejected() {
 			t.Fatalf("Submitted %d != Completed %d + Rejected %d", s.Submitted(), s.Completed(), s.Rejected())
 		}
-		if s.HelpedRuns() == 0 {
-			t.Fatal("lane was lent but HelpedRuns is 0")
+		if metric(s, "sched_helped_total") == 0 {
+			t.Fatal("lane was lent but sched_helped_total is 0")
 		}
 		lanesAtRest(t, s)
 		return
@@ -320,7 +319,7 @@ func helpOrderRun(t *testing.T, help bool) (order []int, lent bool, helped uint6
 	if s.Completed() != uint64(len(reqs)) {
 		t.Fatalf("completed %d of %d", s.Completed(), len(reqs))
 	}
-	return order, lent, s.HelpedRuns()
+	return order, lent, uint64(metric(s, "sched_helped_total"))
 }
 
 // TestHelpPopsInResidentOrder: a waiter driving the lane pops exactly
@@ -368,19 +367,8 @@ func TestHelpServesClosedLoopInline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h := s.HelpedRuns(); h < n*9/10 {
-		t.Fatalf("HelpedRuns = %d of %d closed-loop requests, want nearly all", h, n)
-	}
-	reg := obs.NewRegistry()
-	s.RegisterMetrics(reg)
-	exported := -1.0
-	for _, m := range reg.Snapshot() {
-		if m.Name == "sched_helped_total" {
-			exported = m.Value
-		}
-	}
-	if exported != float64(s.HelpedRuns()) {
-		t.Fatalf("sched_helped_total = %v, HelpedRuns = %d", exported, s.HelpedRuns())
+	if h := metric(s, "sched_helped_total"); h < n*9/10 {
+		t.Fatalf("sched_helped_total = %v of %d closed-loop requests, want nearly all", h, n)
 	}
 }
 
@@ -397,12 +385,12 @@ type lendStressConfig struct {
 func plainWasp() *wasp.Wasp { return wasp.New() }
 
 // TestLendStress hammers the lending protocol with more clients than
-// lanes, mixing waited tickets, never-waited ones (seen only by the
-// completion hook) and bursts. Invariants: at most W tickets in service
-// at any instant, a lane's clock is never advanced by two drivers at
-// once (each Start >= the previous Done on that lane — and -race sees
-// the clock itself), pinned tickets only run on eligible backends, every
-// ticket completes, and some of them were served inline.
+// lanes, mixing waited tickets, never-waited ones (waited on only after
+// Close) and bursts. Invariants: at most W tickets in service at any
+// instant, a lane's clock is never advanced by two drivers at once (each
+// Start >= the previous Done on that lane — and -race sees the clock
+// itself), pinned tickets only run on eligible backends, every ticket
+// completes, and some of them were served inline.
 func TestLendStress(t *testing.T) {
 	pins := map[string]string{"pin-kvm": "kvm", "pin-hv": "hyper-v", "any": ""}
 	static := placement.Static{Pins: map[string]string{"pin-kvm": "kvm", "pin-hv": "hyper-v"}}
@@ -428,16 +416,16 @@ func TestLendStress(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			const clients, rounds = 8, 150
 			var inService, highWater atomic.Int64
-			var hookCalls atomic.Uint64
 			var mu sync.Mutex
-			var all []*Ticket
-			opts := append(cfg.opts(), WithQueueCap(32), WithOnComplete(func(tk *Ticket) {
-				hookCalls.Add(1)
+			var all []*Ticket // every ticket, collected at submit
+			s := New(cfg.wasp(), cfg.workers, append(cfg.opts(), WithQueueCap(32))...)
+			submit := func(reqs ...Request) []*Ticket {
+				ts := s.SubmitBatch(reqs)
 				mu.Lock()
-				all = append(all, tk)
+				all = append(all, ts...)
 				mu.Unlock()
-			}))
-			s := New(cfg.wasp(), cfg.workers, opts...)
+				return ts
+			}
 			task := func(clk *cycles.Clock) (*wasp.Result, error) {
 				cur := inService.Add(1)
 				for hw := highWater.Load(); cur > hw && !highWater.CompareAndSwap(hw, cur); hw = highWater.Load() {
@@ -450,7 +438,6 @@ func TestLendStress(t *testing.T) {
 			}
 			tags := []string{"any", "pin-kvm", "pin-hv"}
 			var wg sync.WaitGroup
-			var submitted atomic.Uint64
 			for c := 0; c < clients; c++ {
 				wg.Add(1)
 				go func(c int) {
@@ -460,17 +447,13 @@ func TestLendStress(t *testing.T) {
 						req := Request{Fn: task, Image: tags[rng.Intn(len(tags))]}
 						switch rng.Intn(3) {
 						case 0: // waited
-							submitted.Add(1)
-							if _, err := s.SubmitBatch([]Request{req})[0].Wait(); err != nil {
+							if _, err := submit(req)[0].Wait(); err != nil {
 								t.Error(err)
 							}
-						case 1: // never waited: only the hook sees it
-							submitted.Add(1)
-							s.SubmitBatch([]Request{req})
+						case 1: // never waited until after Close
+							submit(req)
 						case 2: // a burst, its last ticket waited
-							burst := []Request{req, {Fn: task, Image: tags[rng.Intn(len(tags))]}, {Fn: task, Image: "any"}}
-							submitted.Add(uint64(len(burst)))
-							ts := s.SubmitBatch(burst)
+							ts := submit(req, Request{Fn: task, Image: tags[rng.Intn(len(tags))]}, Request{Fn: task, Image: "any"})
 							if _, err := ts[len(ts)-1].Wait(); err != nil {
 								t.Error(err)
 							}
@@ -483,21 +466,23 @@ func TestLendStress(t *testing.T) {
 			// requests are the ones certain to be served inline.
 			awaitParked(s)
 			for i := 0; i < 32; i++ {
-				submitted.Add(1)
-				if _, err := s.SubmitBatch([]Request{{Fn: task, Image: tags[i%len(tags)]}})[0].Wait(); err != nil {
+				if _, err := submit(Request{Fn: task, Image: tags[i%len(tags)]})[0].Wait(); err != nil {
 					t.Error(err)
 				}
 			}
 			s.Close()
+			if err := WaitAll(all...); err != nil {
+				t.Error(err)
+			}
 
 			if hw := highWater.Load(); hw > int64(cfg.workers) {
 				t.Errorf("%d tickets in service at once on %d lanes", hw, cfg.workers)
 			}
-			if s.Rejected() != 0 || s.Completed() != submitted.Load() || hookCalls.Load() != submitted.Load() {
-				t.Errorf("submitted %d: completed %d, rejected %d, hook calls %d",
-					submitted.Load(), s.Completed(), s.Rejected(), hookCalls.Load())
+			if n := uint64(len(all)); s.Rejected() != 0 || s.Submitted() != n || s.Completed() != n {
+				t.Errorf("collected %d tickets: submitted %d, completed %d, rejected %d",
+					n, s.Submitted(), s.Completed(), s.Rejected())
 			}
-			if s.HelpedRuns() == 0 {
+			if metric(s, "sched_helped_total") == 0 {
 				t.Error("no ticket was served inline by a waiter")
 			}
 			byLane := make(map[int][]*Ticket)

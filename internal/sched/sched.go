@@ -6,8 +6,8 @@
 // concurrent invocations. sched is where core.Future, the serverless
 // platform and httpd all dispatch: a bounded worker pool in which each
 // worker owns a virtual clock (modelling one core's TSC, exactly like
-// the paper's per-core rdtsc methodology), a ticket/future API,
-// queue-depth accounting, and completion hooks.
+// the paper's per-core rdtsc methodology), a ticket/future API, and
+// queue-depth accounting.
 //
 // Two dispatch cores sit behind the same API and semantics (the core
 // interface below):
@@ -27,9 +27,7 @@
 //
 // Bursts submit through SubmitBatch/SubmitBatchAt: one lock
 // acquisition, one ticket-slab allocation, and one worker wake for the
-// whole burst, with an optional batch-aware completion hook
-// (WithOnBatchComplete) firing once when the last ticket of the burst
-// finishes. Multi-tenant deployments attach an Admission policy
+// whole burst. Multi-tenant deployments attach an Admission policy
 // (WithAdmission): every ticket carries its image identity, and
 // dispatch switches from one FIFO to per-image queues with hard
 // in-flight quotas (ErrAdmission rejection or deferred queueing) and
@@ -54,7 +52,7 @@
 // Under Wasp+CA (Fig 8) virtual mode drives each backend's Cleaner:
 // after every ticket it settles the zeroing the ticket's releases owe on
 // a dedicated virtual cleaner core, whose clock absorbs every such cost
-// (CleanerCycles). Real mode has nothing to drive: the zeroing is
+// (wasp.Cleaner.Cycles). Real mode has nothing to drive: the zeroing is
 // charged nowhere and no lane scrubs. Completed image tickets feed their
 // queue depth back into the runtime's shell pools (wasp.ObserveLoadOn),
 // so idle periods shrink them.
@@ -173,52 +171,26 @@ type Ticket struct {
 	// the queue while queued is set.
 	lender *realCore
 
-	// batch links tickets submitted in one SubmitBatch burst for the
-	// batch completion hook; nil for single submissions.
-	batch *batchGroup
-
 	res *wasp.Result
 	err error
 }
 
-// batchGroup counts down one burst's outstanding tickets and fires the
-// batch completion hook once, when the last ticket (including rejected
-// ones) finishes.
-type batchGroup struct {
-	tickets []*Ticket
-	pending atomic.Int64
-	fn      func([]*Ticket)
-}
-
-// finishBatch retires this ticket from its burst, invoking the batch
-// hook if it was the last one out. It then drops the ticket's work
-// closure and batch link, freeing the run closures' captured request
-// environments and the burst's ticket-pointer graph. The slab's Ticket
-// structs themselves (and their results) stay reachable while any one
-// ticket is retained — that is the deliberate cost of the single-slab
-// allocation; callers holding tickets long-term should copy out the
-// results they need.
-func (t *Ticket) finishBatch() {
-	bg := t.batch
-	t.run = nil
-	t.img = nil
-	t.cfg = wasp.RunConfig{}
-	t.elig = nil
-	t.batch = nil
-	if bg == nil {
-		return
-	}
-	if bg.pending.Add(-1) == 0 && bg.fn != nil {
-		bg.fn(bg.tickets)
-	}
+// finish drops the ticket's work, freeing a run closure's captured
+// request environment, and unblocks its waiters. A batch's Ticket
+// structs (and their results) stay reachable while any one of them is
+// retained: that is the deliberate cost of the single-slab allocation,
+// so callers holding tickets long-term should copy out what they need.
+func (t *Ticket) finish() {
+	t.run, t.img, t.cfg, t.elig = nil, nil, wasp.RunConfig{}, nil
+	close(t.done)
 }
 
 // Wait blocks until the ticket's work has completed and returns its
 // result. Wait may be called any number of times, from any goroutine.
 // On a real-mode ticket that is still queued, the caller first drives
 // an idle worker lane itself (realCore.help): it may run this ticket's
-// task, hypercall handler and completion hook — or, when the fair pick
-// says so, another caller's — on its own goroutine.
+// task and hypercall handler — or, when the fair pick says so, another
+// caller's — on its own goroutine.
 func (t *Ticket) Wait() (*wasp.Result, error) {
 	if t.lender != nil {
 		t.lender.help(t)
@@ -275,7 +247,7 @@ type Request struct {
 // worker is one execution lane with its own virtual clock — the model
 // of one physical core serving virtines back to back — pinned to one
 // hypervisor backend: every image ticket it pops executes via
-// wasp.RunOn on that platform. runs is atomic so WorkerLoads stays a
+// wasp.RunOn on that platform. runs is atomic so WorkerInfo stays a
 // safe diagnostic read even while workers execute.
 type worker struct {
 	id    int
@@ -332,7 +304,8 @@ type Scheduler struct {
 	core core
 
 	// cleaners are the runtime's Wasp+CA cleaner ledgers (one per
-	// backend); virtual mode drives each as a dedicated virtual core.
+	// backend); virtual mode drives each as a dedicated virtual core, and
+	// cleanerDrains counts the releases it settled on them.
 	cleaners      []*wasp.Cleaner
 	cleanerDrains atomic.Uint64
 
@@ -360,16 +333,15 @@ type Scheduler struct {
 	closeOnce sync.Once
 	workers   []*worker
 
-	depth      atomic.Int64
-	peakDepth  atomic.Int64
-	submitted  atomic.Uint64
-	completed  atomic.Uint64
-	rejected   atomic.Uint64
-	onComplete func(*Ticket)
-	onBatch    func([]*Ticket)
+	depth     atomic.Int64 // tickets waiting in the real core's queue; 0 in virtual mode
+	peakDepth atomic.Int64
+	submitted atomic.Uint64
+	completed atomic.Uint64
+	rejected  atomic.Uint64
 
-	// tracer is the attached flight recorder (nil or disabled: every
-	// instrumentation site is one nil check + one atomic load).
+	// tracer is the Wasp's flight recorder, read once at construction
+	// (nil or disabled: every instrumentation site is one nil check + one
+	// atomic load).
 	tracer *obs.Tracer
 }
 
@@ -385,28 +357,6 @@ func WithQueueCap(n int) Option {
 			s.qcap = n
 		}
 	}
-}
-
-// WithOnComplete installs a completion hook, invoked once per ticket
-// that finishes service, after its timing fields are final and before
-// Wait unblocks (rejected tickets never run, so the hook does not fire
-// for them). In real mode the hook runs on whichever goroutine drove
-// the ticket's lane — a worker goroutine or a caller inside Ticket.Wait,
-// not necessarily this ticket's — and must be safe for concurrent use;
-// in virtual mode it runs in the submitting goroutine and must not call
-// back into the scheduler.
-func WithOnComplete(fn func(*Ticket)) Option {
-	return func(s *Scheduler) { s.onComplete = fn }
-}
-
-// WithOnBatchComplete installs a batch completion hook, invoked exactly
-// once per SubmitBatch/SubmitBatchAt burst when the burst's last ticket
-// finishes (rejected tickets count as finished). In real mode it runs
-// on whichever goroutine retired the last ticket; in virtual mode it
-// runs in the submitting goroutine and must not call back into the
-// scheduler.
-func WithOnBatchComplete(fn func([]*Ticket)) Option {
-	return func(s *Scheduler) { s.onBatch = fn }
 }
 
 // WithAdmission attaches a per-image admission-control policy. See
@@ -439,17 +389,10 @@ func WithPlacer(p placement.Placer) Option {
 	return func(s *Scheduler) { s.placer = p }
 }
 
-// WithTracer attaches a flight recorder (internal/obs): the scheduler
-// emits submission, placement/steering, ticket-service, autoscaling and
-// cleaner-drain events into it, and forwards it to the Wasp runtime's
-// own instrumentation sites via the ticket execution path. A nil or
-// disabled tracer costs one atomic load per instrumented operation.
-func WithTracer(tr *obs.Tracer) Option {
-	return func(s *Scheduler) { s.tracer = tr }
-}
-
 // New builds a real-mode scheduler: n worker goroutines, each with its
-// own virtual clock, draining a bounded queue.
+// own virtual clock, draining a bounded queue. The scheduler records
+// submission, placement/steering, ticket-service, autoscaling and
+// cleaner-drain events into the Wasp's flight recorder (wasp.WithTracer).
 func New(w *wasp.Wasp, n int, opts ...Option) *Scheduler {
 	return newScheduler(w, n, newRealCore, opts...)
 }
@@ -467,7 +410,7 @@ func newScheduler(w *wasp.Wasp, n int, mkCore func(*Scheduler) core, opts ...Opt
 	if n < 1 {
 		n = 1
 	}
-	s := &Scheduler{w: w, cleaners: w.Cleaners()}
+	s := &Scheduler{w: w, cleaners: w.Cleaners(), tracer: w.Tracer()}
 	for _, o := range opts {
 		o(s)
 	}
@@ -577,16 +520,10 @@ func (s *Scheduler) submitBatch(reqs []Request, hasArrival bool) []*Ticket {
 	// contiguously, and their pointers share the one backing array.
 	slab := make([]Ticket, n)
 	tickets := make([]*Ticket, n)
-	var bg *batchGroup
-	if s.onBatch != nil {
-		bg = &batchGroup{tickets: tickets, fn: s.onBatch}
-		bg.pending.Store(int64(n))
-	}
 	for i := range reqs {
 		r := &reqs[i]
 		t := &slab[i]
 		t.done = make(chan struct{})
-		t.batch = bg
 		if hasArrival {
 			t.Arrival = r.Arrival
 			t.hasArrival = true
@@ -762,8 +699,7 @@ func (s *Scheduler) submitTickets(ts []*Ticket) {
 	// released its own), so touch only the ticket and atomic counters.
 	for _, t := range rejected {
 		s.rejected.Add(1)
-		close(t.done)
-		t.finishBatch()
+		t.finish()
 	}
 }
 
@@ -824,8 +760,7 @@ func (s *Scheduler) runTask(wk *worker, t *Ticket) (res *wasp.Result, err error)
 	return t.run(wk.clk)
 }
 
-// retire publishes a served ticket: its trace span, the completion
-// hook, and the waiters.
+// retire publishes a served ticket: its trace span, then the waiters.
 func (s *Scheduler) retire(wk *worker, t *Ticket) {
 	if tr := s.tracer; tr.Enabled() {
 		// One span per serviced ticket: the worker lane carries the
@@ -838,16 +773,8 @@ func (s *Scheduler) retire(wk *worker, t *Ticket) {
 		tr.Span(wk.id, obs.KindTicket, name,
 			t.Start, t.Done, t.seq, t.Arrival, uint64(t.DepthAtSubmit))
 	}
-	if s.onComplete != nil {
-		s.onComplete(t)
-	}
-	close(t.done)
-	t.finishBatch()
+	t.finish()
 }
-
-// QueueDepth reports the number of tickets currently waiting (real
-// mode; always 0 in virtual mode, where dispatch is synchronous).
-func (s *Scheduler) QueueDepth() int { return int(s.depth.Load()) }
 
 // PeakQueueDepth reports the high-water queue depth (real mode) or the
 // peak busy-worker count observed at submission (virtual mode).
@@ -932,17 +859,6 @@ func (s *Scheduler) Makespan() uint64 {
 	return max
 }
 
-// WorkerLoads reports per-worker completed-run counts. Unlike Makespan,
-// the counts are atomic, so this diagnostic read is safe even while
-// workers are executing.
-func (s *Scheduler) WorkerLoads() []uint64 {
-	out := make([]uint64, len(s.workers))
-	for i, wk := range s.workers {
-		out[i] = wk.runs.Load()
-	}
-	return out
-}
-
 // WorkerLoad is one worker's identity and lifetime completion count.
 type WorkerLoad struct {
 	Worker   int
@@ -951,9 +867,8 @@ type WorkerLoad struct {
 }
 
 // WorkerInfo reports each worker's pinned platform alongside its
-// completed-run count — WorkerLoads with the backend identity the
-// multi-platform bench tables and examples print. Safe while workers
-// execute (the counts are atomic).
+// completed-run count. Unlike Makespan, the counts are atomic, so this
+// diagnostic read is safe even while workers are executing.
 func (s *Scheduler) WorkerInfo() []WorkerLoad {
 	out := make([]WorkerLoad, len(s.workers))
 	for i, wk := range s.workers {
@@ -984,29 +899,6 @@ func (s *Scheduler) BackendLoads() []BackendLoad {
 	return out
 }
 
-// CleanerDrains reports the Wasp+CA releases this scheduler settled on
-// the virtual cleaner cores (virtual mode; 0 in real mode).
-func (s *Scheduler) CleanerDrains() uint64 { return s.cleanerDrains.Load() }
-
-// HelpedRuns reports how many tickets ran inline on a goroutine blocked
-// in Ticket.Wait, on a worker lane it borrowed, rather than being handed
-// off to the lane's resident goroutine (real mode; 0 in virtual mode).
-func (s *Scheduler) HelpedRuns() uint64 { return s.helped.Load() }
-
-// CleanerCycles reports the virtual cleaner cores' clock — the virtual
-// time the busiest backend's cleaner last went idle, after settling the
-// zeroing Wasp+CA moved off the request path (virtual mode; 0 under
-// Wasp+C or in real mode).
-func (s *Scheduler) CleanerCycles() uint64 {
-	var max uint64
-	for _, c := range s.cleaners {
-		if n := c.Cycles(); n > max {
-			max = n
-		}
-	}
-	return max
-}
-
 // String summarizes scheduler state for diagnostics, including each
 // backend's worker count and completed-ticket total so a mixed fleet
 // shows where work landed.
@@ -1019,5 +911,5 @@ func (s *Scheduler) String() string {
 		backends += fmt.Sprintf("%s:%dw/%d", bs.platform.Name(), bs.workers, bs.completed.Load())
 	}
 	return fmt.Sprintf("sched{%v, workers=%d, backends=[%s], submitted=%d, completed=%d, rejected=%d, depth=%d}",
-		s.core, len(s.workers), backends, s.Submitted(), s.Completed(), s.Rejected(), s.QueueDepth())
+		s.core, len(s.workers), backends, s.Submitted(), s.Completed(), s.Rejected(), s.depth.Load())
 }

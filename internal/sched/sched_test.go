@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/cycles"
@@ -68,12 +67,12 @@ func TestSubmitRunsVirtine(t *testing.T) {
 	if s.Submitted() != n || s.Completed() != n {
 		t.Fatalf("submitted/completed = %d/%d, want %d/%d", s.Submitted(), s.Completed(), n, n)
 	}
-	if s.QueueDepth() != 0 {
-		t.Fatalf("queue depth %d after drain", s.QueueDepth())
+	if d := metric(s, "sched_queue_depth"); d != 0 {
+		t.Fatalf("queue depth %v after drain", d)
 	}
 	var runs uint64
-	for _, r := range s.WorkerLoads() {
-		runs += r
+	for _, wl := range s.WorkerInfo() {
+		runs += wl.Runs
 	}
 	if runs != n {
 		t.Fatalf("worker loads sum to %d, want %d", runs, n)
@@ -168,32 +167,6 @@ func TestVirtualModeReproducible(t *testing.T) {
 	}
 }
 
-func TestCompletionCallback(t *testing.T) {
-	var calls atomic.Uint64
-	var queued atomic.Uint64
-	w := wasp.New()
-	s := New(w, 3, WithOnComplete(func(tk *Ticket) {
-		calls.Add(1)
-		queued.Add(tk.QueueCycles())
-	}))
-	defer s.Close()
-
-	const n = 24
-	tickets := make([]*Ticket, n)
-	for i := range tickets {
-		tickets[i] = s.SubmitFn(func(clk *cycles.Clock) (*wasp.Result, error) {
-			clk.Advance(10)
-			return nil, nil
-		})
-	}
-	if err := WaitAll(tickets...); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != n {
-		t.Fatalf("callback ran %d times, want %d", calls.Load(), n)
-	}
-}
-
 func TestQueueDepthAccounting(t *testing.T) {
 	w := wasp.New()
 	s := New(w, 1, WithQueueCap(16))
@@ -214,8 +187,8 @@ func TestQueueDepthAccounting(t *testing.T) {
 	}
 	// The single worker is blocked, so at least the backlog is queued
 	// (the blocker itself may or may not have been dequeued yet).
-	if d := s.QueueDepth(); d < backlog {
-		t.Fatalf("queue depth = %d with %d waiting", d, backlog)
+	if d := metric(s, "sched_queue_depth"); d < backlog {
+		t.Fatalf("queue depth = %v with %d waiting", d, backlog)
 	}
 	if p := s.PeakQueueDepth(); p < backlog {
 		t.Fatalf("peak queue depth = %d, want >= %d", p, backlog)
@@ -227,8 +200,8 @@ func TestQueueDepthAccounting(t *testing.T) {
 	if err := WaitAll(append(tickets, blocker)...); err != nil {
 		t.Fatal(err)
 	}
-	if d := s.QueueDepth(); d != 0 {
-		t.Fatalf("queue depth = %d after drain", d)
+	if d := metric(s, "sched_queue_depth"); d != 0 {
+		t.Fatalf("queue depth = %v after drain", d)
 	}
 }
 
@@ -383,8 +356,9 @@ func TestRealWaspCAReleasesToPool(t *testing.T) {
 	if w.PoolTotal() == 0 {
 		t.Fatal("no released shell was pooled")
 	}
-	if c.Enqueued() != n || c.Pending() != 0 || s.CleanerDrains() != 0 {
-		t.Fatalf("booked %d releases, %d owed, %d settled; want %d, 0, 0", c.Enqueued(), c.Pending(), s.CleanerDrains(), n)
+	owed, settled := metric(w, "wasp_clean_pending{platform=kvm}"), metric(s, "sched_cleaner_drains")
+	if c.Enqueued() != n || owed != 0 || settled != 0 {
+		t.Fatalf("booked %d releases, %v owed, %v settled; want %d, 0, 0", c.Enqueued(), owed, settled, n)
 	}
 }
 
@@ -420,7 +394,7 @@ func TestWaspCAClaims(t *testing.T) {
 		if pool := w.PoolTotal(); pool > 64 {
 			t.Fatalf("async=%v: pool total %d exceeds the per-class cap", async, pool)
 		}
-		if async && w.Cleaner().Cleaned() == 0 {
+		if async && metric(w, "wasp_clean_cleaned{platform=kvm}") == 0 {
 			t.Fatal("no shell was cleaned asynchronously")
 		}
 		t.Logf("async=%v: %.1f vcycles/run, pool %d", async, mean[async], w.PoolTotal())
@@ -434,7 +408,7 @@ func TestWaspCAClaims(t *testing.T) {
 // dedicated virtual core, Wasp+CA virtual-mode schedules stay fully
 // reproducible — makespan, cleaner-core cycles, and drain counts.
 func TestVirtualWaspCADeterminism(t *testing.T) {
-	run := func() (makespan, cleanerCycles, drains uint64) {
+	run := func() (makespan, cleanerCycles uint64, drains float64) {
 		w := wasp.New(wasp.WithAsyncClean(true))
 		s := NewVirtual(w, 2)
 		defer s.Close()
@@ -445,24 +419,24 @@ func TestVirtualWaspCADeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return s.Makespan(), s.CleanerCycles(), s.CleanerDrains()
+		return s.Makespan(), w.Cleaner().Cycles(), metric(s, "sched_cleaner_drains")
 	}
 	m1, c1, d1 := run()
 	m2, c2, d2 := run()
-	t.Logf("makespan %d, cleaner cycles %d, cleaner drains %d", m1, c1, d1)
+	t.Logf("makespan %d, cleaner cycles %d, cleaner drains %v", m1, c1, d1)
 	if m1 != m2 || c1 != c2 || d1 != d2 {
-		t.Fatalf("Wasp+CA virtual schedule not reproducible: (%d,%d,%d) vs (%d,%d,%d)",
+		t.Fatalf("Wasp+CA virtual schedule not reproducible: (%d,%d,%v) vs (%d,%d,%v)",
 			m1, c1, d1, m2, c2, d2)
 	}
 	if c1 == 0 {
 		t.Fatal("virtual cleaner core did no work")
 	}
 	if d1 != 12 {
-		t.Fatalf("cleaner drains = %d, want 12 (one released shell per run)", d1)
+		t.Fatalf("cleaner drains = %v, want 12 (one released shell per run)", d1)
 	}
 }
 
-// TestWorkerLoadsConcurrentRead reads WorkerLoads while workers
+// TestWorkerLoadsConcurrentRead reads WorkerInfo while workers
 // execute; with atomic run counters this is race-free under -race.
 func TestWorkerLoadsConcurrentRead(t *testing.T) {
 	w := wasp.New()
@@ -479,7 +453,7 @@ func TestWorkerLoadsConcurrentRead(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				s.WorkerLoads()
+				s.WorkerInfo()
 			}
 		}
 	}()
@@ -497,8 +471,8 @@ func TestWorkerLoadsConcurrentRead(t *testing.T) {
 	close(stop)
 	rg.Wait()
 	var sum uint64
-	for _, r := range s.WorkerLoads() {
-		sum += r
+	for _, wl := range s.WorkerInfo() {
+		sum += wl.Runs
 	}
 	if sum != n {
 		t.Fatalf("worker loads sum to %d, want %d", sum, n)
@@ -554,9 +528,9 @@ func TestPerWorkerClocksAdvanceIndependently(t *testing.T) {
 			return nil, nil
 		})
 	}
-	loads := s.WorkerLoads()
-	if loads[0]+loads[1] != 4 {
-		t.Fatalf("loads = %v, want 4 total", loads)
+	loads := s.WorkerInfo()
+	if loads[0].Runs+loads[1].Runs != 4 {
+		t.Fatalf("loads = %+v, want 4 total", loads)
 	}
 	// Worker 0 served tasks 0 and 2 (earliest-free, tie to index 0):
 	// 100 then queued 1000? No — deterministic check: makespan equals

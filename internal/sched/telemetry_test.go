@@ -1,11 +1,12 @@
 package sched
 
 import (
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cycles"
+	"repro/internal/guest"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/wasp"
@@ -25,9 +26,10 @@ func pairTask(svc uint64) Task {
 
 // TestImageTelemetryTornPairs hammers real-mode completions on two
 // images with wildly different service costs while concurrent readers
-// poll ImageTelemetry; any torn svc/entries pair (or, under -race, any
-// unsynchronized read of the EWMA store) fails the test. This is the
-// regression gate for the accessor's locking contract.
+// poll the EWMA store under the core lock, as placement does; any torn
+// svc/entries pair (or, under -race, any unsynchronized write to the
+// store) fails the test. This is the regression gate for the store's
+// locking contract.
 func TestImageTelemetryTornPairs(t *testing.T) {
 	s := New(wasp.New(), 4, WithPlacer(placement.LeastLoaded{}))
 	defer s.Close()
@@ -45,9 +47,11 @@ func TestImageTelemetryTornPairs(t *testing.T) {
 				default:
 				}
 				for _, img := range []string{"hot", "cold"} {
-					st, ok := s.ImageTelemetry(img)
-					if ok && st.SvcEWMA != st.EntriesEWMA {
-						t.Errorf("torn telemetry pair for %q: svc=%d entries=%d", img, st.SvcEWMA, st.EntriesEWMA)
+					s.core.Lock()
+					svc, entries := s.imgStats.get(img)
+					s.core.Unlock()
+					if svc != entries {
+						t.Errorf("torn telemetry pair for %q: svc=%d entries=%d", img, svc, entries)
 					}
 				}
 			}
@@ -71,68 +75,130 @@ func TestImageTelemetryTornPairs(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if got := s.TrackedImages(); got != 2 {
-		t.Fatalf("TrackedImages = %d, want 2", got)
+	s.core.Lock()
+	defer s.core.Unlock()
+	if got := s.imgStats.size(); got != 2 {
+		t.Fatalf("tracking %d images, want 2", got)
 	}
-	if _, ok := s.ImageTelemetry("hot"); !ok {
-		t.Fatalf("ImageTelemetry(hot) reported absent after %d rounds", rounds)
+	if _, ok := s.imgStats.m["hot"]; !ok {
+		t.Fatalf("no telemetry for hot after %d rounds", rounds)
 	}
-	if _, ok := s.ImageTelemetry("never-ran"); ok {
-		t.Fatalf("ImageTelemetry invented telemetry for an unknown image")
-	}
-}
-
-// TestImageTelemetryNoPlacer: without a placer the EWMA store does not
-// exist; the accessor must report absence rather than panic.
-func TestImageTelemetryNoPlacer(t *testing.T) {
-	s := New(wasp.New(), 1)
-	defer s.Close()
-	if _, ok := s.ImageTelemetry("x"); ok {
-		t.Fatalf("ImageTelemetry reported telemetry with no placer attached")
-	}
-	if got := s.TrackedImages(); got != 0 {
-		t.Fatalf("TrackedImages = %d with no placer", got)
+	if _, ok := s.imgStats.m["never-ran"]; ok {
+		t.Fatalf("telemetry invented for an unknown image")
 	}
 }
 
-// TestSchedRegisterMetrics wires a scheduler into a registry and checks
-// the collector surfaces the lifetime counters.
+// metric reads one series of the registry src fills (-1 when absent):
+// a Scheduler's or a Wasp's.
+func metric(src interface{ RegisterMetrics(*obs.Registry) }, name string) float64 {
+	r := obs.NewRegistry()
+	src.RegisterMetrics(r)
+	for _, m := range r.Snapshot() {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return -1
+}
+
+// TestSchedRegisterMetrics wires schedulers into a registry and checks
+// the collector's counters against known counts: a virtual Wasp+CA run
+// of task and image tickets (each image ticket releases one shell, which
+// the virtual cleaner core settles), then a one-lane real scheduler with
+// a backlog queued behind a held lane and waiters that may borrow it.
 func TestSchedRegisterMetrics(t *testing.T) {
-	s := NewVirtual(wasp.New(), 2, WithPlacer(placement.LeastLoaded{}))
+	s := NewVirtual(wasp.New(wasp.WithAsyncClean(true)), 2, WithPlacer(placement.LeastLoaded{}))
 	defer s.Close()
-	reqs := make([]Request, 8)
+	img := guest.MustFromAsm("metrics-doubler", guest.WrapLongMode(doublerAsm))
+	reqs := make([]Request, 12)
 	for i := range reqs {
 		reqs[i] = Request{Arrival: uint64(i) * 100, Image: "api", Fn: pairTask(5000)}
-	}
-	for _, tk := range s.SubmitBatchAt(reqs) {
-		if _, err := tk.Wait(); err != nil {
-			t.Fatalf("ticket: %v", err)
+		if i%3 == 0 {
+			reqs[i] = Request{Arrival: uint64(i) * 100, Img: img, Cfg: wasp.RunConfig{Args: le64(uint64(i)), RetBytes: 8}}
 		}
 	}
+	if err := WaitAll(s.SubmitBatchAt(reqs)...); err != nil {
+		t.Fatalf("ticket: %v", err)
+	}
+	checkMetrics(t, s, map[string]float64{
+		"sched_submitted":                       12,
+		"sched_completed":                       12,
+		"sched_rejected":                        0,
+		"sched_queue_depth":                     0,
+		"sched_helped_total":                    0,
+		"sched_cleaner_drains":                  4,
+		"sched_backend_completed{platform=kvm}": 12,
+		"sched_backend_workers{platform=kvm}":   2,
+	})
 
-	r := obs.NewRegistry()
-	s.RegisterMetrics(r)
-	snap := r.Snapshot()
-	want := map[string]float64{
-		"sched_submitted": 8,
-		"sched_completed": 8,
-		"sched_rejected":  0,
-	}
-	seen := map[string]bool{}
-	for _, m := range snap {
-		if v, ok := want[m.Name]; ok {
-			seen[m.Name] = true
-			if m.Value != v {
-				t.Errorf("%s = %g, want %g", m.Name, m.Value, v)
+	r := New(wasp.New(), 1)
+	defer r.Close()
+	started, release := make(chan struct{}), make(chan struct{})
+	gate := r.SubmitFn(func(*cycles.Clock) (*wasp.Result, error) {
+		close(started)
+		<-release
+		return nil, nil
+	})
+	<-started
+	var inline atomic.Uint64
+	backlog := make([]*Ticket, 3)
+	for i := range backlog {
+		backlog[i] = r.SubmitFn(func(clk *cycles.Clock) (*wasp.Result, error) {
+			if lentNow(r, clk) {
+				inline.Add(1)
 			}
-		}
-		if strings.HasPrefix(m.Name, "sched_backend_completed") && m.Value != 8 {
-			t.Errorf("%s = %g, want 8", m.Name, m.Value)
+			return nil, nil
+		})
+	}
+	checkMetrics(t, r, map[string]float64{"sched_queue_depth": 3, "sched_helped_total": 0})
+	close(release)
+	if err := WaitAll(append(backlog, gate)...); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	checkMetrics(t, r, map[string]float64{
+		"sched_completed":      4,
+		"sched_queue_depth":    0,
+		"sched_helped_total":   float64(inline.Load()),
+		"sched_cleaner_drains": 0,
+	})
+}
+
+// checkMetrics requires each named series of s's registry to read its
+// wanted value.
+func checkMetrics(t *testing.T, s *Scheduler, want map[string]float64) {
+	t.Helper()
+	for name, v := range want {
+		if got := metric(s, name); got != v {
+			t.Errorf("%s = %g, want %g", name, got, v)
 		}
 	}
-	for name := range want {
-		if !seen[name] {
-			t.Errorf("metric %s missing from snapshot", name)
+}
+
+// TestSchedulerRecordsIntoWaspTracer: the Wasp's recorder is the one
+// way in. A real and a virtual scheduler built with no option of their
+// own over a traced Wasp each record the ticket span of an image run
+// beside the runtime's shell event.
+func TestSchedulerRecordsIntoWaspTracer(t *testing.T) {
+	img := guest.MustFromAsm("one-recorder", guest.WrapLongMode(doublerAsm))
+	for _, mode := range []struct {
+		name string
+		mk   func(*wasp.Wasp, int, ...Option) *Scheduler
+	}{{"real", New}, {"virtual", NewVirtual}} {
+		tr := obs.NewTracer(obs.Deterministic(true))
+		tr.SetEnabled(true)
+		s := mode.mk(wasp.New(wasp.WithTracer(tr)), 2)
+		_, err := s.Submit(img, wasp.RunConfig{Args: le64(1), RetBytes: 8}).Wait()
+		s.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", mode.name, err)
+		}
+		kinds := map[obs.Kind]bool{}
+		for _, k := range tr.Kinds() {
+			kinds[k] = true
+		}
+		if !kinds[obs.KindTicket] || !kinds[obs.KindShell] {
+			t.Errorf("%s: recorded %v, want ticket and shell events", mode.name, tr.Kinds())
 		}
 	}
 }

@@ -34,9 +34,8 @@ func BenchmarkTracerOverhead(b *testing.B) {
 			// ring buffers are allocated once and wrap thereafter.
 			tr := mode.mk()
 			for i := 0; i < b.N; i++ {
-				s := NewVirtual(wasp.New(), 16,
-					WithAdmission(Admission{Weights: map[string]int{"api": 3, "web": 2, "spike": 2, "batch": 1}}),
-					WithTracer(tr))
+				s := NewVirtual(wasp.New(wasp.WithTracer(tr)), 16,
+					WithAdmission(Admission{Weights: map[string]int{"api": 3, "web": 2, "spike": 2, "batch": 1}}))
 				s.SubmitBatchAt(reqs)
 				if s.Makespan() == 0 {
 					b.Fatal("empty makespan")

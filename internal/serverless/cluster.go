@@ -27,12 +27,6 @@ type ClusterConfig struct {
 	SLO            uint64 // end-to-end latency SLO in cycles (default: 50 ms)
 	ColdStart      uint64 // boot penalty for growth beyond the prewarmed standby (default: 25 ms)
 	Trace          []sched.Request
-	// Tracer, when non-nil, records the run's full flight: per-ticket
-	// service spans on worker lanes, epoch boundaries, every autoscale
-	// decision, and the pool/cleaner events underneath. Construct it
-	// with obs.Deterministic(true) to keep the recorded stream
-	// bit-identical across runs of the same config.
-	Tracer *obs.Tracer
 }
 
 // ClusterReport is one run's outcome: the SLO side and the cost side of
@@ -65,6 +59,12 @@ type ClusterReport struct {
 // worker-time whether or not the capacity served anything; that is the
 // quantity the SLO buys down. Deterministic: same config, same policy
 // parameters, bit-identical report.
+//
+// A Wasp built with wasp.WithTracer records the run's full flight:
+// per-ticket service spans on worker lanes, epoch boundaries, every
+// autoscale decision, and the pool/cleaner events underneath. A tracer
+// built with obs.Deterministic(true) keeps the recorded stream
+// bit-identical across runs of the same config.
 func RunCluster(w *wasp.Wasp, pol sched.AutoPolicy, cfg ClusterConfig) (*ClusterReport, error) {
 	const F = uint64(cycles.Frequency)
 	if cfg.Epoch == 0 {
@@ -83,18 +83,11 @@ func RunCluster(w *wasp.Wasp, pol sched.AutoPolicy, cfg ClusterConfig) (*Cluster
 	if len(trace) == 0 {
 		return nil, fmt.Errorf("cluster: empty trace")
 	}
-	opts := []sched.Option{
-		sched.WithAdmission(sched.Admission{
-			Weights: map[string]int{"api": 3, "web": 2, "spike": 2, "batch": 1},
-		}),
-	}
-	tr := cfg.Tracer
-	if tr != nil {
-		opts = append(opts, sched.WithTracer(tr))
-		w.SetTracer(tr)
-	}
-	s := sched.NewVirtual(w, cfg.InitialWorkers, opts...)
+	s := sched.NewVirtual(w, cfg.InitialWorkers, sched.WithAdmission(sched.Admission{
+		Weights: map[string]int{"api": 3, "web": 2, "spike": 2, "batch": 1},
+	}))
 	defer s.Close()
+	tr := w.Tracer()
 
 	rep := &ClusterReport{
 		Policy:         pol.Name(),

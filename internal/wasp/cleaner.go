@@ -41,10 +41,12 @@ type Cleaner struct {
 	// went idle; vbusy sums only its zeroing work, vdrained its shells.
 	vnow, vbusy, vdrained uint64
 
+	// enqueued counts releases booked; cleaned, released shells an
+	// acquire reset with no zeroing charged to the request.
 	enqueued, cleaned, inline, dropped atomic.Uint64
 
-	// tr records release and settlement events. Set by Wasp before
-	// serving; nil-safe when unset.
+	// tr records release and settlement events: the Wasp's tracer,
+	// nil-safe when unset.
 	tr *obs.Tracer
 }
 
@@ -136,13 +138,6 @@ func (c *Cleaner) SetDriven(on bool) {
 	}
 }
 
-// Pending reports the releases the virtual core owes and has not settled.
-func (c *Cleaner) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.owed
-}
-
 // Cycles reports the virtual cleaner core's clock: the virtual time at
 // which it last went idle (virtual mode only).
 func (c *Cleaner) Cycles() uint64 {
@@ -168,10 +163,6 @@ func (c *Cleaner) VirtualDrains() uint64 {
 
 // Enqueued reports every Wasp+CA release booked, driven or not.
 func (c *Cleaner) Enqueued() uint64 { return c.enqueued.Load() }
-
-// Cleaned reports released shells an acquire reset for reuse with no
-// zeroing charged to the request.
-func (c *Cleaner) Cleaned() uint64 { return c.cleaned.Load() }
 
 // InlineReclaims reports owed releases forgiven because their shell was
 // acquired again before the virtual core settled them (0 undriven).

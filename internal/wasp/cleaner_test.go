@@ -60,8 +60,8 @@ func TestAsyncReleaseDoesNoZeroingOnCallerPath(t *testing.T) {
 	if n := w.PoolTotal(); n != 1 {
 		t.Fatalf("pool total = %d after release, want the dirty shell pooled", n)
 	}
-	if p, n := c.Pending(), c.Cleaned(); p != 1 || n != 0 {
-		t.Fatalf("pending/cleaned = %d/%d after one release, want 1/0", p, n)
+	if p, n := metric(w, pendingKVM), metric(w, cleanedKVM); p != 1 || n != 0 {
+		t.Fatalf("pending/cleaned = %v/%v after one release, want 1/0", p, n)
 	}
 	// The pooled shell is still dirty: the boot wrote page tables, so
 	// unzeroed guest memory contains nonzero bytes.
@@ -85,8 +85,8 @@ func TestAsyncReleaseDoesNoZeroingOnCallerPath(t *testing.T) {
 	if _, err := w.Run(img, RunConfig{}, clk); err != nil {
 		t.Fatal(err)
 	}
-	if n, r, p := c.Cleaned(), c.InlineReclaims(), c.Pending(); n != 1 || r != 1 || p != 1 {
-		t.Fatalf("cleaned/forgiven/pending = %d/%d/%d after the reacquire, want 1/1/1", n, r, p)
+	if n, r, p := metric(w, cleanedKVM), c.InlineReclaims(), metric(w, pendingKVM); n != 1 || r != 1 || p != 1 {
+		t.Fatalf("cleaned/forgiven/pending = %v/%d/%v after the reacquire, want 1/1/1", n, r, p)
 	}
 	if n := c.DrainAt(clk.Now()); n != 1 {
 		t.Fatalf("settled %d releases, want 1", n)
@@ -94,8 +94,8 @@ func TestAsyncReleaseDoesNoZeroingOnCallerPath(t *testing.T) {
 	if b, v := c.BusyCycles(), c.Cycles(); b != cycles.ZeroCost(mem) || v != clk.Now()+b {
 		t.Fatalf("cleaner core busy %d, idle at %d; want %d, %d", b, v, cycles.ZeroCost(mem), clk.Now()+cycles.ZeroCost(mem))
 	}
-	if p := c.Pending(); p != 0 {
-		t.Fatalf("pending = %d after settling, want 0", p)
+	if p := metric(w, pendingKVM); p != 0 {
+		t.Fatalf("pending = %v after settling, want 0", p)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestNoDirtyShellAcquiredUnderAsyncClean(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if c.Cleaned() == 0 {
+	if metric(w, cleanedKVM) == 0 {
 		t.Fatal("no released shell was ever reacquired")
 	}
 	if c.Enqueued() != uint64(goroutines*runsEach) {
@@ -250,8 +250,8 @@ func TestAsyncBacklogAndParkBounds(t *testing.T) {
 	if d, pd := c.Dropped(), w.PoolDropped(); d != 3 || pd != 0 {
 		t.Fatalf("dropped = %d (cleaner) / %d (pool), want 3 / 0", d, pd)
 	}
-	if p := c.Pending(); p != n {
-		t.Fatalf("pending = %d, want all %d releases owed", p, n)
+	if p := metric(w, pendingKVM); p != n {
+		t.Fatalf("pending = %v, want all %d releases owed", p, n)
 	}
 	if got := c.DrainAt(0); got != n || c.BusyCycles() != n*cycles.ZeroCost(mem) {
 		t.Fatalf("settled %d releases for %d cycles, want %d for %d", got, c.BusyCycles(), n, n*cycles.ZeroCost(mem))
@@ -289,8 +289,8 @@ func TestAsyncCleanShrinkSeesReleasedShells(t *testing.T) {
 		w.ObserveLoadOn("", mem, 0)
 	}
 	c.DrainAt(clk.Now())
-	if got := w.PoolTotal() + c.Pending(); got != 1 {
-		t.Fatalf("pooled %d + owed %d shells after the idle streak, want 1", w.PoolTotal(), c.Pending())
+	if owed := metric(w, pendingKVM); w.PoolTotal()+int(owed) != 1 {
+		t.Fatalf("pooled %d + owed %v shells after the idle streak, want 1", w.PoolTotal(), owed)
 	}
 }
 

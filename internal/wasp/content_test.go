@@ -391,12 +391,12 @@ func TestRebaseMatchesMaterialize(t *testing.T) {
 				w.DropSnapshot(img.Name)
 				continue
 			case "reimport":
-				blob, err := w.ExportSnapshot(img.Name)
+				blob, err := w.ExportSnapshotOn("", img.Name, false)
 				if err != nil {
 					continue // nothing captured yet
 				}
 				w.DropSnapshot(img.Name)
-				if err := w.ImportSnapshot(img.Name, blob); err != nil {
+				if err := w.ImportSnapshotOn("", img.Name, blob); err != nil {
 					t.Fatalf("runtime %d step %d: %v", i, step, err)
 				}
 				continue
@@ -411,10 +411,7 @@ func TestRebaseMatchesMaterialize(t *testing.T) {
 			}
 			snap := be.snapshots.get(img.Name)
 			seen = seen[:0]
-			var reused uint64
-			if c := w.Cleaner(); c != nil {
-				reused = c.Cleaned()
-			}
+			reused := metric(w, cleanedKVM)
 			res, err := w.Run(img, config(op, op.kind == "run"), cycles.NewClock())
 			if err != nil {
 				snap.release()
@@ -425,7 +422,7 @@ func TestRebaseMatchesMaterialize(t *testing.T) {
 			// reused shell's zeroing to its cleaner instead of the run.
 			if c := w.Cleaner(); c == nil {
 				syncCycles = append(syncCycles, res.Cycles)
-			} else if zero := (c.Cleaned() - reused) * cycles.ZeroCost(memLen); res.Cycles+zero != syncCycles[runs-1] {
+			} else if zero := uint64(metric(w, cleanedKVM)-reused) * cycles.ZeroCost(memLen); res.Cycles+zero != syncCycles[runs-1] {
 				t.Fatalf("runtime %d step %d (%s): %d cycles + %d moved to the cleaner, Wasp+C's run %d",
 					i, step, img.Name, res.Cycles, zero, syncCycles[runs-1])
 			}

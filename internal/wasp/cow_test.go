@@ -295,7 +295,7 @@ func TestImportOverParkedCOWShell(t *testing.T) {
 		}
 		w2 := New()
 		run(w2, "", 200)
-		blob, err := w2.ExportSnapshot(img.Name)
+		blob, err := w2.ExportSnapshotOn("", img.Name, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,11 +317,11 @@ func TestImportOverParkedCOWShell(t *testing.T) {
 			}
 		}
 
-		if err := w1.ImportSnapshot(img.Name, blob); err != nil {
+		if err := w1.ImportSnapshotOn("", img.Name, blob); err != nil {
 			t.Fatal(err)
 		}
 		if got := run(w1, "", 2); got != 200 {
-			t.Fatalf("cow=%v: after ImportSnapshot kvm = %d, want 200 (reset against the replaced snapshot)", cow, got)
+			t.Fatalf("cow=%v: after ImportSnapshotOn kvm = %d, want 200 (reset against the replaced snapshot)", cow, got)
 		}
 		// kvm → hyper-v replaces the snapshot under hyper-v's parked
 		// shell; hyper-v → kvm replaces it under kvm's again.

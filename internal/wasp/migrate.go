@@ -105,25 +105,15 @@ type snapshotWire struct {
 	Pages []wirePage
 }
 
-// ExportSnapshot serializes the named image's snapshot from the default
-// backend, self-contained: base and delta pages are flattened in, so
-// any runtime can import it.
-func (w *Wasp) ExportSnapshot(name string) ([]byte, error) {
-	return w.ExportSnapshotOn("", name, false)
-}
-
-// ExportSnapshotDelta serializes the named snapshot shipping only the
-// pages it owns beyond its base layer, plus the base's content key and
-// digest. The importer must already hold a matching base layer in its
-// content registry (ForestStats.BaseLayers counts them) or the import
-// fails. A snapshot with no base exports
-// self-contained — the delta IS the whole snapshot.
-func (w *Wasp) ExportSnapshotDelta(name string) ([]byte, error) {
-	return w.ExportSnapshotOn("", name, true)
-}
-
-// ExportSnapshotOn is ExportSnapshot from a named backend's registry
-// ("" for the default); deltaOnly selects the delta wire form.
+// ExportSnapshotOn serializes the named image's snapshot from a named
+// backend's registry ("" for the default). Without deltaOnly the blob is
+// self-contained: base and delta pages are flattened in, so any runtime
+// can import it. With deltaOnly it ships only the pages the snapshot
+// owns beyond its base layer, plus the base's content key and digest;
+// the importer must already hold a matching base layer in its content
+// registry (ForestStats.BaseLayers counts them) or the import fails. A
+// snapshot with no base exports self-contained: the delta is the whole
+// snapshot.
 func (w *Wasp) ExportSnapshotOn(platform, name string, deltaOnly bool) ([]byte, error) {
 	be, err := w.backendFor(platform)
 	if err != nil {
@@ -214,16 +204,12 @@ func bit(on bool, b byte) byte {
 	return 0
 }
 
-// ImportSnapshot installs a serialized snapshot under the given image
-// name on the default backend. The receiving side must run the same
-// image (same name, same memory geometry); the next Run with Snapshot
-// enabled resumes from the migrated state. A delta blob requires the
-// receiver to already hold the base layer it grafts onto.
-func (w *Wasp) ImportSnapshot(name string, data []byte) error {
-	return w.ImportSnapshotOn("", name, data)
-}
-
-// ImportSnapshotOn is ImportSnapshot into a named backend's registry.
+// ImportSnapshotOn installs a serialized snapshot under the given image
+// name in a named backend's registry ("" for the default). The receiving
+// side must run the same image (same name, same memory geometry); the
+// next Run with Snapshot enabled resumes from the migrated state. A
+// delta blob requires the receiver to already hold the base layer it
+// grafts onto.
 func (w *Wasp) ImportSnapshotOn(platform, name string, data []byte) error {
 	be, err := w.backendFor(platform)
 	if err != nil {

@@ -36,7 +36,7 @@ func validSnapshotBlob(t *testing.T) []byte {
 	if _, err := w.Run(img, RunConfig{Snapshot: true, RetBytes: 8, Args: le64(1)}, cycles.NewClock()); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := w.ExportSnapshot(img.Name)
+	blob, err := w.ExportSnapshotOn("", img.Name, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +124,14 @@ func TestImportRejectsHostileBlobs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := New()
-			err := w.ImportSnapshot("victim", tc.blob)
+			err := w.ImportSnapshotOn("", "victim", tc.blob)
 			if err == nil {
 				t.Fatal("hostile blob accepted")
 			}
 			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
-			if w.HasSnapshot("victim") {
+			if w.backends[0].snapshots.has("victim") {
 				t.Fatal("rejected import left a snapshot behind")
 			}
 			if st := w.ForestStats(); st.StorePages != 0 {
@@ -159,11 +159,11 @@ func FuzzImportSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	blob, err := src.ExportSnapshot(img.Name)
+	blob, err := src.ExportSnapshotOn("", img.Name, false)
 	if err != nil {
 		f.Fatal(err)
 	}
-	delta, err := src.ExportSnapshotDelta(tenant.Name)
+	delta, err := src.ExportSnapshotOn("", tenant.Name, true)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func FuzzImportSnapshot(f *testing.F) {
 	drifted := wire.encode()
 	receiver := func(t testing.TB) *Wasp {
 		w := New()
-		if err := w.ImportSnapshot(img.Name, drifted); err != nil {
+		if err := w.ImportSnapshotOn("", img.Name, drifted); err != nil {
 			t.Fatal(err)
 		}
 		return w
@@ -187,10 +187,10 @@ func FuzzImportSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	aimed.BaseDigest = entryOf(receiver(f), img).base.Digest()
-	if err := receiver(f).ImportSnapshot(tenant.Name, delta); err == nil || !strings.Contains(err.Error(), "does not match") {
+	if err := receiver(f).ImportSnapshotOn("", tenant.Name, delta); err == nil || !strings.Contains(err.Error(), "does not match") {
 		f.Fatalf("the exporter's delta against the drifted base: err = %v", err)
 	}
-	if err := receiver(f).ImportSnapshot(tenant.Name, aimed.encode()); err != nil {
+	if err := receiver(f).ImportSnapshotOn("", tenant.Name, aimed.encode()); err != nil {
 		f.Fatalf("the delta aimed at the drifted base: %v", err)
 	}
 
@@ -203,8 +203,8 @@ func FuzzImportSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := receiver(t)
 		baseline := w.ForestStats().StorePages
-		if err := w.ImportSnapshot("fuzzed", data); err != nil {
-			if w.HasSnapshot("fuzzed") {
+		if err := w.ImportSnapshotOn("", "fuzzed", data); err != nil {
+			if w.backends[0].snapshots.has("fuzzed") {
 				t.Fatal("failed import installed a snapshot")
 			}
 			if n := w.ForestStats().StorePages; n != baseline {
@@ -221,7 +221,7 @@ func FuzzImportSnapshot(f *testing.F) {
 			t.Fatalf("accepted blob does not export: %v", err)
 		}
 		again := receiver(t)
-		if err := again.ImportSnapshot("fuzzed", out); err != nil {
+		if err := again.ImportSnapshotOn("", "fuzzed", out); err != nil {
 			t.Fatalf("re-export of an accepted blob is rejected: %v", err)
 		}
 		a, b := w.backends[0].snapshots.get("fuzzed"), again.backends[0].snapshots.get("fuzzed")
@@ -253,11 +253,11 @@ func TestDeltaExportShipsOnlyDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	full, err := w.ExportSnapshot(tenant.Name)
+	full, err := w.ExportSnapshotOn("", tenant.Name, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := w.ExportSnapshotDelta(tenant.Name)
+	delta, err := w.ExportSnapshotOn("", tenant.Name, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,18 +267,18 @@ func TestDeltaExportShipsOnlyDelta(t *testing.T) {
 
 	// Receiver with the base: full import of the base image first (which
 	// registers the base layer), then the tenant delta grafts onto it.
-	baseBlob, err := w.ExportSnapshot(base.Name)
+	baseBlob, err := w.ExportSnapshotOn("", base.Name, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := New()
-	if err := b.ImportSnapshot(base.Name, baseBlob); err != nil {
+	if err := b.ImportSnapshotOn("", base.Name, baseBlob); err != nil {
 		t.Fatal(err)
 	}
 	if b.ForestStats().BaseLayers != 1 {
 		t.Fatal("full import did not register a base layer")
 	}
-	if err := b.ImportSnapshot(tenant.Name, delta); err != nil {
+	if err := b.ImportSnapshotOn("", tenant.Name, delta); err != nil {
 		t.Fatalf("delta graft failed: %v", err)
 	}
 	res, err := b.Run(tenant, cfg(50), cycles.NewClock())
@@ -294,7 +294,7 @@ func TestDeltaExportShipsOnlyDelta(t *testing.T) {
 
 	// Receiver without the base rejects the same delta cleanly.
 	c := New()
-	if err := c.ImportSnapshot(tenant.Name, delta); err == nil ||
+	if err := c.ImportSnapshotOn("", tenant.Name, delta); err == nil ||
 		!strings.Contains(err.Error(), "does not hold") {
 		t.Fatalf("delta import without base: err = %v", err)
 	}
@@ -316,14 +316,14 @@ func TestDeltaImportRejectsDriftedBase(t *testing.T) {
 	if _, err := a.Run(tenant, RunConfig{Snapshot: true, RetBytes: 8, Args: le64(2)}, cycles.NewClock()); err != nil {
 		t.Fatal(err)
 	}
-	delta, err := a.ExportSnapshotDelta(tenant.Name)
+	delta, err := a.ExportSnapshotOn("", tenant.Name, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The receiver captured its own base with a different argument, so
 	// its base layer's content digest differs from the exporter's.
 	b, _ := mkWasp(9)
-	if err := b.ImportSnapshot(tenant.Name, delta); err == nil ||
+	if err := b.ImportSnapshotOn("", tenant.Name, delta); err == nil ||
 		!strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("drifted-base graft: err = %v", err)
 	}

@@ -36,7 +36,7 @@ func TestSnapshotMigration(t *testing.T) {
 	if fromLE64(resA.Ret) != 7777 {
 		t.Fatalf("machine A result: %d", fromLE64(resA.Ret))
 	}
-	blob, err := a.ExportSnapshot(img.Name)
+	blob, err := a.ExportSnapshotOn("", img.Name, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSnapshotMigration(t *testing.T) {
 	}
 
 	b := New()
-	if err := b.ImportSnapshot(img.Name, blob); err != nil {
+	if err := b.ImportSnapshotOn("", img.Name, blob); err != nil {
 		t.Fatal(err)
 	}
 	resB, err := b.Run(img, cfg, cycles.NewClock())
@@ -67,7 +67,7 @@ func TestSnapshotMigration(t *testing.T) {
 
 func TestExportMissingSnapshot(t *testing.T) {
 	w := New()
-	if _, err := w.ExportSnapshot("nothing"); err == nil {
+	if _, err := w.ExportSnapshotOn("", "nothing", false); err == nil {
 		t.Fatal("export of missing snapshot accepted")
 	}
 }
@@ -86,7 +86,7 @@ func TestExportNativeSnapshotRefused(t *testing.T) {
 	if _, err := w.Run(img, RunConfig{Snapshot: true}, cycles.NewClock()); err != nil {
 		t.Fatal(err)
 	}
-	_, err := w.ExportSnapshot(img.Name)
+	_, err := w.ExportSnapshotOn("", img.Name, false)
 	if err == nil || !strings.Contains(err.Error(), "not portable") {
 		t.Fatalf("err = %v, want not-portable refusal", err)
 	}
@@ -94,7 +94,7 @@ func TestExportNativeSnapshotRefused(t *testing.T) {
 
 func TestImportRejectsGarbage(t *testing.T) {
 	w := New()
-	if err := w.ImportSnapshot("x", []byte("not a snapshot")); err == nil {
+	if err := w.ImportSnapshotOn("", "x", []byte("not a snapshot")); err == nil {
 		t.Fatal("garbage import accepted")
 	}
 }
@@ -109,13 +109,13 @@ func TestImportRejectsMalformed(t *testing.T) {
 	if _, err := a.Run(img, RunConfig{Snapshot: true}, cycles.NewClock()); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := a.ExportSnapshot(img.Name)
+	blob, err := a.ExportSnapshotOn("", img.Name, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Re-encode with a corrupted captured count by importing then
 	// hand-rolling: simplest is truncating the blob.
-	if err := a.ImportSnapshot("trunc", blob[:len(blob)/2]); err == nil {
+	if err := a.ImportSnapshotOn("", "trunc", blob[:len(blob)/2]); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
 }

@@ -21,10 +21,10 @@ func TestPerPlatformPoolsArePartitioned(t *testing.T) {
 	if _, err := w.Run(img, RunConfig{}, cycles.NewClock()); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.PoolSizeOn("kvm", mem); got != 1 {
+	if got := w.byPlat["kvm"].pools.size(mem); got != 1 {
 		t.Fatalf("kvm pool = %d shells after a kvm run, want 1", got)
 	}
-	if got := w.PoolSizeOn("hyper-v", mem); got != 0 {
+	if got := w.byPlat["hyper-v"].pools.size(mem); got != 0 {
 		t.Fatalf("hyper-v pool = %d shells after a kvm run, want 0", got)
 	}
 
@@ -37,10 +37,10 @@ func TestPerPlatformPoolsArePartitioned(t *testing.T) {
 	if clk.Now() < cycles.HVCreatePartition {
 		t.Fatalf("hyper-v run cost %d cycles, below its create cost — it stole a warm shell", clk.Now())
 	}
-	if got := w.PoolSizeOn("kvm", mem); got != 1 {
+	if got := w.byPlat["kvm"].pools.size(mem); got != 1 {
 		t.Fatalf("kvm pool = %d after the hyper-v run, want its shell untouched", got)
 	}
-	if got := w.PoolSizeOn("hyper-v", mem); got != 1 {
+	if got := w.byPlat["hyper-v"].pools.size(mem); got != 1 {
 		t.Fatalf("hyper-v pool = %d after its run, want 1", got)
 	}
 	if got := w.PoolTotal(); got != 2 {
@@ -75,10 +75,10 @@ func TestPerPlatformSnapshotsArePartitioned(t *testing.T) {
 	if _, err := w.RunOn("kvm", img, cfg, cycles.NewClock()); err != nil {
 		t.Fatal(err)
 	}
-	if !w.HasSnapshotOn("kvm", img.Name) {
+	if !w.byPlat["kvm"].snapshots.has(img.Name) {
 		t.Fatal("kvm registry missing the captured snapshot")
 	}
-	if w.HasSnapshotOn("hyper-v", img.Name) {
+	if w.byPlat["hyper-v"].snapshots.has(img.Name) {
 		t.Fatal("hyper-v registry saw the kvm-side snapshot")
 	}
 
@@ -91,7 +91,7 @@ func TestPerPlatformSnapshotsArePartitioned(t *testing.T) {
 	if res.SnapshotUsed {
 		t.Fatal("first hyper-v run restored a snapshot it never captured")
 	}
-	if !w.HasSnapshotOn("hyper-v", img.Name) {
+	if !w.byPlat["hyper-v"].snapshots.has(img.Name) {
 		t.Fatal("hyper-v registry missing its own capture")
 	}
 	res, err = w.RunOn("hyper-v", img, cfg, cycles.NewClock())
@@ -110,10 +110,10 @@ func TestPrewarmOnIsPerBackend(t *testing.T) {
 	if added := w.PrewarmOn("hyper-v", mem, 3); added != 3 {
 		t.Fatalf("PrewarmOn added %d shells, want 3", added)
 	}
-	if got := w.PoolSizeOn("hyper-v", mem); got != 3 {
+	if got := w.byPlat["hyper-v"].pools.size(mem); got != 3 {
 		t.Fatalf("hyper-v pool = %d, want 3", got)
 	}
-	if got := w.PoolSizeOn("kvm", mem); got != 0 {
+	if got := w.byPlat["kvm"].pools.size(mem); got != 0 {
 		t.Fatalf("kvm pool = %d, want 0 (prewarm must not leak across backends)", got)
 	}
 	if added := w.PrewarmOn("xen", mem, 3); added != 0 {
@@ -123,7 +123,7 @@ func TestPrewarmOnIsPerBackend(t *testing.T) {
 	for i := 0; i < shrinkAfter; i++ {
 		w.ObserveLoadOn("hyper-v", mem, 0)
 	}
-	if hv, kvm := w.PoolSizeOn("hyper-v", mem), w.PoolSizeOn("kvm", mem); hv != 2 || kvm != 3 {
+	if hv, kvm := w.byPlat["hyper-v"].pools.size(mem), w.byPlat["kvm"].pools.size(mem); hv != 2 || kvm != 3 {
 		t.Fatalf("after a hyper-v idle streak: hyper-v %d, kvm %d shells, want 2, 3", hv, kvm)
 	}
 }
@@ -145,21 +145,51 @@ func TestPerPlatformCleaners(t *testing.T) {
 	if got := len(w.Cleaners()); got != 2 {
 		t.Fatalf("Cleaners() = %d, want one per backend", got)
 	}
-	if w.CleanerOn("kvm") == w.CleanerOn("hyper-v") {
+	if w.byPlat["kvm"].cleaner == w.byPlat["hyper-v"].cleaner {
 		t.Fatal("backends must not share a cleaner")
 	}
 	img := guest.RealModeHalt()
 	if _, err := w.RunOn("hyper-v", img, RunConfig{}, cycles.NewClock()); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.PoolSizeOn("hyper-v", img.MemBytes()); got != 1 {
+	if got := w.byPlat["hyper-v"].pools.size(img.MemBytes()); got != 1 {
 		t.Fatalf("hyper-v pool = %d after the run, want its shell back", got)
 	}
-	if got := w.PoolSizeOn("kvm", img.MemBytes()); got != 0 {
+	if got := w.byPlat["kvm"].pools.size(img.MemBytes()); got != 0 {
 		t.Fatalf("kvm pool = %d, want 0 (shell crossed platforms)", got)
 	}
-	if hv, kvm := w.CleanerOn("hyper-v").Enqueued(), w.CleanerOn("kvm").Enqueued(); hv != 1 || kvm != 0 {
+	if hv, kvm := w.byPlat["hyper-v"].cleaner.Enqueued(), w.byPlat["kvm"].cleaner.Enqueued(); hv != 1 || kvm != 0 {
 		t.Fatalf("releases booked: hyper-v %d, kvm %d; want 1, 0", hv, kvm)
+	}
+
+	// The registry publishes each backend's pool and ledger on its own
+	// series. With hyper-v's ledger driven, two more runs there each
+	// reacquire the pooled shell (cleaned); the second forgives the
+	// release the first owed, and its own release stays owed until the
+	// core settles it. A kvm run pools a shell and owes nothing.
+	hv := w.byPlat["hyper-v"].cleaner
+	hv.SetDriven(true)
+	defer hv.SetDriven(false)
+	for _, p := range []string{"hyper-v", "hyper-v", "kvm"} {
+		if _, err := w.RunOn(p, img, RunConfig{}, cycles.NewClock()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]float64{
+		"wasp_pool_shells{platform=hyper-v}":   1,
+		"wasp_pool_shells{platform=kvm}":       1,
+		"wasp_clean_cleaned{platform=hyper-v}": 2,
+		"wasp_clean_cleaned{platform=kvm}":     0,
+		"wasp_clean_pending{platform=hyper-v}": 1,
+		"wasp_clean_pending{platform=kvm}":     0,
+	}
+	for name, v := range want {
+		if got := metric(w, name); got != v {
+			t.Errorf("%s = %v, want %v", name, got, v)
+		}
+	}
+	if n := hv.DrainAt(0); n != 1 || metric(w, "wasp_clean_pending{platform=hyper-v}") != 0 {
+		t.Fatalf("settled %d releases, %v still owed; want 1, 0", n, metric(w, "wasp_clean_pending{platform=hyper-v}"))
 	}
 }
 
@@ -183,7 +213,7 @@ func TestCrossBackendShellFailsRun(t *testing.T) {
 		if _, err := w.RunOn("kvm", img, RunConfig{}, cycles.NewClock()); err != nil {
 			t.Fatalf("async=%v: run after the drop: %v", async, err)
 		}
-		if kvm, hv := w.PoolSizeOn("kvm", mem), w.PoolSizeOn("hyper-v", mem); kvm != 1 || hv != 0 {
+		if kvm, hv := w.byPlat["kvm"].pools.size(mem), w.byPlat["hyper-v"].pools.size(mem); kvm != 1 || hv != 0 {
 			t.Fatalf("async=%v: pools kvm %d, hyper-v %d; want 1, 0", async, kvm, hv)
 		}
 	}

@@ -13,6 +13,24 @@ import (
 	"repro/internal/vmm"
 )
 
+// The default backend's Wasp+CA ledger series in the registry.
+const (
+	pendingKVM = "wasp_clean_pending{platform=kvm}"
+	cleanedKVM = "wasp_clean_cleaned{platform=kvm}"
+)
+
+// metric reads one instrument of w's registry (-1 when absent).
+func metric(w *Wasp, name string) float64 {
+	reg := obs.NewRegistry()
+	w.RegisterMetrics(reg)
+	for _, m := range reg.Snapshot() {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return -1
+}
+
 // argSnapshotAsm copies its argument word to 0x6000 before snapshot()
 // and returns [0x6000] after it, so a restored run reports the argument
 // of whichever run captured the snapshot it resumed from.
@@ -43,7 +61,7 @@ func TestReplacedSnapshotReleasesParkedShell(t *testing.T) {
 	if _, err := src.Run(img, RunConfig{Snapshot: true, Args: le64(200)}, cycles.NewClock()); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := src.ExportSnapshot(img.Name)
+	blob, err := src.ExportSnapshotOn("", img.Name, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +83,14 @@ func TestReplacedSnapshotReleasesParkedShell(t *testing.T) {
 	// return want.
 	step := func(name string, do func(), want uint64, platforms ...string) {
 		t.Helper()
-		before := map[string]int{}
+		before := map[string]float64{}
 		for _, p := range platforms {
-			before[p] = w.PoolTotalOn(p)
+			before[p] = metric(w, "wasp_pool_shells{platform="+p+"}")
 		}
 		do()
 		for _, p := range platforms {
-			if got := w.PoolTotalOn(p); got != before[p]+1 {
-				t.Fatalf("%s: %s pools %d shells, want %d (the replaced snapshot's parked shell)", name, p, got, before[p]+1)
+			if got := metric(w, "wasp_pool_shells{platform="+p+"}"); got != before[p]+1 {
+				t.Fatalf("%s: %s pools %v shells, want %v (the replaced snapshot's parked shell)", name, p, got, before[p]+1)
 			}
 		}
 		if err := checkRuntime(w); err != nil {
@@ -141,7 +159,7 @@ func TestParkedShellRace(t *testing.T) {
 	if _, err := src.Run(img, RunConfig{Snapshot: true, Args: le64(1 << 40)}, cycles.NewClock()); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := src.ExportSnapshot(img.Name)
+	blob, err := src.ExportSnapshotOn("", img.Name, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +176,7 @@ func TestParkedShellRace(t *testing.T) {
 				var err error
 				switch (g + i) % 4 {
 				case 2:
-					err = w.ImportSnapshot(img.Name, blob)
+					err = w.ImportSnapshotOn("", img.Name, blob)
 				case 3:
 					w.DropSnapshot(img.Name)
 				default:

@@ -13,13 +13,8 @@ import (
 // occupancy, the pages populating shells rewrote, the cold boots
 // replayed and recorded, the content entries evicted past the bound,
 // the pages captures hashed and took from shell content records, and
-// the Wasp+CA cleaner ledger's lifetime counters.
-//
-// The individual accessors — CodeCacheStats, ForestStats, PoolSize,
-// Cleaner's counters — remain supported for callers
-// that want typed structs; the registry is the aggregation point new
-// tooling should prefer, because it presents every subsystem under one
-// namespace with one consistency point.
+// the Wasp+CA cleaner ledger's counters. Per-backend pool occupancy and
+// the cleaner's owed and cleaned counts are published here only.
 func (w *Wasp) RegisterMetrics(r *obs.Registry) {
 	if r == nil {
 		return
@@ -42,7 +37,7 @@ func (w *Wasp) RegisterMetrics(r *obs.Registry) {
 			emit(fmt.Sprintf("wasp_forest_base_layers{platform=%s}", name), float64(fs.BaseLayers))
 			emit(fmt.Sprintf("wasp_forest_snapshots{platform=%s}", name), float64(fs.Snapshots))
 			emit(fmt.Sprintf("wasp_forest_delta_snapshots{platform=%s}", name), float64(fs.DeltaSnapshots))
-			emit(fmt.Sprintf("wasp_pool_shells{platform=%s}", name), float64(w.PoolTotalOn(name)))
+			emit(fmt.Sprintf("wasp_pool_shells{platform=%s}", name), float64(be.pools.total()))
 			emit(fmt.Sprintf("wasp_shell_pages_written{platform=%s}", name), float64(be.pages.written.Load()))
 			emit(fmt.Sprintf("wasp_shell_pages_kept{platform=%s}", name), float64(be.pages.kept.Load()))
 			emit(fmt.Sprintf("wasp_boot_replays{platform=%s}", name), float64(be.content.replays.Load()))
@@ -50,12 +45,15 @@ func (w *Wasp) RegisterMetrics(r *obs.Registry) {
 			emit(fmt.Sprintf("wasp_content_evicted{platform=%s}", name), float64(be.content.evicted.Load()))
 			emit(fmt.Sprintf("wasp_capture_pages_hashed{platform=%s}", name), float64(be.pages.hashed.Load()))
 			emit(fmt.Sprintf("wasp_capture_pages_reused{platform=%s}", name), float64(be.pages.reused.Load()))
-			if c := w.CleanerOn(name); c != nil {
+			if c := be.cleaner; c != nil {
 				emit(fmt.Sprintf("wasp_clean_enqueued{platform=%s}", name), float64(c.Enqueued()))
-				emit(fmt.Sprintf("wasp_clean_cleaned{platform=%s}", name), float64(c.Cleaned()))
+				emit(fmt.Sprintf("wasp_clean_cleaned{platform=%s}", name), float64(c.cleaned.Load()))
 				emit(fmt.Sprintf("wasp_clean_inline_reclaims{platform=%s}", name), float64(c.InlineReclaims()))
 				emit(fmt.Sprintf("wasp_clean_dropped{platform=%s}", name), float64(c.Dropped()))
-				emit(fmt.Sprintf("wasp_clean_pending{platform=%s}", name), float64(c.Pending()))
+				c.mu.Lock()
+				owed := c.owed
+				c.mu.Unlock()
+				emit(fmt.Sprintf("wasp_clean_pending{platform=%s}", name), float64(owed))
 			}
 		}
 	})

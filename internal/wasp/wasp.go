@@ -77,9 +77,9 @@ type Wasp struct {
 	jitHits     atomic.Uint64
 	jitDeopts   atomic.Uint64
 
-	// tracer is the attached flight recorder (internal/obs); nil or
-	// disabled, every instrumentation site costs one atomic load. Set
-	// at construction (WithTracer) or before serving (SetTracer).
+	// tracer is the flight recorder (internal/obs) set by WithTracer and
+	// never changed after New; nil or disabled, every instrumentation
+	// site costs one atomic load.
 	tracer *obs.Tracer
 }
 
@@ -209,8 +209,9 @@ func WithLegacyInterp(on bool) Option { return func(w *Wasp) { w.legacyInterp = 
 // WithTracer attaches a flight recorder (internal/obs): the runtime
 // emits shell-provisioning (pool hit / cold create / COW take /
 // prewarm), release, cleaner-ledger, snapshot capture/restore,
-// guest-run and migration events into it. A nil or disabled tracer
-// costs one atomic load per instrumented operation.
+// guest-run and migration events into it, and a scheduler built over
+// the runtime records into it too. A nil or disabled tracer costs one
+// atomic load per instrumented operation.
 func WithTracer(tr *obs.Tracer) Option { return func(w *Wasp) { w.tracer = tr } }
 
 // WithCOW enables copy-on-write snapshot resets (§7.2's anticipated
@@ -247,19 +248,9 @@ func New(opts ...Option) *Wasp {
 	return w
 }
 
-// SetTracer attaches a flight recorder to an already-built runtime —
-// the post-construction analogue of WithTracer, for callers handed a
-// *Wasp they did not configure (e.g. the cluster simulator). Call
-// before the runtime starts serving runs; the field is not
-// synchronized against in-flight executions.
-func (w *Wasp) SetTracer(tr *obs.Tracer) {
-	w.tracer = tr
-	for _, be := range w.backends {
-		if be.cleaner != nil {
-			be.cleaner.tr = tr
-		}
-	}
-}
+// Tracer returns the flight recorder the runtime was built with
+// (WithTracer), or nil.
+func (w *Wasp) Tracer() *obs.Tracer { return w.tracer }
 
 // Platforms lists the runtime's backends; the first is the default.
 func (w *Wasp) Platforms() []vmm.Platform {
@@ -386,16 +377,6 @@ func (w *Wasp) PoolSize(memBytes int) int {
 	return w.backends[0].pools.size(memBytes)
 }
 
-// PoolSizeOn reports the number of cached shells for a memory size on a
-// named backend (0 for an unknown platform).
-func (w *Wasp) PoolSizeOn(platform string, memBytes int) int {
-	be, err := w.backendFor(platform)
-	if err != nil {
-		return 0
-	}
-	return be.pools.size(memBytes)
-}
-
 // PoolTotal reports the number of cached shells across all size classes
 // and all backends.
 func (w *Wasp) PoolTotal() int {
@@ -406,16 +387,6 @@ func (w *Wasp) PoolTotal() int {
 	return n
 }
 
-// PoolTotalOn reports the number of cached shells across one backend's
-// size classes.
-func (w *Wasp) PoolTotalOn(platform string) int {
-	be, err := w.backendFor(platform)
-	if err != nil {
-		return 0
-	}
-	return be.pools.total()
-}
-
 // PoolDropped reports Wasp+C releases dropped at the capacity bound, and
 // the shells of runs a panic unwound through (all backends). Wasp+CA
 // drops at the bound are reported by Cleaner.Dropped.
@@ -424,16 +395,6 @@ func (w *Wasp) PoolDropped() uint64 { return w.poolDrops.Load() }
 // Cleaner exposes the default backend's cleaner ledger, or nil when
 // cleaning is charged on the request (Wasp+C) or pooling is off.
 func (w *Wasp) Cleaner() *Cleaner { return w.backends[0].cleaner }
-
-// CleanerOn exposes a named backend's cleaner ledger (nil under Wasp+C
-// or for an unknown platform).
-func (w *Wasp) CleanerOn(platform string) *Cleaner {
-	be, err := w.backendFor(platform)
-	if err != nil {
-		return nil
-	}
-	return be.cleaner
-}
 
 // Cleaners lists every backend's cleaner ledger, in backend order; empty
 // under Wasp+C. The virtual-mode scheduler settles all of them.
@@ -496,23 +457,6 @@ func (w *Wasp) ObserveLoadOn(platform string, memBytes, depth int) {
 	if be, err := w.backendFor(platform); err == nil && w.pooling {
 		be.pools.observe(memBytes, depth)
 	}
-}
-
-// HasSnapshot reports whether an image has a stored snapshot on the
-// default backend.
-func (w *Wasp) HasSnapshot(name string) bool {
-	return w.backends[0].snapshots.has(name)
-}
-
-// HasSnapshotOn reports whether an image has a stored snapshot on a
-// named backend. Snapshots are captured per backend: the first run of
-// an image on each platform pays its own capture.
-func (w *Wasp) HasSnapshotOn(platform, name string) bool {
-	be, err := w.backendFor(platform)
-	if err != nil {
-		return false
-	}
-	return be.snapshots.has(name)
 }
 
 // DropSnapshot removes a stored snapshot from every backend (tests and

@@ -273,7 +273,7 @@ func TestSnapshotResumesAtSnapshotPoint(t *testing.T) {
 	if pre, post := fromLE64(res1.Ret[:8]), fromLE64(res1.Ret[8:]); pre != 1 || post != 1 {
 		t.Fatalf("first run counters = %d/%d, want 1/1", pre, post)
 	}
-	if !w.HasSnapshot(img.Name) {
+	if !w.backends[0].snapshots.has(img.Name) {
 		t.Fatal("snapshot not captured")
 	}
 
@@ -321,7 +321,7 @@ func TestSnapshotDisabledGlobally(t *testing.T) {
 	if _, err := w.Run(img, cfg, cycles.NewClock()); err != nil {
 		t.Fatal(err)
 	}
-	if w.HasSnapshot(img.Name) {
+	if w.backends[0].snapshots.has(img.Name) {
 		t.Fatal("snapshot captured despite global disable")
 	}
 }
