@@ -96,14 +96,6 @@ func WriteChromeTrace(w io.Writer, t *Tracer) error {
 					add(chromeEvent{Name: name, Cat: "ticket", Ph: "f", BP: "e", ID: e.ID,
 						Ts: us(e.VStart), Pid: chromePid, Tid: tid})
 				}
-			case e.Kind == KindFlip:
-				// Args carry interned platform names: resolve them.
-				args["from"] = t.NameOf(uint32(e.Arg0))
-				args["to"] = t.NameOf(uint32(e.Arg1))
-				delete(args, "arg0")
-				delete(args, "arg1")
-				add(chromeEvent{Name: name, Cat: e.Kind.String(), Ph: "i", S: "p",
-					Ts: us(e.VStart), Pid: chromePid, Tid: tid, Args: args})
 			case e.VEnd > e.VStart:
 				dur := us(e.VEnd - e.VStart)
 				add(chromeEvent{Name: name, Cat: e.Kind.String(), Ph: "X",

@@ -50,7 +50,6 @@ const (
 	KindClean          // Wasp+CA cleaner ledger (release booked, settlement)
 	KindSnapshot       // snapshot capture / restore / COW reset
 	KindMigrate        // a warm snapshot shipped between backends
-	KindFlip           // a Migrating placer committed a new home (args = interned from/to)
 	KindGuest          // one guest run's summary (arg0 = blocks compiled, arg1 = deopts)
 	KindTier           // a JIT tier transition inside a run (compile or deopt)
 	KindAutoscale      // fleet width or prewarm target changed (arg0 = from, arg1 = to)
@@ -59,7 +58,7 @@ const (
 
 var kindNames = [...]string{
 	"none", "submit", "ticket", "place", "shell", "release", "clean",
-	"snapshot", "migrate", "flip", "guest", "tier", "autoscale", "epoch",
+	"snapshot", "migrate", "guest", "tier", "autoscale", "epoch",
 }
 
 func (k Kind) String() string {

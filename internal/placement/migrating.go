@@ -3,8 +3,6 @@ package placement
 import (
 	"container/list"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 // DefaultHysteresis is the number of consecutive Place calls that must
@@ -57,10 +55,6 @@ type Migrating struct {
 	// MaxImages caps the per-image state map (LRU eviction); 0 means
 	// DefaultMaxImages.
 	MaxImages int
-	// Tracer, when non-nil and enabled, records each committed flip as a
-	// placement-flip event (KindFlip) with the interned from/to platform
-	// names. Set before the first Place call; nil-safe.
-	Tracer *obs.Tracer
 
 	mu         sync.Mutex
 	lru        *list.List // *migState, front = most recently placed
@@ -144,10 +138,6 @@ func (m *Migrating) Place(img ImageInfo, backends []BackendInfo) []float64 {
 		if hyst > 0 && st.streak >= hyst {
 			from := st.committed
 			m.migrations++
-			if tr := m.Tracer; tr.Enabled() {
-				tr.Instant(obs.ControlLane, obs.KindFlip, st.name, 0, 0,
-					uint64(tr.Name(from)), uint64(tr.Name(prefName)))
-			}
 			if m.OnMigrate != nil {
 				m.OnMigrate(st.name, from, prefName)
 			}

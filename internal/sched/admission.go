@@ -28,6 +28,9 @@ var ErrAdmission = errors.New("sched: per-image admission limit")
 //     image can no longer starve every other tenant. Equal weights give
 //     cycle-proportional round-robin — already a fairness win over FIFO.
 //
+// The cap is fleet-wide: admission decides how much of an image runs,
+// never on which backend; that is the placer's call (WithPlacer).
+//
 // In virtual mode, single SubmitAt calls dispatch synchronously in
 // submission order (the scheduler cannot reorder work it has not seen);
 // caps still apply, with deferral modelled as a later effective start.
@@ -43,18 +46,6 @@ type Admission struct {
 	// excess submission with ErrAdmission; false (the default) defers it
 	// in the image's queue until a slot frees.
 	RejectOverflow bool
-	// MaxPerBackend caps each image's in-flight tickets per hypervisor
-	// backend — capacity isolation inside a platform, not just across
-	// the fleet ("image X may hold at most 1 KVM worker"), so a hot
-	// image cannot monopolize the backend the placement policy prefers
-	// for everyone. Real mode enforces it at pop time (a worker skips
-	// images already holding their allotment of its backend); virtual
-	// mode models the wait as a delayed start on the capped backend
-	// while the placement bias weighs spilling to another backend
-	// against waiting. 0 means unlimited. Meaningful only on multi-
-	// backend fleets — on a single backend it duplicates MaxInFlight
-	// deferral.
-	MaxPerBackend int
 	// MaxQueued bounds each image's waiting tickets in the real-mode
 	// queue; beyond it, submissions shed with ErrAdmission even in
 	// deferral mode. Deferred tickets occupy the scheduler's shared
@@ -125,11 +116,6 @@ type imageState struct {
 	activeAt int       // real core: index in admission.active while queue is non-empty
 	inFlight int       // real core: dispatched, not yet completed
 
-	// inFlightBy counts dispatched-but-not-completed tickets per backend
-	// index (real core, MaxPerBackend only; nil otherwise — the virtual
-	// core models the quota in time instead, see quotaStart).
-	inFlightBy []int
-
 	spans      []admitSpan // virtual core: admission spans of dispatched tickets (hard cap only)
 	maxArrival uint64      // virtual core: high-water arrival, the prune horizon
 
@@ -184,17 +170,13 @@ func (a *admission) activate(st *imageState) {
 	}
 }
 
-// complete folds a ticket finished on backend beIdx back into its
-// image: in-flight release (global and per-backend), service-time EWMA
-// (the stride numerator), and queue-delay accounting. Caller holds the
-// core lock.
-func (a *admission) complete(t *Ticket, beIdx int) {
+// complete folds a finished ticket back into its image: in-flight
+// release, service-time EWMA (the stride numerator), and queue-delay
+// accounting. Caller holds the core lock.
+func (a *admission) complete(t *Ticket) {
 	st := a.state(t.Image)
 	if st.inFlight > 0 {
 		st.inFlight--
-	}
-	if beIdx < len(st.inFlightBy) && st.inFlightBy[beIdx] > 0 {
-		st.inFlightBy[beIdx]--
 	}
 	st.completed++
 	st.svcEWMA = stats.EWMA(st.svcEWMA, t.ServiceCycles())

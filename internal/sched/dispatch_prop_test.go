@@ -54,9 +54,9 @@ func drawCorpus(seed int64) corpusConfig {
 	cfg.adm = Admission{
 		MaxInFlight:    rng.Intn(4), // 0 disables
 		RejectOverflow: rng.Intn(2) == 0,
-		MaxPerBackend:  rng.Intn(3), // 0 disables
-		Weights:        map[string]int{"img-a": 1 + rng.Intn(4), "img-b": 1 + rng.Intn(4)},
 	}
+	_ = rng.Intn(3) // the draw that was the per-backend quota: keeps every later draw in place
+	cfg.adm.Weights = map[string]int{"img-a": 1 + rng.Intn(4), "img-b": 1 + rng.Intn(4)}
 	// Arrivals from a small lattice so clock/arrival ties are common —
 	// the tie-break rules are the property under test.
 	draw := func(n int) []Request {
@@ -233,8 +233,8 @@ func TestSetVirtualWorkersDeterministic(t *testing.T) {
 			keys = append(keys, dispatchKey{Worker: tk.Worker, Start: tk.Start, Done: tk.Done})
 		}
 		note(s.SubmitFnAt(0, costTask(1000)))
-		if n := s.SetVirtualWorkers(4, 5000); n != 4 {
-			t.Fatalf("grow to 4, got %d", n)
+		if n, err := s.SetVirtualWorkers(4, 5000); err != nil || n != 4 {
+			t.Fatalf("grow to 4, got %d (%v)", n, err)
 		}
 		// The new workers' clocks start at the scale time: an arrival
 		// before it lands on them no earlier than 5000.
@@ -247,8 +247,8 @@ func TestSetVirtualWorkersDeterministic(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			note(s.SubmitFnAt(0, costTask(1000)))
 		}
-		if n := s.SetVirtualWorkers(1, 0); n != 1 {
-			t.Fatalf("shrink to 1, got %d", n)
+		if n, err := s.SetVirtualWorkers(1, 0); err != nil || n != 1 {
+			t.Fatalf("shrink to 1, got %d (%v)", n, err)
 		}
 		tk = s.SubmitFnAt(0, costTask(1000))
 		note(tk)
@@ -265,15 +265,16 @@ func TestSetVirtualWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestSetVirtualWorkersRealModePanics pins the real core's refusal:
-// real-mode fleets are goroutines, not clocks.
-func TestSetVirtualWorkersRealModePanics(t *testing.T) {
+// TestSetVirtualWorkersRealModeErrors pins the real core's refusal:
+// real-mode fleets are goroutines, not clocks, so the call returns an
+// error and leaves the fleet as it was.
+func TestSetVirtualWorkersRealModeErrors(t *testing.T) {
 	s := New(wasp.New(), 1)
 	defer s.Close()
-	defer func() {
-		if r := recover(); r != "sched: SetVirtualWorkers is a virtual-mode primitive" {
-			t.Fatalf("SetVirtualWorkers on a real-mode scheduler: recovered %v", r)
-		}
-	}()
-	s.SetVirtualWorkers(2, 0)
+	if _, err := s.SetVirtualWorkers(2, 0); err != errRealMode {
+		t.Fatalf("SetVirtualWorkers on a real-mode scheduler: err = %v, want %v", err, errRealMode)
+	}
+	if n := s.NumWorkers(); n != 1 {
+		t.Fatalf("NumWorkers after a refused resize = %d, want 1", n)
+	}
 }

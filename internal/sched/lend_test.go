@@ -408,7 +408,7 @@ func TestLendStress(t *testing.T) {
 		{name: "admission+placer", workers: 4, wasp: splitWasp, pins: pins,
 			opts: func() []Option {
 				return []Option{WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}), WithPlacer(static),
-					WithAdmission(Admission{MaxPerBackend: 1, Weights: map[string]int{"any": 4}})}
+					WithAdmission(Admission{MaxInFlight: 1, Weights: map[string]int{"any": 4}})}
 			}},
 	}
 	for _, cfg := range configs {
@@ -565,8 +565,8 @@ func TestPickMatchesPickScan(t *testing.T) {
 				i := rng.Intn(len(flyFast))
 				svc := uint64(1 + rng.Intn(5000))
 				flyFast[i].Done, flyRef[i].Done = svc, svc
-				fast.complete(flyFast[i], 0)
-				ref.complete(flyRef[i], 0)
+				fast.complete(flyFast[i])
+				ref.complete(flyRef[i])
 				flyFast = append(flyFast[:i], flyFast[i+1:]...)
 				flyRef = append(flyRef[:i], flyRef[i+1:]...)
 			}

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/placement"
@@ -10,8 +9,8 @@ import (
 
 // linearCore is the reference virtual dispatcher the O(log n) core must
 // match bit for bit: every decision is a scan over the active workers
-// or the pending tickets — O(n²) in batch size, no trees, no heaps, no
-// incremental records. It is a third implementation of the core
+// or the pending tickets — O(n²) in batch size, no trees, no heaps. It
+// is a third implementation of the core
 // interface that exists only in tests: the property suite
 // (dispatch_prop_test.go), the tie-break pins and
 // BenchmarkVirtualDispatch/linear drive it through newLinear.
@@ -84,80 +83,41 @@ func (c *linearCore) earliestFree() *worker {
 func (c *linearCore) place(t *Ticket) {
 	s := c.s
 	by, busy := c.busyAt(t.Arrival)
-	quota := s.quotaFor(t)
 	var best *worker
-	if s.placer == nil && quota == 0 {
+	if s.placer == nil {
 		best = c.earliestFree()
 	} else {
 		weights := t.elig
 		if weights == nil {
 			weights = s.placeWeightsLocked(t, by)
 		}
-		eff := t.Arrival
-		if t.notBefore > eff {
-			eff = t.notBefore
-		}
-		var bestStart uint64
-		if best, bestStart = c.pickWorker(t, weights, eff, quota); best == nil {
+		if best = c.pickWorker(weights, max(t.Arrival, t.notBefore)); best == nil {
 			best = c.earliestFree()
-		} else if quota > 0 && bestStart > t.notBefore {
-			t.notBefore = bestStart
 		}
 	}
 	s.execVirtualLocked(best, t, busy)
 }
 
 // pickWorker is the reference candidate scan: every active worker on an
-// eligible backend, scored by quota-adjusted earliest start plus
-// placement bias; ties toward the earlier clock, then the lower id
-// (iteration order).
-func (c *linearCore) pickWorker(t *Ticket, weights []float64, eff uint64, quota int) (*worker, uint64) {
+// eligible backend, scored by earliest start plus placement bias; ties
+// toward the earlier clock, then the lower id (iteration order).
+func (c *linearCore) pickWorker(weights []float64, eff uint64) *worker {
 	var best *worker
-	var bestScore, bestStart uint64
+	var bestScore uint64
 	for _, wk := range c.s.workers[:c.nActive] {
 		if !eligibleOn(weights, wk.beIdx) {
 			continue
 		}
-		start := wk.clk.Now()
-		if start < eff {
-			start = eff
-		}
-		if quota > 0 {
-			start = c.quotaStart(t.Image, wk, start, quota)
-		}
-		score := start
+		score := max(wk.clk.Now(), eff)
 		if weights != nil {
 			score += placement.Bias(weights[wk.beIdx])
 		}
 		if best == nil || score < bestScore ||
 			(score == bestScore && wk.clk.Now() < best.clk.Now()) {
-			best, bestScore, bestStart = wk, score, start
+			best, bestScore = wk, score
 		}
 	}
-	return best, bestStart
-}
-
-// quotaStart returns the earliest virtual time >= start at which the
-// per-backend admission quota admits one more run of image img on wk's
-// backend: enough of the same-image runs in flight on the backend's
-// other workers at `start` must complete first.
-func (c *linearCore) quotaStart(img string, wk *worker, start uint64, quota int) uint64 {
-	var dones []uint64
-	for _, w2 := range c.s.workers[:c.nActive] {
-		if w2 == wk || w2.beIdx != wk.beIdx || w2.lastImage != img {
-			continue
-		}
-		if w2.lastStart <= start && start < w2.lastDone {
-			dones = append(dones, w2.lastDone)
-		}
-	}
-	if len(dones) < quota {
-		return start
-	}
-	sort.Slice(dones, func(i, j int) bool { return dones[i] < dones[j] })
-	// The slot frees at the completion that brings the backend's
-	// same-image in-flight count below the quota.
-	return dones[len(dones)-quota]
+	return best
 }
 
 // dispatchWeighted is the reference batch dispatcher: per decision step
@@ -251,7 +211,7 @@ func (c *linearCore) dispatchWeighted(pending []*Ticket) (rejected []*Ticket) {
 			// completion beyond T — or the next pending arrival, which
 			// must also bound the jump: an uncapped image's ticket must
 			// never be held past its arrival just because another
-			// image's backlog is waiting out its quota.
+			// image's backlog is waiting out its cap.
 			nextT := ^uint64(0)
 			for _, t := range pending {
 				if t.Arrival > T {

@@ -15,8 +15,8 @@ import (
 // drive it: Ticket.Wait borrows an idle lane and serves the queue on
 // the caller's goroutine instead of waking the resident and sleeping
 // (help). The enqueue-side half of the admission state
-// (imageState.queue, inFlight, inFlightBy; tryEnqueue, pick) lives in
-// this file, guarded by dmu.
+// (imageState.queue, inFlight; tryEnqueue, pick) lives in this file,
+// guarded by dmu.
 type realCore struct {
 	s *Scheduler
 
@@ -62,11 +62,6 @@ func newRealCore(s *Scheduler) core {
 func (c *realCore) Lock()          { c.dmu.Lock() }
 func (c *realCore) Unlock()        { c.dmu.Unlock() }
 func (c *realCore) String() string { return "real" }
-
-// resize: real-mode fleets are goroutines, not clocks.
-func (c *realCore) resize(int, uint64) int {
-	panic("sched: SetVirtualWorkers is a virtual-mode primitive")
-}
 
 // close drains the queue and waits for the workers to exit.
 func (c *realCore) close() {
@@ -210,18 +205,8 @@ func (c *realCore) pickLocked(wk *worker) (t *Ticket) {
 		// first claim while it has an idle worker; takeover by another
 		// eligible backend is allowed only once the preferred one is
 		// saturated (work conservation over strict preference).
-		if t.prefBE >= 0 && t.prefBE != wk.beIdx &&
-			c.busyBy[t.prefBE] < s.bstates[t.prefBE].workers {
-			return false
-		}
-		// Per-backend admission quota: the image may already hold its
-		// full allotment of this worker's backend.
-		if quota := s.quotaFor(t); quota > 0 {
-			if st := s.adm.images[t.Image]; st != nil && st.inFlightOn(wk.beIdx) >= quota {
-				return false
-			}
-		}
-		return true
+		return t.prefBE < 0 || t.prefBE == wk.beIdx ||
+			c.busyBy[t.prefBE] >= s.bstates[t.prefBE].workers
 	}
 	if s.adm != nil {
 		t = s.adm.pick(eligible)
@@ -268,9 +253,6 @@ func (c *realCore) pickLocked(wk *worker) (t *Ticket) {
 			// which may be parked — wake them to re-evaluate.
 			c.notEmpty.Broadcast()
 		}
-	}
-	if s.quotaFor(t) > 0 {
-		s.adm.state(t.Image).claimBackend(wk.beIdx, len(s.bstates))
 	}
 	c.notFull.Signal()
 	if c.qclosed && c.queuedN == 0 {
@@ -407,14 +389,12 @@ func (c *realCore) exec(wk *worker, t *Ticket) {
 			c.busyBy[wk.beIdx]--
 		}
 		if s.adm != nil {
-			s.adm.complete(t, wk.beIdx)
-			if (s.adm.pol.MaxInFlight > 0 && !s.adm.pol.RejectOverflow) ||
-				s.adm.pol.MaxPerBackend > 0 {
-				// A deferred image may have a free slot now — under the
-				// global cap, or on the completing ticket's backend under
-				// the per-backend quota. Only these caps can park a worker
-				// waiting on a completion; broadcasting for other policies
-				// would just wake every idle worker per ticket for nothing.
+			s.adm.complete(t)
+			if s.adm.pol.MaxInFlight > 0 && !s.adm.pol.RejectOverflow {
+				// A deferred image may have a free slot now. Only the
+				// deferring cap can park a worker waiting on a completion;
+				// broadcasting for other policies would just wake every
+				// idle worker per ticket for nothing.
 				c.notEmpty.Broadcast()
 			}
 		}
@@ -507,23 +487,4 @@ func (a *admission) take(best *imageState) *Ticket {
 	}
 	best.pass += a.stride(best)
 	return t
-}
-
-// claimBackend charges one in-flight slot of backend beIdx against the
-// image's per-backend quota (lazily sized to the fleet's backend
-// count). Caller holds dmu.
-func (st *imageState) claimBackend(beIdx, nBackends int) {
-	if st.inFlightBy == nil {
-		st.inFlightBy = make([]int, nBackends)
-	}
-	st.inFlightBy[beIdx]++
-}
-
-// inFlightOn reports the image's dispatched-but-not-completed count on
-// one backend. Caller holds dmu.
-func (st *imageState) inFlightOn(beIdx int) int {
-	if beIdx >= len(st.inFlightBy) {
-		return 0
-	}
-	return st.inFlightBy[beIdx]
 }

@@ -44,10 +44,8 @@
 // cost bias when choosing among eligible workers, and real-mode dispatch
 // steers each ticket toward its decisively-preferred backend while that
 // backend has idle capacity (other eligible backends take over once it
-// saturates). An Admission policy may additionally cap one image's
-// in-flight tickets per backend (MaxPerBackend): real mode skips capped
-// images at pop time, virtual mode models the wait as a delayed start.
-// Admission decides whether a ticket runs; placement decides where.
+// saturates). Admission decides whether a ticket runs; placement
+// decides where.
 //
 // Under Wasp+CA (Fig 8) virtual mode drives each backend's Cleaner:
 // after every ticket it settles the zeroing the ticket's releases owe on
@@ -256,16 +254,6 @@ type worker struct {
 	pname string // platform name (always set; the runtime default when unpinned)
 	beIdx int    // index into the scheduler's backend states
 
-	// lastImage/lastStart/lastDone describe the worker's most recent run
-	// in virtual mode (owned by the virtual core, under its lock):
-	// workers serialize, so the triple is exactly "what is this worker
-	// running at time T" for any T the event-driven dispatcher asks about
-	// — the basis of the per-backend admission quota's virtual-time
-	// model. Unused in real mode.
-	lastImage string
-	lastStart uint64
-	lastDone  uint64
-
 	// lent marks a lane a waiter borrowed from the real core's idle list
 	// (under dmu): its resident neither picks nor exits until it is back.
 	lent bool
@@ -291,8 +279,6 @@ type core interface {
 	// submit dispatches a prepared ticket slice and returns the tickets
 	// that will never run, each with its error set.
 	submit(ts []*Ticket) (rejected []*Ticket)
-	// resize sets the active worker-pool width at a virtual time.
-	resize(n int, at uint64) int
 	// close stops the core once the scheduler has stopped accepting work.
 	close()
 }
@@ -628,15 +614,6 @@ func (s *Scheduler) noteServiceLocked(t *Ticket, wk *worker) {
 	}
 }
 
-// quotaFor is the per-backend in-flight quota that applies to t (0 =
-// none: no MaxPerBackend policy, or an untagged ticket).
-func (s *Scheduler) quotaFor(t *Ticket) int {
-	if s.adm == nil || t.Image == "" {
-		return 0
-	}
-	return s.adm.pol.MaxPerBackend
-}
-
 // vetLocked is the submission gate every core applies per ticket: one
 // with no work, or whose image no backend may serve, is rejected here
 // rather than parked forever. It returns the placement weights it
@@ -826,6 +803,9 @@ func (s *Scheduler) Close() {
 	s.closeOnce.Do(s.core.close)
 }
 
+// errRealMode is SetVirtualWorkers' error on a real-mode scheduler.
+var errRealMode = errors.New("sched: SetVirtualWorkers is a virtual-mode primitive")
+
 // SetVirtualWorkers resizes the active virtual fleet to n workers at
 // virtual time `at` — the autoscaling primitive. Growth reactivates
 // parked workers (or creates new ones, pinned round-robin over the
@@ -834,15 +814,20 @@ func (s *Scheduler) Close() {
 // never serve work before the scaling decision that created it.
 // Shrink parks the highest-id workers first: their clocks and run
 // counts are retained (Makespan and WorkerInfo still see them) but
-// they take no further work and leave the dispatch trees and the quota
-// model. Returns the resulting active width. Virtual mode only —
-// real-mode fleets are goroutines, not clocks — and panics otherwise.
-// Call between submissions, like every other virtual-mode read.
-func (s *Scheduler) SetVirtualWorkers(n int, at uint64) int {
+// they take no further work and leave the dispatch trees. Returns the
+// resulting active width. Virtual mode only — real-mode fleets are
+// goroutines, not clocks — and an error otherwise, with the fleet
+// unchanged. Call between submissions, like every other virtual-mode
+// read.
+func (s *Scheduler) SetVirtualWorkers(n int, at uint64) (int, error) {
+	c, ok := s.core.(interface{ resize(n int, at uint64) int })
+	if !ok {
+		return 0, errRealMode
+	}
 	if n < 1 {
 		n = 1
 	}
-	return s.core.resize(n, at)
+	return c.resize(n, at), nil
 }
 
 // Makespan reports the maximum worker-clock value — the virtual time at

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/cycles"
@@ -164,99 +163,5 @@ func TestRealModeSteeringYieldsWhenPreferredSaturated(t *testing.T) {
 		if tk.Platform != "kvm" {
 			t.Fatalf("hog ran on %s, placed kvm-only", tk.Platform)
 		}
-	}
-}
-
-// Real-mode per-backend quota: MaxPerBackend 1 on a 2+2 fleet caps one
-// image at one in-flight ticket per backend, so at most 2 of the 4
-// workers may ever hold its tickets concurrently.
-func TestRealModePerBackendQuotaBoundsConcurrency(t *testing.T) {
-	w := splitWasp()
-	s := New(w, 4,
-		WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}),
-		WithAdmission(Admission{MaxPerBackend: 1}))
-	defer s.Close()
-
-	// Each run announces itself and then holds its slot until released,
-	// so the test steps the fleet through six rounds of exactly two
-	// concurrent runs — the most the quota allows. A third run admitted
-	// in any round shows up in peak before it blocks on started.
-	var inflight, peak atomic.Int64
-	started, release := make(chan struct{}), make(chan struct{})
-	fn := func(clk *cycles.Clock) (*wasp.Result, error) {
-		n := inflight.Add(1)
-		for {
-			m := peak.Load()
-			if n <= m || peak.CompareAndSwap(m, n) {
-				break
-			}
-		}
-		started <- struct{}{}
-		<-release
-		inflight.Add(-1)
-		return &wasp.Result{}, nil
-	}
-	reqs := make([]Request, 12)
-	for i := range reqs {
-		reqs[i] = Request{Fn: fn, Image: "quota-img"}
-	}
-	tickets := s.SubmitBatch(reqs)
-	for round := 0; round < len(reqs)/2; round++ {
-		<-started
-		<-started
-		release <- struct{}{}
-		release <- struct{}{}
-	}
-	if err := WaitAll(tickets...); err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > 2 {
-		t.Fatalf("image reached %d concurrent tickets; per-backend quota 1 on 2 backends allows at most 2", p)
-	}
-	perBE := map[string]int{}
-	for _, tk := range tickets {
-		perBE[tk.Platform]++
-	}
-	if perBE["kvm"] == 0 || perBE["hyper-v"] == 0 {
-		t.Fatalf("per-backend split %v: the quota must spread the image across backends, not serialize it onto one", perBE)
-	}
-}
-
-// Virtual-mode per-backend quota: the deterministic dispatcher models
-// the quota as a delayed start, so one image's runs never overlap in
-// virtual time on the same backend (MaxPerBackend 1), even across that
-// backend's two workers.
-func TestVirtualPerBackendQuotaSerializesPerBackend(t *testing.T) {
-	w := splitWasp()
-	s := NewVirtual(w, 4,
-		WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}),
-		WithAdmission(Admission{MaxPerBackend: 1}))
-	defer s.Close()
-	img := guest.RealModeHalt().WithName("vquota")
-	reqs := make([]Request, 16)
-	for i := range reqs {
-		reqs[i] = Request{Arrival: uint64(i) * 1_000, Img: img}
-	}
-	tickets := s.SubmitBatchAt(reqs)
-	if err := WaitAll(tickets...); err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range tickets {
-		for j, b := range tickets {
-			if j <= i || a.Platform != b.Platform {
-				continue
-			}
-			if a.Start < b.Done && b.Start < a.Done {
-				t.Fatalf("tickets %d [%d,%d) and %d [%d,%d) overlap on %s; quota 1 must serialize the image per backend",
-					i, a.Start, a.Done, j, b.Start, b.Done, a.Platform)
-			}
-		}
-	}
-	perBE := map[string]int{}
-	for _, tk := range tickets {
-		perBE[tk.Platform]++
-	}
-	if perBE["kvm"] == 0 || perBE["hyper-v"] == 0 {
-		t.Fatalf("per-backend split %v: with each backend capped, the backlog must spill across both", perBE)
 	}
 }

@@ -11,28 +11,23 @@ import (
 // virtualCore is the virtual-mode dispatch core: deterministic
 // event-driven dispatch in the submitting goroutine, O(log n) per
 // decision. One order-statistic treap of active workers per backend
-// (otree.go) answers earliest-free and busy-at-T; per-(backend, image)
-// completion records and the event heaps (vheap.go) back the admission
-// quota and the weighted batch dispatcher. The span-history half of the
-// admission state (imageState.spans/maxArrival, admitAtVirtual) lives
-// in this file. Everything here is guarded by mu.
+// (otree.go) answers earliest-free and busy-at-T; the event heaps
+// (vheap.go) back the weighted batch dispatcher. The span-history half
+// of the admission state (imageState.spans/maxArrival, admitAtVirtual)
+// lives in this file. Everything here is guarded by mu.
 type virtualCore struct {
 	s  *Scheduler
 	mu sync.Mutex
 
 	// nActive is the active pool width: workers[:nActive] take work, the
 	// rest are parked by resize (autoscaling).
-	nActive   int
-	trees     []*otree
-	quotaRecs []map[string][]quotaRec // nil without a per-backend quota
-	busy      []int                   // busyAt's scratch
+	nActive int
+	trees   []*otree
+	busy    []int // busyAt's scratch
 }
 
 func newVirtualCore(s *Scheduler) core {
 	c := &virtualCore{s: s, nActive: len(s.workers)}
-	if s.adm != nil && s.adm.pol.MaxPerBackend > 0 {
-		c.quotaRecs = []map[string][]quotaRec{}
-	}
 	for _, wk := range s.workers {
 		c.unpark(wk)
 	}
@@ -160,9 +155,8 @@ func (c *virtualCore) earliestFree() *worker {
 // lowest worker index, keeping runs reproducible.
 func (c *virtualCore) place(t *Ticket, by []int, total int) {
 	s := c.s
-	quota := s.quotaFor(t)
 	var best *worker
-	if s.placer == nil && quota == 0 {
+	if s.placer == nil {
 		best = c.earliestFree()
 	} else {
 		// Decision-time weights: load-sensitive policies see the busy
@@ -174,25 +168,14 @@ func (c *virtualCore) place(t *Ticket, by []int, total int) {
 		if weights == nil {
 			weights = s.placeWeightsLocked(t, by)
 		}
-		eff := t.Arrival
-		if t.notBefore > eff {
-			eff = t.notBefore
-		}
-		var bestStart uint64
-		if best, bestStart = c.pickWorker(t, weights, eff, quota); best == nil {
+		if best = c.pickWorker(weights, max(t.Arrival, t.notBefore)); best == nil {
 			// Eligibility was checked at dispatch entry; a placer that
 			// flips to all-ineligible mid-flight still must not lose the
 			// ticket — fall back to earliest-free.
 			best = c.earliestFree()
-		} else if quota > 0 && bestStart > t.notBefore {
-			// The per-backend quota delays service past the arrival (and
-			// any admission deferral): model the wait as a later effective
-			// start, exactly like the global hard cap does.
-			t.notBefore = bestStart
 		}
 	}
-	// A clock change moves the worker in its tree and replaces its
-	// previous run's quota record with the new run's.
+	// A clock change moves the worker in its tree.
 	c.park(best)
 	s.execVirtualLocked(best, t, total)
 	c.unpark(best)
@@ -200,14 +183,12 @@ func (c *virtualCore) place(t *Ticket, by []int, total int) {
 
 // execVirtualLocked serves t on wk synchronously and folds the run into
 // the virtual-time state. busy, the busy-worker count at the ticket's
-// arrival, is its depth-at-submit. The completion updates the worker's
-// last-run record (exact per worker — workers serialize — and the
-// basis of the per-backend quota model), the placement EWMAs, the
-// admission telemetry and, under a hard cap, the span history the cap
-// reads (without a cap it would just grow without bound). The
-// dedicated virtual cleaner cores then settle the zeroing of the shells
-// the ticket released, no earlier than its completion. Caller holds the
-// core lock.
+// arrival, is its depth-at-submit. The completion updates the
+// placement EWMAs, the admission telemetry and, under a hard cap, the
+// span history the cap reads (without a cap it would just grow without
+// bound). The dedicated virtual cleaner cores then settle the zeroing
+// of the shells the ticket released, no earlier than its completion.
+// Caller holds the core lock.
 func (s *Scheduler) execVirtualLocked(wk *worker, t *Ticket, busy int) {
 	t.DepthAtSubmit = busy
 	if d := int64(busy); d > s.peakDepth.Load() {
@@ -218,12 +199,11 @@ func (s *Scheduler) execVirtualLocked(wk *worker, t *Ticket, busy int) {
 			t.Arrival, t.seq, uint64(wk.beIdx), uint64(busy))
 	}
 	s.serve(wk, t)
-	wk.lastImage, wk.lastStart, wk.lastDone = t.Image, t.Start, t.Done
 	if s.placer != nil {
 		s.noteServiceLocked(t, wk)
 	}
 	if s.adm != nil {
-		s.adm.complete(t, wk.beIdx)
+		s.adm.complete(t)
 		if s.adm.pol.MaxInFlight > 0 {
 			st := s.adm.state(t.Image)
 			st.spans = append(st.spans, admitSpan{at: t.Arrival, done: t.Done})
@@ -237,17 +217,15 @@ func (s *Scheduler) execVirtualLocked(wk *worker, t *Ticket, busy int) {
 
 // pickWorker selects the best-scoring worker from the per-backend
 // trees' minima alone. Within one backend the score — max(clock, eff)
-// lifted by the quota and biased by the backend weight — is
-// nondecreasing in the worker clock (the quota lift is a backend-level
-// threshold: any start below the quota-th outstanding completion maps
-// to that same completion), and score ties resolve toward the earlier
-// (clock, id), which is the tree's own key order. So each backend's
-// best candidate is exactly its tree minimum, and the fleet winner is
-// the min of one candidate per eligible backend by (score, clock, id) —
-// the tie-break of a scan over every worker in id order, made explicit.
-func (c *virtualCore) pickWorker(t *Ticket, weights []float64, eff uint64, quota int) (*worker, uint64) {
+// biased by the backend weight — is nondecreasing in the worker clock,
+// and score ties resolve toward the earlier (clock, id), which is the
+// tree's own key order. So each backend's best candidate is exactly its
+// tree minimum, and the fleet winner is the min of one candidate per
+// eligible backend by (score, clock, id) — the tie-break of a scan over
+// every worker in id order, made explicit.
+func (c *virtualCore) pickWorker(weights []float64, eff uint64) *worker {
 	var best *worker
-	var bestScore, bestStart uint64
+	var bestScore uint64
 	for be, tr := range c.trees {
 		if !eligibleOn(weights, be) {
 			continue
@@ -256,23 +234,16 @@ func (c *virtualCore) pickWorker(t *Ticket, weights []float64, eff uint64, quota
 		if wk == nil {
 			continue
 		}
-		start := wk.clk.Now()
-		if start < eff {
-			start = eff
-		}
-		if quota > 0 {
-			start = c.quotaStart(t.Image, be, start, quota)
-		}
-		score := start
+		score := max(wk.clk.Now(), eff)
 		if weights != nil {
 			score += placement.Bias(weights[be])
 		}
 		if best == nil || score < bestScore ||
 			(score == bestScore && okeyLess(wk.clk.Now(), wk.id, best.clk.Now(), best.id)) {
-			best, bestScore, bestStart = wk, score, start
+			best, bestScore = wk, score
 		}
 	}
-	return best, bestStart
+	return best
 }
 
 // dispatchWeighted dispatches a whole batch event-driven: at each step
@@ -409,7 +380,7 @@ func (c *virtualCore) dispatchWeighted(batch []*Ticket) (rejected []*Ticket) {
 			// completion beyond T — or the next queued arrival, which
 			// must also bound the jump: an uncapped image's ticket must
 			// never be held past its arrival just because another
-			// image's backlog is waiting out its quota.
+			// image's backlog is waiting out its cap.
 			nextT := ^uint64(0)
 			if qpos < len(order) {
 				nextT = batch[order[qpos]].Arrival
@@ -502,30 +473,18 @@ func (s *Scheduler) resizeLocked(active, n int, at uint64, park, unpark func(*wo
 	return active
 }
 
-// park takes wk out of the dispatch structures under its current clock:
-// its tree node and, under a per-backend quota, its last run's record.
-// Must precede any change to wk's clock.
-func (c *virtualCore) park(wk *worker) {
-	c.trees[wk.beIdx].remove(wk)
-	if c.quotaRecs != nil && wk.lastImage != "" {
-		c.quotaRecRemove(wk.beIdx, wk.lastImage, wk.lastDone, wk.id)
-	}
-}
+// park takes wk's tree node out under its current clock. Must precede
+// any change to wk's clock.
+func (c *virtualCore) park(wk *worker) { c.trees[wk.beIdx].remove(wk) }
 
-// unpark (re)enters wk under its current clock and last-run record,
-// growing the per-backend structures when resize registered a backend
-// the initial fleet never reached.
+// unpark (re)enters wk under its current clock, growing the per-backend
+// trees when resize registered a backend the initial fleet never
+// reached.
 func (c *virtualCore) unpark(wk *worker) {
 	for len(c.trees) <= wk.beIdx {
 		c.trees = append(c.trees, &otree{})
-		if c.quotaRecs != nil {
-			c.quotaRecs = append(c.quotaRecs, nil)
-		}
 	}
 	c.trees[wk.beIdx].insert(wk)
-	if c.quotaRecs != nil && wk.lastImage != "" {
-		c.quotaRecAdd(wk.beIdx, wk.lastImage, wk.lastStart, wk.lastDone, wk.id)
-	}
 }
 
 // admitSpan is one dispatched ticket's claim on its image's in-flight
