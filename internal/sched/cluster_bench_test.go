@@ -34,30 +34,35 @@ func benchTrace(n int) []Request {
 }
 
 // BenchmarkVirtualDispatch measures one weighted batch dispatch through
-// the O(log n) heap core and the linear reference at 1k/10k/100k
-// tickets on a 16-worker virtual fleet. The linear core is O(n²) in
-// batch size; its 100k point exists to demonstrate exactly that, so
-// expect it to dominate the run (use -bench 'VirtualDispatch/heap' to
-// skip it).
+// the virtual core and the linear reference at 1k/10k/100k tickets on a
+// 16-worker virtual fleet, and through the virtual core at 100k tickets
+// on 1,024 workers — the width at which a ready set's key moves would
+// show. The linear core is O(n²) in batch size; its 100k point exists
+// to demonstrate exactly that, so expect it to dominate the run (use
+// -bench 'VirtualDispatch/heap' to skip it).
 func BenchmarkVirtualDispatch(b *testing.B) {
+	run := func(name string, linear bool, workers, n int) {
+		reqs := benchTrace(n)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := virtualOn(linear)(wasp.New(), workers,
+					WithAdmission(Admission{Weights: map[string]int{"api": 3, "web": 2, "spike": 2, "batch": 1}}))
+				s.SubmitBatchAt(reqs)
+				if s.Makespan() == 0 {
+					b.Fatal("empty makespan")
+				}
+				s.Close()
+			}
+		})
+	}
 	for _, mode := range []struct {
 		name   string
 		linear bool
 	}{{"heap", false}, {"linear", true}} {
 		for _, n := range []int{1_000, 10_000, 100_000} {
-			reqs := benchTrace(n)
-			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					s := virtualOn(mode.linear)(wasp.New(), 16,
-						WithAdmission(Admission{Weights: map[string]int{"api": 3, "web": 2, "spike": 2, "batch": 1}}))
-					s.SubmitBatchAt(reqs)
-					if s.Makespan() == 0 {
-						b.Fatal("empty makespan")
-					}
-					s.Close()
-				}
-			})
+			run(fmt.Sprintf("%s/n=%d", mode.name, n), mode.linear, 16, n)
 		}
 	}
+	run("heap/w=1024/n=100000", false, 1024, 100_000)
 }

@@ -9,7 +9,7 @@ import (
 
 // linearCore is the reference virtual dispatcher the O(log n) core must
 // match bit for bit: every decision is a scan over the active workers
-// or the pending tickets — O(n²) in batch size, no trees, no heaps. It
+// or the pending tickets — O(n²) in batch size, no sorted sets, no heaps. It
 // is a third implementation of the core
 // interface that exists only in tests: the property suite
 // (dispatch_prop_test.go), the tie-break pins and

@@ -173,6 +173,23 @@ type Ticket struct {
 	err error
 }
 
+// servedDone is every virtual-mode ticket's done channel, closed once:
+// the virtual core serves or rejects a ticket before submit returns, so
+// its Wait never blocks. Real-mode tickets each get their own.
+var servedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// doneChan returns a new ticket's done channel.
+func (s *Scheduler) doneChan() chan struct{} {
+	if _, ok := s.core.(*realCore); ok {
+		return make(chan struct{})
+	}
+	return servedDone
+}
+
 // finish drops the ticket's work, freeing a run closure's captured
 // request environment, and unblocks its waiters. A batch's Ticket
 // structs (and their results) stay reachable while any one of them is
@@ -180,7 +197,9 @@ type Ticket struct {
 // so callers holding tickets long-term should copy out what they need.
 func (t *Ticket) finish() {
 	t.run, t.img, t.cfg, t.elig = nil, nil, wasp.RunConfig{}, nil
-	close(t.done)
+	if t.done != servedDone {
+		close(t.done)
+	}
 }
 
 // Wait blocks until the ticket's work has completed and returns its
@@ -509,7 +528,7 @@ func (s *Scheduler) submitBatch(reqs []Request, hasArrival bool) []*Ticket {
 	for i := range reqs {
 		r := &reqs[i]
 		t := &slab[i]
-		t.done = make(chan struct{})
+		t.done = s.doneChan()
 		if hasArrival {
 			t.Arrival = r.Arrival
 			t.hasArrival = true
@@ -522,7 +541,7 @@ func (s *Scheduler) submitBatch(reqs []Request, hasArrival bool) []*Ticket {
 }
 
 func (s *Scheduler) submitOne(arrival uint64, hasArrival bool, img *guest.Image, cfg wasp.RunConfig, fn Task) *Ticket {
-	t := &Ticket{Arrival: arrival, hasArrival: hasArrival, done: make(chan struct{})}
+	t := &Ticket{Arrival: arrival, hasArrival: hasArrival, done: s.doneChan()}
 	s.initTicket(t, img, cfg, fn, "")
 	s.submitTickets([]*Ticket{t})
 	return t
@@ -814,7 +833,7 @@ var errRealMode = errors.New("sched: SetVirtualWorkers is a virtual-mode primiti
 // never serve work before the scaling decision that created it.
 // Shrink parks the highest-id workers first: their clocks and run
 // counts are retained (Makespan and WorkerInfo still see them) but
-// they take no further work and leave the dispatch trees. Returns the
+// they take no further work and leave the ready sets. Returns the
 // resulting active width. Virtual mode only — real-mode fleets are
 // goroutines, not clocks — and an error otherwise, with the fleet
 // unchanged. Call between submissions, like every other virtual-mode

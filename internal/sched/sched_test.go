@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cycles"
 	"repro/internal/guest"
@@ -537,5 +539,76 @@ func TestPerWorkerClocksAdvanceIndependently(t *testing.T) {
 	// the busiest worker, which must exceed the cheap-only worker's sum.
 	if s.Makespan() < 1000 {
 		t.Fatalf("makespan = %d, want >= 1000", s.Makespan())
+	}
+}
+
+// TestVirtualWaitReturnsAtOnce: the virtual core serves or rejects a
+// ticket before its submit returns, so Wait never blocks — twice, from
+// two goroutines — on a served ticket, an admission-rejected one and
+// one submitted after Close, each with its own result.
+func TestVirtualWaitReturnsAtOnce(t *testing.T) {
+	s := NewVirtual(wasp.New(), 1, WithAdmission(Admission{MaxInFlight: 1, RejectOverflow: true}))
+	served := s.SubmitFnAt(0, costTask(1000))
+	rejected := s.SubmitFnAt(0, costTask(1000))
+	s.Close()
+	late := s.SubmitFnAt(0, costTask(1000))
+	for _, c := range []struct {
+		name string
+		tk   *Ticket
+		want error
+	}{{"served", served, nil}, {"rejected", rejected, ErrAdmission}, {"after-close", late, ErrClosed}} {
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 2; i++ {
+					_, err := c.tk.Wait()
+					errs <- err
+				}
+			}()
+		}
+		returned := make(chan struct{})
+		go func() { wg.Wait(); close(returned) }()
+		select {
+		case <-returned:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Wait blocked", c.name)
+		}
+		close(errs)
+		for err := range errs {
+			if !errors.Is(err, c.want) {
+				t.Fatalf("%s: Wait = %v, want %v", c.name, err, c.want)
+			}
+		}
+	}
+}
+
+// TestRealWaitBlocksUntilTaskReturns: a real-mode ticket's Wait returns
+// only after its task has.
+func TestRealWaitBlocksUntilTaskReturns(t *testing.T) {
+	s := New(wasp.New(), 1)
+	defer s.Close()
+	release := make(chan struct{})
+	var finished atomic.Bool
+	tk := s.SubmitFn(func(clk *cycles.Clock) (*wasp.Result, error) {
+		<-release
+		finished.Store(true)
+		return nil, nil
+	})
+	returned := make(chan error, 1)
+	go func() {
+		_, err := tk.Wait()
+		returned <- err
+	}()
+	select {
+	case err := <-returned:
+		t.Fatalf("Wait returned (%v) while the task was blocked", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-returned; err != nil || !finished.Load() {
+		t.Fatalf("Wait = %v, task finished %v", err, finished.Load())
 	}
 }

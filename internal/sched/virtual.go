@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -9,12 +10,12 @@ import (
 )
 
 // virtualCore is the virtual-mode dispatch core: deterministic
-// event-driven dispatch in the submitting goroutine, O(log n) per
-// decision. One order-statistic treap of active workers per backend
-// (otree.go) answers earliest-free and busy-at-T; the event heaps
-// (vheap.go) back the weighted batch dispatcher. The span-history half
-// of the admission state (imageState.spans/maxArrival, admitAtVirtual)
-// lives in this file. Everything here is guarded by mu.
+// event-driven dispatch in the submitting goroutine, O(log n) searches per
+// decision. One sorted array of active workers' (clock, id) keys per
+// backend (ready.go) answers earliest-free and busy-at-T; the event
+// heaps (vheap.go) back the weighted batch dispatcher. The span-history
+// half of the admission state (imageState.spans/maxArrival,
+// admitAtVirtual) lives in this file. Everything here is guarded by mu.
 type virtualCore struct {
 	s  *Scheduler
 	mu sync.Mutex
@@ -22,7 +23,7 @@ type virtualCore struct {
 	// nActive is the active pool width: workers[:nActive] take work, the
 	// rest are parked by resize (autoscaling).
 	nActive int
-	trees   []*otree
+	ready   []readySet
 	busy    []int // busyAt's scratch
 }
 
@@ -119,12 +120,12 @@ func (s *Scheduler) admitBatchLocked(ts []*Ticket) (batch, rejected []*Ticket) {
 }
 
 // busyAt counts the active workers still busy at virtual time at, per
-// backend and in total — one rank query per tree. The slice is scratch,
-// valid until the next call.
+// backend and in total — one binary search per ready set. The slice is
+// scratch, valid until the next call.
 func (c *virtualCore) busyAt(at uint64) (by []int, total int) {
 	c.busy = c.busy[:0]
-	for _, tr := range c.trees {
-		n := tr.size() - tr.countLE(at)
+	for _, r := range c.ready {
+		n := len(r) - r.countLE(at)
 		c.busy = append(c.busy, n)
 		total += n
 	}
@@ -133,16 +134,15 @@ func (c *virtualCore) busyAt(at uint64) (by []int, total int) {
 
 // earliestFree returns the active worker with the lowest clock, ties
 // toward the lowest index — the classic deterministic selection rule,
-// read off the per-backend tree minima.
+// read off the per-backend minima.
 func (c *virtualCore) earliestFree() *worker {
-	var best *worker
-	for _, tr := range c.trees {
-		wk := tr.min()
-		if wk != nil && (best == nil || okeyLess(wk.clk.Now(), wk.id, best.clk.Now(), best.id)) {
-			best = wk
+	best := rkey{id: -1}
+	for _, r := range c.ready {
+		if k, ok := r.min(); ok && (best.id < 0 || k.less(best)) {
+			best = k
 		}
 	}
-	return best
+	return c.s.workers[best.id]
 }
 
 // place assigns the ticket to a worker in virtual time and services it
@@ -175,7 +175,7 @@ func (c *virtualCore) place(t *Ticket, by []int, total int) {
 			best = c.earliestFree()
 		}
 	}
-	// A clock change moves the worker in its tree.
+	// A clock change moves the worker in its ready set.
 	c.park(best)
 	s.execVirtualLocked(best, t, total)
 	c.unpark(best)
@@ -216,34 +216,34 @@ func (s *Scheduler) execVirtualLocked(wk *worker, t *Ticket, busy int) {
 }
 
 // pickWorker selects the best-scoring worker from the per-backend
-// trees' minima alone. Within one backend the score — max(clock, eff)
-// biased by the backend weight — is nondecreasing in the worker clock,
-// and score ties resolve toward the earlier (clock, id), which is the
-// tree's own key order. So each backend's best candidate is exactly its
-// tree minimum, and the fleet winner is the min of one candidate per
+// minima alone. Within one backend the score — max(clock, eff) biased
+// by the backend weight — is nondecreasing in the worker clock, and
+// score ties resolve toward the earlier (clock, id), which is the ready
+// set's own key order. So each backend's best candidate is exactly its
+// first key, and the fleet winner is the min of one candidate per
 // eligible backend by (score, clock, id) — the tie-break of a scan over
-// every worker in id order, made explicit.
+// every worker in id order, made explicit. nil when no backend is
+// eligible.
 func (c *virtualCore) pickWorker(weights []float64, eff uint64) *worker {
-	var best *worker
+	best := rkey{id: -1}
 	var bestScore uint64
-	for be, tr := range c.trees {
-		if !eligibleOn(weights, be) {
+	for be, r := range c.ready {
+		k, ok := r.min()
+		if !ok || !eligibleOn(weights, be) {
 			continue
 		}
-		wk := tr.min()
-		if wk == nil {
-			continue
-		}
-		score := max(wk.clk.Now(), eff)
+		score := max(k.clk, eff)
 		if weights != nil {
 			score += placement.Bias(weights[be])
 		}
-		if best == nil || score < bestScore ||
-			(score == bestScore && okeyLess(wk.clk.Now(), wk.id, best.clk.Now(), best.id)) {
-			best, bestScore = wk, score
+		if best.id < 0 || score < bestScore || (score == bestScore && k.less(best)) {
+			best, bestScore = k, score
 		}
 	}
-	return best
+	if best.id < 0 {
+		return nil
+	}
+	return c.s.workers[best.id]
 }
 
 // dispatchWeighted dispatches a whole batch event-driven: at each step
@@ -258,7 +258,7 @@ func (c *virtualCore) pickWorker(weights []float64, eff uint64) *worker {
 // images leave their tickets in the backlog until a completion frees a
 // slot, and are set aside without activation for the step.
 //
-// Each step is O(log n): T comes off the worker trees, the earliest
+// Each step searches in O(log n): T comes off the ready sets, the earliest
 // outstanding arrival off a cursor over the arrival order, the backlog
 // lives in per-image min-heaps of submission indices (so "first submitted per
 // image" survives out-of-order arrivals), and the pick pops the minimum
@@ -269,14 +269,14 @@ func (c *virtualCore) pickWorker(weights []float64, eff uint64) *worker {
 // holds mu. Returns the rejected tickets.
 func (c *virtualCore) dispatchWeighted(batch []*Ticket) (rejected []*Ticket) {
 	a := c.s.adm
-	// Arrival-ordered event queue over the batch: stable sort, so equal
-	// arrivals enter the window in submission order.
+	// Arrival-ordered event queue over the batch, ties by submission
+	// index, so equal arrivals enter the window in submission order.
 	order := make([]int, len(batch))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return batch[order[i]].Arrival < batch[order[j]].Arrival
+	slices.SortFunc(order, func(i, j int) int {
+		return cmp.Or(cmp.Compare(batch[i].Arrival, batch[j].Arrival), cmp.Compare(i, j))
 	})
 	rejectCap := a.pol.MaxInFlight > 0 && a.pol.RejectOverflow
 	deferCap := a.pol.MaxInFlight > 0 && !a.pol.RejectOverflow
@@ -473,18 +473,18 @@ func (s *Scheduler) resizeLocked(active, n int, at uint64, park, unpark func(*wo
 	return active
 }
 
-// park takes wk's tree node out under its current clock. Must precede
-// any change to wk's clock.
-func (c *virtualCore) park(wk *worker) { c.trees[wk.beIdx].remove(wk) }
+// park takes wk's key out of its ready set under its current clock.
+// Must precede any change to wk's clock.
+func (c *virtualCore) park(wk *worker) { c.ready[wk.beIdx].remove(wk) }
 
 // unpark (re)enters wk under its current clock, growing the per-backend
-// trees when resize registered a backend the initial fleet never
+// ready sets when resize registered a backend the initial fleet never
 // reached.
 func (c *virtualCore) unpark(wk *worker) {
-	for len(c.trees) <= wk.beIdx {
-		c.trees = append(c.trees, &otree{})
+	for len(c.ready) <= wk.beIdx {
+		c.ready = append(c.ready, nil)
 	}
-	c.trees[wk.beIdx].insert(wk)
+	c.ready[wk.beIdx].insert(wk)
 }
 
 // admitSpan is one dispatched ticket's claim on its image's in-flight
@@ -561,6 +561,6 @@ func (a *admission) admitAtVirtual(st *imageState, arrival uint64) (notBefore ui
 			later = append(later, sp.done)
 		}
 	}
-	sort.Slice(later, func(i, j int) bool { return later[i] < later[j] })
+	slices.Sort(later)
 	return later[k-1], true
 }

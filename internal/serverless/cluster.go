@@ -2,7 +2,7 @@ package serverless
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cycles"
 	"repro/internal/obs"
@@ -131,10 +131,13 @@ func RunCluster(w *wasp.Wasp, pol sched.AutoPolicy, cfg ClusterConfig) (*Cluster
 				queueDelays = append(queueDelays, t.QueueCycles())
 				svc := t.ServiceCycles()
 				served += svc
-				if svcEWMA == 0 {
+				switch {
+				case svcEWMA == 0:
 					svcEWMA = svc
-				} else {
+				case svc >= svcEWMA:
 					svcEWMA += (svc - svcEWMA) / 8
+				default: // unsigned: step down without wrapping
+					svcEWMA -= (svcEWMA - svc) / 8
 				}
 				if t.Done > end {
 					backlog++
@@ -194,7 +197,7 @@ func RunCluster(w *wasp.Wasp, pol sched.AutoPolicy, cfg ClusterConfig) (*Cluster
 	rep.Makespan = s.Makespan()
 	if n := len(latencies); n > 0 {
 		rep.SLOAttained = float64(inSLO) / float64(n)
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+		slices.Sort(latencies)
 		rep.P50Latency = latencies[n/2]
 		rep.P99Latency = percentileSortedU64(latencies, 0.99)
 	}
@@ -207,8 +210,8 @@ func percentileU64(xs []uint64, p float64) uint64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	cp := append([]uint64(nil), xs...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
+	cp := slices.Clone(xs)
+	slices.Sort(cp)
 	return percentileSortedU64(cp, p)
 }
 

@@ -3,6 +3,7 @@ package serverless
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cycles"
@@ -96,11 +97,64 @@ func TestClusterFrontier(t *testing.T) {
 		"fixed-16 16 16 903 0 1.00 2.89 15.07 1996.4 32.0 0",
 		"fixed-64 64 64 903 0 1.00 2.87 15.07 1996.4 128.0 0",
 		"queue-p99 4 7 903 0 0.78 10.38 149.36 1996.4 12.2 6",
-		"util-target 4 256 903 0 1.00 2.88 15.07 1996.4 449.0 1",
+		"util-target 4 11 903 0 0.90 5.76 93.55 1996.4 14.8 3",
 	})
 	if q := reps["queue-p99"]; q.PeakWorkers <= q.InitialWorkers || q.CostWorkerSec >= reps["fixed-64"].CostWorkerSec {
 		t.Errorf("queue-p99 peaked at %d workers from %d at %.1f ws; fixed-64 cost %.1f ws",
 			q.PeakWorkers, q.InitialWorkers, q.CostWorkerSec, reps["fixed-64"].CostWorkerSec)
+	}
+}
+
+// svcProbe is an autoscaling policy that records every AutoSignal it is
+// shown, with the shortest and longest service served by then, and
+// defers the decision to the policy it wraps. The trace's tasks append
+// their service times to svcs.
+type svcProbe struct {
+	sched.AutoPolicy
+	svcs   []uint64
+	sigs   []sched.AutoSignal
+	ranges [][2]uint64
+}
+
+func (p *svcProbe) Scale(sig sched.AutoSignal) sched.AutoDecision {
+	var r [2]uint64
+	if len(p.svcs) > 0 {
+		r = [2]uint64{slices.Min(p.svcs), slices.Max(p.svcs)}
+	}
+	p.sigs, p.ranges = append(p.sigs, sig), append(p.ranges, r)
+	return p.AutoPolicy.Scale(sig)
+}
+
+// TestClusterSvcEWMAStaysInRange: the service-time average each epoch's
+// signal carries averages the services served so far, so it lies
+// between the shortest and the longest of them — a service below the
+// average must step it down, not wrap the unsigned sum.
+func TestClusterSvcEWMAStaysInRange(t *testing.T) {
+	const F = uint64(cycles.Frequency)
+	probe := &svcProbe{AutoPolicy: &sched.UtilScale{Target: 0.5, Min: 2, Max: 256, Patience: 2}}
+	trace := ClusterMix(1, 1, 2*F)
+	for i := range trace {
+		// The span a task advances its worker's clock by is the
+		// ticket's ServiceCycles.
+		fn := trace[i].Fn
+		trace[i].Fn = func(clk *cycles.Clock) (*wasp.Result, error) {
+			t0 := clk.Now()
+			res, err := fn(clk)
+			probe.svcs = append(probe.svcs, clk.Now()-t0)
+			return res, err
+		}
+	}
+	if _, err := RunCluster(wasp.New(), probe, ClusterConfig{Seed: 1, InitialWorkers: 4, Trace: trace}); err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.sigs) == 0 || len(probe.svcs) != len(trace) {
+		t.Fatalf("degenerate run: %d signals, %d of %d tickets served", len(probe.sigs), len(probe.svcs), len(trace))
+	}
+	for i, sig := range probe.sigs {
+		if r := probe.ranges[i]; r[1] > 0 && (sig.SvcEWMA < r[0] || sig.SvcEWMA > r[1]) {
+			t.Fatalf("epoch %d: SvcEWMA %d outside the services served so far [%d, %d]",
+				i, sig.SvcEWMA, r[0], r[1])
+		}
 	}
 }
 
