@@ -103,10 +103,12 @@ type AdmissionStats struct {
 }
 
 // imageState is one image's queues and telemetry inside the admission
-// layer, guarded by the owning scheduler's core lock. The pass, weight
-// and counters are shared; each core owns one half of the rest — the
-// real core the enqueue side (real.go), the virtual core the span
-// history (virtual.go).
+// layer, guarded by the owning scheduler's core lock. Admission hands a
+// ticket its image's state once (Ticket.st); everything after reaches it
+// through the ticket. The pass, weight and counters are shared; each
+// core owns one half of the rest — the real core the enqueue side
+// (real.go), the virtual core the span history and the batch
+// dispatcher's window (virtual.go, vheap.go).
 type imageState struct {
 	name   string
 	weight int
@@ -118,6 +120,15 @@ type imageState struct {
 
 	spans      []admitSpan // virtual core: admission spans of dispatched tickets (hard cap only)
 	maxArrival uint64      // virtual core: high-water arrival, the prune horizon
+
+	// Virtual core, one weighted batch at a time (dispatchWeighted): the
+	// image's backlog in the decision window as a min-heap of batch
+	// indices, its membership in the pass-ordered image heap, and the
+	// deferral-cap check memoized for dispatch step capStep.
+	backlog []int
+	inHeap  bool
+	capStep uint64
+	capFull bool
 
 	submitted, completed, rejected uint64
 	svcEWMA                        uint64
@@ -174,7 +185,7 @@ func (a *admission) activate(st *imageState) {
 // release, service-time EWMA (the stride numerator), and queue-delay
 // accounting. Caller holds the core lock.
 func (a *admission) complete(t *Ticket) {
-	st := a.state(t.Image)
+	st := t.st
 	if st.inFlight > 0 {
 		st.inFlight--
 	}

@@ -392,3 +392,31 @@ func TestAdmissionMaxQueuedShedsBacklog(t *testing.T) {
 		t.Fatalf("hog stats rejected = %d, want %d", st.Rejected, shed)
 	}
 }
+
+// TestTicketCachesAdmissionState: on both cores, admission hands each
+// ticket its image's own entry in the admission map — the state
+// dispatch, completion and the span history then use without a lookup.
+func TestTicketCachesAdmissionState(t *testing.T) {
+	pol := WithAdmission(Admission{MaxInFlight: 2, Weights: map[string]int{"a": 2}})
+	reqs := []Request{
+		{Arrival: 0, Image: "a", Fn: costTask(1000)},
+		{Arrival: 0, Image: "b", Fn: costTask(1000)},
+		{Arrival: 10, Image: "a", Fn: costTask(1000)},
+		{Arrival: 20, Image: "c", Fn: costTask(1000)},
+	}
+	for _, mk := range []func(*wasp.Wasp, int, ...Option) *Scheduler{New, NewVirtual} {
+		s := mk(wasp.New(), 2, pol)
+		tickets := s.SubmitBatchAt(reqs)
+		// A single submission takes the virtual core's one-ticket path.
+		tickets = append(tickets, s.SubmitBatchAt(reqs[3:])...)
+		if err := WaitAll(tickets...); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		for i, tk := range tickets {
+			if want := s.adm.images[tk.Image]; tk.st == nil || tk.st != want {
+				t.Errorf("%v: ticket %d (%s) caches %p, the admission map holds %p", s.core, i, tk.Image, tk.st, want)
+			}
+		}
+	}
+}

@@ -407,6 +407,7 @@ func (c *realCore) exec(wk *worker, t *Ticket) {
 // cap with RejectOverflow. Caller holds dmu.
 func (a *admission) tryEnqueue(t *Ticket) error {
 	st := a.state(t.Image)
+	t.st = st
 	st.submitted++
 	if a.pol.MaxInFlight > 0 && a.pol.RejectOverflow &&
 		len(st.queue)+st.inFlight >= a.pol.MaxInFlight {

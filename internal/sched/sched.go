@@ -147,9 +147,16 @@ type Ticket struct {
 	// img and cfg carry an image submission's work; the worker that pops
 	// the ticket runs the image on its own pinned backend (wasp.RunOn),
 	// which is why image tickets are not baked into a platform-blind
-	// closure. Raw tasks use run instead.
+	// closure. Raw tasks use run instead. The config itself lives beside
+	// the ticket in its submission's slab (imageTicket), so tickets of a
+	// batch without images do not carry its bytes.
 	img *guest.Image
-	cfg wasp.RunConfig
+	cfg *wasp.RunConfig
+
+	// st is the ticket's image state in the admission layer, set when
+	// admission first sees the ticket (nil without a policy), so dispatch
+	// and completion never look the image name up again.
+	st *imageState
 
 	// elig is the placement weight per scheduler backend (nil when no
 	// placer is attached or the ticket is untagged): <= 0 means the
@@ -175,7 +182,8 @@ type Ticket struct {
 
 // servedDone is every virtual-mode ticket's done channel, closed once:
 // the virtual core serves or rejects a ticket before submit returns, so
-// its Wait never blocks. Real-mode tickets each get their own.
+// its Wait never blocks (and skips the receive). Real-mode tickets each
+// get their own.
 var servedDone = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
@@ -196,7 +204,10 @@ func (s *Scheduler) doneChan() chan struct{} {
 // retained: that is the deliberate cost of the single-slab allocation,
 // so callers holding tickets long-term should copy out what they need.
 func (t *Ticket) finish() {
-	t.run, t.img, t.cfg, t.elig = nil, nil, wasp.RunConfig{}, nil
+	if t.cfg != nil {
+		*t.cfg = wasp.RunConfig{}
+	}
+	t.run, t.img, t.cfg, t.elig = nil, nil, nil, nil
 	if t.done != servedDone {
 		close(t.done)
 	}
@@ -212,7 +223,9 @@ func (t *Ticket) Wait() (*wasp.Result, error) {
 	if t.lender != nil {
 		t.lender.help(t)
 	}
-	<-t.done
+	if t.done != servedDone {
+		<-t.done
+	}
 	return t.res, t.err
 }
 
@@ -252,7 +265,8 @@ func WaitAll(tickets ...*Ticket) error {
 // run (Img + Cfg) or a raw task (Fn). Image, when set, overrides the
 // ticket's image identity — the tag admission control and per-image
 // telemetry key on (raw tasks are untagged otherwise). Arrival is the
-// declared virtual arrival time, used by SubmitBatchAt only.
+// declared virtual arrival time, used by SubmitBatchAt only. Submission
+// copies Cfg into the batch's ticket slab, beside its ticket.
 type Request struct {
 	Arrival uint64
 	Img     *guest.Image
@@ -475,25 +489,25 @@ func (s *Scheduler) Wasp() *wasp.Wasp { return s.w }
 // Submit schedules one virtine execution — the asynchronous analogue of
 // wasp.Run. The returned Ticket is the future for its result.
 func (s *Scheduler) Submit(img *guest.Image, cfg wasp.RunConfig) *Ticket {
-	return s.submitOne(0, false, img, cfg, nil)
+	return s.submitBatch([]Request{{Img: img, Cfg: cfg}}, false)[0]
 }
 
 // SubmitAt schedules a virtine execution arriving at the given virtual
 // time. The assigned worker's clock first advances to the arrival time,
 // so queueing delay is measured against it.
 func (s *Scheduler) SubmitAt(arrival uint64, img *guest.Image, cfg wasp.RunConfig) *Ticket {
-	return s.submitOne(arrival, true, img, cfg, nil)
+	return s.submitBatch([]Request{{Arrival: arrival, Img: img, Cfg: cfg}}, true)[0]
 }
 
 // SubmitFn schedules an arbitrary task on the worker pool.
 func (s *Scheduler) SubmitFn(fn Task) *Ticket {
-	return s.submitOne(0, false, nil, wasp.RunConfig{}, fn)
+	return s.submitBatch([]Request{{Fn: fn}}, false)[0]
 }
 
 // SubmitFnAt schedules an arbitrary task arriving at the given virtual
 // time.
 func (s *Scheduler) SubmitFnAt(arrival uint64, fn Task) *Ticket {
-	return s.submitOne(arrival, true, nil, wasp.RunConfig{}, fn)
+	return s.submitBatch([]Request{{Arrival: arrival, Fn: fn}}, true)[0]
 }
 
 // SubmitBatch schedules a burst of requests in one shot: one ticket
@@ -516,55 +530,61 @@ func (s *Scheduler) SubmitBatchAt(reqs []Request) []*Ticket {
 	return s.submitBatch(reqs, true)
 }
 
+// imageTicket is the slab element of a submission with an image
+// request: the ticket and, beside it, the run config its cfg points at.
+type imageTicket struct {
+	Ticket
+	cfg wasp.RunConfig
+}
+
+// submitBatch builds the tickets of a submission — every Submit variant
+// is a batch, single ones of one request — and routes them in.
 func (s *Scheduler) submitBatch(reqs []Request, hasArrival bool) []*Ticket {
 	n := len(reqs)
 	if n == 0 {
 		return nil
 	}
 	// One slab for the whole burst: the tickets of a batch are allocated
-	// contiguously, and their pointers share the one backing array.
-	slab := make([]Ticket, n)
+	// contiguously, and their pointers share the one backing array. A
+	// batch with an image request takes a slab of imageTickets instead.
+	var slab []Ticket
+	var islab []imageTicket
+	for i := range reqs {
+		if reqs[i].Img != nil {
+			islab = make([]imageTicket, n)
+			break
+		}
+	}
+	if islab == nil {
+		slab = make([]Ticket, n)
+	}
 	tickets := make([]*Ticket, n)
 	for i := range reqs {
 		r := &reqs[i]
-		t := &slab[i]
-		t.done = s.doneChan()
-		if hasArrival {
-			t.Arrival = r.Arrival
-			t.hasArrival = true
+		var t *Ticket
+		if islab != nil {
+			t = &islab[i].Ticket
+		} else {
+			t = &slab[i]
 		}
-		s.initTicket(t, r.Img, r.Cfg, r.Fn, r.Image)
+		t.done, t.prefBE = s.doneChan(), -1
+		if hasArrival {
+			t.Arrival, t.hasArrival = r.Arrival, true
+		}
+		if r.Img != nil {
+			islab[i].cfg = r.Cfg
+			t.img, t.cfg = r.Img, &islab[i].cfg
+			t.Image, t.memBytes = r.Img.Name, r.Img.MemBytes()
+		} else {
+			t.run = r.Fn
+		}
+		if r.Image != "" {
+			t.Image = r.Image // the tag overrides the image identity
+		}
 		tickets[i] = t
 	}
 	s.submitTickets(tickets)
 	return tickets
-}
-
-func (s *Scheduler) submitOne(arrival uint64, hasArrival bool, img *guest.Image, cfg wasp.RunConfig, fn Task) *Ticket {
-	t := &Ticket{Arrival: arrival, hasArrival: hasArrival, done: s.doneChan()}
-	s.initTicket(t, img, cfg, fn, "")
-	s.submitTickets([]*Ticket{t})
-	return t
-}
-
-// initTicket fills a ticket's work and identity from an image-or-task
-// submission — the single source of truth for both the single-submit
-// and batch paths. tag, when non-empty, overrides the image identity.
-// Image submissions stay as (img, cfg) rather than a closure so the
-// serving worker can run them on its own pinned backend.
-func (s *Scheduler) initTicket(t *Ticket, img *guest.Image, cfg wasp.RunConfig, fn Task, tag string) {
-	t.prefBE = -1
-	if img != nil {
-		t.img = img
-		t.cfg = cfg
-		t.Image = img.Name
-		t.memBytes = img.MemBytes()
-	} else {
-		t.run = fn
-	}
-	if tag != "" {
-		t.Image = tag
-	}
 }
 
 // placeWeightsLocked computes the ticket's placement weights, one per
@@ -751,7 +771,7 @@ func (s *Scheduler) runTask(wk *worker, t *Ticket) (res *wasp.Result, err error)
 	if t.img != nil {
 		// Image tickets execute on the serving worker's pinned backend:
 		// its platform's Fig 5 costs, its shell pools, its snapshots.
-		return s.w.RunOn(wk.pname, t.img, t.cfg, wk.clk)
+		return s.w.RunOn(wk.pname, t.img, *t.cfg, wk.clk)
 	}
 	return t.run(wk.clk)
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/cycles"
 	"repro/internal/guest"
@@ -610,5 +611,40 @@ func TestRealWaitBlocksUntilTaskReturns(t *testing.T) {
 	close(release)
 	if err := <-returned; err != nil || !finished.Load() {
 		t.Fatalf("Wait = %v, task finished %v", err, finished.Load())
+	}
+}
+
+// TestTicketSize bounds the ticket a batch slab zeroes per request: an
+// image's run config rides beside its ticket (imageTicket), not in it.
+func TestTicketSize(t *testing.T) {
+	if n := unsafe.Sizeof(Ticket{}); n > 208 {
+		t.Fatalf("Ticket is %d bytes, want at most 208", n)
+	}
+}
+
+// TestBatchImageConfigs: in a batch mixing image requests and raw tasks,
+// on both cores, every image ticket runs with its own request's config.
+func TestBatchImageConfigs(t *testing.T) {
+	img := guest.MustFromAsm("sched-doubler", guest.WrapLongMode(doublerAsm))
+	for _, mk := range []func(*wasp.Wasp, int, ...Option) *Scheduler{New, NewVirtual} {
+		s := mk(wasp.New(), 2)
+		var reqs []Request
+		for i := 0; i < 16; i++ {
+			if i%3 == 1 {
+				reqs = append(reqs, Request{Fn: costTask(100)})
+				continue
+			}
+			reqs = append(reqs, Request{Img: img, Cfg: wasp.RunConfig{Args: le64(uint64(i)), RetBytes: 8}})
+		}
+		for i, tk := range s.SubmitBatch(reqs) {
+			res, err := tk.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reqs[i].Img != nil && fromLE64(res.Ret) != uint64(2*i) {
+				t.Fatalf("%v: ticket %d returned %d, want %d", s.core, i, fromLE64(res.Ret), 2*i)
+			}
+		}
+		s.Close()
 	}
 }

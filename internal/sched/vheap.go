@@ -50,50 +50,37 @@ func heapPop[T any](h *[]T, less func(a, b T) bool) T {
 	return top
 }
 
-// imgWindow is one image's backlog inside the decision window: a
-// min-heap of batch indices (submission order — the "first submitted
-// per image" rule survives out-of-order arrivals) under the image's
-// admission state.
-type imgWindow struct {
-	st     *imageState
-	fifo   []int // min-heap of batch indices
-	inHeap bool  // member of the pass-ordered image heap
-}
+// An image's backlog inside the decision window (imageState.backlog) is a
+// min-heap of batch indices: submission order, so the "first submitted
+// per image" rule survives out-of-order arrivals.
 
 func intLess(a, b int) bool { return a < b }
 
-func (iw *imgWindow) push(idx int) { heapPush(&iw.fifo, idx, intLess) }
+func (st *imageState) push(idx int) { heapPush(&st.backlog, idx, intLess) }
 
 // popMin removes and returns the lowest batch index.
-func (iw *imgWindow) popMin() int { return heapPop(&iw.fifo, intLess) }
+func (st *imageState) popMin() int { return heapPop(&st.backlog, intLess) }
 
 // heapify restores the min-heap property after an in-place filter.
-func (iw *imgWindow) heapify() {
-	for i := len(iw.fifo)/2 - 1; i >= 0; i-- {
-		heapDown(iw.fifo, i, intLess)
+func (st *imageState) heapify() {
+	for i := len(st.backlog)/2 - 1; i >= 0; i-- {
+		heapDown(st.backlog, i, intLess)
 	}
 }
 
 // imgHeap is the pass-ordered image heap: the weighted fair pick pops
-// the minimum (pass, name), the winner of a scan over every backlogged
-// image. An image is in the heap iff its window backlog is nonempty;
-// pop/push maintain the membership flag.
-type imgHeap []*imgWindow
+// the minimum (pass, name) (imageState.before), the winner of a scan
+// over every backlogged image. An image is in the heap iff its window
+// backlog is nonempty; pop/push maintain the membership flag.
+type imgHeap []*imageState
 
-func imgLess(a, b *imgWindow) bool {
-	if a.st.pass != b.st.pass {
-		return a.st.pass < b.st.pass
-	}
-	return a.st.name < b.st.name
+func (h *imgHeap) push(st *imageState) {
+	st.inHeap = true
+	heapPush((*[]*imageState)(h), st, (*imageState).before)
 }
 
-func (h *imgHeap) push(iw *imgWindow) {
-	iw.inHeap = true
-	heapPush((*[]*imgWindow)(h), iw, imgLess)
-}
-
-func (h *imgHeap) pop() *imgWindow {
-	top := heapPop((*[]*imgWindow)(h), imgLess)
+func (h *imgHeap) pop() *imageState {
+	top := heapPop((*[]*imageState)(h), (*imageState).before)
 	top.inHeap = false
 	return top
 }

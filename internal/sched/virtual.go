@@ -25,6 +25,10 @@ type virtualCore struct {
 	nActive int
 	ready   []readySet
 	busy    []int // busyAt's scratch
+
+	// step numbers dispatchWeighted's decision steps across batches: the
+	// stamp that keeps an image's memoized deferral-cap check to its step.
+	step uint64
 }
 
 func newVirtualCore(s *Scheduler) core {
@@ -88,6 +92,7 @@ func (s *Scheduler) admitOneLocked(t *Ticket, busy []int) (ok bool) {
 		return ok
 	}
 	st := s.adm.state(t.Image)
+	t.st = st
 	st.submitted++
 	if t.notBefore, ok = s.adm.admitAtVirtual(st, t.Arrival); !ok {
 		st.rejected++
@@ -113,7 +118,8 @@ func (s *Scheduler) admitBatchLocked(ts []*Ticket) (batch, rejected []*Ticket) {
 			rejected = append(rejected, t)
 			continue
 		}
-		s.adm.state(t.Image).submitted++
+		t.st = s.adm.state(t.Image)
+		t.st.submitted++
 		batch = append(batch, t)
 	}
 	return batch, rejected
@@ -205,8 +211,7 @@ func (s *Scheduler) execVirtualLocked(wk *worker, t *Ticket, busy int) {
 	if s.adm != nil {
 		s.adm.complete(t)
 		if s.adm.pol.MaxInFlight > 0 {
-			st := s.adm.state(t.Image)
-			st.spans = append(st.spans, admitSpan{at: t.Arrival, done: t.Done})
+			t.st.spans = append(t.st.spans, admitSpan{at: t.Arrival, done: t.Done})
 		}
 	}
 	s.retire(wk, t)
@@ -281,12 +286,12 @@ func (c *virtualCore) dispatchWeighted(batch []*Ticket) (rejected []*Ticket) {
 	rejectCap := a.pol.MaxInFlight > 0 && a.pol.RejectOverflow
 	deferCap := a.pol.MaxInFlight > 0 && !a.pol.RejectOverflow
 	var (
-		qpos    int // order[:qpos] has entered the window
-		head    int // order[:head] is all gone
-		winN    int
-		gone    = make([]bool, len(batch))
-		iheap   imgHeap
-		windows = make(map[string]*imgWindow, 8)
+		qpos      int // order[:qpos] has entered the window
+		head      int // order[:head] is all gone
+		winN      int
+		gone      = make([]bool, len(batch))
+		iheap     imgHeap
+		deferredL []*imageState
 	)
 	reject := func(idx int, st *imageState) {
 		st.rejected++
@@ -294,8 +299,21 @@ func (c *virtualCore) dispatchWeighted(batch []*Ticket) (rejected []*Ticket) {
 		rejected = append(rejected, batch[idx])
 		gone[idx] = true
 	}
+	// atCap is the deferral-cap check at the step's decision time T,
+	// memoized per image for the step — inFlightAt scans the image's
+	// completion history.
+	atCap := func(st *imageState, T uint64) bool {
+		if !deferCap {
+			return false
+		}
+		if st.capStep != c.step {
+			st.capStep, st.capFull = c.step, st.inFlightAt(T) >= a.pol.MaxInFlight
+		}
+		return st.capFull
+	}
 	var timeFloor uint64
 	for winN > 0 || qpos < len(order) {
+		c.step++
 		T := c.earliestFree().clk.Now()
 		if T < timeFloor {
 			T = timeFloor
@@ -317,20 +335,14 @@ func (c *virtualCore) dispatchWeighted(batch []*Ticket) (rejected []*Ticket) {
 		for qpos < len(order) && batch[order[qpos]].Arrival <= T {
 			idx := order[qpos]
 			qpos++
-			t := batch[idx]
-			st := a.state(t.Image)
-			if rejectCap && st.inFlightAt(t.Arrival) >= a.pol.MaxInFlight {
+			st := batch[idx].st
+			if rejectCap && st.inFlightAt(batch[idx].Arrival) >= a.pol.MaxInFlight {
 				reject(idx, st)
 				continue
 			}
-			iw := windows[t.Image]
-			if iw == nil {
-				iw = &imgWindow{st: st}
-				windows[t.Image] = iw
-			}
-			iw.push(idx)
-			if !iw.inHeap {
-				iheap.push(iw)
+			st.push(idx)
+			if !st.inHeap {
+				iheap.push(st)
 			}
 			winN++
 		}
@@ -338,40 +350,23 @@ func (c *virtualCore) dispatchWeighted(batch []*Ticket) (rejected []*Ticket) {
 			continue // every entrant was rejected; recompute T off the queue
 		}
 
-		// Weighted pick: pop-min (pass, name). The deferral-cap check is
-		// memoized per image for this step — inFlightAt scans the image's
-		// completion history.
-		var capped map[*imageState]bool
-		atCap := func(st *imageState) bool {
-			if !deferCap {
-				return false
-			}
-			if capped == nil {
-				capped = make(map[*imageState]bool)
-			}
-			full, ok := capped[st]
-			if !ok {
-				full = st.inFlightAt(T) >= a.pol.MaxInFlight
-				capped[st] = full
-			}
-			return full
-		}
-		var win *imgWindow
-		var deferredL []*imgWindow
+		// Weighted pick: pop-min (pass, name).
+		var win *imageState
+		deferredL = deferredL[:0]
 		for len(iheap) > 0 {
-			iw := iheap.pop()
-			if atCap(iw.st) {
+			st := iheap.pop()
+			if atCap(st, T) {
 				// Deferred without activation: a capped image banks no
 				// pass normalization.
-				deferredL = append(deferredL, iw)
+				deferredL = append(deferredL, st)
 				continue
 			}
-			if iw.st.pass < a.vtime {
-				a.activate(iw.st)
-				iheap.push(iw)
+			if st.pass < a.vtime {
+				a.activate(st)
+				iheap.push(st)
 				continue
 			}
-			win = iw
+			win = st
 			break
 		}
 		if win == nil {
@@ -385,13 +380,13 @@ func (c *virtualCore) dispatchWeighted(batch []*Ticket) (rejected []*Ticket) {
 			if qpos < len(order) {
 				nextT = batch[order[qpos]].Arrival
 			}
-			for _, iw := range deferredL {
-				for _, sp := range iw.st.spans {
+			for _, st := range deferredL {
+				for _, sp := range st.spans {
 					if sp.done > T && sp.done < nextT {
 						nextT = sp.done
 					}
 				}
-				iheap.push(iw)
+				iheap.push(st)
 			}
 			if nextT == ^uint64(0) {
 				nextT = T + 1 // defensive: cannot recur, caps imply in-flight work
@@ -399,13 +394,13 @@ func (c *virtualCore) dispatchWeighted(batch []*Ticket) (rejected []*Ticket) {
 			timeFloor = nextT
 			continue
 		}
-		for _, iw := range deferredL {
-			iheap.push(iw)
+		for _, st := range deferredL {
+			iheap.push(st)
 		}
-		if win.st.pass > a.vtime {
-			a.vtime = win.st.pass
+		if win.pass > a.vtime {
+			a.vtime = win.pass
 		}
-		win.st.pass += a.stride(win.st)
+		win.pass += a.stride(win)
 		bestIdx := win.popMin()
 		best := batch[bestIdx]
 		gone[bestIdx] = true
@@ -414,25 +409,25 @@ func (c *virtualCore) dispatchWeighted(batch []*Ticket) (rejected []*Ticket) {
 		// Every outstanding arrival is >= minArr, so completion history
 		// at or below it can never be queried again — compact it before
 		// the history of a long trace grows quadratic.
-		win.st.pruneDone(minArr)
+		win.pruneDone(minArr)
 		by, total := c.busyAt(best.Arrival)
 		c.place(best, by, total)
 		// The dispatch appended a span to the winner's image — the only
 		// event that can newly saturate it — so re-purge its backlog.
-		if rejectCap && len(win.fifo) > 0 {
-			kept := win.fifo[:0]
-			for _, j := range win.fifo {
-				if win.st.inFlightAt(batch[j].Arrival) >= a.pol.MaxInFlight {
-					reject(j, win.st)
+		if rejectCap && len(win.backlog) > 0 {
+			kept := win.backlog[:0]
+			for _, j := range win.backlog {
+				if win.inFlightAt(batch[j].Arrival) >= a.pol.MaxInFlight {
+					reject(j, win)
 					winN--
 					continue
 				}
 				kept = append(kept, j)
 			}
-			win.fifo = kept
+			win.backlog = kept
 			win.heapify()
 		}
-		if len(win.fifo) > 0 {
+		if len(win.backlog) > 0 {
 			iheap.push(win)
 		}
 	}

@@ -2,7 +2,6 @@ package serverless
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/cycles"
 	"repro/internal/obs"
@@ -60,6 +59,13 @@ type ClusterReport struct {
 // quantity the SLO buys down. Deterministic: same config, same policy
 // parameters, bit-identical report.
 //
+// The report's P50 and P99 are order statistics of the completed
+// tickets' latencies, selected rather than sorted; each epoch's QueueP99
+// is selected in place on that epoch's queueing delays. Each epoch's
+// requests are submitted as given: sched copies an image request's run
+// config beside its ticket, so the cost-model tickets ClusterMix
+// generates carry no config at all.
+//
 // A Wasp built with wasp.WithTracer records the run's full flight:
 // per-ticket service spans on worker lanes, epoch boundaries, every
 // autoscale decision, and the pool/cleaner events underneath. A tracer
@@ -96,11 +102,12 @@ func RunCluster(w *wasp.Wasp, pol sched.AutoPolicy, cfg ClusterConfig) (*Cluster
 		Tickets:        len(trace),
 	}
 	var (
-		latencies []uint64
-		inSLO     int
-		svcEWMA   uint64
-		standby   int
-		idx       int
+		latencies   = make([]uint64, 0, len(trace))
+		queueDelays []uint64
+		inSLO       int
+		svcEWMA     uint64
+		standby     int
+		idx         int
 	)
 	for epoch := uint64(0); idx < len(trace); epoch++ {
 		end := (epoch + 1) * cfg.Epoch
@@ -112,10 +119,10 @@ func RunCluster(w *wasp.Wasp, pol sched.AutoPolicy, cfg ClusterConfig) (*Cluster
 		width := s.NumWorkers()
 		rep.CostWorkerSec += float64(uint64(width+standby)*cfg.Epoch) / float64(F)
 		var (
-			queueDelays []uint64
-			served      uint64
-			backlog     int
+			served  uint64
+			backlog int
 		)
+		queueDelays = queueDelays[:0]
 		if len(chunk) > 0 {
 			tickets := s.SubmitBatchAt(chunk)
 			for _, t := range tickets {
@@ -197,28 +204,64 @@ func RunCluster(w *wasp.Wasp, pol sched.AutoPolicy, cfg ClusterConfig) (*Cluster
 	rep.Makespan = s.Makespan()
 	if n := len(latencies); n > 0 {
 		rep.SLOAttained = float64(inSLO) / float64(n)
-		slices.Sort(latencies)
-		rep.P50Latency = latencies[n/2]
-		rep.P99Latency = percentileSortedU64(latencies, 0.99)
+		rep.P50Latency = selectU64(latencies, n/2)
+		rep.P99Latency = percentileU64(latencies, 0.99)
 	}
 	return rep, nil
 }
 
-// percentileU64 is the pth percentile of an unsorted sample (copied,
-// so the caller's slice is untouched); 0 for an empty sample.
+// percentileU64 is the pth percentile of a sample — the element at
+// index ⌊(n-1)p⌋ of its sorted order — selected in place, so xs is
+// reordered; 0 for an empty sample.
 func percentileU64(xs []uint64, p float64) uint64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	cp := slices.Clone(xs)
-	slices.Sort(cp)
-	return percentileSortedU64(cp, p)
+	return selectU64(xs, int(float64(len(xs)-1)*p))
 }
 
-func percentileSortedU64(xs []uint64, p float64) uint64 {
-	if len(xs) == 0 {
-		return 0
+// selectU64 returns the k-th smallest element of xs (0-based): exactly
+// xs[k] after a sort, found by quickselect, which reorders xs in place.
+// Hoare partitioning around a median-of-three pivot keeps runs of equal
+// values splitting evenly instead of degrading to quadratic time.
+func selectU64(xs []uint64, k int) uint64 {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for xs[j] > pivot {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo..j] <= pivot <= xs[i..hi], and everything between equals
+		// the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
 	}
-	i := int(float64(len(xs)-1) * p)
-	return xs[i]
+	return xs[k]
 }

@@ -189,3 +189,59 @@ func TestClusterAutoscalerReacts(t *testing.T) {
 		t.Fatalf("elastic fleet should finish sooner: %d vs %d", elastic.Makespan, frozen.Makespan)
 	}
 }
+
+// TestSelectMatchesSort: selectU64 returns exactly the sorted slice's
+// k-th element for every k, on seeded slices of 1–300 values drawn from
+// few distinct values (heavy duplicates) and from many; percentileU64
+// of an empty sample is 0.
+func TestSelectMatchesSort(t *testing.T) {
+	if got := percentileU64(nil, 0.99); got != 0 {
+		t.Fatalf("percentileU64(nil) = %d, want 0", got)
+	}
+	rng := NewTraceRNG(5)
+	for n := 1; n <= 300; n++ {
+		for _, distinct := range []uint64{1, 3, 1 << 62} {
+			xs := make([]uint64, n)
+			for i := range xs {
+				xs[i] = rng.Uint64() % distinct
+			}
+			sorted := slices.Clone(xs)
+			slices.Sort(sorted)
+			for k := range xs {
+				if got := selectU64(slices.Clone(xs), k); got != sorted[k] {
+					t.Fatalf("n=%d distinct=%d: selectU64(k=%d) = %d, sorted %d", n, distinct, k, got, sorted[k])
+				}
+			}
+			if got, want := percentileU64(slices.Clone(xs), 0.99), sorted[int(float64(n-1)*0.99)]; got != want {
+				t.Fatalf("n=%d distinct=%d: percentileU64 = %d, want %d", n, distinct, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkRunCluster runs TestClusterFrontier's mix (seed 1, scale 1,
+// two virtual seconds) through the queue-p99 autoscaler on a fresh fleet
+// per op and reports simulated tickets per host second.
+func BenchmarkRunCluster(b *testing.B) {
+	const F = uint64(cycles.Frequency)
+	mix := ClusterMix(1, 1, 2*F)
+	b.ReportAllocs()
+	runs := 0
+	for b.Loop() {
+		if _, err := RunCluster(wasp.New(), sched.QueueScale{TargetP99: F / 20, Min: 2, Max: 256},
+			ClusterConfig{Seed: 1, InitialWorkers: 4, Trace: mix}); err != nil {
+			b.Fatal(err)
+		}
+		runs++
+	}
+	b.ReportMetric(float64(runs*len(mix))/b.Elapsed().Seconds(), "tickets/s")
+}
+
+// BenchmarkClusterMix builds the cluster_sim workload's trace: seed 1,
+// scale 60, 24 virtual seconds (~324k requests).
+func BenchmarkClusterMix(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		ClusterMix(1, 60, 24*cycles.Frequency)
+	}
+}

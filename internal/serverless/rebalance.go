@@ -3,7 +3,6 @@ package serverless
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/cycles"
 	"repro/internal/guest"
@@ -93,7 +92,7 @@ func RebalanceTrace(tenant *guest.Image, perPhase int) []sched.Request {
 	for i := 0; i < 2*perPhase; i++ {
 		reqs = append(reqs, sched.Request{Arrival: uint64(i) * steadyInterval, Img: steady})
 	}
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
+	sortByArrival(reqs)
 	return reqs
 }
 

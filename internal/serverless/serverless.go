@@ -428,7 +428,7 @@ func noisyNeighborTrace(horizonSec int, seed int64) ([]sched.Request, map[string
 			}
 		}
 	}
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
+	sortByArrival(reqs)
 	return reqs, demand
 }
 
@@ -637,7 +637,7 @@ func PlacementTrace(shorts, longs int) []sched.Request {
 	for i := 0; i < longs; i++ {
 		reqs = append(reqs, sched.Request{Arrival: uint64(i) * 10_000, Img: long})
 	}
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
+	sortByArrival(reqs)
 	return reqs
 }
 

@@ -1,8 +1,9 @@
 package serverless
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/cycles"
 	"repro/internal/sched"
@@ -159,8 +160,14 @@ func FlashCrowdTrace(seed uint64, image string, baseRate float64, crowds, burstS
 			reqs = append(reqs, fnRequest(image, at, svc.Draw(rng)))
 		}
 	}
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
+	sortByArrival(reqs)
 	return reqs
+}
+
+// sortByArrival stable-sorts a trace by arrival: equal arrivals keep
+// their order in reqs.
+func sortByArrival(reqs []sched.Request) {
+	slices.SortStableFunc(reqs, func(a, b sched.Request) int { return cmp.Compare(a.Arrival, b.Arrival) })
 }
 
 // ClusterMix composes the standard cluster workload (TestClusterFrontier,
@@ -169,21 +176,42 @@ func FlashCrowdTrace(seed uint64, image string, baseRate float64, crowds, burstS
 // per-image seed offsets off the caller's seed (seed+1 … seed+4 — part
 // of the seed contract).
 // scale multiplies every tier's arrival rate; horizon is the trace
-// length in cycles. The result is arrival-sorted (stable, so equal
-// arrivals keep tier order).
+// length in cycles. Every tier comes out of its generator sorted by
+// arrival, so one merge orders the result: equal arrivals keep tier
+// order, exactly the order a stable sort of the concatenated tiers
+// gives.
 func ClusterMix(seed uint64, scale float64, horizon uint64) []sched.Request {
 	const F = uint64(cycles.Frequency)
-	var reqs []sched.Request
-	reqs = append(reqs, PoissonTrace(seed+1, "api", 120*scale, horizon,
-		ServiceProfile{Base: F / 500, Spread: 0.5})...) // ~2-3 ms
-	reqs = append(reqs, DiurnalTrace(seed+2, "web", 30*scale, 90*scale, horizon/2, horizon,
-		ServiceProfile{Base: F / 200, Spread: 1.0})...) // ~5-10 ms, two "days"
-	reqs = append(reqs, PoissonTrace(seed+3, "batch", 6*scale, horizon,
-		ServiceProfile{Base: F / 100, TailAlpha: 1.3, TailCap: F / 4})...) // 10 ms, Pareto tail to 250 ms
-	reqs = append(reqs, FlashCrowdTrace(seed+4, "spike", 4*scale, 3, int(160*scale), horizon,
-		ServiceProfile{Base: F / 400, Spread: 0.3})...) // 3 crowds
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
-	return reqs
+	return mergeByArrival(
+		PoissonTrace(seed+1, "api", 120*scale, horizon,
+			ServiceProfile{Base: F / 500, Spread: 0.5}), // ~2-3 ms
+		DiurnalTrace(seed+2, "web", 30*scale, 90*scale, horizon/2, horizon,
+			ServiceProfile{Base: F / 200, Spread: 1.0}), // ~5-10 ms, two "days"
+		PoissonTrace(seed+3, "batch", 6*scale, horizon,
+			ServiceProfile{Base: F / 100, TailAlpha: 1.3, TailCap: F / 4}), // 10 ms, Pareto tail to 250 ms
+		FlashCrowdTrace(seed+4, "spike", 4*scale, 3, int(160*scale), horizon,
+			ServiceProfile{Base: F / 400, Spread: 0.3})) // 3 crowds
+}
+
+// mergeByArrival merges arrival-sorted tiers into one exactly sized
+// trace, sorted by arrival with ties in tier order.
+func mergeByArrival(tiers ...[]sched.Request) []sched.Request {
+	n := 0
+	for _, t := range tiers {
+		n += len(t)
+	}
+	out := make([]sched.Request, 0, n)
+	for len(out) < n {
+		next := -1
+		for i, t := range tiers {
+			if len(t) > 0 && (next < 0 || t[0].Arrival < tiers[next][0].Arrival) {
+				next = i
+			}
+		}
+		out = append(out, tiers[next][0])
+		tiers[next] = tiers[next][1:]
+	}
+	return out
 }
 
 // UniformTrace generates exactly n tickets at a fixed arrival cadence
