@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/cycles"
 	"repro/internal/guest"
+	"repro/internal/placement"
+	"repro/internal/vmm"
 	"repro/internal/wasp"
 )
 
@@ -157,9 +160,11 @@ func TestSubmitAfterCloseAllPaths(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchRejectsNilRequests: a Request with neither an image
-// nor a task yields a rejected ticket, not a worker panic.
+// TestSubmitBatchRejectsNilRequests: a Request with no work, or with
+// more than one of an image, a task and a cost, yields a rejected
+// ticket, not a worker panic.
 func TestSubmitBatchRejectsNilRequests(t *testing.T) {
+	img := guest.MustFromAsm("nil-doubler", guest.WrapLongMode(doublerAsm))
 	for _, mode := range []struct {
 		name string
 		mk   func() *Scheduler
@@ -175,19 +180,81 @@ func TestSubmitBatchRejectsNilRequests(t *testing.T) {
 			}
 			tickets := s.SubmitBatch([]Request{
 				{Fn: func(clk *cycles.Clock) (*wasp.Result, error) { clk.Advance(1); return nil, nil }},
-				{}, // malformed
+				{Cost: 7},
+				{},                          // malformed: no work
+				{Fn: costTask(7), Cost: 7},  // malformed: two kinds of work
+				{Img: img, Cost: 7},         // malformed: two kinds of work
+				{Img: img, Fn: costTask(7)}, // malformed: two kinds of work
 			})
-			if _, err := tickets[0].Wait(); err != nil {
-				t.Fatalf("good request failed: %v", err)
+			for i, tk := range tickets {
+				if _, err := tk.Wait(); (err == nil) != (i < 2) {
+					t.Fatalf("request %d: err = %v", i, err)
+				}
 			}
-			if _, err := tickets[1].Wait(); err == nil {
-				t.Fatal("malformed request did not fail")
-			}
-			if s.Submitted() != 2 || s.Completed() != 1 || s.Rejected() != 1 {
-				t.Fatalf("submitted/completed/rejected = %d/%d/%d, want 2/1/1",
+			if s.Submitted() != 6 || s.Completed() != 2 || s.Rejected() != 4 {
+				t.Fatalf("submitted/completed/rejected = %d/%d/%d, want 6/2/4",
 					s.Submitted(), s.Completed(), s.Rejected())
 			}
 		})
+	}
+}
+
+// TestCostTicketsMatchTasks: a cost-model ticket (Request.Cost) is
+// served exactly as a task that advances its worker's clock by the same
+// cost — equal Start, Done, Worker and DepthAtSubmit on every ticket and
+// equal admission stats per image — on the real core (one lane and a
+// queue that holds the whole batch, so the schedule is deterministic)
+// and the virtual core (two backends), with and without a weighted
+// admission policy and a placer.
+func TestCostTicketsMatchTasks(t *testing.T) {
+	costs := benchTrace(300)
+	tasks := make([]Request, len(costs))
+	for i, r := range costs {
+		tasks[i] = Request{Arrival: r.Arrival, Image: r.Image, Fn: costTask(r.Cost)}
+	}
+	type outcome struct {
+		Start, Done   uint64
+		Worker, Depth int
+	}
+	run := func(virtual, adm, placer bool, reqs []Request) ([]outcome, map[string]AdmissionStats) {
+		opts := []Option{WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{})}
+		if adm {
+			opts = append(opts, WithAdmission(Admission{Weights: map[string]int{"api": 3, "web": 2, "spike": 2, "batch": 1}}))
+		}
+		if placer {
+			opts = append(opts, WithPlacer(placement.LeastLoaded{}))
+		}
+		var s *Scheduler
+		if virtual {
+			s = NewVirtual(splitWasp(), 4, opts...)
+		} else {
+			s = New(splitWasp(), 1, append(opts, WithQueueCap(len(reqs)))...)
+		}
+		defer s.Close()
+		var out []outcome
+		for _, tk := range s.SubmitBatchAt(reqs) {
+			if _, err := tk.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, outcome{tk.Start, tk.Done, tk.Worker, tk.DepthAtSubmit})
+		}
+		stats := map[string]AdmissionStats{}
+		for _, img := range s.AdmissionImages() {
+			stats[img], _ = s.AdmissionStats(img)
+		}
+		return out, stats
+	}
+	for _, virtual := range []bool{false, true} {
+		for _, adm := range []bool{false, true} {
+			for _, placer := range []bool{false, true} {
+				got, gotStats := run(virtual, adm, placer, costs)
+				want, wantStats := run(virtual, adm, placer, tasks)
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotStats, wantStats) {
+					t.Errorf("virtual=%v admission=%v placer=%v: cost tickets differ from tasks:\n%v %v\n%v %v",
+						virtual, adm, placer, got, gotStats, want, wantStats)
+				}
+			}
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ func benchTrace(n int) []Request {
 		reqs[i] = Request{
 			Arrival: (r >> 2) % uint64(n) * 1000,
 			Image:   images[r%4],
-			Fn:      costTask(1000 + (r>>32)%50_000),
+			Cost:    1000 + (r>>32)%50_000,
 		}
 	}
 	return reqs

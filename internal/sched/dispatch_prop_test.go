@@ -65,7 +65,7 @@ func drawCorpus(seed int64) corpusConfig {
 			img := images[rng.Intn(len(images))]
 			arrival := uint64(rng.Intn(20)) * 5_000_000
 			svc := uint64(1+rng.Intn(40)) * 1_000_000
-			reqs = append(reqs, Request{Arrival: arrival, Image: img, Fn: costTask(svc)})
+			reqs = append(reqs, Request{Arrival: arrival, Image: img, Cost: svc})
 		}
 		return reqs
 	}
@@ -108,7 +108,7 @@ func runCorpus(t *testing.T, cfg corpusConfig, linear bool) ([]dispatchKey, uint
 	var tickets []*Ticket
 	tickets = append(tickets, s.SubmitBatchAt(cfg.batch)...)
 	for _, r := range cfg.singles {
-		tickets = append(tickets, s.SubmitFnAt(r.Arrival, r.Fn))
+		tickets = append(tickets, s.SubmitBatchAt([]Request{r})...)
 	}
 	if cfg.rescaleTo > 0 {
 		s.SetVirtualWorkers(cfg.rescaleTo, s.Makespan())

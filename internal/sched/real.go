@@ -91,7 +91,7 @@ func (c *realCore) submit(ts []*Ticket) (rejected []*Ticket) {
 			continue
 		}
 		if s.placer != nil {
-			t.prefBE = c.prefBackendLocked(t)
+			t.prefBE = int32(c.prefBackendLocked(t))
 			if tr := s.tracer; tr.Enabled() && t.prefBE >= 0 {
 				tr.Instant(obs.ControlLane, obs.KindPlace, t.Image,
 					t.Arrival, t.seq, uint64(t.prefBE), 1)
@@ -205,7 +205,7 @@ func (c *realCore) pickLocked(wk *worker) (t *Ticket) {
 		// first claim while it has an idle worker; takeover by another
 		// eligible backend is allowed only once the preferred one is
 		// saturated (work conservation over strict preference).
-		return t.prefBE < 0 || t.prefBE == wk.beIdx ||
+		return t.prefBE < 0 || int(t.prefBE) == wk.beIdx ||
 			c.busyBy[t.prefBE] >= s.bstates[t.prefBE].workers
 	}
 	if s.adm != nil {

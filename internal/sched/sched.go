@@ -86,9 +86,8 @@ var ErrClosed = errors.New("sched: scheduler closed")
 // from occupying the queue forever.
 var ErrPlacement = errors.New("sched: no eligible backend for image")
 
-// errNilTask rejects a batch Request carrying neither an image nor a
-// task function.
-var errNilTask = errors.New("sched: request has neither image nor task")
+// errWork rejects a batch Request without exactly one kind of work.
+var errWork = errors.New("sched: request must set exactly one of Img, Fn and Cost")
 
 // Ticket is the future for one scheduled invocation. Wait blocks until
 // the work completes; the timing fields (Arrival, Start, Done, Worker,
@@ -106,6 +105,11 @@ type Ticket struct {
 	// queued is set while the ticket sits in a real core's queue (the
 	// core's flag, under its lock).
 	queued bool
+	// prefBE is the backend real-mode dispatch steers this ticket toward
+	// (weight-aware popping): a worker on another backend leaves the
+	// ticket alone while the preferred backend still has an idle worker.
+	// -1 means no steering — eligible workers race freely.
+	prefBE int32
 
 	// Arrival is the virtual time the request entered the system: the
 	// caller-declared arrival, or the assigned worker's clock at dequeue
@@ -152,6 +156,9 @@ type Ticket struct {
 	// batch without images do not carry its bytes.
 	img *guest.Image
 	cfg *wasp.RunConfig
+	// cost is a cost-model ticket's work (Request.Cost): serve advances
+	// the worker's clock by it and calls nothing.
+	cost uint64
 
 	// st is the ticket's image state in the admission layer, set when
 	// admission first sees the ticket (nil without a policy), so dispatch
@@ -164,12 +171,6 @@ type Ticket struct {
 	// enqueue; virtual mode recomputes at each placement decision so
 	// load-sensitive policies see decision-time state.
 	elig []float64
-
-	// prefBE is the backend real-mode dispatch steers this ticket toward
-	// (weight-aware popping): a worker on another backend leaves the
-	// ticket alone while the preferred backend still has an idle worker.
-	// -1 means no steering — eligible workers race freely.
-	prefBE int
 
 	// lender is the real core whose queue holds (or held) the ticket; nil
 	// for virtual-mode and never-enqueued tickets. Wait helps it serve
@@ -261,17 +262,19 @@ func WaitAll(tickets ...*Ticket) error {
 	return firstErr
 }
 
-// Request describes one submission inside a batch: either an image to
-// run (Img + Cfg) or a raw task (Fn). Image, when set, overrides the
-// ticket's image identity — the tag admission control and per-image
-// telemetry key on (raw tasks are untagged otherwise). Arrival is the
-// declared virtual arrival time, used by SubmitBatchAt only. Submission
-// copies Cfg into the batch's ticket slab, beside its ticket.
+// Request describes one submission inside a batch, with exactly one kind
+// of work — an image to run (Img + Cfg), a raw task (Fn), or a cost-model
+// ticket (Cost > 0: the worker's clock advances Cost cycles, no call) —
+// or it is rejected. Image, when set, overrides the ticket's image
+// identity, the tag admission control and per-image telemetry key on.
+// Arrival is the declared virtual arrival time, used by SubmitBatchAt
+// only. Submission copies Cfg into the batch's ticket slab.
 type Request struct {
 	Arrival uint64
 	Img     *guest.Image
 	Cfg     wasp.RunConfig
 	Fn      Task
+	Cost    uint64
 	Image   string
 }
 
@@ -575,9 +578,8 @@ func (s *Scheduler) submitBatch(reqs []Request, hasArrival bool) []*Ticket {
 			islab[i].cfg = r.Cfg
 			t.img, t.cfg = r.Img, &islab[i].cfg
 			t.Image, t.memBytes = r.Img.Name, r.Img.MemBytes()
-		} else {
-			t.run = r.Fn
 		}
+		t.run, t.cost = r.Fn, r.Cost
 		if r.Image != "" {
 			t.Image = r.Image // the tag overrides the image identity
 		}
@@ -654,12 +656,13 @@ func (s *Scheduler) noteServiceLocked(t *Ticket, wk *worker) {
 }
 
 // vetLocked is the submission gate every core applies per ticket: one
-// with no work, or whose image no backend may serve, is rejected here
-// rather than parked forever. It returns the placement weights it
-// computed (busy as in placeWeightsLocked). Caller holds the core lock.
+// without exactly one kind of work, or whose image no backend may
+// serve, is rejected here rather than parked forever. It returns the
+// placement weights it computed (busy as in placeWeightsLocked). Caller
+// holds the core lock.
 func (s *Scheduler) vetLocked(t *Ticket, busy []int) (weights []float64, ok bool) {
-	if t.run == nil && t.img == nil {
-		s.rejectLocked(t, errNilTask)
+	if t.img != nil && (t.run != nil || t.cost > 0) || t.img == nil && (t.run != nil) == (t.cost > 0) {
+		s.rejectLocked(t, errWork)
 		return nil, false
 	}
 	weights = s.placeWeightsLocked(t, busy)
@@ -734,7 +737,11 @@ func (s *Scheduler) serve(wk *worker, t *Ticket) {
 	}
 	t.Worker = wk.id
 	t.Platform = wk.pname
-	t.res, t.err = s.runTask(wk, t)
+	if t.cost > 0 {
+		wk.clk.Advance(t.cost)
+	} else {
+		t.res, t.err = s.runTask(wk, t)
+	}
 	t.Done = wk.clk.Now()
 	wk.runs.Add(1)
 	s.completed.Add(1)

@@ -110,15 +110,26 @@ func (s *Scheduler) admitOneLocked(t *Ticket, busy []int) (ok bool) {
 // admitBatchLocked vets a weighted batch in submission order (the
 // placer sees each ticket once here, at its arrival, in submission
 // order — stateful policies depend on that) and counts the survivors
-// submitted. Caller holds the core lock.
+// submitted. The batch's first eight image states are memoized, so a
+// batch with k <= 8 distinct images looks k names up. Caller holds the
+// core lock.
 func (s *Scheduler) admitBatchLocked(ts []*Ticket) (batch, rejected []*Ticket) {
 	batch = make([]*Ticket, 0, len(ts))
+	seen := make([]*imageState, 0, 8)
 	for _, t := range ts {
 		if _, ok := s.vetLocked(t, nil); !ok {
 			rejected = append(rejected, t)
 			continue
 		}
-		t.st = s.adm.state(t.Image)
+		i := 0
+		for i < len(seen) && seen[i].name != t.Image {
+			i++
+		}
+		if i < len(seen) {
+			t.st = seen[i]
+		} else if t.st = s.adm.state(t.Image); len(seen) < cap(seen) {
+			seen = append(seen, t.st)
+		}
 		t.st.submitted++
 		batch = append(batch, t)
 	}
@@ -126,30 +137,22 @@ func (s *Scheduler) admitBatchLocked(ts []*Ticket) (batch, rejected []*Ticket) {
 }
 
 // busyAt counts the active workers still busy at virtual time at, per
-// backend and in total — one binary search per ready set. The slice is
-// scratch, valid until the next call.
+// backend and in total — at most one binary search per ready set. The
+// slice is scratch, valid until the next call.
 func (c *virtualCore) busyAt(at uint64) (by []int, total int) {
 	c.busy = c.busy[:0]
 	for _, r := range c.ready {
-		n := len(r) - r.countLE(at)
+		n := r.size() - r.countLE(at)
 		c.busy = append(c.busy, n)
 		total += n
 	}
 	return c.busy, total
 }
 
-// earliestFree returns the active worker with the lowest clock, ties
-// toward the lowest index — the classic deterministic selection rule,
-// read off the per-backend minima.
-func (c *virtualCore) earliestFree() *worker {
-	best := rkey{id: -1}
-	for _, r := range c.ready {
-		if k, ok := r.min(); ok && (best.id < 0 || k.less(best)) {
-			best = k
-		}
-	}
-	return c.s.workers[best.id]
-}
+// earliestFree returns the key of the active worker with the lowest
+// clock, ties toward the lowest index — the classic deterministic
+// selection rule: pick with every backend eligible and unbiased.
+func (c *virtualCore) earliestFree() rkey { return c.pick(nil, 0) }
 
 // place assigns the ticket to a worker in virtual time and services it
 // synchronously; (by, total) is busyAt at the ticket's arrival. Without
@@ -161,10 +164,8 @@ func (c *virtualCore) earliestFree() *worker {
 // lowest worker index, keeping runs reproducible.
 func (c *virtualCore) place(t *Ticket, by []int, total int) {
 	s := c.s
-	var best *worker
-	if s.placer == nil {
-		best = c.earliestFree()
-	} else {
+	k := rkey{id: -1}
+	if s.placer != nil {
 		// Decision-time weights: load-sensitive policies see the busy
 		// counts and EWMAs as of the ticket's arrival. The single-ticket
 		// path computed them moments ago under this same lock hold
@@ -174,13 +175,14 @@ func (c *virtualCore) place(t *Ticket, by []int, total int) {
 		if weights == nil {
 			weights = s.placeWeightsLocked(t, by)
 		}
-		if best = c.pickWorker(weights, max(t.Arrival, t.notBefore)); best == nil {
-			// Eligibility was checked at dispatch entry; a placer that
-			// flips to all-ineligible mid-flight still must not lose the
-			// ticket — fall back to earliest-free.
-			best = c.earliestFree()
-		}
+		k = c.pick(weights, max(t.Arrival, t.notBefore))
 	}
+	if k.id < 0 {
+		// No placer, or one gone all-ineligible since dispatch entry
+		// checked eligibility: earliest-free, so the ticket is not lost.
+		k = c.earliestFree()
+	}
+	best := s.workers[k.id]
 	// A clock change moves the worker in its ready set.
 	c.park(best)
 	s.execVirtualLocked(best, t, total)
@@ -220,16 +222,16 @@ func (s *Scheduler) execVirtualLocked(wk *worker, t *Ticket, busy int) {
 	}
 }
 
-// pickWorker selects the best-scoring worker from the per-backend
+// pick selects the key of the best-scoring worker from the per-backend
 // minima alone. Within one backend the score — max(clock, eff) biased
 // by the backend weight — is nondecreasing in the worker clock, and
 // score ties resolve toward the earlier (clock, id), which is the ready
 // set's own key order. So each backend's best candidate is exactly its
 // first key, and the fleet winner is the min of one candidate per
 // eligible backend by (score, clock, id) — the tie-break of a scan over
-// every worker in id order, made explicit. nil when no backend is
-// eligible.
-func (c *virtualCore) pickWorker(weights []float64, eff uint64) *worker {
+// every worker in id order, made explicit. The key's id is -1 when no
+// backend is eligible.
+func (c *virtualCore) pick(weights []float64, eff uint64) rkey {
 	best := rkey{id: -1}
 	var bestScore uint64
 	for be, r := range c.ready {
@@ -241,14 +243,11 @@ func (c *virtualCore) pickWorker(weights []float64, eff uint64) *worker {
 		if weights != nil {
 			score += placement.Bias(weights[be])
 		}
-		if best.id < 0 || score < bestScore || (score == bestScore && k.less(best)) {
+		if best.id < 0 || score < bestScore || (score == bestScore && below(k, best) == 1) {
 			best, bestScore = k, score
 		}
 	}
-	if best.id < 0 {
-		return nil
-	}
-	return c.s.workers[best.id]
+	return best
 }
 
 // dispatchWeighted dispatches a whole batch event-driven: at each step
@@ -314,7 +313,7 @@ func (c *virtualCore) dispatchWeighted(batch []*Ticket) (rejected []*Ticket) {
 	var timeFloor uint64
 	for winN > 0 || qpos < len(order) {
 		c.step++
-		T := c.earliestFree().clk.Now()
+		T := c.earliestFree().clk
 		if T < timeFloor {
 			T = timeFloor
 		}
@@ -477,7 +476,7 @@ func (c *virtualCore) park(wk *worker) { c.ready[wk.beIdx].remove(wk) }
 // reached.
 func (c *virtualCore) unpark(wk *worker) {
 	for len(c.ready) <= wk.beIdx {
-		c.ready = append(c.ready, nil)
+		c.ready = append(c.ready, readySet{})
 	}
 	c.ready[wk.beIdx].insert(wk)
 }

@@ -62,9 +62,9 @@ type ClusterReport struct {
 // The report's P50 and P99 are order statistics of the completed
 // tickets' latencies, selected rather than sorted; each epoch's QueueP99
 // is selected in place on that epoch's queueing delays. Each epoch's
-// requests are submitted as given: sched copies an image request's run
-// config beside its ticket, so the cost-model tickets ClusterMix
-// generates carry no config at all.
+// requests are submitted as given. The cost-model tickets ClusterMix
+// generates (sched.Request.Cost) carry no run config and no closure:
+// serving one advances its worker's clock by its cost and calls nothing.
 //
 // A Wasp built with wasp.WithTracer records the run's full flight:
 // per-ticket service spans on worker lanes, epoch boundaries, every

@@ -134,14 +134,14 @@ func TestClusterSvcEWMAStaysInRange(t *testing.T) {
 	probe := &svcProbe{AutoPolicy: &sched.UtilScale{Target: 0.5, Min: 2, Max: 256, Patience: 2}}
 	trace := ClusterMix(1, 1, 2*F)
 	for i := range trace {
-		// The span a task advances its worker's clock by is the
-		// ticket's ServiceCycles.
-		fn := trace[i].Fn
-		trace[i].Fn = func(clk *cycles.Clock) (*wasp.Result, error) {
+		// The ticket's cost as a task, which records the span it
+		// advances its worker's clock by: the ticket's ServiceCycles.
+		cost := trace[i].Cost
+		trace[i].Cost, trace[i].Fn = 0, func(clk *cycles.Clock) (*wasp.Result, error) {
 			t0 := clk.Now()
-			res, err := fn(clk)
+			clk.Advance(cost)
 			probe.svcs = append(probe.svcs, clk.Now()-t0)
-			return res, err
+			return nil, nil
 		}
 	}
 	if _, err := RunCluster(wasp.New(), probe, ClusterConfig{Seed: 1, InitialWorkers: 4, Trace: trace}); err != nil {

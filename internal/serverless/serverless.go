@@ -401,15 +401,7 @@ func noisyNeighborTrace(horizonSec int, seed int64) ([]sched.Request, map[string
 	add := func(image string, arrival, svc uint64) {
 		svc = noise.Jitter(svc)
 		demand[image] += svc
-		cost := svc
-		reqs = append(reqs, sched.Request{
-			Arrival: arrival,
-			Image:   image,
-			Fn: func(clk *cycles.Clock) (*wasp.Result, error) {
-				clk.Advance(cost)
-				return nil, nil
-			},
-		})
+		reqs = append(reqs, sched.Request{Arrival: arrival, Image: image, Cost: svc})
 	}
 	for sec := 0; sec < horizonSec; sec++ {
 		base := uint64(sec) * F

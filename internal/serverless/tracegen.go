@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cycles"
 	"repro/internal/sched"
-	"repro/internal/wasp"
 )
 
 // Trace-driven workload generators for the cluster-scale simulation:
@@ -20,10 +19,11 @@ import (
 // consumed in a fixed order (arrival gap, then service draw, per
 // ticket), no global state, no wall clock. Same seed, same trace, bit
 // for bit; distinct seeds (or the documented per-image seed offsets in
-// ClusterMix) give independent streams. Generated requests are Fn
-// tasks that advance the serving worker's clock by the drawn service
-// cost, tagged with the image name, so million-ticket traces cost the
-// host almost nothing beyond the dispatch decisions under test.
+// ClusterMix) give independent streams. Generated requests are
+// cost-model tickets (sched.Request.Cost: the drawn service cost, in
+// cycles, tagged with the image name) that the serving worker's clock
+// advances by with no call, so million-ticket traces cost the host
+// almost nothing beyond the dispatch decisions under test.
 
 // TraceRNG is a splitmix64 PRNG: tiny, fast, and fully determined by
 // its seed. It is deliberately not math/rand — the generator's output
@@ -62,7 +62,9 @@ func (r *TraceRNG) Exp(mean float64) float64 {
 // (and scale) cost in cycles. With TailAlpha > 0 the draw is a bounded
 // Pareto(Base, TailAlpha) capped at TailCap — the heavy tail that makes
 // p99 provisioning interesting; otherwise the cost is uniform in
-// [Base, Base×(1+Spread)].
+// [Base, Base×(1+Spread)]. A draw is at least 1 cycle, since a
+// cost-model ticket of cost 0 carries no work and is rejected; only a
+// Base of 0 reaches that floor.
 type ServiceProfile struct {
 	Base      uint64
 	Spread    float64
@@ -81,22 +83,9 @@ func (p ServiceProfile) Draw(rng *TraceRNG) uint64 {
 		if lim := float64(p.TailCap); lim > 0 && v > lim {
 			v = lim
 		}
-		return uint64(v)
+		return max(uint64(v), 1)
 	}
-	return p.Base + uint64(float64(p.Base)*p.Spread*rng.Float64())
-}
-
-// fnRequest builds the standard simulated request: an Fn task that
-// advances the worker clock by cost, tagged with the image identity.
-func fnRequest(image string, arrival, cost uint64) sched.Request {
-	return sched.Request{
-		Arrival: arrival,
-		Image:   image,
-		Fn: func(clk *cycles.Clock) (*wasp.Result, error) {
-			clk.Advance(cost)
-			return nil, nil
-		},
-	}
+	return max(p.Base+uint64(float64(p.Base)*p.Spread*rng.Float64()), 1)
 }
 
 // PoissonTrace generates image arrivals as a Poisson process at
@@ -108,7 +97,7 @@ func PoissonTrace(seed uint64, image string, ratePerSec float64, horizon uint64,
 	var reqs []sched.Request
 	at := uint64(rng.Exp(meanGap))
 	for at < horizon {
-		reqs = append(reqs, fnRequest(image, at, svc.Draw(rng)))
+		reqs = append(reqs, sched.Request{Arrival: at, Image: image, Cost: svc.Draw(rng)})
 		at += uint64(rng.Exp(meanGap)) + 1
 	}
 	return reqs
@@ -131,7 +120,7 @@ func DiurnalTrace(seed uint64, image string, baseRate, ampRate float64, period, 
 		phase := 2 * math.Pi * float64(at%period) / float64(period)
 		rate := baseRate + ampRate*(1+math.Sin(phase))/2
 		if rng.Float64() < rate/peak {
-			reqs = append(reqs, fnRequest(image, at, svc.Draw(rng)))
+			reqs = append(reqs, sched.Request{Arrival: at, Image: image, Cost: svc.Draw(rng)})
 		}
 		at += uint64(rng.Exp(meanGap)) + 1
 	}
@@ -157,7 +146,7 @@ func FlashCrowdTrace(seed uint64, image string, baseRate float64, crowds, burstS
 		start := spacing * uint64(c)
 		for i := 0; i < burstSize; i++ {
 			at := start + uint64(float64(window)*rng.Float64())
-			reqs = append(reqs, fnRequest(image, at, svc.Draw(rng)))
+			reqs = append(reqs, sched.Request{Arrival: at, Image: image, Cost: svc.Draw(rng)})
 		}
 	}
 	sortByArrival(reqs)
@@ -222,7 +211,7 @@ func UniformTrace(seed uint64, image string, n int, gap uint64, svc ServiceProfi
 	rng := NewTraceRNG(seed)
 	reqs := make([]sched.Request, 0, n)
 	for i := 0; i < n; i++ {
-		reqs = append(reqs, fnRequest(image, uint64(i)*gap, svc.Draw(rng)))
+		reqs = append(reqs, sched.Request{Arrival: uint64(i) * gap, Image: image, Cost: svc.Draw(rng)})
 	}
 	return reqs
 }

@@ -62,10 +62,7 @@ func TestTraceGeneratorShapes(t *testing.T) {
 	tail := PoissonTrace(2, "img", 500, 2*F, ServiceProfile{Base: 1000, TailAlpha: 1.2, TailCap: 1_000_000})
 	over := 0
 	for _, r := range tail {
-		// Recover the drawn cost by running the closure on a clock.
-		clk := cycles.NewClock()
-		r.Fn(clk)
-		if clk.Now() >= 10_000 {
+		if r.Cost >= 10_000 {
 			over++
 		}
 	}
@@ -126,14 +123,6 @@ func stableSortReference(tiers [][]sched.Request) []sched.Request {
 	return reqs
 }
 
-// requestCost recovers a generated request's service draw by running its
-// task on a fresh clock.
-func requestCost(r sched.Request) uint64 {
-	clk := cycles.NewClock()
-	r.Fn(clk)
-	return clk.Now()
-}
-
 func sameTrace(t *testing.T, what string, got, want []sched.Request) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -141,9 +130,9 @@ func sameTrace(t *testing.T, what string, got, want []sched.Request) {
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		if g.Arrival != w.Arrival || g.Image != w.Image || requestCost(g) != requestCost(w) {
+		if g.Arrival != w.Arrival || g.Image != w.Image || g.Cost != w.Cost {
 			t.Fatalf("%s: request %d is (%d, %s, %d), reference (%d, %s, %d)", what, i,
-				g.Arrival, g.Image, requestCost(g), w.Arrival, w.Image, requestCost(w))
+				g.Arrival, g.Image, g.Cost, w.Arrival, w.Image, w.Cost)
 		}
 	}
 }
@@ -157,7 +146,7 @@ func collidingTiers() [][]sched.Request {
 	for tier := 0; tier < 4; tier++ {
 		reqs := make([]sched.Request, 50+tier*7)
 		for i := range reqs {
-			reqs[i] = fnRequest(fmt.Sprint("tier", tier), rng.Uint64()%10, uint64(tier*1000+i))
+			reqs[i] = sched.Request{Arrival: rng.Uint64() % 10, Image: fmt.Sprint("tier", tier), Cost: uint64(tier*1000 + i)}
 		}
 		sortByArrival(reqs)
 		tiers = append(tiers, reqs)
@@ -174,7 +163,7 @@ func traceDigest(reqs []sched.Request) uint64 {
 		binary.LittleEndian.PutUint64(buf[:], r.Arrival)
 		h.Write(buf[:])
 		h.Write([]byte(r.Image))
-		binary.LittleEndian.PutUint64(buf[:], requestCost(r))
+		binary.LittleEndian.PutUint64(buf[:], r.Cost)
 		h.Write(buf[:])
 	}
 	return h.Sum64()

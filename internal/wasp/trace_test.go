@@ -33,9 +33,9 @@ func kindSet(tr *obs.Tracer) map[obs.Kind]bool {
 
 // TestRunLifecycleTrace drives snapshot runs through a traced runtime
 // and asserts the recorded flight covers the guest-run half of the
-// lifecycle the cluster trace cannot reach (its tickets are Fn tasks):
-// shell provisioning, snapshot capture/restore, the guest-run summary
-// span, and the release path.
+// lifecycle the cluster trace cannot reach (its tickets carry a cost,
+// not a guest): shell provisioning, snapshot capture/restore, the
+// guest-run summary span, and the release path.
 func TestRunLifecycleTrace(t *testing.T) {
 	tr := obs.NewTracer(obs.Deterministic(true))
 	tr.SetEnabled(true)
