@@ -3,8 +3,7 @@
 // one wake per burst) and per-image admission control (WithAdmission).
 // One hot tenant floods the node while two quiet tenants trickle small
 // requests; plain FIFO lets the flood starve them, the weighted
-// per-image queues do not, and a hard cap in reject mode sheds the
-// flood's excess instead of queueing it.
+// per-image queues do not.
 package main
 
 import (
@@ -66,22 +65,15 @@ func main() {
 		fmt.Printf("%s  p99 queue: hot %7.2f ms   quiet-a %7.2f ms   quiet-b %7.2f ms\n",
 			cfg.name, queueP99(tickets, "hot"),
 			queueP99(tickets, "quiet-a"), queueP99(tickets, "quiet-b"))
+		// The admission layer's per-image telemetry (none under FIFO).
+		for _, image := range s.AdmissionImages() {
+			st, _ := s.AdmissionStats(image)
+			fmt.Printf("  %-8s weight %d   submitted %3d   completed %3d   mean queue %7.2f ms   svc-ewma %d cy\n",
+				image, st.Weight, st.Submitted, st.Completed,
+				cycles.Millis(st.QueueCycleSum/st.Completed), st.SvcEWMA)
+		}
 		s.Close()
 	}
-
-	fmt.Println("\n-- hard cap, reject mode: the flood sheds, the quiet tenants never notice --")
-	s := sched.NewVirtual(wasp.New(), 4,
-		sched.WithAdmission(sched.Admission{MaxInFlight: 4, RejectOverflow: true}))
-	tickets := s.SubmitBatchAt(append([]sched.Request(nil), trace...))
-	for _, t := range tickets {
-		t.Wait() // rejected tickets resolve immediately with ErrAdmission
-	}
-	for _, image := range s.AdmissionImages() {
-		st, _ := s.AdmissionStats(image)
-		fmt.Printf("%-8s submitted %3d   completed %3d   rejected %3d   svc-ewma %d cy\n",
-			image, st.Submitted, st.Completed, st.Rejected, st.SvcEWMA)
-	}
-	s.Close()
 
 	fmt.Println("\n-- httpd.ServeTenants: per-tenant virtine images over one weighted scheduler --")
 	w := wasp.New()

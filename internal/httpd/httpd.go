@@ -268,10 +268,10 @@ func (s *FileServer) ServeMany(reqs [][]byte, workers int) ([]*Response, error) 
 // snapshot, shell telemetry, and admission identity), all dispatched
 // through one scheduler as a single batch under the given admission
 // policy. With soft weights a hot tenant's burst cannot starve the
-// others of workers; with a hard cap in RejectOverflow mode a tenant's
-// excess requests fail fast — those slots come back nil in the
-// tenant's response slice, as do requests of a tenant no backend may
-// serve under the placement policy (every other error aborts).
+// others of workers; with MaxQueued a tenant's requests beyond its
+// queue bound are shed — those slots come back nil in the tenant's
+// response slice, as do requests of a tenant no backend may serve
+// under the placement policy (every other error aborts).
 // Responses are returned per tenant, in each tenant's request order.
 //
 // When the server's runtime spans several hypervisor backends
@@ -337,7 +337,7 @@ func (s *FileServer) ServeTenants(tenants map[string][][]byte, workers int, adm 
 		resp, err := ParseTicket(t)
 		if err != nil {
 			if errors.Is(err, sched.ErrAdmission) || errors.Is(err, sched.ErrPlacement) {
-				continue // quota- or placement-rejected: slot stays nil
+				continue // shed or placement-rejected: slot stays nil
 			}
 			return nil, err
 		}

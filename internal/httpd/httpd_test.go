@@ -368,10 +368,11 @@ func TestServeTenants(t *testing.T) {
 	}
 }
 
-// TestServeTenantsHardCapRejects: a tenant over its hard quota in
-// RejectOverflow mode gets nil response slots, and the other tenants
-// are unaffected.
-func TestServeTenantsHardCapRejects(t *testing.T) {
+// TestServeTenantsQueueBoundSheds: a tenant whose burst outruns its
+// MaxQueued bound gets nil response slots for the shed requests, and
+// the other tenants are unaffected. The batch enqueues under one lock
+// hold, so exactly MaxQueued hog requests are queued and served.
+func TestServeTenantsQueueBoundSheds(t *testing.T) {
 	w := wasp.New()
 	s, err := NewFileServer(w, testFiles())
 	if err != nil {
@@ -382,17 +383,17 @@ func TestServeTenantsHardCapRejects(t *testing.T) {
 		tenants["hog"] = append(tenants["hog"], Request("/index.html"))
 	}
 	tenants["quiet"] = [][]byte{Request("/index.html")}
-	out, err := s.ServeTenants(tenants, 2, &sched.Admission{MaxInFlight: 2, RejectOverflow: true}, nil)
+	out, err := s.ServeTenants(tenants, 2, &sched.Admission{MaxQueued: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out["quiet"][0] == nil || out["quiet"][0].Status != 200 {
 		t.Fatalf("quiet tenant response = %+v", out["quiet"][0])
 	}
-	served, rejected := 0, 0
+	served, shed := 0, 0
 	for _, resp := range out["hog"] {
 		if resp == nil {
-			rejected++
+			shed++
 		} else {
 			served++
 			if resp.Status != 200 {
@@ -400,11 +401,8 @@ func TestServeTenantsHardCapRejects(t *testing.T) {
 			}
 		}
 	}
-	if served == 0 {
-		t.Fatal("hard cap served nothing for the hog tenant")
-	}
-	if rejected == 0 {
-		t.Fatal("hard cap in reject mode rejected nothing despite a 24-deep burst over cap 2")
+	if served != 2 || shed != 22 {
+		t.Fatalf("hog served/shed = %d/%d, want 2/22", served, shed)
 	}
 }
 

@@ -1,6 +1,9 @@
 package js
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzJSParse feeds arbitrary bytes to the lexer and parser, the half of
 // the engine a guest's JavaScript source reaches first: each input must
@@ -15,6 +18,8 @@ func FuzzJSParse(f *testing.F) {
 		`while (true) { s += "x".charAt(0) + 0x1f; t = new F(1)[2].g++; }`,
 		`a = b >>> 3 << 2 >> 1 & c | d ^ e && !f || typeof g === "number";`,
 		`"unterminated`, `/* open comment`, `(((`, `{a:`, `function (`,
+		strings.Repeat("(", maxDepth+1) + "1" + strings.Repeat(")", maxDepth+1),
+		strings.Repeat("!", maxDepth+1) + "1",
 	} {
 		f.Add([]byte(src))
 	}

@@ -2,6 +2,7 @@ package js
 
 import (
 	"encoding/base64"
+	"errors"
 	"strings"
 	"testing"
 
@@ -297,6 +298,41 @@ func TestErrors(t *testing.T) {
 	} {
 		if _, err := e.Eval(src); err == nil {
 			t.Errorf("Eval(%q): expected error", src)
+		}
+	}
+}
+
+// TestDeepNestingIsAnError: a source nested past maxDepth is a *Error
+// from parse — brackets caught while lexing; prefix-operator, `new`,
+// assignment, ternary, statement and parenthesis chains while parsing —
+// never a goroutine stack overflow. Sources a hundred levels deep still
+// parse.
+func TestDeepNestingIsAnError(t *testing.T) {
+	deep := func(open, mid, close string, n int) string {
+		return strings.Repeat(open, n) + mid + strings.Repeat(close, n)
+	}
+	for _, c := range []struct{ name, src string }{
+		{"3M parens", deep("(", "1", ")", 3_000_000)},
+		{"unary", deep("!", "1", "", maxDepth+1)},
+		{"new", deep("new ", "f", "", maxDepth+1)},
+		{"assign", deep("a = ", "1", "", maxDepth+1)},
+		{"ternary", deep("1 ? 1 : ", "1", "", maxDepth+1)},
+		{"if", deep("if (1) ", ";", "", maxDepth+1)},
+		{"parens below the lexer's bound", deep("(", "1", ")", maxDepth/2)},
+	} {
+		prog, _, err := parse(c.src)
+		var jerr *Error
+		if !errors.As(err, &jerr) || !strings.Contains(jerr.Msg, "nesting") || prog != nil {
+			t.Errorf("%s: parse = %d statements, %v; want a nesting *Error", c.name, len(prog), err)
+		}
+	}
+	for _, src := range []string{
+		deep("(", "1", ")", 100),
+		deep("if (1) { ", "x = -(-(1));", " }", 100),
+		deep("function f() { return ", "1", "; }", 100),
+	} {
+		if _, _, err := parse(src); err != nil {
+			t.Errorf("%.40s...: %v", src, err)
 		}
 	}
 }

@@ -74,6 +74,7 @@ func jerrf(line int, format string, args ...any) *Error {
 func lex(src string) ([]token, error) {
 	var toks []token
 	line := 1
+	open := 0 // brackets open, never below 0
 	i, n := 0, len(src)
 	for i < n {
 		c := src[i]
@@ -181,6 +182,17 @@ func lex(src string) ([]token, error) {
 				continue
 			}
 			if strings.ContainsRune("+-*/%<>=!&|^~(){}[];,.?:", rune(c)) {
+				// Every open bracket's contents parse one level deeper,
+				// so a source whose brackets nest past maxDepth fails
+				// here, before its tokens are all allocated.
+				switch c {
+				case '(', '[', '{':
+					if open++; open > maxDepth {
+						return nil, jerrf(line, "nesting deeper than %d levels", maxDepth)
+					}
+				case ')', ']', '}':
+					open = max(open-1, 0)
+				}
 				toks = append(toks, token{kind: tPunct, text: string(c), line: line})
 				i++
 				continue

@@ -114,10 +114,32 @@ type (
 	continueStmt struct{ nodeBase }
 )
 
+// maxDepth bounds how deeply a source may nest statements and
+// expressions. The parser recurses once per level and the evaluator
+// once per AST level below it, and a goroutine that outgrows its stack
+// dies with a fatal error no recover sees, so a source nested deeper
+// is a parse error instead. The deepest program in the tree (the
+// package's tests and fuzz seeds, Base64JS among them) reaches 16.
+const maxDepth = 1000
+
 type jsParser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int // open stmt, assignExpr, unaryExpr and primary calls
 }
+
+// enter counts one level of recursive descent; a nil error obliges the
+// caller to leave when it returns. Every cycle in the grammar passes
+// through stmt, assignExpr, unaryExpr or primary, so counting those
+// four bounds the recursion.
+func (p *jsParser) enter() error {
+	if p.depth++; p.depth > maxDepth {
+		return jerrf(p.cur().line, "nesting deeper than %d levels", maxDepth)
+	}
+	return nil
+}
+
+func (p *jsParser) leave() { p.depth-- }
 
 func parse(src string) ([]node, int, error) {
 	toks, err := lex(src)
@@ -196,6 +218,10 @@ func (p *jsParser) block() ([]node, error) {
 }
 
 func (p *jsParser) stmt() (node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	switch {
 	case p.eatPunct(";"):
@@ -349,6 +375,10 @@ func (p *jsParser) stmt() (node, error) {
 func (p *jsParser) expr() (node, error) { return p.assignExpr() }
 
 func (p *jsParser) assignExpr() (node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	lhs, err := p.ternaryExpr()
 	if err != nil {
 		return nil, err
@@ -423,6 +453,10 @@ func (p *jsParser) binaryExpr(minPrec int) (node, error) {
 }
 
 func (p *jsParser) unaryExpr() (node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	if t.kind == tPunct {
 		switch t.text {
@@ -544,6 +578,10 @@ func (p *jsParser) funcExpr() (node, error) {
 }
 
 func (p *jsParser) primary() (node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.next()
 	switch t.kind {
 	case tNum:

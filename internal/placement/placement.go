@@ -5,8 +5,8 @@
 // preferred.
 //
 // Placement sits between admission and the pools: admission decides
-// WHETHER a ticket runs (per-image quotas and weighted fairness,
-// internal/sched); placement decides WHERE (per-backend eligibility and
+// WHETHER and in what order a ticket runs (per-image weighted fairness
+// and queue bounds, internal/sched); placement decides WHERE (per-backend eligibility and
 // weights); the per-platform shell pools (internal/wasp) then serve the
 // chosen backend. The two compose — an admitted ticket is dispatched by
 // the admission pick and then placed on an eligible backend's worker.

@@ -7,72 +7,51 @@ import (
 	"repro/internal/stats"
 )
 
-// ErrAdmission is the error carried by tickets a hard per-image quota
-// rejected at submission.
+// ErrAdmission is the error carried by tickets the per-image queue
+// bound (Admission.MaxQueued) shed at submission.
 var ErrAdmission = errors.New("sched: per-image admission limit")
 
 // Admission is the per-image admission-control policy (the multi-tenant
 // fairness layer). Attaching one via WithAdmission switches dispatch
-// from a single FIFO to per-image queues:
+// from a single FIFO to per-image queues, and workers pick the next
+// ticket by start-time fair queueing (stride scheduling) across them
+// instead of strict FIFO. Each dispatch advances the image's virtual
+// pass by its smoothed service cost divided by its weight, so an image
+// receives service cycles in proportion to its weight and one hot image
+// can no longer starve every other tenant. Equal weights give
+// cycle-proportional round-robin — already a fairness win over FIFO.
 //
-//   - Hard cap: MaxInFlight bounds each image's concurrently admitted
-//     work. With RejectOverflow the excess submission fails immediately
-//     with ErrAdmission; without it the ticket is accepted but deferred —
-//     it stays parked in its image's queue until the image's in-flight
-//     count drops below the cap.
-//   - Soft weights: workers pick the next ticket by start-time fair
-//     queueing (stride scheduling) across the per-image queues instead
-//     of strict FIFO. Each dispatch advances the image's virtual pass by
-//     its smoothed service cost divided by its weight, so an image
-//     receives service cycles in proportion to its weight and one hot
-//     image can no longer starve every other tenant. Equal weights give
-//     cycle-proportional round-robin — already a fairness win over FIFO.
-//
-// The cap is fleet-wide: admission decides how much of an image runs,
-// never on which backend; that is the placer's call (WithPlacer).
+// Admission decides in what order images run, never on which backend;
+// that is the placer's call (WithPlacer).
 //
 // In virtual mode, single SubmitAt calls dispatch synchronously in
-// submission order (the scheduler cannot reorder work it has not seen);
-// caps still apply, with deferral modelled as a later effective start.
+// submission order (the scheduler cannot reorder work it has not seen).
 // SubmitBatchAt presents a whole arrival trace at once, and with an
 // Admission attached the batch is dispatched event-driven with the same
 // weighted pick — the deterministic substrate the fairness experiments
 // run on.
 type Admission struct {
-	// MaxInFlight caps each image's admitted-but-not-completed tickets.
-	// 0 means unlimited.
-	MaxInFlight int
-	// RejectOverflow selects the hard-cap behavior: true rejects the
-	// excess submission with ErrAdmission; false (the default) defers it
-	// in the image's queue until a slot frees.
-	RejectOverflow bool
-	// MaxQueued bounds each image's waiting tickets in the real-mode
-	// queue; beyond it, submissions shed with ErrAdmission even in
-	// deferral mode. Deferred tickets occupy the scheduler's shared
-	// bounded queue, so without this a capped image's backlog can fill
-	// the queue cap and block every other tenant's Submit at the
-	// enqueue — set MaxQueued below the queue cap to keep deferral from
-	// reintroducing the starvation it exists to prevent. 0 means
-	// unlimited. (Virtual mode models deferral in time, not queue
-	// slots, so the bound does not apply there.)
-	MaxQueued int
 	// Weights maps image identity to its scheduling weight. Images not
-	// listed get DefaultWeight.
+	// listed, or listed at 0 or below, get weight 1.
 	Weights map[string]int
-	// DefaultWeight is the weight of unlisted images; 0 means 1.
-	DefaultWeight int
+	// MaxQueued bounds each image's waiting tickets in the real-mode
+	// queue; beyond it, submissions shed with ErrAdmission. Waiting
+	// tickets occupy the scheduler's shared bounded queue, so without
+	// this one tenant's backlog can fill the queue cap and block every
+	// other tenant's Submit at the enqueue — set MaxQueued below the
+	// queue cap to keep a hog's burst from starving the others at
+	// submission. 0 means unlimited. (Virtual mode queues in time, not
+	// queue slots, so the bound does not apply there.)
+	MaxQueued int
 }
 
 // WeightFor resolves an image's effective scheduling weight under this
-// policy: its Weights entry, else DefaultWeight, else 1. Exported so
-// reporting layers compute entitlements from the exact weights the
-// scheduler enforces.
+// policy: its Weights entry if above 0, else 1. Exported so reporting
+// layers compute entitlements from the exact weights the scheduler
+// enforces.
 func (a Admission) WeightFor(image string) int {
-	if w, ok := a.Weights[image]; ok && w > 0 {
+	if w := a.Weights[image]; w > 0 {
 		return w
-	}
-	if a.DefaultWeight > 0 {
-		return a.DefaultWeight
 	}
 	return 1
 }
@@ -86,8 +65,10 @@ type AdmissionStats struct {
 	// Submitted, Completed and Rejected are lifetime ticket counts for
 	// the image (Submitted includes Rejected).
 	Submitted, Completed, Rejected uint64
-	// InFlight is the image's dispatched-but-not-completed count (real
-	// mode) and Queued its tickets still waiting in the image queue.
+	// InFlight is the image's accepted tickets neither completed nor
+	// waiting (Submitted − Rejected − Completed − Queued: in service in
+	// real mode, always 0 on a drained or virtual scheduler) and Queued
+	// its tickets still waiting in the image queue.
 	InFlight, Queued int
 	// QueueShare is the image's fraction of all queued tickets.
 	QueueShare float64
@@ -107,8 +88,8 @@ type AdmissionStats struct {
 // ticket its image's state once (Ticket.st); everything after reaches it
 // through the ticket. The pass, weight and counters are shared; each
 // core owns one half of the rest — the real core the enqueue side
-// (real.go), the virtual core the span history and the batch
-// dispatcher's window (virtual.go, vheap.go).
+// (real.go), the virtual core the batch dispatcher's window (virtual.go,
+// vheap.go).
 type imageState struct {
 	name   string
 	weight int
@@ -116,19 +97,12 @@ type imageState struct {
 
 	queue    []*Ticket // real core: waiting tickets, FIFO within the image
 	activeAt int       // real core: index in admission.active while queue is non-empty
-	inFlight int       // real core: dispatched, not yet completed
-
-	spans      []admitSpan // virtual core: admission spans of dispatched tickets (hard cap only)
-	maxArrival uint64      // virtual core: high-water arrival, the prune horizon
 
 	// Virtual core, one weighted batch at a time (dispatchWeighted): the
 	// image's backlog in the decision window as a min-heap of batch
-	// indices, its membership in the pass-ordered image heap, and the
-	// deferral-cap check memoized for dispatch step capStep.
+	// indices, and its membership in the pass-ordered image heap.
 	backlog []int
 	inHeap  bool
-	capStep uint64
-	capFull bool
 
 	submitted, completed, rejected uint64
 	svcEWMA                        uint64
@@ -181,14 +155,20 @@ func (a *admission) activate(st *imageState) {
 	}
 }
 
-// complete folds a finished ticket back into its image: in-flight
-// release, service-time EWMA (the stride numerator), and queue-delay
-// accounting. Caller holds the core lock.
+// advance charges one dispatch to st: the global virtual time rises to
+// the image's pass, then the pass moves on by one stride.
+func (a *admission) advance(st *imageState) {
+	if st.pass > a.vtime {
+		a.vtime = st.pass
+	}
+	st.pass += a.stride(st)
+}
+
+// complete folds a finished ticket back into its image: service-time
+// EWMA (the stride numerator) and queue-delay accounting. Caller holds
+// the core lock.
 func (a *admission) complete(t *Ticket) {
 	st := t.st
-	if st.inFlight > 0 {
-		st.inFlight--
-	}
 	st.completed++
 	st.svcEWMA = stats.EWMA(st.svcEWMA, t.ServiceCycles())
 	st.queueSum += t.QueueCycles()
@@ -212,7 +192,7 @@ func (a *admission) statsLocked(image string) (AdmissionStats, bool) {
 		Submitted:     st.submitted,
 		Completed:     st.completed,
 		Rejected:      st.rejected,
-		InFlight:      st.inFlight,
+		InFlight:      int(st.submitted-st.rejected-st.completed) - len(st.queue),
 		Queued:        len(st.queue),
 		SvcEWMA:       st.svcEWMA,
 		QueueCycleSum: st.queueSum,

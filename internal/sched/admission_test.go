@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/cycles"
 	"repro/internal/stats"
@@ -117,138 +118,13 @@ func TestAdmissionSoftWeightsBoundColdTenantDelay(t *testing.T) {
 	}
 }
 
-// TestAdmissionHardCapBoundsHotConcurrency is the hard-cap half of the
-// fairness suite: with MaxInFlight=2 (deferred queueing) the hot image
-// never holds more than two workers, cold tenants keep bounded delay,
-// and every deferred ticket still completes exactly once.
-func TestAdmissionHardCapBoundsHotConcurrency(t *testing.T) {
-	const (
-		workers = 4
-		hotN    = 48
-		hotSvc  = 200_000
-		coldN   = 8
-		coldGap = 150_000
-		coldSvc = 20_000
-	)
-	coldTenants := []string{"cold-a", "cold-b"}
-	s := NewVirtual(wasp.New(), workers, WithAdmission(Admission{MaxInFlight: 2}))
-	tickets := s.SubmitBatchAt(noisyNeighborTrace(hotN, hotSvc, coldTenants, coldN, coldGap, coldSvc))
-	if err := WaitAll(tickets...); err != nil {
-		t.Fatal(err)
-	}
-	// At any hot ticket's start, at most MaxInFlight hot tickets overlap.
-	var hot []*Ticket
-	for _, tk := range tickets {
-		if tk.Image == "hot" {
-			hot = append(hot, tk)
-		}
-	}
-	if len(hot) != hotN {
-		t.Fatalf("hot tickets = %d, want %d", len(hot), hotN)
-	}
-	for _, a := range hot {
-		overlap := 0
-		for _, b := range hot {
-			if b.Start <= a.Start && a.Start < b.Done {
-				overlap++
-			}
-		}
-		if overlap > 2 {
-			t.Fatalf("hot in-flight = %d at t=%d, cap is 2", overlap, a.Start)
-		}
-	}
-	q := queueCyclesByImage(tickets)
-	for _, tenant := range coldTenants {
-		if p99 := stats.Percentile(q[tenant], 99); p99 > 6*hotSvc {
-			t.Fatalf("%s: p99 queue = %.0f under hard cap, want bounded", tenant, p99)
-		}
-	}
-	if s.Submitted() != s.Completed() || s.Rejected() != 0 {
-		t.Fatalf("deferred tickets lost: %v", s)
-	}
-	st, ok := s.AdmissionStats("hot")
-	if !ok || st.Completed != hotN || st.SvcEWMA == 0 {
-		t.Fatalf("hot admission stats = %+v, ok=%v", st, ok)
-	}
-}
-
-// TestAdmissionHardCapRejects: with RejectOverflow, submissions beyond
-// the in-flight cap fail fast with ErrAdmission — and only those.
-func TestAdmissionHardCapRejects(t *testing.T) {
-	s := NewVirtual(wasp.New(), 4, WithAdmission(Admission{MaxInFlight: 2, RejectOverflow: true}))
-	const svc = 1000
-	var tickets []*Ticket
-	for i := 0; i < 4; i++ {
-		tickets = append(tickets, s.SubmitFnAt(0, costTask(svc)))
-	}
-	// All four share the untagged image "": two admitted, two rejected.
-	var admitted, rejected int
-	for _, tk := range tickets {
-		if _, err := tk.Wait(); err != nil {
-			if !errors.Is(err, ErrAdmission) {
-				t.Fatalf("err = %v, want ErrAdmission", err)
-			}
-			rejected++
-		} else {
-			admitted++
-		}
-	}
-	if admitted != 2 || rejected != 2 {
-		t.Fatalf("admitted/rejected = %d/%d, want 2/2", admitted, rejected)
-	}
-	// After the in-flight work completes (virtual time svc), a new
-	// arrival is admitted again.
-	late := s.SubmitFnAt(2*svc, costTask(svc))
-	if _, err := late.Wait(); err != nil {
-		t.Fatalf("post-drain submit rejected: %v", err)
-	}
-	if s.Submitted() != 5 || s.Completed() != 3 || s.Rejected() != 2 {
-		t.Fatalf("submitted/completed/rejected = %d/%d/%d, want 5/3/2",
-			s.Submitted(), s.Completed(), s.Rejected())
-	}
-	st, ok := s.AdmissionStats("")
-	if !ok || st.Rejected != 2 || st.Submitted != 5 {
-		t.Fatalf("admission stats = %+v, ok=%v", st, ok)
-	}
-}
-
-// TestAdmissionDeferredQueueingDelaysStart: without RejectOverflow a
-// capped image's excess arrivals are deferred — their service starts at
-// the completion that frees a slot, and QueueCycles reports the wait.
-func TestAdmissionDeferredQueueingDelaysStart(t *testing.T) {
-	s := NewVirtual(wasp.New(), 2, WithAdmission(Admission{MaxInFlight: 1}))
-	const svc = 1000
-	t1 := s.SubmitFnAt(0, costTask(svc))
-	t2 := s.SubmitFnAt(0, costTask(svc))
-	t3 := s.SubmitFnAt(0, costTask(svc))
-	if err := WaitAll(t1, t2, t3); err != nil {
-		t.Fatal(err)
-	}
-	if t1.Start != 0 || t1.Done != svc {
-		t.Fatalf("first ticket served [%d,%d], want [0,%d]", t1.Start, t1.Done, svc)
-	}
-	// Both workers are free, but the image holds one in-flight slot:
-	// the second starts only when the first completes, the third when
-	// the second does.
-	if t2.Start != svc || t3.Start != 2*svc {
-		t.Fatalf("deferred starts = %d, %d, want %d, %d", t2.Start, t3.Start, svc, 2*svc)
-	}
-	if t2.QueueCycles() != svc || t3.QueueCycles() != 2*svc {
-		t.Fatalf("deferred queue cycles = %d, %d, want %d, %d",
-			t2.QueueCycles(), t3.QueueCycles(), svc, 2*svc)
-	}
-}
-
 // TestAdmissionRealModeWeightedCompletes smoke-tests the real-mode
-// per-image queues: weighted dispatch with hard caps admits and
-// completes everything submitted below the cap, per-image stats add
-// up, and deferred images never exceed their in-flight bound (checked
-// structurally via the conservation law — timing is nondeterministic
-// in real mode).
+// per-image queues: weighted dispatch admits and completes everything
+// submitted, and per-image stats add up (checked structurally via the
+// conservation law — timing is nondeterministic in real mode).
 func TestAdmissionRealModeWeightedCompletes(t *testing.T) {
 	s := New(wasp.New(), 4, WithAdmission(Admission{
-		MaxInFlight: 2,
-		Weights:     map[string]int{"heavy": 1, "light": 8},
+		Weights: map[string]int{"heavy": 1, "light": 8},
 	}))
 	defer s.Close()
 	var tickets []*Ticket
@@ -284,89 +160,55 @@ func TestAdmissionRealModeWeightedCompletes(t *testing.T) {
 	}
 }
 
-// TestAdmissionRejectOutOfOrderArrivals is the regression test for the
-// in-flight accounting bias: a hard-cap reject decision for a ticket
-// arriving at t must count only siblings already admitted at t. A
-// same-image sibling submitted earlier but *arriving later* used to be
-// counted against the quota (its completion time was recorded without
-// its admission edge), spuriously rejecting a ticket whose image was
-// idle at its arrival.
-func TestAdmissionRejectOutOfOrderArrivals(t *testing.T) {
-	s := NewVirtual(wasp.New(), 1, WithAdmission(Admission{MaxInFlight: 1, RejectOverflow: true}))
-	tickets := s.SubmitBatchAt([]Request{
-		{Arrival: 180, Image: "hot", Fn: costTask(100)},
-		{Arrival: 150, Image: "hot", Fn: costTask(100)}, // out of order
-		{Arrival: 0, Image: "z", Fn: costTask(300)},
-	})
-	for i, tk := range tickets {
-		if _, err := tk.Wait(); err != nil {
-			t.Fatalf("ticket %d spuriously rejected: %v", i, err)
-		}
-	}
-	// At hot@150's arrival no hot ticket was admitted (hot@180 had not
-	// arrived, let alone started): all three must be served.
-	if s.Rejected() != 0 || s.Completed() != 3 {
-		t.Fatalf("completed/rejected = %d/%d, want 3/0", s.Completed(), s.Rejected())
-	}
-}
-
-// TestAdmissionDeferralDoesNotDelayOtherImages is the regression test
-// for the deferral time-advance bug: when every backlogged ticket is
-// capped, the event loop must advance to the NEXT EVENT — which can be
-// another image's arrival, not only the capping image's completion. A
-// deferred hog ticket must never hold an unrelated tenant's request
-// past its arrival while workers sit idle.
-func TestAdmissionDeferralDoesNotDelayOtherImages(t *testing.T) {
-	s := NewVirtual(wasp.New(), 4, WithAdmission(Admission{MaxInFlight: 1}))
-	tickets := s.SubmitBatchAt([]Request{
-		{Arrival: 10, Image: "hog", Fn: costTask(1000)},
-		{Arrival: 11, Image: "hog", Fn: costTask(1000)}, // deferred behind the first
-		{Arrival: 50, Image: "quiet", Fn: costTask(10)}, // 3 workers idle at 50
-	})
-	if err := WaitAll(tickets...); err != nil {
-		t.Fatal(err)
-	}
-	if tickets[0].Start != 10 {
-		t.Fatalf("hog[0] start = %d, want 10", tickets[0].Start)
-	}
-	if tickets[1].Start != 1010 {
-		t.Fatalf("hog[1] start = %d, want 1010 (deferred to the slot)", tickets[1].Start)
-	}
-	if tickets[2].Start != 50 || tickets[2].QueueCycles() != 0 {
-		t.Fatalf("quiet start = %d (queue %d), want 50 with zero queueing — the hog's deferral must not delay it",
-			tickets[2].Start, tickets[2].QueueCycles())
-	}
-}
-
-// TestAdmissionMaxQueuedShedsBacklog: in deferral mode a capped image's
-// backlog occupies the shared bounded queue; MaxQueued sheds the excess
-// so a hog cannot fill the queue cap and block other tenants' submits.
+// TestAdmissionMaxQueuedShedsBacklog: a hog's backlog occupies the
+// shared bounded queue; MaxQueued sheds the excess so the hog cannot
+// fill the queue cap and block its own or other tenants' submits. A
+// gated task holds the one lane, so every hog ticket past the bound
+// sheds and exactly MaxQueued of them are served.
 func TestAdmissionMaxQueuedShedsBacklog(t *testing.T) {
-	gate := make(chan struct{})
-	s := New(wasp.New(), 2,
-		WithQueueCap(64),
-		WithAdmission(Admission{MaxInFlight: 1, MaxQueued: 4}))
+	const queueCap, maxQueued, burst = 8, 4, 16
+	s := New(wasp.New(), 1,
+		WithQueueCap(queueCap),
+		WithAdmission(Admission{MaxQueued: maxQueued}))
 	defer s.Close()
-	blocked := func(clk *cycles.Clock) (*wasp.Result, error) {
-		<-gate
+	held, release := make(chan struct{}), make(chan struct{})
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+	gate := s.SubmitBatch([]Request{{Image: "gate", Fn: func(*cycles.Clock) (*wasp.Result, error) {
+		close(held)
+		<-release
 		return nil, nil
+	}}})[0]
+	<-held
+	// The burst is twice the queue cap: without the bound its submit
+	// would block on the full queue behind the held lane, and so would
+	// the quiet tenant's.
+	submitted := make(chan struct{})
+	var hog []*Ticket
+	var quiet *Ticket
+	go func() {
+		defer close(submitted)
+		reqs := make([]Request, burst)
+		for i := range reqs {
+			reqs[i] = Request{Image: "hog", Fn: costTask(1)}
+		}
+		hog = s.SubmitBatch(reqs)
+		quiet = s.SubmitFn(costTask(1))
+	}()
+	select {
+	case <-submitted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("submits blocked behind the hog's backlog")
 	}
-	reqs := make([]Request, 16)
-	for i := range reqs {
-		reqs[i] = Request{Image: "hog", Fn: blocked}
+	close(release)
+	if err := WaitAll(gate, quiet); err != nil {
+		t.Fatalf("gate or quiet tenant failed: %v", err)
 	}
-	hog := s.SubmitBatch(reqs)
-	// With the hog's first ticket blocking a worker and MaxInFlight 1,
-	// at most MaxQueued hog tickets may wait; the rest shed. Another
-	// tenant's submit must not block on a full queue.
-	quiet := s.SubmitFn(func(clk *cycles.Clock) (*wasp.Result, error) {
-		clk.Advance(1)
-		return nil, nil
-	})
-	if _, err := quiet.Wait(); err != nil {
-		t.Fatalf("quiet tenant blocked behind hog backlog: %v", err)
-	}
-	close(gate)
 	var served, shed int
 	for _, tk := range hog {
 		if _, err := tk.Wait(); err != nil {
@@ -378,11 +220,8 @@ func TestAdmissionMaxQueuedShedsBacklog(t *testing.T) {
 			served++
 		}
 	}
-	if shed == 0 {
-		t.Fatal("MaxQueued shed nothing from a 16-deep burst over a 4-slot bound")
-	}
-	if served == 0 {
-		t.Fatal("every hog ticket shed")
+	if served != maxQueued || shed != burst-maxQueued {
+		t.Fatalf("hog served/shed = %d/%d, want %d/%d", served, shed, maxQueued, burst-maxQueued)
 	}
 	if s.Submitted() != s.Completed()+s.Rejected() {
 		t.Fatalf("conservation violated: %v", s)
@@ -393,11 +232,57 @@ func TestAdmissionMaxQueuedShedsBacklog(t *testing.T) {
 	}
 }
 
+// TestAdmissionInFlightDerived: AdmissionStats.InFlight, derived from
+// the lifetime counters and the queue, reads the tickets in service —
+// 1 while a gated real-mode ticket runs with one more queued and one
+// shed, 0 after the drain, and 0 on a virtual scheduler, which serves
+// every ticket before its submit returns.
+func TestAdmissionInFlightDerived(t *testing.T) {
+	s := New(wasp.New(), 1, WithAdmission(Admission{MaxQueued: 1}))
+	defer s.Close()
+	held, release := make(chan struct{}), make(chan struct{})
+	tickets := s.SubmitBatch([]Request{{Image: "img", Fn: func(*cycles.Clock) (*wasp.Result, error) {
+		close(held)
+		<-release
+		return nil, nil
+	}}})
+	<-held
+	tickets = append(tickets, s.SubmitBatch([]Request{{Image: "img", Fn: costTask(1)}, {Image: "img", Fn: costTask(1)}})...)
+	st, _ := s.AdmissionStats("img")
+	close(release)
+	if st.InFlight != 1 || st.Queued != 1 || st.Rejected != 1 || st.Submitted != 3 {
+		t.Fatalf("while gated: stats = %+v, want 1 in flight, 1 queued, 1 rejected of 3", st)
+	}
+	if _, err := tickets[2].Wait(); !errors.Is(err, ErrAdmission) {
+		t.Fatalf("third ticket: err = %v, want ErrAdmission", err)
+	}
+	if err := WaitAll(tickets[:2]...); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.AdmissionStats("img"); st.InFlight != 0 || st.Queued != 0 || st.Completed != 2 {
+		t.Fatalf("after drain: stats = %+v, want 0 in flight, 0 queued, 2 completed", st)
+	}
+
+	v := NewVirtual(wasp.New(), 2, WithAdmission(Admission{}))
+	defer v.Close()
+	vt := v.SubmitBatchAt([]Request{{Image: "img", Cost: 100}, {Image: "img", Cost: 100}, {Arrival: 50, Image: "img", Cost: 100}})
+	// A malformed request, rejected before admission, counts against
+	// the image too.
+	vt = append(vt, v.SubmitBatchAt([]Request{{Arrival: 10, Image: "img"}})...)
+	vt = append(vt, v.SubmitBatchAt([]Request{{Arrival: 20, Image: "img", Cost: 100}})...)
+	if _, err := vt[3].Wait(); !errors.Is(err, errWork) {
+		t.Fatalf("malformed request: err = %v, want %v", err, errWork)
+	}
+	if st, _ := v.AdmissionStats("img"); st.InFlight != 0 || st.Completed != 4 || st.Rejected != 1 {
+		t.Fatalf("virtual: stats = %+v, want 0 in flight, 4 completed, 1 rejected", st)
+	}
+}
+
 // TestTicketCachesAdmissionState: on both cores, admission hands each
 // ticket its image's own entry in the admission map — the state
-// dispatch, completion and the span history then use without a lookup.
+// dispatch and completion then use without a lookup.
 func TestTicketCachesAdmissionState(t *testing.T) {
-	pol := WithAdmission(Admission{MaxInFlight: 2, Weights: map[string]int{"a": 2}})
+	pol := WithAdmission(Admission{Weights: map[string]int{"a": 2}})
 	reqs := []Request{
 		{Arrival: 0, Image: "a", Fn: costTask(1000)},
 		{Arrival: 0, Image: "b", Fn: costTask(1000)},

@@ -126,10 +126,10 @@ func TestSubmitAfterCloseAllPaths(t *testing.T) {
 		{"real", func() *Scheduler { return New(wasp.New(), 2) }},
 		{"virtual", func() *Scheduler { return NewVirtual(wasp.New(), 2) }},
 		{"real+admission", func() *Scheduler {
-			return New(wasp.New(), 2, WithAdmission(Admission{MaxInFlight: 4}))
+			return New(wasp.New(), 2, WithAdmission(Admission{MaxQueued: 4}))
 		}},
 		{"virtual+admission", func() *Scheduler {
-			return NewVirtual(wasp.New(), 2, WithAdmission(Admission{MaxInFlight: 4}))
+			return NewVirtual(wasp.New(), 2, WithAdmission(Admission{MaxQueued: 4}))
 		}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {

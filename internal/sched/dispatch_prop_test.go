@@ -11,8 +11,8 @@ import (
 )
 
 // Differential property suite for the O(log n) dispatch core: random
-// trace corpora — mixed images, colliding arrivals, hard caps in both
-// flavors, per-backend quotas, placers, mid-run autoscaling — run
+// trace corpora — mixed images, colliding arrivals, admission weights,
+// placers, mid-run autoscaling — run
 // through the heap core and the linear reference (linearCore, the
 // test-only core in linear_core_test.go), asserting bit-identical per-ticket outcomes, makespans, rejection
 // sets, and admission telemetry. The heap structures are pure
@@ -51,11 +51,9 @@ func drawCorpus(seed int64) corpusConfig {
 		twoBE:   rng.Intn(2) == 0,
 		placer:  rng.Intn(3),
 	}
-	cfg.adm = Admission{
-		MaxInFlight:    rng.Intn(4), // 0 disables
-		RejectOverflow: rng.Intn(2) == 0,
-	}
-	_ = rng.Intn(3) // the draw that was the per-backend quota: keeps every later draw in place
+	// The discarded draws were the hard in-flight cap, its reject flag
+	// and the per-backend quota: they keep every later draw in place.
+	_, _, _ = rng.Intn(4), rng.Intn(2), rng.Intn(3)
 	cfg.adm.Weights = map[string]int{"img-a": 1 + rng.Intn(4), "img-b": 1 + rng.Intn(4)}
 	// Arrivals from a small lattice so clock/arrival ties are common —
 	// the tie-break rules are the property under test.

@@ -147,8 +147,7 @@ func TestLendCloseWaitsForBorrowedLane(t *testing.T) {
 }
 
 // holdEveryLane fails unless all of s's lanes can hold a ticket at once:
-// none was stranded. Each ticket is its own image, so a per-image cap
-// does not serialize them.
+// none was stranded.
 func holdEveryLane(t *testing.T, s *Scheduler) {
 	t.Helper()
 	started := make(chan struct{})
@@ -200,11 +199,11 @@ func TestLendRecoveredPanicReturnsLane(t *testing.T) {
 
 // TestPanickingTaskFailsItsTicket: on a resident, on a lent lane and on
 // the virtual core, a task that panics completes its ticket with a
-// PanicError and the accounting after serve runs — under MaxInFlight: 1
-// the image's next ticket is admitted (the slot was released), every lane
-// still serves, and Submitted == Completed + Rejected.
+// PanicError and the accounting after serve runs — under admission the
+// image's next ticket runs and its in-flight count returns to 0, every
+// lane still serves, and Submitted == Completed + Rejected.
 func TestPanickingTaskFailsItsTicket(t *testing.T) {
-	capped := WithAdmission(Admission{MaxInFlight: 1})
+	fair := WithAdmission(Admission{Weights: map[string]int{"tenant": 2}})
 	submit := func(s *Scheduler, fn Task) *Ticket {
 		return s.SubmitBatch([]Request{{Image: "tenant", Fn: fn}})[0]
 	}
@@ -227,7 +226,7 @@ func TestPanickingTaskFailsItsTicket(t *testing.T) {
 		}
 		ran := false
 		if err := done(t, submit(s, func(*cycles.Clock) (*wasp.Result, error) { ran = true; return nil, nil })); err != nil || !ran {
-			t.Fatalf("the image's next ticket: ran=%v err=%v (quota slot leaked?)", ran, err)
+			t.Fatalf("the image's next ticket: ran=%v err=%v", ran, err)
 		}
 		if tel, _ := s.AdmissionStats("tenant"); tel.InFlight != 0 {
 			t.Fatalf("in-flight count %d after both tickets completed", tel.InFlight)
@@ -243,13 +242,13 @@ func TestPanickingTaskFailsItsTicket(t *testing.T) {
 	bomb := func(*cycles.Clock) (*wasp.Result, error) { panic("boom") }
 
 	t.Run("resident", func(t *testing.T) {
-		s := New(wasp.New(), 2, capped)
+		s := New(wasp.New(), 2, fair)
 		defer s.Close()
 		check(t, s, done(t, submit(s, bomb)))
 	})
 	t.Run("lent", func(t *testing.T) {
 		for attempt := 0; attempt < lendAttempts; attempt++ {
-			s := New(wasp.New(), 2, capped)
+			s := New(wasp.New(), 2, fair)
 			awaitParked(s)
 			lent := false
 			_, err := submit(s, func(clk *cycles.Clock) (*wasp.Result, error) {
@@ -265,7 +264,7 @@ func TestPanickingTaskFailsItsTicket(t *testing.T) {
 		t.Fatalf("no waiter ever ran its ticket inline in %d attempts", lendAttempts)
 	})
 	t.Run("virtual", func(t *testing.T) {
-		s := NewVirtual(wasp.New(), 2, capped)
+		s := NewVirtual(wasp.New(), 2, fair)
 		defer s.Close()
 		_, err := submit(s, bomb).Wait()
 		check(t, s, err)
@@ -399,7 +398,7 @@ func TestLendStress(t *testing.T) {
 			opts: func() []Option { return nil }},
 		{name: "admission", workers: 3, wasp: plainWasp,
 			opts: func() []Option {
-				return []Option{WithAdmission(Admission{MaxInFlight: 2, Weights: map[string]int{"any": 4}})}
+				return []Option{WithAdmission(Admission{Weights: map[string]int{"any": 4}})}
 			}},
 		{name: "placer", workers: 4, wasp: splitWasp, pins: pins,
 			opts: func() []Option {
@@ -408,7 +407,7 @@ func TestLendStress(t *testing.T) {
 		{name: "admission+placer", workers: 4, wasp: splitWasp, pins: pins,
 			opts: func() []Option {
 				return []Option{WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}), WithPlacer(static),
-					WithAdmission(Admission{MaxInFlight: 1, Weights: map[string]int{"any": 4}})}
+					WithAdmission(Admission{Weights: map[string]int{"any": 4}})}
 			}},
 	}
 	for _, cfg := range configs {
@@ -513,7 +512,7 @@ func TestLendStress(t *testing.T) {
 func (a *admission) pickScan(eligible func(*Ticket) bool) *Ticket {
 	var best *imageState
 	for _, st := range a.images {
-		if a.pickable(st, eligible) && (best == nil || st.before(best)) {
+		if len(st.queue) > 0 && eligible(st.queue[0]) && (best == nil || st.before(best)) {
 			best = st
 		}
 	}
@@ -522,18 +521,16 @@ func (a *admission) pickScan(eligible func(*Ticket) bool) *Ticket {
 
 // TestPickMatchesPickScan drives two admission layers through the same
 // random enqueue/pick/complete sequences — one picking over the active
-// list, one over the full map — under deferral, rejection, MaxQueued
-// shedding and a backend-style eligibility filter. Every enqueue verdict
+// list, one over the full map — under weights, MaxQueued shedding and a
+// backend-style eligibility filter. Every enqueue verdict
 // and every picked ticket must agree, and the active list must hold
 // exactly the images with a waiting ticket.
 func TestPickMatchesPickScan(t *testing.T) {
 	policies := []Admission{
 		{},
 		{Weights: map[string]int{"img0": 8, "img1": 4, "img2": 2}},
-		{MaxInFlight: 2},
-		{MaxInFlight: 2, RejectOverflow: true, DefaultWeight: 3},
 		{MaxQueued: 3, Weights: map[string]int{"img3": 5}},
-		{MaxInFlight: 1, MaxQueued: 2},
+		{MaxQueued: 1, Weights: map[string]int{"img1": 3, "img2": 0}},
 	}
 	for seed := int64(0); seed < 60; seed++ {
 		pol := policies[seed%int64(len(policies))]
@@ -584,7 +581,7 @@ func TestPickMatchesPickScan(t *testing.T) {
 			}
 		}
 		for name, st := range fast.images {
-			if o := ref.images[name]; o == nil || st.pass != o.pass || st.inFlight != o.inFlight ||
+			if o := ref.images[name]; o == nil || st.pass != o.pass || st.completed != o.completed ||
 				len(st.queue) != len(o.queue) || st.rejected != o.rejected {
 				t.Fatalf("seed %d: image %s state diverged", seed, name)
 			}

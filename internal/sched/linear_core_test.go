@@ -46,7 +46,8 @@ func (c *linearCore) submit(ts []*Ticket) (rejected []*Ticket) {
 	defer c.mu.Unlock()
 	if c.s.adm != nil && len(ts) > 1 {
 		batch, rejected := c.s.admitBatchLocked(ts)
-		return append(rejected, c.dispatchWeighted(batch)...)
+		c.dispatchWeighted(batch)
+		return rejected
 	}
 	for _, t := range ts {
 		if by, _ := c.busyAt(t.Arrival); c.s.admitOneLocked(t, by) {
@@ -91,7 +92,7 @@ func (c *linearCore) place(t *Ticket) {
 		if weights == nil {
 			weights = s.placeWeightsLocked(t, by)
 		}
-		if best = c.pickWorker(weights, max(t.Arrival, t.notBefore)); best == nil {
+		if best = c.pickWorker(weights, t.Arrival); best == nil {
 			best = c.earliestFree()
 		}
 	}
@@ -121,18 +122,14 @@ func (c *linearCore) pickWorker(weights []float64, eff uint64) *worker {
 }
 
 // dispatchWeighted is the reference batch dispatcher: per decision step
-// it re-scans the whole pending slice for the earliest arrival, the
-// rejection purge, and the weighted pick.
-func (c *linearCore) dispatchWeighted(pending []*Ticket) (rejected []*Ticket) {
+// it re-scans the whole pending slice for the earliest arrival and the
+// weighted pick.
+func (c *linearCore) dispatchWeighted(pending []*Ticket) {
 	a := c.s.adm
-	var timeFloor uint64
 	for len(pending) > 0 {
-		// Decision time: earliest-free worker, floored by deferral waits
-		// and by the earliest pending arrival.
+		// Decision time: earliest-free worker, floored by the earliest
+		// pending arrival.
 		T := c.earliestFree().clk.Now()
-		if T < timeFloor {
-			T = timeFloor
-		}
 		minArr := ^uint64(0)
 		for _, t := range pending {
 			if t.Arrival < minArr {
@@ -143,59 +140,16 @@ func (c *linearCore) dispatchWeighted(pending []*Ticket) (rejected []*Ticket) {
 			T = minArr
 		}
 
-		// Hard-cap rejection happens when a ticket enters the decision
-		// window: its image saturated at its arrival time.
-		if a.pol.MaxInFlight > 0 && a.pol.RejectOverflow {
-			kept := pending[:0]
-			dropped := false
-			for _, t := range pending {
-				if t.Arrival <= T && a.state(t.Image).inFlightAt(t.Arrival) >= a.pol.MaxInFlight {
-					a.state(t.Image).rejected++
-					t.err = ErrAdmission
-					rejected = append(rejected, t)
-					dropped = true
-					continue
-				}
-				kept = append(kept, t)
-			}
-			pending = kept
-			if dropped {
-				continue
-			}
-		}
-
 		// Weighted pick: per image, the earliest-submitted backlogged
-		// ticket; across images, the lowest pass among those not at a
-		// deferral cap at T. The cap check is memoized per image for
-		// this iteration — inFlightAt scans the image's completion
-		// history, and a burst can have thousands of backlogged tickets
-		// sharing one image.
+		// ticket; across images, the lowest pass.
 		var best *Ticket
 		var bestSt *imageState
 		bestIdx := -1
-		var deferred map[*imageState]bool
-		atCap := func(st *imageState) bool {
-			if a.pol.MaxInFlight <= 0 || a.pol.RejectOverflow {
-				return false
-			}
-			if deferred == nil {
-				deferred = make(map[*imageState]bool)
-			}
-			capped, ok := deferred[st]
-			if !ok {
-				capped = st.inFlightAt(T) >= a.pol.MaxInFlight
-				deferred[st] = capped
-			}
-			return capped
-		}
 		for i, t := range pending {
 			if t.Arrival > T {
 				continue
 			}
 			st := a.state(t.Image)
-			if atCap(st) {
-				continue
-			}
 			a.activate(st)
 			// First-submitted ticket per image (same-image entries later
 			// in pending compare equal and are skipped), lowest (pass,
@@ -205,44 +159,8 @@ func (c *linearCore) dispatchWeighted(pending []*Ticket) (rejected []*Ticket) {
 				best, bestSt, bestIdx = t, st, i
 			}
 		}
-		if best == nil {
-			// Every backlogged image is deferred: advance time to the
-			// next event and retry. That event is the earliest capping
-			// completion beyond T — or the next pending arrival, which
-			// must also bound the jump: an uncapped image's ticket must
-			// never be held past its arrival just because another
-			// image's backlog is waiting out its cap.
-			nextT := ^uint64(0)
-			for _, t := range pending {
-				if t.Arrival > T {
-					if t.Arrival < nextT {
-						nextT = t.Arrival
-					}
-					continue
-				}
-				for _, sp := range a.state(t.Image).spans {
-					if sp.done > T && sp.done < nextT {
-						nextT = sp.done
-					}
-				}
-			}
-			if nextT == ^uint64(0) {
-				nextT = T + 1 // defensive: cannot recur, caps imply in-flight work
-			}
-			timeFloor = nextT
-			continue
-		}
-		if bestSt.pass > a.vtime {
-			a.vtime = bestSt.pass
-		}
-		bestSt.pass += a.stride(bestSt)
-		best.notBefore = T
+		a.advance(bestSt)
 		pending = append(pending[:bestIdx], pending[bestIdx+1:]...)
-		// Every remaining pending arrival is >= minArr, so completion
-		// history at or below it can never be queried again — compact
-		// it before the history of a long trace grows quadratic.
-		bestSt.pruneDone(minArr)
 		c.place(best)
 	}
-	return rejected
 }

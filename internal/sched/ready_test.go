@@ -187,29 +187,19 @@ func BenchmarkReadySet(b *testing.B) {
 // TestVirtualBatchAllocs pins the virtual core's allocation budget: a
 // 10k-ticket weighted batch on a 16-worker fleet allocates the ticket
 // slab and the dispatcher's per-batch state, nothing per ticket — at
-// most one allocation per ten tickets — with weights alone and under
-// either flavour of hard cap.
+// most one allocation per ten tickets.
 func TestVirtualBatchAllocs(t *testing.T) {
 	const n = 10_000
 	reqs := benchTrace(n)
 	w := wasp.New()
-	weights := map[string]int{"api": 3, "web": 2, "spike": 2, "batch": 1}
-	for _, c := range []struct {
-		name string
-		pol  Admission
-	}{
-		{"weights", Admission{Weights: weights}},
-		{"defer", Admission{Weights: weights, MaxInFlight: 4}},
-		{"reject", Admission{Weights: weights, MaxInFlight: 4, RejectOverflow: true}},
-	} {
-		allocs := testing.AllocsPerRun(3, func() {
-			s := NewVirtual(w, 16, WithAdmission(c.pol))
-			s.SubmitBatchAt(reqs)
-			s.Close()
-		})
-		t.Logf("%s: %.0f allocations for %d tickets", c.name, allocs, n)
-		if allocs > n/10 {
-			t.Errorf("%s: %.0f allocations for %d tickets, want at most %d", c.name, allocs, n, n/10)
-		}
+	pol := Admission{Weights: map[string]int{"api": 3, "web": 2, "spike": 2, "batch": 1}}
+	allocs := testing.AllocsPerRun(3, func() {
+		s := NewVirtual(w, 16, WithAdmission(pol))
+		s.SubmitBatchAt(reqs)
+		s.Close()
+	})
+	t.Logf("%.0f allocations for %d tickets", allocs, n)
+	if allocs > n/10 {
+		t.Errorf("%.0f allocations for %d tickets, want at most %d", allocs, n, n/10)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // drive it: Ticket.Wait borrows an idle lane and serves the queue on
 // the caller's goroutine instead of waking the resident and sleeping
 // (help). The enqueue-side half of the admission state
-// (imageState.queue, inFlight; tryEnqueue, pick) lives in this file,
+// (imageState.queue; tryEnqueue, pick) lives in this file,
 // guarded by dmu.
 type realCore struct {
 	s *Scheduler
@@ -75,8 +75,8 @@ func (c *realCore) close() {
 
 // submit enqueues a burst under one lock acquisition, waking the
 // workers once. It returns the tickets the queue did not accept
-// (scheduler closed mid-wait, admission hard-cap rejection, a nil task,
-// or no eligible backend), each with its error set.
+// (scheduler closed mid-wait, an image over its MaxQueued bound, a
+// malformed request, or no eligible backend), each with its error set.
 func (c *realCore) submit(ts []*Ticket) (rejected []*Ticket) {
 	s := c.s
 	accepted := 0
@@ -188,10 +188,9 @@ func (c *realCore) prefBackendLocked(t *Ticket) int {
 // across per-image queues restricted to eligible images. It is the one
 // pick every driver of a lane shares — the resident worker and a waiter
 // the lane is lent to — so dispatch order never depends on who drives.
-// Deferred tickets (image at its hard cap), tickets pinned to other
-// platforms, and tickets steered to a preferred backend that still has
-// an idle worker are left queued; nil means nothing was eligible.
-// Caller holds dmu.
+// Tickets pinned to other platforms and tickets steered to a preferred
+// backend that still has an idle worker are left queued; nil means
+// nothing was eligible. Caller holds dmu.
 func (c *realCore) pickLocked(wk *worker) (t *Ticket) {
 	s := c.s
 	if c.queuedN == 0 {
@@ -378,7 +377,7 @@ func (c *realCore) execUnlocked(wk *worker, t *Ticket) {
 
 // exec serves one popped ticket and folds its completion back into the
 // dispatch state under dmu: placement EWMAs and the steering busy
-// count, then the admission in-flight release.
+// count, then the admission telemetry.
 func (c *realCore) exec(wk *worker, t *Ticket) {
 	s := c.s
 	s.serve(wk, t)
@@ -390,30 +389,18 @@ func (c *realCore) exec(wk *worker, t *Ticket) {
 		}
 		if s.adm != nil {
 			s.adm.complete(t)
-			if s.adm.pol.MaxInFlight > 0 && !s.adm.pol.RejectOverflow {
-				// A deferred image may have a free slot now. Only the
-				// deferring cap can park a worker waiting on a completion;
-				// broadcasting for other policies would just wake every
-				// idle worker per ticket for nothing.
-				c.notEmpty.Broadcast()
-			}
 		}
 		c.dmu.Unlock()
 	}
 	s.retire(wk, t)
 }
 
-// tryEnqueue admits t into its image queue, or rejects it under a hard
-// cap with RejectOverflow. Caller holds dmu.
+// tryEnqueue admits t into its image queue, or sheds it once the image
+// already has MaxQueued tickets waiting. Caller holds dmu.
 func (a *admission) tryEnqueue(t *Ticket) error {
 	st := a.state(t.Image)
 	t.st = st
 	st.submitted++
-	if a.pol.MaxInFlight > 0 && a.pol.RejectOverflow &&
-		len(st.queue)+st.inFlight >= a.pol.MaxInFlight {
-		st.rejected++
-		return ErrAdmission
-	}
 	if a.pol.MaxQueued > 0 && len(st.queue) >= a.pol.MaxQueued {
 		st.rejected++
 		return ErrAdmission
@@ -431,32 +418,20 @@ func (a *admission) tryEnqueue(t *Ticket) error {
 // pick removes and returns the next ticket by weighted fair pick across
 // the per-image queues: the eligible image with the lowest pass (ties
 // break on the image name, keeping the pick deterministic whatever the
-// order of the active list). Deferred images — at their hard cap — are
-// not eligible, and neither are images the caller's eligible filter
-// refuses (the placement layer's platform-affinity gate: a worker
-// passes a filter accepting only tickets its backend may serve). Only
-// images with a waiting ticket are looked at, so the cost follows the
-// backlog, not the tenants ever seen. Returns nil when no eligible
-// ticket exists. Caller holds dmu.
+// order of the active list). An image is eligible when the caller's
+// filter accepts its head ticket (the placement layer's
+// platform-affinity gate: a worker passes a filter accepting only
+// tickets its backend may serve). Only images with a waiting ticket are
+// looked at, so the cost follows the backlog, not the tenants ever
+// seen. Returns nil when no eligible ticket exists. Caller holds dmu.
 func (a *admission) pick(eligible func(*Ticket) bool) *Ticket {
 	var best *imageState
 	for _, st := range a.active {
-		if a.pickable(st, eligible) && (best == nil || st.before(best)) {
+		if eligible(st.queue[0]) && (best == nil || st.before(best)) {
 			best = st
 		}
 	}
 	return a.take(best)
-}
-
-// pickable reports whether st's head ticket may be dispatched now.
-func (a *admission) pickable(st *imageState, eligible func(*Ticket) bool) bool {
-	if len(st.queue) == 0 {
-		return false
-	}
-	if a.pol.MaxInFlight > 0 && !a.pol.RejectOverflow && st.inFlight >= a.pol.MaxInFlight {
-		return false // deferred: wait for a completion slot
-	}
-	return eligible(st.queue[0]) // else pinned to a backend this worker does not serve
 }
 
 // before is the fair pick's total order: (pass, name).
@@ -482,10 +457,6 @@ func (a *admission) take(best *imageState) *Ticket {
 		a.active = a.active[:len(a.active)-1]
 	}
 	a.queued--
-	best.inFlight++
-	if best.pass > a.vtime {
-		a.vtime = best.pass
-	}
-	best.pass += a.stride(best)
+	a.advance(best)
 	return t
 }

@@ -29,10 +29,11 @@
 // acquisition, one ticket-slab allocation, and one worker wake for the
 // whole burst. Multi-tenant deployments attach an Admission policy
 // (WithAdmission): every ticket carries its image identity, and
-// dispatch switches from one FIFO to per-image queues with hard
-// in-flight quotas (ErrAdmission rejection or deferred queueing) and
-// weighted fair picking, so one hot image cannot starve other tenants
-// of workers. See the Admission type for the policy semantics.
+// dispatch switches from one FIFO to per-image queues with weighted
+// fair picking, so one hot image cannot starve other tenants of
+// workers, and an optional bound on each image's real-mode backlog
+// (ErrAdmission shedding). See the Admission type for the policy
+// semantics.
 //
 // The fleet may span heterogeneous hypervisor backends (Fig 5):
 // WithWorkerPlatforms pins each worker to a vmm.Platform, and image
@@ -133,11 +134,6 @@ type Ticket struct {
 	// telemetry key on it.
 	Image string
 
-	// notBefore is the earliest virtual time admission control allows
-	// service to start (virtual-mode deferred queueing); 0 means
-	// unconstrained.
-	notBefore uint64
-
 	// seq is the ticket's submission sequence number, assigned only
 	// while a tracer is recording — the correlation id tying the
 	// ticket's trace events together across lanes.
@@ -231,8 +227,7 @@ func (t *Ticket) Wait() (*wasp.Result, error) {
 }
 
 // QueueCycles reports how long the ticket waited between its declared
-// virtual arrival and the start of service, including any admission
-// deferral. Tickets submitted without an arrival time (Submit/SubmitFn)
+// virtual arrival and the start of service. Tickets submitted without an arrival time (Submit/SubmitFn)
 // report 0 — use SubmitAt/SubmitFnAt for virtual-time queue accounting,
 // or DepthAtSubmit for instantaneous backlog. Valid after Wait.
 func (t *Ticket) QueueCycles() uint64 {
@@ -382,7 +377,7 @@ func WithQueueCap(n int) Option {
 }
 
 // WithAdmission attaches a per-image admission-control policy. See
-// Admission for the hard-cap and weighted-fairness semantics.
+// Admission for the weighted-fairness and queue-bound semantics.
 func WithAdmission(pol Admission) Option {
 	return func(s *Scheduler) { s.adm = newAdmission(pol) }
 }
@@ -727,10 +722,6 @@ func (s *Scheduler) submitTickets(ts []*Ticket) {
 // folds the result into its own dispatch state, then calls retire.
 func (s *Scheduler) serve(wk *worker, t *Ticket) {
 	wk.clk.AdvanceTo(t.Arrival)
-	if t.notBefore > t.Arrival {
-		// Admission deferred the start past the arrival (virtual mode).
-		wk.clk.AdvanceTo(t.notBefore)
-	}
 	t.Start = wk.clk.Now()
 	if !t.hasArrival {
 		t.Arrival = t.Start
@@ -765,10 +756,9 @@ func (e *PanicError) Error() string { return fmt.Sprintf("sched: task panicked: 
 // runTask does the ticket's work. A panic in it — a host-side task
 // function, or a bug below RunOn — fails the ticket instead of unwinding
 // through the dispatch core: everything after serve (the steering busy
-// count, the admission in-flight release, retire) must run for the
-// waiter to return, the image's quota slot to free up and Submitted ==
-// Completed + Rejected to hold, and on a lent lane the stack above
-// belongs to some other caller's Wait.
+// count, the admission telemetry, retire) must run for the waiter to
+// return and Submitted == Completed + Rejected to hold, and on a lent
+// lane the stack above belongs to some other caller's Wait.
 func (s *Scheduler) runTask(wk *worker, t *Ticket) (res *wasp.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -811,7 +801,8 @@ func (s *Scheduler) Submitted() uint64 { return s.submitted.Load() }
 func (s *Scheduler) Completed() uint64 { return s.completed.Load() }
 
 // Rejected reports tickets that never ran: submissions after Close,
-// admission hard-cap rejections, and malformed batch requests.
+// tickets shed by Admission.MaxQueued, tickets no backend may serve,
+// and malformed batch requests.
 func (s *Scheduler) Rejected() uint64 { return s.rejected.Load() }
 
 // AdmissionStats snapshots one image's admission telemetry. The second

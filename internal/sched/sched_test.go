@@ -545,19 +545,19 @@ func TestPerWorkerClocksAdvanceIndependently(t *testing.T) {
 
 // TestVirtualWaitReturnsAtOnce: the virtual core serves or rejects a
 // ticket before its submit returns, so Wait never blocks — twice, from
-// two goroutines — on a served ticket, an admission-rejected one and
-// one submitted after Close, each with its own result.
+// two goroutines — on a served ticket, a malformed one and one
+// submitted after Close, each with its own result.
 func TestVirtualWaitReturnsAtOnce(t *testing.T) {
-	s := NewVirtual(wasp.New(), 1, WithAdmission(Admission{MaxInFlight: 1, RejectOverflow: true}))
+	s := NewVirtual(wasp.New(), 1, WithAdmission(Admission{}))
 	served := s.SubmitFnAt(0, costTask(1000))
-	rejected := s.SubmitFnAt(0, costTask(1000))
+	rejected := s.SubmitBatchAt([]Request{{Arrival: 0, Image: "no-work"}})[0]
 	s.Close()
 	late := s.SubmitFnAt(0, costTask(1000))
 	for _, c := range []struct {
 		name string
 		tk   *Ticket
 		want error
-	}{{"served", served, nil}, {"rejected", rejected, ErrAdmission}, {"after-close", late, ErrClosed}} {
+	}{{"served", served, nil}, {"rejected", rejected, errWork}, {"after-close", late, ErrClosed}} {
 		var wg sync.WaitGroup
 		errs := make(chan error, 4)
 		for g := 0; g < 2; g++ {
@@ -617,8 +617,8 @@ func TestRealWaitBlocksUntilTaskReturns(t *testing.T) {
 // TestTicketSize bounds the ticket a batch slab zeroes per request: an
 // image's run config rides beside its ticket (imageTicket), not in it.
 func TestTicketSize(t *testing.T) {
-	if n := unsafe.Sizeof(Ticket{}); n > 208 {
-		t.Fatalf("Ticket is %d bytes, want at most 208", n)
+	if n := unsafe.Sizeof(Ticket{}); n > 200 {
+		t.Fatalf("Ticket is %d bytes, want at most 200", n)
 	}
 }
 

@@ -61,13 +61,6 @@ func (st *imageState) push(idx int) { heapPush(&st.backlog, idx, intLess) }
 // popMin removes and returns the lowest batch index.
 func (st *imageState) popMin() int { return heapPop(&st.backlog, intLess) }
 
-// heapify restores the min-heap property after an in-place filter.
-func (st *imageState) heapify() {
-	for i := len(st.backlog)/2 - 1; i >= 0; i-- {
-		heapDown(st.backlog, i, intLess)
-	}
-}
-
 // imgHeap is the pass-ordered image heap: the weighted fair pick pops
 // the minimum (pass, name) (imageState.before), the winner of a scan
 // over every backlogged image. An image is in the heap iff its window

@@ -348,7 +348,7 @@ func RunFig15(w *wasp.Wasp, pattern LoadPattern, seed int64) ([]TracePoint, erro
 // noisy-neighbor mix the scheduler's admission layer exists for. The
 // whole arrival trace is presented to a virtual-mode scheduler as one
 // SubmitBatchAt, so the experiment is deterministic, and it runs once
-// per dispatch policy (plain FIFO, soft weights, hard cap).
+// per dispatch policy (plain FIFO, soft weights).
 
 // TenantFairness is one tenant's slice of a fairness run.
 type TenantFairness struct {
@@ -362,7 +362,7 @@ type TenantFairness struct {
 	// ServedCycles the part of it completed within the horizon.
 	DemandCycles, ServedCycles uint64
 	// P50QueueMs/P99QueueMs reduce the tenant's per-request queueing
-	// delay (admission deferral included).
+	// delay.
 	P50QueueMs, P99QueueMs float64
 	// Share is the tenant's entitlement satisfaction in [0,1]:
 	// ServedCycles over min(DemandCycles, weighted fair share of the
@@ -383,7 +383,6 @@ type FairnessReport struct {
 	// captured everything.
 	Jain     float64
 	Makespan uint64
-	Rejected uint64
 }
 
 // noisyNeighborTrace builds the deterministic tenant mix for the given
@@ -451,7 +450,6 @@ func RunNoisyNeighbor(w *wasp.Wasp, config string, workers, horizonSec int, adm 
 		queues     []float64
 	}
 	byImage := make(map[string]*acc)
-	var rejected uint64
 	for _, tk := range tickets {
 		a := byImage[tk.Image]
 		if a == nil {
@@ -460,10 +458,6 @@ func RunNoisyNeighbor(w *wasp.Wasp, config string, workers, horizonSec int, adm 
 		}
 		a.reqs++
 		if _, err := tk.Wait(); err != nil {
-			if errors.Is(err, sched.ErrAdmission) || errors.Is(err, sched.ErrClosed) {
-				rejected++
-				continue
-			}
 			return nil, err
 		}
 		a.queues = append(a.queues, float64(tk.QueueCycles()))
@@ -495,7 +489,6 @@ func RunNoisyNeighbor(w *wasp.Wasp, config string, workers, horizonSec int, adm 
 		Workers:    workers,
 		HorizonSec: horizonSec,
 		Makespan:   s.Makespan(),
-		Rejected:   rejected,
 	}
 	shares := make([]float64, 0, len(names))
 	for _, name := range names {
@@ -662,7 +655,7 @@ func RunPlacementMix(w *wasp.Wasp, config string, fleet []vmm.Platform, pl place
 	var shortLat, longLat []float64
 	for _, tk := range tickets {
 		if _, err := tk.Wait(); err != nil {
-			if errors.Is(err, sched.ErrPlacement) || errors.Is(err, sched.ErrAdmission) {
+			if errors.Is(err, sched.ErrPlacement) {
 				rep.Rejected++
 				continue
 			}
