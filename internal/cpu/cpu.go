@@ -93,7 +93,10 @@ func (r ExitReason) String() string {
 	return "exit?"
 }
 
-// Exit describes one VM exit.
+// Exit describes one VM exit. A fault's Exit is the caller's to keep;
+// every other Exit that Run or Step returns is the CPU's own record,
+// overwritten by the next Run or Step, so a caller reads what it needs
+// before it runs the CPU again.
 type Exit struct {
 	Reason ExitReason
 	Port   uint8   // for ExitIO
@@ -189,6 +192,8 @@ type CPU struct {
 	TierTrace bool
 	TierLog   []TierEvent
 
+	exit Exit // the record every non-fault exit is returned in (exitWith)
+
 	tlb        map[uint64]uint64 // 2MB page: vaddr>>21 → physical base
 	gdtLoads   int
 	pendFirst  bool // next retired instruction is the first in long mode
@@ -270,8 +275,11 @@ func New(mem []byte, clk *cycles.Clock, entry uint64) *CPU {
 // memory. Used when replaying a snapshot, whose register file is restored
 // separately. All decode state is dropped, so every page's decode bit
 // goes with it; the dirty bits belong to the VMM's restore point and stay.
+// The per-page code table is cleared, not dropped, so a reused CPU does
+// not allocate it again.
 func (c *CPU) Reset(entry uint64) {
 	if c.code != nil {
+		clear(c.code)
 		for i := range c.pstate {
 			c.pstate[i] &= pageDirty
 		}
@@ -280,6 +288,7 @@ func (c *CPU) Reset(entry uint64) {
 	*c = CPU{
 		Mem:       c.Mem,
 		Clock:     c.Clock,
+		code:      c.code,
 		pstate:    c.pstate,
 		bcache:    c.bcache,
 		Legacy:    c.Legacy,

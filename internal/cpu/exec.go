@@ -59,10 +59,18 @@ func (c *CPU) setLogic(res uint64) {
 func (c *CPU) get(r isa.Reg) uint64    { return c.Regs[r] & widthMask(c.Mode) }
 func (c *CPU) set(r isa.Reg, v uint64) { c.Regs[r] = v & widthMask(c.Mode) }
 
-// Step executes one instruction. A nil exit means execution continues.
+// exitWith returns the CPU's exit record, set to e: the record every
+// non-fault exit is returned in.
+func (c *CPU) exitWith(e Exit) *Exit {
+	c.exit = e
+	return &c.exit
+}
+
+// Step executes one instruction. A nil exit means execution continues;
+// a non-nil one is valid until the next Step or Run (see Exit).
 func (c *CPU) Step() *Exit {
 	if c.Halted {
-		return &Exit{Reason: ExitHalt}
+		return c.exitWith(Exit{Reason: ExitHalt})
 	}
 	fetchP, err := c.Translate(c.IP, false)
 	if err != nil {
@@ -94,7 +102,7 @@ func (c *CPU) Step() *Exit {
 		c.Halted = true
 		c.Retired++
 		c.IP = next
-		return &Exit{Reason: ExitHalt}
+		return c.exitWith(Exit{Reason: ExitHalt})
 
 	case isa.MOVI:
 		c.set(in.Dst, in.Imm)
@@ -310,11 +318,11 @@ func (c *CPU) Step() *Exit {
 	case isa.OUT:
 		c.Retired++
 		c.IP = next
-		return &Exit{Reason: ExitIO, Port: uint8(in.Imm), Reg: in.Dst}
+		return c.exitWith(Exit{Reason: ExitIO, Port: uint8(in.Imm), Reg: in.Dst})
 	case isa.IN:
 		c.Retired++
 		c.IP = next
-		return &Exit{Reason: ExitIO, Port: uint8(in.Imm), Reg: in.Dst, In: true}
+		return c.exitWith(Exit{Reason: ExitIO, Port: uint8(in.Imm), Reg: in.Dst, In: true})
 
 	case isa.LGDT:
 		base, err := c.Translate(addrImm, false)
@@ -419,7 +427,7 @@ func (c *CPU) Step() *Exit {
 		if addrImm == c.Handoff && addrImm != 0 {
 			c.Retired++
 			c.IP = addrImm
-			return &Exit{Reason: ExitHandoff}
+			return c.exitWith(Exit{Reason: ExitHandoff})
 		}
 		next = addrImm
 
@@ -433,7 +441,9 @@ func (c *CPU) Step() *Exit {
 }
 
 // Run executes until a VM exit or until maxSteps instructions have
-// retired; exceeding the budget is a fault (runaway guest).
+// retired; exceeding the budget is a fault (runaway guest). A non-fault
+// exit is the CPU's own record, valid until the next Run or Step (see
+// Exit).
 //
 // There are two engines over one cycle model. The default dispatches
 // compiled traces (jit.go) wherever one applies and Step for everything
@@ -491,7 +501,7 @@ func (c *CPU) runCached(maxSteps uint64) *Exit {
 	for steps := uint64(0); steps < maxSteps; {
 		if c.Halted {
 			c.Clock.Advance(pending)
-			return &Exit{Reason: ExitHalt}
+			return c.exitWith(Exit{Reason: ExitHalt})
 		}
 		blk, page, pg, ex := c.traceAt(c.IP)
 		if ex != nil {

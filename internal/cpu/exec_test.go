@@ -29,6 +29,47 @@ func TestInInstruction(t *testing.T) {
 	}
 }
 
+// TestExitIsCPUOwned: a non-fault exit is the CPU's record, on both
+// engines: the next Run returns the same *Exit, overwritten with the new
+// exit, and making exits allocates nothing. A fault's Exit is fresh.
+func TestExitIsCPUOwned(t *testing.T) {
+	for _, legacy := range []bool{false, true} {
+		p, err := asm.Assemble(".bits 64\n\tout 0x06, rdi\n\tin rbx, 0x07\n\thlt\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := make([]byte, 2<<20)
+		copy(mem[p.Origin:], p.Code)
+		c := New(mem, cycles.NewClock(), p.Entry)
+		c.SetupLongMode()
+		c.Legacy = legacy
+		first := c.Run(100)
+		if first.Reason != ExitIO || first.Port != 0x06 || first.In {
+			t.Fatalf("legacy=%v: first exit %+v, want OUT to port 6", legacy, first)
+		}
+		second := c.Run(100)
+		if second != first || first.Port != 0x07 || !first.In || first.Reg != isa.RBX {
+			t.Fatalf("legacy=%v: second exit %p %+v, want the first's record %p overwritten by IN rbx from port 7", legacy, second, second, first)
+		}
+		if third := c.Run(100); third != first || first.Reason != ExitHalt {
+			t.Fatalf("legacy=%v: third exit %p %+v, want the same record, halted", legacy, third, third)
+		}
+		again := func() {
+			c.IP, c.Halted = p.Entry, false
+			c.Run(100)
+			c.Run(100)
+			c.Run(100)
+		}
+		if n := testing.AllocsPerRun(10, again); n != 0 {
+			t.Fatalf("legacy=%v: an OUT, an IN and a halt exit allocate %v times", legacy, n)
+		}
+		c.Halted, c.IP = false, 1<<40
+		if fault := c.Run(100); fault.Reason != ExitFault || fault == first {
+			t.Fatalf("legacy=%v: fault exit %p %+v, want a fresh fault", legacy, fault, fault)
+		}
+	}
+}
+
 func TestModNegativeOperands(t *testing.T) {
 	c, ex := run(t, `
 .bits 64

@@ -141,7 +141,10 @@ func (o *OneShot) Reset() { o.used = [NumHypercalls]bool{} }
 // The slice ReadGuest returns is only valid until the next ReadGuest on
 // the same GuestMem: implementations may reuse one scratch buffer across
 // calls so hypercall-heavy runs do not allocate per call. Handlers that
-// retain the data must copy it.
+// retain the data must copy it. A zero-length read succeeds exactly
+// when addr is inside memory or at its end. The GuestMem itself is valid
+// only for the Handle call it is passed to: the runtime reuses it for
+// the next run of the same shell.
 type GuestMem interface {
 	ReadGuest(addr uint64, n int) ([]byte, error)
 	WriteGuest(addr uint64, b []byte) error
@@ -163,23 +166,56 @@ func (f HandlerFunc) Handle(call Args, mem GuestMem) (uint64, error) {
 }
 
 // ReadCString reads a NUL-terminated string from guest memory, capped at
-// max bytes, validating the terminator exists.
+// max bytes, validating the terminator exists. It reads a 64-byte window
+// first and doubles it until it finds the terminator or reaches max. A
+// window that would run past the end of guest memory shrinks to end
+// there: ReadCString finds the end with zero-length reads, which the
+// GuestMem contract bounds-checks and charges nothing for, and reads what
+// is left once. A string still unterminated at the end is an error.
 func ReadCString(mem GuestMem, addr uint64, max int) (string, error) {
 	for n := 64; ; n *= 2 {
 		if n > max {
 			n = max
 		}
 		b, err := mem.ReadGuest(addr, n)
+		last := n == max
 		if err != nil {
-			return "", err
+			var left int
+			if left, err = tail(mem, addr, n); err != nil {
+				return "", err
+			}
+			if b, err = mem.ReadGuest(addr, left); err != nil {
+				return "", err
+			}
+			last = true
 		}
 		for i, c := range b {
 			if c == 0 {
 				return string(b[:i]), nil
 			}
 		}
-		if n == max {
+		if last {
 			return "", fmt.Errorf("hypercall: unterminated string at %#x", addr)
 		}
 	}
+}
+
+// tail returns how many bytes from addr to the end of guest memory,
+// given that a read of n bytes from addr failed: the largest k < n at
+// which a zero-length read at addr+k succeeds. It fails when addr
+// itself is outside memory.
+func tail(mem GuestMem, addr uint64, n int) (int, error) {
+	if _, err := mem.ReadGuest(addr, 0); err != nil {
+		return 0, err
+	}
+	lo, hi := 0, n // a read ending at addr+lo succeeds; one at addr+hi does not
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if _, err := mem.ReadGuest(addr+uint64(mid), 0); err == nil {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, nil
 }

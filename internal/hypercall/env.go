@@ -43,17 +43,19 @@ type Env struct {
 	// SnapshotRequested is latched by NrSnapshot; Wasp consumes it.
 	SnapshotRequested bool
 
-	// Marks are milestone timestamps; NowCycles must be wired by the
-	// VMM so marks carry virtual time.
-	Marks     []Mark
-	NowCycles func() uint64
+	// Marks are milestone timestamps, read from Clock.
+	Marks []Mark
 
-	// Charge accounts host-side service work (kernel syscalls the
-	// handler re-creates, §6.3) on the run's clock; wired by the VMM.
-	Charge func(uint64)
+	// Clock is the clock of the run the environment serves, set by the
+	// VMM when the run starts: marks read it, and the host-side service
+	// work a handled call re-creates (kernel syscalls, §6.3) is charged
+	// on it. With a nil Clock marks read 0 and nothing is charged.
+	Clock *cycles.Clock
 }
 
-// NewEnv returns an environment with an empty filesystem.
+// NewEnv returns an environment with an empty filesystem. It makes two
+// allocations, the Env and its FS; the FS's maps come with its first
+// file or descriptor.
 func NewEnv() *Env { return &Env{FS: NewFS()} }
 
 // ResetRun clears per-execution state (socket, data channel, exit, marks)
@@ -206,8 +208,8 @@ func (e *Env) Handle(call Args, mem GuestMem) (uint64, error) {
 
 	case NrMark:
 		var now uint64
-		if e.NowCycles != nil {
-			now = e.NowCycles()
+		if e.Clock != nil {
+			now = e.Clock.Now()
 		}
 		e.Marks = append(e.Marks, Mark{ID: call.A0, Cycle: now})
 		return 0, nil
@@ -219,14 +221,14 @@ func (e *Env) Handle(call Args, mem GuestMem) (uint64, error) {
 // re-creates: socket ops traverse the network stack, file ops hit the
 // page cache (§6.3).
 func (e *Env) chargeHostWork(nr uint8) {
-	if e.Charge == nil {
+	if e.Clock == nil {
 		return
 	}
 	switch nr {
 	case NrSend, NrRecv:
-		e.Charge(cycles.NetSyscall)
+		e.Clock.Advance(cycles.NetSyscall)
 	case NrOpen, NrClose, NrStat, NrRead, NrWrite:
-		e.Charge(cycles.FileSyscall)
+		e.Clock.Advance(cycles.FileSyscall)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/cycles"
 )
 
 // fakeMem is an in-test GuestMem.
@@ -227,7 +229,8 @@ func TestEnvDataChannel(t *testing.T) {
 
 func TestEnvExitAndSnapshotAndMark(t *testing.T) {
 	env := NewEnv()
-	env.NowCycles = func() uint64 { return 777 }
+	env.Clock = cycles.NewClock()
+	env.Clock.Advance(777)
 	mem := newMem(64)
 	if _, err := env.Handle(Args{Nr: NrExit, A0: 3}, mem); err != nil {
 		t.Fatal(err)
@@ -274,23 +277,21 @@ func TestEnvUnknownHypercall(t *testing.T) {
 
 func TestEnvHostWorkCharging(t *testing.T) {
 	env := NewEnv()
-	var charged uint64
-	env.Charge = func(c uint64) { charged += c }
+	env.Clock = cycles.NewClock()
 	env.NetIn = []byte("req")
 	mem := newMem(256)
 	if _, err := env.Handle(Args{Nr: NrRecv, A0: SocketFD, A1: 0, A2: 16}, mem); err != nil {
 		t.Fatal(err)
 	}
-	if charged == 0 {
+	net := env.Clock.Now()
+	if net == 0 {
 		t.Fatal("socket hypercall charged no host work")
 	}
-	net := charged
-	charged = 0
 	copy(mem.b[0:], "/nope\x00")
 	if _, err := env.Handle(Args{Nr: NrStat, A0: 0}, mem); err != nil {
 		t.Fatal(err)
 	}
-	if charged == 0 || charged >= net {
+	if charged := env.Clock.Now() - net; charged == 0 || charged >= net {
 		t.Fatalf("file syscall (%d) should cost less than socket (%d)", charged, net)
 	}
 }
@@ -309,6 +310,59 @@ func TestReadCString(t *testing.T) {
 	if _, err := ReadCString(mem, 100, 32); err == nil {
 		t.Fatal("unterminated string accepted")
 	}
+}
+
+// TestReadCStringAtEndOfMemory: a string in the last 64 bytes of guest
+// memory reads as far as the end and no further, at every distance from
+// the end: terminated by the last byte it is found, with no terminator
+// before the end it is an error. A string clear of the last 64 bytes is
+// charged one 64-byte window, as before.
+func TestReadCStringAtEndOfMemory(t *testing.T) {
+	const size = 256
+	for d := 1; d <= 64; d++ {
+		mem := newMem(size)
+		at := uint64(size - d)
+		copy(mem.b[at:], strings.Repeat("a", d-1)+"\x00")
+		s, err := ReadCString(mem, at, 4096)
+		if err != nil || s != strings.Repeat("a", d-1) {
+			t.Fatalf("%d bytes from the end: ReadCString = %q, %v", d, s, err)
+		}
+		mem.b[size-1] = 'a'
+		if s, err := ReadCString(mem, at, 4096); err == nil {
+			t.Fatalf("%d bytes from the end: unterminated string read as %q", d, s)
+		}
+	}
+	if _, err := ReadCString(newMem(size), size, 4096); err == nil {
+		t.Fatal("a string at the end of memory read")
+	}
+	if _, err := ReadCString(newMem(size), size+1, 4096); err == nil {
+		t.Fatal("a string past the end of memory read")
+	}
+
+	mem := &chargedMem{fakeMem: newMem(size)}
+	copy(mem.b[size-65:], "/a.txt\x00")
+	if s, err := ReadCString(mem, size-65, 4096); err != nil || s != "/a.txt" || mem.read != 64 {
+		t.Fatalf("ReadCString = %q, %v after reading %d bytes, want one 64-byte window", s, err, mem.read)
+	}
+	mem.read = 0
+	copy(mem.b[size-8:], "/a.txt\x00")
+	if s, err := ReadCString(mem, size-8, 4096); err != nil || s != "/a.txt" || mem.read != 8 {
+		t.Fatalf("ReadCString = %q, %v after reading %d bytes, want the last 8", s, err, mem.read)
+	}
+}
+
+// chargedMem counts the bytes a reader copies out of guest memory.
+type chargedMem struct {
+	*fakeMem
+	read int
+}
+
+func (m *chargedMem) ReadGuest(addr uint64, n int) ([]byte, error) {
+	b, err := m.fakeMem.ReadGuest(addr, n)
+	if err == nil {
+		m.read += n
+	}
+	return b, err
 }
 
 func TestMemFS(t *testing.T) {
@@ -341,6 +395,30 @@ func TestMemFS(t *testing.T) {
 	}
 	if _, err := fs.Open("/nope"); err == nil {
 		t.Fatal("open of missing file should error at FS level")
+	}
+}
+
+// TestForkOfEmptyFSSharesPuts: an FS makes its maps on first write, and
+// a fork of one that has no files yet still shares one file map with it
+// and with every other fork, while descriptors stay per fork.
+func TestForkOfEmptyFSSharesPuts(t *testing.T) {
+	fs := NewFS()
+	a, b := fs.Fork(), fs.Fork()
+	a.Put("/a", []byte("from a"))
+	fs.Put("/shared", []byte("from the parent"))
+	for _, f := range []*FS{fs, a, b} {
+		if n, err := f.Stat("/a"); err != nil || n != len("from a") {
+			t.Fatalf("a fork's Put is not visible everywhere: Stat = %d, %v", n, err)
+		}
+		if _, err := f.Stat("/shared"); err != nil {
+			t.Fatalf("the parent's Put is not visible in its forks: %v", err)
+		}
+	}
+	if _, err := a.Open("/a"); err != nil {
+		t.Fatal(err)
+	}
+	if a.OpenCount() != 1 || b.OpenCount() != 0 || fs.OpenCount() != 0 {
+		t.Fatalf("open descriptors %d, %d, %d, want only the opening fork's", a.OpenCount(), b.OpenCount(), fs.OpenCount())
 	}
 }
 

@@ -21,30 +21,32 @@ type openFile struct {
 	off  int
 }
 
-// NewFS returns an empty filesystem.
+// NewFS returns an empty filesystem. It allocates only the FS: the file
+// map comes with the first Put or Fork, the descriptor table with the
+// first Open.
 func NewFS() *FS {
-	return &FS{
-		files: make(map[string][]byte),
-		fds:   make(map[int]*openFile),
-		next:  4, // 0-2 are std streams, 3 is the virtual socket
-	}
+	return &FS{next: 4} // 0-2 are std streams, 3 is the virtual socket
 }
 
 // Fork returns a filesystem sharing this one's file contents with a
 // fresh descriptor table: request-private open-file state over a common
 // static file set, at O(1) cost. The file map itself is shared, so
 // forks are for read-mostly serving paths — a Put on any fork is
-// visible to all of them and must not race in-flight reads.
+// visible to all of them and must not race in-flight reads. Forking a
+// filesystem that has no files yet creates its file map, so that too is
+// a write and must not race other forks.
 func (fs *FS) Fork() *FS {
-	return &FS{
-		files: fs.files,
-		fds:   make(map[int]*openFile),
-		next:  fs.next,
+	if fs.files == nil {
+		fs.files = make(map[string][]byte)
 	}
+	return &FS{files: fs.files, next: fs.next}
 }
 
 // Put installs (or replaces) a file.
 func (fs *FS) Put(path string, data []byte) {
+	if fs.files == nil {
+		fs.files = make(map[string][]byte)
+	}
 	fs.files[path] = append([]byte(nil), data...)
 }
 
@@ -71,6 +73,9 @@ func (fs *FS) Stat(path string) (int, error) {
 func (fs *FS) Open(path string) (int, error) {
 	if _, ok := fs.files[path]; !ok {
 		return 0, fmt.Errorf("memfs: open %s: no such file", path)
+	}
+	if fs.fds == nil {
+		fs.fds = make(map[int]*openFile)
 	}
 	fd := fs.next
 	fs.next++

@@ -210,8 +210,14 @@ func TestPanickingTaskFailsItsTicket(t *testing.T) {
 	// done waits without Wait, so only a resident can have run the ticket.
 	done := func(t *testing.T, tk *Ticket) error {
 		t.Helper()
+		finished := make(chan struct{})
+		go func() {
+			tk.done.Lock()
+			tk.done.Unlock()
+			close(finished)
+		}()
 		select {
-		case <-tk.done:
+		case <-finished:
 			return tk.err
 		case <-time.After(30 * time.Second):
 			t.Fatal("ticket never completed")

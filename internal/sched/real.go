@@ -119,7 +119,9 @@ func (c *realCore) submit(ts []*Ticket) (rejected []*Ticket) {
 		} else {
 			c.fifo = append(c.fifo, t)
 		}
+		// Queued: Wait may help serve it, and done is held until finish.
 		t.lender, t.queued = c, true
+		t.done.Lock()
 		t.DepthAtSubmit = c.queuedN // tickets already waiting ahead of this one
 		c.queuedN++
 		s.depth.Store(int64(c.queuedN))
@@ -448,7 +450,12 @@ func (a *admission) take(best *imageState) *Ticket {
 	}
 	t := best.queue[0]
 	best.queue[0] = nil
-	best.queue = best.queue[1:]
+	if len(best.queue) == 1 {
+		// Drained: keep the backing array for the next enqueue.
+		best.queue = best.queue[:0]
+	} else {
+		best.queue = best.queue[1:]
+	}
 	if len(best.queue) == 0 {
 		last := a.active[len(a.active)-1]
 		a.active[best.activeAt] = last

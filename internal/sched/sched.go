@@ -94,8 +94,12 @@ var errWork = errors.New("sched: request must set exactly one of Img, Fn and Cos
 // the work completes; the timing fields (Arrival, Start, Done, Worker,
 // DepthAtSubmit) are valid once Wait has returned.
 type Ticket struct {
-	run  Task
-	done chan struct{}
+	run Task
+	// done is held while the ticket sits in, or is served from, a real
+	// core's queue: locked at enqueue, unlocked by finish, so Wait blocks
+	// on it. A ticket no queue took, every virtual-mode ticket among
+	// them, is finished before its submit returns and never holds it.
+	done sync.Mutex
 	// hasArrival records whether the caller declared a virtual arrival
 	// time (SubmitAt/SubmitFnAt/SubmitBatchAt). Undeclared tickets take
 	// their worker's clock at dequeue as Arrival, so they report zero
@@ -177,24 +181,6 @@ type Ticket struct {
 	err error
 }
 
-// servedDone is every virtual-mode ticket's done channel, closed once:
-// the virtual core serves or rejects a ticket before submit returns, so
-// its Wait never blocks (and skips the receive). Real-mode tickets each
-// get their own.
-var servedDone = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
-
-// doneChan returns a new ticket's done channel.
-func (s *Scheduler) doneChan() chan struct{} {
-	if _, ok := s.core.(*realCore); ok {
-		return make(chan struct{})
-	}
-	return servedDone
-}
-
 // finish drops the ticket's work, freeing a run closure's captured
 // request environment, and unblocks its waiters. A batch's Ticket
 // structs (and their results) stay reachable while any one of them is
@@ -205,8 +191,8 @@ func (t *Ticket) finish() {
 		*t.cfg = wasp.RunConfig{}
 	}
 	t.run, t.img, t.cfg, t.elig = nil, nil, nil, nil
-	if t.done != servedDone {
-		close(t.done)
+	if t.lender != nil {
+		t.done.Unlock()
 	}
 }
 
@@ -215,13 +201,14 @@ func (t *Ticket) finish() {
 // On a real-mode ticket that is still queued, the caller first drives
 // an idle worker lane itself (realCore.help): it may run this ticket's
 // task and hypercall handler — or, when the fair pick says so, another
-// caller's — on its own goroutine.
+// caller's — on its own goroutine. A ticket no queue took (a virtual-mode
+// ticket, or one rejected at submit) was finished before its submit
+// returned, so Wait returns at once.
 func (t *Ticket) Wait() (*wasp.Result, error) {
-	if t.lender != nil {
-		t.lender.help(t)
-	}
-	if t.done != servedDone {
-		<-t.done
+	if c := t.lender; c != nil {
+		c.help(t)
+		t.done.Lock()
+		t.done.Unlock()
 	}
 	return t.res, t.err
 }
@@ -487,25 +474,25 @@ func (s *Scheduler) Wasp() *wasp.Wasp { return s.w }
 // Submit schedules one virtine execution — the asynchronous analogue of
 // wasp.Run. The returned Ticket is the future for its result.
 func (s *Scheduler) Submit(img *guest.Image, cfg wasp.RunConfig) *Ticket {
-	return s.submitBatch([]Request{{Img: img, Cfg: cfg}}, false)[0]
+	return s.submitOne(Request{Img: img, Cfg: cfg}, false)
 }
 
 // SubmitAt schedules a virtine execution arriving at the given virtual
 // time. The assigned worker's clock first advances to the arrival time,
 // so queueing delay is measured against it.
 func (s *Scheduler) SubmitAt(arrival uint64, img *guest.Image, cfg wasp.RunConfig) *Ticket {
-	return s.submitBatch([]Request{{Arrival: arrival, Img: img, Cfg: cfg}}, true)[0]
+	return s.submitOne(Request{Arrival: arrival, Img: img, Cfg: cfg}, true)
 }
 
 // SubmitFn schedules an arbitrary task on the worker pool.
 func (s *Scheduler) SubmitFn(fn Task) *Ticket {
-	return s.submitBatch([]Request{{Fn: fn}}, false)[0]
+	return s.submitOne(Request{Fn: fn}, false)
 }
 
 // SubmitFnAt schedules an arbitrary task arriving at the given virtual
 // time.
 func (s *Scheduler) SubmitFnAt(arrival uint64, fn Task) *Ticket {
-	return s.submitBatch([]Request{{Arrival: arrival, Fn: fn}}, true)[0]
+	return s.submitOne(Request{Arrival: arrival, Fn: fn}, true)
 }
 
 // SubmitBatch schedules a burst of requests in one shot: one ticket
@@ -535,8 +522,24 @@ type imageTicket struct {
 	cfg wasp.RunConfig
 }
 
-// submitBatch builds the tickets of a submission — every Submit variant
-// is a batch, single ones of one request — and routes them in.
+// oneTicket is the one allocation of a single submission: its ticket,
+// the run config beside it, and the one-element list the core takes.
+type oneTicket struct {
+	imageTicket
+	list [1]*Ticket
+}
+
+// submitOne builds and routes the ticket of a single submission.
+func (s *Scheduler) submitOne(r Request, hasArrival bool) *Ticket {
+	o := new(oneTicket)
+	o.list[0] = &o.Ticket
+	initTicket(&o.Ticket, &o.cfg, &r, hasArrival)
+	s.submitTickets(o.list[:])
+	return &o.Ticket
+}
+
+// submitBatch builds the tickets of a batch submission and routes them
+// in.
 func (s *Scheduler) submitBatch(reqs []Request, hasArrival bool) []*Ticket {
 	n := len(reqs)
 	if n == 0 {
@@ -558,30 +561,34 @@ func (s *Scheduler) submitBatch(reqs []Request, hasArrival bool) []*Ticket {
 	}
 	tickets := make([]*Ticket, n)
 	for i := range reqs {
-		r := &reqs[i]
-		var t *Ticket
 		if islab != nil {
-			t = &islab[i].Ticket
+			tickets[i] = &islab[i].Ticket
+			initTicket(tickets[i], &islab[i].cfg, &reqs[i], hasArrival)
 		} else {
-			t = &slab[i]
+			tickets[i] = &slab[i]
+			initTicket(tickets[i], nil, &reqs[i], hasArrival)
 		}
-		t.done, t.prefBE = s.doneChan(), -1
-		if hasArrival {
-			t.Arrival, t.hasArrival = r.Arrival, true
-		}
-		if r.Img != nil {
-			islab[i].cfg = r.Cfg
-			t.img, t.cfg = r.Img, &islab[i].cfg
-			t.Image, t.memBytes = r.Img.Name, r.Img.MemBytes()
-		}
-		t.run, t.cost = r.Fn, r.Cost
-		if r.Image != "" {
-			t.Image = r.Image // the tag overrides the image identity
-		}
-		tickets[i] = t
 	}
 	s.submitTickets(tickets)
 	return tickets
+}
+
+// initTicket fills a new ticket from its request. An image request's
+// config is copied to cfg, the slot beside the ticket.
+func initTicket(t *Ticket, cfg *wasp.RunConfig, r *Request, hasArrival bool) {
+	t.prefBE = -1
+	if hasArrival {
+		t.Arrival, t.hasArrival = r.Arrival, true
+	}
+	if r.Img != nil {
+		*cfg = r.Cfg
+		t.img, t.cfg = r.Img, cfg
+		t.Image, t.memBytes = r.Img.Name, r.Img.MemBytes()
+	}
+	t.run, t.cost = r.Fn, r.Cost
+	if r.Image != "" {
+		t.Image = r.Image // the tag overrides the image identity
+	}
 }
 
 // placeWeightsLocked computes the ticket's placement weights, one per

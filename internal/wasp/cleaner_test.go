@@ -221,7 +221,7 @@ func TestPoolCapacityBound(t *testing.T) {
 	}
 	// Shells released one at a time into a full class go to the host too.
 	for i := 0; i < 3; i++ {
-		w.release(vmm.CreateOn(vmm.KVM{}, mem, cycles.NewClock()), nil)
+		w.release(&shell{ctx: vmm.CreateOn(vmm.KVM{}, mem, cycles.NewClock())}, nil)
 	}
 	if n, d := w.PoolTotal(), w.PoolDropped(); n != maxPerClass || d != burst-maxPerClass+3 {
 		t.Fatalf("pool total %d, dropped %d after three more releases into a full class, want %d, %d",
@@ -242,7 +242,7 @@ func TestAsyncBacklogAndParkBounds(t *testing.T) {
 
 	const mem, n = 64 << 10, maxPerClass + 3
 	for i := 0; i < n; i++ {
-		w.release(vmm.CreateOn(vmm.KVM{}, mem, cycles.NewClock()), nil)
+		w.release(&shell{ctx: vmm.CreateOn(vmm.KVM{}, mem, cycles.NewClock())}, nil)
 	}
 	if got := w.PoolTotal(); got != maxPerClass {
 		t.Fatalf("pool total = %d, want %d (class cap)", got, maxPerClass)

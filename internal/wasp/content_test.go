@@ -72,7 +72,7 @@ func checkRuntime(w *Wasp) error {
 			// Take the parked shell to check it; release puts it back, or
 			// pools it if the snapshot left the registry meanwhile.
 			if c := s.unpark(); c != nil {
-				err := check("parked COW shell", c)
+				err := check("parked COW shell", c.ctx)
 				w.release(c, s)
 				if err != nil {
 					return err
@@ -107,8 +107,8 @@ func parkedOn(be *backend, name string) *vmm.Context {
 		return nil
 	}
 	defer snap.release()
-	if c := snap.cow.Load(); c != retired {
-		return c
+	if c := snap.cow.Load(); c != nil && c != retired {
+		return c.ctx
 	}
 	return nil
 }

@@ -1,10 +1,6 @@
 package wasp
 
-import (
-	"sync"
-
-	"repro/internal/vmm"
-)
+import "sync"
 
 // Concurrency structure of the runtime (§5.2, Fig 8).
 //
@@ -203,7 +199,7 @@ func (r *snapRegistry) has(name string) bool {
 // layer reference, or with a nil s drops name's. It retires the snapshot
 // it replaces or drops, if any, and returns the shell that was parked on
 // it for the caller to pool.
-func (r *snapRegistry) put(name string, s *snapshot) *vmm.Context {
+func (r *snapRegistry) put(name string, s *snapshot) *shell {
 	r.mu.Lock()
 	old := r.byImg[name]
 	delete(r.byImg, name)

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/cycles"
 	"repro/internal/guest"
+	"repro/internal/vmm"
 )
 
 // TestGuestMemOverflowBounds is the regression test for the wrapping
@@ -46,8 +48,9 @@ func TestGuestMemOverflowBounds(t *testing.T) {
 // succeeds exactly when [addr, addr+n) lies inside memory, by a bounds
 // oracle computed with a carry instead of the window arithmetic the
 // checks use. A successful read returns that range; a successful write
-// changes only that range and passes exactly it to mark. A success is
-// charged MemcpyCost(n), a failure nothing.
+// changes only that range and marks exactly its pages dirty on the
+// window's context. A success is charged MemcpyCost(n), a failure
+// nothing.
 func FuzzGuestMem(f *testing.F) {
 	f.Add(uint16(4096), ^uint64(0), int64(16), byte(1))  // addr = 2^64-1
 	f.Add(uint16(4096), uint64(4096), int64(0), byte(2)) // addr = len
@@ -55,7 +58,8 @@ func FuzzGuestMem(f *testing.F) {
 	f.Add(uint16(4096), uint64(8), int64(-1), byte(4))   // n < 0
 	f.Add(uint16(0), uint64(0), int64(1), byte(5))
 	f.Fuzz(func(t *testing.T, size uint16, addr uint64, n int64, fill byte) {
-		mem := make([]byte, size)
+		ctx := vmm.CreateOn(vmm.KVM{}, int(size), cycles.NewClock())
+		mem := ctx.Mem
 		for i := range mem {
 			mem[i] = byte(i)
 		}
@@ -64,8 +68,7 @@ func FuzzGuestMem(f *testing.F) {
 			end, carry := bits.Add64(addr, uint64(n), 0)
 			return n >= 0 && carry == 0 && end <= uint64(len(mem))
 		}
-		var marks [][2]uint64
-		g := guestMem{mem: mem, clk: cycles.NewClock(), mark: func(a uint64, k int) { marks = append(marks, [2]uint64{a, uint64(k)}) }}
+		g := guestMem{ctx: ctx, mem: mem, clk: cycles.NewClock()}
 
 		at := g.clk.Now()
 		out, err := g.ReadGuest(addr, int(n))
@@ -91,7 +94,7 @@ func FuzzGuestMem(f *testing.F) {
 			t.Fatalf("write [%#x,+%d) of %d bytes: err %v", addr, wn, len(mem), err)
 		}
 		if err != nil {
-			if g.clk.Now() != at || len(marks) != 0 || !bytes.Equal(mem, orig) {
+			if g.clk.Now() != at || ctx.DirtyCount() != 0 || !bytes.Equal(mem, orig) {
 				t.Fatal("a failed write was charged, marked or written")
 			}
 			return
@@ -99,8 +102,12 @@ func FuzzGuestMem(f *testing.F) {
 		if g.clk.Now()-at != cycles.MemcpyCost(int(wn)) {
 			t.Fatalf("write charged %d, want %d", g.clk.Now()-at, cycles.MemcpyCost(int(wn)))
 		}
-		if len(marks) != 1 || marks[0] != [2]uint64{addr, uint64(wn)} {
-			t.Fatalf("write of [%#x,+%d) marked %v", addr, wn, marks)
+		var pages []int
+		for p := addr / vmm.PageSize; wn > 0 && p <= (addr+uint64(wn)-1)/vmm.PageSize; p++ {
+			pages = append(pages, int(p))
+		}
+		if got := ctx.DirtyPages(); !slices.Equal(got, pages) {
+			t.Fatalf("write of [%#x,+%d) marked pages %v, want %v", addr, wn, got, pages)
 		}
 		copy(orig[addr:], data)
 		if !bytes.Equal(mem, orig) {

@@ -103,7 +103,6 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	if err != nil {
 		return nil, err
 	}
-	cfg.fill(clk)
 
 	start := clk.Now()
 	res := &Result{}
@@ -119,21 +118,23 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 
 	// COW resets apply to interpreted guests with snapshotting on.
 	cow := w.cow && cfg.Snapshot && w.snapEnable && img.Native == nil
-	ctx, resident, err := w.acquire(be, img, snap, cow, clk)
+	s, resident, err := w.acquire(be, img, snap, cow, clk)
 	if err != nil {
 		return nil, err
 	}
+	ctx := s.ctx
 	// Tier transitions (trace compiles, deopts) batch into the CPU's
 	// bounded log during the run and drain into the tracer at run end
 	// (drainTierLog), so the guest hot loop never pays an emit.
 	ctx.CPU.TierTrace = w.tracer.Enabled()
 	ctx.CPU.Legacy = w.legacyInterp
 	// One way out for the shell, error returns included: drain the tier
-	// log while this run still owns the context, then release it, parked
-	// on its snapshot for the image's next COW reset if the run completed
-	// and left one. A panic unwinding through the run (perhaps mid-Rebase,
-	// with a stale content record) leaves the shell's state unknown: it is
-	// dropped, and the panic goes on.
+	// log while this run still owns the context, clear the run's frame,
+	// then release the shell, parked on its snapshot for the image's next
+	// COW reset if the run completed and left one. A panic unwinding
+	// through the run (perhaps mid-Rebase, with a stale content record)
+	// leaves the shell's state unknown: it is dropped, and the panic goes
+	// on.
 	var park *snapshot // set when the run completes
 	defer func() {
 		w.drainTierLog(ctx)
@@ -141,8 +142,10 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 			w.poolDrops.Add(1)
 			panic(p)
 		}
-		w.release(ctx, park)
+		s.end()
+		w.release(s, park)
 	}()
+	rc, gm := s.begin(&cfg, clk)
 
 	ctx.FirstEntry = 0
 	// Shells are reused (a COW shell is not even reset), so the context's
@@ -150,7 +153,7 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	// finish turns them into this run's deltas.
 	res.Entries, res.IOExits, res.Retired, res.JIT = ctx.Entries, ctx.ExitsIO, ctx.CPU.Retired, ctx.CPU.Stats
 
-	boot, err := w.populate(be, ctx, img, &cfg, snap, resident, res, clk)
+	boot, err := w.populate(be, ctx, img, rc, snap, resident, res, clk)
 	if err != nil {
 		return nil, err
 	}
@@ -169,36 +172,34 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	// Marshal arguments at guest.ArgAddr (§6.1), charged here. A boot
 	// through a stub gets them at its hand-off (enter), so no recording
 	// of the stub's prefix ever holds them.
-	if len(cfg.Args) > guest.ArgMax {
-		return nil, fmt.Errorf("wasp: argument blob %d exceeds %d", len(cfg.Args), guest.ArgMax)
+	if len(rc.Args) > guest.ArgMax {
+		return nil, fmt.Errorf("wasp: argument blob %d exceeds %d", len(rc.Args), guest.ArgMax)
 	}
-	if len(cfg.Args) > 0 {
-		clk.Advance(cycles.MemcpyCost(len(cfg.Args)))
+	if len(rc.Args) > 0 {
+		clk.Advance(cycles.MemcpyCost(len(rc.Args)))
 	}
 	var handoff uint64
 	if snap == nil {
 		handoff = img.Handoff
 	}
 	if handoff == 0 {
-		writeArgs(ctx, cfg.Args)
+		writeArgs(ctx, rc.Args)
 	}
-
-	gm := &guestMem{mem: ctx.Mem, clk: clk, mark: ctx.HostWrite}
 
 	// Native images restored from a post-boot snapshot skip the CPU
 	// entirely; otherwise run the guest (boot stub or full program).
 	restoredNative := snap != nil && snap.booted && img.Native != nil
 	if !restoredNative {
-		if err := w.runGuest(be, ctx, img, &cfg, gm, res, boot, handoff, clk); err != nil {
+		if err := w.runGuest(be, ctx, img, rc, gm, res, boot, handoff, clk); err != nil {
 			return nil, err
 		}
 	}
-	if img.Native != nil && !cfg.Env.Exited {
-		if err := w.runNative(be, ctx, img, &cfg, gm, snap, clk); err != nil {
+	if img.Native != nil && !rc.Env.Exited {
+		if err := w.runNative(be, ctx, img, rc, gm, snap, clk); err != nil {
 			return nil, err
 		}
 	}
-	if err := w.finish(ctx, img, &cfg, res, start, clk); err != nil {
+	if err := w.finish(ctx, img, rc, res, start, clk); err != nil {
 		return nil, err
 	}
 	if cow {
@@ -222,8 +223,7 @@ func (cfg *RunConfig) fill(clk *cycles.Clock) {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = defaultMaxSteps
 	}
-	cfg.Env.NowCycles = clk.Now
-	cfg.Env.Charge = clk.Advance
+	cfg.Env.Clock = clk
 }
 
 // runNative enters a native image's workload (§6.5) with virtine

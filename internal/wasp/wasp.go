@@ -110,10 +110,49 @@ func (s *shellPages) add(written, kept int) int {
 	return written
 }
 
+// shell is the record of one vmm.Context for as long as the context
+// lives: the pool, the snapshot a shell parks on and the cleaner all
+// hold this same record, so handing a shell around allocates nothing.
+//
+// While a run owns the shell, the record also holds that run's frame:
+// its copy of the RunConfig, defaults filled (cfg), and its window into
+// guest memory (gm). begin fills the frame and end clears it before the
+// shell is pooled or parked, so a resting shell pins nothing of a run
+// that has finished: not its environment, handler, arguments or clock.
+// Only the window's ReadGuest scratch stays for the next run, and only
+// up to maxScratch bytes.
 type shell struct {
 	ctx    *vmm.Context
 	dirty  bool
 	owedIn uint64 // the cleaner's settlement period that owes this release; 0: none
+
+	cfg RunConfig
+	gm  guestMem
+}
+
+// maxScratch bounds the ReadGuest scratch a resting shell keeps: a run
+// that read more in one hypercall leaves it for the collector.
+const maxScratch = 16 << 10
+
+// begin fills the shell's run frame for one run on clk: cfg copied in
+// with its defaults supplied and its environment on clk, and a window
+// over the shell's memory charged to clk. It returns both; they are
+// valid until end.
+func (s *shell) begin(cfg *RunConfig, clk *cycles.Clock) (*RunConfig, *guestMem) {
+	s.cfg = *cfg
+	s.cfg.fill(clk)
+	s.gm = guestMem{ctx: s.ctx, mem: s.ctx.Mem, clk: clk, scratch: s.gm.scratch}
+	return &s.cfg, &s.gm
+}
+
+// end clears the run frame, keeping the window's scratch up to
+// maxScratch bytes.
+func (s *shell) end() {
+	scratch := s.gm.scratch
+	if cap(scratch) > maxScratch {
+		scratch = nil
+	}
+	s.cfg, s.gm = RunConfig{}, guestMem{scratch: scratch}
 }
 
 // snapshot is one image's reset point: a content-addressed layer whose
@@ -129,18 +168,18 @@ type snapshot struct {
 	// cow is the shell parked for the image's next COW reset (§7.2): its
 	// memory is a dirty-page delta over this snapshot, so it can serve no
 	// other. retired fills it once the snapshot has left its registry.
-	cow atomic.Pointer[vmm.Context]
+	cow atomic.Pointer[shell]
 }
 
 // retired marks the parking spot of a snapshot its registry has let go.
-var retired = new(vmm.Context)
+var retired = new(shell)
 
-// park leaves ctx on s for the next COW reset against s. It fails when a
-// shell is parked already or s has left its registry: the caller pools ctx.
-func (s *snapshot) park(ctx *vmm.Context) bool { return s.cow.CompareAndSwap(nil, ctx) }
+// park leaves sh on s for the next COW reset against s. It fails when a
+// shell is parked already or s has left its registry: the caller pools sh.
+func (s *snapshot) park(sh *shell) bool { return s.cow.CompareAndSwap(nil, sh) }
 
 // unpark takes the shell parked on s, or nil.
-func (s *snapshot) unpark() *vmm.Context {
+func (s *snapshot) unpark() *shell {
 	c := s.cow.Load()
 	if c == nil || c == retired || !s.cow.CompareAndSwap(c, nil) {
 		return nil
@@ -151,7 +190,7 @@ func (s *snapshot) unpark() *vmm.Context {
 // retire is s leaving its registry, which happens once: it drops the
 // registry's layer reference and returns the shell parked on s, if any,
 // for the caller to pool; nothing can park on s after. It tolerates nil.
-func (s *snapshot) retire() *vmm.Context {
+func (s *snapshot) retire() *shell {
 	if s == nil {
 		return nil
 	}
@@ -296,14 +335,14 @@ func (w *Wasp) platformNames() []string {
 // memory to populate's Rebase, which rewrites only the pages that differ
 // from what this run needs. Its zeroing cost lands on the request's
 // clock under Wasp+C and on the cleaner's ledger under Wasp+CA.
-func (w *Wasp) acquire(be *backend, img *guest.Image, snap *snapshot, cow bool, clk *cycles.Clock) (ctx *vmm.Context, resident bool, err error) {
+func (w *Wasp) acquire(be *backend, img *guest.Image, snap *snapshot, cow bool, clk *cycles.Clock) (s *shell, resident bool, err error) {
 	memBytes := img.MemBytes()
 	if cow && snap != nil {
-		if c := snap.unpark(); c != nil {
+		if s := snap.unpark(); s != nil {
 			clk.Advance(cycles.PoolAcquire)
-			c.Clock, c.CPU.Clock = clk, clk
+			s.ctx.Clock, s.ctx.CPU.Clock = clk, clk
 			w.shellEvent("shell-cow", memBytes, clk)
-			return c, true, nil
+			return s, true, nil
 		}
 	}
 	if s := be.pools.take(memBytes); s != nil { // pools stay empty with pooling off
@@ -324,10 +363,10 @@ func (w *Wasp) acquire(be *backend, img *guest.Image, snap *snapshot, cow bool, 
 				clk.Advance(cycles.ZeroCost(memBytes))
 			}
 		}
-		return s.ctx, false, nil
+		return s, false, nil
 	}
 	w.shellEvent("shell-cold", memBytes, clk)
-	return vmm.CreateOn(be.platform, memBytes, clk), false, nil
+	return &shell{ctx: vmm.CreateOn(be.platform, memBytes, clk)}, false, nil
 }
 
 // shellEvent records where a run's shell came from.
@@ -342,11 +381,12 @@ func (w *Wasp) shellEvent(src string, memBytes int, clk *cycles.Clock) {
 // takes it; otherwise pooled dirty, under Wasp+C and Wasp+CA alike, or
 // dropped for the host to reclaim when pooling is off or the size class
 // is at its capacity bound. Under Wasp+CA the backend's cleaner books the
-// release. A nil ctx is a no-op.
-func (w *Wasp) release(ctx *vmm.Context, on *snapshot) {
-	if ctx == nil || on != nil && on.park(ctx) || !w.pooling {
+// release. A nil s is a no-op.
+func (w *Wasp) release(s *shell, on *snapshot) {
+	if s == nil || on != nil && on.park(s) || !w.pooling {
 		return
 	}
+	ctx := s.ctx
 	be := w.byPlat[ctx.Platform().Name()]
 	if be == nil {
 		return // foreign context (tests building raw vmm state): drop it
@@ -358,7 +398,7 @@ func (w *Wasp) release(ctx *vmm.Context, on *snapshot) {
 	if tr := w.tracer; tr.Enabled() {
 		tr.Instant(obs.ControlLane, obs.KindRelease, "release", at, 0, uint64(len(ctx.Mem)), uint64(bit(be.cleaner != nil, 1)))
 	}
-	s := &shell{ctx: ctx, dirty: true}
+	s.dirty, s.owedIn = true, 0
 	if be.cleaner != nil {
 		be.cleaner.owe(s, len(ctx.Mem), at)
 	}
@@ -503,16 +543,17 @@ func (w *Wasp) CodeCacheStats() CodeStats {
 // guestMem is the bounds-checked GuestMem window handlers receive. Bulk
 // copies are charged to the run's clock at memcpy bandwidth: handler data
 // movement is critical-path host work (§6.3's doubly-expensive exits are
-// the entry/exit cost; this is the payload cost).
+// the entry/exit cost; this is the payload cost). A run's window lives
+// in its shell's run frame (shell.begin).
 type guestMem struct {
-	mem  []byte
-	clk  *cycles.Clock
-	mark func(addr uint64, n int) // dirty-page tracking hook (may be nil)
+	ctx *vmm.Context // marks the pages a write touches (HostWrite); nil: none
+	mem []byte
+	clk *cycles.Clock
 
-	// scratch is reused across ReadGuest calls so a hypercall-heavy run
-	// pays one buffer allocation, not one per call. The GuestMem
-	// contract permits this: the returned slice is only valid until the
-	// next ReadGuest.
+	// scratch backs what ReadGuest returns. The GuestMem contract lets
+	// one buffer serve every call, since the returned slice is only valid
+	// until the next ReadGuest, and the shell keeps it across runs up to
+	// maxScratch bytes, so a warm run's reads allocate nothing.
 	scratch []byte
 }
 
@@ -537,8 +578,8 @@ func (g *guestMem) WriteGuest(addr uint64, b []byte) error {
 	}
 	g.clk.Advance(cycles.MemcpyCost(len(b)))
 	copy(g.mem[addr:], b)
-	if g.mark != nil {
-		g.mark(addr, len(b))
+	if g.ctx != nil {
+		g.ctx.HostWrite(addr, len(b))
 	}
 	return nil
 }

@@ -477,9 +477,13 @@ func TestGuestMemBounds(t *testing.T) {
 // BenchmarkHypercallAllocs measures host-side allocations on the
 // hypercall data path: a guest making 8 write() hypercalls (each a
 // guestMem.ReadGuest of the payload) plus an 8-byte Result.Ret copy-out.
-// The scratch-buffer ReadGuest and the inline Ret buffer keep allocs/op
-// flat in the number of hypercalls; before them, every ReadGuest and
-// every copy-out allocated.
+// It reads 9 allocs/op, every one of them kept by the caller or made by
+// it: the caller's NewEnv (the Env and its FS) and clock, the Result,
+// four growths of the environment's Stdout buffer and the Result's copy
+// of it. The run itself allocates nothing per hypercall: ReadGuest
+// reuses the scratch its shell keeps across runs, exits are the CPU's
+// own record, and the run's config and guest-memory window live in the
+// shell (shell.begin). TestWarmRunAllocs gates the same path.
 func BenchmarkHypercallAllocs(b *testing.B) {
 	body := ""
 	for i := 0; i < 8; i++ {
