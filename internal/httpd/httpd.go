@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/cycles"
@@ -411,33 +410,30 @@ func (s *NativeFileServer) Serve(req []byte, clk *cycles.Clock) (*Response, erro
 	return parseResponse(resp.Bytes(), clk.Now()-start, 0)
 }
 
-// parseResponse validates and splits a raw HTTP response.
+// parseResponse validates and splits a raw HTTP response. The bytes are
+// the guest's, so it fails closed: the response opens with "HTTP/1.0 ",
+// then exactly three ASCII digits from 100 to 599 and a space. The body
+// is everything after the first blank line, nil when there is none.
 func parseResponse(raw []byte, cyc, exits uint64) (*Response, error) {
-	s := string(raw)
-	if !strings.HasPrefix(s, "HTTP/1.0 ") {
-		return nil, fmt.Errorf("httpd: malformed response %q", truncate(s, 40))
+	rest, ok := bytes.CutPrefix(raw, []byte("HTTP/1.0 "))
+	if !ok {
+		return nil, fmt.Errorf("httpd: malformed response %q", raw[:min(len(raw), 40)])
 	}
-	rest := s[len("HTTP/1.0 "):]
-	sp := strings.IndexByte(rest, ' ')
-	if sp < 0 {
+	if len(rest) < 4 || rest[3] != ' ' {
 		return nil, fmt.Errorf("httpd: malformed status line")
 	}
-	status, err := strconv.Atoi(rest[:sp])
-	if err != nil {
-		return nil, fmt.Errorf("httpd: bad status: %v", err)
+	status := 0
+	for _, c := range rest[:3] {
+		if c < '0' || c > '9' {
+			return nil, fmt.Errorf("httpd: bad status %q", rest[:3])
+		}
+		status = status*10 + int(c-'0')
 	}
-	var body []byte
-	if i := strings.Index(s, "\r\n\r\n"); i >= 0 {
-		body = raw[i+4:]
+	if status < 100 || status > 599 {
+		return nil, fmt.Errorf("httpd: bad status %d", status)
 	}
+	_, body, _ := bytes.Cut(raw, []byte("\r\n\r\n"))
 	return &Response{Raw: raw, Status: status, Body: body, Cycles: cyc, Exits: exits}, nil
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
 }
 
 // Request builds a GET request for path.

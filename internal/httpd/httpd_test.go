@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -276,6 +277,63 @@ func TestRequestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
+// badStatusLines are status lines a guest could write that name no HTTP
+// status: a sign, a short or long number, no number at all.
+var badStatusLines = []string{"HTTP/1.0 -7 x", "HTTP/1.0 0 x", "HTTP/1.0 99999999 x", "HTTP/1.0 +200 OK"}
+
+// TestParseResponseStatus: the status line is the guest's bytes, so
+// only three ASCII digits from 100 to 599 followed by a space parse.
+func TestParseResponseStatus(t *testing.T) {
+	rejected := append([]string{"HTTP/1.0 099 x", "HTTP/1.0 600 x", "HTTP/1.0 2000 x",
+		"HTTP/1.0 200\r\n\r\n", "HTTP/1.0  200 OK"}, badStatusLines...)
+	for _, line := range rejected {
+		if resp, err := parseResponse([]byte(line), 0, 0); err == nil {
+			t.Errorf("%q parsed as status %d", line, resp.Status)
+		}
+	}
+	for line, want := range map[string]int{"HTTP/1.0 100 Continue": 100, "HTTP/1.0 599 x\r\n\r\nbody": 599} {
+		if resp, err := parseResponse([]byte(line), 0, 0); err != nil || resp.Status != want {
+			t.Errorf("%q: response %v, err %v; want status %d", line, resp, err, want)
+		}
+	}
+}
+
+// FuzzParseResponse feeds parseResponse arbitrary guest bytes: it never
+// panics, and a response it accepts opens with "HTTP/1.0 ", a status
+// from 100 to 599 written as three digits and a space, and a body that
+// is exactly the bytes after the first blank line (nil without one).
+func FuzzParseResponse(f *testing.F) {
+	n := NewNativeFileServer(testFiles())
+	for _, path := range []string{"/index.html", "/big.bin", "/missing"} {
+		resp, err := n.Serve(Request(path), cycles.NewClock())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(resp.Raw)
+	}
+	for _, line := range badStatusLines {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		resp, err := parseResponse(raw, 0, 0)
+		if err != nil {
+			return
+		}
+		status, _ := strconv.Atoi(string(raw[min(len(raw), 9):min(len(raw), 12)]))
+		if !bytes.HasPrefix(raw, []byte("HTTP/1.0 ")) || len(raw) < 13 || raw[12] != ' ' ||
+			resp.Status != status || status < 100 || status > 599 {
+			t.Fatalf("%q accepted with status %d", raw, resp.Status)
+		}
+		want := []byte(nil)
+		if i := bytes.Index(raw, []byte("\r\n\r\n")); i >= 0 {
+			want = raw[i+4:]
+		}
+		if !bytes.Equal(resp.Body, want) || (want == nil) != (resp.Body == nil) {
+			t.Fatalf("%q: body %q, want %q", raw, resp.Body, want)
+		}
+	})
+}
+
 // TestFileServerFailedReadReturns500 is the regression test for the
 // guest handler swallowing a failed read: a negative return from
 // read() used to be added to the response length, sending a garbled
@@ -448,23 +506,29 @@ func TestServeTenantsPlaced(t *testing.T) {
 	}
 }
 
-// BenchmarkColdBoot serves one request at a time on a Wasp+CA runtime
-// with snapshotting off: http_pooled's request without the scheduler.
-// Every request boots a fresh virtine; after the first, each replays the
-// recorded boot stub up to its hand-off and executes the rest
-// (replays/op).
-func BenchmarkColdBoot(b *testing.B) {
+// coldBootServer is a file server on a Wasp+CA runtime with
+// snapshotting off: http_pooled's request without the scheduler. Every
+// request boots a fresh virtine; the server has served one request, so
+// each later one replays the recorded boot stub up to its hand-off and
+// executes the rest. replays reads the boot replays so far.
+func coldBootServer(tb testing.TB) (s *FileServer, replays func() float64) {
 	w := wasp.New(wasp.WithAsyncClean(true))
 	s, err := NewFileServer(w, testFiles())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s.Snapshot = false
-	req := Request("/index.html")
-	replays := func() float64 { return metric(w, "wasp_boot_replays{platform=kvm}") }
-	if _, err := s.Serve(req, cycles.NewClock()); err != nil { // the recording boot
-		b.Fatal(err)
+	if _, err := s.Serve(Request("/index.html"), cycles.NewClock()); err != nil { // the recording boot
+		tb.Fatal(err)
 	}
+	return s, func() float64 { return metric(w, "wasp_boot_replays{platform=kvm}") }
+}
+
+// BenchmarkColdBoot serves one request at a time through coldBootServer
+// (replays/op).
+func BenchmarkColdBoot(b *testing.B) {
+	s, replays := coldBootServer(b)
+	req := Request("/index.html")
 	before := replays()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -474,6 +538,24 @@ func BenchmarkColdBoot(b *testing.B) {
 		}
 	}
 	b.ReportMetric((replays()-before)/float64(b.N), "replays/op")
+}
+
+// TestColdBootServeAllocs gates a replayed cold boot through
+// FileServer.Serve, on the caller's clock, at the allocations it makes
+// now: 8. The response is parsed on the guest's bytes; copying it into a
+// string made 9.
+func TestColdBootServeAllocs(t *testing.T) {
+	s, _ := coldBootServer(t)
+	req, clk := Request("/index.html"), cycles.NewClock()
+	n := testing.AllocsPerRun(50, func() {
+		if resp, err := s.Serve(req, clk); err != nil || resp.Status != 200 {
+			t.Fatalf("status %v, err %v", resp, err)
+		}
+	})
+	t.Logf("%v allocations per replayed cold boot", n)
+	if n > 8 {
+		t.Fatalf("a replayed cold boot through Serve makes %v allocations, want at most 8", n)
+	}
 }
 
 // tenantHandlerC is a test copy of the benchmark harness's tenant handler

@@ -19,11 +19,13 @@ import (
 // consumed in a fixed order (arrival gap, then service draw, per
 // ticket), no global state, no wall clock. Same seed, same trace, bit
 // for bit; distinct seeds (or the documented per-image seed offsets in
-// ClusterMix) give independent streams. Generated requests are
-// cost-model tickets (sched.Request.Cost: the drawn service cost, in
-// cycles, tagged with the image name) that the serving worker's clock
-// advances by with no call, so million-ticket traces cost the host
-// almost nothing beyond the dispatch decisions under test.
+// ClusterMix) give independent streams. Tiers are drawn as pointer-free
+// records sorted by arrival, and ClusterMix merges them into one exactly
+// sized trace, writing each request once. Its requests are cost-model
+// tickets (sched.Request.Cost: the drawn service cost, in cycles, tagged
+// with the image name) that the serving worker's clock advances by with
+// no call, so million-ticket traces cost the host almost nothing beyond
+// the dispatch decisions under test.
 
 // TraceRNG is a splitmix64 PRNG: tiny, fast, and fully determined by
 // its seed. It is deliberately not math/rand — the generator's output
@@ -88,69 +90,93 @@ func (p ServiceProfile) Draw(rng *TraceRNG) uint64 {
 	return max(p.Base+uint64(float64(p.Base)*p.Spread*rng.Float64()), 1)
 }
 
-// PoissonTrace generates image arrivals as a Poisson process at
-// ratePerSec over horizon cycles: independent exponential inter-arrival
-// gaps, one service draw per ticket.
-func PoissonTrace(seed uint64, image string, ratePerSec float64, horizon uint64, svc ServiceProfile) []sched.Request {
-	rng := NewTraceRNG(seed)
-	meanGap := float64(cycles.Frequency) / ratePerSec
-	var reqs []sched.Request
-	at := uint64(rng.Exp(meanGap))
-	for at < horizon {
-		reqs = append(reqs, sched.Request{Arrival: at, Image: image, Cost: svc.Draw(rng)})
-		at += uint64(rng.Exp(meanGap)) + 1
+// arrival is one drawn ticket before it is named: its arrival and its
+// service cost, in cycles. A record holds no pointer, so drawing a tier
+// writes 16 bytes a ticket with no write barrier and leaves nothing for
+// the GC to scan; ClusterMix names each record once, in the trace.
+type arrival struct{ at, cost uint64 }
+
+func byArrival(a, b arrival) int { return cmp.Compare(a.at, b.at) }
+
+// expectedRecords sizes a tier expected to draw mean records: mean plus
+// four standard deviations, or nothing for a mean not positive or huge.
+func expectedRecords(mean float64) int {
+	if !(mean > 0 && mean < 1<<30) {
+		return 0
 	}
-	return reqs
+	return int(mean+4*math.Sqrt(mean)) + 1
 }
 
-// DiurnalTrace generates a Poisson process whose rate follows a daily
-// curve compressed into the horizon: rate(t) = base + amp ×
+// poissonTrace draws arrivals as a Poisson process at ratePerSec over
+// horizon cycles: independent exponential inter-arrival gaps, one
+// service draw per ticket.
+func poissonTrace(seed uint64, ratePerSec float64, horizon uint64, svc ServiceProfile) []arrival {
+	rng := NewTraceRNG(seed)
+	meanGap := float64(cycles.Frequency) / ratePerSec
+	recs := make([]arrival, 0, expectedRecords(float64(horizon)/meanGap))
+	at := uint64(rng.Exp(meanGap))
+	for at < horizon {
+		recs = append(recs, arrival{at, svc.Draw(rng)})
+		at += uint64(rng.Exp(meanGap)) + 1
+	}
+	return recs
+}
+
+// diurnalTrace draws a Poisson process whose rate follows a daily curve
+// compressed into the horizon: rate(t) = base + amp ×
 // (1+sin(2πt/period))/2, sampled by thinning against the peak rate —
 // the standard way to draw a non-homogeneous Poisson process without
 // changing the gap distribution's seed contract. Each candidate
 // arrival consumes two draws (gap, thinning), plus one more when
 // accepted (service).
-func DiurnalTrace(seed uint64, image string, baseRate, ampRate float64, period, horizon uint64, svc ServiceProfile) []sched.Request {
+func diurnalTrace(seed uint64, baseRate, ampRate float64, period, horizon uint64, svc ServiceProfile) []arrival {
 	rng := NewTraceRNG(seed)
 	peak := baseRate + ampRate
 	meanGap := float64(cycles.Frequency) / peak
-	var reqs []sched.Request
+	recs := make([]arrival, 0, expectedRecords((baseRate+ampRate/2)*float64(horizon)/float64(cycles.Frequency)))
 	at := uint64(rng.Exp(meanGap))
 	for at < horizon {
 		phase := 2 * math.Pi * float64(at%period) / float64(period)
 		rate := baseRate + ampRate*(1+math.Sin(phase))/2
 		if rng.Float64() < rate/peak {
-			reqs = append(reqs, sched.Request{Arrival: at, Image: image, Cost: svc.Draw(rng)})
+			recs = append(recs, arrival{at, svc.Draw(rng)})
 		}
 		at += uint64(rng.Exp(meanGap)) + 1
 	}
-	return reqs
+	return recs
 }
 
-// FlashCrowdTrace generates a sparse Poisson background plus `crowds`
+// flashCrowdTrace draws a sparse Poisson background plus `crowds`
 // evenly spaced flash crowds: at each crowd, burstSize arrivals land
 // within a window one-tenth of the crowd spacing, uniformly — the
-// workload autoscalers fail on when they only track averages.
-func FlashCrowdTrace(seed uint64, image string, baseRate float64, crowds, burstSize int, horizon uint64, svc ServiceProfile) []sched.Request {
+// workload autoscalers fail on when they only track averages. Only the
+// bursts are sorted, then merged into the sorted background: equal
+// arrivals keep background first and bursts in draw order, as a stable
+// sort of the background followed by the bursts orders them.
+func flashCrowdTrace(seed uint64, baseRate float64, crowds, burstSize int, horizon uint64, svc ServiceProfile) []arrival {
 	rng := NewTraceRNG(seed)
-	reqs := PoissonTrace(rng.Uint64(), image, baseRate, horizon, svc)
-	if crowds < 1 {
-		crowds = 1
-	}
+	bg := poissonTrace(rng.Uint64(), baseRate, horizon, svc)
+	crowds = max(crowds, 1)
 	spacing := horizon / uint64(crowds+1)
-	window := spacing / 10
-	if window == 0 {
-		window = 1
-	}
+	window := max(spacing/10, 1)
+	bursts := make([]arrival, 0, crowds*max(burstSize, 0))
 	for c := 1; c <= crowds; c++ {
 		start := spacing * uint64(c)
 		for i := 0; i < burstSize; i++ {
 			at := start + uint64(float64(window)*rng.Float64())
-			reqs = append(reqs, sched.Request{Arrival: at, Image: image, Cost: svc.Draw(rng)})
+			bursts = append(bursts, arrival{at, svc.Draw(rng)})
 		}
 	}
-	sortByArrival(reqs)
-	return reqs
+	slices.SortStableFunc(bursts, byArrival)
+	recs := make([]arrival, 0, len(bg)+len(bursts))
+	for len(bg) > 0 && len(bursts) > 0 {
+		if bursts[0].at < bg[0].at {
+			recs, bursts = append(recs, bursts[0]), bursts[1:]
+		} else {
+			recs, bg = append(recs, bg[0]), bg[1:]
+		}
+	}
+	return append(append(recs, bg...), bursts...)
 }
 
 // sortByArrival stable-sorts a trace by arrival: equal arrivals keep
@@ -165,39 +191,41 @@ func sortByArrival(reqs []sched.Request) {
 // per-image seed offsets off the caller's seed (seed+1 … seed+4 — part
 // of the seed contract).
 // scale multiplies every tier's arrival rate; horizon is the trace
-// length in cycles. Every tier comes out of its generator sorted by
-// arrival, so one merge orders the result: equal arrivals keep tier
-// order, exactly the order a stable sort of the concatenated tiers
-// gives.
+// length in cycles. Every tier comes out of its generator as records
+// sorted by arrival, so one merge writes the result: equal arrivals
+// keep tier order, exactly the order a stable sort of the concatenated
+// tiers gives.
 func ClusterMix(seed uint64, scale float64, horizon uint64) []sched.Request {
 	const F = uint64(cycles.Frequency)
-	return mergeByArrival(
-		PoissonTrace(seed+1, "api", 120*scale, horizon,
+	return mergeByArrival([]string{"api", "web", "batch", "spike"},
+		poissonTrace(seed+1, 120*scale, horizon,
 			ServiceProfile{Base: F / 500, Spread: 0.5}), // ~2-3 ms
-		DiurnalTrace(seed+2, "web", 30*scale, 90*scale, horizon/2, horizon,
+		diurnalTrace(seed+2, 30*scale, 90*scale, horizon/2, horizon,
 			ServiceProfile{Base: F / 200, Spread: 1.0}), // ~5-10 ms, two "days"
-		PoissonTrace(seed+3, "batch", 6*scale, horizon,
+		poissonTrace(seed+3, 6*scale, horizon,
 			ServiceProfile{Base: F / 100, TailAlpha: 1.3, TailCap: F / 4}), // 10 ms, Pareto tail to 250 ms
-		FlashCrowdTrace(seed+4, "spike", 4*scale, 3, int(160*scale), horizon,
+		flashCrowdTrace(seed+4, 4*scale, 3, int(160*scale), horizon,
 			ServiceProfile{Base: F / 400, Spread: 0.3})) // 3 crowds
 }
 
-// mergeByArrival merges arrival-sorted tiers into one exactly sized
-// trace, sorted by arrival with ties in tier order.
-func mergeByArrival(tiers ...[]sched.Request) []sched.Request {
+// mergeByArrival merges arrival-sorted record tiers into one exactly
+// sized trace, sorted by arrival with ties in tier order, naming tier
+// i's requests images[i]. Each request is written once, in place.
+func mergeByArrival(images []string, tiers ...[]arrival) []sched.Request {
 	n := 0
 	for _, t := range tiers {
 		n += len(t)
 	}
-	out := make([]sched.Request, 0, n)
-	for len(out) < n {
+	out := make([]sched.Request, n)
+	for i := range out {
 		next := -1
-		for i, t := range tiers {
-			if len(t) > 0 && (next < 0 || t[0].Arrival < tiers[next][0].Arrival) {
-				next = i
+		for j, t := range tiers {
+			if len(t) > 0 && (next < 0 || t[0].at < tiers[next][0].at) {
+				next = j
 			}
 		}
-		out = append(out, tiers[next][0])
+		r, a := &out[i], tiers[next][0]
+		r.Arrival, r.Image, r.Cost = a.at, images[next], a.cost
 		tiers[next] = tiers[next][1:]
 	}
 	return out

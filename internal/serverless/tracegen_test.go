@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cycles"
 	"repro/internal/sched"
@@ -37,13 +40,13 @@ func TestTraceGeneratorSeedContract(t *testing.T) {
 		t.Fatal("different seeds must give different traces")
 	}
 
-	p1 := PoissonTrace(7, "img", 100, F, svc)
-	p2 := PoissonTrace(7, "img", 100, F, svc)
+	p1 := poissonTrace(7, 100, F, svc)
+	p2 := poissonTrace(7, 100, F, svc)
 	if len(p1) == 0 || len(p1) != len(p2) {
 		t.Fatalf("poisson reproducibility: %d vs %d", len(p1), len(p2))
 	}
 	for i := range p1 {
-		if p1[i].Arrival != p2[i].Arrival {
+		if p1[i].at != p2[i].at {
 			t.Fatalf("poisson arrival %d diverged", i)
 		}
 	}
@@ -53,16 +56,16 @@ func TestTraceGeneratorSeedContract(t *testing.T) {
 // service profile actually produces a tail.
 func TestTraceGeneratorShapes(t *testing.T) {
 	const F = uint64(cycles.Frequency)
-	reqs := PoissonTrace(1, "img", 200, 4*F, ServiceProfile{Base: 1000})
+	reqs := poissonTrace(1, 200, 4*F, ServiceProfile{Base: 1000})
 	got := float64(len(reqs)) / 4
 	if got < 150 || got > 250 {
 		t.Fatalf("poisson rate 200/s came out at %.0f/s", got)
 	}
 
-	tail := PoissonTrace(2, "img", 500, 2*F, ServiceProfile{Base: 1000, TailAlpha: 1.2, TailCap: 1_000_000})
+	tail := poissonTrace(2, 500, 2*F, ServiceProfile{Base: 1000, TailAlpha: 1.2, TailCap: 1_000_000})
 	over := 0
 	for _, r := range tail {
-		if r.Cost >= 10_000 {
+		if r.cost >= 10_000 {
 			over++
 		}
 	}
@@ -75,10 +78,10 @@ func TestTraceGeneratorShapes(t *testing.T) {
 
 	// Diurnal: the busy half of the curve must carry more arrivals than
 	// the quiet half.
-	d := DiurnalTrace(3, "web", 20, 200, 2*F, 2*F, ServiceProfile{Base: 1000})
+	d := diurnalTrace(3, 20, 200, 2*F, 2*F, ServiceProfile{Base: 1000})
 	var first, second int
 	for _, r := range d {
-		if r.Arrival < F {
+		if r.at < F {
 			first++
 		} else {
 			second++
@@ -89,35 +92,44 @@ func TestTraceGeneratorShapes(t *testing.T) {
 	}
 
 	// Flash crowd: a crowd window must be far denser than the background.
-	fc := FlashCrowdTrace(4, "spike", 2, 1, 500, 2*F, ServiceProfile{Base: 1000})
+	fc := flashCrowdTrace(4, 2, 1, 500, 2*F, ServiceProfile{Base: 1000})
 	if len(fc) < 500 {
 		t.Fatalf("flash crowd lost arrivals: %d", len(fc))
 	}
 	for i := 1; i < len(fc); i++ {
-		if fc[i].Arrival < fc[i-1].Arrival {
+		if fc[i].at < fc[i-1].at {
 			t.Fatalf("trace must be arrival-sorted at %d", i)
 		}
 	}
-}
 
-// clusterTiers is ClusterMix's four tiers as its generators return them,
-// before the merge: the reference side of TestClusterMixMatchesStableSort.
-func clusterTiers(seed uint64, scale float64, horizon uint64) [][]sched.Request {
-	const F = uint64(cycles.Frequency)
-	return [][]sched.Request{
-		PoissonTrace(seed+1, "api", 120*scale, horizon, ServiceProfile{Base: F / 500, Spread: 0.5}),
-		DiurnalTrace(seed+2, "web", 30*scale, 90*scale, horizon/2, horizon, ServiceProfile{Base: F / 200, Spread: 1.0}),
-		PoissonTrace(seed+3, "batch", 6*scale, horizon, ServiceProfile{Base: F / 100, TailAlpha: 1.3, TailCap: F / 4}),
-		FlashCrowdTrace(seed+4, "spike", 4*scale, 3, int(160*scale), horizon, ServiceProfile{Base: F / 400, Spread: 0.3}),
+	// Every tier's rate is zero at scale 0: nothing is drawn.
+	if n := len(ClusterMix(1, 0, 2*F)); n != 0 {
+		t.Fatalf("scale 0 drew %d requests", n)
 	}
 }
 
-// stableSortReference concatenates the tiers and stable-sorts them by
-// arrival: the order ClusterMix's merge must reproduce.
-func stableSortReference(tiers [][]sched.Request) []sched.Request {
+// clusterTiers is ClusterMix's four tiers and their image names as its
+// generators return them, before the merge: the reference side of
+// TestClusterMixMatchesStableSort.
+func clusterTiers(seed uint64, scale float64, horizon uint64) ([]string, [][]arrival) {
+	const F = uint64(cycles.Frequency)
+	return []string{"api", "web", "batch", "spike"}, [][]arrival{
+		poissonTrace(seed+1, 120*scale, horizon, ServiceProfile{Base: F / 500, Spread: 0.5}),
+		diurnalTrace(seed+2, 30*scale, 90*scale, horizon/2, horizon, ServiceProfile{Base: F / 200, Spread: 1.0}),
+		poissonTrace(seed+3, 6*scale, horizon, ServiceProfile{Base: F / 100, TailAlpha: 1.3, TailCap: F / 4}),
+		flashCrowdTrace(seed+4, 4*scale, 3, int(160*scale), horizon, ServiceProfile{Base: F / 400, Spread: 0.3}),
+	}
+}
+
+// stableSortReference concatenates the tiers, naming tier i's requests
+// images[i], and stable-sorts them by arrival: the order ClusterMix's
+// merge must reproduce.
+func stableSortReference(images []string, tiers [][]arrival) []sched.Request {
 	var reqs []sched.Request
-	for _, tier := range tiers {
-		reqs = append(reqs, tier...)
+	for i, tier := range tiers {
+		for _, a := range tier {
+			reqs = append(reqs, sched.Request{Arrival: a.at, Image: images[i], Cost: a.cost})
+		}
 	}
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
 	return reqs
@@ -137,21 +149,24 @@ func sameTrace(t *testing.T, what string, got, want []sched.Request) {
 	}
 }
 
-// collidingTiers builds four arrival-sorted tiers whose arrivals are
-// drawn from ten values, so nearly every request ties with requests of
-// the other tiers; each request's service draw names its tier and index.
-func collidingTiers() [][]sched.Request {
+// collidingTiers builds four arrival-sorted tiers and their image names,
+// with arrivals drawn from ten values, so nearly every request ties with
+// requests of the other tiers; each request's service draw names its
+// tier and index.
+func collidingTiers() ([]string, [][]arrival) {
 	rng := NewTraceRNG(9)
-	var tiers [][]sched.Request
+	var images []string
+	var tiers [][]arrival
 	for tier := 0; tier < 4; tier++ {
-		reqs := make([]sched.Request, 50+tier*7)
-		for i := range reqs {
-			reqs[i] = sched.Request{Arrival: rng.Uint64() % 10, Image: fmt.Sprint("tier", tier), Cost: uint64(tier*1000 + i)}
+		recs := make([]arrival, 50+tier*7)
+		for i := range recs {
+			recs[i] = arrival{at: rng.Uint64() % 10, cost: uint64(tier*1000 + i)}
 		}
-		sortByArrival(reqs)
-		tiers = append(tiers, reqs)
+		slices.SortStableFunc(recs, byArrival)
+		images = append(images, fmt.Sprint("tier", tier))
+		tiers = append(tiers, recs)
 	}
-	return tiers
+	return images, tiers
 }
 
 // traceDigest is an FNV-1a digest over every request's arrival, image
@@ -178,9 +193,47 @@ func TestClusterMixMatchesStableSort(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		sameTrace(t, fmt.Sprintf("seed %d", seed), ClusterMix(seed, 60, 2*F), stableSortReference(clusterTiers(seed, 60, 2*F)))
 	}
-	tiers := collidingTiers()
-	want := stableSortReference(tiers)
-	sameTrace(t, "colliding tiers", mergeByArrival(tiers...), want)
+	images, tiers := collidingTiers()
+	want := stableSortReference(images, tiers)
+	sameTrace(t, "colliding tiers", mergeByArrival(images, tiers...), want)
+}
+
+// TestFlashCrowdMergeMatchesStableSort: the flash-crowd tier merges its
+// sorted bursts into its background exactly as a stable sort of the
+// background followed by the bursts orders them. The reference draws as
+// the generator does (the background's seed, then each crowd's bursts in
+// order), on crowds 100 cycles apart with a 10-cycle window and a
+// background arrival every ~2 cycles, so bursts tie with each other and
+// with the background.
+func TestFlashCrowdMergeMatchesStableSort(t *testing.T) {
+	const horizon, crowds, burst, spacing, window = 400, 3, 8, 100, 10
+	svc := ServiceProfile{Base: 1000, Spread: 1}
+	rate := float64(cycles.Frequency) / 2
+	ties := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := NewTraceRNG(seed)
+		want := poissonTrace(rng.Uint64(), rate, horizon, svc)
+		background := map[uint64]bool{}
+		for _, a := range want {
+			background[a.at] = true
+		}
+		for c := uint64(1); c <= crowds; c++ {
+			for i := 0; i < burst; i++ {
+				a := arrival{c*spacing + uint64(window*rng.Float64()), svc.Draw(rng)}
+				if background[a.at] {
+					ties++
+				}
+				want = append(want, a)
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if got := flashCrowdTrace(seed, rate, crowds, burst, horizon, svc); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: flash crowd %v, reference %v", seed, got, want)
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no burst tied with a background arrival: the case under test never arose")
+	}
 }
 
 // TestClusterMixDigest pins seed 1's cluster_sim trace (scale 60, 24
@@ -195,7 +248,29 @@ func TestClusterMixDigest(t *testing.T) {
 	if n, got, want := len(reqs), traceDigest(reqs), uint64(0x4f7297f7a82ba179); n != 324149 || got != want {
 		t.Errorf("seed 1: %d requests, digest %#x; want 324149, %#x", n, got, want)
 	}
-	if got, want := traceDigest(mergeByArrival(collidingTiers()...)), uint64(0x7a9fc9bb85da70a7); got != want {
+	images, tiers := collidingTiers()
+	if got, want := traceDigest(mergeByArrival(images, tiers...)), uint64(0x7a9fc9bb85da70a7); got != want {
 		t.Errorf("colliding tiers: digest %#x, want %#x", got, want)
+	}
+}
+
+// TestClusterMixAllocs: building the cluster_sim workload's trace (seed
+// 1, scale 60, 24 virtual seconds) allocates at most 1.25× the trace it
+// returns, in at most 32 objects. The tiers are pointer-free records
+// sized to their expected draws, and the merge writes each request once
+// into one exactly sized slice; a generator that grows []sched.Request,
+// or a merge that copies the trace, fails here. Measured on the test's
+// own goroutine, with no other test running.
+func TestClusterMixAllocs(t *testing.T) {
+	const F = uint64(cycles.Frequency)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	reqs := ClusterMix(1, 60, 24*F)
+	runtime.ReadMemStats(&after)
+	out := float64(uintptr(len(reqs)) * unsafe.Sizeof(sched.Request{}))
+	ratio, objs := float64(after.TotalAlloc-before.TotalAlloc)/out, after.Mallocs-before.Mallocs
+	t.Logf("%d requests: %.2fx the trace's %.1f MB, %d objects", len(reqs), ratio, out/1e6, objs)
+	if ratio > 1.25 || objs > 32 {
+		t.Fatalf("ClusterMix allocates %.2fx its output in %d objects; want at most 1.25x and 32", ratio, objs)
 	}
 }

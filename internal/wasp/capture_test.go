@@ -3,6 +3,7 @@ package wasp
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -246,47 +247,79 @@ const forkAsm = `
 	hlt
 `
 
-// BenchmarkForkLifecycle is fork_storm's request in miniature: on a
-// two-backend COW runtime whose base layer is warm on both backends, a
-// new tenant boots and captures on kvm, runs again as a COW reset,
-// migrates to hyper-v as a delta, restores there, and is dropped.
-// Reports the pages hashed per lifecycle (captures plus the importer's
-// re-hashes) and the blob bytes shipped beside ns/op.
-func BenchmarkForkLifecycle(b *testing.B) {
+// forkLifecycle is fork_storm's request in miniature on a fresh
+// two-backend COW runtime whose base layer is warm on both backends:
+// lifecycle(id) boots and captures a new tenant on kvm, runs it again as
+// a COW reset, migrates it to hyper-v as a delta, restores it there and
+// drops it, returning the blob bytes shipped. ids start at 2; hashes
+// reads the pages hashed so far (captures plus the importer's
+// re-hashes).
+func forkLifecycle(tb testing.TB) (lifecycle func(id uint64) int, hashes func() uint64) {
 	kvm, hv := vmm.KVM{}.Name(), vmm.HyperV{}.Name()
 	w := New(WithCOW(true), WithPlatforms(vmm.KVM{}, vmm.HyperV{}))
 	base := guest.MustFromAsm("fork", guest.WrapLongMode(forkAsm))
 	run := func(platform string, img *guest.Image, id uint64, restored bool) {
 		res, err := w.RunOn(platform, img, RunConfig{Snapshot: true, RetBytes: 8, Args: le64(id)}, cycles.NewClock())
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if fromLE64(res.Ret) != id || res.SnapshotUsed != restored {
-			b.Fatalf("%s on %s: ret %d, restored %v", img.Name, platform, fromLE64(res.Ret), res.SnapshotUsed)
+			tb.Fatalf("%s on %s: ret %d, restored %v", img.Name, platform, fromLE64(res.Ret), res.SnapshotUsed)
 		}
 	}
 	run(kvm, base, 1, false)
 	run(hv, base, 1, false)
 	src, dst := w.byPlat[kvm], w.byPlat[hv]
-	hashes := func() uint64 {
+	hashes = func() uint64 {
 		return src.pages.hashed.Load() + dst.pages.hashed.Load() + dst.forest.Inserted() + dst.forest.DedupHits()
 	}
-	hashed0 := hashes()
-	var shipped int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := uint64(i + 2)
-		tn := base.WithName(fmt.Sprintf("fork-%d", id))
+	lifecycle = func(id uint64) int {
+		tn := base.WithName("fork-" + strconv.FormatUint(id, 10))
 		run(kvm, tn, id, false)
 		run(kvm, tn, id, true)
 		n, delta, err := w.MigrateSnapshot(tn.Name, kvm, hv)
 		if err != nil || !delta {
-			b.Fatalf("migrating %s: delta %v, err %v", tn.Name, delta, err)
+			tb.Fatalf("migrating %s: delta %v, err %v", tn.Name, delta, err)
 		}
-		shipped += n
 		run(hv, tn, id, true)
 		w.DropSnapshot(tn.Name)
+		return n
+	}
+	return lifecycle, hashes
+}
+
+// BenchmarkForkLifecycle times forkLifecycle's tenant lifecycle and
+// reports the pages hashed per lifecycle and the blob bytes shipped
+// beside ns/op.
+func BenchmarkForkLifecycle(b *testing.B) {
+	lifecycle, hashes := forkLifecycle(b)
+	hashed0 := hashes()
+	var shipped int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		shipped += lifecycle(uint64(i + 2))
 	}
 	b.ReportMetric(float64(hashes()-hashed0)/float64(b.N), "hashes/op")
 	b.ReportMetric(float64(shipped)/float64(b.N), "blob-B/op")
+}
+
+// TestForkLifecycleAllocs gates forkLifecycle's tenant lifecycle (four
+// runs, a delta migration and a drop) at the allocations it makes now,
+// tenant name included: a per-run or per-page allocation added anywhere
+// on fork_storm's path shows up here. Under the race detector the count
+// varies by a few from run to run, so the gate holds only without it.
+func TestForkLifecycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	lifecycle, _ := forkLifecycle(t)
+	id := uint64(1)
+	n := testing.AllocsPerRun(20, func() {
+		id++
+		lifecycle(id)
+	})
+	t.Logf("%v allocations per lifecycle", n)
+	if n > 215 {
+		t.Fatalf("a tenant lifecycle makes %v allocations, want at most 215", n)
+	}
 }
