@@ -1,6 +1,10 @@
 package guest
 
-import "strings"
+import (
+	"strings"
+
+	"repro/internal/asm"
+)
 
 // This file holds the pre-built boot stubs — the "roughly 160 lines of
 // assembly" of §4.2 that closely mirror the boot sequence of a classic OS
@@ -107,6 +111,22 @@ __image_end:
 // paging active; rsp is set by the vCPU to the top of guest memory.
 func WrapLongMode(workload string) string {
 	return bootHeader + bootPaging + strings.TrimSpace(workload) + "\n" + bootFooter
+}
+
+// AssembleLongMode assembles typed 64-bit workload statements inside the
+// long-mode boot stub: the program WrapLongMode's text assembles to, with
+// no workload text printed or parsed. The stub's own text goes through
+// the assembler's text front end on every call.
+func AssembleLongMode(workload []asm.Stmt) (*asm.Program, error) {
+	u := asm.NewUnit()
+	if err := u.Parse(bootHeader + bootPaging); err != nil {
+		return nil, err
+	}
+	u.Add(workload...)
+	if err := u.Parse(bootFooter); err != nil {
+		return nil, err
+	}
+	return u.Assemble()
 }
 
 // WrapProtected wraps 32-bit workload assembly in the real→protected boot

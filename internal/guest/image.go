@@ -129,6 +129,11 @@ func FromAsm(name, src string) (*Image, error) {
 	if err != nil {
 		return nil, fmt.Errorf("guest: assembling %s: %w", name, err)
 	}
+	return FromProgram(name, p)
+}
+
+// FromProgram builds an image named name from an assembled program.
+func FromProgram(name string, p *asm.Program) (*Image, error) {
 	if p.Origin < HeapBase {
 		return nil, fmt.Errorf("guest: image %s origin %#x collides with reserved layout", name, p.Origin)
 	}

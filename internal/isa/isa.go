@@ -67,16 +67,19 @@ func RegByName(name string) (Reg, bool) {
 			return Reg(i), true
 		}
 	}
-	// 32- and 16-bit aliases.
-	alias := map[string]Reg{
-		"eax": RAX, "ecx": RCX, "edx": RDX, "ebx": RBX,
-		"esp": RSP, "ebp": RBP, "esi": RSI, "edi": RDI,
-		"ax": RAX, "cx": RCX, "dx": RDX, "bx": RBX,
-		"sp": RSP, "bp": RBP, "si": RSI, "di": RDI,
+	for i := range aliases32 {
+		if name == aliases32[i] || name == aliases16[i] {
+			return Reg(i), true
+		}
 	}
-	r, ok := alias[name]
-	return r, ok
+	return 0, false
 }
+
+// The 32- and 16-bit names of the first eight registers, in order.
+var (
+	aliases32 = [...]string{"eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi"}
+	aliases16 = [...]string{"ax", "cx", "dx", "bx", "sp", "bp", "si", "di"}
+)
 
 // CR names the control registers reachable with MOVCR/RDCR.
 type CR uint8

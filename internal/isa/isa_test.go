@@ -22,6 +22,17 @@ func TestRegNames(t *testing.T) {
 	}
 }
 
+// TestRegByNameMissAllocs: a name that is no register (every label,
+// immediate and memory operand the text front end classifies) costs no
+// allocation, and neither does an alias.
+func TestRegByNameMissAllocs(t *testing.T) {
+	for _, name := range []string{"fn_main", "0x8000", "[rbp-8]", "eax"} {
+		if n := testing.AllocsPerRun(100, func() { RegByName(name) }); n != 0 {
+			t.Errorf("RegByName(%q) makes %v allocations, want 0", name, n)
+		}
+	}
+}
+
 func TestModeWidth(t *testing.T) {
 	cases := []struct {
 		m Mode

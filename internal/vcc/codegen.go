@@ -2,7 +2,12 @@ package vcc
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
+
+	"repro/internal/asm"
+	"repro/internal/isa"
 )
 
 // Code generation targets 64-bit long mode. The model is a simple stack
@@ -18,6 +23,21 @@ import (
 // address register; rdi/rsi/rdx carry hypercall arguments at OUT sites.
 // Values never live in registers across calls, so there is no save/restore
 // protocol beyond rbp.
+//
+// The generator emits typed assembler statements, not text: the peephole
+// pass rewrites them and the assembler encodes them as they are. The Asm
+// listing is rendered from the same statements.
+
+var (
+	rax = asm.R(isa.RAX)
+	rbx = asm.R(isa.RBX)
+	rcx = asm.R(isa.RCX)
+	rdx = asm.R(isa.RDX)
+	rsp = asm.R(isa.RSP)
+	rbp = asm.R(isa.RBP)
+	rsi = asm.R(isa.RSI)
+	rdi = asm.R(isa.RDI)
+)
 
 type local struct {
 	off int // positive: [rbp - off]
@@ -25,7 +45,7 @@ type local struct {
 }
 
 type gen struct {
-	sb      strings.Builder
+	out     []asm.Stmt
 	file    *File
 	globals map[string]*VarDecl
 	funcs   map[string]*FuncDecl
@@ -58,15 +78,20 @@ func newGen(f *File) *gen {
 	return g
 }
 
-func (g *gen) emit(format string, args ...any) {
-	fmt.Fprintf(&g.sb, "\t"+format+"\n", args...)
-}
+func (g *gen) emit(op isa.Op, args ...asm.Arg) { g.out = append(g.out, asm.Ins(op, args...)) }
 
-func (g *gen) label(l string) { fmt.Fprintf(&g.sb, "%s:\n", l) }
+func (g *gen) label(l string) { g.out = append(g.out, asm.Stmt{Label: l}) }
+
+// data emits a data directive (.db, .dq, .zero, .align).
+func (g *gen) data(k asm.Kind, args ...asm.Arg) {
+	s := asm.Stmt{Kind: k}
+	copy(s.Args[:], args)
+	g.out = append(g.out, s)
+}
 
 func (g *gen) newLabel(hint string) string {
 	g.labelN++
-	return fmt.Sprintf(".L%s%d", hint, g.labelN)
+	return ".L" + hint + strconv.Itoa(g.labelN)
 }
 
 func (g *gen) strLabel(s string) string {
@@ -75,7 +100,7 @@ func (g *gen) strLabel(s string) string {
 			return g.strLbl[i]
 		}
 	}
-	l := fmt.Sprintf("str_%d", len(g.strs))
+	l := "str_" + strconv.Itoa(len(g.strs))
 	g.strs = append(g.strs, s)
 	g.strLbl = append(g.strLbl, l)
 	return l
@@ -126,25 +151,21 @@ func (g *gen) genFunc(fn *FuncDecl) error {
 	}
 
 	g.label("fn_" + fn.Name)
-	g.emit("push rbp")
-	g.emit("mov rbp, rsp")
-	// Frame size is patched afterwards: generate body into a sub-buffer.
-	outer := g.sb
-	g.sb = strings.Builder{}
+	g.emit(isa.PUSH, rbp)
+	g.emit(isa.MOV, rbp, rsp)
+	// The frame size is known after the body: its sub goes in afterwards.
+	body := len(g.out)
 	if err := g.genBlock(fn.Body); err != nil {
 		return err
 	}
-	body := g.sb.String()
-	g.sb = outer
 	if g.frame > 0 {
-		g.emit("sub rsp, %d", (g.frame+15)&^15)
+		g.out = slices.Insert(g.out, body, asm.Ins(isa.SUBI, rsp, asm.Imm(int64((g.frame+15)&^15))))
 	}
-	g.sb.WriteString(body)
 	// Implicit return 0 for control paths that fall off the end.
-	g.emit("movi rax, 0")
-	g.emit("mov rsp, rbp")
-	g.emit("pop rbp")
-	g.emit("ret")
+	g.emit(isa.MOVI, rax, asm.Imm(0))
+	g.emit(isa.MOV, rsp, rbp)
+	g.emit(isa.POP, rbp)
+	g.emit(isa.RET)
 	g.popScope()
 	return nil
 }
@@ -176,7 +197,7 @@ func (g *gen) genStmt(s Stmt) error {
 			if _, err := g.genExpr(st.Init); err != nil {
 				return err
 			}
-			g.store(l.t, fmt.Sprintf("[rbp-%d]", l.off))
+			g.store(l.t, asm.MemDisp(isa.RBP, -int64(l.off)))
 		}
 		return nil
 	case *ExprStmt:
@@ -188,11 +209,11 @@ func (g *gen) genStmt(s Stmt) error {
 				return err
 			}
 		} else {
-			g.emit("movi rax, 0")
+			g.emit(isa.MOVI, rax, asm.Imm(0))
 		}
-		g.emit("mov rsp, rbp")
-		g.emit("pop rbp")
-		g.emit("ret")
+		g.emit(isa.MOV, rsp, rbp)
+		g.emit(isa.POP, rbp)
+		g.emit(isa.RET)
 		return nil
 	case *If:
 		els := g.newLabel("else")
@@ -206,7 +227,7 @@ func (g *gen) genStmt(s Stmt) error {
 			}
 		}
 		if st.Else != nil {
-			g.emit("jmp %s", end)
+			g.emit(isa.JMP, asm.Sym(end))
 			g.label(els)
 			if err := g.genStmt(st.Else); err != nil {
 				return err
@@ -230,7 +251,7 @@ func (g *gen) genStmt(s Stmt) error {
 				return err
 			}
 		}
-		g.emit("jmp %s", top)
+		g.emit(isa.JMP, asm.Sym(top))
 		g.label(end)
 		g.breakLbl = g.breakLbl[:len(g.breakLbl)-1]
 		g.contLbl = g.contLbl[:len(g.contLbl)-1]
@@ -265,7 +286,7 @@ func (g *gen) genStmt(s Stmt) error {
 				return err
 			}
 		}
-		g.emit("jmp %s", top)
+		g.emit(isa.JMP, asm.Sym(top))
 		g.label(end)
 		g.breakLbl = g.breakLbl[:len(g.breakLbl)-1]
 		g.contLbl = g.contLbl[:len(g.contLbl)-1]
@@ -274,13 +295,13 @@ func (g *gen) genStmt(s Stmt) error {
 		if len(g.breakLbl) == 0 {
 			return errf(st.Line, "break outside loop")
 		}
-		g.emit("jmp %s", g.breakLbl[len(g.breakLbl)-1])
+		g.emit(isa.JMP, asm.Sym(g.breakLbl[len(g.breakLbl)-1]))
 		return nil
 	case *ContinueStmt:
 		if len(g.contLbl) == 0 {
 			return errf(st.Line, "continue outside loop")
 		}
-		g.emit("jmp %s", g.contLbl[len(g.contLbl)-1])
+		g.emit(isa.JMP, asm.Sym(g.contLbl[len(g.contLbl)-1]))
 		return nil
 	}
 	return fmt.Errorf("vcc: unknown statement %T", s)
@@ -291,26 +312,26 @@ func (g *gen) genCondJump(c Expr, target string) error {
 	if _, err := g.genExpr(c); err != nil {
 		return err
 	}
-	g.emit("cmp rax, 0")
-	g.emit("jz %s", target)
+	g.emit(isa.CMPI, rax, asm.Imm(0))
+	g.emit(isa.JZ, asm.Sym(target))
 	return nil
 }
 
 // load/store emit a width-appropriate memory access through the operand
-// string (e.g. "[rbx]" or "[rbp-8]").
-func (g *gen) load(t *Type, operand string) {
+// (e.g. [rbx] or [rbp-8]).
+func (g *gen) load(t *Type, operand asm.Arg) {
 	if t.Kind == TypeChar {
-		g.emit("loadb rax, %s", operand)
+		g.emit(isa.LOADB, rax, operand)
 	} else {
-		g.emit("load rax, %s", operand)
+		g.emit(isa.LOAD, rax, operand)
 	}
 }
 
-func (g *gen) store(t *Type, operand string) {
+func (g *gen) store(t *Type, operand asm.Arg) {
 	if t.Kind == TypeChar {
-		g.emit("storeb %s, rax", operand)
+		g.emit(isa.STOREB, operand, rax)
 	} else {
-		g.emit("store %s, rax", operand)
+		g.emit(isa.STORE, operand, rax)
 	}
 }
 
@@ -320,17 +341,16 @@ func (g *gen) genAddr(e Expr) (*Type, error) {
 	switch x := e.(type) {
 	case *Ident:
 		if l, ok := g.lookup(x.Name); ok {
+			g.emit(isa.MOV, rax, rbp)
 			if l.off < 0 {
-				g.emit("mov rax, rbp")
-				g.emit("add rax, %d", -l.off)
+				g.emit(isa.ADDI, rax, asm.Imm(int64(-l.off)))
 			} else {
-				g.emit("mov rax, rbp")
-				g.emit("sub rax, %d", l.off)
+				g.emit(isa.SUBI, rax, asm.Imm(int64(l.off)))
 			}
 			return l.t, nil
 		}
 		if gv, ok := g.globals[x.Name]; ok {
-			g.emit("movi rax, g_%s", x.Name)
+			g.emit(isa.MOVI, rax, asm.Sym("g_"+x.Name))
 			return gv.T, nil
 		}
 		return nil, errf(x.Pos(), "undefined variable %s", x.Name)
@@ -353,7 +373,7 @@ func (g *gen) genAddr(e Expr) (*Type, error) {
 		if bt.Kind != TypePtr {
 			return nil, errf(x.Pos(), "cannot index non-pointer %s", bt)
 		}
-		g.emit("push rax")
+		g.emit(isa.PUSH, rax)
 		it, err := g.genExpr(x.Idx)
 		if err != nil {
 			return nil, err
@@ -362,11 +382,11 @@ func (g *gen) genAddr(e Expr) (*Type, error) {
 			return nil, errf(x.Pos(), "index must be scalar")
 		}
 		if sz := bt.Elem.Size(); sz != 1 {
-			g.emit("movi rbx, %d", sz)
-			g.emit("mul rax, rbx")
+			g.emit(isa.MOVI, rbx, asm.Imm(int64(sz)))
+			g.emit(isa.MUL, rax, rbx)
 		}
-		g.emit("pop rbx")
-		g.emit("add rax, rbx")
+		g.emit(isa.POP, rbx)
+		g.emit(isa.ADD, rax, rbx)
 		return bt.Elem, nil
 	}
 	return nil, errf(e.Pos(), "expression is not an lvalue")
@@ -376,15 +396,15 @@ func (g *gen) genAddr(e Expr) (*Type, error) {
 func (g *gen) genExpr(e Expr) (*Type, error) {
 	switch x := e.(type) {
 	case *IntLit:
-		g.emit("movi rax, %d", x.Val)
+		g.emit(isa.MOVI, rax, asm.Imm(x.Val))
 		return tyInt, nil
 
 	case *StrLit:
-		g.emit("movi rax, %s", g.strLabel(x.Val))
+		g.emit(isa.MOVI, rax, asm.Sym(g.strLabel(x.Val)))
 		return PtrTo(tyChar), nil
 
 	case *SizeofType:
-		g.emit("movi rax, %d", x.T.Size())
+		g.emit(isa.MOVI, rax, asm.Imm(int64(x.T.Size())))
 		return tyInt, nil
 
 	case *Ident:
@@ -395,13 +415,13 @@ func (g *gen) genExpr(e Expr) (*Type, error) {
 		if t.Kind == TypeArray {
 			return t.Decay(), nil // address is the value
 		}
-		g.emit("mov rbx, rax")
-		g.load(t, "[rbx]")
+		g.emit(isa.MOV, rbx, rax)
+		g.load(t, asm.Mem(isa.RBX))
 		return t, nil
 
 	case *Unary:
 		if v, ok := foldConst(x); ok {
-			g.emit("movi rax, %d", v)
+			g.emit(isa.MOVI, rax, asm.Imm(v))
 			return tyInt, nil
 		}
 		switch x.Op {
@@ -413,23 +433,23 @@ func (g *gen) genExpr(e Expr) (*Type, error) {
 			if !t.IsScalar() {
 				return nil, errf(x.Pos(), "bad operand to unary -")
 			}
-			g.emit("neg rax")
+			g.emit(isa.NEG, rax)
 			return tyInt, nil
 		case "~":
 			if _, err := g.genExpr(x.X); err != nil {
 				return nil, err
 			}
-			g.emit("not rax")
+			g.emit(isa.NOT, rax)
 			return tyInt, nil
 		case "!":
 			if _, err := g.genExpr(x.X); err != nil {
 				return nil, err
 			}
 			tl := g.newLabel("t")
-			g.emit("cmp rax, 0")
-			g.emit("movi rax, 1")
-			g.emit("jz %s", tl)
-			g.emit("movi rax, 0")
+			g.emit(isa.CMPI, rax, asm.Imm(0))
+			g.emit(isa.MOVI, rax, asm.Imm(1))
+			g.emit(isa.JZ, asm.Sym(tl))
+			g.emit(isa.MOVI, rax, asm.Imm(0))
 			g.label(tl)
 			return tyInt, nil
 		case "*":
@@ -440,8 +460,8 @@ func (g *gen) genExpr(e Expr) (*Type, error) {
 			if t.Kind == TypeArray {
 				return t.Decay(), nil
 			}
-			g.emit("mov rbx, rax")
-			g.load(t, "[rbx]")
+			g.emit(isa.MOV, rbx, rax)
+			g.load(t, asm.Mem(isa.RBX))
 			return t, nil
 		case "&":
 			t, err := g.genAddr(x.X)
@@ -454,7 +474,7 @@ func (g *gen) genExpr(e Expr) (*Type, error) {
 
 	case *Binary:
 		if v, ok := foldConst(x); ok {
-			g.emit("movi rax, %d", v)
+			g.emit(isa.MOVI, rax, asm.Imm(v))
 			return tyInt, nil
 		}
 		return g.genBinary(x)
@@ -472,7 +492,7 @@ func (g *gen) genExpr(e Expr) (*Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		g.emit("jmp %s", end)
+		g.emit(isa.JMP, asm.Sym(end))
 		g.label(els)
 		if _, err := g.genExpr(x.B); err != nil {
 			return nil, err
@@ -488,8 +508,8 @@ func (g *gen) genExpr(e Expr) (*Type, error) {
 		if t.Kind == TypeArray {
 			return t.Decay(), nil
 		}
-		g.emit("mov rbx, rax")
-		g.load(t, "[rbx]")
+		g.emit(isa.MOV, rbx, rax)
+		g.load(t, asm.Mem(isa.RBX))
 		return t, nil
 
 	case *IncDec:
@@ -504,19 +524,19 @@ func (g *gen) genExpr(e Expr) (*Type, error) {
 		if t.Kind == TypePtr {
 			step = t.Elem.Size()
 		}
-		g.emit("mov rcx, rax")
-		g.load(t, "[rcx]")
+		g.emit(isa.MOV, rcx, rax)
+		g.load(t, asm.Mem(isa.RCX))
 		if x.Postfix {
-			g.emit("push rax")
+			g.emit(isa.PUSH, rax)
 		}
 		if x.Op == "++" {
-			g.emit("add rax, %d", step)
+			g.emit(isa.ADDI, rax, asm.Imm(int64(step)))
 		} else {
-			g.emit("sub rax, %d", step)
+			g.emit(isa.SUBI, rax, asm.Imm(int64(step)))
 		}
-		g.store(t, "[rcx]")
+		g.store(t, asm.Mem(isa.RCX))
 		if x.Postfix {
-			g.emit("pop rax")
+			g.emit(isa.POP, rax)
 		}
 		return t, nil
 
@@ -533,23 +553,23 @@ func (g *gen) genBinary(x *Binary) (*Type, error) {
 		if _, err := g.genExpr(x.X); err != nil {
 			return nil, err
 		}
-		g.emit("cmp rax, 0")
+		g.emit(isa.CMPI, rax, asm.Imm(0))
 		if x.Op == "&&" {
-			g.emit("movi rax, 0")
-			g.emit("jz %s", end)
+			g.emit(isa.MOVI, rax, asm.Imm(0))
+			g.emit(isa.JZ, asm.Sym(end))
 		} else {
-			g.emit("movi rax, 1")
-			g.emit("jnz %s", end)
+			g.emit(isa.MOVI, rax, asm.Imm(1))
+			g.emit(isa.JNZ, asm.Sym(end))
 		}
 		if _, err := g.genExpr(x.Y); err != nil {
 			return nil, err
 		}
 		// Normalize to 0/1.
 		tl := g.newLabel("scn")
-		g.emit("cmp rax, 0")
-		g.emit("movi rax, 0")
-		g.emit("jz %s", tl)
-		g.emit("movi rax, 1")
+		g.emit(isa.CMPI, rax, asm.Imm(0))
+		g.emit(isa.MOVI, rax, asm.Imm(0))
+		g.emit(isa.JZ, asm.Sym(tl))
+		g.emit(isa.MOVI, rax, asm.Imm(1))
 		g.label(tl)
 		g.label(end)
 		return tyInt, nil
@@ -559,13 +579,13 @@ func (g *gen) genBinary(x *Binary) (*Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.emit("push rax")
+	g.emit(isa.PUSH, rax)
 	ty, err := g.genExpr(x.Y)
 	if err != nil {
 		return nil, err
 	}
-	g.emit("mov rbx, rax")
-	g.emit("pop rax")
+	g.emit(isa.MOV, rbx, rax)
+	g.emit(isa.POP, rax)
 	// rax = X, rbx = Y.
 
 	// Pointer arithmetic scaling (§7.2 marshalling uses plain ints, but
@@ -574,13 +594,13 @@ func (g *gen) genBinary(x *Binary) (*Type, error) {
 	case "+", "-":
 		if tx.Kind == TypePtr && ty.Kind != TypePtr {
 			if sz := tx.Elem.Size(); sz != 1 {
-				g.emit("movi rcx, %d", sz)
-				g.emit("mul rbx, rcx")
+				g.emit(isa.MOVI, rcx, asm.Imm(int64(sz)))
+				g.emit(isa.MUL, rbx, rcx)
 			}
 		} else if tx.Kind != TypePtr && ty.Kind == TypePtr && x.Op == "+" {
 			if sz := ty.Elem.Size(); sz != 1 {
-				g.emit("movi rcx, %d", sz)
-				g.emit("mul rax, rcx")
+				g.emit(isa.MOVI, rcx, asm.Imm(int64(sz)))
+				g.emit(isa.MUL, rax, rcx)
 			}
 		}
 	}
@@ -592,49 +612,69 @@ func (g *gen) genBinary(x *Binary) (*Type, error) {
 		result = ty
 	}
 
-	switch x.Op {
-	case "+":
-		g.emit("add rax, rbx")
-	case "-":
-		g.emit("sub rax, rbx")
-		if tx.Kind == TypePtr && ty.Kind == TypePtr {
+	if op, ok := arith(x.Op); ok {
+		g.emit(op, rax, rbx)
+		if x.Op == "-" && tx.Kind == TypePtr && ty.Kind == TypePtr {
 			if sz := tx.Elem.Size(); sz != 1 {
-				g.emit("movi rbx, %d", sz)
-				g.emit("div rax, rbx")
+				g.emit(isa.MOVI, rbx, asm.Imm(int64(sz)))
+				g.emit(isa.DIV, rax, rbx)
 			}
 			result = tyInt
 		}
-	case "*":
-		g.emit("mul rax, rbx")
-	case "/":
-		g.emit("div rax, rbx")
-	case "%":
-		g.emit("mod rax, rbx")
-	case "&":
-		g.emit("and rax, rbx")
-	case "|":
-		g.emit("or rax, rbx")
-	case "^":
-		g.emit("xor rax, rbx")
-	case "<<":
-		g.emit("shlv rax, rbx")
-	case ">>":
-		g.emit("sarv rax, rbx")
-	case "==", "!=", "<", ">", "<=", ">=":
-		jcc := map[string]string{
-			"==": "jz", "!=": "jnz", "<": "jl", ">": "jg", "<=": "jle", ">=": "jge",
-		}[x.Op]
-		tl := g.newLabel("cmp")
-		g.emit("cmp rax, rbx")
-		g.emit("movi rax, 1")
-		g.emit("%s %s", jcc, tl)
-		g.emit("movi rax, 0")
-		g.label(tl)
-		return tyInt, nil
+		return result, nil
+	}
+	var jcc isa.Op
+	switch x.Op {
+	case "==":
+		jcc = isa.JZ
+	case "!=":
+		jcc = isa.JNZ
+	case "<":
+		jcc = isa.JL
+	case ">":
+		jcc = isa.JG
+	case "<=":
+		jcc = isa.JLE
+	case ">=":
+		jcc = isa.JGE
 	default:
 		return nil, errf(x.Pos(), "unknown operator %s", x.Op)
 	}
-	return result, nil
+	tl := g.newLabel("cmp")
+	g.emit(isa.CMP, rax, rbx)
+	g.emit(isa.MOVI, rax, asm.Imm(1))
+	g.emit(jcc, asm.Sym(tl))
+	g.emit(isa.MOVI, rax, asm.Imm(0))
+	g.label(tl)
+	return tyInt, nil
+}
+
+// arith is the register-register instruction of an arithmetic or
+// bitwise operator.
+func arith(op string) (isa.Op, bool) {
+	switch op {
+	case "+":
+		return isa.ADD, true
+	case "-":
+		return isa.SUB, true
+	case "*":
+		return isa.MUL, true
+	case "/":
+		return isa.DIV, true
+	case "%":
+		return isa.MOD, true
+	case "&":
+		return isa.AND, true
+	case "|":
+		return isa.OR, true
+	case "^":
+		return isa.XOR, true
+	case "<<":
+		return isa.SHLV, true
+	case ">>":
+		return isa.SARV, true
+	}
+	return 0, false
 }
 
 func (g *gen) genAssign(x *Assign) (*Type, error) {
@@ -645,7 +685,7 @@ func (g *gen) genAssign(x *Assign) (*Type, error) {
 	if !t.IsScalar() {
 		return nil, errf(x.Pos(), "cannot assign to non-scalar %s", t)
 	}
-	g.emit("push rax")
+	g.emit(isa.PUSH, rax)
 	if x.Op == "=" {
 		if _, err := g.genExpr(x.R); err != nil {
 			return nil, err
@@ -655,54 +695,31 @@ func (g *gen) genAssign(x *Assign) (*Type, error) {
 		// the already-computed address via a synthetic load.
 		op := strings.TrimSuffix(x.Op, "=")
 		// load current value
-		g.emit("load rcx, [rsp]") // address we just pushed
-		g.emit("mov rbx, rcx")
-		if t.Kind == TypeChar {
-			g.emit("loadb rax, [rbx]")
-		} else {
-			g.emit("load rax, [rbx]")
-		}
-		g.emit("push rax")
+		g.emit(isa.LOAD, rcx, asm.Mem(isa.RSP)) // address we just pushed
+		g.emit(isa.MOV, rbx, rcx)
+		g.load(t, asm.Mem(isa.RBX))
+		g.emit(isa.PUSH, rax)
 		rt, err := g.genExpr(x.R)
 		if err != nil {
 			return nil, err
 		}
-		g.emit("mov rbx, rax")
-		g.emit("pop rax")
+		g.emit(isa.MOV, rbx, rax)
+		g.emit(isa.POP, rax)
 		// pointer-scaled compound add/sub
 		if (op == "+" || op == "-") && t.Kind == TypePtr && rt.Kind != TypePtr {
 			if sz := t.Elem.Size(); sz != 1 {
-				g.emit("movi rcx, %d", sz)
-				g.emit("mul rbx, rcx")
+				g.emit(isa.MOVI, rcx, asm.Imm(int64(sz)))
+				g.emit(isa.MUL, rbx, rcx)
 			}
 		}
-		switch op {
-		case "+":
-			g.emit("add rax, rbx")
-		case "-":
-			g.emit("sub rax, rbx")
-		case "*":
-			g.emit("mul rax, rbx")
-		case "/":
-			g.emit("div rax, rbx")
-		case "%":
-			g.emit("mod rax, rbx")
-		case "&":
-			g.emit("and rax, rbx")
-		case "|":
-			g.emit("or rax, rbx")
-		case "^":
-			g.emit("xor rax, rbx")
-		case "<<":
-			g.emit("shlv rax, rbx")
-		case ">>":
-			g.emit("sarv rax, rbx")
-		default:
+		aop, ok := arith(op)
+		if !ok {
 			return nil, errf(x.Pos(), "unknown compound operator %s", x.Op)
 		}
+		g.emit(aop, rax, rbx)
 	}
-	g.emit("pop rbx")
-	g.store(t, "[rbx]")
+	g.emit(isa.POP, rbx)
+	g.store(t, asm.Mem(isa.RBX))
 	return t, nil
 }
 
@@ -722,13 +739,13 @@ func (g *gen) genCall(x *Call) (*Type, error) {
 			if _, err := g.genExpr(a); err != nil {
 				return nil, err
 			}
-			g.emit("push rax")
+			g.emit(isa.PUSH, rax)
 		}
-		regs := []string{"rdi", "rsi", "rdx"}
+		regs := [...]asm.Arg{rdi, rsi, rdx}
 		for i := len(rest) - 1; i >= 0; i-- {
-			g.emit("pop %s", regs[i])
+			g.emit(isa.POP, regs[i])
 		}
-		g.emit("out %d, rdi", nr.Val)
+		g.emit(isa.OUT, asm.Imm(nr.Val), rdi)
 		return tyInt, nil
 	}
 	// __image_end(): address of the end of the packaged image — the
@@ -737,7 +754,7 @@ func (g *gen) genCall(x *Call) (*Type, error) {
 		if len(x.Args) != 0 {
 			return nil, errf(x.Pos(), "__image_end takes no arguments")
 		}
-		g.emit("movi rax, __image_end")
+		g.emit(isa.MOVI, rax, asm.Sym("__image_end"))
 		return PtrTo(tyChar), nil
 	}
 
@@ -757,11 +774,11 @@ func (g *gen) genCall(x *Call) (*Type, error) {
 		if !t.IsScalar() {
 			return nil, errf(x.Pos(), "argument %d to %s is not scalar", i, x.Name)
 		}
-		g.emit("push rax")
+		g.emit(isa.PUSH, rax)
 	}
-	g.emit("call fn_%s", x.Name)
+	g.emit(isa.CALL, asm.Sym("fn_"+x.Name))
 	if n := len(x.Args); n > 0 {
-		g.emit("add rsp, %d", 8*n)
+		g.emit(isa.ADDI, rsp, asm.Imm(int64(8*n)))
 	}
 	return fn.Ret.Decay(), nil
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"repro/internal/asm"
 	"repro/internal/guest"
 	"repro/internal/hypercall"
+	"repro/internal/isa"
 )
 
 // runtimeC is the mini-libc (the paper's newlib port, §5.3): a C-subset
@@ -108,7 +110,9 @@ type Virtine struct {
 	Fn     *FuncDecl
 	Image  *guest.Image
 	Policy hypercall.Policy
-	// Asm is the generated assembly (kept for tooling/debugging).
+	// Asm is the image's assembly listing (for tooling and debugging):
+	// the boot stub around the generated statements, rendered as text.
+	// The assembler's text front end reads it back to the same image.
 	Asm string
 }
 
@@ -122,7 +126,8 @@ type Program struct {
 // Options control the compilation pipeline.
 type Options struct {
 	// Optimize enables the middle-end: AST constant folding plus the
-	// peephole pass over generated assembly. On by default in Compile.
+	// peephole pass over the generated instructions. On by default in
+	// Compile.
 	Optimize bool
 }
 
@@ -177,21 +182,21 @@ func packageVirtine(file *File, fn *FuncDecl, opts Options) (*Virtine, error) {
 	// point precedes argument load so restored runs see fresh args),
 	// then marshal arguments from guest.ArgAddr onto the stack, call the
 	// root, store the return value at guest.RetAddr, and exit.
-	g.emit("out %d, rdi", hypercall.NrSnapshot)
-	g.emit("movi rbx, %d", guest.ArgAddr)
+	g.emit(isa.OUT, asm.Imm(hypercall.NrSnapshot), rdi)
+	g.emit(isa.MOVI, rbx, asm.Imm(guest.ArgAddr))
 	for i := len(fn.Params) - 1; i >= 0; i-- {
-		g.emit("load rax, [rbx+%d]", 8*i)
-		g.emit("push rax")
+		g.emit(isa.LOAD, rax, asm.MemDisp(isa.RBX, int64(8*i)))
+		g.emit(isa.PUSH, rax)
 	}
-	g.emit("call fn_%s", fn.Name)
+	g.emit(isa.CALL, asm.Sym("fn_"+fn.Name))
 	if n := len(fn.Params); n > 0 {
-		g.emit("add rsp, %d", 8*n)
+		g.emit(isa.ADDI, rsp, asm.Imm(int64(8*n)))
 	}
-	g.emit("movi rbx, %d", guest.RetAddr)
-	g.emit("store [rbx], rax")
-	g.emit("movi rdi, 0")
-	g.emit("out %d, rdi", hypercall.NrExit)
-	g.emit("hlt")
+	g.emit(isa.MOVI, rbx, asm.Imm(guest.RetAddr))
+	g.emit(isa.STORE, asm.Mem(isa.RBX), rax)
+	g.emit(isa.MOVI, rdi, asm.Imm(0))
+	g.emit(isa.OUT, asm.Imm(hypercall.NrExit), rdi)
+	g.emit(isa.HLT)
 
 	// Emit every reachable function.
 	for _, f := range file.Funcs {
@@ -209,28 +214,37 @@ func packageVirtine(file *File, fn *FuncDecl, opts Options) (*Virtine, error) {
 	// Data: globals and the string pool. All globals of the unit are
 	// packaged (a copy-in snapshot of the globals the virtine can see,
 	// matching §5.3's global-variable snapshot semantics).
+	data := 0
 	for _, gv := range file.Globals {
-		fmt.Fprintf(&g.sb, ".align 8\ng_%s:\n", gv.Name)
+		g.data(asm.Align, asm.Imm(8))
+		g.label("g_" + gv.Name)
 		if gv.Init != nil {
 			v, err := constFold(gv.Init)
 			if err != nil {
 				return nil, err
 			}
-			fmt.Fprintf(&g.sb, "\t.dq %d\n", v)
-		} else {
-			fmt.Fprintf(&g.sb, "\t.zero %d\n", max(gv.T.Size(), 8))
+			g.data(asm.DQ, asm.Imm(v))
+			continue
 		}
+		// Elements are at most 8 bytes, so a length within MaxImage
+		// cannot overflow the size.
+		size := max(gv.T.Size(), 8)
+		if t := gv.T; t.Kind == TypeArray && (t.N < 0 || t.N > asm.MaxImage) || size > asm.MaxImage-data {
+			return nil, errf(gv.Line, "global %s takes the image past %d bytes", gv.Name, asm.MaxImage)
+		}
+		data += size
+		g.data(asm.Zero, asm.Imm(int64(size)))
 	}
 	for i, s := range g.strs {
-		fmt.Fprintf(&g.sb, "%s:\n\t.db %q, 0\n", g.strLbl[i], s)
+		g.label(g.strLbl[i])
+		g.data(asm.DB, asm.Str(s), asm.Imm(0))
 	}
 
-	workload := g.sb.String()
+	body := g.out
 	if opts.Optimize {
-		workload = optimize(workload)
+		body = optimize(body)
 	}
-	asmSrc := guest.WrapLongMode(workload)
-	img, err := guest.FromAsm("virtine-"+fn.Name, asmSrc)
+	p, err := guest.AssembleLongMode(body)
 	if err != nil {
 		return nil, fmt.Errorf("vcc: internal assembly error for %s: %w", fn.Name, err)
 	}
@@ -238,12 +252,15 @@ func packageVirtine(file *File, fn *FuncDecl, opts Options) (*Virtine, error) {
 	// same function share one snapshot). Content-address the name so two
 	// different programs that both define, say, `handle` never collide
 	// in a shared Wasp's snapshot cache.
-	img.Name = fmt.Sprintf("virtine-%s-%08x", fn.Name, crc32.ChecksumIEEE(img.Code))
+	img, err := guest.FromProgram(fmt.Sprintf("virtine-%s-%08x", fn.Name, crc32.ChecksumIEEE(p.Code)), p)
+	if err != nil {
+		return nil, fmt.Errorf("vcc: internal assembly error for %s: %w", fn.Name, err)
+	}
 	return &Virtine{
 		Fn:     fn,
 		Image:  img,
 		Policy: policyFor(fn),
-		Asm:    asmSrc,
+		Asm:    guest.WrapLongMode(asm.Listing(body)),
 	}, nil
 }
 
@@ -363,13 +380,28 @@ func walkCalls(s Stmt, f func(string)) {
 
 // constFold evaluates a constant initializer expression.
 func constFold(e Expr) (int64, error) {
+	v, bad := fold(e)
+	if bad == nil {
+		return v, nil
+	}
+	if b, ok := bad.(*Binary); ok && (b.Op == "/" || b.Op == "%") {
+		return 0, errf(b.Pos(), "division by zero in constant")
+	}
+	return 0, errf(bad.Pos(), "initializer is not a constant expression")
+}
+
+// fold evaluates a constant expression. bad is the first subexpression
+// that is not a constant, or a division by a zero constant; it is nil
+// when e folds. Codegen tries every operator expression, so a failure
+// costs no allocation.
+func fold(e Expr) (v int64, bad Expr) {
 	switch x := e.(type) {
 	case *IntLit:
 		return x.Val, nil
 	case *Unary:
-		v, err := constFold(x.X)
-		if err != nil {
-			return 0, err
+		v, bad := fold(x.X)
+		if bad != nil {
+			return 0, bad
 		}
 		switch x.Op {
 		case "-":
@@ -383,13 +415,13 @@ func constFold(e Expr) (int64, error) {
 			return 0, nil
 		}
 	case *Binary:
-		a, err := constFold(x.X)
-		if err != nil {
-			return 0, err
+		a, bad := fold(x.X)
+		if bad != nil {
+			return 0, bad
 		}
-		b, err := constFold(x.Y)
-		if err != nil {
-			return 0, err
+		b, bad := fold(x.Y)
+		if bad != nil {
+			return 0, bad
 		}
 		switch x.Op {
 		case "+":
@@ -400,12 +432,12 @@ func constFold(e Expr) (int64, error) {
 			return a * b, nil
 		case "/":
 			if b == 0 {
-				return 0, errf(x.Pos(), "division by zero in constant")
+				return 0, x
 			}
 			return a / b, nil
 		case "%":
 			if b == 0 {
-				return 0, errf(x.Pos(), "division by zero in constant")
+				return 0, x
 			}
 			return a % b, nil
 		case "&":
@@ -422,7 +454,7 @@ func constFold(e Expr) (int64, error) {
 	case *SizeofType:
 		return int64(x.T.Size()), nil
 	}
-	return 0, errf(e.Pos(), "initializer is not a constant expression")
+	return 0, e
 }
 
 // MarshalArgs packs int64 arguments the way the generated crt0 expects

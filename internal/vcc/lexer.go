@@ -18,6 +18,15 @@
 // arrays, string/char literals, functions, recursion, if/else, while,
 // for, break/continue, return, the usual expression operators, and the
 // `__hc(nr, a, b, c)` hypercall intrinsic the runtime uses.
+//
+// The pipeline: lex and parse the unit with the runtime, generate typed
+// assembler statements (asm.Stmt) for the reachable functions, run the
+// peephole pass over them, then lay them out and encode them inside the
+// long-mode boot stub in one pass (guest.AssembleLongMode). No assembly
+// text passes from codegen to the encoder; Virtine.Asm is a listing
+// rendered from the same statements, which the assembler's text front
+// end reads back to the same image. A global that would take the image
+// past asm.MaxImage is a CompileError.
 package vcc
 
 import (
@@ -83,7 +92,7 @@ func errf(line int, format string, args ...any) *CompileError {
 
 // Lex tokenizes src.
 func Lex(src string) ([]Token, error) {
-	var toks []Token
+	toks := make([]Token, 0, len(src)/2+1) // C runs about one token per three bytes
 	line := 1
 	i := 0
 	n := len(src)
@@ -172,33 +181,35 @@ func Lex(src string) ([]Token, error) {
 			}
 			toks = append(toks, Token{Kind: TokChar, Int: v, Line: line})
 		default:
-			// Multi-character punctuation, longest match first.
-			matched := false
-			for _, p := range []string{
-				"<<=", ">>=", "==", "!=", "<=", ">=", "&&", "||",
-				"<<", ">>", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-				"++", "--",
-			} {
-				if strings.HasPrefix(src[i:], p) {
-					toks = append(toks, Token{Kind: TokPunct, Text: p, Line: line})
-					i += len(p)
-					matched = true
-					break
-				}
+			k := punctLen(src[i:])
+			if k == 0 {
+				return nil, errf(line, "unexpected character %q", c)
 			}
-			if matched {
-				continue
-			}
-			if strings.ContainsRune("+-*/%<>=!&|^~(){}[];,?:", rune(c)) {
-				toks = append(toks, Token{Kind: TokPunct, Text: string(c), Line: line})
-				i++
-				continue
-			}
-			return nil, errf(line, "unexpected character %q", c)
+			toks = append(toks, Token{Kind: TokPunct, Text: src[i : i+k], Line: line})
+			i += k
 		}
 	}
 	toks = append(toks, Token{Kind: TokEOF, Line: line})
 	return toks, nil
+}
+
+// punctLen returns the length of the punctuation token s starts with,
+// longest match first, or 0 when s starts with none.
+func punctLen(s string) int {
+	if len(s) >= 3 && (s[:3] == "<<=" || s[:3] == ">>=") {
+		return 3
+	}
+	if len(s) >= 2 {
+		switch s[:2] {
+		case "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
+			"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--":
+			return 2
+		}
+	}
+	if strings.IndexByte("+-*/%<>=!&|^~(){}[];,?:", s[0]) >= 0 {
+		return 1
+	}
+	return 0
 }
 
 func lexString(src string, i, line int) (string, int, error) {

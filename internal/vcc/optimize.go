@@ -1,18 +1,25 @@
 package vcc
 
-import "strings"
+import (
+	"strings"
+
+	"repro/internal/asm"
+	"repro/internal/isa"
+)
 
 // The optimizer is the compiler's middle end (§5.3: the paper's pass
 // "runs middle-end analysis at the IR level"). Two stages:
 //
 //  1. AST-level constant folding (applied during codegen): expressions
 //     whose operands are compile-time constants collapse to one movi.
-//  2. A peephole pass over the generated assembly, shrinking the stack-
-//     machine boilerplate the simple codegen emits. Smaller images boot
-//     and snapshot faster (Fig 12's cost is proportional to image bytes),
+//  2. A peephole pass over the generated instructions (typed assembler
+//     statements, before they are encoded), shrinking the stack-machine
+//     boilerplate the simple codegen emits. Smaller images boot and
+//     snapshot faster (Fig 12's cost is proportional to image bytes),
 //     and fewer instructions mean fewer guest cycles.
 //
-// Peephole patterns (iterated to a fixed point):
+// Peephole patterns (tried in this order at each statement, iterated to
+// a fixed point):
 //
 //	mov X, X                                  → (removed)
 //	jmp L  directly followed by  L:           → (removed)
@@ -26,178 +33,127 @@ import "strings"
 // but the code generator never consumes flags except immediately after an
 // explicit cmp, so eliding them cannot change behaviour.
 
-// optimize runs peephole passes over generated assembly text until no
-// pattern fires (bounded).
-func optimize(asmText string) string {
-	lines := strings.Split(asmText, "\n")
+// optimize runs peephole passes over generated statements until no
+// pattern fires (bounded). It rewrites stmts in place.
+func optimize(stmts []asm.Stmt) []asm.Stmt {
 	for pass := 0; pass < 10; pass++ {
-		next, changed := peephole(lines)
-		lines = next
+		var changed bool
+		stmts, changed = peephole(stmts)
 		if !changed {
 			break
 		}
 	}
-	return strings.Join(lines, "\n")
+	return stmts
 }
 
-// instr returns the trimmed instruction text, or "" for labels/blanks.
-func instr(line string) string {
-	t := strings.TrimSpace(line)
-	if t == "" || strings.HasSuffix(t, ":") {
-		return ""
-	}
-	return t
+// is reports whether s is a bare instruction (no label) with opcode op.
+func is(s *asm.Stmt, op isa.Op) bool {
+	return s.Kind == asm.Instr && s.Label == "" && s.Op == op
 }
 
-func isLabel(line string) bool {
-	t := strings.TrimSpace(line)
-	return strings.HasSuffix(t, ":")
-}
+// isReg reports whether a is the register operand r.
+func isReg(a asm.Arg, r isa.Reg) bool { return a.Kind == asm.RegArg && a.Reg == r }
 
-func peephole(lines []string) ([]string, bool) {
-	out := make([]string, 0, len(lines))
+// peephole makes one pass, compacting in place: every rewrite replaces
+// statements with at most as many, so the write index never passes the
+// read index.
+func peephole(in []asm.Stmt) ([]asm.Stmt, bool) {
+	out := in[:0]
 	changed := false
-	i := 0
-	for i < len(lines) {
+	for i := 0; i < len(in); {
+		s := &in[i]
+
 		// Pattern: mov X, X
-		if in := instr(lines[i]); in != "" {
-			if strings.HasPrefix(in, "mov ") {
-				parts := strings.SplitN(strings.TrimPrefix(in, "mov "), ",", 2)
-				if len(parts) == 2 && strings.TrimSpace(parts[0]) == strings.TrimSpace(parts[1]) {
-					i++
+		if is(s, isa.MOV) && s.Args[0] == s.Args[1] {
+			i++
+			changed = true
+			continue
+		}
+
+		// Pattern: jmp L / L:
+		if is(s, isa.JMP) && i+1 < len(in) && in[i+1].Kind == asm.Label &&
+			s.Args[0].Kind == asm.ImmArg && s.Args[0].Sym != "" && in[i+1].Label == s.Args[0].Sym {
+			i++ // drop the jmp, keep the label
+			changed = true
+			continue
+		}
+
+		if i+3 < len(in) {
+			s1, s2, s3 := &in[i+1], &in[i+2], &in[i+3]
+
+			// Pattern: push R / movi R, C / mov S, R / pop R  →  movi S, C
+			if is(s, isa.PUSH) && s.Args[0].Kind == asm.RegArg {
+				r := s.Args[0].Reg
+				if is(s1, isa.MOVI) && isReg(s1.Args[0], r) &&
+					is(s2, isa.MOV) && isReg(s2.Args[1], r) && s2.Args[0].Kind == asm.RegArg && s2.Args[0].Reg != r &&
+					is(s3, isa.POP) && isReg(s3.Args[0], r) {
+					out = append(out, asm.Ins(isa.MOVI, s2.Args[0], s1.Args[1]))
+					i += 4
 					changed = true
 					continue
 				}
 			}
-		}
 
-		// Pattern: jmp L / L:
-		if in := instr(lines[i]); strings.HasPrefix(in, "jmp ") && i+1 < len(lines) {
-			target := strings.TrimSpace(strings.TrimPrefix(in, "jmp "))
-			if isLabel(lines[i+1]) && strings.TrimSuffix(strings.TrimSpace(lines[i+1]), ":") == target {
-				i++ // drop the jmp, keep the label
+			// Pattern: local-variable load boilerplate →  load rax, [rbp±N]
+			//   mov rax, rbp / sub|add rax, N / mov rbx, rax / load rax, [rbx]
+			if is(s, isa.MOV) && isReg(s.Args[0], isa.RAX) && isReg(s.Args[1], isa.RBP) &&
+				(is(s1, isa.SUBI) || is(s1, isa.ADDI)) && isReg(s1.Args[0], isa.RAX) &&
+				is(s2, isa.MOV) && isReg(s2.Args[0], isa.RBX) && isReg(s2.Args[1], isa.RAX) &&
+				(is(s3, isa.LOAD) || is(s3, isa.LOADB)) && isReg(s3.Args[0], isa.RAX) && s3.Args[1] == asm.Mem(isa.RBX) {
+				n := s1.Args[1]
+				sign := byte('+')
+				if s1.Op == isa.SUBI {
+					sign = '-'
+				}
+				mem := asm.Arg{Kind: asm.MemArg, Reg: isa.RBP, Sign: sign, Imm: n.Imm, Sym: n.Sym}
+				out = append(out, asm.Ins(s3.Op, asm.R(isa.RAX), mem))
+				i += 4
 				changed = true
 				continue
 			}
-		}
 
-		// Pattern: push R / movi R, C / mov S, R / pop R  →  movi S, C
-		if i+3 < len(lines) {
-			p0, p1, p2, p3 := instr(lines[i]), instr(lines[i+1]), instr(lines[i+2]), instr(lines[i+3])
-			var r, c, s string
-			if scan2(p0, "push %s", &r) &&
-				scan2(p1, "movi "+r+", %s", &c) &&
-				scan2(p2, "mov %s, "+r, &s) &&
-				p3 == "pop "+r && s != r {
-				out = append(out, "\tmovi "+s+", "+c)
+			// Pattern: push rax / load rax, [rbp±N] / mov rbx, rax / pop rax
+			//   →  load rbx, [rbp±N]
+			// (arises after the previous pattern collapses the RHS of a
+			// binary operator)
+			if is(s, isa.PUSH) && isReg(s.Args[0], isa.RAX) &&
+				(is(s1, isa.LOAD) || is(s1, isa.LOADB)) && isReg(s1.Args[0], isa.RAX) &&
+				s1.Args[1].Kind == asm.MemArg && s1.Args[1].Reg == isa.RBP &&
+				is(s2, isa.MOV) && isReg(s2.Args[0], isa.RBX) && isReg(s2.Args[1], isa.RAX) &&
+				is(s3, isa.POP) && isReg(s3.Args[0], isa.RAX) {
+				out = append(out, asm.Ins(s1.Op, asm.R(isa.RBX), s1.Args[1]))
 				i += 4
 				changed = true
 				continue
 			}
 		}
 
-		// Pattern: local-variable load boilerplate →  load rax, [rbp±N]
-		//   mov rax, rbp / sub|add rax, N / mov rbx, rax / load rax, [rbx]
-		if i+3 < len(lines) {
-			p0, p1, p2, p3 := instr(lines[i]), instr(lines[i+1]), instr(lines[i+2]), instr(lines[i+3])
-			var n string
-			if p0 == "mov rax, rbp" && p2 == "mov rbx, rax" &&
-				(p3 == "load rax, [rbx]" || p3 == "loadb rax, [rbx]") {
-				op := strings.Fields(p3)[0] // load or loadb
-				if scan2(p1, "sub rax, %s", &n) {
-					out = append(out, "\t"+op+" rax, [rbp-"+n+"]")
-					i += 4
-					changed = true
-					continue
-				}
-				if scan2(p1, "add rax, %s", &n) {
-					out = append(out, "\t"+op+" rax, [rbp+"+n+"]")
-					i += 4
-					changed = true
-					continue
-				}
-			}
+		if len(out) < i {
+			out = append(out, *s)
+		} else {
+			out = out[:i+1] // nothing removed yet: s is already in place
 		}
-
-		// Pattern: push rax / load rax, [rbp±N] / mov rbx, rax / pop rax
-		//   →  load rbx, [rbp±N]
-		// (arises after the previous pattern collapses the RHS of a
-		// binary operator)
-		if i+3 < len(lines) {
-			p0, p1, p2, p3 := instr(lines[i]), instr(lines[i+1]), instr(lines[i+2]), instr(lines[i+3])
-			if p0 == "push rax" && p2 == "mov rbx, rax" && p3 == "pop rax" {
-				var addr string
-				if scan2(p1, "load rax, %s", &addr) && strings.HasPrefix(addr, "[rbp") {
-					out = append(out, "\tload rbx, "+addr)
-					i += 4
-					changed = true
-					continue
-				}
-				if scan2(p1, "loadb rax, %s", &addr) && strings.HasPrefix(addr, "[rbp") {
-					out = append(out, "\tloadb rbx, "+addr)
-					i += 4
-					changed = true
-					continue
-				}
-			}
-		}
-
-		out = append(out, lines[i])
 		i++
 	}
 	return out, changed
-}
-
-// scan2 matches text against a pattern with exactly one %s placeholder,
-// capturing the remainder into dst. The placeholder must be the suffix or
-// an infix bounded by literal text.
-func scan2(text, pattern string, dst *string) bool {
-	idx := strings.Index(pattern, "%s")
-	if idx < 0 {
-		return text == pattern
-	}
-	prefix, suffix := pattern[:idx], pattern[idx+2:]
-	if !strings.HasPrefix(text, prefix) {
-		return false
-	}
-	rest := text[len(prefix):]
-	if suffix == "" {
-		if rest == "" {
-			return false
-		}
-		*dst = rest
-		return true
-	}
-	if !strings.HasSuffix(rest, suffix) {
-		return false
-	}
-	cap := rest[:len(rest)-len(suffix)]
-	if cap == "" || strings.ContainsAny(cap, " ,") {
-		return false
-	}
-	*dst = cap
-	return true
 }
 
 // foldConst attempts AST-level constant folding for an expression,
 // returning (value, true) when the whole expression is a compile-time
 // constant.
 func foldConst(e Expr) (int64, bool) {
-	v, err := constFold(e)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
+	v, bad := fold(e)
+	return v, bad == nil
 }
 
-// InstructionCount reports the number of instructions in generated
-// assembly text (labels and directives excluded) — used by tests and the
+// InstructionCount reports the number of instructions in an assembly
+// listing (labels and directives excluded) — used by tests and the
 // optimizer ablation.
 func InstructionCount(asmText string) int {
 	n := 0
 	for _, line := range strings.Split(asmText, "\n") {
-		in := instr(line)
-		if in == "" || strings.HasPrefix(in, ".") {
+		t := strings.TrimSpace(line)
+		if t == "" || strings.HasSuffix(t, ":") || strings.HasPrefix(t, ".") {
 			continue
 		}
 		n++

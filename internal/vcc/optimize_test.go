@@ -3,6 +3,7 @@ package vcc
 import (
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/cycles"
 	"repro/internal/wasp"
 )
@@ -124,6 +125,15 @@ func TestConstantFolding(t *testing.T) {
 }
 
 func TestPeepholePatternsDirectly(t *testing.T) {
+	// The peephole runs over statements: the text inputs go through the
+	// assembler's text front end, and the result is rendered back.
+	optimize := func(src string) string {
+		u := asm.NewUnit()
+		if err := u.Parse(src); err != nil {
+			t.Fatal(err)
+		}
+		return asm.Listing(optimize(u.Stmts()))
+	}
 	in := "\tpush rax\n\tmovi rax, 7\n\tmov rbx, rax\n\tpop rax\n"
 	out := optimize(in)
 	if InstructionCount(out) != 1 {
