@@ -35,6 +35,8 @@ package cpu
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -99,34 +101,55 @@ type codePage struct {
 	src  []byte
 	ents [codePageSize]centry
 
-	// blocks maps (offset | mode<<12) to the compiled closure block
-	// starting there (jit.go). The map value is immutable; publication
-	// is copy-on-write under mu so concurrent CPUs sharing a frozen page
-	// read it with one atomic load. Blocks ride along with ShareCode /
-	// AdoptCode, so every tenant clone of an image executes one compiled
-	// form; validity is anchored to the page pointer itself — any write
-	// into the page drops the page, blocks and all.
+	// blocks holds the compiled closure blocks starting on the page
+	// (jit.go), sorted by key = offset | mode<<12. A published slice is
+	// immutable; publication is copy-on-write under mu so concurrent CPUs
+	// sharing a frozen page read it with one atomic load. Blocks ride
+	// along with ShareCode / AdoptCode, so every tenant clone of an image
+	// executes one compiled form; validity is anchored to the page pointer
+	// itself — any write into the page drops the page, blocks and all.
 	mu     sync.Mutex
-	blocks atomic.Pointer[map[uint32]*cblock]
+	blocks atomic.Pointer[[]pageBlock]
 }
 
-// addBlock publishes a compiled block on the page. The current map is
-// never mutated: readers hold no lock.
+// pageBlock is one compiled block on a page and its key.
+type pageBlock struct {
+	key uint32
+	blk *cblock
+}
+
+func cmpKey(e pageBlock, key uint32) int { return cmp.Compare(e.key, key) }
+
+// block returns the compiled block published under key, or nil.
+func (pg *codePage) block(key uint32) *cblock {
+	if p := pg.blocks.Load(); p != nil {
+		if i, ok := slices.BinarySearchFunc(*p, key, cmpKey); ok {
+			return (*p)[i].blk
+		}
+	}
+	return nil
+}
+
+// addBlock publishes a compiled block on the page, replacing one under
+// the same key: a copy of the current slice with one entry inserted. The
+// published slice is never mutated, so readers hold no lock.
 func (pg *codePage) addBlock(key uint32, blk *cblock) {
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
-	old := pg.blocks.Load()
-	var nm map[uint32]*cblock
-	if old == nil {
-		nm = make(map[uint32]*cblock, 4)
-	} else {
-		nm = make(map[uint32]*cblock, len(*old)+1)
-		for k, v := range *old {
-			nm[k] = v
-		}
+	var old []pageBlock
+	if p := pg.blocks.Load(); p != nil {
+		old = *p
 	}
-	nm[key] = blk
-	pg.blocks.Store(&nm)
+	i, found := slices.BinarySearchFunc(old, key, cmpKey)
+	rest := old[i:]
+	if found {
+		rest = old[i+1:]
+	}
+	bs := make([]pageBlock, i+1+len(rest))
+	copy(bs, old[:i])
+	bs[i] = pageBlock{key, blk}
+	copy(bs[i+1:], rest)
+	pg.blocks.Store(&bs)
 }
 
 // ensureCode sizes the per-page table on first use.

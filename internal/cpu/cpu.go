@@ -233,7 +233,7 @@ type CPU struct {
 	blockEntry uint64
 
 	// Direct-mapped front cache for compiled-block lookup (jit.go): one
-	// probe instead of an atomic load plus map lookup per block entry.
+	// probe instead of an atomic load plus binary search per block entry.
 	// Entries self-invalidate: a hit requires the recorded page to still
 	// be installed at the recorded index — which is also why the table
 	// may outlive Reset: a page pointer is only ever installed over the

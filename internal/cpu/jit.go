@@ -35,8 +35,8 @@ package cpu
 // decoded entries: every tenant clone of an image executes one compiled
 // form, and a trace compiled during one tenant's run is immediately
 // visible to the others. A per-CPU direct-mapped cache (bcache) fronts
-// the map lookup, and a trace records the virtual address it was
-// anchored at so a page mapped at a different virtual address falls
+// the page's sorted lookup, and a trace records the virtual address it
+// was anchored at so a page mapped at a different virtual address falls
 // back to Step instead of following stale targets.
 //
 // Deoptimization contract. A trace's validity is anchored to its page
@@ -102,25 +102,40 @@ type bcent struct {
 	blk    *cblock
 }
 
-// cblock is one compiled trace. The parallel arrays carry the metadata
-// the executor needs to reconstruct exact architectural state mid-trace:
-// per-step instruction offsets (signed, relative to the entry IP —
-// followed call targets can precede the head), fixed cycle costs and
-// retire counts, all cumulative-summed.
+// cblock is one compiled trace: its closures and, parallel to them, one
+// packed stepMeta per step — what the executor needs to reconstruct exact
+// architectural state mid-trace. Both slices are exact-size copies of the
+// compiler's scratch arrays, and the steps of a repeated loop period share
+// their closures with the period's first compile.
 type cblock struct {
 	ops    []step
-	off    []int32  // offset of the step's instruction
-	offEnd []int32  // offset of its successor in trace order
-	cost   []uint8  // fixed cost (base + mul/div extra; both halves if fused)
-	cum    []uint32 // cumulative cost through this step
-	ret    []uint8  // instructions this step retires (1, or 2 for fused)
-	cumRet []uint32 // cumulative retires through this step
-	anchor uint64   // virtual IP the trace was compiled at
-	end    int32    // successor offset when the trace falls off its end
-	term   bool     // last step always sets IP itself
-	total  uint32   // sum of cost
-	nret   uint32   // sum of ret
+	meta   []stepMeta
+	anchor uint64 // virtual IP the trace was compiled at
+	end    int32  // successor offset when the trace falls off its end
+	term   bool   // last step always sets IP itself
+	total  uint32 // fixed cost of the whole trace
+	nret   uint32 // instructions the whole trace retires
 }
+
+// stepMeta is one step's record. Offsets are signed and relative to the
+// entry IP (followed call targets can precede the head); the sums run
+// from the first step through this one. A step's own cost and retire
+// count are the differences from its predecessor's sums.
+type stepMeta struct {
+	off    int16  // offset of the step's instruction
+	offEnd int16  // offset of its successor in trace order
+	cum    uint16 // cumulative fixed cost (base + mul/div extra; both halves if fused)
+	cumRet uint8  // cumulative retires (1 per step, or 2 for fused)
+}
+
+// The packed ranges: a trace never leaves its 4 KiB page, so an offset
+// lies within ±codePageSize of the head; a step costs at most two
+// instructions of the dearest kind and retires at most two.
+const (
+	_ = int16(codePageSize)
+	_ = uint16(maxBlockSteps * 2 * (cycles.InstrBase + cycles.InstrDiv))
+	_ = uint8(maxBlockSteps * 2)
+)
 
 // blockAt returns the compiled trace headed at phys (compiling and
 // publishing it on first need), or nil when no trace applies — the head
@@ -137,15 +152,13 @@ func (c *CPU) blockAt(pg *codePage, page uint64, off uint32, ip uint64) *cblock 
 		return slot.blk
 	}
 	key := off | uint32(c.Mode)<<12
-	if m := pg.blocks.Load(); m != nil {
-		if blk := (*m)[key]; blk != nil {
-			if blk.anchor != ip {
-				return nil
-			}
-			c.Stats.BlockHits++
-			*slot = bcent{phys: phys, anchor: ip, mode: c.Mode, nret: blk.nret, pg: pg, blk: blk}
-			return blk
+	if blk := pg.block(key); blk != nil {
+		if blk.anchor != ip {
+			return nil
 		}
+		c.Stats.BlockHits++
+		*slot = bcent{phys: phys, anchor: ip, mode: c.Mode, nret: blk.nret, pg: pg, blk: blk}
+		return blk
 	}
 	blk := c.compileBlock(ip, phys)
 	if blk == nil {
@@ -161,7 +174,7 @@ func (c *CPU) blockAt(pg *codePage, page uint64, off uint32, ip uint64) *cblock 
 // execChain runs the compiled trace headed at guest-virtual entryIP and
 // keeps going: whenever a trace completes or side-exits onto the head of
 // another cached trace, the next one is entered directly — full dispatch
-// (entry load, flag checks, map probe) is skipped between hot traces.
+// (entry load, flag checks, page lookup) is skipped between hot traces.
 // It returns the instructions retired and a non-nil exit on fault; on a
 // nil exit the dispatch loop re-examines state from scratch (the chain
 // only breaks on deopt, self-modification, budget, or a cache miss, all
@@ -193,7 +206,7 @@ func (c *CPU) execChain(blk *cblock, entryIP, page uint64, pg *codePage, pending
 				// architecturally; stop before the next step so the
 				// modified bytes are re-decoded.
 				done := c.retireThrough(blk, i, pending)
-				c.IP = entryIP + uint64(int64(blk.offEnd[i]))
+				c.IP = entryIP + uint64(int64(blk.meta[i].offEnd))
 				c.Stats.BlockDeopts++
 				c.tier(true, entryIP)
 				return steps + done, nil
@@ -247,8 +260,9 @@ func (c *CPU) execChain(blk *cblock, entryIP, page uint64, pg *codePage, pending
 // retireThrough retires a trace's steps up to and including step i, all
 // of which completed, and rolls back the batched cost of the rest.
 func (c *CPU) retireThrough(blk *cblock, i int, pending *uint64) uint64 {
-	done := uint64(blk.cumRet[i])
-	*pending -= uint64(blk.total) - uint64(blk.cum[i])
+	m := blk.meta[i]
+	done := uint64(m.cumRet)
+	*pending -= uint64(blk.total) - uint64(m.cum)
 	c.Retired += done
 	return done
 }
@@ -274,22 +288,26 @@ func (c *CPU) runSteps(ops []step, i int) (int, *Exit) {
 // errDiv0 sentinel, formatted here with the faulting IP). It returns the
 // instructions retired and the fault, nil for a deopt.
 func (c *CPU) blockStop(blk *cblock, i int, entryIP uint64, pending *uint64, ex *Exit) (uint64, *Exit) {
-	done := uint64(blk.cumRet[i]) - uint64(blk.ret[i])
+	var before stepMeta // the sums through step i-1
+	if i > 0 {
+		before = blk.meta[i-1]
+	}
+	done := uint64(before.cumRet)
+	ipOff := int32(blk.meta[i].off)
 	if ex == errDeopt {
 		// The step did not execute: roll back its cost too and let the
 		// dispatch loop re-execute it via Step.
-		*pending -= uint64(blk.total) - uint64(blk.cum[i]) + uint64(blk.cost[i])
+		*pending -= uint64(blk.total) - uint64(before.cum)
 		c.Retired += done
-		c.IP = entryIP + uint64(int64(blk.off[i]))
+		c.IP = entryIP + uint64(int64(ipOff))
 		c.Stats.BlockDeopts++
 		c.tier(true, entryIP)
 		return done, nil
 	}
 	if ex == errDiv0 {
-		ex = c.fault("divide by zero at %#x", entryIP+uint64(int64(blk.off[i])))
+		ex = c.fault("divide by zero at %#x", entryIP+uint64(int64(ipOff)))
 	}
-	*pending -= uint64(blk.total) - uint64(blk.cum[i])
-	ipOff := blk.off[i]
+	*pending -= uint64(blk.total) - uint64(blk.meta[i].cum)
 	if c.lateSet {
 		// A fused pair faulted half-way: restore exact attribution.
 		*pending -= uint64(c.lateRoll)
@@ -428,31 +446,112 @@ var stepNop = func(c *CPU) *Exit { return nil }
 // it decodes forward, emitting one closure per instruction, fusing
 // flag-setter/branch pairs into side-exit steps, following direct JMP
 // and CALL targets that stay inside the head's 4 KiB page, and
-// speculating the RETs that match followed CALLs. Compilation stops at
-// a special, a decode stop, the page boundary, an unfollowable control
-// transfer, or the step cap. The closures capture operands and the
-// mode's width/mask — never the CPU, its memory, or absolute step
-// addresses (only branch-target immediates, which are architectural) —
-// so a trace is shareable across every CPU whose page bytes match
-// (which AdoptCode guarantees).
+// speculating the RETs that match followed CALLs. A loop body is
+// compiled once: when a back-edge closes a period that would compile
+// again to the same steps, the period repeats (repeat, below).
+// Compilation stops at a special, a decode stop, the page boundary, an
+// unfollowable control transfer, or the step cap. The closures capture
+// operands and the mode's width/mask — never the CPU, its memory, or
+// absolute step addresses (only branch-target immediates, which are
+// architectural) — so a trace is shareable across every CPU whose page
+// bytes match (which AdoptCode guarantees).
 func (c *CPU) compileBlock(ip, phys uint64) *cblock {
 	mode := c.Mode
 	w := uint64(mode.Width())
 	mask := widthMask(mode)
 	sign := signBit(mode)
 	pBase := phys &^ (codePageSize - 1)
-	blk := &cblock{anchor: ip}
-	var retStack []int32 // return sites of followed CALLs, innermost last
+	head := int32(phys - pBase) // the head's page offset
+
+	// The trace is built in scratch arrays and copied out once. Beside
+	// each step they record what its compile read besides its bytes: the
+	// return-stack depth before it, and the page offset + 1 of a backward
+	// branch target it found not compiled yet (0: none). repeat reads
+	// them to tell when compiling on would only repeat earlier steps.
+	var (
+		ops         [maxBlockSteps]step
+		meta        [maxBlockSteps]stepMeta
+		depth       [maxBlockSteps]uint8
+		miss        [maxBlockSteps]uint16
+		rets        [maxBlockSteps]int32      // return sites of followed CALLs, innermost last
+		seen        [codePageSize / 64]uint64 // page offsets of compiled steps
+		nops, nrets int
+		total       uint16
+		nret        uint8
+		term        bool
+		rel         int32
+	)
 	add := func(fn step, rel, next int32, cost, ret uint8) {
-		blk.ops = append(blk.ops, fn)
-		blk.off = append(blk.off, rel)
-		blk.offEnd = append(blk.offEnd, next)
-		blk.cost = append(blk.cost, cost)
-		blk.total += uint32(cost)
-		blk.cum = append(blk.cum, blk.total)
-		blk.ret = append(blk.ret, ret)
-		blk.nret += uint32(ret)
-		blk.cumRet = append(blk.cumRet, blk.nret)
+		total += uint16(cost)
+		nret += ret
+		ops[nops] = fn
+		meta[nops] = stepMeta{off: int16(rel), offEnd: int16(next), cum: total, cumRet: nret}
+		nops++
+	}
+	marked := func(o int32) bool { return seen[o>>6]&(1<<(o&63)) != 0 }
+	// backEdge reports whether a branch at rel to the in-page offset r2
+	// is a loop or recursion spine: backward, onto a compiled step. A
+	// backward target not compiled yet is the current step's miss.
+	backEdge := func(rel, r2 int32) bool {
+		if r2 >= rel {
+			return false
+		}
+		if marked(head + r2) {
+			return true
+		}
+		miss[nops] = uint16(head + r2 + 1)
+		return false
+	}
+	// repeat runs when a followed back-edge has just set rel to an offset
+	// compiled before. Compiling on would emit again the steps since the
+	// last one there (the period) if their compile sees what it saw: the
+	// return stack is closed over the period — as deep at its end as at
+	// its start and never shallower between — and no backward target the
+	// period found not compiled has been compiled since. Then the period
+	// repeats up to the step cap, sharing its closures and offsets while
+	// the sums run on, and repeat reports that the trace is complete.
+	repeat := func() bool {
+		p := nops - 1 // a marked offset always holds a step
+		for meta[p].off != int16(rel) {
+			p--
+		}
+		if int(depth[p]) != nrets {
+			return false
+		}
+		for j := p; j < nops; j++ {
+			if depth[j] < depth[p] || miss[j] != 0 && marked(int32(miss[j])-1) {
+				return false
+			}
+		}
+		var before stepMeta
+		if p > 0 {
+			before = meta[p-1]
+		}
+		period, pc, pr := nops-p, total-before.cum, nret-before.cumRet
+		for ; nops < maxBlockSteps; nops++ {
+			m := meta[nops-period]
+			m.cum += pc
+			m.cumRet += pr
+			ops[nops], meta[nops] = ops[nops-period], m
+		}
+		total, nret = meta[nops-1].cum, meta[nops-1].cumRet
+		rel = int32(meta[nops-1].offEnd)
+		return true
+	}
+	// decode decodes at physical address at, keeping the last result: a
+	// peephole's lookahead is the next step's instruction whenever the
+	// trace falls through to it.
+	var last isa.Inst
+	lastAt := int64(-1)
+	decode := func(at int64) (isa.Inst, bool) {
+		if at != lastAt {
+			in, err := isa.Decode(c.Mem, uint64(at), mode)
+			if err != nil {
+				return in, false
+			}
+			last, lastAt = in, at
+		}
+		return last, true
 	}
 	// follow resolves a direct branch target to a trace-relative offset,
 	// or reports that the trace cannot continue there: the target's
@@ -470,17 +569,17 @@ func (c *CPU) compileBlock(ip, phys uint64) *cblock {
 		}
 		return int32(d), true
 	}
-	rel := int32(0)
-	emitted := map[int32]bool{} // trace-order back-edge detection
 compile:
-	for len(blk.ops) < maxBlockSteps {
-		emitted[rel] = true
+	for nops < maxBlockSteps {
 		pp := int64(phys) + int64(rel)
 		if pp < int64(pBase) || pp >= int64(pBase)+codePageSize {
 			break
 		}
-		in, err := isa.Decode(c.Mem, uint64(pp), mode)
-		if err != nil {
+		o := head + rel
+		seen[o>>6] |= 1 << (o & 63)
+		depth[nops] = uint8(nrets)
+		in, ok := decode(pp)
+		if !ok {
 			break
 		}
 		n := int32(in.Len)
@@ -496,7 +595,7 @@ compile:
 		// side-exit closure retiring two instructions (neither half can
 		// fault); the trace continues on the not-taken path.
 		if in.Op == isa.CMP || in.Op == isa.CMPI || in.Op == isa.DEC || in.Op == isa.INC {
-			if jn, jerr := isa.Decode(c.Mem, uint64(pp)+uint64(n), mode); jerr == nil &&
+			if jn, ok := decode(pp + int64(n)); ok &&
 				isJcc(jn.Op) && pp+int64(n)+int64(jn.Len) <= int64(pBase)+codePageSize {
 				jop := jn.Op
 				target := jn.Imm & mask
@@ -508,7 +607,7 @@ compile:
 				// loop exit). Forward branches keep the fall-through in
 				// the trace and side-exit when taken.
 				r2, bk := follow(target)
-				bk = bk && emitted[r2] && r2 < rel
+				bk = bk && backEdge(rel, r2)
 				fall := uint64(int64(rel + pair))
 				switch in.Op {
 				case isa.CMP:
@@ -703,6 +802,9 @@ compile:
 				if bk {
 					add(fn, rel, r2, pcost, 2)
 					rel = r2
+					if repeat() {
+						break compile
+					}
 				} else {
 					add(fn, rel, rel+pair, pcost, 2)
 					rel += pair
@@ -720,7 +822,7 @@ compile:
 		// Step-only engine would.
 		if mode == isa.Mode64 &&
 			(in.Op == isa.PUSH || in.Op == isa.POP || in.Op == isa.MOV || in.Op == isa.SUBI) {
-			if jn, jerr := isa.Decode(c.Mem, uint64(pp)+uint64(n), mode); jerr == nil &&
+			if jn, ok := decode(pp + int64(n)); ok &&
 				pp+int64(n)+int64(jn.Len) <= int64(pBase)+codePageSize && !specialOp[jn.Op] {
 				pair := n + int32(jn.Len)
 				pcost := cost + baseCost(jn.Op)
@@ -842,16 +944,17 @@ compile:
 							return ex
 						}
 						add(fn, rel, r2, pcost, 2)
-						retStack = append(retStack, retRel)
+						rets[nrets] = retRel
+						nrets++
 						rel = r2
 						continue
 					}
-				case in.Op == isa.MOV && jn.Op == isa.RET && len(retStack) > 0:
+				case in.Op == isa.MOV && jn.Op == isa.RET && nrets > 0:
 					// mov d, s; ret (speculated) — the move commits before
 					// the pop can fault, which matches the legacy state at
 					// the fault (mov retired, fault on the ret).
-					retRel := retStack[len(retStack)-1]
-					retStack = retStack[:len(retStack)-1]
+					nrets--
+					retRel := rets[nrets]
 					exp := uint64(int64(retRel))
 					d1, s1 := dst, src
 					fn = func(c *CPU) *Exit {
@@ -1226,11 +1329,14 @@ compile:
 			if r2, ok := follow(addrImm); ok {
 				add(stepNop, rel, r2, cost, 1)
 				rel = r2
+				if marked(head+r2) && repeat() {
+					break compile
+				}
 				continue
 			}
 			t := addrImm
 			fn = func(c *CPU) *Exit { c.IP = t; return nil }
-			blk.term = true
+			term = true
 			add(fn, rel, rel+n, cost, 1)
 			break compile
 		case isa.JZ, isa.JNZ, isa.JL, isa.JG, isa.JLE, isa.JGE, isa.JB, isa.JAE:
@@ -1240,7 +1346,7 @@ compile:
 			// followed; otherwise the fall-through is.
 			jop := in.Op
 			t := addrImm
-			if r2, ok := follow(t); ok && emitted[r2] && r2 < rel {
+			if r2, ok := follow(t); ok && backEdge(rel, r2) {
 				fall := uint64(int64(rel + n))
 				fn = func(c *CPU) *Exit {
 					if !jccTaken(jop, &c.Flags) {
@@ -1251,6 +1357,9 @@ compile:
 				}
 				add(fn, rel, r2, cost, 1)
 				rel = r2
+				if repeat() {
+					break compile
+				}
 				continue
 			}
 			fn = func(c *CPU) *Exit {
@@ -1287,7 +1396,8 @@ compile:
 					}
 				}
 				add(fn, rel, r2, cost, 1)
-				retStack = append(retStack, retRel)
+				rets[nrets] = retRel
+				nrets++
 				rel = r2
 				continue
 			}
@@ -1315,17 +1425,17 @@ compile:
 					return ex
 				}
 			}
-			blk.term = true
+			term = true
 			add(fn, rel, retRel, cost, 1)
 			break compile
 		case isa.RET:
-			if k := len(retStack); k > 0 {
+			if nrets > 0 {
 				// Speculated return: the matching CALL is in this trace,
 				// so the popped address should be its return site. A
 				// mismatch (the guest rewrote its stack) side-exits with
 				// the popped address — exactly the architectural result.
-				retRel := retStack[k-1]
-				retStack = retStack[:k-1]
+				nrets--
+				retRel := rets[nrets]
 				exp := uint64(int64(retRel))
 				if mode == isa.Mode64 {
 					fn = func(c *CPU) *Exit {
@@ -1389,7 +1499,7 @@ compile:
 					return nil
 				}
 			}
-			blk.term = true
+			term = true
 			add(fn, rel, rel+n, cost, 1)
 			break compile
 		case isa.PUSH:
@@ -1445,12 +1555,17 @@ compile:
 		add(fn, rel, rel+n, cost, 1)
 		rel += n
 	}
-	if len(blk.ops) == 0 {
+	if nops == 0 {
 		return nil
 	}
 	// rel is the offset of the next instruction to execute whenever the
 	// loop stopped without a terminator (step cap, decode stop, page
 	// boundary, special): that is where a completed trace resumes.
-	blk.end = rel
+	blk := &cblock{
+		ops: make([]step, nops), meta: make([]stepMeta, nops),
+		anchor: ip, end: rel, term: term, total: uint32(total), nret: uint32(nret),
+	}
+	copy(blk.ops, ops[:nops])
+	copy(blk.meta, meta[:nops])
 	return blk
 }

@@ -387,7 +387,7 @@ TAIL
 			stop, found := p.Labels["vx_stop"], 0
 			for _, s := range jit.bcache {
 				for k := 0; s.blk != nil && k < len(s.blk.ops); k++ {
-					if s.blk.anchor+uint64(int64(s.blk.off[k])) != stop {
+					if s.blk.anchor+uint64(int64(s.blk.meta[k].off)) != stop {
 						continue
 					}
 					found++

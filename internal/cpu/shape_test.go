@@ -1,0 +1,218 @@
+package cpu
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"repro/internal/asm"
+	"repro/internal/cycles"
+)
+
+// traceShape digests every trace compiled on c's pages, in page and key
+// order: anchor, each step's offsets and running sums, end, term and the
+// totals. Two compilers that emit the same traces digest alike.
+func traceShape(c *CPU) string {
+	h := fnv.New64a()
+	put := func(v int64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	traces, steps := 0, 0
+	for i, pg := range c.code {
+		if pg == nil || pg.blocks.Load() == nil {
+			continue
+		}
+		for _, e := range *pg.blocks.Load() {
+			blk := e.blk
+			traces++
+			steps += len(blk.ops)
+			put(int64(i))
+			put(int64(e.key))
+			put(int64(blk.anchor))
+			put(int64(len(blk.ops)))
+			for _, m := range blk.meta {
+				put(int64(m.off))
+				put(int64(m.offEnd))
+				put(int64(m.cum))
+				put(int64(m.cumRet))
+			}
+			put(int64(blk.end))
+			put(int64(blk.total))
+			put(int64(blk.nret))
+			if blk.term {
+				put(1)
+			} else {
+				put(0)
+			}
+		}
+	}
+	return fmt.Sprintf("traces=%d steps=%d digest=%016x", traces, steps, h.Sum64())
+}
+
+// countedLoopSrc is a four-instruction counted loop: its trace is one
+// three-step period (the DEC/JNZ pair fuses) up to the step cap.
+const countedLoopSrc = `
+.bits 64
+	movi rcx, 1000
+	movi rbx, 3
+loop:
+	add rax, rbx
+	addi rdx, 5
+	dec rcx
+	jnz loop
+	hlt
+`
+
+// jmpLoopSrc's loop exits forward and closes with a followed JMP.
+const jmpLoopSrc = `
+.bits 64
+	movi rax, 0
+loop:
+	addi rax, 1
+	cmpi rax, 100
+	jge out
+	jmp loop
+out:
+	hlt
+`
+
+// openCallSrc branches back from inside a followed call whose RET never
+// runs: every period leaves one more return site on the compile-time
+// return stack, so no period repeats the one before.
+const openCallSrc = `
+.bits 64
+	movi rcx, 20
+top:
+	call fn
+fn:
+	addi rax, 1
+	dec rcx
+	jnz top
+	hlt
+`
+
+// dipSrc jumps back into f with the return stack as deep as when f was
+// first compiled, but holding a different return site: its RET popped the
+// first one in between. The period from f must be compiled again, while
+// the whole loop from again repeats.
+const dipSrc = `
+.bits 64
+	movi rcx, 30
+again:
+	call f
+	call g
+	dec rcx
+	jnz again
+	hlt
+f:
+	addi rax, 1
+	ret
+g:
+	jmp f
+`
+
+// staleSrc's trace at H first compiles jl T before T is compiled, as a
+// forward-falling branch; the jmp back to H then closes a period whose
+// recompile would follow jl T backwards instead. Only the period from T
+// repeats.
+const staleSrc = `
+.bits 64
+	movi rax, 0
+	jmp H
+T:
+	addi rbx, 1
+	cmpi rbx, 40
+	jge done
+	jmp H
+H:
+	addi rax, 1
+	cmpi rax, 3
+	jl T
+	movi rax, 0
+	jmp T
+done:
+	hlt
+`
+
+// TestTraceShapePins runs programs in all three modes, including the §4.2
+// boot, and pins the digest of every trace they compile. The pins were
+// taken from the compiler that decoded and compiled every step of a loop
+// trace afresh, so a compiler that repeats periods must emit exactly its
+// traces.
+func TestTraceShapePins(t *testing.T) {
+	for _, tc := range []struct{ name, src, want string }{
+		{"fib64", fibSrc, "traces=4 steps=21 digest=233eb7d5a2eab07e"},
+		{"fib32", fibAsm("32", 12), "traces=4 steps=33 digest=0f9c35a73d0f7d7e"},
+		{"fib16", fibAsm("16", 12), "traces=4 steps=33 digest=4bf73dfbb610e5f6"},
+		{"counted loop", countedLoopSrc, "traces=3 steps=193 digest=dca335794108b96c"},
+		{"jmp loop", jmpLoopSrc, "traces=1 steps=96 digest=8fb124908cfe232d"},
+		{"open call", openCallSrc, "traces=1 steps=96 digest=90f656a8493deb2d"},
+		{"return-stack dip", dipSrc, "traces=1 steps=96 digest=8d0bc629192b2ded"},
+		{"stale back-edge test", staleSrc, "traces=3 steps=288 digest=541369e14597bcfd"},
+		{"boot", bootToLongMode, "traces=11 steps=501 digest=0ad72e6e64dc10c0"},
+	} {
+		c, ex := run(t, tc.src)
+		wantHalt(t, ex)
+		if got := traceShape(c); got != tc.want {
+			t.Errorf("%s: %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// compileAt assembles src into a fresh long-mode CPU and returns it with
+// the address of label, where a trace is to be compiled (the identity map
+// makes it the physical address too).
+func compileAt(t *testing.T, src, label string) (*CPU, uint64) {
+	t.Helper()
+	p, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := make([]byte, 1<<20)
+	copy(mem[p.Origin:], p.Code)
+	c := New(mem, cycles.NewClock(), p.Entry)
+	c.SetupLongMode()
+	return c, p.Labels[label]
+}
+
+// A loop trace compiles its body once. The counted loop's 96 steps are its
+// three-step period 32 times, each repeat at the first period's offsets
+// with the sums running on, and the compile allocates the cblock, its ops
+// and meta and one closure per body step — nothing per repeated step; so
+// does a loop closed by a JMP (whose step needs no closure). A period with
+// an open call is compiled step by step instead: one closure for every
+// step.
+func TestLoopTraceRepeats(t *testing.T) {
+	c, at := compileAt(t, countedLoopSrc, "loop")
+	blk := c.compileBlock(at, at)
+	if len(blk.ops) != maxBlockSteps {
+		t.Fatalf("the loop trace has %d steps, want %d", len(blk.ops), maxBlockSteps)
+	}
+	const period = 3
+	first := blk.meta[period-1]
+	for k := period; k < len(blk.meta); k++ {
+		m, p := blk.meta[k], blk.meta[k-period]
+		if m.off != p.off || m.offEnd != p.offEnd || m.cum != p.cum+first.cum || m.cumRet != p.cumRet+first.cumRet {
+			t.Fatalf("step %d %+v does not repeat step %d %+v", k, m, k-period, p)
+		}
+	}
+	if blk.end != 0 || blk.term || blk.total != uint32(blk.meta[maxBlockSteps-1].cum) {
+		t.Fatalf("end %d, term %v, total %d", blk.end, blk.term, blk.total)
+	}
+	if n := testing.AllocsPerRun(20, func() { c.compileBlock(at, at) }); n != 3+period {
+		t.Errorf("compiling the counted loop makes %v allocations, want %d", n, 3+period)
+	}
+
+	c, at = compileAt(t, jmpLoopSrc, "loop")
+	if n := testing.AllocsPerRun(20, func() { c.compileBlock(at, at) }); n != 3+2 {
+		t.Errorf("compiling the JMP-closed loop makes %v allocations, want %d", n, 3+2)
+	}
+
+	c, at = compileAt(t, openCallSrc, "top")
+	if n := testing.AllocsPerRun(20, func() { c.compileBlock(at, at) }); n != 3+maxBlockSteps {
+		t.Errorf("compiling the open-call loop makes %v allocations, want %d", n, 3+maxBlockSteps)
+	}
+}

@@ -61,7 +61,7 @@ func TestCompileAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const limit = 1219
+	const limit = 1208
 	n := testing.AllocsPerRun(20, func() {
 		if _, err := vcc.CompileFunc(fileServerC, "handle"); err != nil {
 			t.Fatal(err)

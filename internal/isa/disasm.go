@@ -26,13 +26,14 @@ func Decode(code []byte, off uint64, m Mode) (Inst, error) {
 	if !op.Valid() {
 		return Inst{}, fmt.Errorf("isa: invalid opcode %#x at %#x", code[off], off)
 	}
-	n := op.EncodedLen(m)
+	sh := shapes[op]
+	n := sh.len(m)
 	if off+uint64(n) > uint64(len(code)) {
 		return Inst{}, fmt.Errorf("isa: truncated %s at %#x", op, off)
 	}
 	in := Inst{Op: op, Len: n, Addr: off}
 	p := off + 1
-	if op.HasRegByte() {
+	if sh.regByte {
 		in.Dst, in.Src = UnpackRegs(code[p])
 		p++
 	}
@@ -40,7 +41,7 @@ func Decode(code []byte, off uint64, m Mode) (Inst, error) {
 		in.Sub = code[p]
 		p++
 	}
-	switch op.Imm() {
+	switch sh.imm {
 	case ImmWord:
 		in.Imm = Word(code[p:], m)
 	case ImmByte:

@@ -224,19 +224,6 @@ func (o Op) String() string {
 // Valid reports whether o is a defined opcode.
 func (o Op) Valid() bool { return o < NumOps }
 
-// operand shape tables, used by the encoder, decoder, and disassembler.
-
-// HasRegByte reports whether the instruction carries the packed register
-// operand byte.
-func (o Op) HasRegByte() bool {
-	switch o {
-	case NOP, HLT, JMP, JZ, JNZ, JL, JG, JLE, JGE, JB, JAE, CALL, RET,
-		LGDT, CLI, STI, LJMP:
-		return false
-	}
-	return true
-}
-
 // ImmKind describes the immediate an instruction carries.
 type ImmKind uint8
 
@@ -246,41 +233,66 @@ const (
 	ImmByte         // single byte (shift counts, port numbers, widths)
 )
 
-// Imm returns the immediate kind for the opcode.
-func (o Op) Imm() ImmKind {
-	switch o {
-	case MOVI, ADDI, SUBI, ANDI, ORI, CMPI, LOAD, STORE, LOADB, STOREB,
-		JMP, JZ, JNZ, JL, JG, JLE, JGE, JB, JAE, CALL, LGDT:
-		return ImmWord
-	case SHL, SHR, SAR, OUT, IN:
-		return ImmByte
-	case LJMP:
-		// LJMP carries a width byte then a word immediate; handled
-		// specially by the codec, reported as ImmWord here for sizing
-		// plus one extra byte.
-		return ImmWord
-	default:
-		return ImmNone
-	}
+// opShape is an opcode's operand shape, read by the encoder, decoder and
+// disassembler.
+type opShape struct {
+	regByte bool    // carries the packed register operand byte
+	imm     ImmKind // the immediate it carries
+	fixed   uint8   // encoded bytes besides a word immediate
 }
 
-// EncodedLen returns the instruction length in bytes at the given mode.
-func (o Op) EncodedLen(m Mode) int {
-	n := 1
-	if o.HasRegByte() {
-		n++
+// len returns the encoded length at mode m.
+func (s opShape) len(m Mode) int {
+	if s.imm == ImmWord {
+		return int(s.fixed) + m.Width()
 	}
-	switch o.Imm() {
-	case ImmWord:
-		n += m.Width()
-	case ImmByte:
-		n++
-	}
-	if o == LJMP {
-		n++ // the width byte
-	}
-	return n
+	return int(s.fixed)
 }
+
+// shapes holds the shape of every byte value, built once at init and
+// indexed without a bounds check. Undefined opcodes get the shape of a
+// register-only instruction; Decode rejects them before reading it.
+var shapes = func() (t [256]opShape) {
+	for i := range t {
+		s := &t[i]
+		switch Op(i) {
+		case NOP, HLT, JMP, JZ, JNZ, JL, JG, JLE, JGE, JB, JAE, CALL, RET,
+			LGDT, CLI, STI, LJMP:
+		default:
+			s.regByte = true
+		}
+		switch Op(i) {
+		case MOVI, ADDI, SUBI, ANDI, ORI, CMPI, LOAD, STORE, LOADB, STOREB,
+			JMP, JZ, JNZ, JL, JG, JLE, JGE, JB, JAE, CALL, LGDT:
+			s.imm = ImmWord
+		case SHL, SHR, SAR, OUT, IN:
+			s.imm = ImmByte
+		case LJMP:
+			// A width byte, then a word immediate.
+			s.imm = ImmWord
+			s.fixed++
+		}
+		s.fixed++ // the opcode
+		if s.regByte {
+			s.fixed++
+		}
+		if s.imm == ImmByte {
+			s.fixed++
+		}
+	}
+	return t
+}()
+
+// HasRegByte reports whether the instruction carries the packed register
+// operand byte.
+func (o Op) HasRegByte() bool { return shapes[o].regByte }
+
+// Imm returns the immediate kind for the opcode. LJMP reports ImmWord: its
+// width byte is counted by EncodedLen and read by the codec.
+func (o Op) Imm() ImmKind { return shapes[o].imm }
+
+// EncodedLen returns the instruction length in bytes at the given mode.
+func (o Op) EncodedLen(m Mode) int { return shapes[o].len(m) }
 
 // PackRegs packs dst and src into the operand byte.
 func PackRegs(dst, src Reg) byte { return byte(dst)&0x0F | byte(src)<<4 }

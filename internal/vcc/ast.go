@@ -245,6 +245,7 @@ type FuncDecl struct {
 	Params  []Param
 	Body    *Block
 	Line    int
+	Toks    int // tokens from the parameter list's "(" to the body's "}"
 	Virtine bool
 	// Permissive grants allow-all; ConfigMask (when >= 0) grants a
 	// bit-mask policy (§5.3).

@@ -176,6 +176,17 @@ func CompileFunc(src, name string) (*Virtine, error) {
 func packageVirtine(file *File, fn *FuncDecl, opts Options) (*Virtine, error) {
 	reach := reachable(file, fn.Name)
 	g := newGen(file)
+	// Size the statement slice once: codegen emits 1.1 to 3.1 statements
+	// per token of a reached function (1.6 for the file server), so two
+	// per token, plus crt0's and three per global, leaves at most one
+	// doubling and usually none.
+	n := 16 + 2*len(fn.Params) + 3*len(file.Globals)
+	for _, f := range file.Funcs {
+		if reach[f.Name] {
+			n += 2 * f.Toks
+		}
+	}
+	g.out = make([]asm.Stmt, 0, n)
 
 	// crt0: runs at the long-mode entry point. Snapshot first (the
 	// language extensions use snapshotting by default, §5.3; the capture

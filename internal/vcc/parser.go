@@ -183,6 +183,7 @@ func (p *parser) declarator(base *Type) (*Type, string, int, error) {
 }
 
 func (p *parser) funcRest(ret *Type, name string, line int) (*FuncDecl, error) {
+	start := p.pos
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
@@ -215,6 +216,7 @@ func (p *parser) funcRest(ret *Type, name string, line int) (*FuncDecl, error) {
 		return nil, err
 	}
 	fn.Body = body
+	fn.Toks = p.pos - start
 	return fn, nil
 }
 

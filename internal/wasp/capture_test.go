@@ -319,7 +319,7 @@ func TestForkLifecycleAllocs(t *testing.T) {
 		lifecycle(id)
 	})
 	t.Logf("%v allocations per lifecycle", n)
-	if n > 215 {
-		t.Fatalf("a tenant lifecycle makes %v allocations, want at most 215", n)
+	if n > 131 {
+		t.Fatalf("a tenant lifecycle makes %v allocations, want at most 131", n)
 	}
 }
