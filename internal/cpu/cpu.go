@@ -216,17 +216,6 @@ type CPU struct {
 	// when some decoded page really was hit.
 	codeClobbered bool
 
-	// lateFault attribution: a fused pair closure (jit.go) that faults
-	// half-way records here which half completed — extra cost to roll
-	// back when the unexecuted second half was pre-batched (lateRoll),
-	// extra instructions retired when the first half committed (lateRet)
-	// and the mid-pair IP the fault belongs to (lateMid). blockStop
-	// consumes and clears the record on the fault path only.
-	lateSet  bool
-	lateRoll uint8
-	lateRet  uint8
-	lateMid  int32
-
 	// blockEntry is the virtual IP of the compiled trace currently
 	// executing; CALL/RET closures rebuild absolute return addresses
 	// from it plus a compile-time relative offset.

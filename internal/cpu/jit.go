@@ -293,32 +293,20 @@ func (c *CPU) blockStop(blk *cblock, i int, entryIP uint64, pending *uint64, ex 
 		before = blk.meta[i-1]
 	}
 	done := uint64(before.cumRet)
-	ipOff := int32(blk.meta[i].off)
+	c.Retired += done
+	c.IP = entryIP + uint64(int64(blk.meta[i].off))
 	if ex == errDeopt {
 		// The step did not execute: roll back its cost too and let the
 		// dispatch loop re-execute it via Step.
 		*pending -= uint64(blk.total) - uint64(before.cum)
-		c.Retired += done
-		c.IP = entryIP + uint64(int64(ipOff))
 		c.Stats.BlockDeopts++
 		c.tier(true, entryIP)
 		return done, nil
 	}
 	if ex == errDiv0 {
-		ex = c.fault("divide by zero at %#x", entryIP+uint64(int64(ipOff)))
+		ex = c.fault("divide by zero at %#x", c.IP)
 	}
 	*pending -= uint64(blk.total) - uint64(blk.meta[i].cum)
-	if c.lateSet {
-		// A fused pair faulted half-way: restore exact attribution.
-		*pending -= uint64(c.lateRoll)
-		done += uint64(c.lateRet)
-		if c.lateRet > 0 {
-			ipOff = c.lateMid
-		}
-		c.lateSet, c.lateRoll, c.lateRet, c.lateMid = false, 0, 0, 0
-	}
-	c.Retired += done
-	c.IP = entryIP + uint64(int64(ipOff))
 	return done, ex
 }
 
@@ -810,175 +798,6 @@ compile:
 					rel += pair
 				}
 				continue
-			}
-		}
-
-		// Peephole: hot long-mode stack/ALU pairs fuse into one closure
-		// retiring two instructions — each fusion removes a dispatch from
-		// the trace's inner loop. Unlike the branch pairs above, a half
-		// of these pairs can fault; the closure then records which half
-		// completed in the lateFault fields so blockStop can attribute
-		// retirement, batched cost and the faulting IP exactly as the
-		// Step-only engine would.
-		if mode == isa.Mode64 &&
-			(in.Op == isa.PUSH || in.Op == isa.POP || in.Op == isa.MOV || in.Op == isa.SUBI) {
-			if jn, ok := decode(pp + int64(n)); ok &&
-				pp+int64(n)+int64(jn.Len) <= int64(pBase)+codePageSize && !specialOp[jn.Op] {
-				pair := n + int32(jn.Len)
-				pcost := cost + baseCost(jn.Op)
-				relMid := rel + n
-				roll := baseCost(jn.Op) // unexecuted 2nd half on a 1st-half fault
-				switch {
-				case in.Op == isa.PUSH && (jn.Op == isa.SUBI || jn.Op == isa.ADDI):
-					// push r1; subi/addi d2, imm — the ALU half cannot
-					// fault, so only the store needs late attribution.
-					r1, d2, i2 := dst, jn.Dst, jn.Imm
-					sub := jn.Op == isa.SUBI
-					fn = func(c *CPU) *Exit {
-						sp := c.Regs[isa.RSP] - 8
-						c.Regs[isa.RSP] = sp
-						var smc *Exit
-						if !c.fastStore64(sp, c.Regs[r1]) {
-							if smc = c.storeSlow(sp, c.Regs[r1], isa.Mode64, "push: "); smc != nil && smc != errSMC {
-								c.lateSet, c.lateRoll = true, roll
-								return smc
-							}
-						}
-						a := c.Regs[d2]
-						var r uint64
-						if sub {
-							r = a - i2
-						} else {
-							r = a + i2
-						}
-						c.setArith64(r, a, i2, sub)
-						c.Regs[d2] = r
-						return smc
-					}
-					add(fn, rel, rel+pair, pcost, 2)
-					rel += pair
-					continue
-				case in.Op == isa.POP && (jn.Op == isa.ADD || jn.Op == isa.SUB):
-					// pop r1; add/sub d2, s2 — the load faults before any
-					// state changes, the ALU half cannot fault.
-					r1, d2, s2 := dst, jn.Dst, jn.Src
-					sub := jn.Op == isa.SUB
-					fn = func(c *CPU) *Exit {
-						sp := c.Regs[isa.RSP]
-						v, ok := c.fastLoad64(sp)
-						if !ok {
-							var err error
-							if v, err = c.loadWord(sp, isa.Mode64); err != nil {
-								c.lateSet, c.lateRoll = true, roll
-								return c.fault("pop: %v", err)
-							}
-						}
-						c.Regs[isa.RSP] = sp + 8
-						c.Regs[r1] = v
-						a, b := c.Regs[d2], c.Regs[s2]
-						var r uint64
-						if sub {
-							r = a - b
-						} else {
-							r = a + b
-						}
-						c.setArith64(r, a, b, sub)
-						c.Regs[d2] = r
-						return nil
-					}
-					add(fn, rel, rel+pair, pcost, 2)
-					rel += pair
-					continue
-				case in.Op == isa.POP && jn.Op == isa.PUSH &&
-					dst != isa.RSP && jn.Dst != isa.RSP:
-					// pop r1; push r2 — the push reuses the slot the pop
-					// just vacated, so RSP is never written: its value is
-					// identical before, between (pop's +8 then push's -8)
-					// and after the pair.
-					r1, r2 := dst, jn.Dst
-					fn = func(c *CPU) *Exit {
-						sp := c.Regs[isa.RSP]
-						v, ok := c.fastLoad64(sp)
-						if !ok {
-							var err error
-							if v, err = c.loadWord(sp, isa.Mode64); err != nil {
-								c.lateSet, c.lateRoll = true, roll
-								return c.fault("pop: %v", err)
-							}
-						}
-						c.Regs[r1] = v
-						if c.fastStore64(sp, c.Regs[r2]) {
-							return nil
-						}
-						ex := c.storeSlow(sp, c.Regs[r2], isa.Mode64, "push: ")
-						if ex != nil && ex != errSMC {
-							c.lateSet, c.lateRet, c.lateMid = true, 1, relMid
-						}
-						return ex
-					}
-					add(fn, rel, rel+pair, pcost, 2)
-					rel += pair
-					continue
-				case in.Op == isa.SUBI && jn.Op == isa.CALL:
-					// subi d, imm; call t (followed) — the decrement
-					// commits before the return-address push can fault,
-					// matching the legacy state at the fault.
-					if r2, ok := follow(jn.Imm & mask); ok {
-						d1, i1 := dst, imm
-						retRel := rel + pair
-						exp := uint64(int64(retRel))
-						fn = func(c *CPU) *Exit {
-							a := c.Regs[d1]
-							r := a - i1
-							c.setArith64(r, a, i1, true)
-							c.Regs[d1] = r
-							sp := c.Regs[isa.RSP] - 8
-							c.Regs[isa.RSP] = sp
-							if c.fastStore64(sp, c.blockEntry+exp) {
-								return nil
-							}
-							ex := c.storeSlow(sp, c.blockEntry+exp, isa.Mode64, "call push: ")
-							if ex != nil && ex != errSMC {
-								c.lateSet, c.lateRet, c.lateMid = true, 1, relMid
-							}
-							return ex
-						}
-						add(fn, rel, r2, pcost, 2)
-						rets[nrets] = retRel
-						nrets++
-						rel = r2
-						continue
-					}
-				case in.Op == isa.MOV && jn.Op == isa.RET && nrets > 0:
-					// mov d, s; ret (speculated) — the move commits before
-					// the pop can fault, which matches the legacy state at
-					// the fault (mov retired, fault on the ret).
-					nrets--
-					retRel := rets[nrets]
-					exp := uint64(int64(retRel))
-					d1, s1 := dst, src
-					fn = func(c *CPU) *Exit {
-						c.Regs[d1] = c.Regs[s1]
-						sp := c.Regs[isa.RSP]
-						v, ok := c.fastLoad64(sp)
-						if !ok {
-							var err error
-							if v, err = c.loadWord(sp, isa.Mode64); err != nil {
-								c.lateSet, c.lateRet, c.lateMid = true, 1, relMid
-								return c.fault("ret pop: %v", err)
-							}
-						}
-						c.Regs[isa.RSP] = sp + 8
-						if v != c.blockEntry+exp {
-							c.IP = v
-							return errSide
-						}
-						return nil
-					}
-					add(fn, rel, retRel, pcost, 2)
-					rel = retRel
-					continue
-				}
 			}
 		}
 

@@ -11,8 +11,8 @@ import (
 )
 
 // fibSrc is the recursive-fib microbenchmark: call-heavy, so it
-// exercises followed calls, speculated returns and the fused stack
-// pairs of the trace compiler.
+// exercises the trace compiler's followed calls, speculated returns and
+// push/pop closures.
 const fibSrc = `
 .bits 64
 	movi rdi, 15
@@ -248,13 +248,14 @@ func TestBudgetSweepParity(t *testing.T) {
 
 // TestTraceStopsMatchStep pins every way a trace ends, at a middle step and
 // at the final step: completion, a side exit, a store that unhooks the
-// trace's own page or another decoded page, a fault, a fused pair's fault
-// in either half, and a deopt. Each program runs twice on one CPU per
-// engine (the first pass marks the code, the second runs it as traces) and
-// after each pass must match Legacy in exit, registers, flags, IP, Retired,
-// clock, memory and dirty pages. TAIL is where the middle-step variant puts
-// two more instructions; every compiled trace that holds the stopping
-// instruction (vx_stop) must hold it where the variant says.
+// trace's own page or another decoded page, a fault, a push, pop, followed
+// call or speculated return whose stack access faults, and a deopt. Each
+// program runs twice on one CPU per engine (the first pass marks the code,
+// the second runs it as traces) and after each pass must match Legacy in
+// exit, registers, flags, IP, Retired, clock, memory and dirty pages. TAIL
+// is where the middle-step variant puts two more instructions; every
+// compiled trace that holds the stopping instruction (vx_stop) must hold it
+// where the variant says.
 func TestTraceStopsMatchStep(t *testing.T) {
 	for _, tc := range []struct {
 		name, src string
@@ -314,23 +315,38 @@ vx_stop:
 	div rax, r15
 TAIL
 	hlt`},
-		{name: "fused pair, first half faults", fault: "push: store beyond memory", src: `
+		{name: "push faults", fault: "push: store beyond memory", src: `
 	movi rsp, 0x200000
 vx_stop:
 	push rax
-	subi rbx, 1
 TAIL
 	hlt`},
-		{name: "fused pair, second half faults", fault: "call push: store beyond memory", src: `
+		{name: "followed call's push faults", fault: "call push: store beyond memory", src: `
 	movi rsp, 0x200000
 	movi rax, 9
-vx_stop:
 	subi rax, 1
+vx_stop:
 	call vx_fn
 	hlt
 vx_fn:
 TAIL
 	hlt`},
+		{name: "pop faults", fault: "pop: load beyond memory", src: `
+	movi rsp, 0x200000
+vx_stop:
+	pop rax
+TAIL
+	hlt`},
+		{name: "speculated ret's pop faults", fault: "ret pop: load beyond memory", src: `
+	movi rsp, 0x20000
+	movi rdx, 0x200000
+	call vx_fn
+TAIL
+	hlt
+vx_fn:
+	mov rsp, rdx
+vx_stop:
+	ret`},
 		{name: "deopt", bits: 32, deopt: [2]bool{true, true}, src: `
 	movi rdi, 0x6000
 	movi rax, 5

@@ -15,7 +15,9 @@ import (
 // run and one restored run: which traces are compiled, how often they are
 // entered and how often they stop early. The values were taken before the
 // trace compiler repeated loop periods instead of compiling them again,
-// which must not change any of them.
+// which must not change any of them. The file server's rows were taken
+// again when push, pop, call and ret stopped fusing with their neighbours
+// into one step; the tenant's rows did not move.
 func TestCodeCacheStatsPins(t *testing.T) {
 	type stats struct{ compiled, hits, deopts uint64 }
 	read := func(w *wasp.Wasp) stats {
@@ -31,10 +33,10 @@ func TestCodeCacheStatsPins(t *testing.T) {
 		path string
 		want stats
 	}{
-		{"/index.html", stats{59, 155, 1}},
-		{"/big.bin", stats{61, 265, 1}},
-		{"/missing", stats{68, 301, 1}},
-		{"/index.html", stats{68, 413, 1}},
+		{"/index.html", stats{60, 155, 1}},
+		{"/big.bin", stats{62, 266, 1}},
+		{"/missing", stats{68, 303, 1}},
+		{"/index.html", stats{68, 416, 1}},
 	} {
 		if _, err := s.Serve(Request(tc.path), cycles.NewClock()); err != nil {
 			t.Fatal(err)
@@ -90,7 +92,7 @@ func TestFirstServeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const limit, runs = 2034, 10
+	const limit, runs = 2156, 10
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats
 	var mallocs uint64
