@@ -70,8 +70,6 @@ var specialOp = [isa.NumOps]bool{
 	isa.MOVCR: true, isa.RDCR: true, isa.LJMP: true,
 }
 
-func isJcc(op isa.Op) bool { return op >= isa.JZ && op <= isa.JAE }
-
 // baseCost returns the fixed cycle cost charged before/while executing op
 // that does not depend on run-time state (InstrBase, plus the multi-cycle
 // ALU charges). Memory-access costs stay in loadWord/storeWord because

@@ -262,50 +262,6 @@ func TestFetchBeyondMemoryFaults(t *testing.T) {
 	}
 }
 
-// The NoTLB ablation must charge exactly the legacy cycle counts —
-// including around special instructions, which would double-charge the
-// fetch walk if the cached engine pre-translated before delegating.
-func TestNoTLBParity(t *testing.T) {
-	src := `
-.bits 64
-_start:
-	movi rcx, 20
-vx_lp:
-	movi rdi, 1
-	out 0x0B, rdi
-	dec rcx
-	jnz vx_lp
-	hlt
-`
-	p, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec := func(legacy bool) uint64 {
-		mem := make([]byte, 2<<20)
-		copy(mem[p.Origin:], p.Code)
-		clk := cycles.NewClock()
-		c := New(mem, clk, p.Entry)
-		c.Legacy = legacy
-		c.NoTLB = true
-		c.SetupLongMode()
-		for {
-			ex := c.Run(1_000_000)
-			if ex.Reason == ExitIO {
-				continue // resume across the hypercall exits
-			}
-			if ex.Reason != ExitHalt {
-				t.Fatalf("legacy=%v: exit %+v", legacy, ex)
-			}
-			break
-		}
-		return clk.Now()
-	}
-	if fast, slow := exec(false), exec(true); fast != slow {
-		t.Fatalf("NoTLB cycles diverge: cached %d, legacy %d", fast, slow)
-	}
-}
-
 // Merge upgrades a sparse frozen page with a fuller one decoded from the
 // same bytes (input-dependent jumps reach code the first freeze never
 // executed), but never lets a page frozen from different (self-modified)

@@ -170,10 +170,6 @@ type CPU struct {
 	// path never checks it. Reset clears it.
 	Handoff uint64
 
-	// NoTLB disables the translation cache (ablation: every long-mode
-	// access pays a full page walk).
-	NoTLB bool
-
 	// Legacy makes Run execute every instruction through Step. The
 	// differential determinism tests use it as the reference for the
 	// default trace engine; virtual-cycle results must be bit-identical.

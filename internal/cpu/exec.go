@@ -481,9 +481,6 @@ func (c *CPU) setFetchWindow(ip, phys uint64) {
 			c.fetchOK, c.fetchVBase, c.fetchVEnd, c.fetchPBase = true, 0, 1<<32, 0
 		}
 	default:
-		if c.NoTLB {
-			return // every fetch must pay the full walk, as the ablation demands
-		}
 		vbase := ip &^ 0x1F_FFFF
 		c.fetchOK = true
 		c.fetchVBase = vbase
@@ -508,7 +505,7 @@ func (c *CPU) runCached(maxSteps uint64) *Exit {
 			c.Clock.Advance(pending)
 			return ex
 		}
-		if blk != nil && uint64(blk.nret) <= maxSteps-steps {
+		if blk != nil && uint64(len(blk.ops)) <= maxSteps-steps {
 			// execChain runs the trace and keeps chaining into cached
 			// successors; it returns only when the dispatch loop must
 			// re-examine state from scratch.
@@ -546,10 +543,8 @@ func (c *CPU) runCached(maxSteps uint64) *Exit {
 // address. A failed fetch translation is returned as the fault exit — it
 // charged its walk, so Step must not repeat it.
 func (c *CPU) traceAt(ip uint64) (*cblock, uint64, *codePage, *Exit) {
-	if c.pendFirst || (c.NoTLB && c.Mode == isa.Mode64) {
-		// Step charges FirstInstr64 at the exact legacy clock position;
-		// under the TLB-off ablation every fetch must pay its own walk,
-		// which is per-step execution exactly.
+	if c.pendFirst {
+		// Step charges FirstInstr64 at the exact legacy clock position.
 		return nil, 0, nil, nil
 	}
 	var phys uint64

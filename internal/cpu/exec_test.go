@@ -190,36 +190,6 @@ func TestEventDeltaEdgeCases(t *testing.T) {
 	}
 }
 
-func TestNoTLBChargesEveryAccess(t *testing.T) {
-	prog := strings.Replace(bootToLongMode, `	movi rax, 0x2A
-	hlt`, `	movi rcx, 100
-	movi rbx, 0x6000
-tl:
-	load rax, [rbx]
-	dec rcx
-	jnz tl
-	hlt`, 1)
-	cost := func(noTLB bool) uint64 {
-		p, err := asm.Assemble(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mem := make([]byte, 2<<20)
-		copy(mem[p.Origin:], p.Code)
-		c := New(mem, cycles.NewClock(), p.Entry)
-		c.NoTLB = noTLB
-		if ex := c.Run(50_000_000); ex.Reason != ExitHalt {
-			t.Fatalf("exit %+v", ex)
-		}
-		return c.Clock.Now()
-	}
-	with := cost(false)
-	without := cost(true)
-	if without <= with {
-		t.Fatalf("NoTLB (%d) should cost more than TLB (%d)", without, with)
-	}
-}
-
 func TestWriteIdentityTablesCoversFirstGB(t *testing.T) {
 	mem := make([]byte, 1<<20)
 	WriteIdentityTables(mem, DefaultTableBase)

@@ -12,7 +12,8 @@ import (
 
 // fuzzSeedBody generates one random-but-halting program body in the style
 // of differential_test.go's corpus: ALU work, guarded divides, balanced
-// stack traffic, word and byte memory traffic around a page boundary, a
+// stack traffic, word and byte memory traffic around a page boundary,
+// compares and counters each branching forward on every condition, a
 // patch of its own code, a counted store loop (random stride and
 // counter, its base near a page boundary or the end of memory), and one
 // bounded self-patching loop the trace engine compiles.
@@ -24,7 +25,7 @@ func fuzzSeedBody(rng *rand.Rand) string {
 		body += fmt.Sprintf("\tmovi %s, %d\n", r, rng.Intn(1<<12))
 	}
 	for i, n := 0, 8+rng.Intn(16); i < n; i++ {
-		switch rng.Intn(9) {
+		switch rng.Intn(10) {
 		case 0:
 			body += fmt.Sprintf("\tadd %s, %s\n", reg(), reg())
 		case 1:
@@ -45,6 +46,23 @@ func fuzzSeedBody(rng *rand.Rand) string {
 			body += fmt.Sprintf("\tstoreb [rbp+%d], %s\n", rng.Intn(512), reg())
 		case 8:
 			body += fmt.Sprintf("\tloadb %s, [rbp+%d]\n", reg(), rng.Intn(512))
+		case 9:
+			// A flag-setter, then a branch over one instruction: taken it
+			// leaves the trace, not taken it runs on inside it.
+			for _, jcc := range []string{"jz", "jnz", "jl", "jg", "jle", "jge", "jb", "jae"} {
+				switch rng.Intn(4) {
+				case 0:
+					body += fmt.Sprintf("\tcmp %s, %s\n", reg(), reg())
+				case 1:
+					body += fmt.Sprintf("\tcmpi %s, %d\n", reg(), rng.Intn(1<<12))
+				case 2:
+					body += fmt.Sprintf("\tinc %s\n", reg())
+				case 3:
+					body += fmt.Sprintf("\tdec %s\n", reg())
+				}
+				over := fmt.Sprintf("vx_seed_over%d", len(body)) // body only grows: unique
+				body += fmt.Sprintf("\t%s %s\n\taddi %s, 1\n%s:\n", jcc, over, reg(), over)
+			}
 		}
 	}
 	base := 0x5FC0 + rng.Intn(64) // climbs across a page boundary

@@ -1,11 +1,11 @@
 package cpu
 
 // Trace JIT: hot code is compiled into chains of Go closures ("traces"),
-// one closure per instruction (or per fused flag-setter/branch pair),
-// each specialized at compile time on operand registers, immediates and
-// the mode's width/mask — the per-instruction decode-switch disappears
-// from the hot loop, and straight-line dispatch overhead is paid once
-// per trace instead of once per instruction.
+// one closure per instruction, each specialized at compile time on
+// operand registers, immediates and the mode's width/mask — the
+// per-instruction decode-switch disappears from the hot loop, and
+// straight-line dispatch overhead is paid once per trace instead of once
+// per instruction.
 //
 // Traces follow control flow, not just fall-through:
 //
@@ -19,7 +19,9 @@ package cpu
 //     its stack) is a side exit with the popped address as the new IP;
 //   - conditional branches become side exits: the not-taken path is
 //     compiled inline and a taken branch leaves the trace with the
-//     target in IP — both directions architecturally exact.
+//     target in IP, except that a backward taken arm inside the page (a
+//     loop) is followed and falling through leaves the trace — both
+//     directions architecturally exact.
 //
 // Dispatch. The loop in exec.go runs a compiled trace wherever one is
 // headed at the current IP and Step everywhere else: specials and
@@ -90,9 +92,9 @@ var (
 
 // bcent is one direct-mapped block-cache entry. A hit requires the
 // recorded page to still be the one installed for the physical address,
-// so invalidation needs no cache maintenance. anchor and nret duplicate
-// the block's fields so the chain-probe hot path decides hit/miss and
-// budget without touching the cblock's cache line.
+// so invalidation needs no cache maintenance. anchor and nret (its step
+// count) duplicate the block's so the chain-probe hot path decides
+// hit/miss and budget without touching the cblock's cache line.
 type bcent struct {
 	phys   uint64
 	anchor uint64
@@ -104,9 +106,11 @@ type bcent struct {
 
 // cblock is one compiled trace: its closures and, parallel to them, one
 // packed stepMeta per step — what the executor needs to reconstruct exact
-// architectural state mid-trace. Both slices are exact-size copies of the
-// compiler's scratch arrays, and the steps of a repeated loop period share
-// their closures with the period's first compile.
+// architectural state mid-trace. Every step retires one instruction, so
+// the steps through step i retire i+1 and the whole trace len(ops). Both
+// slices are exact-size copies of the compiler's scratch arrays, and the
+// steps of a repeated loop period share their closures with the period's
+// first compile.
 type cblock struct {
 	ops    []step
 	meta   []stepMeta
@@ -114,27 +118,24 @@ type cblock struct {
 	end    int32  // successor offset when the trace falls off its end
 	term   bool   // last step always sets IP itself
 	total  uint32 // fixed cost of the whole trace
-	nret   uint32 // instructions the whole trace retires
 }
 
 // stepMeta is one step's record. Offsets are signed and relative to the
-// entry IP (followed call targets can precede the head); the sums run
-// from the first step through this one. A step's own cost and retire
-// count are the differences from its predecessor's sums.
+// entry IP (followed call targets can precede the head); cum runs from
+// the first step through this one, so a step's own cost is the
+// difference from its predecessor's.
 type stepMeta struct {
 	off    int16  // offset of the step's instruction
 	offEnd int16  // offset of its successor in trace order
-	cum    uint16 // cumulative fixed cost (base + mul/div extra; both halves if fused)
-	cumRet uint8  // cumulative retires (1 per step, or 2 for fused)
+	cum    uint16 // cumulative fixed cost (base + mul/div extra)
 }
 
 // The packed ranges: a trace never leaves its 4 KiB page, so an offset
-// lies within ±codePageSize of the head; a step costs at most two
-// instructions of the dearest kind and retires at most two.
+// lies within ±codePageSize of the head, and a step costs at most one
+// instruction of the dearest kind.
 const (
 	_ = int16(codePageSize)
-	_ = uint16(maxBlockSteps * 2 * (cycles.InstrBase + cycles.InstrDiv))
-	_ = uint8(maxBlockSteps * 2)
+	_ = uint16(maxBlockSteps * (cycles.InstrBase + cycles.InstrDiv))
 )
 
 // blockAt returns the compiled trace headed at phys (compiling and
@@ -157,7 +158,7 @@ func (c *CPU) blockAt(pg *codePage, page uint64, off uint32, ip uint64) *cblock 
 			return nil
 		}
 		c.Stats.BlockHits++
-		*slot = bcent{phys: phys, anchor: ip, mode: c.Mode, nret: blk.nret, pg: pg, blk: blk}
+		*slot = bcent{phys: phys, anchor: ip, mode: c.Mode, nret: uint32(len(blk.ops)), pg: pg, blk: blk}
 		return blk
 	}
 	blk := c.compileBlock(ip, phys)
@@ -167,7 +168,7 @@ func (c *CPU) blockAt(pg *codePage, page uint64, off uint32, ip uint64) *cblock 
 	pg.addBlock(key, blk)
 	c.Stats.BlocksCompiled++
 	c.tier(false, ip)
-	*slot = bcent{phys: phys, anchor: ip, mode: c.Mode, nret: blk.nret, pg: pg, blk: blk}
+	*slot = bcent{phys: phys, anchor: ip, mode: c.Mode, nret: uint32(len(blk.ops)), pg: pg, blk: blk}
 	return blk
 }
 
@@ -217,8 +218,8 @@ func (c *CPU) execChain(blk *cblock, entryIP, page uint64, pg *codePage, pending
 			if !blk.term {
 				c.IP = entryIP + uint64(int64(blk.end))
 			}
-			c.Retired += uint64(blk.nret)
-			steps += uint64(blk.nret)
+			c.Retired += uint64(len(blk.ops))
+			steps += uint64(len(blk.ops))
 		case errSide:
 			// Side exit (taken branch, return-speculation miss): the step
 			// completed and set IP itself.
@@ -228,7 +229,7 @@ func (c *CPU) execChain(blk *cblock, entryIP, page uint64, pg *codePage, pending
 			return steps + done, fault
 		}
 		entryIP = c.IP
-		if entryIP == blk.anchor && uint64(blk.nret) <= budget-steps {
+		if entryIP == blk.anchor && uint64(len(blk.ops)) <= budget-steps {
 			// Side exit straight back to this trace's own head (a loop
 			// back-edge or recursion spine). Mid-trace invariants make
 			// the full probe redundant: no special can have changed the
@@ -260,9 +261,8 @@ func (c *CPU) execChain(blk *cblock, entryIP, page uint64, pg *codePage, pending
 // retireThrough retires a trace's steps up to and including step i, all
 // of which completed, and rolls back the batched cost of the rest.
 func (c *CPU) retireThrough(blk *cblock, i int, pending *uint64) uint64 {
-	m := blk.meta[i]
-	done := uint64(m.cumRet)
-	*pending -= uint64(blk.total) - uint64(m.cum)
+	done := uint64(i + 1)
+	*pending -= uint64(blk.total) - uint64(blk.meta[i].cum)
 	c.Retired += done
 	return done
 }
@@ -288,11 +288,11 @@ func (c *CPU) runSteps(ops []step, i int) (int, *Exit) {
 // errDiv0 sentinel, formatted here with the faulting IP). It returns the
 // instructions retired and the fault, nil for a deopt.
 func (c *CPU) blockStop(blk *cblock, i int, entryIP uint64, pending *uint64, ex *Exit) (uint64, *Exit) {
-	var before stepMeta // the sums through step i-1
+	var before stepMeta // cum through step i-1
 	if i > 0 {
 		before = blk.meta[i-1]
 	}
-	done := uint64(before.cumRet)
+	done := uint64(i)
 	c.Retired += done
 	c.IP = entryIP + uint64(int64(blk.meta[i].off))
 	if ex == errDeopt {
@@ -431,9 +431,8 @@ func (c *CPU) setLogicW(res uint64, mask, sign uint64) {
 var stepNop = func(c *CPU) *Exit { return nil }
 
 // compileBlock builds the trace anchored at virtual ip / physical phys:
-// it decodes forward, emitting one closure per instruction, fusing
-// flag-setter/branch pairs into side-exit steps, following direct JMP
-// and CALL targets that stay inside the head's 4 KiB page, and
+// it decodes forward, emitting one closure per instruction, following
+// direct JMP and CALL targets that stay inside the head's 4 KiB page, and
 // speculating the RETs that match followed CALLs. A loop body is
 // compiled once: when a back-edge closes a period that would compile
 // again to the same steps, the period repeats (repeat, below).
@@ -465,15 +464,13 @@ func (c *CPU) compileBlock(ip, phys uint64) *cblock {
 		seen        [codePageSize / 64]uint64 // page offsets of compiled steps
 		nops, nrets int
 		total       uint16
-		nret        uint8
 		term        bool
 		rel         int32
 	)
-	add := func(fn step, rel, next int32, cost, ret uint8) {
+	add := func(fn step, rel, next int32, cost uint8) {
 		total += uint16(cost)
-		nret += ret
 		ops[nops] = fn
-		meta[nops] = stepMeta{off: int16(rel), offEnd: int16(next), cum: total, cumRet: nret}
+		meta[nops] = stepMeta{off: int16(rel), offEnd: int16(next), cum: total}
 		nops++
 	}
 	marked := func(o int32) bool { return seen[o>>6]&(1<<(o&63)) != 0 }
@@ -497,7 +494,7 @@ func (c *CPU) compileBlock(ip, phys uint64) *cblock {
 	// its start and never shallower between — and no backward target the
 	// period found not compiled has been compiled since. Then the period
 	// repeats up to the step cap, sharing its closures and offsets while
-	// the sums run on, and repeat reports that the trace is complete.
+	// cum runs on, and repeat reports that the trace is complete.
 	repeat := func() bool {
 		p := nops - 1 // a marked offset always holds a step
 		for meta[p].off != int16(rel) {
@@ -515,31 +512,15 @@ func (c *CPU) compileBlock(ip, phys uint64) *cblock {
 		if p > 0 {
 			before = meta[p-1]
 		}
-		period, pc, pr := nops-p, total-before.cum, nret-before.cumRet
+		period, pc := nops-p, total-before.cum
 		for ; nops < maxBlockSteps; nops++ {
 			m := meta[nops-period]
 			m.cum += pc
-			m.cumRet += pr
 			ops[nops], meta[nops] = ops[nops-period], m
 		}
-		total, nret = meta[nops-1].cum, meta[nops-1].cumRet
+		total = meta[nops-1].cum
 		rel = int32(meta[nops-1].offEnd)
 		return true
-	}
-	// decode decodes at physical address at, keeping the last result: a
-	// peephole's lookahead is the next step's instruction whenever the
-	// trace falls through to it.
-	var last isa.Inst
-	lastAt := int64(-1)
-	decode := func(at int64) (isa.Inst, bool) {
-		if at != lastAt {
-			in, err := isa.Decode(c.Mem, uint64(at), mode)
-			if err != nil {
-				return in, false
-			}
-			last, lastAt = in, at
-		}
-		return last, true
 	}
 	// follow resolves a direct branch target to a trace-relative offset,
 	// or reports that the trace cannot continue there: the target's
@@ -566,8 +547,8 @@ compile:
 		o := head + rel
 		seen[o>>6] |= 1 << (o & 63)
 		depth[nops] = uint8(nrets)
-		in, ok := decode(pp)
-		if !ok {
+		in, err := isa.Decode(c.Mem, uint64(pp), mode)
+		if err != nil {
 			break
 		}
 		n := int32(in.Len)
@@ -578,228 +559,6 @@ compile:
 		cost := baseCost(in.Op)
 		dst, src, imm := in.Dst, in.Src, in.Imm
 		addrImm := in.Imm & mask
-
-		// Peephole: flag-setter + conditional branch fuse into one
-		// side-exit closure retiring two instructions (neither half can
-		// fault); the trace continues on the not-taken path.
-		if in.Op == isa.CMP || in.Op == isa.CMPI || in.Op == isa.DEC || in.Op == isa.INC {
-			if jn, ok := decode(pp + int64(n)); ok &&
-				isJcc(jn.Op) && pp+int64(n)+int64(jn.Len) <= int64(pBase)+codePageSize {
-				jop := jn.Op
-				target := jn.Imm & mask
-				pair := n + int32(jn.Len)
-				pcost := cost + baseCost(jn.Op)
-				// A backward taken arm that stays in the page is a loop
-				// or recursion spine: follow it, so iterations unroll
-				// into the trace, and side-exit on fall-through (the
-				// loop exit). Forward branches keep the fall-through in
-				// the trace and side-exit when taken.
-				r2, bk := follow(target)
-				bk = bk && backEdge(rel, r2)
-				fall := uint64(int64(rel + pair))
-				switch in.Op {
-				case isa.CMP:
-					switch {
-					case mode == isa.Mode64 && bk:
-						fn = func(c *CPU) *Exit {
-							a, b := c.Regs[dst], c.Regs[src]
-							c.setArith64(a-b, a, b, true)
-							if !jccTaken(jop, &c.Flags) {
-								c.IP = c.blockEntry + fall
-								return errSide
-							}
-							return nil
-						}
-					case mode == isa.Mode64:
-						fn = func(c *CPU) *Exit {
-							a, b := c.Regs[dst], c.Regs[src]
-							c.setArith64(a-b, a, b, true)
-							if jccTaken(jop, &c.Flags) {
-								c.IP = target
-								return errSide
-							}
-							return nil
-						}
-					case bk:
-						fn = func(c *CPU) *Exit {
-							a, b := c.Regs[dst]&mask, c.Regs[src]&mask
-							c.setArithW(a-b, a, b, true, mask, sign)
-							if !jccTaken(jop, &c.Flags) {
-								c.IP = c.blockEntry + fall
-								return errSide
-							}
-							return nil
-						}
-					default:
-						fn = func(c *CPU) *Exit {
-							a, b := c.Regs[dst]&mask, c.Regs[src]&mask
-							c.setArithW(a-b, a, b, true, mask, sign)
-							if jccTaken(jop, &c.Flags) {
-								c.IP = target
-								return errSide
-							}
-							return nil
-						}
-					}
-				case isa.CMPI:
-					switch {
-					case mode == isa.Mode64 && bk:
-						fn = func(c *CPU) *Exit {
-							a := c.Regs[dst]
-							c.setArith64(a-imm, a, imm, true)
-							if !jccTaken(jop, &c.Flags) {
-								c.IP = c.blockEntry + fall
-								return errSide
-							}
-							return nil
-						}
-					case mode == isa.Mode64:
-						fn = func(c *CPU) *Exit {
-							a := c.Regs[dst]
-							c.setArith64(a-imm, a, imm, true)
-							if jccTaken(jop, &c.Flags) {
-								c.IP = target
-								return errSide
-							}
-							return nil
-						}
-					case bk:
-						fn = func(c *CPU) *Exit {
-							a := c.Regs[dst] & mask
-							c.setArithW(a-imm, a, imm, true, mask, sign)
-							if !jccTaken(jop, &c.Flags) {
-								c.IP = c.blockEntry + fall
-								return errSide
-							}
-							return nil
-						}
-					default:
-						fn = func(c *CPU) *Exit {
-							a := c.Regs[dst] & mask
-							c.setArithW(a-imm, a, imm, true, mask, sign)
-							if jccTaken(jop, &c.Flags) {
-								c.IP = target
-								return errSide
-							}
-							return nil
-						}
-					}
-				case isa.DEC:
-					switch {
-					case mode == isa.Mode64 && bk:
-						fn = func(c *CPU) *Exit {
-							a := c.Regs[dst]
-							r := a - 1
-							c.setArith64(r, a, 1, true)
-							c.Regs[dst] = r
-							if !jccTaken(jop, &c.Flags) {
-								c.IP = c.blockEntry + fall
-								return errSide
-							}
-							return nil
-						}
-					case mode == isa.Mode64:
-						fn = func(c *CPU) *Exit {
-							a := c.Regs[dst]
-							r := a - 1
-							c.setArith64(r, a, 1, true)
-							c.Regs[dst] = r
-							if jccTaken(jop, &c.Flags) {
-								c.IP = target
-								return errSide
-							}
-							return nil
-						}
-					case bk:
-						fn = func(c *CPU) *Exit {
-							a := c.Regs[dst] & mask
-							r := a - 1
-							c.setArithW(r, a, 1, true, mask, sign)
-							c.Regs[dst] = r & mask
-							if !jccTaken(jop, &c.Flags) {
-								c.IP = c.blockEntry + fall
-								return errSide
-							}
-							return nil
-						}
-					default:
-						fn = func(c *CPU) *Exit {
-							a := c.Regs[dst] & mask
-							r := a - 1
-							c.setArithW(r, a, 1, true, mask, sign)
-							c.Regs[dst] = r & mask
-							if jccTaken(jop, &c.Flags) {
-								c.IP = target
-								return errSide
-							}
-							return nil
-						}
-					}
-				case isa.INC:
-					switch {
-					case mode == isa.Mode64 && bk:
-						fn = func(c *CPU) *Exit {
-							a := c.Regs[dst]
-							r := a + 1
-							c.setArith64(r, a, 1, false)
-							c.Regs[dst] = r
-							if !jccTaken(jop, &c.Flags) {
-								c.IP = c.blockEntry + fall
-								return errSide
-							}
-							return nil
-						}
-					case mode == isa.Mode64:
-						fn = func(c *CPU) *Exit {
-							a := c.Regs[dst]
-							r := a + 1
-							c.setArith64(r, a, 1, false)
-							c.Regs[dst] = r
-							if jccTaken(jop, &c.Flags) {
-								c.IP = target
-								return errSide
-							}
-							return nil
-						}
-					case bk:
-						fn = func(c *CPU) *Exit {
-							a := c.Regs[dst] & mask
-							r := a + 1
-							c.setArithW(r, a, 1, false, mask, sign)
-							c.Regs[dst] = r & mask
-							if !jccTaken(jop, &c.Flags) {
-								c.IP = c.blockEntry + fall
-								return errSide
-							}
-							return nil
-						}
-					default:
-						fn = func(c *CPU) *Exit {
-							a := c.Regs[dst] & mask
-							r := a + 1
-							c.setArithW(r, a, 1, false, mask, sign)
-							c.Regs[dst] = r & mask
-							if jccTaken(jop, &c.Flags) {
-								c.IP = target
-								return errSide
-							}
-							return nil
-						}
-					}
-				}
-				if bk {
-					add(fn, rel, r2, pcost, 2)
-					rel = r2
-					if repeat() {
-						break compile
-					}
-				} else {
-					add(fn, rel, rel+pair, pcost, 2)
-					rel += pair
-				}
-				continue
-			}
-		}
 
 		switch in.Op {
 		case isa.NOP, isa.CLI, isa.STI:
@@ -1116,6 +875,16 @@ compile:
 				return nil
 			}
 		case isa.INC:
+			if mode == isa.Mode64 {
+				fn = func(c *CPU) *Exit {
+					a := c.Regs[dst]
+					r := a + 1
+					c.setArith64(r, a, 1, false)
+					c.Regs[dst] = r
+					return nil
+				}
+				break
+			}
 			fn = func(c *CPU) *Exit {
 				a := c.Regs[dst] & mask
 				r := a + 1
@@ -1124,6 +893,16 @@ compile:
 				return nil
 			}
 		case isa.DEC:
+			if mode == isa.Mode64 {
+				fn = func(c *CPU) *Exit {
+					a := c.Regs[dst]
+					r := a - 1
+					c.setArith64(r, a, 1, true)
+					c.Regs[dst] = r
+					return nil
+				}
+				break
+			}
 			fn = func(c *CPU) *Exit {
 				a := c.Regs[dst] & mask
 				r := a - 1
@@ -1132,12 +911,28 @@ compile:
 				return nil
 			}
 		case isa.CMP:
+			if mode == isa.Mode64 {
+				fn = func(c *CPU) *Exit {
+					a, b := c.Regs[dst], c.Regs[src]
+					c.setArith64(a-b, a, b, true)
+					return nil
+				}
+				break
+			}
 			fn = func(c *CPU) *Exit {
 				a, b := c.Regs[dst]&mask, c.Regs[src]&mask
 				c.setArithW(a-b, a, b, true, mask, sign)
 				return nil
 			}
 		case isa.CMPI:
+			if mode == isa.Mode64 {
+				fn = func(c *CPU) *Exit {
+					a := c.Regs[dst]
+					c.setArith64(a-imm, a, imm, true)
+					return nil
+				}
+				break
+			}
 			fn = func(c *CPU) *Exit {
 				a := c.Regs[dst] & mask
 				c.setArithW(a-imm, a, imm, true, mask, sign)
@@ -1146,7 +941,7 @@ compile:
 
 		case isa.JMP:
 			if r2, ok := follow(addrImm); ok {
-				add(stepNop, rel, r2, cost, 1)
+				add(stepNop, rel, r2, cost)
 				rel = r2
 				if marked(head+r2) && repeat() {
 					break compile
@@ -1156,7 +951,7 @@ compile:
 			t := addrImm
 			fn = func(c *CPU) *Exit { c.IP = t; return nil }
 			term = true
-			add(fn, rel, rel+n, cost, 1)
+			add(fn, rel, rel+n, cost)
 			break compile
 		case isa.JZ, isa.JNZ, isa.JL, isa.JG, isa.JLE, isa.JGE, isa.JB, isa.JAE:
 			// Conditional branches never terminate a trace: one arm is
@@ -1174,7 +969,7 @@ compile:
 					}
 					return nil
 				}
-				add(fn, rel, r2, cost, 1)
+				add(fn, rel, r2, cost)
 				rel = r2
 				if repeat() {
 					break compile
@@ -1188,7 +983,7 @@ compile:
 				}
 				return nil
 			}
-			add(fn, rel, rel+n, cost, 1)
+			add(fn, rel, rel+n, cost)
 			rel += n
 			continue
 		case isa.CALL:
@@ -1214,7 +1009,7 @@ compile:
 						return c.storeSlow(c.Regs[isa.RSP], c.blockEntry+exp, md, "call push: ")
 					}
 				}
-				add(fn, rel, r2, cost, 1)
+				add(fn, rel, r2, cost)
 				rets[nrets] = retRel
 				nrets++
 				rel = r2
@@ -1245,7 +1040,7 @@ compile:
 				}
 			}
 			term = true
-			add(fn, rel, retRel, cost, 1)
+			add(fn, rel, retRel, cost)
 			break compile
 		case isa.RET:
 			if nrets > 0 {
@@ -1288,7 +1083,7 @@ compile:
 						return nil
 					}
 				}
-				add(fn, rel, retRel, cost, 1)
+				add(fn, rel, retRel, cost)
 				rel = retRel
 				continue
 			}
@@ -1319,7 +1114,7 @@ compile:
 				}
 			}
 			term = true
-			add(fn, rel, rel+n, cost, 1)
+			add(fn, rel, rel+n, cost)
 			break compile
 		case isa.PUSH:
 			if mode == isa.Mode64 {
@@ -1371,7 +1166,7 @@ compile:
 			// with the legacy message.
 			break compile
 		}
-		add(fn, rel, rel+n, cost, 1)
+		add(fn, rel, rel+n, cost)
 		rel += n
 	}
 	if nops == 0 {
@@ -1382,7 +1177,7 @@ compile:
 	// boundary, special): that is where a completed trace resumes.
 	blk := &cblock{
 		ops: make([]step, nops), meta: make([]stepMeta, nops),
-		anchor: ip, end: rel, term: term, total: uint32(total), nret: uint32(nret),
+		anchor: ip, end: rel, term: term, total: uint32(total),
 	}
 	copy(blk.ops, ops[:nops])
 	copy(blk.meta, meta[:nops])

@@ -247,9 +247,11 @@ func TestBudgetSweepParity(t *testing.T) {
 }
 
 // TestTraceStopsMatchStep pins every way a trace ends, at a middle step and
-// at the final step: completion, a side exit, a store that unhooks the
-// trace's own page or another decoded page, a fault, a push, pop, followed
-// call or speculated return whose stack access faults, and a deopt. Each
+// at the final step: completion, a side exit on a taken forward branch or
+// on the fall-through of a followed backward one (a loop exit, which is
+// the final step only at the step cap), a store that unhooks the trace's
+// own page or another decoded page, a fault, a push, pop, followed call or
+// speculated return whose stack access faults, and a deopt. Each
 // program runs twice on one CPU per engine (the first pass marks the code,
 // the second runs it as traces) and after each pass must match Legacy in
 // exit, registers, flags, IP, Retired, clock, memory and dirty pages. TAIL
@@ -263,6 +265,7 @@ func TestTraceStopsMatchStep(t *testing.T) {
 		fault     string
 		deopt     [2]bool // the second pass deoptimizes: {middle, final}
 		noMiddle  bool
+		noFinal   bool
 		between   func(*CPU)
 	}{
 		{name: "completion", noMiddle: true, src: `
@@ -272,13 +275,32 @@ vx_stop:
 	hlt`},
 		{name: "side exit", src: `
 	movi r15, 0
-vx_stop:
 	cmpi r15, 0
+vx_stop:
 	jz vx_taken
 TAIL
 	hlt
 vx_taken:
 	movi rsi, 4
+	hlt`},
+		{name: "loop exit", noFinal: true, src: `
+	movi rcx, 3
+vx_loop:
+	addi rax, 1
+	dec rcx
+vx_stop:
+	jnz vx_loop
+TAIL
+	hlt`},
+		// The loop is 96 steps from its head to vx_stop: the trace there
+		// follows the jnz back and is full.
+		{name: "loop exit at the step cap", noMiddle: true, src: `
+	movi rcx, 2
+vx_loop:
+` + strings.Repeat("\taddi rax, 1\n", maxBlockSteps-2) + `	dec rcx
+vx_stop:
+	jnz vx_loop
+TAIL
 	hlt`},
 		{name: "store into its own page", deopt: [2]bool{true, false}, src: `
 	movi rdi, vx_data
@@ -359,7 +381,7 @@ TAIL
 			between: func(c *CPU) { c.sawStore32 = false }},
 	} {
 		for at, final := range []bool{false, true} {
-			if !final && tc.noMiddle {
+			if !final && tc.noMiddle || final && tc.noFinal {
 				continue
 			}
 			name := fmt.Sprintf("%s, final step %v", tc.name, final)
@@ -420,9 +442,9 @@ TAIL
 }
 
 // BenchmarkTraceOps times trace dispatch on straight-line code: a counted
-// loop over 60 instructions of one kind, so all but the loop's own DEC/JNZ
-// retire one closure each, and a MOVI variant whose iterations leave the
-// trace by two taken forward branches. The closures row is the floor: 60
+// loop over 60 instructions of one kind and its own dec and jnz, one
+// closure each, and a MOVI variant whose iterations leave the trace by
+// three taken forward branches. The closures row is the floor: 60
 // one-line closures called from a bare Go loop.
 func BenchmarkTraceOps(b *testing.B) {
 	regs := []string{"rax", "rdx", "rsi", "rdi", "r8", "r9", "r10", "r11"}

@@ -40,27 +40,23 @@ func (c *CPU) Translate(vaddr uint64, write bool) (uint64, error) {
 		return 0, fmt.Errorf("long-mode access at %#x with paging off", vaddr)
 	}
 	page := vaddr >> 21
-	if !c.NoTLB {
-		// One-entry cache in front of the map: a strict subset of the
-		// map's contents, so hit/miss accounting (and therefore cycle
-		// charges) are unchanged — only the host-side hash is skipped.
-		if c.dtlbOK && c.dtlbPage == page {
-			return c.dtlbBase | (vaddr & 0x1F_FFFF), nil
-		}
-		if base, ok := c.tlb[page]; ok {
-			c.dtlbOK, c.dtlbPage, c.dtlbBase = true, page, base
-			return base | (vaddr & 0x1F_FFFF), nil
-		}
+	// One-entry cache in front of the map: a strict subset of the map's
+	// contents, so hit/miss accounting (and therefore cycle charges) are
+	// unchanged — only the host-side hash is skipped.
+	if c.dtlbOK && c.dtlbPage == page {
+		return c.dtlbBase | (vaddr & 0x1F_FFFF), nil
+	}
+	if base, ok := c.tlb[page]; ok {
+		c.dtlbOK, c.dtlbPage, c.dtlbBase = true, page, base
+		return base | (vaddr & 0x1F_FFFF), nil
 	}
 	c.Clock.Advance(cycles.TLBMissWalk)
 	base, err := c.walk(vaddr)
 	if err != nil {
 		return 0, err
 	}
-	if !c.NoTLB {
-		c.tlb[page] = base
-		c.dtlbOK, c.dtlbPage, c.dtlbBase = true, page, base
-	}
+	c.tlb[page] = base
+	c.dtlbOK, c.dtlbPage, c.dtlbBase = true, page, base
 	return base | (vaddr & 0x1F_FFFF), nil
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // traceShape digests every trace compiled on c's pages, in page and key
-// order: anchor, each step's offsets and running sums, end, term and the
-// totals. Two compilers that emit the same traces digest alike.
+// order: anchor, each step's offsets and running cost, end, term and the
+// total. Two compilers that emit the same traces digest alike.
 func traceShape(c *CPU) string {
 	h := fnv.New64a()
 	put := func(v int64) {
@@ -37,11 +37,9 @@ func traceShape(c *CPU) string {
 				put(int64(m.off))
 				put(int64(m.offEnd))
 				put(int64(m.cum))
-				put(int64(m.cumRet))
 			}
 			put(int64(blk.end))
 			put(int64(blk.total))
-			put(int64(blk.nret))
 			if blk.term {
 				put(1)
 			} else {
@@ -53,7 +51,7 @@ func traceShape(c *CPU) string {
 }
 
 // countedLoopSrc is a four-instruction counted loop: its trace is one
-// three-step period (the DEC/JNZ pair fuses) up to the step cap.
+// four-step period up to the step cap.
 const countedLoopSrc = `
 .bits 64
 	movi rcx, 1000
@@ -138,22 +136,21 @@ done:
 `
 
 // TestTraceShapePins runs programs in all three modes, including the §4.2
-// boot, and pins the digest of every trace they compile. The pins were
-// taken from the compiler that decoded and compiled every step of a loop
-// trace afresh, so a compiler that repeats periods must emit exactly its
-// traces. fib64's row was taken again when push, pop, call and ret stopped
-// fusing with a neighbour; fib runs no loop, so no period repeats in it.
+// boot, and pins the digest of every trace they compile. The pins are also
+// the traces of a compiler that decodes and compiles every step of a loop
+// trace afresh (repeat switched off), so repeating periods must emit
+// exactly its traces. fib runs no loop, so no period repeats in it.
 func TestTraceShapePins(t *testing.T) {
 	for _, tc := range []struct{ name, src, want string }{
-		{"fib64", fibSrc, "traces=4 steps=33 digest=d8323d21cbdf911e"},
-		{"fib32", fibAsm("32", 12), "traces=4 steps=33 digest=0f9c35a73d0f7d7e"},
-		{"fib16", fibAsm("16", 12), "traces=4 steps=33 digest=4bf73dfbb610e5f6"},
-		{"counted loop", countedLoopSrc, "traces=3 steps=193 digest=dca335794108b96c"},
-		{"jmp loop", jmpLoopSrc, "traces=1 steps=96 digest=8fb124908cfe232d"},
-		{"open call", openCallSrc, "traces=1 steps=96 digest=90f656a8493deb2d"},
-		{"return-stack dip", dipSrc, "traces=1 steps=96 digest=8d0bc629192b2ded"},
-		{"stale back-edge test", staleSrc, "traces=3 steps=288 digest=541369e14597bcfd"},
-		{"boot", bootToLongMode, "traces=11 steps=501 digest=0ad72e6e64dc10c0"},
+		{"fib64", fibSrc, "traces=4 steps=37 digest=141233dcfc1e20a1"},
+		{"fib32", fibAsm("32", 12), "traces=4 steps=37 digest=f3882f3aed472081"},
+		{"fib16", fibAsm("16", 12), "traces=4 steps=37 digest=dfc23c05c15b1a79"},
+		{"counted loop", countedLoopSrc, "traces=3 steps=193 digest=7197a1e6c73241ec"},
+		{"jmp loop", jmpLoopSrc, "traces=1 steps=96 digest=57b9e6226741870d"},
+		{"open call", openCallSrc, "traces=1 steps=96 digest=112a3d13aeae850d"},
+		{"return-stack dip", dipSrc, "traces=3 steps=99 digest=f790754a636737ef"},
+		{"stale back-edge test", staleSrc, "traces=3 steps=288 digest=34ea014091a0dd3d"},
+		{"boot", bootToLongMode, "traces=12 steps=511 digest=ed251ce75e0d6a5f"},
 	} {
 		c, ex := run(t, tc.src)
 		wantHalt(t, ex)
@@ -180,10 +177,11 @@ func compileAt(t *testing.T, src, label string) (*CPU, uint64) {
 }
 
 // A loop trace compiles its body once. The counted loop's 96 steps are its
-// three-step period 32 times, each repeat at the first period's offsets
-// with the sums running on, and the compile allocates the cblock, its ops
-// and meta and one closure per body step — nothing per repeated step; so
-// does a loop closed by a JMP (whose step needs no closure). A period with
+// four-step period (add, addi, dec, jnz) 24 times, each repeat at the
+// first period's offsets with the cost running on, and the compile
+// allocates the cblock, its ops and meta and one closure per body step —
+// nothing per repeated step; so does a loop closed by a JMP (whose step
+// needs no closure). A period with
 // an open call is compiled step by step instead: one closure for every
 // step.
 func TestLoopTraceRepeats(t *testing.T) {
@@ -192,11 +190,11 @@ func TestLoopTraceRepeats(t *testing.T) {
 	if len(blk.ops) != maxBlockSteps {
 		t.Fatalf("the loop trace has %d steps, want %d", len(blk.ops), maxBlockSteps)
 	}
-	const period = 3
+	const period = 4
 	first := blk.meta[period-1]
 	for k := period; k < len(blk.meta); k++ {
 		m, p := blk.meta[k], blk.meta[k-period]
-		if m.off != p.off || m.offEnd != p.offEnd || m.cum != p.cum+first.cum || m.cumRet != p.cumRet+first.cumRet {
+		if m.off != p.off || m.offEnd != p.offEnd || m.cum != p.cum+first.cum {
 			t.Fatalf("step %d %+v does not repeat step %d %+v", k, m, k-period, p)
 		}
 	}
@@ -208,8 +206,8 @@ func TestLoopTraceRepeats(t *testing.T) {
 	}
 
 	c, at = compileAt(t, jmpLoopSrc, "loop")
-	if n := testing.AllocsPerRun(20, func() { c.compileBlock(at, at) }); n != 3+2 {
-		t.Errorf("compiling the JMP-closed loop makes %v allocations, want %d", n, 3+2)
+	if n := testing.AllocsPerRun(20, func() { c.compileBlock(at, at) }); n != 3+3 {
+		t.Errorf("compiling the JMP-closed loop makes %v allocations, want %d", n, 3+3)
 	}
 
 	c, at = compileAt(t, openCallSrc, "top")
