@@ -198,7 +198,7 @@ virtine int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }`, "f
 			if cow && !snap {
 				continue
 			}
-			opts := []wasp.Option{wasp.WithSnapshotting(snap), wasp.WithCOW(cow)}
+			opts := []wasp.Option{wasp.WithCOW(cow)}
 			name := fmt.Sprintf("fib-snap=%v-cow=%v", snap, cow)
 			diffRun(t, name, opts, v.Image, func(i int) wasp.RunConfig {
 				return wasp.RunConfig{

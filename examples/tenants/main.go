@@ -93,7 +93,7 @@ func main() {
 			tenants[name] = append(tenants[name], httpd.Request("/index.html"))
 		}
 	}
-	out, err := srv.ServeTenants(tenants, 4, &sched.Admission{}, nil)
+	out, err := srv.ServeTenants(tenants, 4, &sched.Admission{})
 	if err != nil {
 		panic(err)
 	}

@@ -444,7 +444,7 @@ func TestFig11FibScaling(t *testing.T) {
 	tb := &table{id: "fig11", header: []string{"n", "native", "virtine", "virtine+snapshot", "slowdown", "slowdown+snap"}}
 	var slow0, slowN, ratio0 float64
 	for _, n := range []int64{0, 5, 10, 15, 20, 25, 30} {
-		virt := warmMean(wasp.New(wasp.WithSnapshotting(false)), n, false)
+		virt := warmMean(wasp.New(), n, false)
 		snap := warmMean(wasp.New(), n, true)
 		native := nativeHarness + max(snap-base0, 0)
 		tb.add(fmt.Sprintf("fib(%d)", n), f1(native), f1(virt), f1(snap), f2(virt/native), f2(snap/native))

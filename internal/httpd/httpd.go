@@ -21,7 +21,6 @@ import (
 	"repro/internal/cycles"
 	"repro/internal/guest"
 	"repro/internal/hypercall"
-	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/vcc"
 	"repro/internal/wasp"
@@ -269,16 +268,13 @@ func (s *FileServer) ServeMany(reqs [][]byte, workers int) ([]*Response, error) 
 // policy. With soft weights a hot tenant's burst cannot starve the
 // others of workers; with MaxQueued a tenant's requests beyond its
 // queue bound are shed — those slots come back nil in the tenant's
-// response slice, as do requests of a tenant no backend may serve
-// under the placement policy (every other error aborts).
-// Responses are returned per tenant, in each tenant's request order.
+// response slice (every other error aborts). Responses are returned per
+// tenant, in each tenant's request order.
 //
 // When the server's runtime spans several hypervisor backends
-// (wasp.WithPlatforms), the workers are spread round-robin across them
-// and the placer (nil for no placement constraints) decides which
-// backends each tenant's clone may land on — admission gates whether a
-// request runs, placement gates where.
-func (s *FileServer) ServeTenants(tenants map[string][][]byte, workers int, adm *sched.Admission, pl placement.Placer) (map[string][]*Response, error) {
+// (wasp.WithPlatforms), the workers are spread round-robin across them,
+// and any worker serves any tenant on its own backend.
+func (s *FileServer) ServeTenants(tenants map[string][][]byte, workers int, adm *sched.Admission) (map[string][]*Response, error) {
 	var opts []sched.Option
 	if adm != nil {
 		opts = append(opts, sched.WithAdmission(*adm))
@@ -286,9 +282,6 @@ func (s *FileServer) ServeTenants(tenants map[string][][]byte, workers int, adm 
 	platforms := s.W.Platforms()
 	if len(platforms) > 1 {
 		opts = append(opts, sched.WithWorkerPlatforms(platforms...))
-	}
-	if pl != nil {
-		opts = append(opts, sched.WithPlacer(pl))
 	}
 	sc := sched.New(s.W, workers, opts...)
 	defer sc.Close()
@@ -335,8 +328,8 @@ func (s *FileServer) ServeTenants(tenants map[string][][]byte, workers int, adm 
 	for i, t := range tickets {
 		resp, err := ParseTicket(t)
 		if err != nil {
-			if errors.Is(err, sched.ErrAdmission) || errors.Is(err, sched.ErrPlacement) {
-				continue // shed or placement-rejected: slot stays nil
+			if errors.Is(err, sched.ErrAdmission) {
+				continue // shed: slot stays nil
 			}
 			return nil, err
 		}

@@ -40,9 +40,6 @@ type Env struct {
 	ExitCode uint64
 	Exited   bool
 
-	// SnapshotRequested is latched by NrSnapshot; Wasp consumes it.
-	SnapshotRequested bool
-
 	// Marks are milestone timestamps, read from Clock.
 	Marks []Mark
 
@@ -68,7 +65,6 @@ func (e *Env) ResetRun() {
 	e.Stdout.Reset()
 	e.ExitCode = 0
 	e.Exited = false
-	e.SnapshotRequested = false
 	e.Marks = nil
 }
 
@@ -179,7 +175,8 @@ func (e *Env) Handle(call Args, mem GuestMem) (uint64, error) {
 		return e.recv(call.A1, call.A2, mem)
 
 	case NrSnapshot:
-		e.SnapshotRequested = true
+		// The capture is the VMM's, keyed on the call number; the
+		// environment only acknowledges the call.
 		return 0, nil
 
 	case NrGetData:

@@ -238,11 +238,10 @@ func TestEnvExitAndSnapshotAndMark(t *testing.T) {
 	if !env.Exited || env.ExitCode != 3 {
 		t.Fatal("exit not latched")
 	}
-	if _, err := env.Handle(Args{Nr: NrSnapshot}, mem); err != nil {
-		t.Fatal(err)
-	}
-	if !env.SnapshotRequested {
-		t.Fatal("snapshot not latched")
+	// The capture is the VMM's (it keys on the call number); the
+	// environment's handler only acknowledges it.
+	if ret, err := env.Handle(Args{Nr: NrSnapshot}, mem); ret != 0 || err != nil {
+		t.Fatalf("snapshot = (%d, %v), want (0, nil)", ret, err)
 	}
 	if _, err := env.Handle(Args{Nr: NrMark, A0: 42}, mem); err != nil {
 		t.Fatal(err)

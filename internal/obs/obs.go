@@ -35,7 +35,7 @@ import (
 )
 
 // Kind classifies one trace event. The set covers the full ticket
-// lifecycle (submit → place/steer → dispatch/service → shell acquire →
+// lifecycle (submit → place → dispatch/service → shell acquire →
 // guest run → release → async clean) plus snapshot, migration,
 // autoscaling, and cluster-epoch control events.
 type Kind uint8
@@ -44,7 +44,7 @@ const (
 	KindNone      Kind = iota
 	KindSubmit         // a submission burst entered the scheduler (arg0 = tickets)
 	KindTicket         // one ticket's service span on a worker lane
-	KindPlace          // a placement/steering decision (arg0 = backend index)
+	KindPlace          // a virtual-mode placement decision (arg0 = backend index)
 	KindShell          // shell provisioning (pool hit, cold create, COW take, prewarm)
 	KindRelease        // a context returned to the pool layer
 	KindClean          // Wasp+CA cleaner ledger (release booked, settlement)

@@ -10,22 +10,19 @@
 // weights); the per-platform shell pools (internal/wasp) then serve the
 // chosen backend. The two compose — an admitted ticket is dispatched by
 // the admission pick and then placed on an eligible backend's worker.
+// Placement is a virtual-mode policy: only the deterministic virtual
+// scheduler (sched.NewVirtual) consults a Placer, and a real-mode
+// scheduler built with one rejects every ticket.
 //
 // Weight contract. Place returns one weight per backend, aligned with
 // the backends slice it was given:
 //
 //   - weight <= 0: the backend is ineligible — no worker pinned to it
-//     may ever pop the ticket (enforced in real and virtual mode).
+//     may serve the ticket.
 //   - weight > 0: eligible; 1/weight is the backend's placement bias in
 //     virtual cycles. The deterministic virtual scheduler picks, among
 //     eligible workers, the one minimizing start(worker) + 1/weight —
-//     cost-aware list scheduling. Real-mode workers race for tickets,
-//     but the race is weight-aware: a backend whose bias advantage over
-//     the runner-up is material (against the image's own smoothed
-//     service time) gets first claim while it has an idle worker, and
-//     other eligible backends may take the ticket over only once the
-//     preferred backend is saturated — work conservation over strict
-//     preference. Near-ties race freely.
+//     cost-aware list scheduling.
 //
 // Every policy here is a pure function of its inputs, so virtual-mode
 // schedules are deterministic: same trace, same fleet, same policy →
@@ -54,10 +51,8 @@ type ImageInfo struct {
 	EntriesEWMA uint64
 }
 
-// BackendInfo is one backend's live state at placement time. In virtual
-// mode every field is populated deterministically under the dispatch
-// lock; in real mode only Platform and Workers are guaranteed (weights
-// are eligibility-only there, see the package comment).
+// BackendInfo is one backend's live state at placement time, populated
+// deterministically under the virtual scheduler's dispatch lock.
 type BackendInfo struct {
 	// Platform is the hypervisor backend (its Fig 5 cost profile).
 	Platform vmm.Platform

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/cycles"
-	"repro/internal/placement"
 	"repro/internal/vmm"
 	"repro/internal/wasp"
 )
@@ -383,8 +382,6 @@ type lendStressConfig struct {
 	workers int
 	opts    func() []Option
 	wasp    func() *wasp.Wasp
-	// pins maps image tags to the platform they must run on ("" = any).
-	pins map[string]string
 }
 
 func plainWasp() *wasp.Wasp { return wasp.New() }
@@ -394,11 +391,9 @@ func plainWasp() *wasp.Wasp { return wasp.New() }
 // Close) and bursts. Invariants: at most W tickets in service at any
 // instant, a lane's clock is never advanced by two drivers at once (each
 // Start >= the previous Done on that lane — and -race sees the clock
-// itself), pinned tickets only run on eligible backends, every ticket
-// completes, and some of them were served inline.
+// itself), every ticket completes, and some of them were served
+// inline. On a mixed fleet any lane serves any ticket.
 func TestLendStress(t *testing.T) {
-	pins := map[string]string{"pin-kvm": "kvm", "pin-hv": "hyper-v", "any": ""}
-	static := placement.Static{Pins: map[string]string{"pin-kvm": "kvm", "pin-hv": "hyper-v"}}
 	configs := []lendStressConfig{
 		{name: "fifo", workers: 3, wasp: plainWasp,
 			opts: func() []Option { return nil }},
@@ -406,13 +401,9 @@ func TestLendStress(t *testing.T) {
 			opts: func() []Option {
 				return []Option{WithAdmission(Admission{Weights: map[string]int{"any": 4}})}
 			}},
-		{name: "placer", workers: 4, wasp: splitWasp, pins: pins,
+		{name: "platforms", workers: 4, wasp: splitWasp,
 			opts: func() []Option {
-				return []Option{WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}), WithPlacer(static)}
-			}},
-		{name: "admission+placer", workers: 4, wasp: splitWasp, pins: pins,
-			opts: func() []Option {
-				return []Option{WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}), WithPlacer(static),
+				return []Option{WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}),
 					WithAdmission(Admission{Weights: map[string]int{"any": 4}})}
 			}},
 	}
@@ -441,7 +432,7 @@ func TestLendStress(t *testing.T) {
 				inService.Add(-1)
 				return nil, nil
 			}
-			tags := []string{"any", "pin-kvm", "pin-hv"}
+			tags := []string{"any", "img-a", "img-b"}
 			var wg sync.WaitGroup
 			for c := 0; c < clients; c++ {
 				wg.Add(1)
@@ -493,9 +484,6 @@ func TestLendStress(t *testing.T) {
 			byLane := make(map[int][]*Ticket)
 			for _, tk := range all {
 				byLane[tk.Worker] = append(byLane[tk.Worker], tk)
-				if want := cfg.pins[tk.Image]; want != "" && tk.Platform != want {
-					t.Errorf("image %s pinned to %s ran on %s", tk.Image, want, tk.Platform)
-				}
 			}
 			for lane, ts := range byLane {
 				sort.Slice(ts, func(i, j int) bool { return ts[i].Start < ts[j].Start })
@@ -515,10 +503,10 @@ func TestLendStress(t *testing.T) {
 // pickScan is the full-map reference for admission.pick: the selection
 // walks every image the layer has ever seen, as pick did before the
 // active list. Test-only, like linearCore.
-func (a *admission) pickScan(eligible func(*Ticket) bool) *Ticket {
+func (a *admission) pickScan() *Ticket {
 	var best *imageState
 	for _, st := range a.images {
-		if len(st.queue) > 0 && eligible(st.queue[0]) && (best == nil || st.before(best)) {
+		if len(st.queue) > 0 && (best == nil || st.before(best)) {
 			best = st
 		}
 	}
@@ -527,10 +515,9 @@ func (a *admission) pickScan(eligible func(*Ticket) bool) *Ticket {
 
 // TestPickMatchesPickScan drives two admission layers through the same
 // random enqueue/pick/complete sequences — one picking over the active
-// list, one over the full map — under weights, MaxQueued shedding and a
-// backend-style eligibility filter. Every enqueue verdict
-// and every picked ticket must agree, and the active list must hold
-// exactly the images with a waiting ticket.
+// list, one over the full map — under weights and MaxQueued shedding.
+// Every enqueue verdict and every picked ticket must agree, and the
+// active list must hold exactly the images with a waiting ticket.
 func TestPickMatchesPickScan(t *testing.T) {
 	policies := []Admission{
 		{},
@@ -554,10 +541,8 @@ func TestPickMatchesPickScan(t *testing.T) {
 				if e1 != e2 {
 					t.Fatalf("seed %d op %d: enqueue %s: %v vs %v", seed, op, img, e1, e2)
 				}
-			case r < 8: // pick through a filter that hides a third of the tickets
-				k := uint64(rng.Intn(4))
-				eligible := func(tk *Ticket) bool { return tk.Arrival%3 != k }
-				got, want := fast.pick(eligible), ref.pickScan(eligible)
+			case r < 8: // pick
+				got, want := fast.pick(), ref.pickScan()
 				if (got == nil) != (want == nil) || (got != nil && got.Arrival != want.Arrival) {
 					t.Fatalf("seed %d op %d: pick = %v, pickScan = %v", seed, op, got, want)
 				}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/guest"
 	"repro/internal/placement"
@@ -15,77 +14,6 @@ import (
 
 func splitWasp() *wasp.Wasp {
 	return wasp.New(wasp.WithPlatforms(vmm.KVM{}, vmm.HyperV{}))
-}
-
-// Real mode: a worker must only pop tickets its backend may serve. Pin
-// two images to opposite platforms, drive a burst, and check every
-// ticket landed on its pinned backend.
-func TestRealModePlatformAffinity(t *testing.T) {
-	w := splitWasp()
-	imgK := guest.RealModeHalt().WithName("affine-kvm")
-	imgH := guest.RealModeHalt().WithName("affine-hv")
-	pl := placement.Static{Pins: map[string]string{
-		imgK.Name: "kvm",
-		imgH.Name: "hyper-v",
-	}}
-	s := New(w, 4, WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}), WithPlacer(pl))
-	defer s.Close()
-
-	var tickets []*Ticket
-	for i := 0; i < 32; i++ {
-		tickets = append(tickets, s.Submit(imgK, wasp.RunConfig{}), s.Submit(imgH, wasp.RunConfig{}))
-	}
-	if err := WaitAll(tickets...); err != nil {
-		t.Fatal(err)
-	}
-	for _, tk := range tickets {
-		want := "kvm"
-		if tk.Image == imgH.Name {
-			want = "hyper-v"
-		}
-		if tk.Platform != want {
-			t.Fatalf("image %s served on %s, pinned to %s", tk.Image, tk.Platform, want)
-		}
-	}
-	for _, bl := range s.BackendLoads() {
-		if bl.Completed != 32 {
-			t.Fatalf("backend %s completed %d, want 32", bl.Platform, bl.Completed)
-		}
-	}
-}
-
-// Platform affinity must also hold under an admission policy: the
-// weighted pick may only hand a worker images its backend serves.
-func TestRealModeAffinityWithAdmission(t *testing.T) {
-	w := splitWasp()
-	imgK := guest.RealModeHalt().WithName("adm-kvm")
-	imgH := guest.RealModeHalt().WithName("adm-hv")
-	pl := placement.Static{Pins: map[string]string{imgK.Name: "kvm", imgH.Name: "hyper-v"}}
-	s := New(w, 4,
-		WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}),
-		WithPlacer(pl),
-		WithAdmission(Admission{}))
-	defer s.Close()
-
-	batch := make([]Request, 0, 48)
-	for i := 0; i < 24; i++ {
-		batch = append(batch,
-			Request{Img: imgK, Cfg: wasp.RunConfig{}},
-			Request{Img: imgH, Cfg: wasp.RunConfig{}})
-	}
-	tickets := s.SubmitBatch(batch)
-	if err := WaitAll(tickets...); err != nil {
-		t.Fatal(err)
-	}
-	for _, tk := range tickets {
-		want := "kvm"
-		if tk.Image == imgH.Name {
-			want = "hyper-v"
-		}
-		if tk.Platform != want {
-			t.Fatalf("image %s served on %s under admission, pinned to %s", tk.Image, tk.Platform, want)
-		}
-	}
 }
 
 // An image pinned to a platform outside the fleet is rejected with
@@ -117,6 +45,31 @@ func TestUnplaceableImageRejected(t *testing.T) {
 			t.Fatalf("virtual=%v: submitted != completed+rejected", virtual)
 		}
 		s.Close()
+	}
+}
+
+// Placement is a virtual-mode policy: a real-mode scheduler built with
+// a placer serves nothing, and every ticket, placeable or not, on the
+// single and the batch submit path, fails with ErrPlacement.
+func TestRealModePlacerFailsClosed(t *testing.T) {
+	s := New(splitWasp(), 2, WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}),
+		WithPlacer(placement.LeastLoaded{}), WithAdmission(Admission{}))
+	defer s.Close()
+	img := guest.RealModeHalt()
+	tickets := []*Ticket{s.Submit(img, wasp.RunConfig{}), s.SubmitFn(costTask(1))}
+	tickets = append(tickets, s.SubmitBatch([]Request{
+		{Img: img}, {Fn: costTask(1), Image: "tagged"}, {Cost: 5},
+	})...)
+	for i, tk := range tickets {
+		if _, err := tk.Wait(); !errors.Is(err, ErrPlacement) {
+			t.Fatalf("ticket %d: err = %v, want ErrPlacement", i, err)
+		}
+	}
+	if s.Completed() != 0 || s.Rejected() != uint64(len(tickets)) {
+		t.Fatalf("completed %d, rejected %d of %d", s.Completed(), s.Rejected(), len(tickets))
+	}
+	if s.Submitted() != s.Completed()+s.Rejected() {
+		t.Fatalf("Submitted %d != Completed %d + Rejected %d", s.Submitted(), s.Completed(), s.Rejected())
 	}
 }
 
@@ -206,45 +159,10 @@ func TestVirtualPlacementDeterministic(t *testing.T) {
 	}
 }
 
-// Close must not hang when the queue holds a platform-pinned backlog:
-// the worker of the other backend parks on tickets it may not pop, and
-// it must be woken once the eligible worker drains the last one.
-// (Regression: the drain-to-zero transition used to wake nobody, so
-// wg.Wait inside Close slept forever on the parked worker.)
-func TestCloseDrainsPlatformPinnedBacklog(t *testing.T) {
-	for round := 0; round < 8; round++ {
-		w := splitWasp()
-		img := guest.RealModeHalt().WithName("close-pinned")
-		pl := placement.Static{Pins: map[string]string{img.Name: "hyper-v"}, Default: "hyper-v"}
-		s := New(w, 2, WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}), WithPlacer(pl), WithQueueCap(128))
-		var tickets []*Ticket
-		for i := 0; i < 50; i++ {
-			tickets = append(tickets, s.Submit(img, wasp.RunConfig{}))
-		}
-		done := make(chan struct{})
-		go func() {
-			s.Close()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("Close hung with a platform-pinned backlog queued")
-		}
-		for _, tk := range tickets {
-			if _, err := tk.Wait(); err != nil && !errors.Is(err, ErrClosed) {
-				t.Fatalf("ticket error: %v", err)
-			} else if err == nil && tk.Platform != "hyper-v" {
-				t.Fatalf("pinned ticket ran on %s", tk.Platform)
-			}
-		}
-	}
-}
-
-// 16 goroutines hammer a mixed two-backend fleet — single submits,
-// batches, pinned and free images — while another goroutine closes the
-// scheduler mid-flight. Run under -race. Every ticket must either
-// complete on an allowed backend or fail with ErrClosed, and the
+// 16 goroutines hammer a virtual-mode mixed two-backend fleet — single
+// submits, batches, pinned and free images — while another goroutine
+// closes the scheduler mid-flight. Run under -race. Every ticket must
+// either complete on an allowed backend or fail with ErrClosed, and the
 // accounting identity must hold; the wasp-level cross-platform panic
 // guards shell integrity throughout.
 func TestPlacementStressMixedBackendsWithClose(t *testing.T) {
@@ -253,7 +171,7 @@ func TestPlacementStressMixedBackendsWithClose(t *testing.T) {
 	imgH := guest.RealModeHalt().WithName("stress-hv")
 	imgAny := guest.RealModeHalt().WithName("stress-any")
 	pl := placement.Static{Pins: map[string]string{imgK.Name: "kvm", imgH.Name: "hyper-v"}}
-	s := New(w, 4, WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}), WithPlacer(pl), WithQueueCap(64))
+	s := NewVirtual(w, 4, WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}), WithPlacer(pl))
 
 	const goroutines = 16
 	var wg sync.WaitGroup

@@ -1,11 +1,6 @@
 package sched
 
-import (
-	"sync"
-
-	"repro/internal/obs"
-	"repro/internal/placement"
-)
+import "sync"
 
 // realCore is the real-mode dispatch core: N worker lanes draining a
 // bounded queue — a cond-var deque rather than a channel, so a burst
@@ -14,9 +9,11 @@ import (
 // lane has a resident goroutine (workerLoop), but any goroutine may
 // drive it: Ticket.Wait borrows an idle lane and serves the queue on
 // the caller's goroutine instead of waking the resident and sleeping
-// (help). The enqueue-side half of the admission state
-// (imageState.queue; tryEnqueue, pick) lives in this file,
-// guarded by dmu.
+// (help). Any lane serves any ticket: placement is a virtual-mode
+// policy, and a placer attached here fails every ticket with
+// ErrPlacement. The enqueue-side half of the admission state
+// (imageState.queue; tryEnqueue, pick) lives in this file, guarded by
+// dmu.
 type realCore struct {
 	s *Scheduler
 
@@ -34,11 +31,6 @@ type realCore struct {
 	// marked lent until it comes back.
 	idle []*worker
 
-	// busyBy counts workers mid-ticket per backend (maintained only
-	// while a placer is attached): the weight-aware pop consults it to
-	// decide when a non-preferred backend may take over a steered ticket.
-	busyBy []int
-
 	wg sync.WaitGroup
 }
 
@@ -49,9 +41,6 @@ func newRealCore(s *Scheduler) core {
 	}
 	c.notEmpty = sync.NewCond(&c.dmu)
 	c.notFull = sync.NewCond(&c.dmu)
-	if s.placer != nil {
-		c.busyBy = make([]int, len(s.bstates))
-	}
 	for _, wk := range s.workers {
 		c.wg.Add(1)
 		go c.workerLoop(wk)
@@ -76,26 +65,24 @@ func (c *realCore) close() {
 // submit enqueues a burst under one lock acquisition, waking the
 // workers once. It returns the tickets the queue did not accept
 // (scheduler closed mid-wait, an image over its MaxQueued bound, a
-// malformed request, or no eligible backend), each with its error set.
+// malformed request, or a placer attached), each with its error set.
 func (c *realCore) submit(ts []*Ticket) (rejected []*Ticket) {
 	s := c.s
 	accepted := 0
 	c.dmu.Lock()
+	if s.placer != nil {
+		// Lanes neither gate nor steer, so the tickets fail closed
+		// rather than run as if the placer were not there.
+		for _, t := range ts {
+			s.rejectLocked(t, ErrPlacement)
+		}
+		c.dmu.Unlock()
+		return ts
+	}
 	for _, t := range ts {
-		// Placement eligibility is fixed at enqueue in real mode: the
-		// weights gate which workers may pop the ticket. An image no
-		// backend may serve is rejected here rather than parked forever.
-		var ok bool
-		if t.elig, ok = s.vetLocked(t, nil); !ok {
+		if _, ok := s.vetLocked(t, nil); !ok {
 			rejected = append(rejected, t)
 			continue
-		}
-		if s.placer != nil {
-			t.prefBE = int32(c.prefBackendLocked(t))
-			if tr := s.tracer; tr.Enabled() && t.prefBE >= 0 {
-				tr.Instant(obs.ControlLane, obs.KindPlace, t.Image,
-					t.Arrival, t.seq, uint64(t.prefBE), 1)
-			}
 		}
 		for !c.qclosed && c.queuedN >= c.qcap {
 			// A burst larger than the queue's free space must wake the
@@ -131,138 +118,47 @@ func (c *realCore) submit(ts []*Ticket) (rejected []*Ticket) {
 		accepted++
 	}
 	// One wake for the burst — but a single submission wakes a single
-	// worker: pick eligibility is global, so broadcasting one ticket to
+	// worker: any lane serves any ticket, so broadcasting one ticket to
 	// N idle workers is a thundering herd on the hot dispatch path.
-	// With a placer on a mixed fleet that reasoning breaks — a Signal
-	// could land on a worker whose backend may not serve the ticket,
-	// which would then park again and strand the ticket — so
-	// platform-constrained dispatch always broadcasts.
 	switch {
-	case accepted == 1 && (s.placer == nil || len(s.bstates) == 1):
+	case accepted == 1:
 		c.notEmpty.Signal()
-	case accepted >= 1:
+	case accepted > 1:
 		c.notEmpty.Broadcast()
 	}
 	c.dmu.Unlock()
 	return rejected
 }
 
-// prefBackendLocked picks the backend dispatch should steer a ticket
-// toward: the highest-weight eligible backend, but only when its bias
-// advantage over the runner-up is material against the image's own
-// smoothed service time (a quarter of it) — near-ties race freely, so
-// load-balancing policies keep their work-conserving behavior and only
-// decisive cost gaps serialize dispatch onto one backend. Returns -1 for
-// "no steering". Caller holds dmu; placer is attached.
-func (c *realCore) prefBackendLocked(t *Ticket) int {
-	if t.elig == nil || len(c.s.bstates) < 2 {
-		return -1
-	}
-	best, second := -1, -1
-	for i, w := range t.elig {
-		if w <= 0 {
-			continue
-		}
-		switch {
-		case best < 0 || w > t.elig[best]:
-			second, best = best, i
-		case second < 0 || w > t.elig[second]:
-			second = i
-		}
-	}
-	if best < 0 || second < 0 {
-		return -1 // zero or one eligible backend: eligibility already decides
-	}
-	gap := placement.Bias(t.elig[second]) - placement.Bias(t.elig[best])
-	svc, _ := c.s.imgStats.get(t.Image)
-	minGap := svc / 4
-	if minGap < 1 {
-		minGap = 1
-	}
-	if gap < minGap {
-		return -1
-	}
-	return best
-}
-
-// pickLocked pops the next ticket lane wk's backend may serve: the
-// first eligible FIFO entry, or the admission layer's weighted pick
-// across per-image queues restricted to eligible images. It is the one
-// pick every driver of a lane shares — the resident worker and a waiter
-// the lane is lent to — so dispatch order never depends on who drives.
-// Tickets pinned to other platforms and tickets steered to a preferred
-// backend that still has an idle worker are left queued; nil means
-// nothing was eligible. Caller holds dmu.
-func (c *realCore) pickLocked(wk *worker) (t *Ticket) {
+// pickLocked pops the next ticket: the FIFO's head, or the admission
+// layer's weighted pick across per-image queues. It is the one pick
+// every driver of a lane shares — the resident worker and a waiter the
+// lane is lent to — so dispatch order never depends on who drives. nil
+// means the queue is empty. Caller holds dmu.
+func (c *realCore) pickLocked() (t *Ticket) {
 	s := c.s
 	if c.queuedN == 0 {
 		return nil
 	}
-	eligible := func(t *Ticket) bool {
-		if !eligibleOn(t.elig, wk.beIdx) {
-			return false
-		}
-		// Weight-aware steering: a decisively preferred backend gets
-		// first claim while it has an idle worker; takeover by another
-		// eligible backend is allowed only once the preferred one is
-		// saturated (work conservation over strict preference).
-		return t.prefBE < 0 || int(t.prefBE) == wk.beIdx ||
-			c.busyBy[t.prefBE] >= s.bstates[t.prefBE].workers
-	}
 	if s.adm != nil {
-		t = s.adm.pick(eligible)
+		t = s.adm.pick()
 	} else {
-		// Skip holes earlier platform-affine pops left behind.
-		for c.fifoHead < len(c.fifo) && c.fifo[c.fifoHead] == nil {
-			c.fifoHead++
-		}
-		for i := c.fifoHead; i < len(c.fifo); i++ {
-			cand := c.fifo[i]
-			if cand == nil || !eligible(cand) {
-				continue
-			}
-			t = cand
-			c.fifo[i] = nil
-			if i == c.fifoHead {
-				c.fifoHead++
-			}
-			break
-		}
+		t = c.fifo[c.fifoHead]
+		c.fifo[c.fifoHead] = nil
+		c.fifoHead++
 		if c.fifoHead == len(c.fifo) {
-			c.fifo = c.fifo[:0]
-			c.fifoHead = 0
+			c.fifo, c.fifoHead = c.fifo[:0], 0
 		} else if c.fifoHead > 1024 && 2*c.fifoHead > len(c.fifo) {
 			// Compact the drained prefix so a long-lived queue does
-			// not pin its high-water backing array. Interior holes
-			// survive the copy and are skipped by the scan above.
+			// not pin its high-water backing array.
 			c.fifo = append(c.fifo[:0], c.fifo[c.fifoHead:]...)
 			c.fifoHead = 0
 		}
 	}
-	if t == nil {
-		return nil
-	}
 	t.queued = false
 	c.queuedN--
 	s.depth.Store(int64(c.queuedN))
-	if s.placer != nil {
-		c.busyBy[wk.beIdx]++
-		if c.queuedN > 0 && len(s.bstates) > 1 &&
-			c.busyBy[wk.beIdx] >= s.bstates[wk.beIdx].workers {
-			// This backend just saturated: tickets steered to it
-			// become takeable by the other backends' idle workers,
-			// which may be parked — wake them to re-evaluate.
-			c.notEmpty.Broadcast()
-		}
-	}
 	c.notFull.Signal()
-	if c.qclosed && c.queuedN == 0 {
-		// Draining just finished: wake workers parked on a backlog
-		// their backend could not serve, or they would sleep through
-		// the closed-and-drained exit forever and Close would hang on
-		// them.
-		c.notEmpty.Broadcast()
-	}
 	return t
 }
 
@@ -273,9 +169,9 @@ func (c *realCore) workerLoop(wk *worker) {
 	c.dmu.Lock()
 	defer c.dmu.Unlock()
 	for {
-		if t := c.pickLocked(wk); t != nil {
+		if t := c.pickLocked(); t != nil {
 			c.execUnlocked(wk, t)
-		} else if c.qclosed && c.queuedN == 0 {
+		} else if c.qclosed {
 			return
 		} else {
 			c.park(wk)
@@ -318,24 +214,13 @@ func (c *realCore) unidleLocked(wk *worker) {
 // serves it on its own goroutine, saving the wake of a parked resident
 // and the wake back on done. A lane has one driver at a time and only
 // lanes carry tickets, so at most NumWorkers tickets are ever in
-// service. Returns once t has been popped (by anyone) or no idle lane
-// may serve what is queued; Wait then blocks on done as before.
+// service. Returns once t has been popped (by anyone) or no lane is
+// idle; Wait then blocks on done as before.
 func (c *realCore) help(t *Ticket) {
 	c.dmu.Lock()
 	defer c.dmu.Unlock()
-	for t.queued {
-		var wk *worker
-		var next *Ticket
-		for _, cand := range c.idle {
-			if next = c.pickLocked(cand); next != nil {
-				wk = cand
-				break
-			}
-		}
-		if wk == nil {
-			return
-		}
-		c.driveLent(wk, next, t)
+	for t.queued && len(c.idle) > 0 {
+		c.driveLent(c.idle[0], c.pickLocked(), t)
 	}
 }
 
@@ -360,7 +245,7 @@ func (c *realCore) driveLent(wk *worker, next, own *Ticket) {
 			c.notEmpty.Broadcast()
 		}
 	}()
-	for ; next != nil; next = c.pickLocked(wk) {
+	for ; next != nil; next = c.pickLocked() {
 		c.execUnlocked(wk, next)
 		c.s.helped.Add(1)
 		if !own.queued {
@@ -377,21 +262,14 @@ func (c *realCore) execUnlocked(wk *worker, t *Ticket) {
 	c.exec(wk, t)
 }
 
-// exec serves one popped ticket and folds its completion back into the
-// dispatch state under dmu: placement EWMAs and the steering busy
-// count, then the admission telemetry.
+// exec serves one popped ticket and folds its completion into the
+// admission telemetry under dmu.
 func (c *realCore) exec(wk *worker, t *Ticket) {
 	s := c.s
 	s.serve(wk, t)
-	if s.placer != nil || s.adm != nil {
+	if s.adm != nil {
 		c.dmu.Lock()
-		if s.placer != nil {
-			s.noteServiceLocked(t, wk)
-			c.busyBy[wk.beIdx]--
-		}
-		if s.adm != nil {
-			s.adm.complete(t)
-		}
+		s.adm.complete(t)
 		c.dmu.Unlock()
 	}
 	s.retire(wk, t)
@@ -418,18 +296,15 @@ func (a *admission) tryEnqueue(t *Ticket) error {
 }
 
 // pick removes and returns the next ticket by weighted fair pick across
-// the per-image queues: the eligible image with the lowest pass (ties
-// break on the image name, keeping the pick deterministic whatever the
-// order of the active list). An image is eligible when the caller's
-// filter accepts its head ticket (the placement layer's
-// platform-affinity gate: a worker passes a filter accepting only
-// tickets its backend may serve). Only images with a waiting ticket are
-// looked at, so the cost follows the backlog, not the tenants ever
-// seen. Returns nil when no eligible ticket exists. Caller holds dmu.
-func (a *admission) pick(eligible func(*Ticket) bool) *Ticket {
+// the per-image queues: the image with the lowest pass (ties break on
+// the image name, keeping the pick deterministic whatever the order of
+// the active list). Only images with a waiting ticket are looked at, so
+// the cost follows the backlog, not the tenants ever seen. Returns nil
+// when nothing is queued. Caller holds dmu.
+func (a *admission) pick() *Ticket {
 	var best *imageState
 	for _, st := range a.active {
-		if eligible(st.queue[0]) && (best == nil || st.before(best)) {
+		if best == nil || st.before(best) {
 			best = st
 		}
 	}

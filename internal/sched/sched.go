@@ -38,14 +38,13 @@
 // The fleet may span heterogeneous hypervisor backends (Fig 5):
 // WithWorkerPlatforms pins each worker to a vmm.Platform, and image
 // tickets execute through wasp.RunOn on their worker's backend, drawing
-// shells only from that backend's pools. A placement policy
-// (WithPlacer, internal/placement) maps each image to its eligible
-// backends with weights: a worker only pops tickets its backend may
-// serve, the deterministic virtual dispatcher uses the weights as a
-// cost bias when choosing among eligible workers, and real-mode dispatch
-// steers each ticket toward its decisively-preferred backend while that
-// backend has idle capacity (other eligible backends take over once it
-// saturates). Admission decides whether a ticket runs; placement
+// shells only from that backend's pools. In real mode any lane serves
+// any ticket. Placement is a virtual-mode policy: a placer (WithPlacer,
+// internal/placement) maps each image to its eligible backends with
+// weights, and the deterministic virtual dispatcher only considers
+// workers on eligible backends, biasing the choice among them by the
+// weights. A real-mode scheduler built with a placer fails every ticket
+// with ErrPlacement. Admission decides whether a ticket runs; placement
 // decides where.
 //
 // Under Wasp+CA (Fig 8) virtual mode drives each backend's Cleaner:
@@ -83,7 +82,8 @@ var ErrClosed = errors.New("sched: scheduler closed")
 
 // ErrPlacement is the error carried by tickets whose image has no
 // eligible backend in this fleet (e.g. a Static pin to a platform no
-// worker serves). Rejecting at submission keeps an unservable ticket
+// worker serves), and by every ticket of a real-mode scheduler built
+// with a placer. Rejecting at submission keeps an unservable ticket
 // from occupying the queue forever.
 var ErrPlacement = errors.New("sched: no eligible backend for image")
 
@@ -110,11 +110,6 @@ type Ticket struct {
 	// queued is set while the ticket sits in a real core's queue (the
 	// core's flag, under its lock).
 	queued bool
-	// prefBE is the backend real-mode dispatch steers this ticket toward
-	// (weight-aware popping): a worker on another backend leaves the
-	// ticket alone while the preferred backend still has an idle worker.
-	// -1 means no steering — eligible workers race freely.
-	prefBE int32
 
 	// Arrival is the virtual time the request entered the system: the
 	// caller-declared arrival, or the assigned worker's clock at dequeue
@@ -166,10 +161,10 @@ type Ticket struct {
 	st *imageState
 
 	// elig is the placement weight per scheduler backend (nil when no
-	// placer is attached or the ticket is untagged): <= 0 means the
-	// backend's workers must not pop this ticket. Real mode fills it at
-	// enqueue; virtual mode recomputes at each placement decision so
-	// load-sensitive policies see decision-time state.
+	// placer is attached): <= 0 means the backend's workers must not
+	// serve this ticket. Virtual mode only; the batch dispatcher
+	// recomputes it at each placement decision so load-sensitive
+	// policies see decision-time state.
 	elig []float64
 
 	// lender is the real core whose queue holds (or held) the ticket; nil
@@ -384,19 +379,21 @@ func WithWorkerPlatforms(ps ...vmm.Platform) Option {
 	}
 }
 
-// WithPlacer attaches a placement policy (internal/placement): each
-// image ticket becomes poppable only by workers on its eligible
-// backends, and the deterministic virtual dispatcher biases the choice
-// among eligible workers by the policy's weights. A ticket whose image
-// has no eligible backend is rejected with ErrPlacement at submission.
+// WithPlacer attaches a placement policy (internal/placement) to a
+// virtual-mode scheduler: each ticket is served only by workers on its
+// eligible backends, and the dispatcher biases the choice among them by
+// the policy's weights. A ticket whose image has no eligible backend is
+// rejected with ErrPlacement at submission. A real-mode scheduler does
+// not place: built with a placer, it rejects every ticket with
+// ErrPlacement.
 func WithPlacer(p placement.Placer) Option {
 	return func(s *Scheduler) { s.placer = p }
 }
 
 // New builds a real-mode scheduler: n worker goroutines, each with its
 // own virtual clock, draining a bounded queue. The scheduler records
-// submission, placement/steering, ticket-service, autoscaling and
-// cleaner-drain events into the Wasp's flight recorder (wasp.WithTracer).
+// submission and ticket-service events into the Wasp's flight recorder
+// (wasp.WithTracer).
 func New(w *wasp.Wasp, n int, opts ...Option) *Scheduler {
 	return newScheduler(w, n, newRealCore, opts...)
 }
@@ -576,7 +573,6 @@ func (s *Scheduler) submitBatch(reqs []Request, hasArrival bool) []*Ticket {
 // initTicket fills a new ticket from its request. An image request's
 // config is copied to cfg, the slot beside the ticket.
 func initTicket(t *Ticket, cfg *wasp.RunConfig, r *Request, hasArrival bool) {
-	t.prefBE = -1
 	if hasArrival {
 		t.Arrival, t.hasArrival = r.Arrival, true
 	}
@@ -762,10 +758,10 @@ func (e *PanicError) Error() string { return fmt.Sprintf("sched: task panicked: 
 
 // runTask does the ticket's work. A panic in it — a host-side task
 // function, or a bug below RunOn — fails the ticket instead of unwinding
-// through the dispatch core: everything after serve (the steering busy
-// count, the admission telemetry, retire) must run for the waiter to
-// return and Submitted == Completed + Rejected to hold, and on a lent
-// lane the stack above belongs to some other caller's Wait.
+// through the dispatch core: everything after serve (the admission
+// telemetry, retire) must run for the waiter to return and Submitted ==
+// Completed + Rejected to hold, and on a lent lane the stack above
+// belongs to some other caller's Wait.
 func (s *Scheduler) runTask(wk *worker, t *Ticket) (res *wasp.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/cycles"
 	"repro/internal/guest"
 	"repro/internal/placement"
 	"repro/internal/vmm"
@@ -62,106 +61,5 @@ func TestSchedulerImageTelemetryBounded(t *testing.T) {
 	}
 	if svc, _ := s.imgStats.get("tenant-0"); svc != 0 {
 		t.Fatal("oldest tenant's telemetry must have been evicted")
-	}
-}
-
-// Stats-based steering: on a 2+2 KVM/Paravirt fleet under the cost
-// model, a short-lived quiet image must land predominantly on the
-// cheap-create backend in REAL mode — the weights now steer racing
-// workers, not just gate eligibility. Submissions are sequential, so the
-// preferred backend always has an idle worker and steering never has to
-// yield to work conservation.
-func TestRealModeSteeringPrefersCheapCreate(t *testing.T) {
-	w := wasp.New(wasp.WithPlatforms(vmm.KVM{}, vmm.Paravirt{}))
-	s := New(w, 4,
-		WithWorkerPlatforms(vmm.KVM{}, vmm.Paravirt{}),
-		WithPlacer(placement.CostModel{}))
-	defer s.Close()
-	img := guest.RealModeHalt().WithName("steer-short")
-	onKVM := 0
-	const runs = 30
-	for i := 0; i < runs; i++ {
-		tk := s.Submit(img, wasp.RunConfig{})
-		if _, err := tk.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if tk.Platform == "kvm" {
-			onKVM++
-		}
-	}
-	t.Logf("short image: %d/%d runs on kvm", onKVM, runs)
-	if onKVM < runs*6/10 {
-		t.Fatalf("short image served on kvm only %d/%d times; the cost model's weights must steer real-mode dispatch", onKVM, runs)
-	}
-}
-
-// steerPlacer sends "hog" tickets to KVM only and decisively prefers
-// KVM for everything else (paravirt stays eligible at a large bias).
-type steerPlacer struct{}
-
-func (steerPlacer) Place(img placement.ImageInfo, backends []placement.BackendInfo) []float64 {
-	out := make([]float64, len(backends))
-	for i, b := range backends {
-		switch {
-		case img.Name == "hog":
-			if b.Platform.Name() == "kvm" {
-				out[i] = 1
-			}
-		case b.Platform.Name() == "kvm":
-			out[i] = 1
-		default:
-			out[i] = 1.0 / 1_000_000
-		}
-	}
-	return out
-}
-
-// Steering is a preference, not a pin: once the preferred backend is
-// saturated, another eligible backend's idle workers take the ticket
-// over. Both KVM workers are parked inside blocking tickets, so every
-// steered short must complete on paravirt — deterministically, while the
-// hogs are still mid-flight.
-func TestRealModeSteeringYieldsWhenPreferredSaturated(t *testing.T) {
-	w := wasp.New(wasp.WithPlatforms(vmm.KVM{}, vmm.Paravirt{}))
-	s := New(w, 4,
-		WithWorkerPlatforms(vmm.KVM{}, vmm.Paravirt{}),
-		WithPlacer(steerPlacer{}))
-	defer s.Close()
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	hog := func(clk *cycles.Clock) (*wasp.Result, error) {
-		started <- struct{}{}
-		<-release
-		return &wasp.Result{}, nil
-	}
-	hogs := s.SubmitBatch([]Request{
-		{Fn: hog, Image: "hog"},
-		{Fn: hog, Image: "hog"},
-	})
-	<-started
-	<-started // both KVM workers now occupied mid-ticket
-
-	img := guest.RealModeHalt().WithName("steer-takeover")
-	var shorts []*Ticket
-	for i := 0; i < 8; i++ {
-		shorts = append(shorts, s.Submit(img, wasp.RunConfig{}))
-	}
-	if err := WaitAll(shorts...); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	if err := WaitAll(hogs...); err != nil {
-		t.Fatal(err)
-	}
-	for _, tk := range shorts {
-		if tk.Platform != "paravirt" {
-			t.Fatalf("steered short ran on %s while its preferred backend was saturated; want paravirt takeover", tk.Platform)
-		}
-	}
-	for _, tk := range hogs {
-		if tk.Platform != "kvm" {
-			t.Fatalf("hog ran on %s, placed kvm-only", tk.Platform)
-		}
 	}
 }

@@ -24,14 +24,14 @@ func pairTask(svc uint64) Task {
 	}
 }
 
-// TestImageTelemetryTornPairs hammers real-mode completions on two
+// TestImageTelemetryTornPairs hammers virtual-mode completions on two
 // images with wildly different service costs while concurrent readers
 // poll the EWMA store under the core lock, as placement does; any torn
 // svc/entries pair (or, under -race, any unsynchronized write to the
 // store) fails the test. This is the regression gate for the store's
 // locking contract.
 func TestImageTelemetryTornPairs(t *testing.T) {
-	s := New(wasp.New(), 4, WithPlacer(placement.LeastLoaded{}))
+	s := NewVirtual(wasp.New(), 4, WithPlacer(placement.LeastLoaded{}))
 	defer s.Close()
 
 	stop := make(chan struct{})

@@ -86,7 +86,7 @@ func (n *NativeCtx) Hypercall(nr uint8, args ...uint64) (uint64, error) {
 // workload's opaque state so later runs can resume past initialization.
 // The capture cost (a memcpy of the image footprint) is charged.
 func (n *NativeCtx) TakeSnapshot(state any) error {
-	if !n.cfg.Snapshot || !n.wasp.snapEnable {
+	if !n.cfg.Snapshot {
 		return nil
 	}
 	// The workload has written through its Mem slice, behind the store

@@ -29,7 +29,9 @@ type RunConfig struct {
 	// RetBytes is how many bytes of the return-value region to copy out
 	// after exit.
 	RetBytes int
-	// Snapshot enables the snapshot fast path for this image.
+	// Snapshot enables the snapshot fast path (§5.2) for this run: the
+	// guest's snapshot hypercall captures, and later runs of the image
+	// restore. It is the runtime's only snapshot switch.
 	Snapshot bool
 	// MaxSteps bounds guest execution (runaway protection).
 	MaxSteps uint64
@@ -107,7 +109,7 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	start := clk.Now()
 	res := &Result{}
 	var snap *snapshot
-	if cfg.Snapshot && w.snapEnable {
+	if cfg.Snapshot {
 		// get retains the snapshot's layer for the life of this run, so
 		// a concurrent re-capture of the same image can never release
 		// store pages this restore still reads from.
@@ -117,7 +119,7 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	res.residentOn = snap
 
 	// COW resets apply to interpreted guests with snapshotting on.
-	cow := w.cow && cfg.Snapshot && w.snapEnable && img.Native == nil
+	cow := w.cow && cfg.Snapshot && img.Native == nil
 	s, resident, err := w.acquire(be, img, snap, cow, clk)
 	if err != nil {
 		return nil, err
@@ -246,6 +248,7 @@ func (w *Wasp) runNative(be *backend, ctx *vmm.Context, img *guest.Image, cfg *R
 	if err := img.Native(nctx); err != nil {
 		return fmt.Errorf("wasp: native workload: %w", err)
 	}
+	// Hypercall re-entered after NrExit, so this exit makes one entry/exit pair an interpreted exit() does not pay.
 	clk.Advance(be.platform.ExitCost())
 	return nil
 }
@@ -438,7 +441,7 @@ func (w *Wasp) serviceHypercall(be *backend, ctx *vmm.Context, img *guest.Image,
 		return false, fmt.Errorf("wasp: virtine %s: %s: %w", img.Name, hypercall.Name(call.Nr), hypercall.ErrDenied)
 	}
 
-	if call.Nr == hypercall.NrSnapshot && cfg.Snapshot && w.snapEnable {
+	if call.Nr == hypercall.NrSnapshot && cfg.Snapshot {
 		// Capture the reset state: guest memory up to the image
 		// footprint plus the stack, and the architectural state. The
 		// copy is charged — the paper's Fig 11 snapshot bars include

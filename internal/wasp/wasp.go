@@ -64,7 +64,6 @@ type Wasp struct {
 
 	pooling      bool
 	asyncClean   bool
-	snapEnable   bool
 	cow          bool
 	legacyInterp bool
 	platforms    []vmm.Platform
@@ -219,10 +218,6 @@ func WithPooling(on bool) Option { return func(w *Wasp) { w.pooling = on } }
 // request. With multiple platforms each backend gets its own cleaner.
 func WithAsyncClean(on bool) Option { return func(w *Wasp) { w.asyncClean = on } }
 
-// WithSnapshotting enables the snapshot/restore fast path (§5.2). Images
-// still opt in per run via RunConfig.Snapshot.
-func WithSnapshotting(on bool) Option { return func(w *Wasp) { w.snapEnable = on } }
-
 // WithPlatforms selects the hosted-hypervisor backends (Fig 5): vmm.KVM{}
 // on Linux, vmm.HyperV{} on Windows; default KVM alone. The first
 // platform is the default (Run without a platform lands there);
@@ -260,13 +255,13 @@ func WithTracer(tr *obs.Tracer) Option { return func(w *Wasp) { w.tracer = tr } 
 // guests; native workloads fall back to full restores.
 func WithCOW(on bool) Option { return func(w *Wasp) { w.cow = on } }
 
-// New returns a Wasp runtime with pooling and snapshotting enabled and
-// synchronous cleaning — the paper's default configuration.
+// New returns a Wasp runtime with pooling enabled and synchronous
+// cleaning — the paper's default configuration. Snapshotting is per run
+// (RunConfig.Snapshot).
 func New(opts ...Option) *Wasp {
 	w := &Wasp{
-		pooling:    true,
-		snapEnable: true,
-		platforms:  []vmm.Platform{vmm.KVM{}},
+		pooling:   true,
+		platforms: []vmm.Platform{vmm.KVM{}},
 	}
 	for _, o := range opts {
 		o(w)

@@ -314,15 +314,24 @@ func TestSnapshotIsolationAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestSnapshotDisabledGlobally(t *testing.T) {
+// TestSnapshotDisabledPerRun: RunConfig.Snapshot is the one switch. A
+// run with it off captures nothing, though the guest makes the snapshot
+// hypercall, and every such run starts from scratch.
+func TestSnapshotDisabledPerRun(t *testing.T) {
 	img := guest.MustFromAsm("snap-off", guest.WrapLongMode(snapshotCounterAsm))
-	w := New(WithSnapshotting(false))
-	cfg := RunConfig{Snapshot: true, RetBytes: 16}
-	if _, err := w.Run(img, cfg, cycles.NewClock()); err != nil {
-		t.Fatal(err)
-	}
-	if w.backends[0].snapshots.has(img.Name) {
-		t.Fatal("snapshot captured despite global disable")
+	w := New()
+	cfg := RunConfig{Snapshot: false, RetBytes: 16}
+	for i := 0; i < 2; i++ {
+		res, err := w.Run(img, cfg, cycles.NewClock())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.backends[0].snapshots.has(img.Name) {
+			t.Fatalf("run %d: snapshot captured with RunConfig.Snapshot off", i)
+		}
+		if pre, post := fromLE64(res.Ret[:8]), fromLE64(res.Ret[8:]); res.SnapshotUsed || pre != 1 || post != 1 {
+			t.Fatalf("run %d: restored=%v counters %d/%d, want a fresh run (1/1)", i, res.SnapshotUsed, pre, post)
+		}
 	}
 }
 
