@@ -22,6 +22,30 @@ func unhex(t *testing.T, s string) []byte {
 	return b
 }
 
+// encryptBlock is one AES block, EncryptCBC's first block under a zero
+// IV.
+func encryptBlock(t testing.TB, c *Cipher, pt []byte) []byte {
+	t.Helper()
+	ct := make([]byte, BlockSize)
+	if err := c.EncryptCBC(ct, pt[:BlockSize], make([]byte, BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	return ct
+}
+
+// stdDecryptCBC inverts CBC with crypto/aes's decryption, the inverse
+// cipher this package does not carry.
+func stdDecryptCBC(t testing.TB, key, ct, iv []byte) []byte {
+	t.Helper()
+	ref, err := stdaes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := make([]byte, len(ct))
+	cipher.NewCBCDecrypter(ref, iv).CryptBlocks(pt, ct)
+	return pt
+}
+
 func TestFIPS197Vector(t *testing.T) {
 	// FIPS-197 Appendix B.
 	key := unhex(t, "2b7e151628aed2a6abf7158809cf4f3c")
@@ -31,14 +55,11 @@ func TestFIPS197Vector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, 16)
-	c.EncryptBlock(got, pt)
+	got := encryptBlock(t, c, pt)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("encrypt = %x, want %x", got, want)
 	}
-	back := make([]byte, 16)
-	c.DecryptBlock(back, got)
-	if !bytes.Equal(back, pt) {
+	if back := stdDecryptCBC(t, key, got, make([]byte, BlockSize)); !bytes.Equal(back, pt) {
 		t.Fatalf("decrypt = %x, want %x", back, pt)
 	}
 }
@@ -66,19 +87,15 @@ func TestNISTCBCVector(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("CBC encrypt mismatch:\n got %x\nwant %x", got, want)
 	}
-	back := make([]byte, len(pt))
-	if err := c.DecryptCBC(back, got, iv); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, pt) {
+	if back := stdDecryptCBC(t, key, got, iv); !bytes.Equal(back, pt) {
 		t.Fatal("CBC round trip failed")
 	}
 }
 
 // TestEncryptMatchesStdlib checks the table cipher against crypto/aes
 // over seeded random keys: one block, then a CBC run of up to 8 blocks
-// (in place every other key), and every block back through the textbook
-// DecryptBlock and the chaining XOR.
+// (in place every other key), and every block back through crypto/aes's
+// Decrypt and the chaining XOR.
 func TestEncryptMatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	key, iv := make([]byte, KeySize), make([]byte, BlockSize)
@@ -96,15 +113,10 @@ func TestEncryptMatchesStdlib(t *testing.T) {
 		pt := make([]byte, BlockSize*(1+rng.Intn(8)))
 		rng.Read(pt)
 
-		got, want, back := make([]byte, BlockSize), make([]byte, BlockSize), make([]byte, BlockSize)
-		c.EncryptBlock(got, pt)
+		got, want, back := encryptBlock(t, c, pt), make([]byte, BlockSize), make([]byte, BlockSize)
 		ref.Encrypt(want, pt)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("key %x: EncryptBlock = %x, crypto/aes %x", key, got, want)
-		}
-		c.DecryptBlock(back, got)
-		if !bytes.Equal(back, pt[:BlockSize]) {
-			t.Fatalf("key %x: DecryptBlock(EncryptBlock(p)) = %x, want %x", key, back, pt[:BlockSize])
+			t.Fatalf("key %x: one block = %x, crypto/aes %x", key, got, want)
 		}
 
 		want = make([]byte, len(pt))
@@ -124,12 +136,12 @@ func TestEncryptMatchesStdlib(t *testing.T) {
 		}
 		prev := iv
 		for off := 0; off < len(got); off += BlockSize {
-			c.DecryptBlock(back, got[off:])
+			ref.Decrypt(back, got[off:])
 			for i := range back {
 				back[i] ^= prev[i]
 			}
 			if !bytes.Equal(back, pt[off:off+BlockSize]) {
-				t.Fatalf("key %x block %d: DecryptBlock does not invert EncryptCBC", key, off/BlockSize)
+				t.Fatalf("key %x block %d: crypto/aes's Decrypt does not invert EncryptCBC", key, off/BlockSize)
 			}
 			prev = got[off : off+BlockSize]
 		}
@@ -137,14 +149,18 @@ func TestEncryptMatchesStdlib(t *testing.T) {
 }
 
 func TestEncryptDecryptProperty(t *testing.T) {
-	c, err := New([]byte("0123456789abcdef"))
+	key := []byte("0123456789abcdef")
+	c, err := New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := stdaes.NewCipher(key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := func(block [16]byte) bool {
-		var ct, back [16]byte
-		c.EncryptBlock(ct[:], block[:])
-		c.DecryptBlock(back[:], ct[:])
+		var back [16]byte
+		ref.Decrypt(back[:], encryptBlock(t, c, block[:]))
 		return back == block
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -193,16 +193,6 @@ func Assemble(src string) (*Program, error) {
 	return u.Assemble()
 }
 
-// MustAssemble is Assemble for static program text; it panics on error and
-// exists for package-level program constants in the guest runtime.
-func MustAssemble(src string) *Program {
-	p, err := Assemble(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Assemble lays the unit out and encodes it.
 func (u *Unit) Assemble() (*Program, error) {
 	n := 0

@@ -322,3 +322,13 @@ func TestMustAssemblePanics(t *testing.T) {
 	}()
 	MustAssemble("bogus instruction stream")
 }
+
+// MustAssemble is Assemble for static program text; it panics on error and
+// exists for package-level program constants in the guest runtime.
+func MustAssemble(src string) *Program {
+	p, err := Assemble(src)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}

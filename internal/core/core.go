@@ -59,10 +59,6 @@ func NewClient(opts ...wasp.Option) *Client {
 	return &Client{W: wasp.New(opts...), clock: cycles.NewClock()}
 }
 
-// Clock returns the client's default virtual clock (used when Call is
-// invoked without an explicit clock).
-func (c *Client) Clock() *cycles.Clock { return c.clock }
-
 // Scheduler returns the client's dispatch substrate, creating it on
 // first use: a bounded worker pool as wide as the host's parallelism,
 // shared by every Func's asynchronous invocations.
@@ -129,12 +125,6 @@ func (c *Client) CompileC(src string) (map[string]*Func, error) {
 		}
 	}
 	return out, nil
-}
-
-// FuncFromImage wraps a hand-built image (assembly or native workload)
-// as a callable virtine — the direct Wasp runtime API path (Fig 10 B).
-func (c *Client) FuncFromImage(img *guest.Image, pol hypercall.Policy) *Func {
-	return &Func{client: c, Name: img.Name, Image: img, Policy: pol}
 }
 
 // Func is a callable virtine function.

@@ -162,3 +162,9 @@ virtine_config(0x2) int hello(int n) {
 		t.Fatalf("env not reset between runs: %q", env.Stdout.String())
 	}
 }
+
+// FuncFromImage wraps a hand-built image (assembly or native workload)
+// as a callable virtine — the direct Wasp runtime API path (Fig 10 B).
+func (c *Client) FuncFromImage(img *guest.Image, pol hypercall.Policy) *Func {
+	return &Func{client: c, Name: img.Name, Image: img, Policy: pol}
+}

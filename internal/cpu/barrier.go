@@ -40,8 +40,8 @@ func (c *CPU) armed(p, n uint64) bool {
 // memory: each touched page that is not already armed loses its decode
 // state (a pointer drop; shared pages are unreferenced, never mutated)
 // and becomes dirty. It is the only writer of the dirty bit. Guest stores
-// call it from storeWord, STOREB and WriteMem, or skip it from a trace
-// closure that found the pages armed; host writes — image loads, argument
+// call it from storeWord and STOREB, or skip it from a trace closure
+// that found the pages armed; host writes — image loads, argument
 // marshalling, hypercall handlers, snapshot rewrites — reach it through
 // vmm.Context.HostWrite.
 func (c *CPU) StoreBarrier(addr uint64, n int) {

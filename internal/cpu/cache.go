@@ -11,7 +11,7 @@ package cpu
 // memory runs the store barrier (barrier.go), which drops the decode
 // state of each page it touches:
 //
-//   - the CPU's own store paths (storeWord, STOREB, WriteMem, the trace
+//   - the CPU's own store paths (storeWord, STOREB, the trace
 //     closures), so self-modifying code re-decodes the bytes it just
 //     wrote even on a bare CPU with no VMM attached;
 //   - vmm.Context.HostWrite — the funnel image loads, argument

@@ -377,13 +377,3 @@ func (c *CPU) mark(e Event) {
 		c.Events[e] = c.Clock.Now()
 	}
 }
-
-// EventDelta returns the cycles between two recorded events, or 0 if
-// either is missing.
-func (c *CPU) EventDelta(from, to Event) uint64 {
-	a, b := c.Events[from], c.Events[to]
-	if a == 0 || b == 0 || b < a {
-		return 0
-	}
-	return b - a
-}

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -557,4 +558,34 @@ fibrec:
 	pop rbx
 	add rax, rbx
 	ret`
+}
+
+// WriteMem writes b at guest-virtual vaddr.
+func (c *CPU) WriteMem(vaddr uint64, b []byte) error {
+	for i := range b {
+		p, err := c.Translate(vaddr+uint64(i), true)
+		if err != nil {
+			return err
+		}
+		if p >= uint64(len(c.Mem)) {
+			return fmt.Errorf("write beyond memory at %#x", p)
+		}
+		c.Mem[p] = b[i]
+		c.StoreBarrier(p, 1)
+	}
+	c.Clock.Advance(cycles.MemStore * uint64(1+(len(b)-1)/8))
+	return nil
+}
+
+// TLBSize reports the number of cached large-page translations.
+func (c *CPU) TLBSize() int { return len(c.tlb) }
+
+// EventDelta returns the cycles between two recorded events, or 0 if
+// either is missing.
+func (c *CPU) EventDelta(from, to Event) uint64 {
+	a, b := c.Events[from], c.Events[to]
+	if a == 0 || b == 0 || b < a {
+		return 0
+	}
+	return b - a
 }

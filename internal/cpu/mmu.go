@@ -108,23 +108,6 @@ func (c *CPU) readPTE(paddr uint64) (uint64, error) {
 	return v, nil
 }
 
-// WriteMem writes b at guest-virtual vaddr.
-func (c *CPU) WriteMem(vaddr uint64, b []byte) error {
-	for i := range b {
-		p, err := c.Translate(vaddr+uint64(i), true)
-		if err != nil {
-			return err
-		}
-		if p >= uint64(len(c.Mem)) {
-			return fmt.Errorf("write beyond memory at %#x", p)
-		}
-		c.Mem[p] = b[i]
-		c.StoreBarrier(p, 1)
-	}
-	c.Clock.Advance(cycles.MemStore * uint64(1+(len(b)-1)/8))
-	return nil
-}
-
 // loadWord reads a mode-width word for instruction execution.
 func (c *CPU) loadWord(vaddr uint64, mode isa.Mode) (uint64, error) {
 	w := mode.Width()
@@ -163,6 +146,3 @@ func (c *CPU) FlushTLB() {
 	c.fetchOK = false
 	c.dtlbOK = false
 }
-
-// TLBSize reports the number of cached large-page translations.
-func (c *CPU) TLBSize() int { return len(c.tlb) }

@@ -54,13 +54,3 @@ func Micros(cycles uint64) float64 {
 func Millis(cycles uint64) float64 {
 	return float64(cycles) / (Frequency / 1e3)
 }
-
-// FromMicros converts microseconds to cycles at the virtual frequency.
-func FromMicros(us float64) uint64 {
-	return uint64(us * (Frequency / 1e6))
-}
-
-// FromNanos converts nanoseconds to cycles at the virtual frequency.
-func FromNanos(ns float64) uint64 {
-	return uint64(ns * (Frequency / 1e9))
-}

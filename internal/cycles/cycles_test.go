@@ -183,3 +183,21 @@ func TestNoiseUint64n(t *testing.T) {
 		}
 	}
 }
+
+// FromMicros converts microseconds to cycles at the virtual frequency.
+func FromMicros(us float64) uint64 {
+	return uint64(us * (Frequency / 1e6))
+}
+
+// FromNanos converts nanoseconds to cycles at the virtual frequency.
+func FromNanos(ns float64) uint64 {
+	return uint64(ns * (Frequency / 1e9))
+}
+
+// Uint64n returns a deterministic value in [0, n).
+func (n *Noise) Uint64n(bound uint64) uint64 {
+	if bound == 0 {
+		return 0
+	}
+	return uint64(n.rng.Int63n(int64(bound)))
+}

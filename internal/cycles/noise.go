@@ -56,14 +56,3 @@ func (n *Noise) Jitter(base uint64) uint64 {
 	}
 	return uint64(v)
 }
-
-// Uint64n returns a deterministic value in [0, n).
-func (n *Noise) Uint64n(bound uint64) uint64 {
-	if bound == 0 {
-		return 0
-	}
-	return uint64(n.rng.Int63n(int64(bound)))
-}
-
-// Float64 returns a deterministic value in [0, 1).
-func (n *Noise) Float64() float64 { return n.rng.Float64() }

@@ -228,39 +228,6 @@ func ParseTicket(t *sched.Ticket) (*Response, error) {
 	return parseResponse(res.NetOut, res.Cycles, res.IOExits)
 }
 
-// ServeMany serves a batch of requests through a bounded worker pool of
-// the given width, returning responses in request order. This is the
-// server's multi-core request path: worker-parallel virtines sharing
-// the runtime's shell pool and snapshot cache.
-func (s *FileServer) ServeMany(reqs [][]byte, workers int) ([]*Response, error) {
-	sc := sched.New(s.W, workers)
-	defer sc.Close()
-	// Prewarm the handler's size class so the opening burst hits warm
-	// shells instead of paying one cold create per worker; idle streaks
-	// shrink the warm set from there.
-	need := workers
-	if len(reqs) < need {
-		need = len(reqs)
-	}
-	s.W.Prewarm(s.image.MemBytes(), need)
-	// The whole burst goes down as one batch: one ticket slab, one
-	// queue-lock acquisition, one worker wake.
-	batch := make([]sched.Request, len(reqs))
-	for i, req := range reqs {
-		batch[i] = sched.Request{Img: s.image, Cfg: s.runConfig(req)}
-	}
-	tickets := sc.SubmitBatch(batch)
-	out := make([]*Response, len(tickets))
-	for i, t := range tickets {
-		resp, err := ParseTicket(t)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = resp
-	}
-	return out, nil
-}
-
 // ServeTenants is the multi-tenant request path: each tenant's requests
 // run against a tenant-private clone of the handler image (its own
 // snapshot, shell telemetry, and admission identity), all dispatched

@@ -682,7 +682,7 @@ func TestWaspCAMatchesWaspC(t *testing.T) {
 			written := metric(w, "wasp_shell_pages_written{platform=kvm}")
 			// Arrivals 1 ms apart: every ticket finds an idle fleet in
 			// both runtimes, so their pools are sized alike.
-			tk := sc.SubmitAt(uint64(i)*cycles.FromMicros(1000), img, cfg)
+			tk := sc.SubmitAt(uint64(i)*(cycles.Frequency/1000), img, cfg)
 			if r.res, err = tk.Wait(); err != nil {
 				t.Fatal(err)
 			}
@@ -736,4 +736,37 @@ func TestWaspCAMatchesWaspC(t *testing.T) {
 	}
 	t.Logf("%d of %d acquires reused a shell; pages written per request: Wasp+C %.1f, Wasp+CA %.1f",
 		reused, len(asyncRuns), pages[0]/float64(requests), pages[1]/float64(requests))
+}
+
+// ServeMany serves a batch of requests through a bounded worker pool of
+// the given width, returning responses in request order. This is the
+// server's multi-core request path: worker-parallel virtines sharing
+// the runtime's shell pool and snapshot cache.
+func (s *FileServer) ServeMany(reqs [][]byte, workers int) ([]*Response, error) {
+	sc := sched.New(s.W, workers)
+	defer sc.Close()
+	// Prewarm the handler's size class so the opening burst hits warm
+	// shells instead of paying one cold create per worker; idle streaks
+	// shrink the warm set from there.
+	need := workers
+	if len(reqs) < need {
+		need = len(reqs)
+	}
+	s.W.Prewarm(s.image.MemBytes(), need)
+	// The whole burst goes down as one batch: one ticket slab, one
+	// queue-lock acquisition, one worker wake.
+	batch := make([]sched.Request, len(reqs))
+	for i, req := range reqs {
+		batch[i] = sched.Request{Img: s.image, Cfg: s.runConfig(req)}
+	}
+	tickets := sc.SubmitBatch(batch)
+	out := make([]*Response, len(tickets))
+	for i, t := range tickets {
+		resp, err := ParseTicket(t)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = resp
+	}
+	return out, nil
 }

@@ -111,11 +111,6 @@ type OneShot struct {
 	used  [NumHypercalls]bool
 }
 
-// NewOneShot builds a OneShot policy over inner.
-func NewOneShot(inner Policy, once ...uint8) *OneShot {
-	return &OneShot{Inner: inner, Once: MaskOf(once...)}
-}
-
 func (o *OneShot) Allow(nr uint8) bool {
 	if !o.Inner.Allow(nr) {
 		return false

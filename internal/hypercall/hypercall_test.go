@@ -444,3 +444,12 @@ func TestReadBadDescriptorErrno(t *testing.T) {
 		t.Fatalf("ret = %#x, want -1", ret)
 	}
 }
+
+// OpenCount reports the number of open descriptors (leak detection in
+// tests).
+func (fs *FS) OpenCount() int { return len(fs.fds) }
+
+// NewOneShot builds a OneShot policy over inner.
+func NewOneShot(inner Policy, once ...uint8) *OneShot {
+	return &OneShot{Inner: inner, Once: MaskOf(once...)}
+}

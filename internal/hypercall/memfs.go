@@ -110,7 +110,3 @@ func (fs *FS) Close(fd int) error {
 	delete(fs.fds, fd)
 	return nil
 }
-
-// OpenCount reports the number of open descriptors (leak detection in
-// tests).
-func (fs *FS) OpenCount() int { return len(fs.fds) }

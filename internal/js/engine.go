@@ -197,16 +197,6 @@ func (e *Engine) Eval(src string) (Value, error) {
 	return v, nil
 }
 
-// CallFunction invokes a previously defined global function by name.
-func (e *Engine) CallFunction(name string, args ...Value) (Value, error) {
-	fn, ok := e.global.get(name)
-	if !ok {
-		return nil, fmt.Errorf("js: no function %q", name)
-	}
-	defer e.flushCharges()
-	return e.apply(fn, args, 0)
-}
-
 // Close tears the context down, charging TeardownCost. The no-teardown
 // virtine optimization (§6.5) simply never calls Close: the context is
 // discarded with the VM reset instead.
@@ -217,9 +207,6 @@ func (e *Engine) Close() {
 		e.flushCharges()
 	}
 }
-
-// Closed reports whether Close ran.
-func (e *Engine) Closed() bool { return e.closed }
 
 // Base64JS is the §6.5 workload: a base64 encoder written in JavaScript,
 // encoding the global `input` string.

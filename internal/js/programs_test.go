@@ -1,6 +1,9 @@
 package js
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Whole-program tests exercising the engine the way §6.5 workloads do.
 
@@ -172,6 +175,16 @@ func TestNativeBindingsCallable(t *testing.T) {
 	if v.(float64) != 42 {
 		t.Fatalf("binding = %v", v)
 	}
+}
+
+// CallFunction invokes a previously defined global function by name.
+func (e *Engine) CallFunction(name string, args ...Value) (Value, error) {
+	fn, ok := e.global.get(name)
+	if !ok {
+		return nil, fmt.Errorf("js: no function %q", name)
+	}
+	defer e.flushCharges()
+	return e.apply(fn, args, 0)
 }
 
 func TestCallFunctionAPI(t *testing.T) {

@@ -91,15 +91,17 @@ func TestClusterTraceCoverage(t *testing.T) {
 		}
 	}
 	got := map[obs.Kind]bool{}
-	for _, k := range tr.Kinds() {
-		got[k] = true
+	for _, le := range tr.Events() {
+		for _, e := range le.Events {
+			got[e.Kind] = true
+		}
 	}
 	for _, want := range []obs.Kind{
 		obs.KindSubmit, obs.KindTicket, obs.KindShell,
 		obs.KindAutoscale, obs.KindEpoch,
 	} {
 		if !got[want] {
-			t.Errorf("cluster trace missing %v events (have %v)", want, tr.Kinds())
+			t.Errorf("cluster trace missing %v events (have %v)", want, got)
 		}
 	}
 	// Ticket spans carry correlation ids and land on worker lanes.

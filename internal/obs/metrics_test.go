@@ -2,62 +2,15 @@ package obs
 
 import (
 	"bytes"
-	"sort"
 	"sync"
 	"testing"
 )
 
-func TestRegistryInstruments(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("reqs")
-	c.Inc()
-	c.Add(4)
-	if r.Counter("reqs") != c || c.Value() != 5 {
-		t.Fatalf("counter handle not stable or miscounted: %d", c.Value())
-	}
-	g := r.Gauge("depth")
-	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %d, want 5", g.Value())
-	}
-	h := r.Histogram("lat")
-	for _, v := range []uint64{1, 2, 3, 100, 1000} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 || h.Sum() != 1106 {
-		t.Fatalf("histogram count/sum = %d/%d", h.Count(), h.Sum())
-	}
-	// p50 of {1,2,3,100,1000}: rank 3 lands in the 2-3 bucket → bound 3.
-	if got := h.Quantile(0.5); got != 3 {
-		t.Fatalf("p50 bound = %d, want 3", got)
-	}
-	if got := h.Quantile(0.99); got != 1023 {
-		t.Fatalf("p99 bound = %d, want 1023 (1000 is in the 512..1023 bucket)", got)
-	}
-
-	snap := r.Snapshot()
-	if !sort.SliceIsSorted(snap, func(i, j int) bool { return snap[i].Name < snap[j].Name }) {
-		t.Fatal("snapshot not sorted by name")
-	}
-	byName := map[string]float64{}
-	for _, m := range snap {
-		byName[m.Name] = m.Value
-	}
-	for name, want := range map[string]float64{
-		"reqs": 5, "depth": 5, "lat_count": 5, "lat_sum": 1106, "lat_p50": 3, "lat_p99": 1023,
-	} {
-		if byName[name] != want {
-			t.Errorf("%s = %g, want %g", name, byName[name], want)
-		}
-	}
-}
-
 func TestRegistryCollector(t *testing.T) {
 	r := NewRegistry()
 	r.RegisterCollector(func(emit func(string, float64)) {
-		emit("pulled_a", 1)
 		emit("pulled_b", 2)
+		emit("pulled_a", 1)
 	})
 	r.RegisterCollector(nil) // must be ignored
 	var buf bytes.Buffer
@@ -65,10 +18,12 @@ func TestRegistryCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != "pulled_a 1\npulled_b 2\n" {
-		t.Fatalf("WriteText = %q", got)
+		t.Fatalf("WriteText = %q, want both collected metrics sorted by name", got)
 	}
 }
 
+// Collectors registered while other goroutines take snapshots: every
+// snapshot sees a prefix of the registrations, and the last sees all.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -76,23 +31,14 @@ func TestRegistryConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				r.Counter("c").Inc()
-				r.Gauge("g").Set(int64(i))
-				r.Histogram("h").Observe(uint64(i))
+			for i := 0; i < 50; i++ {
+				r.RegisterCollector(func(emit func(string, float64)) { emit("c", 1) })
 				r.Snapshot()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("c").Value(); got != 16*500 {
-		t.Fatalf("counter = %d, want %d", got, 16*500)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.99) != 0 {
-		t.Fatal("empty histogram quantile not 0")
+	if got := len(r.Snapshot()); got != 16*50 {
+		t.Fatalf("snapshot has %d metrics, want %d", got, 16*50)
 	}
 }

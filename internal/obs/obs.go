@@ -19,15 +19,14 @@
 // BenchmarkTracerOverheadRun) hold the disabled tax under 2% on the
 // batch-submission and run hot paths.
 //
-// On top of the rings sit a counters/gauges/histograms metrics registry
-// (metrics.go) unifying the runtime's scattered stats structs behind
-// one Snapshot, and a Chrome trace_event exporter (chrome.go) rendering
+// On top of the rings sit a pull-only metrics registry (metrics.go)
+// unifying the runtime's scattered stats structs behind one Snapshot,
+// and a Chrome trace_event exporter (chrome.go) rendering
 // workers as tracks and tickets as flows.
 package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -94,8 +93,7 @@ type Event struct {
 // events; older ones are dropped oldest-first and counted. The default
 // deliberately keeps a 16-worker fleet's rings (~1 MiB) inside L2-ish
 // footprint: recording shares the cache with the traced workload, and a
-// larger ring buys history at a measured throughput cost (RingSize
-// raises it when post-mortem depth matters more than overhead).
+// larger ring buys history at a measured throughput cost.
 const DefaultRingSize = 1024
 
 // lane is one sharded ring buffer. Its mutex is uncontended in virtual
@@ -144,23 +142,13 @@ func Deterministic(on bool) TracerOption {
 	return func(t *Tracer) { t.det = on }
 }
 
-// RingSize overrides the per-lane ring capacity (events).
-func RingSize(n int) TracerOption {
-	return func(t *Tracer) {
-		if n > 0 {
-			t.ringSize = n
-		}
-	}
-}
-
 // Tracer is the flight recorder handle instrumented components hold.
 // A nil *Tracer is valid and permanently disabled; every method is
 // nil-safe. Tracers start disabled — attach first, SetEnabled(true)
 // when recording should begin.
 type Tracer struct {
-	enabled  atomic.Bool
-	det      bool
-	ringSize int
+	enabled atomic.Bool
+	det     bool
 
 	// lanes is an immutable slice republished on growth (index = lane
 	// id + 1, ControlLane at 0); emitters read it with one atomic load.
@@ -182,7 +170,7 @@ type Tracer struct {
 
 // NewTracer builds a flight recorder with all lanes empty.
 func NewTracer(opts ...TracerOption) *Tracer {
-	t := &Tracer{ringSize: DefaultRingSize, Metrics: NewRegistry()}
+	t := &Tracer{Metrics: NewRegistry()}
 	for _, o := range opts {
 		o(t)
 	}
@@ -201,13 +189,9 @@ func (t *Tracer) SetEnabled(on bool) {
 	}
 }
 
-// Deterministic reports whether host-time stamps are suppressed.
-func (t *Tracer) Deterministic() bool { return t != nil && t.det }
-
 // Name interns s and returns its id, stable for the tracer's lifetime.
-// Hot call sites should resolve names they emit repeatedly once and
-// cache the id; interning an already-known name is one shared-lock map
-// read. Returns 0 on a nil tracer.
+// Interning an already-known name is one shared-lock map read. Returns 0
+// on a nil tracer.
 func (t *Tracer) Name(s string) uint32 {
 	if t == nil {
 		return 0
@@ -261,29 +245,14 @@ func (t *Tracer) laneFor(id int) *lane {
 	grown := make([]*lane, idx+1)
 	copy(grown, old)
 	for i := len(old); i <= idx; i++ {
-		grown[i] = &lane{buf: make([]Event, 0, t.ringSize)}
+		grown[i] = &lane{buf: make([]Event, 0, DefaultRingSize)}
 	}
 	t.lanes.Store(&grown)
 	return grown[idx]
 }
 
-// Emit records a fully-formed event on a lane. Callers must guard with
-// Enabled(); Emit itself re-checks so a lost race with SetEnabled only
-// costs one extra event, never a crash.
-func (t *Tracer) Emit(laneID int, e Event) {
-	if !t.Enabled() {
-		return
-	}
-	if !t.det {
-		e.Host = time.Now().UnixNano()
-	}
-	e.Lane = int32(laneID)
-	t.laneFor(laneID).emit(e)
-}
-
 // Span records a [vstart, vend] interval on a lane — a ticket's service
-// window, a guest run. name is interned per call; hot sites with a
-// fixed name should pre-intern and use Emit.
+// window, a guest run. name is interned per call.
 func (t *Tracer) Span(laneID int, kind Kind, name string, vstart, vend, id, arg0, arg1 uint64) {
 	if !t.Enabled() {
 		return
@@ -362,22 +331,4 @@ func (t *Tracer) EventCount() uint64 {
 		n += le.Dropped + uint64(len(le.Events))
 	}
 	return n
-}
-
-// Kinds reports which event kinds the tracer has recorded (surviving
-// events only), sorted by kind value — the trace-coverage check the
-// smoke tests assert.
-func (t *Tracer) Kinds() []Kind {
-	seen := map[Kind]bool{}
-	for _, le := range t.Events() {
-		for _, e := range le.Events {
-			seen[e.Kind] = true
-		}
-	}
-	out := make([]Kind, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

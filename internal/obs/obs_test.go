@@ -16,7 +16,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.SetEnabled(true)
 	tr.Span(0, KindTicket, "x", 1, 2, 3, 4, 5)
 	tr.Instant(ControlLane, KindSubmit, "x", 1, 0, 0, 0)
-	tr.Emit(0, Event{})
 	if tr.Name("x") != 0 || tr.NameOf(0) != "" {
 		t.Fatal("nil tracer interner not inert")
 	}
@@ -41,9 +40,10 @@ func TestDisabledTracerRecordsNothing(t *testing.T) {
 }
 
 func TestRingWrapKeepsNewestOldestFirst(t *testing.T) {
-	tr := NewTracer(RingSize(4), Deterministic(true))
+	tr := NewTracer(Deterministic(true))
 	tr.SetEnabled(true)
-	for i := uint64(1); i <= 10; i++ {
+	const n = DefaultRingSize + 6
+	for i := uint64(1); i <= n; i++ {
 		tr.Instant(2, KindTicket, "t", i, i, 0, 0)
 	}
 	les := tr.Events()
@@ -54,16 +54,16 @@ func TestRingWrapKeepsNewestOldestFirst(t *testing.T) {
 	if le.Lane != 2 {
 		t.Fatalf("lane id = %d, want 2", le.Lane)
 	}
-	if le.Dropped != 6 || len(le.Events) != 4 {
-		t.Fatalf("dropped=%d survivors=%d, want 6/4", le.Dropped, len(le.Events))
+	if le.Dropped != 6 || len(le.Events) != DefaultRingSize {
+		t.Fatalf("dropped=%d survivors=%d, want 6/%d", le.Dropped, len(le.Events), DefaultRingSize)
 	}
 	for i, e := range le.Events {
 		if want := uint64(7 + i); e.VStart != want {
 			t.Fatalf("event %d VStart = %d, want %d (oldest-first after wrap)", i, e.VStart, want)
 		}
 	}
-	if tr.EventCount() != 10 {
-		t.Fatalf("EventCount = %d, want 10", tr.EventCount())
+	if tr.EventCount() != n {
+		t.Fatalf("EventCount = %d, want %d", tr.EventCount(), n)
 	}
 }
 
@@ -128,30 +128,12 @@ func TestMarshalExcludesHostAndResolvesNames(t *testing.T) {
 	}
 }
 
-func TestKindsCoverage(t *testing.T) {
-	tr := NewTracer(Deterministic(true))
-	tr.SetEnabled(true)
-	tr.Instant(0, KindShell, "s", 1, 0, 0, 0)
-	tr.Instant(0, KindTicket, "t", 2, 0, 0, 0)
-	tr.Instant(ControlLane, KindAutoscale, "a", 3, 0, 0, 0)
-	got := tr.Kinds()
-	want := []Kind{KindTicket, KindShell, KindAutoscale}
-	if len(got) != len(want) {
-		t.Fatalf("Kinds = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Kinds = %v, want %v (sorted by kind value)", got, want)
-		}
-	}
-}
-
 // TestRingStressConcurrentSnapshot is the satellite -race gate: 16
 // goroutines hammer distinct and shared lanes (forcing wraps and lane
 // growth) while snapshot readers, the interner, and the enable flag all
 // churn concurrently.
 func TestRingStressConcurrentSnapshot(t *testing.T) {
-	tr := NewTracer(RingSize(64))
+	tr := NewTracer()
 	tr.SetEnabled(true)
 	const writers = 16
 	const perWriter = 2000
@@ -182,7 +164,6 @@ func TestRingStressConcurrentSnapshot(t *testing.T) {
 			}
 			tr.Events()
 			tr.Marshal()
-			tr.Kinds()
 			tr.Metrics.Snapshot()
 			tr.SetEnabled(true)
 		}

@@ -36,10 +36,10 @@ type Admission struct {
 	Weights map[string]int
 	// MaxQueued bounds each image's waiting tickets in the real-mode
 	// queue; beyond it, submissions shed with ErrAdmission. Waiting
-	// tickets occupy the scheduler's shared bounded queue, so without
-	// this one tenant's backlog can fill the queue cap and block every
-	// other tenant's Submit at the enqueue — set MaxQueued below the
-	// queue cap to keep a hog's burst from starving the others at
+	// tickets occupy the scheduler's shared queue, bounded at 4×workers,
+	// so without this one tenant's backlog can fill it and block every
+	// other tenant's Submit at the enqueue — set MaxQueued below
+	// 4×workers to keep a hog's burst from starving the others at
 	// submission. 0 means unlimited. (Virtual mode queues in time, not
 	// queue slots, so the bound does not apply there.)
 	MaxQueued int

@@ -161,15 +161,13 @@ func TestAdmissionRealModeWeightedCompletes(t *testing.T) {
 }
 
 // TestAdmissionMaxQueuedShedsBacklog: a hog's backlog occupies the
-// shared bounded queue; MaxQueued sheds the excess so the hog cannot
-// fill the queue cap and block its own or other tenants' submits. A
-// gated task holds the one lane, so every hog ticket past the bound
-// sheds and exactly MaxQueued of them are served.
+// shared queue, bounded at 4×workers; MaxQueued sheds the excess so the
+// hog cannot fill the queue and block its own or other tenants'
+// submits. A gated task holds the one lane, so every hog ticket past the
+// bound sheds and exactly MaxQueued of them are served.
 func TestAdmissionMaxQueuedShedsBacklog(t *testing.T) {
-	const queueCap, maxQueued, burst = 8, 4, 16
-	s := New(wasp.New(), 1,
-		WithQueueCap(queueCap),
-		WithAdmission(Admission{MaxQueued: maxQueued}))
+	const maxQueued, burst = 3, 16 // below the one lane's queue bound of 4
+	s := New(wasp.New(), 1, WithAdmission(Admission{MaxQueued: maxQueued}))
 	defer s.Close()
 	held, release := make(chan struct{}), make(chan struct{})
 	defer func() {
@@ -185,9 +183,9 @@ func TestAdmissionMaxQueuedShedsBacklog(t *testing.T) {
 		return nil, nil
 	}}})[0]
 	<-held
-	// The burst is twice the queue cap: without the bound its submit
-	// would block on the full queue behind the held lane, and so would
-	// the quiet tenant's.
+	// The burst is four times the queue bound: without MaxQueued its
+	// submit would block on the full queue behind the held lane, and so
+	// would the quiet tenant's.
 	submitted := make(chan struct{})
 	var hog []*Ticket
 	var quiet *Ticket

@@ -202,9 +202,10 @@ func TestSubmitBatchRejectsNilRequests(t *testing.T) {
 // TestCostTicketsMatchTasks: a cost-model ticket (Request.Cost) is
 // served exactly as a task that advances its worker's clock by the same
 // cost — equal Start, Done, Worker and DepthAtSubmit on every ticket and
-// equal admission stats per image — on the real core (one lane and a
-// queue that holds the whole batch, so the schedule is deterministic)
-// and the virtual core (two backends), with and without a weighted
+// equal admission stats per image — on the real core (one lane, the
+// batch submitted in chunks of 4, the lane's queue bound, each served
+// before the next, so the schedule is deterministic) and the virtual
+// core (two backends), with and without a weighted
 // admission policy and, on the virtual core, a placer.
 func TestCostTicketsMatchTasks(t *testing.T) {
 	costs := benchTrace(300)
@@ -225,18 +226,23 @@ func TestCostTicketsMatchTasks(t *testing.T) {
 			opts = append(opts, WithPlacer(placement.LeastLoaded{}))
 		}
 		var s *Scheduler
+		chunk := len(reqs)
 		if virtual {
 			s = NewVirtual(splitWasp(), 4, opts...)
 		} else {
-			s = New(splitWasp(), 1, append(opts, WithQueueCap(len(reqs)))...)
+			s, chunk = New(splitWasp(), 1, opts...), 4
 		}
 		defer s.Close()
 		var out []outcome
-		for _, tk := range s.SubmitBatchAt(reqs) {
-			if _, err := tk.Wait(); err != nil {
-				t.Fatal(err)
+		for len(reqs) > 0 {
+			n := min(chunk, len(reqs))
+			for _, tk := range s.SubmitBatchAt(reqs[:n]) {
+				if _, err := tk.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, outcome{tk.Start, tk.Done, tk.Worker, tk.DepthAtSubmit})
 			}
-			out = append(out, outcome{tk.Start, tk.Done, tk.Worker, tk.DepthAtSubmit})
+			reqs = reqs[n:]
 		}
 		stats := map[string]AdmissionStats{}
 		for _, img := range s.AdmissionImages() {
@@ -359,7 +365,7 @@ func BenchmarkSubmitBatch(b *testing.B) {
 		for _, mode := range []string{"single", "batch"} {
 			b.Run(fmt.Sprintf("%s/burst=%d", mode, burst), func(b *testing.B) {
 				w := wasp.New()
-				s := New(w, 4, WithQueueCap(4*burst))
+				s := New(w, burst/4) // a queue slot for every ticket of the burst
 				defer s.Close()
 				reqs := make([]Request, burst)
 				for j := range reqs {

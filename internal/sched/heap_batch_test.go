@@ -17,7 +17,11 @@ import (
 // BenchmarkVirtualDispatch's job.
 func TestHeapBatchMakespan(t *testing.T) {
 	for tickets, want := range map[int]uint64{10_000: 250_013_812, 100_000: 2_500_020_804} {
-		batch := serverless.UniformTrace(3, "api", tickets, 25_000, serverless.ServiceProfile{Base: 30_000, Spread: 1.0})
+		rng, svc := serverless.NewTraceRNG(3), serverless.ServiceProfile{Base: 30_000, Spread: 1.0}
+		batch := make([]sched.Request, tickets)
+		for i := range batch {
+			batch[i] = sched.Request{Arrival: uint64(i) * 25_000, Image: "api", Cost: svc.Draw(rng)}
+		}
 		s := sched.NewVirtual(wasp.New(), 16, sched.WithAdmission(
 			sched.Admission{Weights: map[string]int{"api": 3, "web": 2, "spike": 2, "batch": 1}}))
 		s.SubmitBatchAt(batch)

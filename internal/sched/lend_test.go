@@ -56,9 +56,12 @@ func lanesAtRest(t *testing.T, s *Scheduler) {
 
 // awaitParked returns once every resident has parked, so every lane is
 // lendable: a fresh scheduler's residents may not have run yet.
-func awaitParked(s *Scheduler) {
+func awaitParked(s *Scheduler) { awaitIdle(s, len(s.workers)) }
+
+// awaitIdle returns once n residents are parked.
+func awaitIdle(s *Scheduler, n int) {
 	c := s.core.(*realCore)
-	for parked := 0; parked < len(s.workers); runtime.Gosched() {
+	for parked := 0; parked < n; runtime.Gosched() {
 		c.dmu.Lock()
 		parked = len(c.idle)
 		c.dmu.Unlock()
@@ -277,15 +280,33 @@ func TestPanickingTaskFailsItsTicket(t *testing.T) {
 }
 
 // helpOrderRun queues one gate ticket and 64 weighted tickets (images
-// a/b/c/d at weights 8/4/2/1) on a one-lane scheduler in a single
-// burst, releases the gate, and returns the order the 64 ran in. With
-// help, the submitter waits on the last-submitted ticket straight away;
-// lent reports whether it (rather than the resident) drove the lane.
+// a/b/c/d at weights 8/4/2/1) on one free lane in a single burst,
+// releases the gate, and returns the order the 64 ran in. The queue
+// holds 4×workers tickets, so the scheduler has 17 lanes for the
+// burst's 65, and held tasks keep the other 16 busy until the burst is
+// served. With help, the submitter waits on the last-submitted ticket
+// straight away; lent reports whether it (rather than the resident)
+// drove the lane.
 func helpOrderRun(t *testing.T, help bool) (order []int, lent bool, helped uint64) {
 	t.Helper()
-	s := New(wasp.New(), 1, WithQueueCap(128), WithAdmission(Admission{
+	const lanes = 17
+	s := New(wasp.New(), lanes, WithAdmission(Admission{
 		Weights: map[string]int{"a": 8, "b": 4, "c": 2, "d": 1},
 	}))
+	awaitParked(s)
+	holding, unhold := make(chan struct{}), make(chan struct{})
+	holds := make([]Request, lanes-1)
+	for i := range holds {
+		holds[i] = Request{Image: "hold", Fn: func(*cycles.Clock) (*wasp.Result, error) {
+			holding <- struct{}{}
+			<-unhold
+			return nil, nil
+		}}
+	}
+	held := s.SubmitBatch(holds)
+	for range holds {
+		<-holding
+	}
 	started := make(chan bool, 1)
 	release := make(chan struct{})
 	// All passes start equal, so the first pick goes by name: "0gate"
@@ -296,12 +317,15 @@ func helpOrderRun(t *testing.T, help bool) (order []int, lent bool, helped uint6
 		return nil, nil
 	}}}
 	var mu sync.Mutex
+	served := make(chan struct{})
 	for i := 0; i < 64; i++ {
 		i := i
 		reqs = append(reqs, Request{Image: string(rune('a' + i%4)), Fn: func(clk *cycles.Clock) (*wasp.Result, error) {
 			clk.Advance(uint64(1000 * (1 + i%3)))
 			mu.Lock()
-			order = append(order, i)
+			if order = append(order, i); len(order) == 64 {
+				close(served)
+			}
 			mu.Unlock()
 			return nil, nil
 		}})
@@ -313,15 +337,20 @@ func helpOrderRun(t *testing.T, help bool) (order []int, lent bool, helped uint6
 		close(release)
 		close(opened)
 	}()
-	awaitParked(s)
+	awaitIdle(s, 1)
 	tickets := s.SubmitBatch(reqs)
 	if help {
 		tickets[len(tickets)-1].Wait()
 	}
 	<-opened
+	<-served
+	close(unhold)
+	if err := WaitAll(held...); err != nil {
+		t.Fatal(err)
+	}
 	s.Close()
-	if s.Completed() != uint64(len(reqs)) {
-		t.Fatalf("completed %d of %d", s.Completed(), len(reqs))
+	if s.Completed() != uint64(len(reqs)+len(holds)) {
+		t.Fatalf("completed %d of %d", s.Completed(), len(reqs)+len(holds))
 	}
 	return order, lent, uint64(metric(s, "sched_helped_total"))
 }
@@ -414,7 +443,7 @@ func TestLendStress(t *testing.T) {
 			var inService, highWater atomic.Int64
 			var mu sync.Mutex
 			var all []*Ticket // every ticket, collected at submit
-			s := New(cfg.wasp(), cfg.workers, append(cfg.opts(), WithQueueCap(32))...)
+			s := New(cfg.wasp(), cfg.workers, cfg.opts()...)
 			submit := func(reqs ...Request) []*Ticket {
 				ts := s.SubmitBatch(reqs)
 				mu.Lock()

@@ -20,7 +20,7 @@ type realCore struct {
 	dmu      sync.Mutex
 	notEmpty *sync.Cond
 	notFull  *sync.Cond
-	qcap     int // backlog bound: submit blocks when full
+	qcap     int // backlog bound, 4×workers: submit blocks when full
 	qclosed  bool
 	fifo     []*Ticket // plain FIFO lane, used when adm == nil
 	fifoHead int
@@ -35,10 +35,7 @@ type realCore struct {
 }
 
 func newRealCore(s *Scheduler) core {
-	c := &realCore{s: s, qcap: s.qcap}
-	if c.qcap == 0 {
-		c.qcap = 4 * len(s.workers)
-	}
+	c := &realCore{s: s, qcap: 4 * len(s.workers)}
 	c.notEmpty = sync.NewCond(&c.dmu)
 	c.notFull = sync.NewCond(&c.dmu)
 	for _, wk := range s.workers {

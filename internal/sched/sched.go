@@ -12,8 +12,8 @@
 // Two dispatch cores sit behind the same API and semantics (the core
 // interface below):
 //
-//   - Real mode (New, real.go): N worker lanes drain a bounded queue,
-//     each driven by its resident goroutine or by a caller blocked in
+//   - Real mode (New, real.go): N worker lanes drain a queue bounded
+//     at 4N tickets (a submit past it blocks until one frees), each driven by its resident goroutine or by a caller blocked in
 //     Ticket.Wait, which borrows an idle lane instead of paying two
 //     thread wake-ups. Virtines on different workers execute
 //     concurrently on the host — this is the mode the throughput
@@ -325,8 +325,6 @@ type Scheduler struct {
 	// WithAdmission; guarded by the core lock.
 	adm *admission
 
-	qcap int // WithQueueCap, consumed by the real core
-
 	closeMu   sync.RWMutex // guards closed; submits hold the read side
 	closed    bool
 	closeOnce sync.Once
@@ -346,17 +344,6 @@ type Scheduler struct {
 
 // Option configures a Scheduler.
 type Option func(*Scheduler)
-
-// WithQueueCap bounds the real-mode submission queue (default
-// 4×workers). Submit blocks when the queue is full — backpressure
-// instead of unbounded growth.
-func WithQueueCap(n int) Option {
-	return func(s *Scheduler) {
-		if n > 0 {
-			s.qcap = n
-		}
-	}
-}
 
 // WithAdmission attaches a per-image admission-control policy. See
 // Admission for the weighted-fairness and queue-bound semantics.
@@ -464,9 +451,6 @@ func (s *Scheduler) NumWorkers() int {
 	}
 	return n
 }
-
-// Wasp exposes the underlying runtime.
-func (s *Scheduler) Wasp() *wasp.Wasp { return s.w }
 
 // Submit schedules one virtine execution — the asynchronous analogue of
 // wasp.Run. The returned Ticket is the future for its result.

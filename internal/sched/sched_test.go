@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -172,7 +173,7 @@ func TestVirtualModeReproducible(t *testing.T) {
 
 func TestQueueDepthAccounting(t *testing.T) {
 	w := wasp.New()
-	s := New(w, 1, WithQueueCap(16))
+	s := New(w, 1)
 	defer s.Close()
 
 	gate := make(chan struct{})
@@ -180,7 +181,7 @@ func TestQueueDepthAccounting(t *testing.T) {
 		<-gate
 		return nil, nil
 	})
-	const backlog = 5
+	const backlog = 4 // the one lane's queue bound
 	tickets := make([]*Ticket, backlog)
 	for i := range tickets {
 		tickets[i] = s.SubmitFn(func(clk *cycles.Clock) (*wasp.Result, error) {
@@ -205,6 +206,60 @@ func TestQueueDepthAccounting(t *testing.T) {
 	}
 	if d := metric(s, "sched_queue_depth"); d != 0 {
 		t.Fatalf("queue depth = %v after drain", d)
+	}
+}
+
+// TestQueueBoundIsFourPerLane: the real core's backlog holds 4×workers
+// tickets. With every lane held, the first 4n submits return and
+// submit 4n+1 stays blocked until a lane frees. The check only shows
+// that the blocked submit has not returned, so it cannot fail by
+// timing.
+func TestQueueBoundIsFourPerLane(t *testing.T) {
+	const lanes = 2
+	s := New(wasp.New(), lanes)
+	defer s.Close()
+	holding, release := make(chan struct{}), make(chan struct{})
+	defer func() { // before Close, which waits for the held lanes
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+	hold := func(*cycles.Clock) (*wasp.Result, error) {
+		holding <- struct{}{}
+		<-release
+		return nil, nil
+	}
+	var tickets []*Ticket
+	for range lanes {
+		tickets = append(tickets, s.SubmitFn(hold))
+	}
+	for range lanes {
+		<-holding
+	}
+	for range 4 * lanes {
+		tickets = append(tickets, s.SubmitFn(costTask(1)))
+	}
+	returned := make(chan *Ticket)
+	go func() { returned <- s.SubmitFn(costTask(1)) }()
+	for s.Submitted() < lanes+4*lanes+1 {
+		runtime.Gosched()
+	}
+	for range 100 {
+		runtime.Gosched()
+	}
+	select {
+	case <-returned:
+		t.Fatalf("submit %d returned with every lane held and %d tickets queued", 4*lanes+1, 4*lanes)
+	default:
+	}
+	if d := s.PeakQueueDepth(); d != 4*lanes {
+		t.Fatalf("peak queue depth = %d, want %d", d, 4*lanes)
+	}
+	close(release)
+	if err := WaitAll(append(tickets, <-returned)...); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -194,11 +194,13 @@ func TestSchedulerRecordsIntoWaspTracer(t *testing.T) {
 			t.Fatalf("%s: %v", mode.name, err)
 		}
 		kinds := map[obs.Kind]bool{}
-		for _, k := range tr.Kinds() {
-			kinds[k] = true
+		for _, le := range tr.Events() {
+			for _, e := range le.Events {
+				kinds[e.Kind] = true
+			}
 		}
 		if !kinds[obs.KindTicket] || !kinds[obs.KindShell] {
-			t.Errorf("%s: recorded %v, want ticket and shell events", mode.name, tr.Kinds())
+			t.Errorf("%s: recorded %v, want ticket and shell events", mode.name, kinds)
 		}
 	}
 }

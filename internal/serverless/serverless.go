@@ -20,18 +20,14 @@
 package serverless
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/cycles"
 	"repro/internal/guest"
 	"repro/internal/js"
-	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/stats"
-	"repro/internal/vmm"
 	"repro/internal/wasp"
 )
 
@@ -341,197 +337,16 @@ func RunFig15(w *wasp.Wasp, pattern LoadPattern, seed int64) ([]TracePoint, erro
 	return out, nil
 }
 
-// --- Multi-tenant noisy-neighbor fairness experiment ---------------------
-//
-// One hot function ("hog") bursts ~3x the node's capacity while several
-// cold tenants trickle small requests through the horizon — the classic
-// noisy-neighbor mix the scheduler's admission layer exists for. The
-// whole arrival trace is presented to a virtual-mode scheduler as one
-// SubmitBatchAt, so the experiment is deterministic, and it runs once
-// per dispatch policy (plain FIFO, soft weights).
-
-// TenantFairness is one tenant's slice of a fairness run.
-type TenantFairness struct {
-	Image    string
-	Weight   int
-	Requests int
-	// DoneByHorizon counts the tenant's requests completed within the
-	// arrival horizon — the congestion window fairness is judged over.
-	DoneByHorizon int
-	// DemandCycles is the tenant's total offered service work;
-	// ServedCycles the part of it completed within the horizon.
-	DemandCycles, ServedCycles uint64
-	// P50QueueMs/P99QueueMs reduce the tenant's per-request queueing
-	// delay.
-	P50QueueMs, P99QueueMs float64
-	// Share is the tenant's entitlement satisfaction in [0,1]:
-	// ServedCycles over min(DemandCycles, weighted fair share of the
-	// horizon's capacity). A tenant that received everything it was
-	// entitled to scores 1 even if it demanded more — a backlogged hog
-	// is not a victim of unfairness, only of its own excess.
-	Share float64
-}
-
-// FairnessReport is one noisy-neighbor run under one dispatch policy.
-type FairnessReport struct {
-	Config     string
-	Workers    int
-	HorizonSec int
-	Tenants    []TenantFairness // sorted by image name
-	// Jain is Jain's fairness index over the tenants' Share values:
-	// 1.0 when every tenant got its entitlement, 1/n when one tenant
-	// captured everything.
-	Jain     float64
-	Makespan uint64
-}
-
-// noisyNeighborTrace builds the deterministic tenant mix for the given
-// horizon: per second, the hog issues 8 bursts of 32 requests at ~47 ms
-// each (~3x a 4-worker node's capacity), and each cold tenant issues 16
-// requests at ~4 ms. Requests carry seeded jitter, precomputed at trace
-// build time so every policy replays the identical workload. The trace
-// is sorted by arrival with the hog first at equal instants — the
-// backlog position a cold tenant actually finds.
-func noisyNeighborTrace(horizonSec int, seed int64) ([]sched.Request, map[string]uint64) {
-	const F = uint64(cycles.Frequency)
-	noise := cycles.NewNoise(seed)
-	demand := make(map[string]uint64)
-	var reqs []sched.Request
-	add := func(image string, arrival, svc uint64) {
-		svc = noise.Jitter(svc)
-		demand[image] += svc
-		reqs = append(reqs, sched.Request{Arrival: arrival, Image: image, Cost: svc})
-	}
-	for sec := 0; sec < horizonSec; sec++ {
-		base := uint64(sec) * F
-		for burst := 0; burst < 8; burst++ {
-			at := base + uint64(burst)*(F/8)
-			for i := 0; i < 32; i++ {
-				add("hog", at, F/21) // ~47 ms: 256/s ≈ 3x of 4 workers
-			}
-		}
-	}
-	for _, tenant := range []string{"svc-a", "svc-b", "svc-c", "svc-d"} {
-		for sec := 0; sec < horizonSec; sec++ {
-			base := uint64(sec) * F
-			for i := 0; i < 16; i++ {
-				add(tenant, base+uint64(i)*(F/16), F/256) // ~4 ms each
-			}
-		}
-	}
-	sortByArrival(reqs)
-	return reqs, demand
-}
-
-// RunNoisyNeighbor drives the noisy-neighbor mix through a virtual-mode
-// scheduler with the given worker width and admission policy (nil for
-// the FIFO baseline) and reduces the outcome to a FairnessReport.
-func RunNoisyNeighbor(w *wasp.Wasp, config string, workers, horizonSec int, adm *sched.Admission, seed int64) (*FairnessReport, error) {
-	if workers < 1 {
-		workers = 4
-	}
-	if horizonSec < 1 {
-		horizonSec = 2
-	}
-	reqs, demand := noisyNeighborTrace(horizonSec, seed)
-	var opts []sched.Option
-	if adm != nil {
-		opts = append(opts, sched.WithAdmission(*adm))
-	}
-	s := sched.NewVirtual(w, workers, opts...)
-	defer s.Close()
-	tickets := s.SubmitBatchAt(reqs)
-
-	horizon := uint64(horizonSec) * uint64(cycles.Frequency)
-	capacity := uint64(workers) * horizon
-	type acc struct {
-		reqs, done int
-		served     uint64
-		queues     []float64
-	}
-	byImage := make(map[string]*acc)
-	for _, tk := range tickets {
-		a := byImage[tk.Image]
-		if a == nil {
-			a = &acc{}
-			byImage[tk.Image] = a
-		}
-		a.reqs++
-		if _, err := tk.Wait(); err != nil {
-			return nil, err
-		}
-		a.queues = append(a.queues, float64(tk.QueueCycles()))
-		if tk.Done <= horizon {
-			a.done++
-			a.served += tk.ServiceCycles()
-		}
-	}
-
-	names := make([]string, 0, len(byImage))
-	for name := range byImage {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var weightSum int
-	pol := sched.Admission{}
-	if adm != nil {
-		pol = *adm
-	}
-	weights := make(map[string]int, len(names))
-	for _, name := range names {
-		// The exact weights the scheduler enforced, not a reimplementation.
-		weights[name] = pol.WeightFor(name)
-		weightSum += weights[name]
-	}
-
-	rep := &FairnessReport{
-		Config:     config,
-		Workers:    workers,
-		HorizonSec: horizonSec,
-		Makespan:   s.Makespan(),
-	}
-	shares := make([]float64, 0, len(names))
-	for _, name := range names {
-		a := byImage[name]
-		fairShare := float64(capacity) * float64(weights[name]) / float64(weightSum)
-		entitled := float64(demand[name])
-		if fairShare < entitled {
-			entitled = fairShare
-		}
-		share := 0.0
-		if entitled > 0 {
-			share = float64(a.served) / entitled
-			if share > 1 {
-				share = 1
-			}
-		}
-		shares = append(shares, share)
-		rep.Tenants = append(rep.Tenants, TenantFairness{
-			Image:         name,
-			Weight:        weights[name],
-			Requests:      a.reqs,
-			DoneByHorizon: a.done,
-			DemandCycles:  demand[name],
-			ServedCycles:  a.served,
-			P50QueueMs:    cycles.Millis(uint64(stats.Percentile(a.queues, 50))),
-			P99QueueMs:    cycles.Millis(uint64(stats.Percentile(a.queues, 99))),
-			Share:         share,
-		})
-	}
-	rep.Jain = stats.Jain(shares)
-	return rep, nil
-}
-
 // --- Multi-backend placement experiment ----------------------------------
 //
 // A mixed fleet (KVM and Hyper-V workers under one virtual scheduler)
 // serves a saturating mix of short-lived virtines — whose cost is
 // dominated by the Fig 5 create/entry/exit overheads, so the backend
 // choice matters proportionally — and long-lived ones that amortize
-// those overheads over real guest compute. The same trace runs on
-// homogeneous half-fleets (only the KVM machines, only the Hyper-V
-// machines) and on the full split fleet under each placement policy,
-// so the bench table shows both the capacity win of spanning all the
+// those overheads over real guest compute. TestPlacementSplitFleet runs
+// the same trace on homogeneous half-fleets (only the KVM machines, only
+// the Hyper-V machines) and on the full split fleet under each placement
+// policy, so its table shows both the capacity win of spanning all the
 // hardware and the policy differences on the split fleet itself.
 
 // PlacementShortImage is the short-lived virtine of the placement mix:
@@ -577,38 +392,6 @@ plc_fib_rec:
 `))
 }
 
-// BackendSlice is one hypervisor backend's slice of a placement run.
-type BackendSlice struct {
-	Platform string
-	Workers  int
-	Runs     uint64
-	// ShortRuns counts the short-lived class's runs that landed here —
-	// the class a cost-aware policy should steer to the cheap backend.
-	ShortRuns uint64
-	// SvcCycles is the total service time the backend's workers
-	// delivered; Share normalizes it by the backend's capacity share of
-	// the fleet (1.0 = exactly its proportional load).
-	SvcCycles uint64
-	Share     float64
-}
-
-// PlacementReport is one fleet configuration's run of the mixed trace.
-type PlacementReport struct {
-	Config  string
-	Workers int
-	// Makespan is the virtual time the last worker went idle.
-	Makespan uint64
-	// ShortP50Ms and LongP50Ms are median arrival→completion latencies
-	// per workload class.
-	ShortP50Ms, LongP50Ms float64
-	Backends              []BackendSlice
-	// Jain is Jain's fairness index over the backends' capacity-
-	// normalized service shares: 1.0 when every backend carries exactly
-	// its proportional load.
-	Jain                float64
-	Completed, Rejected uint64
-}
-
 // PlacementTrace builds the deterministic mixed arrival trace: shorts
 // requests of the short-lived image arriving every 2k cycles and longs
 // requests of the long-lived one every 10k — a saturating burst for the
@@ -624,79 +407,6 @@ func PlacementTrace(shorts, longs int) []sched.Request {
 	}
 	sortByArrival(reqs)
 	return reqs
-}
-
-// RunPlacementMix drives the mixed short/long trace through a
-// virtual-mode scheduler whose workers are pinned round-robin to the
-// given fleet platforms, under the given placement policy (nil for
-// plain earliest-free dispatch). w must own every fleet platform
-// (wasp.WithPlatforms). Fully deterministic: same trace, fleet, and
-// policy produce bit-identical schedules.
-func RunPlacementMix(w *wasp.Wasp, config string, fleet []vmm.Platform, pl placement.Placer, shorts, longs int) (*PlacementReport, error) {
-	if len(fleet) == 0 {
-		fleet = w.Platforms()
-	}
-	opts := []sched.Option{sched.WithWorkerPlatforms(fleet...)}
-	if pl != nil {
-		opts = append(opts, sched.WithPlacer(pl))
-	}
-	s := sched.NewVirtual(w, len(fleet), opts...)
-	defer s.Close()
-
-	shortName := PlacementShortImage().Name
-	tickets := s.SubmitBatchAt(PlacementTrace(shorts, longs))
-
-	rep := &PlacementReport{Config: config, Workers: len(fleet)}
-	byPlat := make(map[string]*BackendSlice)
-	for _, bl := range s.BackendLoads() {
-		sl := &BackendSlice{Platform: bl.Platform, Workers: bl.Workers}
-		byPlat[bl.Platform] = sl
-	}
-	var shortLat, longLat []float64
-	for _, tk := range tickets {
-		if _, err := tk.Wait(); err != nil {
-			if errors.Is(err, sched.ErrPlacement) {
-				rep.Rejected++
-				continue
-			}
-			return nil, err
-		}
-		rep.Completed++
-		sl := byPlat[tk.Platform]
-		sl.Runs++
-		sl.SvcCycles += tk.ServiceCycles()
-		if tk.Image == shortName {
-			sl.ShortRuns++
-			shortLat = append(shortLat, float64(tk.Done-tk.Arrival))
-		} else {
-			longLat = append(longLat, float64(tk.Done-tk.Arrival))
-		}
-	}
-	rep.Makespan = s.Makespan()
-	rep.ShortP50Ms = cycles.Millis(uint64(stats.Percentile(shortLat, 50)))
-	rep.LongP50Ms = cycles.Millis(uint64(stats.Percentile(longLat, 50)))
-
-	var totalSvc uint64
-	for _, sl := range byPlat {
-		totalSvc += sl.SvcCycles
-	}
-	names := make([]string, 0, len(byPlat))
-	for name := range byPlat {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var shares []float64
-	for _, name := range names {
-		sl := byPlat[name]
-		if totalSvc > 0 && sl.Workers > 0 {
-			capShare := float64(sl.Workers) / float64(len(fleet))
-			sl.Share = (float64(sl.SvcCycles) / float64(totalSvc)) / capShare
-		}
-		shares = append(shares, sl.Share)
-		rep.Backends = append(rep.Backends, *sl)
-	}
-	rep.Jain = stats.Jain(shares)
-	return rep, nil
 }
 
 // Summary reduces a trace to the headline comparison.

@@ -230,16 +230,3 @@ func mergeByArrival(images []string, tiers ...[]arrival) []sched.Request {
 	}
 	return out
 }
-
-// UniformTrace generates exactly n tickets at a fixed arrival cadence
-// with one service draw each — the dense, regular load the dispatch
-// tests use, where the variable under test is the dispatch core, not
-// the workload shape.
-func UniformTrace(seed uint64, image string, n int, gap uint64, svc ServiceProfile) []sched.Request {
-	rng := NewTraceRNG(seed)
-	reqs := make([]sched.Request, 0, n)
-	for i := 0; i < n; i++ {
-		reqs = append(reqs, sched.Request{Arrival: uint64(i) * gap, Image: image, Cost: svc.Draw(rng)})
-	}
-	return reqs
-}

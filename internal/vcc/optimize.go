@@ -1,8 +1,6 @@
 package vcc
 
 import (
-	"strings"
-
 	"repro/internal/asm"
 	"repro/internal/isa"
 )
@@ -144,19 +142,4 @@ func peephole(in []asm.Stmt) ([]asm.Stmt, bool) {
 func foldConst(e Expr) (int64, bool) {
 	v, bad := fold(e)
 	return v, bad == nil
-}
-
-// InstructionCount reports the number of instructions in an assembly
-// listing (labels and directives excluded) — used by tests and the
-// optimizer ablation.
-func InstructionCount(asmText string) int {
-	n := 0
-	for _, line := range strings.Split(asmText, "\n") {
-		t := strings.TrimSpace(line)
-		if t == "" || strings.HasSuffix(t, ":") || strings.HasPrefix(t, ".") {
-			continue
-		}
-		n++
-	}
-	return n
 }

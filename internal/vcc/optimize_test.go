@@ -1,6 +1,7 @@
 package vcc
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -152,4 +153,19 @@ func TestPeepholePatternsDirectly(t *testing.T) {
 	if InstructionCount(optimize(in4)) != 3 {
 		t.Fatal("jump wrongly removed")
 	}
+}
+
+// InstructionCount reports the number of instructions in an assembly
+// listing (labels and directives excluded) — used by tests and the
+// optimizer ablation.
+func InstructionCount(asmText string) int {
+	n := 0
+	for _, line := range strings.Split(asmText, "\n") {
+		t := strings.TrimSpace(line)
+		if t == "" || strings.HasSuffix(t, ":") || strings.HasPrefix(t, ".") {
+			continue
+		}
+		n++
+	}
+	return n
 }

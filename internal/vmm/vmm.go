@@ -133,11 +133,3 @@ func (c *Context) Continue(maxSteps uint64) *cpu.Exit {
 	}
 	return ex
 }
-
-// VMRunRoundTrip charges exactly one entry/exit pair with no guest work —
-// the "vmrun" measurement in Fig 2: the lowest latency achievable to begin
-// execution in a virtual context.
-func VMRunRoundTrip(clk *cycles.Clock) {
-	clk.Advance(cycles.VMRunEntry)
-	clk.Advance(cycles.VMExit)
-}

@@ -43,13 +43,6 @@ func (n *NativeCtx) Mem() []byte { return n.ctx.Mem }
 // Charge accounts cy cycles of in-virtine compute.
 func (n *NativeCtx) Charge(cy uint64) { n.clk.Advance(cy) }
 
-// Now returns the current virtual time.
-func (n *NativeCtx) Now() uint64 { return n.clk.Now() }
-
-// Env exposes the host environment (for assertions by tests; workloads
-// should use Hypercall).
-func (n *NativeCtx) Env() *hypercall.Env { return n.cfg.Env }
-
 // Restored returns the state stored by TakeSnapshot in the run that
 // captured this image's snapshot, or nil on a cold run.
 func (n *NativeCtx) Restored() any { return n.restored }

@@ -163,7 +163,7 @@ func TestParkedShellRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTracer(obs.RingSize(1 << 16))
+	tr := obs.NewTracer()
 	tr.SetEnabled(true)
 	w := New(WithCOW(true), WithTracer(tr))
 	const goroutines, steps = 4, 40
@@ -201,6 +201,9 @@ func TestParkedShellRace(t *testing.T) {
 	wg.Wait()
 	created := 0
 	for _, le := range tr.Events() {
+		if le.Dropped != 0 { // ~350 control-lane events of the default 1,024
+			t.Fatalf("lane %d dropped %d events: the shell count is incomplete", le.Lane, le.Dropped)
+		}
 		for _, e := range le.Events {
 			if tr.NameOf(e.Name) == "shell-cold" {
 				created++

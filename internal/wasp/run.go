@@ -105,6 +105,14 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	if err != nil {
 		return nil, err
 	}
+	// Oversized transfers fail before the run takes a shell, charges the
+	// clock or registers a snapshot.
+	if len(cfg.Args) > guest.ArgMax {
+		return nil, fmt.Errorf("wasp: argument blob %d exceeds %d", len(cfg.Args), guest.ArgMax)
+	}
+	if cfg.RetBytes > guest.RetMax {
+		return nil, fmt.Errorf("wasp: return size %d exceeds %d", cfg.RetBytes, guest.RetMax)
+	}
 
 	start := clk.Now()
 	res := &Result{}
@@ -174,9 +182,6 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	// Marshal arguments at guest.ArgAddr (§6.1), charged here. A boot
 	// through a stub gets them at its hand-off (enter), so no recording
 	// of the stub's prefix ever holds them.
-	if len(rc.Args) > guest.ArgMax {
-		return nil, fmt.Errorf("wasp: argument blob %d exceeds %d", len(rc.Args), guest.ArgMax)
-	}
 	if len(rc.Args) > 0 {
 		clk.Advance(cycles.MemcpyCost(len(rc.Args)))
 	}
@@ -201,9 +206,7 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 			return nil, err
 		}
 	}
-	if err := w.finish(ctx, img, rc, res, start, clk); err != nil {
-		return nil, err
-	}
+	w.finish(ctx, img, rc, res, start, clk)
 	if cow {
 		park = res.residentOn
 	}
@@ -257,11 +260,8 @@ func (w *Wasp) runNative(be *backend, ctx *vmm.Context, img *guest.Image, cfg *R
 // the environment's outputs, milestones rebased on the first guest entry,
 // and the shell counters' deltas since the start res holds — and
 // harvests newly decoded code.
-func (w *Wasp) finish(ctx *vmm.Context, img *guest.Image, cfg *RunConfig, res *Result, start uint64, clk *cycles.Clock) error {
+func (w *Wasp) finish(ctx *vmm.Context, img *guest.Image, cfg *RunConfig, res *Result, start uint64, clk *cycles.Clock) {
 	if cfg.RetBytes > 0 {
-		if cfg.RetBytes > guest.RetMax {
-			return fmt.Errorf("wasp: return size %d exceeds %d", cfg.RetBytes, guest.RetMax)
-		}
 		src := ctx.Mem[guest.RetAddr : guest.RetAddr+uint64(cfg.RetBytes)]
 		if cfg.RetBytes <= len(res.retBuf) {
 			copy(res.retBuf[:], src)
@@ -314,7 +314,6 @@ func (w *Wasp) finish(ctx *vmm.Context, img *guest.Image, cfg *RunConfig, res *R
 	if !w.legacyInterp && ctx.CPU.CodeNew() {
 		w.codes.merge(img.ContentKey(), ctx.CPU.ShareCode())
 	}
-	return nil
 }
 
 // drainTierLog moves the run's batched tier transitions into the tracer

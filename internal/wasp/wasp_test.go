@@ -433,10 +433,10 @@ func TestOneShotPolicy(t *testing.T) {
 	}
 	img := guest.NativeBootStub("one-shot", native, 0)
 	w := New()
-	pol := hypercall.NewOneShot(
-		hypercall.MaskOf(hypercall.NrGetData, hypercall.NrReturnData),
-		hypercall.NrGetData,
-	)
+	pol := &hypercall.OneShot{
+		Inner: hypercall.MaskOf(hypercall.NrGetData, hypercall.NrReturnData),
+		Once:  hypercall.MaskOf(hypercall.NrGetData),
+	}
 	_, err := w.Run(img, RunConfig{Policy: pol}, cycles.NewClock())
 	if err == nil || !strings.Contains(err.Error(), "denied") {
 		t.Fatalf("err = %v, want one-shot denial", err)
@@ -559,5 +559,39 @@ func TestRunStatsCounted(t *testing.T) {
 	}
 	if res.Entries < 1 {
 		t.Fatal("no entries counted")
+	}
+}
+
+// TestOversizedTransferFailsClosed: an argument blob past guest.ArgMax or
+// a return size past guest.RetMax fails the run before it starts — no
+// shell taken, no cycle charged, and, on a snapshotting run of a guest
+// that captures one, no snapshot registered for the image.
+func TestOversizedTransferFailsClosed(t *testing.T) {
+	img := guest.MustFromAsm("oversized", guest.WrapLongMode(argSnapshotAsm))
+	for _, tc := range []struct {
+		name string
+		cfg  RunConfig
+		want string
+	}{
+		{"args", RunConfig{Snapshot: true, Args: make([]byte, guest.ArgMax+1)}, "argument blob"},
+		{"ret", RunConfig{Snapshot: true, RetBytes: guest.RetMax + 1}, "return size"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := New()
+			clk := cycles.NewClock()
+			_, err := w.Run(img, tc.cfg, clk)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming the %s", err, tc.want)
+			}
+			if n := w.PoolTotal(); n != 0 {
+				t.Errorf("%d shells pooled: the failed run took one", n)
+			}
+			if now := clk.Now(); now != 0 {
+				t.Errorf("clock reads %d, want 0", now)
+			}
+			if w.backends[0].snapshots.has(img.Name) {
+				t.Error("the failed run registered a snapshot")
+			}
+		})
 	}
 }

@@ -7,14 +7,17 @@
 package virtines_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/cycles"
 	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/serverless"
+	"repro/internal/stats"
 	"repro/internal/vmm"
 	"repro/internal/wasp"
 )
@@ -91,9 +94,9 @@ func TestPlacementPoliciesDeterministic(t *testing.T) {
 // Jain — must also reproduce exactly.
 func TestPlacementReportDeterministic(t *testing.T) {
 	for name, pl := range placementPolicies() {
-		run := func() *serverless.PlacementReport {
+		run := func() *PlacementReport {
 			w := wasp.New(wasp.WithPlatforms(vmm.KVM{}, vmm.HyperV{}))
-			rep, err := serverless.RunPlacementMix(w, name,
+			rep, err := RunPlacementMix(w, name,
 				[]vmm.Platform{vmm.KVM{}, vmm.HyperV{}, vmm.KVM{}, vmm.HyperV{}}, pl, 60, 10)
 			if err != nil {
 				t.Fatal(err)
@@ -194,7 +197,7 @@ func TestPlacementSplitFleet(t *testing.T) {
 		{"split least-loaded", split, placement.LeastLoaded{}},
 		{"split cost-model", split, placement.CostModel{}},
 	} {
-		rep, err := serverless.RunPlacementMix(wasp.New(wasp.WithPlatforms(kvm, hv)), cfg.name, cfg.fleet, cfg.pl, 120, 18)
+		rep, err := RunPlacementMix(wasp.New(wasp.WithPlatforms(kvm, hv)), cfg.name, cfg.fleet, cfg.pl, 120, 18)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,4 +240,109 @@ func TestPlacementStaticPinInvariant(t *testing.T) {
 			t.Fatalf("ticket %d (%s) ran on %s, pinned to %s", i, k.Image, k.Platform, want)
 		}
 	}
+}
+
+// BackendSlice is one hypervisor backend's slice of a placement run.
+type BackendSlice struct {
+	Platform string
+	Workers  int
+	Runs     uint64
+	// ShortRuns counts the short-lived class's runs that landed here —
+	// the class a cost-aware policy should steer to the cheap backend.
+	ShortRuns uint64
+	// SvcCycles is the total service time the backend's workers
+	// delivered; Share normalizes it by the backend's capacity share of
+	// the fleet (1.0 = exactly its proportional load).
+	SvcCycles uint64
+	Share     float64
+}
+
+// PlacementReport is one fleet configuration's run of the mixed trace.
+type PlacementReport struct {
+	Config  string
+	Workers int
+	// Makespan is the virtual time the last worker went idle.
+	Makespan uint64
+	// ShortP50Ms and LongP50Ms are median arrival→completion latencies
+	// per workload class.
+	ShortP50Ms, LongP50Ms float64
+	Backends              []BackendSlice
+	// Jain is Jain's fairness index over the backends' capacity-
+	// normalized service shares: 1.0 when every backend carries exactly
+	// its proportional load.
+	Jain                float64
+	Completed, Rejected uint64
+}
+
+// RunPlacementMix drives the mixed short/long trace through a
+// virtual-mode scheduler whose workers are pinned round-robin to the
+// given fleet platforms, under the given placement policy (nil for
+// plain earliest-free dispatch). w must own every fleet platform
+// (wasp.WithPlatforms). Fully deterministic: same trace, fleet, and
+// policy produce bit-identical schedules.
+func RunPlacementMix(w *wasp.Wasp, config string, fleet []vmm.Platform, pl placement.Placer, shorts, longs int) (*PlacementReport, error) {
+	if len(fleet) == 0 {
+		fleet = w.Platforms()
+	}
+	opts := []sched.Option{sched.WithWorkerPlatforms(fleet...)}
+	if pl != nil {
+		opts = append(opts, sched.WithPlacer(pl))
+	}
+	s := sched.NewVirtual(w, len(fleet), opts...)
+	defer s.Close()
+
+	shortName := serverless.PlacementShortImage().Name
+	tickets := s.SubmitBatchAt(serverless.PlacementTrace(shorts, longs))
+
+	rep := &PlacementReport{Config: config, Workers: len(fleet)}
+	byPlat := make(map[string]*BackendSlice)
+	for _, bl := range s.BackendLoads() {
+		sl := &BackendSlice{Platform: bl.Platform, Workers: bl.Workers}
+		byPlat[bl.Platform] = sl
+	}
+	var shortLat, longLat []float64
+	for _, tk := range tickets {
+		if _, err := tk.Wait(); err != nil {
+			if errors.Is(err, sched.ErrPlacement) {
+				rep.Rejected++
+				continue
+			}
+			return nil, err
+		}
+		rep.Completed++
+		sl := byPlat[tk.Platform]
+		sl.Runs++
+		sl.SvcCycles += tk.ServiceCycles()
+		if tk.Image == shortName {
+			sl.ShortRuns++
+			shortLat = append(shortLat, float64(tk.Done-tk.Arrival))
+		} else {
+			longLat = append(longLat, float64(tk.Done-tk.Arrival))
+		}
+	}
+	rep.Makespan = s.Makespan()
+	rep.ShortP50Ms = cycles.Millis(uint64(stats.Percentile(shortLat, 50)))
+	rep.LongP50Ms = cycles.Millis(uint64(stats.Percentile(longLat, 50)))
+
+	var totalSvc uint64
+	for _, sl := range byPlat {
+		totalSvc += sl.SvcCycles
+	}
+	names := make([]string, 0, len(byPlat))
+	for name := range byPlat {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var shares []float64
+	for _, name := range names {
+		sl := byPlat[name]
+		if totalSvc > 0 && sl.Workers > 0 {
+			capShare := float64(sl.Workers) / float64(len(fleet))
+			sl.Share = (float64(sl.SvcCycles) / float64(totalSvc)) / capShare
+		}
+		shares = append(shares, sl.Share)
+		rep.Backends = append(rep.Backends, *sl)
+	}
+	rep.Jain = stats.Jain(shares)
+	return rep, nil
 }
