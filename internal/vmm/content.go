@@ -1,9 +1,6 @@
 package vmm
 
-import (
-	"bytes"
-	"fmt"
-)
+import "fmt"
 
 // Shell content. A pooled context records what its memory holds: per
 // page, the immutable store page the memory equals (nil for zero) or
@@ -34,7 +31,7 @@ func (c *Context) Rebase(target *Layer) (written, kept int) {
 			kept++
 			continue
 		}
-		copy(c.page(p), content(want))
+		want.copyTo(c.page(p))
 		c.HostWrite(uint64(p*PageSize), len(c.page(p)))
 		c.holds[p] = want
 		written++
@@ -89,7 +86,7 @@ func (c *Context) Capture(store *PageStore, parent *Layer, windows []Window) (l 
 			if base != nil {
 				own = append(own, LayerPage{p, nil}) // zero a non-zero parent page
 			}
-		} else if base == nil || !bytes.Equal(view, base.data[:]) {
+		} else if base == nil || !base.equal(view) {
 			hashed++
 			pg = store.insert(HashPage(view), view, nil)
 			own = append(own, LayerPage{p, pg})
@@ -130,7 +127,7 @@ func (c *Context) Forget() {
 // nor dirty holds exactly the content its entry names.
 func (c *Context) CheckContent() error {
 	for p, held := range c.holds {
-		if got := c.page(p); held != unknown && !c.CPU.PageDirty(p) && !bytes.Equal(got, content(held)[:len(got)]) {
+		if held != unknown && !c.CPU.PageDirty(p) && !held.equal(c.page(p)) {
 			return fmt.Errorf("vmm: page %d deviates from the shell-content record", p)
 		}
 	}
@@ -141,12 +138,4 @@ func (c *Context) CheckContent() error {
 func (c *Context) page(p int) []byte {
 	lo := p * PageSize
 	return c.Mem[lo:min(lo+PageSize, len(c.Mem))]
-}
-
-// content is the bytes a record or table entry stands for.
-func content(pg *Page) []byte {
-	if pg == nil {
-		return zeroPage[:]
-	}
-	return pg.data[:]
 }

@@ -3,6 +3,7 @@ package vmm
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,8 @@ import (
 // clones of the same binary, that holds thousands of near-identical
 // copies. The PageStore deduplicates snapshot memory at 4 KiB page
 // granularity — identical pages across images, tenants and snapshots are
-// stored exactly once — and Layer arranges snapshots into
+// stored exactly once, each as only the span between its first and last
+// non-zero byte — and Layer arranges snapshots into
 // container-image-style trees: a tenant snapshot references a shared
 // base layer and owns only the pages that differ from it.
 //
@@ -21,8 +23,10 @@ import (
 //
 //   - Store pages are immutable. Every writer copies page content into
 //     the store on Insert; every reader (Context.Rebase, export) copies
-//     content out. Nothing — not shell reuse, not a guest, not a host
-//     handler — ever holds a writable alias of a store page.
+//     content out, through copyTo, equal and AppendTo, which put the
+//     zeros around a page's span back. Nothing — not shell reuse, not a
+//     guest, not a host handler — ever holds a writable alias of a store
+//     page.
 //     Verify re-hashes the store to prove it. A Page is never reused for
 //     other content, so two equal pointers mean equal content (the
 //     shell-content record in content.go relies on it), and a Page the
@@ -62,15 +66,19 @@ type PageStore struct {
 type pageShard struct {
 	mu    sync.Mutex
 	pages map[PageKey]*Page
+	bytes int64 // the stored pages' span bytes
 }
 
 // Page is one stored page: its content and the content key, both
-// immutable. Layer tables and shell-content records point at Pages, so
-// an entry is 8 bytes, equal pointers are equal content, and a key is
-// one load away. A nil *Page is the zero page.
+// immutable. The content is held as its non-zero span: the bytes from
+// the first non-zero byte, at off, through the last; every byte outside
+// the span is zero. Layer tables and shell-content records point at
+// Pages, so an entry is 8 bytes, equal pointers are equal content, and a
+// key is one load away. A nil *Page is the zero page.
 type Page struct {
-	data *[PageSize]byte
+	span []byte
 	key  PageKey
+	off  int
 	refs int // owning layer entries; guarded by the shard mutex
 }
 
@@ -82,13 +90,40 @@ func (p *Page) Key() PageKey {
 	return p.key
 }
 
-// Data returns the page's content, nil for the zero page. The slice is
-// the store's immutable backing: copy from it, never write through it.
-func (p *Page) Data() []byte {
+// AppendTo appends the page's PageSize bytes of content to b, zeros for
+// the zero page, and returns the extended slice.
+func (p *Page) AppendTo(b []byte) []byte {
 	if p == nil {
-		return nil
+		return append(b, zeroPage[:]...)
 	}
-	return p.data[:]
+	b = append(b, zeroPage[:p.off]...)
+	b = append(b, p.span...)
+	return append(b, zeroPage[p.off+len(p.span):]...)
+}
+
+// copyTo writes the first len(dst) bytes of the page's content to dst,
+// which is at most PageSize long (a short tail page takes the prefix).
+// Zeros are copied from zeroPage rather than cleared: a clear over more
+// than 2 KiB compiles to REP STOSQ, which is slower here than a copy.
+func (p *Page) copyTo(dst []byte) {
+	if p == nil {
+		copy(dst, zeroPage[:])
+		return
+	}
+	n := copy(dst, zeroPage[:p.off])
+	n += copy(dst[n:], p.span)
+	copy(dst[n:], zeroPage[:])
+}
+
+// equal reports whether b, at most PageSize long, equals the first
+// len(b) bytes of the page's content.
+func (p *Page) equal(b []byte) bool {
+	if p == nil {
+		return isZeroPage(b)
+	}
+	lo := min(p.off, len(b))
+	hi := min(lo+len(p.span), len(b))
+	return isZeroPage(b[:lo]) && bytes.Equal(b[lo:hi], p.span[:hi-lo]) && isZeroPage(b[hi:])
 }
 
 // NewPageStore returns an empty shared page store.
@@ -127,7 +162,7 @@ func (s *PageStore) Insert(data []byte) *Page {
 // insert takes one reference on the stored page with key, data's hash:
 // the page already stored (a dedup hit), else freed — a page the store
 // has released since its caller read it, stored again as itself — else a
-// new page copied from data.
+// new page holding a copy of data's non-zero span. data is not all zero.
 func (s *PageStore) insert(key PageKey, data []byte, freed *Page) *Page {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -139,16 +174,37 @@ func (s *PageStore) insert(key PageKey, data []byte, freed *Page) *Page {
 	}
 	p := freed
 	if p == nil {
-		p = &Page{data: new([PageSize]byte), key: key}
-		copy(p.data[:], data)
+		lo, hi := spanOf(data)
+		p = &Page{span: bytes.Clone(data[lo:hi]), key: key, off: lo}
 	}
 	p.refs = 1
 	if sh.pages == nil {
 		sh.pages = make(map[PageKey]*Page)
 	}
 	sh.pages[key] = p
+	sh.bytes += int64(len(p.span))
 	s.inserted.Add(1)
 	return p
+}
+
+// spanOf returns the offsets of data's first non-zero byte and of one
+// past its last, scanning eight bytes at a time. data is not all zero.
+func spanOf(data []byte) (lo, hi int) {
+	le := binary.LittleEndian
+	for lo+8 <= len(data) && le.Uint64(data[lo:]) == 0 {
+		lo += 8
+	}
+	for data[lo] == 0 {
+		lo++
+	}
+	hi = len(data)
+	for hi-8 >= lo && le.Uint64(data[hi-8:]) == 0 {
+		hi -= 8
+	}
+	for data[hi-1] == 0 {
+		hi--
+	}
+	return lo, hi
 }
 
 // Unref drops one reference; the page is freed when the last owner
@@ -161,6 +217,7 @@ func (s *PageStore) Unref(p *Page) {
 	sh.mu.Lock()
 	if p.refs--; p.refs == 0 {
 		delete(sh.pages, p.key)
+		sh.bytes -= int64(len(p.span))
 	}
 	sh.mu.Unlock()
 }
@@ -177,9 +234,17 @@ func (s *PageStore) Pages() int {
 	return n
 }
 
-// Bytes reports the memory held by stored page content.
+// Bytes reports the page content the store holds: the sum of the stored
+// pages' non-zero spans, not PageSize per page.
 func (s *PageStore) Bytes() int64 {
-	return int64(s.Pages()) * PageSize
+	var n int64
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		n += sh.bytes
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // DedupHits reports insertions that were satisfied by an existing page.
@@ -192,11 +257,13 @@ func (s *PageStore) Inserted() uint64 { return s.inserted.Load() }
 // first page whose content no longer matches its key — the tripwire for
 // the shared-pages-are-never-mutated-in-place invariant.
 func (s *PageStore) Verify() error {
+	var buf [PageSize]byte
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for key, p := range sh.pages {
-			if HashPage(p.data[:]) != key || p.key != key {
+			p.copyTo(buf[:])
+			if sha256.Sum256(buf[:]) != key || p.key != key {
 				sh.mu.Unlock()
 				return fmt.Errorf("vmm: page store corruption: page %x was mutated in place", key[:8])
 			}
@@ -206,16 +273,9 @@ func (s *PageStore) Verify() error {
 	return nil
 }
 
+// isZeroPage reports whether data, at most PageSize long, is all zero.
 func isZeroPage(data []byte) bool {
-	if len(data) == PageSize {
-		return bytes.Equal(data, zeroPage[:])
-	}
-	for _, b := range data {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(data, zeroPage[:len(data)])
 }
 
 // Window is one half-open byte range [Lo, Hi) of guest memory that a

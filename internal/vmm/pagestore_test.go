@@ -26,7 +26,7 @@ func deepCapture(mem []byte, windows []Window) []byte {
 func materialize(l *Layer) []byte {
 	out := make([]byte, l.MemLen())
 	for lo := 0; lo < len(out); lo += PageSize {
-		copy(out[lo:], resolveOwn(l, lo/PageSize).Data())
+		copy(out[lo:], resolveOwn(l, lo/PageSize).AppendTo(nil))
 	}
 	return out
 }
@@ -140,8 +140,7 @@ func TestLayerCaptureMaterializeMatchesDeepCopy(t *testing.T) {
 				if hi > memLen {
 					hi = memLen
 				}
-				clear(cow[lo:hi])
-				copy(cow[lo:hi], l.table[p].Data())
+				copy(cow[lo:hi], l.table[p].AppendTo(nil))
 				copy(ref[lo:hi], want[lo:hi])
 			}
 			if !bytes.Equal(cow, ref) {
@@ -282,7 +281,7 @@ func TestPageStoreConcurrent(t *testing.T) {
 				}
 				pg := store.Insert(page)
 				mine = append(mine, pg)
-				if data := pg.Data(); data != nil && !bytes.Equal(data, page) {
+				if pg != nil && !bytes.Equal(pg.AppendTo(nil), page) {
 					t.Errorf("goroutine %d: read wrong content", g)
 					return
 				}

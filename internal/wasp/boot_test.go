@@ -111,7 +111,7 @@ func TestBootReplayHostileHandoff(t *testing.T) {
 	}
 	for _, lp := range recordOf(fast, img).layer.OwnTable() {
 		if lp.Idx == 0 {
-			t.Fatalf("the recording holds a page 0: %x", lp.Page.Data()[:16])
+			t.Fatalf("the recording holds a page 0: %x", lp.Page.AppendTo(nil)[:16])
 		}
 	}
 }

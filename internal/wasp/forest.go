@@ -175,8 +175,9 @@ func (r *contentRegistry) bases() (n int) {
 // ForestStats reports one backend's snapshot-forest state — the numbers
 // behind the dedup claims TestForestTenantScaling pins.
 type ForestStats struct {
-	// StorePages / StoreBytes are distinct pages (and their bytes) held
-	// by the backend's shared page store.
+	// StorePages is the distinct pages the backend's shared page store
+	// holds; StoreBytes is the content they hold, each page's non-zero
+	// span (not PageSize a page, and not the per-page headers).
 	StorePages int
 	StoreBytes int64
 	// DedupHits counts page insertions satisfied by an already-stored

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cycles"
 	"repro/internal/guest"
 	"repro/internal/hypercall"
+	"repro/internal/vcc"
 	"repro/internal/vmm"
 )
 
@@ -52,7 +53,7 @@ func randSnapshotProgram(rng *rand.Rand) string {
 func materialize(l *vmm.Layer) []byte {
 	out := make([]byte, l.MemLen())
 	for _, e := range l.ResolvedTable() {
-		copy(out[e.Idx*vmm.PageSize:], e.Page.Data())
+		copy(out[e.Idx*vmm.PageSize:], e.Page.AppendTo(nil))
 	}
 	return out
 }
@@ -266,58 +267,106 @@ jt_next:
 // 32 KiB bases, httpd-shaped and JS-shaped, each tenant snapshotted with
 // its own argument. Every tenant after the first is a one-page delta
 // that costs one page hash to capture and grows the store by at most
-// one 4 KiB page: tenant 0x2003's argument page equals the boot's PML4
-// page, so 9,999 clones add 9,998 pages. At 1k and at 10k tenants the
-// test pins the store's bytes and its new pages, and requires the
-// forest to hold at least 18x fewer bytes than one deep copy per tenant
-// would, and to verify clean. (At 100k tenants the store would need
-// about 0.4 GB per corpus.)
+// one page: tenant 0x2003's argument page equals the boot's PML4 page,
+// so 9,999 clones add 9,998 pages. At 1k and at 10k tenants the test
+// pins the store's held bytes and its new pages, and requires the forest
+// to hold at least 18x fewer bytes than one deep copy per tenant would,
+// and to verify clean. A clone's page holds its argument, one or two
+// non-zero bytes, so the store grows by about 2 B per clone.
 func TestForestTenantScaling(t *testing.T) {
-	// Store bytes and the store pages the clones added, by tenant count.
-	pins := map[int][2]int64{1_000: {4_112_384, 999}, 10_000: {40_972_288, 9_998}}
-	for _, c := range [][2]string{{"httpd", httpdTenantAsm}, {"js", jsTenantAsm}} {
+	// The store pages the clones added, by tenant count.
+	pagePins := map[int]int{1_000: 999, 10_000: 9_998}
+	for _, c := range []struct {
+		name, asm string
+		bytePins  map[int]int64 // store bytes, by tenant count
+	}{
+		{"httpd", httpdTenantAsm, map[int]int64{1_000: 7_743, 10_000: 25_705}},
+		{"js", jsTenantAsm, map[int]int64{1_000: 7_327, 10_000: 25_289}},
+	} {
 		w := New()
 		be := w.backends[0]
-		base := guest.MustFromAsm("snapfor-"+c[0], guest.WrapLongMode(c[1])).WithPad(32 << 10)
+		base := guest.MustFromAsm("snapfor-"+c.name, guest.WrapLongMode(c.asm)).WithPad(32 << 10)
 		// A deep copy held both capture windows: the image footprint and
 		// the stack reserve.
 		deepCopy := min(base.Footprint()+base.ExtraHeap, base.MemBytes()) + guest.StackReserve
 		var store0 int64
+		var pages0 int
 		var hashed0 uint64
 		for i := 0; i < 10_000; i++ {
-			img := base.WithName(fmt.Sprintf("snapfor-%s-%05d", c[0], i))
+			img := base.WithName(fmt.Sprintf("snapfor-%s-%05d", c.name, i))
 			res, err := w.Run(img, RunConfig{Snapshot: true, RetBytes: 8, Args: le64(uint64(i))}, cycles.NewClock())
 			if err != nil || len(res.Ret) != 8 {
-				t.Fatalf("%s tenant %d: %v", c[0], i, err)
+				t.Fatalf("%s tenant %d: %v", c.name, i, err)
 			}
 			if i == 0 {
-				store0, hashed0 = w.ForestStats().StoreBytes, be.pages.hashed.Load()
+				st := w.ForestStats()
+				store0, pages0, hashed0 = st.StoreBytes, st.StorePages, be.pages.hashed.Load()
 			}
 			n := i + 1
-			pin, ok := pins[n]
+			pagePin, ok := pagePins[n]
 			if !ok {
 				continue
 			}
 			st := w.ForestStats()
 			clones, grown, hashed := n-1, st.StoreBytes-store0, be.pages.hashed.Load()-hashed0
 			dedup := float64(deepCopy) * float64(n) / float64(st.StoreBytes)
-			t.Logf("%s x%d: store %d B, %.1f B and %.2f page hashes per clone, dedup %.1fx",
-				c[0], n, st.StoreBytes, float64(grown)/float64(clones), float64(hashed)/float64(clones), dedup)
+			t.Logf("%s x%d: store %d B in %d pages, %.1f B and %.2f page hashes per clone, dedup %.1fx",
+				c.name, n, st.StoreBytes, st.StorePages, float64(grown)/float64(clones), float64(hashed)/float64(clones), dedup)
 			if st.Snapshots != n || st.DeltaSnapshots != clones || st.DeltaPages != clones || hashed != uint64(clones) {
 				t.Errorf("%s x%d: %d snapshots, %d deltas holding %d pages, %d page hashes; want one delta page and one hash per clone",
-					c[0], n, st.Snapshots, st.DeltaSnapshots, st.DeltaPages, hashed)
+					c.name, n, st.Snapshots, st.DeltaSnapshots, st.DeltaPages, hashed)
 			}
-			if st.StoreBytes != pin[0] || grown != pin[1]*vmm.PageSize {
-				t.Errorf("%s x%d: store %d B, pinned %d; clones grew it %d B, pinned %d pages",
-					c[0], n, st.StoreBytes, pin[0], grown, pin[1])
+			if st.StoreBytes != c.bytePins[n] || st.StorePages-pages0 != pagePin {
+				t.Errorf("%s x%d: store %d B, pinned %d; clones added %d pages, pinned %d",
+					c.name, n, st.StoreBytes, c.bytePins[n], st.StorePages-pages0, pagePin)
 			}
 			if dedup < 18 {
-				t.Errorf("%s x%d: dedup %.1fx, want >= 18x", c[0], n, dedup)
+				t.Errorf("%s x%d: dedup %.1fx, want >= 18x", c.name, n, dedup)
 			}
 			if err := w.VerifyForest(); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestTenantStoreFootprint is the store's footprint gate, a count rather
+// than a time: 256 clones of a handler shaped like the tenant_restore
+// benchmark's, each building a 1 KiB document on its stack and then
+// snapshotting, pin the store's pages and the bytes it holds exactly.
+// Each clone's document page is its own, so the pages grow by about two
+// a clone; the bytes are the pages' non-zero spans, 13% of what a full
+// 4 KiB per page would hold.
+func TestTenantStoreFootprint(t *testing.T) {
+	const tenants, wantPages, wantBytes = 256, 515, 273_316
+	v, err := vcc.CompileFunc(`
+virtine_config(0xC0) int handle(int tenant) {
+	char doc[1024];
+	for (int i = 0; i < 1024; i++) { doc[i] = 'a' + (tenant + i) % 26; }
+	__hc(8, 0, 0, 0);
+	return doc[tenant % 1024];
+}`, "handle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := New()
+	for i := 0; i < tenants; i++ {
+		img := v.Image.WithName(fmt.Sprintf("footprint-%03d", i))
+		for run := 0; run < 2; run++ { // capture, then a restored run
+			res, err := w.Run(img, RunConfig{Snapshot: true, Policy: v.Policy, Args: vcc.MarshalArgs(int64(i)), RetBytes: vcc.RetSize}, cycles.NewClock())
+			if err != nil || fromLE64(res.Ret) != uint64('a'+(2*i)%26) {
+				t.Fatalf("tenant %d run %d: %v", i, run, err)
+			}
+		}
+	}
+	st := w.ForestStats()
+	t.Logf("%d tenants: %d pages holding %d B, %.1f%% of %d B at 4 KiB a page", tenants, st.StorePages, st.StoreBytes,
+		100*float64(st.StoreBytes)/float64(st.StorePages*vmm.PageSize), st.StorePages*vmm.PageSize)
+	if st.StorePages != wantPages || st.StoreBytes != wantBytes {
+		t.Errorf("store holds %d pages and %d B, pinned %d and %d", st.StorePages, st.StoreBytes, wantPages, wantBytes)
+	}
+	if err := w.VerifyForest(); err != nil {
+		t.Fatal(err)
 	}
 }
 

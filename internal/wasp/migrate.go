@@ -72,13 +72,16 @@ const (
 	maxWireGeometry = 1 << 30
 )
 
-// wirePage is one page of snapshot content. Data is exactly PageSize
-// bytes, or nil for an explicit zero-override (a delta page that zeroes
-// a non-zero base page). Content keys are deliberately NOT shipped per
+// wirePage is one page of snapshot content. An export names the store
+// page it ships, and the encoder appends its PageSize bytes; a decoded
+// blob carries Data, exactly PageSize bytes. A page with neither is an
+// explicit zero-override (a delta page that zeroes a non-zero base
+// page). Content keys are deliberately NOT shipped per
 // page: the importer re-hashes Data itself, so a hostile blob cannot
 // poison the receiving store with a mismatched key/content pair.
 type wirePage struct {
 	Idx  int
+	Page *vmm.Page
 	Data []byte
 }
 
@@ -156,8 +159,7 @@ func exportRetainedSnapshot(name string, snap *snapshot, deltaOnly bool) ([]byte
 	}
 	wire.Pages = make([]wirePage, len(table))
 	for i, e := range table {
-		// Payloads alias store pages; encode only reads them.
-		wire.Pages[i] = wirePage{Idx: e.Idx, Data: e.Page.Data()}
+		wire.Pages[i] = wirePage{Idx: e.Idx, Page: e.Page}
 	}
 	return wire.encode(), nil
 }
@@ -166,7 +168,7 @@ func exportRetainedSnapshot(name string, snap *snapshot, deltaOnly bool) ([]byte
 func (wire *snapshotWire) encode() []byte {
 	n := wireFixed + len(wire.ContentKey)
 	for _, p := range wire.Pages {
-		n += 12 + len(p.Data)
+		n += 12 + p.size()
 	}
 	le := binary.LittleEndian
 	st := &wire.State
@@ -191,10 +193,22 @@ func (wire *snapshotWire) encode() []byte {
 	b = le.AppendUint32(b, uint32(len(wire.Pages)))
 	for _, p := range wire.Pages {
 		b = le.AppendUint64(b, uint64(p.Idx))
-		b = le.AppendUint32(b, uint32(len(p.Data)))
-		b = append(b, p.Data...)
+		b = le.AppendUint32(b, uint32(p.size()))
+		if p.Page != nil {
+			b = p.Page.AppendTo(b)
+		} else {
+			b = append(b, p.Data...)
+		}
 	}
 	return b
+}
+
+// size is the page's payload length on the wire.
+func (p *wirePage) size() int {
+	if p.Page != nil {
+		return vmm.PageSize
+	}
+	return len(p.Data)
 }
 
 func bit(on bool, b byte) byte {

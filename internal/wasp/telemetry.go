@@ -32,6 +32,7 @@ func (w *Wasp) RegisterMetrics(r *obs.Registry) {
 			name := be.platform.Name()
 			fs := w.ForestStatsOn(name)
 			emit(fmt.Sprintf("wasp_forest_store_pages{platform=%s}", name), float64(fs.StorePages))
+			// Content held: the pages' non-zero spans, not 4 KiB a page.
 			emit(fmt.Sprintf("wasp_forest_store_bytes{platform=%s}", name), float64(fs.StoreBytes))
 			emit(fmt.Sprintf("wasp_forest_dedup_hits{platform=%s}", name), float64(fs.DedupHits))
 			emit(fmt.Sprintf("wasp_forest_base_layers{platform=%s}", name), float64(fs.BaseLayers))
