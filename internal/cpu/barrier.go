@@ -12,7 +12,7 @@ package cpu
 // A page whose state is exactly pageDirty is armed: a store into it has
 // nothing to record and nothing to invalidate, so it pays the bounds
 // check, the write and the clock and nothing else (armed, inlined into
-// the trace closures' fast paths). Any other state sends the store
+// the store steps' fast paths). Any other state sends the store
 // through StoreBarrier, which drops the page's decode state, sets the
 // dirty bit and leaves the page armed. The fast
 // path is sound as long as
@@ -40,7 +40,7 @@ func (c *CPU) armed(p, n uint64) bool {
 // memory: each touched page that is not already armed loses its decode
 // state (a pointer drop; shared pages are unreferenced, never mutated)
 // and becomes dirty. It is the only writer of the dirty bit. Guest stores
-// call it from storeWord and STOREB, or skip it from a trace closure
+// call it from storeWord and STOREB, or skip it from a store step
 // that found the pages armed; host writes — image loads, argument
 // marshalling, hypercall handlers, snapshot rewrites — reach it through
 // vmm.Context.HostWrite.

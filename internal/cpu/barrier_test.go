@@ -12,12 +12,13 @@ import (
 	"repro/internal/isa"
 )
 
-// engineRun is one engine's view of a finished run: everything the two
+// engineRun is one engine's view of a finished run: everything the
 // engines must agree on.
 type engineRun struct {
-	c  *CPU
-	ex *Exit
-	cy uint64
+	name string // the engine: traces, Step or the reference
+	c    *CPU
+	ex   *Exit
+	cy   uint64
 }
 
 // startCPU builds a CPU over a private copy of mem, entered at entry in
@@ -34,41 +35,52 @@ func startCPU(mem []byte, entry uint64, mode isa.Mode, legacy bool) *CPU {
 	return c
 }
 
+// finish runs c to its next exit: Step alone on a Legacy CPU, otherwise
+// traces and Step.
 func finish(c *CPU, budget uint64) engineRun {
+	name := "traces"
+	if c.Legacy {
+		name = "Step"
+	}
 	ex := c.Run(budget)
-	return engineRun{c: c, ex: ex, cy: c.Clock.Now()}
+	return engineRun{name: name, c: c, ex: ex, cy: c.Clock.Now()}
 }
 
-// diffEngines reports the first architectural difference between a trace-
-// engine run and a Legacy run of the same guest, or "".
-func diffEngines(jit, leg engineRun) string {
+// diffEngines reports the first architectural difference between two
+// engines' runs of the same guest, or "".
+func diffEngines(a, b engineRun) string {
 	errText := func(ex *Exit) string {
 		if ex.Err == nil {
 			return ""
 		}
 		return ex.Err.Error()
 	}
+	var what string
+	var va, vb any
 	switch {
-	case jit.ex.Reason != leg.ex.Reason || errText(jit.ex) != errText(leg.ex):
-		return fmt.Sprintf("exits: jit %v %q, legacy %v %q", jit.ex.Reason, errText(jit.ex), leg.ex.Reason, errText(leg.ex))
-	case jit.ex.Port != leg.ex.Port || jit.ex.In != leg.ex.In || jit.ex.Reg != leg.ex.Reg:
-		return fmt.Sprintf("io exits: jit %+v, legacy %+v", jit.ex, leg.ex)
-	case jit.cy != leg.cy:
-		return fmt.Sprintf("clock: jit %d, legacy %d", jit.cy, leg.cy)
-	case jit.c.IP != leg.c.IP || jit.c.Retired != leg.c.Retired:
-		return fmt.Sprintf("jit ip=%#x retired=%d, legacy ip=%#x retired=%d", jit.c.IP, jit.c.Retired, leg.c.IP, leg.c.Retired)
-	case jit.c.Regs != leg.c.Regs:
-		return fmt.Sprintf("registers: jit %x, legacy %x", jit.c.Regs, leg.c.Regs)
-	case jit.c.Flags != leg.c.Flags:
-		return fmt.Sprintf("flags: jit %+v, legacy %+v", jit.c.Flags, leg.c.Flags)
-	case jit.c.Mode != leg.c.Mode || jit.c.Events != leg.c.Events:
-		return "mode or boot events differ"
-	case !reflect.DeepEqual(jit.c.DirtyPages(), leg.c.DirtyPages()):
-		return fmt.Sprintf("dirty pages: jit %v, legacy %v", jit.c.DirtyPages(), leg.c.DirtyPages())
-	case !bytes.Equal(jit.c.Mem, leg.c.Mem):
-		return "memory differs"
+	case a.ex.Reason != b.ex.Reason || errText(a.ex) != errText(b.ex):
+		what, va, vb = "exits", fmt.Sprintf("%v %q", a.ex.Reason, errText(a.ex)), fmt.Sprintf("%v %q", b.ex.Reason, errText(b.ex))
+	case a.ex.Port != b.ex.Port || a.ex.In != b.ex.In || a.ex.Reg != b.ex.Reg:
+		what, va, vb = "io exits", *a.ex, *b.ex
+	case a.cy != b.cy:
+		what, va, vb = "clock", a.cy, b.cy
+	case a.c.IP != b.c.IP || a.c.Retired != b.c.Retired:
+		what = "ip, retired"
+		va, vb = fmt.Sprintf("%#x, %d", a.c.IP, a.c.Retired), fmt.Sprintf("%#x, %d", b.c.IP, b.c.Retired)
+	case a.c.Regs != b.c.Regs:
+		what, va, vb = "registers", fmt.Sprintf("%x", a.c.Regs), fmt.Sprintf("%x", b.c.Regs)
+	case a.c.Flags != b.c.Flags:
+		what, va, vb = "flags", a.c.Flags, b.c.Flags
+	case a.c.Mode != b.c.Mode || a.c.Events != b.c.Events:
+		what, va, vb = "mode, boot events", fmt.Sprint(a.c.Mode, a.c.Events), fmt.Sprint(b.c.Mode, b.c.Events)
+	case !reflect.DeepEqual(a.c.DirtyPages(), b.c.DirtyPages()):
+		what, va, vb = "dirty pages", a.c.DirtyPages(), b.c.DirtyPages()
+	case !bytes.Equal(a.c.Mem, b.c.Mem):
+		return fmt.Sprintf("memory: %s and %s differ", a.name, b.name)
+	default:
+		return ""
 	}
-	return ""
+	return fmt.Sprintf("%s: %s %+v, %s %+v", what, a.name, va, b.name, vb)
 }
 
 // bothEngines assembles src, runs it to its first exit under each engine
@@ -375,7 +387,7 @@ loop:
 
 // BenchmarkStoreLoop times the boot stub's two table-building loops
 // (vx_pdloop and vx_zloop: 3,072 stores over 12 KiB) on a shell that has
-// run them before: the store closures on the barrier's fast path.
+// run them before: the store steps on the barrier's fast path.
 func BenchmarkStoreLoop(b *testing.B) {
 	const loops = `
 .org 0x8000

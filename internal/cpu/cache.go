@@ -11,9 +11,9 @@ package cpu
 // memory runs the store barrier (barrier.go), which drops the decode
 // state of each page it touches:
 //
-//   - the CPU's own store paths (storeWord, STOREB, the trace
-//     closures), so self-modifying code re-decodes the bytes it just
-//     wrote even on a bare CPU with no VMM attached;
+//   - the CPU's own store paths (storeWord and the store steps), so
+//     self-modifying code re-decodes the bytes it just wrote even on a
+//     bare CPU with no VMM attached;
 //   - vmm.Context.HostWrite — the funnel image loads, argument
 //     marshalling, hypercall handler writes and vmm.Context.Rebase's
 //     page rewrites report to;
@@ -49,11 +49,11 @@ import (
 const codePageSize = 4096
 
 // centry marks one instruction start the dispatcher has reached. Neither
-// engine executes from it — Step decodes the raw bytes and traces are
-// compiled from memory — so it records only what dispatch decides on: a
-// non-zero length in the current mode means "seen before, worth a trace",
-// special routes to Step for good, and op carries the Mode32 pre-latch
-// STORE check.
+// engine executes from it — Step decodes the raw bytes into a step, and
+// traces build theirs from memory — so it records only what dispatch
+// decides on: a non-zero length in the current mode means "seen before,
+// worth a trace", special routes to Step for good, and op carries the
+// Mode32 pre-latch STORE check.
 type centry struct {
 	op      isa.Op
 	mode    isa.Mode
@@ -99,7 +99,7 @@ type codePage struct {
 	src  []byte
 	ents [codePageSize]centry
 
-	// blocks holds the compiled closure blocks starting on the page
+	// blocks holds the compiled traces starting on the page
 	// (jit.go), sorted by key = offset | mode<<12. A published slice is
 	// immutable; publication is copy-on-write under mu so concurrent CPUs
 	// sharing a frozen page read it with one atomic load. Blocks ride
@@ -231,17 +231,6 @@ type CodeCache struct {
 
 // Empty reports whether the cache holds no pages.
 func (cc CodeCache) Empty() bool { return len(cc.pages) == 0 }
-
-// Pages reports the number of frozen pages (telemetry/tests).
-func (cc CodeCache) Pages() int {
-	n := 0
-	for _, pg := range cc.pages {
-		if pg != nil {
-			n++
-		}
-	}
-	return n
-}
 
 // Merge combines cc with other, returning the result. A page missing
 // from cc is filled; an existing page is replaced only when the newcomer

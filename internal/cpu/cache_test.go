@@ -9,6 +9,17 @@ import (
 	"repro/internal/isa"
 )
 
+// Pages reports the number of frozen pages.
+func (cc CodeCache) Pages() int {
+	n := 0
+	for _, pg := range cc.pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // Self-modifying code: a guest that rewrites an already-executed
 // instruction must observe the new bytes on the next execution. This is
 // the decoded-cache invalidation regression test — a stale cache would

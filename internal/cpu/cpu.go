@@ -111,7 +111,7 @@ type Flags struct {
 }
 
 // TierEvent is one execution-tier transition: a guest block entering the
-// compiled-closure tier (compile) or falling back out of it (deopt).
+// compiled-trace tier (compile) or falling back out of it (deopt).
 // Recorded only under TierTrace; Cycle is the virtual time of the
 // transition and PC the guest IP of the block involved.
 type TierEvent struct {
@@ -206,15 +206,16 @@ type CPU struct {
 	pstate []uint8
 
 	// codeClobbered is set whenever the store barrier actually unhooks a
-	// decoded page. A store closure whose store took the barrier's slow
+	// decoded page. A store step whose store took the barrier's slow
 	// path tests this hint: stores to data pages (which have no decode
 	// state) never set it, so the precise page-identity check runs only
 	// when some decoded page really was hit.
 	codeClobbered bool
 
 	// blockEntry is the virtual IP of the compiled trace currently
-	// executing; CALL/RET closures rebuild absolute return addresses
-	// from it plus a compile-time relative offset.
+	// executing, or of the instruction Step is executing; CALL and
+	// speculated RET steps rebuild absolute return addresses from it
+	// plus a compile-time relative offset.
 	blockEntry uint64
 
 	// Direct-mapped front cache for compiled-block lookup (jit.go): one
@@ -238,6 +239,11 @@ type CPU struct {
 	fetchPBase            uint64
 	dtlbOK                bool
 	dtlbPage, dtlbBase    uint64
+
+	// rec is the step Step builds and runs (step.go): the CPU's own, so
+	// building it allocates nothing. It sits last, behind the fields a
+	// trace reads per instruction.
+	rec step
 }
 
 // New returns a powered-on CPU in real mode, with IP at entry, owning mem,

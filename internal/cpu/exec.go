@@ -32,33 +32,6 @@ func signedAt(v uint64, m isa.Mode) int64 {
 	return int64(v<<shift) >> shift
 }
 
-func (c *CPU) setArith(res, a, b uint64, sub bool) {
-	m := c.Mode
-	mask := widthMask(m)
-	r := res & mask
-	c.Flags.ZF = r == 0
-	c.Flags.SF = r&signBit(m) != 0
-	if sub {
-		c.Flags.CF = (a & mask) < (b & mask)
-		c.Flags.OF = (a^b)&(a^res)&signBit(m) != 0
-	} else {
-		c.Flags.CF = r < (a & mask)
-		c.Flags.OF = ^(a^b)&(a^res)&signBit(m) != 0
-	}
-}
-
-func (c *CPU) setLogic(res uint64) {
-	mask := widthMask(c.Mode)
-	r := res & mask
-	c.Flags.ZF = r == 0
-	c.Flags.SF = r&signBit(c.Mode) != 0
-	c.Flags.CF = false
-	c.Flags.OF = false
-}
-
-func (c *CPU) get(r isa.Reg) uint64    { return c.Regs[r] & widthMask(c.Mode) }
-func (c *CPU) set(r isa.Reg, v uint64) { c.Regs[r] = v & widthMask(c.Mode) }
-
 // exitWith returns the CPU's exit record, set to e: the record every
 // non-fault exit is returned in.
 func (c *CPU) exitWith(e Exit) *Exit {
@@ -68,6 +41,11 @@ func (c *CPU) exitWith(e Exit) *Exit {
 
 // Step executes one instruction. A nil exit means execution continues;
 // a non-nil one is valid until the next Step or Run (see Exit).
+//
+// Every instruction but a special runs as the step newStep builds for it
+// (step.go), the same one a trace runs, built into the CPU's own slot.
+// Step charges its fixed cost, which a trace batches, and the boot
+// milestones only Step records; the switch below holds the specials.
 func (c *CPU) Step() *Exit {
 	if c.Halted {
 		return c.exitWith(Exit{Reason: ExitHalt})
@@ -86,234 +64,43 @@ func (c *CPU) Step() *Exit {
 		c.mark(EvFirstInstr64)
 		c.pendFirst = false
 	}
-	next := c.IP + uint64(in.Len)
-	w := uint64(c.Mode.Width())
-	mask := widthMask(c.Mode)
+	ip, next := c.IP, c.IP+uint64(in.Len)
+	var ok bool
+	if c.rec, ok = newStep(in, c.Mode); ok {
+		c.Clock.Advance(uint64(baseCost(in.Op) - cycles.InstrBase))
+		if in.Op == isa.STORE && c.Mode == isa.Mode32 && !c.sawStore32 {
+			c.sawStore32 = true
+			c.mark(EvIdentMapStart)
+		}
+		// The step sees this instruction as a trace of one at its
+		// entry: a return site it pushes is relative to blockEntry,
+		// and a step that branches overwrites IP.
+		c.blockEntry, c.IP = ip, next
+		switch ex := c.rec.fn(c, &c.rec); ex {
+		case nil, errSide:
+		case errSMC:
+			c.codeClobbered = false
+		default:
+			c.IP = ip
+			if ex == errDiv0 {
+				return c.fault("divide by zero at %#x", ip)
+			}
+			return ex
+		}
+		c.Retired++
+		return nil
+	}
 	// Immediates are sign-extended at decode so displacements work;
 	// when an immediate is used as an address it must be re-masked to
 	// the mode width (a 16-bit address 0x8000 is not negative).
-	addrImm := in.Imm & mask
+	addrImm := in.Imm & widthMask(c.Mode)
 
 	switch in.Op {
-	case isa.NOP, isa.CLI, isa.STI:
-		// CLI/STI cost one cycle; the virtine model takes no interrupts.
-
 	case isa.HLT:
 		c.Halted = true
 		c.Retired++
 		c.IP = next
 		return c.exitWith(Exit{Reason: ExitHalt})
-
-	case isa.MOVI:
-		c.set(in.Dst, in.Imm)
-	case isa.MOV:
-		c.set(in.Dst, c.get(in.Src))
-
-	case isa.LOAD:
-		v, err := c.loadWord((c.get(in.Src)+in.Imm)&mask, c.Mode)
-		if err != nil {
-			return c.fault("%v", err)
-		}
-		c.set(in.Dst, v)
-	case isa.STORE:
-		if c.Mode == isa.Mode32 && !c.sawStore32 {
-			c.sawStore32 = true
-			c.mark(EvIdentMapStart)
-		}
-		if err := c.storeWord((c.get(in.Dst)+in.Imm)&mask, c.get(in.Src), c.Mode); err != nil {
-			return c.fault("%v", err)
-		}
-	case isa.LOADB:
-		p, err := c.Translate((c.get(in.Src)+in.Imm)&mask, false)
-		if err != nil {
-			return c.fault("%v", err)
-		}
-		if p >= uint64(len(c.Mem)) {
-			return c.fault("byte load beyond memory at %#x", p)
-		}
-		c.Clock.Advance(cycles.MemAccess)
-		c.set(in.Dst, uint64(c.Mem[p]))
-	case isa.STOREB:
-		p, err := c.Translate((c.get(in.Dst)+in.Imm)&mask, true)
-		if err != nil {
-			return c.fault("%v", err)
-		}
-		if p >= uint64(len(c.Mem)) {
-			return c.fault("byte store beyond memory at %#x", p)
-		}
-		c.Clock.Advance(cycles.MemStore)
-		c.Mem[p] = byte(c.get(in.Src))
-		c.StoreBarrier(p, 1)
-
-	case isa.ADD:
-		a, b := c.get(in.Dst), c.get(in.Src)
-		r := a + b
-		c.setArith(r, a, b, false)
-		c.set(in.Dst, r)
-	case isa.ADDI:
-		a := c.get(in.Dst)
-		r := a + in.Imm
-		c.setArith(r, a, in.Imm, false)
-		c.set(in.Dst, r)
-	case isa.SUB:
-		a, b := c.get(in.Dst), c.get(in.Src)
-		r := a - b
-		c.setArith(r, a, b, true)
-		c.set(in.Dst, r)
-	case isa.SUBI:
-		a := c.get(in.Dst)
-		r := a - in.Imm
-		c.setArith(r, a, in.Imm, true)
-		c.set(in.Dst, r)
-	case isa.MUL:
-		c.Clock.Advance(cycles.InstrMul)
-		r := c.get(in.Dst) * c.get(in.Src)
-		c.setLogic(r)
-		c.set(in.Dst, r)
-	case isa.DIV, isa.MOD:
-		c.Clock.Advance(cycles.InstrDiv)
-		a := signedAt(c.get(in.Dst), c.Mode)
-		b := signedAt(c.get(in.Src), c.Mode)
-		if b == 0 {
-			return c.fault("divide by zero at %#x", c.IP)
-		}
-		var r int64
-		if in.Op == isa.DIV {
-			r = a / b
-		} else {
-			r = a % b
-		}
-		c.setLogic(uint64(r))
-		c.set(in.Dst, uint64(r))
-	case isa.AND:
-		r := c.get(in.Dst) & c.get(in.Src)
-		c.setLogic(r)
-		c.set(in.Dst, r)
-	case isa.ANDI:
-		r := c.get(in.Dst) & in.Imm
-		c.setLogic(r)
-		c.set(in.Dst, r)
-	case isa.OR:
-		r := c.get(in.Dst) | c.get(in.Src)
-		c.setLogic(r)
-		c.set(in.Dst, r)
-	case isa.ORI:
-		r := c.get(in.Dst) | in.Imm
-		c.setLogic(r)
-		c.set(in.Dst, r)
-	case isa.XOR:
-		r := c.get(in.Dst) ^ c.get(in.Src)
-		c.setLogic(r)
-		c.set(in.Dst, r)
-	case isa.SHLV:
-		r := c.get(in.Dst) << (c.get(in.Src) & 63)
-		c.setLogic(r)
-		c.set(in.Dst, r)
-	case isa.SHRV:
-		r := c.get(in.Dst) >> (c.get(in.Src) & 63)
-		c.setLogic(r)
-		c.set(in.Dst, r)
-	case isa.SARV:
-		r := uint64(signedAt(c.get(in.Dst), c.Mode) >> (c.get(in.Src) & 63))
-		c.setLogic(r)
-		c.set(in.Dst, r)
-	case isa.SHL:
-		r := c.get(in.Dst) << (in.Imm & 63)
-		c.setLogic(r)
-		c.set(in.Dst, r)
-	case isa.SHR:
-		r := c.get(in.Dst) >> (in.Imm & 63)
-		c.setLogic(r)
-		c.set(in.Dst, r)
-	case isa.SAR:
-		r := uint64(signedAt(c.get(in.Dst), c.Mode) >> (in.Imm & 63))
-		c.setLogic(r)
-		c.set(in.Dst, r)
-	case isa.NEG:
-		a := c.get(in.Dst)
-		r := -a
-		c.setArith(r, 0, a, true)
-		c.set(in.Dst, r)
-	case isa.NOT:
-		c.set(in.Dst, ^c.get(in.Dst))
-	case isa.INC:
-		a := c.get(in.Dst)
-		r := a + 1
-		c.setArith(r, a, 1, false)
-		c.set(in.Dst, r)
-	case isa.DEC:
-		a := c.get(in.Dst)
-		r := a - 1
-		c.setArith(r, a, 1, true)
-		c.set(in.Dst, r)
-
-	case isa.CMP:
-		a, b := c.get(in.Dst), c.get(in.Src)
-		c.setArith(a-b, a, b, true)
-	case isa.CMPI:
-		a := c.get(in.Dst)
-		c.setArith(a-in.Imm, a, in.Imm, true)
-
-	case isa.JMP:
-		next = addrImm
-	case isa.JZ:
-		if c.Flags.ZF {
-			next = addrImm
-		}
-	case isa.JNZ:
-		if !c.Flags.ZF {
-			next = addrImm
-		}
-	case isa.JL:
-		if c.Flags.SF != c.Flags.OF {
-			next = addrImm
-		}
-	case isa.JG:
-		if !c.Flags.ZF && c.Flags.SF == c.Flags.OF {
-			next = addrImm
-		}
-	case isa.JLE:
-		if c.Flags.ZF || c.Flags.SF != c.Flags.OF {
-			next = addrImm
-		}
-	case isa.JGE:
-		if c.Flags.SF == c.Flags.OF {
-			next = addrImm
-		}
-	case isa.JB:
-		if c.Flags.CF {
-			next = addrImm
-		}
-	case isa.JAE:
-		if !c.Flags.CF {
-			next = addrImm
-		}
-
-	case isa.CALL:
-		c.Regs[isa.RSP] -= w
-		if err := c.storeWord(c.Regs[isa.RSP], next, c.Mode); err != nil {
-			return c.fault("call push: %v", err)
-		}
-		next = addrImm
-	case isa.RET:
-		v, err := c.loadWord(c.Regs[isa.RSP], c.Mode)
-		if err != nil {
-			return c.fault("ret pop: %v", err)
-		}
-		c.Regs[isa.RSP] += w
-		next = v & widthMask(c.Mode)
-	case isa.PUSH:
-		c.Regs[isa.RSP] -= w
-		if err := c.storeWord(c.Regs[isa.RSP], c.get(in.Dst), c.Mode); err != nil {
-			return c.fault("push: %v", err)
-		}
-	case isa.POP:
-		v, err := c.loadWord(c.Regs[isa.RSP], c.Mode)
-		if err != nil {
-			return c.fault("pop: %v", err)
-		}
-		c.Regs[isa.RSP] += w
-		c.set(in.Dst, v)
 
 	case isa.OUT:
 		c.Retired++
@@ -445,7 +232,8 @@ func (c *CPU) Step() *Exit {
 // exit is the CPU's own record, valid until the next Run or Step (see
 // Exit).
 //
-// There are two engines over one cycle model. The default dispatches
+// There are two engines over one cycle model, and they run the same step
+// for each instruction but the specials (step.go). The default dispatches
 // compiled traces (jit.go) wherever one applies and Step for everything
 // else: specials, first visits, and the tail of an instruction budget. A
 // trace batches its fixed per-instruction costs and puts them on the clock

@@ -95,9 +95,10 @@ vx_seed_patch:
 
 // FuzzEngineDifferential is the hostile-guest check on the engine seam:
 // arbitrary bytes at 0x8000, entered in each start mode under a step
-// budget, must leave the trace engine and Legacy in the same state — exit
-// and error text, registers, flags, IP, memory, clock, Retired and the
-// dirty-page set — after every exit, and neither may panic.
+// budget, must leave three engines in the same state — the test-only
+// reference interpreter (reference_test.go), Step (Legacy) and the traces:
+// exit and error text, registers, flags, IP, memory, clock, Retired and the
+// dirty-page set — after every exit, and none may panic.
 func FuzzEngineDifferential(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 6; i++ {
@@ -128,12 +129,16 @@ func FuzzEngineDifferential(f *testing.F) {
 		for _, mode := range []isa.Mode{isa.Mode16, isa.Mode32, isa.Mode64} {
 			jit := startCPU(mem, origin, mode, false)
 			leg := startCPU(mem, origin, mode, true)
+			ref := startCPU(mem, origin, mode, true)
 			// Resume past a few port exits so a hypercall early in the
 			// bytes does not end the comparison.
 			for exits := 0; exits < 4; exits++ {
 				j, l := finish(jit, budget), finish(leg, budget)
-				if d := diffEngines(j, l); d != "" {
-					t.Fatalf("start mode %v, exit %d: %s", mode, exits, d)
+				r := engineRun{name: "reference", c: ref, ex: ref.refRun(budget), cy: ref.Clock.Now()}
+				for _, d := range []string{diffEngines(r, l), diffEngines(l, j)} {
+					if d != "" {
+						t.Fatalf("start mode %v, exit %d: %s", mode, exits, d)
+					}
 				}
 				if j.ex.Reason != ExitIO {
 					break

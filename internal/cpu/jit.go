@@ -1,11 +1,11 @@
 package cpu
 
-// Trace JIT: hot code is compiled into chains of Go closures ("traces"),
-// one closure per instruction, each specialized at compile time on
-// operand registers, immediates and the mode's width/mask — the
-// per-instruction decode-switch disappears from the hot loop, and
-// straight-line dispatch overhead is paid once per trace instead of once
-// per instruction.
+// Trace JIT: hot code is compiled into arrays of steps ("traces"), one
+// step per instruction (step.go: the function that executes it and the
+// operands it reads, the same record Step builds and runs) — the
+// per-instruction decode disappears from the hot loop, and straight-line
+// dispatch overhead is paid once per trace instead of once per
+// instruction.
 //
 // Traces follow control flow, not just fall-through:
 //
@@ -13,7 +13,7 @@ package cpu
 //     followed at compile time, so a call's callee body is compiled
 //     inline (the architectural push of the return address still
 //     happens — only the dispatch is elided);
-//   - a RET whose matching CALL was followed is speculated: the closure
+//   - a RET whose matching CALL was followed is speculated: the step
 //     pops the return address and, when it equals the traced return
 //     site, execution continues inline; a mismatch (the guest rewrote
 //     its stack) is a side exit with the popped address as the new IP;
@@ -46,7 +46,7 @@ package cpu
 // unhooks the page and the traces with it. On top of that, four paths
 // leave a partially-executed trace with bit-exact architectural state:
 //
-//   - fault: closures return an *Exit; the executor rolls the
+//   - fault: steps return an *Exit; the executor rolls the
 //     unexecuted steps' batched cycles back, retires only completed
 //     instructions and points IP at the faulting instruction — exactly
 //     the legacy fault state;
@@ -66,8 +66,6 @@ package cpu
 // at the first unfollowable control transfer.
 
 import (
-	"encoding/binary"
-
 	"repro/internal/cycles"
 	"repro/internal/isa"
 )
@@ -75,19 +73,6 @@ import (
 const (
 	bcacheSize    = 512 // direct-mapped per-CPU block cache (power of two)
 	maxBlockSteps = 96
-)
-
-// step executes one compiled instruction. nil means continue; errDeopt,
-// errSide and errDiv0 are sentinels the executor rewrites; any other
-// *Exit is an architectural fault with the final message already
-// formatted.
-type step func(c *CPU) *Exit
-
-var (
-	errDeopt = new(Exit) // step did not execute: re-dispatch it
-	errSide  = new(Exit) // step completed and set IP: leave the trace
-	errDiv0  = new(Exit) // divide by zero: executor formats with the IP
-	errSMC   = new(Exit) // store completed and unhooked a decoded page
 )
 
 // bcent is one direct-mapped block-cache entry. A hit requires the
@@ -104,30 +89,20 @@ type bcent struct {
 	blk    *cblock
 }
 
-// cblock is one compiled trace: its closures and, parallel to them, one
-// packed stepMeta per step — what the executor needs to reconstruct exact
-// architectural state mid-trace. Every step retires one instruction, so
-// the steps through step i retire i+1 and the whole trace len(ops). Both
-// slices are exact-size copies of the compiler's scratch arrays, and the
-// steps of a repeated loop period share their closures with the period's
-// first compile.
+// cblock is one compiled trace: its steps, each also recording what the
+// executor needs to reconstruct exact architectural state mid-trace (its
+// offset, its successor's and the cost through it). Every step retires one
+// instruction, so the steps through step i retire i+1 and the whole trace
+// len(ops). ops is an exact-size copy of the compiler's scratch array, and
+// a repeated loop period's steps are copies of the period's first compile
+// with the cost running on; a step's own cost is the difference from its
+// predecessor's cum.
 type cblock struct {
 	ops    []step
-	meta   []stepMeta
 	anchor uint64 // virtual IP the trace was compiled at
 	end    int32  // successor offset when the trace falls off its end
 	term   bool   // last step always sets IP itself
 	total  uint32 // fixed cost of the whole trace
-}
-
-// stepMeta is one step's record. Offsets are signed and relative to the
-// entry IP (followed call targets can precede the head); cum runs from
-// the first step through this one, so a step's own cost is the
-// difference from its predecessor's.
-type stepMeta struct {
-	off    int16  // offset of the step's instruction
-	offEnd int16  // offset of its successor in trace order
-	cum    uint16 // cumulative fixed cost (base + mul/div extra)
 }
 
 // The packed ranges: a trace never leaves its 4 KiB page, so an offset
@@ -207,7 +182,7 @@ func (c *CPU) execChain(blk *cblock, entryIP, page uint64, pg *codePage, pending
 				// architecturally; stop before the next step so the
 				// modified bytes are re-decoded.
 				done := c.retireThrough(blk, i, pending)
-				c.IP = entryIP + uint64(int64(blk.meta[i].offEnd))
+				c.IP = entryIP + uint64(int64(blk.ops[i].offEnd))
 				c.Stats.BlockDeopts++
 				c.tier(true, entryIP)
 				return steps + done, nil
@@ -262,7 +237,7 @@ func (c *CPU) execChain(blk *cblock, entryIP, page uint64, pg *codePage, pending
 // of which completed, and rolls back the batched cost of the rest.
 func (c *CPU) retireThrough(blk *cblock, i int, pending *uint64) uint64 {
 	done := uint64(i + 1)
-	*pending -= uint64(blk.total) - uint64(blk.meta[i].cum)
+	*pending -= uint64(blk.total) - uint64(blk.ops[i].cum)
 	c.Retired += done
 	return done
 }
@@ -270,13 +245,14 @@ func (c *CPU) retireThrough(blk *cblock, i int, pending *uint64) uint64 {
 // runSteps runs ops from i until a step returns non-nil, and returns that
 // step's index and exit, or len(ops) and nil. It is the whole
 // per-instruction path, kept out of line so that only c, ops and i are live
-// across each closure call — every register is clobbered there, and
+// across each step's call — every register is clobbered there, and
 // execChain's dozen live values would be reloaded per instruction.
 //
 //go:noinline
 func (c *CPU) runSteps(ops []step, i int) (int, *Exit) {
 	for ; i < len(ops); i++ {
-		if ex := ops[i](c); ex != nil {
+		s := &ops[i]
+		if ex := s.fn(c, s); ex != nil {
 			return i, ex
 		}
 	}
@@ -288,17 +264,17 @@ func (c *CPU) runSteps(ops []step, i int) (int, *Exit) {
 // errDiv0 sentinel, formatted here with the faulting IP). It returns the
 // instructions retired and the fault, nil for a deopt.
 func (c *CPU) blockStop(blk *cblock, i int, entryIP uint64, pending *uint64, ex *Exit) (uint64, *Exit) {
-	var before stepMeta // cum through step i-1
+	var before uint16 // cum through step i-1
 	if i > 0 {
-		before = blk.meta[i-1]
+		before = blk.ops[i-1].cum
 	}
 	done := uint64(i)
 	c.Retired += done
-	c.IP = entryIP + uint64(int64(blk.meta[i].off))
+	c.IP = entryIP + uint64(int64(blk.ops[i].off))
 	if ex == errDeopt {
 		// The step did not execute: roll back its cost too and let the
 		// dispatch loop re-execute it via Step.
-		*pending -= uint64(blk.total) - uint64(before.cum)
+		*pending -= uint64(blk.total) - uint64(before)
 		c.Stats.BlockDeopts++
 		c.tier(true, entryIP)
 		return done, nil
@@ -306,147 +282,24 @@ func (c *CPU) blockStop(blk *cblock, i int, entryIP uint64, pending *uint64, ex 
 	if ex == errDiv0 {
 		ex = c.fault("divide by zero at %#x", c.IP)
 	}
-	*pending -= uint64(blk.total) - uint64(blk.meta[i].cum)
+	*pending -= uint64(blk.total) - uint64(blk.ops[i].cum)
 	return done, ex
 }
 
-// fastLoad64/fastStore64 are the long-mode word-access fast paths — a
-// data-TLB hit, in bounds and, for a store, onto armed pages (barrier.go)
-// — and fastLoadFlat/fastStore32/fastStore16 their flat-mode counterparts,
-// where translating an address already masked to the mode's width is the
-// identity once protected mode has its GDT. All are small enough that the
-// compiler inlines them into each compiled closure, so the common case
-// pays no call at all; on a miss the caller falls back to loadWord or
-// storeSlow, which recompute the (uncharged) translation and produce
-// identical cycle charges and fault messages.
-func (c *CPU) fastLoad64(va uint64) (uint64, bool) {
-	if c.dtlbOK && c.dtlbPage == va>>21 {
-		if p := c.dtlbBase | (va & 0x1F_FFFF); p+8 <= uint64(len(c.Mem)) {
-			c.Clock.Advance(cycles.MemAccess)
-			return binary.LittleEndian.Uint64(c.Mem[p : p+8]), true
-		}
-	}
-	return 0, false
-}
-
-func (c *CPU) fastStore64(va, v uint64) bool {
-	if c.dtlbOK && c.dtlbPage == va>>21 {
-		if p := c.dtlbBase | (va & 0x1F_FFFF); p+8 <= uint64(len(c.Mem)) && c.armed(p, 8) {
-			binary.LittleEndian.PutUint64(c.Mem[p:p+8], v)
-			c.Clock.Advance(cycles.MemStore)
-			return true
-		}
-	}
-	return false
-}
-
-func (c *CPU) fastLoadFlat(p uint64, md isa.Mode) (uint64, bool) {
-	w := uint64(md.Width())
-	if (md == isa.Mode32 && c.GDTLimit == 0) || p+w > uint64(len(c.Mem)) {
-		return 0, false
-	}
-	c.Clock.Advance(cycles.MemAccess)
-	return isa.Word(c.Mem[p:p+w], md), true
-}
-
-func (c *CPU) fastStore32(p uint64, v uint32) bool {
-	if c.GDTLimit != 0 && p+4 <= uint64(len(c.Mem)) && c.armed(p, 4) {
-		binary.LittleEndian.PutUint32(c.Mem[p:p+4], v)
-		c.Clock.Advance(cycles.MemStore)
-		return true
-	}
-	return false
-}
-
-func (c *CPU) fastStore16(p uint64, v uint16) bool {
-	if p+2 <= uint64(len(c.Mem)) && c.armed(p, 2) {
-		binary.LittleEndian.PutUint16(c.Mem[p:p+2], v)
-		c.Clock.Advance(cycles.MemStore)
-		return true
-	}
-	return false
-}
-
-// fastAddr is Translate's uncharged, fault-free case for a closure
-// compiled in mode md (the CPU's mode whenever the closure runs) and an
-// address already masked to that mode's width.
-func (c *CPU) fastAddr(va uint64, md isa.Mode) (uint64, bool) {
-	if md == isa.Mode64 {
-		return c.dtlbBase | (va & 0x1F_FFFF), c.dtlbOK && c.dtlbPage == va>>21
-	}
-	return va, md == isa.Mode16 || c.GDTLimit != 0
-}
-
-// storeSlow is every store closure's miss path: the full storeWord, with
-// its translation charges and fault messages, then the self-modification
-// hint — only the barrier's slow path can have unhooked a decoded page.
-func (c *CPU) storeSlow(va, v uint64, md isa.Mode, what string) *Exit {
-	if err := c.storeWord(va, v, md); err != nil {
-		return c.fault("%s%v", what, err)
-	}
-	if c.codeClobbered {
-		return errSMC
-	}
-	return nil
-}
-
-// setArithW/setLogicW are setArith/setLogic with the mode's mask and sign
-// bit supplied by the (compile-time-specialized) caller.
-func (c *CPU) setArithW(res, a, b uint64, sub bool, mask, sign uint64) {
-	r := res & mask
-	c.Flags.ZF = r == 0
-	c.Flags.SF = r&sign != 0
-	if sub {
-		c.Flags.CF = (a & mask) < (b & mask)
-		c.Flags.OF = (a^b)&(a^res)&sign != 0
-	} else {
-		c.Flags.CF = r < (a & mask)
-		c.Flags.OF = ^(a^b)&(a^res)&sign != 0
-	}
-}
-
-// setArith64 is setArithW specialized to 64-bit width: no masking and a
-// constant sign bit, so a Mode64 arithmetic closure carries two fewer
-// captured variables and no masking ALU ops.
-func (c *CPU) setArith64(res, a, b uint64, sub bool) {
-	c.Flags.ZF = res == 0
-	c.Flags.SF = int64(res) < 0
-	if sub {
-		c.Flags.CF = a < b
-		c.Flags.OF = int64((a^b)&(a^res)) < 0
-	} else {
-		c.Flags.CF = res < a
-		c.Flags.OF = int64(^(a^b)&(a^res)) < 0
-	}
-}
-
-func (c *CPU) setLogicW(res uint64, mask, sign uint64) {
-	r := res & mask
-	c.Flags.ZF = r == 0
-	c.Flags.SF = r&sign != 0
-	c.Flags.CF = false
-	c.Flags.OF = false
-}
-
-var stepNop = func(c *CPU) *Exit { return nil }
-
 // compileBlock builds the trace anchored at virtual ip / physical phys:
-// it decodes forward, emitting one closure per instruction, following
-// direct JMP and CALL targets that stay inside the head's 4 KiB page, and
-// speculating the RETs that match followed CALLs. A loop body is
-// compiled once: when a back-edge closes a period that would compile
-// again to the same steps, the period repeats (repeat, below).
-// Compilation stops at a special, a decode stop, the page boundary, an
-// unfollowable control transfer, or the step cap. The closures capture
-// operands and the mode's width/mask — never the CPU, its memory, or
-// absolute step addresses (only branch-target immediates, which are
-// architectural) — so a trace is shareable across every CPU whose page
-// bytes match (which AdoptCode guarantees).
+// it decodes forward, emitting one step per instruction, following direct
+// JMP and CALL targets that stay inside the head's 4 KiB page, and
+// speculating the RETs that match followed CALLs. A loop body is compiled
+// once: when a back-edge closes a period that would compile again to the
+// same steps, the period repeats (repeat, below). Compilation stops at a
+// special, a decode stop, the page boundary, an unfollowable control
+// transfer, or the step cap. A step holds operands and offsets from the
+// trace's entry — never the CPU, its memory, or absolute step addresses
+// (only branch-target immediates, which are architectural) — so a trace
+// is shareable across every CPU whose page bytes match (which AdoptCode
+// guarantees).
 func (c *CPU) compileBlock(ip, phys uint64) *cblock {
 	mode := c.Mode
-	w := uint64(mode.Width())
-	mask := widthMask(mode)
-	sign := signBit(mode)
 	pBase := phys &^ (codePageSize - 1)
 	head := int32(phys - pBase) // the head's page offset
 
@@ -457,7 +310,6 @@ func (c *CPU) compileBlock(ip, phys uint64) *cblock {
 	// them to tell when compiling on would only repeat earlier steps.
 	var (
 		ops         [maxBlockSteps]step
-		meta        [maxBlockSteps]stepMeta
 		depth       [maxBlockSteps]uint8
 		miss        [maxBlockSteps]uint16
 		rets        [maxBlockSteps]int32      // return sites of followed CALLs, innermost last
@@ -467,10 +319,10 @@ func (c *CPU) compileBlock(ip, phys uint64) *cblock {
 		term        bool
 		rel         int32
 	)
-	add := func(fn step, rel, next int32, cost uint8) {
+	add := func(s step, rel, next int32, cost uint8) {
 		total += uint16(cost)
-		ops[nops] = fn
-		meta[nops] = stepMeta{off: int16(rel), offEnd: int16(next), cum: total}
+		s.off, s.offEnd, s.cum = int16(rel), int16(next), total
+		ops[nops] = s
 		nops++
 	}
 	marked := func(o int32) bool { return seen[o>>6]&(1<<(o&63)) != 0 }
@@ -493,11 +345,11 @@ func (c *CPU) compileBlock(ip, phys uint64) *cblock {
 	// return stack is closed over the period — as deep at its end as at
 	// its start and never shallower between — and no backward target the
 	// period found not compiled has been compiled since. Then the period
-	// repeats up to the step cap, sharing its closures and offsets while
-	// cum runs on, and repeat reports that the trace is complete.
+	// repeats up to the step cap, copying its steps and offsets while cum
+	// runs on, and repeat reports that the trace is complete.
 	repeat := func() bool {
 		p := nops - 1 // a marked offset always holds a step
-		for meta[p].off != int16(rel) {
+		for ops[p].off != int16(rel) {
 			p--
 		}
 		if int(depth[p]) != nrets {
@@ -508,18 +360,18 @@ func (c *CPU) compileBlock(ip, phys uint64) *cblock {
 				return false
 			}
 		}
-		var before stepMeta
+		var before uint16
 		if p > 0 {
-			before = meta[p-1]
+			before = ops[p-1].cum
 		}
-		period, pc := nops-p, total-before.cum
+		period, pc := nops-p, total-before
 		for ; nops < maxBlockSteps; nops++ {
-			m := meta[nops-period]
-			m.cum += pc
-			ops[nops], meta[nops] = ops[nops-period], m
+			s := ops[nops-period]
+			s.cum += pc
+			ops[nops] = s
 		}
-		total = meta[nops-1].cum
-		rel = int32(meta[nops-1].offEnd)
+		total = ops[nops-1].cum
+		rel = int32(ops[nops-1].offEnd)
 		return true
 	}
 	// follow resolves a direct branch target to a trace-relative offset,
@@ -552,495 +404,60 @@ compile:
 			break
 		}
 		n := int32(in.Len)
-		if pp+int64(n) > int64(pBase)+codePageSize || specialOp[in.Op] {
+		if pp+int64(n) > int64(pBase)+codePageSize {
 			break
 		}
-		var fn step
+		s, ok := newStep(in, mode)
+		if !ok {
+			break // a special: Step executes it
+		}
 		cost := baseCost(in.Op)
-		dst, src, imm := in.Dst, in.Src, in.Imm
-		addrImm := in.Imm & mask
 
+		// The trace-relative forms. Anything else, an unfollowed
+		// conditional branch included, is newStep's step as it is.
 		switch in.Op {
-		case isa.NOP, isa.CLI, isa.STI:
-			fn = stepNop
-
-		case isa.MOVI:
-			v := imm & mask
-			fn = func(c *CPU) *Exit { c.Regs[dst] = v; return nil }
-		case isa.MOV:
-			if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit { c.Regs[dst] = c.Regs[src]; return nil }
-				break
-			}
-			fn = func(c *CPU) *Exit { c.Regs[dst] = c.Regs[src] & mask; return nil }
-
-		case isa.LOAD:
-			if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit {
-					va := c.Regs[src] + imm
-					if v, ok := c.fastLoad64(va); ok {
-						c.Regs[dst] = v
-						return nil
-					}
-					v, err := c.loadWord(va, isa.Mode64)
-					if err != nil {
-						return c.fault("%v", err)
-					}
-					c.Regs[dst] = v
-					return nil
-				}
-				break
-			}
-			md := mode
-			fn = func(c *CPU) *Exit {
-				va := (c.Regs[src]&mask + imm) & mask
-				v, ok := c.fastLoadFlat(va, md)
-				if !ok {
-					var err error
-					if v, err = c.loadWord(va, md); err != nil {
-						return c.fault("%v", err)
-					}
-				}
-				c.Regs[dst] = v & mask
-				return nil
-			}
-		case isa.STORE:
-			if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit {
-					va := c.Regs[dst] + imm
-					if c.fastStore64(va, c.Regs[src]) {
-						return nil
-					}
-					return c.storeSlow(va, c.Regs[src], isa.Mode64, "")
-				}
-				break
-			}
-			if mode == isa.Mode32 {
-				fn = func(c *CPU) *Exit {
-					// The ident-map latch may be unset on a CPU that
-					// adopted this trace: deopt to Step, which records
-					// the milestone.
-					if !c.sawStore32 {
-						return errDeopt
-					}
-					va := (c.Regs[dst] + imm) & mask
-					if c.fastStore32(va, uint32(c.Regs[src])) {
-						return nil
-					}
-					return c.storeSlow(va, c.Regs[src]&mask, isa.Mode32, "")
-				}
-				break
-			}
-			fn = func(c *CPU) *Exit {
-				va := (c.Regs[dst] + imm) & mask
-				if c.fastStore16(va, uint16(c.Regs[src])) {
-					return nil
-				}
-				return c.storeSlow(va, c.Regs[src]&mask, isa.Mode16, "")
-			}
-		case isa.LOADB:
-			md := mode
-			fn = func(c *CPU) *Exit {
-				va := (c.Regs[src]&mask + imm) & mask
-				p, ok := c.fastAddr(va, md)
-				if !ok {
-					var err error
-					if p, err = c.Translate(va, false); err != nil {
-						return c.fault("%v", err)
-					}
-				}
-				if p >= uint64(len(c.Mem)) {
-					return c.fault("byte load beyond memory at %#x", p)
-				}
-				c.Clock.Advance(cycles.MemAccess)
-				c.Regs[dst] = uint64(c.Mem[p])
-				return nil
-			}
-		case isa.STOREB:
-			md := mode
-			fn = func(c *CPU) *Exit {
-				va := (c.Regs[dst]&mask + imm) & mask
-				p, ok := c.fastAddr(va, md)
-				if !ok {
-					var err error
-					if p, err = c.Translate(va, true); err != nil {
-						return c.fault("%v", err)
-					}
-				}
-				if p >= uint64(len(c.Mem)) {
-					return c.fault("byte store beyond memory at %#x", p)
-				}
-				c.Clock.Advance(cycles.MemStore)
-				c.Mem[p] = byte(c.Regs[src] & mask)
-				if !c.armed(p, 1) {
-					c.StoreBarrier(p, 1)
-					if c.codeClobbered {
-						return errSMC
-					}
-				}
-				return nil
-			}
-
-		case isa.ADD:
-			if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit {
-					a, b := c.Regs[dst], c.Regs[src]
-					r := a + b
-					c.setArith64(r, a, b, false)
-					c.Regs[dst] = r
-					return nil
-				}
-				break
-			}
-			fn = func(c *CPU) *Exit {
-				a, b := c.Regs[dst]&mask, c.Regs[src]&mask
-				r := a + b
-				c.setArithW(r, a, b, false, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.ADDI:
-			if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit {
-					a := c.Regs[dst]
-					r := a + imm
-					c.setArith64(r, a, imm, false)
-					c.Regs[dst] = r
-					return nil
-				}
-				break
-			}
-			fn = func(c *CPU) *Exit {
-				a := c.Regs[dst] & mask
-				r := a + imm
-				c.setArithW(r, a, imm, false, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.SUB:
-			if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit {
-					a, b := c.Regs[dst], c.Regs[src]
-					r := a - b
-					c.setArith64(r, a, b, true)
-					c.Regs[dst] = r
-					return nil
-				}
-				break
-			}
-			fn = func(c *CPU) *Exit {
-				a, b := c.Regs[dst]&mask, c.Regs[src]&mask
-				r := a - b
-				c.setArithW(r, a, b, true, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.SUBI:
-			if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit {
-					a := c.Regs[dst]
-					r := a - imm
-					c.setArith64(r, a, imm, true)
-					c.Regs[dst] = r
-					return nil
-				}
-				break
-			}
-			fn = func(c *CPU) *Exit {
-				a := c.Regs[dst] & mask
-				r := a - imm
-				c.setArithW(r, a, imm, true, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.MUL:
-			fn = func(c *CPU) *Exit {
-				r := (c.Regs[dst] & mask) * (c.Regs[src] & mask)
-				c.setLogicW(r, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.DIV, isa.MOD:
-			div := in.Op == isa.DIV
-			md := mode
-			fn = func(c *CPU) *Exit {
-				a := signedAt(c.Regs[dst]&mask, md)
-				b := signedAt(c.Regs[src]&mask, md)
-				if b == 0 {
-					return errDiv0
-				}
-				var r int64
-				if div {
-					r = a / b
-				} else {
-					r = a % b
-				}
-				c.setLogicW(uint64(r), mask, sign)
-				c.Regs[dst] = uint64(r) & mask
-				return nil
-			}
-		case isa.AND:
-			fn = func(c *CPU) *Exit {
-				r := c.Regs[dst] & mask & (c.Regs[src] & mask)
-				c.setLogicW(r, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.ANDI:
-			fn = func(c *CPU) *Exit {
-				r := (c.Regs[dst] & mask) & imm
-				c.setLogicW(r, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.OR:
-			fn = func(c *CPU) *Exit {
-				r := (c.Regs[dst] & mask) | (c.Regs[src] & mask)
-				c.setLogicW(r, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.ORI:
-			fn = func(c *CPU) *Exit {
-				r := (c.Regs[dst] & mask) | imm
-				c.setLogicW(r, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.XOR:
-			fn = func(c *CPU) *Exit {
-				r := (c.Regs[dst] & mask) ^ (c.Regs[src] & mask)
-				c.setLogicW(r, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.SHLV:
-			fn = func(c *CPU) *Exit {
-				r := (c.Regs[dst] & mask) << (c.Regs[src] & mask & 63)
-				c.setLogicW(r, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.SHRV:
-			fn = func(c *CPU) *Exit {
-				r := (c.Regs[dst] & mask) >> (c.Regs[src] & mask & 63)
-				c.setLogicW(r, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.SARV:
-			md := mode
-			fn = func(c *CPU) *Exit {
-				r := uint64(signedAt(c.Regs[dst]&mask, md) >> (c.Regs[src] & mask & 63))
-				c.setLogicW(r, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.SHL:
-			sh := imm & 63
-			fn = func(c *CPU) *Exit {
-				r := (c.Regs[dst] & mask) << sh
-				c.setLogicW(r, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.SHR:
-			sh := imm & 63
-			fn = func(c *CPU) *Exit {
-				r := (c.Regs[dst] & mask) >> sh
-				c.setLogicW(r, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.SAR:
-			sh := imm & 63
-			md := mode
-			fn = func(c *CPU) *Exit {
-				r := uint64(signedAt(c.Regs[dst]&mask, md) >> sh)
-				c.setLogicW(r, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.NEG:
-			fn = func(c *CPU) *Exit {
-				a := c.Regs[dst] & mask
-				r := -a
-				c.setArithW(r, 0, a, true, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.NOT:
-			fn = func(c *CPU) *Exit {
-				c.Regs[dst] = ^(c.Regs[dst] & mask) & mask
-				return nil
-			}
-		case isa.INC:
-			if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit {
-					a := c.Regs[dst]
-					r := a + 1
-					c.setArith64(r, a, 1, false)
-					c.Regs[dst] = r
-					return nil
-				}
-				break
-			}
-			fn = func(c *CPU) *Exit {
-				a := c.Regs[dst] & mask
-				r := a + 1
-				c.setArithW(r, a, 1, false, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.DEC:
-			if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit {
-					a := c.Regs[dst]
-					r := a - 1
-					c.setArith64(r, a, 1, true)
-					c.Regs[dst] = r
-					return nil
-				}
-				break
-			}
-			fn = func(c *CPU) *Exit {
-				a := c.Regs[dst] & mask
-				r := a - 1
-				c.setArithW(r, a, 1, true, mask, sign)
-				c.Regs[dst] = r & mask
-				return nil
-			}
-		case isa.CMP:
-			if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit {
-					a, b := c.Regs[dst], c.Regs[src]
-					c.setArith64(a-b, a, b, true)
-					return nil
-				}
-				break
-			}
-			fn = func(c *CPU) *Exit {
-				a, b := c.Regs[dst]&mask, c.Regs[src]&mask
-				c.setArithW(a-b, a, b, true, mask, sign)
-				return nil
-			}
-		case isa.CMPI:
-			if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit {
-					a := c.Regs[dst]
-					c.setArith64(a-imm, a, imm, true)
-					return nil
-				}
-				break
-			}
-			fn = func(c *CPU) *Exit {
-				a := c.Regs[dst] & mask
-				c.setArithW(a-imm, a, imm, true, mask, sign)
-				return nil
-			}
-
 		case isa.JMP:
-			if r2, ok := follow(addrImm); ok {
-				add(stepNop, rel, r2, cost)
+			if r2, ok := follow(s.imm); ok {
+				add(step{fn: opNop}, rel, r2, cost)
 				rel = r2
 				if marked(head+r2) && repeat() {
 					break compile
 				}
 				continue
 			}
-			t := addrImm
-			fn = func(c *CPU) *Exit { c.IP = t; return nil }
 			term = true
-			add(fn, rel, rel+n, cost)
+			add(s, rel, rel+n, cost)
 			break compile
 		case isa.JZ, isa.JNZ, isa.JL, isa.JG, isa.JLE, isa.JGE, isa.JB, isa.JAE:
 			// Conditional branches never terminate a trace: one arm is
 			// compiled inline, the other is a side exit. A backward
 			// in-page taken arm (loop, recursion spine) is the one
 			// followed; otherwise the fall-through is.
-			jop := in.Op
-			t := addrImm
-			if r2, ok := follow(t); ok && backEdge(rel, r2) {
-				fall := uint64(int64(rel + n))
-				fn = func(c *CPU) *Exit {
-					if !jccTaken(jop, &c.Flags) {
-						c.IP = c.blockEntry + fall
-						return errSide
-					}
-					return nil
-				}
-				add(fn, rel, r2, cost)
+			if r2, ok := follow(s.imm); ok && backEdge(rel, r2) {
+				s.fn = opJccLoop
+				add(s, rel, r2, cost)
 				rel = r2
 				if repeat() {
 					break compile
 				}
 				continue
 			}
-			fn = func(c *CPU) *Exit {
-				if jccTaken(jop, &c.Flags) {
-					c.IP = t
-					return errSide
-				}
-				return nil
-			}
-			add(fn, rel, rel+n, cost)
-			rel += n
-			continue
 		case isa.CALL:
-			t := addrImm
-			retRel := rel + n
-			exp := uint64(int64(retRel))
-			if r2, ok := follow(t); ok {
+			if r2, ok := follow(s.imm); ok {
 				// Followed call: push the return address architecturally
 				// and continue compiling at the callee.
+				s.fn = opCallInW
 				if mode == isa.Mode64 {
-					fn = func(c *CPU) *Exit {
-						sp := c.Regs[isa.RSP] - 8
-						c.Regs[isa.RSP] = sp
-						if c.fastStore64(sp, c.blockEntry+exp) {
-							return nil
-						}
-						return c.storeSlow(sp, c.blockEntry+exp, isa.Mode64, "call push: ")
-					}
-				} else {
-					md := mode
-					fn = func(c *CPU) *Exit {
-						c.Regs[isa.RSP] -= w
-						return c.storeSlow(c.Regs[isa.RSP], c.blockEntry+exp, md, "call push: ")
-					}
+					s.fn = opCallIn64
 				}
-				add(fn, rel, r2, cost)
-				rets[nrets] = retRel
+				add(s, rel, r2, cost)
+				rets[nrets] = rel + n
 				nrets++
 				rel = r2
 				continue
 			}
-			if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit {
-					sp := c.Regs[isa.RSP] - 8
-					c.Regs[isa.RSP] = sp
-					var ex *Exit
-					if !c.fastStore64(sp, c.blockEntry+exp) {
-						ex = c.storeSlow(sp, c.blockEntry+exp, isa.Mode64, "call push: ")
-					}
-					if ex == nil || ex == errSMC {
-						c.IP = t
-					}
-					return ex
-				}
-			} else {
-				md := mode
-				fn = func(c *CPU) *Exit {
-					c.Regs[isa.RSP] -= w
-					ex := c.storeSlow(c.Regs[isa.RSP], c.blockEntry+exp, md, "call push: ")
-					if ex == nil || ex == errSMC {
-						c.IP = t
-					}
-					return ex
-				}
-			}
 			term = true
-			add(fn, rel, retRel, cost)
+			add(s, rel, rel+n, cost)
 			break compile
 		case isa.RET:
 			if nrets > 0 {
@@ -1049,124 +466,19 @@ compile:
 				// mismatch (the guest rewrote its stack) side-exits with
 				// the popped address — exactly the architectural result.
 				nrets--
-				retRel := rets[nrets]
-				exp := uint64(int64(retRel))
+				s.fn = opRetSpecW
 				if mode == isa.Mode64 {
-					fn = func(c *CPU) *Exit {
-						sp := c.Regs[isa.RSP]
-						v, ok := c.fastLoad64(sp)
-						if !ok {
-							var err error
-							if v, err = c.loadWord(sp, isa.Mode64); err != nil {
-								return c.fault("ret pop: %v", err)
-							}
-						}
-						c.Regs[isa.RSP] = sp + 8
-						if v != c.blockEntry+exp {
-							c.IP = v
-							return errSide
-						}
-						return nil
-					}
-				} else {
-					md := mode
-					fn = func(c *CPU) *Exit {
-						v, err := c.loadWord(c.Regs[isa.RSP], md)
-						if err != nil {
-							return c.fault("ret pop: %v", err)
-						}
-						c.Regs[isa.RSP] += w
-						if v&mask != c.blockEntry+exp {
-							c.IP = v & mask
-							return errSide
-						}
-						return nil
-					}
+					s.fn = opRetSpec64
 				}
-				add(fn, rel, retRel, cost)
-				rel = retRel
+				add(s, rel, rets[nrets], cost)
+				rel = rets[nrets]
 				continue
 			}
-			if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit {
-					sp := c.Regs[isa.RSP]
-					v, ok := c.fastLoad64(sp)
-					if !ok {
-						var err error
-						if v, err = c.loadWord(sp, isa.Mode64); err != nil {
-							return c.fault("ret pop: %v", err)
-						}
-					}
-					c.Regs[isa.RSP] = sp + 8
-					c.IP = v
-					return nil
-				}
-			} else {
-				md := mode
-				fn = func(c *CPU) *Exit {
-					v, err := c.loadWord(c.Regs[isa.RSP], md)
-					if err != nil {
-						return c.fault("ret pop: %v", err)
-					}
-					c.Regs[isa.RSP] += w
-					c.IP = v & mask
-					return nil
-				}
-			}
 			term = true
-			add(fn, rel, rel+n, cost)
-			break compile
-		case isa.PUSH:
-			if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit {
-					sp := c.Regs[isa.RSP] - 8
-					c.Regs[isa.RSP] = sp
-					if c.fastStore64(sp, c.Regs[dst]) {
-						return nil
-					}
-					return c.storeSlow(sp, c.Regs[dst], isa.Mode64, "push: ")
-				}
-			} else {
-				md := mode
-				fn = func(c *CPU) *Exit {
-					c.Regs[isa.RSP] -= w
-					return c.storeSlow(c.Regs[isa.RSP], c.Regs[dst]&mask, md, "push: ")
-				}
-			}
-		case isa.POP:
-			if mode == isa.Mode64 {
-				fn = func(c *CPU) *Exit {
-					sp := c.Regs[isa.RSP]
-					v, ok := c.fastLoad64(sp)
-					if !ok {
-						var err error
-						if v, err = c.loadWord(sp, isa.Mode64); err != nil {
-							return c.fault("pop: %v", err)
-						}
-					}
-					c.Regs[isa.RSP] = sp + 8
-					c.Regs[dst] = v
-					return nil
-				}
-			} else {
-				md := mode
-				fn = func(c *CPU) *Exit {
-					v, err := c.loadWord(c.Regs[isa.RSP], md)
-					if err != nil {
-						return c.fault("pop: %v", err)
-					}
-					c.Regs[isa.RSP] += w
-					c.Regs[dst] = v & mask
-					return nil
-				}
-			}
-
-		default:
-			// Unknown op: stop the trace; the dispatch loop faults on it
-			// with the legacy message.
+			add(s, rel, rel+n, cost)
 			break compile
 		}
-		add(fn, rel, rel+n, cost)
+		add(s, rel, rel+n, cost)
 		rel += n
 	}
 	if nops == 0 {
@@ -1176,10 +488,55 @@ compile:
 	// loop stopped without a terminator (step cap, decode stop, page
 	// boundary, special): that is where a completed trace resumes.
 	blk := &cblock{
-		ops: make([]step, nops), meta: make([]stepMeta, nops),
+		ops:    make([]step, nops),
 		anchor: ip, end: rel, term: term, total: uint32(total),
 	}
 	copy(blk.ops, ops[:nops])
-	copy(blk.meta, meta[:nops])
 	return blk
+}
+
+// The trace-relative step forms: each reads the offset of an address in
+// its trace from the trace's entry, blockEntry.
+
+// opJccLoop is a loop's back-edge: the taken arm is the trace's next step,
+// and falling through leaves the trace.
+func opJccLoop(c *CPU, s *step) *Exit {
+	if !jccTaken(isa.Op(s.dst), &c.Flags) {
+		c.IP = c.after(s, c.Mode)
+		return errSide
+	}
+	return nil
+}
+
+// opRetSpec64 and opRetSpecW are a speculated return: the popped address
+// should be the return site, the step's successor in trace order.
+func opRetSpec64(c *CPU, s *step) *Exit {
+	sp := c.Regs[isa.RSP]
+	v, ok := c.fastLoad64(sp)
+	if !ok {
+		var ex *Exit
+		if v, ex = c.loadSlow(sp, isa.Mode64, "ret pop: "); ex != nil {
+			return ex
+		}
+	}
+	c.Regs[isa.RSP] = sp + 8
+	if v != c.blockEntry+uint64(int64(s.offEnd)) {
+		c.IP = v
+		return errSide
+	}
+	return nil
+}
+
+func opRetSpecW(c *CPU, s *step) *Exit {
+	md := c.Mode
+	v, ex := c.loadSlow(c.Regs[isa.RSP], md, "ret pop: ")
+	if ex != nil {
+		return ex
+	}
+	c.Regs[isa.RSP] += uint64(md.Width())
+	if v &= widthMask(md); v != c.blockEntry+uint64(int64(s.offEnd)) {
+		c.IP = v
+		return errSide
+	}
+	return nil
 }

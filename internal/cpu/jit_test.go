@@ -12,7 +12,7 @@ import (
 
 // fibSrc is the recursive-fib microbenchmark: call-heavy, so it
 // exercises the trace compiler's followed calls, speculated returns and
-// push/pop closures.
+// push/pop steps.
 const fibSrc = `
 .bits 64
 	movi rdi, 15
@@ -425,7 +425,7 @@ TAIL
 			stop, found := p.Labels["vx_stop"], 0
 			for _, s := range jit.bcache {
 				for k := 0; s.blk != nil && k < len(s.blk.ops); k++ {
-					if s.blk.anchor+uint64(int64(s.blk.meta[k].off)) != stop {
+					if s.blk.anchor+uint64(int64(s.blk.ops[k].off)) != stop {
 						continue
 					}
 					found++
@@ -442,10 +442,10 @@ TAIL
 }
 
 // BenchmarkTraceOps times trace dispatch on straight-line code: a counted
-// loop over 60 instructions of one kind and its own dec and jnz, one
-// closure each, and a MOVI variant whose iterations leave the trace by
-// three taken forward branches. The closures row is the floor: 60
-// one-line closures called from a bare Go loop.
+// loop over 60 instructions of one kind and its own dec and jnz, one step
+// each, and a MOVI variant whose iterations leave the trace by three taken
+// forward branches. The steps row is the floor: 60 MOVI steps called from
+// a bare Go loop.
 func BenchmarkTraceOps(b *testing.B) {
 	regs := []string{"rax", "rdx", "rsi", "rdi", "r8", "r9", "r10", "r11"}
 	movi := func(k int) string { return fmt.Sprintf("movi %s, %d", regs[k%8], k) }
@@ -498,11 +498,10 @@ func BenchmarkTraceOps(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(per), "ns/instr")
 		})
 	}
-	b.Run("closures", func(b *testing.B) {
+	b.Run("steps", func(b *testing.B) {
 		ops := make([]step, 60)
 		for k := range ops {
-			r, v := isa.Reg(k%8), uint64(k)
-			ops[k] = func(c *CPU) *Exit { c.Regs[r] = v; return nil }
+			ops[k] = step{fn: opMovi, imm: uint64(k), dst: isa.Reg(k % 8)}
 		}
 		c := New(make([]byte, 4096), cycles.NewClock(), 0)
 		for i := 0; i < b.N; i++ {
@@ -512,13 +511,13 @@ func BenchmarkTraceOps(b *testing.B) {
 	})
 }
 
-// callAll is BenchmarkTraceOps's floor: nothing but the closure calls.
+// callAll is BenchmarkTraceOps's floor: nothing but the step calls.
 //
 //go:noinline
 func callAll(c *CPU, ops []step) {
-	for _, op := range ops {
-		if op(c) != nil {
-			panic("closure failed")
+	for i := range ops {
+		if s := &ops[i]; s.fn(c, s) != nil {
+			panic("step failed")
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"testing"
 
 	"repro/internal/asm"
@@ -33,10 +34,10 @@ func traceShape(c *CPU) string {
 			put(int64(e.key))
 			put(int64(blk.anchor))
 			put(int64(len(blk.ops)))
-			for _, m := range blk.meta {
-				put(int64(m.off))
-				put(int64(m.offEnd))
-				put(int64(m.cum))
+			for _, s := range blk.ops {
+				put(int64(s.off))
+				put(int64(s.offEnd))
+				put(int64(s.cum))
 			}
 			put(int64(blk.end))
 			put(int64(blk.total))
@@ -177,13 +178,11 @@ func compileAt(t *testing.T, src, label string) (*CPU, uint64) {
 }
 
 // A loop trace compiles its body once. The counted loop's 96 steps are its
-// four-step period (add, addi, dec, jnz) 24 times, each repeat at the
-// first period's offsets with the cost running on, and the compile
-// allocates the cblock, its ops and meta and one closure per body step —
-// nothing per repeated step; so does a loop closed by a JMP (whose step
-// needs no closure). A period with
-// an open call is compiled step by step instead: one closure for every
-// step.
+// four-step period (add, addi, dec, jnz) 24 times, each repeat a copy of
+// the first period's step at its offsets with the cost running on. A
+// compile allocates the cblock and its steps and nothing per step,
+// whether the loop repeats a period, closes with a JMP or, with an open
+// call, is compiled step by step.
 func TestLoopTraceRepeats(t *testing.T) {
 	c, at := compileAt(t, countedLoopSrc, "loop")
 	blk := c.compileBlock(at, at)
@@ -191,27 +190,26 @@ func TestLoopTraceRepeats(t *testing.T) {
 		t.Fatalf("the loop trace has %d steps, want %d", len(blk.ops), maxBlockSteps)
 	}
 	const period = 4
-	first := blk.meta[period-1]
-	for k := period; k < len(blk.meta); k++ {
-		m, p := blk.meta[k], blk.meta[k-period]
-		if m.off != p.off || m.offEnd != p.offEnd || m.cum != p.cum+first.cum {
-			t.Fatalf("step %d %+v does not repeat step %d %+v", k, m, k-period, p)
+	first := blk.ops[period-1].cum
+	for k := period; k < len(blk.ops); k++ {
+		s, p := blk.ops[k], blk.ops[k-period]
+		if reflect.ValueOf(s.fn).Pointer() != reflect.ValueOf(p.fn).Pointer() ||
+			s.imm != p.imm || s.dst != p.dst || s.src != p.src ||
+			s.off != p.off || s.offEnd != p.offEnd || s.cum != p.cum+first {
+			t.Fatalf("step %d %+v does not repeat step %d %+v", k, s, k-period, p)
 		}
 	}
-	if blk.end != 0 || blk.term || blk.total != uint32(blk.meta[maxBlockSteps-1].cum) {
+	if blk.end != 0 || blk.term || blk.total != uint32(blk.ops[maxBlockSteps-1].cum) {
 		t.Fatalf("end %d, term %v, total %d", blk.end, blk.term, blk.total)
 	}
-	if n := testing.AllocsPerRun(20, func() { c.compileBlock(at, at) }); n != 3+period {
-		t.Errorf("compiling the counted loop makes %v allocations, want %d", n, 3+period)
-	}
-
-	c, at = compileAt(t, jmpLoopSrc, "loop")
-	if n := testing.AllocsPerRun(20, func() { c.compileBlock(at, at) }); n != 3+3 {
-		t.Errorf("compiling the JMP-closed loop makes %v allocations, want %d", n, 3+3)
-	}
-
-	c, at = compileAt(t, openCallSrc, "top")
-	if n := testing.AllocsPerRun(20, func() { c.compileBlock(at, at) }); n != 3+maxBlockSteps {
-		t.Errorf("compiling the open-call loop makes %v allocations, want %d", n, 3+maxBlockSteps)
+	for _, tc := range []struct{ name, src, label string }{
+		{"counted loop", countedLoopSrc, "loop"},
+		{"JMP-closed loop", jmpLoopSrc, "loop"},
+		{"open-call loop", openCallSrc, "top"},
+	} {
+		c, at := compileAt(t, tc.src, tc.label)
+		if n := testing.AllocsPerRun(20, func() { c.compileBlock(at, at) }); n != 2 {
+			t.Errorf("compiling the %s makes %v allocations, want 2", tc.name, n)
+		}
 	}
 }

@@ -85,12 +85,13 @@ func firstServe(tb testing.TB, before func()) {
 
 // TestFirstServeAllocs gates a fresh image's first request through
 // FileServer.Serve at the allocations it makes now (the compile of the
-// server itself not counted). Most are the trace compiler's.
+// server itself not counted). Compiling a trace makes two of them, its
+// cblock and its step array.
 func TestFirstServeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const limit, runs = 2127, 10
+	const limit, runs = 312, 10
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats
 	var mallocs uint64

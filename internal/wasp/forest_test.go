@@ -270,9 +270,10 @@ jt_next:
 // one page: tenant 0x2003's argument page equals the boot's PML4 page,
 // so 9,999 clones add 9,998 pages. At 1k and at 10k tenants the test
 // pins the store's held bytes and its new pages, and requires the forest
-// to hold at least 18x fewer bytes than one deep copy per tenant would,
-// and to verify clean. A clone's page holds its argument, one or two
-// non-zero bytes, so the store grows by about 2 B per clone.
+// to hold at least 18x fewer pages than one deep copy per tenant would
+// (counted at 4 KiB a page, so one more page per clone fails it), and to
+// verify clean. A clone's page holds its argument, one or two non-zero
+// bytes, so the store grows by about 2 B per clone.
 func TestForestTenantScaling(t *testing.T) {
 	// The store pages the clones added, by tenant count.
 	pagePins := map[int]int{1_000: 999, 10_000: 9_998}
@@ -309,7 +310,7 @@ func TestForestTenantScaling(t *testing.T) {
 			}
 			st := w.ForestStats()
 			clones, grown, hashed := n-1, st.StoreBytes-store0, be.pages.hashed.Load()-hashed0
-			dedup := float64(deepCopy) * float64(n) / float64(st.StoreBytes)
+			dedup := float64(deepCopy) * float64(n) / float64(st.StorePages*vmm.PageSize)
 			t.Logf("%s x%d: store %d B in %d pages, %.1f B and %.2f page hashes per clone, dedup %.1fx",
 				c.name, n, st.StoreBytes, st.StorePages, float64(grown)/float64(clones), float64(hashed)/float64(clones), dedup)
 			if st.Snapshots != n || st.DeltaSnapshots != clones || st.DeltaPages != clones || hashed != uint64(clones) {

@@ -512,9 +512,9 @@ type CodeStats struct {
 	// against warm content leaves both unchanged.
 	Entries int
 	Merges  uint64
-	// BlocksCompiled, BlockHits and BlockDeopts track the compiled
-	// closure-trace tier, aggregated across all runs (and all pooled
-	// contexts) of this Wasp. Fused always reads 0: the superinstruction
+	// BlocksCompiled, BlockHits and BlockDeopts track the compiled-trace
+	// tier, aggregated across all runs (and all pooled contexts) of this
+	// Wasp. Fused always reads 0: the superinstruction
 	// tier it counted is gone, and the field stays only because the
 	// benchmark harness still publishes it as cpu.fused_entries.
 	Fused          uint64
