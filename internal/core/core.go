@@ -14,12 +14,13 @@
 //	        return fib(n - 1) + fib(n - 2);
 //	    }`)
 //	fib := fns["fib"]
-//	v, _ := fib.Call(20) // runs in an isolated virtual context
+//	v, _, _ := fib.CallOn(cycles.NewClock(), 20) // runs in an isolated virtual context
 //
-// Every invocation provisions (or reuses, §5.2) a hardware virtual
-// context, marshals the arguments into the virtine's address space,
-// executes the packaged image under the compiled hypercall policy, and
-// returns the unmarshalled result.
+// Each call advances the virtual clock its caller passes and returns the
+// run's Result beside the value. Every invocation provisions (or reuses,
+// §5.2) a hardware virtual context, marshals the arguments into the
+// virtine's address space, executes the packaged image under the
+// compiled hypercall policy, and returns the unmarshalled result.
 package core
 
 import (
@@ -41,12 +42,7 @@ import (
 type Client struct {
 	W *wasp.Wasp
 
-	mu    sync.Mutex // guards the shared clock across synchronous Calls
-	clock *cycles.Clock
-
-	// schedMu guards lazy scheduler creation separately from mu: mu is
-	// held across whole synchronous runs, and an async submission must
-	// not block behind one.
+	// schedMu guards lazy scheduler creation and Close.
 	schedMu sync.Mutex
 	sched   *sched.Scheduler
 	serials []*sched.Scheduler
@@ -56,7 +52,7 @@ type Client struct {
 // NewClient returns a Client with the default Wasp configuration
 // (pooling + snapshotting on, synchronous cleaning).
 func NewClient(opts ...wasp.Option) *Client {
-	return &Client{W: wasp.New(opts...), clock: cycles.NewClock()}
+	return &Client{W: wasp.New(opts...)}
 }
 
 // Scheduler returns the client's dispatch substrate, creating it on
@@ -89,7 +85,7 @@ func (c *Client) newSerial() *sched.Scheduler {
 }
 
 // Close drains and stops the client's schedulers. The client remains
-// usable for synchronous Calls; asynchronous submissions — outstanding
+// usable for synchronous CallOns; asynchronous submissions — outstanding
 // or later — fail with sched.ErrClosed. The closed schedulers stay in
 // place so every Func observes the same closed state.
 func (c *Client) Close() {
@@ -168,16 +164,10 @@ func (f *Func) serialSched() *sched.Scheduler {
 	return f.serial
 }
 
-// Call invokes the virtine synchronously with int64 arguments — from the
-// caller's perspective it looks like a normal function call (§2). It uses
-// the client's shared clock.
-func (f *Func) Call(args ...int64) (int64, error) {
-	v, _, err := f.CallOn(f.client.clock, args...)
-	return v, err
-}
-
-// CallOn invokes the virtine advancing the supplied clock and returns the
-// full run result alongside the unmarshalled return value.
+// CallOn invokes the virtine synchronously with int64 arguments — from
+// the caller's perspective a normal function call (§2) — advancing the
+// supplied clock, and returns the full run result alongside the
+// unmarshalled return value.
 func (f *Func) CallOn(clk *cycles.Clock, args ...int64) (int64, *wasp.Result, error) {
 	if f.NArgs != 0 && len(args) != f.NArgs {
 		return 0, nil, fmt.Errorf("core: %s wants %d args, got %d", f.Name, f.NArgs, len(args))
@@ -209,8 +199,6 @@ func (f *Func) callBlob(clk *cycles.Clock, blob []byte) (int64, *wasp.Result, er
 		defer f.envMu.Unlock()
 		env.ResetRun()
 	}
-	f.client.mu.Lock()
-	defer f.client.mu.Unlock()
 	res, err := f.client.W.Run(f.Image, wasp.RunConfig{
 		Policy:   f.Policy,
 		Env:      env,

@@ -25,7 +25,7 @@ func TestQuickstartFib(t *testing.T) {
 	if fib == nil {
 		t.Fatal("fib not compiled")
 	}
-	got, err := fib.Call(15)
+	got, _, err := fib.CallOn(cycles.NewClock(), 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSnapshotDisable(t *testing.T) {
 func TestArgCountChecked(t *testing.T) {
 	client := NewClient()
 	fns, _ := client.CompileC(fibSrc)
-	if _, err := fns["fib"].Call(1, 2); err == nil {
+	if _, _, err := fns["fib"].CallOn(cycles.NewClock(), 1, 2); err == nil {
 		t.Fatal("wrong arity accepted")
 	}
 }
@@ -95,8 +95,8 @@ virtine int square(int n) { return n * n; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := fns["double_"].Call(21)
-	s, _ := fns["square"].Call(9)
+	d, _, _ := fns["double_"].CallOn(cycles.NewClock(), 21)
+	s, _, _ := fns["square"].CallOn(cycles.NewClock(), 9)
 	if d != 42 || s != 81 {
 		t.Fatalf("double_=%d square=%d", d, s)
 	}
@@ -129,7 +129,7 @@ virtine int sneaky(int n) { puts("x"); return n; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = fns["sneaky"].Call(1)
+	_, _, err = fns["sneaky"].CallOn(cycles.NewClock(), 1)
 	if err == nil || !strings.Contains(err.Error(), "denied") {
 		t.Fatalf("err = %v", err)
 	}

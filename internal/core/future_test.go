@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/cycles"
 )
 
 func TestAsyncVirtine(t *testing.T) {
@@ -107,9 +109,9 @@ func TestGoAfterCloseFailsConsistently(t *testing.T) {
 	if _, _, err := fns2["fib"].Go(10).Wait(); err == nil {
 		t.Fatal("Go on never-started scheduler after Close succeeded")
 	}
-	// Synchronous Calls keep working on a closed client.
-	if v, err := fib.Call(10); err != nil || v != 55 {
-		t.Fatalf("Call after Close = %d, %v", v, err)
+	// Synchronous calls keep working on a closed client.
+	if v, _, err := fib.CallOn(cycles.NewClock(), 10); err != nil || v != 55 {
+		t.Fatalf("CallOn after Close = %d, %v", v, err)
 	}
 }
 

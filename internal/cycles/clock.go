@@ -41,10 +41,6 @@ func (c *Clock) AdvanceTo(t uint64) {
 	}
 }
 
-// Reset rewinds the clock to zero. Only harnesses should call this,
-// between independent trials.
-func (c *Clock) Reset() { c.now = 0 }
-
 // Micros converts a cycle count to microseconds at the virtual frequency.
 func Micros(cycles uint64) float64 {
 	return float64(cycles) / (Frequency / 1e6)

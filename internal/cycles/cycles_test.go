@@ -34,15 +34,6 @@ func TestClockAdvanceTo(t *testing.T) {
 	}
 }
 
-func TestClockReset(t *testing.T) {
-	c := NewClock()
-	c.Advance(999)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("after Reset Now() = %d, want 0", c.Now())
-	}
-}
-
 func TestClockMonotonic(t *testing.T) {
 	// Property: any sequence of Advance/AdvanceTo never decreases Now.
 	f := func(steps []uint32) bool {

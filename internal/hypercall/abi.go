@@ -105,6 +105,9 @@ func (m Mask) String() string      { return fmt.Sprintf("mask(%#x)", uint64(m)) 
 // hardening where snapshot() and get_data() "cannot be called more than
 // once, meaning that if an attacker were to gain remote code execution
 // capabilities, the only permitted hypercall would terminate the virtine."
+// Its state is the execution's, so each run takes a fresh OneShot.
+// snapshot is a mechanism call that bypasses the policy gate (§5.1), as
+// exit and mark do, so a OneShot cannot limit it.
 type OneShot struct {
 	Inner Policy
 	Once  Mask // calls restricted to a single use
@@ -125,9 +128,6 @@ func (o *OneShot) Allow(nr uint8) bool {
 }
 
 func (o *OneShot) String() string { return "one-shot(" + o.Inner.String() + ")" }
-
-// Reset clears per-execution one-shot state (called between runs).
-func (o *OneShot) Reset() { o.used = [NumHypercalls]bool{} }
 
 // GuestMem is the bounds-checked window a handler gets into the virtine's
 // memory. Handlers are trusted but must "take care to assume that inputs

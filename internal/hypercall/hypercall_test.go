@@ -89,10 +89,6 @@ func TestOneShot(t *testing.T) {
 	if !o.Allow(NrReturnData) {
 		t.Fatal("non-one-shot call denied")
 	}
-	o.Reset()
-	if !o.Allow(NrGetData) {
-		t.Fatal("reset did not clear one-shot state")
-	}
 	if !(NewOneShot(DenyAll{}, NrGetData)).Allow(NrExit) == false {
 		t.Fatal("one-shot must respect inner policy")
 	}

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/cycles"
+	"repro/internal/guest"
+	"repro/internal/hypercall"
 	"repro/internal/wasp"
 )
 
@@ -412,6 +414,31 @@ func TestVirtineEncodeMatchesNative(t *testing.T) {
 	want := base64.StdEncoding.EncodeToString(data)
 	if got != want {
 		t.Fatalf("virtine b64 = %q, want %q", got, want)
+	}
+}
+
+// TestVirtineJSGetDataOnce: each Encode runs under a fresh one-shot
+// policy (§6.5), so one VirtineJS encodes again after its first run,
+// while inside one run a second get_data is denied.
+func TestVirtineJSGetDataOnce(t *testing.T) {
+	v := NewVirtineJS(wasp.New(), true, false)
+	for i := 0; i < 2; i++ {
+		if _, err := v.Encode([]byte("abc"), cycles.NewClock()); err != nil {
+			t.Fatalf("encode %d: %v", i, err)
+		}
+	}
+	twice := guest.NativeBootStub("get-data-twice", func(a any) error {
+		n := a.(*wasp.NativeCtx)
+		for i := 0; i < 2; i++ {
+			if _, err := n.Hypercall(hypercall.NrGetData, dataBuf, 8); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, 0)
+	_, err := v.W.Run(twice, wasp.RunConfig{Policy: v.runPolicy(), Env: hypercall.NewEnv()}, cycles.NewClock())
+	if !errors.Is(err, hypercall.ErrDenied) {
+		t.Fatalf("second get_data: err = %v, want %v", err, hypercall.ErrDenied)
 	}
 }
 

@@ -109,7 +109,7 @@ func (v *VirtineJS) Encode(data []byte, clk *cycles.Clock) (string, error) {
 	env := hypercall.NewEnv()
 	env.DataIn = data
 	res, err := v.W.Run(v.img, wasp.RunConfig{
-		Policy:   v.pol,
+		Policy:   v.runPolicy(),
 		Env:      env,
 		Snapshot: v.Snapshot,
 	}, clk)
@@ -117,6 +117,12 @@ func (v *VirtineJS) Encode(data []byte, clk *cycles.Clock) (string, error) {
 		return "", err
 	}
 	return string(res.DataOut), nil
+}
+
+// runPolicy is one run's hypercall policy: v's mask, with get_data
+// allowed at most once (§6.5). The one-shot state is the run's own.
+func (v *VirtineJS) runPolicy() hypercall.Policy {
+	return &hypercall.OneShot{Inner: v.pol, Once: hypercall.MaskOf(hypercall.NrGetData)}
 }
 
 // NativeEncode is the baseline: allocate a context, populate bindings,

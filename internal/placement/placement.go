@@ -63,8 +63,6 @@ type BackendInfo struct {
 	// SvcEWMA is the smoothed service time of tickets completed on this
 	// backend.
 	SvcEWMA uint64
-	// Completed counts tickets this backend has finished.
-	Completed uint64
 }
 
 // Placer maps an image to eligible backends with weights. Implementations

@@ -33,38 +33,3 @@ func TestQueueScalePolicy(t *testing.T) {
 		t.Fatalf("decay must clamp at Min=2, got %d", d.Workers)
 	}
 }
-
-func TestUtilScaleHysteresis(t *testing.T) {
-	p := &UtilScale{Target: 0.5, Min: 1, Max: 128, Patience: 2}
-	// Demand for ~16 workers at 50% target: 8 workers' worth of work.
-	busy := AutoSignal{Workers: 4, Arrivals: 800, SvcEWMA: 10_000, Epoch: 1_000_000}
-	d := p.Scale(busy)
-	if d.Workers != 17 {
-		t.Fatalf("rate-based growth must be immediate: want 17, got %d", d.Workers)
-	}
-	// Demand drops: the first low epoch holds (patience), the second shrinks.
-	idle := AutoSignal{Workers: 17, Arrivals: 100, SvcEWMA: 10_000, Epoch: 1_000_000}
-	if d = p.Scale(idle); d.Workers != 17 {
-		t.Fatalf("first low epoch must hold at 17, got %d", d.Workers)
-	}
-	if d = p.Scale(idle); d.Workers == 17 {
-		t.Fatalf("second low epoch must shrink below 17")
-	}
-	// Standby covers the gap back to the demand peak, capped at half.
-	if d.Prewarm == 0 {
-		t.Fatalf("post-shrink standby must be nonzero (peak was 17)")
-	}
-	if d.Prewarm > d.Workers/2+1 {
-		t.Fatalf("standby %d exceeds half the fleet %d", d.Prewarm, d.Workers)
-	}
-}
-
-func TestFixedScale(t *testing.T) {
-	p := FixedScale{N: 7}
-	if d := p.Scale(AutoSignal{Workers: 3, QueueP99: 1 << 40}); d.Workers != 7 || d.Prewarm != 0 {
-		t.Fatalf("fixed policy must always return 7/0, got %+v", d)
-	}
-	if p.Name() != "fixed-7" {
-		t.Fatalf("name: %s", p.Name())
-	}
-}

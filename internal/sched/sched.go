@@ -17,7 +17,7 @@
 //     Ticket.Wait, which borrows an idle lane instead of paying two
 //     thread wake-ups. Virtines on different workers execute
 //     concurrently on the host — this is the mode the throughput
-//     benchmarks exercise, and it is what makes the sharded shell pools
+//     benchmarks exercise, and it is what makes the shell pools' locking
 //     in internal/wasp matter.
 //   - Virtual mode (NewVirtual, virtual.go): deterministic event-driven
 //     dispatch in the submitting goroutine. Tickets are assigned to the
@@ -584,10 +584,9 @@ func (s *Scheduler) placeWeightsLocked(t *Ticket, busy []int) []float64 {
 	infos := make([]placement.BackendInfo, len(s.bstates))
 	for i, bs := range s.bstates {
 		infos[i] = placement.BackendInfo{
-			Platform:  bs.platform,
-			Workers:   bs.workers,
-			SvcEWMA:   bs.svcEWMA,
-			Completed: bs.completed.Load(),
+			Platform: bs.platform,
+			Workers:  bs.workers,
+			SvcEWMA:  bs.svcEWMA,
 		}
 		if busy != nil {
 			infos[i].Busy = busy[i]

@@ -105,7 +105,6 @@ func RunCluster(w *wasp.Wasp, pol sched.AutoPolicy, cfg ClusterConfig) (*Cluster
 		latencies   = make([]uint64, 0, len(trace))
 		queueDelays []uint64
 		inSLO       int
-		svcEWMA     uint64
 		standby     int
 		idx         int
 	)
@@ -118,10 +117,7 @@ func RunCluster(w *wasp.Wasp, pol sched.AutoPolicy, cfg ClusterConfig) (*Cluster
 		chunk := trace[lo:idx]
 		width := s.NumWorkers()
 		rep.CostWorkerSec += float64(uint64(width+standby)*cfg.Epoch) / float64(F)
-		var (
-			served  uint64
-			backlog int
-		)
+		var served uint64
 		queueDelays = queueDelays[:0]
 		if len(chunk) > 0 {
 			tickets := s.SubmitBatchAt(chunk)
@@ -136,28 +132,11 @@ func RunCluster(w *wasp.Wasp, pol sched.AutoPolicy, cfg ClusterConfig) (*Cluster
 					inSLO++
 				}
 				queueDelays = append(queueDelays, t.QueueCycles())
-				svc := t.ServiceCycles()
-				served += svc
-				switch {
-				case svcEWMA == 0:
-					svcEWMA = svc
-				case svc >= svcEWMA:
-					svcEWMA += (svc - svcEWMA) / 8
-				default: // unsigned: step down without wrapping
-					svcEWMA -= (svcEWMA - svc) / 8
-				}
-				if t.Done > end {
-					backlog++
-				}
+				served += t.ServiceCycles()
 			}
 		}
 		sig := sched.AutoSignal{
-			At:       end,
-			Epoch:    cfg.Epoch,
 			Workers:  width,
-			Arrivals: len(chunk),
-			Backlog:  backlog,
-			SvcEWMA:  svcEWMA,
 			QueueP99: percentileU64(queueDelays, 0.99),
 			Util:     float64(served) / float64(uint64(width)*cfg.Epoch),
 		}

@@ -22,7 +22,7 @@ func TestClusterRunDeterministic(t *testing.T) {
 			InitialWorkers: 2,
 			Trace:          ClusterMix(11, 0.25, F),
 		}
-		rep, err := RunCluster(wasp.New(), &sched.UtilScale{Target: 0.5, Min: 1, Max: 64, Patience: 2}, cfg)
+		rep, err := RunCluster(wasp.New(), sched.QueueScale{TargetP99: F / 20, Min: 1, Max: 64}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestClusterLinearMatchesHeap(t *testing.T) {
 
 // TestClusterFrontier regenerates the autoscaling frontier: the
 // standard mix (seed 1, scale 1, two virtual seconds) through three
-// fixed fleets and the two elastic policies. A row is the policy's
+// fixed fleets and the elastic queue policy. A row is the policy's
 // initial and peak workers, tickets, rejections, SLO attainment, p50
 // and p99 latency and makespan ms, provisioned worker-seconds and scale
 // events. The queue policy must grow past its initial fleet and still
@@ -77,11 +77,10 @@ func TestClusterFrontier(t *testing.T) {
 		w0  int
 		pol sched.AutoPolicy
 	}{
-		{4, sched.FixedScale{N: 4}},
-		{16, sched.FixedScale{N: 16}},
-		{64, sched.FixedScale{N: 64}},
+		{4, fixedScale(4)},
+		{16, fixedScale(16)},
+		{64, fixedScale(64)},
 		{4, sched.QueueScale{TargetP99: F / 20, Min: 2, Max: 256}},
-		{4, &sched.UtilScale{Target: 0.5, Min: 2, Max: 256, Patience: 2}},
 	} {
 		rep, err := RunCluster(wasp.New(), c.pol, ClusterConfig{Seed: 1, InitialWorkers: c.w0, Trace: mix})
 		if err != nil {
@@ -97,64 +96,10 @@ func TestClusterFrontier(t *testing.T) {
 		"fixed-16 16 16 903 0 1.00 2.89 15.07 1996.4 32.0 0",
 		"fixed-64 64 64 903 0 1.00 2.87 15.07 1996.4 128.0 0",
 		"queue-p99 4 7 903 0 0.78 10.38 149.36 1996.4 12.2 6",
-		"util-target 4 11 903 0 0.90 5.76 93.55 1996.4 14.8 3",
 	})
 	if q := reps["queue-p99"]; q.PeakWorkers <= q.InitialWorkers || q.CostWorkerSec >= reps["fixed-64"].CostWorkerSec {
 		t.Errorf("queue-p99 peaked at %d workers from %d at %.1f ws; fixed-64 cost %.1f ws",
 			q.PeakWorkers, q.InitialWorkers, q.CostWorkerSec, reps["fixed-64"].CostWorkerSec)
-	}
-}
-
-// svcProbe is an autoscaling policy that records every AutoSignal it is
-// shown, with the shortest and longest service served by then, and
-// defers the decision to the policy it wraps. The trace's tasks append
-// their service times to svcs.
-type svcProbe struct {
-	sched.AutoPolicy
-	svcs   []uint64
-	sigs   []sched.AutoSignal
-	ranges [][2]uint64
-}
-
-func (p *svcProbe) Scale(sig sched.AutoSignal) sched.AutoDecision {
-	var r [2]uint64
-	if len(p.svcs) > 0 {
-		r = [2]uint64{slices.Min(p.svcs), slices.Max(p.svcs)}
-	}
-	p.sigs, p.ranges = append(p.sigs, sig), append(p.ranges, r)
-	return p.AutoPolicy.Scale(sig)
-}
-
-// TestClusterSvcEWMAStaysInRange: the service-time average each epoch's
-// signal carries averages the services served so far, so it lies
-// between the shortest and the longest of them — a service below the
-// average must step it down, not wrap the unsigned sum.
-func TestClusterSvcEWMAStaysInRange(t *testing.T) {
-	const F = uint64(cycles.Frequency)
-	probe := &svcProbe{AutoPolicy: &sched.UtilScale{Target: 0.5, Min: 2, Max: 256, Patience: 2}}
-	trace := ClusterMix(1, 1, 2*F)
-	for i := range trace {
-		// The ticket's cost as a task, which records the span it
-		// advances its worker's clock by: the ticket's ServiceCycles.
-		cost := trace[i].Cost
-		trace[i].Cost, trace[i].Fn = 0, func(clk *cycles.Clock) (*wasp.Result, error) {
-			t0 := clk.Now()
-			clk.Advance(cost)
-			probe.svcs = append(probe.svcs, clk.Now()-t0)
-			return nil, nil
-		}
-	}
-	if _, err := RunCluster(wasp.New(), probe, ClusterConfig{Seed: 1, InitialWorkers: 4, Trace: trace}); err != nil {
-		t.Fatal(err)
-	}
-	if len(probe.sigs) == 0 || len(probe.svcs) != len(trace) {
-		t.Fatalf("degenerate run: %d signals, %d of %d tickets served", len(probe.sigs), len(probe.svcs), len(trace))
-	}
-	for i, sig := range probe.sigs {
-		if r := probe.ranges[i]; r[1] > 0 && (sig.SvcEWMA < r[0] || sig.SvcEWMA > r[1]) {
-			t.Fatalf("epoch %d: SvcEWMA %d outside the services served so far [%d, %d]",
-				i, sig.SvcEWMA, r[0], r[1])
-		}
 	}
 }
 
@@ -167,7 +112,7 @@ func TestClusterAutoscalerReacts(t *testing.T) {
 	trace := UniformTrace(3, "api", 4000, F/8000, ServiceProfile{Base: F / 100, Spread: 0.5})
 	base := ClusterConfig{InitialWorkers: 2, Trace: trace}
 
-	frozen, err := RunCluster(wasp.New(), sched.FixedScale{N: 2}, base)
+	frozen, err := RunCluster(wasp.New(), fixedScale(2), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,6 +189,15 @@ func BenchmarkClusterMix(b *testing.B) {
 	for b.Loop() {
 		ClusterMix(1, 60, 24*cycles.Frequency)
 	}
+}
+
+// fixedScale is the no-op autoscaling policy: a constant width and no
+// standby, the baseline every frontier sweep compares against.
+type fixedScale int
+
+func (n fixedScale) Name() string { return fmt.Sprintf("fixed-%d", n) }
+func (n fixedScale) Scale(sched.AutoSignal) sched.AutoDecision {
+	return sched.AutoDecision{Workers: int(n)}
 }
 
 // UniformTrace generates exactly n tickets at a fixed arrival cadence

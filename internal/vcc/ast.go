@@ -74,20 +74,6 @@ func (t *Type) String() string {
 	return "?"
 }
 
-// Equal reports structural type equality.
-func (t *Type) Equal(o *Type) bool {
-	if t.Kind != o.Kind {
-		return false
-	}
-	switch t.Kind {
-	case TypePtr:
-		return t.Elem.Equal(o.Elem)
-	case TypeArray:
-		return t.N == o.N && t.Elem.Equal(o.Elem)
-	}
-	return true
-}
-
 // Expr is an expression node.
 type Expr interface {
 	exprNode()

@@ -38,23 +38,20 @@ func checkRuntime(w *Wasp) error {
 			}
 			return nil
 		}
-		for i := range be.pools.shards {
-			sh := &be.pools.shards[i]
-			sh.mu.Lock()
-			for size, c := range sh.classes {
-				if len(c.shells) > be.pools.max {
-					sh.mu.Unlock()
-					return fmt.Errorf("%s: %d pooled %d-byte shells, capacity %d", plat, len(c.shells), size, be.pools.max)
-				}
-				for _, s := range c.shells {
-					if err := check("pooled shell", s.ctx); err != nil {
-						sh.mu.Unlock()
-						return err
-					}
+		be.pools.mu.Lock()
+		for size, c := range be.pools.classes {
+			if len(c.shells) > be.pools.max {
+				be.pools.mu.Unlock()
+				return fmt.Errorf("%s: %d pooled %d-byte shells, capacity %d", plat, len(c.shells), size, be.pools.max)
+			}
+			for _, s := range c.shells {
+				if err := check("pooled shell", s.ctx); err != nil {
+					be.pools.mu.Unlock()
+					return err
 				}
 			}
-			sh.mu.Unlock()
 		}
+		be.pools.mu.Unlock()
 		var held []*snapshot
 		var retiredHeld string
 		be.snapshots.forEach(func(name string, s *snapshot) {

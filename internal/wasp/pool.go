@@ -9,14 +9,13 @@ import "sync"
 // would reintroduce exactly the SEUSS/Catalyzer-class warm-start
 // contention the pool is meant to avoid once many cores drive Run
 // concurrently. The runtime therefore splits each backend's mutable state
-// three ways, so Run calls on different images (or different size
-// classes) never touch the same lock:
+// three ways:
 //
-//   - shellPools: cached shells, sharded by memory size class with one
-//     mutex per shard. The critical section is a slice push/pop;
-//     cleaning and KVM work happen outside it. Each size class holds at
-//     most maxPerClass shells and one idle streak, fed by scheduler
-//     queue depths through Wasp.ObserveLoadOn.
+//   - shellPools: cached shells by memory size class, under one mutex
+//     per backend. The critical section is a slice push/pop or a streak
+//     update; cleaning and KVM work happen outside it. Each size class
+//     holds at most maxPerClass shells and one idle streak, fed by
+//     scheduler queue depths through Wasp.ObserveLoadOn.
 //   - snapRegistry: image-name → snapshot map under a sync.RWMutex.
 //     Snapshots are written once per image (capture) and read on every
 //     warm run, so the read path takes only a shared lock. Each snapshot
@@ -35,19 +34,9 @@ const maxPerClass = 64
 // class that found no queue at submit (depth 0). The last shell stays.
 const shrinkAfter = 64
 
-// poolShardCount is the number of independently locked shell-pool
-// shards. A power of two so the hash reduces with a shift.
-const poolShardCount = 16
-
-// shellPools is the sharded shell cache. Each memory size class maps to
-// one shard; distinct size classes on different shards proceed fully in
-// parallel, and even classes that collide only contend on a push/pop.
+// shellPools is one backend's shell cache, keyed by memory size class.
 type shellPools struct {
-	max    int // cached shells per class: maxPerClass, or 1 where TestRebaseMatchesMaterialize pins a history
-	shards [poolShardCount]poolShard
-}
-
-type poolShard struct {
+	max     int // cached shells per class: maxPerClass, or 1 where TestRebaseMatchesMaterialize pins a history
 	mu      sync.Mutex
 	classes map[int]*poolClass
 }
@@ -59,24 +48,16 @@ type poolClass struct {
 	idle   int
 }
 
-// shardFor hashes a memory size class onto a shard. Sizes are
-// page-granular in practice, so the page number is Fibonacci-hashed to
-// spread consecutive classes across shards.
-func (p *shellPools) shardFor(memBytes int) *poolShard {
-	h := uint64(memBytes>>12) * 0x9E3779B97F4A7C15
-	return &p.shards[h>>(64-4)] // top 4 bits: poolShardCount == 16
-}
-
-// class returns the shard's state for a size class, creating it. Called
-// with the shard lock held.
-func (sh *poolShard) class(memBytes int) *poolClass {
-	c := sh.classes[memBytes]
+// class returns the state for a size class, creating it. Called with
+// p.mu held.
+func (p *shellPools) class(memBytes int) *poolClass {
+	c := p.classes[memBytes]
 	if c == nil {
-		if sh.classes == nil {
-			sh.classes = make(map[int]*poolClass)
+		if p.classes == nil {
+			p.classes = make(map[int]*poolClass)
 		}
 		c = &poolClass{}
-		sh.classes[memBytes] = c
+		p.classes[memBytes] = c
 	}
 	return c
 }
@@ -95,20 +76,18 @@ func (c *poolClass) pop() *shell {
 
 // take pops a cached shell for the size class, or nil.
 func (p *shellPools) take(memBytes int) *shell {
-	sh := p.shardFor(memBytes)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.class(memBytes).pop()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.class(memBytes).pop()
 }
 
 // put parks a shell for its size class, unless the class is at its
 // capacity bound. It reports whether the shell was parked; a false
 // return means the caller should let the host reclaim it.
 func (p *shellPools) put(memBytes int, s *shell) bool {
-	sh := p.shardFor(memBytes)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c := sh.class(memBytes)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	c := p.class(memBytes)
 	if len(c.shells) >= p.max {
 		return false
 	}
@@ -119,13 +98,12 @@ func (p *shellPools) put(memBytes int, s *shell) bool {
 // observe folds one completed run's queue depth at submit into its size
 // class's idle streak. A queue resets the streak; shrinkAfter uncontended
 // completions in a row release one cached shell to the host, keeping at
-// least one, here under the shard lock, so a concurrent acquire can never
+// least one, here under the pool lock, so a concurrent acquire can never
 // race the class below that floor.
 func (p *shellPools) observe(memBytes, depth int) {
-	sh := p.shardFor(memBytes)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c := sh.class(memBytes)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	c := p.class(memBytes)
 	if depth > 0 {
 		c.idle = 0
 		return
@@ -141,10 +119,9 @@ func (p *shellPools) observe(memBytes, depth int) {
 
 // size reports the number of cached shells for one size class.
 func (p *shellPools) size(memBytes int) int {
-	sh := p.shardFor(memBytes)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if c := sh.classes[memBytes]; c != nil {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if c := p.classes[memBytes]; c != nil {
 		return len(c.shells)
 	}
 	return 0
@@ -152,14 +129,11 @@ func (p *shellPools) size(memBytes int) int {
 
 // total reports the number of cached shells across all size classes.
 func (p *shellPools) total() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	n := 0
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, c := range sh.classes {
-			n += len(c.shells)
-		}
-		sh.mu.Unlock()
+	for _, c := range p.classes {
+		n += len(c.shells)
 	}
 	return n
 }

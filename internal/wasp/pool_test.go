@@ -118,7 +118,7 @@ func FuzzGuestMem(f *testing.F) {
 
 // TestConcurrentRunStress hammers Run from many goroutines across three
 // images with pooling and snapshotting enabled — the scenario the
-// sharded pools exist for. Run under -race this doubles as the data-race
+// pools' locking exists for. Run under -race this doubles as the data-race
 // check on the pools and the snapshot and content registries. After every
 // run every runtime invariant must hold (checkRuntime), and every shell
 // about to capture must match its content record.
@@ -249,10 +249,10 @@ func TestPoolIdleStreakConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	sh := w.backends[0].pools.shardFor(mem)
-	sh.mu.Lock()
-	idle := sh.classes[mem].idle
-	sh.mu.Unlock()
+	pools := &w.backends[0].pools
+	pools.mu.Lock()
+	idle := pools.classes[mem].idle
+	pools.mu.Unlock()
 	if idle != 0 {
 		t.Fatalf("idle streak %d after %d×%d observations, want 0: an observation was lost", idle, goroutines, shrinkAfter)
 	}
