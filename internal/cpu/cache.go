@@ -39,6 +39,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/cycles"
 	"repro/internal/isa"
@@ -48,26 +49,28 @@ import (
 // matches vmm.PageSize; vmm imports cpu, so the constant is restated here.
 const codePageSize = 4096
 
-// centry marks one instruction start the dispatcher has reached. Neither
-// engine executes from it — Step decodes the raw bytes into a step, and
-// traces build theirs from memory — so it records only what dispatch
-// decides on: a non-zero length in the current mode means "seen before,
-// worth a trace", special routes to Step for good, and op carries the
-// Mode32 pre-latch STORE check.
-type centry struct {
-	op      isa.Op
-	mode    isa.Mode
-	n       uint8 // encoded length; 0 marks an empty slot
-	special bool  // never compiled: always executes via Step
-}
+// centry marks one instruction start the dispatcher has reached, in one
+// flag byte. Neither engine executes from it — Step decodes the raw bytes
+// into a step, and traces build theirs from memory — so it records only
+// what dispatch decides on: entMode holds the decode mode + 1, at most 3
+// (0 marks an empty slot; a slot marked in another mode is re-marked),
+// entSpecial routes to Step for good, and entStore carries the Mode32
+// pre-latch STORE check.
+type centry uint8
 
-// specialOp marks opcodes that always execute via Step: everything that
-// can switch modes, flush the TLB, record a boot event, or exit to the
-// VMM. They are rare, and delegating keeps exactly one implementation of
-// the tricky architectural transitions.
-var specialOp = [isa.NumOps]bool{
-	isa.HLT: true, isa.OUT: true, isa.IN: true, isa.LGDT: true,
-	isa.MOVCR: true, isa.RDCR: true, isa.LJMP: true,
+const (
+	entMode    centry = 3
+	entSpecial centry = 1 << 2
+	entStore   centry = 1 << 3
+)
+
+// opEntry holds each opcode's entry flags. The specials always execute
+// via Step: everything that can switch modes, flush the TLB, record a
+// boot event, or exit to the VMM. They are rare, and delegating keeps
+// exactly one implementation of the tricky architectural transitions.
+var opEntry = [isa.NumOps]centry{
+	isa.HLT: entSpecial, isa.OUT: entSpecial, isa.IN: entSpecial, isa.LGDT: entSpecial,
+	isa.MOVCR: entSpecial, isa.RDCR: entSpecial, isa.LJMP: entSpecial, isa.STORE: entStore,
 }
 
 // baseCost returns the fixed cycle cost charged before/while executing op
@@ -85,9 +88,9 @@ func baseCost(op isa.Op) uint8 {
 	return c
 }
 
-// codePage holds the decoded entries for one 4 KiB physical page, indexed
-// by offset within the page. Entries exist only at instruction starts
-// that have actually been reached.
+// codePage holds the decoded entries for one 4 KiB physical page, one
+// flag byte per offset within the page (4 KiB a page). Entries exist only
+// at instruction starts that have actually been reached.
 type codePage struct {
 	// shared marks the page immutable: it is referenced by a CodeCache
 	// (a Wasp per-image registry entry) and possibly by other CPUs. A
@@ -214,10 +217,10 @@ func (c *CPU) predecode(phys uint64) {
 			pg = c.codePageFor(page)
 		}
 		slot := &pg.ents[p-page*codePageSize]
-		if p != phys && slot.n != 0 && slot.mode == mode {
+		if p != phys && *slot&entMode == centry(mode)+1 {
 			break // rejoined an already-marked run
 		}
-		*slot = centry{op: in.Op, mode: mode, n: uint8(in.Len), special: specialOp[in.Op]}
+		*slot = centry(mode) + 1 | opEntry[in.Op]
 		p += uint64(in.Len)
 	}
 }
@@ -277,11 +280,28 @@ func (cc CodeCache) Merge(other CodeCache) CodeCache {
 	return CodeCache{pages: pages}
 }
 
+// Footprint reports what the cache holds besides the source bytes: the
+// steps of its compiled traces and the bytes of its pages' entry tables.
+func (cc CodeCache) Footprint() (steps, entryBytes int) {
+	for _, pg := range cc.pages {
+		if pg == nil {
+			continue
+		}
+		entryBytes += int(unsafe.Sizeof(pg.ents))
+		if p := pg.blocks.Load(); p != nil {
+			for _, b := range *p {
+				steps += len(b.blk.ops)
+			}
+		}
+	}
+	return steps, entryBytes
+}
+
 // popCount reports how many decoded entries the page holds.
 func (pg *codePage) popCount() int {
 	n := 0
-	for i := range pg.ents {
-		if pg.ents[i].n != 0 {
+	for _, e := range pg.ents {
+		if e != 0 {
 			n++
 		}
 	}

@@ -353,11 +353,11 @@ func (c *CPU) traceAt(ip uint64) (*cblock, uint64, *codePage, *Exit) {
 	if pg != nil {
 		e = pg.ents[off]
 	}
-	if e.n == 0 || e.mode != c.Mode {
+	if e&entMode != centry(c.Mode)+1 {
 		c.predecode(phys)
 		return nil, 0, nil, nil
 	}
-	if e.special || (e.op == isa.STORE && !c.sawStore32 && c.Mode == isa.Mode32) {
+	if e&entSpecial != 0 || (e&entStore != 0 && !c.sawStore32 && c.Mode == isa.Mode32) {
 		// The pre-latch Mode32 STORE records EvIdentMapStart in Step; a
 		// trace deopts on it, so compiling here would re-enter forever.
 		return nil, 0, nil, nil

@@ -94,9 +94,9 @@ type bcent struct {
 // offset, its successor's and the cost through it). Every step retires one
 // instruction, so the steps through step i retire i+1 and the whole trace
 // len(ops). ops is an exact-size copy of the compiler's scratch array, and
-// a repeated loop period's steps are copies of the period's first compile
-// with the cost running on; a step's own cost is the difference from its
-// predecessor's cum.
+// a repeated loop period's steps are whole copies of the period's first
+// compile with the cost running on, so a loop trace ends at its loop head
+// (end); a step's own cost is the difference from its predecessor's cum.
 type cblock struct {
 	ops    []step
 	anchor uint64 // virtual IP the trace was compiled at
@@ -291,7 +291,8 @@ func (c *CPU) blockStop(blk *cblock, i int, entryIP uint64, pending *uint64, ex 
 // JMP and CALL targets that stay inside the head's 4 KiB page, and
 // speculating the RETs that match followed CALLs. A loop body is compiled
 // once: when a back-edge closes a period that would compile again to the
-// same steps, the period repeats (repeat, below). Compilation stops at a
+// same steps, the period repeats whole and the trace ends at the loop
+// head (repeat, below). Otherwise compilation stops at a
 // special, a decode stop, the page boundary, an unfollowable control
 // transfer, or the step cap. A step holds operands and offsets from the
 // trace's entry — never the CPU, its memory, or absolute step addresses
@@ -345,8 +346,10 @@ func (c *CPU) compileBlock(ip, phys uint64) *cblock {
 	// return stack is closed over the period — as deep at its end as at
 	// its start and never shallower between — and no backward target the
 	// period found not compiled has been compiled since. Then the period
-	// repeats up to the step cap, copying its steps and offsets while cum
-	// runs on, and repeat reports that the trace is complete.
+	// repeats as many whole times as fit under the step cap, copying its
+	// steps and offsets while cum runs on, and repeat reports that the
+	// trace is complete: it ends at the period's head, rel, where the
+	// next iteration re-enters it.
 	repeat := func() bool {
 		p := nops - 1 // a marked offset always holds a step
 		for ops[p].off != int16(rel) {
@@ -365,13 +368,11 @@ func (c *CPU) compileBlock(ip, phys uint64) *cblock {
 			before = ops[p-1].cum
 		}
 		period, pc := nops-p, total-before
-		for ; nops < maxBlockSteps; nops++ {
-			s := ops[nops-period]
-			s.cum += pc
-			ops[nops] = s
+		for end := p + (maxBlockSteps-p)/period*period; nops < end; nops++ {
+			ops[nops] = ops[nops-period]
+			ops[nops].cum += pc
 		}
 		total = ops[nops-1].cum
-		rel = int32(ops[nops-1].offEnd)
 		return true
 	}
 	// follow resolves a direct branch target to a trace-relative offset,

@@ -248,8 +248,8 @@ func TestBudgetSweepParity(t *testing.T) {
 
 // TestTraceStopsMatchStep pins every way a trace ends, at a middle step and
 // at the final step: completion, a side exit on a taken forward branch or
-// on the fall-through of a followed backward one (a loop exit, which is
-// the final step only at the step cap), a store that unhooks the trace's
+// on the fall-through of a followed backward one (a loop exit, the final
+// step wherever its period repeats and mid-trace where none does), a store that unhooks the trace's
 // own page or another decoded page, a fault, a push, pop, followed call or
 // speculated return whose stack access faults, and a deopt. Each
 // program runs twice on one CPU per engine (the first pass marks the code,
@@ -283,9 +283,15 @@ TAIL
 vx_taken:
 	movi rsi, 4
 	hlt`},
+		// A repeated period ends its trace at the back-edge, so the loop
+		// leaves one call open per iteration: no period repeats, and the
+		// trace reaches the step cap mid-period, after vx_stop.
 		{name: "loop exit", noFinal: true, src: `
+	movi rsp, 0x7000
 	movi rcx, 3
 vx_loop:
+	call vx_fn
+vx_fn:
 	addi rax, 1
 	dec rcx
 vx_stop:

@@ -138,20 +138,22 @@ done:
 
 // TestTraceShapePins runs programs in all three modes, including the §4.2
 // boot, and pins the digest of every trace they compile. The pins are also
-// the traces of a compiler that decodes and compiles every step of a loop
-// trace afresh (repeat switched off), so repeating periods must emit
-// exactly its traces. fib runs no loop, so no period repeats in it.
+// the traces of a compiler that, where a period would repeat, decodes and
+// compiles it afresh as many whole times as fit under the step cap and
+// stops at its head, so copying periods must emit exactly its traces. A
+// loop trace ends at its loop head, where the next iteration re-enters
+// it. fib runs no loop, so no period repeats in it.
 func TestTraceShapePins(t *testing.T) {
 	for _, tc := range []struct{ name, src, want string }{
 		{"fib64", fibSrc, "traces=4 steps=37 digest=141233dcfc1e20a1"},
 		{"fib32", fibAsm("32", 12), "traces=4 steps=37 digest=f3882f3aed472081"},
 		{"fib16", fibAsm("16", 12), "traces=4 steps=37 digest=dfc23c05c15b1a79"},
-		{"counted loop", countedLoopSrc, "traces=3 steps=193 digest=7197a1e6c73241ec"},
+		{"counted loop", countedLoopSrc, "traces=2 steps=189 digest=b14f4cc500376ce4"},
 		{"jmp loop", jmpLoopSrc, "traces=1 steps=96 digest=57b9e6226741870d"},
 		{"open call", openCallSrc, "traces=1 steps=96 digest=112a3d13aeae850d"},
-		{"return-stack dip", dipSrc, "traces=3 steps=99 digest=f790754a636737ef"},
-		{"stale back-edge test", staleSrc, "traces=3 steps=288 digest=34ea014091a0dd3d"},
-		{"boot", bootToLongMode, "traces=12 steps=511 digest=ed251ce75e0d6a5f"},
+		{"return-stack dip", dipSrc, "traces=1 steps=90 digest=81ba4c295a75c856"},
+		{"stale back-edge test", staleSrc, "traces=3 steps=274 digest=889a1998389bd757"},
+		{"boot", bootToLongMode, "traces=10 steps=481 digest=a32b285d820d9968"},
 	} {
 		c, ex := run(t, tc.src)
 		wantHalt(t, ex)

@@ -14,10 +14,11 @@ func TestOpcodeCoverage(t *testing.T) {
 	for op := isa.Op(0); op < isa.NumOps; op++ {
 		for _, md := range []isa.Mode{isa.Mode16, isa.Mode32, isa.Mode64} {
 			s, ok := newStep(isa.Inst{Op: op, Len: 1}, md)
+			special := opEntry[op]&entSpecial != 0
 			switch {
-			case specialOp[op] && ok:
+			case special && ok:
 				t.Errorf("%v is a special, yet newStep builds it in %v", op, md)
-			case !specialOp[op] && (!ok || s.fn == nil):
+			case !special && (!ok || s.fn == nil):
 				t.Errorf("%v is no special, yet newStep does not build it in %v", op, md)
 			}
 		}

@@ -14,9 +14,10 @@ import (
 // TestCodeCacheStatsPins pins the compiled tier's counters over a fresh
 // file server's first four requests, and over a tenant handler's first
 // run and one restored run: which traces are compiled, how often they are
-// entered and how often they stop early. The values are also those of a
-// trace compiler that compiles every step of a loop afresh instead of
-// repeating its period, which must not change any of them.
+// entered and how often they stop early, and what the file server's code
+// registry holds. The values are also those of a trace compiler that
+// compiles each whole period of a loop afresh instead of copying it,
+// which must not change any of them.
 func TestCodeCacheStatsPins(t *testing.T) {
 	type stats struct{ compiled, hits, deopts uint64 }
 	read := func(w *wasp.Wasp) stats {
@@ -32,10 +33,10 @@ func TestCodeCacheStatsPins(t *testing.T) {
 		path string
 		want stats
 	}{
-		{"/index.html", stats{58, 197, 1}},
-		{"/big.bin", stats{60, 308, 1}},
-		{"/missing", stats{63, 349, 1}},
-		{"/index.html", stats{63, 462, 1}},
+		{"/index.html", stats{54, 152, 1}},
+		{"/big.bin", stats{56, 263, 1}},
+		{"/missing", stats{59, 304, 1}},
+		{"/index.html", stats{59, 417, 1}},
 	} {
 		if _, err := s.Serve(Request(tc.path), cycles.NewClock()); err != nil {
 			t.Fatal(err)
@@ -44,6 +45,12 @@ func TestCodeCacheStatsPins(t *testing.T) {
 			t.Errorf("file server request %d (%s): %+v, want %+v", i+1, tc.path, got, tc.want)
 		}
 	}
+	// What the warm server's code registry holds besides the image's
+	// bytes: the compiled traces' steps, and one entry byte per offset of
+	// each of its two decoded pages.
+	if steps, bytes := metric(w, "wasp_code_steps"), metric(w, "wasp_code_entry_bytes"); steps != 2993 || bytes != 2*4096 {
+		t.Errorf("the code registry holds %v steps and %v entry bytes, want %v and %v", steps, bytes, 2993, 2*4096)
+	}
 
 	v, err := vcc.CompileFunc(tenantHandlerC, "handle")
 	if err != nil {
@@ -51,7 +58,7 @@ func TestCodeCacheStatsPins(t *testing.T) {
 	}
 	w = wasp.New(wasp.WithCOW(true))
 	img := v.Image.WithName(v.Image.Name + "@tenant-7")
-	for i, want := range []stats{{30, 1163, 1}, {30, 1188, 1}} {
+	for i, want := range []stats{{28, 1116, 1}, {28, 1141, 1}} {
 		env := hypercall.NewEnv()
 		env.NetIn = []byte("128000")
 		res, err := w.Run(img, wasp.RunConfig{
@@ -93,7 +100,7 @@ func TestFirstServeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const limit, runs = 311, 10
+	const limit, runs = 295, 10
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats
 	counts := make([]uint64, runs)

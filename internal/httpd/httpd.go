@@ -138,7 +138,8 @@ type FileServer struct {
 }
 
 // NewFileServer compiles the handler and installs the given files into
-// the server's filesystem.
+// the server's filesystem, which keeps their bytes (hypercall.FS.Put): the
+// caller must not modify them afterwards.
 func NewFileServer(w *wasp.Wasp, files map[string][]byte) (*FileServer, error) {
 	v, err := vcc.CompileFunc(fileServerC, "handle")
 	if err != nil {
@@ -312,7 +313,8 @@ type NativeFileServer struct {
 	Env *hypercall.Env
 }
 
-// NewNativeFileServer installs files into a fresh environment.
+// NewNativeFileServer installs files into a fresh environment, which
+// keeps their bytes as NewFileServer's does.
 func NewNativeFileServer(files map[string][]byte) *NativeFileServer {
 	env := hypercall.NewEnv()
 	for path, data := range files {

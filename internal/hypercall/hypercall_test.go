@@ -393,6 +393,36 @@ func TestMemFS(t *testing.T) {
 	}
 }
 
+// TestPutKeepsTheCallersBytes: Put stores the caller's slice, not a copy,
+// so the parent and every fork read the very bytes that were put, and a
+// read cannot be appended into the file's later bytes.
+func TestPutKeepsTheCallersBytes(t *testing.T) {
+	data := []byte("0123456789")
+	fs := NewFS()
+	fs.Put("/f", data)
+	forks := []*FS{fs, fs.Fork(), fs.Fork()}
+	for i, f := range forks {
+		fd, err := f.Open("/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.Read(fd, 4)
+		if err != nil || string(got) != "0123" {
+			t.Fatalf("fs %d: read %q, %v", i, got, err)
+		}
+		if &got[0] != &data[0] {
+			t.Fatalf("fs %d reads a copy of the put bytes", i)
+		}
+		_ = append(got, 'x')
+	}
+	if string(data) != "0123456789" {
+		t.Fatalf("an append to a read reached the file: %q", data)
+	}
+	if n := testing.AllocsPerRun(10, func() { fs.Put("/f", data) }); n != 0 {
+		t.Fatalf("replacing a file allocates %v times", n)
+	}
+}
+
 // TestForkOfEmptyFSSharesPuts: an FS makes its maps on first write, and
 // a fork of one that has no files yet still shares one file map with it
 // and with every other fork, while descriptors stay per fork.

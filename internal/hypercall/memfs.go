@@ -42,12 +42,14 @@ func (fs *FS) Fork() *FS {
 	return &FS{files: fs.files, next: fs.next}
 }
 
-// Put installs (or replaces) a file.
+// Put installs (or replaces) a file. The file system only ever reads file
+// contents, so it keeps data itself rather than a copy: the caller must
+// not modify data afterwards, and every Fork serves the same bytes.
 func (fs *FS) Put(path string, data []byte) {
 	if fs.files == nil {
 		fs.files = make(map[string][]byte)
 	}
-	fs.files[path] = append([]byte(nil), data...)
+	fs.files[path] = data
 }
 
 // Paths lists all file paths, sorted.
@@ -97,7 +99,7 @@ func (fs *FS) Read(fd, n int) ([]byte, error) {
 	if end > len(data) {
 		end = len(data)
 	}
-	out := data[of.off:end]
+	out := data[of.off:end:end] // an append to it cannot reach the file's later bytes
 	of.off = end
 	return out, nil
 }

@@ -139,9 +139,6 @@ func TestLendCloseWaitsForBorrowedLane(t *testing.T) {
 		if s.Submitted() != s.Completed()+s.Rejected() {
 			t.Fatalf("Submitted %d != Completed %d + Rejected %d", s.Submitted(), s.Completed(), s.Rejected())
 		}
-		if metric(s, "sched_helped_total") == 0 {
-			t.Fatal("lane was lent but sched_helped_total is 0")
-		}
 		lanesAtRest(t, s)
 		return
 	}
@@ -286,7 +283,7 @@ func TestPanickingTaskFailsItsTicket(t *testing.T) {
 // burst's 65, and held tasks keep the other 16 busy until the burst is
 // served. With help, the submitter waits on the last-submitted ticket
 // straight away; lent reports whether it (rather than the resident)
-// drove the lane.
+// drove the lane, and helped how many of the 65 ran on the lent lane.
 func helpOrderRun(t *testing.T, help bool) (order []int, lent bool, helped uint64) {
 	t.Helper()
 	const lanes = 17
@@ -317,11 +314,15 @@ func helpOrderRun(t *testing.T, help bool) (order []int, lent bool, helped uint6
 		return nil, nil
 	}}}
 	var mu sync.Mutex
+	var onLent atomic.Uint64
 	served := make(chan struct{})
 	for i := 0; i < 64; i++ {
 		i := i
 		reqs = append(reqs, Request{Image: string(rune('a' + i%4)), Fn: func(clk *cycles.Clock) (*wasp.Result, error) {
 			clk.Advance(uint64(1000 * (1 + i%3)))
+			if lentNow(s, clk) {
+				onLent.Add(1)
+			}
 			mu.Lock()
 			if order = append(order, i); len(order) == 64 {
 				close(served)
@@ -352,7 +353,10 @@ func helpOrderRun(t *testing.T, help bool) (order []int, lent bool, helped uint6
 	if s.Completed() != uint64(len(reqs)+len(holds)) {
 		t.Fatalf("completed %d of %d", s.Completed(), len(reqs)+len(holds))
 	}
-	return order, lent, uint64(metric(s, "sched_helped_total"))
+	if helped = onLent.Load(); lent {
+		helped++ // the gate
+	}
+	return order, lent, helped
 }
 
 // TestHelpPopsInResidentOrder: a waiter driving the lane pops exactly
@@ -390,18 +394,26 @@ func TestHelpPopsInResidentOrder(t *testing.T) {
 
 // TestHelpServesClosedLoopInline: the benchmark's shape — one lane, one
 // client that submits and waits — serves (nearly) every request on the
-// client's goroutine, and the registry exports the count.
+// client's goroutine.
 func TestHelpServesClosedLoopInline(t *testing.T) {
 	s := New(wasp.New(), 1)
 	defer s.Close()
 	const n = 2000
+	var inline atomic.Uint64
+	task := func(clk *cycles.Clock) (*wasp.Result, error) {
+		if lentNow(s, clk) {
+			inline.Add(1)
+		}
+		clk.Advance(1)
+		return nil, nil
+	}
 	for i := 0; i < n; i++ {
-		if _, err := s.SubmitFn(costTask(1)).Wait(); err != nil {
+		if _, err := s.SubmitFn(task).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if h := metric(s, "sched_helped_total"); h < n*9/10 {
-		t.Fatalf("sched_helped_total = %v of %d closed-loop requests, want nearly all", h, n)
+	if h := inline.Load(); h < n*9/10 {
+		t.Fatalf("%d of %d closed-loop requests ran on a lent lane, want nearly all", h, n)
 	}
 }
 
@@ -441,6 +453,7 @@ func TestLendStress(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			const clients, rounds = 8, 150
 			var inService, highWater atomic.Int64
+			var onLent atomic.Uint64
 			var mu sync.Mutex
 			var all []*Ticket // every ticket, collected at submit
 			s := New(cfg.wasp(), cfg.workers, cfg.opts()...)
@@ -454,6 +467,9 @@ func TestLendStress(t *testing.T) {
 			task := func(clk *cycles.Clock) (*wasp.Result, error) {
 				cur := inService.Add(1)
 				for hw := highWater.Load(); cur > hw && !highWater.CompareAndSwap(hw, cur); hw = highWater.Load() {
+				}
+				if lentNow(s, clk) {
+					onLent.Add(1)
 				}
 				clk.Advance(100)
 				runtime.Gosched() // widen the window a second driver would need
@@ -507,7 +523,7 @@ func TestLendStress(t *testing.T) {
 				t.Errorf("collected %d tickets: submitted %d, completed %d, rejected %d",
 					n, s.Submitted(), s.Completed(), s.Rejected())
 			}
-			if metric(s, "sched_helped_total") == 0 {
+			if onLent.Load() == 0 {
 				t.Error("no ticket was served inline by a waiter")
 			}
 			byLane := make(map[int][]*Ticket)

@@ -244,7 +244,6 @@ func (c *realCore) driveLent(wk *worker, next, own *Ticket) {
 	}()
 	for ; next != nil; next = c.pickLocked() {
 		c.execUnlocked(wk, next)
-		c.s.helped.Add(1)
 		if !own.queued {
 			break
 		}

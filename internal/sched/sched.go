@@ -303,14 +303,8 @@ type Scheduler struct {
 	core core
 
 	// cleaners are the runtime's Wasp+CA cleaner ledgers (one per
-	// backend); virtual mode drives each as a dedicated virtual core, and
-	// cleanerDrains counts the releases it settled on them.
-	cleaners      []*wasp.Cleaner
-	cleanerDrains atomic.Uint64
-
-	// helped counts real-mode tickets served on a lane lent to a waiter
-	// (Ticket.Wait) instead of by the lane's resident goroutine.
-	helped atomic.Uint64
+	// backend); virtual mode drives each as a dedicated virtual core.
+	cleaners []*wasp.Cleaner
 
 	// Multi-backend placement state: worker platform pins, per-backend
 	// aggregates, and the attached policy. imgStats is the LRU-bounded

@@ -414,7 +414,7 @@ func TestRealWaspCAReleasesToPool(t *testing.T) {
 	if w.PoolTotal() == 0 {
 		t.Fatal("no released shell was pooled")
 	}
-	owed, settled := metric(w, "wasp_clean_pending{platform=kvm}"), metric(s, "sched_cleaner_drains")
+	owed, settled := metric(w, "wasp_clean_pending{platform=kvm}"), c.VirtualDrains()
 	if c.Enqueued() != n || owed != 0 || settled != 0 {
 		t.Fatalf("booked %d releases, %v owed, %v settled; want %d, 0, 0", c.Enqueued(), owed, settled, n)
 	}
@@ -466,7 +466,7 @@ func TestWaspCAClaims(t *testing.T) {
 // dedicated virtual core, Wasp+CA virtual-mode schedules stay fully
 // reproducible — makespan, cleaner-core cycles, and drain counts.
 func TestVirtualWaspCADeterminism(t *testing.T) {
-	run := func() (makespan, cleanerCycles uint64, drains float64) {
+	run := func() (makespan, cleanerCycles, drains uint64) {
 		w := wasp.New(wasp.WithAsyncClean(true))
 		s := NewVirtual(w, 2)
 		defer s.Close()
@@ -477,20 +477,20 @@ func TestVirtualWaspCADeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return s.Makespan(), w.Cleaner().Cycles(), metric(s, "sched_cleaner_drains")
+		return s.Makespan(), w.Cleaner().Cycles(), w.Cleaner().VirtualDrains()
 	}
 	m1, c1, d1 := run()
 	m2, c2, d2 := run()
-	t.Logf("makespan %d, cleaner cycles %d, cleaner drains %v", m1, c1, d1)
+	t.Logf("makespan %d, cleaner cycles %d, cleaner drains %d", m1, c1, d1)
 	if m1 != m2 || c1 != c2 || d1 != d2 {
-		t.Fatalf("Wasp+CA virtual schedule not reproducible: (%d,%d,%v) vs (%d,%d,%v)",
+		t.Fatalf("Wasp+CA virtual schedule not reproducible: (%d,%d,%d) vs (%d,%d,%d)",
 			m1, c1, d1, m2, c2, d2)
 	}
 	if c1 == 0 {
 		t.Fatal("virtual cleaner core did no work")
 	}
 	if d1 != 12 {
-		t.Fatalf("cleaner drains = %v, want 12 (one released shell per run)", d1)
+		t.Fatalf("cleaner drains = %d, want 12 (one released shell per run)", d1)
 	}
 }
 

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/cycles"
@@ -91,11 +90,9 @@ func TestImageTelemetryTornPairs(t *testing.T) {
 
 // RegisterMetrics attaches this scheduler's telemetry to a metrics
 // registry as pull-model collectors: lifetime ticket counters, queue
-// depths, per-backend completion totals, cleaner drains and the tickets
-// waiters ran on borrowed lanes, sampled at Snapshot time with no
-// per-ticket cost. Counters with no accessor of their own
-// (sched_queue_depth, sched_cleaner_drains, sched_helped_total) are
-// published here only.
+// depths and per-backend completion totals, sampled at Snapshot time with
+// no per-ticket cost. sched_queue_depth, which has no accessor of its
+// own, is published here only.
 func (s *Scheduler) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCollector(func(emit func(string, float64)) {
 		emit("sched_submitted", float64(s.Submitted()))
@@ -104,8 +101,6 @@ func (s *Scheduler) RegisterMetrics(r *obs.Registry) {
 		emit("sched_queue_depth", float64(s.depth.Load()))
 		emit("sched_queue_depth_peak", float64(s.PeakQueueDepth()))
 		emit("sched_workers_active", float64(s.NumWorkers()))
-		emit("sched_cleaner_drains", float64(s.cleanerDrains.Load()))
-		emit("sched_helped_total", float64(s.helped.Load()))
 		for _, bl := range s.BackendLoads() {
 			emit(fmt.Sprintf("sched_backend_completed{platform=%s}", bl.Platform), float64(bl.Completed))
 			emit(fmt.Sprintf("sched_backend_workers{platform=%s}", bl.Platform), float64(bl.Workers))
@@ -132,7 +127,8 @@ func metric(src interface{ RegisterMetrics(*obs.Registry) }, name string) float6
 // the virtual cleaner core settles), then a one-lane real scheduler with
 // a backlog queued behind a held lane and waiters that may borrow it.
 func TestSchedRegisterMetrics(t *testing.T) {
-	s := NewVirtual(wasp.New(wasp.WithAsyncClean(true)), 2, WithPlacer(placement.LeastLoaded{}))
+	w := wasp.New(wasp.WithAsyncClean(true))
+	s := NewVirtual(w, 2, WithPlacer(placement.LeastLoaded{}))
 	defer s.Close()
 	img := guest.MustFromAsm("metrics-doubler", guest.WrapLongMode(doublerAsm))
 	reqs := make([]Request, 12)
@@ -150,11 +146,12 @@ func TestSchedRegisterMetrics(t *testing.T) {
 		"sched_completed":                       12,
 		"sched_rejected":                        0,
 		"sched_queue_depth":                     0,
-		"sched_helped_total":                    0,
-		"sched_cleaner_drains":                  4,
 		"sched_backend_completed{platform=kvm}": 12,
 		"sched_backend_workers{platform=kvm}":   2,
 	})
+	if n := w.Cleaner().VirtualDrains(); n != 4 {
+		t.Errorf("the virtual cleaner core settled %d releases, want 4", n)
+	}
 
 	r := New(wasp.New(), 1)
 	defer r.Close()
@@ -165,27 +162,19 @@ func TestSchedRegisterMetrics(t *testing.T) {
 		return nil, nil
 	})
 	<-started
-	var inline atomic.Uint64
 	backlog := make([]*Ticket, 3)
 	for i := range backlog {
-		backlog[i] = r.SubmitFn(func(clk *cycles.Clock) (*wasp.Result, error) {
-			if lentNow(r, clk) {
-				inline.Add(1)
-			}
-			return nil, nil
-		})
+		backlog[i] = r.SubmitFn(costTask(1))
 	}
-	checkMetrics(t, r, map[string]float64{"sched_queue_depth": 3, "sched_helped_total": 0})
+	checkMetrics(t, r, map[string]float64{"sched_queue_depth": 3})
 	close(release)
 	if err := WaitAll(append(backlog, gate)...); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
 	checkMetrics(t, r, map[string]float64{
-		"sched_completed":      4,
-		"sched_queue_depth":    0,
-		"sched_helped_total":   float64(inline.Load()),
-		"sched_cleaner_drains": 0,
+		"sched_completed":   4,
+		"sched_queue_depth": 0,
 	})
 }
 

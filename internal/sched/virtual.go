@@ -200,7 +200,7 @@ func (s *Scheduler) execVirtualLocked(wk *worker, t *Ticket, busy int) {
 	}
 	s.retire(wk, t)
 	for _, cl := range s.cleaners {
-		s.cleanerDrains.Add(uint64(cl.DrainAt(t.Done)))
+		cl.DrainAt(t.Done)
 	}
 }
 

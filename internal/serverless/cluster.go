@@ -20,7 +20,6 @@ import (
 
 // ClusterConfig shapes one simulation run.
 type ClusterConfig struct {
-	Seed           uint64
 	InitialWorkers int
 	Epoch          uint64 // control interval in cycles (default: 250 ms)
 	SLO            uint64 // end-to-end latency SLO in cycles (default: 50 ms)

@@ -18,7 +18,6 @@ func TestClusterRunDeterministic(t *testing.T) {
 	const F = uint64(cycles.Frequency)
 	run := func() *ClusterReport {
 		cfg := ClusterConfig{
-			Seed:           11,
 			InitialWorkers: 2,
 			Trace:          ClusterMix(11, 0.25, F),
 		}
@@ -44,7 +43,7 @@ func TestClusterRunDeterministic(t *testing.T) {
 // differential is sched's TestHeapDispatchMatchesLinearReference.)
 func TestClusterLinearMatchesHeap(t *testing.T) {
 	const F = uint64(cycles.Frequency)
-	cfg := ClusterConfig{Seed: 7, InitialWorkers: 3, Trace: ClusterMix(7, 0.2, F)}
+	cfg := ClusterConfig{InitialWorkers: 3, Trace: ClusterMix(7, 0.2, F)}
 	got, err := RunCluster(wasp.New(), sched.QueueScale{TargetP99: F / 20, Min: 2, Max: 64}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +81,7 @@ func TestClusterFrontier(t *testing.T) {
 		{64, fixedScale(64)},
 		{4, sched.QueueScale{TargetP99: F / 20, Min: 2, Max: 256}},
 	} {
-		rep, err := RunCluster(wasp.New(), c.pol, ClusterConfig{Seed: 1, InitialWorkers: c.w0, Trace: mix})
+		rep, err := RunCluster(wasp.New(), c.pol, ClusterConfig{InitialWorkers: c.w0, Trace: mix})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +173,7 @@ func BenchmarkRunCluster(b *testing.B) {
 	runs := 0
 	for b.Loop() {
 		if _, err := RunCluster(wasp.New(), sched.QueueScale{TargetP99: F / 20, Min: 2, Max: 256},
-			ClusterConfig{Seed: 1, InitialWorkers: 4, Trace: mix}); err != nil {
+			ClusterConfig{InitialWorkers: 4, Trace: mix}); err != nil {
 			b.Fatal(err)
 		}
 		runs++

@@ -94,8 +94,7 @@ type IntLit struct {
 // StrLit is a string literal (becomes a static char array).
 type StrLit struct {
 	exprBase
-	Val   string
-	Label string // assigned during codegen
+	Val string
 }
 
 // Ident references a variable or function name.

@@ -8,13 +8,14 @@ import (
 
 // RegisterMetrics attaches this runtime's telemetry to a metrics
 // registry as pull-model collectors, sampled only at Snapshot time:
-// the shared code-cache and compiled-tier counters (CodeCacheStats),
-// the per-platform snapshot-forest state (ForestStats), warm-pool
+// the shared code-cache and compiled-tier counters (CodeCacheStats) and
+// what the code registry holds besides code bytes, the per-platform snapshot-forest state (ForestStats), warm-pool
 // occupancy, the pages populating shells rewrote, the cold boots
 // replayed and recorded, the content entries evicted past the bound,
 // the pages captures hashed and took from shell content records, and
-// the Wasp+CA cleaner ledger's counters. Per-backend pool occupancy and
-// the cleaner's owed and cleaned counts are published here only.
+// the Wasp+CA cleaner ledger's counters. The registry's trace steps and
+// entry-table bytes, per-backend pool occupancy and the cleaner's owed
+// and cleaned counts are published here only.
 func (w *Wasp) RegisterMetrics(r *obs.Registry) {
 	if r == nil {
 		return
@@ -23,6 +24,9 @@ func (w *Wasp) RegisterMetrics(r *obs.Registry) {
 		cs := w.CodeCacheStats()
 		emit("wasp_code_entries", float64(cs.Entries))
 		emit("wasp_code_merges", float64(cs.Merges))
+		steps, entryBytes := w.codes.footprint()
+		emit("wasp_code_steps", float64(steps))
+		emit("wasp_code_entry_bytes", float64(entryBytes))
 		emit("wasp_jit_blocks_compiled", float64(cs.BlocksCompiled))
 		emit("wasp_jit_block_hits", float64(cs.BlockHits))
 		emit("wasp_jit_block_deopts", float64(cs.BlockDeopts))

@@ -622,3 +622,14 @@ func (r *codeRegistry) stats() (entries int, merges uint64) {
 	defer r.mu.Unlock()
 	return len(r.caches.byKey), r.merges
 }
+
+// footprint sums the registered caches' Footprints.
+func (r *codeRegistry) footprint() (steps, entryBytes int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, el := range r.caches.byKey {
+		s, e := el.Value.(*lruEntry[string, cpu.CodeCache]).val.Footprint()
+		steps, entryBytes = steps+s, entryBytes+e
+	}
+	return steps, entryBytes
+}
