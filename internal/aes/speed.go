@@ -71,7 +71,9 @@ func NewVirtineCipher(w *wasp.Wasp, key, iv []byte) (*VirtineCipher, error) {
 			// Key schedule + cipher context allocation happen once,
 			// captured in the snapshot.
 			n.Charge(1200)
-			n.TakeSnapshot("ctx")
+			if err := n.TakeSnapshot("ctx"); err != nil {
+				return err
+			}
 		}
 		buf := uint64(guest.HeapBase)
 		got, err := n.Hypercall(hypercall.NrGetData, buf, 1<<20)

@@ -19,9 +19,6 @@ import (
 // backend records one boot per image content up to the hand-off and
 // replays it for every argument.
 
-// workloadMarker is replaced by the caller's assembly.
-const workloadMarker = "@WORKLOAD@"
-
 // bootHeader brings the machine from 16-bit real mode into 32-bit
 // protected mode: interrupt disable, cold GDT load, CR0.PE flip, far jump
 // (Table 1 components: lgdt 4118, protected transition 3217, ljmp 175).

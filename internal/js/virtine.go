@@ -74,7 +74,9 @@ func (v *VirtineJS) workload(a any) error {
 	} else {
 		eng = NewEngine(charge) // charges EngineInitCost
 		eng.InstallBindings(clientBindings())
-		n.TakeSnapshot(engineReady{withBindings: true})
+		if err := n.TakeSnapshot(engineReady{withBindings: true}); err != nil {
+			return err
+		}
 	}
 
 	// get_data: ask the hypervisor for the payload (§6.5).

@@ -31,13 +31,36 @@ const tenantShapedAsm = `
 	hlt
 `
 
-// tenantShapedRun returns a warm runner of the tenant-shaped guest on w:
+// nativeTenant is tenantShapedAsm as a native workload: the first run
+// captures its snapshot, and every run receives a request on the socket,
+// sends it back and exits.
+func nativeTenant() *guest.Image {
+	return guest.NativeBootStub("native-tenant", func(c any) error {
+		n := c.(*NativeCtx)
+		if n.Restored() == nil {
+			if err := n.TakeSnapshot("ready"); err != nil {
+				return err
+			}
+		}
+		got, err := n.Hypercall(hypercall.NrRecv, 3, guest.HeapBase, 64)
+		if err != nil {
+			return err
+		}
+		if _, err := n.Hypercall(hypercall.NrSend, 3, guest.HeapBase, got); err != nil {
+			return err
+		}
+		_, err = n.Hypercall(hypercall.NrExit, 0)
+		return err
+	}, 0)
+}
+
+// tenantShapedRun returns a warm runner of a tenant-shaped image on w:
 // each call builds the caller's environment with NewEnv and makes one
 // restored run, checking that the request came back.
-func tenantShapedRun(t testing.TB, w *Wasp) func() {
-	img := guest.MustFromAsm("tenant-shaped", guest.WrapLongMode(tenantShapedAsm))
+func tenantShapedRun(t testing.TB, w *Wasp, img *guest.Image) func() {
 	req := []byte("GET /tenant")
 	clk := cycles.NewClock()
+	restored := false
 	run := func() {
 		env := hypercall.NewEnv()
 		env.NetIn = req
@@ -50,11 +73,12 @@ func tenantShapedRun(t testing.TB, w *Wasp) func() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(res.NetOut, req) {
-			t.Fatalf("sent %q, want %q", res.NetOut, req)
+		if !bytes.Equal(res.NetOut, req) || res.SnapshotUsed != restored {
+			t.Fatalf("sent %q, restored %v; want %q, restored %v", res.NetOut, res.SnapshotUsed, req, restored)
 		}
 	}
 	run() // capture
+	restored = true
 	run() // the first restore decodes nothing new
 	return run
 }
@@ -68,47 +92,66 @@ var envSink *hypercall.Env
 // Env and its FS, whose maps wait for a first file or descriptor; the
 // run makes at most three, the Result and the growth and copy of the
 // environment's NetOut. A per-run guestMem, config, exit, shell record,
-// code table, closure over the clock or ReadGuest scratch shows up here.
+// code table, closure over the clock or ReadGuest scratch shows up here,
+// and so does a native workload's context, which is the run's frame in
+// its shell (six allocations while it was a NativeCtx of its own).
 func TestWarmRunAllocs(t *testing.T) {
 	env := testing.AllocsPerRun(50, func() { envSink = hypercall.NewEnv() })
 	if env != 2 {
 		t.Fatalf("NewEnv makes %v allocations, want 2", env)
 	}
-	run := tenantShapedRun(t, New())
-	n := testing.AllocsPerRun(50, run)
-	if n > 5 || n-env > 3 {
-		t.Fatalf("a warm restored run makes %v allocations, %v of them the run's own; want at most 5 and 3", n, n-env)
+	for _, img := range []*guest.Image{
+		guest.MustFromAsm("tenant-shaped", guest.WrapLongMode(tenantShapedAsm)),
+		nativeTenant(),
+	} {
+		run := tenantShapedRun(t, New(), img)
+		n := testing.AllocsPerRun(50, run)
+		t.Logf("%s: %v allocations", img.Name, n)
+		if n > 5 || n-env > 3 {
+			t.Fatalf("%s: a warm restored run makes %v allocations, %v of them the run's own; want at most 5 and 3", img.Name, n, n-env)
+		}
 	}
 }
 
 // TestRestingShellPinsNoRun: a shell at rest in the pool, or parked on
 // its snapshot for a COW reset, holds none of the finished run's frame,
-// so the caller's environment (the default handler too) is collectable
-// as soon as the caller lets go of it.
+// so the caller's environment (the default handler too) and the Result
+// are collectable as soon as the caller lets go of them. A native
+// workload's context is that frame, so a native run is held to the same.
 func TestRestingShellPinsNoRun(t *testing.T) {
-	img := guest.MustFromAsm("tenant-shaped", guest.WrapLongMode(tenantShapedAsm))
+	asm := guest.MustFromAsm("tenant-shaped", guest.WrapLongMode(tenantShapedAsm))
 	for _, c := range []struct {
 		name string
+		img  *guest.Image
 		opts []Option
-	}{{"wasp-c", nil}, {"wasp-ca", []Option{WithAsyncClean(true)}}, {"cow", []Option{WithCOW(true)}}} {
+	}{
+		{"wasp-c", asm, nil},
+		{"wasp-ca", asm, []Option{WithAsyncClean(true)}},
+		{"cow", asm, []Option{WithCOW(true)}},
+		{"native", nativeTenant(), nil},
+	} {
 		w := New(c.opts...)
 		for i := 0; i < 2; i++ { // capture, then restore
-			ref := func() weak.Pointer[hypercall.Env] {
+			envRef, resRef := func() (weak.Pointer[hypercall.Env], weak.Pointer[Result]) {
 				env := hypercall.NewEnv()
 				env.NetIn = []byte("GET /tenant")
-				if _, err := w.Run(img, RunConfig{
+				res, err := w.Run(c.img, RunConfig{
 					Policy:   hypercall.MaskOf(hypercall.NrSend, hypercall.NrRecv),
 					Env:      env,
 					Snapshot: true,
-				}, cycles.NewClock()); err != nil {
+				}, cycles.NewClock())
+				if err != nil {
 					t.Fatal(err)
 				}
-				return weak.Make(env)
+				return weak.Make(env), weak.Make(res)
 			}()
 			runtime.GC()
 			runtime.GC()
-			if ref.Value() != nil {
+			if envRef.Value() != nil {
 				t.Fatalf("%s: run %d's environment is still reachable once its run has released the shell", c.name, i)
+			}
+			if resRef.Value() != nil {
+				t.Fatalf("%s: run %d's Result is still reachable once its caller dropped it", c.name, i)
 			}
 		}
 		if n := w.PoolTotal() + parkedShells(w); n != 1 {
@@ -151,11 +194,13 @@ func TestShellScratchBounded(t *testing.T) {
 		if s == nil {
 			t.Fatalf("no pooled %d-byte shell", img.MemBytes())
 		}
-		if got := cap(s.gm.scratch); got > maxScratch || got < c.keep {
+		if got := cap(s.run.gm.scratch); got > maxScratch || got < c.keep {
 			t.Fatalf("after a %d-byte read the shell keeps %d bytes of scratch, want %d to %d", c.n, got, c.keep, maxScratch)
 		}
-		if !reflect.DeepEqual(s.cfg, RunConfig{}) || s.gm.clk != nil || s.gm.mem != nil {
-			t.Fatalf("a pooled shell kept its run frame: %+v", s.cfg)
+		f := s.run
+		f.gm.scratch = nil
+		if !reflect.DeepEqual(f, run{}) {
+			t.Fatalf("a pooled shell kept its run frame: %+v", f)
 		}
 		w.release(s, nil)
 	}

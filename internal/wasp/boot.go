@@ -4,7 +4,6 @@ import (
 	"bytes"
 
 	"repro/internal/cpu"
-	"repro/internal/cycles"
 	"repro/internal/guest"
 	"repro/internal/vmm"
 )
@@ -27,32 +26,34 @@ type bootRecord struct {
 	cost       uint64           // the clock delta from before the entry to the hand-off
 }
 
-// bootFor returns the recording a cold boot of img replays — the same
-// bytes, its prefix inside cfg's budget — with its layer retained for the
-// caller; or, when the key has none, a record for the boot to make; else
-// nil.
-func (w *Wasp) bootFor(be *backend, img *guest.Image, cfg *RunConfig, memBytes int) *bootRecord {
-	if w.legacyInterp || img.Handoff == 0 {
+// bootFor returns the recording a cold boot of the run's image replays —
+// the same bytes, its prefix inside the run's budget — with its layer
+// retained for the caller; or, when the key has none, a record for the
+// boot to make; else nil.
+func (r *run) bootFor() *bootRecord {
+	img := r.img
+	if r.w.legacyInterp || img.Handoff == 0 {
 		return nil
 	}
-	r := be.content.boot(contentKey{img.ContentKey(), memBytes})
-	if r == nil {
+	b := r.be.content.boot(contentKey{img.ContentKey(), len(r.gm.mem)})
+	if b == nil {
 		return &bootRecord{}
 	}
-	if r.img.Origin == img.Origin && r.img.Entry == img.Entry && r.img.Mode == img.Mode && r.img.Handoff == img.Handoff &&
-		r.cpu.Retired <= cfg.MaxSteps && bytes.Equal(r.img.Code, img.Code) {
-		return r
+	if b.img.Origin == img.Origin && b.img.Entry == img.Entry && b.img.Mode == img.Mode && b.img.Handoff == img.Handoff &&
+		b.cpu.Retired <= r.cfg.MaxSteps && bytes.Equal(b.img.Code, img.Code) {
+		return b
 	}
-	r.layer.Release()
+	b.layer.Release()
 	return nil
 }
 
-// enter makes a run's first guest entry. A boot through a stub (handoff
-// non-zero) stops at the hand-off — replayed from its recording, or
-// executed and, when boot is a record to make, recorded there without
-// disturbing the shell — takes its arguments, and runs on with the rest
-// of the budget, charged the exit but not a second entry.
-func (w *Wasp) enter(be *backend, ctx *vmm.Context, img *guest.Image, cfg *RunConfig, boot *bootRecord, handoff uint64, clk *cycles.Clock) *cpu.Exit {
+// enter makes a run's first guest entry. A boot through a stub (a
+// non-zero r.handoff) stops at the hand-off — replayed from its
+// recording, or executed and, when r.boot is a record to make, recorded
+// there without disturbing the shell — takes its arguments, and runs on
+// with the rest of the budget, charged the exit but not a second entry.
+func (r *run) enter() *cpu.Exit {
+	ctx, boot, clk, maxSteps := r.gm.ctx, r.boot, r.clk, r.cfg.MaxSteps
 	start := clk.Now()
 	if boot != nil && boot.layer != nil {
 		ctx.CPU.Resume(boot.cpu, start)
@@ -60,26 +61,26 @@ func (w *Wasp) enter(be *backend, ctx *vmm.Context, img *guest.Image, cfg *RunCo
 		ctx.Entries++
 		clk.Advance(boot.cost)
 	} else {
-		ctx.CPU.Handoff = handoff
-		ex := ctx.Run(cfg.MaxSteps)
+		ctx.CPU.Handoff = r.handoff
+		ex := ctx.Run(maxSteps)
 		ctx.CPU.Handoff = 0
 		if ex.Reason != cpu.ExitHandoff {
 			return ex
 		}
 		if boot != nil {
-			boot.img = *img
-			boot.img.Code = bytes.Clone(img.Code)
-			boot.layer, boot.dirty = ctx.Freeze(be.forest), ctx.DirtyPages()
+			boot.img = *r.img
+			boot.img.Code = bytes.Clone(r.img.Code)
+			boot.layer, boot.dirty = ctx.Freeze(r.be.forest), ctx.DirtyPages()
 			boot.cpu, boot.firstEntry = ctx.CPU.Checkpoint(start), ctx.FirstEntry-start
 			boot.cost = clk.Now() - start
-			be.content.setBoot(contentKey{img.ContentKey(), len(ctx.Mem)}, boot)
+			r.be.content.setBoot(contentKey{r.img.ContentKey(), len(ctx.Mem)}, boot)
 			boot.layer.Release() // Freeze's: the registry holds its own, unless a concurrent boot recorded first
 		}
 	}
-	writeArgs(ctx, cfg.Args)
+	writeArgs(ctx, r.cfg.Args)
 	// The shell's Retired counts from this run's boot: a cold boot Loads,
 	// which resets the vCPU, and a replay resumes the recording's count.
-	return ctx.Continue(cfg.MaxSteps - ctx.CPU.Retired)
+	return ctx.Continue(maxSteps - ctx.CPU.Retired)
 }
 
 // writeArgs marshals args at guest.ArgAddr (§6.1). RunOn charges the copy

@@ -122,6 +122,14 @@ func parkedShells(w *Wasp) (n int) {
 	return n
 }
 
+// hasSnapshot reports whether be's registry holds a snapshot for name,
+// read through the registry's own get and release.
+func hasSnapshot(be *backend, name string) bool {
+	s := be.snapshots.get(name)
+	s.release()
+	return s != nil
+}
+
 // checksum is the probe guest's sum over guest memory, word by word.
 func checksum(mem []byte) uint64 {
 	var acc uint64

@@ -131,7 +131,7 @@ func TestImportRejectsHostileBlobs(t *testing.T) {
 			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
-			if w.backends[0].snapshots.has("victim") {
+			if hasSnapshot(w.backends[0], "victim") {
 				t.Fatal("rejected import left a snapshot behind")
 			}
 			if st := w.ForestStats(); st.StorePages != 0 {
@@ -204,7 +204,7 @@ func FuzzImportSnapshot(f *testing.F) {
 		w := receiver(t)
 		baseline := w.ForestStats().StorePages
 		if err := w.ImportSnapshotOn("", "fuzzed", data); err != nil {
-			if w.backends[0].snapshots.has("fuzzed") {
+			if hasSnapshot(w.backends[0], "fuzzed") {
 				t.Fatal("failed import installed a snapshot")
 			}
 			if n := w.ForestStats().StorePages; n != baseline {

@@ -162,10 +162,10 @@ func TestMigrateSnapshotSurvivesDropInExportWindow(t *testing.T) {
 	}
 	// The drop really landed inside the window: the source registry no
 	// longer holds the snapshot the migration nonetheless shipped.
-	if w.byPlat[kvm].snapshots.has(tenant.Name) {
+	if hasSnapshot(w.byPlat[kvm], tenant.Name) {
 		t.Fatal("gate's DropSnapshot did not take effect on the source registry")
 	}
-	if !w.byPlat[hyperv].snapshots.has(tenant.Name) {
+	if !hasSnapshot(w.byPlat[hyperv], tenant.Name) {
 		t.Fatal("target backend has no snapshot after migration")
 	}
 	res, err := w.RunOn(hyperv, tenant, cfg(30), cycles.NewClock())

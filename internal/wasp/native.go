@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cycles"
-	"repro/internal/guest"
 	"repro/internal/hypercall"
-	"repro/internal/vmm"
 )
 
 // NativeCtx is the execution context handed to a native workload — a
@@ -26,52 +24,47 @@ import (
 // DESIGN.md documents this substitution: the control flow (exit counts,
 // bytes copied, snapshot mechanics) is real, only the instruction stream
 // is summarized by Charge calls.
-type NativeCtx struct {
-	wasp     *Wasp
-	be       *backend
-	img      *guest.Image
-	ctx      *vmm.Context
-	cfg      *RunConfig
-	clk      *cycles.Clock
-	gm       *guestMem
-	restored any
-}
+//
+// A NativeCtx is the run's own frame, held in the run's pooled shell, so
+// handing it over allocates nothing. It is valid only during the
+// workload call: once the workload returns, the shell clears the frame
+// and serves other runs.
+type NativeCtx run
 
 // Mem exposes the virtine's guest-physical memory.
-func (n *NativeCtx) Mem() []byte { return n.ctx.Mem }
+func (n *NativeCtx) Mem() []byte { return n.gm.mem }
 
 // Charge accounts cy cycles of in-virtine compute.
 func (n *NativeCtx) Charge(cy uint64) { n.clk.Advance(cy) }
 
 // Restored returns the state stored by TakeSnapshot in the run that
 // captured this image's snapshot, or nil on a cold run.
-func (n *NativeCtx) Restored() any { return n.restored }
+func (n *NativeCtx) Restored() any {
+	if n.snap == nil {
+		return nil
+	}
+	return n.snap.native
+}
 
 // Hypercall performs one hypercall from the native workload, paying the
-// exit, dispatch, and re-entry costs and passing the policy gate —
-// exactly what an OUT instruction costs an interpreted guest.
+// exit, dispatch, and re-entry costs and crossing the same interposition
+// as an interpreted guest's — exactly what an OUT instruction costs one.
 func (n *NativeCtx) Hypercall(nr uint8, args ...uint64) (uint64, error) {
-	n.clk.Advance(n.ctx.Platform().ExitCost())
+	ctx := n.gm.ctx
+	n.clk.Advance(ctx.Platform().ExitCost())
 	n.clk.Advance(cycles.HypercallDispatch)
-	n.ctx.ExitsIO++
-	call := hypercall.Args{Nr: nr}
-	set := []*uint64{&call.A0, &call.A1, &call.A2, &call.A3, &call.A4, &call.A5}
-	if len(args) > len(set) {
+	ctx.ExitsIO++
+	var a [6]uint64
+	if len(args) > len(a) {
 		return 0, fmt.Errorf("wasp: hypercall %s: too many arguments", hypercall.Name(nr))
 	}
-	for i, a := range args {
-		*set[i] = a
-	}
-	mechanism := nr == hypercall.NrExit || nr == hypercall.NrMark || nr == hypercall.NrSnapshot
-	if !mechanism && !n.cfg.Policy.Allow(nr) {
-		return 0, fmt.Errorf("wasp: virtine %s: %s: %w", n.img.Name, hypercall.Name(nr), hypercall.ErrDenied)
-	}
-	ret, err := n.cfg.Handler.Handle(call, n.gm)
+	copy(a[:], args)
+	ret, err := (*run)(n).interpose(hypercall.Args{Nr: nr, A0: a[0], A1: a[1], A2: a[2], A3: a[3], A4: a[4], A5: a[5]})
 	if err != nil {
-		return 0, fmt.Errorf("wasp: %s failed: %w", hypercall.Name(nr), err)
+		return 0, err
 	}
-	n.clk.Advance(n.ctx.Platform().EntryCost())
-	n.ctx.Entries++
+	n.clk.Advance(ctx.Platform().EntryCost())
+	ctx.Entries++
 	return ret, nil
 }
 
@@ -84,7 +77,7 @@ func (n *NativeCtx) TakeSnapshot(state any) error {
 	}
 	// The workload has written through its Mem slice, behind the store
 	// barrier: the capture must read every page, not trust the record.
-	n.ctx.Forget()
-	_, err := n.wasp.capture(n.be, n.ctx, n.img, state, true, n.clk)
+	n.gm.ctx.Forget()
+	_, err := (*run)(n).capture(state, true)
 	return err
 }

@@ -75,10 +75,10 @@ func TestPerPlatformSnapshotsArePartitioned(t *testing.T) {
 	if _, err := w.RunOn("kvm", img, cfg, cycles.NewClock()); err != nil {
 		t.Fatal(err)
 	}
-	if !w.byPlat["kvm"].snapshots.has(img.Name) {
+	if !hasSnapshot(w.byPlat["kvm"], img.Name) {
 		t.Fatal("kvm registry missing the captured snapshot")
 	}
-	if w.byPlat["hyper-v"].snapshots.has(img.Name) {
+	if hasSnapshot(w.byPlat["hyper-v"], img.Name) {
 		t.Fatal("hyper-v registry saw the kvm-side snapshot")
 	}
 
@@ -91,7 +91,7 @@ func TestPerPlatformSnapshotsArePartitioned(t *testing.T) {
 	if res.SnapshotUsed {
 		t.Fatal("first hyper-v run restored a snapshot it never captured")
 	}
-	if !w.byPlat["hyper-v"].snapshots.has(img.Name) {
+	if !hasSnapshot(w.byPlat["hyper-v"], img.Name) {
 		t.Fatal("hyper-v registry missing its own capture")
 	}
 	res, err = w.RunOn("hyper-v", img, cfg, cycles.NewClock())

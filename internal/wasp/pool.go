@@ -162,13 +162,6 @@ func (r *snapRegistry) get(name string) *snapshot {
 	return s
 }
 
-func (r *snapRegistry) has(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.byImg[name]
-	return ok
-}
-
 // put installs a snapshot under name, taking ownership of the caller's
 // layer reference, or with a nil s drops name's. It retires the snapshot
 // it replaces or drops, if any, and returns the shell that was parked on

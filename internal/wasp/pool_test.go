@@ -198,7 +198,7 @@ func TestConcurrentRunStress(t *testing.T) {
 		t.Fatalf("per-class pool size %d != total %d for the single size class", size, total)
 	}
 	for _, img := range images {
-		if !w.backends[0].snapshots.has(img.Name) {
+		if !hasSnapshot(w.backends[0], img.Name) {
 			t.Fatalf("snapshot for %s lost during concurrent runs", img.Name)
 		}
 	}

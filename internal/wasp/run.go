@@ -77,15 +77,28 @@ type Result struct {
 	// retBuf backs Ret for the common small-RetBytes case so the
 	// copy-out does not allocate separately from the Result itself.
 	retBuf [64]byte
-
-	// residentOn is the snapshot the run's shell is a dirty-page delta
-	// over — the one restored, or the last one captured. A completed COW
-	// run parks its shell on it; RunOn clears it before the caller sees
-	// the Result.
-	residentOn *snapshot
 }
 
 const defaultMaxSteps = 200_000_000
+
+// run is one virtine execution's frame, which every phase of RunOn
+// reads and writes. It lives in the run's shell (shell.begin fills it,
+// shell.end clears it), so a run allocates no frame, and a native
+// workload receives it as its NativeCtx.
+type run struct {
+	w       *Wasp
+	be      *backend
+	img     *guest.Image
+	snap    *snapshot // restored by the run and retained until RunOn returns; nil: a boot
+	parkOn  *snapshot // what the shell's memory is a delta over: snap, or the last capture
+	res     *Result
+	clk     *cycles.Clock
+	start   uint64      // clk when RunOn began: Result.Cycles counts from here
+	boot    *bootRecord // the boot the first entry replays or records (populate)
+	handoff uint64      // the stub's hand-off the arguments wait for; 0: the first entry
+	cfg     RunConfig   // the caller's, defaults filled
+	gm      guestMem    // the window handlers get; gm.ctx is the shell's context
+}
 
 // Run executes one virtine on the default backend: provision a context,
 // populate it (image boot or snapshot restore), marshal arguments, enter
@@ -115,7 +128,6 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	}
 
 	start := clk.Now()
-	res := &Result{}
 	var snap *snapshot
 	if cfg.Snapshot {
 		// get retains the snapshot's layer for the life of this run, so
@@ -124,20 +136,13 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 		snap = be.snapshots.get(img.Name)
 		defer snap.release()
 	}
-	res.residentOn = snap
 
-	// COW resets apply to interpreted guests with snapshotting on.
-	cow := w.cow && cfg.Snapshot && img.Native == nil
+	cow := w.cow && cfg.Snapshot && img.Native == nil // COW resets serve interpreted guests
 	s, resident, err := w.acquire(be, img, snap, cow, clk)
 	if err != nil {
 		return nil, err
 	}
-	ctx := s.ctx
-	// Tier transitions (trace compiles, deopts) batch into the CPU's
-	// bounded log during the run and drain into the tracer at run end
-	// (drainTierLog), so the guest hot loop never pays an emit.
-	ctx.CPU.TierTrace = w.tracer.Enabled()
-	ctx.CPU.Legacy = w.legacyInterp
+	r := s.begin(run{w: w, be: be, img: img, snap: snap, clk: clk, start: start, cfg: cfg})
 	// One way out for the shell, error returns included: drain the tier
 	// log while this run still owns the context, clear the run's frame,
 	// then release the shell, parked on its snapshot for the image's next
@@ -147,7 +152,7 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	// on.
 	var park *snapshot // set when the run completes
 	defer func() {
-		w.drainTierLog(ctx)
+		w.drainTierLog(s.ctx)
 		if p := recover(); p != nil {
 			w.poolDrops.Add(1)
 			panic(p)
@@ -155,16 +160,8 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 		s.end()
 		w.release(s, park)
 	}()
-	rc, gm := s.begin(&cfg, clk)
 
-	ctx.FirstEntry = 0
-	// Shells are reused (a COW shell is not even reset), so the context's
-	// counters are cumulative: res holds them as the run starts, and
-	// finish turns them into this run's deltas.
-	res.Entries, res.IOExits, res.Retired, res.JIT = ctx.Entries, ctx.ExitsIO, ctx.CPU.Retired, ctx.CPU.Stats
-
-	boot, err := w.populate(be, ctx, img, rc, snap, resident, res, clk)
-	if err != nil {
+	if err := r.populate(resident); err != nil {
 		return nil, err
 	}
 
@@ -175,84 +172,61 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	// interpreter the cache is unused.
 	if !w.legacyInterp {
 		if cc := w.codes.get(img.ContentKey()); !cc.Empty() {
-			ctx.CPU.AdoptCode(cc)
+			s.ctx.CPU.AdoptCode(cc)
 		}
 	}
 
 	// Marshal arguments at guest.ArgAddr (§6.1), charged here. A boot
 	// through a stub gets them at its hand-off (enter), so no recording
 	// of the stub's prefix ever holds them.
-	if len(rc.Args) > 0 {
-		clk.Advance(cycles.MemcpyCost(len(rc.Args)))
+	if len(r.cfg.Args) > 0 {
+		clk.Advance(cycles.MemcpyCost(len(r.cfg.Args)))
 	}
-	var handoff uint64
-	if snap == nil {
-		handoff = img.Handoff
-	}
-	if handoff == 0 {
-		writeArgs(ctx, rc.Args)
+	if r.handoff == 0 {
+		writeArgs(s.ctx, r.cfg.Args)
 	}
 
 	// Native images restored from a post-boot snapshot skip the CPU
 	// entirely; otherwise run the guest (boot stub or full program).
-	restoredNative := snap != nil && snap.booted && img.Native != nil
-	if !restoredNative {
-		if err := w.runGuest(be, ctx, img, rc, gm, res, boot, handoff, clk); err != nil {
+	if snap == nil || !snap.booted || img.Native == nil {
+		if err := r.runGuest(); err != nil {
 			return nil, err
 		}
 	}
-	if img.Native != nil && !rc.Env.Exited {
-		if err := w.runNative(be, ctx, img, rc, gm, snap, clk); err != nil {
+	if img.Native != nil && !r.cfg.Env.Exited {
+		if err := r.runNative(); err != nil {
 			return nil, err
 		}
 	}
-	w.finish(ctx, img, rc, res, start, clk)
+	r.finish()
 	if cow {
-		park = res.residentOn
+		park = r.parkOn
 	}
-	res.residentOn = nil
-	return res, nil
-}
-
-// fill supplies cfg's defaults and points its environment at clk.
-func (cfg *RunConfig) fill(clk *cycles.Clock) {
-	if cfg.Policy == nil {
-		cfg.Policy = hypercall.DenyAll{}
-	}
-	if cfg.Env == nil {
-		cfg.Env = hypercall.NewEnv()
-	}
-	if cfg.Handler == nil {
-		cfg.Handler = cfg.Env
-	}
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = defaultMaxSteps
-	}
-	cfg.Env.Clock = clk
+	return r.res, nil
 }
 
 // runNative enters a native image's workload (§6.5) with virtine
-// semantics: the platform's entry and exit costs around it, the restored
-// workload state when the run restored a snapshot.
-func (w *Wasp) runNative(be *backend, ctx *vmm.Context, img *guest.Image, cfg *RunConfig, gm *guestMem, snap *snapshot, clk *cycles.Clock) error {
-	nctx := &NativeCtx{wasp: w, be: be, img: img, ctx: ctx, cfg: cfg, clk: clk, gm: gm}
-	if snap != nil {
-		nctx.restored = snap.native
-	}
+// semantics: the platform's entry and exit costs around it, and the
+// frame itself as the workload's NativeCtx, which sees the restored
+// workload state when the run restored a snapshot. The exit charged
+// after the workload returns is one an interpreted guest does not pay:
+// NativeCtx.Hypercall re-enters after the workload's NrExit, so a native
+// run makes one entry/exit pair more than an interpreted exit().
+func (r *run) runNative() error {
+	ctx := r.gm.ctx
 	// The workload writes through its Mem slice, behind the store
 	// barrier and possibly after a TakeSnapshot, so however it
 	// returns, the shell's content is unknown from then on.
 	defer ctx.Forget()
-	clk.Advance(be.platform.EntryCost())
+	r.clk.Advance(r.be.platform.EntryCost())
 	if ctx.FirstEntry == 0 {
-		ctx.FirstEntry = clk.Now()
+		ctx.FirstEntry = r.clk.Now()
 	}
 	ctx.Entries++
-	if err := img.Native(nctx); err != nil {
+	if err := r.img.Native((*NativeCtx)(r)); err != nil {
 		return fmt.Errorf("wasp: native workload: %w", err)
 	}
-	// Hypercall re-entered after NrExit, so this exit makes one entry/exit pair an interpreted exit() does not pay.
-	clk.Advance(be.platform.ExitCost())
+	r.clk.Advance(r.be.platform.ExitCost())
 	return nil
 }
 
@@ -260,7 +234,8 @@ func (w *Wasp) runNative(be *backend, ctx *vmm.Context, img *guest.Image, cfg *R
 // the environment's outputs, milestones rebased on the first guest entry,
 // and the shell counters' deltas since the start res holds — and
 // harvests newly decoded code.
-func (w *Wasp) finish(ctx *vmm.Context, img *guest.Image, cfg *RunConfig, res *Result, start uint64, clk *cycles.Clock) {
+func (r *run) finish() {
+	ctx, cfg, res, w := r.gm.ctx, &r.cfg, r.res, r.w
 	if cfg.RetBytes > 0 {
 		src := ctx.Mem[guest.RetAddr : guest.RetAddr+uint64(cfg.RetBytes)]
 		if cfg.RetBytes <= len(res.retBuf) {
@@ -287,7 +262,7 @@ func (w *Wasp) finish(ctx *vmm.Context, img *guest.Image, cfg *RunConfig, res *R
 	res.Retired = ctx.CPU.Retired - res.Retired
 	res.BootEvents = ctx.CPU.Events
 	res.GuestEntry = ctx.FirstEntry
-	res.Cycles = clk.Now() - start
+	res.Cycles = r.clk.Now() - r.start
 	// Compiled-tier activity: contexts are pooled, so the per-CPU
 	// counters are cumulative across tenants — report this run's delta
 	// and fold it into the Wasp-lifetime aggregate.
@@ -304,15 +279,15 @@ func (w *Wasp) finish(ctx *vmm.Context, img *guest.Image, cfg *RunConfig, res *R
 		// One summary span per guest run: the interp/JIT tier activity
 		// (arg0 = traces compiled, arg1 = deopts) over the run's whole
 		// virtual window.
-		tr.Span(obs.ControlLane, obs.KindGuest, img.Name,
-			start, clk.Now(), 0, res.JIT.BlocksCompiled, res.JIT.BlockDeopts)
+		tr.Span(obs.ControlLane, obs.KindGuest, r.img.Name,
+			r.start, r.clk.Now(), 0, res.JIT.BlocksCompiled, res.JIT.BlockDeopts)
 	}
 	// Harvest newly decoded pages into the per-image registry so the
 	// next run — on any shell — starts predecoded. On the warm path
 	// every page was adopted and nothing new was decoded, so the
 	// freeze/merge (and its registry write lock) is skipped entirely.
 	if !w.legacyInterp && ctx.CPU.CodeNew() {
-		w.codes.merge(img.ContentKey(), ctx.CPU.ShareCode())
+		w.codes.merge(r.img.ContentKey(), ctx.CPU.ShareCode())
 	}
 }
 
@@ -336,8 +311,10 @@ func (w *Wasp) drainTierLog(ctx *vmm.Context) {
 }
 
 // populate brings the shell to where the run starts: a snapshot restore
-// or COW reset, or a cold boot replayed (boot.go) or loaded onto zeroed
-// memory. It returns the boot record the first entry replays or makes.
+// or COW reset (resident: the shell is a delta over the run's snapshot),
+// or a cold boot replayed (boot.go) or loaded onto zeroed memory. A boot
+// leaves the record its first entry replays or makes in r.boot, and its
+// stub's hand-off in r.handoff.
 //
 // All four are one Rebase onto the snapshot's layer, the recording's, or
 // nil: it rewrites only the pages that differ from the target — dirty,
@@ -346,24 +323,24 @@ func (w *Wasp) drainTierLog(ctx *vmm.Context) {
 // reset copies back the pages dirtied since the snapshot point; a replay
 // is charged as the image copy it replaces. None depends on how the
 // forest shares pages or on what the shell held before.
-func (w *Wasp) populate(be *backend, ctx *vmm.Context, img *guest.Image, cfg *RunConfig, snap *snapshot, resident bool, res *Result, clk *cycles.Clock) (*bootRecord, error) {
+func (r *run) populate(resident bool) error {
+	ctx, img, snap, clk := r.gm.ctx, r.img, r.snap, r.clk
 	var target *vmm.Layer
-	var boot *bootRecord
 	if snap != nil {
 		target = snap.layer
-	} else if boot = w.bootFor(be, img, cfg, len(ctx.Mem)); boot != nil {
-		target = boot.layer // nil for a boot yet to record
+	} else if r.boot = r.bootFor(); r.boot != nil {
+		target = r.boot.layer // nil for a boot yet to record
 		defer target.Release()
 	}
 	dirty := ctx.DirtyCount()
-	written := be.pages.add(ctx.Rebase(target))
+	written := r.be.pages.add(ctx.Rebase(target))
 	var event string
 	var arg uint64
 	switch {
 	case snap != nil && resident:
 		clk.Advance(cycles.MemcpyCost(dirty * vmm.PageSize))
 		clk.Advance(uint64(dirty) * cycles.COWResetPerPage)
-		res.COWPages = dirty
+		r.res.COWPages = dirty
 		event, arg = "snap-cow-reset", uint64(dirty)
 	case snap != nil:
 		clk.Advance(cycles.MemcpyCost(snap.captured))
@@ -371,103 +348,115 @@ func (w *Wasp) populate(be *backend, ctx *vmm.Context, img *guest.Image, cfg *Ru
 	case target != nil:
 		// Memory and dirty set as the recorded boot left them; the first
 		// entry resumes the vCPU.
-		for _, p := range boot.dirty {
+		for _, p := range r.boot.dirty {
 			ctx.HostWrite(uint64(p)*vmm.PageSize, vmm.PageSize)
 		}
 		clk.Advance(cycles.MemcpyCost(len(img.Code)))
-		be.content.replays.Add(1)
-		event, arg = "boot-replay", boot.cpu.Retired
+		r.be.content.replays.Add(1)
+		event, arg = "boot-replay", r.boot.cpu.Retired
 	default: // boot on zeroed memory
 		if err := ctx.Load(img.Code, img.Origin, img.Entry, img.Mode); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if tr := w.tracer; tr.Enabled() && event != "" {
+	if tr := r.w.tracer; tr.Enabled() && event != "" {
 		tr.Instant(obs.ControlLane, obs.KindSnapshot, event, clk.Now(), 0, arg, uint64(written))
 	}
 	if snap != nil {
 		ctx.CPU.Restore(snap.state)
-		res.SnapshotUsed = true
+		r.res.SnapshotUsed = true
 	} else {
 		// Padding is part of the image payload (Fig 12): it is copied with
 		// the image even though it is all zeros.
 		clk.Advance(cycles.MemcpyCost(img.Pad))
+		r.handoff = img.Handoff
 	}
 	clk.Advance(cycles.GuestLoadSetup)
-	return boot, nil
+	return nil
 }
 
 // runGuest drives the vCPU until halt or guest exit(), interposing on
 // every hypercall.
-func (w *Wasp) runGuest(be *backend, ctx *vmm.Context, img *guest.Image, cfg *RunConfig, gm *guestMem, res *Result, boot *bootRecord, handoff uint64, clk *cycles.Clock) error {
-	ex := w.enter(be, ctx, img, cfg, boot, handoff, clk)
+func (r *run) runGuest() error {
+	ctx := r.gm.ctx
+	ex := r.enter()
 	if firstExitGate != nil {
 		firstExitGate(ctx)
 	}
-	for ; ; ex = ctx.Run(cfg.MaxSteps) {
+	for ; ; ex = ctx.Run(r.cfg.MaxSteps) {
 		switch ex.Reason {
 		case cpu.ExitHalt:
 			return nil
 		case cpu.ExitFault:
-			return fmt.Errorf("wasp: virtine %s faulted: %w", img.Name, ex.Err)
+			return fmt.Errorf("wasp: virtine %s faulted: %w", r.img.Name, ex.Err)
 		case cpu.ExitIO:
-			if done, err := w.serviceHypercall(be, ctx, img, cfg, gm, res, ex, clk); done || err != nil {
+			if done, err := r.serviceHypercall(ex); done || err != nil {
 				return err
 			}
 		default:
-			return fmt.Errorf("wasp: virtine %s: unexpected exit %v", img.Name, ex.Reason)
+			return fmt.Errorf("wasp: virtine %s: unexpected exit %v", r.img.Name, ex.Reason)
 		}
 	}
 }
 
-// serviceHypercall is the interposition layer (§5.1): decode the call
-// from the vCPU registers, consult the client policy, dispatch to the
-// handler, write the result into RAX, and resume.
-func (w *Wasp) serviceHypercall(be *backend, ctx *vmm.Context, img *guest.Image, cfg *RunConfig, gm *guestMem, res *Result, ex *cpu.Exit, clk *cycles.Clock) (done bool, err error) {
-	clk.Advance(cycles.HypercallDispatch)
-	regs := &ctx.CPU.Regs
+// serviceHypercall services an interpreted guest's hypercall exit:
+// decode the call from the vCPU registers, capture the reset state on a
+// snapshot call, interpose, write the result into the register the exit
+// names, and resume.
+func (r *run) serviceHypercall(ex *cpu.Exit) (done bool, err error) {
+	r.clk.Advance(cycles.HypercallDispatch)
+	regs := &r.gm.ctx.CPU.Regs
 	call := hypercall.Args{
 		Nr: ex.Port,
 		A0: regs[isa.RDI], A1: regs[isa.RSI], A2: regs[isa.RDX],
 		A3: regs[isa.R10], A4: regs[isa.R8], A5: regs[isa.R9],
 	}
-
-	// Mechanism calls bypass policy: exit is always available (§5.1),
-	// mark is hypervisor instrumentation, and snapshot is the §5.2
-	// mechanism the language extensions rely on by default.
-	mechanism := call.Nr == hypercall.NrExit || call.Nr == hypercall.NrMark || call.Nr == hypercall.NrSnapshot
-	if !mechanism && !cfg.Policy.Allow(call.Nr) {
-		return false, fmt.Errorf("wasp: virtine %s: %s: %w", img.Name, hypercall.Name(call.Nr), hypercall.ErrDenied)
-	}
-
-	if call.Nr == hypercall.NrSnapshot && cfg.Snapshot {
+	if call.Nr == hypercall.NrSnapshot && r.cfg.Snapshot {
 		// Capture the reset state: guest memory up to the image
 		// footprint plus the stack, and the architectural state. The
 		// copy is charged — the paper's Fig 11 snapshot bars include
 		// the initial capture overhead.
-		snap, err := w.capture(be, ctx, img, nil, false, clk)
+		snap, err := r.capture(nil, false)
 		if err != nil {
 			return false, err
 		}
-		res.residentOn = snap
+		r.parkOn = snap
 	}
-
-	ret, herr := cfg.Handler.Handle(call, gm)
-	if herr != nil {
-		return false, fmt.Errorf("wasp: virtine %s: %s failed: %w", img.Name, hypercall.Name(call.Nr), herr)
+	ret, err := r.interpose(call)
+	if err != nil {
+		return false, err
 	}
 	if ex.In {
 		regs[ex.Reg] = ret
 	} else {
 		regs[isa.RAX] = ret
 	}
-	return cfg.Env.Exited, nil
+	return r.cfg.Env.Exited, nil
 }
 
-// capture stores a snapshot of the context for img in the backend's
-// registry. The memory captured is the image footprint plus the stack
-// region — what the paper's memcpy-based reset copies (§6.2); the
-// charged cost scales with image size regardless of representation.
+// interpose is the interposition layer (§5.1) every hypercall crosses,
+// an interpreted guest's and a native workload's alike: consult the
+// client policy and dispatch to the handler. Mechanism calls bypass
+// policy: exit is always available (§5.1), mark is hypervisor
+// instrumentation, and snapshot is the §5.2 mechanism the language
+// extensions rely on by default.
+func (r *run) interpose(call hypercall.Args) (uint64, error) {
+	mechanism := call.Nr == hypercall.NrExit || call.Nr == hypercall.NrMark || call.Nr == hypercall.NrSnapshot
+	if !mechanism && !r.cfg.Policy.Allow(call.Nr) {
+		return 0, fmt.Errorf("wasp: virtine %s: %s: %w", r.img.Name, hypercall.Name(call.Nr), hypercall.ErrDenied)
+	}
+	ret, err := r.cfg.Handler.Handle(call, &r.gm)
+	if err != nil {
+		return 0, fmt.Errorf("wasp: virtine %s: %s failed: %w", r.img.Name, hypercall.Name(call.Nr), err)
+	}
+	return ret, nil
+}
+
+// capture stores a snapshot of the shell for the run's image in the
+// backend's registry, with a native workload's opaque state. The memory
+// captured is the image footprint plus the stack region — what the
+// paper's memcpy-based reset copies (§6.2); the charged cost scales with
+// image size regardless of representation.
 //
 // The capture goes into the backend's content-addressed snapshot
 // forest: deduplicated against every page already stored and — when the
@@ -478,7 +467,8 @@ func (w *Wasp) serviceHypercall(be *backend, ctx *vmm.Context, img *guest.Image,
 // the image. A page the shell's content record already knows is taken
 // from the record, and one equal to the base's is compared, not hashed
 // (vmm.Context.Capture), so a capture hashes its delta.
-func (w *Wasp) capture(be *backend, ctx *vmm.Context, img *guest.Image, native any, booted bool, clk *cycles.Clock) (*snapshot, error) {
+func (r *run) capture(native any, booted bool) (*snapshot, error) {
+	ctx, img, be, clk := r.gm.ctx, r.img, r.be, r.clk
 	windows, captured := captureWindows(img, len(ctx.Mem))
 	// The key carries the geometry: the same content at another size
 	// (e.g. a WithPad variant) has a base of its own.
@@ -506,8 +496,8 @@ func (w *Wasp) capture(be *backend, ctx *vmm.Context, img *guest.Image, native a
 		be.content.setBase(key, snap.layer)
 	}
 	clk.Advance(cycles.MemcpyCost(captured))
-	w.release(be.snapshots.put(img.Name, snap), nil)
-	if tr := w.tracer; tr.Enabled() {
+	r.w.release(be.snapshots.put(img.Name, snap), nil)
+	if tr := r.w.tracer; tr.Enabled() {
 		tr.Instant(obs.ControlLane, obs.KindSnapshot, "snap-capture",
 			clk.Now(), 0, uint64(captured), uint64(hashed))
 	}

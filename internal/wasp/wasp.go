@@ -47,6 +47,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/cycles"
 	"repro/internal/guest"
+	"repro/internal/hypercall"
 	"repro/internal/obs"
 	"repro/internal/vmm"
 )
@@ -113,35 +114,57 @@ func (s *shellPages) add(written, kept int) int {
 // lives: the pool, the snapshot a shell parks on and the cleaner all
 // hold this same record, so handing a shell around allocates nothing.
 //
-// While a run owns the shell, the record also holds that run's frame:
-// its copy of the RunConfig, defaults filled (cfg), and its window into
-// guest memory (gm). begin fills the frame and end clears it before the
-// shell is pooled or parked, so a resting shell pins nothing of a run
-// that has finished: not its environment, handler, arguments or clock.
-// Only the window's ReadGuest scratch stays for the next run, and only
-// up to maxScratch bytes.
+// While a run owns the shell, the record also holds that run's frame
+// (run): runtime, backend, image, restored snapshot, the snapshot the
+// shell parks on, Result, clock, start time, boot record, hand-off,
+// RunConfig and guest-memory window. end clears it before the shell is
+// pooled or parked, so a resting shell pins none of a finished run's
+// environment, handler, arguments or Result (its context keeps the
+// clock), only up to maxScratch bytes of the window's ReadGuest scratch.
 type shell struct {
 	ctx    *vmm.Context
 	dirty  bool
 	owedIn uint64 // the cleaner's settlement period that owes this release; 0: none
 
-	cfg RunConfig
-	gm  guestMem
+	run
 }
 
 // maxScratch bounds the ReadGuest scratch a resting shell keeps: a run
 // that read more in one hypercall leaves it for the collector.
 const maxScratch = 16 << 10
 
-// begin fills the shell's run frame for one run on clk: cfg copied in
-// with its defaults supplied and its environment on clk, and a window
-// over the shell's memory charged to clk. It returns both; they are
-// valid until end.
-func (s *shell) begin(cfg *RunConfig, clk *cycles.Clock) (*RunConfig, *guestMem) {
-	s.cfg = *cfg
-	s.cfg.fill(clk)
-	s.gm = guestMem{ctx: s.ctx, mem: s.ctx.Mem, clk: clk, scratch: s.gm.scratch}
-	return &s.cfg, &s.gm
+// begin makes f the frame of the run that has just acquired the shell:
+// f's config gets its defaults, its environment and the context go on
+// f's clock, and the run gets a window over the context's memory and a
+// Result holding its cumulative counters, which finish turns into this
+// run's deltas. The context's tier log goes on if the tracer is, and its
+// first entry is unset. The frame is valid until end.
+func (s *shell) begin(f run) *run {
+	ctx, cfg := s.ctx, &f.cfg
+	if cfg.Policy == nil {
+		cfg.Policy = hypercall.DenyAll{}
+	}
+	if cfg.Env == nil {
+		cfg.Env = hypercall.NewEnv()
+	}
+	if cfg.Handler == nil {
+		cfg.Handler = cfg.Env
+	}
+	if cfg.MaxSteps == 0 {
+		cfg.MaxSteps = defaultMaxSteps
+	}
+	cfg.Env.Clock = f.clk
+	ctx.Clock, ctx.CPU.Clock = f.clk, f.clk
+	f.parkOn = f.snap
+	f.res = &Result{Entries: ctx.Entries, IOExits: ctx.ExitsIO, Retired: ctx.CPU.Retired, JIT: ctx.CPU.Stats}
+	f.gm = guestMem{ctx: ctx, mem: ctx.Mem, clk: f.clk, scratch: s.gm.scratch}
+	s.run = f
+	// Tier transitions batch into the CPU's bounded log during the run
+	// and drain into the tracer at run end (drainTierLog).
+	ctx.CPU.TierTrace = f.w.tracer.Enabled()
+	ctx.CPU.Legacy = f.w.legacyInterp
+	ctx.FirstEntry = 0
+	return &s.run
 }
 
 // end clears the run frame, keeping the window's scratch up to
@@ -151,7 +174,7 @@ func (s *shell) end() {
 	if cap(scratch) > maxScratch {
 		scratch = nil
 	}
-	s.cfg, s.gm = RunConfig{}, guestMem{scratch: scratch}
+	s.run = run{gm: guestMem{scratch: scratch}}
 }
 
 // snapshot is one image's reset point: a content-addressed layer whose
@@ -335,7 +358,6 @@ func (w *Wasp) acquire(be *backend, img *guest.Image, snap *snapshot, cow bool, 
 	if cow && snap != nil {
 		if s := snap.unpark(); s != nil {
 			clk.Advance(cycles.PoolAcquire)
-			s.ctx.Clock, s.ctx.CPU.Clock = clk, clk
 			w.shellEvent("shell-cow", memBytes, clk)
 			return s, true, nil
 		}
@@ -349,7 +371,6 @@ func (w *Wasp) acquire(be *backend, img *guest.Image, snap *snapshot, cow bool, 
 		}
 		w.shellEvent("shell-pool", memBytes, clk)
 		clk.Advance(cycles.PoolAcquire)
-		s.ctx.Clock, s.ctx.CPU.Clock = clk, clk
 		if s.dirty {
 			s.ctx.Reset()
 			if be.cleaner != nil {

@@ -2,6 +2,8 @@ package wasp
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -273,7 +275,7 @@ func TestSnapshotResumesAtSnapshotPoint(t *testing.T) {
 	if pre, post := fromLE64(res1.Ret[:8]), fromLE64(res1.Ret[8:]); pre != 1 || post != 1 {
 		t.Fatalf("first run counters = %d/%d, want 1/1", pre, post)
 	}
-	if !w.backends[0].snapshots.has(img.Name) {
+	if !hasSnapshot(w.backends[0], img.Name) {
 		t.Fatal("snapshot not captured")
 	}
 
@@ -326,7 +328,7 @@ func TestSnapshotDisabledPerRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w.backends[0].snapshots.has(img.Name) {
+		if hasSnapshot(w.backends[0], img.Name) {
 			t.Fatalf("run %d: snapshot captured with RunConfig.Snapshot off", i)
 		}
 		if pre, post := fromLE64(res.Ret[:8]), fromLE64(res.Ret[8:]); res.SnapshotUsed || pre != 1 || post != 1 {
@@ -418,6 +420,58 @@ func TestNativeHypercallDenied(t *testing.T) {
 	_, err := w.Run(img, RunConfig{}, cycles.NewClock())
 	if err == nil || !strings.Contains(err.Error(), "denied") {
 		t.Fatalf("err = %v, want denial", err)
+	}
+}
+
+// TestInterpositionShared: an interpreted guest's hypercall and a native
+// workload's cross one interposition layer (§5.1), so a call is denied,
+// fails in its handler or bypasses policy the same way from either, and
+// the error the guest's run returns reads exactly as the one the
+// workload's Hypercall returns, the virtine's name included.
+func TestInterpositionShared(t *testing.T) {
+	boom := errors.New("boom")
+	failing := hypercall.HandlerFunc(func(hypercall.Args, hypercall.GuestMem) (uint64, error) { return 0, boom })
+	for _, c := range []struct {
+		name    string
+		nr      uint8
+		policy  hypercall.Policy
+		handler hypercall.Handler
+		want    error // nil: the call succeeds
+	}{
+		{"denied", hypercall.NrGetData, hypercall.DenyAll{}, nil, hypercall.ErrDenied},
+		{"handler-fails", hypercall.NrGetData, hypercall.AllowAll{}, failing, boom},
+		{"mechanism-under-deny-all", hypercall.NrMark, hypercall.DenyAll{}, nil, nil},
+	} {
+		// Both images are named "interposed": the name is in the error.
+		interp := guest.MustFromAsm("interposed", guest.WrapLongMode(fmt.Sprintf(`
+	movi rdi, %d
+	movi rsi, 64
+	out %d, rax
+	hlt
+`, guest.HeapBase, c.nr)))
+		var callErr error
+		native := guest.NativeBootStub("interposed", func(a any) error {
+			_, callErr = a.(*NativeCtx).Hypercall(c.nr, guest.HeapBase, 64)
+			return callErr
+		}, 0)
+		cfg := RunConfig{Policy: c.policy, Handler: c.handler}
+		ires, ierr := New().Run(interp, cfg, cycles.NewClock())
+		nres, nerr := New().Run(native, cfg, cycles.NewClock())
+		if fmt.Sprint(ierr) != fmt.Sprint(callErr) {
+			t.Fatalf("%s: the interpreted run returns %q, the native Hypercall %q", c.name, ierr, callErr)
+		}
+		if !errors.Is(nerr, callErr) {
+			t.Fatalf("%s: the native run returns %v, which does not wrap its Hypercall's %v", c.name, nerr, callErr)
+		}
+		for _, err := range []error{ierr, callErr} {
+			if (err == nil) != (c.want == nil) || !errors.Is(err, c.want) ||
+				errors.Is(err, hypercall.ErrDenied) != (c.want == hypercall.ErrDenied) {
+				t.Fatalf("%s: got %v, want %v", c.name, err, c.want)
+			}
+		}
+		if c.want == nil && (len(ires.Marks) != 1 || len(nres.Marks) != 1) {
+			t.Fatalf("%s: %d and %d marks recorded, want 1 from each", c.name, len(ires.Marks), len(nres.Marks))
+		}
 	}
 }
 
@@ -589,7 +643,7 @@ func TestOversizedTransferFailsClosed(t *testing.T) {
 			if now := clk.Now(); now != 0 {
 				t.Errorf("clock reads %d, want 0", now)
 			}
-			if w.backends[0].snapshots.has(img.Name) {
+			if hasSnapshot(w.backends[0], img.Name) {
 				t.Error("the failed run registered a snapshot")
 			}
 		})
