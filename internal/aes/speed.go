@@ -47,7 +47,6 @@ type VirtineCipher struct {
 	W     *wasp.Wasp
 	img   *guest.Image
 	pol   hypercall.Policy
-	key   []byte
 	iv    []byte
 	cache *Cipher
 }
@@ -61,7 +60,6 @@ func NewVirtineCipher(w *wasp.Wasp, key, iv []byte) (*VirtineCipher, error) {
 	vc := &VirtineCipher{
 		W:     w,
 		pol:   hypercall.MaskOf(hypercall.NrGetData, hypercall.NrReturnData),
-		key:   append([]byte(nil), key...),
 		iv:    append([]byte(nil), iv...),
 		cache: c,
 	}

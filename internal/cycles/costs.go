@@ -37,8 +37,6 @@ const (
 	// TLBMissWalk is charged per 4-level page walk on a TLB miss in long
 	// mode, on top of the memory references the walk itself performs.
 	TLBMissWalk = 24
-	// FetchPerInstr is the instruction-fetch overhead per instruction.
-	FetchPerInstr = 0
 )
 
 // Architectural mode-transition costs (Table 1).
@@ -190,6 +188,5 @@ const (
 const (
 	ContainerColdStart = 1_300_000_000 // ≈480 ms: docker run + runtime init
 	ContainerWarmStart = 48_000_000    // ≈18 ms: unpause/reuse + proxy
-	ContainerTeardown  = 20_000_000
-	NodeJSInvoke       = 1_700_000 // V8 invoke of a warm action (≈0.6 ms)
+	NodeJSInvoke       = 1_700_000     // V8 invoke of a warm action (≈0.6 ms)
 )

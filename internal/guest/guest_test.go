@@ -4,13 +4,18 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/isa"
 )
 
+// loadAddr is where every image is loaded: asm.NewUnit's origin, §5.1's
+// 0x8000.
+const loadAddr = 0x8000
+
 func TestMinimalHaltAssembles(t *testing.T) {
 	img := MinimalHalt()
-	if img.Origin != LoadAddr {
-		t.Fatalf("origin = %#x, want %#x", img.Origin, LoadAddr)
+	if img.Origin != loadAddr {
+		t.Fatalf("origin = %#x, want %#x", img.Origin, loadAddr)
 	}
 	if img.Mode != isa.Mode16 {
 		t.Fatal("self-booting images must start in real mode")
@@ -108,17 +113,19 @@ func TestNativeBootStub(t *testing.T) {
 }
 
 func TestLayoutConstantsDisjoint(t *testing.T) {
-	// The fixed layout regions must not overlap.
-	if ArgAddr+ArgMax > TableBase {
+	// The fixed layout regions must not overlap. The long-mode
+	// identity-map tables are three 4 KiB pages at cpu.DefaultTableBase.
+	tableBase, tableEnd := cpu.DefaultTableBase, cpu.DefaultTableBase+3<<12
+	if ArgAddr+ArgMax > tableBase {
 		t.Fatal("args overlap page tables")
 	}
-	if TableEnd > RetAddr {
+	if tableEnd > RetAddr {
 		t.Fatal("page tables overlap return region")
 	}
 	if RetAddr+RetMax > HeapBase {
 		t.Fatal("return region overlaps heap")
 	}
-	if HeapBase > LoadAddr {
+	if HeapBase > loadAddr {
 		t.Fatal("heap base beyond load address")
 	}
 }

@@ -25,9 +25,6 @@ const (
 	ArgAddr = 0x0
 	// ArgMax bounds the marshalled-argument region.
 	ArgMax = 0x1000
-	// TableBase..TableEnd hold the long-mode identity-map page tables.
-	TableBase = 0x1000
-	TableEnd  = 0x4000
 	// RetAddr is where a virtine function stores its raw return value
 	// before calling return_data.
 	RetAddr = 0x4000
@@ -35,8 +32,6 @@ const (
 	RetMax = 0x1000
 	// HeapBase is scratch/heap space below the image.
 	HeapBase = 0x5000
-	// LoadAddr is where every image is loaded.
-	LoadAddr = 0x8000
 	// StackReserve is the stack budget above the image footprint.
 	StackReserve = 8 << 10
 	// HeapReserve is the default heap budget after the image.

@@ -7,13 +7,12 @@ import (
 
 // Inst is one decoded instruction.
 type Inst struct {
-	Op   Op
-	Dst  Reg
-	Src  Reg
-	Imm  uint64 // sign-extended word immediate or zero-extended byte imm
-	Sub  byte   // LJMP width byte (2/4/8), MOVCR/RDCR CR index lives in Src
-	Len  int    // encoded length in bytes
-	Addr uint64 // address decoded from (filled by Decode)
+	Op  Op
+	Dst Reg
+	Src Reg
+	Imm uint64 // sign-extended word immediate or zero-extended byte imm
+	Sub byte   // LJMP width byte (2/4/8), MOVCR/RDCR CR index lives in Src
+	Len int    // encoded length in bytes
 }
 
 // Decode decodes one instruction from code at off, at operating mode m.
@@ -31,7 +30,7 @@ func Decode(code []byte, off uint64, m Mode) (Inst, error) {
 	if off+uint64(n) > uint64(len(code)) {
 		return Inst{}, fmt.Errorf("isa: truncated %s at %#x", op, off)
 	}
-	in := Inst{Op: op, Len: n, Addr: off}
+	in := Inst{Op: op, Len: n}
 	p := off + 1
 	if sh.regByte {
 		in.Dst, in.Src = UnpackRegs(code[p])

@@ -29,7 +29,7 @@ const DuktapeImagePad = 578 << 10
 
 // engineReady is the opaque snapshot state marking that the engine heap
 // (and bindings) live in the captured memory image.
-type engineReady struct{ withBindings bool }
+type engineReady struct{}
 
 // dataBuf is where the workload stages get_data/return_data payloads in
 // guest memory.
@@ -74,7 +74,7 @@ func (v *VirtineJS) workload(a any) error {
 	} else {
 		eng = NewEngine(charge) // charges EngineInitCost
 		eng.InstallBindings(clientBindings())
-		if err := n.TakeSnapshot(engineReady{withBindings: true}); err != nil {
+		if err := n.TakeSnapshot(engineReady{}); err != nil {
 			return err
 		}
 	}

@@ -70,8 +70,6 @@ type AdmissionStats struct {
 	// real mode, always 0 on a drained or virtual scheduler) and Queued
 	// its tickets still waiting in the image queue.
 	InFlight, Queued int
-	// QueueShare is the image's fraction of all queued tickets.
-	QueueShare float64
 	// SvcEWMA is the image's smoothed service time (cycles), fed from
 	// completed-ticket telemetry. It is also the stride numerator for
 	// the weighted pick.
@@ -114,7 +112,6 @@ type admission struct {
 	pol    Admission
 	images map[string]*imageState
 	vtime  uint64 // pass of the most recently dispatched image (global virtual time)
-	queued int    // real core: tickets waiting across all image queues
 
 	// active lists the images with a non-empty queue (real core), so the
 	// fair pick walks the backlog instead of every image ever seen.
@@ -197,9 +194,6 @@ func (a *admission) statsLocked(image string) (AdmissionStats, bool) {
 		SvcEWMA:       st.svcEWMA,
 		QueueCycleSum: st.queueSum,
 		Weight:        st.weight,
-	}
-	if a.queued > 0 {
-		out.QueueShare = float64(out.Queued) / float64(a.queued)
 	}
 	return out, true
 }

@@ -109,7 +109,7 @@ func runCorpus(t *testing.T, cfg corpusConfig, linear bool) ([]dispatchKey, uint
 		tickets = append(tickets, s.SubmitBatchAt([]Request{r})...)
 	}
 	if cfg.rescaleTo > 0 {
-		s.SetVirtualWorkers(cfg.rescaleTo, s.Makespan())
+		setVirtualWorkers(s, cfg.rescaleTo, s.Makespan())
 		tickets = append(tickets, s.SubmitBatchAt(cfg.batch2)...)
 	}
 	keys := make([]dispatchKey, len(tickets))

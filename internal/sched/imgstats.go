@@ -65,6 +65,3 @@ func (s *imgStats) get(name string) (svc, entries uint64) {
 	}
 	return 0, 0
 }
-
-// size reports the tracked-image count (the leak test's bound).
-func (s *imgStats) size() int { return s.lru.Len() }

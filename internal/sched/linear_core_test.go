@@ -41,6 +41,17 @@ func (c *linearCore) resize(n int, at uint64) int {
 	return c.nActive
 }
 
+// setVirtualWorkers is SetVirtualWorkers on either virtual core:
+// production asserts the heap core, so the reference core resizes
+// through its own method.
+func setVirtualWorkers(s *Scheduler, n int, at uint64) {
+	if c, ok := s.core.(*linearCore); ok {
+		c.resize(n, at)
+		return
+	}
+	s.SetVirtualWorkers(n, at)
+}
+
 func (c *linearCore) submit(ts []*Ticket) (rejected []*Ticket) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -287,7 +287,6 @@ func (a *admission) tryEnqueue(t *Ticket) error {
 		a.active = append(a.active, st)
 	}
 	st.queue = append(st.queue, t)
-	a.queued++
 	return nil
 }
 
@@ -334,7 +333,6 @@ func (a *admission) take(best *imageState) *Ticket {
 		a.active[len(a.active)-1] = nil
 		a.active = a.active[:len(a.active)-1]
 	}
-	a.queued--
 	a.advance(best)
 	return t
 }

@@ -837,7 +837,7 @@ var errRealMode = errors.New("sched: SetVirtualWorkers is a virtual-mode primiti
 // unchanged. Call between submissions, like every other virtual-mode
 // read.
 func (s *Scheduler) SetVirtualWorkers(n int, at uint64) (int, error) {
-	c, ok := s.core.(interface{ resize(n int, at uint64) int })
+	c, ok := s.core.(*virtualCore)
 	if !ok {
 		return 0, errRealMode
 	}

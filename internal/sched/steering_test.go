@@ -21,8 +21,8 @@ func TestImgStatsLRUBoundAndEWMA(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		st.note(fmt.Sprintf("churn-%d", i), 10, 1)
 	}
-	if st.size() > 4 {
-		t.Fatalf("tracked %d images, cap is 4", st.size())
+	if trackedImages(st) > 4 {
+		t.Fatalf("tracked %d images, cap is 4", trackedImages(st))
 	}
 	if svc, _ := st.get("churn-19"); svc == 0 {
 		t.Fatal("hottest image must survive eviction")
@@ -53,7 +53,7 @@ func TestSchedulerImageTelemetryBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := s.imgStats.size(); n > 16 {
+	if n := trackedImages(s.imgStats); n > 16 {
 		t.Fatalf("per-image telemetry grew to %d entries under churn, cap is 16", n)
 	}
 	if svc, _ := s.imgStats.get("tenant-63"); svc == 0 {
@@ -63,3 +63,6 @@ func TestSchedulerImageTelemetryBounded(t *testing.T) {
 		t.Fatal("oldest tenant's telemetry must have been evicted")
 	}
 }
+
+// trackedImages is the images st tracks: the leak tests' bound.
+func trackedImages(st *imgStats) int { return st.lru.Len() }

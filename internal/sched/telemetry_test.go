@@ -77,7 +77,7 @@ func TestImageTelemetryTornPairs(t *testing.T) {
 
 	s.core.Lock()
 	defer s.core.Unlock()
-	if got := s.imgStats.size(); got != 2 {
+	if got := trackedImages(s.imgStats); got != 2 {
 		t.Fatalf("tracking %d images, want 2", got)
 	}
 	if _, ok := s.imgStats.m["hot"]; !ok {

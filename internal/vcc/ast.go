@@ -199,8 +199,7 @@ type For struct {
 
 // Return is return [x].
 type Return struct {
-	X    Expr // optional
-	Line int
+	X Expr // optional
 }
 
 // BreakStmt / ContinueStmt.

@@ -46,12 +46,10 @@ type local struct {
 
 type gen struct {
 	out     []asm.Stmt
-	file    *File
 	globals map[string]*VarDecl
 	funcs   map[string]*FuncDecl
 
 	// per-function state
-	fn       *FuncDecl
 	locals   []map[string]local
 	frame    int
 	labelN   int
@@ -65,7 +63,6 @@ type gen struct {
 
 func newGen(f *File) *gen {
 	g := &gen{
-		file:    f,
 		globals: make(map[string]*VarDecl),
 		funcs:   make(map[string]*FuncDecl),
 	}
@@ -137,7 +134,6 @@ func (g *gen) declare(name string, t *Type, line int) (local, error) {
 
 // genFunc emits one function.
 func (g *gen) genFunc(fn *FuncDecl) error {
-	g.fn = fn
 	g.frame = 0
 	g.locals = nil
 	g.pushScope()

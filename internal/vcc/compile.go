@@ -118,7 +118,6 @@ type Virtine struct {
 
 // Program is the result of compiling a translation unit.
 type Program struct {
-	File *File
 	// Virtines maps each `virtine`-annotated function to its package.
 	Virtines map[string]*Virtine
 }
@@ -145,7 +144,7 @@ func CompileWithOptions(src string, opts Options) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := &Program{File: file, Virtines: make(map[string]*Virtine)}
+	prog := &Program{Virtines: make(map[string]*Virtine)}
 	for _, fn := range file.Funcs {
 		if !fn.Virtine {
 			continue

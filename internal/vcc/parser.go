@@ -292,8 +292,8 @@ func (p *parser) stmt() (Stmt, error) {
 	case p.eatKw("for"):
 		return p.forStmt()
 	case p.atKw("return"):
-		line := p.next().Line
-		r := &Return{Line: line}
+		p.next()
+		r := &Return{}
 		if !p.atPunct(";") {
 			x, err := p.expr()
 			if err != nil {

@@ -29,16 +29,14 @@ type Context struct {
 	CPU   *cpu.CPU
 	Clock *cycles.Clock
 
-	// Entries counts guest entries (KVM_RUN calls); Exits counts exits
-	// back to the VMM, by reason. FirstEntry is the clock value at the
+	// Entries counts guest entries (KVM_RUN calls); ExitsIO counts I/O
+	// exits (hypercalls) back to the VMM. FirstEntry is the clock value at the
 	// first guest entry of the current run — the zero point for
 	// in-guest milestone measurements (Fig 4).
 	Entries    uint64
 	ExitsIO    uint64
-	ExitsHLT   uint64
 	FirstEntry uint64
 
-	created  bool
 	platform Platform
 	holds    []*Page // the shell-content record (content.go)
 }
@@ -62,7 +60,6 @@ func CreateOn(p Platform, memBytes int, clk *cycles.Clock) *Context {
 		Mem:      mem,
 		CPU:      cpu.New(mem, clk, 0),
 		Clock:    clk,
-		created:  true,
 		platform: p,
 		holds:    make([]*Page, pages),
 	}
@@ -78,7 +75,7 @@ func (c *Context) Platform() Platform { return c.platform }
 // configuration says (Wasp+C or Wasp+CA, Fig 8).
 func (c *Context) Reset() {
 	c.CPU.Reset(0)
-	c.Entries, c.ExitsIO, c.ExitsHLT, c.FirstEntry = 0, 0, 0, 0
+	c.Entries, c.ExitsIO, c.FirstEntry = 0, 0, 0
 }
 
 // Load copies a flat binary into guest memory at origin and points the
@@ -125,11 +122,8 @@ func (c *Context) Continue(maxSteps uint64) *cpu.Exit {
 		return ex
 	}
 	c.Clock.Advance(c.platform.ExitCost())
-	switch ex.Reason {
-	case cpu.ExitIO:
+	if ex.Reason == cpu.ExitIO {
 		c.ExitsIO++
-	case cpu.ExitHalt:
-		c.ExitsHLT++
 	}
 	return ex
 }

@@ -45,7 +45,8 @@ func TestRunChargesEntryAndExit(t *testing.T) {
 	if cost != want {
 		t.Fatalf("run cost = %d, want %d", cost, want)
 	}
-	if ctx.Entries != 1 || ctx.ExitsHLT != 1 {
+	// The one exit is the halt checked above: no I/O exit counted.
+	if ctx.Entries != 1 || ctx.ExitsIO != 0 {
 		t.Fatal("exit counters wrong")
 	}
 	if ctx.FirstEntry == 0 {

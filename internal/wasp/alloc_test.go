@@ -115,9 +115,10 @@ func TestWarmRunAllocs(t *testing.T) {
 
 // TestRestingShellPinsNoRun: a shell at rest in the pool, or parked on
 // its snapshot for a COW reset, holds none of the finished run's frame,
-// so the caller's environment (the default handler too) and the Result
-// are collectable as soon as the caller lets go of them. A native
-// workload's context is that frame, so a native run is held to the same.
+// so the caller's environment (the default handler too), the Result and
+// the clock are collectable as soon as the caller lets go of them. A
+// native workload's context is that frame, so a native run is held to
+// the same.
 func TestRestingShellPinsNoRun(t *testing.T) {
 	asm := guest.MustFromAsm("tenant-shaped", guest.WrapLongMode(tenantShapedAsm))
 	for _, c := range []struct {
@@ -132,18 +133,25 @@ func TestRestingShellPinsNoRun(t *testing.T) {
 	} {
 		w := New(c.opts...)
 		for i := 0; i < 2; i++ { // capture, then restore
-			envRef, resRef := func() (weak.Pointer[hypercall.Env], weak.Pointer[Result]) {
+			envRef, resRef, clkRef := func() (weak.Pointer[hypercall.Env], weak.Pointer[Result], weak.Pointer[cycles.Clock]) {
 				env := hypercall.NewEnv()
 				env.NetIn = []byte("GET /tenant")
+				// A lone Clock is tiny and pointer-free, so the runtime may
+				// batch it with live objects and its weak pointer never
+				// clears: the run's clock lives inside a larger object.
+				clk := &(&struct {
+					cycles.Clock
+					_ [4]uint64
+				}{}).Clock
 				res, err := w.Run(c.img, RunConfig{
 					Policy:   hypercall.MaskOf(hypercall.NrSend, hypercall.NrRecv),
 					Env:      env,
 					Snapshot: true,
-				}, cycles.NewClock())
+				}, clk)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return weak.Make(env), weak.Make(res)
+				return weak.Make(env), weak.Make(res), weak.Make(clk)
 			}()
 			runtime.GC()
 			runtime.GC()
@@ -152,6 +160,9 @@ func TestRestingShellPinsNoRun(t *testing.T) {
 			}
 			if resRef.Value() != nil {
 				t.Fatalf("%s: run %d's Result is still reachable once its caller dropped it", c.name, i)
+			}
+			if clkRef.Value() != nil {
+				t.Fatalf("%s: run %d's clock is still reachable once its caller dropped it", c.name, i)
 			}
 		}
 		if n := w.PoolTotal() + parkedShells(w); n != 1 {

@@ -190,9 +190,6 @@ type ForestStats struct {
 	// DeltaSnapshots of them are thin deltas over a base layer.
 	Snapshots      int
 	DeltaSnapshots int
-	// DeltaPages sums the pages owned by delta snapshots themselves —
-	// the true marginal footprint of tenancy, before page dedup.
-	DeltaPages int
 }
 
 // ForestStats reports the default backend's snapshot-forest state.
@@ -216,7 +213,6 @@ func (w *Wasp) ForestStatsOn(platform string) ForestStats {
 		st.Snapshots++
 		if s.layer != nil && s.layer.Parent() != nil {
 			st.DeltaSnapshots++
-			st.DeltaPages += s.layer.OwnedPages()
 		}
 	})
 	return st

@@ -56,11 +56,13 @@ func (n *NativeCtx) Hypercall(nr uint8, args ...uint64) (uint64, error) {
 	ctx.ExitsIO++
 	var a [6]uint64
 	if len(args) > len(a) {
-		return 0, fmt.Errorf("wasp: hypercall %s: too many arguments", hypercall.Name(nr))
+		n.callErr = fmt.Errorf("wasp: virtine %s: %s: too many arguments", n.img.Name, hypercall.Name(nr))
+		return 0, n.callErr
 	}
 	copy(a[:], args)
 	ret, err := (*run)(n).interpose(hypercall.Args{Nr: nr, A0: a[0], A1: a[1], A2: a[2], A3: a[3], A4: a[4], A5: a[5]})
 	if err != nil {
+		n.callErr = err
 		return 0, err
 	}
 	n.clk.Advance(ctx.Platform().EntryCost())

@@ -1,6 +1,7 @@
 package wasp
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cpu"
@@ -98,6 +99,7 @@ type run struct {
 	handoff uint64      // the stub's hand-off the arguments wait for; 0: the first entry
 	cfg     RunConfig   // the caller's, defaults filled
 	gm      guestMem    // the window handlers get; gm.ctx is the shell's context
+	callErr error       // the last error NativeCtx.Hypercall returned, already named
 }
 
 // Run executes one virtine on the default backend: provision a context,
@@ -208,7 +210,10 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 // runNative enters a native image's workload (§6.5) with virtine
 // semantics: the platform's entry and exit costs around it, and the
 // frame itself as the workload's NativeCtx, which sees the restored
-// workload state when the run restored a snapshot. The exit charged
+// workload state when the run restored a snapshot. A hypercall error the
+// workload passes on, bare or wrapped, is already named with the virtine
+// (bare, it reads as an interpreted guest's); its own errors are named
+// with the virtine here. The exit charged
 // after the workload returns is one an interpreted guest does not pay:
 // NativeCtx.Hypercall re-enters after the workload's NrExit, so a native
 // run makes one entry/exit pair more than an interpreted exit().
@@ -224,7 +229,10 @@ func (r *run) runNative() error {
 	}
 	ctx.Entries++
 	if err := r.img.Native((*NativeCtx)(r)); err != nil {
-		return fmt.Errorf("wasp: native workload: %w", err)
+		if r.callErr == nil || !errors.Is(err, r.callErr) {
+			err = fmt.Errorf("wasp: virtine %s: %w", r.img.Name, err)
+		}
+		return err
 	}
 	r.clk.Advance(r.be.platform.ExitCost())
 	return nil

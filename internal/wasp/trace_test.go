@@ -85,6 +85,38 @@ func TestRunLifecycleTrace(t *testing.T) {
 	}
 }
 
+// TestParkedReleaseStamp: a COW shell parked on its snapshot has let go
+// of its run's clock, so when dropping the snapshot sends it to the pool,
+// that release is stamped with the virtual time the shell came to rest.
+func TestParkedReleaseStamp(t *testing.T) {
+	tr := obs.NewTracer(obs.Deterministic(true))
+	tr.SetEnabled(true)
+	w := New(WithTracer(tr), WithCOW(true))
+	img := traceImg("trace-parked")
+	clk := cycles.NewClock()
+	for i := 0; i < 2; i++ { // capture, then restore and park
+		if _, err := w.Run(img, RunConfig{Snapshot: true}, clk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if parkedShells(w) != 1 {
+		t.Fatalf("%d shells parked, want 1", parkedShells(w))
+	}
+	rested := clk.Now()
+	w.DropSnapshot(img.Name)
+	var last *obs.Event
+	for _, le := range tr.Events() {
+		for i, e := range le.Events {
+			if e.Kind == obs.KindRelease {
+				last = &le.Events[i]
+			}
+		}
+	}
+	if last == nil || last.VStart != rested {
+		t.Fatalf("the parked shell's release = %+v, want it stamped %d", last, rested)
+	}
+}
+
 // TestTierTraceBatches asserts JIT tier transitions are recorded via
 // the batched per-run log and drained at run end: a cold run compiles
 // at least one trace, so KindTier events must appear, and the pooled

@@ -117,14 +117,17 @@ func (s *shellPages) add(written, kept int) int {
 // While a run owns the shell, the record also holds that run's frame
 // (run): runtime, backend, image, restored snapshot, the snapshot the
 // shell parks on, Result, clock, start time, boot record, hand-off,
-// RunConfig and guest-memory window. end clears it before the shell is
-// pooled or parked, so a resting shell pins none of a finished run's
-// environment, handler, arguments or Result (its context keeps the
-// clock), only up to maxScratch bytes of the window's ReadGuest scratch.
+// RunConfig and guest-memory window. end clears it and release drops the
+// context's clock before the shell is pooled or parked, so a resting
+// shell pins nothing of a finished run: no environment, handler,
+// arguments, Result or clock, only up to maxScratch bytes of the window's
+// ReadGuest scratch.
 type shell struct {
 	ctx    *vmm.Context
 	dirty  bool
 	owedIn uint64 // the cleaner's settlement period that owes this release; 0: none
+	// restedAt is the virtual time release last parked or pooled it at.
+	restedAt uint64
 
 	run
 }
@@ -397,19 +400,26 @@ func (w *Wasp) shellEvent(src string, memBytes int, clk *cycles.Clock) {
 // takes it; otherwise pooled dirty, under Wasp+C and Wasp+CA alike, or
 // dropped for the host to reclaim when pooling is off or the size class
 // is at its capacity bound. Under Wasp+CA the backend's cleaner books the
-// release. A nil s is a no-op.
+// release. The context lets go of the last run's clock, which nothing
+// reads until the next run's begin hands over its own; a shell released
+// from its parking spot has none, and its release is stamped with the
+// virtual time it came to rest. A nil s is a no-op.
 func (w *Wasp) release(s *shell, on *snapshot) {
-	if s == nil || on != nil && on.park(s) || !w.pooling {
+	if s == nil {
 		return
 	}
 	ctx := s.ctx
+	if ctx.Clock != nil {
+		s.restedAt = ctx.Clock.Now()
+	}
+	ctx.Clock, ctx.CPU.Clock = nil, nil
+	at := s.restedAt
+	if on != nil && on.park(s) || !w.pooling {
+		return
+	}
 	be := w.byPlat[ctx.Platform().Name()]
 	if be == nil {
 		return // foreign context (tests building raw vmm state): drop it
-	}
-	var at uint64
-	if ctx.Clock != nil {
-		at = ctx.Clock.Now()
 	}
 	if tr := w.tracer; tr.Enabled() {
 		tr.Instant(obs.ControlLane, obs.KindRelease, "release", at, 0, uint64(len(ctx.Mem)), uint64(bit(be.cleaner != nil, 1)))

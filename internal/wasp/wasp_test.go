@@ -427,7 +427,8 @@ func TestNativeHypercallDenied(t *testing.T) {
 // workload's cross one interposition layer (§5.1), so a call is denied,
 // fails in its handler or bypasses policy the same way from either, and
 // the error the guest's run returns reads exactly as the one the
-// workload's Hypercall returns, the virtine's name included.
+// workload's Hypercall returns, the virtine's name included, and as the
+// native run's, which passes it on. A workload's own error is named once.
 func TestInterpositionShared(t *testing.T) {
 	boom := errors.New("boom")
 	failing := hypercall.HandlerFunc(func(hypercall.Args, hypercall.GuestMem) (uint64, error) { return 0, boom })
@@ -460,10 +461,10 @@ func TestInterpositionShared(t *testing.T) {
 		if fmt.Sprint(ierr) != fmt.Sprint(callErr) {
 			t.Fatalf("%s: the interpreted run returns %q, the native Hypercall %q", c.name, ierr, callErr)
 		}
-		if !errors.Is(nerr, callErr) {
-			t.Fatalf("%s: the native run returns %v, which does not wrap its Hypercall's %v", c.name, nerr, callErr)
+		if fmt.Sprint(nerr) != fmt.Sprint(ierr) {
+			t.Fatalf("%s: the interpreted run returns %q, the native run %q", c.name, ierr, nerr)
 		}
-		for _, err := range []error{ierr, callErr} {
+		for _, err := range []error{ierr, callErr, nerr} {
 			if (err == nil) != (c.want == nil) || !errors.Is(err, c.want) ||
 				errors.Is(err, hypercall.ErrDenied) != (c.want == hypercall.ErrDenied) {
 				t.Fatalf("%s: got %v, want %v", c.name, err, c.want)
@@ -472,6 +473,29 @@ func TestInterpositionShared(t *testing.T) {
 		if c.want == nil && (len(ires.Marks) != 1 || len(nres.Marks) != 1) {
 			t.Fatalf("%s: %d and %d marks recorded, want 1 from each", c.name, len(ires.Marks), len(nres.Marks))
 		}
+	}
+	// A workload's own error is named once, with its virtine, and so is
+	// a hypercall error it wraps and a call with more arguments than the
+	// ABI's six registers.
+	own := guest.NativeBootStub("interposed", func(any) error { return boom }, 0)
+	if _, err := New().Run(own, RunConfig{}, cycles.NewClock()); fmt.Sprint(err) != "wasp: virtine interposed: boom" || !errors.Is(err, boom) {
+		t.Fatalf("a workload's own error reads %q", err)
+	}
+	var callErr error
+	wrapping := guest.NativeBootStub("interposed", func(a any) error {
+		_, callErr = a.(*NativeCtx).Hypercall(hypercall.NrGetData, guest.HeapBase, 64)
+		return fmt.Errorf("encode: %w", callErr)
+	}, 0)
+	_, err := New().Run(wrapping, RunConfig{Policy: hypercall.AllowAll{}, Handler: failing}, cycles.NewClock())
+	if callErr == nil || fmt.Sprint(err) != "encode: "+callErr.Error() || !errors.Is(err, boom) {
+		t.Fatalf("a wrapped hypercall error reads %q, the call's %q", err, callErr)
+	}
+	long := guest.NativeBootStub("interposed", func(a any) error {
+		_, err := a.(*NativeCtx).Hypercall(hypercall.NrMark, 1, 2, 3, 4, 5, 6, 7)
+		return err
+	}, 0)
+	if _, err := New().Run(long, RunConfig{}, cycles.NewClock()); fmt.Sprint(err) != "wasp: virtine interposed: mark: too many arguments" {
+		t.Fatalf("a seven-argument call's error reads %q", err)
 	}
 }
 
