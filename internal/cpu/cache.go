@@ -103,17 +103,20 @@ type codePage struct {
 	ents [codePageSize]centry
 
 	// blocks holds the compiled traces starting on the page
-	// (jit.go), sorted by key = offset | mode<<12. A published slice is
+	// (jit.go), sorted by key = offset | mode<<12, behind a count entry
+	// in the same allocation (blockList reads them). A published array is
 	// immutable; publication is copy-on-write under mu so concurrent CPUs
 	// sharing a frozen page read it with one atomic load. Blocks ride
 	// along with ShareCode / AdoptCode, so every tenant clone of an image
 	// executes one compiled form; validity is anchored to the page pointer
 	// itself — any write into the page drops the page, blocks and all.
 	mu     sync.Mutex
-	blocks atomic.Pointer[[]pageBlock]
+	blocks atomic.Pointer[pageBlock]
 }
 
-// pageBlock is one compiled block on a page and its key.
+// pageBlock is one compiled block on a page and its key. The entry that
+// heads a page's published array is its count instead: key holds the
+// number of blocks after it, and blk is nil.
 type pageBlock struct {
 	key uint32
 	blk *cblock
@@ -121,36 +124,46 @@ type pageBlock struct {
 
 func cmpKey(e pageBlock, key uint32) int { return cmp.Compare(e.key, key) }
 
+// blockList returns the blocks published on the page, sorted by key: the
+// entries after the count entry. The array and its count are one
+// allocation, so a reader that loads the head sees both.
+func (pg *codePage) blockList() []pageBlock {
+	h := pg.blocks.Load()
+	if h == nil {
+		return nil
+	}
+	return unsafe.Slice(h, h.key+1)[1:]
+}
+
 // block returns the compiled block published under key, or nil.
 func (pg *codePage) block(key uint32) *cblock {
-	if p := pg.blocks.Load(); p != nil {
-		if i, ok := slices.BinarySearchFunc(*p, key, cmpKey); ok {
-			return (*p)[i].blk
-		}
+	bs := pg.blockList()
+	if i, ok := slices.BinarySearchFunc(bs, key, cmpKey); ok {
+		return bs[i].blk
 	}
 	return nil
 }
 
 // addBlock publishes a compiled block on the page, replacing one under
-// the same key: a copy of the current slice with one entry inserted. The
-// published slice is never mutated, so readers hold no lock.
+// the same key: a copy of the current array with one entry inserted,
+// written whole before the one store that publishes it. The published
+// array is never mutated, so readers hold no lock.
 func (pg *codePage) addBlock(key uint32, blk *cblock) {
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
-	var old []pageBlock
-	if p := pg.blocks.Load(); p != nil {
-		old = *p
-	}
+	old := pg.blockList()
 	i, found := slices.BinarySearchFunc(old, key, cmpKey)
 	rest := old[i:]
 	if found {
 		rest = old[i+1:]
 	}
-	bs := make([]pageBlock, i+1+len(rest))
-	copy(bs, old[:i])
-	bs[i] = pageBlock{key, blk}
-	copy(bs[i+1:], rest)
-	pg.blocks.Store(&bs)
+	bs := make([]pageBlock, 1+i+1+len(rest))
+	bs[0].key = uint32(len(bs) - 1)
+	ents := bs[1:]
+	copy(ents, old[:i])
+	ents[i] = pageBlock{key, blk}
+	copy(ents[i+1:], rest)
+	pg.blocks.Store(&bs[0])
 }
 
 // ensureCode sizes the per-page table on first use.
@@ -288,10 +301,8 @@ func (cc CodeCache) Footprint() (steps, entryBytes int) {
 			continue
 		}
 		entryBytes += int(unsafe.Sizeof(pg.ents))
-		if p := pg.blocks.Load(); p != nil {
-			for _, b := range *p {
-				steps += len(b.blk.ops)
-			}
+		for _, b := range pg.blockList() {
+			steps += len(b.blk.ops)
 		}
 	}
 	return steps, entryBytes

@@ -244,6 +244,100 @@ _start:
 	}
 }
 
+// manyLoopsSrc runs 48 counted loops one after another on one page:
+// each loop head is dispatched again and compiles its own trace, so a
+// run publishes a few dozen traces, one at a time, on the page.
+func manyLoopsSrc() string {
+	src := ".bits 64\n_start:\n"
+	for i := 0; i < 48; i++ {
+		src += fmt.Sprintf("\tmovi rcx, 4000\nl%d:\n\taddi rax, 1\n\tdec rcx\n\tjnz l%d\n", i, i)
+	}
+	return src + "\thlt\n"
+}
+
+// One CPU publishes traces on a shared, frozen page while a reader walks
+// the page's blocks as dispatch (block) and the registry's Footprint do,
+// with no lock. Every array a reader loads must be whole: its count, its
+// sorted keys and every block written before the store that published
+// it. Under -race this is the data-race check on that store; a
+// publication that stores the array before writing it fails here.
+func TestTracePublishOnSharedPage(t *testing.T) {
+	p, err := asm.Assemble(manyLoopsSrc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := p.Origin / codePageSize
+	if p.Origin%codePageSize+uint64(len(p.Code)) > codePageSize {
+		t.Fatalf("program spans pages: %d bytes at %#x", len(p.Code), p.Origin)
+	}
+	load := func() []byte {
+		mem := make([]byte, 1<<20)
+		copy(mem[p.Origin:], p.Code)
+		return mem
+	}
+	// The donor executes one instruction: the page's entries are marked
+	// (predecode runs to the page's end), no trace is compiled.
+	donor := New(load(), cycles.NewClock(), p.Entry)
+	donor.SetupLongMode()
+	donor.Run(1)
+	cc := donor.ShareCode()
+	frozen := cc.pages[page]
+	if frozen == nil || frozen.blockList() != nil {
+		t.Fatal("donor froze no page, or one that already holds traces")
+	}
+
+	writer := New(load(), cycles.NewClock(), p.Entry)
+	writer.SetupLongMode()
+	writer.AdoptCode(cc)
+
+	check := func(bs []pageBlock) {
+		for i, e := range bs {
+			if e.blk == nil || len(e.blk.ops) == 0 || (i > 0 && bs[i-1].key >= e.key) {
+				t.Errorf("published array holds a torn entry %d of %d: %+v", i, len(bs), e)
+				return
+			}
+			if frozen.block(e.key) == nil {
+				t.Errorf("key %#x listed but not found", e.key)
+				return
+			}
+		}
+	}
+	started, done := make(chan struct{}), make(chan struct{})
+	seen := map[int]bool{}
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		close(started)
+		for {
+			bs := frozen.blockList()
+			check(bs)
+			seen[len(bs)] = true
+			cc.Footprint()
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	if ex := writer.Run(1 << 20); ex.Reason != ExitHalt {
+		t.Fatalf("writer: %+v", ex)
+	}
+	close(done)
+	<-readerDone
+
+	if writer.code[page] != frozen {
+		t.Fatal("writer cloned the page: its traces were not published on the shared one")
+	}
+	final := frozen.blockList()
+	check(final)
+	if uint64(len(final)) != writer.Stats.BlocksCompiled || len(final) < 48 {
+		t.Fatalf("page holds %d traces, writer compiled %d; want one per loop at least (48)", len(final), writer.Stats.BlocksCompiled)
+	}
+	t.Logf("%d traces published; the reader loaded arrays of %d distinct lengths", len(final), len(seen))
+}
+
 // A fetch beyond physical memory must fault exactly like the legacy
 // engine — not panic (regression: predecode once indexed the page table
 // with an out-of-range page).

@@ -23,10 +23,10 @@ func traceShape(c *CPU) string {
 	}
 	traces, steps := 0, 0
 	for i, pg := range c.code {
-		if pg == nil || pg.blocks.Load() == nil {
+		if pg == nil {
 			continue
 		}
-		for _, e := range *pg.blocks.Load() {
+		for _, e := range pg.blockList() {
 			blk := e.blk
 			traces++
 			steps += len(blk.ops)

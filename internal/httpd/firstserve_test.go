@@ -94,13 +94,14 @@ func firstServe(tb testing.TB, before func()) {
 // TestFirstServeAllocs gates a fresh image's first request through
 // FileServer.Serve at the allocations it makes now (the compile of the
 // server itself not counted). Compiling a trace makes two of them, its
-// cblock and its step array. The gate reads the median of ten runs: one
+// cblock and its step array, and publishing it one, the page's new block
+// array with its count inside. The gate reads the median of ten runs: one
 // or two of them may carry an allocation of the Go runtime's own.
 func TestFirstServeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const limit, runs = 295, 10
+	const limit, runs = 241, 10
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats
 	counts := make([]uint64, runs)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/cycles"
 	"repro/internal/sched"
@@ -15,13 +16,16 @@ import (
 // experiments.
 //
 // Seed contract (see internal/sched/README.md): every generator is a
-// pure function of its arguments — one splitmix64 stream per call,
+// pure function of its arguments — one splitmix64 stream per tier,
 // consumed in a fixed order (arrival gap, then service draw, per
 // ticket), no global state, no wall clock. Same seed, same trace, bit
 // for bit; distinct seeds (or the documented per-image seed offsets in
 // ClusterMix) give independent streams. Tiers are drawn as pointer-free
 // records sorted by arrival, and ClusterMix merges them into one exactly
-// sized trace, writing each request once. Its requests are cost-model
+// sized trace, writing each request once. Since no tier reads another's
+// stream or records, ClusterMix draws its tiers concurrently, and the
+// merge breaks ties by tier index, never by which tier finished first:
+// the trace is the same at any GOMAXPROCS. Its requests are cost-model
 // tickets (sched.Request.Cost: the drawn service cost, in cycles, tagged
 // with the image name) that the serving worker's clock advances by with
 // no call, so million-ticket traces cost the host almost nothing beyond
@@ -191,21 +195,35 @@ func sortByArrival(reqs []sched.Request) {
 // per-image seed offsets off the caller's seed (seed+1 … seed+4 — part
 // of the seed contract).
 // scale multiplies every tier's arrival rate; horizon is the trace
-// length in cycles. Every tier comes out of its generator as records
-// sorted by arrival, so one merge writes the result: equal arrivals
-// keep tier order, exactly the order a stable sort of the concatenated
-// tiers gives.
+// length in cycles. The tiers are drawn side by side: the web and spike
+// tiers, the two dearest, each on a goroutine of its own, while the
+// caller draws the API tier and then the batch tier. Each tier reads
+// only its own stream and writes only its own records, so no schedule
+// can change a draw. Every tier comes out of its generator as records
+// sorted by arrival, and one merge, on the caller, writes the result:
+// equal arrivals keep tier order, exactly the order a stable sort of
+// the concatenated tiers gives, at any GOMAXPROCS.
 func ClusterMix(seed uint64, scale float64, horizon uint64) []sched.Request {
 	const F = uint64(cycles.Frequency)
-	return mergeByArrival([]string{"api", "web", "batch", "spike"},
-		poissonTrace(seed+1, 120*scale, horizon,
-			ServiceProfile{Base: F / 500, Spread: 0.5}), // ~2-3 ms
-		diurnalTrace(seed+2, 30*scale, 90*scale, horizon/2, horizon,
-			ServiceProfile{Base: F / 200, Spread: 1.0}), // ~5-10 ms, two "days"
-		poissonTrace(seed+3, 6*scale, horizon,
-			ServiceProfile{Base: F / 100, TailAlpha: 1.3, TailCap: F / 4}), // 10 ms, Pareto tail to 250 ms
-		flashCrowdTrace(seed+4, 4*scale, 3, int(160*scale), horizon,
-			ServiceProfile{Base: F / 400, Spread: 0.3})) // 3 crowds
+	var web, spike []arrival
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		web = diurnalTrace(seed+2, 30*scale, 90*scale, horizon/2, horizon,
+			ServiceProfile{Base: F / 200, Spread: 1.0}) // ~5-10 ms, two "days"
+	}()
+	go func() {
+		defer wg.Done()
+		spike = flashCrowdTrace(seed+4, 4*scale, 3, int(160*scale), horizon,
+			ServiceProfile{Base: F / 400, Spread: 0.3}) // 3 crowds
+	}()
+	api := poissonTrace(seed+1, 120*scale, horizon,
+		ServiceProfile{Base: F / 500, Spread: 0.5}) // ~2-3 ms
+	batch := poissonTrace(seed+3, 6*scale, horizon,
+		ServiceProfile{Base: F / 100, TailAlpha: 1.3, TailCap: F / 4}) // 10 ms, Pareto tail to 250 ms
+	wg.Wait()
+	return mergeByArrival([]string{"api", "web", "batch", "spike"}, api, web, batch, spike)
 }
 
 // mergeByArrival merges arrival-sorted record tiers into one exactly

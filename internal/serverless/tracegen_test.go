@@ -254,13 +254,31 @@ func TestClusterMixDigest(t *testing.T) {
 	}
 }
 
+// TestClusterMixScheduleFree builds TestClusterMixDigest's trace at
+// GOMAXPROCS 1, where ClusterMix's tiers are drawn one after another,
+// and at the default, where they are drawn side by side, and requires
+// the same pins both times: no schedule may change a draw or an order.
+func TestClusterMixScheduleFree(t *testing.T) {
+	const F = uint64(cycles.Frequency)
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		prev := runtime.GOMAXPROCS(procs)
+		reqs := ClusterMix(1, 60, 24*F)
+		runtime.GOMAXPROCS(prev)
+		if n, got, want := len(reqs), traceDigest(reqs), uint64(0x4f7297f7a82ba179); n != 324149 || got != want {
+			t.Errorf("seed 1 at GOMAXPROCS %d: %d requests, digest %#x; want 324149, %#x", procs, n, got, want)
+		}
+	}
+}
+
 // TestClusterMixAllocs: building the cluster_sim workload's trace (seed
 // 1, scale 60, 24 virtual seconds) allocates at most 1.25× the trace it
 // returns, in at most 32 objects. The tiers are pointer-free records
 // sized to their expected draws, and the merge writes each request once
 // into one exactly sized slice; a generator that grows []sched.Request,
-// or a merge that copies the trace, fails here. Measured on the test's
-// own goroutine, with no other test running.
+// or a merge that copies the trace, fails here. ReadMemStats counts the
+// whole process, so the tier goroutines' allocations are counted with
+// the caller's, and so are their goroutines, closures and WaitGroup;
+// no other test runs meanwhile.
 func TestClusterMixAllocs(t *testing.T) {
 	const F = uint64(cycles.Frequency)
 	var before, after runtime.MemStats

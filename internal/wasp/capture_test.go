@@ -319,7 +319,7 @@ func TestForkLifecycleAllocs(t *testing.T) {
 		lifecycle(id)
 	})
 	t.Logf("%v allocations per lifecycle", n)
-	if n > 95 {
-		t.Fatalf("a tenant lifecycle makes %v allocations, want at most 95", n)
+	if n > 88 {
+		t.Fatalf("a tenant lifecycle makes %v allocations, want at most 88", n)
 	}
 }
