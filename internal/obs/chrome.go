@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"strconv"
 
 	"repro/internal/cycles"
 )
@@ -60,7 +61,7 @@ func WriteChromeTrace(w io.Writer, t *Tracer) error {
 	for _, le := range lanes {
 		name := "control"
 		if le.Lane >= 0 {
-			name = "worker " + itoa(le.Lane)
+			name = "worker " + strconv.Itoa(le.Lane)
 		}
 		add(chromeEvent{Name: "thread_name", Ph: "M", Pid: chromePid,
 			Tid: laneTid(int32(le.Lane)), Args: map[string]any{"name": name}})
@@ -112,20 +113,4 @@ func WriteChromeTrace(w io.Writer, t *Tracer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&trace)
-}
-
-// itoa avoids strconv for the tiny lane labels (keeps the import set
-// minimal); lanes are small non-negative ints.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -1,8 +1,9 @@
 package placement
 
 import (
-	"container/list"
 	"sync"
+
+	"repro/internal/lru"
 )
 
 // DefaultHysteresis is the number of consecutive Place calls that must
@@ -11,9 +12,10 @@ import (
 // across backends.
 const DefaultHysteresis = 3
 
-// DefaultMaxImages bounds Migrating's per-image flip state under tenant
-// churn (matches the scheduler's own per-image telemetry cap).
-const DefaultMaxImages = 4096
+// maxImages bounds Migrating's per-image flip state under tenant churn,
+// the least recently placed image evicted first (matches the
+// scheduler's own per-image telemetry cap).
+const maxImages = 4096
 
 // Migrating wraps any inner Placer with placement-flip detection and a
 // migration side effect: each image is pinned to one committed backend
@@ -52,19 +54,14 @@ type Migrating struct {
 	// OnMigrate, when non-nil, runs synchronously on each committed flip
 	// with the image name and the platform names the pin moved between.
 	OnMigrate func(image, from, to string)
-	// MaxImages caps the per-image state map (LRU eviction); 0 means
-	// DefaultMaxImages.
-	MaxImages int
 
 	mu         sync.Mutex
-	lru        *list.List // *migState, front = most recently placed
-	imgs       map[string]*list.Element
+	imgs       lru.Cache[string, *migState]
 	migrations uint64
 }
 
 // migState is one image's flip-detection state.
 type migState struct {
-	name      string
 	committed string // platform name the image is pinned to
 	candidate string // platform currently outscoring the committed one
 	streak    int    // consecutive decisions preferring candidate
@@ -88,8 +85,8 @@ func (m *Migrating) Migrations() uint64 {
 func (m *Migrating) Committed(image string) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e, ok := m.imgs[image]; ok {
-		return e.Value.(*migState).committed
+	if st, ok := m.imgs.Peek(image); ok {
+		return st.committed
 	}
 	return ""
 }
@@ -139,7 +136,7 @@ func (m *Migrating) Place(img ImageInfo, backends []BackendInfo) []float64 {
 			from := st.committed
 			m.migrations++
 			if m.OnMigrate != nil {
-				m.OnMigrate(st.name, from, prefName)
+				m.OnMigrate(img.Name, from, prefName)
 			}
 			st.committed = prefName
 			st.candidate, st.streak = "", 0
@@ -196,27 +193,17 @@ func (m *Migrating) committedIndex(st *migState, backends []BackendInfo, inner [
 	return -1
 }
 
-// touch returns the image's state, creating it (and LRU-evicting the
-// coldest entry over MaxImages) as needed. Caller holds m.mu.
+// touch returns the image's state, made the most recently placed, and
+// creates it (evicting the coldest image past maxImages) as needed.
+// Caller holds m.mu.
 func (m *Migrating) touch(name string) *migState {
-	if m.imgs == nil {
-		m.imgs = make(map[string]*list.Element)
-		m.lru = list.New()
+	if st, ok := m.imgs.Get(name); ok {
+		return st
 	}
-	if e, ok := m.imgs[name]; ok {
-		m.lru.MoveToFront(e)
-		return e.Value.(*migState)
+	if m.imgs.Cap == 0 {
+		m.imgs.Cap = maxImages
 	}
-	cap := m.MaxImages
-	if cap <= 0 {
-		cap = DefaultMaxImages
-	}
-	for m.lru.Len() >= cap {
-		old := m.lru.Back()
-		m.lru.Remove(old)
-		delete(m.imgs, old.Value.(*migState).name)
-	}
-	st := &migState{name: name}
-	m.imgs[name] = m.lru.PushFront(st)
+	st := &migState{}
+	m.imgs.Put(name, st)
 	return st
 }

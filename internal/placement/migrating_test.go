@@ -136,12 +136,12 @@ func TestMigratingReAdoptsWhenCommittedBackendTurnsIneligible(t *testing.T) {
 
 func TestMigratingStateIsLRUBounded(t *testing.T) {
 	m := NewMigrating(nil, 3)
-	m.MaxImages = 8
+	m.imgs.Cap = 8
 	for i := 0; i < 100; i++ {
 		m.Place(ImageInfo{Name: fmt.Sprintf("img-%d", i)}, fleet())
 	}
 	m.mu.Lock()
-	n := m.lru.Len()
+	n := m.imgs.Len()
 	m.mu.Unlock()
 	if n > 8 {
 		t.Fatalf("tracked %d images, cap is 8", n)
@@ -151,6 +151,11 @@ func TestMigratingStateIsLRUBounded(t *testing.T) {
 	}
 	if m.Committed("img-0") != "" {
 		t.Fatal("the coldest image must have been evicted")
+	}
+	fresh := NewMigrating(nil, 3)
+	fresh.Place(ImageInfo{Name: "a"}, fleet())
+	if fresh.imgs.Cap != maxImages {
+		t.Fatalf("a fresh placer caps its state at %d images, want %d", fresh.imgs.Cap, maxImages)
 	}
 }
 

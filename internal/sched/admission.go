@@ -81,26 +81,22 @@ type AdmissionStats struct {
 	Weight int
 }
 
-// imageState is one image's queues and telemetry inside the admission
+// imageState is one image's backlog and telemetry inside the admission
 // layer, guarded by the owning scheduler's core lock. Admission hands a
 // ticket its image's state once (Ticket.st); everything after reaches it
-// through the ticket. The pass, weight and counters are shared; each
-// core owns one half of the rest — the real core the enqueue side
-// (real.go), the virtual core the batch dispatcher's window (virtual.go,
-// vheap.go).
+// through the ticket. The pass, weight and counters are shared, and so
+// is the ready heap an image sits on while it has a backlog; each core
+// keeps that backlog its own way.
 type imageState struct {
 	name   string
 	weight int
 	pass   uint64 // stride-scheduling virtual start tag
 
-	queue    []*Ticket // real core: waiting tickets, FIFO within the image
-	activeAt int       // real core: index in admission.active while queue is non-empty
-
-	// Virtual core, one weighted batch at a time (dispatchWeighted): the
-	// image's backlog in the decision window as a min-heap of batch
-	// indices, and its membership in the pass-ordered image heap.
+	queue []*Ticket // real core: waiting tickets, FIFO within the image
+	// backlog is the virtual core's, one weighted batch at a time
+	// (dispatchWeighted): the image's tickets in the decision window as
+	// a min-heap of batch indices (vheap.go).
 	backlog []int
-	inHeap  bool
 
 	submitted, completed, rejected uint64
 	svcEWMA                        uint64
@@ -113,9 +109,10 @@ type admission struct {
 	images map[string]*imageState
 	vtime  uint64 // pass of the most recently dispatched image (global virtual time)
 
-	// active lists the images with a non-empty queue (real core), so the
-	// fair pick walks the backlog instead of every image ever seen.
-	active []*imageState
+	// ready is the fair pick's heap: the images with a backlog, the
+	// minimum (pass, name) on top, so a pick costs O(log backlogged
+	// images) on either core, not a walk over every tenant ever seen.
+	ready []*imageState
 }
 
 func newAdmission(pol Admission) *admission {
@@ -159,6 +156,31 @@ func (a *admission) advance(st *imageState) {
 		a.vtime = st.pass
 	}
 	st.pass += a.stride(st)
+}
+
+// before is the fair pick's total order: (pass, name).
+func (st *imageState) before(o *imageState) bool {
+	return st.pass < o.pass || (st.pass == o.pass && st.name < o.name)
+}
+
+// enter puts st on the ready heap as its backlog goes from empty to
+// non-empty, activated first. The caller of next enters the winner
+// again while its backlog is non-empty; its advanced pass is above the
+// global virtual time, so that activation changes nothing. Activating on
+// entry is activating on pop: every ready image's pass is at least vtime,
+// and vtime moves only in advance.
+func (a *admission) enter(st *imageState) {
+	a.activate(st)
+	heapPush(&a.ready, st, (*imageState).before)
+}
+
+// next pops the ready image with the lowest (pass, name) — the weighted
+// fair pick — and charges it one dispatch. The ready heap must not be
+// empty.
+func (a *admission) next() *imageState {
+	st := heapPop(&a.ready, (*imageState).before)
+	a.advance(st)
+	return st
 }
 
 // complete folds a finished ticket back into its image: service-time

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -547,7 +548,7 @@ func TestLendStress(t *testing.T) {
 
 // pickScan is the full-map reference for admission.pick: the selection
 // walks every image the layer has ever seen, as pick did before the
-// active list. Test-only, like linearCore.
+// ready heap, and keeps no heap of its own. Test-only, like linearCore.
 func (a *admission) pickScan() *Ticket {
 	var best *imageState
 	for _, st := range a.images {
@@ -555,14 +556,29 @@ func (a *admission) pickScan() *Ticket {
 			best = st
 		}
 	}
-	return a.take(best)
+	return a.takeScan(best)
+}
+
+// takeScan dispatches the head ticket of the image pickScan chose (nil:
+// none), advancing its pass. The reference's ready heap, which enter
+// fills, is dropped unread.
+func (a *admission) takeScan(best *imageState) *Ticket {
+	a.ready = a.ready[:0]
+	if best == nil {
+		return nil
+	}
+	t := best.queue[0]
+	best.queue = best.queue[1:]
+	a.advance(best)
+	return t
 }
 
 // TestPickMatchesPickScan drives two admission layers through the same
-// random enqueue/pick/complete sequences — one picking over the active
-// list, one over the full map — under weights and MaxQueued shedding.
+// random enqueue/pick/complete sequences — one picking off the ready
+// heap, one over the full map — under weights and MaxQueued shedding.
 // Every enqueue verdict and every picked ticket must agree, and the
-// active list must hold exactly the images with a waiting ticket.
+// ready heap must hold exactly the images with a waiting ticket, once
+// each.
 func TestPickMatchesPickScan(t *testing.T) {
 	policies := []Admission{
 		{},
@@ -607,13 +623,13 @@ func TestPickMatchesPickScan(t *testing.T) {
 			for _, st := range fast.images {
 				if len(st.queue) > 0 {
 					waiting++
-					if st.activeAt >= len(fast.active) || fast.active[st.activeAt] != st {
-						t.Fatalf("seed %d op %d: image %s has a backlog but is not on the active list", seed, op, st.name)
+					if !slices.Contains(fast.ready, st) {
+						t.Fatalf("seed %d op %d: image %s has a backlog but is not on the ready heap", seed, op, st.name)
 					}
 				}
 			}
-			if waiting != len(fast.active) {
-				t.Fatalf("seed %d op %d: active list holds %d images, %d have a backlog", seed, op, len(fast.active), waiting)
+			if waiting != len(fast.ready) {
+				t.Fatalf("seed %d op %d: ready heap holds %d images, %d have a backlog", seed, op, len(fast.ready), waiting)
 			}
 		}
 		for name, st := range fast.images {

@@ -61,8 +61,9 @@ func (c *linearCore) submit(ts []*Ticket) (rejected []*Ticket) {
 		return rejected
 	}
 	for _, t := range ts {
-		if by, _ := c.busyAt(t.Arrival); c.s.admitOneLocked(t, by) {
-			c.place(t)
+		by, _ := c.busyAt(t.Arrival)
+		if weights, ok := c.s.admitOneLocked(t, by); ok {
+			c.place(t, weights)
 		} else {
 			rejected = append(rejected, t)
 		}
@@ -92,14 +93,13 @@ func (c *linearCore) earliestFree() *worker {
 	return best
 }
 
-func (c *linearCore) place(t *Ticket) {
+func (c *linearCore) place(t *Ticket, weights []float64) {
 	s := c.s
 	by, busy := c.busyAt(t.Arrival)
 	var best *worker
 	if s.placer == nil {
 		best = c.earliestFree()
 	} else {
-		weights := t.elig
 		if weights == nil {
 			weights = s.placeWeightsLocked(t, by)
 		}
@@ -172,6 +172,6 @@ func (c *linearCore) dispatchWeighted(pending []*Ticket) {
 		}
 		a.advance(bestSt)
 		pending = append(pending[:bestIdx], pending[bestIdx+1:]...)
-		c.place(best)
+		c.place(best, nil)
 	}
 }

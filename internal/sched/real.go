@@ -282,57 +282,29 @@ func (a *admission) tryEnqueue(t *Ticket) error {
 		return ErrAdmission
 	}
 	if len(st.queue) == 0 {
-		a.activate(st)
-		st.activeAt = len(a.active)
-		a.active = append(a.active, st)
+		a.enter(st)
 	}
 	st.queue = append(st.queue, t)
 	return nil
 }
 
-// pick removes and returns the next ticket by weighted fair pick across
-// the per-image queues: the image with the lowest pass (ties break on
-// the image name, keeping the pick deterministic whatever the order of
-// the active list). Only images with a waiting ticket are looked at, so
-// the cost follows the backlog, not the tenants ever seen. Returns nil
-// when nothing is queued. Caller holds dmu.
+// pick removes and returns the head ticket of the image the weighted
+// fair pick names (admission.next), which goes back on the ready heap
+// while tickets remain. Returns nil when nothing is queued. Caller holds
+// dmu.
 func (a *admission) pick() *Ticket {
-	var best *imageState
-	for _, st := range a.active {
-		if best == nil || st.before(best) {
-			best = st
-		}
-	}
-	return a.take(best)
-}
-
-// before is the fair pick's total order: (pass, name).
-func (st *imageState) before(o *imageState) bool {
-	return st.pass < o.pass || (st.pass == o.pass && st.name < o.name)
-}
-
-// take dispatches the head ticket of the picked image (nil: none),
-// advancing its pass and dropping it from the active list once its
-// queue is empty.
-func (a *admission) take(best *imageState) *Ticket {
-	if best == nil {
+	if len(a.ready) == 0 {
 		return nil
 	}
-	t := best.queue[0]
-	best.queue[0] = nil
-	if len(best.queue) == 1 {
+	st := a.next()
+	t := st.queue[0]
+	st.queue[0] = nil
+	if len(st.queue) == 1 {
 		// Drained: keep the backing array for the next enqueue.
-		best.queue = best.queue[:0]
+		st.queue = st.queue[:0]
 	} else {
-		best.queue = best.queue[1:]
+		st.queue = st.queue[1:]
+		a.enter(st)
 	}
-	if len(best.queue) == 0 {
-		last := a.active[len(a.active)-1]
-		a.active[best.activeAt] = last
-		last.activeAt = best.activeAt
-		a.active[len(a.active)-1] = nil
-		a.active = a.active[:len(a.active)-1]
-	}
-	a.advance(best)
 	return t
 }

@@ -160,13 +160,6 @@ type Ticket struct {
 	// and completion never look the image name up again.
 	st *imageState
 
-	// elig is the placement weight per scheduler backend (nil when no
-	// placer is attached): <= 0 means the backend's workers must not
-	// serve this ticket. Virtual mode only; the batch dispatcher
-	// recomputes it at each placement decision so load-sensitive
-	// policies see decision-time state.
-	elig []float64
-
 	// lender is the real core whose queue holds (or held) the ticket; nil
 	// for virtual-mode and never-enqueued tickets. Wait helps it serve
 	// the queue while queued is set.
@@ -185,7 +178,7 @@ func (t *Ticket) finish() {
 	if t.cfg != nil {
 		*t.cfg = wasp.RunConfig{}
 	}
-	t.run, t.img, t.cfg, t.elig = nil, nil, nil, nil
+	t.run, t.img, t.cfg = nil, nil, nil
 	if t.lender != nil {
 		t.done.Unlock()
 	}
@@ -313,7 +306,7 @@ type Scheduler struct {
 	platforms []vmm.Platform
 	bstates   []*backendState
 	placer    placement.Placer
-	imgStats  *imgStats
+	imgStats  imgStats
 
 	// adm is the per-image admission-control state, nil without
 	// WithAdmission; guarded by the core lock.
@@ -402,9 +395,7 @@ func newScheduler(w *wasp.Wasp, n int, mkCore func(*Scheduler) core, opts ...Opt
 	for len(s.workers) < n {
 		s.bstates[s.addWorker().beIdx].workers++
 	}
-	if s.placer != nil {
-		s.imgStats = newImgStats(0)
-	}
+	s.imgStats.Cap = maxTrackedImages
 	s.core = mkCore(s)
 	return s
 }

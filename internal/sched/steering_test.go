@@ -11,7 +11,8 @@ import (
 )
 
 func TestImgStatsLRUBoundAndEWMA(t *testing.T) {
-	st := newImgStats(4)
+	st := &imgStats{}
+	st.Cap = 4
 	st.note("a", 100, 2)
 	st.note("a", 200, 2)
 	svc, entries := st.get("a")
@@ -21,8 +22,8 @@ func TestImgStatsLRUBoundAndEWMA(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		st.note(fmt.Sprintf("churn-%d", i), 10, 1)
 	}
-	if trackedImages(st) > 4 {
-		t.Fatalf("tracked %d images, cap is 4", trackedImages(st))
+	if st.Len() > 4 {
+		t.Fatalf("tracked %d images, cap is 4", st.Len())
 	}
 	if svc, _ := st.get("churn-19"); svc == 0 {
 		t.Fatal("hottest image must survive eviction")
@@ -30,8 +31,10 @@ func TestImgStatsLRUBoundAndEWMA(t *testing.T) {
 	if svc, _ := st.get("a"); svc != 0 {
 		t.Fatal("coldest image must have been evicted")
 	}
-	if newImgStats(0).limit != maxTrackedImages {
-		t.Fatal("limit 0 must fall back to the default cap")
+	s := NewVirtual(splitWasp(), 2, WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}), WithPlacer(placement.CostModel{}))
+	defer s.Close()
+	if s.imgStats.Cap != maxTrackedImages {
+		t.Fatalf("scheduler caps image telemetry at %d, want %d", s.imgStats.Cap, maxTrackedImages)
 	}
 }
 
@@ -45,7 +48,7 @@ func TestSchedulerImageTelemetryBounded(t *testing.T) {
 		WithWorkerPlatforms(vmm.KVM{}, vmm.HyperV{}),
 		WithPlacer(placement.CostModel{}))
 	defer s.Close()
-	s.imgStats = newImgStats(16) // shrink the cap so the test stays cheap
+	s.imgStats.Cap = 16 // shrink the cap so the test stays cheap
 	base := guest.RealModeHalt()
 	for i := 0; i < 64; i++ {
 		tk := s.Submit(base.WithName(fmt.Sprintf("tenant-%d", i)), wasp.RunConfig{})
@@ -53,7 +56,7 @@ func TestSchedulerImageTelemetryBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := trackedImages(s.imgStats); n > 16 {
+	if n := s.imgStats.Len(); n > 16 {
 		t.Fatalf("per-image telemetry grew to %d entries under churn, cap is 16", n)
 	}
 	if svc, _ := s.imgStats.get("tenant-63"); svc == 0 {
@@ -63,6 +66,3 @@ func TestSchedulerImageTelemetryBounded(t *testing.T) {
 		t.Fatal("oldest tenant's telemetry must have been evicted")
 	}
 }
-
-// trackedImages is the images st tracks: the leak tests' bound.
-func trackedImages(st *imgStats) int { return st.lru.Len() }

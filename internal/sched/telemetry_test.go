@@ -77,13 +77,13 @@ func TestImageTelemetryTornPairs(t *testing.T) {
 
 	s.core.Lock()
 	defer s.core.Unlock()
-	if got := trackedImages(s.imgStats); got != 2 {
+	if got := s.imgStats.Len(); got != 2 {
 		t.Fatalf("tracking %d images, want 2", got)
 	}
-	if _, ok := s.imgStats.m["hot"]; !ok {
+	if _, ok := s.imgStats.Peek("hot"); !ok {
 		t.Fatalf("no telemetry for hot after %d rounds", rounds)
 	}
-	if _, ok := s.imgStats.m["never-ran"]; ok {
+	if _, ok := s.imgStats.Peek("never-ran"); ok {
 		t.Fatalf("telemetry invented for an unknown image")
 	}
 }

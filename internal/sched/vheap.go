@@ -1,14 +1,13 @@
 package sched
 
-// This file holds the O(log n) side structures of the virtual core's
-// event-driven weighted batch dispatcher (virtualCore.dispatchWeighted).
-// Every structure obeys the determinism rules in
-// internal/sched/README.md: total orders with explicit tie-breaks
-// (submission index, (pass, name)) and no map iteration in decision
-// order.
+// This file holds the binary min-heap primitives behind the fair pick's
+// ready heap (admission.enter/next, ordered by (pass, name)) and the
+// virtual core's per-image batch backlogs (submission index). Both obey
+// the determinism rules in internal/sched/README.md: total orders with
+// explicit tie-breaks and no map iteration in decision order.
 
-// heapPush, heapDown and heapPop are the binary min-heap primitives the
-// dispatcher's heaps share; less must be a total order.
+// heapPush, heapDown and heapPop are the primitives; less must be a
+// total order.
 func heapPush[T any](h *[]T, x T, less func(a, b T) bool) {
 	s := append(*h, x)
 	*h = s
@@ -60,20 +59,3 @@ func (st *imageState) push(idx int) { heapPush(&st.backlog, idx, intLess) }
 
 // popMin removes and returns the lowest batch index.
 func (st *imageState) popMin() int { return heapPop(&st.backlog, intLess) }
-
-// imgHeap is the pass-ordered image heap: the weighted fair pick pops
-// the minimum (pass, name) (imageState.before), the winner of a scan
-// over every backlogged image. An image is in the heap iff its window
-// backlog is nonempty; pop/push maintain the membership flag.
-type imgHeap []*imageState
-
-func (h *imgHeap) push(st *imageState) {
-	st.inHeap = true
-	heapPush((*[]*imageState)(h), st, (*imageState).before)
-}
-
-func (h *imgHeap) pop() *imageState {
-	top := heapPop((*[]*imageState)(h), (*imageState).before)
-	top.inHeap = false
-	return top
-}

@@ -12,9 +12,10 @@ import (
 // virtualCore is the virtual-mode dispatch core: deterministic
 // event-driven dispatch in the submitting goroutine, O(log n) searches per
 // decision. One sorted array of active workers' (clock, id) keys per
-// backend (ready.go) answers earliest-free and busy-at-T; the event
-// heaps (vheap.go) back the weighted batch dispatcher. Everything here
-// is guarded by mu.
+// backend (ready.go) answers earliest-free and busy-at-T; the weighted
+// batch dispatcher picks images off admission's ready heap and tickets
+// off per-image backlog heaps (vheap.go). Everything here is guarded
+// by mu.
 type virtualCore struct {
 	s  *Scheduler
 	mu sync.Mutex
@@ -69,8 +70,8 @@ func (c *virtualCore) submit(ts []*Ticket) (rejected []*Ticket) {
 		// eligibility gate and the placement decision: nothing moves
 		// between them.
 		by, total := c.busyAt(t.Arrival)
-		if c.s.admitOneLocked(t, by) {
-			c.place(t, by, total)
+		if weights, ok := c.s.admitOneLocked(t, by); ok {
+			c.place(t, by, total, weights)
 		} else {
 			rejected = append(rejected, t)
 		}
@@ -81,17 +82,18 @@ func (c *virtualCore) submit(ts []*Ticket) (rejected []*Ticket) {
 // admitOneLocked gates one ticket dispatched at its arrival time: the
 // shared submission vet (busy: per-backend busy-worker counts at the
 // arrival, for load-aware placers), then one dispatch charged to the
-// image's pass. Caller holds the core lock.
-func (s *Scheduler) admitOneLocked(t *Ticket, busy []int) (ok bool) {
-	if t.elig, ok = s.vetLocked(t, busy); !ok || s.adm == nil {
-		return ok
+// image's pass. It returns the vet's placement weights for place.
+// Caller holds the core lock.
+func (s *Scheduler) admitOneLocked(t *Ticket, busy []int) (weights []float64, ok bool) {
+	if weights, ok = s.vetLocked(t, busy); !ok || s.adm == nil {
+		return weights, ok
 	}
 	st := s.adm.state(t.Image)
 	t.st = st
 	st.submitted++
 	s.adm.activate(st)
 	s.adm.advance(st)
-	return true
+	return weights, true
 }
 
 // admitBatchLocked vets a weighted batch in submission order (the
@@ -142,23 +144,24 @@ func (c *virtualCore) busyAt(at uint64) (by []int, total int) {
 func (c *virtualCore) earliestFree() rkey { return c.pick(nil, 0) }
 
 // place assigns the ticket to a worker in virtual time and services it
-// synchronously; (by, total) is busyAt at the ticket's arrival. Without
+// synchronously; (by, total) is busyAt at the ticket's arrival, and
+// weights the placement weights already computed for it (nil: compute
+// them here, when a placer is attached). Without
 // a placer it is the classic earliest-free-worker rule; with one, the
 // choice is restricted to workers on eligible backends and each
 // candidate's earliest start is penalized by the backend's placement
 // bias (placement.Bias of its weight) — deterministic cost-aware list
 // scheduling. Ties break toward the earlier worker clock, then the
 // lowest worker index, keeping runs reproducible.
-func (c *virtualCore) place(t *Ticket, by []int, total int) {
+func (c *virtualCore) place(t *Ticket, by []int, total int, weights []float64) {
 	s := c.s
 	k := rkey{id: -1}
 	if s.placer != nil {
 		// Decision-time weights: load-sensitive policies see the busy
 		// counts and EWMAs as of the ticket's arrival. The single-ticket
 		// path computed them moments ago under this same lock hold
-		// (t.elig); the event-driven batch path reaches here at a later
-		// decision time and computes fresh.
-		weights := t.elig
+		// (admitOneLocked); the event-driven batch path reaches here at a
+		// later decision time and computes fresh.
 		if weights == nil {
 			weights = s.placeWeightsLocked(t, by)
 		}
@@ -242,12 +245,9 @@ func (c *virtualCore) pick(weights []float64, eff uint64) rkey {
 // Each step searches in O(log n): T comes off the ready sets, arrivals
 // enter the window off a cursor over the arrival order, the backlog
 // lives in per-image min-heaps of submission indices (so "first
-// submitted per image" survives out-of-order arrivals), and the pick
-// pops the minimum (pass, name) from a pass-ordered image heap.
-// Start-time-fair activation happens on pop: an image surfacing with a
-// stale pass is raised to the global virtual time and reinserted, so by
-// the time a winner emerges every contender has been normalized.
-// Caller holds mu.
+// submitted per image" survives out-of-order arrivals), and the pick is
+// admission.next on the ready heap, which an image enters, activated,
+// as its backlog turns non-empty. Caller holds mu.
 func (c *virtualCore) dispatchWeighted(batch []*Ticket) {
 	a := c.s.adm
 	// Arrival-ordered event queue over the batch, ties by submission
@@ -259,42 +259,32 @@ func (c *virtualCore) dispatchWeighted(batch []*Ticket) {
 	slices.SortFunc(order, func(i, j int) int {
 		return cmp.Or(cmp.Compare(batch[i].Arrival, batch[j].Arrival), cmp.Compare(i, j))
 	})
-	var (
-		qpos  int // order[:qpos] has entered the window
-		iheap imgHeap
-	)
-	for qpos < len(order) || len(iheap) > 0 {
+	qpos := 0 // order[:qpos] has entered the window
+	for qpos < len(order) || len(a.ready) > 0 {
 		// An empty window waits for the next arrival. A nonempty one
 		// already holds every arrival up to the decision time that
 		// filled it, which is at least its earliest arrival, so raising
 		// T to that arrival would admit nothing more.
 		T := c.earliestFree().clk
-		if len(iheap) == 0 {
+		if len(a.ready) == 0 {
 			T = max(T, batch[order[qpos]].Arrival)
 		}
 		for qpos < len(order) && batch[order[qpos]].Arrival <= T {
 			idx := order[qpos]
 			qpos++
 			st := batch[idx].st
-			st.push(idx)
-			if !st.inHeap {
-				iheap.push(st)
+			if len(st.backlog) == 0 {
+				a.enter(st)
 			}
+			st.push(idx)
 		}
 
-		// Weighted pick: pop-min (pass, name).
-		win := iheap.pop()
-		for win.pass < a.vtime {
-			a.activate(win)
-			iheap.push(win)
-			win = iheap.pop()
-		}
-		a.advance(win)
+		win := a.next()
 		best := batch[win.popMin()]
 		by, total := c.busyAt(best.Arrival)
-		c.place(best, by, total)
+		c.place(best, by, total, nil)
 		if len(win.backlog) > 0 {
-			iheap.push(win)
+			a.enter(win)
 		}
 	}
 }

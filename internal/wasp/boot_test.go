@@ -40,7 +40,7 @@ func entryOf(w *Wasp, img *guest.Image) *contentEntry {
 	r := &w.backends[0].content
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, _ := r.entries.get(contentKey{img.ContentKey(), img.MemBytes()})
+	e, _ := r.entries.Peek(contentKey{img.ContentKey(), img.MemBytes()})
 	return e
 }
 

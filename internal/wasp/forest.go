@@ -1,10 +1,10 @@
 package wasp
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/lru"
 	"repro/internal/vmm"
 )
 
@@ -32,47 +32,6 @@ import (
 // decoded-code registry, in entries.
 const contentCap = 64
 
-// lru maps keys to at most contentCap values, the least recently used
-// evicted first. Its owner synchronizes it.
-type lru[K comparable, V any] struct {
-	byKey map[K]*list.Element // Value: *lruEntry[K, V]
-	order list.List
-}
-
-type lruEntry[K comparable, V any] struct {
-	key K
-	val V
-}
-
-// get returns key's value, made the most recently used.
-func (l *lru[K, V]) get(key K) (v V, ok bool) {
-	if el := l.byKey[key]; el != nil {
-		l.order.MoveToFront(el)
-		return el.Value.(*lruEntry[K, V]).val, true
-	}
-	return v, false
-}
-
-// put makes v key's value, the most recently used, and returns the value
-// evicted past the bound, if any.
-func (l *lru[K, V]) put(key K, v V) (old V, evicted bool) {
-	if el := l.byKey[key]; el != nil {
-		el.Value.(*lruEntry[K, V]).val = v
-		l.order.MoveToFront(el)
-		return old, false
-	}
-	if l.byKey == nil {
-		l.byKey = make(map[K]*list.Element)
-	}
-	l.byKey[key] = l.order.PushFront(&lruEntry[K, V]{key, v})
-	if l.order.Len() <= contentCap {
-		return old, false
-	}
-	e := l.order.Remove(l.order.Back()).(*lruEntry[K, V])
-	delete(l.byKey, e.key)
-	return e.val, true
-}
-
 // contentKey names a content entry: an image's content at one memory
 // size. A base layer or boot recording serves only its own geometry.
 type contentKey struct {
@@ -94,7 +53,7 @@ type contentEntry struct {
 // the same.
 type contentRegistry struct {
 	mu                         sync.Mutex
-	entries                    lru[contentKey, *contentEntry]
+	entries                    lru.Cache[contentKey, *contentEntry]
 	evicted, replays, recorded atomic.Uint64
 }
 
@@ -102,11 +61,11 @@ type contentRegistry struct {
 // (and the eviction it brings), else nil, when key has none. Called with
 // mu held.
 func (r *contentRegistry) entry(key contentKey, add bool) *contentEntry {
-	if e, ok := r.entries.get(key); ok || !add {
+	if e, ok := r.entries.Get(key); ok || !add {
 		return e
 	}
 	e := &contentEntry{}
-	if old, evicted := r.entries.put(key, e); evicted {
+	if old, evicted := r.entries.Put(key, e); evicted {
 		old.base.Release()
 		if old.boot != nil {
 			old.boot.layer.Release()
@@ -164,8 +123,8 @@ func (r *contentRegistry) setBoot(key contentKey, rec *bootRecord) {
 func (r *contentRegistry) bases() (n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, el := range r.entries.byKey {
-		if el.Value.(*lruEntry[contentKey, *contentEntry]).val.base != nil {
+	for _, e := range r.entries.All() {
+		if e.base != nil {
 			n++
 		}
 	}

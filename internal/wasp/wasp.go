@@ -48,6 +48,7 @@ import (
 	"repro/internal/cycles"
 	"repro/internal/guest"
 	"repro/internal/hypercall"
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/vmm"
 )
@@ -289,6 +290,7 @@ func New(opts ...Option) *Wasp {
 		pooling:   true,
 		platforms: []vmm.Platform{vmm.KVM{}},
 	}
+	w.codes.caches.Cap = contentCap
 	for _, o := range opts {
 		o(w)
 	}
@@ -299,6 +301,7 @@ func New(opts ...Option) *Wasp {
 		}
 		be := &backend{platform: p, forest: vmm.NewPageStore()}
 		be.pools.max = maxPerClass
+		be.content.entries.Cap = contentCap
 		if w.pooling && w.asyncClean {
 			be.cleaner = newCleaner(w.tracer)
 		}
@@ -623,14 +626,14 @@ func (g *guestMem) WriteGuest(addr uint64, b []byte) error {
 // evicted content's next run decodes afresh, which no charge sees.
 type codeRegistry struct {
 	mu     sync.Mutex
-	caches lru[string, cpu.CodeCache]
+	caches lru.Cache[string, cpu.CodeCache]
 	merges uint64
 }
 
 func (r *codeRegistry) get(key string) cpu.CodeCache {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cc, _ := r.caches.get(key)
+	cc, _ := r.caches.Get(key)
 	return cc
 }
 
@@ -643,23 +646,23 @@ func (r *codeRegistry) merge(key string, cc cpu.CodeCache) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	held, _ := r.caches.get(key)
-	r.caches.put(key, held.Merge(cc))
+	held, _ := r.caches.Get(key)
+	r.caches.Put(key, held.Merge(cc))
 	r.merges++
 }
 
 func (r *codeRegistry) stats() (entries int, merges uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.caches.byKey), r.merges
+	return r.caches.Len(), r.merges
 }
 
 // footprint sums the registered caches' Footprints.
 func (r *codeRegistry) footprint() (steps, entryBytes int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, el := range r.caches.byKey {
-		s, e := el.Value.(*lruEntry[string, cpu.CodeCache]).val.Footprint()
+	for _, cc := range r.caches.All() {
+		s, e := cc.Footprint()
 		steps, entryBytes = steps+s, entryBytes+e
 	}
 	return steps, entryBytes
